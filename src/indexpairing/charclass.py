@@ -10,15 +10,16 @@ trigonometric polynomials below the angular band.
 
 The module provides the curvature-to-form machinery (matrix-valued exterior
 calculus on either site), Chern character forms of projector fields with an
-optional connection perturbation, the multiplicative genus built from power
-traces of the curvature, the Levi-Civita curvature of a sampled fiber metric,
-and the three model projector families used by the scenarios: a flux-twisted
-line bundle frame on the fiber, a clutching projector on the disc, and the
-graph projector of a nonvanishing scalar symbol.
+optional connection perturbation, and the three model projector families used
+by the scenarios: a flux-twisted line bundle frame on the fiber, a clutching
+projector on the disc, and the graph projector of a nonvanishing scalar
+symbol.  No genus factor is formed: every scenario runs on two-dimensional
+fibers, where the A-hat genus is identically 1 because its components sit in
+degrees divisible by four.
 
 Normalization is fixed once: curvature enters the Chern character through the
-scale 1/(2*pi*i) and enters the genus through root scale 1/(2*pi).  Any
-further orientation constant belongs to the index integrand, not here.
+scale 1/(2*pi*i).  Any further orientation constant belongs to the index
+integrand, not here.
 """
 from __future__ import annotations
 
@@ -44,32 +45,7 @@ from .groupoid import BaseModel
 from .symbols import EllipticityError
 
 CH_CURVATURE_SCALE = 1.0 / (2.0j * np.pi)
-CURVATURE_ROOT_SCALE = 1.0 / (2.0 * np.pi)
-
-# Exponential-of-traces coefficients of the multiplicative genus
-# sqrt(det((R/2)/sinh(R/2))) = exp(AHAT_TR2*tr(R^2) + AHAT_TR4*tr(R^4) + ...),
-# valid for any square matrix of commuting 2-form entries.  Expanding the
-# exponential gives the degree-8 trace polynomial with the AHAT_TR2_SQ term.
-AHAT_TR2 = Fraction(-1, 48)
-AHAT_TR4 = Fraction(1, 5760)
-AHAT_TR2_SQ = Fraction(1, 4608)
-
 IDEMPOTENT_TOL = 1e-10
-
-
-def a_hat_from_power_traces(tr2, tr4):
-    """Genus terms by degree from the power traces of a scaled curvature.
-
-    Works symbolically (exact Fraction coefficients survive sympy inputs), so
-    series oracles can check the coefficients without any grid in sight.
-    Returns {0: 1, 4: ..., 8: ...} where the entries are the degree-4 and
-    degree-8 parts of the genus written in tr(R^2) and tr(R^4).
-    """
-    return {
-        0: 1,
-        4: AHAT_TR2 * tr2,
-        8: AHAT_TR4 * tr4 + AHAT_TR2_SQ * tr2 * tr2,
-    }
 
 
 @lru_cache(maxsize=None)
@@ -180,10 +156,6 @@ class DiscModel:
         np.fill_diagonal(D, 0.0)
         np.fill_diagonal(D, -D.sum(axis=1))
         return D
-
-    def sample(self, fn) -> np.ndarray:
-        """Evaluate fn(xi1, xi2) on the nodes."""
-        return np.asarray(fn(self.points[:, 0], self.points[:, 1]))
 
     def derivative(self, field: np.ndarray, axis: int) -> np.ndarray:
         """Cartesian partial derivative along frequency axis 0 or 1.
@@ -719,106 +691,3 @@ def graph_symbol_projector(disc: DiscModel, values: np.ndarray, flatness: int = 
     p[:, 1, 0] = c * s * phase
     p[:, 1, 1] = s * s
     return p
-
-
-# ---------------------------------------------------------------------------
-# Levi-Civita curvature of a sampled fiber metric
-
-
-def levi_civita_curvature(metric: np.ndarray, fiber: FiberModel) -> np.ndarray:
-    """Curvature of the Levi-Civita connection of a grid-sampled metric.
-
-    metric has shape (npoints, r, r), symmetric positive definite per point.
-    Returns the matrix-valued curvature 2-form (npoints, C(r,2), r, r) with
-    entry [.., K, i, j] the coefficient of dz^K in the mixed-index curvature
-    acting on frame vectors (first matrix index up, second down).
-    """
-    r = fiber.dim
-    g = np.asarray(metric, dtype=complex)
-    if g.shape != (fiber.npoints, r, r):
-        raise ModelError(f"metric shape {g.shape} does not match the fiber")
-    ginv = np.linalg.inv(g)
-    dg = np.stack([_fiber_block_derivative(g, j, fiber) for j in range(r)])
-    # Christoffel symbols, index order [point, i, j, k] for Gamma^i_{jk}
-    gamma = 0.5 * np.einsum(
-        "pil,jplk->pijk", ginv, dg + np.einsum("kplj->jplk", dg) - np.einsum("lpjk->jplk", dg)
-    )
-    dgamma = np.stack([_fiber_block_derivative(gamma, j, fiber) for j in range(r)])
-    # R^i_{jkl} = d_k Gamma^i_{lj} - d_l Gamma^i_{kj} + G^i_{km} G^m_{lj} - G^i_{lm} G^m_{kj}
-    riem = np.empty((fiber.npoints, r, r, r, r), dtype=complex)
-    for k in range(r):
-        for l in range(r):
-            riem[:, :, :, k, l] = (
-                dgamma[k][:, :, l, :]
-                - dgamma[l][:, :, k, :]
-                + np.einsum("pim,pmj->pij", gamma[:, :, k, :], gamma[:, :, l, :])
-                - np.einsum("pim,pmj->pij", gamma[:, :, l, :], gamma[:, :, k, :])
-            )
-    subs = index_subsets(r, 2)
-    out = np.empty((fiber.npoints, len(subs), r, r), dtype=complex)
-    for pos, (k, l) in enumerate(subs):
-        out[:, pos] = riem[:, :, :, k, l]
-    return out
-
-
-def christoffel_one_form(metric: np.ndarray, fiber: FiberModel) -> np.ndarray:
-    """Connection matrix 1-form of the Levi-Civita connection.
-
-    Returns (npoints, r, r, r) with entry [.., k, i, j] the dz^k coefficient
-    of the connection acting on frames, consistent with the curvature layout.
-    """
-    r = fiber.dim
-    g = np.asarray(metric, dtype=complex)
-    ginv = np.linalg.inv(g)
-    dg = np.stack([_fiber_block_derivative(g, j, fiber) for j in range(r)])
-    gamma = 0.5 * np.einsum(
-        "pil,jplk->pijk", ginv, dg + np.einsum("kplj->jplk", dg) - np.einsum("lpjk->jplk", dg)
-    )
-    out = np.empty((fiber.npoints, r, r, r), dtype=complex)
-    for k in range(r):
-        out[:, k] = gamma[:, :, k, :]
-    return out
-
-
-def a_hat_form(
-    base: BaseModel,
-    disc: DiscModel,
-    metrics: list[np.ndarray] | None = None,
-    curvatures: list[np.ndarray] | None = None,
-) -> CharClassForm:
-    """Multiplicative genus of the leafwise tangent as a characteristic form.
-
-    Accepts either sampled metrics (one (npoints, r, r) array per base point)
-    or precomputed curvature matrix 2-forms; with neither the genus of the
-    flat structure, identically 1, is returned.  Curvature enters through the
-    root scale 1/(2*pi) and the exponential trace series; on fibers of
-    dimension below four every higher term vanishes identically.
-    """
-    r = base.fiber(0).dim
-    out = unit_char(base, disc, kind="a-hat")
-    if metrics is None and curvatures is None:
-        return out
-    if curvatures is None:
-        curvatures = [levi_civita_curvature(metrics[x], base.fiber(x)) for x in range(len(base))]
-    if len(curvatures) != len(base):
-        raise ModelError("need one curvature per base point")
-    if r < 4:
-        return out
-    deg4 = []
-    deg8 = []
-    for x in range(len(base)):
-        R = np.asarray(curvatures[x], dtype=complex) * CURVATURE_ROOT_SCALE
-        R2 = matrix_wedge(R, 2, R, 2, r)
-        tr2 = np.trace(R2, axis1=-2, axis2=-1)
-        deg4.append(float(AHAT_TR2) * tr2)
-        if r >= 8:
-            R4 = matrix_wedge(R2, 4, R2, 4, r)
-            tr4 = np.trace(R4, axis1=-2, axis2=-1)
-            sq = matrix_wedge(
-                tr2[:, :, None, None], 4, tr2[:, :, None, None], 4, r
-            )[:, :, 0, 0]
-            deg8.append(float(AHAT_TR4) * tr4 + float(AHAT_TR2_SQ) * sq)
-    out.terms.append(CotangentTerm(FoliatedForm(4, r, deg4), DiscForm.one(disc)))
-    if deg8:
-        out.terms.append(CotangentTerm(FoliatedForm(8, r, deg8), DiscForm.one(disc)))
-    return out

@@ -86,18 +86,6 @@ class ASCochain:
         ones = [np.ones(base.fiber(x).npoints, dtype=complex) for x in range(len(base))]
         return cls.elementary(base, [ones], germ_radius=germ_radius)
 
-    def evaluate(self, x: int, tuple_indices) -> complex:
-        """Value at a tuple of grid-point indices on the fiber over x."""
-        if len(tuple_indices) != self.degree + 1:
-            raise DegreeError("tuple length must be degree+1")
-        total = 0.0 + 0.0j
-        for t in self.terms:
-            prod = t.weight
-            for slot, z in enumerate(tuple_indices):
-                prod *= t.factors[slot][x][z]
-            total += prod
-        return complex(total)
-
     def evaluate_batch(self, x: int, tuples: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an array of index tuples, shape (m, k+1)."""
         tuples = np.asarray(tuples, dtype=int)
@@ -195,59 +183,3 @@ def invariant_project_cochain(
                     factors.append(fam2)
                 new_terms.append(ASTerm(t.weight, tuple(factors)))
     return ASCochain(base, phi.degree, new_terms, phi.germ_radius, check_band=False)
-
-
-class GroupoidCochain:
-    """Scalar cochain on composable arrow tuples (finite tables).
-
-    Degree 0 is a function on base points; degree p >= 1 is a function on
-    p-tuples of arrows with t(a_i) = s(a_{i+1}).
-    """
-
-    def __init__(self, degree: int, values: dict):
-        if degree < 0:
-            raise DegreeError("groupoid cochain degree must be nonnegative")
-        self.degree = degree
-        self.values = dict(values)
-
-    @classmethod
-    def from_function(cls, gpd, degree: int, fn) -> "GroupoidCochain":
-        if degree == 0:
-            vals = {x: complex(fn(x)) for x in range(len(gpd.base))}
-        else:
-            vals = {}
-            for tup in _composable_tuples(gpd, degree):
-                vals[tuple(a.label for a in tup)] = complex(fn(*tup))
-        return cls(degree, vals)
-
-    def __call__(self, *key):
-        if self.degree == 0:
-            return self.values[key[0]]
-        return self.values[tuple(k.label if isinstance(k, Arrow) else k for k in key)]
-
-
-def _composable_tuples(gpd, p: int):
-    if p == 1:
-        for a in gpd.arrows:
-            yield (a,)
-        return
-    for tup in _composable_tuples(gpd, p - 1):
-        for nxt in gpd.source_fibers[tup[-1].tgt]:
-            yield tup + (nxt,)
-
-
-def d_groupoid(nu: GroupoidCochain, gpd) -> GroupoidCochain:
-    """Simplicial differential on groupoid cochains."""
-    p = nu.degree
-    if p == 0:
-        vals = {(a.label,): nu(a.src) - nu(a.tgt) for a in gpd.arrows}
-        return GroupoidCochain(1, vals)
-    vals = {}
-    for tup in _composable_tuples(gpd, p + 1):
-        total = nu(*tup[1:])
-        for i in range(p):
-            merged = tup[: i] + (gpd.compose(tup[i], tup[i + 1]),) + tup[i + 2 :]
-            total += (-1) ** (i + 1) * nu(*merged)
-        total += (-1) ** (p + 1) * nu(*tup[:-1])
-        vals[tuple(a.label for a in tup)] = total
-    return GroupoidCochain(p + 1, vals)

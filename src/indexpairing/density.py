@@ -1,4 +1,4 @@
-"""Cutoff densities, transverse weights, metric averaging.
+"""Cutoff densities and transverse weights.
 
 The cutoff family c_x >= 0 satisfies, at every fiber point z over every base
 point x, the partition identity
@@ -106,84 +106,6 @@ class TransversalDensity:
         """
         return self.mass(a.tgt) / self.mass(a.src)
 
-    def is_invariant(self, tol: float = 1e-12) -> bool:
-        return all(
-            abs(self.modular(a) - 1.0) <= tol for a in self.gspace.groupoid.arrows
-        )
-
     @classmethod
     def uniform(cls, gspace: FiberedGSpace) -> "TransversalDensity":
         return cls(gspace, [1.0] * len(gspace.base))
-
-
-def modular_cocycle(dens: TransversalDensity) -> dict[object, float]:
-    """The modular ratio on every arrow, keyed by arrow label.
-
-    Multiplicative over composition by construction; identically 1 exactly
-    when the transverse mass is orbit-constant.
-    """
-    return {a.label: dens.modular(a) for a in dens.gspace.groupoid.arrows}
-
-
-def average_function(
-    gspace: FiberedGSpace, cutoff: CutoffDensity, fields: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Cutoff-weighted orbit average of a scalar field family.
-
-    out_x(z) = sum over arrows a from x of c_{t(a)}(action_a z) f_{t(a)}(action_a z).
-
-    The output family is invariant for any input, and equals the input when
-    the input was already invariant (partition identity).
-    """
-    out = []
-    for x in range(len(gspace.base)):
-        acc = np.zeros(gspace.base.fiber(x).npoints, dtype=np.result_type(*fields, float))
-        for a in gspace.groupoid.arrows_from(x):
-            weight = gspace.eval_after_action(a, cutoff.fields[a.tgt]).real
-            acc += weight * gspace.eval_after_action(a, fields[a.tgt])
-        out.append(acc)
-    return out
-
-
-def function_invariance_defect(gspace: FiberedGSpace, fields: list[np.ndarray]) -> float:
-    """Max over arrows of |f_{s(a)} - f_{t(a)} o action_a| on the grid."""
-    worst = 0.0
-    for a in gspace.groupoid.arrows:
-        diff = fields[a.src] - gspace.eval_after_action(a, fields[a.tgt])
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
-
-
-def average_metric(
-    gspace: FiberedGSpace, cutoff: CutoffDensity, metrics: list[np.ndarray]
-) -> list[np.ndarray]:
-    """Cutoff-weighted average of leafwise metric fields into an invariant one.
-
-    Each metrics[x] has shape (npoints, r, r), symmetric positive definite at
-    every grid point.  The average pulls back by the linear part B_a of the
-    pointwise action and conjugates:
-
-        eta_x(z) = sum_a c(action_a z) B_a^T rho_{t(a)}(action_a z) B_a.
-    """
-    r = gspace.fiber_dim
-    out = []
-    for x in range(len(gspace.base)):
-        npts = gspace.base.fiber(x).npoints
-        acc = np.zeros((npts, r, r))
-        for a in gspace.groupoid.arrows_from(x):
-            B = gspace.point_action(a).A.astype(float)
-            weight = gspace.eval_after_action(a, cutoff.fields[a.tgt]).real
-            rho_pulled = gspace.eval_after_action(a, metrics[a.tgt])
-            acc += weight[:, None, None] * (B.T @ rho_pulled @ B)
-        out.append(acc)
-    return out
-
-
-def metric_invariance_defect(gspace: FiberedGSpace, metrics: list[np.ndarray]) -> float:
-    """Max deviation from arrow-invariance of a metric family."""
-    worst = 0.0
-    for a in gspace.groupoid.arrows:
-        B = gspace.point_action(a).A.astype(float)
-        pulled = B.T @ gspace.eval_after_action(a, metrics[a.tgt]) @ B
-        worst = max(worst, float(np.max(np.abs(metrics[a.src] - pulled))))
-    return worst

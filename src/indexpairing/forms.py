@@ -261,94 +261,3 @@ def integrate_invariant(
         weighted = cutoff.fields[x] * form.fields[x][:, 0]
         total += dens.mass(x) * np.mean(weighted)
     return complex(total)
-
-
-def cohomology_rank(
-    gspace: FiberedGSpace,
-    cutoff: CutoffDensity,
-    q: int,
-    threshold: float = 1e-8,
-) -> int:
-    """Rank of degree-q cohomology of the band-limited invariant complex.
-
-    Assembles the derivative on grid samples of the band-limited q and q-1
-    form spaces, restricts to the range of the invariant projection, and
-    counts dimensions by singular-value rank with a relative threshold.
-    Reliable when the action maps preserve the Fourier box (translations and
-    signed permutations).
-    """
-    base = gspace.base
-    r = gspace.fiber_dim
-
-    def basis_forms(p: int) -> list[FoliatedForm]:
-        ncomp = len(index_subsets(r, p))
-        out = []
-        for x in range(len(base)):
-            E = base.fiber(x).eval_matrix()
-            for c in range(ncomp):
-                for col in range(E.shape[1]):
-                    fields = [
-                        np.zeros((base.fiber(y).npoints, ncomp), dtype=complex)
-                        for y in range(len(base))
-                    ]
-                    fields[x][:, c] = E[:, col]
-                    out.append(FoliatedForm(p, r, fields))
-        return out
-
-    def to_vector(form: FoliatedForm) -> np.ndarray:
-        return np.concatenate([f.ravel() for f in form.fields])
-
-    def rank_of(Mt: np.ndarray) -> int:
-        if Mt.size == 0:
-            return 0
-        s = np.linalg.svd(Mt, compute_uv=False)
-        if s[0] == 0:
-            return 0
-        return int(np.sum(s > threshold * s[0]))
-
-    def invariant_basis(p: int) -> np.ndarray:
-        forms = basis_forms(p)
-        cols = [to_vector(invariant_project_form(gspace, cutoff, f)) for f in forms]
-        P = np.stack(cols, axis=1)
-        U, s, _ = np.linalg.svd(P, full_matrices=False)
-        keep = s > threshold * (s[0] if s.size and s[0] > 0 else 1.0)
-        return U[:, keep]
-
-    Uq = invariant_basis(q)
-    dim_inv = Uq.shape[1]
-    if q < r:
-        d_cols = []
-        for j in range(dim_inv):
-            comp_fields = []
-            start = 0
-            ncomp = len(index_subsets(r, q))
-            for x in range(len(base)):
-                npts = base.fiber(x).npoints
-                comp_fields.append(Uq[start : start + npts * ncomp, j].reshape(npts, ncomp))
-                start += npts * ncomp
-            fq = FoliatedForm(q, r, comp_fields)
-            d_cols.append(to_vector(d_leafwise(fq, base)))
-        rank_dq = rank_of(np.stack(d_cols, axis=1))
-    else:
-        rank_dq = 0
-    dim_ker = dim_inv - rank_dq
-
-    if q == 0:
-        rank_prev = 0
-    else:
-        Uprev = invariant_basis(q - 1)
-        d_cols = []
-        ncomp = len(index_subsets(r, q - 1))
-        for j in range(Uprev.shape[1]):
-            comp_fields = []
-            start = 0
-            for x in range(len(base)):
-                npts = base.fiber(x).npoints
-                comp_fields.append(
-                    Uprev[start : start + npts * ncomp, j].reshape(npts, ncomp)
-                )
-                start += npts * ncomp
-            fprev = FoliatedForm(q - 1, r, comp_fields)
-            d_cols.append(to_vector(d_leafwise(fprev, base)))
-        rank_prev = rank_of(np.stack(d_cols, axis=1))
-    return dim_ker - rank_prev

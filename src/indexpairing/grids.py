@@ -61,11 +61,6 @@ class FiberModel:
     def grid_shape(self) -> tuple[int, ...]:
         return (self.grid_size,) * self.dim
 
-    @property
-    def quad_weight(self) -> float:
-        """Quadrature weight per grid point (total fiber volume 1)."""
-        return 1.0 / self.npoints
-
     def modes(self) -> np.ndarray:
         return mode_lattice(self.fourier_cutoff, self.dim)
 
@@ -156,11 +151,6 @@ def spectral_derivative(field: np.ndarray, axis: int, fiber: FiberModel) -> np.n
 def band_limit(field: np.ndarray, fiber: FiberModel) -> np.ndarray:
     """Project a grid field onto the mode box (drop all higher harmonics)."""
     return box_to_grid(grid_to_box(field, fiber), fiber).reshape(field.shape)
-
-
-def integrate_grid(field: np.ndarray) -> complex:
-    """Quadrature integral over the unit-volume fiber."""
-    return complex(np.mean(field))
 
 
 def random_band_limited(

@@ -193,10 +193,6 @@ class GroupoidModel:
         """All arrows with source x."""
         return self.source_fibers[x]
 
-    def arrows_into(self, x: int) -> list[Arrow]:
-        """All arrows with target x."""
-        return self.target_fibers[x]
-
 
 def action_groupoid(group: FiniteGroup, base: BaseModel, act) -> GroupoidModel:
     """Groupoid of a finite group action on the base point set.

@@ -10,12 +10,15 @@ registered property checks, writing diff-able CSV plus a human table.
 
 Determinism contract: a fixed scenario and seed produce bitwise-identical
 CSV bodies across reruns; wall times and anything else nondeterministic stay
-out of the CSV.  Assembled idempotent kernels are cached per scenario in a
-dense binary coefficient file (row-major, little-endian, dimensions header);
-a corrupted cache surfaces as a stage-tagged error and exit code 2.
+out of the CSV.  Assembled idempotent kernels are cached in a dense binary
+coefficient file (row-major, little-endian, dimensions header) whose name
+carries a digest of the inputs the idempotent depends on, so a changed input
+is a cache miss; a corrupted cache surfaces as a stage-tagged error and exit
+code 2.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -250,10 +253,23 @@ class Scenario:
         return float(self.tolerances["invariant_tol"])
 
 
-def _need(table: dict, key: str, kind, where: str):
+_REQUIRED = object()
+
+
+def _need(table: dict, key: str, kind, where: str, default=_REQUIRED):
+    """Field ``where.key`` checked as ``kind``, or ``default`` when absent.
+
+    A one-element list ``[kind]`` asks for a list whose entries are ``kind``.
+    """
     if key not in table:
-        raise ScenarioError(f"missing field {where}.{key}")
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing field {where}.{key}")
+        return default
     value = table[key]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioError(f"field {where}.{key} must be a list")
+        return [_need({key: v}, key, kind[0], where) for v in value]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
@@ -270,21 +286,22 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
 
     group = dict(_need(raw, "groupoid", dict, "scenario"))
     gk = group.get("group", "trivial")
-    if gk != "trivial" and not (
-        isinstance(gk, dict) and set(gk) == {"cyclic"} and int(gk["cyclic"]) >= 2
-    ):
+    if isinstance(gk, dict) and set(gk) == {"cyclic"}:
+        if _need(gk, "cyclic", int, "groupoid.group") < 2:
+            raise ScenarioError("groupoid.group.cyclic must be at least 2")
+    elif gk != "trivial":
         raise ScenarioError('groupoid.group must be "trivial" or {"cyclic": m>=2}')
     group["group"] = gk
-    bp = int(group.get("base_points", 1))
+    bp = _need(group, "base_points", int, "groupoid", 1)
     if not 1 <= bp <= _LIMITS["base_points"]:
         raise ScenarioError(
             f"groupoid.base_points must be in [1, {_LIMITS['base_points']}]"
         )
     group["base_points"] = bp
-    weights = group.get("base_weights", [1.0] * bp)
+    weights = _need(group, "base_weights", [float], "groupoid", [1.0] * bp)
     if len(weights) != bp or any(w <= 0 for w in weights):
         raise ScenarioError("groupoid.base_weights needs one positive entry per point")
-    group["base_weights"] = [float(w) for w in weights]
+    group["base_weights"] = weights
     action = group.get("base_action", "trivial")
     if action not in ("trivial", "pair-swap"):
         raise ScenarioError('groupoid.base_action must be "trivial" or "pair-swap"')
@@ -295,10 +312,12 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
     group["base_action"] = action
 
     fiber = dict(_need(raw, "fiber", dict, "scenario"))
-    kind = fiber.get("kind", "torus")
-    dim = int(_need(fiber, "dim", int, "fiber"))
-    N = int(_need(fiber, "fourier_cutoff", int, "fiber"))
-    n = int(_need(fiber, "grid", int, "fiber"))
+    kind = _need(fiber, "kind", str, "fiber", "torus")
+    dim = _need(fiber, "dim", int, "fiber")
+    N = _need(fiber, "fourier_cutoff", int, "fiber")
+    n = _need(fiber, "grid", int, "fiber")
+    if dim < 1:
+        raise ScenarioError("fiber.dim must be positive")
     if N < 1 or N > _LIMITS["fourier_cutoff"]:
         raise ScenarioError(
             f"fiber.fourier_cutoff must be in [1, {_LIMITS['fourier_cutoff']}]"
@@ -317,12 +336,12 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
             raise ScenarioError(
                 'fiber_action must be "trivial" or {"translation": [..]}'
             )
-        shifts = fa["translation"]
+        shifts = _need(fa, "translation", list, "fiber_action")
         if len(shifts) != dim:
             raise ScenarioError("fiber_action.translation needs one entry per dim")
         try:
             [Fraction(s) for s in shifts]
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ScenarioError(f"fiber_action.translation: {exc}") from exc
         if group["group"] == "trivial":
             raise ScenarioError("fiber_action needs a nontrivial group")
@@ -332,8 +351,8 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
     if op.get("builtin") == "dolbeault":
         op = {
             "builtin": "dolbeault",
-            "twist": int(_need(op, "twist", int, "operator")),
-            "levels": int(op.get("levels", 2)),
+            "twist": _need(op, "twist", int, "operator"),
+            "levels": _need(op, "levels", int, "operator", 2),
         }
     elif op.get("builtin") == "multiplier":
         op = {
@@ -345,35 +364,39 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
 
     localize = raw.get("localize")
     if localize is not None:
-        localize = float(localize)
+        localize = _need(raw, "localize", float, "scenario")
         if not 0 < localize <= math.sqrt(dim) / 2.0:
             raise ScenarioError("localize must be a radius inside the fiber")
 
-    coc = dict(raw.get("cocycle", {"kind": "unit"}))
+    coc = dict(_need(raw, "cocycle", dict, "scenario", {"kind": "unit"}))
     ck = coc.get("kind")
     if ck == "unit":
         coc = {"kind": "unit"}
     elif ck == "profile":
-        legs = coc.get("legs")
+        legs = _need(coc, "legs", [dict], "cocycle", [])
         if not legs:
             raise ScenarioError("cocycle.legs must list the difference profiles")
         norm_legs = []
         for leg in legs:
-            norm_legs.append(
-                {
-                    "axis": int(_need(leg, "axis", int, "cocycle.legs")),
-                    "linear_radius": float(
-                        _need(leg, "linear_radius", float, "cocycle.legs")
-                    ),
-                    "support_radius": float(leg.get("support_radius", 0.5)),
-                }
-            )
+            norm_leg = {
+                "axis": _need(leg, "axis", int, "cocycle.legs"),
+                "linear_radius": _need(leg, "linear_radius", float, "cocycle.legs"),
+                "support_radius": _need(
+                    leg, "support_radius", float, "cocycle.legs", 0.5
+                ),
+            }
+            if not 0 <= norm_leg["axis"] < dim:
+                raise ScenarioError(
+                    f"cocycle.legs: axis {norm_leg['axis']} outside fiber.dim {dim}"
+                )
+            _leg_profile(norm_leg)
+            norm_legs.append(norm_leg)
         coc = {"kind": "profile", "legs": norm_legs}
     elif ck == "elementary":
         coc = {
             "kind": "elementary",
-            "degree": int(_need(coc, "degree", int, "cocycle")),
-            "band": int(coc.get("band", 2)),
+            "degree": _need(coc, "degree", int, "cocycle"),
+            "band": _need(coc, "band", int, "cocycle", 2),
             **({"terms": coc["terms"]} if "terms" in coc else {}),
         }
         if coc["degree"] % 2 or coc["degree"] < 0:
@@ -383,24 +406,25 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
     else:
         raise ScenarioError('cocycle.kind must be "unit", "profile", or "elementary"')
 
-    dens = dict(raw.get("density", {}))
-    values = dens.get("values", [1.0] * bp)
+    dens = _need(raw, "density", dict, "scenario", {})
+    values = _need(dens, "values", [float], "density", [1.0] * bp)
     if len(values) != bp or any(v <= 0 for v in values):
         raise ScenarioError("density.values needs one positive entry per base point")
-    dens = {"values": [float(v) for v in values]}
+    dens = {"values": values}
 
-    tols = dict(_DEFAULT_TOLS)
-    tols.update(raw.get("tolerances", {}))
-    for key in tols:
+    given = _need(raw, "tolerances", dict, "scenario", {})
+    for key in given:
         if key not in _DEFAULT_TOLS:
             raise ScenarioError(f"unknown tolerance field tolerances.{key}")
-        tols[key] = float(tols[key])
-        if tols[key] <= 0:
+    tols = {
+        key: _need(given, key, float, "tolerances", default)
+        for key, default in _DEFAULT_TOLS.items()
+    }
+    for key, value in tols.items():
+        if value <= 0:
             raise ScenarioError(f"tolerances.{key} must be positive")
 
-    if "seed" not in raw:
-        raise ScenarioError("missing field scenario.seed (reproducibility)")
-    seed = int(raw["seed"])
+    seed = _need(raw, "seed", int, "scenario")
     if not 0 <= seed < 2**64:
         raise ScenarioError("scenario.seed must fit in 64 bits")
 
@@ -417,6 +441,15 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
         seed=seed,
         origin=origin,
     )
+
+
+def _leg_profile(leg: dict) -> TransitionProfile:
+    try:
+        return TransitionProfile(
+            linear_radius=leg["linear_radius"], support_radius=leg["support_radius"]
+        )
+    except ModelError as exc:
+        raise ScenarioError(f"cocycle.legs: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +681,7 @@ def _build_cocycle(scn: Scenario, base: BaseModel):
         # the constant cochain is its own germ at every separation
         return ASCochain.unit(base, germ_radius=math.inf)
     if coc["kind"] == "profile":
-        legs = [
-            (
-                leg["axis"],
-                TransitionProfile(
-                    linear_radius=leg["linear_radius"],
-                    support_radius=leg["support_radius"],
-                ),
-            )
-            for leg in coc["legs"]
-        ]
+        legs = [(leg["axis"], _leg_profile(leg)) for leg in coc["legs"]]
         return ProfileCochain(base, legs)
     band = coc["band"]
     if "terms" in coc:
@@ -767,12 +791,22 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
+# Bump when the cached idempotent of unchanged inputs would change.
+_CACHE_FORMAT = 1
+# echo fields the idempotent depends on; the cache file name carries their digest
+_IDEMPOTENT_INPUTS = ("groupoid", "fiber", "fiber_action", "operator", "localize")
+
+
 def _idempotent_cache(scn: Scenario, out_dir: Path | None):
     if out_dir is None:
         return None
     cache = Path(out_dir) / "cache"
     cache.mkdir(parents=True, exist_ok=True)
-    return cache / f"{scn.name}.idem.opk"
+    echo = scn.echo()
+    key = {name: echo[name] for name in _IDEMPOTENT_INPUTS}
+    key["format"] = _CACHE_FORMAT
+    blob = json.dumps(key, sort_keys=True).encode()
+    return cache / f"{scn.name}.{hashlib.sha256(blob).hexdigest()[:16]}.idem.opk"
 
 
 def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:

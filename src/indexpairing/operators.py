@@ -98,9 +98,6 @@ class OperatorBlock:
             raise ModelError("operator bases are not compatible for composition")
         return OperatorBlock(other.domain, self.codomain, self.matrix @ other.matrix)
 
-    def adjoint(self) -> "OperatorBlock":
-        return OperatorBlock(self.codomain, self.domain, self.matrix.conj().T)
-
     def grid_matrix(self) -> np.ndarray:
         """Operator matrix on grid vectors (codomain grid x domain grid)."""
         n = self.domain.fiber.npoints
@@ -241,10 +238,6 @@ class SmoothingKernel:
             d += self.mats[x][idx, idx]
         return d
 
-    def kernel_values(self, x: int) -> np.ndarray:
-        """Schwartz kernel values k(z, w) against the quadrature measure."""
-        return self.base.fiber(x).npoints * self.mats[x]
-
     def _moved(self, gspace: FiberedGSpace, a) -> np.ndarray:
         n = gspace.base.fiber(a.src).grid_size
         npts = gspace.base.fiber(a.src).npoints
@@ -277,6 +270,16 @@ class SmoothingKernel:
             cyc = here * here.T - moved * moved.T
             worst = max(worst, float(np.max(np.abs(cyc))))
         return worst
+
+    def require_invariant(
+        self, gspace: FiberedGSpace, invariance_tol: float, what: str
+    ) -> None:
+        """The invariance gate: twisted defect at most invariance_tol * norm."""
+        scale = max(self.norm(), 1e-30)
+        if self.twisted_invariance_defect(gspace) > invariance_tol * scale:
+            raise InvarianceError(
+                f"{what} is only defined for invariant kernel families"
+            )
 
     def truncate(self, radius: float) -> "SmoothingKernel":
         """Zero all entries at fiber distance beyond the radius."""
@@ -335,14 +338,21 @@ def trace_tau(
     orbit-constant mass; both properties fail without invariance, hence the
     check.
     """
-    gspace = dens.gspace
-    scale = max(kern.norm(), 1e-30)
-    if kern.twisted_invariance_defect(gspace) > invariance_tol * scale:
-        raise InvarianceError("trace is only defined for invariant kernel families")
+    kern.require_invariant(dens.gspace, invariance_tol, "trace")
+    return _weighted_diag_trace(kern, cutoff, dens)
+
+
+def _weighted_diag_trace(
+    kern: SmoothingKernel,
+    cutoff: CutoffDensity,
+    dens: TransversalDensity,
+    fields: list[np.ndarray] | None = None,
+) -> complex:
+    """sum over base points of mass * sum_z c(z) [f(z)] tr k-diagonal(z)."""
     total = 0.0 + 0.0j
-    for x in range(len(gspace.base)):
-        diag = kern.diag_trace_field(x)
-        total += dens.mass(x) * np.sum(cutoff.fields[x] * diag)
+    for x in range(len(kern.base)):
+        weight = cutoff.fields[x] if fields is None else cutoff.fields[x] * fields[x]
+        total += dens.mass(x) * np.sum(weight * kern.diag_trace_field(x))
     return complex(total)
 
 

@@ -40,10 +40,10 @@ import numpy as np
 from .charclass import smoothstep_poly
 from .cochains import ASCochain, ASTerm
 from .density import CutoffDensity, TransversalDensity
-from .forms import FoliatedForm, InvarianceError, subset_position
+from .forms import FoliatedForm, subset_position
 from .grids import ModelError, grid_points
 from .groupoid import BaseModel
-from .operators import SupportMismatchError
+from .operators import SupportMismatchError, _weighted_diag_trace
 from .parametrix import IndexIdempotent
 
 __all__ = [
@@ -275,12 +275,7 @@ def pair_cocycle(
     k = phi.degree // 2
     if k > 1:
         raise ModelError("chains beyond one cochain level are not modeled")
-    gspace = dens.gspace
-    scale = max(idem.skernel.norm(), 1e-30)
-    if idem.skernel.twisted_invariance_defect(gspace) > invariance_tol * scale:
-        raise InvarianceError(
-            "pairing is only defined for invariant idempotent families"
-        )
+    idem.skernel.require_invariant(dens.gspace, invariance_tol, "pairing")
     reach = _kernel_reach(idem)
     if reach > phi.germ_radius + 1e-9:
         raise SupportMismatchError(
@@ -290,13 +285,11 @@ def pair_cocycle(
         )
 
     if k == 0:
-        total = 0.0 + 0.0j
-        for x in range(len(idem.base)):
-            npts = idem.base.fiber(x).npoints
-            field = _pointwise_field(phi, x, npts)
-            diag = idem.skernel.diag_trace_field(x)
-            total += dens.mass(x) * np.sum(cutoff.fields[x] * field * diag)
-        return complex(total)
+        fields = [
+            _pointwise_field(phi, x, idem.base.fiber(x).npoints)
+            for x in range(len(idem.base))
+        ]
+        return _weighted_diag_trace(idem.skernel, cutoff, dens, fields)
 
     chain = (
         _weighted_profile_chain

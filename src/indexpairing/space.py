@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import FiberModel, ModelError, TWO_PI_I, mode_lattice
+from .grids import ModelError
 from .groupoid import Arrow, GroupoidModel
 
 
@@ -132,25 +132,6 @@ class AffineTorusMap:
         """
         return permute_grid_field(field, self.grid_permutation(n), n, self.dim)
 
-    def mode_matrix(self, N: int) -> np.ndarray:
-        """Pullback on the truncated Fourier box: (U f)(z) = f(map z).
-
-        U[mu, nu] = e^{2 pi i nu.theta} [mu == A^T nu].  The box is preserved
-        exactly iff A^T maps it into itself (true for signed permutation
-        matrices); otherwise the escaping modes are dropped and the caller is
-        responsible for knowing that truncation loses content.
-        """
-        modes = mode_lattice(N, self.dim)
-        lookup = {tuple(m): i for i, m in enumerate(modes)}
-        U = np.zeros((len(modes), len(modes)), dtype=complex)
-        phases = np.exp(TWO_PI_I * (modes @ self.theta))
-        for col, nu in enumerate(modes):
-            mu = tuple(self.A.T @ nu)
-            row = lookup.get(mu)
-            if row is not None:
-                U[row, col] = phases[col]
-        return U
-
 
 class FiberedGSpace:
     """A groupoid together with one affine torus map per arrow.
@@ -198,16 +179,6 @@ class FiberedGSpace:
                 self.base.fiber(a.src).grid_size
             )
             for a in self.groupoid.arrows
-        )
-
-    def is_oriented(self) -> bool:
-        """True when every arrow acts with determinant +1 on the fiber.
-
-        Integration of top-degree forms over the quotient is only meaningful
-        in this case.
-        """
-        return all(
-            round(np.linalg.det(m.A)) == 1 for m in self.maps.values()
         )
 
     def point_action(self, a: Arrow) -> AffineTorusMap:

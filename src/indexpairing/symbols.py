@@ -18,7 +18,6 @@ from .grids import FiberModel, ModelError
 from .groupoid import BaseModel
 from .operators import LeafwiseOperatorFamily, OperatorBlock, fourier_basis
 from .density import CutoffDensity, TransversalDensity
-from .space import FiberedGSpace
 
 SMOOTHING_ORDER = float("-inf")
 
@@ -212,30 +211,3 @@ def trace_symbol_formula(
         weighted = cutoff.fields[x][:, None] * table
         total += dens.mass(x) * np.sum(weighted) / fiber.npoints
     return complex(total)
-
-
-def symbol_invariance_defect(gspace: FiberedGSpace, sym: SymbolData) -> float:
-    """Defect of a_s(z, xi) = a_t(action z, cotransposed-action xi) over arrows.
-
-    Modes whose transported image leaves the retained box are skipped; for
-    box-preserving actions every mode is checked.
-    """
-    worst = 0.0
-    for a in gspace.groupoid.arrows:
-        fiber = gspace.base.fiber(a.src)
-        n = fiber.grid_size
-        act = gspace.point_action(a)
-        perm = act.grid_permutation(n)
-        A = act.A
-        Ainv_T = np.round(np.linalg.inv(A)).astype(np.int64).T
-        modes = fiber.modes()
-        imaged = modes @ Ainv_T.T
-        inside = np.max(np.abs(imaged), axis=1) <= fiber.fourier_cutoff
-        lookup = {tuple(m): i for i, m in enumerate(modes)}
-        src_tab = sym.values[a.src]
-        tgt_tab = sym.values[a.tgt]
-        for i in np.nonzero(inside)[0]:
-            j = lookup[tuple(imaged[i])]
-            moved = tgt_tab[perm, j]
-            worst = max(worst, float(np.max(np.abs(src_tab[:, i] - moved))))
-    return worst

@@ -1,14 +1,15 @@
 """Numerical evaluation of the localized index integrand.
 
 The topological side of the verification integrates a cocycle class against
-the genus of the leafwise tangent and the Chern character of the operator
-symbol over the compactified cotangent model, weighted by the cutoff and the
-transversal masses.  This module builds symbol classes for the two operator
-families the workbench ships (twisted antiholomorphic derivatives and scalar
-Fourier multipliers), performs the degree bookkeeping, and carries the two
-quotient routes: replacing the cutoff by a fundamental-domain indicator for
-free actions, and orbit-summed pointwise indices for families over an
-identified base.
+the Chern character of the operator symbol over the compactified cotangent
+model, weighted by the cutoff and the transversal masses.  The genus factor
+of the index formula is left out: on the two-dimensional fibers every
+scenario runs, the A-hat genus is identically 1.  This module builds symbol
+classes for the two operator families the workbench ships (twisted
+antiholomorphic derivatives and scalar Fourier multipliers), performs the
+degree bookkeeping, and carries the two quotient routes: replacing the cutoff
+by a fundamental-domain indicator for free actions, and orbit-summed
+pointwise indices for families over an identified base.
 
 There is exactly one calibrated constant.  ORIENTATION_SIGN fixes the
 relative orientation of the fiber and the frequency disc in the top-degree
@@ -143,35 +144,47 @@ def _top_z_integrands(space: FiberedGSpace, integrand: CharClassForm) -> list[np
     return fields
 
 
+def _class_integral(
+    space: FiberedGSpace,
+    weights: list[np.ndarray],
+    dens: TransversalDensity,
+    alpha: FoliatedForm,
+    sclass: CharClassForm,
+    invariant_tol: float,
+) -> complex:
+    """ORIENTATION_SIGN * (2*pi*i)^(-k) times the weighted integral of alpha ^ ch.
+
+    ``weights`` holds one per-point weight field per base point: the cutoff,
+    or the indicator of a fundamental domain.
+    """
+    k = _check_cochain_form(space, alpha, invariant_tol)
+    disc = _class_disc(sclass)
+    alpha_class = CharClassForm(
+        "cochain", [CotangentTerm(alpha, DiscForm.one(disc))], 1
+    )
+    zfields = _top_z_integrands(space, wedge_char(alpha_class, sclass))
+    total = 0.0 + 0.0j
+    for x in range(len(space.base)):
+        total += dens.mass(x) * np.mean(weights[x] * zfields[x])
+    return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
+
+
 def topological_index(
     space: FiberedGSpace,
     cutoff: CutoffDensity,
     dens: TransversalDensity,
     alpha: FoliatedForm,
     sclass: CharClassForm,
-    genus: CharClassForm | None = None,
     invariant_tol: float = 1e-8,
 ) -> complex:
     """Localized characteristic-class integral for one cocycle class.
 
     alpha is the realized cochain form (even degree 2k); the value is
     ORIENTATION_SIGN * (2*pi*i)^(-k) times the cutoff-weighted integral of
-    alpha ^ genus ^ ch(symbol) over fibers and frequency discs, summed over
-    the base with the transversal masses.
+    alpha ^ ch(symbol) over fibers and frequency discs, summed over the base
+    with the transversal masses.
     """
-    k = _check_cochain_form(space, alpha, invariant_tol)
-    disc = _class_disc(sclass)
-    base = space.base
-    alpha_class = CharClassForm(
-        "cochain", [CotangentTerm(alpha, DiscForm.one(disc))], 1
-    )
-    integrand = wedge_char(alpha_class, sclass if genus is None else wedge_char(genus, sclass))
-    zfields = _top_z_integrands(space, integrand)
-    total = 0.0 + 0.0j
-    for x in range(len(base)):
-        c = cutoff.fields[x]
-        total += dens.mass(x) * np.mean(c * zfields[x])
-    return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
+    return _class_integral(space, cutoff.fields, dens, alpha, sclass, invariant_tol)
 
 
 def _assert_unimodular(dens: TransversalDensity) -> None:
@@ -221,7 +234,6 @@ def free_action_reduction(
     dens: TransversalDensity,
     alpha: FoliatedForm,
     sclass: CharClassForm,
-    genus: CharClassForm | None = None,
     invariant_tol: float = 1e-8,
 ) -> complex:
     """Same integral evaluated over a fundamental domain of a free action.
@@ -230,20 +242,9 @@ def free_action_reduction(
     for an invariant integrand and an invariant density the two evaluations
     agree exactly, which is the discrete form of the quotient reduction.
     """
-    k = _check_cochain_form(space, alpha, invariant_tol)
     _assert_unimodular(dens)
     indicators = fundamental_domain_indicator(space)
-    disc = _class_disc(sclass)
-    base = space.base
-    alpha_class = CharClassForm(
-        "cochain", [CotangentTerm(alpha, DiscForm.one(disc))], 1
-    )
-    integrand = wedge_char(alpha_class, sclass if genus is None else wedge_char(genus, sclass))
-    zfields = _top_z_integrands(space, integrand)
-    total = 0.0 + 0.0j
-    for x in range(len(base)):
-        total += dens.mass(x) * np.mean(indicators[x] * zfields[x])
-    return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
+    return _class_integral(space, indicators, dens, alpha, sclass, invariant_tol)
 
 
 def half_shift_quotient_index(
@@ -283,7 +284,6 @@ def family_index_orbifold(
     cutoff: CutoffDensity,
     dens: TransversalDensity,
     sclass: CharClassForm,
-    genus: CharClassForm | None = None,
     threshold: float = 1e-8,
 ) -> FamilyIndexResult:
     """Family index over an identified base versus the class integral.
@@ -327,7 +327,7 @@ def family_index_orbifold(
         [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))],
         invariant=True,
     )
-    topo = topological_index(space, cutoff, dens, unit_alpha, sclass, genus)
+    topo = topological_index(space, cutoff, dens, unit_alpha, sclass)
     return FamilyIndexResult(
         per_point=per_point,
         orbit_sum=float(orbit_sum),

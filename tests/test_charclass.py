@@ -1,24 +1,19 @@
-"""Characteristic forms: genus series, disc calculus, model projectors."""
+"""Characteristic forms: disc calculus, matrix calculus, model projectors."""
 import numpy as np
 import pytest
-import sympy
 
 from indexpairing.charclass import (
     DiscForm,
     DiscModel,
-    a_hat_form,
-    a_hat_from_power_traces,
     bott_projector,
     bott_reference,
     char_closedness_defect,
     char_difference,
     chern_character_disc,
     chern_character_fiber,
-    christoffel_one_form,
     d_disc,
     fiber_matrix_d,
     graph_symbol_projector,
-    levi_civita_curvature,
     matrix_wedge,
     smoothstep_poly,
     twist_projector,
@@ -27,7 +22,7 @@ from indexpairing.charclass import (
     wedge_disc,
 )
 from indexpairing.forms import DegreeError, d_leafwise
-from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
+from indexpairing.grids import FiberModel, ModelError, random_band_limited
 from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.symbols import EllipticityError
 
@@ -57,30 +52,6 @@ def fiber_charge_of(cform):
     for t in cform.part(2, 0):
         acc += np.mean([f[:, 0].mean() for f in t.zform.fields]) * t.xform.field[:, 0].mean()
     return acc
-
-
-def test_genus_series_single_root():
-    x = sympy.symbols("x")
-    parts = a_hat_from_power_traces(2 * x**2, 2 * x**4)
-    truth = sympy.series((x / 2) / sympy.sinh(x / 2), x, 0, 6).removeO()
-    formula = sympy.expand(parts[0] + parts[4] + parts[8])
-    assert sympy.expand(formula - truth) == 0
-    assert sympy.Rational(7, 5760) == formula.coeff(x, 4)
-
-
-def test_genus_series_two_roots_multiplicative():
-    x, y = sympy.symbols("x y")
-    single = 1 - x**2 / 24 + 7 * x**4 / 5760
-    product = sympy.expand(single * single.subs(x, y))
-    # keep terms of total form degree <= 8, i.e. monomial degree <= 4
-    product = sum(
-        term
-        for term in product.as_ordered_terms()
-        if sympy.Poly(term, x, y).total_degree() <= 4
-    )
-    parts = a_hat_from_power_traces(2 * x**2 + 2 * y**2, 2 * x**4 + 2 * y**4)
-    formula = sympy.expand(parts[0] + parts[4] + parts[8])
-    assert sympy.expand(formula - product) == 0
 
 
 def test_smoothstep_ramp_shape():
@@ -260,76 +231,17 @@ def test_unit_class_is_wedge_identity():
     assert abs(charge_of(again) - BOTT_CHARGE) < 1e-9
 
 
-def test_levi_civita_flat_and_gauss_oracle():
-    fiber = FiberModel("torus", 2, 8, 32)
-    flat = np.tile(np.diag([1.3, 0.7]), (fiber.npoints, 1, 1))
-    assert np.abs(levi_civita_curvature(flat, fiber)).max() == 0.0
-    pts = grid_points(32, 2)
-    f = 1.0 + 0.3 * np.cos(2 * np.pi * pts[:, 0])
-    fpp = -0.3 * (2 * np.pi) ** 2 * np.cos(2 * np.pi * pts[:, 0])
-    g = np.zeros((fiber.npoints, 2, 2))
-    g[:, 0, 0] = 1.0
-    g[:, 1, 1] = f**2
-    R = levi_civita_curvature(g, fiber)
-    sectional = np.einsum("pm,pm->p", g[:, 0, :], R[:, 0, :, 1]) / f**2
-    assert np.abs(sectional - (-fpp / f)).max() < 1e-8
-
-
-def _bumpy_metric(rng, fiber, amp=0.02):
-    pts = grid_points(fiber.grid_size, fiber.dim)
-    r = fiber.dim
-    g = np.tile(np.eye(r), (fiber.npoints, 1, 1))
-    for i in range(r):
-        for j in range(i, r):
-            ph = rng.uniform()
-            k1, k2 = rng.integers(-1, 2, 2)
-            bump = amp * np.cos(
-                2 * np.pi * (k1 * pts[:, (i + 1) % r] + k2 * pts[:, (j + 2) % r] + ph)
-            )
-            g[:, i, j] += bump
-            if i != j:
-                g[:, j, i] += bump
-            else:
-                g[:, i, i] += amp
-    return g
-
-
 def test_curvature_satisfies_structure_and_bianchi():
+    # R = d(gam) + gam ^ gam for a band-limited matrix connection 1-form;
+    # the Bianchi identity checks matrix_d and matrix_wedge in dimension four
     rng = np.random.default_rng(7)
     fiber = FiberModel("torus", 4, 2, 12)
-    g = _bumpy_metric(rng, fiber)
-    R = levi_civita_curvature(g, fiber)
-    gam = christoffel_one_form(g, fiber)
-    dgam = fiber_matrix_d(gam, 1, fiber)
-    assert np.abs(R - (dgam + matrix_wedge(gam, 1, gam, 1, 4))).max() < 1e-10
+    gam = np.empty((fiber.npoints, 4, 2, 2), dtype=complex)
+    for k in range(4):
+        for i in range(2):
+            for j in range(2):
+                gam[:, k, i, j] = random_band_limited(rng, fiber, 1, real=False)
+    R = fiber_matrix_d(gam, 1, fiber) + matrix_wedge(gam, 1, gam, 1, 4)
     dR = fiber_matrix_d(R, 2, fiber)
     comm = matrix_wedge(R, 2, gam, 1, 4) - matrix_wedge(gam, 1, R, 2, 4)
     assert np.abs(dR - comm).max() < 1e-6
-
-
-def test_genus_trivial_below_dimension_four():
-    base = torus_base(n=32, N=8)
-    disc = DiscModel(9.0, 16, 16)
-    fiber = base.fiber(0)
-    pts = grid_points(fiber.grid_size, 2)
-    f = 1.0 + 0.3 * np.cos(2 * np.pi * pts[:, 0])
-    g = np.zeros((fiber.npoints, 2, 2))
-    g[:, 0, 0] = 1.0
-    g[:, 1, 1] = f**2
-    genus = a_hat_form(base, disc, metrics=[g])
-    assert char_difference(genus, unit_char(base, disc, kind="a-hat"), base) < 1e-12
-
-
-def test_genus_degree_four_part_is_closed():
-    rng = np.random.default_rng(3)
-    fiber = FiberModel("torus", 4, 2, 12)
-    base = BaseModel([BasePoint("pt", 1.0, fiber)])
-    disc = DiscModel(3.0, 12, 12)
-    g = _bumpy_metric(rng, fiber, amp=0.03)
-    genus = a_hat_form(base, disc, metrics=[g])
-    parts4 = genus.part(4, 0)
-    assert parts4, "expected a degree-four genus part in dimension four"
-    scale = max(t.zform.max_abs() for t in parts4)
-    assert scale > 1e-8  # genuinely curved
-    worst = max(char_closedness_defect(genus, base), 0.0)
-    assert worst < 1e-6

@@ -6,9 +6,7 @@ import pytest
 
 from indexpairing.cochains import (
     ASCochain,
-    GroupoidCochain,
     d_as,
-    d_groupoid,
     invariant_project_cochain,
     transport_cochain,
     van_est_realize,
@@ -177,17 +175,3 @@ def test_invariant_project_cochain_invariance_and_fixing():
     vals1 = proj.evaluate_batch(0, tuples)
     vals2 = again.evaluate_batch(0, tuples)
     assert np.max(np.abs(vals1 - vals2)) <= 1e-12
-
-
-def test_groupoid_cochain_differential_squares_to_zero():
-    fib = FiberModel("circle", 1, 3, 8)
-    base = BaseModel([BasePoint(f"p{i}", 1.0, fib) for i in range(3)])
-    gpd = action_groupoid(FiniteGroup.cyclic(3), base, act=lambda g, x: (x + g) % 3)
-    rng = np.random.default_rng(13)
-    nu0 = GroupoidCochain.from_function(gpd, 0, lambda x: rng.normal())
-    d1 = d_groupoid(nu0, gpd)
-    d2 = d_groupoid(d1, gpd)
-    assert max(abs(v) for v in d2.values.values()) <= 1e-14
-    nu1 = GroupoidCochain.from_function(gpd, 1, lambda a: rng.normal())
-    dd = d_groupoid(d_groupoid(nu1, gpd), gpd)
-    assert max(abs(v) for v in dd.values.values()) <= 1e-13

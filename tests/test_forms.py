@@ -9,7 +9,6 @@ from indexpairing.forms import (
     DegreeError,
     FoliatedForm,
     InvarianceError,
-    cohomology_rank,
     d_leafwise,
     form_invariance_defect,
     integrate_invariant,
@@ -227,20 +226,3 @@ def test_integral_independent_of_cutoff():
     v1 = integrate_invariant(alpha, cut1, dens)
     v2 = integrate_invariant(alpha, cut2, dens)
     assert v1 == pytest.approx(v2, abs=1e-11)
-
-
-def test_cohomology_ranks_of_torus():
-    space = trivial_space(n=6, N=2)
-    cut = compute_cutoff(space)
-    assert cohomology_rank(space, cut, 0) == 1
-    assert cohomology_rank(space, cut, 1) == 2
-    assert cohomology_rank(space, cut, 2) == 1
-
-
-def test_cohomology_ranks_half_shift_quotient():
-    space = half_shift_space(n=6, N=2)
-    cut = compute_cutoff(space)
-    # translations act trivially on torus cohomology
-    assert cohomology_rank(space, cut, 0) == 1
-    assert cohomology_rank(space, cut, 1) == 2
-    assert cohomology_rank(space, cut, 2) == 1

@@ -8,11 +8,7 @@ from indexpairing.density import (
     CoverageError,
     CutoffDensity,
     TransversalDensity,
-    average_function,
-    average_metric,
     compute_cutoff,
-    function_invariance_defect,
-    metric_invariance_defect,
 )
 from indexpairing.grids import FiberModel, ModelError
 from indexpairing.groupoid import Arrow, BaseModel, BasePoint, FiniteGroup, action_groupoid
@@ -213,41 +209,6 @@ def test_cutoff_partition_identity_multipoint():
     assert cut.partition_defect() <= 1e-12
 
 
-def test_average_function_projects_and_fixes_invariants():
-    space = swap_space(8, 3)
-    rng = np.random.default_rng(13)
-    cut = compute_cutoff(space, [np.exp(rng.normal(size=64))])
-    f = [rng.normal(size=64)]
-    avg = average_function(space, cut, f)
-    assert function_invariance_defect(space, avg) <= 1e-12
-    again = average_function(space, cut, avg)
-    assert np.allclose(again[0], avg[0], atol=1e-12)
-
-
-def test_average_metric_oracle_swap():
-    """Swap averaging of diag(1, 4) gives the isotropic metric diag(5/2, 5/2)."""
-    space = swap_space(8, 3)
-    cut = compute_cutoff(space)
-    rho = [np.tile(np.diag([1.0, 4.0]), (64, 1, 1))]
-    eta = average_metric(space, cut, rho)
-    assert np.allclose(eta[0], np.diag([2.5, 2.5]))
-    assert metric_invariance_defect(space, eta) <= 1e-12
-
-
-def test_average_metric_invariance_with_seeded_cutoff():
-    space = swap_space(8, 3)
-    rng = np.random.default_rng(17)
-    cut = compute_cutoff(space, [np.exp(rng.normal(size=64))])
-    # random SPD field: M = I + 0.3 * S S^T with smooth S
-    S = rng.normal(size=(64, 2, 2)) * 0.4
-    rho = [np.tile(np.eye(2), (64, 1, 1)) + S @ np.transpose(S, (0, 2, 1))]
-    eta = average_metric(space, cut, rho)
-    assert metric_invariance_defect(space, eta) <= 1e-12
-    # positive definiteness survives averaging
-    eigs = np.linalg.eigvalsh(eta[0])
-    assert eigs.min() > 0
-
-
 def test_modular_cocycle_ratio_and_loops():
     fib = torus_fiber(8, 3, 1)
     base = BaseModel(
@@ -263,8 +224,6 @@ def test_modular_cocycle_ratio_and_loops():
     # any loop multiplies to 1
     loop = gpd.compose(hop, gpd.inverse(hop))
     assert dens.modular(loop) == pytest.approx(1.0)
-    assert not dens.is_invariant()
-    assert TransversalDensity.uniform(space).is_invariant()
 
 
 def test_base_weight_enters_modular_ratio():
@@ -276,4 +235,3 @@ def test_base_weight_enters_modular_ratio():
     dens = TransversalDensity(space, [1.0, 2.0])
     hop = gpd.by_label[(1, 0)]
     assert dens.modular(hop) == pytest.approx(1.0)
-    assert dens.is_invariant()

@@ -117,6 +117,70 @@ def test_scenario_defaults_filled():
             lambda raw: raw.update(tolerances={"pairing_tol": 0.0}),
             "tolerances.pairing_tol",
         ),
+        (lambda raw: raw["groupoid"].update(base_points="x"), "groupoid.base_points"),
+        (lambda raw: raw.update(seed="abc"), "scenario.seed must be int"),
+        (
+            lambda raw: raw["groupoid"].update(group={"cyclic": "x"}),
+            "groupoid.group.cyclic",
+        ),
+        (
+            lambda raw: raw["operator"].update(levels="x"),
+            "operator.levels",
+        ),
+        (lambda raw: raw.update(localize="x"), "scenario.localize"),
+        (
+            lambda raw: raw.update(tolerances={"pairing_tol": "x"}),
+            "tolerances.pairing_tol must be float",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={"kind": "elementary", "degree": 2, "band": "x"}
+            ),
+            "cocycle.band must be int",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={
+                    "kind": "profile",
+                    "legs": [{"axis": 0, "linear_radius": 0.2, "support_radius": "x"}],
+                }
+            ),
+            "cocycle.legs.support_radius",
+        ),
+        (
+            lambda raw: raw["groupoid"].update(base_weights=["q"]),
+            "groupoid.base_weights must be",
+        ),
+        (lambda raw: raw.update(density={"values": ["q"]}), "density.values must be"),
+        (lambda raw: raw.update(cocycle=[1]), "scenario.cocycle"),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}}, fiber_action={"translation": 5}
+            ),
+            "fiber_action.translation must be",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={
+                    "kind": "profile",
+                    "legs": [
+                        {"axis": 0, "linear_radius": 0.6},
+                        {"axis": 1, "linear_radius": 0.45},
+                    ],
+                }
+            ),
+            "cocycle.legs: profile needs",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={
+                    "kind": "profile",
+                    "legs": [{"axis": 2, "linear_radius": 0.45}],
+                }
+            ),
+            "cocycle.legs: axis 2",
+        ),
+        (lambda raw: raw["fiber"].update(dim=-1), "fiber.dim must be positive"),
     ],
 )
 def test_scenario_validation_names_offending_field(mutate, fragment):
@@ -306,8 +370,7 @@ def test_run_scenario_orbifold_family():
 def test_run_scenario_cache_reuse_and_corruption(tmp_path):
     scn = _validate(cheap_scenario(), origin=None)
     rec1 = run_scenario(scn, out_dir=tmp_path)
-    cache = tmp_path / "cache" / "cheap-dolbeault.idem.opk"
-    assert cache.exists()
+    (cache,) = (tmp_path / "cache").glob("*.idem.opk")
     rec2 = run_scenario(scn, out_dir=tmp_path)
     assert rec1.csv_row() == rec2.csv_row()
     assert rec1.pairing == rec2.pairing
@@ -320,6 +383,17 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
     save_coefficients(cache, [np.array([np.inf])])
     with pytest.raises(CorruptedCacheError, match="expected"):
         run_scenario(scn, out_dir=tmp_path)
+
+
+def test_cache_is_keyed_by_the_idempotent_inputs(tmp_path):
+    for twist in (1, 2):
+        doc = cheap_scenario(
+            name="same", operator={"builtin": "dolbeault", "twist": twist, "levels": 2}
+        )
+        rec = run_scenario(_validate(doc, origin=None), out_dir=tmp_path)
+        assert rec.analytic == (twist,)
+        assert rec.status == "pass"
+    assert len(list((tmp_path / "cache").glob("same.*.idem.opk"))) == 2
 
 
 def test_run_scenario_stage_error_is_tagged(tmp_path):
@@ -472,7 +546,7 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     path.write_text(json.dumps(cheap_scenario()))
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
-    cache = out / "cache" / "cheap-dolbeault.idem.opk"
+    (cache,) = (out / "cache").glob("*.idem.opk")
     cache.write_bytes(b"XXXX" + cache.read_bytes()[4:])
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "bad magic" in capsys.readouterr().err

@@ -1,0 +1,112 @@
+"""Every top-level def and method in src/ is reached from the pipeline.
+
+The walk is by name over the AST: it starts from all of cli.py and from
+every module-level statement that is not a def, and follows each Name and
+Attribute to every def or method of that name.  Dunder methods come with
+their class.  What only tests use must be an independent oracle named in
+KEPT_ORACLES together with the test that uses it.
+"""
+import ast
+from pathlib import Path
+
+import indexpairing
+
+SRC = Path(indexpairing.__file__).parent
+
+# kept oracle -> the test that compares live code against it
+KEPT_ORACLES = {
+    "AffineTorusMap.apply": "test_groupoid::test_affine_map_compose_invert",
+    "CutoffDensity.partition_defect": "test_groupoid::test_cutoff_partition_identity_multipoint",
+    "FoliatedForm.volume": "test_forms::test_integrate_volume_is_total_mass",
+    "IndexIdempotent.idempotent_defect": "test_dolbeault::test_localized_idempotent_converges_and_stays_local",
+    "OperatorBlock.apply": "test_calculus::test_quantized_multiplication_acts_by_truncated_product",
+    "ProfileCochain.to_elementary": "test_pairing::test_to_elementary_matches_profile_values",
+    "SectionBasis.gram_defect": "test_calculus::test_fourier_basis_is_orthonormal",
+    "SectionBasis.project": "test_calculus::test_identity_block_band_limits",
+    "SectionBasis.synthesize": "test_calculus::test_identity_block_band_limits",
+    "SmoothingKernel.invariance_defect": "test_calculus::test_average_kernel_enforces_invariance_and_fixes_invariants",
+    "TransitionProfile.compact": "test_pairing::test_profile_compact_support",
+    "TransitionProfile.fourier_coefficients": "test_pairing::test_profile_fourier_reconstruction",
+    "bott_projector": "test_charclass::test_bott_projector_unit_charge",
+    "bott_reference": "test_charclass::test_bott_projector_unit_charge",
+    "char_difference": "test_charclass::test_chern_additive_on_direct_sums",
+    "cochain_to_table": "test_harness::test_cochain_table_roundtrip",
+    "dolbeault_apply_fd": "test_dolbeault::test_ladder_matches_finite_difference_application",
+    "family_invariance_defect": "test_calculus::test_family_invariance_detects_asymmetry",
+    "invariant_project_cochain": "test_cochains::test_invariant_project_cochain_invariance_and_fixing",
+    # magnetic translations are also the group action a Bloch-block kernel
+    # representation would diagonalize
+    "magnetic_translation": "test_dolbeault::test_magnetic_translation_square_is_the_predicted_phase",
+    "magnetic_translation_matrix": "test_dolbeault::test_magnetic_translation_is_unitary_and_commutes",
+    "symbol_of": "test_calculus::test_quantize_symbol_roundtrip_on_interior_modes",
+    "transport_cochain": "test_cochains::test_van_est_equivariance",
+    "transport_matrix": "test_calculus::test_transport_matrix_is_unitary_for_box_preserving_maps",
+    "twisted_shift": "test_dolbeault::test_ladder_matches_finite_difference_application",
+}
+
+
+def _defs(tree: ast.Module):
+    """(qualified name, bare name, node) for top-level defs and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def _names(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _class_body(node: ast.ClassDef) -> list:
+    return node.decorator_list + node.bases + [
+        item for item in node.body if not isinstance(item, ast.FunctionDef)
+    ]
+
+
+def unreached() -> set[str]:
+    by_bare: dict[str, list[tuple[str, ast.AST]]] = {}
+    pending: list[ast.AST] = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for qual, bare, node in _defs(tree):
+            by_bare.setdefault(bare, []).append((qual, node))
+        pending += [
+            node
+            for node in tree.body
+            if path.name == "cli.py"
+            or not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+    reached: set[str] = set()
+    seen_names: set[str] = set()
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef):
+            pending += _class_body(node)
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name.startswith("__"):
+                    reached.add(f"{node.name}.{item.name}")
+                    pending.append(item)
+            continue
+        for name in _names(node) - seen_names:
+            seen_names.add(name)
+            for qual, target in by_bare.get(name, []):
+                if qual not in reached:
+                    reached.add(qual)
+                    pending.append(target)
+    every = {qual for defs in by_bare.values() for qual, _ in defs}
+    return every - reached
+
+
+def test_src_holds_only_reached_code_and_named_oracles():
+    dead = unreached()
+    assert sorted(dead - set(KEPT_ORACLES)) == []
+    assert sorted(set(KEPT_ORACLES) - dead) == [], "allowlisted names are now reached"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from indexpairing.charclass import DiscModel, a_hat_form
+from indexpairing.charclass import DiscModel
 from indexpairing.density import CutoffDensity, TransversalDensity, compute_cutoff
 from indexpairing.dolbeault import dolbeault_block, dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError
@@ -91,26 +91,6 @@ def test_value_independent_of_cutoff_choice():
     v1 = topological_index(space, c1, dens, alpha, sclass)
     v2 = topological_index(space, c2, dens, alpha, sclass)
     assert abs(v1 - v2) < 1e-9
-
-
-def test_value_independent_of_metric_choice():
-    space = trivial_space()
-    cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    disc = DiscModel(9.0, 48, 48)
-    alpha = unit_alpha(space)
-    sclass = symbol_class_dolbeault(space.base, disc, 1)
-    fiber = space.base.fiber(0)
-    pts = grid_points(fiber.grid_size, 2)
-    f = 1.0 + 0.3 * np.cos(2 * np.pi * pts[:, 0])
-    g = np.zeros((fiber.npoints, 2, 2))
-    g[:, 0, 0] = 1.0
-    g[:, 1, 1] = f**2
-    flat = topological_index(space, cutoff, dens, alpha, sclass)
-    curved = topological_index(
-        space, cutoff, dens, alpha, sclass, genus=a_hat_form(space.base, disc, metrics=[g])
-    )
-    assert abs(flat - curved) < 1e-8
 
 
 def test_cochain_level_one_value():
@@ -233,6 +213,9 @@ def test_orbifold_family_both_sides():
     assert abs(res.orbit_sum - twist) < 1e-12
     assert abs(res.topological - twist) < 1e-6
     assert res.difference < 1e-6
+    lopsided = TransversalDensity(space, [1.0, 2.0, 1.0, 2.0])
+    with pytest.raises(ModelError, match="invariant transversal density"):
+        family_index_orbifold(space, fam, cutoff, lopsided, sclass)
 
 
 def test_orbifold_family_rejects_rank_jump():
