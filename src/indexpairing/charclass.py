@@ -8,14 +8,15 @@ radial nodes and an equispaced angular grid, so that radial derivatives are
 exact on polynomials below the node count and angular derivatives are exact on
 trigonometric polynomials below the angular band.
 
-The module provides the curvature-to-form machinery (matrix-valued exterior
-calculus on either site), Chern character forms of projector fields with an
-optional connection perturbation, and the three model projector families used
-by the scenarios: a flux-twisted line bundle frame on the fiber, a clutching
-projector on the disc, and the graph projector of a nonvanishing scalar
-symbol.  No genus factor is formed: every scenario runs on two-dimensional
-fibers, where the A-hat genus is identically 1 because its components sit in
-degrees divisible by four.
+The exterior calculus itself, scalar or matrix-valued on either site, is
+forms.exterior_d and forms.exterior_wedge; this module supplies the disc's
+partial derivative and builds on the two functions the Chern character forms
+of projector fields with an optional connection perturbation, and the three
+model projector families used by the scenarios: a flux-twisted line bundle
+frame on the fiber, a clutching projector on the disc, and the graph
+projector of a nonvanishing scalar symbol.  No genus factor is formed: every
+scenario runs on two-dimensional fibers, where the A-hat genus is identically
+1 because its components sit in degrees divisible by four.
 
 Normalization is fixed once: curvature enters the Chern character through the
 scale 1/(2*pi*i).  Any further orientation constant belongs to the index
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -35,12 +36,12 @@ from .forms import (
     DegreeError,
     FoliatedForm,
     d_leafwise,
+    exterior_d,
+    exterior_wedge,
     index_subsets,
-    merge_sign,
-    subset_position,
     wedge,
 )
-from .grids import FiberModel, ModelError
+from .grids import FiberModel, ModelError, spectral_derivative
 from .groupoid import BaseModel
 from .symbols import EllipticityError
 
@@ -216,11 +217,6 @@ class DiscForm:
         return len(index_subsets(2, self.degree))
 
     @classmethod
-    def zero(cls, disc: DiscModel, degree: int) -> "DiscForm":
-        ncomp = len(index_subsets(2, degree))
-        return cls(disc, degree, np.zeros((disc.nnodes, ncomp), dtype=complex))
-
-    @classmethod
     def one(cls, disc: DiscModel) -> "DiscForm":
         return cls(disc, 0, np.ones((disc.nnodes, 1), dtype=complex))
 
@@ -253,136 +249,44 @@ class DiscForm:
 
 def d_disc(form: DiscForm) -> DiscForm:
     """Exterior derivative on the frequency disc."""
-    if form.degree >= 2:
-        raise DegreeError("cannot differentiate a top-degree disc form")
-    q = form.degree
-    in_pos = subset_position(2, q)
-    out_subs = index_subsets(2, q + 1)
-    out = np.zeros((form.disc.nnodes, len(out_subs)), dtype=complex)
-    for kk, K in enumerate(out_subs):
-        for j in K:
-            rest = tuple(i for i in K if i != j)
-            sgn = merge_sign((j,), rest)
-            out[:, kk] += sgn * form.disc.derivative(form.field[:, in_pos[rest]], j)
-    return DiscForm(form.disc, q + 1, out)
+    field = exterior_d(form.field, form.degree, 2, form.disc.derivative)
+    return DiscForm(form.disc, form.degree + 1, field)
 
 
 def wedge_disc(f1: DiscForm, f2: DiscForm) -> DiscForm:
-    q = f1.degree + f2.degree
-    if q > 2:
-        raise DegreeError("disc wedge exceeds the top degree")
-    pos2 = subset_position(2, f2.degree)
-    out_subs = index_subsets(2, q)
-    out_pos = subset_position(2, q)
-    out = np.zeros((f1.disc.nnodes, len(out_subs)), dtype=complex)
-    for i1, I in enumerate(index_subsets(2, f1.degree)):
-        iset = set(I)
-        for K in out_subs:
-            if not iset <= set(K):
-                continue
-            J = tuple(j for j in K if j not in iset)
-            sgn = merge_sign(I, J)
-            out[:, out_pos[K]] += sgn * f1.field[:, i1] * f2.field[:, pos2[J]]
-    return DiscForm(f1.disc, q, out)
-
-
-# ---------------------------------------------------------------------------
-# Matrix-valued exterior calculus, shared by both sites
-
-
-def matrix_d(field: np.ndarray, degree: int, dim: int, diff) -> np.ndarray:
-    """Exterior derivative of a matrix-valued form.
-
-    field has shape (n, ncomp, m, m); diff(block, axis) must differentiate a
-    (n, m, m) entry block along one coordinate of the site.
-    """
-    if degree >= dim:
-        raise DegreeError("cannot differentiate a top-degree form")
-    in_pos = subset_position(dim, degree)
-    out_subs = index_subsets(dim, degree + 1)
-    n, _, m, _ = field.shape
-    out = np.zeros((n, len(out_subs), m, m), dtype=complex)
-    for kk, K in enumerate(out_subs):
-        for j in K:
-            rest = tuple(i for i in K if i != j)
-            sgn = merge_sign((j,), rest)
-            out[:, kk] += sgn * diff(field[:, in_pos[rest]], j)
-    return out
-
-
-def matrix_wedge(f1: np.ndarray, q1: int, f2: np.ndarray, q2: int, dim: int) -> np.ndarray:
-    """Wedge of matrix-valued forms; entries multiply as matrices."""
-    q = q1 + q2
-    if q > dim:
-        raise DegreeError("wedge exceeds the top degree")
-    pos2 = subset_position(dim, q2)
-    out_subs = index_subsets(dim, q)
-    out_pos = subset_position(dim, q)
-    n, _, m, _ = f1.shape
-    out = np.zeros((n, len(out_subs), m, m), dtype=complex)
-    for i1, I in enumerate(index_subsets(dim, q1)):
-        iset = set(I)
-        for K in out_subs:
-            if not iset <= set(K):
-                continue
-            J = tuple(j for j in K if j not in iset)
-            sgn = merge_sign(I, J)
-            out[:, out_pos[K]] += sgn * (f1[:, i1] @ f2[:, pos2[J]])
-    return out
-
-
-def _fiber_block_derivative(block: np.ndarray, axis: int, fiber: FiberModel) -> np.ndarray:
-    """Spectral derivative of an entry block (npoints, m, m) along one fiber axis."""
-    shaped = block.reshape(fiber.grid_shape + block.shape[1:])
-    n = fiber.grid_size
-    freqs = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        freqs = freqs.copy()
-        freqs[n // 2] = 0.0
-    shape = [1] * shaped.ndim
-    shape[axis] = n
-    mult = (2.0j * np.pi * freqs).reshape(shape)
-    grid_axes = tuple(range(fiber.dim))
-    out = np.fft.ifftn(np.fft.fftn(shaped, axes=grid_axes) * mult, axes=grid_axes)
-    return out.reshape(block.shape)
-
-
-def fiber_matrix_d(field: np.ndarray, degree: int, fiber: FiberModel) -> np.ndarray:
-    return matrix_d(field, degree, fiber.dim, lambda blk, j: _fiber_block_derivative(blk, j, fiber))
-
-
-def disc_matrix_d(field: np.ndarray, degree: int, disc: DiscModel) -> np.ndarray:
-    return matrix_d(field, degree, 2, lambda blk, j: disc.derivative(blk, j))
+    field = exterior_wedge(f1.field, f1.degree, f2.field, f2.degree, 2, np.multiply)
+    return DiscForm(f1.disc, f1.degree + f2.degree, field)
 
 
 # ---------------------------------------------------------------------------
 # Chern character of a projector field
 
 
-def _projected_curvature(p: np.ndarray, dim: int, dmat, connection: np.ndarray | None) -> np.ndarray:
+def _projected_curvature(p: np.ndarray, dim: int, diff, connection: np.ndarray | None) -> np.ndarray:
     """Curvature 2-form p (dp ^ dp) p of the projected connection.
 
     With an extra connection 1-form a the projected connection picks up the
     compression A = p a p and the curvature gains p d(A) p + A ^ A.
     """
-    dp = dmat(p[:, None], 0)
-    F = matrix_wedge(dp, 1, dp, 1, dim)
+    dp = exterior_d(p[:, None], 0, dim, diff)
+    F = exterior_wedge(dp, 1, dp, 1, dim, np.matmul)
     F = np.einsum("nij,ncjk,nkl->ncil", p, F, p)
     if connection is not None:
         A = np.einsum("nij,ncjk,nkl->ncil", p, connection, p)
-        dA = dmat(A, 1)
+        dA = exterior_d(A, 1, dim, diff)
         F = F + np.einsum("nij,ncjk,nkl->ncil", p, dA, p)
-        F = F + matrix_wedge(A, 1, A, 1, dim)
+        F = F + exterior_wedge(A, 1, A, 1, dim, np.matmul)
     return F
 
 
 def _chern_scalars(
-    p: np.ndarray, dim: int, dmat, connection: np.ndarray | None = None
+    p: np.ndarray, dim: int, diff, connection: np.ndarray | None = None
 ) -> dict[int, np.ndarray]:
     """Trace scalars of the Chern character by form degree for one site.
 
-    Input is a pointwise projector field (n, m, m); the result maps the even
-    degree 2j to component arrays (n, ncomp) of tr(p F^j) * scale^j / j!.
+    Input is a pointwise projector field (n, m, m) and the site's partial
+    derivative diff(block, axis); the result maps the even degree 2j to
+    component arrays (n, ncomp) of tr(p F^j) * scale^j / j!.
     """
     p = np.asarray(p, dtype=complex)
     defect = float(np.abs(p @ p - p).max())
@@ -392,7 +296,7 @@ def _chern_scalars(
     out = {0: np.trace(p, axis1=-2, axis2=-1).reshape(n, 1)}
     if dim < 2:
         return out
-    F = _projected_curvature(p, dim, dmat, connection)
+    F = _projected_curvature(p, dim, diff, connection)
     power = F
     j = 1
     while True:
@@ -401,7 +305,7 @@ def _chern_scalars(
         out[2 * j] = scale * sandwich
         if 2 * (j + 1) > dim:
             break
-        power = matrix_wedge(power, 2 * j, F, 2, dim)
+        power = exterior_wedge(power, 2 * j, F, 2, dim, np.matmul)
         j += 1
     return out
 
@@ -569,11 +473,9 @@ def chern_character_fiber(
     r = base.fiber(0).dim
     per_degree: dict[int, list[np.ndarray]] = {}
     for x in range(len(base)):
-        fiber = base.fiber(x)
         conn = None if connection is None else connection[x]
-        scalars = _chern_scalars(
-            projectors[x], r, lambda fld, q, fb=fiber: fiber_matrix_d(fld, q, fb), conn
-        )
+        diff = partial(spectral_derivative, fiber=base.fiber(x))
+        scalars = _chern_scalars(projectors[x], r, diff, conn)
         scalars[0] = scalars[0] - reference_rank
         for deg, arr in scalars.items():
             per_degree.setdefault(deg, []).append(arr)
@@ -598,12 +500,12 @@ def chern_character_disc(
     value; subtracting it forms the compactly supported difference class that
     symbol classes of elliptic operators produce.
     """
-    scalars = _chern_scalars(projector, 2, lambda fld, q: disc_matrix_d(fld, q, disc), connection)
+    scalars = _chern_scalars(projector, 2, disc.derivative, connection)
     if reference is not None:
         ref = np.asarray(reference, dtype=complex)
         if ref.ndim == 2:
             ref = np.broadcast_to(ref, projector.shape).copy()
-        ref_scalars = _chern_scalars(ref, 2, lambda fld, q: disc_matrix_d(fld, q, disc))
+        ref_scalars = _chern_scalars(ref, 2, disc.derivative)
         for deg in scalars:
             if deg in ref_scalars:
                 scalars[deg] = scalars[deg] - ref_scalars[deg]

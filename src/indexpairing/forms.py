@@ -5,11 +5,16 @@ A leafwise q-form is stored per base point as an array of shape
 coordinate subsets in lexicographic order.  All derivatives are spectral, so
 d is exact on band-limited data and the grid sum of any exact top component
 vanishes to round-off (the derivative has no zero mode).
+
+exterior_d and exterior_wedge hold that component convention for every site
+and value type: they act on arrays (n, ncomp, ...) given a partial derivative
+and a product, so the fiber grid, the frequency disc of charclass.py and
+matrix-valued curvature forms share one sign bookkeeping.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -117,9 +122,6 @@ class FoliatedForm:
         ]
         return cls(r, r, fields, invariant=True)
 
-    def copy(self) -> "FoliatedForm":
-        return replace(self, fields=[f.copy() for f in self.fields])
-
     def __add__(self, other: "FoliatedForm") -> "FoliatedForm":
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
@@ -140,50 +142,68 @@ class FoliatedForm:
         return max(float(np.max(np.abs(f))) if f.size else 0.0 for f in self.fields)
 
 
-def d_leafwise(form: FoliatedForm, base: BaseModel) -> FoliatedForm:
-    """Spectral exterior derivative along the fibers."""
-    r = form.fiber_dim
-    if form.degree >= r:
+def exterior_d(field: np.ndarray, degree: int, dim: int, diff) -> np.ndarray:
+    """Exterior derivative of a component array of shape (n, ncomp, ...).
+
+    diff(block, axis) differentiates an (n, ...) block along one coordinate
+    of the site; trailing axes (matrix entries) ride along.
+    """
+    if degree >= dim:
         raise DegreeError("cannot differentiate a top-degree form")
-    q = form.degree
-    in_pos = subset_position(r, q)
-    out_subs = index_subsets(r, q + 1)
-    out_fields = []
-    for x in range(len(base)):
-        fiber = base.fiber(x)
-        src = form.fields[x]
-        out = np.zeros((src.shape[0], len(out_subs)), dtype=complex)
-        for kk, K in enumerate(out_subs):
-            for j in K:
-                rest = tuple(i for i in K if i != j)
-                sgn = merge_sign((j,), rest)
-                out[:, kk] += sgn * spectral_derivative(src[:, in_pos[rest]], j, fiber)
-        out_fields.append(out)
-    return FoliatedForm(q + 1, r, out_fields, invariant=form.invariant)
+    in_pos = subset_position(dim, degree)
+    out_subs = index_subsets(dim, degree + 1)
+    out = np.zeros((field.shape[0], len(out_subs)) + field.shape[2:], dtype=complex)
+    for kk, K in enumerate(out_subs):
+        for j in K:
+            rest = tuple(i for i in K if i != j)
+            sgn = merge_sign((j,), rest)
+            out[:, kk] += sgn * diff(field[:, in_pos[rest]], j)
+    return out
 
 
-def wedge(f1: FoliatedForm, f2: FoliatedForm) -> FoliatedForm:
-    r = f1.fiber_dim
-    q = f1.degree + f2.degree
-    if q > r:
+def exterior_wedge(
+    f1: np.ndarray, q1: int, f2: np.ndarray, q2: int, dim: int, mul
+) -> np.ndarray:
+    """Wedge of component arrays of shape (n, ncomp, ...).
+
+    mul multiplies one component of each factor: np.multiply for scalar
+    forms, np.matmul for matrix-valued ones.
+    """
+    q = q1 + q2
+    if q > dim:
         raise DegreeError("wedge exceeds the top degree")
-    pos1 = index_subsets(r, f1.degree)
-    pos2 = subset_position(r, f2.degree)
-    out_subs = index_subsets(r, q)
-    out_pos = subset_position(r, q)
-    out_fields = [
-        np.zeros((a.shape[0], len(out_subs)), dtype=complex) for a in f1.fields
-    ]
-    for i1, I in enumerate(pos1):
+    pos2 = subset_position(dim, q2)
+    out_subs = index_subsets(dim, q)
+    out_pos = subset_position(dim, q)
+    out = np.zeros((f1.shape[0], len(out_subs)) + f1.shape[2:], dtype=complex)
+    for i1, I in enumerate(index_subsets(dim, q1)):
         iset = set(I)
         for K in out_subs:
             if not iset <= set(K):
                 continue
             J = tuple(j for j in K if j not in iset)
             sgn = merge_sign(I, J)
-            for x, out in enumerate(out_fields):
-                out[:, out_pos[K]] += sgn * f1.fields[x][:, i1] * f2.fields[x][:, pos2[J]]
-    return FoliatedForm(q, r, out_fields, invariant=f1.invariant and f2.invariant)
+            out[:, out_pos[K]] += sgn * mul(f1[:, i1], f2[:, pos2[J]])
+    return out
+
+
+def d_leafwise(form: FoliatedForm, base: BaseModel) -> FoliatedForm:
+    """Spectral exterior derivative along the fibers."""
+    r, q = form.fiber_dim, form.degree
+    out_fields = [
+        exterior_d(f, q, r, partial(spectral_derivative, fiber=base.fiber(x)))
+        for x, f in enumerate(form.fields)
+    ]
+    return FoliatedForm(q + 1, r, out_fields, invariant=form.invariant)
+
+
+def wedge(f1: FoliatedForm, f2: FoliatedForm) -> FoliatedForm:
+    out_fields = [
+        exterior_wedge(a, f1.degree, b, f2.degree, f1.fiber_dim, np.multiply)
+        for a, b in zip(f1.fields, f2.fields)
+    ]
+    invariant = f1.invariant and f2.invariant
+    return FoliatedForm(f1.degree + f2.degree, f1.fiber_dim, out_fields, invariant=invariant)
 
 
 def pullback_form_field(m: AffineTorusMap, field: np.ndarray, n: int, q: int) -> np.ndarray:

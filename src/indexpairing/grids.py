@@ -132,19 +132,23 @@ def box_to_grid(coeffs: np.ndarray, fiber: FiberModel) -> np.ndarray:
 def spectral_derivative(field: np.ndarray, axis: int, fiber: FiberModel) -> np.ndarray:
     """Partial derivative d/dz_axis via the full FFT of the grid field.
 
-    The unmatched Nyquist mode (n even) is dropped from the derivative; it is
+    The leading axis of field runs over grid points; trailing axes (matrix
+    entries, say) are carried along and differentiated entry by entry.  The
+    unmatched Nyquist mode (n even) is dropped from the derivative; it is
     absent from all band-limited data anyway.
     """
     n = fiber.grid_size
-    shaped = np.asarray(field, dtype=complex).reshape(fiber.grid_shape)
+    field = np.asarray(field, dtype=complex)
+    shaped = field.reshape(fiber.grid_shape + field.shape[1:])
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         freqs = freqs.copy()
         freqs[n // 2] = 0.0
-    shape = [1] * fiber.dim
+    shape = [1] * shaped.ndim
     shape[axis] = n
     mult = TWO_PI_I * freqs.reshape(shape)
-    out = np.fft.ifftn(np.fft.fftn(shaped) * mult)
+    grid_axes = tuple(range(fiber.dim))
+    out = np.fft.ifftn(np.fft.fftn(shaped, axes=grid_axes) * mult, axes=grid_axes)
     return out.reshape(field.shape)
 
 

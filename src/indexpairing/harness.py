@@ -58,7 +58,7 @@ from .grids import (
 from .groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from .operators import SmoothingKernel, random_invariant_kernel, trace_tau
 from .pairing import ProfileCochain, TransitionProfile, pair_cocycle
-from .parametrix import IndexIdempotent, analytic_index, index_idempotent
+from .parametrix import CorruptedCacheError, IndexIdempotent, analytic_index, index_idempotent
 from .space import AffineTorusMap, FiberedGSpace
 from .symbols import (
     SMOOTHING_ORDER,
@@ -112,10 +112,6 @@ class StageError(ModelError):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-class CorruptedCacheError(ModelError):
-    """Raised when a cached coefficient file fails structural validation."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +193,7 @@ class Scenario:
                          "base_action": "trivial" | "pair-swap"}
         fiber           {"kind": "torus", "dim": int,
                          "fourier_cutoff": int, "grid": int}
+                        (dim 2 for dolbeault, at least 2 for multiplier)
         fiber_action    "trivial" | {"translation": ["p/q", ..]}
         operator        {"builtin": "dolbeault", "twist": int, "levels": int}
                       | {"builtin": "multiplier", "symbol": expr-string}
@@ -204,6 +201,7 @@ class Scenario:
         cocycle         {"kind": "unit"}
                       | {"kind": "profile", "legs": [{"axis": int,
                          "linear_radius": f, "support_radius": f}, ..]}
+                        (exactly two legs)
                       | {"kind": "elementary", "degree": int, "band": int}
                         (factor fields drawn from the seed)
                       | {"kind": "elementary", "degree": int, "band": int,
@@ -361,6 +359,12 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
         }
     else:
         raise ScenarioError('operator.builtin must be "dolbeault" or "multiplier"')
+    if op["builtin"] == "dolbeault" and dim != 2:
+        raise ScenarioError("fiber.dim must be 2 for the dolbeault operator")
+    if op["builtin"] == "multiplier" and dim < 2:
+        raise ScenarioError(
+            "fiber.dim must be at least 2: the multiplier symbol reads xi1 and xi2"
+        )
 
     localize = raw.get("localize")
     if localize is not None:
@@ -374,8 +378,6 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
         coc = {"kind": "unit"}
     elif ck == "profile":
         legs = _need(coc, "legs", [dict], "cocycle", [])
-        if not legs:
-            raise ScenarioError("cocycle.legs must list the difference profiles")
         norm_legs = []
         for leg in legs:
             norm_leg = {
@@ -391,6 +393,11 @@ def _validate(raw: dict, origin: Path | None) -> Scenario:
                 )
             _leg_profile(norm_leg)
             norm_legs.append(norm_leg)
+        if len(norm_legs) != 2:
+            # the pairing contracts one even difference cochain, k = 1
+            raise ScenarioError(
+                f"cocycle.legs must list exactly two difference profiles, got {len(norm_legs)}"
+            )
         coc = {"kind": "profile", "legs": norm_legs}
     elif ck == "elementary":
         coc = {
@@ -861,31 +868,16 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     if cache_path is not None and cache_path.exists():
         with _stage("operator-cache"):
             arrays = load_coefficients(cache_path)
-            if len(arrays) != 1 + len(space.base):
-                raise CorruptedCacheError(
-                    f"{cache_path.name}: expected {1 + len(space.base)} arrays, "
-                    f"found {len(arrays)}"
-                )
-            radius = float(arrays[0][0])
-            idem = IndexIdempotent(
-                space.base,
-                SmoothingKernel(
-                    space.base,
-                    list(arrays[1:]),
-                    blocks=2,
-                    support_radius=radius if math.isfinite(radius) else np.inf,
-                ),
-            )
+            try:
+                idem = IndexIdempotent.from_arrays(space.base, arrays)
+            except CorruptedCacheError as exc:
+                raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
     if idem is None:
         with _stage("idempotent"):
             idem = index_idempotent(fam, radius=scn.localize)
         if cache_path is not None:
             with _stage("operator-cache"):
-                save_coefficients(
-                    cache_path,
-                    [np.array([float(idem.skernel.support_radius)])]
-                    + list(idem.skernel.mats),
-                )
+                save_coefficients(cache_path, idem.arrays())
 
     with _stage("cocycle"):
         phi = _build_cocycle(scn, space.base)

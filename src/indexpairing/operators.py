@@ -187,11 +187,6 @@ class SmoothingKernel:
             if m.shape != (dim, dim):
                 raise ModelError(f"kernel matrix at point {x} has shape {m.shape}")
 
-    def copy(self) -> "SmoothingKernel":
-        return SmoothingKernel(
-            self.base, [m.copy() for m in self.mats], self.blocks, self.support_radius
-        )
-
     def __add__(self, other: "SmoothingKernel") -> "SmoothingKernel":
         self._check(other)
         return SmoothingKernel(
@@ -312,15 +307,11 @@ def average_kernel(
     out = []
     for x in range(len(gspace.base)):
         n = gspace.base.fiber(x).grid_size
-        npts = gspace.base.fiber(x).npoints
         acc = np.zeros_like(kern.mats[x])
         for a in gspace.groupoid.arrows_from(x):
             perm = gspace.point_action(a).grid_permutation(n)
-            weight = cutoff.fields[a.tgt][perm]
-            bidx = np.concatenate([perm + b * npts for b in range(kern.blocks)])
-            moved = kern.mats[a.tgt][np.ix_(bidx, bidx)]
-            wfull = np.tile(weight, kern.blocks)
-            acc += wfull[:, None] * moved
+            wfull = np.tile(cutoff.fields[a.tgt][perm], kern.blocks)
+            acc += wfull[:, None] * kern._moved(gspace, a)
         out.append(acc)
     return SmoothingKernel(gspace.base, out, kern.blocks, kern.support_radius)
 
@@ -361,7 +352,6 @@ def random_invariant_kernel(
     gspace: FiberedGSpace,
     cutoff: CutoffDensity,
     band: int,
-    blocks: int = 1,
 ) -> SmoothingKernel:
     """Seeded invariant smoothing family built from band-limited separable pieces."""
     base = gspace.base
@@ -372,13 +362,7 @@ def random_invariant_kernel(
         keep = np.max(np.abs(fiber.modes()), axis=1) <= band
         E = E[:, keep]
         nb = E.shape[1]
-        npts = fiber.npoints
-        m = np.zeros((blocks * npts, blocks * npts), dtype=complex)
-        for bi in range(blocks):
-            for bj in range(blocks):
-                C = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
-                block = E @ (C / nb) @ E.conj().T / npts
-                m[bi * npts : (bi + 1) * npts, bj * npts : (bj + 1) * npts] = block
-        mats.append(m)
-    rough = SmoothingKernel(base, mats, blocks)
+        C = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+        mats.append(E @ (C / nb) @ E.conj().T / fiber.npoints)
+    rough = SmoothingKernel(base, mats)
     return average_kernel(gspace, cutoff, rough)

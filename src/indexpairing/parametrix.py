@@ -39,6 +39,10 @@ class LocalizationError(ModelError):
     """Raised when the truncated idempotent cannot be corrected."""
 
 
+class CorruptedCacheError(ModelError):
+    """Raised when a cached coefficient file fails structural validation."""
+
+
 def certified_rank(singular: np.ndarray, threshold: float = 1e-8, window: float = 10.0) -> int:
     """Numerical rank with an explicit no-mans-land around the threshold.
 
@@ -140,6 +144,31 @@ class IndexIdempotent:
             raise ModelError("the graph idempotent needs two components")
         self.base = base
         self.skernel = skernel
+
+    def arrays(self) -> list[np.ndarray]:
+        """Cached form: [support radius], then one kernel matrix per base point.
+
+        The radius is +inf for an unlocalized idempotent.
+        """
+        return [np.array([self.skernel.support_radius])] + list(self.skernel.mats)
+
+    @classmethod
+    def from_arrays(cls, base: BaseModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
+        """Inverse of arrays(); raises CorruptedCacheError on any mismatch with base."""
+        if len(arrays) != 1 + len(base):
+            raise CorruptedCacheError(
+                f"expected {1 + len(base)} arrays, found {len(arrays)}"
+            )
+        head, mats = arrays[0], arrays[1:]
+        if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
+            raise CorruptedCacheError(f"support radius {head} is not a positive number")
+        for x, m in enumerate(mats):
+            size = 2 * base.fiber(x).npoints
+            if m.shape != (size, size):
+                raise CorruptedCacheError(
+                    f"kernel matrix at point {x} has shape {m.shape}, expected {(size, size)}"
+                )
+        return cls(base, SmoothingKernel(base, mats, blocks=2, support_radius=head[0]))
 
     def unit_matrix(self, x: int) -> np.ndarray:
         npts = self.base.fiber(x).npoints

@@ -173,14 +173,6 @@ class FiberedGSpace:
     def fiber_map(self, a: Arrow) -> AffineTorusMap:
         return self.maps[a.label]
 
-    def is_grid_preserving(self) -> bool:
-        return all(
-            self.maps[a.label].is_grid_preserving(
-                self.base.fiber(a.src).grid_size
-            )
-            for a in self.groupoid.arrows
-        )
-
     def point_action(self, a: Arrow) -> AffineTorusMap:
         """Geometric action of the arrow on fiber points, source -> target.
 

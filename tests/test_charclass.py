@@ -1,4 +1,6 @@
 """Characteristic forms: disc calculus, matrix calculus, model projectors."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -12,17 +14,15 @@ from indexpairing.charclass import (
     chern_character_disc,
     chern_character_fiber,
     d_disc,
-    fiber_matrix_d,
     graph_symbol_projector,
-    matrix_wedge,
     smoothstep_poly,
     twist_projector,
     unit_char,
     wedge_char,
     wedge_disc,
 )
-from indexpairing.forms import DegreeError, d_leafwise
-from indexpairing.grids import FiberModel, ModelError, random_band_limited
+from indexpairing.forms import DegreeError, d_leafwise, exterior_d, exterior_wedge
+from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_derivative
 from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.symbols import EllipticityError
 
@@ -233,7 +233,8 @@ def test_unit_class_is_wedge_identity():
 
 def test_curvature_satisfies_structure_and_bianchi():
     # R = d(gam) + gam ^ gam for a band-limited matrix connection 1-form;
-    # the Bianchi identity checks matrix_d and matrix_wedge in dimension four
+    # the Bianchi identity checks the matrix-valued exterior_d and
+    # exterior_wedge in dimension four
     rng = np.random.default_rng(7)
     fiber = FiberModel("torus", 4, 2, 12)
     gam = np.empty((fiber.npoints, 4, 2, 2), dtype=complex)
@@ -241,7 +242,8 @@ def test_curvature_satisfies_structure_and_bianchi():
         for i in range(2):
             for j in range(2):
                 gam[:, k, i, j] = random_band_limited(rng, fiber, 1, real=False)
-    R = fiber_matrix_d(gam, 1, fiber) + matrix_wedge(gam, 1, gam, 1, 4)
-    dR = fiber_matrix_d(R, 2, fiber)
-    comm = matrix_wedge(R, 2, gam, 1, 4) - matrix_wedge(gam, 1, R, 2, 4)
+    diff = partial(spectral_derivative, fiber=fiber)
+    R = exterior_d(gam, 1, 4, diff) + exterior_wedge(gam, 1, gam, 1, 4, np.matmul)
+    dR = exterior_d(R, 2, 4, diff)
+    comm = exterior_wedge(R, 2, gam, 1, 4, np.matmul) - exterior_wedge(gam, 1, R, 2, 4, np.matmul)
     assert np.abs(dR - comm).max() < 1e-6

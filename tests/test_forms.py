@@ -17,7 +17,7 @@ from indexpairing.forms import (
     pullback_form_field,
     wedge,
 )
-from indexpairing.grids import FiberModel, grid_points, random_band_limited
+from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_derivative
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing.space import AffineTorusMap, FiberedGSpace
 
@@ -71,6 +71,18 @@ def test_d_matches_spectral_oracle():
     expect = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
     assert np.allclose(out.fields[0][:, 0], expect, atol=1e-10)
     assert np.allclose(out.fields[0][:, 1], 0, atol=1e-12)
+    # an (npoints, m, m) block differentiates entry by entry
+    fiber = base.fiber(0)
+    rng = np.random.default_rng(4)
+    block = np.stack(
+        [random_band_limited(rng, fiber, 3, real=False) for _ in range(4)], axis=1
+    ).reshape(-1, 2, 2)
+    for axis in (0, 1):
+        got = spectral_derivative(block, axis, fiber)
+        for i in range(2):
+            for j in range(2):
+                entry = spectral_derivative(block[:, i, j], axis, fiber)
+                assert np.array_equal(got[:, i, j], entry)
 
 
 def test_d_squared_vanishes():

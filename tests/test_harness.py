@@ -181,6 +181,29 @@ def test_scenario_defaults_filled():
             "cocycle.legs: axis 2",
         ),
         (lambda raw: raw["fiber"].update(dim=-1), "fiber.dim must be positive"),
+        (
+            lambda raw: raw.update(
+                cocycle={"kind": "profile", "legs": [{"axis": 0, "linear_radius": 0.45}]}
+            ),
+            "cocycle.legs must list exactly two",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={
+                    "kind": "profile",
+                    "legs": [{"axis": k % 2, "linear_radius": 0.45} for k in range(4)],
+                }
+            ),
+            "cocycle.legs must list exactly two",
+        ),
+        (lambda raw: raw["fiber"].update(dim=3, grid=10), "fiber.dim must be 2"),
+        (
+            lambda raw: raw.update(
+                fiber={"kind": "torus", "dim": 1, "fourier_cutoff": 4, "grid": 12},
+                operator={"builtin": "multiplier", "symbol": "1 + (xi1*xi1 + xi2*xi2) / 81"},
+            ),
+            "fiber.dim must be at least 2",
+        ),
     ],
 )
 def test_scenario_validation_names_offending_field(mutate, fragment):
@@ -384,6 +407,12 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
     with pytest.raises(CorruptedCacheError, match="expected"):
         run_scenario(scn, out_dir=tmp_path)
 
+    npts = 12**2  # the cheap scenario's 12 x 12 grid
+    for radius in (np.nan, 0.0, -1.0):
+        save_coefficients(cache, [np.array([radius]), np.zeros((2 * npts, 2 * npts))])
+        with pytest.raises(CorruptedCacheError, match="support radius"):
+            run_scenario(scn, out_dir=tmp_path)
+
 
 def test_cache_is_keyed_by_the_idempotent_inputs(tmp_path):
     for twist in (1, 2):
@@ -550,6 +579,10 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     cache.write_bytes(b"XXXX" + cache.read_bytes()[4:])
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "bad magic" in capsys.readouterr().err
+    # a well-formed file holding a kernel of the wrong size
+    save_coefficients(cache, [np.array([np.inf]), np.eye(3, dtype=complex)])
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "has shape (3, 3)" in capsys.readouterr().err
 
 
 def test_cli_suite_rejects_unknown_only(tmp_path, capsys):

@@ -5,6 +5,11 @@ every module-level statement that is not a def, and follows each Name and
 Attribute to every def or method of that name.  Dunder methods come with
 their class.  What only tests use must be an independent oracle named in
 KEPT_ORACLES together with the test that uses it.
+
+Because names are matched bare, a method counts as reached whenever any
+def of the same name is reached: an uncalled ``copy`` or ``zero`` on one
+class hides behind a called one on another.  Such dead methods have to be
+found by reading the callers; this test cannot see them.
 """
 import ast
 from pathlib import Path
