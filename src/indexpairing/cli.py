@@ -7,8 +7,7 @@ Verbs:
     indexpairing list
 
 Exit codes: 0 success, 1 failed comparison or stage error, 2 corrupted
-operator cache.  The worker count for suite scenario runs comes from the
-INDEXPAIRING_WORKERS environment variable (default 1).
+operator cache.
 """
 from __future__ import annotations
 
@@ -25,7 +24,6 @@ from .harness import (
     CSV_HEADER,
     ScenarioError,
     StageError,
-    WORKERS_ENV,
     load_scenario,
     run_scenario,
     run_suite,
@@ -78,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical workbench comparing spectral indices of "
         "invariant elliptic families with cocycle pairings and "
         "characteristic-class integrals.",
-        epilog=f"Scenario workers are set by the {WORKERS_ENV} environment "
-        "variable (default 1).",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -21,10 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -90,12 +88,9 @@ __all__ = [
     "save_coefficients",
     "load_coefficients",
     "cochain_to_table",
-    "WORKERS_ENV",
     "CSV_HEADER",
     "INVARIANT_CSV_HEADER",
 ]
-
-WORKERS_ENV = "INDEXPAIRING_WORKERS"
 
 CSV_HEADER = "scenario,analytic_index,pairing,topological,abs_err,status"
 INVARIANT_CSV_HEADER = "invariant,defect,tolerance,status"
@@ -612,6 +607,8 @@ def _symbol_expression(expr: str):
 
     Only arithmetic, the constant pi, and sin/cos/exp/sqrt are allowed; the
     check walks the syntax tree so a scenario file cannot smuggle code in.
+    Integer constants become floats, so a power overflows at once instead of
+    building a huge integer (9**9**9 has 370 million digits).
     """
     import ast
 
@@ -651,11 +648,26 @@ def _symbol_expression(expr: str):
             not isinstance(node.func, ast.Name) or node.func.id not in _SYMBOL_FUNCS
         ):
             raise ScenarioError("operator.symbol: only sin/cos/exp/sqrt calls")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float, complex):
+                raise ScenarioError(
+                    f"operator.symbol: constant {node.value!r} is not a number"
+                )
+            if type(node.value) is int:
+                try:
+                    node.value = float(node.value)
+                except OverflowError:
+                    raise ScenarioError(
+                        "operator.symbol: integer constant overflows a float"
+                    ) from None
     code = compile(tree, "<operator.symbol>", "eval")
 
     def fn(x1, x2):
         scope = {"xi1": x1, "xi2": x2, **_SYMBOL_NAMES, **_SYMBOL_FUNCS}
-        return eval(code, {"__builtins__": {}}, scope)
+        try:
+            return eval(code, {"__builtins__": {}}, scope)
+        except ArithmeticError as exc:
+            raise ScenarioError(f"operator.symbol: evaluation failed ({exc})") from exc
 
     return fn
 
@@ -799,7 +811,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs would change.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 # echo fields the idempotent depends on; the cache file name carries their digest
 _IDEMPOTENT_INPUTS = ("groupoid", "fiber", "fiber_action", "operator", "localize")
 
@@ -910,8 +922,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     )
 
 
-def _run_one(args):
-    name, out_dir = args
+def _run_one(name, out_dir):
     scn = load_scenario(name)
     try:
         return run_scenario(scn, out_dir=out_dir)
@@ -931,15 +942,6 @@ def _run_one(args):
             ),
             str(exc),
         )
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ModelError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
-    return max(1, count)
 
 
 # ---------------------------------------------------------------------------
@@ -1165,15 +1167,10 @@ def run_suite(which: str, out_dir, only=None) -> int:
 
     if which in ("scenarios", "all"):
         names = [n for n in BUILTIN_SCENARIOS if only is None or n in only]
-        workers = _worker_count()
         results: list[ResultRecord] = []
         errors: list[str] = []
-        if workers > 1 and len(names) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outs = list(pool.map(_run_one, [(n, out) for n in names]))
-        else:
-            outs = [_run_one((n, out)) for n in names]
-        for item in outs:
+        for name in names:
+            item = _run_one(name, out)
             if isinstance(item, tuple):
                 record, message = item
                 errors.append(message)

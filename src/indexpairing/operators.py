@@ -8,10 +8,12 @@ holds an (npoints, nbasis) evaluation matrix with quadrature-orthonormal
 columns; operators between bases are plain matrices on coefficients.
 
 Smoothing operators are stored as operator matrices M acting by f -> M f on
-grid vectors, possibly with a block structure for bundle components.  The
-Schwartz kernel against the quadrature measure is k(z, w) = npoints * M[z, w];
-all trace and pairing formulas below are written directly in terms of M so
-that no npoints factors float around.
+scalar grid sections, one npoints x npoints matrix per base point.  A family
+with several bundle components is carried as several such families (the
+index idempotent holds its kernel and cokernel projectors apart), so no
+kernel needs a block layout.  The Schwartz kernel against the quadrature
+measure is k(z, w) = npoints * M[z, w]; all trace and pairing formulas below
+are written directly in terms of M so that no npoints factors float around.
 """
 from __future__ import annotations
 
@@ -164,26 +166,22 @@ def fiber_distance_matrix(fiber: FiberModel) -> np.ndarray:
 class SmoothingKernel:
     """Family of finite-rank-style integral operators on grid sections.
 
-    ``mats[x]`` acts on grid vectors over base point x by plain matrix
-    multiplication; with ``blocks`` bundle components the layout is
-    block-major (component index varies slowest).  ``support_radius`` is the
-    fiber distance beyond which kernel entries vanish (infinity when not
-    localized).
+    ``mats[x]`` acts on scalar grid vectors over base point x by plain matrix
+    multiplication.  ``support_radius`` is the fiber distance beyond which
+    kernel entries vanish (infinity when not localized).
     """
 
     def __init__(
         self,
         base: BaseModel,
         mats: list[np.ndarray],
-        blocks: int = 1,
         support_radius: float = np.inf,
     ):
         self.base = base
-        self.blocks = int(blocks)
         self.mats = [np.asarray(m, dtype=complex) for m in mats]
         self.support_radius = float(support_radius)
         for x, m in enumerate(self.mats):
-            dim = self.blocks * base.fiber(x).npoints
+            dim = base.fiber(x).npoints
             if m.shape != (dim, dim):
                 raise ModelError(f"kernel matrix at point {x} has shape {m.shape}")
 
@@ -192,7 +190,6 @@ class SmoothingKernel:
         return SmoothingKernel(
             self.base,
             [a + b for a, b in zip(self.mats, other.mats)],
-            self.blocks,
             max(self.support_radius, other.support_radius),
         )
 
@@ -201,7 +198,7 @@ class SmoothingKernel:
 
     def scaled(self, factor: complex) -> "SmoothingKernel":
         return SmoothingKernel(
-            self.base, [factor * m for m in self.mats], self.blocks, self.support_radius
+            self.base, [factor * m for m in self.mats], self.support_radius
         )
 
     def compose(self, other: "SmoothingKernel") -> "SmoothingKernel":
@@ -210,35 +207,21 @@ class SmoothingKernel:
         return SmoothingKernel(
             self.base,
             [a @ b for a, b in zip(self.mats, other.mats)],
-            self.blocks,
             radius,
         )
 
     def _check(self, other: "SmoothingKernel") -> None:
         if self.base is not other.base and len(self.base) != len(other.base):
             raise ModelError("kernel bases differ")
-        if self.blocks != other.blocks:
-            raise ModelError("kernel block counts differ")
 
     def norm(self) -> float:
         """Largest operator norm across base points."""
         return max(float(np.linalg.norm(m, 2)) for m in self.mats)
 
-    def diag_trace_field(self, x: int) -> np.ndarray:
-        """Pointwise matrix trace of the operator diagonal over base point x."""
-        npts = self.base.fiber(x).npoints
-        d = np.zeros(npts, dtype=complex)
-        for b in range(self.blocks):
-            idx = b * npts + np.arange(npts)
-            d += self.mats[x][idx, idx]
-        return d
-
     def _moved(self, gspace: FiberedGSpace, a) -> np.ndarray:
         n = gspace.base.fiber(a.src).grid_size
-        npts = gspace.base.fiber(a.src).npoints
         perm = gspace.point_action(a).grid_permutation(n)
-        bidx = np.concatenate([perm + b * npts for b in range(self.blocks)])
-        return self.mats[a.tgt][np.ix_(bidx, bidx)]
+        return self.mats[a.tgt][np.ix_(perm, perm)]
 
     def invariance_defect(self, gspace: FiberedGSpace) -> float:
         """Strict equivariance defect for untwisted (plain pullback) transport."""
@@ -266,33 +249,27 @@ class SmoothingKernel:
             worst = max(worst, float(np.max(np.abs(cyc))))
         return worst
 
-    def require_invariant(
-        self, gspace: FiberedGSpace, invariance_tol: float, what: str
-    ) -> None:
-        """The invariance gate: twisted defect at most invariance_tol * norm."""
-        scale = max(self.norm(), 1e-30)
-        if self.twisted_invariance_defect(gspace) > invariance_tol * scale:
-            raise InvarianceError(
-                f"{what} is only defined for invariant kernel families"
-            )
-
     def truncate(self, radius: float) -> "SmoothingKernel":
         """Zero all entries at fiber distance beyond the radius."""
-        out = []
-        for x, m in enumerate(self.mats):
-            mask = fiber_distance_matrix(self.base.fiber(x)) <= radius
-            if self.blocks > 1:
-                mask = np.tile(mask, (self.blocks, self.blocks))
-            out.append(m * mask)
-        return SmoothingKernel(self.base, out, self.blocks, radius)
-
-    @classmethod
-    def zero(cls, base: BaseModel, blocks: int = 1) -> "SmoothingKernel":
-        mats = [
-            np.zeros((blocks * base.fiber(x).npoints,) * 2, dtype=complex)
-            for x in range(len(base))
+        out = [
+            m * (fiber_distance_matrix(self.base.fiber(x)) <= radius)
+            for x, m in enumerate(self.mats)
         ]
-        return cls(base, mats, blocks)
+        return SmoothingKernel(self.base, out, radius)
+
+
+def require_invariant(
+    gspace: FiberedGSpace, invariance_tol: float, what: str, *kerns: SmoothingKernel
+) -> None:
+    """The invariance gate over one or more families.
+
+    The largest twisted defect must be at most invariance_tol times the
+    largest norm, which is the gate on the block-diagonal family they form.
+    """
+    scale = max(max(k.norm() for k in kerns), 1e-30)
+    defect = max(k.twisted_invariance_defect(gspace) for k in kerns)
+    if defect > invariance_tol * scale:
+        raise InvarianceError(f"{what} is only defined for invariant kernel families")
 
 
 def average_kernel(
@@ -310,10 +287,9 @@ def average_kernel(
         acc = np.zeros_like(kern.mats[x])
         for a in gspace.groupoid.arrows_from(x):
             perm = gspace.point_action(a).grid_permutation(n)
-            wfull = np.tile(cutoff.fields[a.tgt][perm], kern.blocks)
-            acc += wfull[:, None] * kern._moved(gspace, a)
+            acc += cutoff.fields[a.tgt][perm][:, None] * kern._moved(gspace, a)
         out.append(acc)
-    return SmoothingKernel(gspace.base, out, kern.blocks, kern.support_radius)
+    return SmoothingKernel(gspace.base, out, kern.support_radius)
 
 
 def trace_tau(
@@ -324,12 +300,12 @@ def trace_tau(
 ) -> complex:
     """Cutoff-weighted trace of an invariant smoothing family.
 
-    tau(K) = sum over base points of mass * sum_z c(z) tr k-diagonal(z).
+    tau(K) = sum over base points of mass * sum_z c(z) M_x[z, z].
     Independent of the cutoff choice, and tracial, for invariant kernels over
     orbit-constant mass; both properties fail without invariance, hence the
     check.
     """
-    kern.require_invariant(dens.gspace, invariance_tol, "trace")
+    require_invariant(dens.gspace, invariance_tol, "trace", kern)
     return _weighted_diag_trace(kern, cutoff, dens)
 
 
@@ -339,11 +315,11 @@ def _weighted_diag_trace(
     dens: TransversalDensity,
     fields: list[np.ndarray] | None = None,
 ) -> complex:
-    """sum over base points of mass * sum_z c(z) [f(z)] tr k-diagonal(z)."""
+    """sum over base points of mass * sum_z c(z) [f(z)] M_x[z, z]."""
     total = 0.0 + 0.0j
     for x in range(len(kern.base)):
         weight = cutoff.fields[x] if fields is None else cutoff.fields[x] * fields[x]
-        total += dens.mass(x) * np.sum(weight * kern.diag_trace_field(x))
+        total += dens.mass(x) * np.sum(weight * np.diag(kern.mats[x]))
     return complex(total)
 
 

@@ -1,8 +1,8 @@
 """Pairing of near-diagonal cochains with localized index idempotents.
 
 The analytic side of the index formula pairs an invariant degree-2k cochain
-with the graph idempotent P = e + S of an elliptic family through the chain
-quadrature
+with the index idempotent P = diag(S0, 1 - S1) of an elliptic family (see
+``parametrix``) through the chain quadrature
 
     sum over tuples  c(z_0) phi(z_0, .., z_{2k}) k_P(z_0,z_1) .. k_P(z_{2k},z_0)
 
@@ -16,10 +16,11 @@ The chain is always contracted against the full alternation of the cochain.
 Alternation changes no germ class, but it turns the two contract properties
 into exact matrix identities: pairing with a tuple coboundary vanishes, and
 the value is stable under idempotent homotopies.  Both follow from P^2 = P
-and trace cyclicity alone, with no smallness assumptions.  It also kills the
-e-term for k >= 1 (the alternation of any cochain vanishes on constant
-tuples); the e-term survives only at k = 0, where it is subtracted exactly
-by tracing S = P - e instead of P.
+and trace cyclicity alone, with no smallness assumptions.  The alternation
+of any cochain vanishes on tuples with two equal points, so every chain term
+that carries a unit factor drops out for k >= 1.  Since P is block diagonal,
+its chain splits over the blocks, and the pairing is the chain of S0 minus
+the chain of S1 at every k (at k = 0 this is the trace of P - e).
 
 The alternated chain carries the weight (-1)^k (2k)!/k!, the combinatorial
 factor that scales the 2k-simplex chain of an idempotent to the degree-2k
@@ -43,7 +44,7 @@ from .density import CutoffDensity, TransversalDensity
 from .forms import FoliatedForm, subset_position
 from .grids import ModelError, grid_points
 from .groupoid import BaseModel
-from .operators import SupportMismatchError, _weighted_diag_trace
+from .operators import SupportMismatchError, _weighted_diag_trace, require_invariant
 from .parametrix import IndexIdempotent
 
 __all__ = [
@@ -255,15 +256,16 @@ def pair_cocycle(
     dens: TransversalDensity,
     invariance_tol: float = 1e-8,
 ) -> complex:
-    """Pair an even-degree cochain with the graph idempotent P = e + S.
+    """Pair an even-degree cochain with the index idempotent P = diag(S0, 1 - S1).
 
     Quadrature realization of the cyclic chain of the cochain against P,
     minus the chain against the bare unit, contracted on the alternation of
     the cochain and scaled by the Chern weight (-1)^k (2k)!/k! (see the
-    module docstring).  k = 0 reduces to the cutoff trace of S against the
-    scalar field; k = 1 contracts difference masks or slot products against
-    triple kernel products.  Chains beyond k = 1 need (2k+1)-fold kernel
-    products the desk budget does not cover.
+    module docstring): the chain of S0 minus the chain of S1.  k = 0
+    reduces to the cutoff trace against the scalar field; k = 1 contracts
+    difference masks or slot products against triple kernel products.
+    Chains beyond k = 1 need (2k+1)-fold kernel products the desk budget
+    does not cover.
 
     The kernel reach (declared support radius, or the effective radius when
     unlocalized) must not exceed the cochain's germ radius: past that scale
@@ -275,7 +277,7 @@ def pair_cocycle(
     k = phi.degree // 2
     if k > 1:
         raise ModelError("chains beyond one cochain level are not modeled")
-    idem.skernel.require_invariant(dens.gspace, invariance_tol, "pairing")
+    require_invariant(dens.gspace, invariance_tol, "pairing", *idem.families)
     reach = _kernel_reach(idem)
     if reach > phi.germ_radius + 1e-9:
         raise SupportMismatchError(
@@ -284,12 +286,16 @@ def pair_cocycle(
             "scale or widen the cochain"
         )
 
+    s0, s1 = idem.families
     if k == 0:
         fields = [
             _pointwise_field(phi, x, idem.base.fiber(x).npoints)
             for x in range(len(idem.base))
         ]
-        return _weighted_diag_trace(idem.skernel, cutoff, dens, fields)
+        trace0, trace1 = (
+            _weighted_diag_trace(f, cutoff, dens, fields) for f in (s0, s1)
+        )
+        return trace0 - trace1
 
     chain = (
         _weighted_profile_chain
@@ -299,15 +305,15 @@ def pair_cocycle(
     weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
     total = 0.0 + 0.0j
     for x in range(len(idem.base)):
-        total += dens.mass(x) * chain(phi, idem, cutoff, x)
+        cw = np.asarray(cutoff.fields[x], dtype=float)
+        value = chain(phi, s0.mats[x], cw, x) - chain(phi, s1.mats[x], cw, x)
+        total += dens.mass(x) * value
     return weight * complex(total)
 
 
 def _weighted_profile_chain(
-    phi: ProfileCochain, idem: IndexIdempotent, cutoff: CutoffDensity, x: int
+    phi: ProfileCochain, K: np.ndarray, cw: np.ndarray, x: int
 ) -> complex:
-    P = idem.full_matrix(x)
-    cw = np.tile(np.asarray(cutoff.fields[x], dtype=float), 2)
     masks = [phi.leg_mask(x, 0), phi.leg_mask(x, 1)]
     total = 0.0 + 0.0j
     for sigma in permutations(range(3)):
@@ -320,27 +326,23 @@ def _weighted_profile_chain(
                 edge_masks[edge] = W
             else:
                 edge_masks[edge] = edge_masks[edge] * W
-        mats = [
-            P if W is None else P * np.tile(W, (2, 2)) for W in edge_masks
-        ]
+        mats = [K if W is None else K * W for W in edge_masks]
         A = cw[:, None] * mats[0]
         total += sign * np.einsum("ij,ji->", A @ mats[1], mats[2])
     return complex(total) / 6.0
 
 
 def _weighted_elementary_chain(
-    phi: ASCochain, idem: IndexIdempotent, cutoff: CutoffDensity, x: int
+    phi: ASCochain, K: np.ndarray, cw: np.ndarray, x: int
 ) -> complex:
-    P = idem.full_matrix(x)
-    cw = np.tile(np.asarray(cutoff.fields[x], dtype=float), 2)
     total = 0.0 + 0.0j
     for term in phi.terms:
-        fields = [np.tile(np.asarray(fam[x]), 2) for fam in term.factors]
+        fields = [np.asarray(fam[x]) for fam in term.factors]
         for sigma in permutations(range(3)):
             sign = _sort_sign(sigma)
             inv = np.argsort(sigma)
             d0, d1, d2 = (fields[inv[i]] for i in range(3))
-            A = ((cw * d0)[:, None] * P) * d1[None, :]
-            B = P * d2[None, :]
-            total += term.weight * sign * np.einsum("ij,ji->", A @ B, P)
+            A = ((cw * d0)[:, None] * K) * d1[None, :]
+            B = K * d2[None, :]
+            total += term.weight * sign * np.einsum("ij,ji->", A @ B, K)
     return complex(total) / 6.0

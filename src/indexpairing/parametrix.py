@@ -2,17 +2,26 @@
 
 The parametrix of an operator block is its pseudo-inverse with a certified
 rank cut: the spectral way of inverting the symbol away from its zero set.
-The remainders R0 = 1 - QD and R1 = 1 - DQ come out as exact projectors onto
-kernel and cokernel, which is as smoothing as remainders get.
+The remainders S0 = 1 - QD and S1 = 1 - DQ come out as exact orthogonal
+projectors onto kernel and cokernel, which is as smoothing as remainders get.
 
 The index idempotent is the standard graph construction over domain + range,
 
     P = [[S0^2,          S0 (1 + S0) Q],
-         [S1 D,          1 - S1^2     ]],      S0 = 1 - QD,  S1 = 1 - DQ,
+         [S1 D,          1 - S1^2     ]].
 
-realized on the grid as P = e + S with e the identity on the range copy and
-S a two-component smoothing family.  Localization truncates S at a fiber
-radius and restores idempotency with the cubic correction flow.
+The pseudo-inverse makes it block diagonal: Q maps onto the orthogonal
+complement of the kernel, so S0 Q = 0; D maps into the complement of the
+cokernel, so S1 D = 0; and both remainders are projectors.  Hence
+
+    P = diag(S0, 1 - S1),   [P] - [e] = [S0] - [S1],
+
+with e the identity on the range copy.  The idempotent is stored as the two
+projector families S0 and S1 on scalar grid sections, and every consumer
+(trace, pairing, invariance gate, cache) works on them one at a time.
+Localization truncates each family at a fiber radius and restores
+idempotency with the cubic correction flow; the flow commutes with
+P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.
 """
 from __future__ import annotations
 
@@ -104,19 +113,18 @@ def analytic_index(
 
 @dataclass
 class ParametrixData:
-    q: LeafwiseOperatorFamily
     r0: list[OperatorBlock]
     r1: list[OperatorBlock]
 
 
 def parametrix(fam: LeafwiseOperatorFamily, threshold: float = 1e-8) -> ParametrixData:
-    """Pseudo-inverse parametrix with remainder projectors.
+    """Remainder projectors of the pseudo-inverse parametrix Q.
 
-    Q inverts every certified singular direction, so R0 and R1 are the
-    orthogonal projectors onto kernel and cokernel; their matrix entries
-    vanish outside those few directions by construction.
+    Q inverts every certified singular direction, so R0 = 1 - QD and
+    R1 = 1 - DQ are the orthogonal projectors onto kernel and cokernel;
+    their matrix entries vanish outside those few directions by construction.
     """
-    qblocks, r0, r1 = [], [], []
+    r0, r1 = [], []
     for block in fam.blocks:
         M = block.matrix
         U, sing, Vh = np.linalg.svd(M, full_matrices=False)
@@ -124,79 +132,79 @@ def parametrix(fam: LeafwiseOperatorFamily, threshold: float = 1e-8) -> Parametr
         inv = np.zeros_like(sing)
         inv[:rank] = 1.0 / sing[:rank]
         Qm = (Vh.conj().T * inv) @ U.conj().T
-        qblocks.append(OperatorBlock(block.codomain, block.domain, Qm))
         nd, nc = M.shape[1], M.shape[0]
         r0.append(OperatorBlock(block.domain, block.domain, np.eye(nd) - Qm @ M))
         r1.append(OperatorBlock(block.codomain, block.codomain, np.eye(nc) - M @ Qm))
-    order = -fam.order if np.isfinite(fam.order) else fam.order
-    return ParametrixData(LeafwiseOperatorFamily(fam.base, qblocks, order), r0, r1)
+    return ParametrixData(r0, r1)
 
 
 class IndexIdempotent:
-    """Grid realization P = e + S of the graph idempotent of a family.
+    """Grid realization of the index idempotent P = diag(S0, 1 - S1) of a family.
 
-    ``skernel`` is a two-component smoothing family (component 0 the domain
-    copy, component 1 the range copy); ``e`` is the identity on component 1.
+    ``skernel`` is the kernel projector family S0 and ``cokernel`` the
+    cokernel projector family S1, both on scalar grid sections and cut at the
+    same support radius; the index class is [S0] - [S1].
     """
 
-    def __init__(self, base: BaseModel, skernel: SmoothingKernel):
-        if skernel.blocks != 2:
-            raise ModelError("the graph idempotent needs two components")
+    def __init__(self, base: BaseModel, skernel: SmoothingKernel, cokernel: SmoothingKernel):
         self.base = base
         self.skernel = skernel
+        self.cokernel = cokernel
+
+    @property
+    def families(self) -> tuple[SmoothingKernel, SmoothingKernel]:
+        return self.skernel, self.cokernel
 
     def arrays(self) -> list[np.ndarray]:
-        """Cached form: [support radius], then one kernel matrix per base point.
+        """Cached form: [support radius], then S0 and S1 at each base point in turn.
 
         The radius is +inf for an unlocalized idempotent.
         """
-        return [np.array([self.skernel.support_radius])] + list(self.skernel.mats)
+        out = [np.array([self.skernel.support_radius])]
+        for s0, s1 in zip(self.skernel.mats, self.cokernel.mats):
+            out += [s0, s1]
+        return out
 
     @classmethod
     def from_arrays(cls, base: BaseModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
         """Inverse of arrays(); raises CorruptedCacheError on any mismatch with base."""
-        if len(arrays) != 1 + len(base):
+        if len(arrays) != 1 + 2 * len(base):
             raise CorruptedCacheError(
-                f"expected {1 + len(base)} arrays, found {len(arrays)}"
+                f"expected {1 + 2 * len(base)} arrays, found {len(arrays)}"
             )
         head, mats = arrays[0], arrays[1:]
         if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
             raise CorruptedCacheError(f"support radius {head} is not a positive number")
-        for x, m in enumerate(mats):
-            size = 2 * base.fiber(x).npoints
+        for i, m in enumerate(mats):
+            size = base.fiber(i // 2).npoints
             if m.shape != (size, size):
                 raise CorruptedCacheError(
-                    f"kernel matrix at point {x} has shape {m.shape}, expected {(size, size)}"
+                    f"kernel matrix at point {i // 2} has shape {m.shape}, "
+                    f"expected {(size, size)}"
                 )
-        return cls(base, SmoothingKernel(base, mats, blocks=2, support_radius=head[0]))
-
-    def unit_matrix(self, x: int) -> np.ndarray:
-        npts = self.base.fiber(x).npoints
-        E = np.zeros((2 * npts, 2 * npts))
-        E[npts:, npts:] = np.eye(npts)
-        return E
-
-    def full_matrix(self, x: int) -> np.ndarray:
-        return self.unit_matrix(x) + self.skernel.mats[x]
+        s0, s1 = (SmoothingKernel(base, mats[j::2], head[0]) for j in (0, 1))
+        return cls(base, s0, s1)
 
     def idempotent_defect(self) -> float:
-        worst = 0.0
-        for x in range(len(self.base)):
-            P = self.full_matrix(x)
-            worst = max(worst, float(np.max(np.abs(P @ P - P))))
-        return worst
+        return max(
+            float(np.max(np.abs(m @ m - m))) for f in self.families for m in f.mats
+        )
 
     def effective_radius(self, floor: float = 1e-10) -> float:
-        """Largest fiber distance carrying an entry above floor * max entry."""
+        """Largest fiber distance carrying an entry above floor * max entry.
+
+        The max entry is taken over both families at each base point, so a
+        roundoff-sized family does not count its noise as reach.
+        """
         radius = 0.0
         for x in range(len(self.base)):
-            npts = self.base.fiber(x).npoints
-            dist = np.tile(fiber_distance_matrix(self.base.fiber(x)), (2, 2))
-            mags = np.abs(self.skernel.mats[x])
-            cut = floor * max(float(mags.max()), 1e-300)
-            live = mags > cut
-            if np.any(live):
-                radius = max(radius, float(dist[live].max()))
+            dist = fiber_distance_matrix(self.base.fiber(x))
+            mags = [np.abs(f.mats[x]) for f in self.families]
+            cut = floor * max(max(float(m.max()) for m in mags), 1e-300)
+            for m in mags:
+                live = m > cut
+                if np.any(live):
+                    radius = max(radius, float(dist[live].max()))
         return radius
 
 
@@ -222,67 +230,36 @@ def index_idempotent(
     max_newton: int = 50,
     newton_tol: float = 1e-8,
 ) -> IndexIdempotent:
-    """Graph idempotent of a family, optionally localized at a fiber radius.
+    """Index idempotent of a family, optionally localized at a fiber radius.
 
-    With no radius the construction is exact.  With a radius, the smoothing
-    part is hard-truncated and idempotency restored by the cubic flow
+    With no radius the construction is exact.  With a radius, each projector
+    family is hard-truncated and idempotency restored by the cubic flow
     P -> 3 P^2 - 2 P^3; failure to reach the tolerance within the step budget
     means the radius is too aggressive for the kernel decay and raises.
     """
     data = parametrix(fam, threshold)
-    mats = []
-    for x, block in enumerate(fam.blocks):
-        M = block.matrix
-        Qm = data.q.blocks[x].matrix
-        S0 = data.r0[x].matrix
-        S1 = data.r1[x].matrix
-        nd, nc = M.shape[1], M.shape[0]
-        pc = np.zeros((nd + nc, nd + nc), dtype=complex)
-        pc[:nd, :nd] = S0 @ S0
-        pc[:nd, nd:] = S0 @ (np.eye(nd) + S0) @ Qm
-        pc[nd:, :nd] = S1 @ M
-        pc[nd:, nd:] = np.eye(nc) - S1 @ S1
-        pc[nd:, nd:] -= np.eye(nc)  # store the smoothing part only
-        npts = fam.base.fiber(x).npoints
-        Bd = block.domain.matrix
-        Bc = block.codomain.matrix
-        G = np.zeros((2 * npts, nd + nc), dtype=complex)
-        G[:npts, :nd] = Bd
-        G[npts:, nd:] = Bc
-        mats.append(G @ pc @ G.conj().T / npts)
-    skern = SmoothingKernel(fam.base, mats, blocks=2)
-    idem = IndexIdempotent(fam.base, skern)
+    families = [
+        SmoothingKernel(fam.base, [r.grid_matrix() for r in remainders])
+        for remainders in (data.r0, data.r1)
+    ]
     if radius is None:
-        return idem
+        return IndexIdempotent(fam.base, *families)
 
     # The flow smears tolerance-scale mass back outside the cut (each step
     # spreads the support), so support_radius records the localization cut of
     # the construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
-    truncated = idem.skernel.truncate(radius)
-    fixed = []
-    for x in range(len(fam.base)):
-        npts = fam.base.fiber(x).npoints
-        S = truncated.mats[x]
-        off = max(
-            float(np.max(np.abs(S[:npts, npts:]))),
-            float(np.max(np.abs(S[npts:, :npts]))),
-            float(np.max(np.abs(S[npts:, npts:]))),
-        )
-        if off < 1e-14:
-            # only the domain-block survives; flow it alone at half the cost
-            T, defect, steps = _newton_flow(S[:npts, :npts], max_newton, newton_tol)
-            S = S.copy()
-            S[:npts, :npts] = T
-        else:
-            P = idem.unit_matrix(x) + S
-            P, defect, steps = _newton_flow(P, max_newton, newton_tol)
-            S = P - idem.unit_matrix(x)
-        if defect > newton_tol:
-            raise LocalizationError(
-                f"idempotent correction stalled at defect {defect:.3e} after "
-                f"{steps} steps at radius {radius:g}; the cut is too tight for "
-                "the kernel decay"
-            )
-        fixed.append(S)
-    return IndexIdempotent(fam.base, SmoothingKernel(fam.base, fixed, blocks=2, support_radius=radius))
+    flowed = []
+    for kern in families:
+        mats = []
+        for S in kern.truncate(radius).mats:
+            S, defect, steps = _newton_flow(S, max_newton, newton_tol)
+            if defect > newton_tol:
+                raise LocalizationError(
+                    f"idempotent correction stalled at defect {defect:.3e} after "
+                    f"{steps} steps at radius {radius:g}; the cut is too tight for "
+                    "the kernel decay"
+                )
+            mats.append(S)
+        flowed.append(SmoothingKernel(fam.base, mats, radius))
+    return IndexIdempotent(fam.base, *flowed)

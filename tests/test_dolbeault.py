@@ -14,9 +14,8 @@ from indexpairing.dolbeault import (
 )
 from indexpairing.grids import FiberModel, ModelError
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
-from indexpairing.operators import OperatorBlock, SmoothingKernel, trace_tau
+from indexpairing.operators import OperatorBlock, trace_tau
 from indexpairing.parametrix import (
-    IndexIdempotent,
     LocalizationError,
     ThresholdAmbiguityError,
     analytic_index,
@@ -176,7 +175,7 @@ def test_graph_idempotent_is_exact_and_traces_to_the_index(twist):
     assert idem.idempotent_defect() <= 1e-10
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    value = trace_tau(idem.skernel, cutoff, dens)
+    value = trace_tau(idem.skernel, cutoff, dens) - trace_tau(idem.cokernel, cutoff, dens)
     assert abs(value - twist) <= 1e-8
 
 
@@ -185,10 +184,10 @@ def test_localized_idempotent_converges_and_stays_local():
     fam = dolbeault_family(space.base, 8, levels=2)
     idem = index_idempotent(fam, radius=0.45)
     assert idem.idempotent_defect() <= 1e-8
-    assert idem.skernel.support_radius == 0.45
+    assert idem.skernel.support_radius == idem.cokernel.support_radius == 0.45
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    value = trace_tau(idem.skernel, cutoff, dens)
+    value = trace_tau(idem.skernel, cutoff, dens) - trace_tau(idem.cokernel, cutoff, dens)
     assert abs(value - 8) <= 1e-6 * 8
 
 
@@ -198,8 +197,3 @@ def test_localization_error_when_budget_exhausted():
     with pytest.raises(LocalizationError):
         index_idempotent(fam, radius=0.18, max_newton=1)
 
-
-def test_index_idempotent_needs_two_components():
-    base = torus_base(n=12, N=3)
-    with pytest.raises(ModelError):
-        IndexIdempotent(base, SmoothingKernel.zero(base, blocks=1))

@@ -16,12 +16,10 @@ from indexpairing.harness import (
     CorruptedCacheError,
     ScenarioError,
     StageError,
-    WORKERS_ENV,
     _cochain_from_table,
     _run_one,
     _symbol_expression,
     _validate,
-    _worker_count,
     cochain_to_table,
     load_coefficients,
     load_scenario,
@@ -346,11 +344,28 @@ def test_symbol_expression_evaluates_arrays():
         "lambda: 1",
         "abs(xi1)",
         "xi1 @ xi2",
+        "'a' * xi1",
+        "True + xi1",
+        "1" + "0" * 400,
     ],
 )
 def test_symbol_expression_rejects_disallowed(expr):
     with pytest.raises(ScenarioError, match="operator.symbol"):
         _symbol_expression(expr)
+
+
+def test_symbol_expression_powers_stay_bounded(tmp_path, capsys):
+    # integer constants become floats: 2**10 is the float 1024.0, and
+    # 9**9**9 overflows at once instead of building a 370-million-digit int
+    assert _symbol_expression("2**10")(0.0, 0.0) == 1024.0
+    path = tmp_path / "power.json"
+    doc = cheap_scenario(
+        name="huge-power", operator={"builtin": "multiplier", "symbol": "9**9**9"}
+    )
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "assemble-operator" in err and "operator.symbol" in err
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +423,14 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
         run_scenario(scn, out_dir=tmp_path)
 
     npts = 12**2  # the cheap scenario's 12 x 12 grid
+    # the earlier layout: a radius and one two-component kernel per point
+    save_coefficients(cache, [np.array([np.inf]), np.zeros((2 * npts, 2 * npts))])
+    with pytest.raises(CorruptedCacheError, match="expected 3 arrays, found 2"):
+        run_scenario(scn, out_dir=tmp_path)
+
+    zero = np.zeros((npts, npts))
     for radius in (np.nan, 0.0, -1.0):
-        save_coefficients(cache, [np.array([radius]), np.zeros((2 * npts, 2 * npts))])
+        save_coefficients(cache, [np.array([radius]), zero, zero])
         with pytest.raises(CorruptedCacheError, match="support radius"):
             run_scenario(scn, out_dir=tmp_path)
 
@@ -446,7 +467,7 @@ def test_run_one_returns_error_record(tmp_path):
     )
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    record, message = _run_one((str(path), None))
+    record, message = _run_one(str(path), None)
     assert record.status == "error[assemble-operator]"
     assert record.abs_err == np.inf
     assert "assemble-operator" in message
@@ -454,18 +475,6 @@ def test_run_one_returns_error_record(tmp_path):
 
 # ---------------------------------------------------------------------------
 # suite driver and CLI
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    assert _worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV, "junk")
-    with pytest.raises(ModelError, match=WORKERS_ENV):
-        _worker_count()
 
 
 def test_run_suite_invariant_report(tmp_path, monkeypatch):
@@ -511,20 +520,6 @@ def test_run_suite_scenario_csv_is_deterministic(tmp_path):
     assert run_suite("scenarios", out1, only={"S3-multiplier-invertible"}) == 0
     assert run_suite("scenarios", out2, only={"S3-multiplier-invertible"}) == 0
     assert (out1 / "scenarios.csv").read_bytes() == (out2 / "scenarios.csv").read_bytes()
-
-
-def test_run_suite_parallel_workers(tmp_path, monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    code = run_suite(
-        "scenarios", tmp_path, only={"S3-multiplier-invertible", "S1-dolbeault-d0"}
-    )
-    assert code == 0
-    lines = (tmp_path / "scenarios.csv").read_text().strip().split("\n")
-    assert len(lines) == 3
-    assert {line.split(",")[0] for line in lines[1:]} == {
-        "S3-multiplier-invertible",
-        "S1-dolbeault-d0",
-    }
 
 
 def test_cli_list(capsys):
@@ -579,8 +574,8 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     cache.write_bytes(b"XXXX" + cache.read_bytes()[4:])
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "bad magic" in capsys.readouterr().err
-    # a well-formed file holding a kernel of the wrong size
-    save_coefficients(cache, [np.array([np.inf]), np.eye(3, dtype=complex)])
+    # a well-formed file holding kernels of the wrong size
+    save_coefficients(cache, [np.array([np.inf])] + [np.eye(3, dtype=complex)] * 2)
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "has shape (3, 3)" in capsys.readouterr().err
 

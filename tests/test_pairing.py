@@ -173,7 +173,9 @@ def test_pairing_of_zero_idempotent_vanishes():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    idem = IndexIdempotent(space.base, SmoothingKernel.zero(space.base, blocks=2))
+    npts = space.base.fiber(0).npoints
+    zero = SmoothingKernel(space.base, [np.zeros((npts, npts))])
+    idem = IndexIdempotent(space.base, zero, zero)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     assert pair_cocycle(idem, unit, cutoff, dens) == 0
     saw = TransitionProfile()
@@ -250,21 +252,23 @@ def test_pairing_homotopy_stability_k1():
 
 
 def test_pairing_matches_volume_class_value():
-    # flux 16 localizes the graph kernel mostly inside the sawtooth linear
+    # flux 16 localizes the index kernel mostly inside the sawtooth linear
     # region, so the chain quadrature reproduces the transverse volume
     # pairing -1/(2 pi i) independently of the flux.  The residual is the
-    # kernel mass beyond the linear radius, about exp(-pi * flux * lr^2):
+    # kernel mass beyond the linear radius, about exp(-pi * |flux| * lr^2):
     # measured 1.5e-5 here and 1.0e-9 at flux 32, stable under grid, band,
-    # flow tolerance, and truncation radius changes.
+    # flow tolerance, and truncation radius changes.  At flux -16 the whole
+    # value comes from the cokernel family S1.
     space = trivial_space(n=32, N=15)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 16, levels=2)
-    idem = index_idempotent(fam, radius=0.45)
     saw = TransitionProfile(linear_radius=0.45)
     phi = ProfileCochain(space.base, [(0, saw), (1, saw)])
-    value = pair_cocycle(idem, phi, cutoff, dens)
-    assert abs(value - (-1.0 / (2.0j * np.pi))) <= 5e-5
+    for flux in (16, -16):
+        fam = dolbeault_family(space.base, flux, levels=2)
+        idem = index_idempotent(fam, radius=0.45)
+        value = pair_cocycle(idem, phi, cutoff, dens)
+        assert abs(value - (-1.0 / (2.0j * np.pi))) <= 5e-5
 
 
 def test_pairing_rejects_bad_inputs():
@@ -311,10 +315,11 @@ def test_pairing_rejects_noninvariant_kernels():
     dens = TransversalDensity.uniform(space)
     rng = np.random.default_rng(5)
     npts = space.base.fiber(0).npoints
-    raw = rng.standard_normal((2 * npts, 2 * npts)) / npts
-    idem = IndexIdempotent(
-        space.base, SmoothingKernel(space.base, [raw.astype(complex)], blocks=2)
-    )
+    raw = rng.standard_normal((npts, npts)) / npts
+    # an invariant (zero) kernel family and a non-invariant cokernel family:
+    # the gate has to look at both
+    zero = SmoothingKernel(space.base, [np.zeros((npts, npts))])
+    idem = IndexIdempotent(space.base, zero, SmoothingKernel(space.base, [raw]))
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, cutoff, dens)
