@@ -268,13 +268,14 @@ def _projected_curvature(p: np.ndarray, dim: int, diff, connection: np.ndarray |
     With an extra connection 1-form a the projected connection picks up the
     compression A = p a p and the curvature gains p d(A) p + A ^ A.
     """
-    dp = exterior_d(p[:, None], 0, dim, diff)
+    p = p[:, None]
+    dp = exterior_d(p, 0, dim, diff)
     F = exterior_wedge(dp, 1, dp, 1, dim, np.matmul)
-    F = np.einsum("nij,ncjk,nkl->ncil", p, F, p)
+    F = p @ F @ p
     if connection is not None:
-        A = np.einsum("nij,ncjk,nkl->ncil", p, connection, p)
+        A = p @ connection @ p
         dA = exterior_d(A, 1, dim, diff)
-        F = F + np.einsum("nij,ncjk,nkl->ncil", p, dA, p)
+        F = F + p @ dA @ p
         F = F + exterior_wedge(A, 1, A, 1, dim, np.matmul)
     return F
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -156,11 +157,18 @@ class ProfileCochain:
         return out
 
     def leg_mask(self, x: int, i: int) -> np.ndarray:
-        """Matrix W[z, w] = profile_i((w - z)[axis_i]) on the fiber over x."""
+        """Matrix W[z, w] = profile_i((w - z)[axis_i]) on the fiber over x.
+
+        The axis coordinate takes grid_size values, so the profile is
+        evaluated on their grid_size^2 differences and gathered from there.
+        """
         axis, prof = self.legs[i]
         fiber = self.base.fiber(x)
-        coords = grid_points(fiber.grid_size, fiber.dim)[:, axis]
-        return prof(coords[None, :] - coords[:, None])
+        n = fiber.grid_size
+        coords = np.arange(n) / n
+        ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)[axis]
+        table = prof(coords[None, :] - coords[:, None])
+        return table[np.ix_(ticks, ticks)]
 
     def van_est_form(self) -> FoliatedForm:
         """Leafwise realization: product of unit slopes times dz_a1 ^ ... .
@@ -297,24 +305,25 @@ def pair_cocycle(
         )
         return trace0 - trace1
 
-    chain = (
-        _weighted_profile_chain
-        if isinstance(phi, ProfileCochain)
-        else _weighted_elementary_chain
-    )
     weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
     total = 0.0 + 0.0j
     for x in range(len(idem.base)):
         cw = np.asarray(cutoff.fields[x], dtype=float)
-        value = chain(phi, s0.mats[x], cw, x) - chain(phi, s1.mats[x], cw, x)
-        total += dens.mass(x) * value
+        if isinstance(phi, ProfileCochain):
+            chain = partial(
+                _weighted_profile_chain, [phi.leg_mask(x, 0), phi.leg_mask(x, 1)], cw
+            )
+        else:
+            chain = partial(_weighted_elementary_chain, phi, x, cw)
+        # an all-zero family (S1 of every positive flux) has an exactly zero chain
+        v0, v1 = (chain(f.mats[x]) if np.any(f.mats[x]) else 0j for f in (s0, s1))
+        total += dens.mass(x) * (v0 - v1)
     return weight * complex(total)
 
 
 def _weighted_profile_chain(
-    phi: ProfileCochain, K: np.ndarray, cw: np.ndarray, x: int
+    masks: list[np.ndarray], cw: np.ndarray, K: np.ndarray
 ) -> complex:
-    masks = [phi.leg_mask(x, 0), phi.leg_mask(x, 1)]
     total = 0.0 + 0.0j
     for sigma in permutations(range(3)):
         sign = _sort_sign(sigma)
@@ -333,7 +342,7 @@ def _weighted_profile_chain(
 
 
 def _weighted_elementary_chain(
-    phi: ASCochain, K: np.ndarray, cw: np.ndarray, x: int
+    phi: ASCochain, x: int, cw: np.ndarray, K: np.ndarray
 ) -> complex:
     total = 0.0 + 0.0j
     for term in phi.terms:

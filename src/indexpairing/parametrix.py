@@ -211,13 +211,15 @@ class IndexIdempotent:
 def _newton_flow(
     P: np.ndarray, max_steps: int, tol: float
 ) -> tuple[np.ndarray, float, int]:
-    defect = float(np.max(np.abs(P @ P - P)))
+    # McWeeny purification; P^2 serves both the defect test and the next step
+    P2 = P @ P
+    defect = float(np.max(np.abs(P2 - P)))
     steps = 0
     while defect > tol and steps < max_steps:
-        P2 = P @ P
         P = 3.0 * P2 - 2.0 * (P2 @ P)
         steps += 1
-        defect = float(np.max(np.abs(P @ P - P)))
+        P2 = P @ P
+        defect = float(np.max(np.abs(P2 - P)))
         if not np.isfinite(defect):
             break
     return P, defect, steps

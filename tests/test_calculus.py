@@ -17,6 +17,7 @@ from indexpairing.operators import (
     fiber_distance_matrix,
     fourier_basis,
     random_invariant_kernel,
+    require_invariant,
     trace_tau,
     transport_matrix,
 )
@@ -161,6 +162,51 @@ def test_trace_tau_rejects_non_invariant_kernels():
     kern = SmoothingKernel(space.base, [np.diag(h).astype(complex) / fiber.npoints])
     with pytest.raises(InvarianceError):
         trace_tau(kern, cutoff, dens)
+
+
+def test_kernel_norm_is_a_lower_bound_exact_on_projectors():
+    space = half_shift_space()
+    base = space.base
+    npts = base.fiber(0).npoints
+    rng = np.random.default_rng(31)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    kernels = [
+        SmoothingKernel(base, [cplx(npts, npts)]),
+        SmoothingKernel(base, [cplx(npts, 3) @ cplx(3, npts)]),
+        random_invariant_kernel(rng, space, compute_cutoff(space), band=2),
+    ]
+    for kern in kernels:
+        exact = max(np.linalg.norm(m, 2) for m in kern.mats)
+        bound = kern.norm()
+        assert bound <= exact * (1 + 1e-12)
+        # the start column alone is within sqrt(n) of the norm
+        assert bound >= exact / np.sqrt(npts)
+    q, _ = np.linalg.qr(cplx(npts, 5))
+    assert abs(SmoothingKernel(base, [q @ q.conj().T]).norm() - 1.0) <= 1e-12
+    assert SmoothingKernel(base, [np.zeros((npts, npts))]).norm() == 0.0
+
+
+def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
+    rng = np.random.default_rng(37)
+    npts = 144
+    raw = rng.standard_normal((npts, npts)) / npts
+    half = half_shift_space()
+    with pytest.raises(InvarianceError):
+        require_invariant(half, 1e-8, "trace", SmoothingKernel(half.base, [raw]))
+
+    def no_norm(self):
+        raise AssertionError("norm computed for a zero defect")
+
+    # on a trivial group only units act, every kernel is invariant, and the
+    # gate does no matrix work
+    monkeypatch.setattr(SmoothingKernel, "norm", no_norm)
+    space = trivial_space()
+    kern = SmoothingKernel(space.base, [raw])
+    require_invariant(space, 1e-8, "trace", kern, kern)
+    trace_tau(kern, compute_cutoff(space), TransversalDensity.uniform(space))
 
 
 def test_trace_tau_is_cutoff_independent():

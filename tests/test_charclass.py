@@ -21,6 +21,7 @@ from indexpairing.charclass import (
     wedge_char,
     wedge_disc,
 )
+from indexpairing.charclass import _projected_curvature
 from indexpairing.forms import DegreeError, d_leafwise, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_derivative
 from indexpairing.groupoid import BaseModel, BasePoint
@@ -247,3 +248,29 @@ def test_curvature_satisfies_structure_and_bianchi():
     dR = exterior_d(R, 2, 4, diff)
     comm = exterior_wedge(R, 2, gam, 1, 4, np.matmul) - exterior_wedge(gam, 1, R, 2, 4, np.matmul)
     assert np.abs(dR - comm).max() < 1e-6
+
+
+def test_projected_curvature_matches_einsum_sandwich():
+    # reference: the curvature p (dp ^ dp) p and the compressed connection
+    # terms written as three-operand einsums
+    fiber = torus_base(n=16, N=6).fiber(0)
+    p = twist_projector(fiber, 1)
+    m = p.shape[1]
+    rng = np.random.default_rng(13)
+    conn = np.empty((fiber.npoints, 2, m, m), dtype=complex)
+    for k in range(2):
+        for i in range(m):
+            for j in range(m):
+                conn[:, k, i, j] = random_band_limited(rng, fiber, band=2, real=False)
+    diff = partial(spectral_derivative, fiber=fiber)
+
+    def sandwich(x):
+        return np.einsum("nij,ncjk,nkl->ncil", p, x, p)
+
+    dp = exterior_d(p[:, None], 0, 2, diff)
+    plain = sandwich(exterior_wedge(dp, 1, dp, 1, 2, np.matmul))
+    A = sandwich(conn)
+    full = plain + sandwich(exterior_d(A, 1, 2, diff)) + exterior_wedge(A, 1, A, 1, 2, np.matmul)
+    for connection, want in ((None, plain), (conn, full)):
+        got = _projected_curvature(p, 2, diff, connection)
+        assert np.abs(got - want).max() <= 1e-13

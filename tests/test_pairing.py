@@ -7,7 +7,7 @@ from indexpairing.cochains import ASCochain, ASTerm, d_as, van_est_realize
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import InvarianceError
-from indexpairing.grids import FiberModel, ModelError, random_band_limited
+from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing.operators import SmoothingKernel, SupportMismatchError
 from indexpairing.pairing import ProfileCochain, TransitionProfile, pair_cocycle
@@ -102,13 +102,19 @@ def test_profile_cochain_evaluates_leg_products():
 
 
 def test_profile_cochain_masks_are_antisymmetric():
-    base = torus_base(n=10, N=3)
     saw = TransitionProfile(linear_radius=0.4, flatness=6)
-    phi = ProfileCochain(base, [(0, saw), (1, saw)])
-    for leg in range(2):
-        W = phi.leg_mask(0, leg)
-        assert np.max(np.abs(W + W.T)) == 0.0
-        assert np.max(np.abs(np.diag(W))) == 0.0
+    for n in (10, 20):
+        base = torus_base(n=n, N=3)
+        phi = ProfileCochain(base, [(0, saw), (1, saw)])
+        pts = grid_points(n, 2)
+        for leg in range(2):
+            W = phi.leg_mask(0, leg)
+            assert np.max(np.abs(W + W.T)) == 0.0
+            assert np.max(np.abs(np.diag(W))) == 0.0
+            # the gathered mask is the profile of every pointwise difference,
+            # bitwise (the profile of the differences reduced mod 1 is not)
+            coords = pts[:, leg]
+            assert np.array_equal(W, saw(coords[None, :] - coords[:, None]))
 
 
 def test_profile_cochain_validation():
