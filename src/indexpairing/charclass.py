@@ -361,15 +361,15 @@ class CharClassForm:
         return self + other.scaled(-1.0)
 
 
-def unit_char(base: BaseModel, disc: DiscModel, kind: str = "unit", rank: int = 1) -> CharClassForm:
+def unit_char(base: BaseModel, disc: DiscModel, kind: str = "unit") -> CharClassForm:
     r = base.fiber(0).dim
     ones = FoliatedForm(
         0,
         r,
-        [np.full((base.fiber(x).npoints, 1), float(rank), dtype=complex) for x in range(len(base))],
+        [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))],
         invariant=True,
     )
-    return CharClassForm(kind, [CotangentTerm(ones, DiscForm.one(disc))], rank)
+    return CharClassForm(kind, [CotangentTerm(ones, DiscForm.one(disc))], 1)
 
 
 def wedge_char(c1: CharClassForm, c2: CharClassForm) -> CharClassForm:
@@ -459,15 +459,13 @@ def chern_character_fiber(
     disc: DiscModel,
     projectors: list[np.ndarray],
     connection: list[np.ndarray] | None = None,
-    reference_rank: int = 0,
 ) -> CharClassForm:
     """Chern character of a projector family on the fiber site.
 
     projectors holds one (npoints, m, m) field per base point; an optional
     connection supplies a matrix 1-form (npoints, r, m, m) per base point.
     The result carries trivial disc dependence; wedge with a disc-side class
-    for symbols.  reference_rank shifts the degree-0 part so a virtual class
-    [p] - [trivial] can be formed without a second field.
+    for symbols.
     """
     if len(projectors) != len(base):
         raise ModelError("need one projector field per base point")
@@ -477,7 +475,6 @@ def chern_character_fiber(
         conn = None if connection is None else connection[x]
         diff = partial(spectral_derivative, fiber=base.fiber(x))
         scalars = _chern_scalars(projectors[x], r, diff, conn)
-        scalars[0] = scalars[0] - reference_rank
         for deg, arr in scalars.items():
             per_degree.setdefault(deg, []).append(arr)
     rank = int(round(float(np.mean([a[:, 0].real.mean() for a in per_degree[0]]))))

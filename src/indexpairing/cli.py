@@ -13,21 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .grids import ModelError
-from .harness import (
-    BUILTIN_SCENARIOS,
-    CorruptedCacheError,
-    CSV_HEADER,
-    ScenarioError,
-    StageError,
-    load_scenario,
-    run_scenario,
-    run_suite,
-)
+from .harness import load_scenario, run_scenario, run_suite, write_records
+from .parametrix import CorruptedCacheError
+from .scenario import BUILTIN_SCENARIOS, ScenarioError
 
 
 def _cmd_run(args) -> int:
@@ -40,10 +32,7 @@ def _cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record = run_scenario(scn, out_dir=out)
-    (out / "scenarios.csv").write_text(CSV_HEADER + "\n" + record.csv_row() + "\n")
-    (out / f"{record.scenario}.scenario.json").write_text(
-        json.dumps(record.echo, indent=2, sort_keys=True) + "\n"
-    )
+    write_records(out, [record])
     print(
         f"{record.scenario}: analytic {list(record.analytic)}  "
         f"pairing {record.pairing:.9g}  topological {record.topological:.9g}  "
@@ -120,10 +109,7 @@ def main(argv=None) -> int:
     except CorruptedCacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc.cause, CorruptedCacheError) else 1
-    except (ScenarioError, ModelError) as exc:
+    except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

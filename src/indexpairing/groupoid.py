@@ -53,7 +53,7 @@ class BaseModel:
 class FiniteGroup:
     """Finite group given by a Cayley table ``table[a, b] = a*b``."""
 
-    def __init__(self, table: np.ndarray, names: list[str] | None = None):
+    def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=int)
         k = table.shape[0]
         if table.shape != (k, k):
@@ -84,7 +84,6 @@ class FiniteGroup:
         self.table = table
         self.identity = int(ident)
         self.inverse = inv
-        self.names = names or [f"g{a}" for a in range(k)]
 
     def __len__(self) -> int:
         return self.table.shape[0]
@@ -97,13 +96,13 @@ class FiniteGroup:
 
     @classmethod
     def trivial(cls) -> "FiniteGroup":
-        return cls(np.zeros((1, 1), dtype=int), names=["e"])
+        return cls(np.zeros((1, 1), dtype=int))
 
     @classmethod
     def cyclic(cls, k: int) -> "FiniteGroup":
         a = np.arange(k)
         table = (a[:, None] + a[None, :]) % k
-        return cls(table, names=[f"r{j}" for j in range(k)])
+        return cls(table)
 
 
 @dataclass(frozen=True)

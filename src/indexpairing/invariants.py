@@ -1,0 +1,219 @@
+"""Property checks of the calculus behind the three index routes.
+
+Each check builds its own small space, runs one identity of the theory over
+a few seeded random inputs, and returns (worst defect, tolerance).
+``INVARIANT_CHECKS`` maps the report name of each check to its function.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import numpy as np
+
+from .charclass import (
+    DiscModel,
+    char_closedness_defect,
+    chern_character_fiber,
+    twist_projector,
+)
+from .cochains import ASCochain, d_as, van_est_realize
+from .density import TransversalDensity, compute_cutoff
+from .dolbeault import dolbeault_family
+from .forms import (
+    FoliatedForm,
+    d_leafwise,
+    index_subsets,
+    integrate_invariant,
+    invariant_project_form,
+)
+from .grids import FiberModel, random_band_limited
+from .groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from .operators import SmoothingKernel, random_invariant_kernel, trace_tau
+from .pairing import pair_cocycle
+from .parametrix import index_idempotent
+from .space import AffineTorusMap, FiberedGSpace
+from .symbols import SMOOTHING_ORDER, SymbolData, quantize, trace_symbol_formula
+from .topindex import free_action_reduction, symbol_class_dolbeault, topological_index
+
+__all__ = ["INVARIANT_CHECKS"]
+
+
+def _inv_space(n=16, N=5):
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
+    ident = AffineTorusMap.identity(2)
+    shift = AffineTorusMap.translation([Fraction(1, 2), Fraction(1, 2)])
+    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+
+
+def _inv_trivial(n=16, N=5):
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
+    return FiberedGSpace.trivial(gpd)
+
+
+def _random_one_form(rng, base, band):
+    r = base.fiber(0).dim
+    ncomp = len(index_subsets(r, 1))
+    fields = []
+    for x in range(len(base)):
+        cols = [
+            random_band_limited(rng, base.fiber(x), band, real=False)
+            for _ in range(ncomp)
+        ]
+        fields.append(np.stack(cols, axis=1))
+    return FoliatedForm(1, r, fields)
+
+
+def _check_trace_commutator():
+    space = _inv_space()
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity.uniform(space)
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(1000 + seed)
+        k1 = random_invariant_kernel(rng, space, cutoff, band=2)
+        k2 = random_invariant_kernel(rng, space, cutoff, band=2)
+        lhs = trace_tau(k1.compose(k2) - k2.compose(k1), cutoff, dens)
+        scale = max(k1.norm() * k2.norm(), 1e-30)
+        worst = max(worst, abs(lhs) / scale)
+    return worst, 1e-9
+
+
+def _check_trace_cutoff_independence():
+    space = _inv_space()
+    dens = TransversalDensity.uniform(space)
+    c1 = compute_cutoff(space)
+    rng = np.random.default_rng(7)
+    npts = space.base.fiber(0).npoints
+    c2 = compute_cutoff(space, [1.0 + 0.5 * rng.random(npts)])
+    worst = 0.0
+    for seed in range(10):
+        k = random_invariant_kernel(
+            np.random.default_rng(2000 + seed), space, c1, band=2
+        )
+        worst = max(worst, abs(trace_tau(k, c1, dens) - trace_tau(k, c2, dens)))
+    return worst, 1e-9
+
+
+def _check_symbol_trace_formula():
+    space = _inv_trivial(n=12, N=5)
+    base = space.base
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity.uniform(space)
+    fiber = base.fiber(0)
+    modes = fiber.modes()
+    xipart = np.exp(-2.0 * np.sum(modes.astype(float) ** 2, axis=1))
+    worst = 0.0
+    for seed in range(10):
+        rng = np.random.default_rng(3000 + seed)
+        zpart = 1.0 + 0.3 * np.real(
+            random_band_limited(rng, fiber, band=1, real=False)
+        )
+        table = zpart[:, None] * xipart[None, :]
+        sym = SymbolData(base, SMOOTHING_ORDER, [table])
+        kern = SmoothingKernel(base, [quantize(sym).blocks[0].grid_matrix()])
+        lhs = trace_symbol_formula(sym, cutoff, dens)
+        rhs = trace_tau(kern, cutoff, dens)
+        worst = max(worst, abs(lhs - rhs))
+    return worst, 1e-8
+
+
+def _check_stokes():
+    space = _inv_space()
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity.uniform(space)
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(4000 + seed)
+        beta = invariant_project_form(
+            space, cutoff, _random_one_form(rng, space.base, band=3)
+        )
+        dbeta = d_leafwise(beta, space.base)
+        worst = max(worst, abs(integrate_invariant(dbeta, cutoff, dens)))
+    return worst, 1e-9
+
+
+def _check_vanest_chain_map():
+    space = _inv_trivial()
+    base = space.base
+    worst = 0.0
+    for seed in range(20):
+        rng = np.random.default_rng(5000 + seed)
+        factors = [
+            [random_band_limited(rng, base.fiber(0), 2, real=False)]
+            for _ in range(2)
+        ]
+        phi = ASCochain.elementary(base, factors, germ_radius=2.0)
+        defect = (
+            van_est_realize(d_as(phi)) - d_leafwise(van_est_realize(phi), base)
+        ).max_abs()
+        worst = max(worst, defect)
+    return worst, 1e-10
+
+
+def _check_coboundary_pairing():
+    space = _inv_trivial(n=20, N=8)
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity.uniform(space)
+    fam = dolbeault_family(space.base, 2, levels=2)
+    idem = index_idempotent(fam)
+    worst = 0.0
+    for seed in range(5):
+        rng = np.random.default_rng(6000 + seed)
+        factors = [
+            [random_band_limited(rng, space.base.fiber(0), 2, real=False)]
+            for _ in range(2)
+        ]
+        psi = ASCochain.elementary(space.base, factors, germ_radius=2.0)
+        worst = max(worst, abs(pair_cocycle(idem, d_as(psi), cutoff, dens)))
+    return worst, 1e-8
+
+
+def _check_chern_closed():
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 8, 20))])
+    disc = DiscModel(6.0, 32, 32)
+    p = twist_projector(base.fiber(0), 2)
+    ch = chern_character_fiber(base, disc, [p])
+    return char_closedness_defect(ch, base), 1e-8
+
+
+def _check_topindex_cutoff_choice():
+    space = _inv_space(n=20, N=8)
+    dens = TransversalDensity.uniform(space)
+    disc = DiscModel(9.0, 48, 48)
+    sclass = symbol_class_dolbeault(space.base, disc, 2)
+    npts = space.base.fiber(0).npoints
+    alpha = FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
+    c1 = compute_cutoff(space)
+    rng = np.random.default_rng(11)
+    c2 = compute_cutoff(space, [1.0 + 0.4 * rng.random(npts)])
+    v1 = topological_index(space, c1, dens, alpha, sclass)
+    v2 = topological_index(space, c2, dens, alpha, sclass)
+    return abs(v1 - v2), 1e-8
+
+
+def _check_free_reduction_agreement():
+    space = _inv_space(n=20, N=8)
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity.uniform(space)
+    disc = DiscModel(9.0, 48, 48)
+    sclass = symbol_class_dolbeault(space.base, disc, 2)
+    npts = space.base.fiber(0).npoints
+    alpha = FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
+    topo = topological_index(space, cutoff, dens, alpha, sclass)
+    red = free_action_reduction(space, cutoff, dens, alpha, sclass)
+    return abs(topo - red), 1e-8
+
+
+INVARIANT_CHECKS = {
+    "trace-commutator": _check_trace_commutator,
+    "trace-cutoff-independence": _check_trace_cutoff_independence,
+    "symbol-trace-formula": _check_symbol_trace_formula,
+    "stokes-invariant-integration": _check_stokes,
+    "vanest-chain-map": _check_vanest_chain_map,
+    "coboundary-pairing": _check_coboundary_pairing,
+    "chern-character-closed": _check_chern_closed,
+    "topindex-cutoff-choice": _check_topindex_cutoff_choice,
+    "free-reduction-agreement": _check_free_reduction_agreement,
+}

@@ -177,10 +177,10 @@ class IndexIdempotent:
             raise CorruptedCacheError(f"support radius {head} is not a positive number")
         for i, m in enumerate(mats):
             size = base.fiber(i // 2).npoints
-            if m.shape != (size, size):
+            if m.shape != (size, size) or m.dtype != np.complex128:
                 raise CorruptedCacheError(
-                    f"kernel matrix at point {i // 2} has shape {m.shape}, "
-                    f"expected {(size, size)}"
+                    f"kernel matrix at point {i // 2} has shape {m.shape} and dtype "
+                    f"{m.dtype}, expected {(size, size)} and complex128"
                 )
         s0, s1 = (SmoothingKernel(base, mats[j::2], head[0]) for j in (0, 1))
         return cls(base, s0, s1)

@@ -1,0 +1,527 @@
+"""Scenario schema, validation and the builtin catalog.
+
+A scenario is a JSON document describing one complete index computation:
+the acting group and base, the torus fiber, the elliptic family, the cocycle
+to pair, the transversal density, tolerances, and a seed.  ``load_scenario``
+reads one from a file or the builtin catalog and validates it, naming the
+offending field in a ``ScenarioError`` before any expensive stage runs.
+"""
+from __future__ import annotations
+
+import ast
+import json
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+
+from .cochains import ASCochain, ASTerm
+from .grids import ModelError, eval_modes_at, mode_lattice
+from .groupoid import BaseModel
+from .pairing import TransitionProfile
+
+__all__ = [
+    "Scenario",
+    "ScenarioError",
+    "BUILTIN_SCENARIOS",
+    "load_scenario",
+]
+
+
+class ScenarioError(ModelError):
+    """Raised when a scenario file fails to parse or validate."""
+
+
+_DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
+_LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
+# bytes of the two dense idempotent families, 2 x base_points x npoints^2 x 16
+_KERNEL_BUDGET = 2**30
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One validated index-pairing computation, ready to execute.
+
+    The raw JSON shape (also what ``echo`` reproduces, defaults filled):
+
+        name            string
+        groupoid        {"group": "trivial" | {"cyclic": m},
+                         "base_points": int, "base_weights": [float, ..]?,
+                         "base_action": "trivial" | "pair-swap"}
+        fiber           {"kind": "torus", "dim": int,
+                         "fourier_cutoff": int, "grid": int}
+                        (dim 2 for dolbeault, at least 2 for multiplier)
+        fiber_action    "trivial" | {"translation": ["p/q", ..]}
+        operator        {"builtin": "dolbeault", "twist": int, "levels": int}
+                      | {"builtin": "multiplier", "symbol": expr-string}
+        localize        truncation radius for the index idempotent, or null
+        cocycle         {"kind": "unit"}
+                      | {"kind": "profile", "legs": [{"axis": int,
+                         "linear_radius": f, "support_radius": f}, ..]}
+                        (exactly two legs)
+                      | {"kind": "elementary", "degree": int, "band": int}
+                        (factor fields drawn from the seed)
+                      | {"kind": "elementary", "degree": int, "band": int,
+                         "terms": coefficient table}
+        density         {"values": [float, ..]}
+        tolerances      {"pairing_tol": f, "invariant_tol": f}
+        seed            uint64 (required)
+
+    A coefficient table is a list of terms, each ``{"weight": [re, im],
+    "factors": [[[re, im] per mode] per base point] per slot}`` with modes
+    ordered over the lexicographic box of the stated band.
+    """
+
+    name: str
+    group: dict
+    fiber: dict
+    fiber_action: object
+    operator: dict
+    localize: float | None
+    cocycle: dict
+    density: dict
+    tolerances: dict
+    seed: int
+
+    def echo(self) -> dict:
+        """The resolved scenario: every default filled, ready to re-load."""
+        return {
+            "name": self.name,
+            "groupoid": self.group,
+            "fiber": self.fiber,
+            "fiber_action": self.fiber_action,
+            "operator": self.operator,
+            "localize": self.localize,
+            "cocycle": self.cocycle,
+            "density": self.density,
+            "tolerances": self.tolerances,
+            "seed": self.seed,
+        }
+
+    @property
+    def pairing_tol(self) -> float:
+        return float(self.tolerances["pairing_tol"])
+
+    @property
+    def invariant_tol(self) -> float:
+        return float(self.tolerances["invariant_tol"])
+
+
+_REQUIRED = object()
+
+
+def _need(table: dict, key: str, kind, where: str, default=_REQUIRED):
+    """Field ``where.key`` checked as ``kind``, or ``default`` when absent.
+
+    A one-element list ``[kind]`` asks for a list whose entries are ``kind``.
+    """
+    if key not in table:
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing field {where}.{key}")
+        return default
+    value = table[key]
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ScenarioError(f"field {where}.{key} must be a list")
+        return [_need({key: v}, key, kind[0], where) for v in value]
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ScenarioError(f"field {where}.{key} must be {kind.__name__}")
+    return value
+
+
+def _validate(raw: dict) -> Scenario:
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario document must be a JSON object")
+    name = _need(raw, "name", str, "scenario")
+    if not name or any(c in name for c in ",\n\r"):
+        raise ScenarioError("field scenario.name must be nonempty without commas")
+
+    group = dict(_need(raw, "groupoid", dict, "scenario"))
+    gk = group.get("group", "trivial")
+    if isinstance(gk, dict) and set(gk) == {"cyclic"}:
+        if _need(gk, "cyclic", int, "groupoid.group") < 2:
+            raise ScenarioError("groupoid.group.cyclic must be at least 2")
+    elif gk != "trivial":
+        raise ScenarioError('groupoid.group must be "trivial" or {"cyclic": m>=2}')
+    group["group"] = gk
+    bp = _need(group, "base_points", int, "groupoid", 1)
+    if not 1 <= bp <= _LIMITS["base_points"]:
+        raise ScenarioError(
+            f"groupoid.base_points must be in [1, {_LIMITS['base_points']}]"
+        )
+    group["base_points"] = bp
+    weights = _need(group, "base_weights", [float], "groupoid", [1.0] * bp)
+    if len(weights) != bp or any(w <= 0 for w in weights):
+        raise ScenarioError("groupoid.base_weights needs one positive entry per point")
+    group["base_weights"] = weights
+    action = group.get("base_action", "trivial")
+    if action not in ("trivial", "pair-swap"):
+        raise ScenarioError('groupoid.base_action must be "trivial" or "pair-swap"')
+    if action == "pair-swap" and (bp % 2 or gk != {"cyclic": 2}):
+        raise ScenarioError(
+            "groupoid.base_action pair-swap needs an even base and a cyclic(2) group"
+        )
+    group["base_action"] = action
+
+    fiber = dict(_need(raw, "fiber", dict, "scenario"))
+    kind = _need(fiber, "kind", str, "fiber", "torus")
+    dim = _need(fiber, "dim", int, "fiber")
+    N = _need(fiber, "fourier_cutoff", int, "fiber")
+    n = _need(fiber, "grid", int, "fiber")
+    if dim < 1:
+        raise ScenarioError("fiber.dim must be positive")
+    if N < 1 or N > _LIMITS["fourier_cutoff"]:
+        raise ScenarioError(
+            f"fiber.fourier_cutoff must be in [1, {_LIMITS['fourier_cutoff']}]"
+        )
+    if n > _LIMITS["grid"]:
+        raise ScenarioError(f"fiber.grid must be at most {_LIMITS['grid']} per dim")
+    if n < 2 * N + 2:
+        raise ScenarioError(
+            "fiber.grid must be at least 2*fourier_cutoff + 2 for exact quadrature"
+        )
+    # in log2, so that a huge dim cannot build a huge integer
+    log2_bytes = math.log2(2 * bp * 16) + 2 * dim * math.log2(n)
+    if log2_bytes > math.log2(_KERNEL_BUDGET):
+        raise ScenarioError(
+            f"fiber.grid {n} in {dim} dims over {bp} base points needs an estimated "
+            f"2^{log2_bytes:.1f} bytes of dense kernels, above the "
+            f"2^{math.log2(_KERNEL_BUDGET):.0f} byte budget"
+        )
+    fiber = {"kind": kind, "dim": dim, "fourier_cutoff": N, "grid": n}
+
+    fa = raw.get("fiber_action", "trivial")
+    if fa != "trivial":
+        if not (isinstance(fa, dict) and set(fa) == {"translation"}):
+            raise ScenarioError(
+                'fiber_action must be "trivial" or {"translation": [..]}'
+            )
+        shifts = _need(fa, "translation", list, "fiber_action")
+        if len(shifts) != dim:
+            raise ScenarioError("fiber_action.translation needs one entry per dim")
+        try:
+            [Fraction(s) for s in shifts]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ScenarioError(f"fiber_action.translation: {exc}") from exc
+        if group["group"] == "trivial":
+            raise ScenarioError("fiber_action needs a nontrivial group")
+        fa = {"translation": [str(s) for s in shifts]}
+
+    op = dict(_need(raw, "operator", dict, "scenario"))
+    if op.get("builtin") == "dolbeault":
+        op = {
+            "builtin": "dolbeault",
+            "twist": _need(op, "twist", int, "operator"),
+            "levels": _need(op, "levels", int, "operator", 2),
+        }
+    elif op.get("builtin") == "multiplier":
+        op = {
+            "builtin": "multiplier",
+            "symbol": _need(op, "symbol", str, "operator"),
+        }
+        _symbol_expression(op["symbol"])
+    else:
+        raise ScenarioError('operator.builtin must be "dolbeault" or "multiplier"')
+    if op["builtin"] == "dolbeault" and dim != 2:
+        raise ScenarioError("fiber.dim must be 2 for the dolbeault operator")
+    if op["builtin"] == "multiplier" and dim < 2:
+        raise ScenarioError(
+            "fiber.dim must be at least 2: the multiplier symbol reads xi1 and xi2"
+        )
+
+    localize = raw.get("localize")
+    if localize is not None:
+        localize = _need(raw, "localize", float, "scenario")
+        if not 0 < localize <= math.sqrt(dim) / 2.0:
+            raise ScenarioError("localize must be a radius inside the fiber")
+
+    coc = dict(_need(raw, "cocycle", dict, "scenario", {"kind": "unit"}))
+    ck = coc.get("kind")
+    if ck == "unit":
+        coc = {"kind": "unit"}
+    elif ck == "profile":
+        legs = _need(coc, "legs", [dict], "cocycle", [])
+        norm_legs = []
+        for leg in legs:
+            norm_leg = {
+                "axis": _need(leg, "axis", int, "cocycle.legs"),
+                "linear_radius": _need(leg, "linear_radius", float, "cocycle.legs"),
+                "support_radius": _need(
+                    leg, "support_radius", float, "cocycle.legs", 0.5
+                ),
+            }
+            if not 0 <= norm_leg["axis"] < dim:
+                raise ScenarioError(
+                    f"cocycle.legs: axis {norm_leg['axis']} outside fiber.dim {dim}"
+                )
+            _leg_profile(norm_leg)
+            norm_legs.append(norm_leg)
+        if len(norm_legs) != 2:
+            # the pairing contracts one even difference cochain, k = 1
+            raise ScenarioError(
+                f"cocycle.legs must list exactly two difference profiles, got {len(norm_legs)}"
+            )
+        coc = {"kind": "profile", "legs": norm_legs}
+    elif ck == "elementary":
+        coc = {
+            "kind": "elementary",
+            "degree": _need(coc, "degree", int, "cocycle"),
+            "band": _need(coc, "band", int, "cocycle", 2),
+            **({"terms": coc["terms"]} if "terms" in coc else {}),
+        }
+        if coc["degree"] % 2 or coc["degree"] < 0:
+            raise ScenarioError("cocycle.degree must be even and nonnegative")
+        if coc["band"] > N:
+            raise ScenarioError("cocycle.band exceeds fiber.fourier_cutoff")
+    else:
+        raise ScenarioError('cocycle.kind must be "unit", "profile", or "elementary"')
+
+    dens = _need(raw, "density", dict, "scenario", {})
+    values = _need(dens, "values", [float], "density", [1.0] * bp)
+    if len(values) != bp or any(v <= 0 for v in values):
+        raise ScenarioError("density.values needs one positive entry per base point")
+    dens = {"values": values}
+
+    given = _need(raw, "tolerances", dict, "scenario", {})
+    for key in given:
+        if key not in _DEFAULT_TOLS:
+            raise ScenarioError(f"unknown tolerance field tolerances.{key}")
+    tols = {
+        key: _need(given, key, float, "tolerances", default)
+        for key, default in _DEFAULT_TOLS.items()
+    }
+    for key, value in tols.items():
+        if value <= 0:
+            raise ScenarioError(f"tolerances.{key} must be positive")
+
+    seed = _need(raw, "seed", int, "scenario")
+    if not 0 <= seed < 2**64:
+        raise ScenarioError("scenario.seed must fit in 64 bits")
+
+    return Scenario(
+        name=name,
+        group=group,
+        fiber=fiber,
+        fiber_action=fa,
+        operator=op,
+        localize=localize,
+        cocycle=coc,
+        density=dens,
+        tolerances=tols,
+        seed=seed,
+    )
+
+
+def _leg_profile(leg: dict) -> TransitionProfile:
+    try:
+        return TransitionProfile(
+            linear_radius=leg["linear_radius"], support_radius=leg["support_radius"]
+        )
+    except ModelError as exc:
+        raise ScenarioError(f"cocycle.legs: {exc}") from exc
+
+
+
+_SYMBOL_NAMES = {"pi": math.pi}
+_SYMBOL_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "sqrt": np.sqrt}
+
+
+def _symbol_expression(expr: str):
+    """Compile a frequency-symbol expression over xi1, xi2.
+
+    Only arithmetic, the constant pi, and sin/cos/exp/sqrt are allowed; the
+    check walks the syntax tree so a scenario file cannot smuggle code in.
+    Integer constants become floats, so a power overflows at once instead of
+    building a huge integer (9**9**9 has 370 million digits).
+    """
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ScenarioError(f"operator.symbol: {exc.msg}") from exc
+    allowed = (
+        ast.Expression,
+        ast.BinOp,
+        ast.UnaryOp,
+        ast.Constant,
+        ast.Name,
+        ast.Call,
+        ast.Load,
+        ast.Add,
+        ast.Sub,
+        ast.Mult,
+        ast.Div,
+        ast.Pow,
+        ast.USub,
+        ast.UAdd,
+    )
+    for node in ast.walk(tree):
+        if not isinstance(node, allowed):
+            raise ScenarioError(
+                f"operator.symbol: disallowed syntax {type(node).__name__}"
+            )
+        if isinstance(node, ast.Name) and node.id not in (
+            "xi1",
+            "xi2",
+            *_SYMBOL_NAMES,
+            *_SYMBOL_FUNCS,
+        ):
+            raise ScenarioError(f"operator.symbol: unknown name {node.id!r}")
+        if isinstance(node, ast.Call) and (
+            not isinstance(node.func, ast.Name) or node.func.id not in _SYMBOL_FUNCS
+        ):
+            raise ScenarioError("operator.symbol: only sin/cos/exp/sqrt calls")
+        if isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float, complex):
+                raise ScenarioError(
+                    f"operator.symbol: constant {node.value!r} is not a number"
+                )
+            if type(node.value) is int:
+                try:
+                    node.value = float(node.value)
+                except OverflowError:
+                    raise ScenarioError(
+                        "operator.symbol: integer constant overflows a float"
+                    ) from None
+    code = compile(tree, "<operator.symbol>", "eval")
+
+    def fn(x1, x2):
+        scope = {"xi1": x1, "xi2": x2, **_SYMBOL_NAMES, **_SYMBOL_FUNCS}
+        try:
+            return eval(code, {"__builtins__": {}}, scope)
+        except ArithmeticError as exc:
+            raise ScenarioError(f"operator.symbol: evaluation failed ({exc})") from exc
+
+    return fn
+
+
+def _cochain_from_table(base: BaseModel, degree: int, band: int, terms) -> ASCochain:
+    """Decode the coefficient-table serialization of an elementary cochain."""
+    modes = mode_lattice(band, base.fiber(0).dim)
+    out = []
+    for t, term in enumerate(terms):
+        w = term.get("weight", [1.0, 0.0])
+        factors = []
+        for s, slot in enumerate(term["factors"]):
+            fam = []
+            for x, coefs in enumerate(slot):
+                coefs = np.asarray(
+                    [complex(c[0], c[1]) for c in coefs], dtype=complex
+                )
+                if len(coefs) != len(modes):
+                    raise ScenarioError(
+                        f"cocycle.terms[{t}].factors[{s}][{x}]: expected "
+                        f"{len(modes)} mode coefficients, got {len(coefs)}"
+                    )
+                fam.append(eval_modes_at(coefs, modes, base.fiber(x).points()))
+            factors.append(tuple(fam))
+        out.append(ASTerm(complex(w[0], w[1]), tuple(factors)))
+    return ASCochain(base, degree, out, germ_radius=2.0)
+
+
+BUILTIN_SCENARIOS: dict[str, dict] = {}
+
+
+def _register(doc: dict, blurb: str) -> None:
+    BUILTIN_SCENARIOS[doc["name"]] = {"doc": doc, "blurb": blurb}
+
+
+for _d in (-2, -1, 0, 1, 2):
+    _tag = f"d{_d}" if _d >= 0 else f"dm{-_d}"
+    _register(
+        {
+            "name": f"S1-dolbeault-{_tag}",
+            "groupoid": {"group": "trivial", "base_points": 1},
+            "fiber": {"kind": "torus", "dim": 2, "fourier_cutoff": 8, "grid": 20},
+            "operator": {"builtin": "dolbeault", "twist": _d, "levels": 2},
+            "cocycle": {"kind": "unit"},
+            "seed": 101,
+        },
+        f"flux {_d} antiholomorphic family on the torus, trivial group",
+    )
+
+_register(
+    {
+        "name": "S2-free-halfshift-d2",
+        "groupoid": {"group": {"cyclic": 2}, "base_points": 1},
+        "fiber": {"kind": "torus", "dim": 2, "fourier_cutoff": 8, "grid": 20},
+        "fiber_action": {"translation": ["1/2", "1/2"]},
+        "operator": {"builtin": "dolbeault", "twist": 2, "levels": 2},
+        "cocycle": {"kind": "unit"},
+        "seed": 202,
+    },
+    "free half-period shift, flux 2; quotient, reduction, and pairing all 1",
+)
+
+_register(
+    {
+        "name": "S3-multiplier-invertible",
+        "groupoid": {"group": "trivial", "base_points": 1},
+        "fiber": {"kind": "torus", "dim": 2, "fourier_cutoff": 8, "grid": 20},
+        "operator": {
+            "builtin": "multiplier",
+            "symbol": "1 + (xi1*xi1 + xi2*xi2) / 81",
+        },
+        "cocycle": {"kind": "unit"},
+        "seed": 303,
+    },
+    "invertible frequency multiplier; zero class, all routes 0",
+)
+
+_register(
+    {
+        "name": "S4-sawtooth-flux32",
+        "groupoid": {"group": "trivial", "base_points": 1},
+        "fiber": {"kind": "torus", "dim": 2, "fourier_cutoff": 23, "grid": 48},
+        "operator": {"builtin": "dolbeault", "twist": 32, "levels": 2},
+        "localize": 0.30,
+        "cocycle": {
+            "kind": "profile",
+            "legs": [
+                {"axis": 0, "linear_radius": 0.45},
+                {"axis": 1, "linear_radius": 0.45},
+            ],
+        },
+        "seed": 404,
+    },
+    "degree-2 sawtooth cocycle against the flux-32 idempotent (the k = 1 case)",
+)
+
+_register(
+    {
+        "name": "S5-orbifold-family",
+        "groupoid": {
+            "group": {"cyclic": 2},
+            "base_points": 4,
+            "base_weights": [0.5, 0.5, 0.5, 0.5],
+            "base_action": "pair-swap",
+        },
+        "fiber": {"kind": "torus", "dim": 2, "fourier_cutoff": 3, "grid": 18},
+        "operator": {"builtin": "dolbeault", "twist": 3, "levels": 4},
+        "cocycle": {"kind": "unit"},
+        "seed": 505,
+    },
+    "constant flux-3 family over a pairwise-identified 4-point base",
+)
+
+
+def load_scenario(source) -> Scenario:
+    """Load and validate a scenario from a file path or a builtin name."""
+    if isinstance(source, str) and source in BUILTIN_SCENARIOS:
+        return _validate(BUILTIN_SCENARIOS[source]["doc"])
+    path = Path(source)
+    if not path.exists():
+        raise ScenarioError(
+            f"{source!r} is neither a builtin scenario nor an existing file"
+        )
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            f"{path.name}: parse error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+    return _validate(raw)

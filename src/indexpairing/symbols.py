@@ -32,18 +32,15 @@ class OrderFitError(ModelError):
 
 @dataclass
 class SymbolData:
-    """Sampled symbol family with declared order and optional large-mode model.
+    """Sampled symbol family with declared order.
 
     ``values[x]`` has shape (npoints, nmodes) or (npoints, nmodes, rows, cols).
-    ``large_model``, when given, maps a float |xi| to the symbol magnitude
-    scale used to certify behaviour beyond the retained lattice.
     """
 
     base: BaseModel
     order: float
     values: list[np.ndarray]
     shape: tuple[int, int] = (1, 1)
-    large_model: Callable[[float], float] | None = None
     order_constant: float | None = None
 
     def __post_init__(self):
@@ -100,8 +97,6 @@ class SymbolData:
                 small = np.min(np.abs(v), axis=0)
             for idx in np.nonzero(outside & (small <= floor))[0]:
                 bad.append((x, tuple(int(c) for c in modes[idx])))
-        if self.large_model is not None and self.large_model(2.0 * radius + 1.0) <= floor:
-            raise EllipticityError("declared large-mode model is not invertible")
         if bad:
             listing = ", ".join(f"point {x} mode {m}" for x, m in bad[:8])
             raise EllipticityError(f"symbol is singular on the lattice at: {listing}")

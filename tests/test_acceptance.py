@@ -2,7 +2,7 @@
 
 Run ``pytest -v tests/test_acceptance.py`` to get one pass/fail line per
 criterion.  Every tolerance is pinned in the test body next to the quantity
-it bounds; the registered property checks in ``indexpairing.harness`` are
+it bounds; the registered property checks in ``indexpairing.invariants`` are
 called through the registry so the gate and the suite can never drift apart.
 
 The heavy criteria (2, 9, 10) run the flux-32 localization scenario and the
@@ -21,13 +21,8 @@ from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, d_leafwise, integrate_invariant, invariant_project_form
 from indexpairing.grids import FiberModel, random_band_limited
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
-from indexpairing.harness import (
-    INVARIANT_CHECKS,
-    _random_one_form,
-    load_scenario,
-    run_scenario,
-    run_suite,
-)
+from indexpairing.harness import load_scenario, run_scenario, run_suite
+from indexpairing.invariants import INVARIANT_CHECKS, _random_one_form
 from indexpairing.operators import SupportMismatchError
 from indexpairing.pairing import ProfileCochain, TransitionProfile, pair_cocycle
 from indexpairing.parametrix import analytic_index, index_idempotent

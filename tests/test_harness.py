@@ -1,5 +1,6 @@
+import copy
+import io
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -7,25 +8,27 @@ import pytest
 import indexpairing.harness as harness
 from indexpairing.cli import main
 from indexpairing.cochains import ASCochain
-from indexpairing.grids import FiberModel, ModelError, random_band_limited
+from indexpairing.grids import FiberModel, ModelError, mode_lattice, random_band_limited
 from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.harness import (
-    BUILTIN_SCENARIOS,
     CSV_HEADER,
     INVARIANT_CSV_HEADER,
-    CorruptedCacheError,
-    ScenarioError,
     StageError,
-    _cochain_from_table,
+    _idempotent_cache,
     _run_one,
-    _symbol_expression,
-    _validate,
-    cochain_to_table,
     load_coefficients,
-    load_scenario,
     run_scenario,
     run_suite,
     save_coefficients,
+)
+from indexpairing.parametrix import CorruptedCacheError, IndexIdempotent
+from indexpairing.scenario import (
+    BUILTIN_SCENARIOS,
+    ScenarioError,
+    _cochain_from_table,
+    _symbol_expression,
+    _validate,
+    load_scenario,
 )
 
 
@@ -52,7 +55,7 @@ def test_builtin_catalog_loads_and_echo_reloads():
     for name in BUILTIN_SCENARIOS:
         scn = load_scenario(name)
         assert scn.name == name
-        again = _validate(scn.echo(), origin=None)
+        again = _validate(scn.echo())
         assert again == scn
 
 
@@ -195,6 +198,19 @@ def test_scenario_defaults_filled():
             "cocycle.legs must list exactly two",
         ),
         (lambda raw: raw["fiber"].update(dim=3, grid=10), "fiber.dim must be 2"),
+        (lambda raw: raw["fiber"].update(grid=128), "fiber.grid 128 in 2 dims"),
+        (
+            lambda raw: raw.update(
+                operator={"builtin": "multiplier", "symbol": "xi3 + 1"}
+            ),
+            "operator.symbol: unknown name 'xi3'",
+        ),
+        (
+            lambda raw: raw.update(
+                operator={"builtin": "multiplier", "symbol": "__import__('os')"}
+            ),
+            "operator.symbol: only sin",
+        ),
         (
             lambda raw: raw.update(
                 fiber={"kind": "torus", "dim": 1, "fourier_cutoff": 4, "grid": 12},
@@ -208,12 +224,12 @@ def test_scenario_validation_names_offending_field(mutate, fragment):
     raw = cheap_scenario()
     mutate(raw)
     with pytest.raises(ScenarioError, match=fragment.replace("*", "\\*")):
-        _validate(raw, origin=None)
+        _validate(raw)
 
 
 def test_scenario_rejects_non_object_document():
     with pytest.raises(ScenarioError, match="JSON object"):
-        _validate([1, 2, 3], origin=None)
+        _validate([1, 2, 3])
 
 
 def test_translation_fractions_validated():
@@ -222,10 +238,10 @@ def test_translation_fractions_validated():
         fiber_action={"translation": ["1/2", "nope"]},
     )
     with pytest.raises(ScenarioError, match="fiber_action.translation"):
-        _validate(raw, origin=None)
+        _validate(raw)
     raw["fiber_action"] = {"translation": ["1/2"]}
     with pytest.raises(ScenarioError, match="one entry per dim"):
-        _validate(raw, origin=None)
+        _validate(raw)
 
 
 def test_load_scenario_parse_error_reports_location(tmp_path):
@@ -257,6 +273,9 @@ def test_coefficients_roundtrip(tmp_path):
     ]
     path = tmp_path / "k.opk"
     save_coefficients(path, arrays)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k.opk"]
+    with np.load(path, allow_pickle=False) as npz:
+        assert npz.files == ["arr_0", "arr_1", "arr_2"]
     back = load_coefficients(path)
     assert len(back) == 3
     for a, b in zip(arrays, back):
@@ -265,38 +284,69 @@ def test_coefficients_roundtrip(tmp_path):
 
 
 def test_coefficients_reject_unsupported_dtype(tmp_path):
-    with pytest.raises(ModelError, match="dtype"):
-        save_coefficients(tmp_path / "k.opk", [np.array([1, 2], dtype=np.int32)])
+    # the archive keeps any dtype; the idempotent refuses a non-complex kernel
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
+    npts = base.fiber(0).npoints
+    path = tmp_path / "k.opk"
+    kernels = [np.eye(npts, dtype=np.int32), np.eye(npts, dtype=complex)]
+    save_coefficients(path, [np.array([np.inf])] + kernels)
+    with pytest.raises(CorruptedCacheError, match="dtype int32"):
+        IndexIdempotent.from_arrays(base, load_coefficients(path))
 
 
 def test_corrupted_coefficients_detected(tmp_path):
     path = tmp_path / "k.opk"
-    save_coefficients(path, [np.eye(3), np.array([1.0 + 2.0j])])
+    payload = np.arange(64.0) + 1j
+    save_coefficients(path, [np.eye(3), payload])
     good = path.read_bytes()
+    flipped = bytearray(good)
+    flipped[good.index(payload.tobytes()) + 100] ^= 0x01
+    bare = io.BytesIO()
+    np.save(bare, np.eye(3))
+    gappy = io.BytesIO()
+    np.savez(gappy, arr_0=np.eye(3), arr_2=payload)
 
-    path.write_bytes(good[: len(good) // 2])
-    with pytest.raises(CorruptedCacheError, match="truncated"):
-        load_coefficients(path)
-
-    path.write_bytes(b"XXXX" + good[4:])
-    with pytest.raises(CorruptedCacheError, match="bad magic"):
-        load_coefficients(path)
-
-    path.write_bytes(good + b"\x00")
-    with pytest.raises(CorruptedCacheError, match="trailing bytes"):
-        load_coefficients(path)
-
-    path.write_bytes(good[:4] + struct.pack("<I", 9999) + good[8:])
-    with pytest.raises(CorruptedCacheError, match="implausible array count"):
-        load_coefficients(path)
-
-    path.write_bytes(good[:8] + b"\x07" + good[9:])
-    with pytest.raises(CorruptedCacheError, match="bad array header"):
-        load_coefficients(path)
+    cases = [
+        (good[: len(good) // 2], "not a zip file"),
+        (b"XXXX" + good[4:], "unreadable archive"),
+        (bare.getvalue(), "not an .npz archive"),
+        (b"", "unreadable archive"),
+        (bytes(flipped), "Bad CRC-32"),
+        (gappy.getvalue(), "arr_1 is not a file"),
+    ]
+    for data, fragment in cases:
+        path.write_bytes(data)
+        with pytest.raises(CorruptedCacheError, match=fragment):
+            load_coefficients(path)
 
 
 # ---------------------------------------------------------------------------
 # cochain table codec
+
+
+def cochain_to_table(phi: ASCochain, band: int) -> list[dict]:
+    """Encode an elementary cochain in the scenario coefficient-table format."""
+    base = phi.base
+    modes = mode_lattice(band, base.fiber(0).dim)
+    terms = []
+    for term in phi.terms:
+        slots = []
+        for fam in term.factors:
+            per_point = []
+            for x, f in enumerate(fam):
+                fiber = base.fiber(x)
+                f = np.asarray(f, dtype=complex).reshape(fiber.grid_shape)
+                hat = np.fft.fftn(f) / fiber.npoints
+                coefs = hat[tuple((modes % fiber.grid_size).T)]
+                per_point.append([[float(c.real), float(c.imag)] for c in coefs])
+            slots.append(per_point)
+        terms.append(
+            {
+                "weight": [float(term.weight.real), float(term.weight.imag)],
+                "factors": slots,
+            }
+        )
+    return terms
 
 
 def test_cochain_table_roundtrip():
@@ -373,7 +423,7 @@ def test_symbol_expression_powers_stay_bounded(tmp_path, capsys):
 
 
 def test_run_scenario_cheap_dolbeault(tmp_path):
-    scn = _validate(cheap_scenario(), origin=None)
+    scn = _validate(cheap_scenario())
     rec = run_scenario(scn)
     assert rec.analytic == (1,)
     assert abs(rec.pairing - 1.0) <= 1e-9
@@ -406,7 +456,7 @@ def test_run_scenario_orbifold_family():
 
 
 def test_run_scenario_cache_reuse_and_corruption(tmp_path):
-    scn = _validate(cheap_scenario(), origin=None)
+    scn = _validate(cheap_scenario())
     rec1 = run_scenario(scn, out_dir=tmp_path)
     (cache,) = (tmp_path / "cache").glob("*.idem.opk")
     rec2 = run_scenario(scn, out_dir=tmp_path)
@@ -440,10 +490,47 @@ def test_cache_is_keyed_by_the_idempotent_inputs(tmp_path):
         doc = cheap_scenario(
             name="same", operator={"builtin": "dolbeault", "twist": twist, "levels": 2}
         )
-        rec = run_scenario(_validate(doc, origin=None), out_dir=tmp_path)
+        rec = run_scenario(_validate(doc), out_dir=tmp_path)
         assert rec.analytic == (twist,)
         assert rec.status == "pass"
     assert len(list((tmp_path / "cache").glob("same.*.idem.opk"))) == 2
+
+
+def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
+    scn = _validate(
+        cheap_scenario(
+            groupoid={"group": {"cyclic": 2}, "base_points": 1},
+            fiber_action={"translation": ["1/2", "1/2"]},
+            localize=0.3,
+        )
+    )
+    mutations = {
+        "name": lambda raw: raw.update(name="other"),
+        "groupoid": lambda raw: raw["groupoid"].update(base_weights=[2.0]),
+        "fiber": lambda raw: raw["fiber"].update(grid=14),
+        "fiber_action": lambda raw: raw.update(fiber_action={"translation": ["1/2", "0"]}),
+        "operator": lambda raw: raw["operator"].update(twist=2),
+        "localize": lambda raw: raw.update(localize=0.25),
+        "cocycle": lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 0}),
+        "density": lambda raw: raw.update(density={"values": [2.0]}),
+        "tolerances": lambda raw: raw["tolerances"].update(pairing_tol=1e-3),
+        "seed": lambda raw: raw.update(seed=8),
+    }
+    # a field added to the echo must be added here, and is in the key by default
+    assert set(mutations) == set(scn.echo())
+
+    def digest(s):
+        return _idempotent_cache(s, tmp_path).name.removeprefix(s.name)
+
+    renamed = set()
+    for name, mutate in mutations.items():
+        raw = copy.deepcopy(scn.echo())
+        mutate(raw)
+        other = _validate(raw)
+        assert other.echo()[name] != scn.echo()[name]
+        if digest(other) != digest(scn):
+            renamed.add(name)
+    assert renamed == {"groupoid", "fiber", "fiber_action", "operator", "localize"}
 
 
 def test_run_scenario_stage_error_is_tagged(tmp_path):
@@ -452,7 +539,6 @@ def test_run_scenario_stage_error_is_tagged(tmp_path):
             name="bad-symbol",
             operator={"builtin": "multiplier", "symbol": "sin(xi1)"},
         ),
-        origin=None,
     )
     with pytest.raises(StageError) as err:
         run_scenario(scn)
@@ -467,10 +553,10 @@ def test_run_one_returns_error_record(tmp_path):
     )
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    record, message = _run_one(str(path), None)
+    record, error = _run_one(str(path), None)
     assert record.status == "error[assemble-operator]"
     assert record.abs_err == np.inf
-    assert "assemble-operator" in message
+    assert isinstance(error, StageError) and error.stage == "assemble-operator"
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +657,46 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     (cache,) = (out / "cache").glob("*.idem.opk")
-    cache.write_bytes(b"XXXX" + cache.read_bytes()[4:])
+    good = cache.read_bytes()
+    flipped = bytearray(good)
+    flipped[len(good) // 4] ^= 0x01  # inside the kernel family S0
+    cache.write_bytes(bytes(flipped))
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
-    assert "bad magic" in capsys.readouterr().err
+    assert "Bad CRC-32" in capsys.readouterr().err
+    cache.write_bytes(b"XXXX" + good[4:])
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert "unreadable archive" in capsys.readouterr().err
     # a well-formed file holding kernels of the wrong size
     save_coefficients(cache, [np.array([np.inf])] + [np.eye(3, dtype=complex)] * 2)
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "has shape (3, 3)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "suite"])
+def test_cache_errors_exit_alike_in_both_verbs(tmp_path, capsys, verb):
+    scn = load_scenario("S3-multiplier-invertible")
+    out = tmp_path / "o"
+    argv = {
+        "run": ["run", "--scenario", scn.name, "--out", str(out)],
+        "suite": ["suite", "--which", "scenarios", "--only", scn.name, "--out", str(out)],
+    }[verb]
+    out.mkdir()
+    cache = _idempotent_cache(scn, out)
+
+    # I/O errors are stage errors: the cache directory is a file, then the
+    # cache file is a directory
+    cache.parent.write_text("")
+    assert main(argv) == 1
+    assert "stage operator-cache" in "".join(capsys.readouterr())
+    cache.parent.unlink()
+    cache.mkdir(parents=True)
+    assert main(argv) == 1
+    assert "stage operator-cache" in "".join(capsys.readouterr())
+
+    cache.rmdir()
+    cache.write_bytes(b"not an archive")
+    assert main(argv) == 2
+    assert "unreadable archive" in "".join(capsys.readouterr())
 
 
 def test_cli_suite_rejects_unknown_only(tmp_path, capsys):

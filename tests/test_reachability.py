@@ -35,7 +35,6 @@ KEPT_ORACLES = {
     "bott_projector": "test_charclass::test_bott_projector_unit_charge",
     "bott_reference": "test_charclass::test_bott_projector_unit_charge",
     "char_difference": "test_charclass::test_chern_additive_on_direct_sums",
-    "cochain_to_table": "test_harness::test_cochain_table_roundtrip",
     "dolbeault_apply_fd": "test_dolbeault::test_ladder_matches_finite_difference_application",
     "family_invariance_defect": "test_calculus::test_family_invariance_detects_asymmetry",
     "invariant_project_cochain": "test_cochains::test_invariant_project_cochain_invariance_and_fixing",
