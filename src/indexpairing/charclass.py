@@ -168,7 +168,7 @@ class DiscModel:
             raise ModelError(f"disc axis must be 0 or 1, got {axis}")
         f = np.asarray(field, dtype=complex)
         shaped = f.reshape(self.nradial, self.nangular, -1)
-        fr = np.einsum("ij,jtk->itk", self._radial_diff, shaped)
+        fr = (self._radial_diff @ shaped.reshape(self.nradial, -1)).reshape(shaped.shape)
         freqs = np.fft.fftfreq(self.nangular, d=1.0 / self.nangular)
         if self.nangular % 2 == 0:
             freqs = freqs.copy()
@@ -302,7 +302,7 @@ def _chern_scalars(
     j = 1
     while True:
         scale = CH_CURVATURE_SCALE**j / math.factorial(j)
-        sandwich = np.einsum("nij,ncji->nc", p, power)
+        sandwich = (p[:, None] * power.swapaxes(-1, -2)).sum(axis=(-2, -1))
         out[2 * j] = scale * sandwich
         if 2 * (j + 1) > dim:
             break

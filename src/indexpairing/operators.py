@@ -23,7 +23,7 @@ import numpy as np
 
 from .density import CutoffDensity, TransversalDensity
 from .forms import InvarianceError
-from .grids import FiberModel, ModelError, grid_points
+from .grids import FiberModel, ModelError
 from .groupoid import BaseModel
 from .space import FiberedGSpace
 
@@ -103,6 +103,8 @@ class OperatorBlock:
     def grid_matrix(self) -> np.ndarray:
         """Operator matrix on grid vectors (codomain grid x domain grid)."""
         n = self.domain.fiber.npoints
+        if not np.any(self.matrix):
+            return np.zeros((self.codomain.matrix.shape[0], n), dtype=complex)
         return self.codomain.matrix @ self.matrix @ self.domain.matrix.conj().T / n
 
     @classmethod
@@ -155,12 +157,21 @@ def family_invariance_defect(
 
 
 def fiber_distance_matrix(fiber: FiberModel) -> np.ndarray:
-    """Pairwise periodic Euclidean distances between grid points."""
-    pts = grid_points(fiber.grid_size, fiber.dim)
-    diff = pts[:, None, :] - pts[None, :, :]
-    diff = np.abs(diff)
-    diff = np.minimum(diff, 1.0 - diff)
-    return np.sqrt(np.sum(diff**2, axis=-1))
+    """Pairwise periodic Euclidean distances between grid points.
+
+    Each axis coordinate takes grid_size values, so the wrapped squared
+    distances are tabulated on their grid_size^2 differences, gathered per
+    axis and summed in axis order.
+    """
+    n = fiber.grid_size
+    coords = np.arange(n) / n
+    gap = np.abs(coords[:, None] - coords[None, :])
+    table = np.minimum(gap, 1.0 - gap) ** 2
+    ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)
+    sq = table[np.ix_(ticks[0], ticks[0])]
+    for axis_ticks in ticks[1:]:
+        sq += table[np.ix_(axis_ticks, axis_ticks)]
+    return np.sqrt(sq)
 
 
 class SmoothingKernel:

@@ -123,6 +123,9 @@ def parametrix(fam: LeafwiseOperatorFamily, threshold: float = 1e-8) -> Parametr
     Q inverts every certified singular direction, so R0 = 1 - QD and
     R1 = 1 - DQ are the orthogonal projectors onto kernel and cokernel;
     their matrix entries vanish outside those few directions by construction.
+    A remainder whose certified dimension is 0 is set to exact zeros rather
+    than the rounding noise of 1 - QD or 1 - DQ, so that the consumers can
+    skip it.
     """
     r0, r1 = [], []
     for block in fam.blocks:
@@ -132,9 +135,11 @@ def parametrix(fam: LeafwiseOperatorFamily, threshold: float = 1e-8) -> Parametr
         inv = np.zeros_like(sing)
         inv[:rank] = 1.0 / sing[:rank]
         Qm = (Vh.conj().T * inv) @ U.conj().T
-        nd, nc = M.shape[1], M.shape[0]
-        r0.append(OperatorBlock(block.domain, block.domain, np.eye(nd) - Qm @ M))
-        r1.append(OperatorBlock(block.codomain, block.codomain, np.eye(nc) - M @ Qm))
+        nc, nd = M.shape
+        kernel = np.eye(nd) - Qm @ M if rank < nd else np.zeros((nd, nd), complex)
+        cokernel = np.eye(nc) - M @ Qm if rank < nc else np.zeros((nc, nc), complex)
+        r0.append(OperatorBlock(block.domain, block.domain, kernel))
+        r1.append(OperatorBlock(block.codomain, block.codomain, cokernel))
     return ParametrixData(r0, r1)
 
 
@@ -212,6 +217,8 @@ def _newton_flow(
     P: np.ndarray, max_steps: int, tol: float
 ) -> tuple[np.ndarray, float, int]:
     # McWeeny purification; P^2 serves both the defect test and the next step
+    if not np.any(P):
+        return P, 0.0, 0
     P2 = P @ P
     defect = float(np.max(np.abs(P2 - P)))
     steps = 0

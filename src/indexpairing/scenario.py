@@ -169,6 +169,8 @@ def _validate(raw: dict) -> Scenario:
 
     fiber = dict(_need(raw, "fiber", dict, "scenario"))
     kind = _need(fiber, "kind", str, "fiber", "torus")
+    if kind != "torus":
+        raise ScenarioError(f'fiber.kind must be "torus", got {kind!r}')
     dim = _need(fiber, "dim", int, "fiber")
     N = _need(fiber, "fourier_cutoff", int, "fiber")
     n = _need(fiber, "grid", int, "fiber")

@@ -26,10 +26,6 @@ class EllipticityError(ModelError):
     """Raised when a symbol fails to be invertible on the certified region."""
 
 
-class OrderFitError(ModelError):
-    """Raised when sampled symbol growth contradicts the declared order."""
-
-
 @dataclass
 class SymbolData:
     """Sampled symbol family with declared order.
@@ -41,7 +37,6 @@ class SymbolData:
     order: float
     values: list[np.ndarray]
     shape: tuple[int, int] = (1, 1)
-    order_constant: float | None = None
 
     def __post_init__(self):
         if len(self.values) != len(self.base):
@@ -57,28 +52,9 @@ class SymbolData:
                 raise ModelError(f"symbol table at point {x} has shape {v.shape}, expected {want}")
             vals.append(v)
         self.values = vals
-        if self.order_constant is not None:
-            self.check_order(self.order_constant)
 
     def is_matrix(self) -> bool:
         return self.shape != (1, 1)
-
-    def check_order(self, constant: float) -> None:
-        """Ratio test of sampled growth against (1 + |xi|^2)^(order/2)."""
-        if self.order == SMOOTHING_ORDER:
-            return
-        for x, v in enumerate(self.values):
-            modes = self.base.fiber(x).modes()
-            weight = (1.0 + np.sum(modes.astype(float) ** 2, axis=1)) ** (self.order / 2.0)
-            mags = np.abs(v)
-            while mags.ndim > 2:
-                mags = np.max(mags, axis=-1)
-            ratio = np.max(mags, axis=0) / weight
-            if np.max(ratio) > constant:
-                raise OrderFitError(
-                    f"symbol growth at point {x} exceeds declared order {self.order} "
-                    f"(ratio {np.max(ratio):.3e} > {constant:.3e})"
-                )
 
     def certify_elliptic(self, radius: float, floor: float = 1e-12) -> None:
         """Check invertibility for all retained modes with |xi| >= radius.

@@ -24,7 +24,6 @@ from indexpairing.operators import (
 from indexpairing.space import AffineTorusMap, FiberedGSpace
 from indexpairing.symbols import (
     EllipticityError,
-    OrderFitError,
     SMOOTHING_ORDER,
     SymbolData,
     multiplier_symbol,
@@ -311,16 +310,37 @@ def test_kernel_truncation_zeroes_far_entries():
     assert np.max(np.abs(live)) > 0
 
 
+@pytest.mark.parametrize("dim, n", [(1, 12), (2, 13), (3, 10)])
+def test_fiber_distance_matrix_matches_pointwise_formula(dim, n):
+    fiber = FiberModel("torus", dim, 4, n)
+    pts = grid_points(n, dim)
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    diff = np.minimum(diff, 1.0 - diff)
+    pointwise = np.sqrt(np.sum(diff**2, axis=-1))
+    assert np.array_equal(fiber_distance_matrix(fiber), pointwise)
+
+
+def growth_ratio(sym: SymbolData) -> float:
+    """Largest sampled |a(z, xi)| / (1 + |xi|^2)^(order/2), an oracle for the declared order."""
+    worst = 0.0
+    for x, v in enumerate(sym.values):
+        modes = sym.base.fiber(x).modes()
+        weight = (1.0 + np.sum(modes.astype(float) ** 2, axis=1)) ** (sym.order / 2.0)
+        mags = np.abs(v)
+        while mags.ndim > 2:
+            mags = np.max(mags, axis=-1)
+        worst = max(worst, float(np.max(mags / weight)))
+    return worst
+
+
 def test_symbol_order_check():
     base = torus_base()
-    with pytest.raises(OrderFitError):
-        multiplier_symbol(
-            base, lambda m: 1.0 + np.sum(m.astype(float) ** 2, axis=1), order=0.0
-        ).check_order(1.5)
-    sym = multiplier_symbol(
-        base, lambda m: 1.0 + np.sum(m.astype(float) ** 2, axis=1), order=2.0
-    )
-    sym.check_order(1.5)
+    quadratic = lambda m: 1.0 + np.sum(m.astype(float) ** 2, axis=1)
+    assert growth_ratio(multiplier_symbol(base, quadratic, order=0.0)) > 1.5
+    sym = multiplier_symbol(base, quadratic, order=2.0)
+    assert growth_ratio(sym) <= 1.5
+    # quantization and symbol extraction carry the declared order along
+    assert growth_ratio(symbol_of(quantize(sym))) <= 1.5
 
 
 def test_ellipticity_certificate():

@@ -21,7 +21,7 @@ from indexpairing.charclass import (
     wedge_char,
     wedge_disc,
 )
-from indexpairing.charclass import _projected_curvature
+from indexpairing.charclass import CH_CURVATURE_SCALE, _chern_scalars, _projected_curvature
 from indexpairing.forms import DegreeError, d_leafwise, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_derivative
 from indexpairing.groupoid import BaseModel, BasePoint
@@ -274,3 +274,6 @@ def test_projected_curvature_matches_einsum_sandwich():
     for connection, want in ((None, plain), (conn, full)):
         got = _projected_curvature(p, 2, diff, connection)
         assert np.abs(got - want).max() <= 1e-13
+        # and the degree-2 Chern trace tr(p F) written as an einsum
+        trace = CH_CURVATURE_SCALE * np.einsum("nij,ncji->nc", p, want)
+        assert np.abs(_chern_scalars(p, 2, diff, connection)[2] - trace).max() <= 1e-13

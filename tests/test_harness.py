@@ -182,6 +182,7 @@ def test_scenario_defaults_filled():
             "cocycle.legs: axis 2",
         ),
         (lambda raw: raw["fiber"].update(dim=-1), "fiber.dim must be positive"),
+        (lambda raw: raw["fiber"].update(kind="sphere"), 'fiber.kind must be "torus"'),
         (
             lambda raw: raw.update(
                 cocycle={"kind": "profile", "legs": [{"axis": 0, "linear_radius": 0.45}]}

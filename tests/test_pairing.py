@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing.operators import SmoothingKernel, SupportMismatchError
-from indexpairing.pairing import ProfileCochain, TransitionProfile, pair_cocycle
+from indexpairing import pairing
+from indexpairing.pairing import (
+    ProfileCochain,
+    TransitionProfile,
+    _weighted_elementary_chain,
+    _weighted_profile_chain,
+    pair_cocycle,
+)
 from indexpairing.parametrix import IndexIdempotent, index_idempotent
 from indexpairing.space import AffineTorusMap, FiberedGSpace
 
@@ -329,3 +337,144 @@ def test_pairing_rejects_noninvariant_kernels():
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, cutoff, dens)
+
+
+# ---------------------------------------------------------------------------
+# the six-term alternation sums, one dense product per permutation, as oracles
+# for the rotation-sum chain contractions
+
+# cycle edges of a 3-tuple chain: (slot pair) -> (edge index, aligned flag)
+_EDGE_OF = {
+    (0, 1): (0, True),
+    (1, 0): (0, False),
+    (1, 2): (1, True),
+    (2, 1): (1, False),
+    (2, 0): (2, True),
+    (0, 2): (2, False),
+}
+
+
+def _parity(sigma):
+    sign = 1
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            if sigma[i] > sigma[j]:
+                sign = -sign
+    return sign
+
+
+def six_term_profile_chain(masks, cw, K):
+    total = 0.0 + 0.0j
+    for sigma in permutations(range(3)):
+        sign = _parity(sigma)
+        edge_masks = [None, None, None]
+        for leg in range(2):
+            edge, aligned = _EDGE_OF[(sigma[leg], sigma[leg + 1])]
+            W = masks[leg] if aligned else masks[leg].T
+            if edge_masks[edge] is None:
+                edge_masks[edge] = W
+            else:
+                edge_masks[edge] = edge_masks[edge] * W
+        mats = [K if W is None else K * W for W in edge_masks]
+        A = cw[:, None] * mats[0]
+        total += sign * np.einsum("ij,ji->", A @ mats[1], mats[2])
+    return complex(total) / 6.0
+
+
+def six_term_elementary_chain(phi, x, cw, K):
+    total = 0.0 + 0.0j
+    for term in phi.terms:
+        fields = [np.asarray(fam[x]) for fam in term.factors]
+        for sigma in permutations(range(3)):
+            sign = _parity(sigma)
+            inv = np.argsort(sigma)
+            d0, d1, d2 = (fields[inv[i]] for i in range(3))
+            A = ((cw * d0)[:, None] * K) * d1[None, :]
+            B = K * d2[None, :]
+            total += term.weight * sign * np.einsum("ij,ji->", A @ B, K)
+    return complex(total) / 6.0
+
+
+def _chain_inputs(rng, npts):
+    """Non-constant cutoff weight and a general and a hermitian complex kernel.
+
+    A constant weight makes every weighted trace cyclic, which would hide a
+    weight put on the wrong factor of a rotation.
+    """
+    cw = rng.uniform(0.2, 1.8, npts)
+    general = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
+    hermitian = (general + general.conj().T) / 2
+    return cw, {"general": general, "hermitian": hermitian}
+
+
+def _count_rotation_sums(monkeypatch):
+    calls = []
+    inner = pairing._rotation_sum
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(pairing, "_rotation_sum", counted)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["general", "hermitian"])
+def test_profile_chain_matches_six_term_oracle(which, monkeypatch):
+    base = torus_base(n=8, N=3)
+    npts = base.fiber(0).npoints
+    rng = np.random.default_rng(31)
+    cw, kernels = _chain_inputs(rng, npts)
+    K = kernels[which]
+    saw = TransitionProfile(linear_radius=0.3, flatness=6)
+    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    profile_masks = [phi.leg_mask(0, 0), phi.leg_mask(0, 1)]
+    # the rotation identity needs no antisymmetry of the masks
+    general_masks = [rng.standard_normal((npts, npts)) for _ in range(2)]
+    calls = _count_rotation_sums(monkeypatch)
+    for masks in (profile_masks, general_masks):
+        want = six_term_profile_chain(masks, cw, K)
+        got = _weighted_profile_chain(masks, cw, K)
+        assert abs(got - want) <= 1e-13 * abs(want)
+    # a hermitian kernel takes the two-product form (one rotation sum), any
+    # other kernel the four-product form (two)
+    assert len(calls) == (2 if which == "hermitian" else 4)
+
+
+def test_profile_chain_nearly_hermitian_kernel_takes_four_products(monkeypatch):
+    base = torus_base(n=8, N=3)
+    npts = base.fiber(0).npoints
+    rng = np.random.default_rng(37)
+    cw, kernels = _chain_inputs(rng, npts)
+    K = kernels["hermitian"].copy()
+    K[0, 1] += 1e-9
+    saw = TransitionProfile(linear_radius=0.3, flatness=6)
+    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    masks = [phi.leg_mask(0, 0), phi.leg_mask(0, 1)]
+    calls = _count_rotation_sums(monkeypatch)
+    want = six_term_profile_chain(masks, cw, K)
+    got = _weighted_profile_chain(masks, cw, K)
+    assert len(calls) == 2
+    assert abs(got - want) <= 1e-13 * abs(want)
+    # the two-product form would drop the real part this perturbation makes
+    assert abs(want.real) > 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("which", ["general", "hermitian"])
+def test_elementary_chain_matches_six_term_oracle(which):
+    base = torus_base(n=8, N=3)
+    npts = base.fiber(0).npoints
+    rng = np.random.default_rng(41)
+    cw, kernels = _chain_inputs(rng, npts)
+    K = kernels[which]
+    terms = []
+    for weight in (1.0, 0.3 - 0.7j):
+        fams = tuple(
+            [random_band_limited(rng, base.fiber(0), band=2, real=False)]
+            for _ in range(3)
+        )
+        terms.append(ASTerm(weight, fams))
+    phi = ASCochain(base, 2, terms, germ_radius=2.0)
+    want = six_term_elementary_chain(phi, 0, cw, K)
+    got = _weighted_elementary_chain(phi, 0, cw, K)
+    assert abs(got - want) <= 1e-13 * abs(want)
