@@ -244,7 +244,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs would change.
-_CACHE_FORMAT = 4
+_CACHE_FORMAT = 5
 # echo fields the idempotent does not depend on; the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
 _NOT_IDEMPOTENT_INPUTS = ("name", "cocycle", "density", "tolerances", "seed")

@@ -14,6 +14,14 @@ index idempotent holds its kernel and cokernel projectors apart), so no
 kernel needs a block layout.  The Schwartz kernel against the quadrature
 measure is k(z, w) = npoints * M[z, w]; all trace and pairing formulas below
 are written directly in terms of M so that no npoints factors float around.
+
+Grid points are numbered with axis 0 slowest, so a translation by
+grid_size/g ticks along axis 0 shifts every index by npoints/g.  A matrix
+that commutes with it is block circulant in g x g blocks of size npoints/g:
+block (a, b) is C_{b-a mod g}, and the block row [C_0 .. C_{g-1}] determines
+it.  A length-g FFT over the block index turns products of such matrices
+into g independent products of size npoints/g (``circulant_blocks``); the
+dense matrix is the case g = 1.
 """
 from __future__ import annotations
 
@@ -156,22 +164,125 @@ def family_invariance_defect(
     return worst
 
 
-def fiber_distance_matrix(fiber: FiberModel) -> np.ndarray:
-    """Pairwise periodic Euclidean distances between grid points.
+def _axis_sum(fiber: FiberModel, table: np.ndarray) -> np.ndarray:
+    """sum over axes of table[z_axis, w_axis] for every pair of grid points.
 
-    Each axis coordinate takes grid_size values, so the wrapped squared
-    distances are tabulated on their grid_size^2 differences, gathered per
-    axis and summed in axis order.
+    Each axis coordinate takes grid_size values, so a per-axis quantity is
+    tabulated on grid_size^2 coordinate pairs, gathered per axis and summed
+    in axis order.
     """
+    n = fiber.grid_size
+    ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)
+    out = table[np.ix_(ticks[0], ticks[0])]
+    for axis_ticks in ticks[1:]:
+        out += table[np.ix_(axis_ticks, axis_ticks)]
+    return out
+
+
+def fiber_distance_matrix(fiber: FiberModel) -> np.ndarray:
+    """Pairwise periodic Euclidean distances between grid points."""
     n = fiber.grid_size
     coords = np.arange(n) / n
     gap = np.abs(coords[:, None] - coords[None, :])
-    table = np.minimum(gap, 1.0 - gap) ** 2
-    ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)
-    sq = table[np.ix_(ticks[0], ticks[0])]
-    for axis_ticks in ticks[1:]:
-        sq += table[np.ix_(axis_ticks, axis_ticks)]
-    return np.sqrt(sq)
+    return np.sqrt(_axis_sum(fiber, np.minimum(gap, 1.0 - gap) ** 2))
+
+
+# a squared tick distance within this relative distance below (radius *
+# grid_size)^2 counts as a tie, so a radius whose product with the grid size
+# rounds just above an integer drops that integer's pairs too
+TRUNCATION_RTOL = 1e-12
+
+
+def truncation_mask(fiber: FiberModel, radius: float) -> np.ndarray:
+    """True where the periodic distance between grid points is below radius.
+
+    Decided on integer squared tick distances, so the mask commutes with
+    every grid translation: pairs at exactly the radius are dropped at every
+    base point of the grid, where a float comparison of distances would
+    keep some ties and drop others.
+    """
+    n = fiber.grid_size
+    ticks = np.arange(n)
+    gap = np.abs(ticks[:, None] - ticks[None, :])
+    sq = _axis_sum(fiber, np.minimum(gap, n - gap) ** 2)
+    return sq < (radius * n) ** 2 * (1.0 - TRUNCATION_RTOL)
+
+
+# an entry may differ from the expansion of block row 0 by this much relative
+# to the largest entry of that row and still count as block circulant; grid
+# matrices assembled from a section basis carry about 2e-14 of rounding
+CIRCULANT_RTOL = 1e-12
+
+
+def circulant_order(m: np.ndarray, limit: int | None = None) -> int:
+    """Largest g dividing limit (default N) with the N x N matrix m block circulant in g blocks.
+
+    That is, m[i + N/g, j + N/g] = m[i, j] with indices mod N: on a fiber
+    grid with g dividing grid_size, m commutes with the translation by
+    grid_size/g ticks along axis 0.  Every entry is compared with the
+    expansion of block row 0, one block row at a time, to CIRCULANT_RTOL
+    times the largest entry of block row 0; one row is compared first, so a
+    wrong candidate is rejected in O(N).  Returns 1 for no structure.
+    """
+    size = m.shape[0]
+    limit = size if limit is None else limit
+    for g in range(limit, 1, -1):
+        if limit % g == 0 and size % g == 0 and _is_block_circulant(m, g):
+            return g
+    return 1
+
+
+def _is_block_circulant(m: np.ndarray, g: int) -> bool:
+    size = m.shape[0]
+    width = size // g
+    row = m[:width].reshape(width, g, width)
+    tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
+    if np.max(np.abs(m[width] - np.roll(m[0], width))) > tol:
+        return False
+    for a in range(1, g):
+        # block (a, b) of the expansion is C_{b-a mod g}
+        here = m[a * width : (a + 1) * width].reshape(width, g, width)
+        if np.max(np.abs(here[:, a:] - row[:, : g - a])) > tol:
+            return False
+        if np.max(np.abs(here[:, :a] - row[:, g - a :])) > tol:
+            return False
+    return True
+
+
+def circulant_blocks(row: np.ndarray, g: int) -> np.ndarray:
+    """Fourier blocks (g, B, B), sum_m C_m exp(-2 pi i m k / g), of block row [C_0 .. C_{g-1}].
+
+    The block row is the B x gB top of the matrix.  The blocks of a product
+    of block-circulant matrices are the blockwise products of theirs.
+    """
+    width = row.shape[0]
+    return np.fft.fft(row.reshape(width, g, width), axis=1).transpose(1, 0, 2)
+
+
+def circulant_row(blocks: np.ndarray) -> np.ndarray:
+    """Block row 0 (B x gB) of the matrix with Fourier blocks (g, B, B)."""
+    g, width, _ = blocks.shape
+    return np.fft.ifft(blocks, axis=0).transpose(1, 0, 2).reshape(width, g * width)
+
+
+def circulant_column(row: np.ndarray, g: int) -> np.ndarray:
+    """Block column 0 (gB x B) of the block-circulant matrix with block row 0 ``row``."""
+    width = row.shape[0]
+    # block (a, 0) is C_{-a mod g}
+    blocks = row.reshape(width, g, width)[:, -np.arange(g) % g]
+    return blocks.transpose(1, 0, 2).reshape(g * width, width)
+
+
+def circulant_dense(row: np.ndarray, g: int) -> np.ndarray:
+    """The block-circulant gB x gB matrix with block row 0 ``row``."""
+    width = row.shape[0]
+    blocks = row.reshape(width, g, width)
+    out = np.empty((g, width, g, width), dtype=row.dtype)
+    for a in range(g):
+        # block (a, b) is C_{b-a mod g}
+        out[a, :, a:] = blocks[:, : g - a]
+        out[a, :, :a] = blocks[:, g - a :]
+    return out.reshape(g * width, g * width)
 
 
 class SmoothingKernel:
@@ -268,12 +379,21 @@ class SmoothingKernel:
             worst = max(worst, float(np.max(np.abs(cyc))))
         return worst
 
-    def truncate(self, radius: float) -> "SmoothingKernel":
-        """Zero all entries at fiber distance beyond the radius."""
-        out = [
-            m * (fiber_distance_matrix(self.base.fiber(x)) <= radius)
-            for x, m in enumerate(self.mats)
-        ]
+    def truncate(
+        self, radius: float, keep: list[np.ndarray] | None = None
+    ) -> "SmoothingKernel":
+        """Zero all entries at fiber distance radius or beyond.
+
+        ``keep`` holds the ``truncation_mask`` of each base point when the
+        caller has built them already.  An all-zero matrix is passed on as
+        it is.
+        """
+        out = []
+        for x, m in enumerate(self.mats):
+            if np.any(m):
+                mask = truncation_mask(self.base.fiber(x), radius) if keep is None else keep[x]
+                m = m * mask
+            out.append(m)
         return SmoothingKernel(self.base, out, radius)
 
 

@@ -45,6 +45,14 @@ the chain is 2i Im S(K) / 6 in two products; that form is taken only after
 an O(n^2) check of the hermitian defect.  An elementary term with slot
 fields d0, d1, d2 is the rotation sum of (A0, A1, A2) minus that of
 (A0, A2, A1), with Ai = diag(di) K: four products instead of six.
+
+The leg masks are functions of z - w, so they commute with every grid
+translation.  When K is block circulant in g blocks (``circulant_order``),
+so are K o W0 and K o W1, and each product of the profile chain is g
+products of size n/g on the Fourier blocks.  The cutoff weight is not
+translation invariant, but tr(D M) of a block-circulant M only reads the
+diagonal of C_0, the mean of the Fourier blocks, so D enters through the
+sums of c over the orbits of the translation: exact for any cutoff.
 """
 from __future__ import annotations
 
@@ -61,7 +69,14 @@ from .density import CutoffDensity, TransversalDensity
 from .forms import FoliatedForm, subset_position
 from .grids import ModelError, grid_points
 from .groupoid import BaseModel
-from .operators import SupportMismatchError, _weighted_diag_trace, require_invariant
+from .operators import (
+    SupportMismatchError,
+    _weighted_diag_trace,
+    circulant_blocks,
+    circulant_column,
+    circulant_order,
+    require_invariant,
+)
 from .parametrix import IndexIdempotent
 
 __all__ = [
@@ -335,36 +350,49 @@ def _rotation_sum(cw: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -
     """tr(D XYZ) + tr(D ZXY) + tr(D YZX) with D = diag(cw), in two products.
 
     With P = XY and R = YZ the three traces are tr(D P Z), tr(D Z P) and
-    tr(D R X), each an O(n^2) sum of entrywise products.
+    tr(D R X), each an O(n^2) sum of entrywise products.  X, Y and Z may
+    also be stacks (g, B, B) of Fourier blocks; the traces are then summed
+    over the stack, and cw must hold the orbit sums of the weight divided
+    by g, since block C_0 is the mean of the Fourier blocks.
     """
     P = X @ Y
     R = Y @ Z
-    return complex(
-        np.einsum("i,ij,ji->", cw, P, Z)
-        + np.einsum("i,ij,ji->", cw, Z, P)
-        + np.einsum("i,ij,ji->", cw, R, X)
-    )
+    trace = partial(np.einsum, "i,...ij,...ji->...", cw)
+    return complex(np.sum(trace(P, Z) + trace(Z, P) + trace(R, X)))
 
 
-def _is_hermitian(K: np.ndarray) -> bool:
-    return float(np.max(np.abs(K - K.conj().T))) <= HERMITIAN_RTOL * float(
-        np.max(np.abs(K))
+def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
+    """Whether a block-circulant matrix, given by block row and column 0, is hermitian.
+
+    Its hermitian defect and its largest entry are both taken on block row 0.
+    """
+    return float(np.max(np.abs(row - column.conj().T))) <= HERMITIAN_RTOL * float(
+        np.max(np.abs(row))
     )
 
 
 def _weighted_profile_chain(
     masks: list[np.ndarray], cw: np.ndarray, K: np.ndarray
 ) -> complex:
-    W0, W1 = masks
+    g = circulant_order(K)
+    for W in masks:
+        g = circulant_order(W, g)
+    width = K.shape[0] // g
+    orbit_cw = cw.reshape(g, width).sum(axis=0) / g
+    W0, W1 = (W[:width] for W in masks)
 
-    def rotations(M: np.ndarray) -> complex:
-        return _rotation_sum(cw, M * W0, M * W1, M)
+    def rotations(row: np.ndarray) -> complex:
+        blocks = (circulant_blocks(M, g) for M in (row * W0, row * W1, row))
+        return _rotation_sum(orbit_cw, *blocks)
 
-    even = rotations(K)
-    if _is_hermitian(K) and np.isrealobj(W0) and np.isrealobj(W1):
+    row = K[:width]
+    column = circulant_column(row, g)
+    even = rotations(row)
+    if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
         # the odd rotations are the conjugate of the even ones
         return 2j * even.imag / 6.0
-    return (even - rotations(K.T)) / 6.0
+    # block row 0 of K^T is the transposed block column 0 of K
+    return (even - rotations(column.T)) / 6.0
 
 
 def _weighted_elementary_chain(

@@ -21,7 +21,10 @@ projector families S0 and S1 on scalar grid sections, and every consumer
 (trace, pairing, invariance gate, cache) works on them one at a time.
 Localization truncates each family at a fiber radius and restores
 idempotency with the cubic correction flow; the flow commutes with
-P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.
+P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.  A
+truncated projector that commutes with translations along axis 0 is block
+circulant (see ``operators``), and the flow runs on its g Fourier blocks of
+size npoints/g, with g = 1 the dense case.
 """
 from __future__ import annotations
 
@@ -35,7 +38,12 @@ from .operators import (
     LeafwiseOperatorFamily,
     OperatorBlock,
     SmoothingKernel,
+    circulant_blocks,
+    circulant_dense,
+    circulant_order,
+    circulant_row,
     fiber_distance_matrix,
+    truncation_mask,
 )
 from .space import FiberedGSpace
 
@@ -216,20 +224,27 @@ class IndexIdempotent:
 def _newton_flow(
     P: np.ndarray, max_steps: int, tol: float
 ) -> tuple[np.ndarray, float, int]:
-    # McWeeny purification; P^2 serves both the defect test and the next step
-    if not np.any(P):
-        return P, 0.0, 0
+    """McWeeny purification P -> 3 P^2 - 2 P^3 on the Fourier blocks (g, B, B) of P.
+
+    The defect is the largest entry of P^2 - P, read on block row 0 in real
+    space; every other block row of a block-circulant matrix repeats it.
+    P^2 serves both the defect test and the next step.
+    """
     P2 = P @ P
-    defect = float(np.max(np.abs(P2 - P)))
+    defect = _row_max(P2 - P)
     steps = 0
     while defect > tol and steps < max_steps:
         P = 3.0 * P2 - 2.0 * (P2 @ P)
         steps += 1
         P2 = P @ P
-        defect = float(np.max(np.abs(P2 - P)))
+        defect = _row_max(P2 - P)
         if not np.isfinite(defect):
             break
     return P, defect, steps
+
+
+def _row_max(blocks: np.ndarray) -> float:
+    return float(np.max(np.abs(circulant_row(blocks))))
 
 
 def index_idempotent(
@@ -258,17 +273,25 @@ def index_idempotent(
     # spreads the support), so support_radius records the localization cut of
     # the construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
+    keep = [truncation_mask(fam.base.fiber(x), radius) for x in range(len(fam.base))]
     flowed = []
     for kern in families:
         mats = []
-        for S in kern.truncate(radius).mats:
-            S, defect, steps = _newton_flow(S, max_newton, newton_tol)
-            if defect > newton_tol:
-                raise LocalizationError(
-                    f"idempotent correction stalled at defect {defect:.3e} after "
-                    f"{steps} steps at radius {radius:g}; the cut is too tight for "
-                    "the kernel decay"
+        for S in kern.truncate(radius, keep).mats:
+            # an exactly-zero family is a projector already
+            if np.any(S):
+                g = circulant_order(S)
+                width = S.shape[0] // g
+                P, defect, steps = _newton_flow(
+                    circulant_blocks(S[:width], g), max_newton, newton_tol
                 )
+                if defect > newton_tol:
+                    raise LocalizationError(
+                        f"idempotent correction stalled at defect {defect:.3e} after "
+                        f"{steps} steps at radius {radius:g}; the cut is too tight for "
+                        "the kernel decay"
+                    )
+                S = circulant_dense(circulant_row(P), g)
             mats.append(S)
         flowed.append(SmoothingKernel(fam.base, mats, radius))
     return IndexIdempotent(fam.base, *flowed)

@@ -310,6 +310,20 @@ def test_kernel_truncation_zeroes_far_entries():
     assert np.max(np.abs(live)) > 0
 
 
+@pytest.mark.parametrize("n, radius", [(40, 0.30), (12, 0.25)])
+def test_kernel_truncation_commutes_with_grid_translations(n, radius):
+    # radius * n is a whole number of ticks here, so some pairs sit exactly
+    # at the radius; the cut must treat all of them alike.  The one-tick
+    # shifts along the two axes generate every grid translation.
+    base = torus_base(n=n, N=(n - 2) // 2)
+    npts = base.fiber(0).npoints
+    mask = SmoothingKernel(base, [np.ones((npts, npts))]).truncate(radius).mats[0]
+    grid = np.arange(npts).reshape(n, n)
+    for axis in (0, 1):
+        perm = np.roll(grid, 1, axis=axis).ravel()
+        assert np.array_equal(mask[np.ix_(perm, perm)], mask), axis
+
+
 @pytest.mark.parametrize("dim, n", [(1, 12), (2, 13), (3, 10)])
 def test_fiber_distance_matrix_matches_pointwise_formula(dim, n):
     fiber = FiberModel("torus", dim, 4, n)

@@ -1,0 +1,130 @@
+"""Block-circulant products against the dense computations they replace.
+
+A twist-d Dolbeault projector on grid n commutes with the translation by
+n/gcd(d, n) ticks along axis 0, so after truncation it is block circulant
+in gcd(d, n) blocks.  The Newton flow and the k = 1 profile chain then run
+on Fourier blocks.  The dense McWeeny loop and the dense rotation sum below
+are the forms they replaced, kept as oracles.
+"""
+import numpy as np
+import pytest
+
+from indexpairing.dolbeault import dolbeault_family
+from indexpairing.grids import FiberModel
+from indexpairing.groupoid import BaseModel, BasePoint
+from indexpairing.operators import (
+    SmoothingKernel,
+    circulant_blocks,
+    circulant_dense,
+    circulant_order,
+    circulant_row,
+)
+from indexpairing.pairing import ProfileCochain, TransitionProfile, _weighted_profile_chain
+from indexpairing.parametrix import _newton_flow, parametrix
+
+
+def one_point_base(n, N):
+    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+
+
+def truncated_projector(n, N, twist, radius):
+    """Kernel projector S0 of the twisted Dolbeault block, cut at radius."""
+    base = one_point_base(n, N)
+    S = parametrix(dolbeault_family(base, twist, levels=2)).r0[0].grid_matrix()
+    return base, SmoothingKernel(base, [S]).truncate(radius).mats[0]
+
+
+def dense_newton_flow(P, max_steps, tol):
+    P2 = P @ P
+    defect = float(np.max(np.abs(P2 - P)))
+    steps = 0
+    while defect > tol and steps < max_steps:
+        P = 3.0 * P2 - 2.0 * (P2 @ P)
+        steps += 1
+        P2 = P @ P
+        defect = float(np.max(np.abs(P2 - P)))
+    return P, defect, steps
+
+
+def dense_rotation_sum(cw, X, Y, Z):
+    P = X @ Y
+    R = Y @ Z
+    return complex(
+        np.einsum("i,ij,ji->", cw, P, Z)
+        + np.einsum("i,ij,ji->", cw, Z, P)
+        + np.einsum("i,ij,ji->", cw, R, X)
+    )
+
+
+def dense_profile_chain(masks, cw, K):
+    """The four-product chain (S(K) - S(K^T)) / 6, valid for every K."""
+    W0, W1 = masks
+
+    def rotations(M):
+        return dense_rotation_sum(cw, M * W0, M * W1, M)
+
+    return (rotations(K) - rotations(K.T)) / 6.0
+
+
+def block_newton_flow(S, max_steps, tol):
+    """The flow as index_idempotent runs it: detect, flow the blocks, expand."""
+    g = circulant_order(S)
+    width = S.shape[0] // g
+    P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), max_steps, tol)
+    return circulant_dense(circulant_row(P), g), defect, steps
+
+
+def _random_near_projector(rng, npts, rank):
+    """Hermitian, not block circulant, with eigenvalues near 0 and 1."""
+    Z = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
+    Q, _ = np.linalg.qr(Z)
+    noise = 1e-3 * (Z + Z.conj().T) / np.sqrt(npts)
+    return Q[:, :rank] @ Q[:, :rank].conj().T + noise
+
+
+@pytest.fixture(scope="module")
+def flow_cases():
+    """(name, base, matrix, expected order): two flux projectors and two g = 1 kernels."""
+    base8, S8 = truncated_projector(24, 8, 8, 0.45)
+    base12, S12 = truncated_projector(30, 11, 12, 0.45)
+    rng = np.random.default_rng(53)
+    moved = S8.copy()
+    moved[3, 5] += 1e-9 * np.max(np.abs(S8))
+    return [
+        ("flux8-grid24", base8, S8, 8),
+        ("flux12-grid30", base12, S12, 6),
+        ("random-hermitian", base8, _random_near_projector(rng, 576, 8), 1),
+        ("moved-entry", base8, moved, 1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
+    name, base, S, order = flow_cases[case]
+    assert circulant_order(S) == order, name
+    want, want_defect, want_steps = dense_newton_flow(S, 50, 1e-8)
+    got, got_defect, got_steps = block_newton_flow(S, 50, 1e-8)
+    assert got_steps == want_steps >= 1, name
+    assert got_defect <= 1e-8 and want_defect <= 1e-8, name
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    # the chain of the flowed kernel, with a weight that no translation fixes
+    npts = S.shape[0]
+    cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
+    saw = TransitionProfile(linear_radius=0.45)
+    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    masks = [phi.leg_mask(0, 0), phi.leg_mask(0, 1)]
+    assert circulant_order(got) == order, name
+    want_chain = dense_profile_chain(masks, cw, got)
+    got_chain = _weighted_profile_chain(masks, cw, got)
+    assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
+
+
+@pytest.mark.parametrize("n, N, twist, order", [(40, 19, 24, 8), (48, 23, 32, 16)])
+def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
+    # the flux-24 benchmark projector and S4's, before any flow; grid
+    # matrices carry rounding at the 2e-14 scale, which a tolerance below
+    # that would read as broken symmetry
+    _, S = truncated_projector(n, N, twist, 0.30)
+    assert circulant_order(S) == order
+
