@@ -11,12 +11,11 @@ trigonometric polynomials below the angular band.
 The exterior calculus itself, scalar or matrix-valued on either site, is
 forms.exterior_d and forms.exterior_wedge; this module supplies the disc's
 partial derivative and builds on the two functions the Chern character forms
-of projector fields with an optional connection perturbation, and the three
-model projector families used by the scenarios: a flux-twisted line bundle
-frame on the fiber, a clutching projector on the disc, and the graph
-projector of a nonvanishing scalar symbol.  No genus factor is formed: every
-scenario runs on two-dimensional fibers, where the A-hat genus is identically
-1 because its components sit in degrees divisible by four.
+of projector fields, and the two model projector families used by the
+scenarios: a flux-twisted line bundle frame on the fiber, and the graph
+projector of a nonvanishing scalar symbol on the disc.  No genus factor is
+formed: every scenario runs on two-dimensional fibers, where the A-hat genus
+is identically 1 because its components sit in degrees divisible by four.
 
 Normalization is fixed once: curvature enters the Chern character through the
 scale 1/(2*pi*i).  Any further orientation constant belongs to the index
@@ -47,6 +46,8 @@ from .symbols import EllipticityError
 
 CH_CURVATURE_SCALE = 1.0 / (2.0j * np.pi)
 IDEMPOTENT_TOL = 1e-10
+# derivatives of the graph projector's radial ramp that vanish at both ends
+GRAPH_FLATNESS = 8
 
 
 @lru_cache(maxsize=None)
@@ -220,27 +221,6 @@ class DiscForm:
     def one(cls, disc: DiscModel) -> "DiscForm":
         return cls(disc, 0, np.ones((disc.nnodes, 1), dtype=complex))
 
-    @classmethod
-    def from_scalar(cls, disc: DiscModel, values: np.ndarray) -> "DiscForm":
-        return cls(disc, 0, np.asarray(values, dtype=complex).reshape(-1, 1))
-
-    def copy(self) -> "DiscForm":
-        return DiscForm(self.disc, self.degree, self.field.copy())
-
-    def __add__(self, other: "DiscForm") -> "DiscForm":
-        if self.degree != other.degree or self.disc != other.disc:
-            raise DegreeError("can only add disc forms of equal degree on one disc")
-        return DiscForm(self.disc, self.degree, self.field + other.field)
-
-    def __sub__(self, other: "DiscForm") -> "DiscForm":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: complex) -> "DiscForm":
-        return DiscForm(self.disc, self.degree, self.field * factor)
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.field).max()) if self.field.size else 0.0
-
     def integrate(self) -> complex:
         if self.degree != 2:
             raise DegreeError("only 2-forms integrate over the disc")
@@ -262,27 +242,15 @@ def wedge_disc(f1: DiscForm, f2: DiscForm) -> DiscForm:
 # Chern character of a projector field
 
 
-def _projected_curvature(p: np.ndarray, dim: int, diff, connection: np.ndarray | None) -> np.ndarray:
-    """Curvature 2-form p (dp ^ dp) p of the projected connection.
-
-    With an extra connection 1-form a the projected connection picks up the
-    compression A = p a p and the curvature gains p d(A) p + A ^ A.
-    """
+def _projected_curvature(p: np.ndarray, dim: int, diff) -> np.ndarray:
+    """Curvature 2-form p (dp ^ dp) p of the projected connection."""
     p = p[:, None]
     dp = exterior_d(p, 0, dim, diff)
     F = exterior_wedge(dp, 1, dp, 1, dim, np.matmul)
-    F = p @ F @ p
-    if connection is not None:
-        A = p @ connection @ p
-        dA = exterior_d(A, 1, dim, diff)
-        F = F + p @ dA @ p
-        F = F + exterior_wedge(A, 1, A, 1, dim, np.matmul)
-    return F
+    return p @ F @ p
 
 
-def _chern_scalars(
-    p: np.ndarray, dim: int, diff, connection: np.ndarray | None = None
-) -> dict[int, np.ndarray]:
+def _chern_scalars(p: np.ndarray, dim: int, diff) -> dict[int, np.ndarray]:
     """Trace scalars of the Chern character by form degree for one site.
 
     Input is a pointwise projector field (n, m, m) and the site's partial
@@ -297,7 +265,7 @@ def _chern_scalars(
     out = {0: np.trace(p, axis1=-2, axis2=-1).reshape(n, 1)}
     if dim < 2:
         return out
-    F = _projected_curvature(p, dim, diff, connection)
+    F = _projected_curvature(p, dim, diff)
     power = F
     j = 1
     while True:
@@ -326,42 +294,22 @@ class CotangentTerm:
     def degrees(self) -> tuple[int, int]:
         return (self.zform.degree, self.xform.degree)
 
-    def scaled(self, factor: complex) -> "CotangentTerm":
-        return CotangentTerm(self.zform.scaled(factor), self.xform.copy())
-
 
 @dataclass
 class CharClassForm:
     """Characteristic form on the cotangent model, stored as separable terms.
 
     Mixed-degree data is a list of (leafwise form, disc form) products; sums
-    of terms of equal bidegree represent one component.  kind is a label for
-    reporting; virtual_rank records the rank of the represented difference
-    class (degree-0 normalization).
+    of terms of equal bidegree represent one component.
     """
 
-    kind: str
     terms: list[CotangentTerm]
-    virtual_rank: int = 0
 
     def part(self, z_degree: int, x_degree: int) -> list[CotangentTerm]:
         return [t for t in self.terms if t.degrees == (z_degree, x_degree)]
 
-    def scaled(self, factor: complex) -> "CharClassForm":
-        return CharClassForm(self.kind, [t.scaled(factor) for t in self.terms], self.virtual_rank)
 
-    def __add__(self, other: "CharClassForm") -> "CharClassForm":
-        return CharClassForm(
-            f"{self.kind}+{other.kind}",
-            list(self.terms) + list(other.terms),
-            self.virtual_rank + other.virtual_rank,
-        )
-
-    def __sub__(self, other: "CharClassForm") -> "CharClassForm":
-        return self + other.scaled(-1.0)
-
-
-def unit_char(base: BaseModel, disc: DiscModel, kind: str = "unit") -> CharClassForm:
+def unit_char(base: BaseModel, disc: DiscModel) -> CharClassForm:
     r = base.fiber(0).dim
     ones = FoliatedForm(
         0,
@@ -369,7 +317,7 @@ def unit_char(base: BaseModel, disc: DiscModel, kind: str = "unit") -> CharClass
         [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))],
         invariant=True,
     )
-    return CharClassForm(kind, [CotangentTerm(ones, DiscForm.one(disc))], 1)
+    return CharClassForm([CotangentTerm(ones, DiscForm.one(disc))])
 
 
 def wedge_char(c1: CharClassForm, c2: CharClassForm) -> CharClassForm:
@@ -385,9 +333,7 @@ def wedge_char(c1: CharClassForm, c2: CharClassForm) -> CharClassForm:
             zw = wedge(t1.zform, t2.zform)
             xw = wedge_disc(t1.xform, t2.xform)
             terms.append(CotangentTerm(zw.scaled(sign), xw))
-    return CharClassForm(
-        f"{c1.kind}^{c2.kind}", terms, c1.virtual_rank * c2.virtual_rank
-    )
+    return CharClassForm(terms)
 
 
 def char_bucket_fields(terms: list[CotangentTerm], base: BaseModel) -> dict[tuple[int, int], list[np.ndarray]]:
@@ -455,66 +401,49 @@ def char_closedness_defect(cform: CharClassForm, base: BaseModel) -> float:
 
 
 def chern_character_fiber(
-    base: BaseModel,
-    disc: DiscModel,
-    projectors: list[np.ndarray],
-    connection: list[np.ndarray] | None = None,
+    base: BaseModel, disc: DiscModel, projectors: list[np.ndarray]
 ) -> CharClassForm:
     """Chern character of a projector family on the fiber site.
 
-    projectors holds one (npoints, m, m) field per base point; an optional
-    connection supplies a matrix 1-form (npoints, r, m, m) per base point.
-    The result carries trivial disc dependence; wedge with a disc-side class
-    for symbols.
+    projectors holds one (npoints, m, m) field per base point.  The result
+    carries trivial disc dependence; wedge with a disc-side class for
+    symbols.
     """
     if len(projectors) != len(base):
         raise ModelError("need one projector field per base point")
     r = base.fiber(0).dim
     per_degree: dict[int, list[np.ndarray]] = {}
     for x in range(len(base)):
-        conn = None if connection is None else connection[x]
         diff = partial(spectral_derivative, fiber=base.fiber(x))
-        scalars = _chern_scalars(projectors[x], r, diff, conn)
+        scalars = _chern_scalars(projectors[x], r, diff)
         for deg, arr in scalars.items():
             per_degree.setdefault(deg, []).append(arr)
-    rank = int(round(float(np.mean([a[:, 0].real.mean() for a in per_degree[0]]))))
     terms = []
     for deg, fields in sorted(per_degree.items()):
         zf = FoliatedForm(deg, r, fields)
         terms.append(CotangentTerm(zf, DiscForm.one(disc)))
-    return CharClassForm("fiber-chern", terms, rank)
+    return CharClassForm(terms)
 
 
-def chern_character_disc(
-    base: BaseModel,
-    disc: DiscModel,
-    projector: np.ndarray,
-    reference: np.ndarray | None = None,
-    connection: np.ndarray | None = None,
-) -> CharClassForm:
-    """Chern character of a disc projector field, minus an optional reference.
+def chern_character_disc(base: BaseModel, disc: DiscModel, projector: np.ndarray) -> CharClassForm:
+    """Chern character of a 2 x 2 disc projector field minus that of its rim value.
 
-    The reference is a constant matrix (or full field) describing the rim
-    value; subtracting it forms the compactly supported difference class that
-    symbol classes of elliptic operators produce.
+    The rim value of a graph projector is the constant diag(0, 1);
+    subtracting its character forms the compactly supported difference
+    class that symbol classes of elliptic operators produce.
     """
-    scalars = _chern_scalars(projector, 2, disc.derivative, connection)
-    if reference is not None:
-        ref = np.asarray(reference, dtype=complex)
-        if ref.ndim == 2:
-            ref = np.broadcast_to(ref, projector.shape).copy()
-        ref_scalars = _chern_scalars(ref, 2, disc.derivative)
-        for deg in scalars:
-            if deg in ref_scalars:
-                scalars[deg] = scalars[deg] - ref_scalars[deg]
+    scalars = _chern_scalars(projector, 2, disc.derivative)
+    rim = np.broadcast_to(np.diag([0.0, 1.0]).astype(complex), projector.shape).copy()
+    rim_scalars = _chern_scalars(rim, 2, disc.derivative)
+    for deg in scalars:
+        scalars[deg] = scalars[deg] - rim_scalars[deg]
     r = base.fiber(0).dim
     ones = [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))]
     terms = []
     for deg, arr in sorted(scalars.items()):
         zf = FoliatedForm(0, r, ones, invariant=True)
         terms.append(CotangentTerm(zf, DiscForm(disc, deg, arr)))
-    rank = int(round(float(scalars[0][:, 0].real.mean())))
-    return CharClassForm("disc-chern", terms, rank)
+    return CharClassForm(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -541,38 +470,15 @@ def twist_projector(fiber: FiberModel, twist: int) -> np.ndarray:
     return p
 
 
-def bott_projector(disc: DiscModel, flatness: int = 8) -> np.ndarray:
-    """Unit-charge clutching projector on the frequency disc.
-
-    Interpolates from a constant rank-one projector at the center to the
-    complementary constant at the rim through the angular phase, flat to high
-    order at both ends so the field extends smoothly over the compactified
-    plane.  Pair with bott_reference() for the rim value.
-    """
-    u = (disc.rho / disc.radius) ** 2
-    alpha = 0.5 * np.pi * smoothstep_poly(u, flatness)
-    c = np.cos(alpha)
-    s = np.sin(alpha)
-    phase = np.exp(1j * disc.theta)
-    p = np.empty((disc.nnodes, 2, 2), dtype=complex)
-    p[:, 0, 0] = c * c
-    p[:, 0, 1] = c * s * np.conj(phase)
-    p[:, 1, 0] = c * s * phase
-    p[:, 1, 1] = s * s
-    return p
-
-
-def bott_reference() -> np.ndarray:
-    """Rim value of the clutching projectors, for difference classes."""
-    return np.diag([0.0, 1.0]).astype(complex)
-
-
-def graph_symbol_projector(disc: DiscModel, values: np.ndarray, flatness: int = 8) -> np.ndarray:
+def graph_symbol_projector(disc: DiscModel, values: np.ndarray) -> np.ndarray:
     """Graph projector of a nonvanishing scalar symbol on the disc.
 
-    values holds the symbol samples on the disc nodes; its unit phase
-    replaces the angular phase of the clutching projector, so the integral of
-    the degree-2 character equals the winding of the symbol along the rim.
+    values holds the symbol samples on the disc nodes.  The projector
+    interpolates from the constant diag(1, 0) at the center to the constant
+    diag(0, 1) at the rim through the unit phase of the symbol, flat to
+    order GRAPH_FLATNESS at both ends so the field extends smoothly over the
+    compactified plane; the integral of the degree-2 character of the
+    difference class equals the winding of the symbol along the rim.
     """
     a = np.asarray(values, dtype=complex)
     if a.shape != (disc.nnodes,):
@@ -582,7 +488,7 @@ def graph_symbol_projector(disc: DiscModel, values: np.ndarray, flatness: int = 
         raise EllipticityError("symbol vanishes on the frequency disc")
     phase = a / mag
     u = (disc.rho / disc.radius) ** 2
-    alpha = 0.5 * np.pi * smoothstep_poly(u, flatness)
+    alpha = 0.5 * np.pi * smoothstep_poly(u, GRAPH_FLATNESS)
     c = np.cos(alpha)
     s = np.sin(alpha)
     p = np.empty((disc.nnodes, 2, 2), dtype=complex)

@@ -12,23 +12,23 @@ operator cache.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
 from .grids import ModelError
 from .harness import load_scenario, run_scenario, run_suite, write_records
 from .parametrix import CorruptedCacheError
-from .scenario import BUILTIN_SCENARIOS, ScenarioError
+from .scenario import BUILTIN_SCENARIOS, ScenarioError, _validate
 
 
 def _cmd_run(args) -> int:
-    scn = load_scenario(args.scenario)
+    # the overrides are checked like the file, so the echo re-loads
+    raw = load_scenario(args.scenario).echo()
     if args.tol is not None:
-        tols = dict(scn.tolerances, pairing_tol=float(args.tol))
-        scn = dataclasses.replace(scn, tolerances=tols)
+        raw["tolerances"] = dict(raw["tolerances"], pairing_tol=args.tol)
     if args.seed is not None:
-        scn = dataclasses.replace(scn, seed=int(args.seed))
+        raw["seed"] = args.seed
+    scn = _validate(raw)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     record = run_scenario(scn, out_dir=out)

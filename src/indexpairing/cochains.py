@@ -72,13 +72,12 @@ class ASCochain:
         cls,
         base: BaseModel,
         factors: list[ScalarFamily],
-        weight: complex = 1.0,
         germ_radius: float | None = None,
     ) -> "ASCochain":
         fams = tuple(
             [np.asarray(f, dtype=complex).reshape(-1) for f in fam] for fam in factors
         )
-        return cls(base, len(factors) - 1, [ASTerm(weight, fams)], germ_radius)
+        return cls(base, len(factors) - 1, [ASTerm(1.0, fams)], germ_radius)
 
     @classmethod
     def unit(cls, base: BaseModel, germ_radius: float | None = None) -> "ASCochain":

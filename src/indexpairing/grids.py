@@ -157,18 +157,12 @@ def band_limit(field: np.ndarray, fiber: FiberModel) -> np.ndarray:
     return box_to_grid(grid_to_box(field, fiber), fiber).reshape(field.shape)
 
 
-def random_band_limited(
-    rng: np.random.Generator,
-    fiber: FiberModel,
-    band: int,
-    real: bool = True,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Seeded random trigonometric polynomial of band <= band, as a grid field."""
+def random_band_limited(rng: np.random.Generator, fiber: FiberModel, band: int) -> np.ndarray:
+    """Seeded complex random trigonometric polynomial of band <= band, as a grid field."""
     if band > fiber.fourier_cutoff:
         raise ModelError("requested band exceeds the fiber cutoff")
     modes = mode_lattice(band, fiber.dim)
     coeff = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
-    coeff *= scale / np.sqrt(len(modes))
-    vals = eval_modes_at(coeff, modes, fiber.points())
-    return np.real(vals) if real else vals
+    # times the reciprocal, not divided: the seeded fields keep their last bits
+    coeff *= 1.0 / np.sqrt(len(modes))
+    return eval_modes_at(coeff, modes, fiber.points())

@@ -170,7 +170,7 @@ def _build_operator(scn: Scenario, space: FiberedGSpace):
         lambda modes: fn(modes[:, 0].astype(float), modes[:, 1].astype(float)),
         order=0.0,
     )
-    sym.certify_elliptic(radius=0.5)
+    sym.certify_elliptic()
     fam = quantize(sym)
     sclass = symbol_class_multiplier(base, disc, fn)
     return fam, sclass
@@ -190,7 +190,7 @@ def _build_cocycle(scn: Scenario, base: BaseModel):
     rng = np.random.default_rng(scn.seed)
     factors = [
         [
-            random_band_limited(rng, base.fiber(x), band, real=False)
+            random_band_limited(rng, base.fiber(x), band)
             for x in range(len(base))
         ]
         for _ in range(coc["degree"] + 1)

@@ -58,7 +58,7 @@ def _random_one_form(rng, base, band):
     fields = []
     for x in range(len(base)):
         cols = [
-            random_band_limited(rng, base.fiber(x), band, real=False)
+            random_band_limited(rng, base.fiber(x), band)
             for _ in range(ncomp)
         ]
         fields.append(np.stack(cols, axis=1))
@@ -108,7 +108,7 @@ def _check_symbol_trace_formula():
     for seed in range(10):
         rng = np.random.default_rng(3000 + seed)
         zpart = 1.0 + 0.3 * np.real(
-            random_band_limited(rng, fiber, band=1, real=False)
+            random_band_limited(rng, fiber, band=1)
         )
         table = zpart[:, None] * xipart[None, :]
         sym = SymbolData(base, SMOOTHING_ORDER, [table])
@@ -141,7 +141,7 @@ def _check_vanest_chain_map():
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
         factors = [
-            [random_band_limited(rng, base.fiber(0), 2, real=False)]
+            [random_band_limited(rng, base.fiber(0), 2)]
             for _ in range(2)
         ]
         phi = ASCochain.elementary(base, factors, germ_radius=2.0)
@@ -162,7 +162,7 @@ def _check_coboundary_pairing():
     for seed in range(5):
         rng = np.random.default_rng(6000 + seed)
         factors = [
-            [random_band_limited(rng, space.base.fiber(0), 2, real=False)]
+            [random_band_limited(rng, space.base.fiber(0), 2)]
             for _ in range(2)
         ]
         psi = ASCochain.elementary(space.base, factors, germ_radius=2.0)

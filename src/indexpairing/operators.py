@@ -2,10 +2,10 @@
 
 Conventions
 -----------
-Sections are grid vectors of length npoints (per bundle component).  The
-inner product is the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis
-holds an (npoints, nbasis) evaluation matrix with quadrature-orthonormal
-columns; operators between bases are plain matrices on coefficients.
+Sections are scalar grid vectors of length npoints.  The inner product is
+the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds an
+(npoints, nbasis) evaluation matrix with quadrature-orthonormal columns;
+operators between bases are plain matrices on coefficients.
 
 Smoothing operators are stored as operator matrices M acting by f -> M f on
 scalar grid sections, one npoints x npoints matrix per base point.  A family
@@ -44,20 +44,16 @@ class SupportMismatchError(ModelError):
 class SectionBasis:
     """Quadrature-orthonormal family of sections on one fiber.
 
-    Sections with ``components`` bundle components are grid vectors of length
-    components * npoints in block-major layout.  ``key`` identifies the basis
-    for compatibility checks when composing operators; bases with equal keys
-    are interchangeable.
+    ``key`` names the basis; bases with equal keys are interchangeable.
     """
 
     fiber: FiberModel
     matrix: np.ndarray
     key: tuple
-    components: int = 1
 
     def __post_init__(self):
-        if self.matrix.shape[0] != self.components * self.fiber.npoints:
-            raise ModelError("basis rows must match the fiber grid times components")
+        if self.matrix.shape[0] != self.fiber.npoints:
+            raise ModelError("basis rows must match the fiber grid")
 
     @property
     def size(self) -> int:
@@ -74,15 +70,11 @@ class SectionBasis:
         return self.matrix @ coeffs
 
 
-def fourier_basis(fiber: FiberModel, components: int = 1) -> SectionBasis:
-    E = fiber.eval_matrix()
-    if components > 1:
-        E = np.kron(np.eye(components), E)
+def fourier_basis(fiber: FiberModel) -> SectionBasis:
     return SectionBasis(
         fiber,
-        E,
-        key=("fourier", fiber.grid_size, fiber.fourier_cutoff, fiber.dim, components),
-        components=components,
+        fiber.eval_matrix(),
+        key=("fourier", fiber.grid_size, fiber.fourier_cutoff, fiber.dim),
     )
 
 
@@ -102,22 +94,12 @@ class OperatorBlock:
     def apply(self, fieldvec: np.ndarray) -> np.ndarray:
         return self.codomain.synthesize(self.matrix @ self.domain.project(fieldvec))
 
-    def compose(self, other: "OperatorBlock") -> "OperatorBlock":
-        """self after other."""
-        if other.codomain.key != self.domain.key:
-            raise ModelError("operator bases are not compatible for composition")
-        return OperatorBlock(other.domain, self.codomain, self.matrix @ other.matrix)
-
     def grid_matrix(self) -> np.ndarray:
         """Operator matrix on grid vectors (codomain grid x domain grid)."""
         n = self.domain.fiber.npoints
         if not np.any(self.matrix):
             return np.zeros((self.codomain.matrix.shape[0], n), dtype=complex)
         return self.codomain.matrix @ self.matrix @ self.domain.matrix.conj().T / n
-
-    @classmethod
-    def identity(cls, basis: SectionBasis) -> "OperatorBlock":
-        return cls(basis, basis, np.eye(basis.size, dtype=complex))
 
 
 @dataclass
@@ -142,12 +124,9 @@ def transport_matrix(
     projecting onto the codomain basis.  Unitary whenever the transported
     columns stay inside the codomain span.
     """
-    n = domain.fiber.grid_size
-    npts = domain.fiber.npoints
-    perm = gspace.fiber_map(a).grid_permutation(n)
-    bidx = np.concatenate([perm + b * npts for b in range(domain.components)])
-    moved = domain.matrix[bidx, :]
-    return codomain.matrix.conj().T @ moved / npts
+    perm = gspace.fiber_map(a).grid_permutation(domain.fiber.grid_size)
+    moved = domain.matrix[perm, :]
+    return codomain.matrix.conj().T @ moved / domain.fiber.npoints
 
 
 def family_invariance_defect(
@@ -214,20 +193,18 @@ def truncation_mask(fiber: FiberModel, radius: float) -> np.ndarray:
 CIRCULANT_RTOL = 1e-12
 
 
-def circulant_order(m: np.ndarray, limit: int | None = None) -> int:
-    """Largest g dividing limit (default N) with the N x N matrix m block circulant in g blocks.
+def circulant_order(m: np.ndarray, grid_size: int) -> int:
+    """Largest g dividing grid_size with the N x N grid matrix m block circulant in g blocks.
 
-    That is, m[i + N/g, j + N/g] = m[i, j] with indices mod N: on a fiber
-    grid with g dividing grid_size, m commutes with the translation by
-    grid_size/g ticks along axis 0.  Every entry is compared with the
-    expansion of block row 0, one block row at a time, to CIRCULANT_RTOL
+    That is, m[i + N/g, j + N/g] = m[i, j] with indices mod N: m commutes
+    with the translation by grid_size/g ticks along axis 0, a translation
+    of the grid because g divides grid_size.  Every entry is compared with
+    the expansion of block row 0, one block row at a time, to CIRCULANT_RTOL
     times the largest entry of block row 0; one row is compared first, so a
     wrong candidate is rejected in O(N).  Returns 1 for no structure.
     """
-    size = m.shape[0]
-    limit = size if limit is None else limit
-    for g in range(limit, 1, -1):
-        if limit % g == 0 and size % g == 0 and _is_block_circulant(m, g):
+    for g in range(grid_size, 1, -1):
+        if grid_size % g == 0 and _is_block_circulant(m, g):
             return g
     return 1
 
@@ -307,20 +284,12 @@ class SmoothingKernel:
             if m.shape != (dim, dim):
                 raise ModelError(f"kernel matrix at point {x} has shape {m.shape}")
 
-    def __add__(self, other: "SmoothingKernel") -> "SmoothingKernel":
+    def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
         self._check(other)
         return SmoothingKernel(
             self.base,
-            [a + b for a, b in zip(self.mats, other.mats)],
+            [a - b for a, b in zip(self.mats, other.mats)],
             max(self.support_radius, other.support_radius),
-        )
-
-    def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, factor: complex) -> "SmoothingKernel":
-        return SmoothingKernel(
-            self.base, [factor * m for m in self.mats], self.support_radius
         )
 
     def compose(self, other: "SmoothingKernel") -> "SmoothingKernel":
@@ -378,23 +347,6 @@ class SmoothingKernel:
             cyc = here * here.T - moved * moved.T
             worst = max(worst, float(np.max(np.abs(cyc))))
         return worst
-
-    def truncate(
-        self, radius: float, keep: list[np.ndarray] | None = None
-    ) -> "SmoothingKernel":
-        """Zero all entries at fiber distance radius or beyond.
-
-        ``keep`` holds the ``truncation_mask`` of each base point when the
-        caller has built them already.  An all-zero matrix is passed on as
-        it is.
-        """
-        out = []
-        for x, m in enumerate(self.mats):
-            if np.any(m):
-                mask = truncation_mask(self.base.fiber(x), radius) if keep is None else keep[x]
-                m = m * mask
-            out.append(m)
-        return SmoothingKernel(self.base, out, radius)
 
 
 # power steps per norm bound: each is two O(n^2) products, and on the random

@@ -48,11 +48,13 @@ fields d0, d1, d2 is the rotation sum of (A0, A1, A2) minus that of
 
 The leg masks are functions of z - w, so they commute with every grid
 translation.  When K is block circulant in g blocks (``circulant_order``),
-so are K o W0 and K o W1, and each product of the profile chain is g
-products of size n/g on the Fourier blocks.  The cutoff weight is not
-translation invariant, but tr(D M) of a block-circulant M only reads the
-diagonal of C_0, the mean of the Fourier blocks, so D enters through the
-sums of c over the orbits of the translation: exact for any cutoff.
+with g dividing grid_size so that the blocks come from a grid translation,
+so are the masks, K o W0 and K o W1; the masks are built as their block
+row 0 only, and each product of the profile chain is g products of size
+n/g on the Fourier blocks.  The cutoff weight is not translation
+invariant, but tr(D M) of a block-circulant M only reads the diagonal of
+C_0, the mean of the Fourier blocks, so D enters through the sums of c
+over the orbits of the translation: exact for any cutoff.
 """
 from __future__ import annotations
 
@@ -106,10 +108,6 @@ class TransitionProfile:
                 "profile needs 0 < linear_radius < support_radius <= 1/2, got "
                 f"{self.linear_radius:g} and {self.support_radius:g}"
             )
-
-    @property
-    def compact(self) -> bool:
-        return self.support_radius < 0.5
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -187,8 +185,8 @@ class ProfileCochain:
             out = out * prof(pts[tuples[:, i + 1], axis] - pts[tuples[:, i], axis])
         return out
 
-    def leg_mask(self, x: int, i: int) -> np.ndarray:
-        """Matrix W[z, w] = profile_i((w - z)[axis_i]) on the fiber over x.
+    def leg_mask(self, x: int, i: int, rows: int) -> np.ndarray:
+        """Rows [0, rows) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber over x.
 
         The axis coordinate takes grid_size values, so the profile is
         evaluated on their grid_size^2 differences and gathered from there.
@@ -199,7 +197,7 @@ class ProfileCochain:
         coords = np.arange(n) / n
         ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)[axis]
         table = prof(coords[None, :] - coords[:, None])
-        return table[np.ix_(ticks, ticks)]
+        return table[np.ix_(ticks[:rows], ticks)]
 
     def van_est_form(self) -> FoliatedForm:
         """Leafwise realization: product of unit slopes times dz_a1 ^ ... .
@@ -273,7 +271,7 @@ HERMITIAN_RTOL = 1e-14
 def _kernel_reach(idem: IndexIdempotent) -> float:
     reach = idem.skernel.support_radius
     if math.isinf(reach):
-        reach = idem.effective_radius(1e-12)
+        reach = idem.effective_radius()
     return reach
 
 
@@ -335,9 +333,7 @@ def pair_cocycle(
     for x in range(len(idem.base)):
         cw = np.asarray(cutoff.fields[x], dtype=float)
         if isinstance(phi, ProfileCochain):
-            chain = partial(
-                _weighted_profile_chain, [phi.leg_mask(x, 0), phi.leg_mask(x, 1)], cw
-            )
+            chain = partial(_weighted_profile_chain, phi, x, cw)
         else:
             chain = partial(_weighted_elementary_chain, phi, x, cw)
         # an all-zero family (S1 of every positive flux) has an exactly zero chain
@@ -372,14 +368,18 @@ def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
 
 
 def _weighted_profile_chain(
-    masks: list[np.ndarray], cw: np.ndarray, K: np.ndarray
+    phi: ProfileCochain, x: int, cw: np.ndarray, K: np.ndarray
 ) -> complex:
-    g = circulant_order(K)
-    for W in masks:
-        g = circulant_order(W, g)
+    """The k = 1 chain of K against the two legs of phi over base point x.
+
+    The legs' masks are block circulant in every g dividing grid_size (they
+    depend on w - z only), so only K's order is detected, and only block
+    row 0 of each mask is built.
+    """
+    g = circulant_order(K, phi.base.fiber(x).grid_size)
     width = K.shape[0] // g
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
-    W0, W1 = (W[:width] for W in masks)
+    W0, W1 = (phi.leg_mask(x, i, width) for i in (0, 1))
 
     def rotations(row: np.ndarray) -> complex:
         blocks = (circulant_blocks(M, g) for M in (row * W0, row * W1, row))

@@ -60,23 +60,34 @@ class CorruptedCacheError(ModelError):
     """Raised when a cached coefficient file fails structural validation."""
 
 
-def certified_rank(singular: np.ndarray, threshold: float = 1e-8, window: float = 10.0) -> int:
+# a singular value counts toward the rank above RANK_THRESHOLD * sigma_max,
+# and none may lie within a factor RANK_WINDOW of that cut
+RANK_THRESHOLD = 1e-8
+RANK_WINDOW = 10.0
+# McWeeny steps the localization flow may take before the cut counts as too tight
+MAX_NEWTON_STEPS = 50
+# an entry counts toward a kernel's reach above REACH_FLOOR times its largest
+REACH_FLOOR = 1e-12
+
+
+def certified_rank(singular: np.ndarray) -> int:
     """Numerical rank with an explicit no-mans-land around the threshold.
 
-    Any singular value within a factor ``window`` of threshold * sigma_max
-    makes the rank call unreliable; that asks for a finer model, not a guess.
+    Any singular value within a factor RANK_WINDOW of RANK_THRESHOLD *
+    sigma_max makes the rank call unreliable; that asks for a finer model,
+    not a guess.
     """
     if singular.size == 0:
         return 0
     top = float(singular[0])
     if top == 0.0:
         return 0
-    cut = threshold * top
-    near = (singular > cut / window) & (singular < cut * window)
+    cut = RANK_THRESHOLD * top
+    near = (singular > cut / RANK_WINDOW) & (singular < cut * RANK_WINDOW)
     if np.any(near):
         vals = ", ".join(f"{v:.3e}" for v in singular[near][:6])
         raise ThresholdAmbiguityError(
-            f"singular values [{vals}] are within a factor {window:g} of the "
+            f"singular values [{vals}] are within a factor {RANK_WINDOW:g} of the "
             f"rank threshold {cut:.3e}; refine the truncation before trusting the rank"
         )
     return int(np.sum(singular > cut))
@@ -94,9 +105,7 @@ class IndexCount:
 
 
 def analytic_index(
-    fam: LeafwiseOperatorFamily,
-    gspace: FiberedGSpace | None = None,
-    threshold: float = 1e-8,
+    fam: LeafwiseOperatorFamily, gspace: FiberedGSpace | None = None
 ) -> IndexCount:
     """Spectral kernel and cokernel counts of an operator family.
 
@@ -106,7 +115,7 @@ def analytic_index(
     kers, coks = [], []
     for block in fam.blocks:
         sing = np.linalg.svd(block.matrix, compute_uv=False)
-        rank = certified_rank(sing, threshold)
+        rank = certified_rank(sing)
         kers.append(block.matrix.shape[1] - rank)
         coks.append(block.matrix.shape[0] - rank)
     if gspace is not None:
@@ -125,7 +134,7 @@ class ParametrixData:
     r1: list[OperatorBlock]
 
 
-def parametrix(fam: LeafwiseOperatorFamily, threshold: float = 1e-8) -> ParametrixData:
+def parametrix(fam: LeafwiseOperatorFamily) -> ParametrixData:
     """Remainder projectors of the pseudo-inverse parametrix Q.
 
     Q inverts every certified singular direction, so R0 = 1 - QD and
@@ -139,7 +148,7 @@ def parametrix(fam: LeafwiseOperatorFamily, threshold: float = 1e-8) -> Parametr
     for block in fam.blocks:
         M = block.matrix
         U, sing, Vh = np.linalg.svd(M, full_matrices=False)
-        rank = certified_rank(sing, threshold)
+        rank = certified_rank(sing)
         inv = np.zeros_like(sing)
         inv[:rank] = 1.0 / sing[:rank]
         Qm = (Vh.conj().T * inv) @ U.conj().T
@@ -203,8 +212,8 @@ class IndexIdempotent:
             float(np.max(np.abs(m @ m - m))) for f in self.families for m in f.mats
         )
 
-    def effective_radius(self, floor: float = 1e-10) -> float:
-        """Largest fiber distance carrying an entry above floor * max entry.
+    def effective_radius(self) -> float:
+        """Largest fiber distance carrying an entry above REACH_FLOOR * max entry.
 
         The max entry is taken over both families at each base point, so a
         roundoff-sized family does not count its noise as reach.
@@ -213,7 +222,7 @@ class IndexIdempotent:
         for x in range(len(self.base)):
             dist = fiber_distance_matrix(self.base.fiber(x))
             mags = [np.abs(f.mats[x]) for f in self.families]
-            cut = floor * max(max(float(m.max()) for m in mags), 1e-300)
+            cut = REACH_FLOOR * max(max(float(m.max()) for m in mags), 1e-300)
             for m in mags:
                 live = m > cut
                 if np.any(live):
@@ -221,9 +230,7 @@ class IndexIdempotent:
         return radius
 
 
-def _newton_flow(
-    P: np.ndarray, max_steps: int, tol: float
-) -> tuple[np.ndarray, float, int]:
+def _newton_flow(P: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
     """McWeeny purification P -> 3 P^2 - 2 P^3 on the Fourier blocks (g, B, B) of P.
 
     The defect is the largest entry of P^2 - P, read on block row 0 in real
@@ -233,7 +240,7 @@ def _newton_flow(
     P2 = P @ P
     defect = _row_max(P2 - P)
     steps = 0
-    while defect > tol and steps < max_steps:
+    while defect > tol and steps < MAX_NEWTON_STEPS:
         P = 3.0 * P2 - 2.0 * (P2 @ P)
         steps += 1
         P2 = P @ P
@@ -250,18 +257,17 @@ def _row_max(blocks: np.ndarray) -> float:
 def index_idempotent(
     fam: LeafwiseOperatorFamily,
     radius: float | None = None,
-    threshold: float = 1e-8,
-    max_newton: int = 50,
     newton_tol: float = 1e-8,
 ) -> IndexIdempotent:
     """Index idempotent of a family, optionally localized at a fiber radius.
 
     With no radius the construction is exact.  With a radius, each projector
-    family is hard-truncated and idempotency restored by the cubic flow
-    P -> 3 P^2 - 2 P^3; failure to reach the tolerance within the step budget
-    means the radius is too aggressive for the kernel decay and raises.
+    family is hard-truncated (``truncation_mask``) and idempotency restored
+    by the cubic flow P -> 3 P^2 - 2 P^3; failure to reach the tolerance
+    within MAX_NEWTON_STEPS means the radius is too aggressive for the
+    kernel decay and raises.
     """
-    data = parametrix(fam, threshold)
+    data = parametrix(fam)
     families = [
         SmoothingKernel(fam.base, [r.grid_matrix() for r in remainders])
         for remainders in (data.r0, data.r1)
@@ -277,14 +283,14 @@ def index_idempotent(
     flowed = []
     for kern in families:
         mats = []
-        for S in kern.truncate(radius, keep).mats:
+        for x, S in enumerate(kern.mats):
             # an exactly-zero family is a projector already
             if np.any(S):
-                g = circulant_order(S)
+                # in place: the uncut family is not used again
+                S *= keep[x]
+                g = circulant_order(S, fam.base.fiber(x).grid_size)
                 width = S.shape[0] // g
-                P, defect, steps = _newton_flow(
-                    circulant_blocks(S[:width], g), max_newton, newton_tol
-                )
+                P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), newton_tol)
                 if defect > newton_tol:
                     raise LocalizationError(
                         f"idempotent correction stalled at defect {defect:.3e} after "

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +39,12 @@ _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
 # bytes of the two dense idempotent families, 2 x base_points x npoints^2 x 16
 _KERNEL_BUDGET = 2**30
+# cyclic^3 x base_points: the exhaustive groupoid checks of the build-space
+# stage grow as that product, and take 1 to 2 s at 2^18
+_GROUPOID_BUDGET = 2**18
+# a translation entry is an integer, a decimal or a fraction p/q; an exponent
+# is refused, since Fraction("1e999999999") builds a billion-digit integer
+_FRACTION = re.compile(r"[+-]?\d+(/\d+|\.\d+)?")
 
 
 @dataclass(frozen=True)
@@ -55,15 +62,16 @@ class Scenario:
                         (dim 2 for dolbeault, at least 2 for multiplier)
         fiber_action    "trivial" | {"translation": ["p/q", ..]}
         operator        {"builtin": "dolbeault", "twist": int, "levels": int}
+                        (levels >= 1, |twist| (levels + 1) <= grid^2)
                       | {"builtin": "multiplier", "symbol": expr-string}
         localize        truncation radius for the index idempotent, or null
         cocycle         {"kind": "unit"}
                       | {"kind": "profile", "legs": [{"axis": int,
                          "linear_radius": f, "support_radius": f}, ..]}
                         (exactly two legs)
-                      | {"kind": "elementary", "degree": int, "band": int}
+                      | {"kind": "elementary", "degree": 0 | 2, "band": int}
                         (factor fields drawn from the seed)
-                      | {"kind": "elementary", "degree": int, "band": int,
+                      | {"kind": "elementary", "degree": 0 | 2, "band": int,
                          "terms": coefficient table}
         density         {"values": [float, ..]}
         tolerances      {"pairing_tol": f, "invariant_tol": f}
@@ -116,6 +124,9 @@ def _need(table: dict, key: str, kind, where: str, default=_REQUIRED):
     """Field ``where.key`` checked as ``kind``, or ``default`` when absent.
 
     A one-element list ``[kind]`` asks for a list whose entries are ``kind``.
+    Integers must fit in 64 bits and floats must be finite: JSON admits
+    NaN and Infinity, and every comparison with NaN is false, so a NaN
+    tolerance would switch its gate off.
     """
     if key not in table:
         if default is _REQUIRED:
@@ -126,10 +137,15 @@ def _need(table: dict, key: str, kind, where: str, default=_REQUIRED):
         if not isinstance(value, list):
             raise ScenarioError(f"field {where}.{key} must be a list")
         return [_need({key: v}, key, kind[0], where) for v in value]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) >= 2**64:
+            raise ScenarioError(f"field {where}.{key} must fit in 64 bits")
+        if kind is float:
+            value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ScenarioError(f"field {where}.{key} must be {kind.__name__}")
+    if kind is float and not math.isfinite(value):
+        raise ScenarioError(f"field {where}.{key} must be finite, got {value}")
     return value
 
 
@@ -142,8 +158,10 @@ def _validate(raw: dict) -> Scenario:
 
     group = dict(_need(raw, "groupoid", dict, "scenario"))
     gk = group.get("group", "trivial")
+    order = 1
     if isinstance(gk, dict) and set(gk) == {"cyclic"}:
-        if _need(gk, "cyclic", int, "groupoid.group") < 2:
+        order = _need(gk, "cyclic", int, "groupoid.group")
+        if order < 2:
             raise ScenarioError("groupoid.group.cyclic must be at least 2")
     elif gk != "trivial":
         raise ScenarioError('groupoid.group must be "trivial" or {"cyclic": m>=2}')
@@ -152,6 +170,11 @@ def _validate(raw: dict) -> Scenario:
     if not 1 <= bp <= _LIMITS["base_points"]:
         raise ScenarioError(
             f"groupoid.base_points must be in [1, {_LIMITS['base_points']}]"
+        )
+    if order**3 * bp > _GROUPOID_BUDGET:
+        raise ScenarioError(
+            f"groupoid.group.cyclic {order} over {bp} base points is too large: "
+            f"cyclic^3 * base_points must be at most 2^{math.log2(_GROUPOID_BUDGET):.0f}"
         )
     group["base_points"] = bp
     weights = _need(group, "base_weights", [float], "groupoid", [1.0] * bp)
@@ -195,6 +218,7 @@ def _validate(raw: dict) -> Scenario:
             f"2^{math.log2(_KERNEL_BUDGET):.0f} byte budget"
         )
     fiber = {"kind": kind, "dim": dim, "fourier_cutoff": N, "grid": n}
+    npoints = n**dim
 
     fa = raw.get("fiber_action", "trivial")
     if fa != "trivial":
@@ -202,16 +226,20 @@ def _validate(raw: dict) -> Scenario:
             raise ScenarioError(
                 'fiber_action must be "trivial" or {"translation": [..]}'
             )
-        shifts = _need(fa, "translation", list, "fiber_action")
+        # parsed as the echo holds them, as strings
+        shifts = [str(s) for s in _need(fa, "translation", list, "fiber_action")]
         if len(shifts) != dim:
             raise ScenarioError("fiber_action.translation needs one entry per dim")
-        try:
-            [Fraction(s) for s in shifts]
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ScenarioError(f"fiber_action.translation: {exc}") from exc
+        for s in shifts:
+            if not _FRACTION.fullmatch(s):
+                raise ScenarioError(f"fiber_action.translation: {s!r} is not a fraction p/q")
+            try:
+                Fraction(s)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ScenarioError(f"fiber_action.translation: {exc}") from exc
         if group["group"] == "trivial":
             raise ScenarioError("fiber_action needs a nontrivial group")
-        fa = {"translation": [str(s) for s in shifts]}
+        fa = {"translation": shifts}
 
     op = dict(_need(raw, "operator", dict, "scenario"))
     if op.get("builtin") == "dolbeault":
@@ -228,8 +256,18 @@ def _validate(raw: dict) -> Scenario:
         _symbol_expression(op["symbol"])
     else:
         raise ScenarioError('operator.builtin must be "dolbeault" or "multiplier"')
-    if op["builtin"] == "dolbeault" and dim != 2:
-        raise ScenarioError("fiber.dim must be 2 for the dolbeault operator")
+    if op["builtin"] == "dolbeault":
+        if dim != 2:
+            raise ScenarioError("fiber.dim must be 2 for the dolbeault operator")
+        if op["levels"] < 1:
+            raise ScenarioError("operator.levels must be at least 1")
+        if abs(op["twist"]) * (op["levels"] + 1) > npoints:
+            # the level basis has |twist| (levels + 1) sections, which cannot
+            # be orthonormal on fewer grid points
+            raise ScenarioError(
+                f"operator.twist {op['twist']} with {op['levels']} levels needs "
+                f"|twist| * (levels + 1) at most the {npoints} grid points"
+            )
     if op["builtin"] == "multiplier" and dim < 2:
         raise ScenarioError(
             "fiber.dim must be at least 2: the multiplier symbol reads xi1 and xi2"
@@ -269,16 +307,17 @@ def _validate(raw: dict) -> Scenario:
             )
         coc = {"kind": "profile", "legs": norm_legs}
     elif ck == "elementary":
-        coc = {
-            "kind": "elementary",
-            "degree": _need(coc, "degree", int, "cocycle"),
-            "band": _need(coc, "band", int, "cocycle", 2),
-            **({"terms": coc["terms"]} if "terms" in coc else {}),
-        }
-        if coc["degree"] % 2 or coc["degree"] < 0:
-            raise ScenarioError("cocycle.degree must be even and nonnegative")
-        if coc["band"] > N:
-            raise ScenarioError("cocycle.band exceeds fiber.fourier_cutoff")
+        degree = _need(coc, "degree", int, "cocycle")
+        band = _need(coc, "band", int, "cocycle", 2)
+        # the pairing contracts chains of k = 0 and k = 1 only
+        if degree not in (0, 2):
+            raise ScenarioError("cocycle.degree must be 0 or 2")
+        if not 0 <= band <= N:
+            raise ScenarioError("cocycle.band must be in [0, fiber.fourier_cutoff]")
+        table = {}
+        if "terms" in coc:
+            table = {"terms": _coefficient_table(coc, degree, (2 * band + 1) ** dim, bp)}
+        coc = {"kind": "elementary", "degree": degree, "band": band, **table}
     else:
         raise ScenarioError('cocycle.kind must be "unit", "profile", or "elementary"')
 
@@ -318,6 +357,34 @@ def _validate(raw: dict) -> Scenario:
     )
 
 
+def _coefficient_table(coc: dict, degree: int, nmodes: int, bp: int) -> list[dict]:
+    """The ``cocycle.terms`` table, checked for shape.
+
+    Each term holds a [re, im] weight (default [1, 0]) and degree + 1 factor
+    slots, each one list per base point of nmodes [re, im] mode coefficients.
+    """
+    out = []
+    for t, term in enumerate(_need(coc, "terms", [dict], "cocycle")):
+        where = f"cocycle.terms[{t}]"
+        weight = _need(term, "weight", [float], where, [1.0, 0.0])
+        factors = _need(term, "factors", [[[[float]]]], where)
+        lists = [coefs for slot in factors for coefs in slot]
+        if not (
+            len(weight) == 2
+            and len(factors) == degree + 1
+            and all(len(slot) == bp for slot in factors)
+            and all(len(coefs) == nmodes for coefs in lists)
+            and all(len(c) == 2 for coefs in lists for c in coefs)
+        ):
+            raise ScenarioError(
+                f"{where} needs a [re, im] weight and {degree + 1} factor slots, each "
+                f"holding {bp} lists (one per base point) of {nmodes} [re, im] mode "
+                "coefficients"
+            )
+        out.append({"weight": weight, "factors": factors})
+    return out
+
+
 def _leg_profile(leg: dict) -> TransitionProfile:
     try:
         return TransitionProfile(
@@ -344,6 +411,8 @@ def _symbol_expression(expr: str):
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ScenarioError(f"operator.symbol: {exc.msg}") from exc
+    except RecursionError:
+        raise ScenarioError("operator.symbol: nested too deeply") from None
     allowed = (
         ast.Expression,
         ast.BinOp,
@@ -388,7 +457,10 @@ def _symbol_expression(expr: str):
                     raise ScenarioError(
                         "operator.symbol: integer constant overflows a float"
                     ) from None
-    code = compile(tree, "<operator.symbol>", "eval")
+    try:
+        code = compile(tree, "<operator.symbol>", "eval")
+    except RecursionError:
+        raise ScenarioError("operator.symbol: nested too deeply") from None
 
     def fn(x1, x2):
         scope = {"xi1": x1, "xi2": x2, **_SYMBOL_NAMES, **_SYMBOL_FUNCS}
@@ -401,23 +473,21 @@ def _symbol_expression(expr: str):
 
 
 def _cochain_from_table(base: BaseModel, degree: int, band: int, terms) -> ASCochain:
-    """Decode the coefficient-table serialization of an elementary cochain."""
+    """Decode the coefficient-table serialization of an elementary cochain.
+
+    ``terms`` is a table ``_coefficient_table`` has checked.
+    """
     modes = mode_lattice(band, base.fiber(0).dim)
     out = []
-    for t, term in enumerate(terms):
-        w = term.get("weight", [1.0, 0.0])
+    for term in terms:
+        w = term["weight"]
         factors = []
-        for s, slot in enumerate(term["factors"]):
+        for slot in term["factors"]:
             fam = []
             for x, coefs in enumerate(slot):
                 coefs = np.asarray(
                     [complex(c[0], c[1]) for c in coefs], dtype=complex
                 )
-                if len(coefs) != len(modes):
-                    raise ScenarioError(
-                        f"cocycle.terms[{t}].factors[{s}][{x}]: expected "
-                        f"{len(modes)} mode coefficients, got {len(coefs)}"
-                    )
                 fam.append(eval_modes_at(coefs, modes, base.fiber(x).points()))
             factors.append(tuple(fam))
         out.append(ASTerm(complex(w[0], w[1]), tuple(factors)))
@@ -515,7 +585,7 @@ def load_scenario(source) -> Scenario:
     if isinstance(source, str) and source in BUILTIN_SCENARIOS:
         return _validate(BUILTIN_SCENARIOS[source]["doc"])
     path = Path(source)
-    if not path.exists():
+    if not path.is_file():
         raise ScenarioError(
             f"{source!r} is neither a builtin scenario nor an existing file"
         )
@@ -526,4 +596,6 @@ def load_scenario(source) -> Scenario:
             f"{path.name}: parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
     return _validate(raw)

@@ -48,6 +48,8 @@ from .space import FiberedGSpace
 # has analytic index +1 while the raw integrand evaluates to the product of
 # a fiber charge -1 and a disc charge +1.  Everything else is predicted.
 ORIENTATION_SIGN = -1.0
+# Landau levels of the operator realized on the half-shift quotient
+QUOTIENT_LEVELS = 4
 
 
 class NonFreeActionError(ModelError):
@@ -59,9 +61,7 @@ def dolbeault_symbol_values(disc: DiscModel) -> np.ndarray:
     return disc.points[:, 0] + 1j * disc.points[:, 1]
 
 
-def symbol_class_dolbeault(
-    base: BaseModel, disc: DiscModel, twist: int, flatness: int = 8
-) -> CharClassForm:
+def symbol_class_dolbeault(base: BaseModel, disc: DiscModel, twist: int) -> CharClassForm:
     """Difference class of the twisted antiholomorphic symbol.
 
     The frequency part is the graph projector of xi1 + i*xi2 relative to its
@@ -69,37 +69,23 @@ def symbol_class_dolbeault(
     operator acts on.  Twist 0 degenerates to the plain scalar symbol.
     """
     xi_part = chern_character_disc(
-        base,
-        disc,
-        graph_symbol_projector(disc, dolbeault_symbol_values(disc), flatness),
-        reference=np.diag([0.0, 1.0]),
+        base, disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc))
     )
     z_part = chern_character_fiber(
         base, disc, [twist_projector(base.fiber(x), twist) for x in range(len(base))]
     )
-    out = wedge_char(z_part, xi_part)
-    out.kind = f"dolbeault-symbol[{twist}]"
-    return out
+    return wedge_char(z_part, xi_part)
 
 
-def symbol_class_multiplier(
-    base: BaseModel, disc: DiscModel, symbol_fn, flatness: int = 8
-) -> CharClassForm:
+def symbol_class_multiplier(base: BaseModel, disc: DiscModel, symbol_fn) -> CharClassForm:
     """Difference class of a scalar Fourier multiplier symbol.
 
     symbol_fn(xi1, xi2) is sampled on the disc nodes and must not vanish
     there; the class then measures the winding of the symbol.
     """
     values = np.asarray(symbol_fn(disc.points[:, 0], disc.points[:, 1]), dtype=complex)
-    xi_part = chern_character_disc(
-        base,
-        disc,
-        graph_symbol_projector(disc, values, flatness),
-        reference=np.diag([0.0, 1.0]),
-    )
-    out = wedge_char(unit_char(base, disc, kind="scalar"), xi_part)
-    out.kind = "multiplier-symbol"
-    return out
+    xi_part = chern_character_disc(base, disc, graph_symbol_projector(disc, values))
+    return wedge_char(unit_char(base, disc), xi_part)
 
 
 def _class_disc(sclass: CharClassForm) -> DiscModel:
@@ -159,9 +145,7 @@ def _class_integral(
     """
     k = _check_cochain_form(space, alpha, invariant_tol)
     disc = _class_disc(sclass)
-    alpha_class = CharClassForm(
-        "cochain", [CotangentTerm(alpha, DiscForm.one(disc))], 1
-    )
+    alpha_class = CharClassForm([CotangentTerm(alpha, DiscForm.one(disc))])
     zfields = _top_z_integrands(space, wedge_char(alpha_class, sclass))
     total = 0.0 + 0.0j
     for x in range(len(space.base)):
@@ -247,9 +231,7 @@ def free_action_reduction(
     return _class_integral(space, indicators, dens, alpha, sclass, invariant_tol)
 
 
-def half_shift_quotient_index(
-    fiber: FiberModel, twist: int, levels: int = 4, threshold: float = 1e-8
-) -> int:
+def half_shift_quotient_index(fiber: FiberModel, twist: int) -> int:
     """Analytic index of the operator descended to the half-shift quotient.
 
     The diagonal half-period shift identifies the torus with a half-area
@@ -264,8 +246,8 @@ def half_shift_quotient_index(
     qbase = BaseModel(
         [BasePoint("quotient", 1.0, FiberModel("torus", 2, fiber.fourier_cutoff, fiber.grid_size))]
     )
-    fam = dolbeault_family(qbase, twist // 2, levels)
-    return analytic_index(fam, threshold=threshold).index(0)
+    fam = dolbeault_family(qbase, twist // 2, QUOTIENT_LEVELS)
+    return analytic_index(fam).index(0)
 
 
 @dataclass
@@ -284,7 +266,6 @@ def family_index_orbifold(
     cutoff: CutoffDensity,
     dens: TransversalDensity,
     sclass: CharClassForm,
-    threshold: float = 1e-8,
 ) -> FamilyIndexResult:
     """Family index over an identified base versus the class integral.
 
@@ -295,7 +276,7 @@ def family_index_orbifold(
     trivial cocycle.  Both land on the same number when the formula holds.
     """
     base = space.base
-    counts = analytic_index(fam, space, threshold=threshold)
+    counts = analytic_index(fam, space)
     per_point = [counts.index(x) for x in range(len(base))]
     _assert_unimodular(dens)
     # orbit representatives over the base

@@ -6,7 +6,8 @@ it bounds; the registered property checks in ``indexpairing.invariants`` are
 called through the registry so the gate and the suite can never drift apart.
 
 The heavy criteria (2, 9, 10) run the flux-32 localization scenario and the
-full suite twice; the whole gate takes roughly twenty minutes on one core.
+full suite twice; the whole gate takes about 10 s with BLAS on one thread of
+an Intel Xeon (9 s with two).
 """
 import time
 from fractions import Fraction

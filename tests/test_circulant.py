@@ -13,14 +13,14 @@ from indexpairing.dolbeault import dolbeault_family
 from indexpairing.grids import FiberModel
 from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.operators import (
-    SmoothingKernel,
     circulant_blocks,
     circulant_dense,
     circulant_order,
     circulant_row,
+    truncation_mask,
 )
 from indexpairing.pairing import ProfileCochain, TransitionProfile, _weighted_profile_chain
-from indexpairing.parametrix import _newton_flow, parametrix
+from indexpairing.parametrix import MAX_NEWTON_STEPS, _newton_flow, parametrix
 
 
 def one_point_base(n, N):
@@ -31,7 +31,7 @@ def truncated_projector(n, N, twist, radius):
     """Kernel projector S0 of the twisted Dolbeault block, cut at radius."""
     base = one_point_base(n, N)
     S = parametrix(dolbeault_family(base, twist, levels=2)).r0[0].grid_matrix()
-    return base, SmoothingKernel(base, [S]).truncate(radius).mats[0]
+    return base, S * truncation_mask(base.fiber(0), radius)
 
 
 def dense_newton_flow(P, max_steps, tol):
@@ -66,11 +66,11 @@ def dense_profile_chain(masks, cw, K):
     return (rotations(K) - rotations(K.T)) / 6.0
 
 
-def block_newton_flow(S, max_steps, tol):
+def block_newton_flow(S, grid_size, tol):
     """The flow as index_idempotent runs it: detect, flow the blocks, expand."""
-    g = circulant_order(S)
+    g = circulant_order(S, grid_size)
     width = S.shape[0] // g
-    P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), max_steps, tol)
+    P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), tol)
     return circulant_dense(circulant_row(P), g), defect, steps
 
 
@@ -101,9 +101,10 @@ def flow_cases():
 @pytest.mark.parametrize("case", range(4))
 def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     name, base, S, order = flow_cases[case]
-    assert circulant_order(S) == order, name
-    want, want_defect, want_steps = dense_newton_flow(S, 50, 1e-8)
-    got, got_defect, got_steps = block_newton_flow(S, 50, 1e-8)
+    n = base.fiber(0).grid_size
+    assert circulant_order(S, n) == order, name
+    want, want_defect, want_steps = dense_newton_flow(S, MAX_NEWTON_STEPS, 1e-8)
+    got, got_defect, got_steps = block_newton_flow(S, n, 1e-8)
     assert got_steps == want_steps >= 1, name
     assert got_defect <= 1e-8 and want_defect <= 1e-8, name
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
@@ -113,10 +114,10 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
     saw = TransitionProfile(linear_radius=0.45)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
-    masks = [phi.leg_mask(0, 0), phi.leg_mask(0, 1)]
-    assert circulant_order(got) == order, name
+    masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
+    assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
-    got_chain = _weighted_profile_chain(masks, cw, got)
+    got_chain = _weighted_profile_chain(phi, 0, cw, got)
     assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
 
 
@@ -126,5 +127,20 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
     # matrices carry rounding at the 2e-14 scale, which a tolerance below
     # that would read as broken symmetry
     _, S = truncated_projector(n, N, twist, 0.30)
-    assert circulant_order(S) == order
+    assert circulant_order(S, n) == order
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_leg_mask_rows_are_block_row_zero_of_the_full_mask(n):
+    # the profile chain builds only block row 0 of each mask, and relies on
+    # the full mask being block circulant in every g dividing the grid size
+    base = one_point_base(n, (n - 2) // 2)
+    npts = base.fiber(0).npoints
+    saw = TransitionProfile(linear_radius=0.45)
+    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    for i in (0, 1):
+        W = phi.leg_mask(0, i, npts)
+        assert circulant_order(W, n) == n
+        for g in (g for g in range(1, n + 1) if n % g == 0):
+            assert np.array_equal(phi.leg_mask(0, i, npts // g), W[: npts // g])
 

@@ -14,6 +14,7 @@ from indexpairing.dolbeault import (
 )
 from indexpairing.grids import FiberModel, ModelError
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, trace_tau
 from indexpairing.parametrix import (
     LocalizationError,
@@ -103,8 +104,8 @@ def test_spectral_index_matches_twist(twist, expected):
 def test_certified_rank_flags_ambiguity():
     sing = np.array([1.0, 1e-2, 3e-8])
     with pytest.raises(ThresholdAmbiguityError):
-        certified_rank(sing, threshold=1e-8)
-    assert certified_rank(np.array([1.0, 1e-2, 1e-12]), threshold=1e-8) == 2
+        certified_rank(sing)
+    assert certified_rank(np.array([1.0, 1e-2, 1e-12])) == 2
 
 
 def test_parametrix_remainders_are_kernel_projectors():
@@ -134,7 +135,7 @@ def test_index_is_stable_under_small_perturbations():
     from indexpairing.operators import LeafwiseOperatorFamily
 
     fam2 = LeafwiseOperatorFamily(base, [bumped], fam.order)
-    count = analytic_index(fam2, threshold=1e-3)
+    count = analytic_index(fam2)
     assert count.index(0) == 1
 
 
@@ -191,9 +192,10 @@ def test_localized_idempotent_converges_and_stays_local():
     assert abs(value - 8) <= 1e-6 * 8
 
 
-def test_localization_error_when_budget_exhausted():
+def test_localization_error_when_budget_exhausted(monkeypatch):
     space = trivial_space(n=24, N=8)
     fam = dolbeault_family(space.base, 8, levels=2)
+    monkeypatch.setattr(parametrix_module, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(LocalizationError):
-        index_idempotent(fam, radius=0.18, max_newton=1)
+        index_idempotent(fam, radius=0.18)
 

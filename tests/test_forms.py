@@ -50,7 +50,7 @@ def random_form(rng, base, degree, band=2):
     for x in range(len(base)):
         fib = base.fiber(x)
         cols = [
-            random_band_limited(rng, fib, band, real=False) for _ in range(ncomp)
+            random_band_limited(rng, fib, band) for _ in range(ncomp)
         ]
         fields.append(np.stack(cols, axis=1))
     return FoliatedForm(degree, r, fields)
@@ -75,7 +75,7 @@ def test_d_matches_spectral_oracle():
     fiber = base.fiber(0)
     rng = np.random.default_rng(4)
     block = np.stack(
-        [random_band_limited(rng, fiber, 3, real=False) for _ in range(4)], axis=1
+        [random_band_limited(rng, fiber, 3) for _ in range(4)], axis=1
     ).reshape(-1, 2, 2)
     for axis in (0, 1):
         got = spectral_derivative(block, axis, fiber)
@@ -144,7 +144,7 @@ def test_pullback_is_chain_map_with_d():
     base = torus_base(n=16, N=7)
     fib = base.fiber(0)
     m = AffineTorusMap.create([[1, 1], [0, 1]], [Fraction(1, 4), Fraction(1, 8)])
-    f = random_band_limited(rng, fib, 2, real=False)
+    f = random_band_limited(rng, fib, 2)
     form = FoliatedForm.from_scalar(base, [f])
     lhs = pullback_form_field(m, d_leafwise(form, base).fields[0], 16, 1)
     pulled = FoliatedForm.from_scalar(base, [pullback_form_field(m, f.reshape(-1, 1), 16, 0)[:, 0]])
@@ -168,7 +168,7 @@ def test_invariant_projection_kills_odd_modes():
 def test_invariant_projection_fixes_invariants_and_is_idempotent():
     space = half_shift_space()
     rng = np.random.default_rng(21)
-    seeds = [np.exp(random_band_limited(rng, space.base.fiber(0), 2))]
+    seeds = [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))]
     cut = compute_cutoff(space, seeds)
     form = random_form(rng, space.base, 1, band=3)
     proj = invariant_project_form(space, cut, form)
@@ -213,7 +213,7 @@ def test_integrate_rejects_bad_inputs():
 def test_integral_of_exact_invariant_form_vanishes():
     space = half_shift_space(n=10, N=4)
     rng = np.random.default_rng(31)
-    cut = compute_cutoff(space, [np.exp(random_band_limited(rng, space.base.fiber(0), 2))])
+    cut = compute_cutoff(space, [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))])
     dens = TransversalDensity.uniform(space)
     for _ in range(5):
         beta = invariant_project_form(
@@ -230,7 +230,7 @@ def test_integral_independent_of_cutoff():
     dens = TransversalDensity.uniform(space)
     cut1 = compute_cutoff(space)
     cut2 = compute_cutoff(
-        space, [np.exp(random_band_limited(rng, space.base.fiber(0), 2))]
+        space, [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))]
     )
     alpha = invariant_project_form(
         space, cut1, random_form(rng, space.base, 2, band=3)

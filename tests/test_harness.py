@@ -219,6 +219,67 @@ def test_scenario_defaults_filled():
             ),
             "fiber.dim must be at least 2",
         ),
+        # JSON admits NaN and Infinity; a NaN tolerance would pass every gate
+        (
+            lambda raw: raw.update(tolerances={"invariant_tol": float("nan")}),
+            "tolerances.invariant_tol must be finite",
+        ),
+        (
+            lambda raw: raw.update(tolerances={"pairing_tol": float("inf")}),
+            "tolerances.pairing_tol must be finite",
+        ),
+        (
+            lambda raw: raw["groupoid"].update(base_weights=[float("nan")]),
+            "groupoid.base_weights must be finite",
+        ),
+        (
+            lambda raw: raw.update(density={"values": [float("inf")]}),
+            "density.values must be finite",
+        ),
+        (lambda raw: raw.update(localize=float("nan")), "localize"),
+        (lambda raw: raw["fiber"].update(grid=2**70), "fiber.grid must fit in 64 bits"),
+        (lambda raw: raw.update(localize=10**400), "scenario.localize must fit in 64 bits"),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}}, fiber_action={"translation": ["1/2", 1e999]}
+            ),
+            "fiber_action.translation: 'inf' is not a fraction",
+        ),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}},
+                fiber_action={"translation": ["1/2", "1e999999999"]},
+            ),
+            "fiber_action.translation: '1e999999999' is not a fraction",
+        ),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}}, fiber_action={"translation": ["1/2", True]}
+            ),
+            "fiber_action.translation: 'True' is not a fraction",
+        ),
+        # load budgets: each of these used to fail in a later stage, or take long
+        (
+            lambda raw: raw.update(groupoid={"group": {"cyclic": 64}, "base_points": 16}),
+            "cyclic.3 * base_points must be at most 2.18",
+        ),
+        (
+            lambda raw: raw.update(groupoid={"group": {"cyclic": 200}}),
+            "groupoid.group.cyclic 200 over 1 base points is too large",
+        ),
+        (lambda raw: raw["operator"].update(levels=0), "operator.levels must be at least 1"),
+        (
+            lambda raw: raw["operator"].update(twist=-50),
+            "operator.twist -50 with 2 levels needs",
+        ),
+        (
+            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 4}),
+            "cocycle.degree must be 0 or 2",
+        ),
+        (
+            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 2, "band": -1}),
+            "cocycle.band must be in",
+        ),
     ],
 )
 def test_scenario_validation_names_offending_field(mutate, fragment):
@@ -354,7 +415,7 @@ def test_cochain_table_roundtrip():
     base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
     rng = np.random.default_rng(5)
     factors = [
-        [random_band_limited(rng, base.fiber(0), 2, real=False)] for _ in range(3)
+        [random_band_limited(rng, base.fiber(0), 2)] for _ in range(3)
     ]
     phi = ASCochain.elementary(base, factors, germ_radius=2.0)
     table = cochain_to_table(phi, band=2)
@@ -366,10 +427,26 @@ def test_cochain_table_roundtrip():
 
 
 def test_cochain_table_length_checked():
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
-    table = [{"weight": [1.0, 0.0], "factors": [[[[1.0, 0.0]]], [[[1.0, 0.0]]]]}]
-    with pytest.raises(ScenarioError, match="mode coefficients"):
-        _cochain_from_table(base, 1, 2, table)
+    # the table's shape is checked at load, not when the cocycle is built;
+    # degree 2 and band 2 on a two-dimensional fiber take 3 slots of 25 modes
+    cases = [
+        (5, "cocycle.terms must be a list"),
+        ([{"factors": [[[[1.0, 0.0]]]]}], "3 factor slots"),
+        ([{"factors": [[[[1.0, 0.0]]]] * 3}], r"25 \[re, im\] mode"),
+        ([{"factors": [[[[1.0, 0.0]] * 25] * 2] * 3}], "holding 1 lists"),
+        ([{"factors": [[[[1.0]] * 25]] * 3}], r"25 \[re, im\] mode"),
+        ([{"weight": [1.0], "factors": [[[[1.0, 0.0]] * 25]] * 3}], "weight"),
+        ([{"factors": [[[["x", 0.0]] * 25]] * 3}], "factors must be float"),
+    ]
+    for terms, fragment in cases:
+        doc = cheap_scenario(
+            cocycle={"kind": "elementary", "degree": 2, "band": 2, "terms": terms}
+        )
+        with pytest.raises(ScenarioError, match=fragment):
+            _validate(doc)
+    good = [{"factors": [[[[1.0, 0.0]] * 25]] * 3}]
+    doc["cocycle"]["terms"] = good
+    assert _validate(doc).cocycle["terms"] == [{"weight": [1.0, 0.0], **good[0]}]
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +716,23 @@ def test_cli_run_builtin_and_overrides(tmp_path, capsys):
     )
     assert echo["tolerances"]["pairing_tol"] == 1e-3
     assert echo["seed"] == 42
+
+
+def test_cli_run_overrides_are_validated(tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["run", "--scenario", "S1-dolbeault-d1", "--out", str(out)]
+    assert main(argv + ["--seed", "9", "--tol", "1e-5"]) == 0
+    echo = out / "S1-dolbeault-d1.scenario.json"
+    again = load_scenario(echo)
+    assert (again.seed, again.pairing_tol) == (9, 1e-5)
+    echo.unlink()
+    for bad in (["--seed", "-1"], ["--tol", "-1"], ["--tol", "nan"], ["--seed", str(2**64)]):
+        assert main(argv + bad) == 1, bad
+        assert not echo.exists(), bad
+    err = capsys.readouterr().err
+    assert "scenario.seed must fit in 64 bits" in err
+    assert "tolerances.pairing_tol must be positive" in err
+    assert "tolerances.pairing_tol must be finite" in err
 
 
 def test_cli_run_scenario_file_and_errors(tmp_path, capsys):

@@ -30,10 +30,7 @@ KEPT_ORACLES = {
     "SectionBasis.project": "test_calculus::test_identity_block_band_limits",
     "SectionBasis.synthesize": "test_calculus::test_identity_block_band_limits",
     "SmoothingKernel.invariance_defect": "test_calculus::test_average_kernel_enforces_invariance_and_fixes_invariants",
-    "TransitionProfile.compact": "test_pairing::test_profile_compact_support",
     "TransitionProfile.fourier_coefficients": "test_pairing::test_profile_fourier_reconstruction",
-    "bott_projector": "test_charclass::test_bott_projector_unit_charge",
-    "bott_reference": "test_charclass::test_bott_projector_unit_charge",
     "char_difference": "test_charclass::test_chern_additive_on_direct_sums",
     "dolbeault_apply_fd": "test_dolbeault::test_ladder_matches_finite_difference_application",
     "family_invariance_defect": "test_calculus::test_family_invariance_detects_asymmetry",
