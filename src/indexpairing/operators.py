@@ -419,12 +419,10 @@ def average_kernel(
     return SmoothingKernel(gspace.base, out, kern.support_radius)
 
 
-def trace_tau(
-    kern: SmoothingKernel,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
-    invariance_tol: float = 1e-8,
-) -> complex:
+TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
+
+
+def trace_tau(kern: SmoothingKernel, cutoff: CutoffDensity, dens: TransversalDensity) -> complex:
     """Cutoff-weighted trace of an invariant smoothing family.
 
     tau(K) = sum over base points of mass * sum_z c(z) M_x[z, z].
@@ -432,7 +430,7 @@ def trace_tau(
     orbit-constant mass; both properties fail without invariance, hence the
     check.
     """
-    require_invariant(dens.gspace, invariance_tol, "trace", kern)
+    require_invariant(dens.gspace, TRACE_INVARIANCE_TOL, "trace", kern)
     return _weighted_diag_trace(kern, cutoff, dens)
 
 

@@ -42,9 +42,13 @@ leg masks W0, W1 the even terms are this rotation sum S(K) of
 S(K^T); the chain is (S(K) - S(K^T)) / 6 in four products for any K.  When
 K is hermitian and the masks are real, S(K^T) is the conjugate of S(K) and
 the chain is 2i Im S(K) / 6 in two products; that form is taken only after
-an O(n^2) check of the hermitian defect.  An elementary term with slot
-fields d0, d1, d2 is the rotation sum of (A0, A1, A2) minus that of
-(A0, A2, A1), with Ai = diag(di) K: four products instead of six.
+an O(n^2) check of the hermitian defect.  Each trace of an elementary term
+w d0 (x) d1 (x) d2 reads a middle field m between its cyclic neighbours p
+and q: tr(D diag(p) K diag(m) K diag(q) K) = (c p)^T (Q(m) o K^T) q with
+Q(m) = K diag(m) K.  So the term is w / 6 times the sum over slots s of
+(c d_{s-1})^T M_s d_{s+1} - (c d_{s+1})^T M_s d_{s-1}, M_s = Q(d_s) o K^T,
+for any K: one product per distinct slot field, three for the coboundary
+of a degree-1 elementary cochain (fields 1, f0 and f1).
 
 The leg masks are functions of z - w, so they commute with every grid
 translation.  When K is block circulant in g blocks (``circulant_order``),
@@ -174,17 +178,6 @@ class ProfileCochain:
         self.degree = len(legs)
         self.germ_radius = min(p.linear_radius for _, p in legs)
 
-    def evaluate_batch(self, x: int, tuples: np.ndarray) -> np.ndarray:
-        fiber = self.base.fiber(x)
-        pts = grid_points(fiber.grid_size, fiber.dim)
-        tuples = np.asarray(tuples, dtype=int)
-        if tuples.ndim != 2 or tuples.shape[1] != self.degree + 1:
-            raise ModelError("tuples must have degree+1 columns")
-        out = np.ones(len(tuples))
-        for i, (axis, prof) in enumerate(self.legs):
-            out = out * prof(pts[tuples[:, i + 1], axis] - pts[tuples[:, i], axis])
-        return out
-
     def leg_mask(self, x: int, i: int, rows: int) -> np.ndarray:
         """Rows [0, rows) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber over x.
 
@@ -275,11 +268,6 @@ def _kernel_reach(idem: IndexIdempotent) -> float:
     return reach
 
 
-def _pointwise_field(phi, x: int, npts: int) -> np.ndarray:
-    tuples = np.arange(npts)[:, None]
-    return np.asarray(phi.evaluate_batch(x, tuples))
-
-
 def pair_cocycle(
     idem: IndexIdempotent,
     phi,
@@ -320,7 +308,7 @@ def pair_cocycle(
     s0, s1 = idem.families
     if k == 0:
         fields = [
-            _pointwise_field(phi, x, idem.base.fiber(x).npoints)
+            phi.evaluate_batch(x, np.arange(idem.base.fiber(x).npoints)[:, None])
             for x in range(len(idem.base))
         ]
         trace0, trace1 = (
@@ -342,17 +330,22 @@ def pair_cocycle(
     return weight * complex(total)
 
 
+def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B: every product of both k = 1 chains, countable in one place."""
+    return A @ B
+
+
 def _rotation_sum(cw: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
     """tr(D XYZ) + tr(D ZXY) + tr(D YZX) with D = diag(cw), in two products.
 
-    With P = XY and R = YZ the three traces are tr(D P Z), tr(D Z P) and
-    tr(D R X), each an O(n^2) sum of entrywise products.  X, Y and Z may
-    also be stacks (g, B, B) of Fourier blocks; the traces are then summed
-    over the stack, and cw must hold the orbit sums of the weight divided
-    by g, since block C_0 is the mean of the Fourier blocks.
+    Serves the profile chain only.  With P = XY and R = YZ the traces are
+    tr(D P Z), tr(D Z P) and tr(D R X), each an O(n^2) sum of entrywise
+    products.  X, Y and Z may also be stacks (g, B, B) of Fourier blocks;
+    the traces are then summed over the stack, and cw must hold the orbit
+    sums of the weight over g, as block C_0 is the mean of the blocks.
     """
-    P = X @ Y
-    R = Y @ Z
+    P = _product(X, Y)
+    R = _product(Y, Z)
     trace = partial(np.einsum, "i,...ij,...ji->...", cw)
     return complex(np.sum(trace(P, Z) + trace(Z, P) + trace(R, X)))
 
@@ -398,9 +391,18 @@ def _weighted_profile_chain(
 def _weighted_elementary_chain(
     phi: ASCochain, x: int, cw: np.ndarray, K: np.ndarray
 ) -> complex:
-    total = 0.0 + 0.0j
+    """The k = 1 chain of K against the slot products of phi over base point x.
+
+    One M = Q(m) o K^T per distinct middle field m, keyed by its bytes.
+    """
+    by_middle: dict[bytes, tuple] = {}
     for term in phi.terms:
-        A0, A1, A2 = (np.asarray(fam[x])[:, None] * K for fam in term.factors)
-        even = _rotation_sum(cw, A0, A1, A2)
-        total += term.weight * (even - _rotation_sum(cw, A0, A2, A1))
+        d = [np.asarray(fam[x], dtype=complex) for fam in term.factors]
+        for s in range(3):
+            _, reads = by_middle.setdefault(d[s].tobytes(), (d[s], []))
+            reads.append((term.weight, d[s - 1], d[(s + 1) % 3]))
+    total = 0.0 + 0.0j
+    for m, reads in by_middle.values():
+        M = _product(K * m, K) * K.T
+        total += sum(w * ((cw * p) @ M @ q - (cw * q) @ M @ p) for w, p, q in reads)
     return complex(total) / 6.0

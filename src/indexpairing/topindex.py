@@ -50,6 +50,7 @@ from .space import FiberedGSpace
 ORIENTATION_SIGN = -1.0
 # Landau levels of the operator realized on the half-shift quotient
 QUOTIENT_LEVELS = 4
+REDUCTION_INVARIANT_TOL = 1e-8  # free_action_reduction's gates, relative to the form scale
 
 
 class NonFreeActionError(ModelError):
@@ -218,7 +219,6 @@ def free_action_reduction(
     dens: TransversalDensity,
     alpha: FoliatedForm,
     sclass: CharClassForm,
-    invariant_tol: float = 1e-8,
 ) -> complex:
     """Same integral evaluated over a fundamental domain of a free action.
 
@@ -228,7 +228,7 @@ def free_action_reduction(
     """
     _assert_unimodular(dens)
     indicators = fundamental_domain_indicator(space)
-    return _class_integral(space, indicators, dens, alpha, sclass, invariant_tol)
+    return _class_integral(space, indicators, dens, alpha, sclass, REDUCTION_INVARIANT_TOL)
 
 
 def half_shift_quotient_index(fiber: FiberModel, twist: int) -> int:

@@ -48,6 +48,18 @@ def elementary_one_cochain(rng, base, band=2, germ=2.0):
     return ASCochain(base, 1, [ASTerm(1.0, tuple(fams))], germ_radius=germ)
 
 
+def profile_values(phi, x, tuples):
+    """Pointwise values of a profile cochain: the product of its leg profiles."""
+    fiber = phi.base.fiber(x)
+    pts = grid_points(fiber.grid_size, fiber.dim)
+    tuples = np.asarray(tuples, dtype=int)
+    assert tuples.ndim == 2 and tuples.shape[1] == phi.degree + 1
+    out = np.ones(len(tuples))
+    for i, (axis, prof) in enumerate(phi.legs):
+        out = out * prof(pts[tuples[:, i + 1], axis] - pts[tuples[:, i], axis])
+    return out
+
+
 def test_profile_linear_region_is_exact():
     p = TransitionProfile(linear_radius=0.45)
     t = np.array([0.0, 0.1, -0.3, 0.45, -0.45])
@@ -100,7 +112,7 @@ def test_profile_cochain_evaluates_leg_products():
         np.meshgrid(*([np.arange(12) / 12.0] * 2), indexing="ij"), axis=-1
     ).reshape(-1, 2)
     tuples = np.array([[0, 13, 27], [5, 5, 5], [3, 40, 100]])
-    vals = phi.evaluate_batch(0, tuples)
+    vals = profile_values(phi, 0, tuples)
     for row, val in zip(tuples, vals):
         h1 = pts[row[1], 0] - pts[row[0], 0]
         h2 = pts[row[2], 1] - pts[row[1], 1]
@@ -157,7 +169,7 @@ def test_to_elementary_matches_profile_values():
     elem = phi.to_elementary()
     rng = np.random.default_rng(3)
     tuples = rng.integers(0, 34 * 34, size=(40, 3))
-    direct = phi.evaluate_batch(0, tuples)
+    direct = profile_values(phi, 0, tuples)
     expanded = elem.evaluate_batch(0, tuples)
     assert np.max(np.abs(direct - expanded)) <= 2e-4
 
@@ -421,20 +433,22 @@ class FixedMasks:
         return self.masks[i][:rows]
 
 
-def _count_rotation_sums(monkeypatch):
+@pytest.fixture
+def chain_products(monkeypatch):
+    """One entry for every product either k = 1 chain takes."""
     calls = []
-    inner = pairing._rotation_sum
+    inner = pairing._product
 
-    def counted(*args):
+    def counted(A, B):
         calls.append(1)
-        return inner(*args)
+        return inner(A, B)
 
-    monkeypatch.setattr(pairing, "_rotation_sum", counted)
+    monkeypatch.setattr(pairing, "_product", counted)
     return calls
 
 
 @pytest.mark.parametrize("which", ["general", "hermitian"])
-def test_profile_chain_matches_six_term_oracle(which, monkeypatch):
+def test_profile_chain_matches_six_term_oracle(which, chain_products):
     base = torus_base(n=8, N=3)
     npts = base.fiber(0).npoints
     rng = np.random.default_rng(31)
@@ -446,17 +460,17 @@ def test_profile_chain_matches_six_term_oracle(which, monkeypatch):
     # the rotation identity needs no antisymmetry of the masks
     general_masks = [rng.standard_normal((npts, npts)) for _ in range(2)]
     general = FixedMasks(base, general_masks)
-    calls = _count_rotation_sums(monkeypatch)
     for cochain, masks in ((phi, profile_masks), (general, general_masks)):
         want = six_term_profile_chain(masks, cw, K)
+        chain_products.clear()
         got = _weighted_profile_chain(cochain, 0, cw, K)
         assert abs(got - want) <= 1e-13 * abs(want)
-    # a hermitian kernel takes the two-product form (one rotation sum), any
-    # other kernel the four-product form (two)
-    assert len(calls) == (2 if which == "hermitian" else 4)
+        # a hermitian kernel takes the two-product form (one rotation sum),
+        # any other kernel the four-product form (two)
+        assert len(chain_products) == (2 if which == "hermitian" else 4)
 
 
-def test_profile_chain_nearly_hermitian_kernel_takes_four_products(monkeypatch):
+def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_products):
     base = torus_base(n=8, N=3)
     npts = base.fiber(0).npoints
     rng = np.random.default_rng(37)
@@ -466,17 +480,16 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(monkeypatch):
     saw = TransitionProfile(linear_radius=0.3, flatness=6)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
     masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
-    calls = _count_rotation_sums(monkeypatch)
     want = six_term_profile_chain(masks, cw, K)
     got = _weighted_profile_chain(phi, 0, cw, K)
-    assert len(calls) == 2
+    assert len(chain_products) == 4
     assert abs(got - want) <= 1e-13 * abs(want)
     # the two-product form would drop the real part this perturbation makes
     assert abs(want.real) > 1e-13 * abs(want)
 
 
 @pytest.mark.parametrize("which", ["general", "hermitian"])
-def test_elementary_chain_matches_six_term_oracle(which):
+def test_elementary_chain_matches_six_term_oracle(which, chain_products):
     base = torus_base(n=8, N=3)
     npts = base.fiber(0).npoints
     rng = np.random.default_rng(41)
@@ -489,7 +502,27 @@ def test_elementary_chain_matches_six_term_oracle(which):
             for _ in range(3)
         )
         terms.append(ASTerm(weight, fams))
-    phi = ASCochain(base, 2, terms, germ_radius=2.0)
-    want = six_term_elementary_chain(phi, 0, cw, K)
-    got = _weighted_elementary_chain(phi, 0, cw, K)
-    assert abs(got - want) <= 1e-13 * abs(want)
+    f, g, h = terms[0].factors
+    psi = ASCochain.elementary(
+        base,
+        [[random_band_limited(rng, base.fiber(0), band=2)] for _ in range(2)],
+        germ_radius=2.0,
+    )
+    # equal by value, distinct array objects
+    f2, g2, h2 = ([fam[0].copy()] for fam in (f, g, h))
+    # input -> (terms, slot fields distinct by value): one product per field
+    inputs = {
+        "general": (terms, 6),
+        "coboundary": (d_as(psi).terms, 3),
+        "equal copies": ([terms[0], ASTerm(0.3 - 0.7j, (g2, f2, h2))], 3),
+        # (g, f, g) alternates to zero, so a misread slot leaves a
+        # remainder of the chain's size
+        "repeated field": ([terms[0], ASTerm(0.3 - 0.7j, (g, f, g2))], 3),
+    }
+    for name, (phi_terms, distinct) in inputs.items():
+        phi = ASCochain(base, 2, phi_terms, germ_radius=2.0)
+        want = six_term_elementary_chain(phi, 0, cw, K)
+        chain_products.clear()
+        got = _weighted_elementary_chain(phi, 0, cw, K)
+        assert abs(got - want) <= 1e-13 * abs(want), name
+        assert len(chain_products) == distinct, name
