@@ -39,7 +39,7 @@ class ASCochain:
         base: BaseModel,
         degree: int,
         terms: list[ASTerm],
-        germ_radius: float | None = None,
+        germ_radius: float,
         check_band: bool = True,
     ):
         if degree < 0:
@@ -47,9 +47,6 @@ class ASCochain:
         self.base = base
         self.degree = degree
         self.terms = list(terms)
-        if germ_radius is None:
-            # default: three grid spacings of the finest fiber
-            germ_radius = 3.0 / max(base.fiber(x).grid_size for x in range(len(base)))
         if germ_radius <= 0:
             raise ModelError("germ radius must be positive")
         self.germ_radius = float(germ_radius)
@@ -72,7 +69,7 @@ class ASCochain:
         cls,
         base: BaseModel,
         factors: list[ScalarFamily],
-        germ_radius: float | None = None,
+        germ_radius: float,
     ) -> "ASCochain":
         fams = tuple(
             [np.asarray(f, dtype=complex).reshape(-1) for f in fam] for fam in factors
@@ -80,7 +77,7 @@ class ASCochain:
         return cls(base, len(factors) - 1, [ASTerm(1.0, fams)], germ_radius)
 
     @classmethod
-    def unit(cls, base: BaseModel, germ_radius: float | None = None) -> "ASCochain":
+    def unit(cls, base: BaseModel, germ_radius: float) -> "ASCochain":
         """The constant degree-0 cochain with value 1."""
         ones = [np.ones(base.fiber(x).npoints, dtype=complex) for x in range(len(base))]
         return cls.elementary(base, [ones], germ_radius=germ_radius)

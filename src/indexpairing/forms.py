@@ -21,8 +21,8 @@ import numpy as np
 
 from .density import CutoffDensity, TransversalDensity
 from .grids import ModelError, spectral_derivative
-from .groupoid import Arrow, BaseModel
-from .space import AffineTorusMap, FiberedGSpace
+from .groupoid import BaseModel
+from .space import FiberedGSpace
 
 
 class DegreeError(ModelError):
@@ -48,26 +48,6 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     """Sign of the shuffle sorting left+right, both inputs sorted and disjoint."""
     inversions = sum(1 for i in left for j in right if i > j)
     return -1 if inversions % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def _minor_matrix(A_flat: tuple, r: int, q: int) -> np.ndarray:
-    """Minors M[J, I] = det(A[rows J, cols I]) over size-q subsets."""
-    A = np.asarray(A_flat, dtype=float).reshape(r, r)
-    subs = index_subsets(r, q)
-    M = np.empty((len(subs), len(subs)))
-    for jj, J in enumerate(subs):
-        for ii, I in enumerate(subs):
-            if q == 0:
-                M[jj, ii] = 1.0
-            else:
-                M[jj, ii] = np.linalg.det(A[np.ix_(J, I)])
-    return M
-
-
-def minor_matrix(A: np.ndarray, q: int) -> np.ndarray:
-    A = np.asarray(A)
-    return _minor_matrix(tuple(A.ravel().tolist()), A.shape[0], q)
 
 
 @dataclass
@@ -206,33 +186,11 @@ def wedge(f1: FoliatedForm, f2: FoliatedForm) -> FoliatedForm:
     return FoliatedForm(f1.degree + f2.degree, f1.fiber_dim, out_fields, invariant=invariant)
 
 
-def pullback_form_field(m: AffineTorusMap, field: np.ndarray, n: int, q: int) -> np.ndarray:
-    """Pointwise pullback of a single q-form field under an affine torus map.
-
-    out_I(z) = sum_J field_J(m z) det(A[J, I]).
-    """
-    pulled = m.pullback_field(field, n)
-    if q == 0:
-        return pulled
-    M = minor_matrix(m.A, q)
-    return pulled @ M
-
-
-def transport_form(gspace: FiberedGSpace, a: Arrow, field: np.ndarray, q: int) -> np.ndarray:
-    """Carry a q-form field on the source fiber to the target fiber.
-
-    Matches the function transport: the result is the pullback of the source
-    field under the stored target-to-source fiber map.
-    """
-    n = gspace.base.fiber(a.src).grid_size
-    return pullback_form_field(gspace.fiber_map(a), field, n, q)
-
-
 def form_invariance_defect(gspace: FiberedGSpace, form: FoliatedForm) -> float:
     """Max over arrows of the transport mismatch of the family."""
     worst = 0.0
     for a in gspace.groupoid.arrows:
-        moved = transport_form(gspace, a, form.fields[a.src], form.degree)
+        moved = gspace.transport(a, form.fields[a.src])
         worst = max(worst, float(np.max(np.abs(form.fields[a.tgt] - moved))))
     return worst
 
@@ -246,19 +204,14 @@ def invariant_project_form(
     of the target component.  Fixes invariant inputs exactly (partition
     identity) and always lands in the invariants.
     """
-    q = form.degree
     out_fields = []
     for x in range(len(gspace.base)):
-        n = gspace.base.fiber(x).grid_size
         acc = np.zeros_like(form.fields[x])
         for a in gspace.groupoid.arrows_from(x):
             weight = gspace.eval_after_action(a, cutoff.fields[a.tgt]).real
-            pulled = pullback_form_field(
-                gspace.point_action(a), form.fields[a.tgt], n, q
-            )
-            acc += weight[:, None] * pulled
+            acc += weight[:, None] * gspace.eval_after_action(a, form.fields[a.tgt])
         out_fields.append(acc)
-    return FoliatedForm(q, form.fiber_dim, out_fields, invariant=True)
+    return FoliatedForm(form.degree, form.fiber_dim, out_fields, invariant=True)
 
 
 def integrate_invariant(
@@ -268,8 +221,7 @@ def integrate_invariant(
 
     Value = sum over base points of weight*mass * mean_z c(z) * top component.
     Independent of the cutoff choice and zero on derivatives of invariant
-    forms, provided the action is orientation preserving and the transverse
-    mass is orbit-constant.
+    forms, provided the transverse mass is orbit-constant.
     """
     if form.degree != form.fiber_dim:
         raise DegreeError("integration requires a top-degree form")

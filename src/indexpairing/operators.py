@@ -124,8 +124,7 @@ def transport_matrix(
     projecting onto the codomain basis.  Unitary whenever the transported
     columns stay inside the codomain span.
     """
-    perm = gspace.fiber_map(a).grid_permutation(domain.fiber.grid_size)
-    moved = domain.matrix[perm, :]
+    moved = domain.matrix[gspace.permutation(a), :]
     return codomain.matrix.conj().T @ moved / domain.fiber.npoints
 
 
@@ -318,8 +317,7 @@ class SmoothingKernel:
         return max(_norm_lower_bound(m) for m in self.mats)
 
     def _moved(self, gspace: FiberedGSpace, a) -> np.ndarray:
-        n = gspace.base.fiber(a.src).grid_size
-        perm = gspace.point_action(a).grid_permutation(n)
+        perm = gspace.permutation(gspace.groupoid.inverse(a))
         return self.mats[a.tgt][np.ix_(perm, perm)]
 
     def invariance_defect(self, gspace: FiberedGSpace) -> float:
@@ -410,11 +408,10 @@ def average_kernel(
     """
     out = []
     for x in range(len(gspace.base)):
-        n = gspace.base.fiber(x).grid_size
         acc = np.zeros_like(kern.mats[x])
         for a in gspace.groupoid.arrows_from(x):
-            perm = gspace.point_action(a).grid_permutation(n)
-            acc += cutoff.fields[a.tgt][perm][:, None] * kern._moved(gspace, a)
+            weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
+            acc += weight[:, None] * kern._moved(gspace, a)
         out.append(acc)
     return SmoothingKernel(gspace.base, out, kern.support_radius)
 

@@ -184,32 +184,29 @@ def _assert_unimodular(dens: TransversalDensity) -> None:
 def fundamental_domain_indicator(space: FiberedGSpace) -> list[np.ndarray]:
     """Indicator fields of orbit representatives on the total space.
 
-    Requires the action to be free away from units; otherwise the fixed
-    fiber points are reported.  The indicators form an exact partition of
-    unity over each orbit, so they can replace the smooth cutoff.
+    Grid point z over x has the key x * npoints + z, and it represents its
+    orbit exactly when no point of the orbit has a smaller key.  Requires the
+    action to be free away from units; otherwise the fixed fiber points are
+    reported.  The indicators form an exact partition of unity over each
+    orbit, so they can replace the smooth cutoff.
     """
-    base = space.base
-    perms = {}
-    for a in space.groupoid.arrows:
-        n = base.fiber(a.src).grid_size
-        perms[a.label] = space.point_action(a).grid_permutation(n)
-        if a.src == a.tgt and a != space.groupoid.units[a.src]:
-            fixed = np.nonzero(perms[a.label] == np.arange(base.fiber(a.src).npoints))[0]
-            if fixed.size:
-                pts = base.fiber(a.src).points()[fixed[:4]]
-                raise NonFreeActionError(
-                    f"arrow {a.label!r} fixes {fixed.size} fiber points, "
-                    f"first at coordinates {np.array2string(pts, precision=4)}"
-                )
-    indicators = [np.zeros(base.fiber(x).npoints) for x in range(len(base))]
-    visited = [np.zeros(base.fiber(x).npoints, dtype=bool) for x in range(len(base))]
+    base, gpd = space.base, space.groupoid
+    indicators = []
     for x in range(len(base)):
-        for z in range(base.fiber(x).npoints):
-            if visited[x][z]:
-                continue
-            indicators[x][z] = 1.0
-            for a in space.groupoid.arrows_from(x):
-                visited[a.tgt][perms[a.label][z]] = True
+        fiber = base.fiber(x)
+        keys = x * fiber.npoints + np.arange(fiber.npoints)
+        least = keys
+        for a in gpd.arrows_from(x):
+            perm = space.permutation(gpd.inverse(a))
+            if a.tgt == x and a != gpd.units[x]:
+                fixed = np.flatnonzero(perm == np.arange(fiber.npoints))
+                if fixed.size:
+                    raise NonFreeActionError(
+                        f"arrow {a.label!r} fixes {fixed.size} fiber points, first at "
+                        f"coordinates {np.array2string(fiber.points()[fixed[:4]], precision=4)}"
+                    )
+            least = np.minimum(least, a.tgt * fiber.npoints + perm)
+        indicators.append((least == keys).astype(float))
     return indicators
 
 
@@ -279,22 +276,12 @@ def family_index_orbifold(
     counts = analytic_index(fam, space)
     per_point = [counts.index(x) for x in range(len(base))]
     _assert_unimodular(dens)
-    # orbit representatives over the base
-    seen = np.zeros(len(base), dtype=bool)
+    # one representative per base orbit: its least member
     orbit_sum = 0.0
     for x in range(len(base)):
-        if seen[x]:
+        members = {a.tgt for a in space.groupoid.arrows_from(x)}
+        if x != min(members):
             continue
-        stack = [x]
-        seen[x] = True
-        members = []
-        while stack:
-            y = stack.pop()
-            members.append(y)
-            for a in space.groupoid.arrows_from(y):
-                if not seen[a.tgt]:
-                    seen[a.tgt] = True
-                    stack.append(a.tgt)
         masses = {dens.mass(y) for y in members}
         if max(masses) - min(masses) > 1e-12:
             raise ModelError(

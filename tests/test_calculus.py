@@ -44,12 +44,14 @@ def trivial_space(n=12, N=3, dim=2):
     return FiberedGSpace.trivial(gpd)
 
 
-def swap_space(n=12, N=3):
+def diagonal_shift_space(n=12, N=3):
+    """Z/3 acting on T^2 by the diagonal third-period shift."""
     base = torus_base(n, N, 2)
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    swap = AffineTorusMap.create([[0, 1], [1, 0]], [0, 0])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): swap})
+    gpd = action_groupoid(FiniteGroup.cyclic(3), base, act=lambda g, x: x)
+    maps = {
+        a.label: AffineTorusMap.translation([Fraction(a.label[0], 3)] * 2) for a in gpd.arrows
+    }
+    return FiberedGSpace(gpd, maps)
 
 
 def half_shift_space(n=12, N=3):
@@ -150,12 +152,12 @@ def test_trace_tau_rank_one_kernel():
 
 
 def test_trace_tau_rejects_non_invariant_kernels():
-    space = swap_space()
+    space = diagonal_shift_space()
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     fiber = space.base.fiber(0)
     pts = grid_points(fiber.grid_size, 2)
-    h = 1.0 + np.cos(2 * np.pi * pts[:, 0])  # not swap symmetric
+    h = 1.0 + np.cos(2 * np.pi * pts[:, 0])  # not third-shift invariant
     kern = SmoothingKernel(space.base, [np.diag(h).astype(complex) / fiber.npoints])
     with pytest.raises(InvarianceError):
         trace_tau(kern, cutoff, dens)
@@ -221,7 +223,7 @@ def test_trace_tau_is_cutoff_independent():
 
 def test_trace_tau_trace_property():
     """tau(K1 K2) = tau(K2 K1) for invariant kernels, skewed cutoff included."""
-    space = swap_space()
+    space = diagonal_shift_space()
     rng = np.random.default_rng(29)
     uniform = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
@@ -262,7 +264,7 @@ def test_trace_symbol_formula_requires_smoothing_order():
 
 
 def test_transport_matrix_is_unitary_for_box_preserving_maps():
-    space = swap_space()
+    space = diagonal_shift_space()
     fiber = space.base.fiber(0)
     basis = fourier_basis(fiber)
     a = space.groupoid.arrows[1]
@@ -271,18 +273,25 @@ def test_transport_matrix_is_unitary_for_box_preserving_maps():
 
 
 def test_family_invariance_detects_asymmetry():
-    space = swap_space()
+    # Fourier multipliers commute with every translation, so the symbols
+    # carry a z-dependent factor: cos(2 pi (z1 - z2)) is invariant under
+    # the diagonal shift, cos(2 pi z1) is not
+    space = diagonal_shift_space()
     base = space.base
-    symmetric = multiplier_symbol(
-        base, lambda modes: 1.0 + np.sum(modes.astype(float) ** 2, axis=1), order=2.0
-    )
-    lopsided = multiplier_symbol(base, lambda modes: 1.0 + modes[:, 0].astype(float), order=1.0)
-    assert family_invariance_defect(space, quantize(symmetric)) <= 1e-12
-    assert family_invariance_defect(space, quantize(lopsided)) >= 0.5
+    pts = grid_points(12, 2)
+    xipart = 1.0 + np.sum(base.fiber(0).modes().astype(float) ** 2, axis=1)
+
+    def family(zpart):
+        return quantize(SymbolData(base, 2.0, [zpart[:, None] * xipart[None, :]]))
+
+    symmetric = family(2.0 + np.cos(2 * np.pi * (pts[:, 0] - pts[:, 1])))
+    lopsided = family(2.0 + np.cos(2 * np.pi * pts[:, 0]))
+    assert family_invariance_defect(space, symmetric) <= 1e-12
+    assert family_invariance_defect(space, lopsided) >= 0.5
 
 
 def test_average_kernel_enforces_invariance_and_fixes_invariants():
-    space = swap_space()
+    space = diagonal_shift_space()
     rng = np.random.default_rng(17)
     cutoff = compute_cutoff(space)
     raw = rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))

@@ -12,7 +12,7 @@ from indexpairing.cochains import (
     van_est_realize,
 )
 from indexpairing.density import compute_cutoff
-from indexpairing.forms import DegreeError, d_leafwise, transport_form
+from indexpairing.forms import DegreeError, d_leafwise
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing.space import AffineTorusMap, FiberedGSpace
@@ -40,7 +40,7 @@ def elementary(base, rng, k, band=1):
         factors.append(
             [random_band_limited(rng, base.fiber(x), band) for x in range(len(base))]
         )
-    return ASCochain.elementary(base, factors)
+    return ASCochain.elementary(base, factors, germ_radius=2.0)
 
 
 def sample_tuples(rng, npoints, k, count=40):
@@ -51,7 +51,7 @@ def test_d_as_degree_zero_difference():
     base = circle_base()
     rng = np.random.default_rng(1)
     f = random_band_limited(rng, base.fiber(0), 2)
-    phi = ASCochain.elementary(base, [[f]])
+    phi = ASCochain.elementary(base, [[f]], germ_radius=2.0)
     dphi = d_as(phi)
     tuples = sample_tuples(rng, 16, 1)
     vals = dphi.evaluate_batch(0, tuples)
@@ -61,7 +61,7 @@ def test_d_as_degree_zero_difference():
 
 def test_d_as_of_constant_vanishes():
     base = circle_base()
-    phi = ASCochain.unit(base)
+    phi = ASCochain.unit(base, germ_radius=2.0)
     dphi = d_as(phi)
     rng = np.random.default_rng(2)
     tuples = sample_tuples(rng, 16, 1)
@@ -77,10 +77,8 @@ def test_d_as_squared_vanishes_on_sampled_tuples():
     assert np.max(np.abs(dd.evaluate_batch(0, tuples))) <= 1e-13
 
 
-def test_germ_radius_default_and_validation():
+def test_germ_radius_validation():
     base = torus_base(n=8)
-    phi = ASCochain.unit(base)
-    assert phi.germ_radius == pytest.approx(3.0 / 8.0)
     with pytest.raises(ModelError):
         ASCochain.unit(base, germ_radius=-0.1)
 
@@ -90,14 +88,14 @@ def test_band_limit_enforced():
     pts = grid_points(16, 1)
     rough = np.sign(np.sin(2 * np.pi * pts[:, 0]) + 0.3)
     with pytest.raises(ModelError):
-        ASCochain.elementary(base, [[rough]])
+        ASCochain.elementary(base, [[rough]], germ_radius=2.0)
 
 
 def test_van_est_degree_zero_identity():
     base = circle_base()
     rng = np.random.default_rng(5)
     f = random_band_limited(rng, base.fiber(0), 2)
-    out = van_est_realize(ASCochain.elementary(base, [[f]]))
+    out = van_est_realize(ASCochain.elementary(base, [[f]], germ_radius=2.0))
     assert np.allclose(out.fields[0][:, 0], f)
 
 
@@ -107,7 +105,7 @@ def test_van_est_circle_oracle():
     pts = grid_points(16, 1)
     ones = np.ones(16, dtype=complex)
     s = np.sin(2 * np.pi * pts[:, 0])
-    out = van_est_realize(ASCochain.elementary(base, [[ones], [s]]))
+    out = van_est_realize(ASCochain.elementary(base, [[ones], [s]], germ_radius=2.0))
     assert out.degree == 1
     expect = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
     assert np.allclose(out.fields[0][:, 0], expect, atol=1e-10)
@@ -117,7 +115,7 @@ def test_van_est_constants_realize_to_zero():
     base = torus_base()
     ones = [np.ones(64, dtype=complex)]
     twos = [2 * np.ones(64, dtype=complex)]
-    out = van_est_realize(ASCochain.elementary(base, [ones, twos, twos]))
+    out = van_est_realize(ASCochain.elementary(base, [ones, twos, twos], germ_radius=2.0))
     assert out.max_abs() == 0.0
 
 
@@ -125,7 +123,7 @@ def test_van_est_rejects_degrees_beyond_fiber():
     base = circle_base()
     ones = [np.ones(16, dtype=complex)]
     with pytest.raises(DegreeError):
-        van_est_realize(ASCochain.elementary(base, [ones, ones, ones]))
+        van_est_realize(ASCochain.elementary(base, [ones, ones, ones], germ_radius=2.0))
 
 
 def test_van_est_chain_map():
@@ -149,9 +147,7 @@ def test_van_est_equivariance():
     a = space.groupoid.by_label[(1, 0)]
     for k in (0, 1):
         phi = elementary(space.base, rng, k, band=2)
-        lhs = transport_form(
-            space, a, van_est_realize(phi).fields[a.src], k
-        )
+        lhs = space.transport(a, van_est_realize(phi).fields[a.src])
         rhs = van_est_realize(transport_cochain(space, a, phi)).fields[a.tgt]
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
@@ -165,7 +161,7 @@ def test_invariant_project_cochain_invariance_and_fixing():
     # invariance on tuples: value at x on a tuple equals value at t(a) on the
     # pointwise moved tuple
     a = space.groupoid.by_label[(1, 0)]
-    perm = space.point_action(a).grid_permutation(8)
+    perm = space.permutation(space.groupoid.inverse(a))
     tuples = sample_tuples(rng, 64, 1, count=100)
     lhs = proj.evaluate_batch(a.src, tuples)
     rhs = proj.evaluate_batch(a.tgt, perm[tuples])

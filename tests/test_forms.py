@@ -13,8 +13,6 @@ from indexpairing.forms import (
     form_invariance_defect,
     integrate_invariant,
     invariant_project_form,
-    minor_matrix,
-    pullback_form_field,
     wedge,
 )
 from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_derivative
@@ -118,38 +116,22 @@ def test_wedge_graded_commutativity_and_leibniz():
             assert (lhs - rhs).max_abs() <= 1e-9
 
 
-def test_minor_matrix_oracles():
-    swap = np.array([[0, 1], [1, 0]])
-    # one-form components transform by the matrix itself
-    assert np.allclose(minor_matrix(swap, 1), swap)
-    # top components transform by the determinant
-    assert np.allclose(minor_matrix(swap, 2), [[-1.0]])
-    shear = np.array([[1, 1], [0, 1]])
-    assert np.allclose(minor_matrix(shear, 2), [[1.0]])
-
-
-def test_pullback_of_one_form_under_swap():
-    n = 8
-    m = AffineTorusMap.create([[0, 1], [1, 0]], [0, 0])
-    field = np.zeros((64, 2), dtype=complex)
-    field[:, 0] = 1.0  # dz_1
-    pulled = pullback_form_field(m, field, n, 1)
-    assert np.allclose(pulled[:, 0], 0)
-    assert np.allclose(pulled[:, 1], 1.0)
-
-
-def test_pullback_is_chain_map_with_d():
-    """Pullback under a grid preserving map commutes with the derivative."""
+def test_transport_is_chain_map_with_d():
+    """Transport along a translation arrow commutes with the derivative."""
     rng = np.random.default_rng(9)
     base = torus_base(n=16, N=7)
-    fib = base.fiber(0)
-    m = AffineTorusMap.create([[1, 1], [0, 1]], [Fraction(1, 4), Fraction(1, 8)])
-    f = random_band_limited(rng, fib, 2)
-    form = FoliatedForm.from_scalar(base, [f])
-    lhs = pullback_form_field(m, d_leafwise(form, base).fields[0], 16, 1)
-    pulled = FoliatedForm.from_scalar(base, [pullback_form_field(m, f.reshape(-1, 1), 16, 0)[:, 0]])
-    rhs = d_leafwise(pulled, base).fields[0]
-    assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    gpd = action_groupoid(FiniteGroup.cyclic(8), base, act=lambda g, x: x)
+    step = [Fraction(1, 4), Fraction(1, 8)]
+    maps = {a.label: AffineTorusMap.translation([a.label[0] * t for t in step]) for a in gpd.arrows}
+    space = FiberedGSpace(gpd, maps)
+    a = gpd.by_label[(1, 0)]
+    for q in (0, 1):
+        form = random_form(rng, base, q, band=2)
+        lhs = space.transport(a, d_leafwise(form, base).fields[0])
+        moved = FoliatedForm(q, 2, [space.transport(a, form.fields[0])])
+        rhs = d_leafwise(moved, base).fields[0]
+        assert np.max(np.abs(lhs)) > 1.0
+        assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
 
 def test_invariant_projection_kills_odd_modes():

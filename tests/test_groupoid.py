@@ -23,14 +23,19 @@ def one_point_base(n=8, N=3, dim=2, weight=1.0):
     return BaseModel([BasePoint("pt", weight, torus_fiber(n, N, dim))])
 
 
-def swap_space(n=8, N=3):
-    """Z/2 acting on a single torus fiber by swapping the two coordinates."""
+def half_shift_space(n=8, N=3):
+    """Z/2 acting on a single torus fiber by the half-period shift in z_2."""
     base = one_point_base(n, N, dim=2)
     group = FiniteGroup.cyclic(2)
     gpd = action_groupoid(group, base, act=lambda g, x: x)
     ident = AffineTorusMap.identity(2)
-    swap = AffineTorusMap.create([[0, 1], [1, 0]], [0, 0])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): swap})
+    shift = AffineTorusMap.translation([0, Fraction(1, 2)])
+    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+
+
+def translate(m, points):
+    """Pointwise oracle: the translated points, reduced mod 1."""
+    return (points + np.array([float(t) for t in m.shift])) % 1.0
 
 
 def test_fiber_model_rejects_coarse_grids():
@@ -77,53 +82,70 @@ def test_action_groupoid_rejects_bad_action():
         action_groupoid(group, base, act=lambda g, x: x if g == 0 else (x + 1) % 3)
 
 
-def test_affine_map_compose_invert():
+def test_translation_compose_and_inverse_arrow():
     rng = np.random.default_rng(7)
-    mats = [
-        np.array([[0, 1], [1, 0]]),
-        np.array([[1, 1], [0, 1]]),
-        np.array([[1, 0], [0, 1]]),
-    ]
     for _ in range(20):
-        A1 = mats[rng.integers(len(mats))]
-        A2 = mats[rng.integers(len(mats))]
-        th1 = [Fraction(int(rng.integers(8)), 8) for _ in range(2)]
-        th2 = [Fraction(int(rng.integers(8)), 8) for _ in range(2)]
-        m1 = AffineTorusMap.create(A1, th1)
-        m2 = AffineTorusMap.create(A2, th2)
+        th1 = [Fraction(int(rng.integers(-8, 16)), 8) for _ in range(2)]
+        th2 = [Fraction(int(rng.integers(-8, 16)), 8) for _ in range(2)]
+        m1 = AffineTorusMap.translation(th1)
+        m2 = AffineTorusMap.translation(th2)
+        # shifts are reduced mod 1 exactly
+        assert all(0 <= t < 1 for t in m1.shift)
         z = rng.random((5, 2))
         # composite applies the inner map first
         comp = m1.after(m2)
-        assert np.allclose(comp.apply(z), m1.apply(m2.apply(z)) % 1.0)
-        inv = m1.inverted()
-        assert np.allclose(inv.apply(m1.apply(z)), z % 1.0, atol=1e-12)
+        assert np.allclose(translate(comp, z), translate(m1, translate(m2, z)))
+        assert comp == m2.after(m1)
+        assert m1.after(AffineTorusMap.translation([-t for t in th1])) == AffineTorusMap.identity(2)
+    # the map of an inverse arrow is the negated shift
+    fib = torus_fiber(8, 3, 1)
+    gpd = action_groupoid(
+        FiniteGroup.cyclic(4), BaseModel([BasePoint("pt", 1.0, fib)]), act=lambda g, x: x
+    )
+    maps = {a.label: AffineTorusMap.translation([Fraction(a.label[0], 4)]) for a in gpd.arrows}
+    space = FiberedGSpace(gpd, maps)
+    a = gpd.by_label[(1, 0)]
+    assert space.maps[gpd.inverse(a).label] == AffineTorusMap.translation([Fraction(-1, 4)])
+    p, q = space.permutation(a), space.permutation(gpd.inverse(a))
+    assert np.array_equal(p[q], np.arange(8))
 
 
 def test_grid_permutation_matches_pointwise_map():
-    n = 8
-    m = AffineTorusMap.create([[1, 1], [0, 1]], [Fraction(3, 8), Fraction(1, 2)])
     from indexpairing.grids import grid_points
 
-    pts = grid_points(n, 2)
-    p = m.grid_permutation(n)
-    assert np.allclose(pts[p], m.apply(pts))
+    cases = ((8, 2, [Fraction(3, 8), Fraction(1, 2)]), (6, 3, [Fraction(5, 6), 0, Fraction(-1, 3)]))
+    for n, r, shift in cases:
+        m = AffineTorusMap.translation(shift)
+        pts = grid_points(n, r)
+        p = m.grid_permutation(n)
+        assert np.array_equal(np.sort(p), np.arange(n**r))
+        assert np.allclose(pts[p], translate(m, pts), atol=1e-15)
     # a non grid fraction is refused
-    shifted = AffineTorusMap.create(np.eye(2, dtype=int), [Fraction(1, 3), 0])
-    assert not shifted.is_grid_preserving(8)
+    shifted = AffineTorusMap.translation([Fraction(1, 3), 0])
     with pytest.raises(ModelError):
         shifted.grid_permutation(8)
 
 
-def test_pullback_field_is_composition():
+def test_transport_is_composition():
     n = 8
-    m = AffineTorusMap.create([[0, 1], [1, 0]], [Fraction(1, 4), Fraction(1, 8)])
     from indexpairing.grids import grid_points
 
+    base = one_point_base(n, 3, dim=2)
+    gpd = action_groupoid(FiniteGroup.cyclic(8), base, act=lambda g, x: x)
+    step = [Fraction(1, 4), Fraction(1, 8)]
+    maps = {a.label: AffineTorusMap.translation([a.label[0] * t for t in step]) for a in gpd.arrows}
+    space = FiberedGSpace(gpd, maps)
+    a = gpd.by_label[(1, 0)]
     pts = grid_points(n, 2)
     f = np.cos(2 * np.pi * pts[:, 0]) + np.sin(2 * np.pi * pts[:, 1]) ** 2
-    pulled = m.pullback_field(f, n)
-    expect = np.cos(2 * np.pi * m.apply(pts)[:, 0]) + np.sin(2 * np.pi * m.apply(pts)[:, 1]) ** 2
-    assert np.allclose(pulled, expect, atol=1e-12)
+    moved = translate(space.maps[a.label], pts)
+    expect = np.cos(2 * np.pi * moved[:, 0]) + np.sin(2 * np.pi * moved[:, 1]) ** 2
+    assert np.allclose(space.transport(a, f), expect, atol=1e-12)
+    # trailing component axes ride along; a field off the grid is refused
+    stacked = np.stack([f, 2 * f], axis=1)
+    assert np.array_equal(space.transport(a, stacked)[:, 1], 2 * space.transport(a, f))
+    with pytest.raises(ModelError):
+        space.transport(a, f.reshape(n, n))
 
 
 def test_fibered_space_rejects_non_functorial_maps():
@@ -176,7 +198,7 @@ def test_transport_is_covariant():
 
 
 def test_cutoff_partition_identity_uniform_and_seeded():
-    space = swap_space(8, 3)
+    space = half_shift_space(8, 3)
     uniform = compute_cutoff(space)
     assert uniform.partition_defect() <= 1e-14
     assert np.allclose(uniform.fields[0], 0.5)

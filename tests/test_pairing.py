@@ -92,7 +92,7 @@ def test_profile_validation():
 
 
 def test_profile_fourier_reconstruction():
-    p = TransitionProfile(linear_radius=0.2, flatness=8)
+    p = TransitionProfile(linear_radius=0.2)
     band = 16
     coef = p.fourier_coefficients(band)
     t = np.linspace(0.0, 1.0, 511, endpoint=False)
@@ -121,7 +121,7 @@ def test_profile_cochain_evaluates_leg_products():
 
 
 def test_profile_cochain_masks_are_antisymmetric():
-    saw = TransitionProfile(linear_radius=0.4, flatness=6)
+    saw = TransitionProfile(linear_radius=0.4)
     for n in (10, 20):
         base = torus_base(n=n, N=3)
         phi = ProfileCochain(base, [(0, saw), (1, saw)])
@@ -164,7 +164,7 @@ def test_van_est_form_is_constant_signed_volume():
 
 def test_to_elementary_matches_profile_values():
     base = torus_base(n=34, N=16)
-    soft = TransitionProfile(linear_radius=0.2, flatness=8)
+    soft = TransitionProfile(linear_radius=0.2)
     phi = ProfileCochain(base, [(0, soft), (1, soft)])
     elem = phi.to_elementary()
     rng = np.random.default_rng(3)
@@ -321,7 +321,7 @@ def test_pairing_support_gate():
     dens = TransversalDensity.uniform(space)
     fam = dolbeault_family(space.base, 1, levels=1)
     idem = index_idempotent(fam)
-    tight = ASCochain.unit(space.base)  # default germ radius: three grid steps
+    tight = ASCochain.unit(space.base, germ_radius=3.0 / 12)  # three grid steps
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, tight, cutoff, dens)
     # compact legs do not widen the trust region: the unlocalized kernel
@@ -454,7 +454,7 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     rng = np.random.default_rng(31)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels[which]
-    saw = TransitionProfile(linear_radius=0.3, flatness=6)
+    saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
     profile_masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
     # the rotation identity needs no antisymmetry of the masks
@@ -477,7 +477,7 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels["hermitian"].copy()
     K[0, 1] += 1e-9
-    saw = TransitionProfile(linear_radius=0.3, flatness=6)
+    saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
     masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, K)

@@ -20,7 +20,6 @@ SRC = Path(indexpairing.__file__).parent
 
 # kept oracle -> the test that compares live code against it
 KEPT_ORACLES = {
-    "AffineTorusMap.apply": "test_groupoid::test_affine_map_compose_invert",
     "CutoffDensity.partition_defect": "test_groupoid::test_cutoff_partition_identity_multipoint",
     "FoliatedForm.volume": "test_forms::test_integrate_volume_is_total_mass",
     "IndexIdempotent.idempotent_defect": "test_dolbeault::test_localized_idempotent_converges_and_stays_local",
