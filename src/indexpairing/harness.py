@@ -7,8 +7,9 @@ writing diff-able CSV plus a human table.
 
 Determinism contract: a fixed scenario and seed produce bitwise-identical
 CSV bodies across reruns; wall times and anything else nondeterministic stay
-out of the CSV.  Assembled idempotent kernels are cached as an uncompressed
-``.npz`` archive, whose per-member CRC-32 catches a damaged payload.  The
+out of the CSV.  Assembled idempotents are cached as their block rows
+(``IndexIdempotent.arrays``) in an uncompressed ``.npz`` archive, whose
+per-member CRC-32 catches a damaged payload.  The
 file name carries a digest of every echo field the idempotent depends on, so
 a changed input is a cache miss; a corrupted cache surfaces as a
 ``CorruptedCacheError`` and exit code 2.
@@ -244,7 +245,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs would change.
-_CACHE_FORMAT = 5
+_CACHE_FORMAT = 6
 # echo fields the idempotent does not depend on; the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
 _NOT_IDEMPOTENT_INPUTS = ("name", "cocycle", "density", "tolerances", "seed")

@@ -7,21 +7,22 @@ the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds an
 (npoints, nbasis) evaluation matrix with quadrature-orthonormal columns;
 operators between bases are plain matrices on coefficients.
 
-Smoothing operators are stored as operator matrices M acting by f -> M f on
-scalar grid sections, one npoints x npoints matrix per base point.  A family
-with several bundle components is carried as several such families (the
-index idempotent holds its kernel and cokernel projectors apart), so no
-kernel needs a block layout.  The Schwartz kernel against the quadrature
-measure is k(z, w) = npoints * M[z, w]; all trace and pairing formulas below
-are written directly in terms of M so that no npoints factors float around.
+Smoothing operators are operator matrices M acting by f -> M f on scalar
+grid sections, one npoints x npoints matrix per base point.  A family with
+several bundle components is carried as several such families (the index
+idempotent holds its kernel and cokernel projectors apart).  The Schwartz
+kernel against the quadrature measure is k(z, w) = npoints * M[z, w]; all
+trace and pairing formulas below are written directly in terms of M so that
+no npoints factors float around.
 
 Grid points are numbered with axis 0 slowest, so a translation by
 grid_size/g ticks along axis 0 shifts every index by npoints/g.  A matrix
 that commutes with it is block circulant in g x g blocks of size npoints/g:
 block (a, b) is C_{b-a mod g}, and the block row [C_0 .. C_{g-1}] determines
-it.  A length-g FFT over the block index turns products of such matrices
-into g independent products of size npoints/g (``circulant_blocks``); the
-dense matrix is the case g = 1.
+it.  A ``SmoothingKernel`` stores each matrix as g and that block row; the
+dense matrix is the case g = 1.  A length-g FFT over the block index turns
+products of such matrices into g independent products of size npoints/g
+(``circulant_blocks``).
 """
 from __future__ import annotations
 
@@ -94,12 +95,10 @@ class OperatorBlock:
     def apply(self, fieldvec: np.ndarray) -> np.ndarray:
         return self.codomain.synthesize(self.matrix @ self.domain.project(fieldvec))
 
-    def grid_matrix(self) -> np.ndarray:
-        """Operator matrix on grid vectors (codomain grid x domain grid)."""
+    def grid_matrix(self, rows: int | None = None) -> np.ndarray:
+        """Rows [0, rows) of the operator matrix on grid vectors (all by default), bit for bit."""
         n = self.domain.fiber.npoints
-        if not np.any(self.matrix):
-            return np.zeros((self.codomain.matrix.shape[0], n), dtype=complex)
-        return self.codomain.matrix @ self.matrix @ self.domain.matrix.conj().T / n
+        return self.codomain.matrix[:rows] @ self.matrix @ self.domain.matrix.conj().T / n
 
 
 @dataclass
@@ -142,8 +141,8 @@ def family_invariance_defect(
     return worst
 
 
-def _axis_sum(fiber: FiberModel, table: np.ndarray) -> np.ndarray:
-    """sum over axes of table[z_axis, w_axis] for every pair of grid points.
+def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
+    """sum over axes of table[z_axis, w_axis], z among the first ``rows`` grid points.
 
     Each axis coordinate takes grid_size values, so a per-axis quantity is
     tabulated on grid_size^2 coordinate pairs, gathered per axis and summed
@@ -151,18 +150,18 @@ def _axis_sum(fiber: FiberModel, table: np.ndarray) -> np.ndarray:
     """
     n = fiber.grid_size
     ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)
-    out = table[np.ix_(ticks[0], ticks[0])]
+    out = table[np.ix_(ticks[0][:rows], ticks[0])]
     for axis_ticks in ticks[1:]:
-        out += table[np.ix_(axis_ticks, axis_ticks)]
+        out += table[np.ix_(axis_ticks[:rows], axis_ticks)]
     return out
 
 
-def fiber_distance_matrix(fiber: FiberModel) -> np.ndarray:
-    """Pairwise periodic Euclidean distances between grid points."""
+def fiber_distance_matrix(fiber: FiberModel, rows: int) -> np.ndarray:
+    """Periodic Euclidean distances from the first ``rows`` grid points to every one."""
     n = fiber.grid_size
     coords = np.arange(n) / n
     gap = np.abs(coords[:, None] - coords[None, :])
-    return np.sqrt(_axis_sum(fiber, np.minimum(gap, 1.0 - gap) ** 2))
+    return np.sqrt(_axis_sum(fiber, np.minimum(gap, 1.0 - gap) ** 2, rows))
 
 
 # a squared tick distance within this relative distance below (radius *
@@ -171,8 +170,8 @@ def fiber_distance_matrix(fiber: FiberModel) -> np.ndarray:
 TRUNCATION_RTOL = 1e-12
 
 
-def truncation_mask(fiber: FiberModel, radius: float) -> np.ndarray:
-    """True where the periodic distance between grid points is below radius.
+def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
+    """Rows [0, rows) of the mask, True where the periodic distance is below radius.
 
     Decided on integer squared tick distances, so the mask commutes with
     every grid translation: pairs at exactly the radius are dropped at every
@@ -182,47 +181,70 @@ def truncation_mask(fiber: FiberModel, radius: float) -> np.ndarray:
     n = fiber.grid_size
     ticks = np.arange(n)
     gap = np.abs(ticks[:, None] - ticks[None, :])
-    sq = _axis_sum(fiber, np.minimum(gap, n - gap) ** 2)
+    sq = _axis_sum(fiber, np.minimum(gap, n - gap) ** 2, rows)
     return sq < (radius * n) ** 2 * (1.0 - TRUNCATION_RTOL)
 
 
-# an entry may differ from the expansion of block row 0 by this much relative
-# to the largest entry of that row and still count as block circulant; grid
-# matrices assembled from a section basis carry about 2e-14 of rounding
+# g blocks are accepted when the bound of ``certified_block_row`` on every
+# entry of S - Pi^a S Pi^-a is at most this much relative to the largest entry
+# of block row 0; grid matrices assembled from a section basis carry about
+# 2e-14 of rounding
 CIRCULANT_RTOL = 1e-12
 
 
-def circulant_order(m: np.ndarray, grid_size: int) -> int:
-    """Largest g dividing grid_size with the N x N grid matrix m block circulant in g blocks.
+def certified_block_row(block: OperatorBlock, radius: float) -> tuple[int, np.ndarray]:
+    """(g, block row 0) of the grid matrix S of ``block``, cut at ``radius``.
 
-    That is, m[i + N/g, j + N/g] = m[i, j] with indices mod N: m commutes
-    with the translation by grid_size/g ticks along axis 0, a translation
-    of the grid because g divides grid_size.  Every entry is compared with
-    the expansion of block row 0, one block row at a time, to CIRCULANT_RTOL
-    times the largest entry of block row 0; one row is compared first, so a
-    wrong candidate is rejected in O(N).  Returns 1 for no structure.
+    ``block`` maps one basis E (npoints x nb, quadrature-orthonormal) to
+    itself by an orthogonal projector R, as the parametrix remainders do, so
+    S = E R E^H / n with n = npoints.  g is the largest divisor of grid_size
+    whose translation Pi, by grid_size/g ticks along axis 0, is certified in
+    basis space to commute with S; only block row 0 of S is formed.
+
+    For a = 1 .. g/2 let U = Pi^a E (the rows of E moved by a npoints/g),
+    T = E^H U / n its basis matrix, as ``transport_matrix`` forms it, and
+    F = U - E T the part of U outside the span of E.  Pi^a S Pi^-a is
+    U R U^H / n, and R - T R T^H = R (1 - T T^H) - (T R - R T) T^H, so
+    |T| <= 1 and R = R R^H bound every entry:
+
+        |S - Pi^a S Pi^-a| <= [rho^2 |T R - R T|_F + sigma rho |1 - T T^H|_F
+                               + psi (2 sigma + 2 rho |T R - R T|_F + psi)] / n,
+
+    with rho, sigma and psi the largest row norms of E, E R and F R.  When Pi
+    maps the span of E onto itself, F = 0, T is unitary and the bound is
+    rho^2 |T R - R T|_F / n.  g is accepted when, for every a (a and g - a
+    give the same entries), the bound is at most CIRCULANT_RTOL times the
+    largest entry of block row 0 of the cut S.  The truncation mask commutes
+    with Pi, so every entry of the cut S is then that close to the expansion
+    of its block row 0.  g = 1 needs no certificate.
     """
-    for g in range(grid_size, 1, -1):
-        if grid_size % g == 0 and _is_block_circulant(m, g):
-            return g
-    return 1
+    fiber = block.domain.fiber
+    n, E, R = fiber.npoints, block.domain.matrix, block.matrix
+    ER = E @ R
+    rho, sigma = _max_row_norm(E), _max_row_norm(ER)
+
+    def within(shift: int, tol: float) -> bool:
+        T = E.conj().T @ np.roll(E, -shift, axis=0) / n
+        TR = T @ R
+        comm = float(np.linalg.norm(TR - R @ T))
+        if rho * rho * comm / n > tol:
+            # the other terms only add to the bound
+            return False
+        leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
+        psi = _max_row_norm(np.roll(ER, -shift, axis=0) - E @ TR)
+        bound = rho * rho * comm + sigma * rho * leak + psi * (2 * (sigma + rho * comm) + psi)
+        return bound / n <= tol
+
+    for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
+        width = n // g
+        row = block.grid_matrix(width) * truncation_mask(fiber, radius, width)
+        tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
+        if all(within(a * width, tol) for a in range(1, g // 2 + 1)):
+            return g, row
 
 
-def _is_block_circulant(m: np.ndarray, g: int) -> bool:
-    size = m.shape[0]
-    width = size // g
-    row = m[:width].reshape(width, g, width)
-    tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
-    if np.max(np.abs(m[width] - np.roll(m[0], width))) > tol:
-        return False
-    for a in range(1, g):
-        # block (a, b) of the expansion is C_{b-a mod g}
-        here = m[a * width : (a + 1) * width].reshape(width, g, width)
-        if np.max(np.abs(here[:, a:] - row[:, : g - a])) > tol:
-            return False
-        if np.max(np.abs(here[:, :a] - row[:, g - a :])) > tol:
-            return False
-    return True
+def _max_row_norm(m: np.ndarray) -> float:
+    return float(np.sqrt(np.max(np.sum(np.abs(m) ** 2, axis=1))))
 
 
 def circulant_blocks(row: np.ndarray, g: int) -> np.ndarray:
@@ -262,32 +284,59 @@ def circulant_dense(row: np.ndarray, g: int) -> np.ndarray:
 
 
 class SmoothingKernel:
-    """Family of finite-rank-style integral operators on grid sections.
+    """Family of smoothing operators on grid sections, one per base point.
 
-    ``mats[x]`` acts on scalar grid vectors over base point x by plain matrix
-    multiplication.  ``support_radius`` is the fiber distance beyond which
-    kernel entries vanish (infinity when not localized).
+    The operator over base point x acts on scalar grid vectors by a matrix
+    M_x, stored as its block count g = ``orders[x]`` and its block row 0
+    ``rows[x]``, of shape (npoints/g, npoints); g = 1 stores M_x itself, and
+    ``rows[x] = None`` marks M_x = 0.  ``support_radius`` is the fiber
+    distance beyond which kernel entries vanish (infinity when not
+    localized).
     """
 
     def __init__(
         self,
         base: BaseModel,
-        mats: list[np.ndarray],
+        rows: list[np.ndarray | None],
         support_radius: float = np.inf,
+        orders: list[int] | None = None,
     ):
         self.base = base
-        self.mats = [np.asarray(m, dtype=complex) for m in mats]
+        self.rows = [None if r is None else np.asarray(r, dtype=complex) for r in rows]
+        self.orders = [1] * len(self.rows) if orders is None else [int(g) for g in orders]
         self.support_radius = float(support_radius)
-        for x, m in enumerate(self.mats):
-            dim = base.fiber(x).npoints
-            if m.shape != (dim, dim):
-                raise ModelError(f"kernel matrix at point {x} has shape {m.shape}")
+        for x, (row, g) in enumerate(zip(self.rows, self.orders)):
+            fiber = base.fiber(x)
+            if g < 1 or fiber.grid_size % g:
+                raise ModelError(
+                    f"block count {g} at point {x} does not divide the grid size {fiber.grid_size}"
+                )
+            if row is not None and row.shape != (fiber.npoints // g, fiber.npoints):
+                raise ModelError(f"kernel block row at point {x} has shape {row.shape} for g = {g}")
+
+    @property
+    def mats(self) -> list[np.ndarray]:
+        """The stored arrays: the block row of every nonzero operator."""
+        return [r for r in self.rows if r is not None]
+
+    def dense(self, x: int) -> np.ndarray:
+        """M_x as an npoints x npoints matrix."""
+        row, g = self.rows[x], self.orders[x]
+        if row is None:
+            n = self.base.fiber(x).npoints
+            return np.zeros((n, n), dtype=complex)
+        return row if g == 1 else circulant_dense(row, g)
+
+    def diagonal(self, x: int) -> np.ndarray:
+        """The diagonal of a nonzero M_x: that of C_0, once per block."""
+        row = self.rows[x]
+        return np.tile(np.diag(row[:, : row.shape[0]]), self.orders[x])
 
     def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
         self._check(other)
         return SmoothingKernel(
             self.base,
-            [a - b for a, b in zip(self.mats, other.mats)],
+            [self.dense(x) - other.dense(x) for x in range(len(self.rows))],
             max(self.support_radius, other.support_radius),
         )
 
@@ -296,7 +345,7 @@ class SmoothingKernel:
         radius = self.support_radius + other.support_radius
         return SmoothingKernel(
             self.base,
-            [a @ b for a, b in zip(self.mats, other.mats)],
+            [self.dense(x) @ other.dense(x) for x in range(len(self.rows))],
             radius,
         )
 
@@ -314,18 +363,21 @@ class SmoothingKernel:
         step already gives 1.  Costs O(n^2) per base point, where the exact
         norm needs an SVD.
         """
-        return max(_norm_lower_bound(m) for m in self.mats)
+        return max(
+            (_norm_lower_bound(self.dense(x)) for x, r in enumerate(self.rows) if r is not None),
+            default=0.0,
+        )
 
     def _moved(self, gspace: FiberedGSpace, a) -> np.ndarray:
         perm = gspace.permutation(gspace.groupoid.inverse(a))
-        return self.mats[a.tgt][np.ix_(perm, perm)]
+        return self.dense(a.tgt)[np.ix_(perm, perm)]
 
     def invariance_defect(self, gspace: FiberedGSpace) -> float:
         """Strict equivariance defect for untwisted (plain pullback) transport."""
         worst = 0.0
         for a in _moving_arrows(gspace):
             moved = self._moved(gspace, a)
-            worst = max(worst, float(np.max(np.abs(self.mats[a.src] - moved))))
+            worst = max(worst, float(np.max(np.abs(self.dense(a.src) - moved))))
         return worst
 
     def twisted_invariance_defect(self, gspace: FiberedGSpace) -> float:
@@ -334,11 +386,12 @@ class SmoothingKernel:
         Bundle actions may twist kernels by phases chi(z) conj(chi(w)); traces
         and cyclic chain sums are blind to such phases.  This checks the
         phase-free data: entry magnitudes, the operator diagonal, and closed
-        two-cycles k(z, w) k(w, z).
+        two-cycles k(z, w) k(w, z).  Moving arrows compare whole matrices, so
+        this gate expands the stored block rows.
         """
         worst = 0.0
         for a in _moving_arrows(gspace):
-            here = self.mats[a.src]
+            here = self.dense(a.src)
             moved = self._moved(gspace, a)
             worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
             worst = max(worst, float(np.max(np.abs(np.diag(here) - np.diag(moved)))))
@@ -408,7 +461,7 @@ def average_kernel(
     """
     out = []
     for x in range(len(gspace.base)):
-        acc = np.zeros_like(kern.mats[x])
+        acc = np.zeros_like(kern.dense(x))
         for a in gspace.groupoid.arrows_from(x):
             weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
             acc += weight[:, None] * kern._moved(gspace, a)
@@ -437,11 +490,16 @@ def _weighted_diag_trace(
     dens: TransversalDensity,
     fields: list[np.ndarray] | None = None,
 ) -> complex:
-    """sum over base points of mass * sum_z c(z) [f(z)] M_x[z, z]."""
+    """sum over base points of mass * sum_z c(z) [f(z)] M_x[z, z].
+
+    A zero operator is skipped: adding its exact zero would change no bit.
+    """
     total = 0.0 + 0.0j
     for x in range(len(kern.base)):
+        if kern.rows[x] is None:
+            continue
         weight = cutoff.fields[x] if fields is None else cutoff.fields[x] * fields[x]
-        total += dens.mass(x) * np.sum(weight * np.diag(kern.mats[x]))
+        total += dens.mass(x) * np.sum(weight * kern.diagonal(x))
     return complex(total)
 
 

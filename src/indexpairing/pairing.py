@@ -51,14 +51,15 @@ for any K: one product per distinct slot field, three for the coboundary
 of a degree-1 elementary cochain (fields 1, f0 and f1).
 
 The leg masks are functions of z - w, so they commute with every grid
-translation.  When K is block circulant in g blocks (``circulant_order``),
-with g dividing grid_size so that the blocks come from a grid translation,
-so are the masks, K o W0 and K o W1; the masks are built as their block
-row 0 only, and each product of the profile chain is g products of size
-n/g on the Fourier blocks.  The cutoff weight is not translation
-invariant, but tr(D M) of a block-circulant M only reads the diagonal of
-C_0, the mean of the Fourier blocks, so D enters through the sums of c
-over the orbits of the translation: exact for any cutoff.
+translation.  When K is stored as g blocks (``SmoothingKernel``), with g
+dividing grid_size so that the blocks come from a grid translation, so are
+the masks, K o W0 and K o W1; the masks are built as their block row 0
+only, and each product of the profile chain is g products of size n/g on
+the Fourier blocks.  The elementary chain expands K to the dense matrix:
+its Q(m) carries the non-invariant diag(m).  The cutoff weight is not
+translation invariant, but tr(D M) of a block-circulant M only reads the
+diagonal of C_0, the mean of the Fourier blocks, so D enters through the
+sums of c over the orbits of the translation: exact for any cutoff.
 """
 from __future__ import annotations
 
@@ -80,7 +81,7 @@ from .operators import (
     _weighted_diag_trace,
     circulant_blocks,
     circulant_column,
-    circulant_order,
+    circulant_dense,
     require_invariant,
 )
 from .parametrix import IndexIdempotent
@@ -324,8 +325,8 @@ def pair_cocycle(
             chain = partial(_weighted_profile_chain, phi, x, cw)
         else:
             chain = partial(_weighted_elementary_chain, phi, x, cw)
-        # an all-zero family (S1 of every positive flux) has an exactly zero chain
-        v0, v1 = (chain(f.mats[x]) if np.any(f.mats[x]) else 0j for f in (s0, s1))
+        # a zero operator (S1 of every positive flux) has an exactly zero chain
+        v0, v1 = (0j if f.rows[x] is None else chain(f.rows[x], f.orders[x]) for f in (s0, s1))
         total += dens.mass(x) * (v0 - v1)
     return weight * complex(total)
 
@@ -361,16 +362,15 @@ def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
 
 
 def _weighted_profile_chain(
-    phi: ProfileCochain, x: int, cw: np.ndarray, K: np.ndarray
+    phi: ProfileCochain, x: int, cw: np.ndarray, row: np.ndarray, g: int
 ) -> complex:
-    """The k = 1 chain of K against the two legs of phi over base point x.
+    """The k = 1 chain against the two legs of phi over base point x of the
+    kernel K with block row 0 ``row`` in g blocks.
 
     The legs' masks are block circulant in every g dividing grid_size (they
-    depend on w - z only), so only K's order is detected, and only block
-    row 0 of each mask is built.
+    depend on w - z only), so only block row 0 of each mask is built.
     """
-    g = circulant_order(K, phi.base.fiber(x).grid_size)
-    width = K.shape[0] // g
+    width = row.shape[0]
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
     W0, W1 = (phi.leg_mask(x, i, width) for i in (0, 1))
 
@@ -378,7 +378,6 @@ def _weighted_profile_chain(
         blocks = (circulant_blocks(M, g) for M in (row * W0, row * W1, row))
         return _rotation_sum(orbit_cw, *blocks)
 
-    row = K[:width]
     column = circulant_column(row, g)
     even = rotations(row)
     if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
@@ -389,12 +388,14 @@ def _weighted_profile_chain(
 
 
 def _weighted_elementary_chain(
-    phi: ASCochain, x: int, cw: np.ndarray, K: np.ndarray
+    phi: ASCochain, x: int, cw: np.ndarray, row: np.ndarray, g: int
 ) -> complex:
-    """The k = 1 chain of K against the slot products of phi over base point x.
+    """The k = 1 chain against the slot products of phi over base point x of the
+    kernel K with block row 0 ``row`` in g blocks.
 
     One M = Q(m) o K^T per distinct middle field m, keyed by its bytes.
     """
+    K = circulant_dense(row, g)
     by_middle: dict[bytes, tuple] = {}
     for term in phi.terms:
         d = [np.asarray(fam[x], dtype=complex) for fam in term.factors]

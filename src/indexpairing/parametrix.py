@@ -23,8 +23,10 @@ Localization truncates each family at a fiber radius and restores
 idempotency with the cubic correction flow; the flow commutes with
 P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.  A
 truncated projector that commutes with translations along axis 0 is block
-circulant (see ``operators``), and the flow runs on its g Fourier blocks of
-size npoints/g, with g = 1 the dense case.
+circulant (see ``operators``): its block count g is certified in basis
+space, only its block row 0 is built, the flow runs on its g Fourier blocks
+of size npoints/g, and the flowed block row is what the family stores.  An
+unlocalized projector is stored dense (g = 1), and a zero one as a flag.
 """
 from __future__ import annotations
 
@@ -38,12 +40,10 @@ from .operators import (
     LeafwiseOperatorFamily,
     OperatorBlock,
     SmoothingKernel,
+    certified_block_row,
     circulant_blocks,
-    circulant_dense,
-    circulant_order,
     circulant_row,
     fiber_distance_matrix,
-    truncation_mask,
 )
 from .space import FiberedGSpace
 
@@ -178,54 +178,66 @@ class IndexIdempotent:
         return self.skernel, self.cokernel
 
     def arrays(self) -> list[np.ndarray]:
-        """Cached form: [support radius], then S0 and S1 at each base point in turn.
+        """Cached form: [support radius], then [g] and block row 0 of S0 and of S1 per base point.
 
-        The radius is +inf for an unlocalized idempotent.
+        The radius is +inf for an unlocalized idempotent.  A zero operator
+        is the flag g = 0 followed by an empty array.
         """
         out = [np.array([self.skernel.support_radius])]
-        for s0, s1 in zip(self.skernel.mats, self.cokernel.mats):
-            out += [s0, s1]
+        for x in range(len(self.base)):
+            for f in self.families:
+                row = f.rows[x]
+                if row is None:
+                    out += [np.array([0], dtype=np.int64), np.zeros((0, 0), dtype=complex)]
+                else:
+                    out += [np.array([f.orders[x]], dtype=np.int64), row]
         return out
 
     @classmethod
     def from_arrays(cls, base: BaseModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
         """Inverse of arrays(); raises CorruptedCacheError on any mismatch with base."""
-        if len(arrays) != 1 + 2 * len(base):
+        if len(arrays) != 1 + 4 * len(base):
             raise CorruptedCacheError(
-                f"expected {1 + 2 * len(base)} arrays, found {len(arrays)}"
+                f"expected {1 + 4 * len(base)} arrays, found {len(arrays)}"
             )
-        head, mats = arrays[0], arrays[1:]
+        head = arrays[0]
         if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
             raise CorruptedCacheError(f"support radius {head} is not a positive number")
-        for i, m in enumerate(mats):
-            size = base.fiber(i // 2).npoints
-            if m.shape != (size, size) or m.dtype != np.complex128:
+        rows, orders = ([], []), ([], [])
+        for i, (order, row) in enumerate(zip(arrays[1::2], arrays[2::2])):
+            if order.shape != (1,) or order.dtype != np.int64 or row.dtype != np.complex128:
                 raise CorruptedCacheError(
-                    f"kernel matrix at point {i // 2} has shape {m.shape} and dtype "
-                    f"{m.dtype}, expected {(size, size)} and complex128"
+                    f"block count {order} and row dtype {row.dtype} at point {i // 2} "
+                    "are not one int64 and complex128"
                 )
-        s0, s1 = (SmoothingKernel(base, mats[j::2], head[0]) for j in (0, 1))
+            g = int(order[0])
+            if g == 0 and row.size:
+                raise CorruptedCacheError(f"zero flag at point {i // 2} carries {row.size} entries")
+            rows[i % 2].append(row if g else None)
+            orders[i % 2].append(g if g else 1)
+        try:
+            s0, s1 = [SmoothingKernel(base, rows[j], head[0], orders[j]) for j in (0, 1)]
+        except ModelError as exc:
+            raise CorruptedCacheError(str(exc)) from exc
         return cls(base, s0, s1)
-
-    def idempotent_defect(self) -> float:
-        return max(
-            float(np.max(np.abs(m @ m - m))) for f in self.families for m in f.mats
-        )
 
     def effective_radius(self) -> float:
         """Largest fiber distance carrying an entry above REACH_FLOOR * max entry.
 
         The max entry is taken over both families at each base point, so a
-        roundoff-sized family does not count its noise as reach.
+        roundoff-sized family does not count its noise as reach.  A block
+        row holds every entry of its matrix, so its rows of distances suffice.
         """
         radius = 0.0
         for x in range(len(self.base)):
-            dist = fiber_distance_matrix(self.base.fiber(x))
-            mags = [np.abs(f.mats[x]) for f in self.families]
+            mags = [np.abs(f.rows[x]) for f in self.families if f.rows[x] is not None]
+            if not mags:
+                continue
             cut = REACH_FLOOR * max(max(float(m.max()) for m in mags), 1e-300)
             for m in mags:
                 live = m > cut
                 if np.any(live):
+                    dist = fiber_distance_matrix(self.base.fiber(x), m.shape[0])
                     radius = max(radius, float(dist[live].max()))
         return radius
 
@@ -261,43 +273,43 @@ def index_idempotent(
 ) -> IndexIdempotent:
     """Index idempotent of a family, optionally localized at a fiber radius.
 
-    With no radius the construction is exact.  With a radius, each projector
-    family is hard-truncated (``truncation_mask``) and idempotency restored
-    by the cubic flow P -> 3 P^2 - 2 P^3; failure to reach the tolerance
-    within MAX_NEWTON_STEPS means the radius is too aggressive for the
-    kernel decay and raises.
+    With no radius the construction is exact and each projector is stored
+    dense.  With a radius, each projector family is hard-truncated
+    (``truncation_mask``) and idempotency restored by the cubic flow
+    P -> 3 P^2 - 2 P^3, both on the certified block row
+    (``certified_block_row``); failure to reach the tolerance within
+    MAX_NEWTON_STEPS means the radius is too aggressive for the kernel decay
+    and raises.  A remainder that parametrix set to zero is a projector
+    already, and is stored as the zero flag.
     """
     data = parametrix(fam)
-    families = [
-        SmoothingKernel(fam.base, [r.grid_matrix() for r in remainders])
-        for remainders in (data.r0, data.r1)
-    ]
-    if radius is None:
-        return IndexIdempotent(fam.base, *families)
-
     # The flow smears tolerance-scale mass back outside the cut (each step
     # spreads the support), so support_radius records the localization cut of
     # the construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
-    keep = [truncation_mask(fam.base.fiber(x), radius) for x in range(len(fam.base))]
-    flowed = []
-    for kern in families:
-        mats = []
-        for x, S in enumerate(kern.mats):
-            # an exactly-zero family is a projector already
-            if np.any(S):
-                # in place: the uncut family is not used again
-                S *= keep[x]
-                g = circulant_order(S, fam.base.fiber(x).grid_size)
-                width = S.shape[0] // g
-                P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), newton_tol)
-                if defect > newton_tol:
-                    raise LocalizationError(
-                        f"idempotent correction stalled at defect {defect:.3e} after "
-                        f"{steps} steps at radius {radius:g}; the cut is too tight for "
-                        "the kernel decay"
-                    )
-                S = circulant_dense(circulant_row(P), g)
-            mats.append(S)
-        flowed.append(SmoothingKernel(fam.base, mats, radius))
-    return IndexIdempotent(fam.base, *flowed)
+    families = []
+    for remainders in (data.r0, data.r1):
+        stored = [_stored_row(r, radius, newton_tol) for r in remainders]
+        rows, orders = [row for _, row in stored], [g for g, _ in stored]
+        reach = np.inf if radius is None else radius
+        families.append(SmoothingKernel(fam.base, rows, reach, orders))
+    return IndexIdempotent(fam.base, *families)
+
+
+def _stored_row(
+    r: OperatorBlock, radius: float | None, newton_tol: float
+) -> tuple[int, np.ndarray | None]:
+    """(g, block row 0) of the projector r, cut at radius and flowed back to a projector."""
+    if not np.any(r.matrix):
+        return 1, None
+    if radius is None:
+        return 1, r.grid_matrix()
+    g, row = certified_block_row(r, radius)
+    P, defect, steps = _newton_flow(circulant_blocks(row, g), newton_tol)
+    if defect > newton_tol:
+        raise LocalizationError(
+            f"idempotent correction stalled at defect {defect:.3e} after "
+            f"{steps} steps at radius {radius:g}; the cut is too tight for "
+            "the kernel decay"
+        )
+    return g, circulant_row(P)

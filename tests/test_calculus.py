@@ -307,8 +307,8 @@ def test_average_kernel_enforces_invariance_and_fixes_invariants():
 
 def test_kernel_truncation_zeroes_far_entries():
     fiber = torus_base(n=12, N=3).fiber(0)
-    mask = truncation_mask(fiber, 0.25)
-    dist = fiber_distance_matrix(fiber)
+    mask = truncation_mask(fiber, 0.25, fiber.npoints)
+    dist = fiber_distance_matrix(fiber, fiber.npoints)
     assert not np.any(mask[dist > 0.25])
     # pairs at exactly the radius are dropped, all nearer pairs kept
     assert np.array_equal(mask, dist < 0.25 - 1e-9)
@@ -320,7 +320,7 @@ def test_kernel_truncation_commutes_with_grid_translations(n, radius):
     # at the radius; the cut must treat all of them alike.  The one-tick
     # shifts along the two axes generate every grid translation.
     fiber = torus_base(n=n, N=(n - 2) // 2).fiber(0)
-    mask = truncation_mask(fiber, radius)
+    mask = truncation_mask(fiber, radius, fiber.npoints)
     grid = np.arange(fiber.npoints).reshape(n, n)
     for axis in (0, 1):
         perm = np.roll(grid, 1, axis=axis).ravel()
@@ -334,7 +334,9 @@ def test_fiber_distance_matrix_matches_pointwise_formula(dim, n):
     diff = np.abs(pts[:, None, :] - pts[None, :, :])
     diff = np.minimum(diff, 1.0 - diff)
     pointwise = np.sqrt(np.sum(diff**2, axis=-1))
-    assert np.array_equal(fiber_distance_matrix(fiber), pointwise)
+    assert np.array_equal(fiber_distance_matrix(fiber, fiber.npoints), pointwise)
+    # a block of leading rows is computed as it is within the whole matrix
+    assert np.array_equal(fiber_distance_matrix(fiber, n), pointwise[:n])
 
 
 def growth_ratio(sym: SymbolData) -> float:

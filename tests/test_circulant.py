@@ -1,10 +1,11 @@
-"""Block-circulant products against the dense computations they replace.
+"""Block-circulant kernels against the dense computations they replace.
 
 A twist-d Dolbeault projector on grid n commutes with the translation by
 n/gcd(d, n) ticks along axis 0, so after truncation it is block circulant
-in gcd(d, n) blocks.  The Newton flow and the k = 1 profile chain then run
-on Fourier blocks.  The dense McWeeny loop and the dense rotation sum below
-are the forms they replaced, kept as oracles.
+in gcd(d, n) blocks.  The block count is certified in basis space, and the
+Newton flow and the k = 1 profile chain run on Fourier blocks.  The dense
+scan of the grid matrix, the dense McWeeny loop and the dense rotation sum
+below are the forms they replaced, kept as oracles.
 """
 import numpy as np
 import pytest
@@ -13,25 +14,70 @@ from indexpairing.dolbeault import dolbeault_family
 from indexpairing.grids import FiberModel
 from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.operators import (
+    CIRCULANT_RTOL,
+    OperatorBlock,
+    certified_block_row,
     circulant_blocks,
     circulant_dense,
-    circulant_order,
     circulant_row,
     truncation_mask,
 )
 from indexpairing.pairing import ProfileCochain, TransitionProfile, _weighted_profile_chain
-from indexpairing.parametrix import MAX_NEWTON_STEPS, _newton_flow, parametrix
+from indexpairing.parametrix import (
+    MAX_NEWTON_STEPS,
+    _newton_flow,
+    index_idempotent,
+    parametrix,
+)
+
+
+def circulant_order(m, grid_size):
+    """Largest g dividing grid_size with the N x N grid matrix m block circulant in g blocks.
+
+    That is, m[i + N/g, j + N/g] = m[i, j] with indices mod N.  Every entry
+    is compared with the expansion of block row 0, one block row at a time,
+    to CIRCULANT_RTOL times the largest entry of block row 0.  Returns 1 for
+    no structure.
+    """
+    for g in range(grid_size, 1, -1):
+        if grid_size % g == 0 and is_block_circulant(m, g):
+            return g
+    return 1
+
+
+def is_block_circulant(m, g):
+    width = m.shape[0] // g
+    row = m[:width].reshape(width, g, width)
+    tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
+    for a in range(1, g):
+        # block (a, b) of the expansion is C_{b-a mod g}
+        here = m[a * width : (a + 1) * width].reshape(width, g, width)
+        if np.max(np.abs(here[:, a:] - row[:, : g - a])) > tol:
+            return False
+        if np.max(np.abs(here[:, :a] - row[:, g - a :])) > tol:
+            return False
+    return True
 
 
 def one_point_base(n, N):
     return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
 
 
+def kernel_remainder(n, N, twist):
+    """The kernel projector block of the twisted Dolbeault family, and its base."""
+    base = one_point_base(n, N)
+    return base, parametrix(dolbeault_family(base, twist, levels=2)).r0[0]
+
+
+def dense_cut(block, radius):
+    fiber = block.domain.fiber
+    return block.grid_matrix() * truncation_mask(fiber, radius, fiber.npoints)
+
+
 def truncated_projector(n, N, twist, radius):
     """Kernel projector S0 of the twisted Dolbeault block, cut at radius."""
-    base = one_point_base(n, N)
-    S = parametrix(dolbeault_family(base, twist, levels=2)).r0[0].grid_matrix()
-    return base, S * truncation_mask(base.fiber(0), radius)
+    base, block = kernel_remainder(n, N, twist)
+    return base, dense_cut(block, radius)
 
 
 def dense_newton_flow(P, max_steps, tol):
@@ -67,7 +113,7 @@ def dense_profile_chain(masks, cw, K):
 
 
 def block_newton_flow(S, grid_size, tol):
-    """The flow as index_idempotent runs it: detect, flow the blocks, expand."""
+    """The flow on the blocks the dense oracle finds, expanded back to dense."""
     g = circulant_order(S, grid_size)
     width = S.shape[0] // g
     P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), tol)
@@ -117,17 +163,59 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
-    got_chain = _weighted_profile_chain(phi, 0, cw, got)
+    got_chain = _weighted_profile_chain(phi, 0, cw, got[: npts // order], order)
     assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
 
 
-@pytest.mark.parametrize("n, N, twist, order", [(40, 19, 24, 8), (48, 23, 32, 16)])
+@pytest.mark.parametrize(
+    "n, N, twist, order", [(40, 19, 24, 8), (48, 23, 32, 16), (30, 11, 12, 6), (24, 8, 8, 8)]
+)
 def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
-    # the flux-24 benchmark projector and S4's, before any flow; grid
-    # matrices carry rounding at the 2e-14 scale, which a tolerance below
-    # that would read as broken symmetry
-    _, S = truncated_projector(n, N, twist, 0.30)
+    # the flux-24 benchmark projector, S4's and the two flow cases: the
+    # certificate chooses the block count the dense scan of the cut grid
+    # matrix finds, and its block row is that matrix's first rows, bit for bit
+    base, block = kernel_remainder(n, N, twist)
+    S = dense_cut(block, 0.30)
     assert circulant_order(S, n) == order
+    g, row = certified_block_row(block, 0.30)
+    assert g == order
+    assert np.array_equal(row, S[: S.shape[0] // g])
+
+    idem = index_idempotent(dolbeault_family(base, twist, levels=2), radius=0.30)
+    assert idem.skernel.orders == [order]
+    assert idem.skernel.rows[0].shape == (S.shape[0] // order, S.shape[0])
+    # S1 of a positive flux is exactly zero, and stored as the flag alone
+    assert idem.cokernel.rows == [None] and idem.cokernel.mats == []
+
+
+@pytest.mark.parametrize("partner, coarser", [(4, 4), (1, 1)])
+def test_certificate_never_accepts_what_the_dense_oracle_refuses(partner, coarser):
+    # Rotate the flux-8 kernel projector by exp(i eps H), with H coupling the
+    # level-0 mode j = 0 to the level-1 mode j = partner.  The translation by
+    # 3a ticks multiplies mode j by exp(2 pi i j a / 8), so the coupling
+    # breaks every block count that does not divide gcd(partner, 8), and the
+    # rotated block stays an orthogonal projector.  Sweeping eps across the
+    # tolerance, every block count the certificate accepts must pass the
+    # dense scan of the same cut grid matrix.
+    base, block = kernel_remainder(24, 8, 8)
+    s = 8
+    H = np.zeros_like(block.matrix)
+    H[0, s + partner] = H[s + partner, 0] = 1.0
+    w, V = np.linalg.eigh(H)
+    chosen = []
+    for eps in 10.0 ** np.arange(-16.0, -7.5, 0.5):
+        rot = (V * np.exp(1j * eps * w)) @ V.conj().T
+        moved = OperatorBlock(block.domain, block.domain, rot @ block.matrix @ rot.conj().T)
+        S = dense_cut(moved, 0.45)
+        g, row = certified_block_row(moved, 0.45)
+        assert is_block_circulant(S, g), eps
+        assert np.array_equal(row, S[: S.shape[0] // g]), eps
+        chosen.append((g, circulant_order(S, 24)))
+    # the sweep crosses the threshold: both accept 8 blocks at the smallest
+    # coupling, and both refuse it at the largest
+    assert chosen[0] == (8, 8)
+    assert chosen[-1] == (coarser, coarser)
+    assert all(g <= dense for g, dense in chosen)
 
 
 @pytest.mark.parametrize("n", [12, 30])
@@ -143,4 +231,3 @@ def test_leg_mask_rows_are_block_row_zero_of_the_full_mask(n):
         assert circulant_order(W, n) == n
         for g in (g for g in range(1, n + 1) if n % g == 0):
             assert np.array_equal(phi.leg_mask(0, i, npts // g), W[: npts // g])
-

@@ -1,6 +1,8 @@
 import copy
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,11 @@ from indexpairing.harness import (
     run_suite,
     save_coefficients,
 )
-from indexpairing.parametrix import CorruptedCacheError, IndexIdempotent
+from indexpairing.density import TransversalDensity, compute_cutoff
+from indexpairing.dolbeault import dolbeault_family
+from indexpairing.operators import SmoothingKernel
+from indexpairing.pairing import pair_cocycle
+from indexpairing.parametrix import CorruptedCacheError, IndexIdempotent, index_idempotent
 from indexpairing.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -350,9 +356,10 @@ def test_coefficients_reject_unsupported_dtype(tmp_path):
     base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
     npts = base.fiber(0).npoints
     path = tmp_path / "k.opk"
-    kernels = [np.eye(npts, dtype=np.int32), np.eye(npts, dtype=complex)]
+    one = np.array([1])
+    kernels = [one, np.eye(npts, dtype=np.int32), one, np.eye(npts, dtype=complex)]
     save_coefficients(path, [np.array([np.inf])] + kernels)
-    with pytest.raises(CorruptedCacheError, match="dtype int32"):
+    with pytest.raises(CorruptedCacheError, match="row dtype int32"):
         IndexIdempotent.from_arrays(base, load_coefficients(path))
 
 
@@ -551,16 +558,114 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
         run_scenario(scn, out_dir=tmp_path)
 
     npts = 12**2  # the cheap scenario's 12 x 12 grid
-    # the earlier layout: a radius and one two-component kernel per point
+    # an earlier layout: a radius and one two-component kernel per point
     save_coefficients(cache, [np.array([np.inf]), np.zeros((2 * npts, 2 * npts))])
-    with pytest.raises(CorruptedCacheError, match="expected 3 arrays, found 2"):
+    with pytest.raises(CorruptedCacheError, match="expected 5 arrays, found 2"):
         run_scenario(scn, out_dir=tmp_path)
 
-    zero = np.zeros((npts, npts))
+    flag = [np.array([0]), np.zeros((0, 0), dtype=complex)]
     for radius in (np.nan, 0.0, -1.0):
-        save_coefficients(cache, [np.array([radius]), zero, zero])
+        save_coefficients(cache, [np.array([radius])] + flag + flag)
         with pytest.raises(CorruptedCacheError, match="support radius"):
             run_scenario(scn, out_dir=tmp_path)
+
+
+def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
+    # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the flag
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 8, 24))])
+    idem = index_idempotent(dolbeault_family(base, 8, levels=2), radius=0.45)
+    arrays = idem.arrays()
+    assert [a.shape for a in arrays] == [(1,), (1,), (72, 576), (1,), (0, 0)]
+    assert [int(arrays[1][0]), int(arrays[3][0])] == [8, 0]
+    path = tmp_path / "k.opk"
+    save_coefficients(path, arrays)
+    back = IndexIdempotent.from_arrays(base, load_coefficients(path))
+    for got, want in zip(back.families, idem.families):
+        assert got.support_radius == want.support_radius == 0.45
+        assert got.orders[0] == want.orders[0]
+    assert np.array_equal(back.skernel.rows[0], idem.skernel.rows[0])
+    assert back.cokernel.rows == [None]
+
+
+def _refused_layouts(arrays):
+    """(name, layout, message fragment) for cached layouts of the cheap scenario's idempotent.
+
+    ``arrays`` is the good layout: radius, then [1] and the dense S0, then
+    the zero flag of S1.
+    """
+    radius, g0, s0, g1, s1 = arrays
+    return [
+        ("non-dividing g", [radius, np.array([5]), s0, g1, s1], "does not divide the grid size 12"),
+        ("short row", [radius, g0, s0[:-1], g1, s1], "has shape (143, 144) for g = 1"),
+        ("real row", [radius, g0, s0.real, g1, s1], "row dtype float64"),
+        ("flag with data", [radius, g0, s0, g1, np.zeros((1, 1), complex)], "carries 1 entries"),
+        ("format 5", [radius, s0, np.zeros_like(s0)], "expected 5 arrays, found 3"),
+    ]
+
+
+def test_refused_cache_layouts_exit_two(tmp_path, capsys):
+    path = tmp_path / "cheap.json"
+    path.write_text(json.dumps(cheap_scenario()))
+    out = tmp_path / "o"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    (cache,) = (out / "cache").glob("*.idem.opk")
+    good = load_coefficients(cache)
+    assert [int(good[1][0]), int(good[3][0])] == [1, 0]
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 4, 12))])
+    capsys.readouterr()
+    for name, layout, fragment in _refused_layouts(good):
+        with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):
+            IndexIdempotent.from_arrays(base, layout)
+        save_coefficients(cache, layout)
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2, name
+        assert fragment in capsys.readouterr().err, name
+
+
+def test_flux24_cache_holds_one_block_row(tmp_path):
+    # S0's block row is 200 x 1600 complex entries (4.88 MiB) and S1 a flag;
+    # the dense families took 78 MiB
+    out = tmp_path / "o"
+    scenario = Path(__file__).parents[1] / "perfbench" / "scenarios" / "flux24-unit.json"
+    assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
+    (cache,) = (out / "cache").glob("*.idem.opk")
+    assert cache.stat().st_size <= 5.0 * 2**20
+
+
+def test_localized_half_shift_scenario_expands_only_for_the_gate():
+    # Z/2 acting by the half shift (1/2, 1/2): the invariance gate compares
+    # whole matrices along the moving arrow, and the localized S0 is stored
+    # as 8 blocks.  The row is the one the dense representation wrote.
+    raw = cheap_scenario(
+        name="halfshift-localized",
+        groupoid={"group": {"cyclic": 2}, "base_points": 1},
+        fiber={"kind": "torus", "dim": 2, "fourier_cutoff": 8, "grid": 24},
+        fiber_action={"translation": ["1/2", "1/2"]},
+        operator={"builtin": "dolbeault", "twist": 8, "levels": 2},
+        localize=0.45,
+        tolerances={"pairing_tol": 1e-6},
+    )
+    scn = _validate(raw)
+    rec = run_scenario(scn)
+    assert rec.csv_row() == (
+        "halfshift-localized,4,4.000000220055e+00+3.522366157471e-17j,"
+        "3.999999999431e+00-1.158909493409e-16j,2.206239e-07,pass"
+    )
+
+    space = harness._build_space(scn)
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity(space, scn.density["values"])
+    idem = index_idempotent(dolbeault_family(space.base, 8, levels=2), radius=0.45)
+    assert idem.skernel.orders == [8]
+    dense = IndexIdempotent(
+        space.base,
+        *(SmoothingKernel(space.base, [f.dense(0)], f.support_radius) for f in idem.families),
+    )
+    unit = ASCochain.unit(space.base, germ_radius=2.0)
+    for kern, dense_kern in zip(idem.families, dense.families):
+        assert kern.twisted_invariance_defect(space) == dense_kern.twisted_invariance_defect(space)
+    got, want = (pair_cocycle(i, unit, cutoff, dens) for i in (idem, dense))
+    assert got == rec.pairing
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_cache_is_keyed_by_the_idempotent_inputs(tmp_path):
@@ -762,7 +867,7 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "unreadable archive" in capsys.readouterr().err
     # a well-formed file holding kernels of the wrong size
-    save_coefficients(cache, [np.array([np.inf])] + [np.eye(3, dtype=complex)] * 2)
+    save_coefficients(cache, [np.array([np.inf])] + [np.array([1]), np.eye(3, dtype=complex)] * 2)
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "has shape (3, 3)" in capsys.readouterr().err
 

@@ -296,6 +296,26 @@ def test_pairing_matches_volume_class_value():
         assert abs(value - (-1.0 / (2.0j * np.pi))) <= 5e-5
 
 
+def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
+    # the elementary chain expands the stored block row (8 blocks of 72
+    # here) to the whole kernel; the same kernels stored dense pair alike
+    space = trivial_space(n=24, N=8)
+    cutoff = compute_cutoff(space)
+    dens = TransversalDensity.uniform(space)
+    idem = index_idempotent(dolbeault_family(space.base, 8, levels=2), radius=0.45)
+    assert idem.skernel.orders == [8] and idem.cokernel.rows == [None]
+    dense = IndexIdempotent(
+        space.base,
+        *(SmoothingKernel(space.base, [f.dense(0)], f.support_radius) for f in idem.families),
+    )
+    rng = np.random.default_rng(43)
+    factors = [[random_band_limited(rng, space.base.fiber(0), band=2)] for _ in range(3)]
+    phi = ASCochain.elementary(space.base, factors, germ_radius=2.0)
+    got, want = (pair_cocycle(i, phi, cutoff, dens) for i in (idem, dense))
+    assert abs(want) > 1e-3
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_pairing_rejects_bad_inputs():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
@@ -463,7 +483,7 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     for cochain, masks in ((phi, profile_masks), (general, general_masks)):
         want = six_term_profile_chain(masks, cw, K)
         chain_products.clear()
-        got = _weighted_profile_chain(cochain, 0, cw, K)
+        got = _weighted_profile_chain(cochain, 0, cw, K, 1)
         assert abs(got - want) <= 1e-13 * abs(want)
         # a hermitian kernel takes the two-product form (one rotation sum),
         # any other kernel the four-product form (two)
@@ -481,7 +501,7 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
     masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, K)
-    got = _weighted_profile_chain(phi, 0, cw, K)
+    got = _weighted_profile_chain(phi, 0, cw, K, 1)
     assert len(chain_products) == 4
     assert abs(got - want) <= 1e-13 * abs(want)
     # the two-product form would drop the real part this perturbation makes
@@ -523,6 +543,6 @@ def test_elementary_chain_matches_six_term_oracle(which, chain_products):
         phi = ASCochain(base, 2, phi_terms, germ_radius=2.0)
         want = six_term_elementary_chain(phi, 0, cw, K)
         chain_products.clear()
-        got = _weighted_elementary_chain(phi, 0, cw, K)
+        got = _weighted_elementary_chain(phi, 0, cw, K, 1)
         assert abs(got - want) <= 1e-13 * abs(want), name
         assert len(chain_products) == distinct, name

@@ -22,7 +22,6 @@ SRC = Path(indexpairing.__file__).parent
 KEPT_ORACLES = {
     "CutoffDensity.partition_defect": "test_groupoid::test_cutoff_partition_identity_multipoint",
     "FoliatedForm.volume": "test_forms::test_integrate_volume_is_total_mass",
-    "IndexIdempotent.idempotent_defect": "test_dolbeault::test_localized_idempotent_converges_and_stays_local",
     "OperatorBlock.apply": "test_calculus::test_quantized_multiplication_acts_by_truncated_product",
     "ProfileCochain.to_elementary": "test_pairing::test_to_elementary_matches_profile_values",
     "SectionBasis.gram_defect": "test_calculus::test_fourier_basis_is_orthonormal",
