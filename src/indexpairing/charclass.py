@@ -10,8 +10,8 @@ trigonometric polynomials below the angular band.
 
 The exterior calculus itself, scalar or matrix-valued on either site, is
 forms.exterior_d and forms.exterior_wedge; this module supplies the disc's
-partial derivative and builds on the two functions the Chern character forms
-of projector fields, and the two model projector families used by the
+gradient and builds on the two functions the Chern character forms of
+projector fields, and the two model projector families used by the
 scenarios: a flux-twisted line bundle frame on the fiber, and the graph
 projector of a nonvanishing scalar symbol on the disc.  No genus factor is
 formed: every scenario runs on two-dimensional fibers, where the A-hat genus
@@ -40,12 +40,15 @@ from .forms import (
     index_subsets,
     wedge,
 )
-from .grids import FiberModel, ModelError, spectral_derivative
+from .grids import FiberModel, ModelError, spectral_gradient
 from .groupoid import BaseModel
 from .symbols import EllipticityError
 
 CH_CURVATURE_SCALE = 1.0 / (2.0j * np.pi)
 IDEMPOTENT_TOL = 1e-10
+# bytes of one working block in _chern_scalars; bounds its memory to the
+# projector field and its derivative plus a few blocks
+CHUNK_BYTES = 2**20
 # derivatives of the graph projector's radial ramp that vanish at both ends
 GRAPH_FLATNESS = 8
 
@@ -159,30 +162,31 @@ class DiscModel:
         np.fill_diagonal(D, -D.sum(axis=1))
         return D
 
-    def derivative(self, field: np.ndarray, axis: int) -> np.ndarray:
-        """Cartesian partial derivative along frequency axis 0 or 1.
+    def gradient(self, field: np.ndarray, axes) -> list[np.ndarray]:
+        """Cartesian partial derivatives along frequency axes 0 and 1.
 
-        Accepts flat fields of shape (nnodes, ...); differentiation is
-        barycentric in the radial direction and spectral in the angle.
+        Accepts flat fields of shape (nnodes, ...) and returns one array per
+        entry of axes.  Differentiation is barycentric in the radial
+        direction and spectral in the angle; both are taken once and serve
+        both axes.
         """
-        if axis not in (0, 1):
-            raise ModelError(f"disc axis must be 0 or 1, got {axis}")
+        if any(a not in (0, 1) for a in axes):
+            raise ModelError(f"disc axes must be 0 or 1, got {tuple(axes)}")
         f = np.asarray(field, dtype=complex)
         shaped = f.reshape(self.nradial, self.nangular, -1)
         fr = (self._radial_diff @ shaped.reshape(self.nradial, -1)).reshape(shaped.shape)
         freqs = np.fft.fftfreq(self.nangular, d=1.0 / self.nangular)
         if self.nangular % 2 == 0:
-            freqs = freqs.copy()
             freqs[self.nangular // 2] = 0.0
         ft = np.fft.ifft(np.fft.fft(shaped, axis=1) * (1j * freqs)[None, :, None], axis=1)
         cos = np.cos(self.angles)[None, :, None]
         sin = np.sin(self.angles)[None, :, None]
         inv_rho = (1.0 / self.radial_nodes)[:, None, None]
-        if axis == 0:
-            out = cos * fr - sin * inv_rho * ft
-        else:
-            out = sin * fr + cos * inv_rho * ft
-        return out.reshape(f.shape)
+        out = []
+        for a in axes:
+            d = cos * fr - sin * inv_rho * ft if a == 0 else sin * fr + cos * inv_rho * ft
+            out.append(d.reshape(f.shape))
+        return out
 
     def integrate(self, field: np.ndarray) -> complex:
         """Quadrature integral of a flat scalar field over the disc."""
@@ -229,7 +233,7 @@ class DiscForm:
 
 def d_disc(form: DiscForm) -> DiscForm:
     """Exterior derivative on the frequency disc."""
-    field = exterior_d(form.field, form.degree, 2, form.disc.derivative)
+    field = exterior_d(form.field, form.degree, 2, form.disc.gradient)
     return DiscForm(form.disc, form.degree + 1, field)
 
 
@@ -242,40 +246,54 @@ def wedge_disc(f1: DiscForm, f2: DiscForm) -> DiscForm:
 # Chern character of a projector field
 
 
-def _projected_curvature(p: np.ndarray, dim: int, diff) -> np.ndarray:
+def _projected_curvature(p: np.ndarray, dp: np.ndarray, dim: int) -> np.ndarray:
     """Curvature 2-form p (dp ^ dp) p of the projected connection."""
     p = p[:, None]
-    dp = exterior_d(p, 0, dim, diff)
     F = exterior_wedge(dp, 1, dp, 1, dim, np.matmul)
     return p @ F @ p
 
 
-def _chern_scalars(p: np.ndarray, dim: int, diff) -> dict[int, np.ndarray]:
+def _chern_scalars(p: np.ndarray, dim: int, grad) -> dict[int, np.ndarray]:
     """Trace scalars of the Chern character by form degree for one site.
 
-    Input is a pointwise projector field (n, m, m) and the site's partial
-    derivative diff(block, axis); the result maps the even degree 2j to
-    component arrays (n, ncomp) of tr(p F^j) * scale^j / j!.
+    Input is a pointwise projector field (n, m, m) and the site's gradient
+    grad(block, axes=axes); the result maps the even degree 2j to component
+    arrays (n, ncomp) of tr(p F^j) * scale^j / j!.
+
+    Only p and dp are held whole.  The FFTs run over blocks of matrix
+    components, everything pointwise (the projector gate, the curvature,
+    its powers, the trace sandwich) over blocks of grid points, each about
+    CHUNK_BYTES; every value has the bits of the whole-field computation.
+
+    A rank-one formula, tr(p F^j) from a unit frame v with p = v v*, would
+    do a factor m less work, but it moves the rounding of the topological
+    column and so the CSV bytes; it is deliberately not built.
     """
     p = np.asarray(p, dtype=complex)
-    defect = float(np.abs(p @ p - p).max())
+    n, m = p.shape[0], p.shape[-1]
+    per = max(1, CHUNK_BYTES // (16 * m * m))
+    rows = [slice(s, s + per) for s in range(0, n, per)]
+    defect = float(np.max([np.abs(p[sl] @ p[sl] - p[sl]).max() for sl in rows]))
     if defect > IDEMPOTENT_TOL:
         raise ModelError(f"field is not a projector: |p^2 - p| = {defect:.3e}")
-    n = p.shape[0]
     out = {0: np.trace(p, axis1=-2, axis2=-1).reshape(n, 1)}
     if dim < 2:
         return out
-    F = _projected_curvature(p, dim, diff)
-    power = F
-    j = 1
-    while True:
-        scale = CH_CURVATURE_SCALE**j / math.factorial(j)
-        sandwich = (p[:, None] * power.swapaxes(-1, -2)).sum(axis=(-2, -1))
-        out[2 * j] = scale * sandwich
-        if 2 * (j + 1) > dim:
-            break
-        power = exterior_wedge(power, 2 * j, F, 2, dim, np.matmul)
-        j += 1
+    flat = p.reshape(n, 1, m * m)
+    dp = np.empty((n, dim, m * m), dtype=complex)
+    step = max(1, CHUNK_BYTES // (16 * n))
+    for s in range(0, m * m, step):
+        dp[:, :, s : s + step] = exterior_d(flat[:, :, s : s + step], 0, dim, grad)
+    dp = dp.reshape(n, dim, m, m)
+    for deg in range(2, dim + 1, 2):
+        out[deg] = np.empty((n, len(index_subsets(dim, deg))), dtype=complex)
+    for sl in rows:
+        F = power = _projected_curvature(p[sl], dp[sl], dim)
+        for j in range(1, dim // 2 + 1):
+            if j > 1:
+                power = exterior_wedge(power, 2 * j - 2, F, 2, dim, np.matmul)
+            sandwich = (p[sl, None] * power.swapaxes(-1, -2)).sum(axis=(-2, -1))
+            out[2 * j][sl] = CH_CURVATURE_SCALE**j / math.factorial(j) * sandwich
     return out
 
 
@@ -364,21 +382,6 @@ def char_bucket_fields(terms: list[CotangentTerm], base: BaseModel) -> dict[tupl
     return buckets
 
 
-def char_difference(c1: CharClassForm, c2: CharClassForm, base: BaseModel) -> float:
-    """Largest pointwise deviation between two characteristic forms."""
-    b1 = char_bucket_fields(c1.terms, base)
-    b2 = char_bucket_fields(c2.terms, base)
-    worst = 0.0
-    for key in set(b1) | set(b2):
-        for x in range(len(base)):
-            a = b1[key][x] if key in b1 else 0.0
-            b = b2[key][x] if key in b2 else 0.0
-            diff = np.abs(a - b)
-            if np.ndim(diff):
-                worst = max(worst, float(diff.max()))
-    return worst
-
-
 def char_closedness_defect(cform: CharClassForm, base: BaseModel) -> float:
     """Max component of the total exterior derivative across both sites."""
     image: list[CotangentTerm] = []
@@ -414,8 +417,8 @@ def chern_character_fiber(
     r = base.fiber(0).dim
     per_degree: dict[int, list[np.ndarray]] = {}
     for x in range(len(base)):
-        diff = partial(spectral_derivative, fiber=base.fiber(x))
-        scalars = _chern_scalars(projectors[x], r, diff)
+        grad = partial(spectral_gradient, fiber=base.fiber(x))
+        scalars = _chern_scalars(projectors[x], r, grad)
         for deg, arr in scalars.items():
             per_degree.setdefault(deg, []).append(arr)
     terms = []
@@ -432,9 +435,9 @@ def chern_character_disc(base: BaseModel, disc: DiscModel, projector: np.ndarray
     subtracting its character forms the compactly supported difference
     class that symbol classes of elliptic operators produce.
     """
-    scalars = _chern_scalars(projector, 2, disc.derivative)
+    scalars = _chern_scalars(projector, 2, disc.gradient)
     rim = np.broadcast_to(np.diag([0.0, 1.0]).astype(complex), projector.shape).copy()
-    rim_scalars = _chern_scalars(rim, 2, disc.derivative)
+    rim_scalars = _chern_scalars(rim, 2, disc.gradient)
     for deg in scalars:
         scalars[deg] = scalars[deg] - rim_scalars[deg]
     r = base.fiber(0).dim
@@ -466,7 +469,8 @@ def twist_projector(fiber: FiberModel, twist: int) -> np.ndarray:
     density = np.sum(np.abs(V) ** 2, axis=1)
     if density.min() < 1e-6 * density.max():
         raise ModelError("magnetic frame degenerates on the grid")
-    p = np.einsum("ni,nj->nij", np.conj(V), V) / density[:, None, None]
+    p = np.einsum("ni,nj->nij", np.conj(V), V)
+    p /= density[:, None, None]
     return p
 
 

@@ -12,8 +12,8 @@ oscillator ladder:
 with h_l the orthonormal Hermite functions.  For d > 0 the ladder lowers,
 D B_{j,l} = i sqrt(pi d l) B_{j,l-1}, so the kernel is the |d|-dimensional
 level zero; for d < 0 it raises and the cokernel is level zero.  The operator
-blocks are assembled from these exact relations; a quasi-periodic
-finite-difference application is provided separately as an independent check.
+blocks are assembled from these exact relations; the tests check them against
+an independent quasi-periodic finite-difference application.
 """
 from __future__ import annotations
 
@@ -113,16 +113,6 @@ def dolbeault_family(base: BaseModel, twist: int, levels: int) -> LeafwiseOperat
     return LeafwiseOperatorFamily(base, blocks, order=1.0)
 
 
-_FD6 = (
-    (-3, -1.0 / 60.0),
-    (-2, 3.0 / 20.0),
-    (-1, -3.0 / 4.0),
-    (1, 3.0 / 4.0),
-    (2, -3.0 / 20.0),
-    (3, 1.0 / 60.0),
-)
-
-
 def twisted_shift(field: np.ndarray, ticks: int, twist: int, fiber: FiberModel) -> np.ndarray:
     """Sample translate in the second coordinate with the quasi-periodic wrap.
 
@@ -138,20 +128,6 @@ def twisted_shift(field: np.ndarray, ticks: int, twist: int, fiber: FiberModel) 
     wrapped = (j + ticks) // n  # how many cells each column crossed
     factors = np.exp(-2j * np.pi * twist * z1[:, :1]) ** wrapped[None, :]
     return (rolled * factors).reshape(field.shape)
-
-
-def dolbeault_apply_fd(field: np.ndarray, twist: int, fiber: FiberModel) -> np.ndarray:
-    """Independent application of D: spectral in z1, sixth-order stencil in z2."""
-    from .grids import spectral_derivative
-
-    n = fiber.grid_size
-    d1 = spectral_derivative(field, 0, fiber)
-    d2 = np.zeros_like(field, dtype=complex)
-    for off, coef in _FD6:
-        d2 += coef * twisted_shift(field, off, twist, fiber)
-    d2 *= n
-    pts = grid_points(n, 2)
-    return 0.5 * (d1 + 1j * d2) + np.pi * 1j * twist * pts[:, 1] * field
 
 
 def magnetic_translation(field: np.ndarray, v_ticks: tuple[int, int], twist: int, fiber: FiberModel) -> np.ndarray:

@@ -7,8 +7,8 @@ d is exact on band-limited data and the grid sum of any exact top component
 vanishes to round-off (the derivative has no zero mode).
 
 exterior_d and exterior_wedge hold that component convention for every site
-and value type: they act on arrays (n, ncomp, ...) given a partial derivative
-and a product, so the fiber grid, the frequency disc of charclass.py and
+and value type: they act on arrays (n, ncomp, ...) given a gradient and a
+product, so the fiber grid, the frequency disc of charclass.py and
 matrix-valued curvature forms share one sign bookkeeping.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .density import CutoffDensity, TransversalDensity
-from .grids import ModelError, spectral_derivative
+from .grids import ModelError, spectral_gradient
 from .groupoid import BaseModel
 from .space import FiberedGSpace
 
@@ -122,22 +122,29 @@ class FoliatedForm:
         return max(float(np.max(np.abs(f))) if f.size else 0.0 for f in self.fields)
 
 
-def exterior_d(field: np.ndarray, degree: int, dim: int, diff) -> np.ndarray:
+def exterior_d(field: np.ndarray, degree: int, dim: int, grad) -> np.ndarray:
     """Exterior derivative of a component array of shape (n, ncomp, ...).
 
-    diff(block, axis) differentiates an (n, ...) block along one coordinate
-    of the site; trailing axes (matrix entries) ride along.
+    grad(block, axes=axes) returns the partial derivatives of an (n, ...)
+    block along each of the site's coordinates in axes; trailing axes
+    (matrix entries) ride along.  Each component is differentiated once,
+    along the axes its terms need, and the terms are summed into zeros in
+    (K, j) order, which fixes the bits of the sums (and turns -0.0 into
+    +0.0).
     """
     if degree >= dim:
         raise DegreeError("cannot differentiate a top-degree form")
-    in_pos = subset_position(dim, degree)
+    partials = {}
+    for c, I in enumerate(index_subsets(dim, degree)):
+        axes = tuple(j for j in range(dim) if j not in I)
+        partials.update(zip(((I, j) for j in axes), grad(field[:, c], axes=axes)))
     out_subs = index_subsets(dim, degree + 1)
     out = np.zeros((field.shape[0], len(out_subs)) + field.shape[2:], dtype=complex)
     for kk, K in enumerate(out_subs):
         for j in K:
             rest = tuple(i for i in K if i != j)
             sgn = merge_sign((j,), rest)
-            out[:, kk] += sgn * diff(field[:, in_pos[rest]], j)
+            out[:, kk] += sgn * partials.pop((rest, j))
     return out
 
 
@@ -171,7 +178,7 @@ def d_leafwise(form: FoliatedForm, base: BaseModel) -> FoliatedForm:
     """Spectral exterior derivative along the fibers."""
     r, q = form.fiber_dim, form.degree
     out_fields = [
-        exterior_d(f, q, r, partial(spectral_derivative, fiber=base.fiber(x)))
+        exterior_d(f, q, r, partial(spectral_gradient, fiber=base.fiber(x)))
         for x, f in enumerate(form.fields)
     ]
     return FoliatedForm(q + 1, r, out_fields, invariant=form.invariant)

@@ -129,27 +129,38 @@ def box_to_grid(coeffs: np.ndarray, fiber: FiberModel) -> np.ndarray:
     return fiber.eval_matrix() @ np.asarray(coeffs, dtype=complex)
 
 
-def spectral_derivative(field: np.ndarray, axis: int, fiber: FiberModel) -> np.ndarray:
-    """Partial derivative d/dz_axis via the full FFT of the grid field.
+def spectral_gradient(field: np.ndarray, fiber: FiberModel, axes) -> list[np.ndarray]:
+    """Partial derivatives d/dz_a of a grid field, one array per a in axes.
 
     The leading axis of field runs over grid points; trailing axes (matrix
     entries, say) are carried along and differentiated entry by entry.  The
-    unmatched Nyquist mode (n even) is dropped from the derivative; it is
-    absent from all band-limited data anyway.
+    grid axes are moved last and made contiguous, one forward fftn serves
+    every requested axis and each takes one inverse.  Each line transform is
+    the same whatever the layout, so the values do not depend on the
+    trailing shape or on which other axes are requested.  The unmatched
+    Nyquist mode (n even) is dropped from the derivative; it is absent from
+    all band-limited data anyway.
     """
-    n = fiber.grid_size
+    n, r = fiber.grid_size, fiber.dim
     field = np.asarray(field, dtype=complex)
+    lead = field.ndim - 1
+    grid_axes = tuple(range(lead, lead + r))
     shaped = field.reshape(fiber.grid_shape + field.shape[1:])
+    # a C-ordered copy, never the caller's array: the transforms run in place
+    spec = np.moveaxis(shaped, range(r), grid_axes).copy()
+    np.fft.fftn(spec, axes=grid_axes, out=spec)
     freqs = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
-        freqs = freqs.copy()
         freqs[n // 2] = 0.0
-    shape = [1] * shaped.ndim
-    shape[axis] = n
-    mult = TWO_PI_I * freqs.reshape(shape)
-    grid_axes = tuple(range(fiber.dim))
-    out = np.fft.ifftn(np.fft.fftn(shaped, axes=grid_axes) * mult, axes=grid_axes)
-    return out.reshape(field.shape)
+    mult = TWO_PI_I * freqs
+    out = []
+    for a in axes:
+        shape = [1] * spec.ndim
+        shape[lead + a] = n
+        d = spec * mult.reshape(shape)
+        np.fft.ifftn(d, axes=grid_axes, out=d)
+        out.append(np.moveaxis(d, grid_axes, range(r)).reshape(field.shape))
+    return out
 
 
 def band_limit(field: np.ndarray, fiber: FiberModel) -> np.ndarray:

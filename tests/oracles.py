@@ -1,0 +1,98 @@
+"""Per-axis derivatives and the whole-field Chern scalars, kept as oracles.
+
+These are the computations the library made before its gradients shared one
+forward transform and its Chern scalars ran in blocks: one full FFT pair per
+partial derivative with the matrix entries as trailing, strided axes, the
+disc's radial and angular derivatives recomputed per axis, and every field
+of the character held whole.  The library must agree with them bit for bit.
+"""
+import math
+
+import numpy as np
+
+from indexpairing.charclass import CH_CURVATURE_SCALE, IDEMPOTENT_TOL
+from indexpairing.forms import exterior_wedge, index_subsets, merge_sign, subset_position
+from indexpairing.grids import TWO_PI_I, ModelError
+
+
+def spectral_derivative(field, axis, fiber):
+    """d/dz_axis of a grid field (npoints, ...) via the full FFT over the grid axes."""
+    n = fiber.grid_size
+    field = np.asarray(field, dtype=complex)
+    shaped = field.reshape(fiber.grid_shape + field.shape[1:])
+    freqs = np.fft.fftfreq(n, d=1.0 / n)
+    if n % 2 == 0:
+        freqs[n // 2] = 0.0
+    shape = [1] * shaped.ndim
+    shape[axis] = n
+    mult = TWO_PI_I * freqs.reshape(shape)
+    grid_axes = tuple(range(fiber.dim))
+    out = np.fft.ifftn(np.fft.fftn(shaped, axes=grid_axes) * mult, axes=grid_axes)
+    return out.reshape(field.shape)
+
+
+def disc_derivative(disc, field, axis):
+    """Cartesian partial derivative of a flat disc field along axis 0 or 1."""
+    f = np.asarray(field, dtype=complex)
+    shaped = f.reshape(disc.nradial, disc.nangular, -1)
+    fr = (disc._radial_diff @ shaped.reshape(disc.nradial, -1)).reshape(shaped.shape)
+    freqs = np.fft.fftfreq(disc.nangular, d=1.0 / disc.nangular)
+    if disc.nangular % 2 == 0:
+        freqs[disc.nangular // 2] = 0.0
+    ft = np.fft.ifft(np.fft.fft(shaped, axis=1) * (1j * freqs)[None, :, None], axis=1)
+    cos = np.cos(disc.angles)[None, :, None]
+    sin = np.sin(disc.angles)[None, :, None]
+    inv_rho = (1.0 / disc.radial_nodes)[:, None, None]
+    if axis == 0:
+        out = cos * fr - sin * inv_rho * ft
+    else:
+        out = sin * fr + cos * inv_rho * ft
+    return out.reshape(f.shape)
+
+
+def exterior_d_per_axis(field, degree, dim, diff):
+    """Exterior derivative with one diff(block, axis) call per (K, j) term."""
+    in_pos = subset_position(dim, degree)
+    out_subs = index_subsets(dim, degree + 1)
+    out = np.zeros((field.shape[0], len(out_subs)) + field.shape[2:], dtype=complex)
+    for kk, K in enumerate(out_subs):
+        for j in K:
+            rest = tuple(i for i in K if i != j)
+            out[:, kk] += merge_sign((j,), rest) * diff(field[:, in_pos[rest]], j)
+    return out
+
+
+def chern_scalars_whole(p, dim, diff):
+    """tr(p F^j) * scale^j / j! by degree, with every field held whole."""
+    p = np.asarray(p, dtype=complex)
+    defect = float(np.abs(p @ p - p).max())
+    if defect > IDEMPOTENT_TOL:
+        raise ModelError(f"field is not a projector: |p^2 - p| = {defect:.3e}")
+    n = p.shape[0]
+    out = {0: np.trace(p, axis1=-2, axis2=-1).reshape(n, 1)}
+    if dim < 2:
+        return out
+    dp = exterior_d_per_axis(p[:, None], 0, dim, diff)
+    F = p[:, None] @ exterior_wedge(dp, 1, dp, 1, dim, np.matmul) @ p[:, None]
+    power = F
+    j = 1
+    while True:
+        scale = CH_CURVATURE_SCALE**j / math.factorial(j)
+        sandwich = (p[:, None] * power.swapaxes(-1, -2)).sum(axis=(-2, -1))
+        out[2 * j] = scale * sandwich
+        if 2 * (j + 1) > dim:
+            break
+        power = exterior_wedge(power, 2 * j, F, 2, dim, np.matmul)
+        j += 1
+    return out
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits of the real and imaginary parts."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b)
+        and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+        and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+    )

@@ -8,7 +8,7 @@ from indexpairing.charclass import (
     CharClassForm,
     DiscForm,
     DiscModel,
-    char_difference,
+    char_bucket_fields,
     chern_character_disc,
     chern_character_fiber,
     d_disc,
@@ -19,12 +19,14 @@ from indexpairing.charclass import (
     wedge_char,
     wedge_disc,
 )
+from indexpairing import charclass
 from indexpairing.charclass import CH_CURVATURE_SCALE, _chern_scalars, _projected_curvature
 from indexpairing.forms import DegreeError, d_leafwise, exterior_d, exterior_wedge
-from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_derivative
+from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_gradient
 from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.symbols import EllipticityError
 from indexpairing.topindex import dolbeault_symbol_values
+from oracles import chern_scalars_whole, disc_derivative, same_bits, spectral_derivative
 
 # Orientation facts of the model projectors, frozen from the conventions in
 # charclass (symbol phase on the lower off-diagonal, conjugated magnetic
@@ -33,6 +35,21 @@ from indexpairing.topindex import dolbeault_symbol_values
 # charge +k, and the fiber twist projector of flux d integrates to -d.
 BOTT_CHARGE = 1.0
 TWIST_CHARGE_PER_FLUX = -1.0
+
+
+def char_difference(c1, c2, base):
+    """Largest pointwise deviation between two characteristic forms."""
+    b1 = char_bucket_fields(c1.terms, base)
+    b2 = char_bucket_fields(c2.terms, base)
+    worst = 0.0
+    for key in set(b1) | set(b2):
+        for x in range(len(base)):
+            a = b1[key][x] if key in b1 else 0.0
+            b = b2[key][x] if key in b2 else 0.0
+            diff = np.abs(a - b)
+            if np.ndim(diff):
+                worst = max(worst, float(diff.max()))
+    return worst
 
 
 def bott_projector(disc):
@@ -87,8 +104,7 @@ def test_disc_derivative_exact_on_polynomials():
     disc = DiscModel(9.0, 48, 48)
     x1, x2 = disc.points[:, 0], disc.points[:, 1]
     f = x1**2 * x2 - 2 * x2**3 + 3 * x1
-    d0 = disc.derivative(f, 0)
-    d1 = disc.derivative(f, 1)
+    d0, d1 = disc.gradient(f, (0, 1))
     scale = np.abs(f).max()
     assert np.abs(d0 - (2 * x1 * x2 + 3)).max() < 1e-10 * scale
     assert np.abs(d1 - (x1**2 - 6 * x2**2)).max() < 1e-10 * scale
@@ -227,9 +243,9 @@ def test_curvature_satisfies_structure_and_bianchi():
         for i in range(2):
             for j in range(2):
                 gam[:, k, i, j] = random_band_limited(rng, fiber, 1)
-    diff = partial(spectral_derivative, fiber=fiber)
-    R = exterior_d(gam, 1, 4, diff) + exterior_wedge(gam, 1, gam, 1, 4, np.matmul)
-    dR = exterior_d(R, 2, 4, diff)
+    grad = partial(spectral_gradient, fiber=fiber)
+    R = exterior_d(gam, 1, 4, grad) + exterior_wedge(gam, 1, gam, 1, 4, np.matmul)
+    dR = exterior_d(R, 2, 4, grad)
     comm = exterior_wedge(R, 2, gam, 1, 4, np.matmul) - exterior_wedge(gam, 1, R, 2, 4, np.matmul)
     assert np.abs(dR - comm).max() < 1e-6
 
@@ -238,11 +254,76 @@ def test_projected_curvature_matches_einsum_sandwich():
     # reference: the curvature p (dp ^ dp) p written as a three-operand einsum
     fiber = torus_base(n=16, N=6).fiber(0)
     p = twist_projector(fiber, 1)
-    diff = partial(spectral_derivative, fiber=fiber)
-    dp = exterior_d(p[:, None], 0, 2, diff)
+    grad = partial(spectral_gradient, fiber=fiber)
+    dp = exterior_d(p[:, None], 0, 2, grad)
     want = np.einsum("nij,ncjk,nkl->ncil", p, exterior_wedge(dp, 1, dp, 1, 2, np.matmul), p)
-    got = _projected_curvature(p, 2, diff)
+    got = _projected_curvature(p, dp, 2)
     assert np.abs(got - want).max() <= 1e-13
     # and the degree-2 Chern trace tr(p F) written as an einsum
     trace = CH_CURVATURE_SCALE * np.einsum("nij,ncji->nc", p, want)
-    assert np.abs(_chern_scalars(p, 2, diff)[2] - trace).max() <= 1e-13
+    assert np.abs(_chern_scalars(p, 2, grad)[2] - trace).max() <= 1e-13
+
+
+@pytest.mark.parametrize("trailing", [(), (2, 2)])
+def test_disc_gradient_is_bitwise_the_per_axis_derivative(trailing):
+    disc = DiscModel(9.0, 24, 16)
+    rng = np.random.default_rng(11)
+    shape = (disc.nnodes,) + trailing
+    field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    field.reshape(disc.nnodes, -1)[:, 0] = -1.0
+    want = [disc_derivative(disc, field, a) for a in (0, 1)]
+    for axes in [(0, 1), (1,), (1, 0)]:
+        got = disc.gradient(field, axes)
+        assert all(same_bits(g, want[a]) for g, a in zip(got, axes))
+    with pytest.raises(ModelError):
+        disc.gradient(field, (2,))
+
+
+def _block_case(site):
+    """(p, dim, grad, per-axis oracle diff) of one field."""
+    if site == "graph":
+        disc = DiscModel(9.0, 48, 48)
+        return bott_projector(disc), 2, disc.gradient, partial(disc_derivative, disc)
+    if site == "flux24":
+        # 1600 points of 24 x 24: 15 blocks of points, the last of 18
+        fiber, dim = FiberModel("torus", 2, 19, 40), 2
+        p = twist_projector(fiber, 24)
+    else:
+        # the product of test_chern_multiplicative_on_products: 20736 points
+        # of 4 x 4 in 6 blocks, the last of 256, and the j = 2 term
+        n = 12
+        fiber, dim, fib2 = FiberModel("torus", 4, 2, n), 4, FiberModel("torus", 2, 2, n)
+        p1, p2 = twist_projector(fib2, 1), twist_projector(fib2, -2)
+        p = np.einsum("aij,bkl->abikjl", p1, p2).reshape(n**4, 4, 4)
+    return p, dim, partial(spectral_gradient, fiber=fiber), partial(spectral_derivative, fiber=fiber)
+
+
+@pytest.mark.parametrize("site", ["flux24", "dim4-product", "graph"])
+def test_chern_scalars_in_blocks_are_bitwise_the_whole_field(site):
+    p, dim, grad, diff = _block_case(site)
+    got = _chern_scalars(p, dim, grad)
+    want = chern_scalars_whole(p, dim, diff)
+    assert sorted(got) == sorted(want) == list(range(0, dim + 1, 2))
+    assert all(same_bits(got[k], want[k]) for k in want)
+
+
+def test_chern_scalars_bits_do_not_depend_on_the_block_size(monkeypatch):
+    # 41 points per block leave a last block of one point, and 14 matrix
+    # components per FFT block a last one of two
+    p, dim, grad, diff = _block_case("flux24")
+    want = chern_scalars_whole(p, dim, diff)
+    monkeypatch.setattr(charclass, "CHUNK_BYTES", 16 * 24 * 24 * 41)
+    got = _chern_scalars(p, dim, grad)
+    assert all(same_bits(got[k], want[k]) for k in want)
+
+
+def test_projector_gate_sees_a_bad_point_in_the_last_block():
+    p, dim, grad, diff = _block_case("flux24")
+    per = charclass.CHUNK_BYTES // (16 * 24 * 24)
+    assert len(p) % per and len(p) > per
+    p[-1] *= 1.0 + 1e-6
+    with pytest.raises(ModelError) as got:
+        _chern_scalars(p, dim, grad)
+    with pytest.raises(ModelError) as want:
+        chern_scalars_whole(p, dim, diff)
+    assert str(got.value) == str(want.value)

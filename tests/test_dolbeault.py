@@ -4,15 +4,15 @@ import pytest
 
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import (
-    dolbeault_apply_fd,
     dolbeault_block,
     dolbeault_family,
     hermite_values,
     landau_basis,
     magnetic_translation,
     magnetic_translation_matrix,
+    twisted_shift,
 )
-from indexpairing.grids import FiberModel, ModelError
+from indexpairing.grids import FiberModel, ModelError, grid_points
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, circulant_dense, trace_tau
@@ -25,6 +25,7 @@ from indexpairing.parametrix import (
     parametrix,
 )
 from indexpairing.space import FiberedGSpace
+from oracles import spectral_derivative
 
 
 def torus_base(n=20, N=8):
@@ -78,6 +79,28 @@ def test_landau_basis_is_orthonormal_on_grid(twist):
     basis = landau_basis(fiber, twist, max_level=4)
     assert basis.size == abs(twist) * 5
     assert basis.gram_defect() <= 1e-10
+
+
+_FD6 = (
+    (-3, -1.0 / 60.0),
+    (-2, 3.0 / 20.0),
+    (-1, -3.0 / 4.0),
+    (1, 3.0 / 4.0),
+    (2, -3.0 / 20.0),
+    (3, 1.0 / 60.0),
+)
+
+
+def dolbeault_apply_fd(field, twist, fiber):
+    """Independent application of D: spectral in z1, sixth-order stencil in z2."""
+    n = fiber.grid_size
+    d1 = spectral_derivative(field, 0, fiber)
+    d2 = np.zeros_like(field, dtype=complex)
+    for off, coef in _FD6:
+        d2 += coef * twisted_shift(field, off, twist, fiber)
+    d2 *= n
+    pts = grid_points(n, 2)
+    return 0.5 * (d1 + 1j * d2) + np.pi * 1j * twist * pts[:, 1] * field
 
 
 @pytest.mark.parametrize("twist", [1, 2, -1])

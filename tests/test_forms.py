@@ -1,5 +1,6 @@
 """Exterior calculus, invariant projection and integration of leafwise forms."""
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from indexpairing.forms import (
     FoliatedForm,
     InvarianceError,
     d_leafwise,
+    exterior_d,
     form_invariance_defect,
+    index_subsets,
     integrate_invariant,
     invariant_project_form,
     wedge,
 )
-from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_derivative
+from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_gradient
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing.space import AffineTorusMap, FiberedGSpace
+from oracles import exterior_d_per_axis, same_bits, spectral_derivative
 
 
 def torus_base(n=8, N=3, dim=2):
@@ -41,8 +45,6 @@ def half_shift_space(n=8, N=3):
 
 def random_form(rng, base, degree, band=2):
     r = base.fiber(0).dim
-    from indexpairing.forms import index_subsets
-
     ncomp = len(index_subsets(r, degree))
     fields = []
     for x in range(len(base)):
@@ -75,12 +77,53 @@ def test_d_matches_spectral_oracle():
     block = np.stack(
         [random_band_limited(rng, fiber, 3) for _ in range(4)], axis=1
     ).reshape(-1, 2, 2)
-    for axis in (0, 1):
-        got = spectral_derivative(block, axis, fiber)
-        for i in range(2):
-            for j in range(2):
-                entry = spectral_derivative(block[:, i, j], axis, fiber)
-                assert np.array_equal(got[:, i, j], entry)
+    got = spectral_gradient(block, fiber, (0, 1))
+    for i in range(2):
+        for j in range(2):
+            entry = spectral_gradient(block[:, i, j], fiber, (0, 1))
+            assert all(same_bits(g[:, i, j], e) for g, e in zip(got, entry))
+
+
+def _signed_zero_field(rng, fiber, trailing):
+    """Random grid field whose first trailing entry is the constant -1.
+
+    The derivatives of that entry are exact zeros, some of them -0.0, where
+    a change of summation order or of the zero start shows in the sign bits.
+    """
+    shape = (fiber.npoints,) + trailing
+    field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    field.reshape(fiber.npoints, -1)[:, 0] = -1.0
+    return field
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("dim", [1, 2, 4])
+@pytest.mark.parametrize("trailing", [(), (3, 3)])
+def test_spectral_gradient_is_bitwise_the_per_axis_derivative(n, dim, trailing):
+    kind = "circle" if dim == 1 else "torus"
+    fiber = FiberModel(kind, dim, 3, n)
+    field = _signed_zero_field(np.random.default_rng(n * dim), fiber, trailing)
+    want = [spectral_derivative(field, a, fiber) for a in range(dim)]
+    before = field.copy()
+    got = spectral_gradient(field, fiber, tuple(range(dim)))
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    assert same_bits(field, before), "the transforms run in place on a copy"
+    # one axis alone, or the axes out of order, give the same bits
+    for axes in [(dim - 1,), tuple(reversed(range(dim)))]:
+        got = spectral_gradient(field, fiber, axes)
+        assert all(same_bits(g, want[a]) for g, a in zip(got, axes))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("trailing", [(), (2, 2)])
+def test_exterior_d_is_bitwise_the_per_axis_sum(dim, degree, trailing):
+    fiber = FiberModel("torus", dim, 3, 8)
+    ncomp = len(index_subsets(dim, degree))
+    field = _signed_zero_field(np.random.default_rng(dim + 7 * degree), fiber, (ncomp,) + trailing)
+    got = exterior_d(field, degree, dim, partial(spectral_gradient, fiber=fiber))
+    want = exterior_d_per_axis(field, degree, dim, partial(spectral_derivative, fiber=fiber))
+    assert same_bits(got, want)
 
 
 def test_d_squared_vanishes():

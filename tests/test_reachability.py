@@ -29,8 +29,6 @@ KEPT_ORACLES = {
     "SectionBasis.synthesize": "test_calculus::test_identity_block_band_limits",
     "SmoothingKernel.invariance_defect": "test_calculus::test_average_kernel_enforces_invariance_and_fixes_invariants",
     "TransitionProfile.fourier_coefficients": "test_pairing::test_profile_fourier_reconstruction",
-    "char_difference": "test_charclass::test_chern_additive_on_direct_sums",
-    "dolbeault_apply_fd": "test_dolbeault::test_ladder_matches_finite_difference_application",
     "family_invariance_defect": "test_calculus::test_family_invariance_detects_asymmetry",
     "invariant_project_cochain": "test_cochains::test_invariant_project_cochain_invariance_and_fixing",
     # magnetic translations are also the group action a Bloch-block kernel

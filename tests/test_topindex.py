@@ -1,4 +1,5 @@
 """Localized class integrals, quotient reductions, orbifold families."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,19 @@ def test_flux_predictions_match_spectral_index():
         ana = analytic_index(dolbeault_family(space.base, d, 4), space).index(0)
         assert abs(topo - ana) < 1e-6
         assert abs(topo.imag) < 1e-9
+
+
+def test_symbol_class_peak_memory_is_at_most_four_projector_fields():
+    # the flux-24 space: one (n, m, m) field is 1600 points of 24 x 24
+    base = trivial_space(n=40, N=19).base
+    field_bytes = 1600 * 24 * 24 * 16
+    tracemalloc.start()
+    try:
+        symbol_class_dolbeault(base, DiscModel(20.0, 48, 48), 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * field_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_value_independent_of_cutoff_choice():
