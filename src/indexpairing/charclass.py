@@ -10,12 +10,16 @@ trigonometric polynomials below the angular band.
 
 The exterior calculus itself, scalar or matrix-valued on either site, is
 forms.exterior_d and forms.exterior_wedge; this module supplies the disc's
-gradient and builds on the two functions the Chern character forms of
-projector fields, and the two model projector families used by the
-scenarios: a flux-twisted line bundle frame on the fiber, and the graph
-projector of a nonvanishing scalar symbol on the disc.  No genus factor is
-formed: every scenario runs on two-dimensional fibers, where the A-hat genus
-is identically 1 because its components sit in degrees divisible by four.
+gradient and builds on the two functions the two factors of a product
+symbol class.  On the fiber that is the Chern character of a projector
+family, one leafwise form per even degree; on the disc it is one number,
+the charge: the integral of the degree-2 character of a projector field
+relative to its rim value (the Thom/Bott step of the index formula).  The
+two model projector families used by the scenarios are a flux-twisted line
+bundle frame on the fiber and the graph projector of a nonvanishing scalar
+symbol on the disc.  No genus factor is formed: every scenario runs on
+two-dimensional fibers, where the A-hat genus is identically 1 because its
+components sit in degrees divisible by four.
 
 Normalization is fixed once: curvature enters the Chern character through the
 scale 1/(2*pi*i).  Any further orientation constant belongs to the index
@@ -31,15 +35,7 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .dolbeault import landau_section_values
-from .forms import (
-    DegreeError,
-    FoliatedForm,
-    d_leafwise,
-    exterior_d,
-    exterior_wedge,
-    index_subsets,
-    wedge,
-)
+from .forms import FoliatedForm, exterior_d, exterior_wedge, index_subsets
 from .grids import FiberModel, ModelError, spectral_gradient
 from .groupoid import BaseModel
 from .symbols import EllipticityError
@@ -63,7 +59,7 @@ def _smoothstep_coeffs(flatness: int) -> tuple[tuple[int, float], ...]:
     return tuple((e, float(c / norm)) for e, c in terms)
 
 
-def smoothstep_poly(u, flatness: int = 8):
+def smoothstep_poly(u, flatness: int):
     """Polynomial ramp from 0 at u=0 to 1 at u=1, clamped outside [0, 1].
 
     The first `flatness` derivatives vanish at both ends (the derivative is
@@ -194,54 +190,6 @@ class DiscModel:
         return complex(np.sum(self.weights * f))
 
 
-@dataclass
-class DiscForm:
-    """Differential form on the frequency disc, degree 0, 1 or 2.
-
-    Components follow the same sorted-subset convention as leafwise forms:
-    degree 1 stores (d_xi1, d_xi2) coefficients, degree 2 the single
-    d_xi1 ^ d_xi2 coefficient.
-    """
-
-    disc: DiscModel
-    degree: int
-    field: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.degree <= 2:
-            raise DegreeError(f"disc form degree must be 0..2, got {self.degree}")
-        self.field = np.asarray(self.field, dtype=complex)
-        if self.field.ndim != 2 or self.field.shape != (self.disc.nnodes, self.ncomp):
-            raise DegreeError(
-                f"disc form field shape {self.field.shape} does not match "
-                f"(nnodes={self.disc.nnodes}, ncomp={self.ncomp})"
-            )
-
-    @property
-    def ncomp(self) -> int:
-        return len(index_subsets(2, self.degree))
-
-    @classmethod
-    def one(cls, disc: DiscModel) -> "DiscForm":
-        return cls(disc, 0, np.ones((disc.nnodes, 1), dtype=complex))
-
-    def integrate(self) -> complex:
-        if self.degree != 2:
-            raise DegreeError("only 2-forms integrate over the disc")
-        return self.disc.integrate(self.field[:, 0])
-
-
-def d_disc(form: DiscForm) -> DiscForm:
-    """Exterior derivative on the frequency disc."""
-    field = exterior_d(form.field, form.degree, 2, form.disc.gradient)
-    return DiscForm(form.disc, form.degree + 1, field)
-
-
-def wedge_disc(f1: DiscForm, f2: DiscForm) -> DiscForm:
-    field = exterior_wedge(f1.field, f1.degree, f2.field, f2.degree, 2, np.multiply)
-    return DiscForm(f1.disc, f1.degree + f2.degree, field)
-
-
 # ---------------------------------------------------------------------------
 # Chern character of a projector field
 
@@ -298,119 +246,16 @@ def _chern_scalars(p: np.ndarray, dim: int, grad) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic classes on the combined sites
-
-
-@dataclass
-class CotangentTerm:
-    """Separable product of a leafwise form and a disc form."""
-
-    zform: FoliatedForm
-    xform: DiscForm
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return (self.zform.degree, self.xform.degree)
-
-
-@dataclass
-class CharClassForm:
-    """Characteristic form on the cotangent model, stored as separable terms.
-
-    Mixed-degree data is a list of (leafwise form, disc form) products; sums
-    of terms of equal bidegree represent one component.
-    """
-
-    terms: list[CotangentTerm]
-
-    def part(self, z_degree: int, x_degree: int) -> list[CotangentTerm]:
-        return [t for t in self.terms if t.degrees == (z_degree, x_degree)]
-
-
-def unit_char(base: BaseModel, disc: DiscModel) -> CharClassForm:
-    r = base.fiber(0).dim
-    ones = FoliatedForm(
-        0,
-        r,
-        [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))],
-        invariant=True,
-    )
-    return CharClassForm([CotangentTerm(ones, DiscForm.one(disc))])
-
-
-def wedge_char(c1: CharClassForm, c2: CharClassForm) -> CharClassForm:
-    """Wedge on the combined sites; overflowing bidegrees drop out as zero."""
-    terms: list[CotangentTerm] = []
-    for t1 in c1.terms:
-        for t2 in c2.terms:
-            qz = t1.zform.degree + t2.zform.degree
-            qx = t1.xform.degree + t2.xform.degree
-            if qz > t1.zform.fiber_dim or qx > 2:
-                continue
-            sign = -1.0 if (t1.xform.degree * t2.zform.degree) % 2 else 1.0
-            zw = wedge(t1.zform, t2.zform)
-            xw = wedge_disc(t1.xform, t2.xform)
-            terms.append(CotangentTerm(zw.scaled(sign), xw))
-    return CharClassForm(terms)
-
-
-def char_bucket_fields(terms: list[CotangentTerm], base: BaseModel) -> dict[tuple[int, int], list[np.ndarray]]:
-    """Materialize summed full tensors per bidegree.
-
-    Returns, for each (z_degree, x_degree) present, one array per base point
-    of shape (npoints, ncomp_z, nnodes, ncomp_x).  Intended for equality and
-    closedness checks at test scale; the arrays are dense.
-    """
-    buckets: dict[tuple[int, int], list[np.ndarray]] = {}
-    for t in terms:
-        key = t.degrees
-        if key not in buckets:
-            buckets[key] = [
-                np.zeros(
-                    (
-                        t.zform.fields[x].shape[0],
-                        t.zform.ncomp,
-                        t.xform.disc.nnodes,
-                        t.xform.ncomp,
-                    ),
-                    dtype=complex,
-                )
-                for x in range(len(base))
-            ]
-        for x in range(len(base)):
-            buckets[key][x] += np.einsum("pc,nd->pcnd", t.zform.fields[x], t.xform.field)
-    return buckets
-
-
-def char_closedness_defect(cform: CharClassForm, base: BaseModel) -> float:
-    """Max component of the total exterior derivative across both sites."""
-    image: list[CotangentTerm] = []
-    for t in cform.terms:
-        qz, qx = t.degrees
-        if qz < t.zform.fiber_dim:
-            image.append(CotangentTerm(d_leafwise(t.zform, base), t.xform))
-        if qx < 2:
-            sign = -1.0 if qz % 2 else 1.0
-            image.append(CotangentTerm(t.zform.scaled(sign), d_disc(t.xform)))
-    if not image:
-        return 0.0
-    buckets = char_bucket_fields(image, base)
-    worst = 0.0
-    for arrs in buckets.values():
-        for a in arrs:
-            if a.size:
-                worst = max(worst, float(np.abs(a).max()))
-    return worst
+# The two factors of a product symbol class
 
 
 def chern_character_fiber(
-    base: BaseModel, disc: DiscModel, projectors: list[np.ndarray]
-) -> CharClassForm:
-    """Chern character of a projector family on the fiber site.
+    base: BaseModel, projectors: list[np.ndarray]
+) -> dict[int, FoliatedForm]:
+    """Chern character of a projector family on the fiber site, by degree.
 
-    projectors holds one (npoints, m, m) field per base point.  The result
-    carries trivial disc dependence; wedge with a disc-side class for
-    symbols.
+    projectors holds one (npoints, m, m) field per base point; the result
+    maps each even degree to its leafwise form.
     """
     if len(projectors) != len(base):
         raise ModelError("need one projector field per base point")
@@ -418,35 +263,22 @@ def chern_character_fiber(
     per_degree: dict[int, list[np.ndarray]] = {}
     for x in range(len(base)):
         grad = partial(spectral_gradient, fiber=base.fiber(x))
-        scalars = _chern_scalars(projectors[x], r, grad)
-        for deg, arr in scalars.items():
+        for deg, arr in _chern_scalars(projectors[x], r, grad).items():
             per_degree.setdefault(deg, []).append(arr)
-    terms = []
-    for deg, fields in sorted(per_degree.items()):
-        zf = FoliatedForm(deg, r, fields)
-        terms.append(CotangentTerm(zf, DiscForm.one(disc)))
-    return CharClassForm(terms)
+    return {deg: FoliatedForm(deg, r, fields) for deg, fields in sorted(per_degree.items())}
 
 
-def chern_character_disc(base: BaseModel, disc: DiscModel, projector: np.ndarray) -> CharClassForm:
-    """Chern character of a 2 x 2 disc projector field minus that of its rim value.
+def disc_charge(disc: DiscModel, projector: np.ndarray) -> complex:
+    """Disc integral of the degree-2 character of a 2 x 2 projector field
+    minus that of its rim value.
 
-    The rim value of a graph projector is the constant diag(0, 1);
-    subtracting its character forms the compactly supported difference
-    class that symbol classes of elliptic operators produce.
+    The rim value of a graph projector is the constant diag(0, 1); the
+    difference is the compactly supported class that symbols of elliptic
+    operators produce, and its integral is the Bott charge of the symbol.
     """
-    scalars = _chern_scalars(projector, 2, disc.gradient)
     rim = np.broadcast_to(np.diag([0.0, 1.0]).astype(complex), projector.shape).copy()
-    rim_scalars = _chern_scalars(rim, 2, disc.gradient)
-    for deg in scalars:
-        scalars[deg] = scalars[deg] - rim_scalars[deg]
-    r = base.fiber(0).dim
-    ones = [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))]
-    terms = []
-    for deg, arr in sorted(scalars.items()):
-        zf = FoliatedForm(0, r, ones, invariant=True)
-        terms.append(CotangentTerm(zf, DiscForm(disc, deg, arr)))
-    return CharClassForm(terms)
+    ch2, rim2 = (_chern_scalars(q, 2, disc.gradient)[2][:, 0] for q in (projector, rim))
+    return disc.integrate(ch2 - rim2)
 
 
 # ---------------------------------------------------------------------------

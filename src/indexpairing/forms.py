@@ -92,16 +92,6 @@ class FoliatedForm:
         fields = [np.asarray(s, dtype=complex).reshape(-1, 1) for s in scalars]
         return cls(0, r, fields)
 
-    @classmethod
-    def volume(cls, base: BaseModel) -> "FoliatedForm":
-        """The top form dz_1 ^ ... ^ dz_r with unit coefficient everywhere."""
-        r = base.fiber(0).dim
-        fields = [
-            np.ones((base.fiber(x).npoints, 1), dtype=complex)
-            for x in range(len(base))
-        ]
-        return cls(r, r, fields, invariant=True)
-
     def __add__(self, other: "FoliatedForm") -> "FoliatedForm":
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")

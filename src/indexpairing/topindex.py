@@ -4,12 +4,16 @@ The topological side of the verification integrates a cocycle class against
 the Chern character of the operator symbol over the compactified cotangent
 model, weighted by the cutoff and the transversal masses.  The genus factor
 of the index formula is left out: on the two-dimensional fibers every
-scenario runs, the A-hat genus is identically 1.  This module builds symbol
-classes for the two operator families the workbench ships (twisted
-antiholomorphic derivatives and scalar Fourier multipliers), performs the
-degree bookkeeping, and carries the two quotient routes: replacing the cutoff
-by a fundamental-domain indicator for free actions, and orbit-summed
-pointwise indices for families over an identified base.
+scenario runs, the A-hat genus is identically 1.  Both operator families the
+workbench ships (twisted antiholomorphic derivatives and scalar Fourier
+multipliers) have product symbols: a fiber character wedged with a
+difference class on the frequency disc.  Once the disc is integrated, a
+symbol class is its fiber character by degree and one disc charge, and the
+class integral contracts the cocycle form with the fiber character of the
+complementary degree.  This module builds those classes and carries the two
+quotient routes: replacing the cutoff by a fundamental-domain indicator for
+free actions, and orbit-summed pointwise indices for families over an
+identified base.
 
 There is exactly one calibrated constant.  ORIENTATION_SIGN fixes the
 relative orientation of the fiber and the frequency disc in the top-degree
@@ -23,20 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charclass import (
-    CharClassForm,
-    CotangentTerm,
-    DiscForm,
     DiscModel,
-    chern_character_disc,
     chern_character_fiber,
+    disc_charge,
     graph_symbol_projector,
     twist_projector,
-    unit_char,
-    wedge_char,
 )
 from .density import CutoffDensity, TransversalDensity
 from .dolbeault import dolbeault_family
-from .forms import FoliatedForm, InvarianceError, d_leafwise, form_invariance_defect
+from .forms import FoliatedForm, InvarianceError, d_leafwise, form_invariance_defect, wedge
 from .grids import FiberModel, ModelError
 from .groupoid import BaseModel, BasePoint
 from .operators import LeafwiseOperatorFamily
@@ -62,37 +61,45 @@ def dolbeault_symbol_values(disc: DiscModel) -> np.ndarray:
     return disc.points[:, 0] + 1j * disc.points[:, 1]
 
 
-def symbol_class_dolbeault(base: BaseModel, disc: DiscModel, twist: int) -> CharClassForm:
+@dataclass(frozen=True)
+class SymbolClass:
+    """Difference class of a product symbol after the disc integral.
+
+    fiber maps each even degree to the fiber part of the character, and
+    charge is the disc charge of the frequency part.
+    """
+
+    fiber: dict[int, FoliatedForm]
+    charge: complex
+
+
+def _unit_form(base: BaseModel) -> FoliatedForm:
+    """The constant 0-form 1 on every fiber."""
+    ones = [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))]
+    return FoliatedForm(0, base.fiber(0).dim, ones, invariant=True)
+
+
+def symbol_class_dolbeault(base: BaseModel, disc: DiscModel, twist: int) -> SymbolClass:
     """Difference class of the twisted antiholomorphic symbol.
 
     The frequency part is the graph projector of xi1 + i*xi2 relative to its
     rim value; the fiber part is the full character of the flux bundle the
     operator acts on.  Twist 0 degenerates to the plain scalar symbol.
     """
-    xi_part = chern_character_disc(
-        base, disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc))
-    )
-    z_part = chern_character_fiber(
-        base, disc, [twist_projector(base.fiber(x), twist) for x in range(len(base))]
-    )
-    return wedge_char(z_part, xi_part)
+    charge = disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
+    projectors = [twist_projector(base.fiber(x), twist) for x in range(len(base))]
+    return SymbolClass(chern_character_fiber(base, projectors), charge)
 
 
-def symbol_class_multiplier(base: BaseModel, disc: DiscModel, symbol_fn) -> CharClassForm:
+def symbol_class_multiplier(base: BaseModel, disc: DiscModel, symbol_fn) -> SymbolClass:
     """Difference class of a scalar Fourier multiplier symbol.
 
     symbol_fn(xi1, xi2) is sampled on the disc nodes and must not vanish
     there; the class then measures the winding of the symbol.
     """
     values = np.asarray(symbol_fn(disc.points[:, 0], disc.points[:, 1]), dtype=complex)
-    xi_part = chern_character_disc(base, disc, graph_symbol_projector(disc, values))
-    return wedge_char(unit_char(base, disc), xi_part)
-
-
-def _class_disc(sclass: CharClassForm) -> DiscModel:
-    if not sclass.terms:
-        raise ModelError("symbol class carries no terms")
-    return sclass.terms[0].xform.disc
+    charge = disc_charge(disc, graph_symbol_projector(disc, values))
+    return SymbolClass({0: _unit_form(base)}, charge)
 
 
 def _check_cochain_form(
@@ -115,42 +122,29 @@ def _check_cochain_form(
     return alpha.degree // 2
 
 
-def _top_z_integrands(space: FiberedGSpace, integrand: CharClassForm) -> list[np.ndarray]:
-    """Per base point, the fiber density left after frequency integration.
-
-    Selects the bidegree (fiber top, disc top) and integrates each term's
-    disc factor, leaving one scalar field per base point.
-    """
-    base = space.base
-    r = base.fiber(0).dim
-    fields = [np.zeros(base.fiber(x).npoints, dtype=complex) for x in range(len(base))]
-    for t in integrand.part(r, 2):
-        xval = t.xform.integrate()
-        for x in range(len(base)):
-            fields[x] += t.zform.fields[x][:, 0] * xval
-    return fields
-
-
 def _class_integral(
     space: FiberedGSpace,
     weights: list[np.ndarray],
     dens: TransversalDensity,
     alpha: FoliatedForm,
-    sclass: CharClassForm,
+    sclass: SymbolClass,
     invariant_tol: float,
 ) -> complex:
     """ORIENTATION_SIGN * (2*pi*i)^(-k) times the weighted integral of alpha ^ ch.
 
     ``weights`` holds one per-point weight field per base point: the cutoff,
-    or the indicator of a fundamental domain.
+    or the indicator of a fundamental domain.  Only the top component of
+    alpha ^ ch_fiber meets the disc charge; without a fiber character of
+    the complementary degree the integrand is zero.
     """
     k = _check_cochain_form(space, alpha, invariant_tol)
-    disc = _class_disc(sclass)
-    alpha_class = CharClassForm([CotangentTerm(alpha, DiscForm.one(disc))])
-    zfields = _top_z_integrands(space, wedge_char(alpha_class, sclass))
+    top = sclass.fiber.get(alpha.fiber_dim - alpha.degree)
     total = 0.0 + 0.0j
-    for x in range(len(space.base)):
-        total += dens.mass(x) * np.mean(weights[x] * zfields[x])
+    if top is not None:
+        density = wedge(alpha, top)
+        for x in range(len(space.base)):
+            field = density.fields[x][:, 0] * sclass.charge
+            total += dens.mass(x) * np.mean(weights[x] * field)
     return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
 
 
@@ -159,7 +153,7 @@ def topological_index(
     cutoff: CutoffDensity,
     dens: TransversalDensity,
     alpha: FoliatedForm,
-    sclass: CharClassForm,
+    sclass: SymbolClass,
     invariant_tol: float = 1e-8,
 ) -> complex:
     """Localized characteristic-class integral for one cocycle class.
@@ -215,7 +209,7 @@ def free_action_reduction(
     cutoff: CutoffDensity,
     dens: TransversalDensity,
     alpha: FoliatedForm,
-    sclass: CharClassForm,
+    sclass: SymbolClass,
 ) -> complex:
     """Same integral evaluated over a fundamental domain of a free action.
 
@@ -262,7 +256,7 @@ def family_index_orbifold(
     fam: LeafwiseOperatorFamily,
     cutoff: CutoffDensity,
     dens: TransversalDensity,
-    sclass: CharClassForm,
+    sclass: SymbolClass,
 ) -> FamilyIndexResult:
     """Family index over an identified base versus the class integral.
 
@@ -288,14 +282,7 @@ def family_index_orbifold(
                 f"masses vary along the base orbit of point {x}: {sorted(masses)}"
             )
         orbit_sum += dens.mass(x) * per_point[x]
-    r = base.fiber(0).dim
-    unit_alpha = FoliatedForm(
-        0,
-        r,
-        [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))],
-        invariant=True,
-    )
-    topo = topological_index(space, cutoff, dens, unit_alpha, sclass)
+    topo = topological_index(space, cutoff, dens, _unit_form(base), sclass)
     return FamilyIndexResult(
         per_point=per_point,
         orbit_sum=float(orbit_sum),

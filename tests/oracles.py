@@ -5,13 +5,21 @@ forward transform and its Chern scalars ran in blocks: one full FFT pair per
 partial derivative with the matrix entries as trailing, strided axes, the
 disc's radial and angular derivatives recomputed per axis, and every field
 of the character held whole.  The library must agree with them bit for bit.
+The shared test helpers (a bitwise comparison, the unit volume form) sit
+here too.
 """
 import math
 
 import numpy as np
 
 from indexpairing.charclass import CH_CURVATURE_SCALE, IDEMPOTENT_TOL
-from indexpairing.forms import exterior_wedge, index_subsets, merge_sign, subset_position
+from indexpairing.forms import (
+    FoliatedForm,
+    exterior_wedge,
+    index_subsets,
+    merge_sign,
+    subset_position,
+)
 from indexpairing.grids import TWO_PI_I, ModelError
 
 
@@ -96,3 +104,10 @@ def same_bits(a, b):
         and np.array_equal(np.signbit(a.real), np.signbit(b.real))
         and np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
     )
+
+
+def volume_form(base):
+    """The top form dz_1 ^ ... ^ dz_r with unit coefficient everywhere."""
+    r = base.fiber(0).dim
+    fields = [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))]
+    return FoliatedForm(r, r, fields, invariant=True)

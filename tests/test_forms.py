@@ -21,7 +21,7 @@ from indexpairing.forms import (
 from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_gradient
 from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
 from indexpairing.space import AffineTorusMap, FiberedGSpace
-from oracles import exterior_d_per_axis, same_bits, spectral_derivative
+from oracles import exterior_d_per_axis, same_bits, spectral_derivative, volume_form
 
 
 def torus_base(n=8, N=3, dim=2):
@@ -138,7 +138,7 @@ def test_d_squared_vanishes():
 def test_d_rejects_top_degree():
     base = torus_base()
     with pytest.raises(DegreeError):
-        d_leafwise(FoliatedForm.volume(base), base)
+        d_leafwise(volume_form(base), base)
 
 
 def test_wedge_graded_commutativity_and_leibniz():
@@ -200,7 +200,7 @@ def test_invariant_projection_fixes_invariants_and_is_idempotent():
     assert form_invariance_defect(space, proj) <= 1e-11
     again = invariant_project_form(space, cut, proj)
     assert (again - proj).max_abs() <= 1e-12
-    const = FoliatedForm.volume(space.base)
+    const = volume_form(space.base)
     fixed = invariant_project_form(space, cut, const)
     assert (fixed - const).max_abs() <= 1e-12
 
@@ -219,7 +219,7 @@ def test_integrate_volume_is_total_mass():
     space = trivial_space()
     cut = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    val = integrate_invariant(FoliatedForm.volume(space.base), cut, dens)
+    val = integrate_invariant(volume_form(space.base), cut, dens)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_integrate_rejects_bad_inputs():
     dens = TransversalDensity.uniform(space)
     with pytest.raises(DegreeError):
         integrate_invariant(FoliatedForm.from_scalar(space.base, [np.ones(64)]), cut, dens)
-    vol = FoliatedForm.volume(space.base)
+    vol = volume_form(space.base)
     vol.invariant = False
     with pytest.raises(InvarianceError):
         integrate_invariant(vol, cut, dens)

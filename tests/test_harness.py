@@ -791,6 +791,36 @@ def test_run_suite_scenario_csv_is_deterministic(tmp_path):
     assert (out1 / "scenarios.csv").read_bytes() == (out2 / "scenarios.csv").read_bytes()
 
 
+# scenarios.csv rows of the builtins whose class integral runs through every
+# route (plain, free quotient, multiplier, orbifold family), to the byte: the
+# signed zeros in the topological column of S1-dolbeault-d0 and S3 included
+PINNED_ROWS = [
+    "S1-dolbeault-dm2,-2,-2.000000000000e+00+0.000000000000e+00j,"
+    "-1.999999999668e+00+2.869450994865e-17j,3.319496e-10,pass",
+    "S1-dolbeault-dm1,-1,-1.000000000000e+00+0.000000000000e+00j,"
+    "-9.999999976207e-01+5.724444305927e-17j,2.379300e-09,pass",
+    "S1-dolbeault-d0,0,0.000000000000e+00-8.844893469030e-18j,"
+    "-0.000000000000e+00+0.000000000000e+00j,8.844893e-18,pass",
+    "S1-dolbeault-d1,1,1.000000000000e+00+0.000000000000e+00j,"
+    "9.999999976207e-01-5.529545213490e-17j,2.379300e-09,pass",
+    "S1-dolbeault-d2,2,2.000000000000e+00+0.000000000000e+00j,"
+    "1.999999999668e+00-3.322718633841e-17j,3.319500e-10,pass",
+    "S2-free-halfshift-d2,1,1.000000000000e+00+0.000000000000e+00j,"
+    "9.999999998340e-01-1.661359316920e-17j,1.659750e-10,pass",
+    "S3-multiplier-invertible,0,0.000000000000e+00+0.000000000000e+00j,"
+    "-0.000000000000e+00+0.000000000000e+00j,0.000000e+00,pass",
+    "S5-orbifold-family,3;3;3;3,3.000000000000e+00+0.000000000000e+00j,"
+    "2.999999998314e+00-2.243374808342e-16j,1.686346e-09,pass",
+]
+
+
+def test_builtin_scenario_rows_are_pinned(tmp_path):
+    names = {row.split(",", 1)[0] for row in PINNED_ROWS}
+    assert run_suite("scenarios", tmp_path, only=names) == 0
+    lines = (tmp_path / "scenarios.csv").read_text().splitlines()
+    assert lines == [CSV_HEADER] + PINNED_ROWS
+
+
 def test_cli_list(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -12,6 +12,7 @@ class hides behind a called one on another.  Such dead methods have to be
 found by reading the callers; this test cannot see them.
 """
 import ast
+import importlib
 from pathlib import Path
 
 import indexpairing
@@ -21,7 +22,6 @@ SRC = Path(indexpairing.__file__).parent
 # kept oracle -> the test that compares live code against it
 KEPT_ORACLES = {
     "CutoffDensity.partition_defect": "test_groupoid::test_cutoff_partition_identity_multipoint",
-    "FoliatedForm.volume": "test_forms::test_integrate_volume_is_total_mass",
     "OperatorBlock.apply": "test_calculus::test_quantized_multiplication_acts_by_truncated_product",
     "ProfileCochain.to_elementary": "test_pairing::test_to_elementary_matches_profile_values",
     "SectionBasis.gram_defect": "test_calculus::test_fourier_basis_is_orthonormal",
@@ -107,3 +107,26 @@ def test_src_holds_only_reached_code_and_named_oracles():
     dead = unreached()
     assert sorted(dead - set(KEPT_ORACLES)) == []
     assert sorted(set(KEPT_ORACLES) - dead) == [], "allowlisted names are now reached"
+
+
+def test_traced_entry_points_resolve():
+    """Every entry point the benchmark tracer wraps exists under its name.
+
+    perfbench/tracing.py is read, not imported, and its LAYER_FUNCTIONS are
+    looked up in the package: a renamed layer function fails here instead of
+    in a traced benchmark run.
+    """
+    tree = ast.parse((SRC.parents[1] / "perfbench" / "tracing.py").read_text())
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "LAYER_FUNCTIONS" for t in node.targets)
+    ]
+    entries = ast.literal_eval(table)
+    assert entries
+    for _, module, attr in entries:
+        owner = importlib.import_module(f"indexpairing.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"

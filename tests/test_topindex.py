@@ -25,6 +25,7 @@ from indexpairing.topindex import (
     symbol_class_multiplier,
     topological_index,
 )
+from oracles import volume_form
 
 
 def trivial_space(n=20, N=8):
@@ -114,7 +115,7 @@ def test_cochain_level_one_value():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     sclass = symbol_class_dolbeault(space.base, disc, 1)
-    vol = FoliatedForm.volume(space.base)
+    vol = volume_form(space.base)
     got = topological_index(space, cutoff, dens, vol, sclass)
     # one fiber integral of the volume, one disc charge, one 1/(2 pi i)
     want = -1.0 / (2.0j * np.pi)
