@@ -275,10 +275,10 @@ def disc_charge(disc: DiscModel, projector: np.ndarray) -> complex:
     The rim value of a graph projector is the constant diag(0, 1); the
     difference is the compactly supported class that symbols of elliptic
     operators produce, and its integral is the Bott charge of the symbol.
+    A constant projector has dp = 0, so the rim's character vanishes and
+    only the projector's own is integrated.
     """
-    rim = np.broadcast_to(np.diag([0.0, 1.0]).astype(complex), projector.shape).copy()
-    ch2, rim2 = (_chern_scalars(q, 2, disc.gradient)[2][:, 0] for q in (projector, rim))
-    return disc.integrate(ch2 - rim2)
+    return disc.integrate(_chern_scalars(projector, 2, disc.gradient)[2][:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,21 +24,16 @@ class ModelError(ValueError):
 class FiberModel:
     """Torus fiber of dimension ``dim`` with Fourier cutoff and grid resolution.
 
-    kind is "circle" (dim 1) or "torus".  grid_size is the number of grid
-    points per dimension and must be at least 2*fourier_cutoff + 2 so that
-    quadrature is exact on products of band-limited fields.
+    grid_size is the number of grid points per dimension and must be at
+    least 2*fourier_cutoff + 2 so that quadrature is exact on products of
+    band-limited fields.
     """
 
-    kind: str
     dim: int
     fourier_cutoff: int
     grid_size: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("circle", "torus"):
-            raise ModelError(f"unknown fiber kind {self.kind!r}")
-        if self.kind == "circle" and self.dim != 1:
-            raise ModelError("circle fibers are one dimensional")
         if self.dim < 1:
             raise ModelError("fiber dimension must be positive")
         if self.fourier_cutoff < 1:

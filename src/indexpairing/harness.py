@@ -23,7 +23,6 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from zipfile import BadZipFile
 
@@ -34,7 +33,7 @@ from .cochains import ASCochain, van_est_realize
 from .density import TransversalDensity, compute_cutoff
 from .dolbeault import dolbeault_family
 from .grids import FiberModel, ModelError, random_band_limited
-from .groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from .groupoid import BaseModel, BasePoint, CyclicGroupoid
 from .invariants import INVARIANT_CHECKS
 from .pairing import ProfileCochain, pair_cocycle
 from .parametrix import CorruptedCacheError, IndexIdempotent, analytic_index, index_idempotent
@@ -46,7 +45,7 @@ from .scenario import (
     _symbol_expression,
     load_scenario,
 )
-from .space import AffineTorusMap, FiberedGSpace
+from .space import FiberedGSpace
 from .symbols import multiplier_symbol, quantize
 from .topindex import (
     family_index_orbifold,
@@ -124,35 +123,17 @@ def load_coefficients(path) -> list[np.ndarray]:
 
 
 def _build_space(scn: Scenario) -> FiberedGSpace:
-    fib = FiberModel(
-        scn.fiber["kind"],
-        scn.fiber["dim"],
-        scn.fiber["fourier_cutoff"],
-        scn.fiber["grid"],
-    )
+    fib = FiberModel(scn.fiber["dim"], scn.fiber["fourier_cutoff"], scn.fiber["grid"])
     weights = scn.group["base_weights"]
-    base = BaseModel(
-        [BasePoint(f"x{i}", weights[i], fib) for i in range(scn.group["base_points"])]
-    )
+    bp = scn.group["base_points"]
+    base = BaseModel([BasePoint(f"x{i}", weights[i], fib) for i in range(bp)])
     gk = scn.group["group"]
-    if gk == "trivial":
-        gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-        return FiberedGSpace.trivial(gpd)
-    order = int(gk["cyclic"])
-    if scn.group["base_action"] == "pair-swap":
-        gpd = action_groupoid(
-            FiniteGroup.cyclic(order), base, act=lambda g, x: x ^ 1 if g % 2 else x
-        )
-    else:
-        gpd = action_groupoid(FiniteGroup.cyclic(order), base, act=lambda g, x: x)
+    order = 1 if gk == "trivial" else int(gk["cyclic"])
+    sigma = [x ^ 1 for x in range(bp)] if scn.group["base_action"] == "pair-swap" else None
+    gpd = CyclicGroupoid(base, order, sigma)
     if scn.fiber_action == "trivial":
         return FiberedGSpace.trivial(gpd)
-    shift = [Fraction(s) for s in scn.fiber_action["translation"]]
-    maps = {}
-    for a in gpd.arrows:
-        g, _ = a.label
-        maps[a.label] = AffineTorusMap.translation([g * s for s in shift])
-    return FiberedGSpace(gpd, maps)
+    return FiberedGSpace(gpd, scn.fiber_action["translation"])
 
 
 def _build_operator(scn: Scenario, space: FiberedGSpace):

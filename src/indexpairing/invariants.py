@@ -22,11 +22,11 @@ from .forms import (
     invariant_project_form,
 )
 from .grids import FiberModel, random_band_limited
-from .groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from .groupoid import BaseModel, BasePoint, CyclicGroupoid
 from .operators import SmoothingKernel, random_invariant_kernel, trace_tau
 from .pairing import pair_cocycle
 from .parametrix import index_idempotent
-from .space import AffineTorusMap, FiberedGSpace
+from .space import FiberedGSpace
 from .symbols import SMOOTHING_ORDER, SymbolData, quantize, trace_symbol_formula
 from .topindex import free_action_reduction, symbol_class_dolbeault, topological_index
 
@@ -34,17 +34,13 @@ __all__ = ["INVARIANT_CHECKS"]
 
 
 def _inv_space(n=16, N=5):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), Fraction(1, 2)])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def _inv_trivial(n=16, N=5):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def _random_one_form(rng, base, band):
@@ -166,7 +162,7 @@ def _check_coboundary_pairing():
 
 
 def _check_chern_closed():
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 8, 20))])
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 8, 20))])
     ch = chern_character_fiber(base, [twist_projector(base.fiber(0), 2)])
     r = base.fiber(0).dim
     return max(d_leafwise(form, base).max_abs() for j, form in ch.items() if j < r), 1e-8

@@ -1,12 +1,12 @@
-"""Torus translations and fibered groupoid actions.
+"""Torus translations and fibered cyclic actions.
 
-Every arrow of the groupoid acts on fibers by a rational translation
-z -> z + theta (mod 1) of the torus [0, 1)^r.  Shifts are exact Fractions,
-so composing two maps adds their shifts with no rounding, grid preservation
-is decidable, and the map of an inverse arrow is the negated shift (the
-constructor of FiberedGSpace checks that the assignment is functorial).
-A translation moves grid points by whole ticks and preserves orientation,
-so a field or a form of any degree moves by one grid permutation.
+The generator of the cyclic group acts on fibers by one rational translation
+z -> z + theta (mod 1) of the torus [0, 1)^r, so the arrow (g, x) acts by
+z -> z + g theta.  Shifts are exact Fractions: the action is well defined on
+Z/m exactly when m theta is an integer vector, and a translation preserves
+the grid of n points per axis exactly when n theta is one.  A translation
+moves grid points by whole ticks and preserves orientation, so a field or a
+form of any degree moves by one grid permutation.
 """
 from __future__ import annotations
 
@@ -16,7 +16,12 @@ from fractions import Fraction
 import numpy as np
 
 from .grids import ModelError
-from .groupoid import Arrow, GroupoidModel
+from .groupoid import Arrow, CyclicGroupoid
+
+
+def whole_multiple(k: int, shift) -> bool:
+    """True when k * shift is an integer vector."""
+    return all((k * Fraction(t)).denominator == 1 for t in shift)
 
 
 @dataclass(frozen=True)
@@ -32,18 +37,6 @@ class AffineTorusMap:
     @classmethod
     def translation(cls, shift) -> "AffineTorusMap":
         return cls(tuple(Fraction(t) % 1 for t in shift))
-
-    @classmethod
-    def identity(cls, r: int) -> "AffineTorusMap":
-        return cls.translation([0] * r)
-
-    @property
-    def dim(self) -> int:
-        return len(self.shift)
-
-    def after(self, other: "AffineTorusMap") -> "AffineTorusMap":
-        """The composite map "self after other": the shifts add."""
-        return AffineTorusMap.translation([s + t for s, t in zip(self.shift, other.shift)])
 
     def grid_permutation(self, n: int) -> np.ndarray:
         """Permutation p with map(z_j) = z_{p[j]} on the n^r product grid.
@@ -61,41 +54,41 @@ class AffineTorusMap:
 
 
 class FiberedGSpace:
-    """A groupoid together with one torus translation per arrow.
+    """A cyclic groupoid whose generator translates the fibers by ``shift``.
 
-    The map of an arrow sends the fiber over the arrow's target to the fiber
-    over its source (so that the pullback of functions goes source -> target
-    covariantly along composition).  The constructor checks that units map to
-    the identity and that the assignment is functorial: the map of
-    "g1 then g2" equals map(g1) after map(g2).
+    The map of the arrow (g, x), the translation by g * shift, sends the
+    fiber over the arrow's target to the fiber over its source (so that the
+    pullback of functions goes source -> target covariantly along
+    composition).  The constructor checks that order * shift is an integer
+    vector, which makes the assignment functorial: the map of "g1 then g2"
+    is the translation by (g1 + g2) * shift.
     """
 
-    def __init__(self, groupoid: GroupoidModel, maps: dict[object, AffineTorusMap]):
+    def __init__(self, groupoid: CyclicGroupoid, shift):
         self.groupoid = groupoid
         base = groupoid.base
         dims = {base.fiber(x).dim for x in range(len(base))}
         if len(dims) != 1:
             raise ModelError("all fibers must share one dimension")
-        self.fiber_dim = dims.pop()
-        self.maps = dict(maps)
-        for a in groupoid.arrows:
-            if a.label not in self.maps:
-                raise ModelError(f"missing fiber map for arrow {a.label!r}")
-            if self.maps[a.label].dim != self.fiber_dim:
-                raise ModelError(f"fiber map dimension mismatch at {a.label!r}")
-        for u in groupoid.units:
-            if self.maps[u.label] != AffineTorusMap.identity(self.fiber_dim):
-                raise ModelError("unit arrows must act by the identity map")
-        for a1 in groupoid.arrows:
-            for a2 in groupoid.source_fibers[a1.tgt]:
-                c = groupoid.compose(a1, a2)
-                expected = self.maps[a1.label].after(self.maps[a2.label])
-                if self.maps[c.label] != expected:
-                    raise ModelError("fiber maps are not functorial")
+        r = dims.pop()
+        shift = [Fraction(t) for t in shift]
+        if len(shift) != r:
+            raise ModelError(f"fiber shift {shift} needs one entry per fiber dimension {r}")
+        if not whole_multiple(groupoid.order, shift):
+            raise ModelError(
+                f"fiber maps are not functorial: {groupoid.order} * shift is not an integer vector"
+            )
+        self._maps = [
+            AffineTorusMap.translation([g * t for t in shift]) for g in range(groupoid.order)
+        ]
 
     @property
     def base(self):
         return self.groupoid.base
+
+    def fiber_map(self, a: Arrow) -> AffineTorusMap:
+        """The translation by g * shift that the arrow (g, x) acts by."""
+        return self._maps[a.label[0]]
 
     def permutation(self, a: Arrow) -> np.ndarray:
         """Grid permutation p of the arrow's fiber map: transport is f -> f[p].
@@ -106,12 +99,12 @@ class FiberedGSpace:
         n = self.base.fiber(a.src).grid_size
         if self.base.fiber(a.tgt).grid_size != n:
             raise ModelError("grid sizes must agree along arrows")
-        return self.maps[a.label].grid_permutation(n)
+        return self.fiber_map(a).grid_permutation(n)
 
     def transport(self, a: Arrow, field: np.ndarray) -> np.ndarray:
         """Carry a grid field on the source fiber to the target fiber.
 
-        The result is field composed with the stored fiber map, i.e. the
+        The result is field composed with the arrow's fiber map, i.e. the
         push-forward of the field under the pointwise action.  Transporting
         along "a1 then a2" equals transporting along a1, then along a2.
         Fields are stored flat over the grid; trailing axes (form or matrix
@@ -132,8 +125,5 @@ class FiberedGSpace:
         return self.transport(self.groupoid.inverse(a), field)
 
     @classmethod
-    def trivial(cls, groupoid: GroupoidModel) -> "FiberedGSpace":
-        dims = {groupoid.base.fiber(x).dim for x in range(len(groupoid.base))}
-        r = dims.pop()
-        ident = AffineTorusMap.identity(r)
-        return cls(groupoid, {a.label: ident for a in groupoid.arrows})
+    def trivial(cls, groupoid: CyclicGroupoid) -> "FiberedGSpace":
+        return cls(groupoid, [0] * groupoid.base.fiber(0).dim)

@@ -235,7 +235,7 @@ def half_shift_quotient_index(fiber: FiberModel, twist: int) -> int:
             f"flux {twist} does not descend to the half-shift quotient; it must be even"
         )
     qbase = BaseModel(
-        [BasePoint("quotient", 1.0, FiberModel("torus", 2, fiber.fourier_cutoff, fiber.grid_size))]
+        [BasePoint("quotient", 1.0, FiberModel(2, fiber.fourier_cutoff, fiber.grid_size))]
     )
     fam = dolbeault_family(qbase, twist // 2, QUOTIENT_LEVELS)
     return analytic_index(fam).index(0)

@@ -21,13 +21,13 @@ from indexpairing.density import TransversalDensity, compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, d_leafwise, integrate_invariant, invariant_project_form
 from indexpairing.grids import FiberModel, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
 from indexpairing.harness import load_scenario, run_scenario, run_suite
 from indexpairing.invariants import INVARIANT_CHECKS, _random_one_form
 from indexpairing.operators import SupportMismatchError
 from indexpairing.pairing import ProfileCochain, TransitionProfile, pair_cocycle
 from indexpairing.parametrix import analytic_index, index_idempotent
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.space import FiberedGSpace
 from indexpairing.topindex import (
     free_action_reduction,
     half_shift_quotient_index,
@@ -37,17 +37,13 @@ from indexpairing.topindex import (
 
 
 def trivial_space(n, N):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n, N):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), Fraction(1, 2)])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def unit_zero_form(space):

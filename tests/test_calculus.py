@@ -7,7 +7,7 @@ import pytest
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
 from indexpairing.operators import (
     LeafwiseOperatorFamily,
     OperatorBlock,
@@ -22,7 +22,7 @@ from indexpairing.operators import (
     transport_matrix,
     truncation_mask,
 )
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.space import FiberedGSpace
 from indexpairing.symbols import (
     EllipticityError,
     SMOOTHING_ORDER,
@@ -35,40 +35,32 @@ from indexpairing.symbols import (
 
 
 def torus_base(n=12, N=3, dim=2):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", dim, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(dim, N, n))])
 
 
 def trivial_space(n=12, N=3, dim=2):
     base = torus_base(n, N, dim)
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def diagonal_shift_space(n=12, N=3):
     """Z/3 acting on T^2 by the diagonal third-period shift."""
     base = torus_base(n, N, 2)
-    gpd = action_groupoid(FiniteGroup.cyclic(3), base, act=lambda g, x: x)
-    maps = {
-        a.label: AffineTorusMap.translation([Fraction(a.label[0], 3)] * 2) for a in gpd.arrows
-    }
-    return FiberedGSpace(gpd, maps)
+    return FiberedGSpace(CyclicGroupoid(base, 3), [Fraction(1, 3)] * 2)
 
 
 def half_shift_space(n=12, N=3):
     base = torus_base(n, N, 2)
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), 0])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), 0])
 
 
 def test_fourier_basis_is_orthonormal():
-    basis = fourier_basis(FiberModel("torus", 2, 3, 12))
+    basis = fourier_basis(FiberModel(2, 3, 12))
     assert basis.gram_defect() <= 1e-12
 
 
 def test_identity_block_band_limits():
-    fiber = FiberModel("torus", 2, 3, 12)
+    fiber = FiberModel(2, 3, 12)
     basis = fourier_basis(fiber)
     rng = np.random.default_rng(7)
     f = random_band_limited(rng, fiber, band=3)
@@ -329,7 +321,7 @@ def test_kernel_truncation_commutes_with_grid_translations(n, radius):
 
 @pytest.mark.parametrize("dim, n", [(1, 12), (2, 13), (3, 10)])
 def test_fiber_distance_matrix_matches_pointwise_formula(dim, n):
-    fiber = FiberModel("torus", dim, 4, n)
+    fiber = FiberModel(dim, 4, n)
     pts = grid_points(n, dim)
     diff = np.abs(pts[:, None, :] - pts[None, :, :])
     diff = np.minimum(diff, 1.0 - diff)

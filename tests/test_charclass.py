@@ -53,7 +53,7 @@ def bott_projector(disc):
 
 
 def torus_base(n=26, N=8, dim=2):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", dim, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(dim, N, n))])
 
 
 def fiber_charge_of(ch):
@@ -158,7 +158,7 @@ def test_twist_projector_charges():
         got = fiber_charge_of(ch)
         assert abs(got - TWIST_CHARGE_PER_FLUX * d) < 1e-9
     with pytest.raises(ModelError):
-        twist_projector(FiberModel("circle", 1, 4, 12), 1)
+        twist_projector(FiberModel(1, 4, 12), 1)
 
 
 def test_chern_additive_on_direct_sums():
@@ -180,8 +180,8 @@ def test_chern_additive_on_direct_sums():
 def test_chern_multiplicative_on_products():
     # two flux bundles on the two torus factors of a four-dimensional fiber
     n = 12
-    base4 = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 4, 2, n))])
-    base2 = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 2, n))])
+    base4 = BaseModel([BasePoint("pt", 1.0, FiberModel(4, 2, n))])
+    base2 = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 2, n))])
     fib2 = base2.fiber(0)
     p1 = twist_projector(fib2, 1)
     p2 = twist_projector(fib2, -2)
@@ -214,7 +214,7 @@ def test_curvature_satisfies_structure_and_bianchi():
     # the Bianchi identity checks the matrix-valued exterior_d and
     # exterior_wedge in dimension four
     rng = np.random.default_rng(7)
-    fiber = FiberModel("torus", 4, 2, 12)
+    fiber = FiberModel(4, 2, 12)
     gam = np.empty((fiber.npoints, 4, 2, 2), dtype=complex)
     for k in range(4):
         for i in range(2):
@@ -263,13 +263,13 @@ def _block_case(site):
         return bott_projector(disc), 2, disc.gradient, partial(disc_derivative, disc)
     if site == "flux24":
         # 1600 points of 24 x 24: 15 blocks of points, the last of 18
-        fiber, dim = FiberModel("torus", 2, 19, 40), 2
+        fiber, dim = FiberModel(2, 19, 40), 2
         p = twist_projector(fiber, 24)
     else:
         # the product of test_chern_multiplicative_on_products: 20736 points
         # of 4 x 4 in 6 blocks, the last of 256, and the j = 2 term
         n = 12
-        fiber, dim, fib2 = FiberModel("torus", 4, 2, n), 4, FiberModel("torus", 2, 2, n)
+        fiber, dim, fib2 = FiberModel(4, 2, n), 4, FiberModel(2, 2, n)
         p1, p2 = twist_projector(fib2, 1), twist_projector(fib2, -2)
         p = np.einsum("aij,bkl->abikjl", p1, p2).reshape(n**4, 4, 4)
     return p, dim, partial(spectral_gradient, fiber=fiber), partial(spectral_derivative, fiber=fiber)

@@ -60,7 +60,7 @@ def is_block_circulant(m, g):
 
 
 def one_point_base(n, N):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
 
 
 def kernel_remainder(n, N, twist):

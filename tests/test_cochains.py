@@ -14,24 +14,21 @@ from indexpairing.cochains import (
 from indexpairing.density import compute_cutoff
 from indexpairing.forms import DegreeError, d_leafwise
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.space import FiberedGSpace
 
 
 def circle_base(n=16, N=5):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("circle", 1, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(1, N, n))])
 
 
 def torus_base(n=8, N=3):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
 
 
 def half_shift_space(n=8, N=3):
     base = torus_base(n, N)
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), 0])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), 0])
 
 
 def elementary(base, rng, k, band=1):
@@ -144,7 +141,7 @@ def test_van_est_equivariance():
     """Transport along an arrow commutes with the realization map."""
     space = half_shift_space()
     rng = np.random.default_rng(9)
-    a = space.groupoid.by_label[(1, 0)]
+    a = space.groupoid.arrows_from(0)[1]
     for k in (0, 1):
         phi = elementary(space.base, rng, k, band=2)
         lhs = space.transport(a, van_est_realize(phi).fields[a.src])
@@ -160,7 +157,7 @@ def test_invariant_project_cochain_invariance_and_fixing():
     proj = invariant_project_cochain(space, cut, phi)
     # invariance on tuples: value at x on a tuple equals value at t(a) on the
     # pointwise moved tuple
-    a = space.groupoid.by_label[(1, 0)]
+    a = space.groupoid.arrows_from(0)[1]
     perm = space.permutation(space.groupoid.inverse(a))
     tuples = sample_tuples(rng, 64, 1, count=100)
     lhs = proj.evaluate_batch(a.src, tuples)

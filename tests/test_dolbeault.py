@@ -13,7 +13,7 @@ from indexpairing.dolbeault import (
     twisted_shift,
 )
 from indexpairing.grids import FiberModel, ModelError, grid_points
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, circulant_dense, trace_tau
 from indexpairing.parametrix import (
@@ -29,13 +29,12 @@ from oracles import spectral_derivative
 
 
 def torus_base(n=20, N=8):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
 
 
 def trivial_space(n=20, N=8):
     base = torus_base(n, N)
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def idempotent_defect(idem):
@@ -75,7 +74,7 @@ def test_hermite_lowering_identity():
 
 @pytest.mark.parametrize("twist", [1, 2, -1])
 def test_landau_basis_is_orthonormal_on_grid(twist):
-    fiber = FiberModel("torus", 2, 8, 20)
+    fiber = FiberModel(2, 8, 20)
     basis = landau_basis(fiber, twist, max_level=4)
     assert basis.size == abs(twist) * 5
     assert basis.gram_defect() <= 1e-10
@@ -106,7 +105,7 @@ def dolbeault_apply_fd(field, twist, fiber):
 @pytest.mark.parametrize("twist", [1, 2, -1])
 def test_ladder_matches_finite_difference_application(twist):
     """The assembled matrix against an independent quasi-periodic stencil."""
-    fiber = FiberModel("torus", 2, 8, 32)
+    fiber = FiberModel(2, 8, 32)
     block = dolbeault_block(fiber, twist, levels=3)
     scale = np.sqrt(np.pi * abs(twist) * 3)
     dom = block.domain
@@ -118,7 +117,7 @@ def test_ladder_matches_finite_difference_application(twist):
 
 
 def test_zero_twist_block_is_exact_multiplier():
-    fiber = FiberModel("torus", 2, 3, 12)
+    fiber = FiberModel(2, 3, 12)
     block = dolbeault_block(fiber, 0, levels=1)
     modes = fiber.modes()
     expected = np.pi * 1j * (modes[:, 0] + 1j * modes[:, 1])
@@ -179,7 +178,7 @@ def test_index_is_stable_under_small_perturbations():
 
 @pytest.mark.parametrize("twist", [2, -2])
 def test_magnetic_translation_is_unitary_and_commutes(twist):
-    fiber = FiberModel("torus", 2, 8, 20)
+    fiber = FiberModel(2, 8, 20)
     block = dolbeault_block(fiber, twist, levels=4)
     v = (10, 10)  # half shift on the n = 20 grid
     U_dom = magnetic_translation_matrix(block.domain, v, twist)
@@ -192,7 +191,7 @@ def test_magnetic_translation_is_unitary_and_commutes(twist):
 
 
 def test_magnetic_translation_square_is_the_predicted_phase():
-    fiber = FiberModel("torus", 2, 8, 20)
+    fiber = FiberModel(2, 8, 20)
     twist = 2
     basis = landau_basis(fiber, twist, max_level=3)
     U = magnetic_translation_matrix(basis, (10, 10), twist)
@@ -201,7 +200,7 @@ def test_magnetic_translation_square_is_the_predicted_phase():
 
 
 def test_magnetic_translation_needs_compatible_twist():
-    fiber = FiberModel("torus", 2, 8, 20)
+    fiber = FiberModel(2, 8, 20)
     with pytest.raises(ModelError):
         magnetic_translation(np.ones(400, dtype=complex), (10, 10), 1, fiber)
 

@@ -19,28 +19,24 @@ from indexpairing.forms import (
     wedge,
 )
 from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_gradient
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.space import FiberedGSpace
 from oracles import exterior_d_per_axis, same_bits, spectral_derivative, volume_form
 
 
 def torus_base(n=8, N=3, dim=2):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", dim, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(dim, N, n))])
 
 
 def trivial_space(n=8, N=3, dim=2):
     base = torus_base(n, N, dim)
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n=8, N=3):
     """Z/2 acting on T^2 by the half-period shift in the first coordinate."""
     base = torus_base(n, N, 2)
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), 0])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), 0])
 
 
 def random_form(rng, base, degree, band=2):
@@ -100,8 +96,7 @@ def _signed_zero_field(rng, fiber, trailing):
 @pytest.mark.parametrize("dim", [1, 2, 4])
 @pytest.mark.parametrize("trailing", [(), (3, 3)])
 def test_spectral_gradient_is_bitwise_the_per_axis_derivative(n, dim, trailing):
-    kind = "circle" if dim == 1 else "torus"
-    fiber = FiberModel(kind, dim, 3, n)
+    fiber = FiberModel(dim, 3, n)
     field = _signed_zero_field(np.random.default_rng(n * dim), fiber, trailing)
     want = [spectral_derivative(field, a, fiber) for a in range(dim)]
     before = field.copy()
@@ -118,7 +113,7 @@ def test_spectral_gradient_is_bitwise_the_per_axis_derivative(n, dim, trailing):
 @pytest.mark.parametrize("degree", [0, 1, 2])
 @pytest.mark.parametrize("trailing", [(), (2, 2)])
 def test_exterior_d_is_bitwise_the_per_axis_sum(dim, degree, trailing):
-    fiber = FiberModel("torus", dim, 3, 8)
+    fiber = FiberModel(dim, 3, 8)
     ncomp = len(index_subsets(dim, degree))
     field = _signed_zero_field(np.random.default_rng(dim + 7 * degree), fiber, (ncomp,) + trailing)
     got = exterior_d(field, degree, dim, partial(spectral_gradient, fiber=fiber))
@@ -163,11 +158,8 @@ def test_transport_is_chain_map_with_d():
     """Transport along a translation arrow commutes with the derivative."""
     rng = np.random.default_rng(9)
     base = torus_base(n=16, N=7)
-    gpd = action_groupoid(FiniteGroup.cyclic(8), base, act=lambda g, x: x)
-    step = [Fraction(1, 4), Fraction(1, 8)]
-    maps = {a.label: AffineTorusMap.translation([a.label[0] * t for t in step]) for a in gpd.arrows}
-    space = FiberedGSpace(gpd, maps)
-    a = gpd.by_label[(1, 0)]
+    space = FiberedGSpace(CyclicGroupoid(base, 8), [Fraction(1, 4), Fraction(1, 8)])
+    a = space.groupoid.arrows_from(0)[1]
     for q in (0, 1):
         form = random_form(rng, base, q, band=2)
         lhs = space.transport(a, d_leafwise(form, base).fields[0])

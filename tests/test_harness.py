@@ -264,6 +264,20 @@ def test_scenario_defaults_filled():
             ),
             "fiber_action.translation: 'True' is not a fraction",
         ),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}}, fiber_action={"translation": ["1/3", "0"]}
+            ),
+            "fiber_action.translation times 2 must be an integer vector, so that Z/2 acts",
+        ),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 3}},
+                fiber={"kind": "torus", "dim": 2, "fourier_cutoff": 4, "grid": 20},
+                fiber_action={"translation": ["1/3", "0"]},
+            ),
+            "fiber_action.translation times 20 must be an integer vector, so that it moves the grid",
+        ),
         # load budgets: each of these used to fail in a later stage, or take long
         (
             lambda raw: raw.update(groupoid={"group": {"cyclic": 64}, "base_points": 16}),
@@ -353,7 +367,7 @@ def test_coefficients_roundtrip(tmp_path):
 
 def test_coefficients_reject_unsupported_dtype(tmp_path):
     # the archive keeps any dtype; the idempotent refuses a non-complex kernel
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 3, 12))])
     npts = base.fiber(0).npoints
     path = tmp_path / "k.opk"
     one = np.array([1])
@@ -419,7 +433,7 @@ def cochain_to_table(phi: ASCochain, band: int) -> list[dict]:
 
 
 def test_cochain_table_roundtrip():
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 3, 12))])
     rng = np.random.default_rng(5)
     factors = [
         [random_band_limited(rng, base.fiber(0), 2)] for _ in range(3)
@@ -572,7 +586,7 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
 
 def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
     # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the flag
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 8, 24))])
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 8, 24))])
     idem = index_idempotent(dolbeault_family(base, 8, levels=2), radius=0.45)
     arrays = idem.arrays()
     assert [a.shape for a in arrays] == [(1,), (1,), (72, 576), (1,), (0, 0)]
@@ -611,7 +625,7 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
     (cache,) = (out / "cache").glob("*.idem.opk")
     good = load_coefficients(cache)
     assert [int(good[1][0]), int(good[3][0])] == [1, 0]
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 4, 12))])
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 4, 12))])
     capsys.readouterr()
     for name, layout, fragment in _refused_layouts(good):
         with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):

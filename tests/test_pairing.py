@@ -9,7 +9,7 @@ from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
 from indexpairing.operators import SmoothingKernel, SupportMismatchError
 from indexpairing import pairing
 from indexpairing.pairing import (
@@ -20,25 +20,21 @@ from indexpairing.pairing import (
     pair_cocycle,
 )
 from indexpairing.parametrix import IndexIdempotent, index_idempotent
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.space import FiberedGSpace
 
 
 def torus_base(n=20, N=8):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
+    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
 
 
 def trivial_space(n=20, N=8):
     base = torus_base(n, N)
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n=20, N=8):
     base = torus_base(n, N)
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), Fraction(1, 2)])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def elementary_one_cochain(rng, base, band=2, germ=2.0):

@@ -10,10 +10,10 @@ from indexpairing.density import CutoffDensity, TransversalDensity, compute_cuto
 from indexpairing.dolbeault import dolbeault_block, dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, FiniteGroup, action_groupoid
+from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
 from indexpairing.operators import LeafwiseOperatorFamily
 from indexpairing.parametrix import analytic_index
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.space import FiberedGSpace
 from indexpairing.topindex import (
     FamilyIndexResult,
     NonFreeActionError,
@@ -29,29 +29,21 @@ from oracles import volume_form
 
 
 def trivial_space(n=20, N=8):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
-    gpd = action_groupoid(FiniteGroup.trivial(), base, act=lambda g, x: x)
-    return FiberedGSpace.trivial(gpd)
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n=20, N=8):
     """Free Z/2: the diagonal half-period shift on the torus fiber."""
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, N, n))])
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    shift = AffineTorusMap.translation([Fraction(1, 2), Fraction(1, 2)])
-    return FiberedGSpace(gpd, {(0, 0): ident, (1, 0): shift})
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def four_point_space(n=18, N=3):
     """Z/2 identifying the base points pairwise, trivial on fibers."""
-    fib = FiberModel("torus", 2, N, n)
+    fib = FiberModel(2, N, n)
     base = BaseModel([BasePoint(f"x{i}", 0.5, fib) for i in range(4)])
-    swap = {0: 1, 1: 0, 2: 3, 3: 2}
-    gpd = action_groupoid(
-        FiniteGroup.cyclic(2), base, act=lambda g, x: swap[x] if g else x
-    )
-    return FiberedGSpace.trivial(gpd)
+    return FiberedGSpace.trivial(CyclicGroupoid(base, 2, [1, 0, 3, 2]))
 
 
 def unit_alpha(space):
@@ -179,7 +171,7 @@ def walk_indicator(space):
         n = fiber.grid_size
         images = {}
         for a in gpd.arrows_from(x):
-            shift = np.array([float(t) for t in space.maps[a.label].shift])
+            shift = np.array([float(t) for t in space.fiber_map(a).shift])
             ticks = np.rint(((fiber.points() - shift) % 1.0) * n).astype(int) % n
             images[a.label] = ticks @ (n ** np.arange(fiber.dim - 1, -1, -1))
         for z in range(fiber.npoints):
@@ -195,12 +187,11 @@ def test_fundamental_domain_matches_walk_oracle():
     """Least-key representatives equal the walk's, over several orbits."""
     # Z/4 swapping the base points pairwise, with fiber shifts g * (1/4, 1/2);
     # the two base orbits carry different grids
-    fibs = [FiberModel("torus", 2, 3, 8), FiberModel("torus", 2, 3, 12)]
+    fibs = [FiberModel(2, 3, 8), FiberModel(2, 3, 12)]
     base = BaseModel([BasePoint(f"x{i}", 0.5, fibs[i // 2]) for i in range(4)])
-    gpd = action_groupoid(FiniteGroup.cyclic(4), base, act=lambda g, x: x ^ 1 if g % 2 else x)
-    step = [Fraction(1, 4), Fraction(1, 2)]
-    maps = {a.label: AffineTorusMap.translation([a.label[0] * t for t in step]) for a in gpd.arrows}
-    for space in (half_shift_space(n=12, N=3), FiberedGSpace(gpd, maps)):
+    gpd = CyclicGroupoid(base, 4, [1, 0, 3, 2])
+    shifted = FiberedGSpace(gpd, [Fraction(1, 4), Fraction(1, 2)])
+    for space in (half_shift_space(n=12, N=3), shifted):
         got = fundamental_domain_indicator(space)
         want = walk_indicator(space)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -211,16 +202,14 @@ def test_fundamental_domain_matches_walk_oracle():
 
 def test_reduction_rejects_non_free_action():
     # the nontrivial arrow is no unit, yet its shift is zero: every point is fixed
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel("torus", 2, 3, 12))])
-    gpd = action_groupoid(FiniteGroup.cyclic(2), base, act=lambda g, x: x)
-    ident = AffineTorusMap.identity(2)
-    space = FiberedGSpace(gpd, {(0, 0): ident, (1, 0): ident})
+    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 3, 12))])
+    space = FiberedGSpace(CyclicGroupoid(base, 2), [0, 0])
     with pytest.raises(NonFreeActionError, match="fixes 144 fiber points"):
         fundamental_domain_indicator(space)
 
 
 def test_quotient_operator_index_matches():
-    fiber = FiberModel("torus", 2, 8, 20)
+    fiber = FiberModel(2, 8, 20)
     assert half_shift_quotient_index(fiber, 2) == 1
     assert half_shift_quotient_index(fiber, 4) == 2
     assert half_shift_quotient_index(fiber, -2) == -1
