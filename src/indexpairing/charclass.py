@@ -12,7 +12,7 @@ The exterior calculus itself, scalar or matrix-valued on either site, is
 forms.exterior_d and forms.exterior_wedge; this module supplies the disc's
 gradient and builds on the two functions the two factors of a product
 symbol class.  On the fiber that is the Chern character of a projector
-family, one leafwise form per even degree; on the disc it is one number,
+field, one component array per even degree; on the disc it is one number,
 the charge: the integral of the degree-2 character of a projector field
 relative to its rim value (the Thom/Bott step of the index formula).  The
 two model projector families used by the scenarios are a flux-twisted line
@@ -35,9 +35,8 @@ from functools import cached_property, lru_cache, partial
 import numpy as np
 
 from .dolbeault import landau_section_values
-from .forms import FoliatedForm, exterior_d, exterior_wedge, index_subsets
+from .forms import exterior_d, exterior_wedge, index_subsets
 from .grids import FiberModel, ModelError, spectral_gradient
-from .groupoid import BaseModel
 from .symbols import EllipticityError
 
 CH_CURVATURE_SCALE = 1.0 / (2.0j * np.pi)
@@ -249,23 +248,13 @@ def _chern_scalars(p: np.ndarray, dim: int, grad) -> dict[int, np.ndarray]:
 # The two factors of a product symbol class
 
 
-def chern_character_fiber(
-    base: BaseModel, projectors: list[np.ndarray]
-) -> dict[int, FoliatedForm]:
-    """Chern character of a projector family on the fiber site, by degree.
+def chern_character_fiber(fiber: FiberModel, projector: np.ndarray) -> dict[int, np.ndarray]:
+    """Chern character of a projector field on the fiber site, by degree.
 
-    projectors holds one (npoints, m, m) field per base point; the result
-    maps each even degree to its leafwise form.
+    projector is one (npoints, m, m) field; the result maps each even
+    degree to its component array (npoints, ncomp).
     """
-    if len(projectors) != len(base):
-        raise ModelError("need one projector field per base point")
-    r = base.fiber(0).dim
-    per_degree: dict[int, list[np.ndarray]] = {}
-    for x in range(len(base)):
-        grad = partial(spectral_gradient, fiber=base.fiber(x))
-        for deg, arr in _chern_scalars(projectors[x], r, grad).items():
-            per_degree.setdefault(deg, []).append(arr)
-    return {deg: FoliatedForm(deg, r, fields) for deg, fields in sorted(per_degree.items())}
+    return _chern_scalars(projector, fiber.dim, partial(spectral_gradient, fiber=fiber))
 
 
 def disc_charge(disc: DiscModel, projector: np.ndarray) -> complex:

@@ -57,9 +57,9 @@ class ASCochain:
                 if len(fam) != len(base):
                     raise ModelError("factor family size must match the base")
                 if check_band:
-                    for x, f in enumerate(fam):
+                    for f in fam:
                         f = np.asarray(f, dtype=complex).reshape(-1)
-                        if np.max(np.abs(f - band_limit(f, base.fiber(x)))) > 1e-10:
+                        if np.max(np.abs(f - band_limit(f, base.fiber))) > 1e-10:
                             raise ModelError(
                                 "cochain factors must be band-limited to the cutoff"
                             )
@@ -79,7 +79,7 @@ class ASCochain:
     @classmethod
     def unit(cls, base: BaseModel, germ_radius: float) -> "ASCochain":
         """The constant degree-0 cochain with value 1."""
-        ones = [np.ones(base.fiber(x).npoints, dtype=complex) for x in range(len(base))]
+        ones = [np.ones(base.fiber.npoints, dtype=complex) for _ in range(len(base))]
         return cls.elementary(base, [ones], germ_radius=germ_radius)
 
     def evaluate_batch(self, x: int, tuples: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def d_as(phi: ASCochain) -> ASCochain:
     with sign (-1)^i; the result is again a finite sum of elementary tensors.
     """
     base = phi.base
-    ones = [np.ones(base.fiber(x).npoints, dtype=complex) for x in range(len(base))]
+    ones = [np.ones(base.fiber.npoints, dtype=complex) for _ in range(len(base))]
     new_terms = []
     for t in phi.terms:
         for i in range(phi.degree + 2):
@@ -116,7 +116,7 @@ def d_as(phi: ASCochain) -> ASCochain:
 def van_est_realize(phi: ASCochain) -> FoliatedForm:
     """Realize a cochain as the leafwise form sum of f_0 df_1 ^ ... ^ df_k."""
     base = phi.base
-    r = base.fiber(0).dim
+    r = base.fiber.dim
     k = phi.degree
     if k > r:
         raise DegreeError(

@@ -32,7 +32,7 @@ class CutoffDensity:
         self.gspace = gspace
         self.fields = [np.asarray(f, dtype=float).reshape(-1) for f in fields]
         for x, f in enumerate(self.fields):
-            if f.shape != (base.fiber(x).npoints,):
+            if f.shape != (base.fiber.npoints,):
                 raise CoverageError(f"cutoff field at point {x} has wrong size")
             if f.min() < -1e-14:
                 raise CoverageError(f"cutoff field at point {x} is negative")
@@ -42,7 +42,7 @@ class CutoffDensity:
         g = self.gspace
         worst = 0.0
         for x in range(len(g.base)):
-            total = np.zeros(g.base.fiber(x).npoints)
+            total = np.zeros(g.base.fiber.npoints)
             for a in g.groupoid.arrows_from(x):
                 total += g.eval_after_action(a, self.fields[a.tgt]).real
             worst = max(worst, float(np.max(np.abs(total - 1.0))))
@@ -57,16 +57,16 @@ def compute_cutoff(gspace: FiberedGSpace, seeds: list[np.ndarray] | None = None)
     """
     base = gspace.base
     if seeds is None:
-        seeds = [np.ones(base.fiber(x).npoints) for x in range(len(base))]
+        seeds = [np.ones(base.fiber.npoints) for _ in range(len(base))]
     seeds = [np.asarray(s, dtype=float).reshape(-1) for s in seeds]
     for x, s in enumerate(seeds):
-        if s.shape != (base.fiber(x).npoints,):
+        if s.shape != (base.fiber.npoints,):
             raise CoverageError(f"seed at point {x} has wrong size")
         if s.min() < 0:
             raise CoverageError(f"seed at point {x} must be nonnegative")
     fields = []
     for x in range(len(base)):
-        orbit_sum = np.zeros(base.fiber(x).npoints)
+        orbit_sum = np.zeros(base.fiber.npoints)
         for a in gspace.groupoid.arrows_from(x):
             orbit_sum += gspace.eval_after_action(a, seeds[a.tgt]).real
         bad = np.flatnonzero(orbit_sum <= 0)

@@ -109,8 +109,7 @@ def dolbeault_block(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock
 
 
 def dolbeault_family(base: BaseModel, twist: int, levels: int) -> LeafwiseOperatorFamily:
-    blocks = [dolbeault_block(base.fiber(x), twist, levels) for x in range(len(base))]
-    return LeafwiseOperatorFamily(base, blocks, order=1.0)
+    return LeafwiseOperatorFamily(base, dolbeault_block(base.fiber, twist, levels), order=1.0)
 
 
 def twisted_shift(field: np.ndarray, ticks: int, twist: int, fiber: FiberModel) -> np.ndarray:

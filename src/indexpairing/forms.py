@@ -78,17 +78,14 @@ class FoliatedForm:
 
     @classmethod
     def zero(cls, base: BaseModel, degree: int) -> "FoliatedForm":
-        r = base.fiber(0).dim
+        r = base.fiber.dim
         ncomp = len(index_subsets(r, degree))
-        fields = [
-            np.zeros((base.fiber(x).npoints, ncomp), dtype=complex)
-            for x in range(len(base))
-        ]
+        fields = [np.zeros((base.fiber.npoints, ncomp), dtype=complex) for _ in range(len(base))]
         return cls(degree, r, fields, invariant=True)
 
     @classmethod
     def from_scalar(cls, base: BaseModel, scalars: list[np.ndarray]) -> "FoliatedForm":
-        r = base.fiber(0).dim
+        r = base.fiber.dim
         fields = [np.asarray(s, dtype=complex).reshape(-1, 1) for s in scalars]
         return cls(0, r, fields)
 
@@ -167,10 +164,8 @@ def exterior_wedge(
 def d_leafwise(form: FoliatedForm, base: BaseModel) -> FoliatedForm:
     """Spectral exterior derivative along the fibers."""
     r, q = form.fiber_dim, form.degree
-    out_fields = [
-        exterior_d(f, q, r, partial(spectral_gradient, fiber=base.fiber(x)))
-        for x, f in enumerate(form.fields)
-    ]
+    grad = partial(spectral_gradient, fiber=base.fiber)
+    out_fields = [exterior_d(f, q, r, grad) for f in form.fields]
     return FoliatedForm(q + 1, r, out_fields, invariant=form.invariant)
 
 

@@ -1,12 +1,13 @@
 """The action groupoid of a cyclic group acting on a weighted finite base.
 
 The base is a finite set of points, each carrying a positive weight (the
-transverse measure) and a fiber model.  The group Z/m acts on the points by
-the powers of one permutation sigma with sigma^m = id, and the groupoid is
-the action groupoid Z/m x base: the arrow (g, x) has source x and target
-sigma^g(x).  Its laws are those of Z/m, so they are computed, not scanned:
-"(g1, x) then (g2, sigma^g1(x))" is ((g1 + g2) mod m, x), the unit at x is
-(0, x) and the inverse of (g, x) is ((-g) mod m, sigma^g(x)).
+transverse measure), and one fiber model that every point shares.  The
+group Z/m acts on the points by the powers of one permutation sigma with
+sigma^m = id, and the groupoid is the action groupoid Z/m x base: the arrow
+(g, x) has source x and target sigma^g(x).  Its laws are those of Z/m, so
+they are computed, not scanned: "(g1, x) then (g2, sigma^g1(x))" is
+((g1 + g2) mod m, x), the unit at x is (0, x) and the inverse of (g, x) is
+((-g) mod m, sigma^g(x)).
 """
 from __future__ import annotations
 
@@ -15,35 +16,28 @@ from dataclasses import dataclass
 from .grids import FiberModel, ModelError
 
 
-@dataclass(frozen=True)
-class BasePoint:
-    name: str
-    weight: float
-    fiber: FiberModel
-
-
 class BaseModel:
-    """Finite weighted base with one fiber model per point."""
+    """Finite weighted base whose points all carry one fiber model."""
 
-    def __init__(self, points: list[BasePoint]):
-        if not points:
+    def __init__(self, fiber: FiberModel, names: list[str], weights: list[float]):
+        if not names:
             raise ModelError("base must contain at least one point")
-        names = [p.name for p in points]
+        if len(weights) != len(names):
+            raise ModelError(f"{len(weights)} weights for {len(names)} base points")
         if len(set(names)) != len(names):
             raise ModelError("base point names must be distinct")
-        for p in points:
-            if p.weight <= 0:
-                raise ModelError(f"base point {p.name!r} has non-positive weight")
-        self.points = list(points)
+        for name, w in zip(names, weights):
+            if w <= 0:
+                raise ModelError(f"base point {name!r} has non-positive weight")
+        self.fiber = fiber
+        self.names = list(names)
+        self.weights = list(weights)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.names)
 
     def weight(self, i: int) -> float:
-        return self.points[i].weight
-
-    def fiber(self, i: int) -> FiberModel:
-        return self.points[i].fiber
+        return self.weights[i]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .cochains import ASCochain, van_est_realize
 from .density import TransversalDensity, compute_cutoff
 from .dolbeault import dolbeault_family
 from .grids import FiberModel, ModelError, random_band_limited
-from .groupoid import BaseModel, BasePoint, CyclicGroupoid
+from .groupoid import BaseModel, CyclicGroupoid
 from .invariants import INVARIANT_CHECKS
 from .pairing import ProfileCochain, pair_cocycle
 from .parametrix import CorruptedCacheError, IndexIdempotent, analytic_index, index_idempotent
@@ -124,9 +124,8 @@ def load_coefficients(path) -> list[np.ndarray]:
 
 def _build_space(scn: Scenario) -> FiberedGSpace:
     fib = FiberModel(scn.fiber["dim"], scn.fiber["fourier_cutoff"], scn.fiber["grid"])
-    weights = scn.group["base_weights"]
     bp = scn.group["base_points"]
-    base = BaseModel([BasePoint(f"x{i}", weights[i], fib) for i in range(bp)])
+    base = BaseModel(fib, [f"x{i}" for i in range(bp)], scn.group["base_weights"])
     gk = scn.group["group"]
     order = 1 if gk == "trivial" else int(gk["cyclic"])
     sigma = [x ^ 1 for x in range(bp)] if scn.group["base_action"] == "pair-swap" else None
@@ -144,7 +143,7 @@ def _build_operator(scn: Scenario, space: FiberedGSpace):
     op = scn.operator
     if op["builtin"] == "dolbeault":
         fam = dolbeault_family(base, op["twist"], op["levels"])
-        sclass = symbol_class_dolbeault(base, disc, op["twist"])
+        sclass = symbol_class_dolbeault(base.fiber, disc, op["twist"])
         return fam, sclass
     fn = _symbol_expression(op["symbol"])
     sym = multiplier_symbol(
@@ -154,7 +153,7 @@ def _build_operator(scn: Scenario, space: FiberedGSpace):
     )
     sym.certify_elliptic()
     fam = quantize(sym)
-    sclass = symbol_class_multiplier(base, disc, fn)
+    sclass = symbol_class_multiplier(base.fiber, disc, fn)
     return fam, sclass
 
 
@@ -171,10 +170,7 @@ def _build_cocycle(scn: Scenario, base: BaseModel):
         return _cochain_from_table(base, coc["degree"], band, coc["terms"])
     rng = np.random.default_rng(scn.seed)
     factors = [
-        [
-            random_band_limited(rng, base.fiber(x), band)
-            for x in range(len(base))
-        ]
+        [random_band_limited(rng, base.fiber, band) for _ in range(len(base))]
         for _ in range(coc["degree"] + 1)
     ]
     return ASCochain.elementary(base, factors, germ_radius=2.0)
@@ -226,7 +222,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs would change.
-_CACHE_FORMAT = 6
+_CACHE_FORMAT = 7
 # echo fields the idempotent does not depend on; the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
 _NOT_IDEMPOTENT_INPUTS = ("name", "cocycle", "density", "tolerances", "seed")
@@ -245,8 +241,9 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
 
     The analytic column holds the quotient index for a free fiber action,
     the per-point family indices for an identified base, and the plain
-    spectral index otherwise.  ``out_dir`` enables the idempotent kernel
-    cache under ``out_dir/cache``; errors carry the failing stage.
+    spectral index at every base point otherwise.  ``out_dir`` enables the
+    idempotent kernel cache under ``out_dir/cache``; errors carry the failing
+    stage.
     """
     t0 = time.perf_counter()
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -280,12 +277,9 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                 raise ModelError(
                     "the quotient analytic route is defined for the dolbeault family"
                 )
-            analytic = (
-                half_shift_quotient_index(space.base.fiber(0), scn.operator["twist"]),
-            )
+            analytic = (half_shift_quotient_index(space.base.fiber, scn.operator["twist"]),)
         else:
-            counts = analytic_index(fam)
-            analytic = tuple(counts.index(x) for x in range(len(space.base)))
+            analytic = (analytic_index(fam).index,) * len(space.base)
 
     idem = None
     if out_dir is not None:

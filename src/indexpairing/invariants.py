@@ -7,6 +7,7 @@ a few seeded random inputs, and returns (worst defect, tolerance).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +18,13 @@ from .dolbeault import dolbeault_family
 from .forms import (
     FoliatedForm,
     d_leafwise,
+    exterior_d,
     index_subsets,
     integrate_invariant,
     invariant_project_form,
 )
-from .grids import FiberModel, random_band_limited
-from .groupoid import BaseModel, BasePoint, CyclicGroupoid
+from .grids import FiberModel, random_band_limited, spectral_gradient
+from .groupoid import BaseModel, CyclicGroupoid
 from .operators import SmoothingKernel, random_invariant_kernel, trace_tau
 from .pairing import pair_cocycle
 from .parametrix import index_idempotent
@@ -34,24 +36,21 @@ __all__ = ["INVARIANT_CHECKS"]
 
 
 def _inv_space(n=16, N=5):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def _inv_trivial(n=16, N=5):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def _random_one_form(rng, base, band):
-    r = base.fiber(0).dim
+    r = base.fiber.dim
     ncomp = len(index_subsets(r, 1))
     fields = []
-    for x in range(len(base)):
-        cols = [
-            random_band_limited(rng, base.fiber(x), band)
-            for _ in range(ncomp)
-        ]
+    for _ in range(len(base)):
+        cols = [random_band_limited(rng, base.fiber, band) for _ in range(ncomp)]
         fields.append(np.stack(cols, axis=1))
     return FoliatedForm(1, r, fields)
 
@@ -76,7 +75,7 @@ def _check_trace_cutoff_independence():
     dens = TransversalDensity.uniform(space)
     c1 = compute_cutoff(space)
     rng = np.random.default_rng(7)
-    npts = space.base.fiber(0).npoints
+    npts = space.base.fiber.npoints
     c2 = compute_cutoff(space, [1.0 + 0.5 * rng.random(npts)])
     worst = 0.0
     for seed in range(10):
@@ -92,7 +91,7 @@ def _check_symbol_trace_formula():
     base = space.base
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fiber = base.fiber(0)
+    fiber = base.fiber
     modes = fiber.modes()
     xipart = np.exp(-2.0 * np.sum(modes.astype(float) ** 2, axis=1))
     worst = 0.0
@@ -102,8 +101,8 @@ def _check_symbol_trace_formula():
             random_band_limited(rng, fiber, band=1)
         )
         table = zpart[:, None] * xipart[None, :]
-        sym = SymbolData(base, SMOOTHING_ORDER, [table])
-        kern = SmoothingKernel(base, [quantize(sym).blocks[0].grid_matrix()])
+        sym = SymbolData(base, SMOOTHING_ORDER, table)
+        kern = SmoothingKernel(base, quantize(sym).block.grid_matrix())
         lhs = trace_symbol_formula(sym, cutoff, dens)
         rhs = trace_tau(kern, cutoff, dens)
         worst = max(worst, abs(lhs - rhs))
@@ -131,10 +130,7 @@ def _check_vanest_chain_map():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
-        factors = [
-            [random_band_limited(rng, base.fiber(0), 2)]
-            for _ in range(2)
-        ]
+        factors = [[random_band_limited(rng, base.fiber, 2)] for _ in range(2)]
         phi = ASCochain.elementary(base, factors, germ_radius=2.0)
         defect = (
             van_est_realize(d_as(phi)) - d_leafwise(van_est_realize(phi), base)
@@ -152,28 +148,37 @@ def _check_coboundary_pairing():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(6000 + seed)
-        factors = [
-            [random_band_limited(rng, space.base.fiber(0), 2)]
-            for _ in range(2)
-        ]
+        factors = [[random_band_limited(rng, space.base.fiber, 2)] for _ in range(2)]
         psi = ASCochain.elementary(space.base, factors, germ_radius=2.0)
         worst = max(worst, abs(pair_cocycle(idem, d_as(psi), cutoff, dens)))
     return worst, 1e-8
 
 
 def _check_chern_closed():
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 8, 20))])
-    ch = chern_character_fiber(base, [twist_projector(base.fiber(0), 2)])
-    r = base.fiber(0).dim
-    return max(d_leafwise(form, base).max_abs() for j, form in ch.items() if j < r), 1e-8
+    # flux bundles 1 and -2 on the two torus factors of a four-dimensional
+    # fiber, so that ch_2 is checked too, not only the constant tr p
+    n = 6
+    fib2 = FiberModel(2, 2, n)
+    p1, p2 = twist_projector(fib2, 1), twist_projector(fib2, -2)
+    m = p1.shape[1] * p2.shape[1]
+    kron = np.einsum("aij,bkl->abikjl", p1, p2).reshape(n**4, m, m)
+    fiber = FiberModel(4, 2, n)
+    grad = partial(spectral_gradient, fiber=fiber)
+    ch = chern_character_fiber(fiber, kron)
+    defect = max(
+        float(np.abs(exterior_d(form, j, fiber.dim, grad)).max())
+        for j, form in ch.items()
+        if j < fiber.dim
+    )
+    return defect, 1e-8
 
 
 def _check_topindex_cutoff_choice():
     space = _inv_space(n=20, N=8)
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
-    sclass = symbol_class_dolbeault(space.base, disc, 2)
-    npts = space.base.fiber(0).npoints
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
+    npts = space.base.fiber.npoints
     alpha = FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
     c1 = compute_cutoff(space)
     rng = np.random.default_rng(11)
@@ -188,8 +193,8 @@ def _check_free_reduction_agreement():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
-    sclass = symbol_class_dolbeault(space.base, disc, 2)
-    npts = space.base.fiber(0).npoints
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
+    npts = space.base.fiber.npoints
     alpha = FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
     topo = topological_index(space, cutoff, dens, alpha, sclass)
     red = free_action_reduction(space, cutoff, dens, alpha, sclass)

@@ -8,7 +8,8 @@ the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds an
 operators between bases are plain matrices on coefficients.
 
 Smoothing operators are operator matrices M acting by f -> M f on scalar
-grid sections, one npoints x npoints matrix per base point.  A family with
+grid sections, one npoints x npoints matrix shared by every base point, as
+every point carries the same fiber and the same operator.  A family with
 several bundle components is carried as several such families (the index
 idempotent holds its kernel and cokernel projectors apart).  The Schwartz
 kernel against the quadrature measure is k(z, w) = npoints * M[z, w]; all
@@ -103,42 +104,11 @@ class OperatorBlock:
 
 @dataclass
 class LeafwiseOperatorFamily:
-    """One operator block per base point, with a declared order."""
+    """One operator block acting over every base point, with a declared order."""
 
     base: BaseModel
-    blocks: list[OperatorBlock]
+    block: OperatorBlock
     order: float
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.base):
-            raise ModelError("one operator block per base point is required")
-
-
-def transport_matrix(
-    gspace: FiberedGSpace, a, domain: SectionBasis, codomain: SectionBasis
-) -> np.ndarray:
-    """Matrix of section transport along an arrow, domain over s(a) to codomain over t(a).
-
-    Computed by moving the domain basis columns with the grid permutation and
-    projecting onto the codomain basis.  Unitary whenever the transported
-    columns stay inside the codomain span.
-    """
-    moved = domain.matrix[gspace.permutation(a), :]
-    return codomain.matrix.conj().T @ moved / domain.fiber.npoints
-
-
-def family_invariance_defect(
-    gspace: FiberedGSpace, fam: LeafwiseOperatorFamily
-) -> float:
-    """Max over arrows of |U_a P_s - P_t U_a| on the section bases."""
-    worst = 0.0
-    for a in gspace.groupoid.arrows:
-        Ps, Pt = fam.blocks[a.src], fam.blocks[a.tgt]
-        U_dom = transport_matrix(gspace, a, Ps.domain, Pt.domain)
-        U_cod = transport_matrix(gspace, a, Ps.codomain, Pt.codomain)
-        defect = U_cod @ Ps.matrix - Pt.matrix @ U_dom
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
 
 
 def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
@@ -202,7 +172,7 @@ def certified_block_row(block: OperatorBlock, radius: float) -> tuple[int, np.nd
     basis space to commute with S; only block row 0 of S is formed.
 
     For a = 1 .. g/2 let U = Pi^a E (the rows of E moved by a npoints/g),
-    T = E^H U / n its basis matrix, as ``transport_matrix`` forms it, and
+    T = E^H U / n its basis matrix, and
     F = U - E T the part of U outside the span of E.  Pi^a S Pi^-a is
     U R U^H / n, and R - T R T^H = R (1 - T T^H) - (T R - R T) T^H, so
     |T| <= 1 and R = R R^H bound every entry:
@@ -284,101 +254,79 @@ def circulant_dense(row: np.ndarray, g: int) -> np.ndarray:
 
 
 class SmoothingKernel:
-    """Family of smoothing operators on grid sections, one per base point.
+    """Smoothing operator on grid sections, the same over every base point.
 
-    The operator over base point x acts on scalar grid vectors by a matrix
-    M_x, stored as its block count g = ``orders[x]`` and its block row 0
-    ``rows[x]``, of shape (npoints/g, npoints); g = 1 stores M_x itself, and
-    ``rows[x] = None`` marks M_x = 0.  ``support_radius`` is the fiber
-    distance beyond which kernel entries vanish (infinity when not
-    localized).
+    The operator acts on scalar grid vectors by a matrix M, stored as its
+    block count g = ``order`` and its block row 0 ``row``, of shape
+    (npoints/g, npoints); g = 1 stores M itself, and ``row = None`` marks
+    M = 0.  ``support_radius`` is the fiber distance beyond which kernel
+    entries vanish (infinity when not localized).
     """
 
     def __init__(
         self,
         base: BaseModel,
-        rows: list[np.ndarray | None],
+        row: np.ndarray | None,
         support_radius: float = np.inf,
-        orders: list[int] | None = None,
+        order: int = 1,
     ):
         self.base = base
-        self.rows = [None if r is None else np.asarray(r, dtype=complex) for r in rows]
-        self.orders = [1] * len(self.rows) if orders is None else [int(g) for g in orders]
+        self.row = None if row is None else np.asarray(row, dtype=complex)
+        self.order = int(order)
         self.support_radius = float(support_radius)
-        for x, (row, g) in enumerate(zip(self.rows, self.orders)):
-            fiber = base.fiber(x)
-            if g < 1 or fiber.grid_size % g:
-                raise ModelError(
-                    f"block count {g} at point {x} does not divide the grid size {fiber.grid_size}"
-                )
-            if row is not None and row.shape != (fiber.npoints // g, fiber.npoints):
-                raise ModelError(f"kernel block row at point {x} has shape {row.shape} for g = {g}")
+        fiber = base.fiber
+        g = self.order
+        if g < 1 or fiber.grid_size % g:
+            raise ModelError(f"block count {g} does not divide the grid size {fiber.grid_size}")
+        if self.row is not None and self.row.shape != (fiber.npoints // g, fiber.npoints):
+            raise ModelError(f"kernel block row has shape {self.row.shape} for g = {g}")
 
     @property
     def mats(self) -> list[np.ndarray]:
-        """The stored arrays: the block row of every nonzero operator."""
-        return [r for r in self.rows if r is not None]
+        """The stored arrays: the block row of a nonzero operator."""
+        return [] if self.row is None else [self.row]
 
-    def dense(self, x: int) -> np.ndarray:
-        """M_x as an npoints x npoints matrix."""
-        row, g = self.rows[x], self.orders[x]
-        if row is None:
-            n = self.base.fiber(x).npoints
+    def dense(self) -> np.ndarray:
+        """M as an npoints x npoints matrix."""
+        if self.row is None:
+            n = self.base.fiber.npoints
             return np.zeros((n, n), dtype=complex)
-        return row if g == 1 else circulant_dense(row, g)
+        return self.row if self.order == 1 else circulant_dense(self.row, self.order)
 
-    def diagonal(self, x: int) -> np.ndarray:
-        """The diagonal of a nonzero M_x: that of C_0, once per block."""
-        row = self.rows[x]
-        return np.tile(np.diag(row[:, : row.shape[0]]), self.orders[x])
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of a nonzero M: that of C_0, once per block."""
+        return np.tile(np.diag(self.row[:, : self.row.shape[0]]), self.order)
 
     def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        self._check(other)
         return SmoothingKernel(
             self.base,
-            [self.dense(x) - other.dense(x) for x in range(len(self.rows))],
+            self.dense() - other.dense(),
             max(self.support_radius, other.support_radius),
         )
 
     def compose(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        self._check(other)
         radius = self.support_radius + other.support_radius
-        return SmoothingKernel(
-            self.base,
-            [self.dense(x) @ other.dense(x) for x in range(len(self.rows))],
-            radius,
-        )
-
-    def _check(self, other: "SmoothingKernel") -> None:
-        if self.base is not other.base and len(self.base) != len(other.base):
-            raise ModelError("kernel bases differ")
+        return SmoothingKernel(self.base, self.dense() @ other.dense(), radius)
 
     def norm(self) -> float:
-        """Lower bound of the largest operator norm across base points.
+        """Lower bound of the operator norm.
 
         Power steps on M^H M from the column of largest norm.  Every estimate
         taken (that column norm, |M^H y| / |y| and |M x| for unit x) is at
         most |M|_2, so a tolerance scaled by this value is never looser than
         one scaled by the exact norm.  On a hermitian projector the first
-        step already gives 1.  Costs O(n^2) per base point, where the exact
-        norm needs an SVD.
+        step already gives 1.  Costs O(n^2), where the exact norm needs an
+        SVD.
         """
-        return max(
-            (_norm_lower_bound(self.dense(x)) for x, r in enumerate(self.rows) if r is not None),
-            default=0.0,
-        )
-
-    def _moved(self, gspace: FiberedGSpace, a) -> np.ndarray:
-        perm = gspace.permutation(gspace.groupoid.inverse(a))
-        return self.dense(a.tgt)[np.ix_(perm, perm)]
+        return 0.0 if self.row is None else _norm_lower_bound(self.dense())
 
     def invariance_defect(self, gspace: FiberedGSpace) -> float:
         """Strict equivariance defect for untwisted (plain pullback) transport."""
-        worst = 0.0
-        for a in _moving_arrows(gspace):
-            moved = self._moved(gspace, a)
-            worst = max(worst, float(np.max(np.abs(self.dense(a.src) - moved))))
-        return worst
+        arrows = _moving_arrows(gspace)
+        if not arrows:
+            return 0.0
+        here = self.dense()
+        return max(float(np.max(np.abs(here - _moved(here, gspace, a)))) for a in arrows)
 
     def twisted_invariance_defect(self, gspace: FiberedGSpace) -> float:
         """Equivariance defect modulo a unimodular character.
@@ -387,12 +335,15 @@ class SmoothingKernel:
         and cyclic chain sums are blind to such phases.  This checks the
         phase-free data: entry magnitudes, the operator diagonal, and closed
         two-cycles k(z, w) k(w, z).  Moving arrows compare whole matrices, so
-        this gate expands the stored block rows.
+        this gate expands the stored block row, once.
         """
+        arrows = _moving_arrows(gspace)
+        if not arrows:
+            return 0.0
+        here = self.dense()
         worst = 0.0
-        for a in _moving_arrows(gspace):
-            here = self.dense(a.src)
-            moved = self._moved(gspace, a)
+        for a in arrows:
+            moved = _moved(here, gspace, a)
             worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
             worst = max(worst, float(np.max(np.abs(np.diag(here) - np.diag(moved)))))
             cyc = here * here.T - moved * moved.T
@@ -426,10 +377,23 @@ def _norm_lower_bound(m: np.ndarray) -> float:
     return best
 
 
+def _moved(M: np.ndarray, gspace: FiberedGSpace, a) -> np.ndarray:
+    """M carried along the arrow a: M[p, p] with p the permutation of a's inverse."""
+    perm = gspace.permutation(gspace.groupoid.inverse(a))
+    return M[np.ix_(perm, perm)]
+
+
 def _moving_arrows(gspace: FiberedGSpace):
-    """Arrows other than units; FiberedGSpace makes every unit act as the identity."""
-    units = gspace.groupoid.units
-    return [a for a in gspace.groupoid.arrows if a != units[a.src]]
+    """The arrows (g, 0), g = 1 .. m/2, whose translation moves the fiber.
+
+    The arrow (g, x) moves a kernel by the permutation of g alone, and
+    conjugating by it maps the defect entries of g onto the negated ones of
+    m - g, so these arrows give the same largest defect, as the same float,
+    as every non-unit arrow.  A zero shift leaves no arrow to check.
+    """
+    m = gspace.groupoid.order
+    arrows = gspace.groupoid.arrows_from(0)[1 : m // 2 + 1]
+    return [a for a in arrows if any(gspace.fiber_map(a).shift)]
 
 
 def require_invariant(
@@ -453,20 +417,20 @@ def require_invariant(
 def average_kernel(
     gspace: FiberedGSpace, cutoff: CutoffDensity, kern: SmoothingKernel
 ) -> SmoothingKernel:
-    """Cutoff-weighted diagonal average of a kernel family onto the invariants.
+    """Cutoff-weighted diagonal average of a kernel onto the invariants.
 
-    out_x(z, w) = sum over arrows a from x of c(action_a z) k_{t(a)}(action_a z, action_a w).
+    out(z, w) = sum over arrows a from point 0 of
+                c_{t(a)}(action_a z) k(action_a z, action_a w).
 
-    Exactly invariant for any input and fixes invariant inputs.
+    Exactly invariant for any input when every base point carries the same
+    cutoff field, as on a one-point base, and fixes invariant inputs.
     """
-    out = []
-    for x in range(len(gspace.base)):
-        acc = np.zeros_like(kern.dense(x))
-        for a in gspace.groupoid.arrows_from(x):
-            weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
-            acc += weight[:, None] * kern._moved(gspace, a)
-        out.append(acc)
-    return SmoothingKernel(gspace.base, out, kern.support_radius)
+    here = kern.dense()
+    acc = np.zeros_like(here)
+    for a in gspace.groupoid.arrows_from(0):
+        weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
+        acc += weight[:, None] * _moved(here, gspace, a)
+    return SmoothingKernel(gspace.base, acc, kern.support_radius)
 
 
 TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
@@ -475,7 +439,7 @@ TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
 def trace_tau(kern: SmoothingKernel, cutoff: CutoffDensity, dens: TransversalDensity) -> complex:
     """Cutoff-weighted trace of an invariant smoothing family.
 
-    tau(K) = sum over base points of mass * sum_z c(z) M_x[z, z].
+    tau(K) = sum over base points x of mass(x) * sum_z c_x(z) M[z, z].
     Independent of the cutoff choice, and tracial, for invariant kernels over
     orbit-constant mass; both properties fail without invariance, hence the
     check.
@@ -490,16 +454,17 @@ def _weighted_diag_trace(
     dens: TransversalDensity,
     fields: list[np.ndarray] | None = None,
 ) -> complex:
-    """sum over base points of mass * sum_z c(z) [f(z)] M_x[z, z].
+    """sum over base points x of mass(x) * sum_z c_x(z) [f_x(z)] M[z, z].
 
-    A zero operator is skipped: adding its exact zero would change no bit.
+    A zero operator is skipped: adding its exact zeros would change no bit.
     """
     total = 0.0 + 0.0j
+    if kern.row is None:
+        return total
+    diagonal = kern.diagonal()
     for x in range(len(kern.base)):
-        if kern.rows[x] is None:
-            continue
         weight = cutoff.fields[x] if fields is None else cutoff.fields[x] * fields[x]
-        total += dens.mass(x) * np.sum(weight * kern.diagonal(x))
+        total += dens.mass(x) * np.sum(weight * diagonal)
     return complex(total)
 
 
@@ -510,15 +475,11 @@ def random_invariant_kernel(
     band: int,
 ) -> SmoothingKernel:
     """Seeded invariant smoothing family built from band-limited separable pieces."""
-    base = gspace.base
-    mats = []
-    for x in range(len(base)):
-        fiber = base.fiber(x)
-        E = fiber.eval_matrix()
-        keep = np.max(np.abs(fiber.modes()), axis=1) <= band
-        E = E[:, keep]
-        nb = E.shape[1]
-        C = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
-        mats.append(E @ (C / nb) @ E.conj().T / fiber.npoints)
-    rough = SmoothingKernel(base, mats)
+    fiber = gspace.base.fiber
+    E = fiber.eval_matrix()
+    keep = np.max(np.abs(fiber.modes()), axis=1) <= band
+    E = E[:, keep]
+    nb = E.shape[1]
+    C = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
+    rough = SmoothingKernel(gspace.base, E @ (C / nb) @ E.conj().T / fiber.npoints)
     return average_kernel(gspace, cutoff, rough)

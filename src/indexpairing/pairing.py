@@ -168,25 +168,21 @@ class ProfileCochain:
         for axis, prof in legs:
             if not isinstance(prof, TransitionProfile):
                 raise ModelError("every leg needs a TransitionProfile")
-            for x in range(len(base)):
-                if not 0 <= axis < base.fiber(x).dim:
-                    raise ModelError(
-                        f"leg axis {axis} outside fiber dimension "
-                        f"{base.fiber(x).dim}"
-                    )
+            if not 0 <= axis < base.fiber.dim:
+                raise ModelError(f"leg axis {axis} outside fiber dimension {base.fiber.dim}")
         self.base = base
         self.legs = legs
         self.degree = len(legs)
         self.germ_radius = min(p.linear_radius for _, p in legs)
 
-    def leg_mask(self, x: int, i: int, rows: int) -> np.ndarray:
-        """Rows [0, rows) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber over x.
+    def leg_mask(self, i: int, rows: int) -> np.ndarray:
+        """Rows [0, rows) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber.
 
         The axis coordinate takes grid_size values, so the profile is
         evaluated on their grid_size^2 differences and gathered from there.
         """
         axis, prof = self.legs[i]
-        fiber = self.base.fiber(x)
+        fiber = self.base.fiber
         n = fiber.grid_size
         coords = np.arange(n) / n
         ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)[axis]
@@ -200,7 +196,7 @@ class ProfileCochain:
         zero and vanishing value there, so the whole 2k-jet reduces to the
         single constant-coefficient component.
         """
-        r = self.base.fiber(0).dim
+        r = self.base.fiber.dim
         axes = tuple(axis for axis, _ in self.legs)
         if self.degree > r:
             raise ModelError("realization degree exceeds the fiber dimension")
@@ -220,16 +216,12 @@ class ProfileCochain:
         The expansion feeds the chain-map cross-checks; the pairing itself
         contracts the difference masks directly and never needs it.
         """
+        fiber = self.base.fiber
         if band is None:
-            band = min(
-                self.base.fiber(x).fourier_cutoff for x in range(len(self.base))
-            )
+            band = fiber.fourier_cutoff
         coefs = [prof.fourier_coefficients(band) for _, prof in self.legs]
         modes = np.arange(-band, band + 1)
-        points = [
-            grid_points(self.base.fiber(x).grid_size, self.base.fiber(x).dim)
-            for x in range(len(self.base))
-        ]
+        pts = grid_points(fiber.grid_size, fiber.dim)
         cap = max(np.max(np.abs(c)) for c in coefs)
         terms = []
         for picks in product(range(len(modes)), repeat=len(self.legs)):
@@ -240,19 +232,16 @@ class ProfileCochain:
             # (conjugate) mode of leg j
             factors = []
             for slot in range(self.degree + 1):
-                fam = []
-                for pts in points:
-                    field = np.ones(len(pts), dtype=complex)
-                    if slot > 0:
-                        axis = self.legs[slot - 1][0]
-                        m = modes[picks[slot - 1]]
-                        field = field * np.exp(2j * np.pi * m * pts[:, axis])
-                    if slot < self.degree:
-                        axis = self.legs[slot][0]
-                        m = modes[picks[slot]]
-                        field = field * np.exp(-2j * np.pi * m * pts[:, axis])
-                    fam.append(field)
-                factors.append(fam)
+                field = np.ones(len(pts), dtype=complex)
+                if slot > 0:
+                    axis = self.legs[slot - 1][0]
+                    m = modes[picks[slot - 1]]
+                    field = field * np.exp(2j * np.pi * m * pts[:, axis])
+                if slot < self.degree:
+                    axis = self.legs[slot][0]
+                    m = modes[picks[slot]]
+                    field = field * np.exp(-2j * np.pi * m * pts[:, axis])
+                factors.append([field] * len(self.base))
             terms.append(ASTerm(weight, tuple(factors)))
         return ASCochain(self.base, self.degree, terms, germ_radius=self.germ_radius)
 
@@ -308,10 +297,8 @@ def pair_cocycle(
 
     s0, s1 = idem.families
     if k == 0:
-        fields = [
-            phi.evaluate_batch(x, np.arange(idem.base.fiber(x).npoints)[:, None])
-            for x in range(len(idem.base))
-        ]
+        slots = np.arange(idem.base.fiber.npoints)[:, None]
+        fields = [phi.evaluate_batch(x, slots) for x in range(len(idem.base))]
         trace0, trace1 = (
             _weighted_diag_trace(f, cutoff, dens, fields) for f in (s0, s1)
         )
@@ -322,11 +309,11 @@ def pair_cocycle(
     for x in range(len(idem.base)):
         cw = np.asarray(cutoff.fields[x], dtype=float)
         if isinstance(phi, ProfileCochain):
-            chain = partial(_weighted_profile_chain, phi, x, cw)
+            chain = partial(_weighted_profile_chain, phi, cw)
         else:
             chain = partial(_weighted_elementary_chain, phi, x, cw)
         # a zero operator (S1 of every positive flux) has an exactly zero chain
-        v0, v1 = (0j if f.rows[x] is None else chain(f.rows[x], f.orders[x]) for f in (s0, s1))
+        v0, v1 = (0j if f.row is None else chain(f.row, f.order) for f in (s0, s1))
         total += dens.mass(x) * (v0 - v1)
     return weight * complex(total)
 
@@ -362,17 +349,17 @@ def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
 
 
 def _weighted_profile_chain(
-    phi: ProfileCochain, x: int, cw: np.ndarray, row: np.ndarray, g: int
+    phi: ProfileCochain, cw: np.ndarray, row: np.ndarray, g: int
 ) -> complex:
-    """The k = 1 chain against the two legs of phi over base point x of the
-    kernel K with block row 0 ``row`` in g blocks.
+    """The k = 1 chain against the two legs of phi, weighted by the cutoff cw,
+    of the kernel K with block row 0 ``row`` in g blocks.
 
     The legs' masks are block circulant in every g dividing grid_size (they
     depend on w - z only), so only block row 0 of each mask is built.
     """
     width = row.shape[0]
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
-    W0, W1 = (phi.leg_mask(x, i, width) for i in (0, 1))
+    W0, W1 = (phi.leg_mask(i, width) for i in (0, 1))
 
     def rotations(row: np.ndarray) -> complex:
         blocks = (circulant_blocks(M, g) for M in (row * W0, row * W1, row))

@@ -17,15 +17,17 @@ cokernel, so S1 D = 0; and both remainders are projectors.  Hence
     P = diag(S0, 1 - S1),   [P] - [e] = [S0] - [S1],
 
 with e the identity on the range copy.  The idempotent is stored as the two
-projector families S0 and S1 on scalar grid sections, and every consumer
-(trace, pairing, invariance gate, cache) works on them one at a time.
+projectors S0 and S1 on scalar grid sections, each one operator for every
+base point, and every consumer (trace, pairing, invariance gate, cache)
+works on them one at a time.
 Localization truncates each family at a fiber radius and restores
 idempotency with the cubic correction flow; the flow commutes with
 P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.  A
 truncated projector that commutes with translations along axis 0 is block
 circulant (see ``operators``): its block count g is certified in basis
 space, only its block row 0 is built, the flow runs on its g Fourier blocks
-of size npoints/g, and the flowed block row is what the family stores.  An
+of size npoints/g, and the flowed block row is what the family stores, once
+its trace still counts the rank of the projector it was cut from.  An
 unlocalized projector is stored dense (g = 1), and a zero one as a flag.
 """
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .operators import (
     circulant_row,
     fiber_distance_matrix,
 )
-from .space import FiberedGSpace
 
 
 class ThresholdAmbiguityError(ModelError):
@@ -95,43 +96,30 @@ def certified_rank(singular: np.ndarray) -> int:
 
 @dataclass
 class IndexCount:
-    """Kernel and cokernel dimensions per base point."""
+    """Kernel and cokernel dimensions of the operator over every base point."""
 
-    kernel_dims: list[int]
-    cokernel_dims: list[int]
+    kernel_dim: int
+    cokernel_dim: int
 
-    def index(self, x: int = 0) -> int:
-        return self.kernel_dims[x] - self.cokernel_dims[x]
+    @property
+    def index(self) -> int:
+        return self.kernel_dim - self.cokernel_dim
 
 
-def analytic_index(
-    fam: LeafwiseOperatorFamily, gspace: FiberedGSpace | None = None
-) -> IndexCount:
-    """Spectral kernel and cokernel counts of an operator family.
-
-    With a groupoid action supplied, the counts are checked to be constant
-    along arrows, which is what invariance of the family forces.
-    """
-    kers, coks = [], []
-    for block in fam.blocks:
-        sing = np.linalg.svd(block.matrix, compute_uv=False)
-        rank = certified_rank(sing)
-        kers.append(block.matrix.shape[1] - rank)
-        coks.append(block.matrix.shape[0] - rank)
-    if gspace is not None:
-        for a in gspace.groupoid.arrows:
-            if (kers[a.src], coks[a.src]) != (kers[a.tgt], coks[a.tgt]):
-                raise ModelError(
-                    f"kernel or cokernel count jumps along arrow {a.label!r}; "
-                    "the family is not invariant"
-                )
-    return IndexCount(kers, coks)
+def analytic_index(fam: LeafwiseOperatorFamily) -> IndexCount:
+    """Spectral kernel and cokernel counts of an operator family."""
+    M = fam.block.matrix
+    rank = certified_rank(np.linalg.svd(M, compute_uv=False))
+    return IndexCount(M.shape[1] - rank, M.shape[0] - rank)
 
 
 @dataclass
 class ParametrixData:
-    r0: list[OperatorBlock]
-    r1: list[OperatorBlock]
+    """The remainders R0 and R1, and the certified rank of the operator."""
+
+    r0: OperatorBlock
+    r1: OperatorBlock
+    rank: int
 
 
 def parametrix(fam: LeafwiseOperatorFamily) -> ParametrixData:
@@ -144,28 +132,29 @@ def parametrix(fam: LeafwiseOperatorFamily) -> ParametrixData:
     than the rounding noise of 1 - QD or 1 - DQ, so that the consumers can
     skip it.
     """
-    r0, r1 = [], []
-    for block in fam.blocks:
-        M = block.matrix
-        U, sing, Vh = np.linalg.svd(M, full_matrices=False)
-        rank = certified_rank(sing)
-        inv = np.zeros_like(sing)
-        inv[:rank] = 1.0 / sing[:rank]
-        Qm = (Vh.conj().T * inv) @ U.conj().T
-        nc, nd = M.shape
-        kernel = np.eye(nd) - Qm @ M if rank < nd else np.zeros((nd, nd), complex)
-        cokernel = np.eye(nc) - M @ Qm if rank < nc else np.zeros((nc, nc), complex)
-        r0.append(OperatorBlock(block.domain, block.domain, kernel))
-        r1.append(OperatorBlock(block.codomain, block.codomain, cokernel))
-    return ParametrixData(r0, r1)
+    block = fam.block
+    M = block.matrix
+    U, sing, Vh = np.linalg.svd(M, full_matrices=False)
+    rank = certified_rank(sing)
+    inv = np.zeros_like(sing)
+    inv[:rank] = 1.0 / sing[:rank]
+    Qm = (Vh.conj().T * inv) @ U.conj().T
+    nc, nd = M.shape
+    kernel = np.eye(nd) - Qm @ M if rank < nd else np.zeros((nd, nd), complex)
+    cokernel = np.eye(nc) - M @ Qm if rank < nc else np.zeros((nc, nc), complex)
+    return ParametrixData(
+        OperatorBlock(block.domain, block.domain, kernel),
+        OperatorBlock(block.codomain, block.codomain, cokernel),
+        rank,
+    )
 
 
 class IndexIdempotent:
     """Grid realization of the index idempotent P = diag(S0, 1 - S1) of a family.
 
-    ``skernel`` is the kernel projector family S0 and ``cokernel`` the
-    cokernel projector family S1, both on scalar grid sections and cut at the
-    same support radius; the index class is [S0] - [S1].
+    ``skernel`` is the kernel projector S0 and ``cokernel`` the cokernel
+    projector S1, both on scalar grid sections and cut at the same support
+    radius; the index class is [S0] - [S1].
     """
 
     def __init__(self, base: BaseModel, skernel: SmoothingKernel, cokernel: SmoothingKernel):
@@ -178,67 +167,56 @@ class IndexIdempotent:
         return self.skernel, self.cokernel
 
     def arrays(self) -> list[np.ndarray]:
-        """Cached form: [support radius], then [g] and block row 0 of S0 and of S1 per base point.
+        """Cached form: [support radius], then [g] and block row 0 of S0 and of S1.
 
         The radius is +inf for an unlocalized idempotent.  A zero operator
         is the flag g = 0 followed by an empty array.
         """
         out = [np.array([self.skernel.support_radius])]
-        for x in range(len(self.base)):
-            for f in self.families:
-                row = f.rows[x]
-                if row is None:
-                    out += [np.array([0], dtype=np.int64), np.zeros((0, 0), dtype=complex)]
-                else:
-                    out += [np.array([f.orders[x]], dtype=np.int64), row]
+        for f in self.families:
+            g, row = (0, np.zeros((0, 0), dtype=complex)) if f.row is None else (f.order, f.row)
+            out += [np.array([g], dtype=np.int64), row]
         return out
 
     @classmethod
     def from_arrays(cls, base: BaseModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
         """Inverse of arrays(); raises CorruptedCacheError on any mismatch with base."""
-        if len(arrays) != 1 + 4 * len(base):
-            raise CorruptedCacheError(
-                f"expected {1 + 4 * len(base)} arrays, found {len(arrays)}"
-            )
+        if len(arrays) != 5:
+            raise CorruptedCacheError(f"expected 5 arrays, found {len(arrays)}")
         head = arrays[0]
         if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
             raise CorruptedCacheError(f"support radius {head} is not a positive number")
-        rows, orders = ([], []), ([], [])
-        for i, (order, row) in enumerate(zip(arrays[1::2], arrays[2::2])):
+        families = []
+        for order, row in zip(arrays[1::2], arrays[2::2]):
             if order.shape != (1,) or order.dtype != np.int64 or row.dtype != np.complex128:
                 raise CorruptedCacheError(
-                    f"block count {order} and row dtype {row.dtype} at point {i // 2} "
+                    f"block count {order} and row dtype {row.dtype} "
                     "are not one int64 and complex128"
                 )
             g = int(order[0])
             if g == 0 and row.size:
-                raise CorruptedCacheError(f"zero flag at point {i // 2} carries {row.size} entries")
-            rows[i % 2].append(row if g else None)
-            orders[i % 2].append(g if g else 1)
-        try:
-            s0, s1 = [SmoothingKernel(base, rows[j], head[0], orders[j]) for j in (0, 1)]
-        except ModelError as exc:
-            raise CorruptedCacheError(str(exc)) from exc
-        return cls(base, s0, s1)
+                raise CorruptedCacheError(f"zero flag carries {row.size} entries")
+            try:
+                families.append(SmoothingKernel(base, row if g else None, head[0], g or 1))
+            except ModelError as exc:
+                raise CorruptedCacheError(str(exc)) from exc
+        return cls(base, *families)
 
     def effective_radius(self) -> float:
         """Largest fiber distance carrying an entry above REACH_FLOOR * max entry.
 
-        The max entry is taken over both families at each base point, so a
-        roundoff-sized family does not count its noise as reach.  A block
-        row holds every entry of its matrix, so its rows of distances suffice.
+        The max entry is taken over both projectors, so a roundoff-sized one
+        does not count its noise as reach.  A block row holds every entry of
+        its matrix, so its rows of distances suffice.
         """
+        mags = [np.abs(m) for f in self.families for m in f.mats]
+        cut = REACH_FLOOR * max([float(m.max()) for m in mags] + [1e-300])
         radius = 0.0
-        for x in range(len(self.base)):
-            mags = [np.abs(f.rows[x]) for f in self.families if f.rows[x] is not None]
-            if not mags:
-                continue
-            cut = REACH_FLOOR * max(max(float(m.max()) for m in mags), 1e-300)
-            for m in mags:
-                live = m > cut
-                if np.any(live):
-                    dist = fiber_distance_matrix(self.base.fiber(x), m.shape[0])
-                    radius = max(radius, float(dist[live].max()))
+        for m in mags:
+            live = m > cut
+            if np.any(live):
+                dist = fiber_distance_matrix(self.base.fiber, m.shape[0])
+                radius = max(radius, float(dist[live].max()))
         return radius
 
 
@@ -287,20 +265,23 @@ def index_idempotent(
     # spreads the support), so support_radius records the localization cut of
     # the construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
+    reach = np.inf if radius is None else radius
     families = []
-    for remainders in (data.r0, data.r1):
-        stored = [_stored_row(r, radius, newton_tol) for r in remainders]
-        rows, orders = [row for _, row in stored], [g for g, _ in stored]
-        reach = np.inf if radius is None else radius
-        families.append(SmoothingKernel(fam.base, rows, reach, orders))
+    for r in (data.r0, data.r1):
+        g, row = _stored_row(r, r.matrix.shape[0] - data.rank, radius, newton_tol)
+        families.append(SmoothingKernel(fam.base, row, reach, g))
     return IndexIdempotent(fam.base, *families)
 
 
 def _stored_row(
-    r: OperatorBlock, radius: float | None, newton_tol: float
+    r: OperatorBlock, rank: int, radius: float | None, newton_tol: float
 ) -> tuple[int, np.ndarray | None]:
-    """(g, block row 0) of the projector r, cut at radius and flowed back to a projector."""
-    if not np.any(r.matrix):
+    """(g, block row 0) of the rank-``rank`` projector r, cut at radius and
+    flowed back to a projector, whose trace g tr C_0 must still round to
+    ``rank``: a cut too tight for the kernel decay can flow to a projector
+    of another rank, even 0, whose defect passes.
+    """
+    if rank == 0:
         return 1, None
     if radius is None:
         return 1, r.grid_matrix()
@@ -312,4 +293,12 @@ def _stored_row(
             f"{steps} steps at radius {radius:g}; the cut is too tight for "
             "the kernel decay"
         )
-    return g, circulant_row(P)
+    row = circulant_row(P)
+    trace = g * float(np.trace(row[:, : row.shape[0]]).real)
+    if round(trace) != rank:
+        raise LocalizationError(
+            f"idempotent correction carried the rank-{rank} projector to trace "
+            f"{trace:.6g} at radius {radius:g}; the cut is too tight for the "
+            "kernel decay"
+        )
+    return g, row

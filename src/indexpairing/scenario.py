@@ -38,14 +38,20 @@ class ScenarioError(ModelError):
 
 _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
-# bytes of the two dense idempotent families, 2 x base_points x npoints^2 x 16
+# 2 x base_points x npoints^2 x 16 bytes: once a dense S0 and S1 at every
+# base point.  Every point now shares them, so this bounds the npoints^2
+# arrays a run still builds (an unlocalized S0 and S1, the dense expansions
+# of the invariance gate and of the elementary k = 1 chain) only up to its
+# base_points factor; it is kept so that the same scenarios load
 _KERNEL_BUDGET = 2**30
-# cyclic^3 x base_points.  Build-space no longer scans the groupoid: it is
-# linear in the cyclic x base_points arrows and takes about 2 ms at 2^18.  The
-# budget now caps the per-arrow loops after it, chiefly the invariance gate of
-# the pairing, one npoints^2 kernel comparison per arrow: a dolbeault run on
-# grid 16 at the edge takes 0.4 s (cyclic 64, one point) to 6 s (cyclic 16,
-# 64 points), on 2 cores
+# cyclic^3 x base_points.  Build-space is linear in the cyclic x base_points
+# arrows, and the kernel invariance gate checks cyclic/2 group elements, not
+# every arrow.  The budget caps the per-arrow loops over per-point fields:
+# the cutoff's orbit sums and the invariance check of the realized cochain
+# form.  A dolbeault run on grid 16, twist 2, localize 0.5 at the edge takes
+# 0.05 s (cyclic 64, one point) and 0.15 to 0.2 s (cyclic 16, 64 points,
+# trivial or half-shift fiber action), on 2 cores; with one gate comparison
+# per arrow these took 0.45 s and 6.2 to 8.0 s
 _GROUPOID_BUDGET = 2**18
 # a translation entry is an integer, a decimal or a fraction p/q; an exponent
 # is refused, since Fraction("1e999999999") builds a billion-digit integer
@@ -488,18 +494,19 @@ def _cochain_from_table(base: BaseModel, degree: int, band: int, terms) -> ASCoc
 
     ``terms`` is a table ``_coefficient_table`` has checked.
     """
-    modes = mode_lattice(band, base.fiber(0).dim)
+    modes = mode_lattice(band, base.fiber.dim)
+    points = base.fiber.points()
     out = []
     for term in terms:
         w = term["weight"]
         factors = []
         for slot in term["factors"]:
             fam = []
-            for x, coefs in enumerate(slot):
+            for coefs in slot:
                 coefs = np.asarray(
                     [complex(c[0], c[1]) for c in coefs], dtype=complex
                 )
-                fam.append(eval_modes_at(coefs, modes, base.fiber(x).points()))
+                fam.append(eval_modes_at(coefs, modes, points))
             factors.append(tuple(fam))
         out.append(ASTerm(complex(w[0], w[1]), tuple(factors)))
     return ASCochain(base, degree, out, germ_radius=2.0)

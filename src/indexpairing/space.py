@@ -66,11 +66,7 @@ class FiberedGSpace:
 
     def __init__(self, groupoid: CyclicGroupoid, shift):
         self.groupoid = groupoid
-        base = groupoid.base
-        dims = {base.fiber(x).dim for x in range(len(base))}
-        if len(dims) != 1:
-            raise ModelError("all fibers must share one dimension")
-        r = dims.pop()
+        r = groupoid.base.fiber.dim
         shift = [Fraction(t) for t in shift]
         if len(shift) != r:
             raise ModelError(f"fiber shift {shift} needs one entry per fiber dimension {r}")
@@ -96,10 +92,7 @@ class FiberedGSpace:
         The permutation of the inverse arrow is the pointwise action: it sends
         grid point z over s(a) to the index of its image over t(a).
         """
-        n = self.base.fiber(a.src).grid_size
-        if self.base.fiber(a.tgt).grid_size != n:
-            raise ModelError("grid sizes must agree along arrows")
-        return self.fiber_map(a).grid_permutation(n)
+        return self.fiber_map(a).grid_permutation(self.base.fiber.grid_size)
 
     def transport(self, a: Arrow, field: np.ndarray) -> np.ndarray:
         """Carry a grid field on the source fiber to the target fiber.
@@ -126,4 +119,4 @@ class FiberedGSpace:
 
     @classmethod
     def trivial(cls, groupoid: CyclicGroupoid) -> "FiberedGSpace":
-        return cls(groupoid, [0] * groupoid.base.fiber(0).dim)
+        return cls(groupoid, [0] * groupoid.base.fiber.dim)

@@ -1,11 +1,11 @@
 """Truncated symbol calculus on torus fibers.
 
-A symbol is sampled on the grid-times-mode lattice: per base point an array
-of shape (npoints, nmodes).  Every symbol here is scalar, as every section
-the workbench acts on is.  Quantization uses the standard left ordering: the
-matrix element of Op(a) between incoming mode nu and outgoing mode mu is the
-z-Fourier coefficient of a(., nu) at frequency mu - nu, with outgoing rows
-beyond the cutoff dropped.
+A symbol is sampled on the grid-times-mode lattice: one array of shape
+(npoints, nmodes) for every base point.  Every symbol here is scalar, as
+every section the workbench acts on is.  Quantization uses the standard left
+ordering: the matrix element of Op(a) between incoming mode nu and outgoing
+mode mu is the z-Fourier coefficient of a(., nu) at frequency mu - nu, with
+outgoing rows beyond the cutoff dropped.
 """
 from __future__ import annotations
 
@@ -32,42 +32,33 @@ class EllipticityError(ModelError):
 
 @dataclass
 class SymbolData:
-    """Sampled scalar symbol family with declared order.
+    """Sampled scalar symbol, the same over every base point, with declared order.
 
-    ``values[x]`` has shape (npoints, nmodes).
+    ``values`` has shape (npoints, nmodes).
     """
 
     base: BaseModel
     order: float
-    values: list[np.ndarray]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != len(self.base):
-            raise ModelError("one symbol table per base point is required")
-        vals = []
-        for x, v in enumerate(self.values):
-            v = np.asarray(v, dtype=complex)
-            fiber = self.base.fiber(x)
-            want = (fiber.npoints, fiber.nmodes)
-            if v.shape != want:
-                raise ModelError(f"symbol table at point {x} has shape {v.shape}, expected {want}")
-            vals.append(v)
-        self.values = vals
+        self.values = np.asarray(self.values, dtype=complex)
+        fiber = self.base.fiber
+        want = (fiber.npoints, fiber.nmodes)
+        if self.values.shape != want:
+            raise ModelError(f"symbol table has shape {self.values.shape}, expected {want}")
 
     def certify_elliptic(self) -> None:
         """Check invertibility for all retained modes with |xi| >= ELLIPTIC_RADIUS.
 
         Raises with the offending lattice points listed.
         """
-        bad: list[tuple[int, tuple]] = []
-        for x, v in enumerate(self.values):
-            modes = self.base.fiber(x).modes()
-            outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
-            small = np.min(np.abs(v), axis=0)
-            for idx in np.nonzero(outside & (small <= ELLIPTIC_FLOOR))[0]:
-                bad.append((x, tuple(int(c) for c in modes[idx])))
-        if bad:
-            listing = ", ".join(f"point {x} mode {m}" for x, m in bad[:8])
+        modes = self.base.fiber.modes()
+        outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
+        small = np.min(np.abs(self.values), axis=0)
+        bad = np.nonzero(outside & (small <= ELLIPTIC_FLOOR))[0]
+        if bad.size:
+            listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in bad[:8])
             raise EllipticityError(f"symbol is singular on the lattice at: {listing}")
 
 
@@ -75,12 +66,9 @@ def multiplier_symbol(
     base: BaseModel, multiplier: Callable[[np.ndarray], np.ndarray], order: float
 ) -> SymbolData:
     """Symbol depending on the mode only; ``multiplier`` maps (nmodes, r) ints to values."""
-    vals = []
-    for x in range(len(base)):
-        fiber = base.fiber(x)
-        row = np.asarray(multiplier(fiber.modes()), dtype=complex)
-        vals.append(np.broadcast_to(row, (fiber.npoints, fiber.nmodes)).copy())
-    return SymbolData(base, order, vals)
+    fiber = base.fiber
+    row = np.asarray(multiplier(fiber.modes()), dtype=complex)
+    return SymbolData(base, order, np.broadcast_to(row, (fiber.npoints, fiber.nmodes)).copy())
 
 
 def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:
@@ -101,12 +89,10 @@ def quantize(sym: SymbolData) -> LeafwiseOperatorFamily:
     frequencies that leave the retained box are dropped, which is the only
     truncation this map performs.
     """
-    blocks = []
-    for x in range(len(sym.base)):
-        fiber = sym.base.fiber(x)
-        basis = fourier_basis(fiber)
-        blocks.append(OperatorBlock(basis, basis, _quantize_table(sym.values[x], fiber)))
-    return LeafwiseOperatorFamily(sym.base, blocks, sym.order)
+    fiber = sym.base.fiber
+    basis = fourier_basis(fiber)
+    block = OperatorBlock(basis, basis, _quantize_table(sym.values, fiber))
+    return LeafwiseOperatorFamily(sym.base, block, sym.order)
 
 
 def symbol_of(fam: LeafwiseOperatorFamily) -> SymbolData:
@@ -116,14 +102,11 @@ def symbol_of(fam: LeafwiseOperatorFamily) -> SymbolData:
     mode-only symbols for every retained mode, and on variable band-limited
     symbols for interior modes (outgoing-row truncation clips the edge).
     """
-    vals = []
-    for x in range(len(fam.base)):
-        block = fam.blocks[x]
-        if block.domain.key[0] != "fourier" or block.codomain.key[0] != "fourier":
-            raise ModelError("symbol extraction requires Fourier-basis blocks")
-        E = fam.base.fiber(x).eval_matrix()
-        vals.append(np.conj(E) * (E @ block.matrix))
-    return SymbolData(fam.base, fam.order, vals)
+    block = fam.block
+    if block.domain.key[0] != "fourier" or block.codomain.key[0] != "fourier":
+        raise ModelError("symbol extraction requires Fourier-basis blocks")
+    E = fam.base.fiber.eval_matrix()
+    return SymbolData(fam.base, fam.order, np.conj(E) * (E @ block.matrix))
 
 
 def trace_symbol_formula(
@@ -141,7 +124,6 @@ def trace_symbol_formula(
         raise ModelError("the symbol-side trace needs a declared smoothing symbol")
     total = 0.0 + 0.0j
     for x in range(len(sym.base)):
-        fiber = sym.base.fiber(x)
-        weighted = cutoff.fields[x][:, None] * sym.values[x]
-        total += dens.mass(x) * np.sum(weighted) / fiber.npoints
+        weighted = cutoff.fields[x][:, None] * sym.values
+        total += dens.mass(x) * np.sum(weighted) / sym.base.fiber.npoints
     return complex(total)

@@ -35,9 +35,15 @@ from .charclass import (
 )
 from .density import CutoffDensity, TransversalDensity
 from .dolbeault import dolbeault_family
-from .forms import FoliatedForm, InvarianceError, d_leafwise, form_invariance_defect, wedge
+from .forms import (
+    FoliatedForm,
+    InvarianceError,
+    d_leafwise,
+    exterior_wedge,
+    form_invariance_defect,
+)
 from .grids import FiberModel, ModelError
-from .groupoid import BaseModel, BasePoint
+from .groupoid import BaseModel
 from .operators import LeafwiseOperatorFamily
 from .parametrix import analytic_index
 from .space import FiberedGSpace
@@ -65,21 +71,22 @@ def dolbeault_symbol_values(disc: DiscModel) -> np.ndarray:
 class SymbolClass:
     """Difference class of a product symbol after the disc integral.
 
-    fiber maps each even degree to the fiber part of the character, and
-    charge is the disc charge of the frequency part.
+    fiber maps each even degree to the fiber part of the character, one
+    component array (npoints, ncomp) on the fiber every base point carries,
+    and charge is the disc charge of the frequency part.
     """
 
-    fiber: dict[int, FoliatedForm]
+    fiber: dict[int, np.ndarray]
     charge: complex
 
 
 def _unit_form(base: BaseModel) -> FoliatedForm:
     """The constant 0-form 1 on every fiber."""
-    ones = [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))]
-    return FoliatedForm(0, base.fiber(0).dim, ones, invariant=True)
+    ones = [np.ones((base.fiber.npoints, 1), dtype=complex) for _ in range(len(base))]
+    return FoliatedForm(0, base.fiber.dim, ones, invariant=True)
 
 
-def symbol_class_dolbeault(base: BaseModel, disc: DiscModel, twist: int) -> SymbolClass:
+def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> SymbolClass:
     """Difference class of the twisted antiholomorphic symbol.
 
     The frequency part is the graph projector of xi1 + i*xi2 relative to its
@@ -87,11 +94,10 @@ def symbol_class_dolbeault(base: BaseModel, disc: DiscModel, twist: int) -> Symb
     operator acts on.  Twist 0 degenerates to the plain scalar symbol.
     """
     charge = disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
-    projectors = [twist_projector(base.fiber(x), twist) for x in range(len(base))]
-    return SymbolClass(chern_character_fiber(base, projectors), charge)
+    return SymbolClass(chern_character_fiber(fiber, twist_projector(fiber, twist)), charge)
 
 
-def symbol_class_multiplier(base: BaseModel, disc: DiscModel, symbol_fn) -> SymbolClass:
+def symbol_class_multiplier(fiber: FiberModel, disc: DiscModel, symbol_fn) -> SymbolClass:
     """Difference class of a scalar Fourier multiplier symbol.
 
     symbol_fn(xi1, xi2) is sampled on the disc nodes and must not vanish
@@ -99,7 +105,7 @@ def symbol_class_multiplier(base: BaseModel, disc: DiscModel, symbol_fn) -> Symb
     """
     values = np.asarray(symbol_fn(disc.points[:, 0], disc.points[:, 1]), dtype=complex)
     charge = disc_charge(disc, graph_symbol_projector(disc, values))
-    return SymbolClass({0: _unit_form(base)}, charge)
+    return SymbolClass({0: np.ones((fiber.npoints, 1), dtype=complex)}, charge)
 
 
 def _check_cochain_form(
@@ -138,12 +144,13 @@ def _class_integral(
     the complementary degree the integrand is zero.
     """
     k = _check_cochain_form(space, alpha, invariant_tol)
-    top = sclass.fiber.get(alpha.fiber_dim - alpha.degree)
+    r, q = alpha.fiber_dim, alpha.degree
+    top = sclass.fiber.get(r - q)
     total = 0.0 + 0.0j
     if top is not None:
-        density = wedge(alpha, top)
         for x in range(len(space.base)):
-            field = density.fields[x][:, 0] * sclass.charge
+            density = exterior_wedge(alpha.fields[x], q, top, r - q, r, np.multiply)
+            field = density[:, 0] * sclass.charge
             total += dens.mass(x) * np.mean(weights[x] * field)
     return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
 
@@ -185,9 +192,9 @@ def fundamental_domain_indicator(space: FiberedGSpace) -> list[np.ndarray]:
     orbit, so they can replace the smooth cutoff.
     """
     base, gpd = space.base, space.groupoid
+    fiber = base.fiber
     indicators = []
     for x in range(len(base)):
-        fiber = base.fiber(x)
         keys = x * fiber.npoints + np.arange(fiber.npoints)
         least = keys
         for a in gpd.arrows_from(x):
@@ -234,11 +241,8 @@ def half_shift_quotient_index(fiber: FiberModel, twist: int) -> int:
         raise ModelError(
             f"flux {twist} does not descend to the half-shift quotient; it must be even"
         )
-    qbase = BaseModel(
-        [BasePoint("quotient", 1.0, FiberModel(2, fiber.fourier_cutoff, fiber.grid_size))]
-    )
-    fam = dolbeault_family(qbase, twist // 2, QUOTIENT_LEVELS)
-    return analytic_index(fam).index(0)
+    qbase = BaseModel(fiber, ["quotient"], [1.0])
+    return analytic_index(dolbeault_family(qbase, twist // 2, QUOTIENT_LEVELS)).index
 
 
 @dataclass
@@ -260,15 +264,13 @@ def family_index_orbifold(
 ) -> FamilyIndexResult:
     """Family index over an identified base versus the class integral.
 
-    Kernel and cokernel counts are computed per base point and must be
-    constant along arrows (a jump means the family is not invariant and is
-    an error).  The orbit sum weights one representative per base orbit by
+    The one operator's kernel and cokernel counts give the index at every
+    base point.  The orbit sum weights one representative per base orbit by
     its mass; the topological value integrates the symbol class with the
     trivial cocycle.  Both land on the same number when the formula holds.
     """
     base = space.base
-    counts = analytic_index(fam, space)
-    per_point = [counts.index(x) for x in range(len(base))]
+    per_point = [analytic_index(fam).index] * len(base)
     _assert_unimodular(dens)
     # one representative per base orbit: its least member
     orbit_sum = 0.0

@@ -1,12 +1,15 @@
-"""Per-axis derivatives and the whole-field Chern scalars, kept as oracles.
+"""Per-axis derivatives, whole-field Chern scalars and per-arrow gates, kept as oracles.
 
 These are the computations the library made before its gradients shared one
-forward transform and its Chern scalars ran in blocks: one full FFT pair per
-partial derivative with the matrix entries as trailing, strided axes, the
-disc's radial and angular derivatives recomputed per axis, and every field
-of the character held whole.  The library must agree with them bit for bit.
-The shared test helpers (a bitwise comparison, the unit volume form) sit
-here too.
+forward transform, its Chern scalars ran in blocks and its invariance gate
+checked one arrow per group element: one full FFT pair per partial
+derivative with the matrix entries as trailing, strided axes, the disc's
+radial and angular derivatives recomputed per axis, every field of the
+character held whole, and the kernel compared along every non-unit arrow.
+The library must agree with them bit for bit.  Section transport on a basis
+and the transport defect of an operator block, which no pipeline stage
+needs, and the shared test helpers (a bitwise comparison, the unit volume
+form) sit here too.
 """
 import math
 
@@ -95,6 +98,45 @@ def chern_scalars_whole(p, dim, diff):
     return out
 
 
+def twisted_invariance_defect_per_arrow(kern, gspace):
+    """The phase-free equivariance defect of a kernel, over every non-unit arrow."""
+    here = kern.dense()
+    worst = 0.0
+    for a in gspace.groupoid.arrows:
+        if a == gspace.groupoid.units[a.src]:
+            continue
+        perm = gspace.permutation(gspace.groupoid.inverse(a))
+        moved = here[np.ix_(perm, perm)]
+        worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
+        worst = max(worst, float(np.max(np.abs(np.diag(here) - np.diag(moved)))))
+        cyc = here * here.T - moved * moved.T
+        worst = max(worst, float(np.max(np.abs(cyc))))
+    return worst
+
+
+def transport_matrix(gspace, a, domain, codomain):
+    """Matrix of section transport along an arrow, domain over s(a) to codomain over t(a).
+
+    Computed by moving the domain basis columns with the grid permutation and
+    projecting onto the codomain basis.  Unitary whenever the transported
+    columns stay inside the codomain span.
+    """
+    moved = domain.matrix[gspace.permutation(a), :]
+    return codomain.matrix.conj().T @ moved / domain.fiber.npoints
+
+
+def family_invariance_defect(gspace, fam):
+    """Max over arrows of |U_a P - P U_a| for the operator block P of a family."""
+    block = fam.block
+    worst = 0.0
+    for a in gspace.groupoid.arrows:
+        U_dom = transport_matrix(gspace, a, block.domain, block.domain)
+        U_cod = transport_matrix(gspace, a, block.codomain, block.codomain)
+        defect = U_cod @ block.matrix - block.matrix @ U_dom
+        worst = max(worst, float(np.max(np.abs(defect))))
+    return worst
+
+
 def same_bits(a, b):
     """Equal values and equal sign bits of the real and imaginary parts."""
     a, b = np.asarray(a), np.asarray(b)
@@ -108,6 +150,6 @@ def same_bits(a, b):
 
 def volume_form(base):
     """The top form dz_1 ^ ... ^ dz_r with unit coefficient everywhere."""
-    r = base.fiber(0).dim
-    fields = [np.ones((base.fiber(x).npoints, 1), dtype=complex) for x in range(len(base))]
+    r = base.fiber.dim
+    fields = [np.ones((base.fiber.npoints, 1), dtype=complex) for x in range(len(base))]
     return FoliatedForm(r, r, fields, invariant=True)

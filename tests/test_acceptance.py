@@ -21,7 +21,7 @@ from indexpairing.density import TransversalDensity, compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, d_leafwise, integrate_invariant, invariant_project_form
 from indexpairing.grids import FiberModel, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.harness import load_scenario, run_scenario, run_suite
 from indexpairing.invariants import INVARIANT_CHECKS, _random_one_form
 from indexpairing.operators import SupportMismatchError
@@ -37,17 +37,17 @@ from indexpairing.topindex import (
 
 
 def trivial_space(n, N):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n, N):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def unit_zero_form(space):
-    npts = space.base.fiber(0).npoints
+    npts = space.base.fiber.npoints
     return FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
 
 
@@ -71,8 +71,8 @@ def test_criterion_01_flat_twists_match_spectral_counts():
     alpha = unit_zero_form(space)
     for d in (1, -2, -1, 0, 2):
         fam = dolbeault_family(space.base, d, levels=2)
-        assert analytic_index(fam).index(0) == d
-        sclass = symbol_class_dolbeault(space.base, disc, d)
+        assert analytic_index(fam).index == d
+        sclass = symbol_class_dolbeault(space.base.fiber, disc, d)
         topo = topological_index(space, cutoff, dens, alpha, sclass)
         assert abs(topo - d) <= 1e-6, f"flux {d}: |topo - {d}| = {abs(topo - d):.3e}"
     elapsed = time.perf_counter() - t0
@@ -108,7 +108,7 @@ def test_criterion_05_leafwise_stokes():
     space = half_shift_space(n=16, N=5)
     dens = TransversalDensity.uniform(space)
     c1 = compute_cutoff(space)
-    npts = space.base.fiber(0).npoints
+    npts = space.base.fiber.npoints
     c2 = compute_cutoff(space, [1.0 + 0.5 * np.random.default_rng(7).random(npts)])
     worst = 0.0
     for seed in range(20):
@@ -139,9 +139,9 @@ def test_criterion_07_free_action_three_routes():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
-    sclass = symbol_class_dolbeault(space.base, disc, 2)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
     alpha = unit_zero_form(space)
-    quotient = float(half_shift_quotient_index(space.base.fiber(0), 2))
+    quotient = float(half_shift_quotient_index(space.base.fiber, 2))
     topo = topological_index(space, cutoff, dens, alpha, sclass)
     red = free_action_reduction(space, cutoff, dens, alpha, sclass)
     assert quotient == 1.0

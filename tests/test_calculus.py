@@ -7,19 +7,22 @@ import pytest
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
+from oracles import (
+    family_invariance_defect,
+    transport_matrix,
+    twisted_invariance_defect_per_arrow,
+)
 from indexpairing.operators import (
     LeafwiseOperatorFamily,
     OperatorBlock,
     SmoothingKernel,
     average_kernel,
-    family_invariance_defect,
     fiber_distance_matrix,
     fourier_basis,
     random_invariant_kernel,
     require_invariant,
     trace_tau,
-    transport_matrix,
     truncation_mask,
 )
 from indexpairing.space import FiberedGSpace
@@ -35,7 +38,7 @@ from indexpairing.symbols import (
 
 
 def torus_base(n=12, N=3, dim=2):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(dim, N, n))])
+    return BaseModel(FiberModel(dim, N, n), ["pt"], [1.0])
 
 
 def trivial_space(n=12, N=3, dim=2):
@@ -72,21 +75,21 @@ def test_quantize_mode_only_symbol_is_exact_diagonal():
     base = torus_base()
     sym = multiplier_symbol(base, lambda modes: 1.0 + modes[:, 0] ** 2, order=2.0)
     fam = quantize(sym)
-    mat = fam.blocks[0].matrix
+    mat = fam.block.matrix
     off = mat - np.diag(np.diag(mat))
     assert np.max(np.abs(off)) <= 1e-14
-    modes = base.fiber(0).modes()
+    modes = base.fiber.modes()
     assert np.max(np.abs(np.diag(mat) - (1.0 + modes[:, 0] ** 2))) <= 1e-12
 
 
 def test_quantize_oscillating_symbol_is_mode_shift():
     """exp(2 pi i z1) quantizes to the raising shift with edge rows dropped."""
     base = torus_base(n=12, N=3)
-    fiber = base.fiber(0)
+    fiber = base.fiber
     pts = grid_points(12, 2)
     table = np.exp(2j * np.pi * pts[:, 0])[:, None] * np.ones(fiber.nmodes)
-    sym = SymbolData(base, 0.0, [table])
-    mat = quantize(sym).blocks[0].matrix
+    sym = SymbolData(base, 0.0, table)
+    mat = quantize(sym).block.matrix
     modes = fiber.modes()
     lookup = {tuple(m): i for i, m in enumerate(modes)}
     expected = np.zeros_like(mat)
@@ -99,16 +102,16 @@ def test_quantize_oscillating_symbol_is_mode_shift():
 
 def test_quantize_symbol_roundtrip_on_interior_modes():
     base = torus_base(n=16, N=5)
-    fiber = base.fiber(0)
+    fiber = base.fiber
     rng = np.random.default_rng(3)
     zpart = random_band_limited(rng, fiber, band=2)
     modes = fiber.modes()
     xipart = np.exp(-0.25 * np.sum(modes.astype(float) ** 2, axis=1))
     table = zpart[:, None] * xipart[None, :]
-    sym = SymbolData(base, 0.0, [table])
+    sym = SymbolData(base, 0.0, table)
     back = symbol_of(quantize(sym))
     interior = np.max(np.abs(modes), axis=1) <= 5 - 2
-    diff = np.abs(back.values[0] - table)
+    diff = np.abs(back.values - table)
     assert np.max(diff[:, interior]) <= 1e-10
     # the clipped edge is a real effect, not a accuracy loss to hide
     assert np.max(diff) > 1e-6
@@ -116,13 +119,13 @@ def test_quantize_symbol_roundtrip_on_interior_modes():
 
 def test_quantized_multiplication_acts_by_truncated_product():
     base = torus_base(n=16, N=5)
-    fiber = base.fiber(0)
+    fiber = base.fiber
     rng = np.random.default_rng(11)
     f = random_band_limited(rng, fiber, band=1)
     g = random_band_limited(rng, fiber, band=4)
     table = f[:, None] * np.ones(fiber.nmodes)
-    fam = quantize(SymbolData(base, 0.0, [table]))
-    out = fam.blocks[0].apply(g)
+    fam = quantize(SymbolData(base, 0.0, table))
+    out = fam.block.apply(g)
     from indexpairing.grids import band_limit
 
     expected = band_limit(f * g, fiber)
@@ -133,11 +136,10 @@ def test_trace_tau_rank_one_kernel():
     space = trivial_space()
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber(0)
+    fiber = space.base.fiber
     rng = np.random.default_rng(5)
     f = random_band_limited(rng, fiber, band=3)
-    mats = [np.outer(f, np.conj(f)) / fiber.npoints]
-    kern = SmoothingKernel(space.base, mats)
+    kern = SmoothingKernel(space.base, np.outer(f, np.conj(f)) / fiber.npoints)
     value = trace_tau(kern, cutoff, dens)
     expected = np.mean(np.abs(f) ** 2)
     assert abs(value - expected) <= 1e-12
@@ -147,10 +149,10 @@ def test_trace_tau_rejects_non_invariant_kernels():
     space = diagonal_shift_space()
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber(0)
+    fiber = space.base.fiber
     pts = grid_points(fiber.grid_size, 2)
     h = 1.0 + np.cos(2 * np.pi * pts[:, 0])  # not third-shift invariant
-    kern = SmoothingKernel(space.base, [np.diag(h).astype(complex) / fiber.npoints])
+    kern = SmoothingKernel(space.base, np.diag(h).astype(complex) / fiber.npoints)
     with pytest.raises(InvarianceError):
         trace_tau(kern, cutoff, dens)
 
@@ -158,15 +160,15 @@ def test_trace_tau_rejects_non_invariant_kernels():
 def test_kernel_norm_is_a_lower_bound_exact_on_projectors():
     space = half_shift_space()
     base = space.base
-    npts = base.fiber(0).npoints
+    npts = base.fiber.npoints
     rng = np.random.default_rng(31)
 
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     kernels = [
-        SmoothingKernel(base, [cplx(npts, npts)]),
-        SmoothingKernel(base, [cplx(npts, 3) @ cplx(3, npts)]),
+        SmoothingKernel(base, cplx(npts, npts)),
+        SmoothingKernel(base, cplx(npts, 3) @ cplx(3, npts)),
         random_invariant_kernel(rng, space, compute_cutoff(space), band=2),
     ]
     for kern in kernels:
@@ -176,8 +178,8 @@ def test_kernel_norm_is_a_lower_bound_exact_on_projectors():
         # the start column alone is within sqrt(n) of the norm
         assert bound >= exact / np.sqrt(npts)
     q, _ = np.linalg.qr(cplx(npts, 5))
-    assert abs(SmoothingKernel(base, [q @ q.conj().T]).norm() - 1.0) <= 1e-12
-    assert SmoothingKernel(base, [np.zeros((npts, npts))]).norm() == 0.0
+    assert abs(SmoothingKernel(base, q @ q.conj().T).norm() - 1.0) <= 1e-12
+    assert SmoothingKernel(base, np.zeros((npts, npts))).norm() == 0.0
 
 
 def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
@@ -186,7 +188,7 @@ def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
     raw = rng.standard_normal((npts, npts)) / npts
     half = half_shift_space()
     with pytest.raises(InvarianceError):
-        require_invariant(half, 1e-8, "trace", SmoothingKernel(half.base, [raw]))
+        require_invariant(half, 1e-8, "trace", SmoothingKernel(half.base, raw))
 
     def no_norm(self):
         raise AssertionError("norm computed for a zero defect")
@@ -195,9 +197,40 @@ def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
     # gate does no matrix work
     monkeypatch.setattr(SmoothingKernel, "norm", no_norm)
     space = trivial_space()
-    kern = SmoothingKernel(space.base, [raw])
+    kern = SmoothingKernel(space.base, raw)
     require_invariant(space, 1e-8, "trace", kern, kern)
     trace_tau(kern, compute_cutoff(space), TransversalDensity.uniform(space))
+
+
+def test_gate_per_group_element_equals_the_per_arrow_defect(monkeypatch):
+    # Z/4 swapping four base points pairwise, with fiber shifts g * (1/4, 1/2):
+    # the gate checks g = 1, 2, where every non-unit arrow gives the same max
+    base = BaseModel(FiberModel(2, 3, 8), [f"x{i}" for i in range(4)], [0.5] * 4)
+    gpd = CyclicGroupoid(base, 4, [1, 0, 3, 2])
+    space = FiberedGSpace(gpd, [Fraction(1, 4), Fraction(1, 2)])
+    rng = np.random.default_rng(43)
+    invariant = random_invariant_kernel(rng, space, compute_cutoff(space), band=2)
+    raw = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    rough = SmoothingKernel(base, raw)
+    # diag cos(2 pi z1) moves to -sin under g = 1 and to -cos under g = 2,
+    # so its largest defect, 2, comes from g = 2 alone
+    wave = SmoothingKernel(base, np.diag(np.cos(2 * np.pi * grid_points(8, 2)[:, 0])))
+    assert invariant.twisted_invariance_defect(space) <= 1e-12
+    assert rough.twisted_invariance_defect(space) > 1.0
+    assert abs(wave.twisted_invariance_defect(space) - 2.0) <= 1e-12
+    still = FiberedGSpace.trivial(gpd)
+    for kern in (invariant, rough, wave):
+        assert kern.twisted_invariance_defect(space) == twisted_invariance_defect_per_arrow(
+            kern, space
+        )
+        assert twisted_invariance_defect_per_arrow(kern, still) == 0.0
+
+    def no_dense(self):
+        raise AssertionError("kernel expanded under a trivial fiber action")
+
+    # a trivial fiber action moves no kernel, so the gate expands none
+    monkeypatch.setattr(SmoothingKernel, "dense", no_dense)
+    assert all(k.twisted_invariance_defect(still) == 0.0 for k in (invariant, rough, wave))
 
 
 def test_trace_tau_is_cutoff_independent():
@@ -233,15 +266,15 @@ def test_trace_symbol_formula_matches_kernel_trace():
     space = trivial_space(n=12, N=5)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fiber = base.fiber(0)
+    fiber = base.fiber
     rng = np.random.default_rng(41)
     zpart = 1.0 + 0.3 * np.real(random_band_limited(rng, fiber, band=1))
     modes = fiber.modes()
     xipart = np.exp(-2.0 * np.sum(modes.astype(float) ** 2, axis=1))
     table = zpart[:, None] * xipart[None, :]
-    sym = SymbolData(base, SMOOTHING_ORDER, [table])
+    sym = SymbolData(base, SMOOTHING_ORDER, table)
     fam = quantize(sym)
-    kern = SmoothingKernel(base, [fam.blocks[0].grid_matrix()])
+    kern = SmoothingKernel(base, fam.block.grid_matrix())
     lhs = trace_symbol_formula(sym, cutoff, dens)
     rhs = trace_tau(kern, cutoff, dens)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
@@ -257,7 +290,7 @@ def test_trace_symbol_formula_requires_smoothing_order():
 
 def test_transport_matrix_is_unitary_for_box_preserving_maps():
     space = diagonal_shift_space()
-    fiber = space.base.fiber(0)
+    fiber = space.base.fiber
     basis = fourier_basis(fiber)
     a = space.groupoid.arrows[1]
     U = transport_matrix(space, a, basis, basis)
@@ -271,10 +304,10 @@ def test_family_invariance_detects_asymmetry():
     space = diagonal_shift_space()
     base = space.base
     pts = grid_points(12, 2)
-    xipart = 1.0 + np.sum(base.fiber(0).modes().astype(float) ** 2, axis=1)
+    xipart = 1.0 + np.sum(base.fiber.modes().astype(float) ** 2, axis=1)
 
     def family(zpart):
-        return quantize(SymbolData(base, 2.0, [zpart[:, None] * xipart[None, :]]))
+        return quantize(SymbolData(base, 2.0, zpart[:, None] * xipart[None, :]))
 
     symmetric = family(2.0 + np.cos(2 * np.pi * (pts[:, 0] - pts[:, 1])))
     lopsided = family(2.0 + np.cos(2 * np.pi * pts[:, 0]))
@@ -287,7 +320,7 @@ def test_average_kernel_enforces_invariance_and_fixes_invariants():
     rng = np.random.default_rng(17)
     cutoff = compute_cutoff(space)
     raw = rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))
-    rough = SmoothingKernel(space.base, [raw])
+    rough = SmoothingKernel(space.base, raw)
     averaged = average_kernel(space, cutoff, rough)
     assert averaged.invariance_defect(space) <= 1e-12
     twice = average_kernel(space, cutoff, averaged)
@@ -298,7 +331,7 @@ def test_average_kernel_enforces_invariance_and_fixes_invariants():
 
 
 def test_kernel_truncation_zeroes_far_entries():
-    fiber = torus_base(n=12, N=3).fiber(0)
+    fiber = torus_base(n=12, N=3).fiber
     mask = truncation_mask(fiber, 0.25, fiber.npoints)
     dist = fiber_distance_matrix(fiber, fiber.npoints)
     assert not np.any(mask[dist > 0.25])
@@ -311,7 +344,7 @@ def test_kernel_truncation_commutes_with_grid_translations(n, radius):
     # radius * n is a whole number of ticks here, so some pairs sit exactly
     # at the radius; the cut must treat all of them alike.  The one-tick
     # shifts along the two axes generate every grid translation.
-    fiber = torus_base(n=n, N=(n - 2) // 2).fiber(0)
+    fiber = torus_base(n=n, N=(n - 2) // 2).fiber
     mask = truncation_mask(fiber, radius, fiber.npoints)
     grid = np.arange(fiber.npoints).reshape(n, n)
     for axis in (0, 1):
@@ -333,12 +366,9 @@ def test_fiber_distance_matrix_matches_pointwise_formula(dim, n):
 
 def growth_ratio(sym: SymbolData) -> float:
     """Largest sampled |a(z, xi)| / (1 + |xi|^2)^(order/2), an oracle for the declared order."""
-    worst = 0.0
-    for x, v in enumerate(sym.values):
-        modes = sym.base.fiber(x).modes()
-        weight = (1.0 + np.sum(modes.astype(float) ** 2, axis=1)) ** (sym.order / 2.0)
-        worst = max(worst, float(np.max(np.abs(v) / weight)))
-    return worst
+    modes = sym.base.fiber.modes()
+    weight = (1.0 + np.sum(modes.astype(float) ** 2, axis=1)) ** (sym.order / 2.0)
+    return float(np.max(np.abs(sym.values) / weight))
 
 
 def test_symbol_order_check():

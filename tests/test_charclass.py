@@ -15,16 +15,8 @@ from indexpairing.charclass import (
 )
 from indexpairing import charclass
 from indexpairing.charclass import CH_CURVATURE_SCALE, _chern_scalars, _projected_curvature
-from indexpairing.forms import (
-    DegreeError,
-    FoliatedForm,
-    d_leafwise,
-    exterior_d,
-    exterior_wedge,
-    wedge,
-)
+from indexpairing.forms import DegreeError, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_gradient
-from indexpairing.groupoid import BaseModel, BasePoint
 from indexpairing.symbols import EllipticityError
 from indexpairing.topindex import dolbeault_symbol_values
 from oracles import chern_scalars_whole, disc_derivative, same_bits, spectral_derivative
@@ -41,24 +33,20 @@ TWIST_CHARGE_PER_FLUX = -1.0
 def char_difference(ch1, ch2):
     """Largest pointwise deviation between two characters given by degree."""
     assert sorted(ch1) == sorted(ch2)
-    return max(
-        float(np.abs(a - b).max())
-        for deg in ch1
-        for a, b in zip(ch1[deg].fields, ch2[deg].fields)
-    )
+    return max(float(np.abs(ch1[deg] - ch2[deg]).max()) for deg in ch1)
 
 
 def bott_projector(disc):
     return graph_symbol_projector(disc, dolbeault_symbol_values(disc))
 
 
-def torus_base(n=26, N=8, dim=2):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(dim, N, n))])
+def torus_fiber(n=26, N=8, dim=2):
+    return FiberModel(dim, N, n)
 
 
 def fiber_charge_of(ch):
     """Grid mean of the degree-2 character: its integral over the unit torus."""
-    return ch[2].fields[0][:, 0].mean()
+    return ch[2][:, 0].mean()
 
 
 def test_smoothstep_ramp_shape():
@@ -140,21 +128,20 @@ def test_chern_rejects_non_idempotent_field():
     p = bott_projector(disc) * 1.1
     with pytest.raises(ModelError):
         disc_charge(disc, p)
-    base = torus_base(n=18, N=8)
+    fiber = torus_fiber(n=18, N=8)
     with pytest.raises(ModelError):
-        chern_character_fiber(base, [twist_projector(base.fiber(0), 1) * 1.1])
+        chern_character_fiber(fiber, twist_projector(fiber, 1) * 1.1)
 
 
 def test_twist_projector_charges():
-    base = torus_base()
-    fiber = base.fiber(0)
+    fiber = torus_fiber()
     assert np.abs(twist_projector(fiber, 0) - 1.0).max() == 0.0
     for d in (1, 2, -3):
         p = twist_projector(fiber, d)
         assert np.abs(np.einsum("nij,njk->nik", p, p) - p).max() < 1e-12
-        ch = chern_character_fiber(base, [p])
+        ch = chern_character_fiber(fiber, p)
         assert sorted(ch) == [0, 2]
-        assert np.abs(ch[0].fields[0] - 1.0).max() < 1e-12
+        assert np.abs(ch[0] - 1.0).max() < 1e-12
         got = fiber_charge_of(ch)
         assert abs(got - TWIST_CHARGE_PER_FLUX * d) < 1e-9
     with pytest.raises(ModelError):
@@ -162,16 +149,15 @@ def test_twist_projector_charges():
 
 
 def test_chern_additive_on_direct_sums():
-    base = torus_base()
-    fiber = base.fiber(0)
+    fiber = torus_fiber()
     p1 = twist_projector(fiber, 1)
     p2 = twist_projector(fiber, -2)
     m1, m2 = p1.shape[1], p2.shape[1]
     psum = np.zeros((fiber.npoints, m1 + m2, m1 + m2), dtype=complex)
     psum[:, :m1, :m1] = p1
     psum[:, m1:, m1:] = p2
-    ch_sum = chern_character_fiber(base, [psum])
-    ch1, ch2 = (chern_character_fiber(base, [p]) for p in (p1, p2))
+    ch_sum = chern_character_fiber(fiber, psum)
+    ch1, ch2 = (chern_character_fiber(fiber, p) for p in (p1, p2))
     ch_split = {deg: ch1[deg] + ch2[deg] for deg in ch1}
     # the degree-0 parts, ranks 2 and 1 + 1, are compared too
     assert char_difference(ch_sum, ch_split) < 1e-10
@@ -180,22 +166,22 @@ def test_chern_additive_on_direct_sums():
 def test_chern_multiplicative_on_products():
     # two flux bundles on the two torus factors of a four-dimensional fiber
     n = 12
-    base4 = BaseModel([BasePoint("pt", 1.0, FiberModel(4, 2, n))])
-    base2 = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 2, n))])
-    fib2 = base2.fiber(0)
+    fib4 = FiberModel(4, 2, n)
+    fib2 = FiberModel(2, 2, n)
     p1 = twist_projector(fib2, 1)
     p2 = twist_projector(fib2, -2)
     m1, m2 = p1.shape[1], p2.shape[1]
     kron = np.einsum("aij,bkl->abikjl", p1, p2).reshape(n**4, m1 * m2, m1 * m2)
-    ch = chern_character_fiber(base4, [kron])
+    ch = chern_character_fiber(fib4, kron)
     lift1 = np.repeat(p1, n**2, axis=0)
     lift2 = np.tile(p2, (n**2, 1, 1))
-    ch1 = chern_character_fiber(base4, [lift1])
-    ch2 = chern_character_fiber(base4, [lift2])
+    ch1 = chern_character_fiber(fib4, lift1)
+    ch2 = chern_character_fiber(fib4, lift2)
     prod = {
         q: sum(
-            (wedge(ch1[j], ch2[q - j]) for j in ch1 if q - j in ch2),
-            FoliatedForm.zero(base4, q),
+            exterior_wedge(ch1[j], j, ch2[q - j], q - j, 4, np.multiply)
+            for j in ch1
+            if q - j in ch2
         )
         for q in ch
     }
@@ -203,10 +189,11 @@ def test_chern_multiplicative_on_products():
     # Top part integrates to the product of the factor charges.  The charge
     # itself converges with the grid (sharp values are pinned at n=26 above);
     # the product identity and closedness hold to round-off at any n.
-    top = ch[4].fields[0][:, 0].mean()
+    top = ch[4][:, 0].mean()
     want = (TWIST_CHARGE_PER_FLUX * 1) * (TWIST_CHARGE_PER_FLUX * -2)
     assert abs(top - want) < 2e-4
-    assert d_leafwise(ch[2], base4).max_abs() < 1e-9
+    dch2 = exterior_d(ch[2], 2, 4, partial(spectral_gradient, fiber=fib4))
+    assert np.abs(dch2).max() < 1e-9
 
 
 def test_curvature_satisfies_structure_and_bianchi():
@@ -229,7 +216,7 @@ def test_curvature_satisfies_structure_and_bianchi():
 
 def test_projected_curvature_matches_einsum_sandwich():
     # reference: the curvature p (dp ^ dp) p written as a three-operand einsum
-    fiber = torus_base(n=16, N=6).fiber(0)
+    fiber = torus_fiber(n=16, N=6)
     p = twist_projector(fiber, 1)
     grad = partial(spectral_gradient, fiber=fiber)
     dp = exterior_d(p[:, None], 0, 2, grad)

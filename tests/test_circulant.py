@@ -12,7 +12,7 @@ import pytest
 
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.grids import FiberModel
-from indexpairing.groupoid import BaseModel, BasePoint
+from indexpairing.groupoid import BaseModel
 from indexpairing.operators import (
     CIRCULANT_RTOL,
     OperatorBlock,
@@ -60,13 +60,13 @@ def is_block_circulant(m, g):
 
 
 def one_point_base(n, N):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
 
 
 def kernel_remainder(n, N, twist):
     """The kernel projector block of the twisted Dolbeault family, and its base."""
     base = one_point_base(n, N)
-    return base, parametrix(dolbeault_family(base, twist, levels=2)).r0[0]
+    return base, parametrix(dolbeault_family(base, twist, levels=2)).r0
 
 
 def dense_cut(block, radius):
@@ -147,7 +147,7 @@ def flow_cases():
 @pytest.mark.parametrize("case", range(4))
 def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     name, base, S, order = flow_cases[case]
-    n = base.fiber(0).grid_size
+    n = base.fiber.grid_size
     assert circulant_order(S, n) == order, name
     want, want_defect, want_steps = dense_newton_flow(S, MAX_NEWTON_STEPS, 1e-8)
     got, got_defect, got_steps = block_newton_flow(S, n, 1e-8)
@@ -160,10 +160,10 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
     saw = TransitionProfile(linear_radius=0.45)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
-    masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
+    masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
-    got_chain = _weighted_profile_chain(phi, 0, cw, got[: npts // order], order)
+    got_chain = _weighted_profile_chain(phi, cw, got[: npts // order], order)
     assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
 
 
@@ -182,10 +182,10 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
     assert np.array_equal(row, S[: S.shape[0] // g])
 
     idem = index_idempotent(dolbeault_family(base, twist, levels=2), radius=0.30)
-    assert idem.skernel.orders == [order]
-    assert idem.skernel.rows[0].shape == (S.shape[0] // order, S.shape[0])
+    assert idem.skernel.order == order
+    assert idem.skernel.row.shape == (S.shape[0] // order, S.shape[0])
     # S1 of a positive flux is exactly zero, and stored as the flag alone
-    assert idem.cokernel.rows == [None] and idem.cokernel.mats == []
+    assert idem.cokernel.row is None and idem.cokernel.mats == []
 
 
 @pytest.mark.parametrize("partner, coarser", [(4, 4), (1, 1)])
@@ -223,11 +223,11 @@ def test_leg_mask_rows_are_block_row_zero_of_the_full_mask(n):
     # the profile chain builds only block row 0 of each mask, and relies on
     # the full mask being block circulant in every g dividing the grid size
     base = one_point_base(n, (n - 2) // 2)
-    npts = base.fiber(0).npoints
+    npts = base.fiber.npoints
     saw = TransitionProfile(linear_radius=0.45)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
     for i in (0, 1):
-        W = phi.leg_mask(0, i, npts)
+        W = phi.leg_mask(i, npts)
         assert circulant_order(W, n) == n
         for g in (g for g in range(1, n + 1) if n % g == 0):
-            assert np.array_equal(phi.leg_mask(0, i, npts // g), W[: npts // g])
+            assert np.array_equal(phi.leg_mask(i, npts // g), W[: npts // g])

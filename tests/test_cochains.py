@@ -14,16 +14,16 @@ from indexpairing.cochains import (
 from indexpairing.density import compute_cutoff
 from indexpairing.forms import DegreeError, d_leafwise
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
 
 
 def circle_base(n=16, N=5):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(1, N, n))])
+    return BaseModel(FiberModel(1, N, n), ["pt"], [1.0])
 
 
 def torus_base(n=8, N=3):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
 
 
 def half_shift_space(n=8, N=3):
@@ -35,7 +35,7 @@ def elementary(base, rng, k, band=1):
     factors = []
     for _ in range(k + 1):
         factors.append(
-            [random_band_limited(rng, base.fiber(x), band) for x in range(len(base))]
+            [random_band_limited(rng, base.fiber, band) for x in range(len(base))]
         )
     return ASCochain.elementary(base, factors, germ_radius=2.0)
 
@@ -47,7 +47,7 @@ def sample_tuples(rng, npoints, k, count=40):
 def test_d_as_degree_zero_difference():
     base = circle_base()
     rng = np.random.default_rng(1)
-    f = random_band_limited(rng, base.fiber(0), 2)
+    f = random_band_limited(rng, base.fiber, 2)
     phi = ASCochain.elementary(base, [[f]], germ_radius=2.0)
     dphi = d_as(phi)
     tuples = sample_tuples(rng, 16, 1)
@@ -91,7 +91,7 @@ def test_band_limit_enforced():
 def test_van_est_degree_zero_identity():
     base = circle_base()
     rng = np.random.default_rng(5)
-    f = random_band_limited(rng, base.fiber(0), 2)
+    f = random_band_limited(rng, base.fiber, 2)
     out = van_est_realize(ASCochain.elementary(base, [[f]], germ_radius=2.0))
     assert np.allclose(out.fields[0][:, 0], f)
 
@@ -152,7 +152,7 @@ def test_van_est_equivariance():
 def test_invariant_project_cochain_invariance_and_fixing():
     space = half_shift_space()
     rng = np.random.default_rng(11)
-    cut = compute_cutoff(space, [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))])
+    cut = compute_cutoff(space, [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))])
     phi = elementary(space.base, rng, 1, band=2)
     proj = invariant_project_cochain(space, cut, phi)
     # invariance on tuples: value at x on a tuple equals value at t(a) on the

@@ -13,7 +13,7 @@ from indexpairing.dolbeault import (
     twisted_shift,
 )
 from indexpairing.grids import FiberModel, ModelError, grid_points
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, circulant_dense, trace_tau
 from indexpairing.parametrix import (
@@ -29,7 +29,7 @@ from oracles import spectral_derivative
 
 
 def torus_base(n=20, N=8):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
 
 
 def trivial_space(n=20, N=8):
@@ -46,7 +46,7 @@ def idempotent_defect(idem):
         (
             float(np.max(np.abs(M @ M - M)))
             for f in idem.families
-            for M in (circulant_dense(r, g) for r, g in zip(f.rows, f.orders) if r is not None)
+            for M in (circulant_dense(r, f.order) for r in f.mats)
         ),
         default=0.0,
     )
@@ -129,13 +129,13 @@ def test_spectral_index_matches_twist(twist, expected):
     base = torus_base()
     fam = dolbeault_family(base, twist, levels=4)
     count = analytic_index(fam)
-    assert count.index(0) == expected
+    assert count.index == expected
     if twist > 0:
-        assert count.kernel_dims[0] == twist and count.cokernel_dims[0] == 0
+        assert count.kernel_dim == twist and count.cokernel_dim == 0
     elif twist < 0:
-        assert count.kernel_dims[0] == 0 and count.cokernel_dims[0] == -twist
+        assert count.kernel_dim == 0 and count.cokernel_dim == -twist
     else:
-        assert count.kernel_dims[0] == 1 and count.cokernel_dims[0] == 1
+        assert count.kernel_dim == 1 and count.cokernel_dim == 1
 
 
 def test_certified_rank_flags_ambiguity():
@@ -149,15 +149,15 @@ def test_parametrix_remainders_are_kernel_projectors():
     base = torus_base()
     fam = dolbeault_family(base, 2, levels=4)
     data = parametrix(fam)
-    r0 = data.r0[0].matrix
-    r1 = data.r1[0].matrix
+    r0 = data.r0.matrix
+    r1 = data.r1.matrix
     assert np.max(np.abs(r0 @ r0 - r0)) <= 1e-12
     assert np.linalg.matrix_rank(r0) == 2
     assert np.max(np.abs(r1)) <= 1e-12
     fam_neg = dolbeault_family(base, -2, levels=4)
     data_neg = parametrix(fam_neg)
-    assert np.max(np.abs(data_neg.r0[0].matrix)) <= 1e-12
-    assert np.linalg.matrix_rank(data_neg.r1[0].matrix) == 2
+    assert np.max(np.abs(data_neg.r0.matrix)) <= 1e-12
+    assert np.linalg.matrix_rank(data_neg.r1.matrix) == 2
 
 
 def test_index_is_stable_under_small_perturbations():
@@ -165,15 +165,15 @@ def test_index_is_stable_under_small_perturbations():
     rng = np.random.default_rng(13)
     fam = dolbeault_family(base, 1, levels=4)
     gap = np.sqrt(np.pi)  # smallest nonzero ladder coefficient
-    block = fam.blocks[0]
+    block = fam.block
     noise = rng.normal(size=block.matrix.shape) + 1j * rng.normal(size=block.matrix.shape)
     noise *= 0.1 * gap / np.linalg.norm(noise, 2)
     bumped = OperatorBlock(block.domain, block.codomain, block.matrix + noise)
     from indexpairing.operators import LeafwiseOperatorFamily
 
-    fam2 = LeafwiseOperatorFamily(base, [bumped], fam.order)
+    fam2 = LeafwiseOperatorFamily(base, bumped, fam.order)
     count = analytic_index(fam2)
-    assert count.index(0) == 1
+    assert count.index == 1
 
 
 @pytest.mark.parametrize("twist", [2, -2])
@@ -222,7 +222,7 @@ def test_localized_idempotent_converges_and_stays_local():
     fam = dolbeault_family(space.base, 8, levels=2)
     idem = index_idempotent(fam, radius=0.45)
     assert idempotent_defect(idem) <= 1e-8
-    assert idem.skernel.orders == [8]
+    assert idem.skernel.order == 8
     assert idem.skernel.support_radius == idem.cokernel.support_radius == 0.45
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)

@@ -19,13 +19,13 @@ from indexpairing.forms import (
     wedge,
 )
 from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_gradient
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
 from oracles import exterior_d_per_axis, same_bits, spectral_derivative, volume_form
 
 
 def torus_base(n=8, N=3, dim=2):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(dim, N, n))])
+    return BaseModel(FiberModel(dim, N, n), ["pt"], [1.0])
 
 
 def trivial_space(n=8, N=3, dim=2):
@@ -40,11 +40,11 @@ def half_shift_space(n=8, N=3):
 
 
 def random_form(rng, base, degree, band=2):
-    r = base.fiber(0).dim
+    r = base.fiber.dim
     ncomp = len(index_subsets(r, degree))
     fields = []
     for x in range(len(base)):
-        fib = base.fiber(x)
+        fib = base.fiber
         cols = [
             random_band_limited(rng, fib, band) for _ in range(ncomp)
         ]
@@ -68,7 +68,7 @@ def test_d_matches_spectral_oracle():
     assert np.allclose(out.fields[0][:, 0], expect, atol=1e-10)
     assert np.allclose(out.fields[0][:, 1], 0, atol=1e-12)
     # an (npoints, m, m) block differentiates entry by entry
-    fiber = base.fiber(0)
+    fiber = base.fiber
     rng = np.random.default_rng(4)
     block = np.stack(
         [random_band_limited(rng, fiber, 3) for _ in range(4)], axis=1
@@ -185,7 +185,7 @@ def test_invariant_projection_kills_odd_modes():
 def test_invariant_projection_fixes_invariants_and_is_idempotent():
     space = half_shift_space()
     rng = np.random.default_rng(21)
-    seeds = [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))]
+    seeds = [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))]
     cut = compute_cutoff(space, seeds)
     form = random_form(rng, space.base, 1, band=3)
     proj = invariant_project_form(space, cut, form)
@@ -230,7 +230,7 @@ def test_integrate_rejects_bad_inputs():
 def test_integral_of_exact_invariant_form_vanishes():
     space = half_shift_space(n=10, N=4)
     rng = np.random.default_rng(31)
-    cut = compute_cutoff(space, [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))])
+    cut = compute_cutoff(space, [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))])
     dens = TransversalDensity.uniform(space)
     for _ in range(5):
         beta = invariant_project_form(
@@ -247,7 +247,7 @@ def test_integral_independent_of_cutoff():
     dens = TransversalDensity.uniform(space)
     cut1 = compute_cutoff(space)
     cut2 = compute_cutoff(
-        space, [np.exp(np.real(random_band_limited(rng, space.base.fiber(0), 2)))]
+        space, [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))]
     )
     alpha = invariant_project_form(
         space, cut1, random_form(rng, space.base, 2, band=3)

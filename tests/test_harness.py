@@ -11,7 +11,7 @@ import indexpairing.harness as harness
 from indexpairing.cli import main
 from indexpairing.cochains import ASCochain
 from indexpairing.grids import FiberModel, ModelError, mode_lattice, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint
+from indexpairing.groupoid import BaseModel
 from indexpairing.harness import (
     CSV_HEADER,
     INVARIANT_CSV_HEADER,
@@ -367,8 +367,8 @@ def test_coefficients_roundtrip(tmp_path):
 
 def test_coefficients_reject_unsupported_dtype(tmp_path):
     # the archive keeps any dtype; the idempotent refuses a non-complex kernel
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 3, 12))])
-    npts = base.fiber(0).npoints
+    base = BaseModel(FiberModel(2, 3, 12), ["pt"], [1.0])
+    npts = base.fiber.npoints
     path = tmp_path / "k.opk"
     one = np.array([1])
     kernels = [one, np.eye(npts, dtype=np.int32), one, np.eye(npts, dtype=complex)]
@@ -410,14 +410,14 @@ def test_corrupted_coefficients_detected(tmp_path):
 def cochain_to_table(phi: ASCochain, band: int) -> list[dict]:
     """Encode an elementary cochain in the scenario coefficient-table format."""
     base = phi.base
-    modes = mode_lattice(band, base.fiber(0).dim)
+    modes = mode_lattice(band, base.fiber.dim)
     terms = []
     for term in phi.terms:
         slots = []
         for fam in term.factors:
             per_point = []
             for x, f in enumerate(fam):
-                fiber = base.fiber(x)
+                fiber = base.fiber
                 f = np.asarray(f, dtype=complex).reshape(fiber.grid_shape)
                 hat = np.fft.fftn(f) / fiber.npoints
                 coefs = hat[tuple((modes % fiber.grid_size).T)]
@@ -433,10 +433,10 @@ def cochain_to_table(phi: ASCochain, band: int) -> list[dict]:
 
 
 def test_cochain_table_roundtrip():
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 3, 12))])
+    base = BaseModel(FiberModel(2, 3, 12), ["pt"], [1.0])
     rng = np.random.default_rng(5)
     factors = [
-        [random_band_limited(rng, base.fiber(0), 2)] for _ in range(3)
+        [random_band_limited(rng, base.fiber, 2)] for _ in range(3)
     ]
     phi = ASCochain.elementary(base, factors, germ_radius=2.0)
     table = cochain_to_table(phi, band=2)
@@ -586,7 +586,7 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
 
 def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
     # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the flag
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 8, 24))])
+    base = BaseModel(FiberModel(2, 8, 24), ["pt"], [1.0])
     idem = index_idempotent(dolbeault_family(base, 8, levels=2), radius=0.45)
     arrays = idem.arrays()
     assert [a.shape for a in arrays] == [(1,), (1,), (72, 576), (1,), (0, 0)]
@@ -596,9 +596,9 @@ def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
     back = IndexIdempotent.from_arrays(base, load_coefficients(path))
     for got, want in zip(back.families, idem.families):
         assert got.support_radius == want.support_radius == 0.45
-        assert got.orders[0] == want.orders[0]
-    assert np.array_equal(back.skernel.rows[0], idem.skernel.rows[0])
-    assert back.cokernel.rows == [None]
+        assert got.order == want.order
+    assert np.array_equal(back.skernel.row, idem.skernel.row)
+    assert back.cokernel.row is None
 
 
 def _refused_layouts(arrays):
@@ -625,7 +625,7 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
     (cache,) = (out / "cache").glob("*.idem.opk")
     good = load_coefficients(cache)
     assert [int(good[1][0]), int(good[3][0])] == [1, 0]
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 4, 12))])
+    base = BaseModel(FiberModel(2, 4, 12), ["pt"], [1.0])
     capsys.readouterr()
     for name, layout, fragment in _refused_layouts(good):
         with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):
@@ -643,6 +643,48 @@ def test_flux24_cache_holds_one_block_row(tmp_path):
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     (cache,) = (out / "cache").glob("*.idem.opk")
     assert cache.stat().st_size <= 5.0 * 2**20
+
+
+def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
+    # three base points share one operator, so the archive holds the radius
+    # and one (g, block row) pair per projector, the arrays of one point
+    one, three = (
+        _validate(
+            cheap_scenario(
+                name=f"points{bp}",
+                groupoid={"group": {"cyclic": 2}, "base_points": bp},
+                fiber_action={"translation": ["1/2", "1/2"]},
+                operator={"builtin": "dolbeault", "twist": 2, "levels": 2},
+                localize=0.45,
+            )
+        )
+        for bp in (1, 3)
+    )
+    # a format-6 archive of the three-point scenario: one pair per point
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_CACHE_FORMAT", 6)
+        old = _idempotent_cache(three, tmp_path)
+    old.parent.mkdir(parents=True)
+    radius, flag = np.array([0.45]), [np.array([0]), np.zeros((0, 0), dtype=complex)]
+    save_coefficients(old, [radius] + flag * 6)
+
+    archives = []
+    for scn in (one, three):
+        path, out = tmp_path / f"{scn.name}.json", tmp_path / scn.name
+        path.write_text(json.dumps(scn.echo()))
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+        (cache,) = (out / "cache").glob("*.idem.opk")
+        archives.append(load_coefficients(cache))
+    assert len(archives[1]) == 5
+    assert all(
+        (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for a, b in zip(*archives)
+    )
+    # the format-6 file is not read: a miss, not a corrupted cache
+    rec = run_scenario(three, out_dir=tmp_path)
+    assert rec.status == "pass"
+    assert len(load_coefficients(old)) == 13
+    assert _idempotent_cache(three, tmp_path) != old
 
 
 def test_localized_half_shift_scenario_expands_only_for_the_gate():
@@ -669,10 +711,10 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity(space, scn.density["values"])
     idem = index_idempotent(dolbeault_family(space.base, 8, levels=2), radius=0.45)
-    assert idem.skernel.orders == [8]
+    assert idem.skernel.order == 8
     dense = IndexIdempotent(
         space.base,
-        *(SmoothingKernel(space.base, [f.dense(0)], f.support_radius) for f in idem.families),
+        *(SmoothingKernel(space.base, f.dense(), f.support_radius) for f in idem.families),
     )
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     for kern, dense_kern in zip(idem.families, dense.families):
@@ -741,6 +783,23 @@ def test_run_scenario_stage_error_is_tagged(tmp_path):
         run_scenario(scn)
     assert err.value.stage == "assemble-operator"
     assert "assemble-operator" in str(err.value)
+
+
+def test_flow_that_loses_the_rank_fails_at_the_idempotent_stage():
+    # at localize 0.3 the flow carries the rank-2 S0 to the zero projector,
+    # whose defect passes; at 0.5 its trace stays 2
+    raw = cheap_scenario(
+        name="rank-lost",
+        groupoid={"group": {"cyclic": 2}, "base_points": 1},
+        fiber={"kind": "torus", "dim": 2, "fourier_cutoff": 5, "grid": 16},
+        operator={"builtin": "dolbeault", "twist": 2, "levels": 2},
+        localize=0.3,
+    )
+    with pytest.raises(StageError, match="rank-2 projector to trace") as err:
+        run_scenario(_validate(raw))
+    assert err.value.stage == "idempotent"
+    raw["localize"] = 0.5
+    assert run_scenario(_validate(raw)).status == "pass"
 
 
 def test_run_one_returns_error_record(tmp_path):

@@ -9,7 +9,7 @@ from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.operators import SmoothingKernel, SupportMismatchError
 from indexpairing import pairing
 from indexpairing.pairing import (
@@ -24,7 +24,7 @@ from indexpairing.space import FiberedGSpace
 
 
 def torus_base(n=20, N=8):
-    return BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
 
 
 def trivial_space(n=20, N=8):
@@ -40,13 +40,13 @@ def half_shift_space(n=20, N=8):
 def elementary_one_cochain(rng, base, band=2, germ=2.0):
     fams = []
     for _ in range(2):
-        fams.append([random_band_limited(rng, base.fiber(0), band=band)])
+        fams.append([random_band_limited(rng, base.fiber, band=band)])
     return ASCochain(base, 1, [ASTerm(1.0, tuple(fams))], germ_radius=germ)
 
 
 def profile_values(phi, x, tuples):
     """Pointwise values of a profile cochain: the product of its leg profiles."""
-    fiber = phi.base.fiber(x)
+    fiber = phi.base.fiber
     pts = grid_points(fiber.grid_size, fiber.dim)
     tuples = np.asarray(tuples, dtype=int)
     assert tuples.ndim == 2 and tuples.shape[1] == phi.degree + 1
@@ -103,7 +103,7 @@ def test_profile_cochain_evaluates_leg_products():
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
     assert phi.degree == 2
     assert phi.germ_radius == 0.45
-    fiber = base.fiber(0)
+    fiber = base.fiber
     pts = np.stack(
         np.meshgrid(*([np.arange(12) / 12.0] * 2), indexing="ij"), axis=-1
     ).reshape(-1, 2)
@@ -123,7 +123,7 @@ def test_profile_cochain_masks_are_antisymmetric():
         phi = ProfileCochain(base, [(0, saw), (1, saw)])
         pts = grid_points(n, 2)
         for leg in range(2):
-            W = phi.leg_mask(0, leg, n * n)
+            W = phi.leg_mask(leg, n * n)
             assert np.max(np.abs(W + W.T)) == 0.0
             assert np.max(np.abs(np.diag(W))) == 0.0
             # the gathered mask is the profile of every pointwise difference,
@@ -194,8 +194,8 @@ def test_pairing_of_zero_idempotent_vanishes():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    npts = space.base.fiber(0).npoints
-    zero = SmoothingKernel(space.base, [np.zeros((npts, npts))])
+    npts = space.base.fiber.npoints
+    zero = SmoothingKernel(space.base, np.zeros((npts, npts)))
     idem = IndexIdempotent(space.base, zero, zero)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     assert pair_cocycle(idem, unit, cutoff, dens) == 0
@@ -228,7 +228,7 @@ def test_pairing_kills_coboundaries_shift_group():
     for _ in range(3):
         fams = []
         for _ in range(2):
-            f = random_band_limited(rng, space.base.fiber(0), band=2)
+            f = random_band_limited(rng, space.base.fiber, band=2)
             fams.append([f + space.eval_after_action(arrow, f)])
         psi = ASCochain(space.base, 1, [ASTerm(1.0, tuple(fams))], germ_radius=2.0)
         value = pair_cocycle(idem, d_as(psi), cutoff, dens)
@@ -299,13 +299,13 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     idem = index_idempotent(dolbeault_family(space.base, 8, levels=2), radius=0.45)
-    assert idem.skernel.orders == [8] and idem.cokernel.rows == [None]
+    assert idem.skernel.order == 8 and idem.cokernel.row is None
     dense = IndexIdempotent(
         space.base,
-        *(SmoothingKernel(space.base, [f.dense(0)], f.support_radius) for f in idem.families),
+        *(SmoothingKernel(space.base, f.dense(), f.support_radius) for f in idem.families),
     )
     rng = np.random.default_rng(43)
-    factors = [[random_band_limited(rng, space.base.fiber(0), band=2)] for _ in range(3)]
+    factors = [[random_band_limited(rng, space.base.fiber, band=2)] for _ in range(3)]
     phi = ASCochain.elementary(space.base, factors, germ_radius=2.0)
     got, want = (pair_cocycle(i, phi, cutoff, dens) for i in (idem, dense))
     assert abs(want) > 1e-3
@@ -318,7 +318,7 @@ def test_pairing_rejects_bad_inputs():
     dens = TransversalDensity.uniform(space)
     fam = dolbeault_family(space.base, 1, levels=1)
     idem = index_idempotent(fam)
-    ones = [np.ones(space.base.fiber(0).npoints, dtype=complex)]
+    ones = [np.ones(space.base.fiber.npoints, dtype=complex)]
     with pytest.raises(ModelError):
         pair_cocycle(
             idem,
@@ -355,12 +355,12 @@ def test_pairing_rejects_noninvariant_kernels():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     rng = np.random.default_rng(5)
-    npts = space.base.fiber(0).npoints
+    npts = space.base.fiber.npoints
     raw = rng.standard_normal((npts, npts)) / npts
     # an invariant (zero) kernel family and a non-invariant cokernel family:
     # the gate has to look at both
-    zero = SmoothingKernel(space.base, [np.zeros((npts, npts))])
-    idem = IndexIdempotent(space.base, zero, SmoothingKernel(space.base, [raw]))
+    zero = SmoothingKernel(space.base, np.zeros((npts, npts)))
+    idem = IndexIdempotent(space.base, zero, SmoothingKernel(space.base, raw))
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, cutoff, dens)
@@ -445,7 +445,7 @@ class FixedMasks:
         self.base = base
         self.masks = masks
 
-    def leg_mask(self, x, i, rows):
+    def leg_mask(self, i, rows):
         return self.masks[i][:rows]
 
 
@@ -466,20 +466,20 @@ def chain_products(monkeypatch):
 @pytest.mark.parametrize("which", ["general", "hermitian"])
 def test_profile_chain_matches_six_term_oracle(which, chain_products):
     base = torus_base(n=8, N=3)
-    npts = base.fiber(0).npoints
+    npts = base.fiber.npoints
     rng = np.random.default_rng(31)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels[which]
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
-    profile_masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
+    profile_masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     # the rotation identity needs no antisymmetry of the masks
     general_masks = [rng.standard_normal((npts, npts)) for _ in range(2)]
     general = FixedMasks(base, general_masks)
     for cochain, masks in ((phi, profile_masks), (general, general_masks)):
         want = six_term_profile_chain(masks, cw, K)
         chain_products.clear()
-        got = _weighted_profile_chain(cochain, 0, cw, K, 1)
+        got = _weighted_profile_chain(cochain, cw, K, 1)
         assert abs(got - want) <= 1e-13 * abs(want)
         # a hermitian kernel takes the two-product form (one rotation sum),
         # any other kernel the four-product form (two)
@@ -488,16 +488,16 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
 
 def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_products):
     base = torus_base(n=8, N=3)
-    npts = base.fiber(0).npoints
+    npts = base.fiber.npoints
     rng = np.random.default_rng(37)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels["hermitian"].copy()
     K[0, 1] += 1e-9
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(base, [(0, saw), (1, saw)])
-    masks = [phi.leg_mask(0, i, npts) for i in (0, 1)]
+    masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, K)
-    got = _weighted_profile_chain(phi, 0, cw, K, 1)
+    got = _weighted_profile_chain(phi, cw, K, 1)
     assert len(chain_products) == 4
     assert abs(got - want) <= 1e-13 * abs(want)
     # the two-product form would drop the real part this perturbation makes
@@ -507,21 +507,21 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
 @pytest.mark.parametrize("which", ["general", "hermitian"])
 def test_elementary_chain_matches_six_term_oracle(which, chain_products):
     base = torus_base(n=8, N=3)
-    npts = base.fiber(0).npoints
+    npts = base.fiber.npoints
     rng = np.random.default_rng(41)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels[which]
     terms = []
     for weight in (1.0, 0.3 - 0.7j):
         fams = tuple(
-            [random_band_limited(rng, base.fiber(0), band=2)]
+            [random_band_limited(rng, base.fiber, band=2)]
             for _ in range(3)
         )
         terms.append(ASTerm(weight, fams))
     f, g, h = terms[0].factors
     psi = ASCochain.elementary(
         base,
-        [[random_band_limited(rng, base.fiber(0), band=2)] for _ in range(2)],
+        [[random_band_limited(rng, base.fiber, band=2)] for _ in range(2)],
         germ_radius=2.0,
     )
     # equal by value, distinct array objects

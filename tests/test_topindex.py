@@ -7,11 +7,10 @@ import pytest
 
 from indexpairing.charclass import DiscModel
 from indexpairing.density import CutoffDensity, TransversalDensity, compute_cutoff
-from indexpairing.dolbeault import dolbeault_block, dolbeault_family
+from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, BasePoint, CyclicGroupoid
-from indexpairing.operators import LeafwiseOperatorFamily
+from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.parametrix import analytic_index
 from indexpairing.space import FiberedGSpace
 from indexpairing.topindex import (
@@ -29,30 +28,30 @@ from oracles import volume_form
 
 
 def trivial_space(n=20, N=8):
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n=20, N=8):
     """Free Z/2: the diagonal half-period shift on the torus fiber."""
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, N, n))])
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def four_point_space(n=18, N=3):
     """Z/2 identifying the base points pairwise, trivial on fibers."""
     fib = FiberModel(2, N, n)
-    base = BaseModel([BasePoint(f"x{i}", 0.5, fib) for i in range(4)])
+    base = BaseModel(fib, [f"x{i}" for i in range(4)], [0.5] * 4)
     return FiberedGSpace.trivial(CyclicGroupoid(base, 2, [1, 0, 3, 2]))
 
 
 def unit_alpha(space):
     base = space.base
-    r = base.fiber(0).dim
+    r = base.fiber.dim
     return FoliatedForm(
         0,
         r,
-        [np.ones((base.fiber(x).npoints, 1)) for x in range(len(base))],
+        [np.ones((base.fiber.npoints, 1)) for x in range(len(base))],
         invariant=True,
     )
 
@@ -64,20 +63,20 @@ def test_flux_predictions_match_spectral_index():
     disc = DiscModel(9.0, 48, 48)
     alpha = unit_alpha(space)
     for d in (-2, -1, 0, 1, 2):
-        sclass = symbol_class_dolbeault(space.base, disc, d)
+        sclass = symbol_class_dolbeault(space.base.fiber, disc, d)
         topo = topological_index(space, cutoff, dens, alpha, sclass)
-        ana = analytic_index(dolbeault_family(space.base, d, 4), space).index(0)
+        ana = analytic_index(dolbeault_family(space.base, d, 4)).index
         assert abs(topo - ana) < 1e-6
         assert abs(topo.imag) < 1e-9
 
 
 def test_symbol_class_peak_memory_is_at_most_four_projector_fields():
     # the flux-24 space: one (n, m, m) field is 1600 points of 24 x 24
-    base = trivial_space(n=40, N=19).base
+    fiber = trivial_space(n=40, N=19).base.fiber
     field_bytes = 1600 * 24 * 24 * 16
     tracemalloc.start()
     try:
-        symbol_class_dolbeault(base, DiscModel(20.0, 48, 48), 24)
+        symbol_class_dolbeault(fiber, DiscModel(20.0, 48, 48), 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -89,9 +88,9 @@ def test_value_independent_of_cutoff_choice():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     alpha = unit_alpha(space)
-    sclass = symbol_class_dolbeault(space.base, disc, 2)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
     rng = np.random.default_rng(5)
-    seeds = [1.0 + 0.8 * np.abs(np.real(random_band_limited(rng, space.base.fiber(0), 3)))]
+    seeds = [1.0 + 0.8 * np.abs(np.real(random_band_limited(rng, space.base.fiber, 3)))]
     c1 = compute_cutoff(space)
     c2 = compute_cutoff(space, seeds)
     assert np.abs(c1.fields[0] - c2.fields[0]).max() > 1e-3  # genuinely different
@@ -106,7 +105,7 @@ def test_cochain_level_one_value():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
-    sclass = symbol_class_dolbeault(space.base, disc, 1)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 1)
     vol = volume_form(space.base)
     got = topological_index(space, cutoff, dens, vol, sclass)
     # one fiber integral of the volume, one disc charge, one 1/(2 pi i)
@@ -119,9 +118,9 @@ def test_rejects_bad_cochain_forms():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(4.0, 24, 24)
-    sclass = symbol_class_dolbeault(space.base, disc, 1)
-    npts = space.base.fiber(0).npoints
-    pts = grid_points(space.base.fiber(0).grid_size, 2)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 1)
+    npts = space.base.fiber.npoints
+    pts = grid_points(space.base.fiber.grid_size, 2)
     odd = FoliatedForm(1, 2, [np.ones((npts, 2)) for _ in range(4)])
     with pytest.raises(ModelError):
         topological_index(space, cutoff, dens, odd, sclass)
@@ -142,7 +141,7 @@ def test_free_reduction_equals_cutoff_integral():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     alpha = unit_alpha(space)
-    sclass = symbol_class_dolbeault(space.base, disc, 2)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
     topo = topological_index(space, cutoff, dens, alpha, sclass)
     red = free_action_reduction(space, cutoff, dens, alpha, sclass)
     assert abs(topo - red) < 1e-10
@@ -153,7 +152,7 @@ def test_free_reduction_equals_cutoff_integral():
 def test_fundamental_domain_partitions_orbits():
     space = half_shift_space(n=12, N=3)
     ind = fundamental_domain_indicator(space)[0]
-    npts = space.base.fiber(0).npoints
+    npts = space.base.fiber.npoints
     assert ind.sum() == npts / 2
     perm = space.permutation(space.groupoid.arrows[1])
     assert np.abs(ind + ind[np.argsort(perm)] - 1.0).max() == 0.0
@@ -164,10 +163,10 @@ def walk_indicator(space):
     in (base point, grid index) order represents its orbit, and marks every
     image under the pointwise action, computed from the shifts directly."""
     base, gpd = space.base, space.groupoid
-    indicators = [np.zeros(base.fiber(x).npoints) for x in range(len(base))]
-    visited = [np.zeros(base.fiber(x).npoints, dtype=bool) for x in range(len(base))]
+    indicators = [np.zeros(base.fiber.npoints) for x in range(len(base))]
+    visited = [np.zeros(base.fiber.npoints, dtype=bool) for x in range(len(base))]
     for x in range(len(base)):
-        fiber = base.fiber(x)
+        fiber = base.fiber
         n = fiber.grid_size
         images = {}
         for a in gpd.arrows_from(x):
@@ -185,10 +184,8 @@ def walk_indicator(space):
 
 def test_fundamental_domain_matches_walk_oracle():
     """Least-key representatives equal the walk's, over several orbits."""
-    # Z/4 swapping the base points pairwise, with fiber shifts g * (1/4, 1/2);
-    # the two base orbits carry different grids
-    fibs = [FiberModel(2, 3, 8), FiberModel(2, 3, 12)]
-    base = BaseModel([BasePoint(f"x{i}", 0.5, fibs[i // 2]) for i in range(4)])
+    # Z/4 swapping the base points pairwise, with fiber shifts g * (1/4, 1/2)
+    base = BaseModel(FiberModel(2, 3, 8), [f"x{i}" for i in range(4)], [0.5] * 4)
     gpd = CyclicGroupoid(base, 4, [1, 0, 3, 2])
     shifted = FiberedGSpace(gpd, [Fraction(1, 4), Fraction(1, 2)])
     for space in (half_shift_space(n=12, N=3), shifted):
@@ -202,7 +199,7 @@ def test_fundamental_domain_matches_walk_oracle():
 
 def test_reduction_rejects_non_free_action():
     # the nontrivial arrow is no unit, yet its shift is zero: every point is fixed
-    base = BaseModel([BasePoint("pt", 1.0, FiberModel(2, 3, 12))])
+    base = BaseModel(FiberModel(2, 3, 12), ["pt"], [1.0])
     space = FiberedGSpace(CyclicGroupoid(base, 2), [0, 0])
     with pytest.raises(NonFreeActionError, match="fixes 144 fiber points"):
         fundamental_domain_indicator(space)
@@ -223,10 +220,10 @@ def test_three_route_agreement_on_half_shift():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     alpha = unit_alpha(space)
-    sclass = symbol_class_dolbeault(space.base, disc, 2)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
     topo = topological_index(space, cutoff, dens, alpha, sclass)
     red = free_action_reduction(space, cutoff, dens, alpha, sclass)
-    quot = half_shift_quotient_index(space.base.fiber(0), 2)
+    quot = half_shift_quotient_index(space.base.fiber, 2)
     assert abs(topo - quot) < 1e-6
     assert abs(red - quot) < 1e-6
 
@@ -238,7 +235,7 @@ def test_multiplier_class_of_invertible_symbol_vanishes():
     disc = DiscModel(9.0, 48, 48)
     alpha = unit_alpha(space)
     sclass = symbol_class_multiplier(
-        space.base, disc, lambda x1, x2: np.sqrt(1.0 + x1**2 + x2**2)
+        space.base.fiber, disc, lambda x1, x2: np.sqrt(1.0 + x1**2 + x2**2)
     )
     topo = topological_index(space, cutoff, dens, alpha, sclass)
     assert abs(topo) < 1e-9
@@ -251,7 +248,7 @@ def test_orbifold_family_both_sides():
     disc = DiscModel(4.0, 48, 48)
     twist = 3
     fam = dolbeault_family(space.base, twist, 4)
-    sclass = symbol_class_dolbeault(space.base, disc, twist)
+    sclass = symbol_class_dolbeault(space.base.fiber, disc, twist)
     res = family_index_orbifold(space, fam, cutoff, dens, sclass)
     assert isinstance(res, FamilyIndexResult)
     assert res.per_point == [twist] * 4
@@ -261,21 +258,3 @@ def test_orbifold_family_both_sides():
     lopsided = TransversalDensity(space, [1.0, 2.0, 1.0, 2.0])
     with pytest.raises(ModelError, match="invariant transversal density"):
         family_index_orbifold(space, fam, cutoff, lopsided, sclass)
-
-
-def test_orbifold_family_rejects_rank_jump():
-    space = four_point_space()
-    cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    disc = DiscModel(4.0, 24, 24)
-    fib = space.base.fiber(0)
-    blocks = [
-        dolbeault_block(fib, 1, 4),
-        dolbeault_block(fib, 2, 4),
-        dolbeault_block(fib, 1, 4),
-        dolbeault_block(fib, 1, 4),
-    ]
-    fam = LeafwiseOperatorFamily(space.base, blocks, order=1.0)
-    sclass = symbol_class_dolbeault(space.base, disc, 1)
-    with pytest.raises(ModelError):
-        family_index_orbifold(space, fam, cutoff, dens, sclass)
