@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import FiberModel, ModelError, grid_points
-from .groupoid import BaseModel
-from .operators import LeafwiseOperatorFamily, OperatorBlock, SectionBasis, fourier_basis
+from .operators import OperatorBlock, SectionBasis, fourier_basis
 
 
 def hermite_values(max_level: int, t: np.ndarray) -> np.ndarray:
@@ -66,15 +65,11 @@ def landau_section_values(fiber: FiberModel, twist: int, max_level: int) -> np.n
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:
-    return SectionBasis(
-        fiber,
-        landau_section_values(fiber, twist, max_level),
-        key=("landau", int(twist), fiber.grid_size, max_level),
-    )
+    return SectionBasis(fiber, landau_section_values(fiber, twist, max_level))
 
 
-def dolbeault_block(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock:
-    """One rectangular block of the twisted operator.
+def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock:
+    """The twisted operator as one rectangular block, which every base point shares.
 
     ``levels`` is the highest level retained on the larger side.  For
     twist > 0 the domain holds levels 0..levels and the codomain 0..levels-1;
@@ -106,10 +101,6 @@ def dolbeault_block(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock
         for j in range(s):
             mat[(l + 1) * s + j, l * s + j] = coef
     return OperatorBlock(small, big, mat)
-
-
-def dolbeault_family(base: BaseModel, twist: int, levels: int) -> LeafwiseOperatorFamily:
-    return LeafwiseOperatorFamily(base, dolbeault_block(base.fiber, twist, levels), order=1.0)
 
 
 def twisted_shift(field: np.ndarray, ticks: int, twist: int, fiber: FiberModel) -> np.ndarray:

@@ -135,26 +135,23 @@ def _build_space(scn: Scenario) -> FiberedGSpace:
     return FiberedGSpace(gpd, scn.fiber_action["translation"])
 
 
-def _build_operator(scn: Scenario, space: FiberedGSpace):
-    """Assemble the operator family and its frequency-class integrand."""
-    base = space.base
-    N = scn.fiber["fourier_cutoff"]
-    disc = DiscModel(float(N + 1), 48, 48)
+def _build_operator(scn: Scenario, fiber: FiberModel):
+    """Assemble the operator block and its frequency-class integrand."""
+    disc = DiscModel(float(fiber.fourier_cutoff + 1), 48, 48)
     op = scn.operator
     if op["builtin"] == "dolbeault":
-        fam = dolbeault_family(base, op["twist"], op["levels"])
-        sclass = symbol_class_dolbeault(base.fiber, disc, op["twist"])
-        return fam, sclass
+        block = dolbeault_family(fiber, op["twist"], op["levels"])
+        sclass = symbol_class_dolbeault(fiber, disc, op["twist"])
+        return block, sclass
     fn = _symbol_expression(op["symbol"])
     sym = multiplier_symbol(
-        base,
+        fiber,
         lambda modes: fn(modes[:, 0].astype(float), modes[:, 1].astype(float)),
         order=0.0,
     )
     sym.certify_elliptic()
-    fam = quantize(sym)
-    sclass = symbol_class_multiplier(base.fiber, disc, fn)
-    return fam, sclass
+    sclass = symbol_class_multiplier(fiber, disc, fn)
+    return quantize(sym), sclass
 
 
 def _build_cocycle(scn: Scenario, base: BaseModel):
@@ -164,7 +161,7 @@ def _build_cocycle(scn: Scenario, base: BaseModel):
         return ASCochain.unit(base, germ_radius=math.inf)
     if coc["kind"] == "profile":
         legs = [(leg["axis"], _leg_profile(leg)) for leg in coc["legs"]]
-        return ProfileCochain(base, legs)
+        return ProfileCochain(base.fiber, legs)
     band = coc["band"]
     if "terms" in coc:
         return _cochain_from_table(base, coc["degree"], band, coc["terms"])
@@ -254,12 +251,12 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         dens = TransversalDensity(space, scn.density["values"])
 
     with _stage("assemble-operator"):
-        fam, sclass = _build_operator(scn, space)
+        block, sclass = _build_operator(scn, space.base.fiber)
 
     if scn.group["base_action"] == "pair-swap":
         # identified base: the family route computes both sides at once
         with _stage("family-index"):
-            res = family_index_orbifold(space, fam, cutoff, dens, sclass)
+            res = family_index_orbifold(space, block, cutoff, dens, sclass)
         return ResultRecord(
             scenario=scn.name,
             analytic=tuple(res.per_point),
@@ -279,7 +276,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                 )
             analytic = (half_shift_quotient_index(space.base.fiber, scn.operator["twist"]),)
         else:
-            analytic = (analytic_index(fam).index,) * len(space.base)
+            analytic = (analytic_index(block).index,) * len(space.base)
 
     idem = None
     if out_dir is not None:
@@ -289,12 +286,12 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
             if cache_path.exists():
                 try:
                     arrays = load_coefficients(cache_path)
-                    idem = IndexIdempotent.from_arrays(space.base, arrays)
+                    idem = IndexIdempotent.from_arrays(space.base.fiber, arrays)
                 except CorruptedCacheError as exc:
                     raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
     if idem is None:
         with _stage("idempotent"):
-            idem = index_idempotent(fam, radius=scn.localize)
+            idem = index_idempotent(block, radius=scn.localize)
         if out_dir is not None:
             with _stage("operator-cache"):
                 save_coefficients(cache_path, idem.arrays())
@@ -309,7 +306,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
 
     with _stage("topological"):
         alpha = (
-            phi.van_est_form()
+            phi.van_est_form(space.base)
             if isinstance(phi, ProfileCochain)
             else van_est_realize(phi)
         )

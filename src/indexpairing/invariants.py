@@ -88,10 +88,9 @@ def _check_trace_cutoff_independence():
 
 def _check_symbol_trace_formula():
     space = _inv_trivial(n=12, N=5)
-    base = space.base
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fiber = base.fiber
+    fiber = space.base.fiber
     modes = fiber.modes()
     xipart = np.exp(-2.0 * np.sum(modes.astype(float) ** 2, axis=1))
     worst = 0.0
@@ -101,8 +100,8 @@ def _check_symbol_trace_formula():
             random_band_limited(rng, fiber, band=1)
         )
         table = zpart[:, None] * xipart[None, :]
-        sym = SymbolData(base, SMOOTHING_ORDER, table)
-        kern = SmoothingKernel(base, quantize(sym).block.grid_matrix())
+        sym = SymbolData(fiber, SMOOTHING_ORDER, table)
+        kern = SmoothingKernel(fiber, quantize(sym).grid_matrix())
         lhs = trace_symbol_formula(sym, cutoff, dens)
         rhs = trace_tau(kern, cutoff, dens)
         worst = max(worst, abs(lhs - rhs))
@@ -143,8 +142,7 @@ def _check_coboundary_pairing():
     space = _inv_trivial(n=20, N=8)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 2, levels=2)
-    idem = index_idempotent(fam)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(6000 + seed)

@@ -1,5 +1,9 @@
 """Operators on fiber sections: spectral bases, operator blocks, smoothing kernels.
 
+Everything here lives on one fiber.  Every base point carries the same fiber
+and the same invariant operator, so the base enters only through the cutoff
+and the transverse density, which the weighted traces receive.
+
 Conventions
 -----------
 Sections are scalar grid vectors of length npoints.  The inner product is
@@ -8,10 +12,9 @@ the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds an
 operators between bases are plain matrices on coefficients.
 
 Smoothing operators are operator matrices M acting by f -> M f on scalar
-grid sections, one npoints x npoints matrix shared by every base point, as
-every point carries the same fiber and the same operator.  A family with
-several bundle components is carried as several such families (the index
-idempotent holds its kernel and cokernel projectors apart).  The Schwartz
+grid sections, one npoints x npoints matrix.  An operator with several
+bundle components is carried as several such kernels (the index idempotent
+holds its kernel and cokernel projectors apart).  The Schwartz
 kernel against the quadrature measure is k(z, w) = npoints * M[z, w]; all
 trace and pairing formulas below are written directly in terms of M so that
 no npoints factors float around.
@@ -34,7 +37,6 @@ import numpy as np
 from .density import CutoffDensity, TransversalDensity
 from .forms import InvarianceError
 from .grids import FiberModel, ModelError
-from .groupoid import BaseModel
 from .space import FiberedGSpace
 
 
@@ -44,14 +46,10 @@ class SupportMismatchError(ModelError):
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """Quadrature-orthonormal family of sections on one fiber.
-
-    ``key`` names the basis; bases with equal keys are interchangeable.
-    """
+    """Quadrature-orthonormal family of sections on one fiber."""
 
     fiber: FiberModel
     matrix: np.ndarray
-    key: tuple
 
     def __post_init__(self):
         if self.matrix.shape[0] != self.fiber.npoints:
@@ -61,23 +59,9 @@ class SectionBasis:
     def size(self) -> int:
         return self.matrix.shape[1]
 
-    def gram_defect(self) -> float:
-        G = self.matrix.conj().T @ self.matrix / self.fiber.npoints
-        return float(np.max(np.abs(G - np.eye(self.size))))
-
-    def project(self, fieldvec: np.ndarray) -> np.ndarray:
-        return self.matrix.conj().T @ fieldvec / self.fiber.npoints
-
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.matrix @ coeffs
-
 
 def fourier_basis(fiber: FiberModel) -> SectionBasis:
-    return SectionBasis(
-        fiber,
-        fiber.eval_matrix(),
-        key=("fourier", fiber.grid_size, fiber.fourier_cutoff, fiber.dim),
-    )
+    return SectionBasis(fiber, fiber.eval_matrix())
 
 
 @dataclass
@@ -93,22 +77,10 @@ class OperatorBlock:
         if self.matrix.shape != expect:
             raise ModelError(f"operator matrix shape {self.matrix.shape} != {expect}")
 
-    def apply(self, fieldvec: np.ndarray) -> np.ndarray:
-        return self.codomain.synthesize(self.matrix @ self.domain.project(fieldvec))
-
     def grid_matrix(self, rows: int | None = None) -> np.ndarray:
         """Rows [0, rows) of the operator matrix on grid vectors (all by default), bit for bit."""
         n = self.domain.fiber.npoints
         return self.codomain.matrix[:rows] @ self.matrix @ self.domain.matrix.conj().T / n
-
-
-@dataclass
-class LeafwiseOperatorFamily:
-    """One operator block acting over every base point, with a declared order."""
-
-    base: BaseModel
-    block: OperatorBlock
-    order: float
 
 
 def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
@@ -254,7 +226,7 @@ def circulant_dense(row: np.ndarray, g: int) -> np.ndarray:
 
 
 class SmoothingKernel:
-    """Smoothing operator on grid sections, the same over every base point.
+    """Smoothing operator on the grid sections of one fiber.
 
     The operator acts on scalar grid vectors by a matrix M, stored as its
     block count g = ``order`` and its block row 0 ``row``, of shape
@@ -265,16 +237,15 @@ class SmoothingKernel:
 
     def __init__(
         self,
-        base: BaseModel,
+        fiber: FiberModel,
         row: np.ndarray | None,
         support_radius: float = np.inf,
         order: int = 1,
     ):
-        self.base = base
+        self.fiber = fiber
         self.row = None if row is None else np.asarray(row, dtype=complex)
         self.order = int(order)
         self.support_radius = float(support_radius)
-        fiber = base.fiber
         g = self.order
         if g < 1 or fiber.grid_size % g:
             raise ModelError(f"block count {g} does not divide the grid size {fiber.grid_size}")
@@ -289,7 +260,7 @@ class SmoothingKernel:
     def dense(self) -> np.ndarray:
         """M as an npoints x npoints matrix."""
         if self.row is None:
-            n = self.base.fiber.npoints
+            n = self.fiber.npoints
             return np.zeros((n, n), dtype=complex)
         return self.row if self.order == 1 else circulant_dense(self.row, self.order)
 
@@ -299,14 +270,14 @@ class SmoothingKernel:
 
     def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
         return SmoothingKernel(
-            self.base,
+            self.fiber,
             self.dense() - other.dense(),
             max(self.support_radius, other.support_radius),
         )
 
     def compose(self, other: "SmoothingKernel") -> "SmoothingKernel":
         radius = self.support_radius + other.support_radius
-        return SmoothingKernel(self.base, self.dense() @ other.dense(), radius)
+        return SmoothingKernel(self.fiber, self.dense() @ other.dense(), radius)
 
     def norm(self) -> float:
         """Lower bound of the operator norm.
@@ -430,7 +401,7 @@ def average_kernel(
     for a in gspace.groupoid.arrows_from(0):
         weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
         acc += weight[:, None] * _moved(here, gspace, a)
-    return SmoothingKernel(gspace.base, acc, kern.support_radius)
+    return SmoothingKernel(kern.fiber, acc, kern.support_radius)
 
 
 TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
@@ -462,8 +433,8 @@ def _weighted_diag_trace(
     if kern.row is None:
         return total
     diagonal = kern.diagonal()
-    for x in range(len(kern.base)):
-        weight = cutoff.fields[x] if fields is None else cutoff.fields[x] * fields[x]
+    for x, c in enumerate(cutoff.fields):
+        weight = c if fields is None else c * fields[x]
         total += dens.mass(x) * np.sum(weight * diagonal)
     return complex(total)
 
@@ -481,5 +452,5 @@ def random_invariant_kernel(
     E = E[:, keep]
     nb = E.shape[1]
     C = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
-    rough = SmoothingKernel(gspace.base, E @ (C / nb) @ E.conj().T / fiber.npoints)
+    rough = SmoothingKernel(fiber, E @ (C / nb) @ E.conj().T / fiber.npoints)
     return average_kernel(gspace, cutoff, rough)

@@ -60,6 +60,11 @@ its Q(m) carries the non-invariant diag(m).  The cutoff weight is not
 translation invariant, but tr(D M) of a block-circulant M only reads the
 diagonal of C_0, the mean of the Fourier blocks, so D enters through the
 sums of c over the orbits of the translation: exact for any cutoff.
+
+A profile chain differs between base points only through the cutoff
+weight, in which it is real-linear, so it is contracted once against the
+mass-weighted sum of the cutoff fields; an elementary chain, whose slot
+products differ from point to point, is contracted per point.
 """
 from __future__ import annotations
 
@@ -74,7 +79,7 @@ from .charclass import smoothstep_poly
 from .cochains import ASCochain, ASTerm
 from .density import CutoffDensity, TransversalDensity
 from .forms import FoliatedForm, subset_position
-from .grids import ModelError, grid_points
+from .grids import FiberModel, ModelError, grid_points
 from .groupoid import BaseModel
 from .operators import (
     SupportMismatchError,
@@ -161,16 +166,16 @@ class ProfileCochain:
     stays linear).
     """
 
-    def __init__(self, base: BaseModel, legs) -> None:
+    def __init__(self, fiber: FiberModel, legs) -> None:
         legs = tuple((int(axis), prof) for axis, prof in legs)
         if not legs or len(legs) % 2:
             raise ModelError("difference cochains need an even positive leg count")
         for axis, prof in legs:
             if not isinstance(prof, TransitionProfile):
                 raise ModelError("every leg needs a TransitionProfile")
-            if not 0 <= axis < base.fiber.dim:
-                raise ModelError(f"leg axis {axis} outside fiber dimension {base.fiber.dim}")
-        self.base = base
+            if not 0 <= axis < fiber.dim:
+                raise ModelError(f"leg axis {axis} outside fiber dimension {fiber.dim}")
+        self.fiber = fiber
         self.legs = legs
         self.degree = len(legs)
         self.germ_radius = min(p.linear_radius for _, p in legs)
@@ -182,41 +187,41 @@ class ProfileCochain:
         evaluated on their grid_size^2 differences and gathered from there.
         """
         axis, prof = self.legs[i]
-        fiber = self.base.fiber
+        fiber = self.fiber
         n = fiber.grid_size
         coords = np.arange(n) / n
         ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)[axis]
         table = prof(coords[None, :] - coords[:, None])
         return table[np.ix_(ticks[:rows], ticks)]
 
-    def van_est_form(self) -> FoliatedForm:
-        """Leafwise realization: product of unit slopes times dz_a1 ^ ... .
+    def van_est_form(self, base: BaseModel) -> FoliatedForm:
+        """Leafwise realization over ``base``: product of unit slopes times dz_a1 ^ ... .
 
         Exact, not a quadrature: every profile has derivative exactly 1 at
         zero and vanishing value there, so the whole 2k-jet reduces to the
-        single constant-coefficient component.
+        single constant-coefficient component, the same at every base point.
         """
-        r = self.base.fiber.dim
+        r = self.fiber.dim
         axes = tuple(axis for axis, _ in self.legs)
         if self.degree > r:
             raise ModelError("realization degree exceeds the fiber dimension")
-        form = FoliatedForm.zero(self.base, self.degree)
+        form = FoliatedForm.zero(base, self.degree)
         if len(set(axes)) < len(axes):
             return form
         pos = subset_position(r, self.degree)[tuple(sorted(axes))]
-        for x in range(len(self.base)):
-            form.fields[x][:, pos] = float(_sort_sign(axes))
+        for field in form.fields:
+            field[:, pos] = float(_sort_sign(axes))
         return form
 
     def to_elementary(
-        self, band: int | None = None, tol: float = 1e-14
+        self, base: BaseModel, band: int | None = None, tol: float = 1e-14
     ) -> ASCochain:
-        """Expand every leg in Fourier modes and regroup slot by slot.
+        """Expand every leg in Fourier modes and regroup slot by slot, over ``base``.
 
         The expansion feeds the chain-map cross-checks; the pairing itself
         contracts the difference masks directly and never needs it.
         """
-        fiber = self.base.fiber
+        fiber = self.fiber
         if band is None:
             band = fiber.fourier_cutoff
         coefs = [prof.fourier_coefficients(band) for _, prof in self.legs]
@@ -241,9 +246,9 @@ class ProfileCochain:
                     axis = self.legs[slot][0]
                     m = modes[picks[slot]]
                     field = field * np.exp(-2j * np.pi * m * pts[:, axis])
-                factors.append([field] * len(self.base))
+                factors.append([field] * len(base))
             terms.append(ASTerm(weight, tuple(factors)))
-        return ASCochain(self.base, self.degree, terms, germ_radius=self.germ_radius)
+        return ASCochain(base, self.degree, terms, germ_radius=self.germ_radius)
 
 
 # the two-product profile chain needs K = K^H; it is taken when
@@ -297,24 +302,28 @@ def pair_cocycle(
 
     s0, s1 = idem.families
     if k == 0:
-        slots = np.arange(idem.base.fiber.npoints)[:, None]
-        fields = [phi.evaluate_batch(x, slots) for x in range(len(idem.base))]
+        slots = np.arange(s0.fiber.npoints)[:, None]
+        fields = [phi.evaluate_batch(x, slots) for x in range(len(cutoff.fields))]
         trace0, trace1 = (
             _weighted_diag_trace(f, cutoff, dens, fields) for f in (s0, s1)
         )
         return trace0 - trace1
 
     weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
+    if isinstance(phi, ProfileCochain):
+        # one contraction covers the base (see the module docstring)
+        cw = sum(dens.mass(x) * c for x, c in enumerate(cutoff.fields))
+        chains = [(1.0, partial(_weighted_profile_chain, phi, cw))]
+    else:
+        chains = [
+            (dens.mass(x), partial(_weighted_elementary_chain, phi, x, c))
+            for x, c in enumerate(cutoff.fields)
+        ]
     total = 0.0 + 0.0j
-    for x in range(len(idem.base)):
-        cw = np.asarray(cutoff.fields[x], dtype=float)
-        if isinstance(phi, ProfileCochain):
-            chain = partial(_weighted_profile_chain, phi, cw)
-        else:
-            chain = partial(_weighted_elementary_chain, phi, x, cw)
+    for mass, chain in chains:
         # a zero operator (S1 of every positive flux) has an exactly zero chain
         v0, v1 = (0j if f.row is None else chain(f.row, f.order) for f in (s0, s1))
-        total += dens.mass(x) * (v0 - v1)
+        total += mass * (v0 - v1)
     return weight * complex(total)
 
 

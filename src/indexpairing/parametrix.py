@@ -17,17 +17,17 @@ cokernel, so S1 D = 0; and both remainders are projectors.  Hence
     P = diag(S0, 1 - S1),   [P] - [e] = [S0] - [S1],
 
 with e the identity on the range copy.  The idempotent is stored as the two
-projectors S0 and S1 on scalar grid sections, each one operator for every
-base point, and every consumer (trace, pairing, invariance gate, cache)
-works on them one at a time.
-Localization truncates each family at a fiber radius and restores
+projectors S0 and S1 on the scalar grid sections of the one fiber, and every
+consumer (trace, pairing, invariance gate, cache) works on them one at a
+time.
+Localization truncates each projector at a fiber radius and restores
 idempotency with the cubic correction flow; the flow commutes with
 P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.  A
 truncated projector that commutes with translations along axis 0 is block
 circulant (see ``operators``): its block count g is certified in basis
 space, only its block row 0 is built, the flow runs on its g Fourier blocks
-of size npoints/g, and the flowed block row is what the family stores, once
-its trace still counts the rank of the projector it was cut from.  An
+of size npoints/g, and the flowed block row is what the idempotent stores,
+once its trace still counts the rank of the projector it was cut from.  An
 unlocalized projector is stored dense (g = 1), and a zero one as a flag.
 """
 from __future__ import annotations
@@ -36,10 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModelError
-from .groupoid import BaseModel
+from .grids import FiberModel, ModelError
 from .operators import (
-    LeafwiseOperatorFamily,
     OperatorBlock,
     SmoothingKernel,
     certified_block_row,
@@ -96,7 +94,7 @@ def certified_rank(singular: np.ndarray) -> int:
 
 @dataclass
 class IndexCount:
-    """Kernel and cokernel dimensions of the operator over every base point."""
+    """Kernel and cokernel dimensions of an operator."""
 
     kernel_dim: int
     cokernel_dim: int
@@ -106,9 +104,9 @@ class IndexCount:
         return self.kernel_dim - self.cokernel_dim
 
 
-def analytic_index(fam: LeafwiseOperatorFamily) -> IndexCount:
-    """Spectral kernel and cokernel counts of an operator family."""
-    M = fam.block.matrix
+def analytic_index(block: OperatorBlock) -> IndexCount:
+    """Spectral kernel and cokernel counts of an operator."""
+    M = block.matrix
     rank = certified_rank(np.linalg.svd(M, compute_uv=False))
     return IndexCount(M.shape[1] - rank, M.shape[0] - rank)
 
@@ -122,7 +120,7 @@ class ParametrixData:
     rank: int
 
 
-def parametrix(fam: LeafwiseOperatorFamily) -> ParametrixData:
+def parametrix(block: OperatorBlock) -> ParametrixData:
     """Remainder projectors of the pseudo-inverse parametrix Q.
 
     Q inverts every certified singular direction, so R0 = 1 - QD and
@@ -132,7 +130,6 @@ def parametrix(fam: LeafwiseOperatorFamily) -> ParametrixData:
     than the rounding noise of 1 - QD or 1 - DQ, so that the consumers can
     skip it.
     """
-    block = fam.block
     M = block.matrix
     U, sing, Vh = np.linalg.svd(M, full_matrices=False)
     rank = certified_rank(sing)
@@ -150,15 +147,14 @@ def parametrix(fam: LeafwiseOperatorFamily) -> ParametrixData:
 
 
 class IndexIdempotent:
-    """Grid realization of the index idempotent P = diag(S0, 1 - S1) of a family.
+    """Grid realization of the index idempotent P = diag(S0, 1 - S1) of an operator.
 
     ``skernel`` is the kernel projector S0 and ``cokernel`` the cokernel
     projector S1, both on scalar grid sections and cut at the same support
     radius; the index class is [S0] - [S1].
     """
 
-    def __init__(self, base: BaseModel, skernel: SmoothingKernel, cokernel: SmoothingKernel):
-        self.base = base
+    def __init__(self, skernel: SmoothingKernel, cokernel: SmoothingKernel):
         self.skernel = skernel
         self.cokernel = cokernel
 
@@ -179,8 +175,8 @@ class IndexIdempotent:
         return out
 
     @classmethod
-    def from_arrays(cls, base: BaseModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
-        """Inverse of arrays(); raises CorruptedCacheError on any mismatch with base."""
+    def from_arrays(cls, fiber: FiberModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
+        """Inverse of arrays(); raises CorruptedCacheError on any mismatch with fiber."""
         if len(arrays) != 5:
             raise CorruptedCacheError(f"expected 5 arrays, found {len(arrays)}")
         head = arrays[0]
@@ -197,10 +193,10 @@ class IndexIdempotent:
             if g == 0 and row.size:
                 raise CorruptedCacheError(f"zero flag carries {row.size} entries")
             try:
-                families.append(SmoothingKernel(base, row if g else None, head[0], g or 1))
+                families.append(SmoothingKernel(fiber, row if g else None, head[0], g or 1))
             except ModelError as exc:
                 raise CorruptedCacheError(str(exc)) from exc
-        return cls(base, *families)
+        return cls(*families)
 
     def effective_radius(self) -> float:
         """Largest fiber distance carrying an entry above REACH_FLOOR * max entry.
@@ -215,7 +211,7 @@ class IndexIdempotent:
         for m in mags:
             live = m > cut
             if np.any(live):
-                dist = fiber_distance_matrix(self.base.fiber, m.shape[0])
+                dist = fiber_distance_matrix(self.skernel.fiber, m.shape[0])
                 radius = max(radius, float(dist[live].max()))
         return radius
 
@@ -245,14 +241,14 @@ def _row_max(blocks: np.ndarray) -> float:
 
 
 def index_idempotent(
-    fam: LeafwiseOperatorFamily,
+    block: OperatorBlock,
     radius: float | None = None,
     newton_tol: float = 1e-8,
 ) -> IndexIdempotent:
-    """Index idempotent of a family, optionally localized at a fiber radius.
+    """Index idempotent of an operator, optionally localized at a fiber radius.
 
     With no radius the construction is exact and each projector is stored
-    dense.  With a radius, each projector family is hard-truncated
+    dense.  With a radius, each projector is hard-truncated
     (``truncation_mask``) and idempotency restored by the cubic flow
     P -> 3 P^2 - 2 P^3, both on the certified block row
     (``certified_block_row``); failure to reach the tolerance within
@@ -260,7 +256,7 @@ def index_idempotent(
     and raises.  A remainder that parametrix set to zero is a projector
     already, and is stored as the zero flag.
     """
-    data = parametrix(fam)
+    data = parametrix(block)
     # The flow smears tolerance-scale mass back outside the cut (each step
     # spreads the support), so support_radius records the localization cut of
     # the construction rather than a hard zero; effective_radius measures the
@@ -269,8 +265,8 @@ def index_idempotent(
     families = []
     for r in (data.r0, data.r1):
         g, row = _stored_row(r, r.matrix.shape[0] - data.rank, radius, newton_tol)
-        families.append(SmoothingKernel(fam.base, row, reach, g))
-    return IndexIdempotent(fam.base, *families)
+        families.append(SmoothingKernel(block.domain.fiber, row, reach, g))
+    return IndexIdempotent(*families)
 
 
 def _stored_row(

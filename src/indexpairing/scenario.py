@@ -12,6 +12,7 @@ import ast
 import json
 import math
 import re
+import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -38,11 +39,10 @@ class ScenarioError(ModelError):
 
 _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
-# 2 x base_points x npoints^2 x 16 bytes: once a dense S0 and S1 at every
-# base point.  Every point now shares them, so this bounds the npoints^2
-# arrays a run still builds (an unlocalized S0 and S1, the dense expansions
-# of the invariance gate and of the elementary k = 1 chain) only up to its
-# base_points factor; it is kept so that the same scenarios load
+# 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once for every base
+# point.  It stands for the npoints^2 arrays a run builds (an unlocalized S0
+# and S1, the dense expansions of the invariance gate and of the elementary
+# k = 1 chain)
 _KERNEL_BUDGET = 2**30
 # cyclic^3 x base_points.  Build-space is linear in the cyclic x base_points
 # arrows, and the kernel invariance gate checks cyclic/2 group elements, not
@@ -164,8 +164,14 @@ def _validate(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
     name = _need(raw, "name", str, "scenario")
-    if not name or any(c in name for c in ",\n\r"):
-        raise ScenarioError("field scenario.name must be nonempty without commas")
+    # the name is a CSV cell and the stem of the echo and cache file names
+    if name in ("", ".", "..") or any(
+        c in ",/\\" or unicodedata.category(c) == "Cc" for c in name
+    ):
+        raise ScenarioError(
+            "field scenario.name must be nonempty, not . or .., and hold no "
+            "comma, slash, backslash or control character"
+        )
 
     group = dict(_need(raw, "groupoid", dict, "scenario"))
     gk = group.get("group", "trivial")
@@ -221,10 +227,10 @@ def _validate(raw: dict) -> Scenario:
             "fiber.grid must be at least 2*fourier_cutoff + 2 for exact quadrature"
         )
     # in log2, so that a huge dim cannot build a huge integer
-    log2_bytes = math.log2(2 * bp * 16) + 2 * dim * math.log2(n)
+    log2_bytes = math.log2(2 * 16) + 2 * dim * math.log2(n)
     if log2_bytes > math.log2(_KERNEL_BUDGET):
         raise ScenarioError(
-            f"fiber.grid {n} in {dim} dims over {bp} base points needs an estimated "
+            f"fiber.grid {n} in {dim} dims needs an estimated "
             f"2^{log2_bytes:.1f} bytes of dense kernels, above the "
             f"2^{math.log2(_KERNEL_BUDGET):.0f} byte budget"
         )

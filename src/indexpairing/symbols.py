@@ -1,11 +1,13 @@
 """Truncated symbol calculus on torus fibers.
 
-A symbol is sampled on the grid-times-mode lattice: one array of shape
-(npoints, nmodes) for every base point.  Every symbol here is scalar, as
-every section the workbench acts on is.  Quantization uses the standard left
-ordering: the matrix element of Op(a) between incoming mode nu and outgoing
-mode mu is the z-Fourier coefficient of a(., nu) at frequency mu - nu, with
-outgoing rows beyond the cutoff dropped.
+A symbol is sampled on the grid-times-mode lattice of one fiber: one array
+of shape (npoints, nmodes), which every base point shares, with a declared
+order.  Every symbol here is scalar, as every section the workbench acts
+on is.  Quantization uses the standard left ordering: the matrix element
+of Op(a) between incoming mode nu and outgoing mode mu is the z-Fourier
+coefficient of a(., nu) at frequency mu - nu, with outgoing rows beyond
+the cutoff dropped.  It returns the operator block; the order stays with
+the symbol, the only place that reads it.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import FiberModel, ModelError
-from .groupoid import BaseModel
-from .operators import LeafwiseOperatorFamily, OperatorBlock, fourier_basis
+from .operators import OperatorBlock, fourier_basis
 from .density import CutoffDensity, TransversalDensity
 
 SMOOTHING_ORDER = float("-inf")
@@ -32,18 +33,18 @@ class EllipticityError(ModelError):
 
 @dataclass
 class SymbolData:
-    """Sampled scalar symbol, the same over every base point, with declared order.
+    """Sampled scalar symbol on one fiber, with declared order.
 
     ``values`` has shape (npoints, nmodes).
     """
 
-    base: BaseModel
+    fiber: FiberModel
     order: float
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        fiber = self.base.fiber
+        fiber = self.fiber
         want = (fiber.npoints, fiber.nmodes)
         if self.values.shape != want:
             raise ModelError(f"symbol table has shape {self.values.shape}, expected {want}")
@@ -53,7 +54,7 @@ class SymbolData:
 
         Raises with the offending lattice points listed.
         """
-        modes = self.base.fiber.modes()
+        modes = self.fiber.modes()
         outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
         small = np.min(np.abs(self.values), axis=0)
         bad = np.nonzero(outside & (small <= ELLIPTIC_FLOOR))[0]
@@ -63,12 +64,11 @@ class SymbolData:
 
 
 def multiplier_symbol(
-    base: BaseModel, multiplier: Callable[[np.ndarray], np.ndarray], order: float
+    fiber: FiberModel, multiplier: Callable[[np.ndarray], np.ndarray], order: float
 ) -> SymbolData:
     """Symbol depending on the mode only; ``multiplier`` maps (nmodes, r) ints to values."""
-    fiber = base.fiber
     row = np.asarray(multiplier(fiber.modes()), dtype=complex)
-    return SymbolData(base, order, np.broadcast_to(row, (fiber.npoints, fiber.nmodes)).copy())
+    return SymbolData(fiber, order, np.broadcast_to(row, (fiber.npoints, fiber.nmodes)).copy())
 
 
 def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:
@@ -82,31 +82,15 @@ def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:
     return mat
 
 
-def quantize(sym: SymbolData) -> LeafwiseOperatorFamily:
+def quantize(sym: SymbolData) -> OperatorBlock:
     """Left quantization of a sampled symbol on the truncated Fourier basis.
 
     Mode-only symbols quantize to exact diagonal multipliers.  Outgoing
     frequencies that leave the retained box are dropped, which is the only
     truncation this map performs.
     """
-    fiber = sym.base.fiber
-    basis = fourier_basis(fiber)
-    block = OperatorBlock(basis, basis, _quantize_table(sym.values, fiber))
-    return LeafwiseOperatorFamily(sym.base, block, sym.order)
-
-
-def symbol_of(fam: LeafwiseOperatorFamily) -> SymbolData:
-    """Sampled symbol of an operator family on Fourier bases.
-
-    sigma(z, nu) = conj(e_nu(z)) * (P e_nu)(z).  Left-inverse of quantize on
-    mode-only symbols for every retained mode, and on variable band-limited
-    symbols for interior modes (outgoing-row truncation clips the edge).
-    """
-    block = fam.block
-    if block.domain.key[0] != "fourier" or block.codomain.key[0] != "fourier":
-        raise ModelError("symbol extraction requires Fourier-basis blocks")
-    E = fam.base.fiber.eval_matrix()
-    return SymbolData(fam.base, fam.order, np.conj(E) * (E @ block.matrix))
+    basis = fourier_basis(sym.fiber)
+    return OperatorBlock(basis, basis, _quantize_table(sym.values, sym.fiber))
 
 
 def trace_symbol_formula(
@@ -123,7 +107,7 @@ def trace_symbol_formula(
     if sym.order != SMOOTHING_ORDER:
         raise ModelError("the symbol-side trace needs a declared smoothing symbol")
     total = 0.0 + 0.0j
-    for x in range(len(sym.base)):
-        weighted = cutoff.fields[x][:, None] * sym.values
-        total += dens.mass(x) * np.sum(weighted) / sym.base.fiber.npoints
+    for x, c in enumerate(cutoff.fields):
+        weighted = c[:, None] * sym.values
+        total += dens.mass(x) * np.sum(weighted) / sym.fiber.npoints
     return complex(total)

@@ -44,7 +44,7 @@ from .forms import (
 )
 from .grids import FiberModel, ModelError
 from .groupoid import BaseModel
-from .operators import LeafwiseOperatorFamily
+from .operators import OperatorBlock
 from .parametrix import analytic_index
 from .space import FiberedGSpace
 
@@ -234,15 +234,14 @@ def half_shift_quotient_index(fiber: FiberModel, twist: int) -> int:
 
     The diagonal half-period shift identifies the torus with a half-area
     quotient torus; flux descends only when even, and halves.  The descended
-    operator is realized directly on a fresh unit torus with the halved
-    flux, and its spectral index is returned.
+    operator is realized directly on a unit torus of the same grid with the
+    halved flux, and its spectral index is returned.
     """
     if twist % 2 != 0:
         raise ModelError(
             f"flux {twist} does not descend to the half-shift quotient; it must be even"
         )
-    qbase = BaseModel(fiber, ["quotient"], [1.0])
-    return analytic_index(dolbeault_family(qbase, twist // 2, QUOTIENT_LEVELS)).index
+    return analytic_index(dolbeault_family(fiber, twist // 2, QUOTIENT_LEVELS)).index
 
 
 @dataclass
@@ -257,20 +256,20 @@ class FamilyIndexResult:
 
 def family_index_orbifold(
     space: FiberedGSpace,
-    fam: LeafwiseOperatorFamily,
+    block: OperatorBlock,
     cutoff: CutoffDensity,
     dens: TransversalDensity,
     sclass: SymbolClass,
 ) -> FamilyIndexResult:
     """Family index over an identified base versus the class integral.
 
-    The one operator's kernel and cokernel counts give the index at every
-    base point.  The orbit sum weights one representative per base orbit by
+    The kernel and cokernel counts of ``block``, the operator every base
+    point carries, give the index at every point.  The orbit sum weights one representative per base orbit by
     its mass; the topological value integrates the symbol class with the
     trivial cocycle.  Both land on the same number when the formula holds.
     """
     base = space.base
-    per_point = [analytic_index(fam).index] * len(base)
+    per_point = [analytic_index(block).index] * len(base)
     _assert_unimodular(dens)
     # one representative per base orbit: its least member
     orbit_sum = 0.0

@@ -6,10 +6,11 @@ checked one arrow per group element: one full FFT pair per partial
 derivative with the matrix entries as trailing, strided axes, the disc's
 radial and angular derivatives recomputed per axis, every field of the
 character held whole, and the kernel compared along every non-unit arrow.
-The library must agree with them bit for bit.  Section transport on a basis
-and the transport defect of an operator block, which no pipeline stage
-needs, and the shared test helpers (a bitwise comparison, the unit volume
-form) sit here too.
+The library must agree with them bit for bit.  Section transport on a basis,
+the transport defect of an operator block, the Gram defect of a basis, an
+operator block applied to a grid field and the symbol extracted from a
+Fourier block, which no pipeline stage needs, and the shared test helpers
+(a bitwise comparison, the unit volume form) sit here too.
 """
 import math
 
@@ -24,6 +25,7 @@ from indexpairing.forms import (
     subset_position,
 )
 from indexpairing.grids import TWO_PI_I, ModelError
+from indexpairing.symbols import SymbolData
 
 
 def spectral_derivative(field, axis, fiber):
@@ -125,9 +127,8 @@ def transport_matrix(gspace, a, domain, codomain):
     return codomain.matrix.conj().T @ moved / domain.fiber.npoints
 
 
-def family_invariance_defect(gspace, fam):
-    """Max over arrows of |U_a P - P U_a| for the operator block P of a family."""
-    block = fam.block
+def family_invariance_defect(gspace, block):
+    """Max over arrows of |U_a P - P U_a| for the operator block P."""
     worst = 0.0
     for a in gspace.groupoid.arrows:
         U_dom = transport_matrix(gspace, a, block.domain, block.domain)
@@ -135,6 +136,33 @@ def family_invariance_defect(gspace, fam):
         defect = U_cod @ block.matrix - block.matrix @ U_dom
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
+
+
+def gram_defect(basis):
+    """Largest entry of E^H E / n - 1 for the evaluation matrix E of a section basis."""
+    G = basis.matrix.conj().T @ basis.matrix / basis.fiber.npoints
+    return float(np.max(np.abs(G - np.eye(basis.size))))
+
+
+def apply_block(block, fieldvec):
+    """The operator of a block on a grid field: project onto the domain basis,
+    apply the matrix, synthesize on the codomain basis."""
+    coeffs = block.domain.matrix.conj().T @ fieldvec / block.domain.fiber.npoints
+    return block.codomain.matrix @ (block.matrix @ coeffs)
+
+
+def symbol_of(block, order):
+    """Sampled symbol, of declared ``order``, of an operator block on Fourier bases.
+
+    sigma(z, nu) = conj(e_nu(z)) * (P e_nu)(z).  Left-inverse of quantize on
+    mode-only symbols for every retained mode, and on variable band-limited
+    symbols for interior modes (outgoing-row truncation clips the edge).
+    The block must act on the Fourier basis of its fiber, as quantized
+    blocks do.
+    """
+    fiber = block.domain.fiber
+    E = fiber.eval_matrix()
+    return SymbolData(fiber, order, np.conj(E) * (E @ block.matrix))
 
 
 def same_bits(a, b):

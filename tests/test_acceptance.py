@@ -70,8 +70,7 @@ def test_criterion_01_flat_twists_match_spectral_counts():
     disc = DiscModel(9.0, 48, 48)
     alpha = unit_zero_form(space)
     for d in (1, -2, -1, 0, 2):
-        fam = dolbeault_family(space.base, d, levels=2)
-        assert analytic_index(fam).index == d
+        assert analytic_index(dolbeault_family(space.base.fiber, d, levels=2)).index == d
         sclass = symbol_class_dolbeault(space.base.fiber, disc, d)
         topo = topological_index(space, cutoff, dens, alpha, sclass)
         assert abs(topo - d) <= 1e-6, f"flux {d}: |topo - {d}| = {abs(topo - d):.3e}"
@@ -172,9 +171,9 @@ def test_criterion_09_localization_stability():
     space = trivial_space(n=48, N=23)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 32, levels=2)
-    idem_wide = index_idempotent(fam, radius=0.44, newton_tol=1e-10)
-    idem_half = index_idempotent(fam, radius=0.22, newton_tol=1e-10)
+    block = dolbeault_family(space.base.fiber, 32, levels=2)
+    idem_wide = index_idempotent(block, radius=0.44, newton_tol=1e-10)
+    idem_half = index_idempotent(block, radius=0.22, newton_tol=1e-10)
 
     unit = ASCochain.unit(space.base, germ_radius=np.inf)
     d_unit = abs(
@@ -184,7 +183,7 @@ def test_criterion_09_localization_stability():
     assert d_unit <= 1e-8, f"degree-0 drift {d_unit:.3e}"
 
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(space.base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(space.base.fiber, [(0, saw), (1, saw)])
     d_saw = abs(
         pair_cocycle(idem_wide, phi, cutoff, dens)
         - pair_cocycle(idem_half, phi, cutoff, dens)
@@ -192,7 +191,7 @@ def test_criterion_09_localization_stability():
     assert d_saw <= 1e-8, f"degree-2 drift {d_saw:.3e}"
 
     narrow = TransitionProfile(linear_radius=0.10, support_radius=0.22)
-    unfaithful = ProfileCochain(space.base, [(0, narrow), (1, narrow)])
+    unfaithful = ProfileCochain(space.base.fiber, [(0, narrow), (1, narrow)])
     for idem in (idem_wide, idem_half):
         with pytest.raises(SupportMismatchError):
             pair_cocycle(idem, unfaithful, cutoff, dens)

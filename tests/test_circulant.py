@@ -12,7 +12,6 @@ import pytest
 
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.grids import FiberModel
-from indexpairing.groupoid import BaseModel
 from indexpairing.operators import (
     CIRCULANT_RTOL,
     OperatorBlock,
@@ -59,14 +58,10 @@ def is_block_circulant(m, g):
     return True
 
 
-def one_point_base(n, N):
-    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
-
-
 def kernel_remainder(n, N, twist):
-    """The kernel projector block of the twisted Dolbeault family, and its base."""
-    base = one_point_base(n, N)
-    return base, parametrix(dolbeault_family(base, twist, levels=2)).r0
+    """The fiber, and the kernel projector block of the twisted Dolbeault operator."""
+    fiber = FiberModel(2, N, n)
+    return fiber, parametrix(dolbeault_family(fiber, twist, levels=2)).r0
 
 
 def dense_cut(block, radius):
@@ -76,8 +71,8 @@ def dense_cut(block, radius):
 
 def truncated_projector(n, N, twist, radius):
     """Kernel projector S0 of the twisted Dolbeault block, cut at radius."""
-    base, block = kernel_remainder(n, N, twist)
-    return base, dense_cut(block, radius)
+    fiber, block = kernel_remainder(n, N, twist)
+    return fiber, dense_cut(block, radius)
 
 
 def dense_newton_flow(P, max_steps, tol):
@@ -130,24 +125,24 @@ def _random_near_projector(rng, npts, rank):
 
 @pytest.fixture(scope="module")
 def flow_cases():
-    """(name, base, matrix, expected order): two flux projectors and two g = 1 kernels."""
-    base8, S8 = truncated_projector(24, 8, 8, 0.45)
-    base12, S12 = truncated_projector(30, 11, 12, 0.45)
+    """(name, fiber, matrix, expected order): two flux projectors and two g = 1 kernels."""
+    fiber8, S8 = truncated_projector(24, 8, 8, 0.45)
+    fiber12, S12 = truncated_projector(30, 11, 12, 0.45)
     rng = np.random.default_rng(53)
     moved = S8.copy()
     moved[3, 5] += 1e-9 * np.max(np.abs(S8))
     return [
-        ("flux8-grid24", base8, S8, 8),
-        ("flux12-grid30", base12, S12, 6),
-        ("random-hermitian", base8, _random_near_projector(rng, 576, 8), 1),
-        ("moved-entry", base8, moved, 1),
+        ("flux8-grid24", fiber8, S8, 8),
+        ("flux12-grid30", fiber12, S12, 6),
+        ("random-hermitian", fiber8, _random_near_projector(rng, 576, 8), 1),
+        ("moved-entry", fiber8, moved, 1),
     ]
 
 
 @pytest.mark.parametrize("case", range(4))
 def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
-    name, base, S, order = flow_cases[case]
-    n = base.fiber.grid_size
+    name, fiber, S, order = flow_cases[case]
+    n = fiber.grid_size
     assert circulant_order(S, n) == order, name
     want, want_defect, want_steps = dense_newton_flow(S, MAX_NEWTON_STEPS, 1e-8)
     got, got_defect, got_steps = block_newton_flow(S, n, 1e-8)
@@ -159,7 +154,7 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     npts = S.shape[0]
     cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
@@ -174,14 +169,14 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
     # the flux-24 benchmark projector, S4's and the two flow cases: the
     # certificate chooses the block count the dense scan of the cut grid
     # matrix finds, and its block row is that matrix's first rows, bit for bit
-    base, block = kernel_remainder(n, N, twist)
+    fiber, block = kernel_remainder(n, N, twist)
     S = dense_cut(block, 0.30)
     assert circulant_order(S, n) == order
     g, row = certified_block_row(block, 0.30)
     assert g == order
     assert np.array_equal(row, S[: S.shape[0] // g])
 
-    idem = index_idempotent(dolbeault_family(base, twist, levels=2), radius=0.30)
+    idem = index_idempotent(dolbeault_family(fiber, twist, levels=2), radius=0.30)
     assert idem.skernel.order == order
     assert idem.skernel.row.shape == (S.shape[0] // order, S.shape[0])
     # S1 of a positive flux is exactly zero, and stored as the flag alone
@@ -197,7 +192,7 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(partner, coarse
     # rotated block stays an orthogonal projector.  Sweeping eps across the
     # tolerance, every block count the certificate accepts must pass the
     # dense scan of the same cut grid matrix.
-    base, block = kernel_remainder(24, 8, 8)
+    _, block = kernel_remainder(24, 8, 8)
     s = 8
     H = np.zeros_like(block.matrix)
     H[0, s + partner] = H[s + partner, 0] = 1.0
@@ -222,10 +217,10 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(partner, coarse
 def test_leg_mask_rows_are_block_row_zero_of_the_full_mask(n):
     # the profile chain builds only block row 0 of each mask, and relies on
     # the full mask being block circulant in every g dividing the grid size
-    base = one_point_base(n, (n - 2) // 2)
-    npts = base.fiber.npoints
+    fiber = FiberModel(2, (n - 2) // 2, n)
+    npts = fiber.npoints
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     for i in (0, 1):
         W = phi.leg_mask(i, npts)
         assert circulant_order(W, n) == n

@@ -4,7 +4,6 @@ import pytest
 
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import (
-    dolbeault_block,
     dolbeault_family,
     hermite_values,
     landau_basis,
@@ -17,6 +16,7 @@ from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, circulant_dense, trace_tau
 from indexpairing.parametrix import (
+    IndexIdempotent,
     LocalizationError,
     ThresholdAmbiguityError,
     analytic_index,
@@ -25,15 +25,11 @@ from indexpairing.parametrix import (
     parametrix,
 )
 from indexpairing.space import FiberedGSpace
-from oracles import spectral_derivative
-
-
-def torus_base(n=20, N=8):
-    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+from oracles import gram_defect, same_bits, spectral_derivative
 
 
 def trivial_space(n=20, N=8):
-    base = torus_base(n, N)
+    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
@@ -77,7 +73,7 @@ def test_landau_basis_is_orthonormal_on_grid(twist):
     fiber = FiberModel(2, 8, 20)
     basis = landau_basis(fiber, twist, max_level=4)
     assert basis.size == abs(twist) * 5
-    assert basis.gram_defect() <= 1e-10
+    assert gram_defect(basis) <= 1e-10
 
 
 _FD6 = (
@@ -106,7 +102,7 @@ def dolbeault_apply_fd(field, twist, fiber):
 def test_ladder_matches_finite_difference_application(twist):
     """The assembled matrix against an independent quasi-periodic stencil."""
     fiber = FiberModel(2, 8, 32)
-    block = dolbeault_block(fiber, twist, levels=3)
+    block = dolbeault_family(fiber, twist, levels=3)
     scale = np.sqrt(np.pi * abs(twist) * 3)
     dom = block.domain
     for k in range(dom.size):
@@ -118,7 +114,7 @@ def test_ladder_matches_finite_difference_application(twist):
 
 def test_zero_twist_block_is_exact_multiplier():
     fiber = FiberModel(2, 3, 12)
-    block = dolbeault_block(fiber, 0, levels=1)
+    block = dolbeault_family(fiber, 0, levels=1)
     modes = fiber.modes()
     expected = np.pi * 1j * (modes[:, 0] + 1j * modes[:, 1])
     assert np.max(np.abs(block.matrix - np.diag(expected))) == 0.0
@@ -126,9 +122,7 @@ def test_zero_twist_block_is_exact_multiplier():
 
 @pytest.mark.parametrize("twist,expected", [(-2, -2), (-1, -1), (0, 0), (1, 1), (2, 2)])
 def test_spectral_index_matches_twist(twist, expected):
-    base = torus_base()
-    fam = dolbeault_family(base, twist, levels=4)
-    count = analytic_index(fam)
+    count = analytic_index(dolbeault_family(FiberModel(2, 8, 20), twist, levels=4))
     assert count.index == expected
     if twist > 0:
         assert count.kernel_dim == twist and count.cokernel_dim == 0
@@ -146,40 +140,32 @@ def test_certified_rank_flags_ambiguity():
 
 
 def test_parametrix_remainders_are_kernel_projectors():
-    base = torus_base()
-    fam = dolbeault_family(base, 2, levels=4)
-    data = parametrix(fam)
+    fiber = FiberModel(2, 8, 20)
+    data = parametrix(dolbeault_family(fiber, 2, levels=4))
     r0 = data.r0.matrix
     r1 = data.r1.matrix
     assert np.max(np.abs(r0 @ r0 - r0)) <= 1e-12
     assert np.linalg.matrix_rank(r0) == 2
     assert np.max(np.abs(r1)) <= 1e-12
-    fam_neg = dolbeault_family(base, -2, levels=4)
-    data_neg = parametrix(fam_neg)
+    data_neg = parametrix(dolbeault_family(fiber, -2, levels=4))
     assert np.max(np.abs(data_neg.r0.matrix)) <= 1e-12
     assert np.linalg.matrix_rank(data_neg.r1.matrix) == 2
 
 
 def test_index_is_stable_under_small_perturbations():
-    base = torus_base()
     rng = np.random.default_rng(13)
-    fam = dolbeault_family(base, 1, levels=4)
+    block = dolbeault_family(FiberModel(2, 8, 20), 1, levels=4)
     gap = np.sqrt(np.pi)  # smallest nonzero ladder coefficient
-    block = fam.block
     noise = rng.normal(size=block.matrix.shape) + 1j * rng.normal(size=block.matrix.shape)
     noise *= 0.1 * gap / np.linalg.norm(noise, 2)
     bumped = OperatorBlock(block.domain, block.codomain, block.matrix + noise)
-    from indexpairing.operators import LeafwiseOperatorFamily
-
-    fam2 = LeafwiseOperatorFamily(base, bumped, fam.order)
-    count = analytic_index(fam2)
-    assert count.index == 1
+    assert analytic_index(bumped).index == 1
 
 
 @pytest.mark.parametrize("twist", [2, -2])
 def test_magnetic_translation_is_unitary_and_commutes(twist):
     fiber = FiberModel(2, 8, 20)
-    block = dolbeault_block(fiber, twist, levels=4)
+    block = dolbeault_family(fiber, twist, levels=4)
     v = (10, 10)  # half shift on the n = 20 grid
     U_dom = magnetic_translation_matrix(block.domain, v, twist)
     U_cod = magnetic_translation_matrix(block.codomain, v, twist)
@@ -208,8 +194,7 @@ def test_magnetic_translation_needs_compatible_twist():
 @pytest.mark.parametrize("twist", [1, -1, 0])
 def test_graph_idempotent_is_exact_and_traces_to_the_index(twist):
     space = trivial_space()
-    fam = dolbeault_family(space.base, twist, levels=4)
-    idem = index_idempotent(fam)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, twist, levels=4))
     assert idempotent_defect(idem) <= 1e-10
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
@@ -219,8 +204,7 @@ def test_graph_idempotent_is_exact_and_traces_to_the_index(twist):
 
 def test_localized_idempotent_converges_and_stays_local():
     space = trivial_space(n=24, N=8)
-    fam = dolbeault_family(space.base, 8, levels=2)
-    idem = index_idempotent(fam, radius=0.45)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, 8, levels=2), radius=0.45)
     assert idempotent_defect(idem) <= 1e-8
     assert idem.skernel.order == 8
     assert idem.skernel.support_radius == idem.cokernel.support_radius == 0.45
@@ -231,9 +215,24 @@ def test_localized_idempotent_converges_and_stays_local():
 
 
 def test_localization_error_when_budget_exhausted(monkeypatch):
-    space = trivial_space(n=24, N=8)
-    fam = dolbeault_family(space.base, 8, levels=2)
+    block = dolbeault_family(FiberModel(2, 8, 24), 8, levels=2)
     monkeypatch.setattr(parametrix_module, "MAX_NEWTON_STEPS", 1)
     with pytest.raises(LocalizationError):
-        index_idempotent(fam, radius=0.18)
+        index_idempotent(block, radius=0.18)
+
+
+def test_operator_pipeline_needs_only_the_fiber():
+    # operator, spectral count, localized idempotent and its cached form are
+    # built from a fiber model alone: no base, groupoid or density exists
+    fiber = FiberModel(2, 8, 24)
+    block = dolbeault_family(fiber, 8, levels=2)
+    assert analytic_index(block).index == 8
+    idem = index_idempotent(block, radius=0.45)
+    arrays = idem.arrays()
+    back = IndexIdempotent.from_arrays(fiber, arrays)
+    assert back.skernel.fiber is back.cokernel.fiber is fiber
+    assert len(back.arrays()) == len(arrays) == 5
+    assert all(
+        a.dtype == b.dtype and same_bits(a, b) for a, b in zip(back.arrays(), arrays)
+    )
 

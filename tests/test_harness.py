@@ -83,6 +83,17 @@ def test_scenario_defaults_filled():
         (lambda raw: raw.pop("seed"), "scenario.seed"),
         (lambda raw: raw.update(seed=2**64), "64 bits"),
         (lambda raw: raw.update(name="a,b"), "name"),
+        # a name is the stem of the echo and cache file names: it may not
+        # leave the output directory nor reach the file system as a bad path
+        (lambda raw: raw.update(name="../escaped"), "scenario.name"),
+        (lambda raw: raw.update(name="a/b"), "scenario.name"),
+        (lambda raw: raw.update(name="a\\b"), "scenario.name"),
+        (lambda raw: raw.update(name="."), "scenario.name"),
+        (lambda raw: raw.update(name=".."), "scenario.name"),
+        (lambda raw: raw.update(name="nul\u0000byte"), "scenario.name"),
+        (lambda raw: raw.update(name="tab\there"), "scenario.name"),
+        (lambda raw: raw.update(name="del\x7f"), "scenario.name"),
+        (lambda raw: raw.update(name=""), "scenario.name"),
         (lambda raw: raw["fiber"].update(grid=9), "2*fourier_cutoff"),
         (lambda raw: raw["fiber"].update(grid=130), "at most 128"),
         (lambda raw: raw["fiber"].update(fourier_cutoff=0), "fourier_cutoff"),
@@ -207,6 +218,10 @@ def test_scenario_defaults_filled():
         (lambda raw: raw["fiber"].update(dim=3, grid=10), "fiber.dim must be 2"),
         (lambda raw: raw["fiber"].update(grid=128), "fiber.grid 128 in 2 dims"),
         (
+            lambda raw: raw["fiber"].update(grid=96),
+            "fiber.grid 96 in 2 dims needs an estimated 2.31.3 bytes",
+        ),
+        (
             lambda raw: raw.update(
                 operator={"builtin": "multiplier", "symbol": "xi3 + 1"}
             ),
@@ -309,6 +324,14 @@ def test_scenario_validation_names_offending_field(mutate, fragment):
         _validate(raw)
 
 
+def test_kernel_budget_does_not_count_base_points():
+    # S0 and S1 are held once for every base point, so S4 over seven points
+    # costs what it costs over one
+    raw = copy.deepcopy(BUILTIN_SCENARIOS["S4-sawtooth-flux32"]["doc"])
+    raw["groupoid"] = {"group": "trivial", "base_points": 7}
+    assert _validate(raw).group["base_points"] == 7
+
+
 def test_scenario_rejects_non_object_document():
     with pytest.raises(ScenarioError, match="JSON object"):
         _validate([1, 2, 3])
@@ -367,14 +390,14 @@ def test_coefficients_roundtrip(tmp_path):
 
 def test_coefficients_reject_unsupported_dtype(tmp_path):
     # the archive keeps any dtype; the idempotent refuses a non-complex kernel
-    base = BaseModel(FiberModel(2, 3, 12), ["pt"], [1.0])
-    npts = base.fiber.npoints
+    fiber = FiberModel(2, 3, 12)
+    npts = fiber.npoints
     path = tmp_path / "k.opk"
     one = np.array([1])
     kernels = [one, np.eye(npts, dtype=np.int32), one, np.eye(npts, dtype=complex)]
     save_coefficients(path, [np.array([np.inf])] + kernels)
     with pytest.raises(CorruptedCacheError, match="row dtype int32"):
-        IndexIdempotent.from_arrays(base, load_coefficients(path))
+        IndexIdempotent.from_arrays(fiber, load_coefficients(path))
 
 
 def test_corrupted_coefficients_detected(tmp_path):
@@ -586,14 +609,14 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
 
 def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
     # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the flag
-    base = BaseModel(FiberModel(2, 8, 24), ["pt"], [1.0])
-    idem = index_idempotent(dolbeault_family(base, 8, levels=2), radius=0.45)
+    fiber = FiberModel(2, 8, 24)
+    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     arrays = idem.arrays()
     assert [a.shape for a in arrays] == [(1,), (1,), (72, 576), (1,), (0, 0)]
     assert [int(arrays[1][0]), int(arrays[3][0])] == [8, 0]
     path = tmp_path / "k.opk"
     save_coefficients(path, arrays)
-    back = IndexIdempotent.from_arrays(base, load_coefficients(path))
+    back = IndexIdempotent.from_arrays(fiber, load_coefficients(path))
     for got, want in zip(back.families, idem.families):
         assert got.support_radius == want.support_radius == 0.45
         assert got.order == want.order
@@ -625,11 +648,11 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
     (cache,) = (out / "cache").glob("*.idem.opk")
     good = load_coefficients(cache)
     assert [int(good[1][0]), int(good[3][0])] == [1, 0]
-    base = BaseModel(FiberModel(2, 4, 12), ["pt"], [1.0])
+    fiber = FiberModel(2, 4, 12)
     capsys.readouterr()
     for name, layout, fragment in _refused_layouts(good):
         with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):
-            IndexIdempotent.from_arrays(base, layout)
+            IndexIdempotent.from_arrays(fiber, layout)
         save_coefficients(cache, layout)
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2, name
         assert fragment in capsys.readouterr().err, name
@@ -710,11 +733,11 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     space = harness._build_space(scn)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity(space, scn.density["values"])
-    idem = index_idempotent(dolbeault_family(space.base, 8, levels=2), radius=0.45)
+    fiber = space.base.fiber
+    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8
     dense = IndexIdempotent(
-        space.base,
-        *(SmoothingKernel(space.base, f.dense(), f.support_radius) for f in idem.families),
+        *(SmoothingKernel(fiber, f.dense(), f.support_radius) for f in idem.families)
     )
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     for kern, dense_kern in zip(idem.families, dense.families):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from indexpairing.cochains import ASCochain, ASTerm, d_as, van_est_realize
-from indexpairing.density import compute_cutoff, TransversalDensity
+from indexpairing.density import CutoffDensity, compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
@@ -23,8 +23,9 @@ from indexpairing.parametrix import IndexIdempotent, index_idempotent
 from indexpairing.space import FiberedGSpace
 
 
-def torus_base(n=20, N=8):
-    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+def torus_base(n=20, N=8, weights=(1.0,)):
+    names = [f"x{i}" for i in range(len(weights))]
+    return BaseModel(FiberModel(2, N, n), names, list(weights))
 
 
 def trivial_space(n=20, N=8):
@@ -46,7 +47,7 @@ def elementary_one_cochain(rng, base, band=2, germ=2.0):
 
 def profile_values(phi, x, tuples):
     """Pointwise values of a profile cochain: the product of its leg profiles."""
-    fiber = phi.base.fiber
+    fiber = phi.fiber
     pts = grid_points(fiber.grid_size, fiber.dim)
     tuples = np.asarray(tuples, dtype=int)
     assert tuples.ndim == 2 and tuples.shape[1] == phi.degree + 1
@@ -98,12 +99,10 @@ def test_profile_fourier_reconstruction():
 
 
 def test_profile_cochain_evaluates_leg_products():
-    base = torus_base(n=12, N=3)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(FiberModel(2, 3, 12), [(0, saw), (1, saw)])
     assert phi.degree == 2
     assert phi.germ_radius == 0.45
-    fiber = base.fiber
     pts = np.stack(
         np.meshgrid(*([np.arange(12) / 12.0] * 2), indexing="ij"), axis=-1
     ).reshape(-1, 2)
@@ -119,8 +118,7 @@ def test_profile_cochain_evaluates_leg_products():
 def test_profile_cochain_masks_are_antisymmetric():
     saw = TransitionProfile(linear_radius=0.4)
     for n in (10, 20):
-        base = torus_base(n=n, N=3)
-        phi = ProfileCochain(base, [(0, saw), (1, saw)])
+        phi = ProfileCochain(FiberModel(2, 3, n), [(0, saw), (1, saw)])
         pts = grid_points(n, 2)
         for leg in range(2):
             W = phi.leg_mask(leg, n * n)
@@ -133,36 +131,41 @@ def test_profile_cochain_masks_are_antisymmetric():
 
 
 def test_profile_cochain_validation():
-    base = torus_base(n=10, N=3)
+    fiber = FiberModel(2, 3, 10)
     saw = TransitionProfile()
     with pytest.raises(ModelError):
-        ProfileCochain(base, [(0, saw)])
+        ProfileCochain(fiber, [(0, saw)])
     with pytest.raises(ModelError):
-        ProfileCochain(base, [])
+        ProfileCochain(fiber, [])
     with pytest.raises(ModelError):
-        ProfileCochain(base, [(2, saw), (0, saw)])
+        ProfileCochain(fiber, [(2, saw), (0, saw)])
     compact = TransitionProfile(linear_radius=0.1, support_radius=0.2)
-    mixed = ProfileCochain(base, [(0, compact), (1, TransitionProfile(0.45))])
+    mixed = ProfileCochain(fiber, [(0, compact), (1, TransitionProfile(0.45))])
     assert mixed.germ_radius == 0.1
 
 
 def test_van_est_form_is_constant_signed_volume():
-    base = torus_base(n=12, N=4)
+    base = torus_base(n=12, N=4, weights=(1.0, 2.0))
     saw = TransitionProfile()
-    aligned = ProfileCochain(base, [(0, saw), (1, saw)]).van_est_form()
-    flipped = ProfileCochain(base, [(1, saw), (0, saw)]).van_est_form()
-    repeated = ProfileCochain(base, [(0, saw), (0, saw)]).van_est_form()
+
+    def form(legs):
+        return ProfileCochain(base.fiber, legs).van_est_form(base)
+
+    aligned = form([(0, saw), (1, saw)])
+    flipped = form([(1, saw), (0, saw)])
+    repeated = form([(0, saw), (0, saw)])
     assert aligned.degree == 2 and aligned.ncomp == 1
-    assert np.all(aligned.fields[0] == 1.0)
-    assert np.all(flipped.fields[0] == -1.0)
-    assert np.all(repeated.fields[0] == 0.0)
+    for x in range(2):
+        assert np.all(aligned.fields[x] == 1.0)
+        assert np.all(flipped.fields[x] == -1.0)
+        assert np.all(repeated.fields[x] == 0.0)
 
 
 def test_to_elementary_matches_profile_values():
     base = torus_base(n=34, N=16)
     soft = TransitionProfile(linear_radius=0.2)
-    phi = ProfileCochain(base, [(0, soft), (1, soft)])
-    elem = phi.to_elementary()
+    phi = ProfileCochain(base.fiber, [(0, soft), (1, soft)])
+    elem = phi.to_elementary(base)
     rng = np.random.default_rng(3)
     tuples = rng.integers(0, 34 * 34, size=(40, 3))
     direct = profile_values(phi, 0, tuples)
@@ -170,7 +173,7 @@ def test_to_elementary_matches_profile_values():
     assert np.max(np.abs(direct - expanded)) <= 2e-4
 
     realized = van_est_realize(elem)
-    exact = phi.van_est_form()
+    exact = phi.van_est_form(base)
     gap = max(
         float(np.max(np.abs(realized.fields[x] - exact.fields[x])))
         for x in range(len(base))
@@ -184,8 +187,7 @@ def test_pairing_unit_recovers_analytic_index():
     dens = TransversalDensity.uniform(space)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     for d in (1, -2):
-        fam = dolbeault_family(space.base, d, levels=2)
-        idem = index_idempotent(fam)
+        idem = index_idempotent(dolbeault_family(space.base.fiber, d, levels=2))
         value = pair_cocycle(idem, unit, cutoff, dens)
         assert abs(value - d) <= 1e-9
 
@@ -194,13 +196,13 @@ def test_pairing_of_zero_idempotent_vanishes():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    npts = space.base.fiber.npoints
-    zero = SmoothingKernel(space.base, np.zeros((npts, npts)))
-    idem = IndexIdempotent(space.base, zero, zero)
+    fiber = space.base.fiber
+    zero = SmoothingKernel(fiber, np.zeros((fiber.npoints, fiber.npoints)))
+    idem = IndexIdempotent(zero, zero)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     assert pair_cocycle(idem, unit, cutoff, dens) == 0
     saw = TransitionProfile()
-    phi = ProfileCochain(space.base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     assert pair_cocycle(idem, phi, cutoff, dens) == 0
 
 
@@ -208,8 +210,7 @@ def test_pairing_kills_coboundaries_trivial_group():
     space = trivial_space(n=20, N=8)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 2, levels=2)
-    idem = index_idempotent(fam)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
     rng = np.random.default_rng(11)
     for _ in range(5):
         psi = elementary_one_cochain(rng, space.base)
@@ -221,8 +222,7 @@ def test_pairing_kills_coboundaries_shift_group():
     space = half_shift_space(n=20, N=8)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 2, levels=2)
-    idem = index_idempotent(fam)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
     arrow = [a for a in space.groupoid.arrows if a != space.groupoid.units[0]][0]
     rng = np.random.default_rng(23)
     for _ in range(3):
@@ -247,9 +247,9 @@ def test_pairing_homotopy_stability_k0():
     space = trivial_space(n=24, N=8)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 8, levels=2)
-    exact = index_idempotent(fam)
-    localized = index_idempotent(fam, radius=0.45)
+    block = dolbeault_family(space.base.fiber, 8, levels=2)
+    exact = index_idempotent(block)
+    localized = index_idempotent(block, radius=0.45)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     a = pair_cocycle(exact, unit, cutoff, dens)
     b = pair_cocycle(localized, unit, cutoff, dens)
@@ -264,11 +264,11 @@ def test_pairing_homotopy_stability_k1():
     space = trivial_space(n=32, N=15)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 16, levels=2)
+    block = dolbeault_family(space.base.fiber, 16, levels=2)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(space.base, [(0, saw), (1, saw)])
-    a = pair_cocycle(index_idempotent(fam, radius=0.45), phi, cutoff, dens)
-    b = pair_cocycle(index_idempotent(fam, radius=0.36), phi, cutoff, dens)
+    phi = ProfileCochain(space.base.fiber, [(0, saw), (1, saw)])
+    a = pair_cocycle(index_idempotent(block, radius=0.45), phi, cutoff, dens)
+    b = pair_cocycle(index_idempotent(block, radius=0.36), phi, cutoff, dens)
     assert abs(a - b) <= 5e-6
 
 
@@ -284,12 +284,46 @@ def test_pairing_matches_volume_class_value():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(space.base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(space.base.fiber, [(0, saw), (1, saw)])
     for flux in (16, -16):
-        fam = dolbeault_family(space.base, flux, levels=2)
-        idem = index_idempotent(fam, radius=0.45)
+        idem = index_idempotent(dolbeault_family(space.base.fiber, flux, levels=2), radius=0.45)
         value = pair_cocycle(idem, phi, cutoff, dens)
         assert abs(value - (-1.0 / (2.0j * np.pi))) <= 5e-5
+
+
+def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypatch):
+    # three points with masses 0.5, 1 and 2 and cutoff fields that differ
+    # from point to point: the chain runs once per nonzero projector (S1 of
+    # flux 8 is zero), and its value is the mass-weighted sum of the values
+    # each point's cutoff gives on a one-point base
+    masses = (0.5, 1.0, 2.0)
+    fiber = FiberModel(2, 8, 24)
+    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
+    saw = TransitionProfile(linear_radius=0.45)
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
+    pts = grid_points(fiber.grid_size, 2)
+    fields = [1.0 + 0.5 * np.cos(2 * np.pi * (x + 1) * pts[:, x % 2]) for x in range(3)]
+    calls = []
+    inner = pairing._weighted_profile_chain
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(pairing, "_weighted_profile_chain", counted)
+
+    def pair(weights, cutoff_fields):
+        base = BaseModel(fiber, [f"x{i}" for i in range(len(weights))], list(weights))
+        space = FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+        cutoff = CutoffDensity(space, cutoff_fields)
+        return pair_cocycle(idem, phi, cutoff, TransversalDensity.uniform(space))
+
+    value = pair(masses, fields)
+    assert len(calls) == 1
+    singles = [pair([1.0], [c]) for c in fields]
+    assert len(calls) == 4
+    want = sum(m * v for m, v in zip(masses, singles))
+    assert abs(value - want) <= 1e-14 * abs(want)
 
 
 def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
@@ -298,11 +332,11 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     space = trivial_space(n=24, N=8)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    idem = index_idempotent(dolbeault_family(space.base, 8, levels=2), radius=0.45)
+    fiber = space.base.fiber
+    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8 and idem.cokernel.row is None
     dense = IndexIdempotent(
-        space.base,
-        *(SmoothingKernel(space.base, f.dense(), f.support_radius) for f in idem.families),
+        *(SmoothingKernel(fiber, f.dense(), f.support_radius) for f in idem.families)
     )
     rng = np.random.default_rng(43)
     factors = [[random_band_limited(rng, space.base.fiber, band=2)] for _ in range(3)]
@@ -316,8 +350,7 @@ def test_pairing_rejects_bad_inputs():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 1, levels=1)
-    idem = index_idempotent(fam)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, 1, levels=1))
     ones = [np.ones(space.base.fiber.npoints, dtype=complex)]
     with pytest.raises(ModelError):
         pair_cocycle(
@@ -335,15 +368,14 @@ def test_pairing_support_gate():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    fam = dolbeault_family(space.base, 1, levels=1)
-    idem = index_idempotent(fam)
+    idem = index_idempotent(dolbeault_family(space.base.fiber, 1, levels=1))
     tight = ASCochain.unit(space.base, germ_radius=3.0 / 12)  # three grid steps
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, tight, cutoff, dens)
     # compact legs do not widen the trust region: the unlocalized kernel
     # reaches their roll-off, where the cochain stops being a cocycle
     compact = TransitionProfile(linear_radius=0.1, support_radius=0.2)
-    phi = ProfileCochain(space.base, [(0, compact), (1, compact)])
+    phi = ProfileCochain(space.base.fiber, [(0, compact), (1, compact)])
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, phi, cutoff, dens)
     wide = ASCochain.unit(space.base, germ_radius=2.0)
@@ -355,12 +387,13 @@ def test_pairing_rejects_noninvariant_kernels():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     rng = np.random.default_rng(5)
-    npts = space.base.fiber.npoints
+    fiber = space.base.fiber
+    npts = fiber.npoints
     raw = rng.standard_normal((npts, npts)) / npts
-    # an invariant (zero) kernel family and a non-invariant cokernel family:
-    # the gate has to look at both
-    zero = SmoothingKernel(space.base, np.zeros((npts, npts)))
-    idem = IndexIdempotent(space.base, zero, SmoothingKernel(space.base, raw))
+    # an invariant (zero) kernel and a non-invariant cokernel projector: the
+    # gate has to look at both
+    zero = SmoothingKernel(fiber, np.zeros((npts, npts)))
+    idem = IndexIdempotent(zero, SmoothingKernel(fiber, raw))
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, cutoff, dens)
@@ -441,8 +474,7 @@ class FixedMasks:
     order 1 may be paired with it.
     """
 
-    def __init__(self, base, masks):
-        self.base = base
+    def __init__(self, masks):
         self.masks = masks
 
     def leg_mask(self, i, rows):
@@ -465,17 +497,17 @@ def chain_products(monkeypatch):
 
 @pytest.mark.parametrize("which", ["general", "hermitian"])
 def test_profile_chain_matches_six_term_oracle(which, chain_products):
-    base = torus_base(n=8, N=3)
-    npts = base.fiber.npoints
+    fiber = FiberModel(2, 3, 8)
+    npts = fiber.npoints
     rng = np.random.default_rng(31)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels[which]
     saw = TransitionProfile(linear_radius=0.3)
-    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     profile_masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     # the rotation identity needs no antisymmetry of the masks
     general_masks = [rng.standard_normal((npts, npts)) for _ in range(2)]
-    general = FixedMasks(base, general_masks)
+    general = FixedMasks(general_masks)
     for cochain, masks in ((phi, profile_masks), (general, general_masks)):
         want = six_term_profile_chain(masks, cw, K)
         chain_products.clear()
@@ -487,14 +519,14 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
 
 
 def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_products):
-    base = torus_base(n=8, N=3)
-    npts = base.fiber.npoints
+    fiber = FiberModel(2, 3, 8)
+    npts = fiber.npoints
     rng = np.random.default_rng(37)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels["hermitian"].copy()
     K[0, 1] += 1e-9
     saw = TransitionProfile(linear_radius=0.3)
-    phi = ProfileCochain(base, [(0, saw), (1, saw)])
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, K)
     got = _weighted_profile_chain(phi, cw, K, 1)

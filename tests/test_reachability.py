@@ -22,11 +22,7 @@ SRC = Path(indexpairing.__file__).parent
 # kept oracle -> the test that compares live code against it
 KEPT_ORACLES = {
     "CutoffDensity.partition_defect": "test_groupoid::test_cutoff_partition_identity_multipoint",
-    "OperatorBlock.apply": "test_calculus::test_quantized_multiplication_acts_by_truncated_product",
     "ProfileCochain.to_elementary": "test_pairing::test_to_elementary_matches_profile_values",
-    "SectionBasis.gram_defect": "test_calculus::test_fourier_basis_is_orthonormal",
-    "SectionBasis.project": "test_calculus::test_identity_block_band_limits",
-    "SectionBasis.synthesize": "test_calculus::test_identity_block_band_limits",
     "SmoothingKernel.invariance_defect": "test_calculus::test_average_kernel_enforces_invariance_and_fixes_invariants",
     "TransitionProfile.fourier_coefficients": "test_pairing::test_profile_fourier_reconstruction",
     "invariant_project_cochain": "test_cochains::test_invariant_project_cochain_invariance_and_fixing",
@@ -34,7 +30,6 @@ KEPT_ORACLES = {
     # representation would diagonalize
     "magnetic_translation": "test_dolbeault::test_magnetic_translation_square_is_the_predicted_phase",
     "magnetic_translation_matrix": "test_dolbeault::test_magnetic_translation_is_unitary_and_commutes",
-    "symbol_of": "test_calculus::test_quantize_symbol_roundtrip_on_interior_modes",
     "transport_cochain": "test_cochains::test_van_est_equivariance",
     "twisted_shift": "test_dolbeault::test_ladder_matches_finite_difference_application",
 }

@@ -65,7 +65,7 @@ def test_flux_predictions_match_spectral_index():
     for d in (-2, -1, 0, 1, 2):
         sclass = symbol_class_dolbeault(space.base.fiber, disc, d)
         topo = topological_index(space, cutoff, dens, alpha, sclass)
-        ana = analytic_index(dolbeault_family(space.base, d, 4)).index
+        ana = analytic_index(dolbeault_family(space.base.fiber, d, 4)).index
         assert abs(topo - ana) < 1e-6
         assert abs(topo.imag) < 1e-9
 
@@ -247,9 +247,9 @@ def test_orbifold_family_both_sides():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(4.0, 48, 48)
     twist = 3
-    fam = dolbeault_family(space.base, twist, 4)
+    block = dolbeault_family(space.base.fiber, twist, 4)
     sclass = symbol_class_dolbeault(space.base.fiber, disc, twist)
-    res = family_index_orbifold(space, fam, cutoff, dens, sclass)
+    res = family_index_orbifold(space, block, cutoff, dens, sclass)
     assert isinstance(res, FamilyIndexResult)
     assert res.per_point == [twist] * 4
     assert abs(res.orbit_sum - twist) < 1e-12
@@ -257,4 +257,4 @@ def test_orbifold_family_both_sides():
     assert res.difference < 1e-6
     lopsided = TransversalDensity(space, [1.0, 2.0, 1.0, 2.0])
     with pytest.raises(ModelError, match="invariant transversal density"):
-        family_index_orbifold(space, fam, cutoff, lopsided, sclass)
+        family_index_orbifold(space, block, cutoff, lopsided, sclass)
