@@ -19,8 +19,7 @@ import numpy as np
 
 from .forms import DegreeError, FoliatedForm, d_leafwise, wedge
 from .grids import ModelError, band_limit
-from .groupoid import Arrow, BaseModel
-from .space import FiberedGSpace
+from .groupoid import BaseModel
 
 ScalarFamily = list  # one complex grid field per base point
 
@@ -133,49 +132,3 @@ def van_est_realize(phi: ASCochain) -> FoliatedForm:
         total = total + form
     total.invariant = False
     return total
-
-
-def transport_cochain(gspace: FiberedGSpace, a: Arrow, phi: ASCochain) -> ASCochain:
-    """Move every factor's source-fiber component along the arrow.
-
-    Only the components over s(a) and t(a) change; this is the slot-wise
-    action of a single arrow, enough to state equivariance of the realization
-    map arrow by arrow.
-    """
-    new_terms = []
-    for t in phi.terms:
-        factors = []
-        for fam in t.factors:
-            fam2 = [np.asarray(f) for f in fam]
-            fam2[a.tgt] = gspace.transport(a, fam[a.src])
-            factors.append(fam2)
-        new_terms.append(ASTerm(t.weight, tuple(factors)))
-    return ASCochain(
-        phi.base, phi.degree, new_terms, phi.germ_radius, check_band=False
-    )
-
-
-def invariant_project_cochain(
-    gspace: FiberedGSpace, cutoff, phi: ASCochain
-) -> ASCochain:
-    """Cutoff-weighted average of a cochain onto the arrow invariants.
-
-    Each arrow contributes one elementary term per input term: all factors are
-    composed with the point action and the cutoff weight (also composed) is
-    attached to the leading factor.  Fixes invariant cochains by the partition
-    identity applied in the leading argument.
-    """
-    base = phi.base
-    new_terms = []
-    for t in phi.terms:
-        for x in range(len(base)):
-            for a in gspace.groupoid.arrows_from(x):
-                weight_field = gspace.eval_after_action(a, cutoff.fields[a.tgt])
-                factors = []
-                for slot, fam in enumerate(t.factors):
-                    fam2 = [np.zeros_like(np.asarray(f)) for f in fam]
-                    moved = gspace.eval_after_action(a, fam[a.tgt])
-                    fam2[x] = weight_field * moved if slot == 0 else moved
-                    factors.append(fam2)
-                new_terms.append(ASTerm(t.weight, tuple(factors)))
-    return ASCochain(base, phi.degree, new_terms, phi.germ_radius, check_band=False)

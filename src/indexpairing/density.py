@@ -1,4 +1,4 @@
-"""Cutoff densities and transverse weights.
+"""Cutoff densities and the transverse measure.
 
 The cutoff family c_x >= 0 satisfies, at every fiber point z over every base
 point x, the partition identity
@@ -37,17 +37,6 @@ class CutoffDensity:
             if f.min() < -1e-14:
                 raise CoverageError(f"cutoff field at point {x} is negative")
 
-    def partition_defect(self) -> float:
-        """Max deviation of the orbit sums from 1 over all points and fibers."""
-        g = self.gspace
-        worst = 0.0
-        for x in range(len(g.base)):
-            total = np.zeros(g.base.fiber.npoints)
-            for a in g.groupoid.arrows_from(x):
-                total += g.eval_after_action(a, self.fields[a.tgt]).real
-            worst = max(worst, float(np.max(np.abs(total - 1.0))))
-        return worst
-
 
 def compute_cutoff(gspace: FiberedGSpace, seeds: list[np.ndarray] | None = None) -> CutoffDensity:
     """Normalize a positive seed family into a cutoff density.
@@ -80,31 +69,28 @@ def compute_cutoff(gspace: FiberedGSpace, seeds: list[np.ndarray] | None = None)
 
 
 class TransversalDensity:
-    """Per-point transverse mass scales paired with the base weights.
+    """The transverse measure: one positive mass per base point.
 
-    ``omega[x]`` scales the unit Lebesgue mass of the fiber over x.  The
-    combination weight(x) * omega[x] is what every trace and integral sees.
+    ``masses[x]`` scales the unit Lebesgue mass of the fiber over x; it is
+    what every trace and integral sees.
     """
 
-    def __init__(self, gspace: FiberedGSpace, omega: list[float]):
-        if len(omega) != len(gspace.base):
-            raise ModelError("one mass scale per base point is required")
-        if min(omega) <= 0:
-            raise ModelError("mass scales must be positive")
+    def __init__(self, gspace: FiberedGSpace, masses: list[float]):
+        if len(masses) != len(gspace.base):
+            raise ModelError("one mass per base point is required")
+        if min(masses) <= 0:
+            raise ModelError("masses must be positive")
         self.gspace = gspace
-        self.omega = [float(v) for v in omega]
-
-    def mass(self, x: int) -> float:
-        return self.gspace.base.weight(x) * self.omega[x]
+        self.masses = [float(v) for v in masses]
 
     def modular(self, a: Arrow) -> float:
         """Multiplicative cocycle comparing the mass at target and source.
 
-        Equal to 1 on every arrow exactly when the combined mass is constant
-        along orbits, which is the condition for the traces downstream to be
+        Equal to 1 on every arrow exactly when the mass is constant along
+        orbits, which is the condition for the traces downstream to be
         genuinely tracial.
         """
-        return self.mass(a.tgt) / self.mass(a.src)
+        return self.masses[a.tgt] / self.masses[a.src]
 
     @classmethod
     def uniform(cls, gspace: FiberedGSpace) -> "TransversalDensity":

@@ -101,49 +101,3 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
         for j in range(s):
             mat[(l + 1) * s + j, l * s + j] = coef
     return OperatorBlock(small, big, mat)
-
-
-def twisted_shift(field: np.ndarray, ticks: int, twist: int, fiber: FiberModel) -> np.ndarray:
-    """Sample translate in the second coordinate with the quasi-periodic wrap.
-
-    Rows that cross the unit cell pick up the boundary factor
-    exp(-+ 2 pi i twist z1) so the result samples the same section of the
-    twisted bundle.
-    """
-    n = fiber.grid_size
-    shaped = field.reshape(fiber.grid_shape).copy()
-    z1 = grid_points(n, 2)[:, 0].reshape(fiber.grid_shape)
-    rolled = np.roll(shaped, -ticks, axis=1)
-    j = np.arange(n)
-    wrapped = (j + ticks) // n  # how many cells each column crossed
-    factors = np.exp(-2j * np.pi * twist * z1[:, :1]) ** wrapped[None, :]
-    return (rolled * factors).reshape(field.shape)
-
-
-def magnetic_translation(field: np.ndarray, v_ticks: tuple[int, int], twist: int, fiber: FiberModel) -> np.ndarray:
-    """Bundle-compatible translation by a grid vector v.
-
-    (T_v f)(z) = exp(2 pi i twist v2 z1) f(z + v), where the argument shift
-    respects the quasi-periodic wrap.  Requires twist * v to be integral, so
-    the phase is a genuine character of the translation.
-    """
-    n = fiber.grid_size
-    t1, t2 = int(v_ticks[0]), int(v_ticks[1])
-    if (twist * t1) % n or (twist * t2) % n:
-        raise ModelError("translation is not compatible with the twist")
-    shifted = twisted_shift(field, t2, twist, fiber)
-    shaped = shifted.reshape(fiber.grid_shape)
-    shaped = np.roll(shaped, -t1, axis=0)
-    pts = grid_points(n, 2)
-    phase = np.exp(2j * np.pi * twist * (t2 / n) * pts[:, 0])
-    return phase * shaped.reshape(field.shape)
-
-
-def magnetic_translation_matrix(
-    basis: SectionBasis, v_ticks: tuple[int, int], twist: int
-) -> np.ndarray:
-    """Matrix of the bundle translation on a section basis."""
-    moved = np.column_stack(
-        [magnetic_translation(basis.matrix[:, k], v_ticks, twist, basis.fiber) for k in range(basis.size)]
-    )
-    return basis.matrix.conj().T @ moved / basis.fiber.npoints

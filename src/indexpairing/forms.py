@@ -211,7 +211,7 @@ def integrate_invariant(
 ) -> complex:
     """Quadrature of a top-degree invariant form against the cutoff and masses.
 
-    Value = sum over base points of weight*mass * mean_z c(z) * top component.
+    Value = sum over base points of mass * mean_z c(z) * top component.
     Independent of the cutoff choice and zero on derivatives of invariant
     forms, provided the transverse mass is orbit-constant.
     """
@@ -223,5 +223,5 @@ def integrate_invariant(
     total = 0.0 + 0.0j
     for x in range(len(gspace.base)):
         weighted = cutoff.fields[x] * form.fields[x][:, 0]
-        total += dens.mass(x) * np.mean(weighted)
+        total += dens.masses[x] * np.mean(weighted)
     return complex(total)

@@ -1,7 +1,7 @@
-"""The action groupoid of a cyclic group acting on a weighted finite base.
+"""The action groupoid of a cyclic group acting on a finite base.
 
-The base is a finite set of points, each carrying a positive weight (the
-transverse measure), and one fiber model that every point shares.  The
+The base is a finite set of points that all share one fiber model; the
+transverse measure lives on ``density.TransversalDensity``.  The
 group Z/m acts on the points by the powers of one permutation sigma with
 sigma^m = id, and the groupoid is the action groupoid Z/m x base: the arrow
 (g, x) has source x and target sigma^g(x).  Its laws are those of Z/m, so
@@ -17,27 +17,16 @@ from .grids import FiberModel, ModelError
 
 
 class BaseModel:
-    """Finite weighted base whose points all carry one fiber model."""
+    """Finite base of ``points`` points that all carry one fiber model."""
 
-    def __init__(self, fiber: FiberModel, names: list[str], weights: list[float]):
-        if not names:
+    def __init__(self, fiber: FiberModel, points: int):
+        if points < 1:
             raise ModelError("base must contain at least one point")
-        if len(weights) != len(names):
-            raise ModelError(f"{len(weights)} weights for {len(names)} base points")
-        if len(set(names)) != len(names):
-            raise ModelError("base point names must be distinct")
-        for name, w in zip(names, weights):
-            if w <= 0:
-                raise ModelError(f"base point {name!r} has non-positive weight")
         self.fiber = fiber
-        self.names = list(names)
-        self.weights = list(weights)
+        self.points = int(points)
 
     def __len__(self) -> int:
-        return len(self.names)
-
-    def weight(self, i: int) -> float:
-        return self.weights[i]
+        return self.points
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,18 @@
 ``run_scenario`` executes all three routes of a validated scenario (spectral
 index, chain pairing, class integral) and reports a ``ResultRecord``;
 ``run_suite`` drives the builtin catalog and the registered property checks,
-writing diff-able CSV plus a human table.
+writing diff-able CSV plus a human table.  The transverse measure of a run
+is one mass per base point, formed once as the scenario's base weight times
+its density value.
 
 Determinism contract: a fixed scenario and seed produce bitwise-identical
 CSV bodies across reruns; wall times and anything else nondeterministic stay
-out of the CSV.  Assembled idempotents are cached as their block rows
-(``IndexIdempotent.arrays``) in an uncompressed ``.npz`` archive, whose
-per-member CRC-32 catches a damaged payload.  The
-file name carries a digest of every echo field the idempotent depends on, so
-a changed input is a cache miss; a corrupted cache surfaces as a
-``CorruptedCacheError`` and exit code 2.
+out of the CSV.  Assembled idempotents are cached as their cut radius and
+block rows (``IndexIdempotent.arrays``) in an uncompressed ``.npz`` archive,
+whose per-member CRC-32 catches a damaged payload.  The file name carries a
+digest of every echo field the idempotent depends on, so a changed input is
+a cache miss; a corrupted cache surfaces as a ``CorruptedCacheError`` and
+exit code 2.
 """
 from __future__ import annotations
 
@@ -125,7 +127,7 @@ def load_coefficients(path) -> list[np.ndarray]:
 def _build_space(scn: Scenario) -> FiberedGSpace:
     fib = FiberModel(scn.fiber["dim"], scn.fiber["fourier_cutoff"], scn.fiber["grid"])
     bp = scn.group["base_points"]
-    base = BaseModel(fib, [f"x{i}" for i in range(bp)], scn.group["base_weights"])
+    base = BaseModel(fib, bp)
     gk = scn.group["group"]
     order = 1 if gk == "trivial" else int(gk["cyclic"])
     sigma = [x ^ 1 for x in range(bp)] if scn.group["base_action"] == "pair-swap" else None
@@ -218,8 +220,8 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-# Bump when the cached idempotent of unchanged inputs would change.
-_CACHE_FORMAT = 7
+# Bump when the cached idempotent of unchanged inputs, or its layout, would change.
+_CACHE_FORMAT = 8
 # echo fields the idempotent does not depend on; the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
 _NOT_IDEMPOTENT_INPUTS = ("name", "cocycle", "density", "tolerances", "seed")
@@ -236,11 +238,12 @@ def _idempotent_cache(scn: Scenario, out_dir: Path) -> Path:
 def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     """Execute one scenario: spectral route, chain pairing, class integral.
 
-    The analytic column holds the quotient index for a free fiber action,
-    the per-point family indices for an identified base, and the plain
-    spectral index at every base point otherwise.  ``out_dir`` enables the
-    idempotent kernel cache under ``out_dir/cache``; errors carry the failing
-    stage.
+    The analytic column holds the quotient index for a free fiber action
+    (the spectral index on the quotient torus, at flux twist/m), the
+    per-point family indices for an identified base, and the plain spectral
+    index at every base point otherwise, a non-free fiber action included.
+    ``out_dir`` enables the idempotent kernel cache under ``out_dir/cache``;
+    errors carry the failing stage.
     """
     t0 = time.perf_counter()
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -248,7 +251,8 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     with _stage("build-space"):
         space = _build_space(scn)
         cutoff = compute_cutoff(space)
-        dens = TransversalDensity(space, scn.density["values"])
+        masses = [w * v for w, v in zip(scn.group["base_weights"], scn.density["values"])]
+        dens = TransversalDensity(space, masses)
 
     with _stage("assemble-operator"):
         block, sclass = _build_operator(scn, space.base.fiber)
@@ -269,12 +273,9 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         )
 
     with _stage("analytic-index"):
-        if scn.fiber_action != "trivial":
-            if scn.operator["builtin"] != "dolbeault":
-                raise ModelError(
-                    "the quotient analytic route is defined for the dolbeault family"
-                )
-            analytic = (half_shift_quotient_index(space.base.fiber, scn.operator["twist"]),)
+        if scn.free_action:
+            m = scn.group["group"]["cyclic"]
+            analytic = (half_shift_quotient_index(space.base.fiber, scn.operator["twist"], m),)
         else:
             analytic = (analytic_index(block).index,) * len(space.base)
 

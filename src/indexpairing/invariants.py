@@ -36,12 +36,12 @@ __all__ = ["INVARIANT_CHECKS"]
 
 
 def _inv_space(n=16, N=5):
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def _inv_trivial(n=16, N=5):
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
@@ -64,7 +64,8 @@ def _check_trace_commutator():
         rng = np.random.default_rng(1000 + seed)
         k1 = random_invariant_kernel(rng, space, cutoff, band=2)
         k2 = random_invariant_kernel(rng, space, cutoff, band=2)
-        lhs = trace_tau(k1.compose(k2) - k2.compose(k1), cutoff, dens)
+        A, B = k1.dense(), k2.dense()
+        lhs = trace_tau(SmoothingKernel(space.base.fiber, A @ B - B @ A), cutoff, dens)
         scale = max(k1.norm() * k2.norm(), 1e-30)
         worst = max(worst, abs(lhs) / scale)
     return worst, 1e-9

@@ -23,10 +23,10 @@ Grid points are numbered with axis 0 slowest, so a translation by
 grid_size/g ticks along axis 0 shifts every index by npoints/g.  A matrix
 that commutes with it is block circulant in g x g blocks of size npoints/g:
 block (a, b) is C_{b-a mod g}, and the block row [C_0 .. C_{g-1}] determines
-it.  A ``SmoothingKernel`` stores each matrix as g and that block row; the
-dense matrix is the case g = 1.  A length-g FFT over the block index turns
-products of such matrices into g independent products of size npoints/g
-(``circulant_blocks``).
+it.  A ``SmoothingKernel`` stores each matrix as that block row, whose shape
+(npoints/g, npoints) fixes g; the dense matrix is the case g = 1.  A
+length-g FFT over the block index turns products of such matrices into g
+independent products of size npoints/g (``circulant_blocks``).
 """
 from __future__ import annotations
 
@@ -134,8 +134,8 @@ def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
 CIRCULANT_RTOL = 1e-12
 
 
-def certified_block_row(block: OperatorBlock, radius: float) -> tuple[int, np.ndarray]:
-    """(g, block row 0) of the grid matrix S of ``block``, cut at ``radius``.
+def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
+    """Block row 0 of the grid matrix S of ``block``, cut at ``radius``, in g blocks.
 
     ``block`` maps one basis E (npoints x nb, quadrature-orthonormal) to
     itself by an orthogonal projector R, as the parametrix remainders do, so
@@ -182,20 +182,25 @@ def certified_block_row(block: OperatorBlock, radius: float) -> tuple[int, np.nd
         row = block.grid_matrix(width) * truncation_mask(fiber, radius, width)
         tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
         if all(within(a * width, tol) for a in range(1, g // 2 + 1)):
-            return g, row
+            return row
 
 
 def _max_row_norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(m) ** 2, axis=1))))
 
 
-def circulant_blocks(row: np.ndarray, g: int) -> np.ndarray:
+def block_count(row: np.ndarray) -> int:
+    """The block count g of a block row [C_0 .. C_{g-1}], the B x gB top of its matrix."""
+    return row.shape[1] // row.shape[0]
+
+
+def circulant_blocks(row: np.ndarray) -> np.ndarray:
     """Fourier blocks (g, B, B), sum_m C_m exp(-2 pi i m k / g), of block row [C_0 .. C_{g-1}].
 
-    The block row is the B x gB top of the matrix.  The blocks of a product
-    of block-circulant matrices are the blockwise products of theirs.
+    The blocks of a product of block-circulant matrices are the blockwise
+    products of theirs.
     """
-    width = row.shape[0]
+    width, g = row.shape[0], block_count(row)
     return np.fft.fft(row.reshape(width, g, width), axis=1).transpose(1, 0, 2)
 
 
@@ -205,17 +210,17 @@ def circulant_row(blocks: np.ndarray) -> np.ndarray:
     return np.fft.ifft(blocks, axis=0).transpose(1, 0, 2).reshape(width, g * width)
 
 
-def circulant_column(row: np.ndarray, g: int) -> np.ndarray:
+def circulant_column(row: np.ndarray) -> np.ndarray:
     """Block column 0 (gB x B) of the block-circulant matrix with block row 0 ``row``."""
-    width = row.shape[0]
+    width, g = row.shape[0], block_count(row)
     # block (a, 0) is C_{-a mod g}
     blocks = row.reshape(width, g, width)[:, -np.arange(g) % g]
     return blocks.transpose(1, 0, 2).reshape(g * width, width)
 
 
-def circulant_dense(row: np.ndarray, g: int) -> np.ndarray:
+def circulant_dense(row: np.ndarray) -> np.ndarray:
     """The block-circulant gB x gB matrix with block row 0 ``row``."""
-    width = row.shape[0]
+    width, g = row.shape[0], block_count(row)
     blocks = row.reshape(width, g, width)
     out = np.empty((g, width, g, width), dtype=row.dtype)
     for a in range(g):
@@ -229,28 +234,30 @@ class SmoothingKernel:
     """Smoothing operator on the grid sections of one fiber.
 
     The operator acts on scalar grid vectors by a matrix M, stored as its
-    block count g = ``order`` and its block row 0 ``row``, of shape
-    (npoints/g, npoints); g = 1 stores M itself, and ``row = None`` marks
-    M = 0.  ``support_radius`` is the fiber distance beyond which kernel
-    entries vanish (infinity when not localized).
+    block row 0 ``row`` of shape (npoints/g, npoints), which fixes the block
+    count g; g = 1 stores M itself, and ``row = None`` marks M = 0.  The g
+    blocks come from the translation by grid_size/g ticks along axis 0, so g
+    must divide grid_size.
     """
 
-    def __init__(
-        self,
-        fiber: FiberModel,
-        row: np.ndarray | None,
-        support_radius: float = np.inf,
-        order: int = 1,
-    ):
+    def __init__(self, fiber: FiberModel, row: np.ndarray | None):
         self.fiber = fiber
         self.row = None if row is None else np.asarray(row, dtype=complex)
-        self.order = int(order)
-        self.support_radius = float(support_radius)
-        g = self.order
-        if g < 1 or fiber.grid_size % g:
-            raise ModelError(f"block count {g} does not divide the grid size {fiber.grid_size}")
-        if self.row is not None and self.row.shape != (fiber.npoints // g, fiber.npoints):
-            raise ModelError(f"kernel block row has shape {self.row.shape} for g = {g}")
+        if self.row is None:
+            return
+        n = fiber.npoints
+        shape = self.row.shape
+        if len(shape) != 2 or shape[1] != n or not shape[0] or n % shape[0]:
+            raise ModelError(f"kernel block row has shape {shape}, not (npoints/g, {n})")
+        if fiber.grid_size % self.order:
+            raise ModelError(
+                f"block count {self.order} does not divide the grid size {fiber.grid_size}"
+            )
+
+    @property
+    def order(self) -> int:
+        """The block count g of a nonzero M."""
+        return block_count(self.row)
 
     @property
     def mats(self) -> list[np.ndarray]:
@@ -262,22 +269,11 @@ class SmoothingKernel:
         if self.row is None:
             n = self.fiber.npoints
             return np.zeros((n, n), dtype=complex)
-        return self.row if self.order == 1 else circulant_dense(self.row, self.order)
+        return self.row if self.order == 1 else circulant_dense(self.row)
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of a nonzero M: that of C_0, once per block."""
         return np.tile(np.diag(self.row[:, : self.row.shape[0]]), self.order)
-
-    def __sub__(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        return SmoothingKernel(
-            self.fiber,
-            self.dense() - other.dense(),
-            max(self.support_radius, other.support_radius),
-        )
-
-    def compose(self, other: "SmoothingKernel") -> "SmoothingKernel":
-        radius = self.support_radius + other.support_radius
-        return SmoothingKernel(self.fiber, self.dense() @ other.dense(), radius)
 
     def norm(self) -> float:
         """Lower bound of the operator norm.
@@ -290,14 +286,6 @@ class SmoothingKernel:
         SVD.
         """
         return 0.0 if self.row is None else _norm_lower_bound(self.dense())
-
-    def invariance_defect(self, gspace: FiberedGSpace) -> float:
-        """Strict equivariance defect for untwisted (plain pullback) transport."""
-        arrows = _moving_arrows(gspace)
-        if not arrows:
-            return 0.0
-        here = self.dense()
-        return max(float(np.max(np.abs(here - _moved(here, gspace, a)))) for a in arrows)
 
     def twisted_invariance_defect(self, gspace: FiberedGSpace) -> float:
         """Equivariance defect modulo a unimodular character.
@@ -401,7 +389,7 @@ def average_kernel(
     for a in gspace.groupoid.arrows_from(0):
         weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
         acc += weight[:, None] * _moved(here, gspace, a)
-    return SmoothingKernel(kern.fiber, acc, kern.support_radius)
+    return SmoothingKernel(kern.fiber, acc)
 
 
 TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
@@ -435,7 +423,7 @@ def _weighted_diag_trace(
     diagonal = kern.diagonal()
     for x, c in enumerate(cutoff.fields):
         weight = c if fields is None else c * fields[x]
-        total += dens.mass(x) * np.sum(weight * diagonal)
+        total += dens.masses[x] * np.sum(weight * diagonal)
     return complex(total)
 
 

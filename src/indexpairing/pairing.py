@@ -71,19 +71,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 import numpy as np
 
 from .charclass import smoothstep_poly
-from .cochains import ASCochain, ASTerm
+from .cochains import ASCochain
 from .density import CutoffDensity, TransversalDensity
 from .forms import FoliatedForm, subset_position
-from .grids import FiberModel, ModelError, grid_points
+from .grids import FiberModel, ModelError
 from .groupoid import BaseModel
 from .operators import (
     SupportMismatchError,
     _weighted_diag_trace,
+    block_count,
     circulant_blocks,
     circulant_column,
     circulant_dense,
@@ -128,13 +128,6 @@ class TransitionProfile:
         )
         window = 1.0 - smoothstep_poly(np.clip(u, 0.0, 1.0), self.flatness)
         return tt * window
-
-    def fourier_coefficients(self, band: int, samples: int = 4096) -> np.ndarray:
-        """Coefficients c_m, |m| <= band, of s(t) = sum c_m exp(2 pi i m t)."""
-        grid = np.arange(samples) / samples
-        coef = np.fft.fft(self(grid)) / samples
-        modes = np.arange(-band, band + 1)
-        return coef[modes % samples]
 
 
 def _sort_sign(axes: tuple[int, ...]) -> int:
@@ -213,43 +206,6 @@ class ProfileCochain:
             field[:, pos] = float(_sort_sign(axes))
         return form
 
-    def to_elementary(
-        self, base: BaseModel, band: int | None = None, tol: float = 1e-14
-    ) -> ASCochain:
-        """Expand every leg in Fourier modes and regroup slot by slot, over ``base``.
-
-        The expansion feeds the chain-map cross-checks; the pairing itself
-        contracts the difference masks directly and never needs it.
-        """
-        fiber = self.fiber
-        if band is None:
-            band = fiber.fourier_cutoff
-        coefs = [prof.fourier_coefficients(band) for _, prof in self.legs]
-        modes = np.arange(-band, band + 1)
-        pts = grid_points(fiber.grid_size, fiber.dim)
-        cap = max(np.max(np.abs(c)) for c in coefs)
-        terms = []
-        for picks in product(range(len(modes)), repeat=len(self.legs)):
-            weight = complex(np.prod([c[p] for c, p in zip(coefs, picks)]))
-            if abs(weight) <= tol * cap ** len(self.legs):
-                continue
-            # slot j carries the incoming mode of leg j-1 and the outgoing
-            # (conjugate) mode of leg j
-            factors = []
-            for slot in range(self.degree + 1):
-                field = np.ones(len(pts), dtype=complex)
-                if slot > 0:
-                    axis = self.legs[slot - 1][0]
-                    m = modes[picks[slot - 1]]
-                    field = field * np.exp(2j * np.pi * m * pts[:, axis])
-                if slot < self.degree:
-                    axis = self.legs[slot][0]
-                    m = modes[picks[slot]]
-                    field = field * np.exp(-2j * np.pi * m * pts[:, axis])
-                factors.append([field] * len(base))
-            terms.append(ASTerm(weight, tuple(factors)))
-        return ASCochain(base, self.degree, terms, germ_radius=self.germ_radius)
-
 
 # the two-product profile chain needs K = K^H; it is taken when
 # max|K - K^H| <= HERMITIAN_RTOL * max|K|, and the four-product form otherwise
@@ -257,7 +213,7 @@ HERMITIAN_RTOL = 1e-14
 
 
 def _kernel_reach(idem: IndexIdempotent) -> float:
-    reach = idem.skernel.support_radius
+    reach = idem.radius
     if math.isinf(reach):
         reach = idem.effective_radius()
     return reach
@@ -281,8 +237,8 @@ def pair_cocycle(
     Chains beyond k = 1 need (2k+1)-fold kernel products the desk budget
     does not cover.
 
-    The kernel reach (declared support radius, or the effective radius when
-    unlocalized) must not exceed the cochain's germ radius: past that scale
+    The kernel reach (the idempotent's cut radius, or the effective radius
+    when unlocalized) must not exceed the cochain's germ radius: past that scale
     the cochain stops representing its class and the pairing would read
     untrusted values.
     """
@@ -312,17 +268,17 @@ def pair_cocycle(
     weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
     if isinstance(phi, ProfileCochain):
         # one contraction covers the base (see the module docstring)
-        cw = sum(dens.mass(x) * c for x, c in enumerate(cutoff.fields))
+        cw = sum(dens.masses[x] * c for x, c in enumerate(cutoff.fields))
         chains = [(1.0, partial(_weighted_profile_chain, phi, cw))]
     else:
         chains = [
-            (dens.mass(x), partial(_weighted_elementary_chain, phi, x, c))
+            (dens.masses[x], partial(_weighted_elementary_chain, phi, x, c))
             for x, c in enumerate(cutoff.fields)
         ]
     total = 0.0 + 0.0j
     for mass, chain in chains:
         # a zero operator (S1 of every positive flux) has an exactly zero chain
-        v0, v1 = (0j if f.row is None else chain(f.row, f.order) for f in (s0, s1))
+        v0, v1 = (0j if f.row is None else chain(f.row) for f in (s0, s1))
         total += mass * (v0 - v1)
     return weight * complex(total)
 
@@ -357,24 +313,22 @@ def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
     )
 
 
-def _weighted_profile_chain(
-    phi: ProfileCochain, cw: np.ndarray, row: np.ndarray, g: int
-) -> complex:
+def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray) -> complex:
     """The k = 1 chain against the two legs of phi, weighted by the cutoff cw,
-    of the kernel K with block row 0 ``row`` in g blocks.
+    of the kernel K with block row 0 ``row``.
 
     The legs' masks are block circulant in every g dividing grid_size (they
     depend on w - z only), so only block row 0 of each mask is built.
     """
-    width = row.shape[0]
+    width, g = row.shape[0], block_count(row)
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
     W0, W1 = (phi.leg_mask(i, width) for i in (0, 1))
 
     def rotations(row: np.ndarray) -> complex:
-        blocks = (circulant_blocks(M, g) for M in (row * W0, row * W1, row))
+        blocks = (circulant_blocks(M) for M in (row * W0, row * W1, row))
         return _rotation_sum(orbit_cw, *blocks)
 
-    column = circulant_column(row, g)
+    column = circulant_column(row)
     even = rotations(row)
     if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
         # the odd rotations are the conjugate of the even ones
@@ -384,14 +338,14 @@ def _weighted_profile_chain(
 
 
 def _weighted_elementary_chain(
-    phi: ASCochain, x: int, cw: np.ndarray, row: np.ndarray, g: int
+    phi: ASCochain, x: int, cw: np.ndarray, row: np.ndarray
 ) -> complex:
     """The k = 1 chain against the slot products of phi over base point x of the
-    kernel K with block row 0 ``row`` in g blocks.
+    kernel K with block row 0 ``row``.
 
     One M = Q(m) o K^T per distinct middle field m, keyed by its bytes.
     """
-    K = circulant_dense(row, g)
+    K = circulant_dense(row)
     by_middle: dict[bytes, tuple] = {}
     for term in phi.terms:
         d = [np.asarray(fam[x], dtype=complex) for fam in term.factors]

@@ -28,7 +28,8 @@ circulant (see ``operators``): its block count g is certified in basis
 space, only its block row 0 is built, the flow runs on its g Fourier blocks
 of size npoints/g, and the flowed block row is what the idempotent stores,
 once its trace still counts the rank of the projector it was cut from.  An
-unlocalized projector is stored dense (g = 1), and a zero one as a flag.
+unlocalized projector is stored dense (g = 1), and a zero one as None.  The
+cut radius belongs to the idempotent, not to either projector.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ from .grids import FiberModel, ModelError
 from .operators import (
     OperatorBlock,
     SmoothingKernel,
+    block_count,
     certified_block_row,
     circulant_blocks,
     circulant_row,
@@ -150,53 +152,48 @@ class IndexIdempotent:
     """Grid realization of the index idempotent P = diag(S0, 1 - S1) of an operator.
 
     ``skernel`` is the kernel projector S0 and ``cokernel`` the cokernel
-    projector S1, both on scalar grid sections and cut at the same support
-    radius; the index class is [S0] - [S1].
+    projector S1, both on scalar grid sections; ``radius`` is the fiber
+    radius both were cut at (+inf when unlocalized).  The index class is
+    [S0] - [S1].
     """
 
-    def __init__(self, skernel: SmoothingKernel, cokernel: SmoothingKernel):
+    def __init__(self, skernel: SmoothingKernel, cokernel: SmoothingKernel, radius: float):
         self.skernel = skernel
         self.cokernel = cokernel
+        self.radius = float(radius)
 
     @property
     def families(self) -> tuple[SmoothingKernel, SmoothingKernel]:
         return self.skernel, self.cokernel
 
     def arrays(self) -> list[np.ndarray]:
-        """Cached form: [support radius], then [g] and block row 0 of S0 and of S1.
+        """Cached form: [radius], then block row 0 of S0 and of S1.
 
         The radius is +inf for an unlocalized idempotent.  A zero operator
-        is the flag g = 0 followed by an empty array.
+        is the empty (0, 0) array.
         """
-        out = [np.array([self.skernel.support_radius])]
+        out = [np.array([self.radius])]
         for f in self.families:
-            g, row = (0, np.zeros((0, 0), dtype=complex)) if f.row is None else (f.order, f.row)
-            out += [np.array([g], dtype=np.int64), row]
+            out.append(np.zeros((0, 0), dtype=complex) if f.row is None else f.row)
         return out
 
     @classmethod
     def from_arrays(cls, fiber: FiberModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
         """Inverse of arrays(); raises CorruptedCacheError on any mismatch with fiber."""
-        if len(arrays) != 5:
-            raise CorruptedCacheError(f"expected 5 arrays, found {len(arrays)}")
+        if len(arrays) != 3:
+            raise CorruptedCacheError(f"expected 3 arrays, found {len(arrays)}")
         head = arrays[0]
         if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
-            raise CorruptedCacheError(f"support radius {head} is not a positive number")
+            raise CorruptedCacheError(f"cut radius {head} is not a positive number")
         families = []
-        for order, row in zip(arrays[1::2], arrays[2::2]):
-            if order.shape != (1,) or order.dtype != np.int64 or row.dtype != np.complex128:
-                raise CorruptedCacheError(
-                    f"block count {order} and row dtype {row.dtype} "
-                    "are not one int64 and complex128"
-                )
-            g = int(order[0])
-            if g == 0 and row.size:
-                raise CorruptedCacheError(f"zero flag carries {row.size} entries")
+        for row in arrays[1:]:
+            if row.dtype != np.complex128:
+                raise CorruptedCacheError(f"block row dtype {row.dtype} is not complex128")
             try:
-                families.append(SmoothingKernel(fiber, row if g else None, head[0], g or 1))
+                families.append(SmoothingKernel(fiber, None if row.shape == (0, 0) else row))
             except ModelError as exc:
                 raise CorruptedCacheError(str(exc)) from exc
-        return cls(*families)
+        return cls(*families, head[0])
 
     def effective_radius(self) -> float:
         """Largest fiber distance carrying an entry above REACH_FLOOR * max entry.
@@ -254,35 +251,36 @@ def index_idempotent(
     (``certified_block_row``); failure to reach the tolerance within
     MAX_NEWTON_STEPS means the radius is too aggressive for the kernel decay
     and raises.  A remainder that parametrix set to zero is a projector
-    already, and is stored as the zero flag.
+    already, and is stored as None.
     """
     data = parametrix(block)
+    rows = [
+        _stored_row(r, r.matrix.shape[0] - data.rank, radius, newton_tol)
+        for r in (data.r0, data.r1)
+    ]
     # The flow smears tolerance-scale mass back outside the cut (each step
-    # spreads the support), so support_radius records the localization cut of
+    # spreads the support), so the stored radius is the localization cut of
     # the construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
-    reach = np.inf if radius is None else radius
-    families = []
-    for r in (data.r0, data.r1):
-        g, row = _stored_row(r, r.matrix.shape[0] - data.rank, radius, newton_tol)
-        families.append(SmoothingKernel(block.domain.fiber, row, reach, g))
-    return IndexIdempotent(*families)
+    fiber = block.domain.fiber
+    return IndexIdempotent(
+        *(SmoothingKernel(fiber, row) for row in rows), np.inf if radius is None else radius
+    )
 
 
 def _stored_row(
     r: OperatorBlock, rank: int, radius: float | None, newton_tol: float
-) -> tuple[int, np.ndarray | None]:
-    """(g, block row 0) of the rank-``rank`` projector r, cut at radius and
+) -> np.ndarray | None:
+    """Block row 0 of the rank-``rank`` projector r, cut at radius and
     flowed back to a projector, whose trace g tr C_0 must still round to
     ``rank``: a cut too tight for the kernel decay can flow to a projector
-    of another rank, even 0, whose defect passes.
+    of another rank, even 0, whose defect passes.  None for rank 0.
     """
     if rank == 0:
-        return 1, None
+        return None
     if radius is None:
-        return 1, r.grid_matrix()
-    g, row = certified_block_row(r, radius)
-    P, defect, steps = _newton_flow(circulant_blocks(row, g), newton_tol)
+        return r.grid_matrix()
+    P, defect, steps = _newton_flow(circulant_blocks(certified_block_row(r, radius)), newton_tol)
     if defect > newton_tol:
         raise LocalizationError(
             f"idempotent correction stalled at defect {defect:.3e} after "
@@ -290,11 +288,11 @@ def _stored_row(
             "the kernel decay"
         )
     row = circulant_row(P)
-    trace = g * float(np.trace(row[:, : row.shape[0]]).real)
+    trace = block_count(row) * float(np.trace(row[:, : row.shape[0]]).real)
     if round(trace) != rank:
         raise LocalizationError(
             f"idempotent correction carried the rank-{rank} projector to trace "
             f"{trace:.6g} at radius {radius:g}; the cut is too tight for the "
             "kernel decay"
         )
-    return g, row
+    return row

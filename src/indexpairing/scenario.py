@@ -72,6 +72,8 @@ class Scenario:
                          "fourier_cutoff": int, "grid": int}
                         (dim 2 for dolbeault, at least 2 for multiplier)
         fiber_action    "trivial" | {"translation": ["p/q", ..]}
+                        (when free and the base action is trivial, the
+                        operator is dolbeault with twist a multiple of m)
         operator        {"builtin": "dolbeault", "twist": int, "levels": int}
                         (levels >= 1, |twist| (levels + 1) <= grid^2)
                       | {"builtin": "multiplier", "symbol": expr-string}
@@ -81,10 +83,12 @@ class Scenario:
                          "linear_radius": f, "support_radius": f}, ..]}
                         (exactly two legs)
                       | {"kind": "elementary", "degree": 0 | 2, "band": int}
-                        (factor fields drawn from the seed)
+                        (factor fields drawn from the seed; band 0 at
+                        degree 0)
                       | {"kind": "elementary", "degree": 0 | 2, "band": int,
                          "terms": coefficient table}
         density         {"values": [float, ..]}
+                        (the mass of point x is base_weights[x] * values[x])
         tolerances      {"pairing_tol": f, "invariant_tol": f}
         seed            uint64 (required)
 
@@ -120,6 +124,11 @@ class Scenario:
         }
 
     @property
+    def free_action(self) -> bool:
+        """Whether the fiber translation makes Z/m act freely."""
+        return _acts_freely(self.group["group"], self.fiber_action)
+
+    @property
     def pairing_tol(self) -> float:
         return float(self.tolerances["pairing_tol"])
 
@@ -129,6 +138,19 @@ class Scenario:
 
 
 _REQUIRED = object()
+
+
+def _acts_freely(group, fiber_action) -> bool:
+    """Whether Z/m translating the fibers by theta acts freely.
+
+    g theta is an integer vector exactly when g is a multiple of the lcm of
+    the reduced denominators of theta, so the action is free exactly when
+    that lcm is m.
+    """
+    if fiber_action == "trivial":
+        return False
+    denominators = (Fraction(s).denominator for s in fiber_action["translation"])
+    return math.lcm(*denominators) == group["cyclic"]
 
 
 def _need(table: dict, key: str, kind, where: str, default=_REQUIRED):
@@ -295,6 +317,18 @@ def _validate(raw: dict) -> Scenario:
         raise ScenarioError(
             "fiber.dim must be at least 2: the multiplier symbol reads xi1 and xi2"
         )
+    if action == "trivial" and _acts_freely(gk, fa):
+        # the analytic column is the index of the operator on the quotient torus
+        if op["builtin"] != "dolbeault":
+            raise ScenarioError(
+                "operator.builtin must be dolbeault under a free fiber_action: the "
+                "quotient analytic route descends the dolbeault family only"
+            )
+        if op["twist"] % order:
+            raise ScenarioError(
+                f"operator.twist {op['twist']} does not descend to the quotient by the "
+                f"free Z/{order} action: it must be a multiple of {order}"
+            )
 
     localize = raw.get("localize")
     if localize is not None:
@@ -337,6 +371,10 @@ def _validate(raw: dict) -> Scenario:
             raise ScenarioError("cocycle.degree must be 0 or 2")
         if not 0 <= band <= N:
             raise ScenarioError("cocycle.band must be in [0, fiber.fourier_cutoff]")
+        if degree == 0 and band > 0:
+            # a 0-cochain pairs through its class only when it is closed, that
+            # is constant, and band 0 holds only the constants
+            raise ScenarioError("cocycle.band must be 0 for a degree-0 elementary cocycle")
         table = {}
         if "terms" in coc:
             table = {"terms": _coefficient_table(coc, degree, (2 * band + 1) ** dim, bp)}

@@ -109,5 +109,5 @@ def trace_symbol_formula(
     total = 0.0 + 0.0j
     for x, c in enumerate(cutoff.fields):
         weighted = c[:, None] * sym.values
-        total += dens.mass(x) * np.sum(weighted) / sym.fiber.npoints
+        total += dens.masses[x] * np.sum(weighted) / sym.fiber.npoints
     return complex(total)

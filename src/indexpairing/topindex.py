@@ -53,7 +53,7 @@ from .space import FiberedGSpace
 # has analytic index +1 while the raw integrand evaluates to the product of
 # a fiber charge -1 and a disc charge +1.  Everything else is predicted.
 ORIENTATION_SIGN = -1.0
-# Landau levels of the operator realized on the half-shift quotient
+# Landau levels of the operator realized on a free quotient
 QUOTIENT_LEVELS = 4
 REDUCTION_INVARIANT_TOL = 1e-8  # free_action_reduction's gates, relative to the form scale
 
@@ -151,7 +151,7 @@ def _class_integral(
         for x in range(len(space.base)):
             density = exterior_wedge(alpha.fields[x], q, top, r - q, r, np.multiply)
             field = density[:, 0] * sclass.charge
-            total += dens.mass(x) * np.mean(weights[x] * field)
+            total += dens.masses[x] * np.mean(weights[x] * field)
     return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
 
 
@@ -229,19 +229,21 @@ def free_action_reduction(
     return _class_integral(space, indicators, dens, alpha, sclass, REDUCTION_INVARIANT_TOL)
 
 
-def half_shift_quotient_index(fiber: FiberModel, twist: int) -> int:
-    """Analytic index of the operator descended to the half-shift quotient.
+def half_shift_quotient_index(fiber: FiberModel, twist: int, order: int = 2) -> int:
+    """Analytic index of the operator descended to the quotient by a free Z/order.
 
-    The diagonal half-period shift identifies the torus with a half-area
-    quotient torus; flux descends only when even, and halves.  The descended
-    operator is realized directly on a unit torus of the same grid with the
-    halved flux, and its spectral index is returned.
+    A free translation of order m identifies the torus with a quotient torus
+    of area 1/m; flux descends only when m divides it, and divides by m.  The
+    descended operator is realized directly on a unit torus of the same grid
+    with flux twist/m, and its spectral index is returned.  The default
+    order is the half shift.
     """
-    if twist % 2 != 0:
+    if twist % order != 0:
         raise ModelError(
-            f"flux {twist} does not descend to the half-shift quotient; it must be even"
+            f"flux {twist} does not descend to the quotient by Z/{order}; "
+            f"it must be a multiple of {order}"
         )
-    return analytic_index(dolbeault_family(fiber, twist // 2, QUOTIENT_LEVELS)).index
+    return analytic_index(dolbeault_family(fiber, twist // order, QUOTIENT_LEVELS)).index
 
 
 @dataclass
@@ -264,9 +266,11 @@ def family_index_orbifold(
     """Family index over an identified base versus the class integral.
 
     The kernel and cokernel counts of ``block``, the operator every base
-    point carries, give the index at every point.  The orbit sum weights one representative per base orbit by
-    its mass; the topological value integrates the symbol class with the
-    trivial cocycle.  Both land on the same number when the formula holds.
+    point carries, give the index at every point.  The orbit sum weights one
+    representative per base orbit by its mass, which the unimodularity gate
+    has made constant along the orbit; the topological value integrates the
+    symbol class with the trivial cocycle.  Both land on the same number when
+    the formula holds.
     """
     base = space.base
     per_point = [analytic_index(block).index] * len(base)
@@ -277,12 +281,7 @@ def family_index_orbifold(
         members = {a.tgt for a in space.groupoid.arrows_from(x)}
         if x != min(members):
             continue
-        masses = {dens.mass(y) for y in members}
-        if max(masses) - min(masses) > 1e-12:
-            raise ModelError(
-                f"masses vary along the base orbit of point {x}: {sorted(masses)}"
-            )
-        orbit_sum += dens.mass(x) * per_point[x]
+        orbit_sum += dens.masses[x] * per_point[x]
     topo = topological_index(space, cutoff, dens, _unit_form(base), sclass)
     return FamilyIndexResult(
         per_point=per_point,

@@ -11,12 +11,21 @@ the transport defect of an operator block, the Gram defect of a basis, an
 operator block applied to a grid field and the symbol extracted from a
 Fourier block, which no pipeline stage needs, and the shared test helpers
 (a bitwise comparison, the unit volume form) sit here too.
+
+So do the independent constructions the library has no consumer for: the
+partition defect of a cutoff, the strict invariance defect of a kernel, the
+Fourier expansion of a profile cochain into slot products, cochain
+transport and cochain averaging along arrows, and the magnetic translations
+of the twisted bundle with the quasi-periodic shift they are built from.
 """
 import math
 
 import numpy as np
 
+from itertools import product
+
 from indexpairing.charclass import CH_CURVATURE_SCALE, IDEMPOTENT_TOL
+from indexpairing.cochains import ASCochain, ASTerm
 from indexpairing.forms import (
     FoliatedForm,
     exterior_wedge,
@@ -24,7 +33,7 @@ from indexpairing.forms import (
     merge_sign,
     subset_position,
 )
-from indexpairing.grids import TWO_PI_I, ModelError
+from indexpairing.grids import TWO_PI_I, ModelError, grid_points
 from indexpairing.symbols import SymbolData
 
 
@@ -181,3 +190,155 @@ def volume_form(base):
     r = base.fiber.dim
     fields = [np.ones((base.fiber.npoints, 1), dtype=complex) for x in range(len(base))]
     return FoliatedForm(r, r, fields, invariant=True)
+
+
+def partition_defect(cutoff):
+    """Max deviation of the orbit sums of a cutoff from 1 over all points and fibers."""
+    g = cutoff.gspace
+    worst = 0.0
+    for x in range(len(g.base)):
+        total = np.zeros(g.base.fiber.npoints)
+        for a in g.groupoid.arrows_from(x):
+            total += g.eval_after_action(a, cutoff.fields[a.tgt]).real
+        worst = max(worst, float(np.max(np.abs(total - 1.0))))
+    return worst
+
+
+def invariance_defect(kern, gspace):
+    """Strict equivariance defect of a kernel for plain pullback, over every arrow."""
+    here = kern.dense()
+    worst = 0.0
+    for a in gspace.groupoid.arrows:
+        perm = gspace.permutation(gspace.groupoid.inverse(a))
+        worst = max(worst, float(np.max(np.abs(here - here[np.ix_(perm, perm)]))))
+    return worst
+
+
+def fourier_coefficients(prof, band, samples=4096):
+    """Coefficients c_m, |m| <= band, of a profile s(t) = sum c_m exp(2 pi i m t)."""
+    grid = np.arange(samples) / samples
+    coef = np.fft.fft(prof(grid)) / samples
+    modes = np.arange(-band, band + 1)
+    return coef[modes % samples]
+
+
+def to_elementary(phi, base, band=None, tol=1e-14):
+    """A profile cochain with every leg expanded in Fourier modes and regrouped
+    slot by slot, over ``base``: an elementary cochain with the same values."""
+    fiber = phi.fiber
+    if band is None:
+        band = fiber.fourier_cutoff
+    coefs = [fourier_coefficients(prof, band) for _, prof in phi.legs]
+    modes = np.arange(-band, band + 1)
+    pts = grid_points(fiber.grid_size, fiber.dim)
+    cap = max(np.max(np.abs(c)) for c in coefs)
+    terms = []
+    for picks in product(range(len(modes)), repeat=len(phi.legs)):
+        weight = complex(np.prod([c[p] for c, p in zip(coefs, picks)]))
+        if abs(weight) <= tol * cap ** len(phi.legs):
+            continue
+        # slot j carries the incoming mode of leg j-1 and the outgoing
+        # (conjugate) mode of leg j
+        factors = []
+        for slot in range(phi.degree + 1):
+            field = np.ones(len(pts), dtype=complex)
+            if slot > 0:
+                axis = phi.legs[slot - 1][0]
+                m = modes[picks[slot - 1]]
+                field = field * np.exp(2j * np.pi * m * pts[:, axis])
+            if slot < phi.degree:
+                axis = phi.legs[slot][0]
+                m = modes[picks[slot]]
+                field = field * np.exp(-2j * np.pi * m * pts[:, axis])
+            factors.append([field] * len(base))
+        terms.append(ASTerm(weight, tuple(factors)))
+    return ASCochain(base, phi.degree, terms, germ_radius=phi.germ_radius)
+
+
+def transport_cochain(gspace, a, phi):
+    """Move every factor's source-fiber component along the arrow.
+
+    Only the components over s(a) and t(a) change; this is the slot-wise
+    action of a single arrow, enough to state equivariance of the realization
+    map arrow by arrow.
+    """
+    new_terms = []
+    for t in phi.terms:
+        factors = []
+        for fam in t.factors:
+            fam2 = [np.asarray(f) for f in fam]
+            fam2[a.tgt] = gspace.transport(a, fam[a.src])
+            factors.append(fam2)
+        new_terms.append(ASTerm(t.weight, tuple(factors)))
+    return ASCochain(phi.base, phi.degree, new_terms, phi.germ_radius, check_band=False)
+
+
+def invariant_project_cochain(gspace, cutoff, phi):
+    """Cutoff-weighted average of a cochain onto the arrow invariants.
+
+    Each arrow contributes one elementary term per input term: all factors are
+    composed with the point action and the cutoff weight (also composed) is
+    attached to the leading factor.  Fixes invariant cochains by the partition
+    identity applied in the leading argument.
+    """
+    base = phi.base
+    new_terms = []
+    for t in phi.terms:
+        for x in range(len(base)):
+            for a in gspace.groupoid.arrows_from(x):
+                weight_field = gspace.eval_after_action(a, cutoff.fields[a.tgt])
+                factors = []
+                for slot, fam in enumerate(t.factors):
+                    fam2 = [np.zeros_like(np.asarray(f)) for f in fam]
+                    moved = gspace.eval_after_action(a, fam[a.tgt])
+                    fam2[x] = weight_field * moved if slot == 0 else moved
+                    factors.append(fam2)
+                new_terms.append(ASTerm(t.weight, tuple(factors)))
+    return ASCochain(base, phi.degree, new_terms, phi.germ_radius, check_band=False)
+
+
+def twisted_shift(field, ticks, twist, fiber):
+    """Sample translate in the second coordinate with the quasi-periodic wrap.
+
+    Rows that cross the unit cell pick up the boundary factor
+    exp(-+ 2 pi i twist z1) so the result samples the same section of the
+    twisted bundle.
+    """
+    n = fiber.grid_size
+    shaped = field.reshape(fiber.grid_shape).copy()
+    z1 = grid_points(n, 2)[:, 0].reshape(fiber.grid_shape)
+    rolled = np.roll(shaped, -ticks, axis=1)
+    j = np.arange(n)
+    wrapped = (j + ticks) // n  # how many cells each column crossed
+    factors = np.exp(-2j * np.pi * twist * z1[:, :1]) ** wrapped[None, :]
+    return (rolled * factors).reshape(field.shape)
+
+
+def magnetic_translation(field, v_ticks, twist, fiber):
+    """Bundle-compatible translation by a grid vector v.
+
+    (T_v f)(z) = exp(2 pi i twist v2 z1) f(z + v), where the argument shift
+    respects the quasi-periodic wrap.  Requires twist * v to be integral, so
+    the phase is a genuine character of the translation.
+    """
+    n = fiber.grid_size
+    t1, t2 = int(v_ticks[0]), int(v_ticks[1])
+    if (twist * t1) % n or (twist * t2) % n:
+        raise ModelError("translation is not compatible with the twist")
+    shifted = twisted_shift(field, t2, twist, fiber)
+    shaped = shifted.reshape(fiber.grid_shape)
+    shaped = np.roll(shaped, -t1, axis=0)
+    pts = grid_points(n, 2)
+    phase = np.exp(2j * np.pi * twist * (t2 / n) * pts[:, 0])
+    return phase * shaped.reshape(field.shape)
+
+
+def magnetic_translation_matrix(basis, v_ticks, twist):
+    """Matrix of the bundle translation on a section basis."""
+    moved = np.column_stack(
+        [
+            magnetic_translation(basis.matrix[:, k], v_ticks, twist, basis.fiber)
+            for k in range(basis.size)
+        ]
+    )
+    return basis.matrix.conj().T @ moved / basis.fiber.npoints

@@ -37,12 +37,12 @@ from indexpairing.topindex import (
 
 
 def trivial_space(n, N):
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n, N):
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 

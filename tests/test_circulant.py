@@ -15,6 +15,7 @@ from indexpairing.grids import FiberModel
 from indexpairing.operators import (
     CIRCULANT_RTOL,
     OperatorBlock,
+    block_count,
     certified_block_row,
     circulant_blocks,
     circulant_dense,
@@ -111,8 +112,8 @@ def block_newton_flow(S, grid_size, tol):
     """The flow on the blocks the dense oracle finds, expanded back to dense."""
     g = circulant_order(S, grid_size)
     width = S.shape[0] // g
-    P, defect, steps = _newton_flow(circulant_blocks(S[:width], g), tol)
-    return circulant_dense(circulant_row(P), g), defect, steps
+    P, defect, steps = _newton_flow(circulant_blocks(S[:width]), tol)
+    return circulant_dense(circulant_row(P)), defect, steps
 
 
 def _random_near_projector(rng, npts, rank):
@@ -158,7 +159,7 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
-    got_chain = _weighted_profile_chain(phi, cw, got[: npts // order], order)
+    got_chain = _weighted_profile_chain(phi, cw, got[: npts // order])
     assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
 
 
@@ -172,14 +173,14 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
     fiber, block = kernel_remainder(n, N, twist)
     S = dense_cut(block, 0.30)
     assert circulant_order(S, n) == order
-    g, row = certified_block_row(block, 0.30)
-    assert g == order
-    assert np.array_equal(row, S[: S.shape[0] // g])
+    row = certified_block_row(block, 0.30)
+    assert block_count(row) == order
+    assert np.array_equal(row, S[: S.shape[0] // order])
 
     idem = index_idempotent(dolbeault_family(fiber, twist, levels=2), radius=0.30)
     assert idem.skernel.order == order
     assert idem.skernel.row.shape == (S.shape[0] // order, S.shape[0])
-    # S1 of a positive flux is exactly zero, and stored as the flag alone
+    # S1 of a positive flux is exactly zero, and stored as no row
     assert idem.cokernel.row is None and idem.cokernel.mats == []
 
 
@@ -202,7 +203,8 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(partner, coarse
         rot = (V * np.exp(1j * eps * w)) @ V.conj().T
         moved = OperatorBlock(block.domain, block.domain, rot @ block.matrix @ rot.conj().T)
         S = dense_cut(moved, 0.45)
-        g, row = certified_block_row(moved, 0.45)
+        row = certified_block_row(moved, 0.45)
+        g = block_count(row)
         assert is_block_circulant(S, g), eps
         assert np.array_equal(row, S[: S.shape[0] // g]), eps
         chosen.append((g, circulant_order(S, 24)))

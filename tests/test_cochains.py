@@ -4,26 +4,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from indexpairing.cochains import (
-    ASCochain,
-    d_as,
-    invariant_project_cochain,
-    transport_cochain,
-    van_est_realize,
-)
+from indexpairing.cochains import ASCochain, d_as, van_est_realize
 from indexpairing.density import compute_cutoff
 from indexpairing.forms import DegreeError, d_leafwise
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
+from oracles import invariant_project_cochain, transport_cochain
 
 
 def circle_base(n=16, N=5):
-    return BaseModel(FiberModel(1, N, n), ["pt"], [1.0])
+    return BaseModel(FiberModel(1, N, n), 1)
 
 
 def torus_base(n=8, N=3):
-    return BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    return BaseModel(FiberModel(2, N, n), 1)
 
 
 def half_shift_space(n=8, N=3):

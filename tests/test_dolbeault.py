@@ -3,14 +3,7 @@ import numpy as np
 import pytest
 
 from indexpairing.density import compute_cutoff, TransversalDensity
-from indexpairing.dolbeault import (
-    dolbeault_family,
-    hermite_values,
-    landau_basis,
-    magnetic_translation,
-    magnetic_translation_matrix,
-    twisted_shift,
-)
+from indexpairing.dolbeault import dolbeault_family, hermite_values, landau_basis
 from indexpairing.grids import FiberModel, ModelError, grid_points
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
@@ -25,24 +18,31 @@ from indexpairing.parametrix import (
     parametrix,
 )
 from indexpairing.space import FiberedGSpace
-from oracles import gram_defect, same_bits, spectral_derivative
+from oracles import (
+    gram_defect,
+    magnetic_translation,
+    magnetic_translation_matrix,
+    same_bits,
+    spectral_derivative,
+    twisted_shift,
+)
 
 
 def trivial_space(n=20, N=8):
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def idempotent_defect(idem):
     """Largest entry of M^2 - M over both families, on the dense expansion of each stored row.
 
-    A zero operator, stored as the flag alone, is a projector.
+    A zero operator, stored as no row, is a projector.
     """
     return max(
         (
             float(np.max(np.abs(M @ M - M)))
             for f in idem.families
-            for M in (circulant_dense(r, f.order) for r in f.mats)
+            for M in (circulant_dense(r) for r in f.mats)
         ),
         default=0.0,
     )
@@ -207,7 +207,7 @@ def test_localized_idempotent_converges_and_stays_local():
     idem = index_idempotent(dolbeault_family(space.base.fiber, 8, levels=2), radius=0.45)
     assert idempotent_defect(idem) <= 1e-8
     assert idem.skernel.order == 8
-    assert idem.skernel.support_radius == idem.cokernel.support_radius == 0.45
+    assert idem.radius == 0.45
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     value = trace_tau(idem.skernel, cutoff, dens) - trace_tau(idem.cokernel, cutoff, dens)
@@ -231,7 +231,7 @@ def test_operator_pipeline_needs_only_the_fiber():
     arrays = idem.arrays()
     back = IndexIdempotent.from_arrays(fiber, arrays)
     assert back.skernel.fiber is back.cokernel.fiber is fiber
-    assert len(back.arrays()) == len(arrays) == 5
+    assert len(back.arrays()) == len(arrays) == 3
     assert all(
         a.dtype == b.dtype and same_bits(a, b) for a, b in zip(back.arrays(), arrays)
     )

@@ -25,7 +25,7 @@ from oracles import exterior_d_per_axis, same_bits, spectral_derivative, volume_
 
 
 def torus_base(n=8, N=3, dim=2):
-    return BaseModel(FiberModel(dim, N, n), ["pt"], [1.0])
+    return BaseModel(FiberModel(dim, N, n), 1)
 
 
 def trivial_space(n=8, N=3, dim=2):

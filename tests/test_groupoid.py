@@ -13,14 +13,15 @@ from indexpairing.density import (
 from indexpairing.grids import FiberModel, ModelError
 from indexpairing.groupoid import Arrow, BaseModel, CyclicGroupoid
 from indexpairing.space import AffineTorusMap, FiberedGSpace
+from oracles import partition_defect
 
 
 def torus_fiber(n=8, N=3, dim=2):
     return FiberModel(dim=dim, fourier_cutoff=N, grid_size=n)
 
 
-def one_point_base(n=8, N=3, dim=2, weight=1.0):
-    return BaseModel(torus_fiber(n, N, dim), ["pt"], [weight])
+def one_point_base(n=8, N=3, dim=2):
+    return BaseModel(torus_fiber(n, N, dim), 1)
 
 
 def half_shift_space(n=8, N=3):
@@ -42,16 +43,15 @@ def test_fiber_model_rejects_coarse_grids():
 
 def test_base_model_rejects_malformed_points():
     fib = torus_fiber()
-    for names, weights, fragment in (
-        ([], [], "at least one point"),
-        (["a", "b"], [1.0], "1 weights for 2 base points"),
-        (["a", "a"], [1.0, 1.0], "distinct"),
-        (["a", "b"], [1.0, 0.0], "'b' has non-positive weight"),
-    ):
+    with pytest.raises(ModelError, match="at least one point"):
+        BaseModel(fib, 0)
+    base = BaseModel(fib, 2)
+    assert (len(base), base.fiber) == (2, fib)
+    space = FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+    for masses, fragment in (([1.0], "one mass per base point"), ([1.0, 0.0], "positive")):
         with pytest.raises(ModelError, match=fragment):
-            BaseModel(fib, names, weights)
-    base = BaseModel(fib, ["a", "b"], [2.0, 1.0])
-    assert (len(base), base.weight(0), base.fiber) == (2, 2.0, fib)
+            TransversalDensity(space, masses)
+    assert TransversalDensity(space, [2, 1.5]).masses == [2.0, 1.5]
 
 
 def pair_swap(bp):
@@ -88,7 +88,7 @@ def test_cyclic_groupoid_laws_brute_force():
     n = 60
     for m, sigma in oracle_groupoids():
         bp = len(sigma)
-        base = BaseModel(torus_fiber(n, 3, 2), [f"p{i}" for i in range(bp)], [1.0] * bp)
+        base = BaseModel(torus_fiber(n, 3, 2), bp)
         gpd = CyclicGroupoid(base, m, sigma)
         space = FiberedGSpace(gpd, [Fraction(1, m), Fraction(-2, m)])
         assert [a.label for a in gpd.arrows] == [(g, x) for g in range(m) for x in range(bp)]
@@ -122,7 +122,7 @@ def test_cyclic_groupoid_laws_brute_force():
 def test_action_groupoid_structure():
     """Z/3 rotating a three point base: sources, targets, inverse, units."""
     fib = torus_fiber(8, 3, 1)
-    base = BaseModel(fib, [f"p{i}" for i in range(3)], [1.0] * 3)
+    base = BaseModel(fib, 3)
     gpd = CyclicGroupoid(base, 3, rotation(3))
     assert len(gpd.arrows) == 9
     a = gpd.arrows_from(0)[1]  # rotate once starting at p0
@@ -136,7 +136,7 @@ def test_action_groupoid_structure():
 
 def test_action_groupoid_rejects_bad_action():
     fib = torus_fiber(8, 3, 1)
-    base = BaseModel(fib, [f"p{i}" for i in range(3)], [1.0] * 3)
+    base = BaseModel(fib, 3)
     with pytest.raises(ModelError, match="to the power 2 is not the identity"):
         CyclicGroupoid(base, 2, rotation(3))
     with pytest.raises(ModelError, match="does not permute"):
@@ -160,7 +160,7 @@ def test_translation_compose_and_inverse_arrow():
         assert np.allclose(translate(comp, z), translate(m1, translate(m2, z)))
     # the map of an inverse arrow is the negated shift
     fib = torus_fiber(8, 3, 1)
-    gpd = CyclicGroupoid(BaseModel(fib, ["pt"], [1.0]), 4)
+    gpd = CyclicGroupoid(BaseModel(fib, 1), 4)
     space = FiberedGSpace(gpd, [Fraction(1, 4)])
     a = gpd.arrows_from(0)[1]
     assert space.fiber_map(gpd.inverse(a)) == AffineTorusMap.translation([Fraction(-1, 4)])
@@ -220,7 +220,7 @@ def test_fibered_space_rejects_non_functorial_maps():
 def test_transport_is_covariant():
     """Transport along a composite equals transport in two stages."""
     fib = torus_fiber(8, 3, 1)
-    base = BaseModel(fib, [f"p{i}" for i in range(2)], [1.0] * 2)
+    base = BaseModel(fib, 2)
     gpd = CyclicGroupoid(base, 2, pair_swap(2))
     # (swap then swap) is the unit, so a quarter shift is not an action of Z/2
     with pytest.raises(ModelError):
@@ -240,13 +240,13 @@ def test_transport_is_covariant():
 def test_cutoff_partition_identity_uniform_and_seeded():
     space = half_shift_space(8, 3)
     uniform = compute_cutoff(space)
-    assert uniform.partition_defect() <= 1e-14
+    assert partition_defect(uniform) <= 1e-14
     assert np.allclose(uniform.fields[0], 0.5)
 
     rng = np.random.default_rng(11)
     seeds = [np.exp(rng.normal(size=64))]
     seeded = compute_cutoff(space, seeds)
-    assert seeded.partition_defect() <= 1e-12
+    assert partition_defect(seeded) <= 1e-12
     assert seeded.fields[0].min() > 0
     assert not np.allclose(seeded.fields[0], 0.5)
 
@@ -257,17 +257,17 @@ def test_cutoff_partition_identity_uniform_and_seeded():
 def test_cutoff_partition_identity_multipoint():
     """Z/4 rotating a 4 point base with translation fiber maps."""
     fib = torus_fiber(8, 3, 1)
-    base = BaseModel(fib, [f"p{i}" for i in range(4)], [1.0] * 4)
+    base = BaseModel(fib, 4)
     space = FiberedGSpace(CyclicGroupoid(base, 4, rotation(4)), [Fraction(1, 4)])
     rng = np.random.default_rng(5)
     seeds = [np.exp(rng.normal(size=8)) for _ in range(4)]
     cut = compute_cutoff(space, seeds)
-    assert cut.partition_defect() <= 1e-12
+    assert partition_defect(cut) <= 1e-12
 
 
 def test_modular_cocycle_ratio_and_loops():
     fib = torus_fiber(8, 3, 1)
-    base = BaseModel(fib, ["a", "b"], [1.0, 1.0])
+    base = BaseModel(fib, 2)
     gpd = CyclicGroupoid(base, 2, pair_swap(2))
     space = FiberedGSpace.trivial(gpd)
     dens = TransversalDensity(space, [0.5, 2.0])
@@ -277,13 +277,3 @@ def test_modular_cocycle_ratio_and_loops():
     # any loop multiplies to 1
     loop = oracle_compose(gpd, hop, gpd.inverse(hop))
     assert dens.modular(loop) == pytest.approx(1.0)
-
-
-def test_base_weight_enters_modular_ratio():
-    fib = torus_fiber(8, 3, 1)
-    base = BaseModel(fib, ["a", "b"], [2.0, 1.0])
-    gpd = CyclicGroupoid(base, 2, pair_swap(2))
-    space = FiberedGSpace.trivial(gpd)
-    dens = TransversalDensity(space, [1.0, 2.0])
-    hop = gpd.arrows_from(0)[1]
-    assert dens.modular(hop) == pytest.approx(1.0)

@@ -315,6 +315,28 @@ def test_scenario_defaults_filled():
             lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 2, "band": -1}),
             "cocycle.band must be in",
         ),
+        # each of these used to fail only at stage analytic-index, or at
+        # stage topological after the idempotent and the pairing had run
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}},
+                fiber_action={"translation": ["1/2", "0"]},
+                operator={"builtin": "multiplier", "symbol": "xi1 + 1j * xi2"},
+            ),
+            "operator.builtin must be dolbeault under a free fiber_action",
+        ),
+        (
+            lambda raw: raw.update(
+                groupoid={"group": {"cyclic": 2}},
+                fiber_action={"translation": ["1/2", "0"]},
+                operator={"builtin": "dolbeault", "twist": 3, "levels": 2},
+            ),
+            "operator.twist 3 does not descend to the quotient by the free Z/2 action",
+        ),
+        (
+            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 0}),
+            "cocycle.band must be 0 for a degree-0 elementary cocycle",
+        ),
     ],
 )
 def test_scenario_validation_names_offending_field(mutate, fragment):
@@ -322,6 +344,24 @@ def test_scenario_validation_names_offending_field(mutate, fragment):
     mutate(raw)
     with pytest.raises(ScenarioError, match=fragment.replace("*", "\\*")):
         _validate(raw)
+
+
+def test_quotient_refusals_hold_for_a_free_translation_only():
+    # a translation with a trivially acting subgroup, or a pair-swapped base,
+    # takes a per-point route, whatever the operator and the flux
+    multiplier = {"builtin": "multiplier", "symbol": "xi1 + 1j * xi2 + 0.5"}
+    paired = {"group": {"cyclic": 2}, "base_points": 2, "base_action": "pair-swap"}
+    for group, op, free in (
+        ({"group": {"cyclic": 4}}, multiplier, False),
+        ({"group": {"cyclic": 4}}, {"builtin": "dolbeault", "twist": 3}, False),
+        (paired, multiplier, True),
+    ):
+        raw = cheap_scenario(
+            groupoid=group, fiber_action={"translation": ["1/2", "0"]}, operator=op
+        )
+        assert _validate(raw).free_action is free
+    # a degree-0 cocycle of band 0 is a constant, and loads
+    assert _validate(cheap_scenario(cocycle={"kind": "elementary", "degree": 0, "band": 0}))
 
 
 def test_kernel_budget_does_not_count_base_points():
@@ -393,8 +433,7 @@ def test_coefficients_reject_unsupported_dtype(tmp_path):
     fiber = FiberModel(2, 3, 12)
     npts = fiber.npoints
     path = tmp_path / "k.opk"
-    one = np.array([1])
-    kernels = [one, np.eye(npts, dtype=np.int32), one, np.eye(npts, dtype=complex)]
+    kernels = [np.eye(npts, dtype=np.int32), np.eye(npts, dtype=complex)]
     save_coefficients(path, [np.array([np.inf])] + kernels)
     with pytest.raises(CorruptedCacheError, match="row dtype int32"):
         IndexIdempotent.from_arrays(fiber, load_coefficients(path))
@@ -456,7 +495,7 @@ def cochain_to_table(phi: ASCochain, band: int) -> list[dict]:
 
 
 def test_cochain_table_roundtrip():
-    base = BaseModel(FiberModel(2, 3, 12), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, 3, 12), 1)
     rng = np.random.default_rng(5)
     factors = [
         [random_band_limited(rng, base.fiber, 2)] for _ in range(3)
@@ -569,6 +608,111 @@ def test_run_scenario_multiplier_zero_class():
     assert rec.status == "pass"
 
 
+def test_analytic_column_routes_on_freeness():
+    # Z/4 by a quarter shift is free: the quotient is a torus of area 1/4
+    # with flux 4/4 = 1.  Z/4 by a half shift is not (2 acts trivially), so
+    # the column holds the per-point index 4.  Both pair to the orbifold
+    # index 1, as before.
+    rows = []
+    for name, shift in (("quarter", ["1/4", "0"]), ("half", ["1/2", "0"])):
+        raw = cheap_scenario(
+            name=name,
+            groupoid={"group": {"cyclic": 4}, "base_points": 1},
+            fiber={"kind": "torus", "dim": 2, "fourier_cutoff": 8, "grid": 20},
+            fiber_action={"translation": shift},
+            operator={"builtin": "dolbeault", "twist": 4, "levels": 2},
+        )
+        rows.append(run_scenario(_validate(raw)).csv_row())
+    tail = (
+        "1.000000000000e+00+2.864820792276e-35j,"
+        "9.999999996880e-01-3.900641646056e-17j,3.120397e-10,pass"
+    )
+    assert rows == [f"quarter,1,{tail}", f"half,4,{tail}"]
+    # a multiplier under the non-free action runs the per-point route
+    raw = cheap_scenario(
+        name="half-multiplier",
+        groupoid={"group": {"cyclic": 4}, "base_points": 1},
+        fiber_action={"translation": ["1/2", "0"]},
+        operator={"builtin": "multiplier", "symbol": "xi1 + 1j * xi2 + 0.5"},
+    )
+    rec = run_scenario(_validate(raw))
+    assert (rec.analytic, rec.pairing, rec.status) == ((0,), 0j, "pass")
+
+
+@pytest.mark.parametrize(
+    "group, grid, cutoff, twist, levels, row",
+    [
+        (
+            {"group": {"cyclic": 2}, "base_action": "pair-swap"},
+            18, 3, 3, 4,
+            "weighted,3;3,6.000000000000e+00+0.000000000000e+00j,"
+            "5.999999996627e+00-4.486749616684e-16j,3.372691e-09,pass",
+        ),
+        (
+            {"group": "trivial"},
+            20, 8, 1, 2,
+            "weighted,1;1,4.000000000000e+00+0.000000000000e+00j,"
+            "3.999999990483e+00-2.211818085396e-16j,9.517200e-09,pass",
+        ),
+    ],
+)
+def test_mass_is_base_weight_times_density_value(group, grid, cutoff, twist, levels, row):
+    # base weights [2, 1] times density values [1, 2]: mass 2 at both points,
+    # so the pair-swapped family passes the unimodularity gate and its one
+    # orbit counts 2 * 3, and the two unit traces add to 2 * 1 + 2 * 1.  The
+    # rows are those the weights and values gave as two separate factors.
+    raw = cheap_scenario(
+        name="weighted",
+        groupoid={**group, "base_points": 2, "base_weights": [2, 1]},
+        fiber={"kind": "torus", "dim": 2, "fourier_cutoff": cutoff, "grid": grid},
+        operator={"builtin": "dolbeault", "twist": twist, "levels": levels},
+        density={"values": [1, 2]},
+    )
+    assert run_scenario(_validate(raw)).csv_row() == row
+
+
+def test_base_weight_enters_modular_ratio():
+    # base weights [2, 1] over unit density values rescale the mass along
+    # the swap arrow by 1/2, which the family route refuses
+    raw = cheap_scenario(
+        groupoid={
+            "group": {"cyclic": 2},
+            "base_points": 2,
+            "base_weights": [2, 1],
+            "base_action": "pair-swap",
+        },
+    )
+    with pytest.raises(StageError, match=r"family-index: .* rescales mass by 0\.5"):
+        run_scenario(_validate(raw))
+
+
+# the [g] members a format-7 cache stored beside the block rows of S0 and S1
+# (0 for a zero projector); format 8 derives them from the row shapes
+FORMAT_7_BLOCK_COUNTS = {
+    "S1-dolbeault-dm2": (0, 1),
+    "S1-dolbeault-dm1": (0, 1),
+    "S1-dolbeault-d0": (1, 1),
+    "S1-dolbeault-d1": (1, 0),
+    "S1-dolbeault-d2": (1, 0),
+    "S2-free-halfshift-d2": (1, 0),
+    "S3-multiplier-invertible": (0, 0),
+    "S4-sawtooth-flux32": (16, 0),
+    "flux24": (8, 0),
+}
+
+
+def test_derived_block_count_matches_the_format_7_member():
+    flux24 = Path(__file__).parents[1] / "perfbench" / "scenarios" / "flux24-unit.json"
+    for name, counts in FORMAT_7_BLOCK_COUNTS.items():
+        scn = load_scenario(str(flux24) if name == "flux24" else name)
+        fiber = harness._build_space(scn).base.fiber
+        block, _ = harness._build_operator(scn, fiber)
+        idem = index_idempotent(block, radius=scn.localize)
+        assert tuple(0 if f.row is None else f.order for f in idem.families) == counts, name
+        if name == "flux24":
+            assert idem.skernel.row.shape == (200, 1600)
+
+
 def test_run_scenario_orbifold_family():
     rec = run_scenario(load_scenario("S5-orbifold-family"))
     assert rec.analytic == (3, 3, 3, 3)
@@ -597,29 +741,29 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
     npts = 12**2  # the cheap scenario's 12 x 12 grid
     # an earlier layout: a radius and one two-component kernel per point
     save_coefficients(cache, [np.array([np.inf]), np.zeros((2 * npts, 2 * npts))])
-    with pytest.raises(CorruptedCacheError, match="expected 5 arrays, found 2"):
+    with pytest.raises(CorruptedCacheError, match="expected 3 arrays, found 2"):
         run_scenario(scn, out_dir=tmp_path)
 
-    flag = [np.array([0]), np.zeros((0, 0), dtype=complex)]
+    zero = np.zeros((0, 0), dtype=complex)
     for radius in (np.nan, 0.0, -1.0):
-        save_coefficients(cache, [np.array([radius])] + flag + flag)
-        with pytest.raises(CorruptedCacheError, match="support radius"):
+        save_coefficients(cache, [np.array([radius]), zero, zero])
+        with pytest.raises(CorruptedCacheError, match="cut radius"):
             run_scenario(scn, out_dir=tmp_path)
 
 
-def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
-    # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the flag
+def test_idempotent_arrays_roundtrip_block_rows_and_zero_row(tmp_path):
+    # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the
+    # empty row
     fiber = FiberModel(2, 8, 24)
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     arrays = idem.arrays()
-    assert [a.shape for a in arrays] == [(1,), (1,), (72, 576), (1,), (0, 0)]
-    assert [int(arrays[1][0]), int(arrays[3][0])] == [8, 0]
+    assert [a.shape for a in arrays] == [(1,), (72, 576), (0, 0)]
+    assert [a.dtype for a in arrays] == [np.float64, np.complex128, np.complex128]
     path = tmp_path / "k.opk"
     save_coefficients(path, arrays)
     back = IndexIdempotent.from_arrays(fiber, load_coefficients(path))
-    for got, want in zip(back.families, idem.families):
-        assert got.support_radius == want.support_radius == 0.45
-        assert got.order == want.order
+    assert back.radius == idem.radius == 0.45
+    assert back.skernel.order == idem.skernel.order == 8
     assert np.array_equal(back.skernel.row, idem.skernel.row)
     assert back.cokernel.row is None
 
@@ -627,16 +771,21 @@ def test_idempotent_arrays_roundtrip_block_rows_and_zero_flag(tmp_path):
 def _refused_layouts(arrays):
     """(name, layout, message fragment) for cached layouts of the cheap scenario's idempotent.
 
-    ``arrays`` is the good layout: radius, then [1] and the dense S0, then
-    the zero flag of S1.
+    ``arrays`` is the good layout: the radius, the dense S0 and the empty
+    row of the zero S1.
     """
-    radius, g0, s0, g1, s1 = arrays
+    radius, s0, s1 = arrays
     return [
-        ("non-dividing g", [radius, np.array([5]), s0, g1, s1], "does not divide the grid size 12"),
-        ("short row", [radius, g0, s0[:-1], g1, s1], "has shape (143, 144) for g = 1"),
-        ("real row", [radius, g0, s0.real, g1, s1], "row dtype float64"),
-        ("flag with data", [radius, g0, s0, g1, np.zeros((1, 1), complex)], "carries 1 entries"),
-        ("format 5", [radius, s0, np.zeros_like(s0)], "expected 5 arrays, found 3"),
+        ("non-dividing row count", [radius, s0[:-1], s1], "has shape (143, 144)"),
+        ("g not dividing the grid", [radius, s0[:9], s1], "block count 16 does not divide"),
+        ("no rows", [radius, s0[:0], s1], "has shape (0, 144)"),
+        ("stray zero entry", [radius, s0, np.zeros((1, 1), complex)], "has shape (1, 1)"),
+        ("real row", [radius, s0.real, s1], "row dtype float64"),
+        (
+            "format 7",
+            [radius, np.array([1]), s0, np.array([0]), s1],
+            "expected 3 arrays, found 5",
+        ),
     ]
 
 
@@ -647,7 +796,7 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     (cache,) = (out / "cache").glob("*.idem.opk")
     good = load_coefficients(cache)
-    assert [int(good[1][0]), int(good[3][0])] == [1, 0]
+    assert [a.shape for a in good] == [(1,), (144, 144), (0, 0)]
     fiber = FiberModel(2, 4, 12)
     capsys.readouterr()
     for name, layout, fragment in _refused_layouts(good):
@@ -670,7 +819,7 @@ def test_flux24_cache_holds_one_block_row(tmp_path):
 
 def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
     # three base points share one operator, so the archive holds the radius
-    # and one (g, block row) pair per projector, the arrays of one point
+    # and one block row per projector, the arrays of one point
     one, three = (
         _validate(
             cheap_scenario(
@@ -698,7 +847,7 @@ def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         (cache,) = (out / "cache").glob("*.idem.opk")
         archives.append(load_coefficients(cache))
-    assert len(archives[1]) == 5
+    assert len(archives[1]) == 3
     assert all(
         (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         for a, b in zip(*archives)
@@ -737,7 +886,7 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8
     dense = IndexIdempotent(
-        *(SmoothingKernel(fiber, f.dense(), f.support_radius) for f in idem.families)
+        *(SmoothingKernel(fiber, f.dense()) for f in idem.families), idem.radius
     )
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     for kern, dense_kern in zip(idem.families, dense.families):
@@ -763,6 +912,7 @@ def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
         cheap_scenario(
             groupoid={"group": {"cyclic": 2}, "base_points": 1},
             fiber_action={"translation": ["1/2", "1/2"]},
+            operator={"builtin": "dolbeault", "twist": 2, "levels": 2},
             localize=0.3,
         )
     )
@@ -771,9 +921,11 @@ def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
         "groupoid": lambda raw: raw["groupoid"].update(base_weights=[2.0]),
         "fiber": lambda raw: raw["fiber"].update(grid=14),
         "fiber_action": lambda raw: raw.update(fiber_action={"translation": ["1/2", "0"]}),
-        "operator": lambda raw: raw["operator"].update(twist=2),
+        "operator": lambda raw: raw["operator"].update(twist=4),
         "localize": lambda raw: raw.update(localize=0.25),
-        "cocycle": lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 0}),
+        "cocycle": lambda raw: raw.update(
+            cocycle={"kind": "elementary", "degree": 0, "band": 0}
+        ),
         "density": lambda raw: raw.update(density={"values": [2.0]}),
         "tolerances": lambda raw: raw["tolerances"].update(pairing_tol=1e-3),
         "seed": lambda raw: raw.update(seed=8),
@@ -993,7 +1145,7 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "unreadable archive" in capsys.readouterr().err
     # a well-formed file holding kernels of the wrong size
-    save_coefficients(cache, [np.array([np.inf])] + [np.array([1]), np.eye(3, dtype=complex)] * 2)
+    save_coefficients(cache, [np.array([np.inf])] + [np.eye(3, dtype=complex)] * 2)
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "has shape (3, 3)" in capsys.readouterr().err
 

@@ -21,11 +21,11 @@ from indexpairing.pairing import (
 )
 from indexpairing.parametrix import IndexIdempotent, index_idempotent
 from indexpairing.space import FiberedGSpace
+from oracles import fourier_coefficients, to_elementary
 
 
-def torus_base(n=20, N=8, weights=(1.0,)):
-    names = [f"x{i}" for i in range(len(weights))]
-    return BaseModel(FiberModel(2, N, n), names, list(weights))
+def torus_base(n=20, N=8, points=1):
+    return BaseModel(FiberModel(2, N, n), points)
 
 
 def trivial_space(n=20, N=8):
@@ -91,7 +91,7 @@ def test_profile_validation():
 def test_profile_fourier_reconstruction():
     p = TransitionProfile(linear_radius=0.2)
     band = 16
-    coef = p.fourier_coefficients(band)
+    coef = fourier_coefficients(p, band)
     t = np.linspace(0.0, 1.0, 511, endpoint=False)
     modes = np.arange(-band, band + 1)
     recon = (coef[None, :] * np.exp(2j * np.pi * np.outer(t, modes))).sum(axis=1)
@@ -145,7 +145,7 @@ def test_profile_cochain_validation():
 
 
 def test_van_est_form_is_constant_signed_volume():
-    base = torus_base(n=12, N=4, weights=(1.0, 2.0))
+    base = torus_base(n=12, N=4, points=2)
     saw = TransitionProfile()
 
     def form(legs):
@@ -165,7 +165,7 @@ def test_to_elementary_matches_profile_values():
     base = torus_base(n=34, N=16)
     soft = TransitionProfile(linear_radius=0.2)
     phi = ProfileCochain(base.fiber, [(0, soft), (1, soft)])
-    elem = phi.to_elementary(base)
+    elem = to_elementary(phi, base)
     rng = np.random.default_rng(3)
     tuples = rng.integers(0, 34 * 34, size=(40, 3))
     direct = profile_values(phi, 0, tuples)
@@ -198,7 +198,7 @@ def test_pairing_of_zero_idempotent_vanishes():
     dens = TransversalDensity.uniform(space)
     fiber = space.base.fiber
     zero = SmoothingKernel(fiber, np.zeros((fiber.npoints, fiber.npoints)))
-    idem = IndexIdempotent(zero, zero)
+    idem = IndexIdempotent(zero, zero, np.inf)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     assert pair_cocycle(idem, unit, cutoff, dens) == 0
     saw = TransitionProfile()
@@ -313,10 +313,9 @@ def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypat
     monkeypatch.setattr(pairing, "_weighted_profile_chain", counted)
 
     def pair(weights, cutoff_fields):
-        base = BaseModel(fiber, [f"x{i}" for i in range(len(weights))], list(weights))
-        space = FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+        space = FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, len(weights)), 1))
         cutoff = CutoffDensity(space, cutoff_fields)
-        return pair_cocycle(idem, phi, cutoff, TransversalDensity.uniform(space))
+        return pair_cocycle(idem, phi, cutoff, TransversalDensity(space, weights))
 
     value = pair(masses, fields)
     assert len(calls) == 1
@@ -336,7 +335,7 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8 and idem.cokernel.row is None
     dense = IndexIdempotent(
-        *(SmoothingKernel(fiber, f.dense(), f.support_radius) for f in idem.families)
+        *(SmoothingKernel(fiber, f.dense()) for f in idem.families), idem.radius
     )
     rng = np.random.default_rng(43)
     factors = [[random_band_limited(rng, space.base.fiber, band=2)] for _ in range(3)]
@@ -393,7 +392,7 @@ def test_pairing_rejects_noninvariant_kernels():
     # an invariant (zero) kernel and a non-invariant cokernel projector: the
     # gate has to look at both
     zero = SmoothingKernel(fiber, np.zeros((npts, npts)))
-    idem = IndexIdempotent(zero, SmoothingKernel(fiber, raw))
+    idem = IndexIdempotent(zero, SmoothingKernel(fiber, raw), np.inf)
     unit = ASCochain.unit(space.base, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, cutoff, dens)
@@ -511,7 +510,7 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     for cochain, masks in ((phi, profile_masks), (general, general_masks)):
         want = six_term_profile_chain(masks, cw, K)
         chain_products.clear()
-        got = _weighted_profile_chain(cochain, cw, K, 1)
+        got = _weighted_profile_chain(cochain, cw, K)
         assert abs(got - want) <= 1e-13 * abs(want)
         # a hermitian kernel takes the two-product form (one rotation sum),
         # any other kernel the four-product form (two)
@@ -529,7 +528,7 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, K)
-    got = _weighted_profile_chain(phi, cw, K, 1)
+    got = _weighted_profile_chain(phi, cw, K)
     assert len(chain_products) == 4
     assert abs(got - want) <= 1e-13 * abs(want)
     # the two-product form would drop the real part this perturbation makes
@@ -571,6 +570,6 @@ def test_elementary_chain_matches_six_term_oracle(which, chain_products):
         phi = ASCochain(base, 2, phi_terms, germ_radius=2.0)
         want = six_term_elementary_chain(phi, 0, cw, K)
         chain_products.clear()
-        got = _weighted_elementary_chain(phi, 0, cw, K, 1)
+        got = _weighted_elementary_chain(phi, 0, cw, K)
         assert abs(got - want) <= 1e-13 * abs(want), name
         assert len(chain_products) == distinct, name

@@ -3,8 +3,8 @@
 The walk is by name over the AST: it starts from all of cli.py and from
 every module-level statement that is not a def, and follows each Name and
 Attribute to every def or method of that name.  Dunder methods come with
-their class.  What only tests use must be an independent oracle named in
-KEPT_ORACLES together with the test that uses it.
+their class.  What only tests use belongs in ``tests/oracles.py``, not in
+the package.
 
 Because names are matched bare, a method counts as reached whenever any
 def of the same name is reached: an uncalled ``copy`` or ``zero`` on one
@@ -13,27 +13,15 @@ found by reading the callers; this test cannot see them.
 """
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import indexpairing
+from indexpairing.dolbeault import dolbeault_family
+from indexpairing.grids import FiberModel
+from indexpairing.parametrix import index_idempotent
 
 SRC = Path(indexpairing.__file__).parent
-
-# kept oracle -> the test that compares live code against it
-KEPT_ORACLES = {
-    "CutoffDensity.partition_defect": "test_groupoid::test_cutoff_partition_identity_multipoint",
-    "ProfileCochain.to_elementary": "test_pairing::test_to_elementary_matches_profile_values",
-    "SmoothingKernel.invariance_defect": "test_calculus::test_average_kernel_enforces_invariance_and_fixes_invariants",
-    "TransitionProfile.fourier_coefficients": "test_pairing::test_profile_fourier_reconstruction",
-    "invariant_project_cochain": "test_cochains::test_invariant_project_cochain_invariance_and_fixing",
-    # magnetic translations are also the group action a Bloch-block kernel
-    # representation would diagonalize
-    "magnetic_translation": "test_dolbeault::test_magnetic_translation_square_is_the_predicted_phase",
-    "magnetic_translation_matrix": "test_dolbeault::test_magnetic_translation_is_unitary_and_commutes",
-    "transport_cochain": "test_cochains::test_van_est_equivariance",
-    "twisted_shift": "test_dolbeault::test_ladder_matches_finite_difference_application",
-}
-
 
 def _defs(tree: ast.Module):
     """(qualified name, bare name, node) for top-level defs and their methods."""
@@ -96,10 +84,8 @@ def unreached() -> set[str]:
     return every - reached
 
 
-def test_src_holds_only_reached_code_and_named_oracles():
-    dead = unreached()
-    assert sorted(dead - set(KEPT_ORACLES)) == []
-    assert sorted(set(KEPT_ORACLES) - dead) == [], "allowlisted names are now reached"
+def test_src_holds_only_reached_code():
+    assert sorted(unreached()) == []
 
 
 def test_traced_entry_points_resolve():
@@ -123,3 +109,21 @@ def test_traced_entry_points_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
+
+
+def test_traced_result_bytes_read_the_stored_rows():
+    """The benchmark's other read of the package: RESULT_BYTES on an idempotent.
+
+    It sums the bytes of ``idem.skernel.mats``: none for a zero S0 (flux -1),
+    the 200 x 1600 complex block row of S0 at flux 24.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "tracing", SRC.parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    measure = tracing.RESULT_BYTES["parametrix.index_idempotent"]
+    zero = index_idempotent(dolbeault_family(FiberModel(2, 8, 20), -1, 2))
+    assert zero.skernel.row is None and measure(zero) == 0
+    flux24 = index_idempotent(dolbeault_family(FiberModel(2, 19, 40), 24, 2), radius=0.30)
+    assert measure(flux24) == 200 * 1600 * 16

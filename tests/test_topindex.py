@@ -28,20 +28,20 @@ from oracles import volume_form
 
 
 def trivial_space(n=20, N=8):
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
 def half_shift_space(n=20, N=8):
     """Free Z/2: the diagonal half-period shift on the torus fiber."""
-    base = BaseModel(FiberModel(2, N, n), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, N, n), 1)
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
 def four_point_space(n=18, N=3):
     """Z/2 identifying the base points pairwise, trivial on fibers."""
     fib = FiberModel(2, N, n)
-    base = BaseModel(fib, [f"x{i}" for i in range(4)], [0.5] * 4)
+    base = BaseModel(fib, 4)
     return FiberedGSpace.trivial(CyclicGroupoid(base, 2, [1, 0, 3, 2]))
 
 
@@ -185,7 +185,7 @@ def walk_indicator(space):
 def test_fundamental_domain_matches_walk_oracle():
     """Least-key representatives equal the walk's, over several orbits."""
     # Z/4 swapping the base points pairwise, with fiber shifts g * (1/4, 1/2)
-    base = BaseModel(FiberModel(2, 3, 8), [f"x{i}" for i in range(4)], [0.5] * 4)
+    base = BaseModel(FiberModel(2, 3, 8), 4)
     gpd = CyclicGroupoid(base, 4, [1, 0, 3, 2])
     shifted = FiberedGSpace(gpd, [Fraction(1, 4), Fraction(1, 2)])
     for space in (half_shift_space(n=12, N=3), shifted):
@@ -199,7 +199,7 @@ def test_fundamental_domain_matches_walk_oracle():
 
 def test_reduction_rejects_non_free_action():
     # the nontrivial arrow is no unit, yet its shift is zero: every point is fixed
-    base = BaseModel(FiberModel(2, 3, 12), ["pt"], [1.0])
+    base = BaseModel(FiberModel(2, 3, 12), 1)
     space = FiberedGSpace(CyclicGroupoid(base, 2), [0, 0])
     with pytest.raises(NonFreeActionError, match="fixes 144 fiber points"):
         fundamental_domain_indicator(space)
@@ -244,7 +244,7 @@ def test_multiplier_class_of_invertible_symbol_vanishes():
 def test_orbifold_family_both_sides():
     space = four_point_space()
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
+    dens = TransversalDensity(space, [0.5] * 4)
     disc = DiscModel(4.0, 48, 48)
     twist = 3
     block = dolbeault_family(space.base.fiber, twist, 4)
@@ -255,6 +255,6 @@ def test_orbifold_family_both_sides():
     assert abs(res.orbit_sum - twist) < 1e-12
     assert abs(res.topological - twist) < 1e-6
     assert res.difference < 1e-6
-    lopsided = TransversalDensity(space, [1.0, 2.0, 1.0, 2.0])
+    lopsided = TransversalDensity(space, [0.5, 1.0, 0.5, 1.0])
     with pytest.raises(ModelError, match="invariant transversal density"):
         family_index_orbifold(space, block, cutoff, lopsided, sclass)
