@@ -83,12 +83,6 @@ class FoliatedForm:
         fields = [np.zeros((base.fiber.npoints, ncomp), dtype=complex) for _ in range(len(base))]
         return cls(degree, r, fields, invariant=True)
 
-    @classmethod
-    def from_scalar(cls, base: BaseModel, scalars: list[np.ndarray]) -> "FoliatedForm":
-        r = base.fiber.dim
-        fields = [np.asarray(s, dtype=complex).reshape(-1, 1) for s in scalars]
-        return cls(0, r, fields)
-
     def __add__(self, other: "FoliatedForm") -> "FoliatedForm":
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
@@ -167,15 +161,6 @@ def d_leafwise(form: FoliatedForm, base: BaseModel) -> FoliatedForm:
     grad = partial(spectral_gradient, fiber=base.fiber)
     out_fields = [exterior_d(f, q, r, grad) for f in form.fields]
     return FoliatedForm(q + 1, r, out_fields, invariant=form.invariant)
-
-
-def wedge(f1: FoliatedForm, f2: FoliatedForm) -> FoliatedForm:
-    out_fields = [
-        exterior_wedge(a, f1.degree, b, f2.degree, f1.fiber_dim, np.multiply)
-        for a, b in zip(f1.fields, f2.fields)
-    ]
-    invariant = f1.invariant and f2.invariant
-    return FoliatedForm(f1.degree + f2.degree, f1.fiber_dim, out_fields, invariant=invariant)
 
 
 def form_invariance_defect(gspace: FiberedGSpace, form: FoliatedForm) -> float:

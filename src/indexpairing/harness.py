@@ -31,10 +31,10 @@ from zipfile import BadZipFile
 import numpy as np
 
 from .charclass import DiscModel
-from .cochains import ASCochain, van_est_realize
+from .cochains import ASCochain
 from .density import TransversalDensity, compute_cutoff
 from .dolbeault import dolbeault_family
-from .grids import FiberModel, ModelError, random_band_limited
+from .grids import FiberModel, ModelError
 from .groupoid import BaseModel, CyclicGroupoid
 from .invariants import INVARIANT_CHECKS
 from .pairing import ProfileCochain, pair_cocycle
@@ -42,7 +42,6 @@ from .parametrix import CorruptedCacheError, IndexIdempotent, analytic_index, in
 from .scenario import (
     BUILTIN_SCENARIOS,
     Scenario,
-    _cochain_from_table,
     _leg_profile,
     _symbol_expression,
     load_scenario,
@@ -156,23 +155,13 @@ def _build_operator(scn: Scenario, fiber: FiberModel):
     return quantize(sym), sclass
 
 
-def _build_cocycle(scn: Scenario, base: BaseModel):
+def _build_cocycle(scn: Scenario, fiber: FiberModel):
     coc = scn.cocycle
     if coc["kind"] == "unit":
         # the constant cochain is its own germ at every separation
-        return ASCochain.unit(base, germ_radius=math.inf)
-    if coc["kind"] == "profile":
-        legs = [(leg["axis"], _leg_profile(leg)) for leg in coc["legs"]]
-        return ProfileCochain(base.fiber, legs)
-    band = coc["band"]
-    if "terms" in coc:
-        return _cochain_from_table(base, coc["degree"], band, coc["terms"])
-    rng = np.random.default_rng(scn.seed)
-    factors = [
-        [random_band_limited(rng, base.fiber, band) for _ in range(len(base))]
-        for _ in range(coc["degree"] + 1)
-    ]
-    return ASCochain.elementary(base, factors, germ_radius=2.0)
+        return ASCochain.unit(fiber, germ_radius=math.inf)
+    legs = [(leg["axis"], _leg_profile(leg)) for leg in coc["legs"]]
+    return ProfileCochain(fiber, legs)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +211,12 @@ def _stage(name: str):
 
 # Bump when the cached idempotent of unchanged inputs, or its layout, would change.
 _CACHE_FORMAT = 8
-# echo fields the idempotent does not depend on; the cache file name carries a
+# echo fields the idempotent does not depend on (it is built from the fiber, the
+# operator and the localization radius alone); the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
-_NOT_IDEMPOTENT_INPUTS = ("name", "cocycle", "density", "tolerances", "seed")
+_NOT_IDEMPOTENT_INPUTS = (
+    "name", "groupoid", "fiber_action", "cocycle", "density", "tolerances", "seed"
+)
 
 
 def _idempotent_cache(scn: Scenario, out_dir: Path) -> Path:
@@ -298,7 +290,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                 save_coefficients(cache_path, idem.arrays())
 
     with _stage("cocycle"):
-        phi = _build_cocycle(scn, space.base)
+        phi = _build_cocycle(scn, space.base.fiber)
 
     with _stage("pairing"):
         pairing = pair_cocycle(
@@ -306,11 +298,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         )
 
     with _stage("topological"):
-        alpha = (
-            phi.van_est_form(space.base)
-            if isinstance(phi, ProfileCochain)
-            else van_est_realize(phi)
-        )
+        alpha = phi.van_est_form(space.base)
         topological = topological_index(
             space, cutoff, dens, alpha, sclass, invariant_tol=scn.invariant_tol
         )

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 
 from .charclass import DiscModel, chern_character_fiber, twist_projector
-from .cochains import ASCochain, d_as, van_est_realize
+from .cochains import ASCochain, d_as
 from .density import TransversalDensity, compute_cutoff
 from .dolbeault import dolbeault_family
 from .forms import (
@@ -130,10 +130,10 @@ def _check_vanest_chain_map():
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
-        factors = [[random_band_limited(rng, base.fiber, 2)] for _ in range(2)]
-        phi = ASCochain.elementary(base, factors, germ_radius=2.0)
+        factors = [random_band_limited(rng, base.fiber, 2) for _ in range(2)]
+        phi = ASCochain.elementary(base.fiber, factors, germ_radius=2.0)
         defect = (
-            van_est_realize(d_as(phi)) - d_leafwise(van_est_realize(phi), base)
+            d_as(phi).van_est_form(base) - d_leafwise(phi.van_est_form(base), base)
         ).max_abs()
         worst = max(worst, defect)
     return worst, 1e-10
@@ -147,8 +147,8 @@ def _check_coboundary_pairing():
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(6000 + seed)
-        factors = [[random_band_limited(rng, space.base.fiber, 2)] for _ in range(2)]
-        psi = ASCochain.elementary(space.base, factors, germ_radius=2.0)
+        factors = [random_band_limited(rng, space.base.fiber, 2) for _ in range(2)]
+        psi = ASCochain.elementary(space.base.fiber, factors, germ_radius=2.0)
         worst = max(worst, abs(pair_cocycle(idem, d_as(psi), cutoff, dens)))
     return worst, 1e-8
 

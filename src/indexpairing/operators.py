@@ -411,9 +411,9 @@ def _weighted_diag_trace(
     kern: SmoothingKernel,
     cutoff: CutoffDensity,
     dens: TransversalDensity,
-    fields: list[np.ndarray] | None = None,
+    field: np.ndarray | None = None,
 ) -> complex:
-    """sum over base points x of mass(x) * sum_z c_x(z) [f_x(z)] M[z, z].
+    """sum over base points x of mass(x) * sum_z c_x(z) [f(z)] M[z, z].
 
     A zero operator is skipped: adding its exact zeros would change no bit.
     """
@@ -422,7 +422,7 @@ def _weighted_diag_trace(
         return total
     diagonal = kern.diagonal()
     for x, c in enumerate(cutoff.fields):
-        weight = c if fields is None else c * fields[x]
+        weight = c if field is None else c * field
         total += dens.masses[x] * np.sum(weight * diagonal)
     return complex(total)
 

@@ -61,10 +61,10 @@ translation invariant, but tr(D M) of a block-circulant M only reads the
 diagonal of C_0, the mean of the Fourier blocks, so D enters through the
 sums of c over the orbits of the translation: exact for any cutoff.
 
-A profile chain differs between base points only through the cutoff
-weight, in which it is real-linear, so it is contracted once against the
-mass-weighted sum of the cutoff fields; an elementary chain, whose slot
-products differ from point to point, is contracted per point.
+Both cochain flavors live on the fiber, so a chain differs between base
+points only through the cutoff weight, in which it is real-linear: each
+k = 1 chain is contracted once against the mass-weighted sum of the cutoff
+fields.
 """
 from __future__ import annotations
 
@@ -258,29 +258,22 @@ def pair_cocycle(
 
     s0, s1 = idem.families
     if k == 0:
-        slots = np.arange(s0.fiber.npoints)[:, None]
-        fields = [phi.evaluate_batch(x, slots) for x in range(len(cutoff.fields))]
-        trace0, trace1 = (
-            _weighted_diag_trace(f, cutoff, dens, fields) for f in (s0, s1)
-        )
+        field = phi.evaluate_batch(np.arange(s0.fiber.npoints)[:, None])
+        trace0, trace1 = (_weighted_diag_trace(f, cutoff, dens, field) for f in (s0, s1))
         return trace0 - trace1
 
     weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
-    if isinstance(phi, ProfileCochain):
-        # one contraction covers the base (see the module docstring)
-        cw = sum(dens.masses[x] * c for x, c in enumerate(cutoff.fields))
-        chains = [(1.0, partial(_weighted_profile_chain, phi, cw))]
-    else:
-        chains = [
-            (dens.masses[x], partial(_weighted_elementary_chain, phi, x, c))
-            for x, c in enumerate(cutoff.fields)
-        ]
-    total = 0.0 + 0.0j
-    for mass, chain in chains:
-        # a zero operator (S1 of every positive flux) has an exactly zero chain
-        v0, v1 = (0j if f.row is None else chain(f.row) for f in (s0, s1))
-        total += mass * (v0 - v1)
-    return weight * complex(total)
+    # one contraction covers the base (see the module docstring)
+    cw = sum(dens.masses[x] * c for x, c in enumerate(cutoff.fields))
+    contract = (
+        _weighted_profile_chain
+        if isinstance(phi, ProfileCochain)
+        else _weighted_elementary_chain
+    )
+    # a zero operator (S1 of every positive flux) has an exactly zero chain
+    v0, v1 = (0j if f.row is None else contract(phi, cw, f.row) for f in (s0, s1))
+    # adding 0j makes a zero part +0.0, whatever sign the chains left on it
+    return weight * (0j + (v0 - v1))
 
 
 def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -337,18 +330,16 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
     return (even - rotations(column.T)) / 6.0
 
 
-def _weighted_elementary_chain(
-    phi: ASCochain, x: int, cw: np.ndarray, row: np.ndarray
-) -> complex:
-    """The k = 1 chain against the slot products of phi over base point x of the
-    kernel K with block row 0 ``row``.
+def _weighted_elementary_chain(phi: ASCochain, cw: np.ndarray, row: np.ndarray) -> complex:
+    """The k = 1 chain against the slot products of phi, weighted by the cutoff
+    cw, of the kernel K with block row 0 ``row``.
 
     One M = Q(m) o K^T per distinct middle field m, keyed by its bytes.
     """
     K = circulant_dense(row)
     by_middle: dict[bytes, tuple] = {}
     for term in phi.terms:
-        d = [np.asarray(fam[x], dtype=complex) for fam in term.factors]
+        d = term.factors
         for s in range(3):
             _, reads = by_middle.setdefault(d[s].tobytes(), (d[s], []))
             reads.append((term.weight, d[s - 1], d[(s + 1) % 3]))

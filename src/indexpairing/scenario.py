@@ -19,9 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cochains import ASCochain, ASTerm
-from .grids import ModelError, eval_modes_at, mode_lattice
-from .groupoid import BaseModel
+from .grids import ModelError
 from .pairing import TransitionProfile
 from .space import whole_multiple
 
@@ -41,8 +39,8 @@ _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
 # 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once for every base
 # point.  It stands for the npoints^2 arrays a run builds (an unlocalized S0
-# and S1, the dense expansions of the invariance gate and of the elementary
-# k = 1 chain)
+# and S1, and the dense expansion of the invariance gate).  No scenario runs
+# the dense elementary k = 1 chain
 _KERNEL_BUDGET = 2**30
 # cyclic^3 x base_points.  Build-space is linear in the cyclic x base_points
 # arrows, and the kernel invariance gate checks cyclic/2 group elements, not
@@ -82,19 +80,10 @@ class Scenario:
                       | {"kind": "profile", "legs": [{"axis": int,
                          "linear_radius": f, "support_radius": f}, ..]}
                         (exactly two legs)
-                      | {"kind": "elementary", "degree": 0 | 2, "band": int}
-                        (factor fields drawn from the seed; band 0 at
-                        degree 0)
-                      | {"kind": "elementary", "degree": 0 | 2, "band": int,
-                         "terms": coefficient table}
         density         {"values": [float, ..]}
                         (the mass of point x is base_weights[x] * values[x])
         tolerances      {"pairing_tol": f, "invariant_tol": f}
-        seed            uint64 (required)
-
-    A coefficient table is a list of terms, each ``{"weight": [re, im],
-    "factors": [[[re, im] per mode] per base point] per slot}`` with modes
-    ordered over the lexicographic box of the stated band.
+        seed            uint64 (required; echoed, no cocycle draws from it)
     """
 
     name: str
@@ -363,24 +352,8 @@ def _validate(raw: dict) -> Scenario:
                 f"cocycle.legs must list exactly two difference profiles, got {len(norm_legs)}"
             )
         coc = {"kind": "profile", "legs": norm_legs}
-    elif ck == "elementary":
-        degree = _need(coc, "degree", int, "cocycle")
-        band = _need(coc, "band", int, "cocycle", 2)
-        # the pairing contracts chains of k = 0 and k = 1 only
-        if degree not in (0, 2):
-            raise ScenarioError("cocycle.degree must be 0 or 2")
-        if not 0 <= band <= N:
-            raise ScenarioError("cocycle.band must be in [0, fiber.fourier_cutoff]")
-        if degree == 0 and band > 0:
-            # a 0-cochain pairs through its class only when it is closed, that
-            # is constant, and band 0 holds only the constants
-            raise ScenarioError("cocycle.band must be 0 for a degree-0 elementary cocycle")
-        table = {}
-        if "terms" in coc:
-            table = {"terms": _coefficient_table(coc, degree, (2 * band + 1) ** dim, bp)}
-        coc = {"kind": "elementary", "degree": degree, "band": band, **table}
     else:
-        raise ScenarioError('cocycle.kind must be "unit", "profile", or "elementary"')
+        raise ScenarioError('cocycle.kind must be "unit" or "profile"')
 
     dens = _need(raw, "density", dict, "scenario", {})
     values = _need(dens, "values", [float], "density", [1.0] * bp)
@@ -416,34 +389,6 @@ def _validate(raw: dict) -> Scenario:
         tolerances=tols,
         seed=seed,
     )
-
-
-def _coefficient_table(coc: dict, degree: int, nmodes: int, bp: int) -> list[dict]:
-    """The ``cocycle.terms`` table, checked for shape.
-
-    Each term holds a [re, im] weight (default [1, 0]) and degree + 1 factor
-    slots, each one list per base point of nmodes [re, im] mode coefficients.
-    """
-    out = []
-    for t, term in enumerate(_need(coc, "terms", [dict], "cocycle")):
-        where = f"cocycle.terms[{t}]"
-        weight = _need(term, "weight", [float], where, [1.0, 0.0])
-        factors = _need(term, "factors", [[[[float]]]], where)
-        lists = [coefs for slot in factors for coefs in slot]
-        if not (
-            len(weight) == 2
-            and len(factors) == degree + 1
-            and all(len(slot) == bp for slot in factors)
-            and all(len(coefs) == nmodes for coefs in lists)
-            and all(len(c) == 2 for coefs in lists for c in coefs)
-        ):
-            raise ScenarioError(
-                f"{where} needs a [re, im] weight and {degree + 1} factor slots, each "
-                f"holding {bp} lists (one per base point) of {nmodes} [re, im] mode "
-                "coefficients"
-            )
-        out.append({"weight": weight, "factors": factors})
-    return out
 
 
 def _leg_profile(leg: dict) -> TransitionProfile:
@@ -531,29 +476,6 @@ def _symbol_expression(expr: str):
             raise ScenarioError(f"operator.symbol: evaluation failed ({exc})") from exc
 
     return fn
-
-
-def _cochain_from_table(base: BaseModel, degree: int, band: int, terms) -> ASCochain:
-    """Decode the coefficient-table serialization of an elementary cochain.
-
-    ``terms`` is a table ``_coefficient_table`` has checked.
-    """
-    modes = mode_lattice(band, base.fiber.dim)
-    points = base.fiber.points()
-    out = []
-    for term in terms:
-        w = term["weight"]
-        factors = []
-        for slot in term["factors"]:
-            fam = []
-            for coefs in slot:
-                coefs = np.asarray(
-                    [complex(c[0], c[1]) for c in coefs], dtype=complex
-                )
-                fam.append(eval_modes_at(coefs, modes, points))
-            factors.append(tuple(fam))
-        out.append(ASTerm(complex(w[0], w[1]), tuple(factors)))
-    return ASCochain(base, degree, out, germ_radius=2.0)
 
 
 BUILTIN_SCENARIOS: dict[str, dict] = {}

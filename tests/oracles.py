@@ -15,8 +15,10 @@ Fourier block, which no pipeline stage needs, and the shared test helpers
 So do the independent constructions the library has no consumer for: the
 partition defect of a cutoff, the strict invariance defect of a kernel, the
 Fourier expansion of a profile cochain into slot products, cochain
-transport and cochain averaging along arrows, and the magnetic translations
-of the twisted bundle with the quasi-periodic shift they are built from.
+transport and cochain averaging along arrows, the magnetic translations
+of the twisted bundle with the quasi-periodic shift they are built from,
+and, for the form calculus, a degree-0 form from scalar fields and the
+wedge of two whole forms.
 """
 import math
 
@@ -214,6 +216,22 @@ def invariance_defect(kern, gspace):
     return worst
 
 
+def scalar_form(base, scalars):
+    """The degree-0 form with one scalar field per base point."""
+    fields = [np.asarray(s, dtype=complex).reshape(-1, 1) for s in scalars]
+    return FoliatedForm(0, base.fiber.dim, fields)
+
+
+def wedge(f1, f2):
+    """Pointwise wedge of two forms over the same base."""
+    out_fields = [
+        exterior_wedge(a, f1.degree, b, f2.degree, f1.fiber_dim, np.multiply)
+        for a, b in zip(f1.fields, f2.fields)
+    ]
+    invariant = f1.invariant and f2.invariant
+    return FoliatedForm(f1.degree + f2.degree, f1.fiber_dim, out_fields, invariant=invariant)
+
+
 def fourier_coefficients(prof, band, samples=4096):
     """Coefficients c_m, |m| <= band, of a profile s(t) = sum c_m exp(2 pi i m t)."""
     grid = np.arange(samples) / samples
@@ -222,9 +240,9 @@ def fourier_coefficients(prof, band, samples=4096):
     return coef[modes % samples]
 
 
-def to_elementary(phi, base, band=None, tol=1e-14):
+def to_elementary(phi, band=None, tol=1e-14):
     """A profile cochain with every leg expanded in Fourier modes and regrouped
-    slot by slot, over ``base``: an elementary cochain with the same values."""
+    slot by slot: an elementary cochain with the same values."""
     fiber = phi.fiber
     if band is None:
         band = fiber.fourier_cutoff
@@ -250,51 +268,43 @@ def to_elementary(phi, base, band=None, tol=1e-14):
                 axis = phi.legs[slot][0]
                 m = modes[picks[slot]]
                 field = field * np.exp(-2j * np.pi * m * pts[:, axis])
-            factors.append([field] * len(base))
+            factors.append(field)
         terms.append(ASTerm(weight, tuple(factors)))
-    return ASCochain(base, phi.degree, terms, germ_radius=phi.germ_radius)
+    return ASCochain(fiber, phi.degree, terms, germ_radius=phi.germ_radius)
 
 
 def transport_cochain(gspace, a, phi):
-    """Move every factor's source-fiber component along the arrow.
+    """Move every factor along the arrow, an arrow of a one-point base.
 
-    Only the components over s(a) and t(a) change; this is the slot-wise
-    action of a single arrow, enough to state equivariance of the realization
-    map arrow by arrow.
+    This is the slot-wise action of a single arrow, enough to state
+    equivariance of the realization map arrow by arrow.
     """
-    new_terms = []
-    for t in phi.terms:
-        factors = []
-        for fam in t.factors:
-            fam2 = [np.asarray(f) for f in fam]
-            fam2[a.tgt] = gspace.transport(a, fam[a.src])
-            factors.append(fam2)
-        new_terms.append(ASTerm(t.weight, tuple(factors)))
-    return ASCochain(phi.base, phi.degree, new_terms, phi.germ_radius, check_band=False)
+    assert len(gspace.base) == 1
+    new_terms = [
+        ASTerm(t.weight, tuple(gspace.transport(a, f) for f in t.factors))
+        for t in phi.terms
+    ]
+    return ASCochain(phi.fiber, phi.degree, new_terms, phi.germ_radius, check_band=False)
 
 
 def invariant_project_cochain(gspace, cutoff, phi):
     """Cutoff-weighted average of a cochain onto the arrow invariants.
 
-    Each arrow contributes one elementary term per input term: all factors are
-    composed with the point action and the cutoff weight (also composed) is
-    attached to the leading factor.  Fixes invariant cochains by the partition
-    identity applied in the leading argument.
+    On a one-point base, each arrow contributes one elementary term per input
+    term: all factors are composed with the point action and the cutoff
+    weight (also composed) is attached to the leading factor.  Fixes
+    invariant cochains by the partition identity applied in the leading
+    argument.
     """
-    base = phi.base
+    assert len(gspace.base) == 1
     new_terms = []
     for t in phi.terms:
-        for x in range(len(base)):
-            for a in gspace.groupoid.arrows_from(x):
-                weight_field = gspace.eval_after_action(a, cutoff.fields[a.tgt])
-                factors = []
-                for slot, fam in enumerate(t.factors):
-                    fam2 = [np.zeros_like(np.asarray(f)) for f in fam]
-                    moved = gspace.eval_after_action(a, fam[a.tgt])
-                    fam2[x] = weight_field * moved if slot == 0 else moved
-                    factors.append(fam2)
-                new_terms.append(ASTerm(t.weight, tuple(factors)))
-    return ASCochain(base, phi.degree, new_terms, phi.germ_radius, check_band=False)
+        for a in gspace.groupoid.arrows_from(0):
+            weight_field = gspace.eval_after_action(a, cutoff.fields[0])
+            moved = [gspace.eval_after_action(a, f) for f in t.factors]
+            moved[0] = weight_field * moved[0]
+            new_terms.append(ASTerm(t.weight, tuple(moved)))
+    return ASCochain(phi.fiber, phi.degree, new_terms, phi.germ_radius, check_band=False)
 
 
 def twisted_shift(field, ticks, twist, fiber):

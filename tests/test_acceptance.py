@@ -175,7 +175,7 @@ def test_criterion_09_localization_stability():
     idem_wide = index_idempotent(block, radius=0.44, newton_tol=1e-10)
     idem_half = index_idempotent(block, radius=0.22, newton_tol=1e-10)
 
-    unit = ASCochain.unit(space.base, germ_radius=np.inf)
+    unit = ASCochain.unit(space.base.fiber, germ_radius=np.inf)
     d_unit = abs(
         pair_cocycle(idem_wide, unit, cutoff, dens)
         - pair_cocycle(idem_half, unit, cutoff, dens)

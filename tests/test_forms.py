@@ -16,12 +16,18 @@ from indexpairing.forms import (
     index_subsets,
     integrate_invariant,
     invariant_project_form,
-    wedge,
 )
 from indexpairing.grids import FiberModel, grid_points, random_band_limited, spectral_gradient
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
-from oracles import exterior_d_per_axis, same_bits, spectral_derivative, volume_form
+from oracles import (
+    exterior_d_per_axis,
+    same_bits,
+    scalar_form,
+    spectral_derivative,
+    volume_form,
+    wedge,
+)
 
 
 def torus_base(n=8, N=3, dim=2):
@@ -54,7 +60,7 @@ def random_form(rng, base, degree, band=2):
 
 def test_d_of_constant_is_zero():
     base = torus_base()
-    const = FoliatedForm.from_scalar(base, [np.ones(64)])
+    const = scalar_form(base, [np.ones(64)])
     out = d_leafwise(const, base)
     assert out.max_abs() == 0.0
 
@@ -63,7 +69,7 @@ def test_d_matches_spectral_oracle():
     base = torus_base(n=8, N=3)
     pts = grid_points(8, 2)
     f = np.sin(2 * np.pi * pts[:, 0])
-    out = d_leafwise(FoliatedForm.from_scalar(base, [f]), base)
+    out = d_leafwise(scalar_form(base, [f]), base)
     expect = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
     assert np.allclose(out.fields[0][:, 0], expect, atol=1e-10)
     assert np.allclose(out.fields[0][:, 1], 0, atol=1e-12)
@@ -220,7 +226,7 @@ def test_integrate_rejects_bad_inputs():
     cut = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     with pytest.raises(DegreeError):
-        integrate_invariant(FoliatedForm.from_scalar(space.base, [np.ones(64)]), cut, dens)
+        integrate_invariant(scalar_form(space.base, [np.ones(64)]), cut, dens)
     vol = volume_form(space.base)
     vol.invariant = False
     with pytest.raises(InvarianceError):

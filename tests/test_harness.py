@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,7 @@ import pytest
 import indexpairing.harness as harness
 from indexpairing.cli import main
 from indexpairing.cochains import ASCochain
-from indexpairing.grids import FiberModel, ModelError, mode_lattice, random_band_limited
-from indexpairing.groupoid import BaseModel
+from indexpairing.grids import FiberModel, ModelError
 from indexpairing.harness import (
     CSV_HEADER,
     INVARIANT_CSV_HEADER,
@@ -31,7 +31,6 @@ from indexpairing.parametrix import CorruptedCacheError, IndexIdempotent, index_
 from indexpairing.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
-    _cochain_from_table,
     _symbol_expression,
     _validate,
     load_scenario,
@@ -118,14 +117,10 @@ def test_scenario_defaults_filled():
         (lambda raw: raw.update(localize=2.0), "localize"),
         (lambda raw: raw.update(cocycle={"kind": "spiral"}), "cocycle.kind"),
         (
-            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 1}),
-            "cocycle.degree",
-        ),
-        (
             lambda raw: raw.update(
-                cocycle={"kind": "elementary", "degree": 2, "band": 9}
+                cocycle={"kind": "elementary", "degree": 2, "band": 1}
             ),
-            "cocycle.band",
+            'cocycle.kind must be "unit" or "profile"',
         ),
         (lambda raw: raw.update(cocycle={"kind": "profile"}), "cocycle.legs"),
         (lambda raw: raw.update(density={"values": [1.0, 1.0]}), "density.values"),
@@ -149,12 +144,6 @@ def test_scenario_defaults_filled():
         (
             lambda raw: raw.update(tolerances={"pairing_tol": "x"}),
             "tolerances.pairing_tol must be float",
-        ),
-        (
-            lambda raw: raw.update(
-                cocycle={"kind": "elementary", "degree": 2, "band": "x"}
-            ),
-            "cocycle.band must be int",
         ),
         (
             lambda raw: raw.update(
@@ -307,14 +296,6 @@ def test_scenario_defaults_filled():
             lambda raw: raw["operator"].update(twist=-50),
             "operator.twist -50 with 2 levels needs",
         ),
-        (
-            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 4}),
-            "cocycle.degree must be 0 or 2",
-        ),
-        (
-            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 2, "band": -1}),
-            "cocycle.band must be in",
-        ),
         # each of these used to fail only at stage analytic-index, or at
         # stage topological after the idempotent and the pairing had run
         (
@@ -332,10 +313,6 @@ def test_scenario_defaults_filled():
                 operator={"builtin": "dolbeault", "twist": 3, "levels": 2},
             ),
             "operator.twist 3 does not descend to the quotient by the free Z/2 action",
-        ),
-        (
-            lambda raw: raw.update(cocycle={"kind": "elementary", "degree": 0}),
-            "cocycle.band must be 0 for a degree-0 elementary cocycle",
         ),
     ],
 )
@@ -360,8 +337,6 @@ def test_quotient_refusals_hold_for_a_free_translation_only():
             groupoid=group, fiber_action={"translation": ["1/2", "0"]}, operator=op
         )
         assert _validate(raw).free_action is free
-    # a degree-0 cocycle of band 0 is a constant, and loads
-    assert _validate(cheap_scenario(cocycle={"kind": "elementary", "degree": 0, "band": 0}))
 
 
 def test_kernel_budget_does_not_count_base_points():
@@ -466,73 +441,6 @@ def test_corrupted_coefficients_detected(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cochain table codec
-
-
-def cochain_to_table(phi: ASCochain, band: int) -> list[dict]:
-    """Encode an elementary cochain in the scenario coefficient-table format."""
-    base = phi.base
-    modes = mode_lattice(band, base.fiber.dim)
-    terms = []
-    for term in phi.terms:
-        slots = []
-        for fam in term.factors:
-            per_point = []
-            for x, f in enumerate(fam):
-                fiber = base.fiber
-                f = np.asarray(f, dtype=complex).reshape(fiber.grid_shape)
-                hat = np.fft.fftn(f) / fiber.npoints
-                coefs = hat[tuple((modes % fiber.grid_size).T)]
-                per_point.append([[float(c.real), float(c.imag)] for c in coefs])
-            slots.append(per_point)
-        terms.append(
-            {
-                "weight": [float(term.weight.real), float(term.weight.imag)],
-                "factors": slots,
-            }
-        )
-    return terms
-
-
-def test_cochain_table_roundtrip():
-    base = BaseModel(FiberModel(2, 3, 12), 1)
-    rng = np.random.default_rng(5)
-    factors = [
-        [random_band_limited(rng, base.fiber, 2)] for _ in range(3)
-    ]
-    phi = ASCochain.elementary(base, factors, germ_radius=2.0)
-    table = cochain_to_table(phi, band=2)
-    back = _cochain_from_table(base, phi.degree, 2, table)
-    tuples = rng.integers(0, 144, size=(30, phi.degree + 1))
-    assert np.max(
-        np.abs(phi.evaluate_batch(0, tuples) - back.evaluate_batch(0, tuples))
-    ) <= 1e-12
-
-
-def test_cochain_table_length_checked():
-    # the table's shape is checked at load, not when the cocycle is built;
-    # degree 2 and band 2 on a two-dimensional fiber take 3 slots of 25 modes
-    cases = [
-        (5, "cocycle.terms must be a list"),
-        ([{"factors": [[[[1.0, 0.0]]]]}], "3 factor slots"),
-        ([{"factors": [[[[1.0, 0.0]]]] * 3}], r"25 \[re, im\] mode"),
-        ([{"factors": [[[[1.0, 0.0]] * 25] * 2] * 3}], "holding 1 lists"),
-        ([{"factors": [[[[1.0]] * 25]] * 3}], r"25 \[re, im\] mode"),
-        ([{"weight": [1.0], "factors": [[[[1.0, 0.0]] * 25]] * 3}], "weight"),
-        ([{"factors": [[[["x", 0.0]] * 25]] * 3}], "factors must be float"),
-    ]
-    for terms, fragment in cases:
-        doc = cheap_scenario(
-            cocycle={"kind": "elementary", "degree": 2, "band": 2, "terms": terms}
-        )
-        with pytest.raises(ScenarioError, match=fragment):
-            _validate(doc)
-    good = [{"factors": [[[[1.0, 0.0]] * 25]] * 3}]
-    doc["cocycle"]["terms"] = good
-    assert _validate(doc).cocycle["terms"] == [{"weight": [1.0, 0.0], **good[0]}]
-
-
-# ---------------------------------------------------------------------------
 # symbol expressions
 
 
@@ -598,6 +506,23 @@ def test_run_scenario_cheap_dolbeault(tmp_path):
     assert parts[2].endswith("j")
     assert parts[4] == f"{rec.abs_err:.6e}"
     assert parts[5] == "pass"
+
+
+def test_seed_changes_no_row():
+    # no stage draws from the seed: it is echoed only, for a unit and for a
+    # profile cocycle
+    profile = cheap_scenario(
+        operator={"builtin": "dolbeault", "twist": 4, "levels": 2},
+        localize=0.45,
+        cocycle={
+            "kind": "profile",
+            "legs": [{"axis": axis, "linear_radius": 0.45} for axis in (0, 1)],
+        },
+    )
+    for doc in (cheap_scenario(), profile):
+        scn = _validate(doc)
+        rows = {run_scenario(replace(scn, seed=seed)).csv_row() for seed in (7, 2**64 - 1)}
+        assert len(rows) == 1, doc["cocycle"]
 
 
 def test_run_scenario_multiplier_zero_class():
@@ -852,6 +777,10 @@ def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
         (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         for a, b in zip(*archives)
     )
+    # the point count is not an idempotent input: the names differ only by
+    # the scenario name
+    one_name, three_name = (_idempotent_cache(s, tmp_path).name for s in (one, three))
+    assert one_name.removeprefix("points1") == three_name.removeprefix("points3")
     # the format-6 file is not read: a miss, not a corrupted cache
     rec = run_scenario(three, out_dir=tmp_path)
     assert rec.status == "pass"
@@ -888,7 +817,7 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     dense = IndexIdempotent(
         *(SmoothingKernel(fiber, f.dense()) for f in idem.families), idem.radius
     )
-    unit = ASCochain.unit(space.base, germ_radius=2.0)
+    unit = ASCochain.unit(fiber, germ_radius=2.0)
     for kern, dense_kern in zip(idem.families, dense.families):
         assert kern.twisted_invariance_defect(space) == dense_kern.twisted_invariance_defect(space)
     got, want = (pair_cocycle(i, unit, cutoff, dens) for i in (idem, dense))
@@ -924,7 +853,10 @@ def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
         "operator": lambda raw: raw["operator"].update(twist=4),
         "localize": lambda raw: raw.update(localize=0.25),
         "cocycle": lambda raw: raw.update(
-            cocycle={"kind": "elementary", "degree": 0, "band": 0}
+            cocycle={
+                "kind": "profile",
+                "legs": [{"axis": axis, "linear_radius": 0.45} for axis in (0, 1)],
+            }
         ),
         "density": lambda raw: raw.update(density={"values": [2.0]}),
         "tolerances": lambda raw: raw["tolerances"].update(pairing_tol=1e-3),
@@ -944,7 +876,7 @@ def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
         assert other.echo()[name] != scn.echo()[name]
         if digest(other) != digest(scn):
             renamed.add(name)
-    assert renamed == {"groupoid", "fiber", "fiber_action", "operator", "localize"}
+    assert renamed == {"fiber", "operator", "localize"}
 
 
 def test_run_scenario_stage_error_is_tagged(tmp_path):

@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from indexpairing.cochains import ASCochain, ASTerm, d_as, van_est_realize
+from indexpairing.cochains import ASCochain, ASTerm, d_as
 from indexpairing.density import CutoffDensity, compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import InvarianceError
@@ -38,11 +38,9 @@ def half_shift_space(n=20, N=8):
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
 
 
-def elementary_one_cochain(rng, base, band=2, germ=2.0):
-    fams = []
-    for _ in range(2):
-        fams.append([random_band_limited(rng, base.fiber, band=band)])
-    return ASCochain(base, 1, [ASTerm(1.0, tuple(fams))], germ_radius=germ)
+def elementary_one_cochain(rng, fiber, band=2, germ=2.0):
+    fields = [random_band_limited(rng, fiber, band=band) for _ in range(2)]
+    return ASCochain.elementary(fiber, fields, germ_radius=germ)
 
 
 def profile_values(phi, x, tuples):
@@ -165,14 +163,14 @@ def test_to_elementary_matches_profile_values():
     base = torus_base(n=34, N=16)
     soft = TransitionProfile(linear_radius=0.2)
     phi = ProfileCochain(base.fiber, [(0, soft), (1, soft)])
-    elem = to_elementary(phi, base)
+    elem = to_elementary(phi)
     rng = np.random.default_rng(3)
     tuples = rng.integers(0, 34 * 34, size=(40, 3))
     direct = profile_values(phi, 0, tuples)
-    expanded = elem.evaluate_batch(0, tuples)
+    expanded = elem.evaluate_batch(tuples)
     assert np.max(np.abs(direct - expanded)) <= 2e-4
 
-    realized = van_est_realize(elem)
+    realized = elem.van_est_form(base)
     exact = phi.van_est_form(base)
     gap = max(
         float(np.max(np.abs(realized.fields[x] - exact.fields[x])))
@@ -185,7 +183,7 @@ def test_pairing_unit_recovers_analytic_index():
     space = trivial_space(n=20, N=8)
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    unit = ASCochain.unit(space.base, germ_radius=2.0)
+    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
     for d in (1, -2):
         idem = index_idempotent(dolbeault_family(space.base.fiber, d, levels=2))
         value = pair_cocycle(idem, unit, cutoff, dens)
@@ -199,7 +197,7 @@ def test_pairing_of_zero_idempotent_vanishes():
     fiber = space.base.fiber
     zero = SmoothingKernel(fiber, np.zeros((fiber.npoints, fiber.npoints)))
     idem = IndexIdempotent(zero, zero, np.inf)
-    unit = ASCochain.unit(space.base, germ_radius=2.0)
+    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
     assert pair_cocycle(idem, unit, cutoff, dens) == 0
     saw = TransitionProfile()
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
@@ -213,7 +211,7 @@ def test_pairing_kills_coboundaries_trivial_group():
     idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
     rng = np.random.default_rng(11)
     for _ in range(5):
-        psi = elementary_one_cochain(rng, space.base)
+        psi = elementary_one_cochain(rng, space.base.fiber)
         value = pair_cocycle(idem, d_as(psi), cutoff, dens)
         assert abs(value) <= 1e-10
 
@@ -226,11 +224,11 @@ def test_pairing_kills_coboundaries_shift_group():
     arrow = [a for a in space.groupoid.arrows if a != space.groupoid.units[0]][0]
     rng = np.random.default_rng(23)
     for _ in range(3):
-        fams = []
+        fields = []
         for _ in range(2):
             f = random_band_limited(rng, space.base.fiber, band=2)
-            fams.append([f + space.eval_after_action(arrow, f)])
-        psi = ASCochain(space.base, 1, [ASTerm(1.0, tuple(fams))], germ_radius=2.0)
+            fields.append(f + space.eval_after_action(arrow, f))
+        psi = ASCochain.elementary(space.base.fiber, fields, germ_radius=2.0)
         value = pair_cocycle(idem, d_as(psi), cutoff, dens)
         assert abs(value) <= 1e-8
 
@@ -250,7 +248,7 @@ def test_pairing_homotopy_stability_k0():
     block = dolbeault_family(space.base.fiber, 8, levels=2)
     exact = index_idempotent(block)
     localized = index_idempotent(block, radius=0.45)
-    unit = ASCochain.unit(space.base, germ_radius=2.0)
+    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
     a = pair_cocycle(exact, unit, cutoff, dens)
     b = pair_cocycle(localized, unit, cutoff, dens)
     assert abs(a - 8) <= 1e-9
@@ -293,36 +291,49 @@ def test_pairing_matches_volume_class_value():
 
 def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypatch):
     # three points with masses 0.5, 1 and 2 and cutoff fields that differ
-    # from point to point: the chain runs once per nonzero projector (S1 of
-    # flux 8 is zero), and its value is the mass-weighted sum of the values
-    # each point's cutoff gives on a one-point base
+    # from point to point: for a profile and for an elementary 2-cochain the
+    # chain runs once per nonzero projector (S1 of flux 8 is zero), and its
+    # value is the mass-weighted sum of the values each point's cutoff gives
+    # on a one-point base
     masses = (0.5, 1.0, 2.0)
     fiber = FiberModel(2, 8, 24)
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
+    rng = np.random.default_rng(47)
+    factors = [random_band_limited(rng, fiber, band=2) for _ in range(3)]
+    cochains = {
+        "_weighted_profile_chain": ProfileCochain(fiber, [(0, saw), (1, saw)]),
+        "_weighted_elementary_chain": ASCochain.elementary(fiber, factors, germ_radius=2.0),
+    }
     pts = grid_points(fiber.grid_size, 2)
     fields = [1.0 + 0.5 * np.cos(2 * np.pi * (x + 1) * pts[:, x % 2]) for x in range(3)]
     calls = []
-    inner = pairing._weighted_profile_chain
 
-    def counted(*args):
-        calls.append(1)
-        return inner(*args)
+    def counted(inner):
+        def chain(*args):
+            calls.append(inner.__name__)
+            return inner(*args)
 
-    monkeypatch.setattr(pairing, "_weighted_profile_chain", counted)
+        return chain
 
-    def pair(weights, cutoff_fields):
+    for name in cochains:
+        monkeypatch.setattr(pairing, name, counted(getattr(pairing, name)))
+
+    def pair(phi, weights, cutoff_fields):
         space = FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, len(weights)), 1))
         cutoff = CutoffDensity(space, cutoff_fields)
         return pair_cocycle(idem, phi, cutoff, TransversalDensity(space, weights))
 
-    value = pair(masses, fields)
-    assert len(calls) == 1
-    singles = [pair([1.0], [c]) for c in fields]
-    assert len(calls) == 4
-    want = sum(m * v for m, v in zip(masses, singles))
-    assert abs(value - want) <= 1e-14 * abs(want)
+    for name, phi in cochains.items():
+        calls.clear()
+        value = pair(phi, masses, fields)
+        assert calls == [name]
+        singles = [pair(phi, [1.0], [c]) for c in fields]
+        assert calls == [name] * 4
+        want = sum(m * v for m, v in zip(masses, singles))
+        # the elementary cochain is no coboundary: its chain does not vanish
+        assert abs(want) > 1e-3
+        assert abs(value - want) <= 1e-14 * abs(want), name
 
 
 def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
@@ -338,8 +349,8 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
         *(SmoothingKernel(fiber, f.dense()) for f in idem.families), idem.radius
     )
     rng = np.random.default_rng(43)
-    factors = [[random_band_limited(rng, space.base.fiber, band=2)] for _ in range(3)]
-    phi = ASCochain.elementary(space.base, factors, germ_radius=2.0)
+    factors = [random_band_limited(rng, fiber, band=2) for _ in range(3)]
+    phi = ASCochain.elementary(fiber, factors, germ_radius=2.0)
     got, want = (pair_cocycle(i, phi, cutoff, dens) for i in (idem, dense))
     assert abs(want) > 1e-3
     assert abs(got - want) <= 1e-13 * abs(want)
@@ -350,15 +361,13 @@ def test_pairing_rejects_bad_inputs():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     idem = index_idempotent(dolbeault_family(space.base.fiber, 1, levels=1))
-    ones = [np.ones(space.base.fiber.npoints, dtype=complex)]
+    fiber = space.base.fiber
+    ones = np.ones(fiber.npoints, dtype=complex)
     with pytest.raises(ModelError):
         pair_cocycle(
-            idem,
-            ASCochain(space.base, 1, [ASTerm(1.0, (ones, ones))], germ_radius=2.0),
-            cutoff,
-            dens,
+            idem, ASCochain.elementary(fiber, [ones, ones], germ_radius=2.0), cutoff, dens
         )
-    quartic = ASCochain(space.base, 4, [ASTerm(1.0, (ones,) * 5)], germ_radius=2.0)
+    quartic = ASCochain.elementary(fiber, [ones] * 5, germ_radius=2.0)
     with pytest.raises(ModelError):
         pair_cocycle(idem, quartic, cutoff, dens)
 
@@ -368,7 +377,7 @@ def test_pairing_support_gate():
     cutoff = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     idem = index_idempotent(dolbeault_family(space.base.fiber, 1, levels=1))
-    tight = ASCochain.unit(space.base, germ_radius=3.0 / 12)  # three grid steps
+    tight = ASCochain.unit(space.base.fiber, germ_radius=3.0 / 12)  # three grid steps
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, tight, cutoff, dens)
     # compact legs do not widen the trust region: the unlocalized kernel
@@ -377,7 +386,7 @@ def test_pairing_support_gate():
     phi = ProfileCochain(space.base.fiber, [(0, compact), (1, compact)])
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, phi, cutoff, dens)
-    wide = ASCochain.unit(space.base, germ_radius=2.0)
+    wide = ASCochain.unit(space.base.fiber, germ_radius=2.0)
     pair_cocycle(idem, wide, cutoff, dens)
 
 
@@ -393,7 +402,7 @@ def test_pairing_rejects_noninvariant_kernels():
     # gate has to look at both
     zero = SmoothingKernel(fiber, np.zeros((npts, npts)))
     idem = IndexIdempotent(zero, SmoothingKernel(fiber, raw), np.inf)
-    unit = ASCochain.unit(space.base, germ_radius=2.0)
+    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, cutoff, dens)
 
@@ -440,10 +449,10 @@ def six_term_profile_chain(masks, cw, K):
     return complex(total) / 6.0
 
 
-def six_term_elementary_chain(phi, x, cw, K):
+def six_term_elementary_chain(phi, cw, K):
     total = 0.0 + 0.0j
     for term in phi.terms:
-        fields = [np.asarray(fam[x]) for fam in term.factors]
+        fields = term.factors
         for sigma in permutations(range(3)):
             sign = _parity(sigma)
             inv = np.argsort(sigma)
@@ -537,26 +546,19 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
 
 @pytest.mark.parametrize("which", ["general", "hermitian"])
 def test_elementary_chain_matches_six_term_oracle(which, chain_products):
-    base = torus_base(n=8, N=3)
-    npts = base.fiber.npoints
+    fiber = FiberModel(2, 3, 8)
+    npts = fiber.npoints
     rng = np.random.default_rng(41)
     cw, kernels = _chain_inputs(rng, npts)
     K = kernels[which]
     terms = []
     for weight in (1.0, 0.3 - 0.7j):
-        fams = tuple(
-            [random_band_limited(rng, base.fiber, band=2)]
-            for _ in range(3)
-        )
-        terms.append(ASTerm(weight, fams))
+        fields = tuple(random_band_limited(rng, fiber, band=2) for _ in range(3))
+        terms.append(ASTerm(weight, fields))
     f, g, h = terms[0].factors
-    psi = ASCochain.elementary(
-        base,
-        [[random_band_limited(rng, base.fiber, band=2)] for _ in range(2)],
-        germ_radius=2.0,
-    )
+    psi = elementary_one_cochain(rng, fiber)
     # equal by value, distinct array objects
-    f2, g2, h2 = ([fam[0].copy()] for fam in (f, g, h))
+    f2, g2, h2 = (field.copy() for field in (f, g, h))
     # input -> (terms, slot fields distinct by value): one product per field
     inputs = {
         "general": (terms, 6),
@@ -567,9 +569,9 @@ def test_elementary_chain_matches_six_term_oracle(which, chain_products):
         "repeated field": ([terms[0], ASTerm(0.3 - 0.7j, (g, f, g2))], 3),
     }
     for name, (phi_terms, distinct) in inputs.items():
-        phi = ASCochain(base, 2, phi_terms, germ_radius=2.0)
-        want = six_term_elementary_chain(phi, 0, cw, K)
+        phi = ASCochain(fiber, 2, phi_terms, germ_radius=2.0)
+        want = six_term_elementary_chain(phi, cw, K)
         chain_products.clear()
-        got = _weighted_elementary_chain(phi, 0, cw, K)
+        got = _weighted_elementary_chain(phi, cw, K)
         assert abs(got - want) <= 1e-13 * abs(want), name
         assert len(chain_products) == distinct, name
