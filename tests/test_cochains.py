@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from indexpairing.cochains import ASCochain, d_as
+from indexpairing.cochains import ASCochain, ASTerm, d_as
 from indexpairing.density import compute_cutoff
 from indexpairing.forms import DegreeError, d_leafwise
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
@@ -77,6 +77,70 @@ def test_band_limit_enforced():
     rough = np.sign(np.sin(2 * np.pi * pts[:, 0]) + 0.3)
     with pytest.raises(ModelError):
         ASCochain.elementary(base.fiber, [rough], germ_radius=2.0)
+
+
+def test_cochain_holds_one_complex_field_per_slot():
+    # real fields on the grid shape are cast once to flat complex fields,
+    # and the cochain reads them on every tuple with no base point
+    base = torus_base()
+    rng = np.random.default_rng(13)
+    grids = [
+        random_band_limited(rng, base.fiber, 1).real.reshape(base.fiber.grid_shape)
+        for _ in range(3)
+    ]
+    phi = ASCochain(base.fiber, 2, [ASTerm(0.5j, tuple(grids))], germ_radius=2.0)
+    (term,) = phi.terms
+    assert len(term.factors) == 3
+    for f, g in zip(term.factors, grids):
+        assert f.dtype == complex and f.shape == (base.fiber.npoints,)
+        assert np.array_equal(f, g.reshape(-1))
+    tuples = sample_tuples(rng, base.fiber.npoints, 2)
+    flat = [g.reshape(-1) for g in grids]
+    expect = 0.5j * flat[0][tuples[:, 0]] * flat[1][tuples[:, 1]] * flat[2][tuples[:, 2]]
+    assert np.max(np.abs(phi.evaluate_batch(tuples) - expect)) <= 1e-15
+
+
+def test_cochain_factor_count_and_size_checked():
+    fiber = torus_base().fiber
+    ones = np.ones(fiber.npoints)
+    with pytest.raises(DegreeError, match="nonnegative"):
+        ASCochain(fiber, -1, [], germ_radius=2.0)
+    with pytest.raises(DegreeError, match="degree\\+1 factors"):
+        ASCochain(fiber, 1, [ASTerm(1.0, (ones,))], germ_radius=2.0)
+    with pytest.raises(ModelError, match="match the fiber"):
+        ASCochain.elementary(fiber, [ones, np.ones(fiber.npoints - 1)], germ_radius=2.0)
+
+
+def test_d_as_inserts_one_ones_field():
+    # the differential of a degree-1 term is three terms, each with the one
+    # ones-field inserted at its slot, and reads the alternating sum
+    fiber = torus_base().fiber
+    rng = np.random.default_rng(17)
+    phi = elementary(fiber, rng, 1, band=2)
+    dphi = d_as(phi)
+    assert dphi.degree == 2 and len(dphi.terms) == 3
+    inserted = [t.factors[i] for i, t in enumerate(dphi.terms)]
+    assert all(np.shares_memory(f, inserted[0]) for f in inserted)
+    assert np.array_equal(inserted[0], np.ones(fiber.npoints, dtype=complex))
+    assert [t.weight for t in dphi.terms] == [1.0, -1.0, 1.0]
+    tuples = sample_tuples(rng, fiber.npoints, 2)
+    expect = (
+        phi.evaluate_batch(tuples[:, [1, 2]])
+        - phi.evaluate_batch(tuples[:, [0, 2]])
+        + phi.evaluate_batch(tuples[:, [0, 1]])
+    )
+    assert np.max(np.abs(dphi.evaluate_batch(tuples) - expect)) <= 1e-14
+
+
+def test_van_est_form_is_the_same_at_every_base_point():
+    fiber = torus_base().fiber
+    rng = np.random.default_rng(19)
+    phi = elementary(fiber, rng, 1, band=2)
+    one = phi.van_est_form(BaseModel(fiber, 1))
+    three = phi.van_est_form(BaseModel(fiber, 3))
+    assert (three.degree, len(three.fields)) == (1, 3)
+    for field in three.fields:
+        assert np.array_equal(field, one.fields[0])
 
 
 def test_van_est_degree_zero_identity():

@@ -122,6 +122,13 @@ def test_scenario_defaults_filled():
             ),
             'cocycle.kind must be "unit" or "profile"',
         ),
+        # a constant cocycle of the removed kind used to load; it is the unit
+        (
+            lambda raw: raw.update(
+                cocycle={"kind": "elementary", "degree": 0, "band": 0}
+            ),
+            'cocycle.kind must be "unit" or "profile"',
+        ),
         (lambda raw: raw.update(cocycle={"kind": "profile"}), "cocycle.legs"),
         (lambda raw: raw.update(density={"values": [1.0, 1.0]}), "density.values"),
         (lambda raw: raw.update(density={"values": [-1.0]}), "density.values"),
@@ -508,7 +515,8 @@ def test_run_scenario_cheap_dolbeault(tmp_path):
     assert parts[5] == "pass"
 
 
-def test_seed_changes_no_row():
+@pytest.mark.parametrize("kind", ["unit", "profile"])
+def test_seed_changes_no_row(kind):
     # no stage draws from the seed: it is echoed only, for a unit and for a
     # profile cocycle
     profile = cheap_scenario(
@@ -519,10 +527,9 @@ def test_seed_changes_no_row():
             "legs": [{"axis": axis, "linear_radius": 0.45} for axis in (0, 1)],
         },
     )
-    for doc in (cheap_scenario(), profile):
-        scn = _validate(doc)
-        rows = {run_scenario(replace(scn, seed=seed)).csv_row() for seed in (7, 2**64 - 1)}
-        assert len(rows) == 1, doc["cocycle"]
+    scn = _validate({"unit": cheap_scenario(), "profile": profile}[kind])
+    rows = {run_scenario(replace(scn, seed=seed)).csv_row() for seed in (7, 2**64 - 1)}
+    assert len(rows) == 1
 
 
 def test_run_scenario_multiplier_zero_class():
@@ -834,6 +841,31 @@ def test_cache_is_keyed_by_the_idempotent_inputs(tmp_path):
         assert rec.analytic == (twist,)
         assert rec.status == "pass"
     assert len(list((tmp_path / "cache").glob("same.*.idem.opk"))) == 2
+
+
+def test_base_points_and_weights_reuse_the_idempotent_cache(tmp_path, monkeypatch):
+    # the idempotent lives on the fiber: a scenario that differs only in its
+    # base points and weights reads the archive the first one wrote
+    built = []
+    build = harness.index_idempotent
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "index_idempotent", counted)
+    groupoids = [
+        {"group": "trivial", "base_points": 1},
+        {"group": "trivial", "base_points": 3, "base_weights": [0.5, 1.0, 2.0]},
+    ]
+    records = [
+        run_scenario(_validate(cheap_scenario(groupoid=g)), out_dir=tmp_path)
+        for g in groupoids
+    ]
+    assert len(built) == 1
+    assert len(list((tmp_path / "cache").glob("*.idem.opk"))) == 1
+    assert [rec.status for rec in records] == ["pass", "pass"]
+    assert [rec.analytic for rec in records] == [(1,), (1, 1, 1)]
 
 
 def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):

@@ -336,6 +336,38 @@ def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypat
         assert abs(value - want) <= 1e-14 * abs(want), name
 
 
+def test_degree_zero_pairing_evaluates_the_cochain_once(monkeypatch):
+    # a degree-0 cochain is one field on the fiber: it is evaluated once for
+    # a three-point base, and the pairing is the mass-weighted sum of the
+    # values each point's cutoff gives on a one-point base
+    masses = (0.5, 1.0, 2.0)
+    fiber = FiberModel(2, 4, 12)
+    idem = index_idempotent(dolbeault_family(fiber, 2, levels=2))
+    rng = np.random.default_rng(53)
+    phi = ASCochain.elementary(fiber, [random_band_limited(rng, fiber, band=2)], 2.0)
+    pts = grid_points(fiber.grid_size, 2)
+    fields = [1.0 + 0.5 * np.sin(2 * np.pi * (x + 1) * pts[:, x % 2]) for x in range(3)]
+    calls = []
+    evaluate = phi.evaluate_batch
+
+    def counted(tuples):
+        calls.append(len(tuples))
+        return evaluate(tuples)
+
+    monkeypatch.setattr(phi, "evaluate_batch", counted)
+
+    def pair(weights, cutoff_fields):
+        space = FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, len(weights)), 1))
+        cutoff = CutoffDensity(space, cutoff_fields)
+        return pair_cocycle(idem, phi, cutoff, TransversalDensity(space, weights))
+
+    value = pair(masses, fields)
+    assert calls == [fiber.npoints]
+    want = sum(m * pair([1.0], [c]) for m, c in zip(masses, fields))
+    assert abs(want) > 1e-3
+    assert abs(value - want) <= 1e-14 * abs(want)
+
+
 def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     # the elementary chain expands the stored block row (8 blocks of 72
     # here) to the whole kernel; the same kernels stored dense pair alike
