@@ -21,7 +21,6 @@ import numpy as np
 
 from .forms import DegreeError, FoliatedForm, exterior_d, exterior_wedge, index_subsets
 from .grids import FiberModel, ModelError, band_limit, spectral_gradient
-from .groupoid import BaseModel
 
 
 @dataclass(frozen=True)
@@ -82,9 +81,8 @@ class ASCochain:
             out += prod
         return out
 
-    def van_est_form(self, base: BaseModel) -> FoliatedForm:
-        """Realize over ``base`` as the leafwise form sum of f_0 df_1 ^ ... ^ df_k,
-        the same field at every point."""
+    def van_est_form(self) -> FoliatedForm:
+        """The leafwise form sum of f_0 df_1 ^ ... ^ df_k on the fiber."""
         r, k = self.fiber.dim, self.degree
         if k > r:
             raise DegreeError(
@@ -98,7 +96,7 @@ class ASCochain:
                 df = exterior_d(f.reshape(-1, 1), 0, r, grad)
                 form = exterior_wedge(form, q, df, 1, r, np.multiply)
             total = total + form
-        return FoliatedForm(k, r, [total] * len(base))
+        return FoliatedForm(self.fiber, k, total)
 
 
 def d_as(phi: ASCochain) -> ASCochain:

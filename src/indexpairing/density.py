@@ -71,8 +71,8 @@ def compute_cutoff(gspace: FiberedGSpace, seeds: list[np.ndarray] | None = None)
 class TransversalDensity:
     """The transverse measure: one positive mass per base point.
 
-    ``masses[x]`` scales the unit Lebesgue mass of the fiber over x; it is
-    what every trace and integral sees.
+    ``masses[x]`` scales the unit Lebesgue mass of the fiber over x; every
+    trace and integral sees it through ``weight``.
     """
 
     def __init__(self, gspace: FiberedGSpace, masses: list[float]):
@@ -91,6 +91,19 @@ class TransversalDensity:
         genuinely tracial.
         """
         return self.masses[a.tgt] / self.masses[a.src]
+
+    def weight(self, fields: list[np.ndarray]) -> np.ndarray:
+        """The one fiber field sum over base points x of masses[x] * fields[x].
+
+        Every weighted quadrature is linear in its per-point field (a cutoff
+        or a fundamental-domain indicator) and reads the same fiber data at
+        every point, so this is the only place the base enters it.
+        """
+        if len(fields) != len(self.masses):
+            raise ModelError(
+                f"{len(fields)} per-point fields for {len(self.masses)} base-point masses"
+            )
+        return sum(m * f for m, f in zip(self.masses, fields))
 
     @classmethod
     def uniform(cls, gspace: FiberedGSpace) -> "TransversalDensity":

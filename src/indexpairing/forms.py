@@ -1,10 +1,12 @@
 """Leafwise differential forms: exterior calculus, invariant projection, integration.
 
-A leafwise q-form is stored per base point as an array of shape
-(npoints, ncomp) where ncomp = C(r, q) and components are indexed by sorted
-coordinate subsets in lexicographic order.  All derivatives are spectral, so
-d is exact on band-limited data and the grid sum of any exact top component
-vanishes to round-off (the derivative has no zero mode).
+A leafwise q-form lives on the fiber, the same over every base point, as
+one array of shape (npoints, ncomp) where ncomp = C(r, q) and components
+are indexed by sorted coordinate subsets in lexicographic order.  All
+derivatives are spectral, so d is exact on band-limited data and the grid
+sum of any exact top component vanishes to round-off (the derivative has
+no zero mode).  The base enters only the quadratures, through the one
+mass-weighted cutoff field of ``TransversalDensity.weight``.
 
 exterior_d and exterior_wedge hold that component convention for every site
 and value type: they act on arrays (n, ncomp, ...) given a gradient and a
@@ -20,8 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .density import CutoffDensity, TransversalDensity
-from .grids import ModelError, spectral_gradient
-from .groupoid import BaseModel
+from .grids import FiberModel, ModelError, spectral_gradient
 from .space import FiberedGSpace
 
 
@@ -52,44 +53,42 @@ def merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
 
 @dataclass
 class FoliatedForm:
-    """Family of leafwise q-forms over the base."""
+    """A leafwise q-form on the fiber, the same over every base point.
 
+    ``field`` holds its components, one (npoints, ncomp) array.
+    """
+
+    fiber: FiberModel
     degree: int
-    fiber_dim: int
-    fields: list[np.ndarray]
+    field: np.ndarray
     invariant: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 <= self.degree <= self.fiber_dim:
+        if not 0 <= self.degree <= self.fiber.dim:
             raise DegreeError(
-                f"degree {self.degree} invalid for fiber dimension {self.fiber_dim}"
+                f"degree {self.degree} invalid for fiber dimension {self.fiber.dim}"
             )
-        ncomp = self.ncomp
-        self.fields = [np.asarray(f, dtype=complex) for f in self.fields]
-        for f in self.fields:
-            if f.ndim != 2 or f.shape[1] != ncomp:
-                raise DegreeError(
-                    f"component array shape {f.shape} does not match ncomp={ncomp}"
-                )
+        self.field = np.asarray(self.field, dtype=complex)
+        want = (self.fiber.npoints, self.ncomp)
+        if self.field.shape != want:
+            raise DegreeError(f"component array shape {self.field.shape} is not {want}")
 
     @property
     def ncomp(self) -> int:
-        return len(index_subsets(self.fiber_dim, self.degree))
+        return len(index_subsets(self.fiber.dim, self.degree))
 
     @classmethod
-    def zero(cls, base: BaseModel, degree: int) -> "FoliatedForm":
-        r = base.fiber.dim
-        ncomp = len(index_subsets(r, degree))
-        fields = [np.zeros((base.fiber.npoints, ncomp), dtype=complex) for _ in range(len(base))]
-        return cls(degree, r, fields, invariant=True)
+    def zero(cls, fiber: FiberModel, degree: int) -> "FoliatedForm":
+        ncomp = len(index_subsets(fiber.dim, degree))
+        return cls(fiber, degree, np.zeros((fiber.npoints, ncomp)), invariant=True)
 
     def __add__(self, other: "FoliatedForm") -> "FoliatedForm":
         if self.degree != other.degree:
             raise DegreeError("cannot add forms of different degree")
         return FoliatedForm(
+            self.fiber,
             self.degree,
-            self.fiber_dim,
-            [a + b for a, b in zip(self.fields, other.fields)],
+            self.field + other.field,
             invariant=self.invariant and other.invariant,
         )
 
@@ -97,10 +96,10 @@ class FoliatedForm:
         return self + other.scaled(-1)
 
     def scaled(self, factor: complex) -> "FoliatedForm":
-        return replace(self, fields=[factor * f for f in self.fields])
+        return replace(self, field=factor * self.field)
 
     def max_abs(self) -> float:
-        return max(float(np.max(np.abs(f))) if f.size else 0.0 for f in self.fields)
+        return float(np.max(np.abs(self.field)))
 
 
 def exterior_d(field: np.ndarray, degree: int, dim: int, grad) -> np.ndarray:
@@ -155,21 +154,24 @@ def exterior_wedge(
     return out
 
 
-def d_leafwise(form: FoliatedForm, base: BaseModel) -> FoliatedForm:
+def d_leafwise(form: FoliatedForm) -> FoliatedForm:
     """Spectral exterior derivative along the fibers."""
-    r, q = form.fiber_dim, form.degree
-    grad = partial(spectral_gradient, fiber=base.fiber)
-    out_fields = [exterior_d(f, q, r, grad) for f in form.fields]
-    return FoliatedForm(q + 1, r, out_fields, invariant=form.invariant)
+    grad = partial(spectral_gradient, fiber=form.fiber)
+    field = exterior_d(form.field, form.degree, form.fiber.dim, grad)
+    return FoliatedForm(form.fiber, form.degree + 1, field, invariant=form.invariant)
 
 
 def form_invariance_defect(gspace: FiberedGSpace, form: FoliatedForm) -> float:
-    """Max over arrows of the transport mismatch of the family."""
-    worst = 0.0
-    for a in gspace.groupoid.arrows:
-        moved = gspace.transport(a, form.fields[a.src])
-        worst = max(worst, float(np.max(np.abs(form.fields[a.tgt] - moved))))
-    return worst
+    """Largest transport mismatch |f - f o (g shift)| of the form over the arrows.
+
+    One arrow per group element that moves the fiber gives the same float
+    as every arrow (``FiberedGSpace.moving_arrows``).
+    """
+    f = form.field
+    return max(
+        (float(np.max(np.abs(f - gspace.transport(a, f)))) for a in gspace.moving_arrows()),
+        default=0.0,
+    )
 
 
 def invariant_project_form(
@@ -177,18 +179,16 @@ def invariant_project_form(
 ) -> FoliatedForm:
     """Cutoff-weighted average onto the invariant forms.
 
-    (P form)_x = sum over arrows a from x of (c o action_a) * action_a-pullback
-    of the target component.  Fixes invariant inputs exactly (partition
-    identity) and always lands in the invariants.
+    P form = sum over arrows a from point 0 of (c_{t(a)} o action_a) times
+    the pullback of the form along a.  Exactly invariant for any input, and
+    fixes invariant inputs (partition identity), when every base point
+    carries the same cutoff field, as on a one-point base.
     """
-    out_fields = []
-    for x in range(len(gspace.base)):
-        acc = np.zeros_like(form.fields[x])
-        for a in gspace.groupoid.arrows_from(x):
-            weight = gspace.eval_after_action(a, cutoff.fields[a.tgt]).real
-            acc += weight[:, None] * gspace.eval_after_action(a, form.fields[a.tgt])
-        out_fields.append(acc)
-    return FoliatedForm(form.degree, form.fiber_dim, out_fields, invariant=True)
+    acc = np.zeros_like(form.field)
+    for a in gspace.groupoid.arrows_from(0):
+        weight = gspace.eval_after_action(a, cutoff.fields[a.tgt]).real
+        acc += weight[:, None] * gspace.eval_after_action(a, form.field)
+    return FoliatedForm(form.fiber, form.degree, acc, invariant=True)
 
 
 def integrate_invariant(
@@ -196,17 +196,13 @@ def integrate_invariant(
 ) -> complex:
     """Quadrature of a top-degree invariant form against the cutoff and masses.
 
-    Value = sum over base points of mass * mean_z c(z) * top component.
-    Independent of the cutoff choice and zero on derivatives of invariant
-    forms, provided the transverse mass is orbit-constant.
+    Value = mean_z w(z) * top component, with w the mass-weighted cutoff
+    field.  Independent of the cutoff choice and zero on derivatives of
+    invariant forms, provided the transverse mass is orbit-constant.
     """
-    if form.degree != form.fiber_dim:
+    if form.degree != form.fiber.dim:
         raise DegreeError("integration requires a top-degree form")
     if not form.invariant:
         raise InvarianceError("integration requires the invariance flag")
-    gspace = dens.gspace
-    total = 0.0 + 0.0j
-    for x in range(len(gspace.base)):
-        weighted = cutoff.fields[x] * form.fields[x][:, 0]
-        total += dens.masses[x] * np.mean(weighted)
-    return complex(total)
+    weight = dens.weight(cutoff.fields)
+    return complex(0j + np.mean(weight * form.field[:, 0]))

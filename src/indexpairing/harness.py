@@ -224,7 +224,7 @@ def _idempotent_cache(scn: Scenario, out_dir: Path) -> Path:
     key = {k: v for k, v in scn.echo().items() if k not in _NOT_IDEMPOTENT_INPUTS}
     key["format"] = _CACHE_FORMAT
     digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
-    return out_dir / "cache" / f"{scn.name}.{digest[:16]}.idem.opk"
+    return out_dir / "cache" / f"{digest[:16]}.idem.opk"
 
 
 def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
@@ -298,7 +298,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         )
 
     with _stage("topological"):
-        alpha = phi.van_est_form(space.base)
+        alpha = phi.van_est_form()
         topological = topological_index(
             space, cutoff, dens, alpha, sclass, invariant_tol=scn.invariant_tol
         )

@@ -30,7 +30,12 @@ from .pairing import pair_cocycle
 from .parametrix import index_idempotent
 from .space import FiberedGSpace
 from .symbols import SMOOTHING_ORDER, SymbolData, quantize, trace_symbol_formula
-from .topindex import free_action_reduction, symbol_class_dolbeault, topological_index
+from .topindex import (
+    _unit_form,
+    free_action_reduction,
+    symbol_class_dolbeault,
+    topological_index,
+)
 
 __all__ = ["INVARIANT_CHECKS"]
 
@@ -45,14 +50,9 @@ def _inv_trivial(n=16, N=5):
     return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
 
 
-def _random_one_form(rng, base, band):
-    r = base.fiber.dim
-    ncomp = len(index_subsets(r, 1))
-    fields = []
-    for _ in range(len(base)):
-        cols = [random_band_limited(rng, base.fiber, band) for _ in range(ncomp)]
-        fields.append(np.stack(cols, axis=1))
-    return FoliatedForm(1, r, fields)
+def _random_one_form(rng, fiber, band):
+    cols = [random_band_limited(rng, fiber, band) for _ in index_subsets(fiber.dim, 1)]
+    return FoliatedForm(fiber, 1, np.stack(cols, axis=1))
 
 
 def _check_trace_commutator():
@@ -117,24 +117,21 @@ def _check_stokes():
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
         beta = invariant_project_form(
-            space, cutoff, _random_one_form(rng, space.base, band=3)
+            space, cutoff, _random_one_form(rng, space.base.fiber, band=3)
         )
-        dbeta = d_leafwise(beta, space.base)
+        dbeta = d_leafwise(beta)
         worst = max(worst, abs(integrate_invariant(dbeta, cutoff, dens)))
     return worst, 1e-9
 
 
 def _check_vanest_chain_map():
-    space = _inv_trivial()
-    base = space.base
+    fiber = _inv_trivial().base.fiber
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
-        factors = [random_band_limited(rng, base.fiber, 2) for _ in range(2)]
-        phi = ASCochain.elementary(base.fiber, factors, germ_radius=2.0)
-        defect = (
-            d_as(phi).van_est_form(base) - d_leafwise(phi.van_est_form(base), base)
-        ).max_abs()
+        factors = [random_band_limited(rng, fiber, 2) for _ in range(2)]
+        phi = ASCochain.elementary(fiber, factors, germ_radius=2.0)
+        defect = (d_as(phi).van_est_form() - d_leafwise(phi.van_est_form())).max_abs()
         worst = max(worst, defect)
     return worst, 1e-10
 
@@ -177,11 +174,10 @@ def _check_topindex_cutoff_choice():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
-    npts = space.base.fiber.npoints
-    alpha = FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
+    alpha = _unit_form(space.base.fiber)
     c1 = compute_cutoff(space)
     rng = np.random.default_rng(11)
-    c2 = compute_cutoff(space, [1.0 + 0.4 * rng.random(npts)])
+    c2 = compute_cutoff(space, [1.0 + 0.4 * rng.random(space.base.fiber.npoints)])
     v1 = topological_index(space, c1, dens, alpha, sclass)
     v2 = topological_index(space, c2, dens, alpha, sclass)
     return abs(v1 - v2), 1e-8
@@ -193,8 +189,7 @@ def _check_free_reduction_agreement():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
-    npts = space.base.fiber.npoints
-    alpha = FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
+    alpha = _unit_form(space.base.fiber)
     topo = topological_index(space, cutoff, dens, alpha, sclass)
     red = free_action_reduction(space, cutoff, dens, alpha, sclass)
     return abs(topo - red), 1e-8

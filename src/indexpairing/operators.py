@@ -2,7 +2,8 @@
 
 Everything here lives on one fiber.  Every base point carries the same fiber
 and the same invariant operator, so the base enters only through the cutoff
-and the transverse density, which the weighted traces receive.
+and the transverse density, which the weighted traces receive as one
+mass-weighted field (``TransversalDensity.weight``).
 
 Conventions
 -----------
@@ -296,7 +297,7 @@ class SmoothingKernel:
         two-cycles k(z, w) k(w, z).  Moving arrows compare whole matrices, so
         this gate expands the stored block row, once.
         """
-        arrows = _moving_arrows(gspace)
+        arrows = gspace.moving_arrows()
         if not arrows:
             return 0.0
         here = self.dense()
@@ -340,19 +341,6 @@ def _moved(M: np.ndarray, gspace: FiberedGSpace, a) -> np.ndarray:
     """M carried along the arrow a: M[p, p] with p the permutation of a's inverse."""
     perm = gspace.permutation(gspace.groupoid.inverse(a))
     return M[np.ix_(perm, perm)]
-
-
-def _moving_arrows(gspace: FiberedGSpace):
-    """The arrows (g, 0), g = 1 .. m/2, whose translation moves the fiber.
-
-    The arrow (g, x) moves a kernel by the permutation of g alone, and
-    conjugating by it maps the defect entries of g onto the negated ones of
-    m - g, so these arrows give the same largest defect, as the same float,
-    as every non-unit arrow.  A zero shift leaves no arrow to check.
-    """
-    m = gspace.groupoid.order
-    arrows = gspace.groupoid.arrows_from(0)[1 : m // 2 + 1]
-    return [a for a in arrows if any(gspace.fiber_map(a).shift)]
 
 
 def require_invariant(
@@ -404,27 +392,18 @@ def trace_tau(kern: SmoothingKernel, cutoff: CutoffDensity, dens: TransversalDen
     check.
     """
     require_invariant(dens.gspace, TRACE_INVARIANCE_TOL, "trace", kern)
-    return _weighted_diag_trace(kern, cutoff, dens)
+    return _weighted_diag_trace(kern, dens.weight(cutoff.fields))
 
 
-def _weighted_diag_trace(
-    kern: SmoothingKernel,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
-    field: np.ndarray | None = None,
-) -> complex:
-    """sum over base points x of mass(x) * sum_z c_x(z) [f(z)] M[z, z].
+def _weighted_diag_trace(kern: SmoothingKernel, weight: np.ndarray) -> complex:
+    """sum_z w(z) M[z, z] for one weight field w on the fiber.
 
     A zero operator is skipped: adding its exact zeros would change no bit.
     """
-    total = 0.0 + 0.0j
     if kern.row is None:
-        return total
-    diagonal = kern.diagonal()
-    for x, c in enumerate(cutoff.fields):
-        weight = c if field is None else c * field
-        total += dens.masses[x] * np.sum(weight * diagonal)
-    return complex(total)
+        return 0j
+    # adding 0j makes a zero part +0.0, whatever sign the sum left on it
+    return complex(0j + np.sum(weight * kern.diagonal()))
 
 
 def random_invariant_kernel(

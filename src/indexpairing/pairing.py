@@ -62,9 +62,9 @@ diagonal of C_0, the mean of the Fourier blocks, so D enters through the
 sums of c over the orbits of the translation: exact for any cutoff.
 
 Both cochain flavors live on the fiber, so a chain differs between base
-points only through the cutoff weight, in which it is real-linear: each
-k = 1 chain is contracted once against the mass-weighted sum of the cutoff
-fields.
+points only through the cutoff weight, in which it is real-linear: every
+chain, at k = 0 and k = 1, is contracted once against the mass-weighted
+sum of the cutoff fields (``TransversalDensity.weight``).
 """
 from __future__ import annotations
 
@@ -79,7 +79,6 @@ from .cochains import ASCochain
 from .density import CutoffDensity, TransversalDensity
 from .forms import FoliatedForm, subset_position
 from .grids import FiberModel, ModelError
-from .groupoid import BaseModel
 from .operators import (
     SupportMismatchError,
     _weighted_diag_trace,
@@ -187,23 +186,22 @@ class ProfileCochain:
         table = prof(coords[None, :] - coords[:, None])
         return table[np.ix_(ticks[:rows], ticks)]
 
-    def van_est_form(self, base: BaseModel) -> FoliatedForm:
-        """Leafwise realization over ``base``: product of unit slopes times dz_a1 ^ ... .
+    def van_est_form(self) -> FoliatedForm:
+        """Leafwise realization on the fiber: product of unit slopes times dz_a1 ^ ... .
 
         Exact, not a quadrature: every profile has derivative exactly 1 at
         zero and vanishing value there, so the whole 2k-jet reduces to the
-        single constant-coefficient component, the same at every base point.
+        single constant-coefficient component.
         """
         r = self.fiber.dim
         axes = tuple(axis for axis, _ in self.legs)
         if self.degree > r:
             raise ModelError("realization degree exceeds the fiber dimension")
-        form = FoliatedForm.zero(base, self.degree)
+        form = FoliatedForm.zero(self.fiber, self.degree)
         if len(set(axes)) < len(axes):
             return form
         pos = subset_position(r, self.degree)[tuple(sorted(axes))]
-        for field in form.fields:
-            field[:, pos] = float(_sort_sign(axes))
+        form.field[:, pos] = float(_sort_sign(axes))
         return form
 
 
@@ -257,14 +255,14 @@ def pair_cocycle(
         )
 
     s0, s1 = idem.families
+    # one contraction covers the base (see the module docstring)
+    cw = dens.weight(cutoff.fields)
     if k == 0:
-        field = phi.evaluate_batch(np.arange(s0.fiber.npoints)[:, None])
-        trace0, trace1 = (_weighted_diag_trace(f, cutoff, dens, field) for f in (s0, s1))
+        field = cw * phi.evaluate_batch(np.arange(s0.fiber.npoints)[:, None])
+        trace0, trace1 = (_weighted_diag_trace(f, field) for f in (s0, s1))
         return trace0 - trace1
 
     weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
-    # one contraction covers the base (see the module docstring)
-    cw = sum(dens.masses[x] * c for x, c in enumerate(cutoff.fields))
     contract = (
         _weighted_profile_chain
         if isinstance(phi, ProfileCochain)

@@ -43,13 +43,13 @@ _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
 # the dense elementary k = 1 chain
 _KERNEL_BUDGET = 2**30
 # cyclic^3 x base_points.  Build-space is linear in the cyclic x base_points
-# arrows, and the kernel invariance gate checks cyclic/2 group elements, not
-# every arrow.  The budget caps the per-arrow loops over per-point fields:
-# the cutoff's orbit sums and the invariance check of the realized cochain
-# form.  A dolbeault run on grid 16, twist 2, localize 0.5 at the edge takes
-# 0.05 s (cyclic 64, one point) and 0.15 to 0.2 s (cyclic 16, 64 points,
-# trivial or half-shift fiber action), on 2 cores; with one gate comparison
-# per arrow these took 0.45 s and 6.2 to 8.0 s
+# arrows, and the kernel and form invariance gates check cyclic/2 group
+# elements, not every arrow.  The budget caps the one loop left over arrows
+# and per-point fields: the cutoff's orbit sums.  A dolbeault run on grid
+# 16, twist 2, localize 0.5 at the edge takes 0.03 to 0.05 s (cyclic 64,
+# one point) and 0.05 to 0.09 s (cyclic 16, 64 points, trivial or
+# half-shift fiber action), on 2 cores; with one kernel gate comparison per
+# arrow these took 0.45 s and 6.2 to 8.0 s
 _GROUPOID_BUDGET = 2**18
 # a translation entry is an integer, a decimal or a fraction p/q; an exponent
 # is refused, since Fraction("1e999999999") builds a billion-digit integer
@@ -175,7 +175,7 @@ def _validate(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
     name = _need(raw, "name", str, "scenario")
-    # the name is a CSV cell and the stem of the echo and cache file names
+    # the name is a CSV cell and the stem of the echo file name
     if name in ("", ".", "..") or any(
         c in ",/\\" or unicodedata.category(c) == "Cc" for c in name
     ):

@@ -86,6 +86,21 @@ class FiberedGSpace:
         """The translation by g * shift that the arrow (g, x) acts by."""
         return self._maps[a.label[0]]
 
+    def moving_arrows(self) -> list[Arrow]:
+        """The arrows (g, 0), g = 1 .. m/2, whose translation moves the fiber.
+
+        Every base point carries the same fiber data, so the arrow (g, x)
+        moves a kernel or a form by the permutation of g alone, and the
+        defect entries of m - g are those of g, permuted and negated: the
+        entries of f - f o (-g shift) are those of f - f o (g shift) moved by
+        g, and a kernel's alike under conjugation.  So these arrows give the
+        same largest defect, as the same float, as every non-unit arrow.  A
+        zero shift leaves no arrow.
+        """
+        m = self.groupoid.order
+        arrows = self.groupoid.arrows_from(0)[1 : m // 2 + 1]
+        return [a for a in arrows if any(self.fiber_map(a).shift)]
+
     def permutation(self, a: Arrow) -> np.ndarray:
         """Grid permutation p of the arrow's fiber map: transport is f -> f[p].
 

@@ -100,14 +100,12 @@ def trace_symbol_formula(
 ) -> complex:
     """Weighted trace computed from a smoothing symbol table.
 
-    Sum over base points of mass * sum over modes of the quadrature mean of
-    c(z) a(z, nu).  Only declared-smoothing symbols qualify; agreement with
-    the kernel-side trace is limited by the lattice truncation.
+    Sum over modes of the quadrature mean of w(z) a(z, nu), with w the
+    mass-weighted cutoff field.  Only declared-smoothing symbols qualify;
+    agreement with the kernel-side trace is limited by the lattice
+    truncation.
     """
     if sym.order != SMOOTHING_ORDER:
         raise ModelError("the symbol-side trace needs a declared smoothing symbol")
-    total = 0.0 + 0.0j
-    for x, c in enumerate(cutoff.fields):
-        weighted = c[:, None] * sym.values
-        total += dens.masses[x] * np.sum(weighted) / sym.fiber.npoints
-    return complex(total)
+    weight = dens.weight(cutoff.fields)
+    return complex(0j + np.sum(weight[:, None] * sym.values) / sym.fiber.npoints)

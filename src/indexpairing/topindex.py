@@ -43,7 +43,6 @@ from .forms import (
     form_invariance_defect,
 )
 from .grids import FiberModel, ModelError
-from .groupoid import BaseModel
 from .operators import OperatorBlock
 from .parametrix import analytic_index
 from .space import FiberedGSpace
@@ -80,10 +79,9 @@ class SymbolClass:
     charge: complex
 
 
-def _unit_form(base: BaseModel) -> FoliatedForm:
-    """The constant 0-form 1 on every fiber."""
-    ones = [np.ones((base.fiber.npoints, 1), dtype=complex) for _ in range(len(base))]
-    return FoliatedForm(0, base.fiber.dim, ones, invariant=True)
+def _unit_form(fiber: FiberModel) -> FoliatedForm:
+    """The constant 0-form 1 on the fiber."""
+    return FoliatedForm(fiber, 0, np.ones((fiber.npoints, 1)), invariant=True)
 
 
 def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> SymbolClass:
@@ -116,10 +114,9 @@ def _check_cochain_form(
         raise ModelError(
             f"realized cochain has odd degree {alpha.degree}; pairings are even"
         )
-    r = alpha.fiber_dim
     scale = max(alpha.max_abs(), 1.0)
-    if alpha.degree < r:
-        defect = d_leafwise(alpha, space.base).max_abs()
+    if alpha.degree < alpha.fiber.dim:
+        defect = d_leafwise(alpha).max_abs()
         if defect > invariant_tol * scale:
             raise ModelError(f"cochain form is not closed: d defect {defect:.3e}")
     defect = form_invariance_defect(space, alpha)
@@ -130,28 +127,26 @@ def _check_cochain_form(
 
 def _class_integral(
     space: FiberedGSpace,
-    weights: list[np.ndarray],
-    dens: TransversalDensity,
+    weight: np.ndarray,
     alpha: FoliatedForm,
     sclass: SymbolClass,
     invariant_tol: float,
 ) -> complex:
     """ORIENTATION_SIGN * (2*pi*i)^(-k) times the weighted integral of alpha ^ ch.
 
-    ``weights`` holds one per-point weight field per base point: the cutoff,
-    or the indicator of a fundamental domain.  Only the top component of
+    ``weight`` is one mass-weighted field on the fiber: of the cutoff, or of
+    the indicators of a fundamental domain.  Only the top component of
     alpha ^ ch_fiber meets the disc charge; without a fiber character of
     the complementary degree the integrand is zero.
     """
     k = _check_cochain_form(space, alpha, invariant_tol)
-    r, q = alpha.fiber_dim, alpha.degree
+    r, q = alpha.fiber.dim, alpha.degree
     top = sclass.fiber.get(r - q)
-    total = 0.0 + 0.0j
+    # adding to 0j makes a zero part +0.0, whatever sign the mean left on it
+    total = 0j
     if top is not None:
-        for x in range(len(space.base)):
-            density = exterior_wedge(alpha.fields[x], q, top, r - q, r, np.multiply)
-            field = density[:, 0] * sclass.charge
-            total += dens.masses[x] * np.mean(weights[x] * field)
+        density = exterior_wedge(alpha.field, q, top, r - q, r, np.multiply)
+        total += np.mean(weight * (density[:, 0] * sclass.charge))
     return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
 
 
@@ -170,7 +165,7 @@ def topological_index(
     alpha ^ ch(symbol) over fibers and frequency discs, summed over the base
     with the transversal masses.
     """
-    return _class_integral(space, cutoff.fields, dens, alpha, sclass, invariant_tol)
+    return _class_integral(space, dens.weight(cutoff.fields), alpha, sclass, invariant_tol)
 
 
 def _assert_unimodular(dens: TransversalDensity) -> None:
@@ -225,8 +220,8 @@ def free_action_reduction(
     agree exactly, which is the discrete form of the quotient reduction.
     """
     _assert_unimodular(dens)
-    indicators = fundamental_domain_indicator(space)
-    return _class_integral(space, indicators, dens, alpha, sclass, REDUCTION_INVARIANT_TOL)
+    weight = dens.weight(fundamental_domain_indicator(space))
+    return _class_integral(space, weight, alpha, sclass, REDUCTION_INVARIANT_TOL)
 
 
 def half_shift_quotient_index(fiber: FiberModel, twist: int, order: int = 2) -> int:
@@ -282,7 +277,7 @@ def family_index_orbifold(
         if x != min(members):
             continue
         orbit_sum += dens.masses[x] * per_point[x]
-    topo = topological_index(space, cutoff, dens, _unit_form(base), sclass)
+    topo = topological_index(space, cutoff, dens, _unit_form(base.fiber), sclass)
     return FamilyIndexResult(
         per_point=per_point,
         orbit_sum=float(orbit_sum),

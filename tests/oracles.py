@@ -1,11 +1,12 @@
 """Per-axis derivatives, whole-field Chern scalars and per-arrow gates, kept as oracles.
 
 These are the computations the library made before its gradients shared one
-forward transform, its Chern scalars ran in blocks and its invariance gate
+forward transform, its Chern scalars ran in blocks and its invariance gates
 checked one arrow per group element: one full FFT pair per partial
 derivative with the matrix entries as trailing, strided axes, the disc's
 radial and angular derivatives recomputed per axis, every field of the
-character held whole, and the kernel compared along every non-unit arrow.
+character held whole, and the kernel and the realized form compared along
+every arrow.
 The library must agree with them bit for bit.  Section transport on a basis,
 the transport defect of an operator block, the Gram defect of a basis, an
 operator block applied to a grid field and the symbol extracted from a
@@ -17,7 +18,7 @@ partition defect of a cutoff, the strict invariance defect of a kernel, the
 Fourier expansion of a profile cochain into slot products, cochain
 transport and cochain averaging along arrows, the magnetic translations
 of the twisted bundle with the quasi-periodic shift they are built from,
-and, for the form calculus, a degree-0 form from scalar fields and the
+and, for the form calculus, a degree-0 form from a scalar field and the
 wedge of two whole forms.
 """
 import math
@@ -111,6 +112,16 @@ def chern_scalars_whole(p, dim, diff):
     return out
 
 
+def form_invariance_defect_per_arrow(gspace, form):
+    """The transport mismatch of a form held at every base point, over every arrow."""
+    fields = [form.field] * len(gspace.base)
+    worst = 0.0
+    for a in gspace.groupoid.arrows:
+        moved = gspace.transport(a, fields[a.src])
+        worst = max(worst, float(np.max(np.abs(fields[a.tgt] - moved))))
+    return worst
+
+
 def twisted_invariance_defect_per_arrow(kern, gspace):
     """The phase-free equivariance defect of a kernel, over every non-unit arrow."""
     here = kern.dense()
@@ -187,11 +198,9 @@ def same_bits(a, b):
     )
 
 
-def volume_form(base):
+def volume_form(fiber):
     """The top form dz_1 ^ ... ^ dz_r with unit coefficient everywhere."""
-    r = base.fiber.dim
-    fields = [np.ones((base.fiber.npoints, 1), dtype=complex) for x in range(len(base))]
-    return FoliatedForm(r, r, fields, invariant=True)
+    return FoliatedForm(fiber, fiber.dim, np.ones((fiber.npoints, 1)), invariant=True)
 
 
 def partition_defect(cutoff):
@@ -216,20 +225,18 @@ def invariance_defect(kern, gspace):
     return worst
 
 
-def scalar_form(base, scalars):
-    """The degree-0 form with one scalar field per base point."""
-    fields = [np.asarray(s, dtype=complex).reshape(-1, 1) for s in scalars]
-    return FoliatedForm(0, base.fiber.dim, fields)
+def scalar_form(fiber, scalar):
+    """The degree-0 form of one scalar field."""
+    return FoliatedForm(fiber, 0, np.reshape(scalar, (-1, 1)))
 
 
 def wedge(f1, f2):
-    """Pointwise wedge of two forms over the same base."""
-    out_fields = [
-        exterior_wedge(a, f1.degree, b, f2.degree, f1.fiber_dim, np.multiply)
-        for a, b in zip(f1.fields, f2.fields)
-    ]
+    """Pointwise wedge of two forms on the same fiber."""
+    field = exterior_wedge(
+        f1.field, f1.degree, f2.field, f2.degree, f1.fiber.dim, np.multiply
+    )
     invariant = f1.invariant and f2.invariant
-    return FoliatedForm(f1.degree + f2.degree, f1.fiber_dim, out_fields, invariant=invariant)
+    return FoliatedForm(f1.fiber, f1.degree + f2.degree, field, invariant=invariant)
 
 
 def fourier_coefficients(prof, band, samples=4096):

@@ -48,7 +48,7 @@ def half_shift_space(n, N):
 
 def unit_zero_form(space):
     npts = space.base.fiber.npoints
-    return FoliatedForm(0, 2, [np.ones((npts, 1))], invariant=True)
+    return FoliatedForm(space.base.fiber, 0, np.ones((npts, 1)), invariant=True)
 
 
 def registry_check(name, pinned_tol):
@@ -113,9 +113,9 @@ def test_criterion_05_leafwise_stokes():
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
         beta = invariant_project_form(
-            space, c1, _random_one_form(rng, space.base, band=3)
+            space, c1, _random_one_form(rng, space.base.fiber, band=3)
         )
-        dbeta = d_leafwise(beta, space.base)
+        dbeta = d_leafwise(beta)
         v1 = integrate_invariant(dbeta, c1, dens)
         v2 = integrate_invariant(dbeta, c2, dens)
         worst = max(worst, abs(v1 - v2))

@@ -6,8 +6,14 @@ import pytest
 
 from indexpairing.cochains import ASCochain, ASTerm, d_as
 from indexpairing.density import compute_cutoff
-from indexpairing.forms import DegreeError, d_leafwise
-from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
+from indexpairing.forms import DegreeError, FoliatedForm, d_leafwise
+from indexpairing.grids import (
+    FiberModel,
+    ModelError,
+    grid_points,
+    random_band_limited,
+    spectral_gradient,
+)
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
 from oracles import invariant_project_cochain, transport_cochain
@@ -132,23 +138,26 @@ def test_d_as_inserts_one_ones_field():
     assert np.max(np.abs(dphi.evaluate_batch(tuples) - expect)) <= 1e-14
 
 
-def test_van_est_form_is_the_same_at_every_base_point():
+def test_van_est_form_is_one_field_on_the_fiber():
     fiber = torus_base().fiber
     rng = np.random.default_rng(19)
     phi = elementary(fiber, rng, 1, band=2)
-    one = phi.van_est_form(BaseModel(fiber, 1))
-    three = phi.van_est_form(BaseModel(fiber, 3))
-    assert (three.degree, len(three.fields)) == (1, 3)
-    for field in three.fields:
-        assert np.array_equal(field, one.fields[0])
+    form = phi.van_est_form()
+    assert (form.fiber, form.degree, form.field.shape) == (fiber, 1, (fiber.npoints, 2))
+    f0, f1 = phi.terms[0].factors
+    df1 = spectral_gradient(f1, fiber, (0, 1))
+    assert all(np.allclose(form.field[:, j], f0 * df1[j], atol=1e-12) for j in (0, 1))
+    # one array, not one per base point
+    with pytest.raises(DegreeError):
+        FoliatedForm(fiber, 1, [form.field] * 3)
 
 
 def test_van_est_degree_zero_identity():
     base = circle_base()
     rng = np.random.default_rng(5)
     f = random_band_limited(rng, base.fiber, 2)
-    out = ASCochain.elementary(base.fiber, [f], germ_radius=2.0).van_est_form(base)
-    assert np.allclose(out.fields[0][:, 0], f)
+    out = ASCochain.elementary(base.fiber, [f], germ_radius=2.0).van_est_form()
+    assert np.allclose(out.field[:, 0], f)
 
 
 def test_van_est_circle_oracle():
@@ -157,10 +166,10 @@ def test_van_est_circle_oracle():
     pts = grid_points(16, 1)
     ones = np.ones(16, dtype=complex)
     s = np.sin(2 * np.pi * pts[:, 0])
-    out = ASCochain.elementary(base.fiber, [ones, s], germ_radius=2.0).van_est_form(base)
+    out = ASCochain.elementary(base.fiber, [ones, s], germ_radius=2.0).van_est_form()
     assert out.degree == 1
     expect = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
-    assert np.allclose(out.fields[0][:, 0], expect, atol=1e-10)
+    assert np.allclose(out.field[:, 0], expect, atol=1e-10)
 
 
 def test_van_est_constants_realize_to_zero():
@@ -168,7 +177,7 @@ def test_van_est_constants_realize_to_zero():
     ones = np.ones(64, dtype=complex)
     twos = 2 * np.ones(64, dtype=complex)
     phi = ASCochain.elementary(base.fiber, [ones, twos, twos], germ_radius=2.0)
-    out = phi.van_est_form(base)
+    out = phi.van_est_form()
     assert out.max_abs() == 0.0
 
 
@@ -177,7 +186,7 @@ def test_van_est_rejects_degrees_beyond_fiber():
     ones = np.ones(16, dtype=complex)
     phi = ASCochain.elementary(base.fiber, [ones, ones, ones], germ_radius=2.0)
     with pytest.raises(DegreeError):
-        phi.van_est_form(base)
+        phi.van_est_form()
 
 
 def test_van_est_chain_map():
@@ -188,8 +197,8 @@ def test_van_est_chain_map():
     for k in (0, 1):
         for _ in range(10):
             phi = elementary(base.fiber, rng, k, band=1)
-            lhs = d_as(phi).van_est_form(base)
-            rhs = d_leafwise(phi.van_est_form(base), base)
+            lhs = d_as(phi).van_est_form()
+            rhs = d_leafwise(phi.van_est_form())
             worst = max(worst, (lhs - rhs).max_abs())
     assert worst <= 1e-10
 
@@ -201,8 +210,8 @@ def test_van_est_equivariance():
     a = space.groupoid.arrows_from(0)[1]
     for k in (0, 1):
         phi = elementary(space.base.fiber, rng, k, band=2)
-        lhs = space.transport(a, phi.van_est_form(space.base).fields[a.src])
-        rhs = transport_cochain(space, a, phi).van_est_form(space.base).fields[a.tgt]
+        lhs = space.transport(a, phi.van_est_form().field)
+        rhs = transport_cochain(space, a, phi).van_est_form().field
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 

@@ -22,6 +22,7 @@ from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
 from oracles import (
     exterior_d_per_axis,
+    form_invariance_defect_per_arrow,
     same_bits,
     scalar_form,
     spectral_derivative,
@@ -45,23 +46,15 @@ def half_shift_space(n=8, N=3):
     return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), 0])
 
 
-def random_form(rng, base, degree, band=2):
-    r = base.fiber.dim
-    ncomp = len(index_subsets(r, degree))
-    fields = []
-    for x in range(len(base)):
-        fib = base.fiber
-        cols = [
-            random_band_limited(rng, fib, band) for _ in range(ncomp)
-        ]
-        fields.append(np.stack(cols, axis=1))
-    return FoliatedForm(degree, r, fields)
+def random_form(rng, fiber, degree, band=2):
+    cols = [random_band_limited(rng, fiber, band) for _ in index_subsets(fiber.dim, degree)]
+    return FoliatedForm(fiber, degree, np.stack(cols, axis=1))
 
 
 def test_d_of_constant_is_zero():
     base = torus_base()
-    const = scalar_form(base, [np.ones(64)])
-    out = d_leafwise(const, base)
+    const = scalar_form(base.fiber, np.ones(64))
+    out = d_leafwise(const)
     assert out.max_abs() == 0.0
 
 
@@ -69,10 +62,10 @@ def test_d_matches_spectral_oracle():
     base = torus_base(n=8, N=3)
     pts = grid_points(8, 2)
     f = np.sin(2 * np.pi * pts[:, 0])
-    out = d_leafwise(scalar_form(base, [f]), base)
+    out = d_leafwise(scalar_form(base.fiber, f))
     expect = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
-    assert np.allclose(out.fields[0][:, 0], expect, atol=1e-10)
-    assert np.allclose(out.fields[0][:, 1], 0, atol=1e-12)
+    assert np.allclose(out.field[:, 0], expect, atol=1e-10)
+    assert np.allclose(out.field[:, 1], 0, atol=1e-12)
     # an (npoints, m, m) block differentiates entry by entry
     fiber = base.fiber
     rng = np.random.default_rng(4)
@@ -131,30 +124,30 @@ def test_d_squared_vanishes():
     rng = np.random.default_rng(2)
     base = torus_base(n=12, N=5, dim=3)
     for q in (0, 1):
-        form = random_form(rng, base, q, band=2)
-        dd = d_leafwise(d_leafwise(form, base), base)
+        form = random_form(rng, base.fiber, q, band=2)
+        dd = d_leafwise(d_leafwise(form))
         assert dd.max_abs() <= 1e-10 * max(form.max_abs(), 1.0)
 
 
 def test_d_rejects_top_degree():
     base = torus_base()
     with pytest.raises(DegreeError):
-        d_leafwise(volume_form(base), base)
+        d_leafwise(volume_form(base.fiber))
 
 
 def test_wedge_graded_commutativity_and_leibniz():
     rng = np.random.default_rng(4)
     base = torus_base(n=12, N=5, dim=3)
     for p, q in [(0, 1), (1, 1), (1, 2)]:
-        a = random_form(rng, base, p, band=1)
-        b = random_form(rng, base, q, band=1)
+        a = random_form(rng, base.fiber, p, band=1)
+        b = random_form(rng, base.fiber, q, band=1)
         ab = wedge(a, b)
         ba = wedge(b, a)
         sign = (-1) ** (p * q)
         assert (ab - ba.scaled(sign)).max_abs() <= 1e-12
         if p + q < 3:
-            lhs = d_leafwise(ab, base)
-            rhs = wedge(d_leafwise(a, base), b) + wedge(a, d_leafwise(b, base)).scaled(
+            lhs = d_leafwise(ab)
+            rhs = wedge(d_leafwise(a), b) + wedge(a, d_leafwise(b)).scaled(
                 (-1) ** p
             )
             assert (lhs - rhs).max_abs() <= 1e-9
@@ -167,12 +160,38 @@ def test_transport_is_chain_map_with_d():
     space = FiberedGSpace(CyclicGroupoid(base, 8), [Fraction(1, 4), Fraction(1, 8)])
     a = space.groupoid.arrows_from(0)[1]
     for q in (0, 1):
-        form = random_form(rng, base, q, band=2)
-        lhs = space.transport(a, d_leafwise(form, base).fields[0])
-        moved = FoliatedForm(q, 2, [space.transport(a, form.fields[0])])
-        rhs = d_leafwise(moved, base).fields[0]
+        form = random_form(rng, base.fiber, q, band=2)
+        lhs = space.transport(a, d_leafwise(form).field)
+        moved = FoliatedForm(base.fiber, q, space.transport(a, form.field))
+        rhs = d_leafwise(moved).field
         assert np.max(np.abs(lhs)) > 1.0
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
+
+
+# (order, base points, sigma): cyclic translations over one and three points,
+# and the pair swap of points 0 and 1 for the even orders
+FORM_GATE_CASES = [(m, bp, None) for m in (2, 3, 4, 6) for bp in (1, 3)] + [
+    (m, 3, [1, 0, 2]) for m in (2, 4, 6)
+]
+
+
+@pytest.mark.parametrize("order, points, sigma", FORM_GATE_CASES)
+def test_form_gate_is_the_per_arrow_maximum(order, points, sigma):
+    """One arrow per moving group element gives the per-arrow loop's float."""
+    rng = np.random.default_rng(10 * order + points)
+    fiber = FiberModel(2, 3, 12)
+    gpd = CyclicGroupoid(BaseModel(fiber, points), order, sigma)
+    seed = np.exp(np.real(random_band_limited(rng, fiber, 2)))
+    for shift in ([Fraction(1, order), Fraction(5 % order, order)], [0, 0]):
+        space = FiberedGSpace(gpd, shift)
+        cut = compute_cutoff(space, [seed] * points)
+        for q in (0, 1, 2):
+            form = random_form(rng, fiber, q)
+            assert (form_invariance_defect(space, form) > 0.0) == any(shift)
+            # the averaged form leaves at most rounding for the gate to find
+            for f in (form, invariant_project_form(space, cut, form)):
+                got = form_invariance_defect(space, f)
+                assert got == form_invariance_defect_per_arrow(space, f)
 
 
 def test_invariant_projection_kills_odd_modes():
@@ -182,7 +201,7 @@ def test_invariant_projection_kills_odd_modes():
     pts = grid_points(8, 2)
     field = np.zeros((64, 2), dtype=complex)
     field[:, 0] = np.sin(2 * np.pi * pts[:, 0])
-    form = FoliatedForm(1, 2, [field])
+    form = FoliatedForm(space.base.fiber, 1, field)
     proj = invariant_project_form(space, cut, form)
     assert proj.max_abs() <= 1e-12
     assert proj.invariant
@@ -193,12 +212,12 @@ def test_invariant_projection_fixes_invariants_and_is_idempotent():
     rng = np.random.default_rng(21)
     seeds = [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))]
     cut = compute_cutoff(space, seeds)
-    form = random_form(rng, space.base, 1, band=3)
+    form = random_form(rng, space.base.fiber, 1, band=3)
     proj = invariant_project_form(space, cut, form)
     assert form_invariance_defect(space, proj) <= 1e-11
     again = invariant_project_form(space, cut, proj)
     assert (again - proj).max_abs() <= 1e-12
-    const = volume_form(space.base)
+    const = volume_form(space.base.fiber)
     fixed = invariant_project_form(space, cut, const)
     assert (fixed - const).max_abs() <= 1e-12
 
@@ -207,9 +226,9 @@ def test_projection_commutes_with_d():
     space = half_shift_space()
     rng = np.random.default_rng(23)
     cut = compute_cutoff(space)
-    form = random_form(rng, space.base, 0, band=2)
-    lhs = d_leafwise(invariant_project_form(space, cut, form), space.base)
-    rhs = invariant_project_form(space, cut, d_leafwise(form, space.base))
+    form = random_form(rng, space.base.fiber, 0, band=2)
+    lhs = d_leafwise(invariant_project_form(space, cut, form))
+    rhs = invariant_project_form(space, cut, d_leafwise(form))
     assert (lhs - rhs).max_abs() <= 1e-10
 
 
@@ -217,7 +236,7 @@ def test_integrate_volume_is_total_mass():
     space = trivial_space()
     cut = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
-    val = integrate_invariant(volume_form(space.base), cut, dens)
+    val = integrate_invariant(volume_form(space.base.fiber), cut, dens)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -226,8 +245,8 @@ def test_integrate_rejects_bad_inputs():
     cut = compute_cutoff(space)
     dens = TransversalDensity.uniform(space)
     with pytest.raises(DegreeError):
-        integrate_invariant(scalar_form(space.base, [np.ones(64)]), cut, dens)
-    vol = volume_form(space.base)
+        integrate_invariant(scalar_form(space.base.fiber, np.ones(64)), cut, dens)
+    vol = volume_form(space.base.fiber)
     vol.invariant = False
     with pytest.raises(InvarianceError):
         integrate_invariant(vol, cut, dens)
@@ -240,9 +259,9 @@ def test_integral_of_exact_invariant_form_vanishes():
     dens = TransversalDensity.uniform(space)
     for _ in range(5):
         beta = invariant_project_form(
-            space, cut, random_form(rng, space.base, 1, band=3)
+            space, cut, random_form(rng, space.base.fiber, 1, band=3)
         )
-        dbeta = d_leafwise(beta, space.base)
+        dbeta = d_leafwise(beta)
         val = integrate_invariant(dbeta, cut, dens)
         assert abs(val) <= 1e-11
 
@@ -256,7 +275,7 @@ def test_integral_independent_of_cutoff():
         space, [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))]
     )
     alpha = invariant_project_form(
-        space, cut1, random_form(rng, space.base, 2, band=3)
+        space, cut1, random_form(rng, space.base.fiber, 2, band=3)
     )
     v1 = integrate_invariant(alpha, cut1, dens)
     v2 = integrate_invariant(alpha, cut2, dens)

@@ -82,7 +82,7 @@ def test_scenario_defaults_filled():
         (lambda raw: raw.pop("seed"), "scenario.seed"),
         (lambda raw: raw.update(seed=2**64), "64 bits"),
         (lambda raw: raw.update(name="a,b"), "name"),
-        # a name is the stem of the echo and cache file names: it may not
+        # a name is the stem of the echo file name: it may not
         # leave the output directory nor reach the file system as a bad path
         (lambda raw: raw.update(name="../escaped"), "scenario.name"),
         (lambda raw: raw.update(name="a/b"), "scenario.name"),
@@ -784,10 +784,10 @@ def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
         (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         for a, b in zip(*archives)
     )
-    # the point count is not an idempotent input: the names differ only by
-    # the scenario name
+    # neither the point count nor the scenario name is an idempotent input:
+    # both scenarios name the same file
     one_name, three_name = (_idempotent_cache(s, tmp_path).name for s in (one, three))
-    assert one_name.removeprefix("points1") == three_name.removeprefix("points3")
+    assert one_name == three_name
     # the format-6 file is not read: a miss, not a corrupted cache
     rec = run_scenario(three, out_dir=tmp_path)
     assert rec.status == "pass"
@@ -840,12 +840,11 @@ def test_cache_is_keyed_by_the_idempotent_inputs(tmp_path):
         rec = run_scenario(_validate(doc), out_dir=tmp_path)
         assert rec.analytic == (twist,)
         assert rec.status == "pass"
-    assert len(list((tmp_path / "cache").glob("same.*.idem.opk"))) == 2
+    assert len(list((tmp_path / "cache").glob("*.idem.opk"))) == 2
 
 
-def test_base_points_and_weights_reuse_the_idempotent_cache(tmp_path, monkeypatch):
-    # the idempotent lives on the fiber: a scenario that differs only in its
-    # base points and weights reads the archive the first one wrote
+def counted_builds(monkeypatch) -> list:
+    """The arguments of every idempotent the harness builds from here on."""
     built = []
     build = harness.index_idempotent
 
@@ -854,6 +853,13 @@ def test_base_points_and_weights_reuse_the_idempotent_cache(tmp_path, monkeypatc
         return build(*args, **kwargs)
 
     monkeypatch.setattr(harness, "index_idempotent", counted)
+    return built
+
+
+def test_base_points_and_weights_reuse_the_idempotent_cache(tmp_path, monkeypatch):
+    # the idempotent lives on the fiber: a scenario that differs only in its
+    # base points and weights reads the archive the first one wrote
+    built = counted_builds(monkeypatch)
     groupoids = [
         {"group": "trivial", "base_points": 1},
         {"group": "trivial", "base_points": 3, "base_weights": [0.5, 1.0, 2.0]},
@@ -866,6 +872,16 @@ def test_base_points_and_weights_reuse_the_idempotent_cache(tmp_path, monkeypatc
     assert len(list((tmp_path / "cache").glob("*.idem.opk"))) == 1
     assert [rec.status for rec in records] == ["pass", "pass"]
     assert [rec.analytic for rec in records] == [(1,), (1, 1, 1)]
+
+
+def test_scenarios_with_one_idempotent_share_one_archive(tmp_path, monkeypatch):
+    # S1-dolbeault-d2 and S2-free-halfshift-d2 differ only in fields the
+    # idempotent does not read: the suite builds it once and writes one file
+    built = counted_builds(monkeypatch)
+    only = {"S1-dolbeault-d2", "S2-free-halfshift-d2"}
+    assert run_suite("scenarios", tmp_path, only=only) == 0
+    assert len(built) == 1
+    assert len(list((tmp_path / "cache").glob("*.idem.opk"))) == 1
 
 
 def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
@@ -898,7 +914,7 @@ def test_cache_name_changes_exactly_with_the_idempotent_inputs(tmp_path):
     assert set(mutations) == set(scn.echo())
 
     def digest(s):
-        return _idempotent_cache(s, tmp_path).name.removeprefix(s.name)
+        return _idempotent_cache(s, tmp_path).name
 
     renamed = set()
     for name, mutate in mutations.items():

@@ -4,13 +4,14 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from indexpairing.charclass import DiscModel
 from indexpairing.cochains import ASCochain, ASTerm, d_as
 from indexpairing.density import CutoffDensity, compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import dolbeault_family
-from indexpairing.forms import InvarianceError
+from indexpairing.forms import FoliatedForm, InvarianceError, integrate_invariant
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
-from indexpairing.operators import SmoothingKernel, SupportMismatchError
+from indexpairing.operators import SmoothingKernel, SupportMismatchError, trace_tau
 from indexpairing import pairing
 from indexpairing.pairing import (
     ProfileCochain,
@@ -21,6 +22,8 @@ from indexpairing.pairing import (
 )
 from indexpairing.parametrix import IndexIdempotent, index_idempotent
 from indexpairing.space import FiberedGSpace
+from indexpairing.symbols import SMOOTHING_ORDER, SymbolData, trace_symbol_formula
+from indexpairing.topindex import free_action_reduction, symbol_class_dolbeault, topological_index
 from oracles import fourier_coefficients, to_elementary
 
 
@@ -143,20 +146,19 @@ def test_profile_cochain_validation():
 
 
 def test_van_est_form_is_constant_signed_volume():
-    base = torus_base(n=12, N=4, points=2)
+    base = torus_base(n=12, N=4)
     saw = TransitionProfile()
 
     def form(legs):
-        return ProfileCochain(base.fiber, legs).van_est_form(base)
+        return ProfileCochain(base.fiber, legs).van_est_form()
 
     aligned = form([(0, saw), (1, saw)])
     flipped = form([(1, saw), (0, saw)])
     repeated = form([(0, saw), (0, saw)])
     assert aligned.degree == 2 and aligned.ncomp == 1
-    for x in range(2):
-        assert np.all(aligned.fields[x] == 1.0)
-        assert np.all(flipped.fields[x] == -1.0)
-        assert np.all(repeated.fields[x] == 0.0)
+    assert np.all(aligned.field == 1.0)
+    assert np.all(flipped.field == -1.0)
+    assert np.all(repeated.field == 0.0)
 
 
 def test_to_elementary_matches_profile_values():
@@ -170,12 +172,7 @@ def test_to_elementary_matches_profile_values():
     expanded = elem.evaluate_batch(tuples)
     assert np.max(np.abs(direct - expanded)) <= 2e-4
 
-    realized = elem.van_est_form(base)
-    exact = phi.van_est_form(base)
-    gap = max(
-        float(np.max(np.abs(realized.fields[x] - exact.fields[x])))
-        for x in range(len(base))
-    )
+    gap = (elem.van_est_form() - phi.van_est_form()).max_abs()
     assert gap <= 2e-3
 
 
@@ -366,6 +363,81 @@ def test_degree_zero_pairing_evaluates_the_cochain_once(monkeypatch):
     want = sum(m * pair([1.0], [c]) for m, c in zip(masses, fields))
     assert abs(want) > 1e-3
     assert abs(value - want) <= 1e-14 * abs(want)
+
+
+def _weighted_quadratures(fiber):
+    """name -> quadrature(space, cutoff, dens) of every route that weighs by the base.
+
+    The half shift moves the fiber, so the trace and the class integral pass
+    their invariance gates, and acts freely, as the reduction needs.
+    """
+    s0 = index_idempotent(dolbeault_family(fiber, 2, levels=2)).skernel
+    modes = fiber.modes().astype(float)
+    table = np.exp(-np.sum(modes**2, axis=1))[None, :] * np.ones((fiber.npoints, 1))
+    sym = SymbolData(fiber, SMOOTHING_ORDER, table)
+    pts = grid_points(fiber.grid_size, 2)
+    wave = 1.0 + 0.3 * np.cos(2 * np.pi * (pts[:, 0] + pts[:, 1]))
+    top = FoliatedForm(fiber, 2, wave.reshape(-1, 1), invariant=True)
+    unit = FoliatedForm(fiber, 0, np.ones((fiber.npoints, 1)), invariant=True)
+    sclass = symbol_class_dolbeault(fiber, DiscModel(5.0, 24, 24), 2)
+    return {
+        "trace_tau": lambda sp, c, d: trace_tau(s0, c, d),
+        "trace_symbol_formula": lambda sp, c, d: trace_symbol_formula(sym, c, d),
+        "integrate_invariant": lambda sp, c, d: integrate_invariant(top, c, d),
+        "topological_index": lambda sp, c, d: topological_index(sp, c, d, unit, sclass),
+        "free_action_reduction": lambda sp, c, d: free_action_reduction(sp, c, d, unit, sclass),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "trace_tau",
+        "trace_symbol_formula",
+        "integrate_invariant",
+        "topological_index",
+        "free_action_reduction",
+    ],
+)
+def test_weighted_quadratures_are_mass_weighted_sums_over_three_points(name):
+    # the pairings' three points, masses 0.5, 1 and 2 and distinct cutoff
+    # fields, under the half shift: every quadrature reads one mass-weighted
+    # field, and equals the mass-weighted sum of its one-point values
+    masses = (0.5, 1.0, 2.0)
+    fiber = FiberModel(2, 4, 12)
+    pts = grid_points(fiber.grid_size, 2)
+    fields = [1.0 + 0.5 * np.cos(2 * np.pi * (x + 1) * pts[:, x % 2]) for x in range(3)]
+    quadrature = _weighted_quadratures(fiber)[name]
+
+    def value(weights, cutoff_fields):
+        base = BaseModel(fiber, len(weights))
+        space = FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
+        cutoff = CutoffDensity(space, cutoff_fields)
+        return quadrature(space, cutoff, TransversalDensity(space, weights))
+
+    got = value(masses, fields)
+    want = sum(m * value([1.0], [c]) for m, c in zip(masses, fields))
+    assert abs(want) > 1e-3
+    assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def test_weight_refuses_mismatched_point_counts():
+    # a cutoff and a density over different point counts are refused, in
+    # both directions, with both counts named
+    fiber = FiberModel(2, 4, 12)
+    idem = index_idempotent(dolbeault_family(fiber, 2, levels=2))
+    unit = ASCochain.unit(fiber, germ_radius=2.0)
+    spaces = {
+        bp: FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, bp), 1)) for bp in (1, 3)
+    }
+    for cut_points, mass_points in [(1, 3), (3, 1)]:
+        cutoff = compute_cutoff(spaces[cut_points])
+        dens = TransversalDensity.uniform(spaces[mass_points])
+        want = f"{cut_points} per-point fields for {mass_points} base-point masses"
+        with pytest.raises(ModelError, match=want):
+            trace_tau(idem.skernel, cutoff, dens)
+        with pytest.raises(ModelError, match=want):
+            pair_cocycle(idem, unit, cutoff, dens)
 
 
 def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():

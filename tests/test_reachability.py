@@ -14,6 +14,7 @@ found by reading the callers; this test cannot see them.
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import indexpairing
@@ -86,6 +87,21 @@ def unreached() -> set[str]:
 
 def test_src_holds_only_reached_code():
     assert sorted(unreached()) == []
+
+
+# the base layer: the groupoid that defines it, and the two drivers that
+# build spaces; every other module works on the fiber, and meets the base
+# only through a cutoff, a density and its weight field
+BASE_LAYER = {"groupoid.py", "harness.py", "invariants.py"}
+
+
+def test_only_the_base_layer_names_the_base_model():
+    naming = {
+        path.name
+        for path in SRC.glob("*.py")
+        if re.search(r"\bBaseModel\b", path.read_text())
+    }
+    assert naming - BASE_LAYER == set()
 
 
 def test_traced_entry_points_resolve():

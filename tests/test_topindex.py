@@ -46,14 +46,8 @@ def four_point_space(n=18, N=3):
 
 
 def unit_alpha(space):
-    base = space.base
-    r = base.fiber.dim
-    return FoliatedForm(
-        0,
-        r,
-        [np.ones((base.fiber.npoints, 1)) for x in range(len(base))],
-        invariant=True,
-    )
+    fiber = space.base.fiber
+    return FoliatedForm(fiber, 0, np.ones((fiber.npoints, 1)), invariant=True)
 
 
 def test_flux_predictions_match_spectral_index():
@@ -106,7 +100,7 @@ def test_cochain_level_one_value():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
     sclass = symbol_class_dolbeault(space.base.fiber, disc, 1)
-    vol = volume_form(space.base)
+    vol = volume_form(space.base.fiber)
     got = topological_index(space, cutoff, dens, vol, sclass)
     # one fiber integral of the volume, one disc charge, one 1/(2 pi i)
     want = -1.0 / (2.0j * np.pi)
@@ -119,20 +113,20 @@ def test_rejects_bad_cochain_forms():
     dens = TransversalDensity.uniform(space)
     disc = DiscModel(4.0, 24, 24)
     sclass = symbol_class_dolbeault(space.base.fiber, disc, 1)
-    npts = space.base.fiber.npoints
-    pts = grid_points(space.base.fiber.grid_size, 2)
-    odd = FoliatedForm(1, 2, [np.ones((npts, 2)) for _ in range(4)])
+    fiber = space.base.fiber
+    pts = grid_points(fiber.grid_size, 2)
+    odd = FoliatedForm(fiber, 1, np.ones((fiber.npoints, 2)))
     with pytest.raises(ModelError):
         topological_index(space, cutoff, dens, odd, sclass)
     wobble = np.cos(2 * np.pi * pts[:, 0]).reshape(-1, 1)
-    not_closed = FoliatedForm(0, 2, [wobble] * 4)
+    not_closed = FoliatedForm(fiber, 0, wobble)
     with pytest.raises(ModelError):
         topological_index(space, cutoff, dens, not_closed, sclass)
-    lopsided = FoliatedForm(
-        0, 2, [np.full((npts, 1), float(x)) for x in range(4)]
-    )
-    with pytest.raises(InvarianceError):
-        topological_index(space, cutoff, dens, lopsided, sclass)
+    # a top form is closed, and the half shift in z1 flips its wobble
+    shifted = FiberedGSpace(space.groupoid, [Fraction(1, 2), 0])
+    moved = FoliatedForm(fiber, 2, wobble)
+    with pytest.raises(InvarianceError, match="not invariant"):
+        topological_index(shifted, compute_cutoff(shifted), dens, moved, sclass)
 
 
 def test_free_reduction_equals_cutoff_integral():
