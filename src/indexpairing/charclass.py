@@ -17,7 +17,11 @@ the charge: the integral of the degree-2 character of a projector field
 relative to its rim value (the Thom/Bott step of the index formula).  The
 two model projector families used by the scenarios are a flux-twisted line
 bundle frame on the fiber and the graph projector of a nonvanishing scalar
-symbol on the disc.  No genus factor is formed: every scenario runs on
+symbol on the disc.  The flux bundle's character is read off its frame and
+the frame's closed-form derivatives (twist_character), in O(npoints * m)
+memory for rank m = |twist| and with no spectral derivative; the m x m
+projector field and its spectral character serve the property checks and
+the tests.  No genus factor is formed: every scenario runs on
 two-dimensional fibers, where the A-hat genus is identically 1 because its
 components sit in degrees divisible by four.
 
@@ -34,16 +38,13 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .dolbeault import landau_section_values
-from .forms import exterior_d, exterior_wedge, index_subsets
+from .dolbeault import landau_section_jet
+from .forms import exterior_d, exterior_wedge
 from .grids import FiberModel, ModelError, spectral_gradient
 from .symbols import EllipticityError
 
 CH_CURVATURE_SCALE = 1.0 / (2.0j * np.pi)
 IDEMPOTENT_TOL = 1e-10
-# bytes of one working block in _chern_scalars; bounds its memory to the
-# projector field and its derivative plus a few blocks
-CHUNK_BYTES = 2**20
 # derivatives of the graph projector's radial ramp that vanish at both ends
 GRAPH_FLATNESS = 8
 
@@ -206,41 +207,22 @@ def _chern_scalars(p: np.ndarray, dim: int, grad) -> dict[int, np.ndarray]:
     Input is a pointwise projector field (n, m, m) and the site's gradient
     grad(block, axes=axes); the result maps the even degree 2j to component
     arrays (n, ncomp) of tr(p F^j) * scale^j / j!.
-
-    Only p and dp are held whole.  The FFTs run over blocks of matrix
-    components, everything pointwise (the projector gate, the curvature,
-    its powers, the trace sandwich) over blocks of grid points, each about
-    CHUNK_BYTES; every value has the bits of the whole-field computation.
-
-    A rank-one formula, tr(p F^j) from a unit frame v with p = v v*, would
-    do a factor m less work, but it moves the rounding of the topological
-    column and so the CSV bytes; it is deliberately not built.
     """
     p = np.asarray(p, dtype=complex)
-    n, m = p.shape[0], p.shape[-1]
-    per = max(1, CHUNK_BYTES // (16 * m * m))
-    rows = [slice(s, s + per) for s in range(0, n, per)]
-    defect = float(np.max([np.abs(p[sl] @ p[sl] - p[sl]).max() for sl in rows]))
+    defect = float(np.abs(p @ p - p).max())
     if defect > IDEMPOTENT_TOL:
         raise ModelError(f"field is not a projector: |p^2 - p| = {defect:.3e}")
+    n = p.shape[0]
     out = {0: np.trace(p, axis1=-2, axis2=-1).reshape(n, 1)}
     if dim < 2:
         return out
-    flat = p.reshape(n, 1, m * m)
-    dp = np.empty((n, dim, m * m), dtype=complex)
-    step = max(1, CHUNK_BYTES // (16 * n))
-    for s in range(0, m * m, step):
-        dp[:, :, s : s + step] = exterior_d(flat[:, :, s : s + step], 0, dim, grad)
-    dp = dp.reshape(n, dim, m, m)
-    for deg in range(2, dim + 1, 2):
-        out[deg] = np.empty((n, len(index_subsets(dim, deg))), dtype=complex)
-    for sl in rows:
-        F = power = _projected_curvature(p[sl], dp[sl], dim)
-        for j in range(1, dim // 2 + 1):
-            if j > 1:
-                power = exterior_wedge(power, 2 * j - 2, F, 2, dim, np.matmul)
-            sandwich = (p[sl, None] * power.swapaxes(-1, -2)).sum(axis=(-2, -1))
-            out[2 * j][sl] = CH_CURVATURE_SCALE**j / math.factorial(j) * sandwich
+    dp = exterior_d(p[:, None], 0, dim, grad)
+    F = power = _projected_curvature(p, dp, dim)
+    for j in range(1, dim // 2 + 1):
+        if j > 1:
+            power = exterior_wedge(power, 2 * j - 2, F, 2, dim, np.matmul)
+        sandwich = (p[:, None] * power.swapaxes(-1, -2)).sum(axis=(-2, -1))
+        out[2 * j] = CH_CURVATURE_SCALE**j / math.factorial(j) * sandwich
     return out
 
 
@@ -274,25 +256,67 @@ def disc_charge(disc: DiscModel, projector: np.ndarray) -> complex:
 # Model projector families
 
 
+def _flux_frame(fiber: FiberModel, twist: int):
+    """Sections whose conjugates frame a flux line bundle, with their derivatives.
+
+    The lowest magnetic level; for unit flux a second level is included
+    because a single section vanishes somewhere and the frame would
+    degenerate.  Returns the section values V, their partial derivatives
+    along the two fiber axes and the density sum_i |V_i|^2.
+    """
+    V, d1, d2 = landau_section_jet(fiber, twist, 0 if abs(twist) >= 2 else 1)
+    density = np.sum(np.abs(V) ** 2, axis=1)
+    if density.min() < 1e-6 * density.max():
+        raise ModelError("magnetic frame degenerates on the grid")
+    return V, (d1, d2), density
+
+
 def twist_projector(fiber: FiberModel, twist: int) -> np.ndarray:
     """Rank-one projector field representing a flux line bundle on the fiber.
 
-    Built from the lowest magnetic level frame; for unit flux a second level
-    is included because a single section vanishes somewhere and the frame
-    would degenerate.  twist 0 returns the constant rank-one projector.
+    p = conj(V) V^T / |V|^2 for the sections V of _flux_frame.  twist 0
+    returns the constant rank-one projector.
     """
     if fiber.dim != 2:
         raise ModelError("flux projectors need a two-dimensional fiber")
     if twist == 0:
         return np.ones((fiber.npoints, 1, 1), dtype=complex)
-    max_level = 0 if abs(twist) >= 2 else 1
-    V = landau_section_values(fiber, twist, max_level)
-    density = np.sum(np.abs(V) ** 2, axis=1)
-    if density.min() < 1e-6 * density.max():
-        raise ModelError("magnetic frame degenerates on the grid")
+    V, _, density = _flux_frame(fiber, twist)
     p = np.einsum("ni,nj->nij", np.conj(V), V)
     p /= density[:, None, None]
     return p
+
+
+def twist_character(fiber: FiberModel, twist: int) -> dict[int, np.ndarray]:
+    """Chern character of the flux line bundle of twist_projector, from its frame.
+
+    That projector is p = w w* for the unit frame w = conj(V)/sqrt(rho),
+    rho = sum_i |V_i|^2, so tr p = |w|^2 and tr(p dp^dp) = dw* ^ dw (the
+    Berry curvature of the frame).  Both are read off the sampled sections
+    and their closed-form derivatives,
+    dw = conj(dV)/sqrt(rho) - w d(rho)/(2 rho), d(rho) = 2 Re sum_i conj(V_i) dV_i,
+    with no m x m field and no spectral derivative, in O(npoints * m)
+    memory.  ch_0 sums the diagonal of p as twist_projector forms it, so it
+    has the bits of tr p.  The frame is gated on max |(|w|^2 - 1)|; since
+    p^2 - p = (|w|^2 - 1) p, that gate is at least as strict as the
+    projector's.  Twist 0 is the constant bundle, whose character is that
+    of the constant projector.
+    """
+    if twist == 0:
+        return chern_character_fiber(fiber, twist_projector(fiber, 0))
+    V, dV, density = _flux_frame(fiber, twist)
+    ch0 = (np.einsum("ni,ni->ni", np.conj(V), V) / density[:, None]).sum(axis=1)
+    root = np.sqrt(density)[:, None]
+    w = np.conj(V) / root
+    defect = float(np.abs(np.sum(np.abs(w) ** 2, axis=1) - 1.0).max())
+    if defect > IDEMPOTENT_TOL:
+        raise ModelError(f"frame is not a unit frame: ||w|^2 - 1| = {defect:.3e}")
+    # d(rho) / (2 rho) per axis
+    half_log = [np.sum(np.conj(V) * d, axis=1).real / density for d in dV]
+    dw = [np.conj(d) / root - w * h[:, None] for d, h in zip(dV, half_log)]
+    berry = np.sum(np.conj(dw[0]) * dw[1] - np.conj(dw[1]) * dw[0], axis=1)
+    n = fiber.npoints
+    return {0: ch0.reshape(n, 1), 2: (CH_CURVATURE_SCALE * berry).reshape(n, 1)}
 
 
 def graph_symbol_projector(disc: DiscModel, values: np.ndarray) -> np.ndarray:

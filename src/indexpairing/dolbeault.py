@@ -35,33 +35,71 @@ def hermite_values(max_level: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def landau_section_values(fiber: FiberModel, twist: int, max_level: int) -> np.ndarray:
-    """Grid samples of the level basis, columns ordered level-major.
+def _level_images(fiber: FiberModel, twist: int, max_level: int):
+    """The image terms of the level basis on the grid, one per (j, p).
 
-    Column l * |twist| + j holds B_{j,l}.  The image sum over p is truncated
-    where the Gaussian tails drop below working precision.
+    Yields (j, j - d p, the Hermite argument sqrt(2 pi |d|) (z2 - p + j/d),
+    the phase exp(2 pi i (j - d p) z1)).  The image sum over p is truncated
+    where the Gaussian tails of levels up to max_level drop below working
+    precision; every sampler of the basis shares this truncation.
     """
     if fiber.dim != 2:
         raise ModelError("the twisted realization lives on two-dimensional fibers")
     if twist == 0:
         raise ModelError("zero twist has no level basis; use the Fourier realization")
     d = int(twist)
-    s = abs(d)
-    scale = np.sqrt(2.0 * np.pi * s)
+    scale = np.sqrt(2.0 * np.pi * abs(d))
     reach = (np.sqrt(2.0 * max_level + 1.0) + 9.0) / scale
     p_max = int(np.ceil(reach)) + 1
     pts = grid_points(fiber.grid_size, 2)
     z1, z2 = pts[:, 0], pts[:, 1]
+    for j in range(abs(d)):
+        for p in range(-p_max, p_max + 1):
+            freq = j - d * p
+            yield j, freq, scale * (z2 - p + j / d), np.exp(2j * np.pi * freq * z1)
+
+
+def landau_section_values(fiber: FiberModel, twist: int, max_level: int) -> np.ndarray:
+    """Grid samples of the level basis, columns ordered level-major.
+
+    Column l * |twist| + j holds B_{j,l}.
+    """
+    s = abs(int(twist))
     cols = np.zeros((fiber.npoints, s * (max_level + 1)), dtype=complex)
     norm = (2.0 * np.pi * s) ** 0.25
-    for j in range(s):
-        for p in range(-p_max, p_max + 1):
-            u = z2 - p + j / d
-            h = hermite_values(max_level, scale * u)
-            phase = np.exp(2j * np.pi * (j - d * p) * z1)
-            for l in range(max_level + 1):
-                cols[:, l * s + j] += norm * h[l] * phase
+    for j, _, t, phase in _level_images(fiber, twist, max_level):
+        h = hermite_values(max_level, t)
+        for l in range(max_level + 1):
+            cols[:, l * s + j] += norm * h[l] * phase
     return cols
+
+
+def landau_section_jet(
+    fiber: FiberModel, twist: int, max_level: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level basis and its partial derivatives d/dz1 and d/dz2 on the grid.
+
+    The values have the bits of landau_section_values.  d/dz1 of an image
+    term brings down 2 pi i (j - d p); d/dz2 differentiates the Hermite
+    factor through h_l' = sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}.
+    """
+    s = abs(int(twist))
+    values, d1, d2 = (
+        np.zeros((fiber.npoints, s * (max_level + 1)), dtype=complex) for _ in range(3)
+    )
+    norm = (2.0 * np.pi * s) ** 0.25
+    slope = norm * np.sqrt(2.0 * np.pi * s)
+    for j, freq, t, phase in _level_images(fiber, twist, max_level):
+        h = hermite_values(max_level + 1, t)
+        for l in range(max_level + 1):
+            term = norm * h[l] * phase
+            values[:, l * s + j] += term
+            d1[:, l * s + j] += 2j * np.pi * freq * term
+            dh = -np.sqrt((l + 1.0) / 2.0) * h[l + 1]
+            if l:
+                dh += np.sqrt(l / 2.0) * h[l - 1]
+            d2[:, l * s + j] += slope * dh * phase
+    return values, d1, d2
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:

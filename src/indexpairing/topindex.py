@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charclass import (
-    DiscModel,
-    chern_character_fiber,
-    disc_charge,
-    graph_symbol_projector,
-    twist_projector,
-)
+from .charclass import DiscModel, disc_charge, graph_symbol_projector, twist_character
 from .density import CutoffDensity, TransversalDensity
 from .dolbeault import dolbeault_family
 from .forms import (
@@ -92,7 +86,7 @@ def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> Sy
     operator acts on.  Twist 0 degenerates to the plain scalar symbol.
     """
     charge = disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
-    return SymbolClass(chern_character_fiber(fiber, twist_projector(fiber, twist)), charge)
+    return SymbolClass(twist_character(fiber, twist), charge)
 
 
 def symbol_class_multiplier(fiber: FiberModel, disc: DiscModel, symbol_fn) -> SymbolClass:

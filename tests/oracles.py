@@ -1,11 +1,11 @@
 """Per-axis derivatives, whole-field Chern scalars and per-arrow gates, kept as oracles.
 
 These are the computations the library made before its gradients shared one
-forward transform, its Chern scalars ran in blocks and its invariance gates
-checked one arrow per group element: one full FFT pair per partial
-derivative with the matrix entries as trailing, strided axes, the disc's
-radial and angular derivatives recomputed per axis, every field of the
-character held whole, and the kernel and the realized form compared along
+forward transform and its invariance gates checked one arrow per group
+element: one full FFT pair per partial derivative with the matrix entries
+as trailing, strided axes, the disc's radial and angular derivatives
+recomputed per axis, the Chern scalars of a projector field built on those
+per-axis derivatives, and the kernel and the realized form compared along
 every arrow.
 The library must agree with them bit for bit.  Section transport on a basis,
 the transport defect of an operator block, the Gram defect of a basis, an

@@ -11,10 +11,12 @@ from indexpairing.charclass import (
     disc_charge,
     graph_symbol_projector,
     smoothstep_poly,
+    twist_character,
     twist_projector,
 )
 from indexpairing import charclass
 from indexpairing.charclass import CH_CURVATURE_SCALE, _chern_scalars, _projected_curvature
+from indexpairing.dolbeault import landau_section_jet
 from indexpairing.forms import DegreeError, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_gradient
 from indexpairing.symbols import EllipticityError
@@ -243,18 +245,18 @@ def test_disc_gradient_is_bitwise_the_per_axis_derivative(trailing):
         disc.gradient(field, (2,))
 
 
-def _block_case(site):
+def _oracle_case(site):
     """(p, dim, grad, per-axis oracle diff) of one field."""
     if site == "graph":
         disc = DiscModel(9.0, 48, 48)
         return bott_projector(disc), 2, disc.gradient, partial(disc_derivative, disc)
     if site == "flux24":
-        # 1600 points of 24 x 24: 15 blocks of points, the last of 18
+        # 1600 points of 24 x 24
         fiber, dim = FiberModel(2, 19, 40), 2
         p = twist_projector(fiber, 24)
     else:
         # the product of test_chern_multiplicative_on_products: 20736 points
-        # of 4 x 4 in 6 blocks, the last of 256, and the j = 2 term
+        # of 4 x 4, and the j = 2 term
         n = 12
         fiber, dim, fib2 = FiberModel(4, 2, n), 4, FiberModel(2, 2, n)
         p1, p2 = twist_projector(fib2, 1), twist_projector(fib2, -2)
@@ -263,31 +265,66 @@ def _block_case(site):
 
 
 @pytest.mark.parametrize("site", ["flux24", "dim4-product", "graph"])
-def test_chern_scalars_in_blocks_are_bitwise_the_whole_field(site):
-    p, dim, grad, diff = _block_case(site)
+def test_chern_scalars_are_bitwise_the_whole_field_oracle(site):
+    p, dim, grad, diff = _oracle_case(site)
     got = _chern_scalars(p, dim, grad)
     want = chern_scalars_whole(p, dim, diff)
     assert sorted(got) == sorted(want) == list(range(0, dim + 1, 2))
     assert all(same_bits(got[k], want[k]) for k in want)
 
 
-def test_chern_scalars_bits_do_not_depend_on_the_block_size(monkeypatch):
-    # 41 points per block leave a last block of one point, and 14 matrix
-    # components per FFT block a last one of two
-    p, dim, grad, diff = _block_case("flux24")
-    want = chern_scalars_whole(p, dim, diff)
-    monkeypatch.setattr(charclass, "CHUNK_BYTES", 16 * 24 * 24 * 41)
-    got = _chern_scalars(p, dim, grad)
-    assert all(same_bits(got[k], want[k]) for k in want)
-
-
-def test_projector_gate_sees_a_bad_point_in_the_last_block():
-    p, dim, grad, diff = _block_case("flux24")
-    per = charclass.CHUNK_BYTES // (16 * 24 * 24)
-    assert len(p) % per and len(p) > per
+def test_projector_gate_sees_a_bad_last_point():
+    p, dim, grad, diff = _oracle_case("flux24")
     p[-1] *= 1.0 + 1e-6
     with pytest.raises(ModelError) as got:
         _chern_scalars(p, dim, grad)
     with pytest.raises(ModelError) as want:
         chern_scalars_whole(p, dim, diff)
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# The flux-bundle character from its frame
+
+
+@pytest.mark.parametrize("twist", [1, -1, 2, -2, 3, 24])
+def test_twist_character_degree_zero_is_bitwise_the_projector_trace(twist):
+    fiber = FiberModel(2, 19, 40)
+    want = np.trace(twist_projector(fiber, twist), axis1=-2, axis2=-1).reshape(-1, 1)
+    assert same_bits(twist_character(fiber, twist)[0], want)
+
+
+@pytest.mark.parametrize("twist,n", [(1, 56), (-1, 56), (2, 40), (-2, 40), (3, 40), (24, 40)])
+def test_twist_character_matches_the_projector_character_where_both_resolve(twist, n):
+    fiber = FiberModel(2, n // 2 - 1, n)
+    got = twist_character(fiber, twist)
+    want = chern_character_fiber(fiber, twist_projector(fiber, twist))
+    assert sorted(got) == sorted(want) == [0, 2]
+    assert np.abs(got[2] - want[2]).max() <= 1e-11
+    assert abs(fiber_charge_of(got) - TWIST_CHARGE_PER_FLUX * twist) <= 1e-12
+
+
+def test_twist_character_of_zero_twist_is_the_constant_projector_character():
+    fiber = torus_fiber()
+    got = twist_character(fiber, 0)
+    want = chern_character_fiber(fiber, twist_projector(fiber, 0))
+    assert sorted(got) == sorted(want)
+    assert all(same_bits(got[k], want[k]) for k in want)
+    with pytest.raises(ModelError):
+        twist_character(FiberModel(1, 4, 12), 2)
+
+
+def test_degenerate_frame_raises_the_projector_error(monkeypatch):
+    fiber = torus_fiber()
+
+    def vanishing_at_one_point(fiber, twist, max_level):
+        values, d1, d2 = landau_section_jet(fiber, twist, max_level)
+        values[7] = 0.0
+        return values, d1, d2
+
+    monkeypatch.setattr(charclass, "landau_section_jet", vanishing_at_one_point)
+    with pytest.raises(ModelError) as want:
+        twist_projector(fiber, 3)
+    with pytest.raises(ModelError) as got:
+        twist_character(fiber, 3)
+    assert str(got.value) == str(want.value) == "magnetic frame degenerates on the grid"

@@ -3,8 +3,14 @@ import numpy as np
 import pytest
 
 from indexpairing.density import compute_cutoff, TransversalDensity
-from indexpairing.dolbeault import dolbeault_family, hermite_values, landau_basis
-from indexpairing.grids import FiberModel, ModelError, grid_points
+from indexpairing.dolbeault import (
+    dolbeault_family,
+    hermite_values,
+    landau_basis,
+    landau_section_jet,
+    landau_section_values,
+)
+from indexpairing.grids import FiberModel, ModelError, grid_points, spectral_gradient
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, circulant_dense, trace_tau
@@ -74,6 +80,25 @@ def test_landau_basis_is_orthonormal_on_grid(twist):
     basis = landau_basis(fiber, twist, max_level=4)
     assert basis.size == abs(twist) * 5
     assert gram_defect(basis) <= 1e-10
+
+
+@pytest.mark.parametrize("twist,n", [(1, 24), (-1, 24), (2, 24), (-2, 24), (24, 96)])
+def test_landau_jet_matches_spectral_derivatives_of_the_samples(twist, n):
+    # levels 0 and 1, as the unit-flux frame takes them, exercise the
+    # h_l' ladder in both directions
+    fiber = FiberModel(2, n // 2 - 1, n)
+    max_level = 1 if abs(twist) == 1 else 0
+    values, d1, d2 = landau_section_jet(fiber, twist, max_level)
+    assert same_bits(values, landau_section_values(fiber, twist, max_level))
+    # sections are periodic in z1; in z2 they pick up exp(-2 pi i d z1),
+    # which the gauge exp(2 pi i d z1 z2) removes along each z1 line
+    z1, z2 = grid_points(n, 2).T
+    gauge = np.exp(2j * np.pi * twist * z1 * z2)[:, None]
+    (s1,) = spectral_gradient(values, fiber, (0,))
+    (s2,) = spectral_gradient(gauge * values, fiber, (1,))
+    s2 = np.conj(gauge) * s2 - 2j * np.pi * twist * z1[:, None] * values
+    assert np.abs(s1 - d1).max() <= 1e-10
+    assert np.abs(s2 - d2).max() <= 1e-10
 
 
 _FD6 = (

@@ -557,7 +557,7 @@ def test_analytic_column_routes_on_freeness():
         rows.append(run_scenario(_validate(raw)).csv_row())
     tail = (
         "1.000000000000e+00+2.864820792276e-35j,"
-        "9.999999996880e-01-3.900641646056e-17j,3.120397e-10,pass"
+        "9.999999998560e-01-3.364204140093e-17j,1.440460e-10,pass"
     )
     assert rows == [f"quarter,1,{tail}", f"half,4,{tail}"]
     # a multiplier under the non-free action runs the per-point route
@@ -578,13 +578,13 @@ def test_analytic_column_routes_on_freeness():
             {"group": {"cyclic": 2}, "base_action": "pair-swap"},
             18, 3, 3, 4,
             "weighted,3;3,6.000000000000e+00+0.000000000000e+00j,"
-            "5.999999996627e+00-4.486749616684e-16j,3.372691e-09,pass",
+            "5.999999999892e+00-2.071637915218e-16j,1.084475e-10,pass",
         ),
         (
             {"group": "trivial"},
             20, 8, 1, 2,
             "weighted,1;1,4.000000000000e+00+0.000000000000e+00j,"
-            "3.999999990483e+00-2.211818085396e-16j,9.517200e-09,pass",
+            "3.999999999670e+00-1.345681656120e-16j,3.296732e-10,pass",
         ),
     ],
 )
@@ -812,7 +812,7 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     rec = run_scenario(scn)
     assert rec.csv_row() == (
         "halfshift-localized,4,4.000000220055e+00+3.522366157471e-17j,"
-        "3.999999999431e+00-1.158909493409e-16j,2.206239e-07,pass"
+        "3.999999999447e+00-1.345681656045e-16j,2.206084e-07,pass"
     )
 
     space = harness._build_space(scn)
@@ -1024,21 +1024,21 @@ def test_run_suite_scenario_csv_is_deterministic(tmp_path):
 # signed zeros in the topological column of S1-dolbeault-d0 and S3 included
 PINNED_ROWS = [
     "S1-dolbeault-dm2,-2,-2.000000000000e+00+0.000000000000e+00j,"
-    "-1.999999999668e+00+2.869450994865e-17j,3.319496e-10,pass",
+    "-1.999999999735e+00+6.728408280262e-17j,2.652600e-10,pass",
     "S1-dolbeault-dm1,-1,-1.000000000000e+00+0.000000000000e+00j,"
-    "-9.999999976207e-01+5.724444305927e-17j,2.379300e-09,pass",
+    "-9.999999999176e-01+3.364204140300e-17j,8.241829e-11,pass",
     "S1-dolbeault-d0,0,0.000000000000e+00-8.844893469030e-18j,"
     "-0.000000000000e+00+0.000000000000e+00j,8.844893e-18,pass",
     "S1-dolbeault-d1,1,1.000000000000e+00+0.000000000000e+00j,"
-    "9.999999976207e-01-5.529545213490e-17j,2.379300e-09,pass",
+    "9.999999999176e-01-3.364204140300e-17j,8.241829e-11,pass",
     "S1-dolbeault-d2,2,2.000000000000e+00+0.000000000000e+00j,"
-    "1.999999999668e+00-3.322718633841e-17j,3.319500e-10,pass",
+    "1.999999999735e+00-6.728408280262e-17j,2.652600e-10,pass",
     "S2-free-halfshift-d2,1,1.000000000000e+00+0.000000000000e+00j,"
-    "9.999999998340e-01-1.661359316920e-17j,1.659750e-10,pass",
+    "9.999999998674e-01-3.364204140131e-17j,1.326300e-10,pass",
     "S3-multiplier-invertible,0,0.000000000000e+00+0.000000000000e+00j,"
     "-0.000000000000e+00+0.000000000000e+00j,0.000000e+00,pass",
     "S5-orbifold-family,3;3;3;3,3.000000000000e+00+0.000000000000e+00j,"
-    "2.999999998314e+00-2.243374808342e-16j,1.686346e-09,pass",
+    "2.999999999946e+00-1.035818957609e-16j,5.422374e-11,pass",
 ]
 
 

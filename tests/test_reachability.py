@@ -104,6 +104,20 @@ def test_only_the_base_layer_names_the_base_model():
     assert naming - BASE_LAYER == set()
 
 
+# the m x m flux projector and its spectral character serve the property
+# checks and the tests; the run path reads the flux bundle from its frame
+PROJECTOR_CHARACTER = {"charclass.py", "invariants.py"}
+
+
+def test_only_the_checks_form_the_flux_projector_field():
+    naming = {
+        path.name
+        for path in SRC.glob("*.py")
+        if re.search(r"\b(twist_projector|chern_character_fiber)\b", path.read_text())
+    }
+    assert naming - PROJECTOR_CHARACTER == set()
+
+
 def test_traced_entry_points_resolve():
     """Every entry point the benchmark tracer wraps exists under its name.
 

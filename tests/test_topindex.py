@@ -77,6 +77,22 @@ def test_symbol_class_peak_memory_is_at_most_four_projector_fields():
     assert peak <= 4 * field_bytes, f"peak {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("n,twist", [(20, 16), (20, 24), (20, 48), (32, 40), (32, 64)])
+def test_class_integral_resolves_high_flux(n, twist):
+    # twist / n^2 from 0.04 to 0.12: the spectral derivative of the m x m
+    # projector aliased here, and missed the index by 1.9e-6 up to 0.90
+    space = trivial_space(n=n, N=n // 2 - 1)
+    fiber = space.base.fiber
+    sclass = symbol_class_dolbeault(fiber, DiscModel(float(n // 2), 48, 48), twist)
+    assert abs(sclass.fiber[2][:, 0].mean() + twist) <= 1e-12
+    topo = topological_index(
+        space, compute_cutoff(space), TransversalDensity.uniform(space), unit_alpha(space), sclass
+    )
+    ana = analytic_index(dolbeault_family(fiber, twist, 2)).index
+    assert ana == twist
+    assert abs(topo - ana) <= 1e-8
+
+
 def test_value_independent_of_cutoff_choice():
     space = half_shift_space()
     dens = TransversalDensity.uniform(space)
