@@ -14,12 +14,20 @@ D B_{j,l} = i sqrt(pi d l) B_{j,l-1}, so the kernel is the |d|-dimensional
 level zero; for d < 0 it raises and the cokernel is level zero.  The operator
 blocks are assembled from these exact relations; the tests check them against
 an independent quasi-periodic finite-difference application.
+
+A block holds its level bases unsampled: a spectral count reads the ladder
+matrix alone, and the grid samples are taken where a realization first reads
+them.  The smaller basis is the leading columns of the larger, with its
+image truncation.  Each image term is a Hermite factor in z2 times a phase in
+z1, so the samplers evaluate both on the grid_size axis values and form their
+products a block of z1 rows of the grid at a time, where every sample still
+sums its image terms in increasing p.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .grids import FiberModel, ModelError, grid_points
+from .grids import FiberModel, ModelError
 from .operators import OperatorBlock, SectionBasis, fourier_basis
 
 
@@ -35,43 +43,93 @@ def hermite_values(max_level: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _level_images(fiber: FiberModel, twist: int, max_level: int):
-    """The image terms of the level basis on the grid, one per (j, p).
-
-    Yields (j, j - d p, the Hermite argument sqrt(2 pi |d|) (z2 - p + j/d),
-    the phase exp(2 pi i (j - d p) z1)).  The image sum over p is truncated
-    where the Gaussian tails of levels up to max_level drop below working
-    precision; every sampler of the basis shares this truncation.
-    """
+def _twisted(fiber: FiberModel, twist: int) -> int:
+    """The twist of a level basis on ``fiber``, refused where none exists."""
     if fiber.dim != 2:
         raise ModelError("the twisted realization lives on two-dimensional fibers")
     if twist == 0:
         raise ModelError("zero twist has no level basis; use the Fourier realization")
-    d = int(twist)
+    return int(twist)
+
+
+def _image_factors(fiber: FiberModel, twist: int, max_level: int, hermite_level: int):
+    """The image terms of the level basis, one image shift p at a time, p increasing.
+
+    An image term h_l(sqrt(2 pi |d|) (z2 - p + j/d)) exp(2 pi i (j - d p) z1)
+    is a Hermite factor in z2 times a phase in z1, so both are sampled on
+    the grid_size axis values alone.  Yields, per p, the z1-derivative
+    factors 2 pi i (j - d p) (shape (|d|,)), the Hermite values of levels
+    0..hermite_level ((hermite_level + 1, |d|, grid_size), over z2) and the
+    phases ((grid_size, |d|), over z1).  The image sum over p is truncated
+    where the Gaussian tails of levels up to max_level drop below working
+    precision; every sampler of the basis shares this truncation.
+    """
+    d = _twisted(fiber, twist)
     scale = np.sqrt(2.0 * np.pi * abs(d))
     reach = (np.sqrt(2.0 * max_level + 1.0) + 9.0) / scale
     p_max = int(np.ceil(reach)) + 1
-    pts = grid_points(fiber.grid_size, 2)
-    z1, z2 = pts[:, 0], pts[:, 1]
-    for j in range(abs(d)):
-        for p in range(-p_max, p_max + 1):
-            freq = j - d * p
-            yield j, freq, scale * (z2 - p + j / d), np.exp(2j * np.pi * freq * z1)
+    n = fiber.grid_size
+    # the axis values of grid_points, and the image offsets j/d
+    axis = np.arange(n) / n
+    j = np.arange(abs(d))
+    offset = (j / d)[:, None]
+    for p in range(-p_max, p_max + 1):
+        # per j as Python complex scalars, the bits the per-term products had
+        coef = np.array([2j * np.pi * int(f) for f in j - d * p])
+        hermite = hermite_values(hermite_level, scale * (axis - p + offset))
+        yield coef, hermite, np.exp(coef * axis[:, None])
+
+
+def _zero_samples(fiber: FiberModel, twist: int, max_level: int) -> np.ndarray:
+    """Zeroed samples (grid_size, grid_size, levels, |d|) of the level basis.
+
+    Entry [a, b, l, j] is B_{j,l} at the grid point a * grid_size + b, at
+    (z1, z2) = (a, b) / grid_size, so the (npoints, columns) samples, column
+    l * |d| + j, are this array reshaped.
+    """
+    n = fiber.grid_size
+    return np.zeros((n, n, max_level + 1, abs(int(twist))), dtype=complex)
+
+
+def _z2_rows(z2_factor: np.ndarray) -> np.ndarray:
+    """A (levels, |d|, grid_size) factor over z2, laid out (grid_size, levels, |d|) as one z1 row."""
+    return np.ascontiguousarray(z2_factor.transpose(2, 0, 1))
+
+
+# the samplers form the image products a block of z1 rows at a time, in work
+# space of at most this many bytes (or of one row, if that is larger), which
+# stays in cache: a few calls per image at small grids, and no work array the
+# size of the samples at large ones
+SAMPLE_BLOCK_BYTES = 1 << 16
+
+
+def _row_blocks(samples: np.ndarray) -> tuple[list[slice], np.ndarray]:
+    """The blocks of z1 rows of ``samples`` and the work space of one block."""
+    rows = max(1, SAMPLE_BLOCK_BYTES // samples[0].nbytes)
+    blocks = [slice(a, a + rows) for a in range(0, len(samples), rows)]
+    return blocks, np.empty_like(samples[:rows])
 
 
 def landau_section_values(fiber: FiberModel, twist: int, max_level: int) -> np.ndarray:
     """Grid samples of the level basis, columns ordered level-major.
 
-    Column l * |twist| + j holds B_{j,l}.
+    Column l * |twist| + j holds B_{j,l}.  Each sample sums its image terms
+    in increasing p.
     """
-    s = abs(int(twist))
-    cols = np.zeros((fiber.npoints, s * (max_level + 1)), dtype=complex)
-    norm = (2.0 * np.pi * s) ** 0.25
-    for j, _, t, phase in _level_images(fiber, twist, max_level):
-        h = hermite_values(max_level, t)
-        for l in range(max_level + 1):
-            cols[:, l * s + j] += norm * h[l] * phase
-    return cols
+    norm = (2.0 * np.pi * abs(int(twist))) ** 0.25
+    images = [
+        (_z2_rows(norm * h), phase)
+        for _, h, phase in _image_factors(fiber, twist, max_level, max_level)
+    ]
+    values = _zero_samples(fiber, twist, max_level)
+    blocks, work = _row_blocks(values)
+    for rows in blocks:
+        block = values[rows]
+        term = work[: len(block)]
+        for z2_factor, phase in images:
+            np.multiply(z2_factor, phase[rows, None, None, :], out=term)
+            block += term
+    return values.reshape(fiber.npoints, -1)
 
 
 def landau_section_jet(
@@ -83,27 +141,35 @@ def landau_section_jet(
     term brings down 2 pi i (j - d p); d/dz2 differentiates the Hermite
     factor through h_l' = sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}.
     """
-    s = abs(int(twist))
-    values, d1, d2 = (
-        np.zeros((fiber.npoints, s * (max_level + 1)), dtype=complex) for _ in range(3)
-    )
+    s, top = abs(int(twist)), max_level + 1
     norm = (2.0 * np.pi * s) ** 0.25
     slope = norm * np.sqrt(2.0 * np.pi * s)
-    for j, freq, t, phase in _level_images(fiber, twist, max_level):
-        h = hermite_values(max_level + 1, t)
-        for l in range(max_level + 1):
-            term = norm * h[l] * phase
-            values[:, l * s + j] += term
-            d1[:, l * s + j] += 2j * np.pi * freq * term
-            dh = -np.sqrt((l + 1.0) / 2.0) * h[l + 1]
-            if l:
-                dh += np.sqrt(l / 2.0) * h[l - 1]
-            d2[:, l * s + j] += slope * dh * phase
-    return values, d1, d2
+    falling = -np.sqrt(np.arange(1, top + 1) / 2.0)[:, None, None]
+    rising = np.sqrt(np.arange(1, top) / 2.0)[:, None, None]
+    images = []
+    for coef, h, phase in _image_factors(fiber, twist, max_level, top):
+        dh = falling * h[1:]
+        dh[1:] += rising * h[: top - 1]
+        images.append((coef, _z2_rows(norm * h[:top]), _z2_rows(slope * dh), phase))
+    jet = [_zero_samples(fiber, twist, max_level) for _ in range(3)]
+    blocks, work = _row_blocks(jet[0])
+    for rows in blocks:
+        values, d1, d2 = (f[rows] for f in jet)
+        term = work[: len(values)]
+        for coef, z2_values, z2_slopes, phase in images:
+            np.multiply(z2_values, phase[rows, None, None, :], out=term)
+            values += term
+            np.multiply(coef, term, out=term)
+            d1 += term
+            np.multiply(z2_slopes, phase[rows, None, None, :], out=term)
+            d2 += term
+    return tuple(f.reshape(fiber.npoints, -1) for f in jet)
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:
-    return SectionBasis(fiber, landau_section_values(fiber, twist, max_level))
+    """The level basis of levels 0..max_level, sampled on first use."""
+    size = abs(_twisted(fiber, twist)) * (max_level + 1)
+    return SectionBasis(fiber, size, lambda: landau_section_values(fiber, twist, max_level))
 
 
 def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock:
@@ -124,7 +190,10 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
         return OperatorBlock(basis, basis, np.diag(mult.astype(complex)))
     s = abs(d)
     big = landau_basis(fiber, d, levels)
-    small = landau_basis(fiber, d, levels - 1)
+    # levels 0..levels-1 are the leading columns of the larger basis, which
+    # carry its image truncation
+    width = levels * s
+    small = SectionBasis(fiber, width, lambda: big.matrix[:, :width].copy())
     mat = np.zeros((small.size, big.size), dtype=complex) if d > 0 else np.zeros(
         (big.size, small.size), dtype=complex
     )

@@ -104,26 +104,6 @@ def eval_modes_at(coeffs: np.ndarray, modes: np.ndarray, points: np.ndarray) -> 
     return np.exp(TWO_PI_I * (points @ modes.T)) @ coeffs
 
 
-def grid_to_box(field: np.ndarray, fiber: FiberModel) -> np.ndarray:
-    """Fourier coefficients of a grid field on the mode box (aliased projection).
-
-    Exact for fields that are band-limited to the box.
-    """
-    shaped = np.asarray(field, dtype=complex).reshape(fiber.grid_shape)
-    full = np.fft.fftn(shaped) / fiber.npoints
-    N = fiber.fourier_cutoff
-    idx = np.arange(-N, N + 1)
-    out = full
-    for ax in range(fiber.dim):
-        out = np.take(out, idx, axis=ax)
-    return out.reshape(fiber.nmodes)
-
-
-def box_to_grid(coeffs: np.ndarray, fiber: FiberModel) -> np.ndarray:
-    """Grid samples of a mode-box coefficient vector."""
-    return fiber.eval_matrix() @ np.asarray(coeffs, dtype=complex)
-
-
 def spectral_gradient(field: np.ndarray, fiber: FiberModel, axes) -> list[np.ndarray]:
     """Partial derivatives d/dz_a of a grid field, one array per a in axes.
 
@@ -159,8 +139,18 @@ def spectral_gradient(field: np.ndarray, fiber: FiberModel, axes) -> list[np.nda
 
 
 def band_limit(field: np.ndarray, fiber: FiberModel) -> np.ndarray:
-    """Project a grid field onto the mode box (drop all higher harmonics)."""
-    return box_to_grid(grid_to_box(field, fiber), fiber).reshape(field.shape)
+    """Project a grid field onto the mode box (drop all higher harmonics).
+
+    One FFT pair over the grid: the transform is kept where every axis
+    frequency has |nu| <= fourier_cutoff, and zeroed elsewhere.
+    """
+    freqs = np.abs(np.fft.fftfreq(fiber.grid_size, d=1.0 / fiber.grid_size))
+    keep = freqs <= fiber.fourier_cutoff
+    mask = keep
+    for _ in range(fiber.dim - 1):
+        mask = np.logical_and.outer(mask, keep)
+    spec = np.fft.fftn(np.asarray(field, dtype=complex).reshape(fiber.grid_shape))
+    return np.fft.ifftn(spec * mask).reshape(np.shape(field))
 
 
 def random_band_limited(rng: np.random.Generator, fiber: FiberModel, band: int) -> np.ndarray:

@@ -8,9 +8,13 @@ mass-weighted field (``TransversalDensity.weight``).
 Conventions
 -----------
 Sections are scalar grid vectors of length npoints.  The inner product is
-the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds an
-(npoints, nbasis) evaluation matrix with quadrature-orthonormal columns;
-operators between bases are plain matrices on coefficients.
+the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds its fiber,
+its size nbasis and a sampler of its (npoints, nbasis) evaluation matrix
+with quadrature-orthonormal columns, which it calls on the first read of
+``matrix``; operators between bases are plain matrices on coefficients.  So
+an operator is assembled without sampling its bases: a spectral count reads
+the coefficient matrix alone, and only a grid realization (the idempotent)
+samples them, each once, since its remainders share the operator's bases.
 
 Smoothing operators are operator matrices M acting by f -> M f on scalar
 grid sections, one npoints x npoints matrix.  An operator with several
@@ -32,6 +36,8 @@ independent products of size npoints/g (``circulant_blocks``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -47,22 +53,29 @@ class SupportMismatchError(ModelError):
 
 @dataclass(frozen=True)
 class SectionBasis:
-    """Quadrature-orthonormal family of sections on one fiber."""
+    """Quadrature-orthonormal family of ``size`` sections on one fiber.
+
+    ``sample()`` returns their (npoints, size) grid samples; it is called on
+    the first read of ``matrix``, once.
+    """
 
     fiber: FiberModel
-    matrix: np.ndarray
+    size: int
+    sample: Callable[[], np.ndarray]
 
-    def __post_init__(self):
-        if self.matrix.shape[0] != self.fiber.npoints:
-            raise ModelError("basis rows must match the fiber grid")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[1]
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        samples = self.sample()
+        if samples.shape != (self.fiber.npoints, self.size):
+            raise ModelError(
+                f"basis samples have shape {samples.shape}, "
+                f"not (npoints, size) = {(self.fiber.npoints, self.size)}"
+            )
+        return samples
 
 
 def fourier_basis(fiber: FiberModel) -> SectionBasis:
-    return SectionBasis(fiber, fiber.eval_matrix())
+    return SectionBasis(fiber, fiber.nmodes, fiber.eval_matrix)
 
 
 @dataclass

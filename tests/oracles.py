@@ -20,6 +20,11 @@ transport and cochain averaging along arrows, the magnetic translations
 of the twisted bundle with the quasi-periodic shift they are built from,
 and, for the form calculus, a degree-0 form from a scalar field and the
 wedge of two whole forms.
+
+The level basis is sampled here as the library first did, one image term
+(j, p) at a time over every grid point, and the band projection through the
+dense evaluation matrix of the mode box; the library samples each image
+term on the grid axes and projects by one FFT pair.
 """
 import math
 
@@ -29,6 +34,7 @@ from itertools import product
 
 from indexpairing.charclass import CH_CURVATURE_SCALE, IDEMPOTENT_TOL
 from indexpairing.cochains import ASCochain, ASTerm
+from indexpairing.dolbeault import hermite_values
 from indexpairing.forms import (
     FoliatedForm,
     exterior_wedge,
@@ -359,3 +365,80 @@ def magnetic_translation_matrix(basis, v_ticks, twist):
         ]
     )
     return basis.matrix.conj().T @ moved / basis.fiber.npoints
+
+
+def _level_images(fiber, twist, max_level):
+    """The image terms of the level basis on the grid, one per (j, p).
+
+    Yields (j, j - d p, the Hermite argument sqrt(2 pi |d|) (z2 - p + j/d),
+    the phase exp(2 pi i (j - d p) z1)), with the library's truncation of
+    the image sum.
+    """
+    d = int(twist)
+    scale = np.sqrt(2.0 * np.pi * abs(d))
+    reach = (np.sqrt(2.0 * max_level + 1.0) + 9.0) / scale
+    p_max = int(np.ceil(reach)) + 1
+    pts = grid_points(fiber.grid_size, 2)
+    z1, z2 = pts[:, 0], pts[:, 1]
+    for j in range(abs(d)):
+        for p in range(-p_max, p_max + 1):
+            freq = j - d * p
+            yield j, freq, scale * (z2 - p + j / d), np.exp(2j * np.pi * freq * z1)
+
+
+def landau_section_values_per_image(fiber, twist, max_level):
+    """Grid samples of the level basis, column l * |twist| + j holding B_{j,l}."""
+    s = abs(int(twist))
+    cols = np.zeros((fiber.npoints, s * (max_level + 1)), dtype=complex)
+    norm = (2.0 * np.pi * s) ** 0.25
+    for j, _, t, phase in _level_images(fiber, twist, max_level):
+        h = hermite_values(max_level, t)
+        for l in range(max_level + 1):
+            cols[:, l * s + j] += norm * h[l] * phase
+    return cols
+
+
+def landau_section_jet_per_image(fiber, twist, max_level):
+    """The level basis and its partial derivatives d/dz1 and d/dz2 on the grid."""
+    s = abs(int(twist))
+    values, d1, d2 = (
+        np.zeros((fiber.npoints, s * (max_level + 1)), dtype=complex) for _ in range(3)
+    )
+    norm = (2.0 * np.pi * s) ** 0.25
+    slope = norm * np.sqrt(2.0 * np.pi * s)
+    for j, freq, t, phase in _level_images(fiber, twist, max_level):
+        h = hermite_values(max_level + 1, t)
+        for l in range(max_level + 1):
+            term = norm * h[l] * phase
+            values[:, l * s + j] += term
+            d1[:, l * s + j] += 2j * np.pi * freq * term
+            dh = -np.sqrt((l + 1.0) / 2.0) * h[l + 1]
+            if l:
+                dh += np.sqrt(l / 2.0) * h[l - 1]
+            d2[:, l * s + j] += slope * dh * phase
+    return values, d1, d2
+
+
+def grid_to_box(field, fiber):
+    """Fourier coefficients of a grid field on the mode box (aliased projection).
+
+    Exact for fields that are band-limited to the box.
+    """
+    shaped = np.asarray(field, dtype=complex).reshape(fiber.grid_shape)
+    full = np.fft.fftn(shaped) / fiber.npoints
+    N = fiber.fourier_cutoff
+    idx = np.arange(-N, N + 1)
+    out = full
+    for ax in range(fiber.dim):
+        out = np.take(out, idx, axis=ax)
+    return out.reshape(fiber.nmodes)
+
+
+def box_to_grid(coeffs, fiber):
+    """Grid samples of a mode-box coefficient vector, through the dense evaluation matrix."""
+    return fiber.eval_matrix() @ np.asarray(coeffs, dtype=complex)
+
+
+def band_limit_dense(field, fiber):
+    """Projection of a grid field onto the mode box, through its box coefficients."""
+    return box_to_grid(grid_to_box(field, fiber), fiber).reshape(np.shape(field))

@@ -6,10 +6,17 @@ import pytest
 
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.forms import InvarianceError
-from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
+from indexpairing.grids import (
+    FiberModel,
+    ModelError,
+    band_limit,
+    grid_points,
+    random_band_limited,
+)
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from oracles import (
     apply_block,
+    band_limit_dense,
     family_invariance_defect,
     gram_defect,
     invariance_defect,
@@ -62,6 +69,20 @@ def half_shift_space(n=12, N=3):
 def test_fourier_basis_is_orthonormal():
     basis = fourier_basis(FiberModel(2, 3, 12))
     assert gram_defect(basis) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,N,n", [(1, 5, 12), (1, 5, 13), (2, 4, 10), (2, 4, 11)])
+def test_band_limit_by_fft_matches_the_dense_projection(dim, N, n):
+    # odd and even grids, the even ones at the smallest size 2N + 2, where
+    # the Nyquist mode sits at N + 1 and is dropped
+    fiber = FiberModel(dim, N, n)
+    rng = np.random.default_rng(n)
+    rough = rng.normal(size=fiber.npoints) + 1j * rng.normal(size=fiber.npoints)
+    assert np.max(np.abs(band_limit(rough, fiber) - band_limit_dense(rough, fiber))) <= 1e-13
+    shaped = rough.real.reshape(fiber.grid_shape)
+    projected = band_limit(shaped, fiber)
+    assert projected.shape == fiber.grid_shape
+    assert np.max(np.abs(projected - band_limit_dense(shaped, fiber))) <= 1e-13
 
 
 def test_identity_block_band_limits():
@@ -123,8 +144,6 @@ def test_quantized_multiplication_acts_by_truncated_product():
     g = random_band_limited(rng, fiber, band=4)
     table = f[:, None] * np.ones(fiber.nmodes)
     out = apply_block(quantize(SymbolData(fiber, 0.0, table)), g)
-    from indexpairing.grids import band_limit
-
     expected = band_limit(f * g, fiber)
     assert np.max(np.abs(out - expected)) <= 1e-12
 

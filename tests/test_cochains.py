@@ -10,13 +10,14 @@ from indexpairing.forms import DegreeError, FoliatedForm, d_leafwise
 from indexpairing.grids import (
     FiberModel,
     ModelError,
+    band_limit,
     grid_points,
     random_band_limited,
     spectral_gradient,
 )
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
-from oracles import invariant_project_cochain, transport_cochain
+from oracles import band_limit_dense, invariant_project_cochain, transport_cochain
 
 
 def circle_base(n=16, N=5):
@@ -77,12 +78,39 @@ def test_germ_radius_validation():
         ASCochain.unit(base.fiber, germ_radius=-0.1)
 
 
+def band_residual(field, fiber, project):
+    return float(np.max(np.abs(field - project(field, fiber))))
+
+
 def test_band_limit_enforced():
     base = circle_base(n=16, N=5)
     pts = grid_points(16, 1)
     rough = np.sign(np.sin(2 * np.pi * pts[:, 0]) + 0.3)
     with pytest.raises(ModelError):
         ASCochain.elementary(base.fiber, [rough], germ_radius=2.0)
+    # the FFT projection measures the sawtooth's residual as the dense one does
+    residuals = [band_residual(rough, base.fiber, p) for p in (band_limit, band_limit_dense)]
+    assert abs(residuals[0] - residuals[1]) <= 1e-13
+
+
+@pytest.mark.parametrize("dim,N,n", [(1, 5, 12), (1, 5, 13), (2, 4, 10), (2, 4, 11)])
+def test_band_gate_is_no_looser_than_the_dense_projection(dim, N, n):
+    # the gate reads max |f - band_limit(f)| against 1e-10: band-limited
+    # fields pass, and one harmonic just past the box at amplitude 1e-9 is
+    # refused, the FFT and the dense projection measuring the same residual
+    fiber = FiberModel(dim, N, n)
+    rng = np.random.default_rng(41)
+    for band in (1, N):
+        smooth = random_band_limited(rng, fiber, band)
+        ASCochain.elementary(fiber, [smooth], germ_radius=2.0)
+        assert band_residual(smooth, fiber, band_limit) <= 1e-13
+    leak = 1e-9 * np.exp(2j * np.pi * (N + 1) * fiber.points()[:, -1])
+    leaky = smooth + leak
+    residuals = [band_residual(leaky, fiber, p) for p in (band_limit, band_limit_dense)]
+    assert abs(residuals[0] - residuals[1]) <= 1e-13
+    assert residuals[0] >= 0.9e-9
+    with pytest.raises(ModelError, match="band-limited"):
+        ASCochain.elementary(fiber, [leaky], germ_radius=2.0)
 
 
 def test_cochain_holds_one_complex_field_per_slot():

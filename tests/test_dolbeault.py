@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from indexpairing import dolbeault
 from indexpairing.density import compute_cutoff, TransversalDensity
 from indexpairing.dolbeault import (
     dolbeault_family,
@@ -13,7 +14,7 @@ from indexpairing.dolbeault import (
 from indexpairing.grids import FiberModel, ModelError, grid_points, spectral_gradient
 from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
-from indexpairing.operators import OperatorBlock, circulant_dense, trace_tau
+from indexpairing.operators import OperatorBlock, SectionBasis, circulant_dense, trace_tau
 from indexpairing.parametrix import (
     IndexIdempotent,
     LocalizationError,
@@ -26,6 +27,8 @@ from indexpairing.parametrix import (
 from indexpairing.space import FiberedGSpace
 from oracles import (
     gram_defect,
+    landau_section_jet_per_image,
+    landau_section_values_per_image,
     magnetic_translation,
     magnetic_translation_matrix,
     same_bits,
@@ -99,6 +102,79 @@ def test_landau_jet_matches_spectral_derivatives_of_the_samples(twist, n):
     s2 = np.conj(gauge) * s2 - 2j * np.pi * twist * z1[:, None] * values
     assert np.abs(s1 - d1).max() <= 1e-10
     assert np.abs(s2 - d2).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [20, 24, 40])
+@pytest.mark.parametrize("twist", [1, -1, 2, -2, 3, 24])
+def test_separable_sampler_is_bitwise_the_per_image_loop(twist, n, monkeypatch):
+    # each image term is sampled on the grid axes and broadcast, and every
+    # sample still sums its terms in increasing p: values and both
+    # derivatives keep every bit, sign bits of zeros included, in blocks of
+    # one row, of several rows with a shorter last block, or of the grid
+    fiber = FiberModel(2, n // 2 - 1, n)
+    default = dolbeault.SAMPLE_BLOCK_BYTES
+    for max_level in range(5):
+        values = landau_section_values_per_image(fiber, twist, max_level)
+        jet = landau_section_jet_per_image(fiber, twist, max_level)
+        for block_bytes in (1, 3 * values[:n].nbytes, default, 1 << 40):
+            monkeypatch.setattr(dolbeault, "SAMPLE_BLOCK_BYTES", block_bytes)
+            assert same_bits(landau_section_values(fiber, twist, max_level), values)
+            got = landau_section_jet(fiber, twist, max_level)
+            assert all(same_bits(g, want) for g, want in zip(got, jet))
+
+
+@pytest.mark.parametrize(
+    "twist,levels,n",
+    [(1, 2, 20), (-1, 2, 20), (2, 2, 20), (-2, 2, 20), (3, 4, 18), (24, 2, 40), (32, 2, 48)],
+)
+def test_smaller_basis_is_the_leading_columns_of_the_larger(twist, levels, n):
+    # at the catalog and benchmark twists the image sums of levels and
+    # levels - 1 are truncated alike, so the leading columns of the larger
+    # basis are bitwise the smaller basis sampled on its own
+    fiber = FiberModel(2, 3, n)
+    block = dolbeault_family(fiber, twist, levels)
+    big, small = (block.domain, block.codomain) if twist > 0 else (block.codomain, block.domain)
+    assert same_bits(big.matrix, landau_section_values(fiber, twist, levels))
+    assert same_bits(small.matrix, landau_section_values(fiber, twist, levels - 1))
+    assert small.matrix.flags.c_contiguous
+
+
+def test_operator_bases_are_sampled_on_first_use_once(monkeypatch):
+    sampled = []
+    sample = dolbeault.landau_section_values
+
+    def counted(fiber, twist, max_level):
+        sampled.append((twist, max_level))
+        return sample(fiber, twist, max_level)
+
+    monkeypatch.setattr(dolbeault, "landau_section_values", counted)
+    fiber = FiberModel(2, 8, 20)
+    block = dolbeault_family(fiber, -2, levels=2)
+    # the spectral count reads the ladder matrix alone
+    assert analytic_index(block).index == -2
+    assert sampled == []
+    # flux -2 has no kernel: only the cokernel projector, on the larger
+    # codomain basis, is realized on the grid
+    index_idempotent(block)
+    assert sampled == [(-2, 2)]
+    small = block.domain.matrix
+    assert small is block.domain.matrix
+    assert sampled == [(-2, 2)]
+
+
+def test_basis_samples_are_checked_against_the_declared_size():
+    fiber = FiberModel(2, 3, 8)
+    basis = SectionBasis(fiber, 3, lambda: np.zeros((fiber.npoints, 4), dtype=complex))
+    assert basis.size == 3
+    with pytest.raises(ModelError, match="not \\(npoints, size\\)"):
+        basis.matrix
+
+
+def test_level_basis_is_refused_before_any_sampling():
+    with pytest.raises(ModelError, match="two-dimensional"):
+        dolbeault_family(FiberModel(1, 4, 12), 1, levels=2)
+    with pytest.raises(ModelError, match="zero twist"):
+        landau_basis(FiberModel(2, 3, 8), 0, max_level=1)
 
 
 _FD6 = (

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import indexpairing.harness as harness
+from indexpairing import dolbeault, grids
 from indexpairing.cli import main
 from indexpairing.cochains import ASCochain
 from indexpairing.grids import FiberModel, ModelError
@@ -681,6 +682,31 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
         save_coefficients(cache, [np.array([radius]), zero, zero])
         with pytest.raises(CorruptedCacheError, match="cut radius"):
             run_scenario(scn, out_dir=tmp_path)
+
+
+def test_warm_run_samples_no_operator_basis(tmp_path, monkeypatch):
+    # the cold run samples the level basis once, where the idempotent reads
+    # it; the warm run reads the idempotent from its cache and the ladder
+    # matrix alone.  Neither builds the dense evaluation matrix of the box.
+    scn = load_scenario("S1-dolbeault-d1")
+    sampled = []
+    sample = dolbeault.landau_section_values
+
+    def counted(fiber, twist, max_level):
+        sampled.append((twist, max_level))
+        return sample(fiber, twist, max_level)
+
+    def refuse(*args):
+        raise AssertionError("sampled on the run path")
+
+    monkeypatch.setattr(grids, "eval_matrix", refuse)
+    with monkeypatch.context() as m:
+        m.setattr(dolbeault, "landau_section_values", counted)
+        cold = run_scenario(scn, out_dir=tmp_path)
+    assert sampled == [(1, 2)]
+    monkeypatch.setattr(dolbeault, "landau_section_values", refuse)
+    warm = run_scenario(scn, out_dir=tmp_path)
+    assert warm.csv_row() == cold.csv_row()
 
 
 def test_idempotent_arrays_roundtrip_block_rows_and_zero_row(tmp_path):
