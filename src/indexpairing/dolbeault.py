@@ -191,7 +191,8 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
     s = abs(d)
     big = landau_basis(fiber, d, levels)
     # levels 0..levels-1 are the leading columns of the larger basis, which
-    # carry its image truncation
+    # carry its image truncation; copied contiguous, so that the products
+    # that read them see the layout of a basis sampled on its own
     width = levels * s
     small = SectionBasis(fiber, width, lambda: big.matrix[:, :width].copy())
     mat = np.zeros((small.size, big.size), dtype=complex) if d > 0 else np.zeros(
