@@ -9,7 +9,7 @@ pairing downstream; the cochain itself stores the radius.
 
 The realization map lam sends f_0 (x) ... (x) f_k to f_0 df_1 ^ ... ^ df_k.
 It intertwines the tuple differential with the leafwise exterior derivative
-and transport along arrows, which is what the chain-map and equivariance
+and transport by group elements, which is what the chain-map and equivariance
 tests check.
 """
 from __future__ import annotations

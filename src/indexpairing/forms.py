@@ -5,8 +5,8 @@ one array of shape (npoints, ncomp) where ncomp = C(r, q) and components
 are indexed by sorted coordinate subsets in lexicographic order.  All
 derivatives are spectral, so d is exact on band-limited data and the grid
 sum of any exact top component vanishes to round-off (the derivative has
-no zero mode).  The base enters only the quadratures, through the one
-mass-weighted cutoff field of ``TransversalDensity.weight``.
+no zero mode).  The base enters only the quadratures, through one
+mass-weighted cutoff field that the scenario driver forms.
 
 exterior_d and exterior_wedge hold that component convention for every site
 and value type: they act on arrays (n, ncomp, ...) given a gradient and a
@@ -21,7 +21,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .density import CutoffDensity, TransversalDensity
 from .grids import FiberModel, ModelError, spectral_gradient
 from .space import FiberedGSpace
 
@@ -161,40 +160,37 @@ def d_leafwise(form: FoliatedForm) -> FoliatedForm:
     return FoliatedForm(form.fiber, form.degree + 1, field, invariant=form.invariant)
 
 
-def form_invariance_defect(gspace: FiberedGSpace, form: FoliatedForm) -> float:
-    """Largest transport mismatch |f - f o (g shift)| of the form over the arrows.
+def form_invariance_defect(space: FiberedGSpace, form: FoliatedForm) -> float:
+    """Largest transport mismatch |f - f o (g shift)| of the form over g != 0.
 
-    One arrow per group element that moves the fiber gives the same float
-    as every arrow (``FiberedGSpace.moving_arrows``).
+    The elements that move the fiber, up to m/2, give the same float as
+    every g (``FiberedGSpace.moving_elements``).
     """
     f = form.field
     return max(
-        (float(np.max(np.abs(f - gspace.transport(a, f)))) for a in gspace.moving_arrows()),
+        (float(np.max(np.abs(f - space.transport(g, f)))) for g in space.moving_elements()),
         default=0.0,
     )
 
 
 def invariant_project_form(
-    gspace: FiberedGSpace, cutoff: CutoffDensity, form: FoliatedForm
+    space: FiberedGSpace, cutoff: np.ndarray, form: FoliatedForm
 ) -> FoliatedForm:
     """Cutoff-weighted average onto the invariant forms.
 
-    P form = sum over arrows a from point 0 of (c_{t(a)} o action_a) times
-    the pullback of the form along a.  Exactly invariant for any input, and
-    fixes invariant inputs (partition identity), when every base point
-    carries the same cutoff field, as on a one-point base.
+    P form = sum over g of (c o g) times the pullback of the form by g.
+    Exactly invariant for any input, and fixes invariant inputs (partition
+    identity).
     """
     acc = np.zeros_like(form.field)
-    for a in gspace.groupoid.arrows_from(0):
-        weight = gspace.eval_after_action(a, cutoff.fields[a.tgt]).real
-        acc += weight[:, None] * gspace.eval_after_action(a, form.field)
+    for g in range(space.order):
+        weight = space.eval_after_action(g, cutoff).real
+        acc += weight[:, None] * space.eval_after_action(g, form.field)
     return FoliatedForm(form.fiber, form.degree, acc, invariant=True)
 
 
-def integrate_invariant(
-    form: FoliatedForm, cutoff: CutoffDensity, dens: TransversalDensity
-) -> complex:
-    """Quadrature of a top-degree invariant form against the cutoff and masses.
+def integrate_invariant(form: FoliatedForm, weight: np.ndarray) -> complex:
+    """Quadrature of a top-degree invariant form against one weight field.
 
     Value = mean_z w(z) * top component, with w the mass-weighted cutoff
     field.  Independent of the cutoff choice and zero on derivatives of
@@ -204,5 +200,4 @@ def integrate_invariant(
         raise DegreeError("integration requires a top-degree form")
     if not form.invariant:
         raise InvarianceError("integration requires the invariance flag")
-    weight = dens.weight(cutoff.fields)
     return complex(0j + np.mean(weight * form.field[:, 0]))

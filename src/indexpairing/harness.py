@@ -3,9 +3,11 @@
 ``run_scenario`` executes all three routes of a validated scenario (spectral
 index, chain pairing, class integral) and reports a ``ResultRecord``;
 ``run_suite`` drives the builtin catalog and the registered property checks,
-writing diff-able CSV plus a human table.  The transverse measure of a run
-is one mass per base point, formed once as the scenario's base weight times
-its density value.
+writing diff-able CSV plus a human table.  The base lives here and in the
+scenario alone: every base point carries the same fiber, operator, cochain
+and cutoff field c, so the library sees the base only as the one weight
+field w = sum over base points x of mass(x) c, and the harness forms the
+per-point analytic column and the orbit sum of the identified base.
 
 Determinism contract: a fixed scenario and seed produce bitwise-identical
 CSV bodies across reruns; wall times and anything else nondeterministic stay
@@ -32,10 +34,9 @@ import numpy as np
 
 from .charclass import DiscModel
 from .cochains import ASCochain
-from .density import TransversalDensity, compute_cutoff
+from .density import compute_cutoff
 from .dolbeault import dolbeault_family
 from .grids import FiberModel, ModelError
-from .groupoid import BaseModel, CyclicGroupoid
 from .invariants import INVARIANT_CHECKS
 from .pairing import ProfileCochain, pair_cocycle
 from .parametrix import CorruptedCacheError, IndexIdempotent, analytic_index, index_idempotent
@@ -125,15 +126,29 @@ def load_coefficients(path) -> list[np.ndarray]:
 
 def _build_space(scn: Scenario) -> FiberedGSpace:
     fib = FiberModel(scn.fiber["dim"], scn.fiber["fourier_cutoff"], scn.fiber["grid"])
-    bp = scn.group["base_points"]
-    base = BaseModel(fib, bp)
     gk = scn.group["group"]
     order = 1 if gk == "trivial" else int(gk["cyclic"])
-    sigma = [x ^ 1 for x in range(bp)] if scn.group["base_action"] == "pair-swap" else None
-    gpd = CyclicGroupoid(base, order, sigma)
     if scn.fiber_action == "trivial":
-        return FiberedGSpace.trivial(gpd)
-    return FiberedGSpace(gpd, scn.fiber_action["translation"])
+        return FiberedGSpace.trivial(fib, order)
+    return FiberedGSpace(fib, order, scn.fiber_action["translation"])
+
+
+def _weight_field(masses: list[float], cutoff: np.ndarray) -> np.ndarray:
+    """The one weight field: the sum over base points x of masses[x] * cutoff."""
+    return sum(m * cutoff for m in masses)
+
+
+def _orbit_sum(sigma: list[int], masses: list[float], index: int) -> float:
+    """mass * index summed over one representative per base orbit, its least member.
+
+    The base action is the identity or the pair swap, so the orbit of x is
+    {x, sigma[x]}; the load gate has made the mass constant along it.
+    """
+    total = 0.0
+    for x, y in enumerate(sigma):
+        if x <= y:
+            total += masses[x] * index
+    return total
 
 
 def _build_operator(scn: Scenario, fiber: FiberModel):
@@ -231,9 +246,9 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     """Execute one scenario: spectral route, chain pairing, class integral.
 
     The analytic column holds the quotient index for a free fiber action
-    (the spectral index on the quotient torus, at flux twist/m), the
-    per-point family indices for an identified base, and the plain spectral
-    index at every base point otherwise, a non-free fiber action included.
+    (the spectral index on the quotient torus, at flux twist/m), and the
+    spectral index at every base point otherwise, a non-free fiber action
+    and an identified base included.
     ``out_dir`` enables the idempotent kernel cache under ``out_dir/cache``;
     errors carry the failing stage.
     """
@@ -242,24 +257,26 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
 
     with _stage("build-space"):
         space = _build_space(scn)
-        cutoff = compute_cutoff(space)
-        masses = [w * v for w, v in zip(scn.group["base_weights"], scn.density["values"])]
-        dens = TransversalDensity(space, masses)
+        masses = scn.masses
+        weight = _weight_field(masses, compute_cutoff(space))
 
     with _stage("assemble-operator"):
-        block, sclass = _build_operator(scn, space.base.fiber)
+        block, sclass = _build_operator(scn, space.fiber)
 
+    points = scn.group["base_points"]
     if scn.group["base_action"] == "pair-swap":
         # identified base: the family route computes both sides at once
         with _stage("family-index"):
-            res = family_index_orbifold(space, block, cutoff, dens, sclass)
+            index, topological = family_index_orbifold(space, block, weight, sclass)
+        orbit_sum = _orbit_sum(scn.base_permutation, masses, index)
+        difference = abs(orbit_sum - topological)
         return ResultRecord(
             scenario=scn.name,
-            analytic=tuple(res.per_point),
-            pairing=complex(res.orbit_sum),
-            topological=complex(res.topological),
-            abs_err=float(res.difference),
-            status="pass" if res.difference <= scn.pairing_tol else "fail",
+            analytic=(index,) * points,
+            pairing=complex(orbit_sum),
+            topological=complex(topological),
+            abs_err=float(difference),
+            status="pass" if difference <= scn.pairing_tol else "fail",
             wall_time=time.perf_counter() - t0,
             echo=scn.echo(),
         )
@@ -267,9 +284,9 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     with _stage("analytic-index"):
         if scn.free_action:
             m = scn.group["group"]["cyclic"]
-            analytic = (half_shift_quotient_index(space.base.fiber, scn.operator["twist"], m),)
+            analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
         else:
-            analytic = (analytic_index(block).index,) * len(space.base)
+            analytic = (analytic_index(block).index,) * points
 
     idem = None
     if out_dir is not None:
@@ -279,7 +296,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
             if cache_path.exists():
                 try:
                     arrays = load_coefficients(cache_path)
-                    idem = IndexIdempotent.from_arrays(space.base.fiber, arrays)
+                    idem = IndexIdempotent.from_arrays(space.fiber, arrays)
                 except CorruptedCacheError as exc:
                     raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
     if idem is None:
@@ -290,17 +307,15 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                 save_coefficients(cache_path, idem.arrays())
 
     with _stage("cocycle"):
-        phi = _build_cocycle(scn, space.base.fiber)
+        phi = _build_cocycle(scn, space.fiber)
 
     with _stage("pairing"):
-        pairing = pair_cocycle(
-            idem, phi, cutoff, dens, invariance_tol=scn.invariant_tol
-        )
+        pairing = pair_cocycle(idem, phi, space, weight, invariance_tol=scn.invariant_tol)
 
     with _stage("topological"):
         alpha = phi.van_est_form()
         topological = topological_index(
-            space, cutoff, dens, alpha, sclass, invariant_tol=scn.invariant_tol
+            space, weight, alpha, sclass, invariant_tol=scn.invariant_tol
         )
 
     abs_err = abs(pairing - topological)

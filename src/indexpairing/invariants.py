@@ -2,7 +2,9 @@
 
 Each check builds its own small space, runs one identity of the theory over
 a few seeded random inputs, and returns (worst defect, tolerance).
-``INVARIANT_CHECKS`` maps the report name of each check to its function.
+Every check runs over one base point of unit mass, so its weight field is
+the cutoff field itself.  ``INVARIANT_CHECKS`` maps the report name of each
+check to its function.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .charclass import DiscModel, chern_character_fiber, twist_projector
 from .cochains import ASCochain, d_as
-from .density import TransversalDensity, compute_cutoff
+from .density import compute_cutoff
 from .dolbeault import dolbeault_family
 from .forms import (
     FoliatedForm,
@@ -24,7 +26,6 @@ from .forms import (
     invariant_project_form,
 )
 from .grids import FiberModel, random_band_limited, spectral_gradient
-from .groupoid import BaseModel, CyclicGroupoid
 from .operators import SmoothingKernel, random_invariant_kernel, trace_tau
 from .pairing import pair_cocycle
 from .parametrix import index_idempotent
@@ -41,13 +42,11 @@ __all__ = ["INVARIANT_CHECKS"]
 
 
 def _inv_space(n=16, N=5):
-    base = BaseModel(FiberModel(2, N, n), 1)
-    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
+    return FiberedGSpace(FiberModel(2, N, n), 2, [Fraction(1, 2), Fraction(1, 2)])
 
 
 def _inv_trivial(n=16, N=5):
-    base = BaseModel(FiberModel(2, N, n), 1)
-    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+    return FiberedGSpace.trivial(FiberModel(2, N, n))
 
 
 def _random_one_form(rng, fiber, band):
@@ -58,14 +57,13 @@ def _random_one_form(rng, fiber, band):
 def _check_trace_commutator():
     space = _inv_space()
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         k1 = random_invariant_kernel(rng, space, cutoff, band=2)
         k2 = random_invariant_kernel(rng, space, cutoff, band=2)
         A, B = k1.dense(), k2.dense()
-        lhs = trace_tau(SmoothingKernel(space.base.fiber, A @ B - B @ A), cutoff, dens)
+        lhs = trace_tau(SmoothingKernel(space.fiber, A @ B - B @ A), space, cutoff)
         scale = max(k1.norm() * k2.norm(), 1e-30)
         worst = max(worst, abs(lhs) / scale)
     return worst, 1e-9
@@ -73,25 +71,23 @@ def _check_trace_commutator():
 
 def _check_trace_cutoff_independence():
     space = _inv_space()
-    dens = TransversalDensity.uniform(space)
     c1 = compute_cutoff(space)
     rng = np.random.default_rng(7)
-    npts = space.base.fiber.npoints
-    c2 = compute_cutoff(space, [1.0 + 0.5 * rng.random(npts)])
+    npts = space.fiber.npoints
+    c2 = compute_cutoff(space, 1.0 + 0.5 * rng.random(npts))
     worst = 0.0
     for seed in range(10):
         k = random_invariant_kernel(
             np.random.default_rng(2000 + seed), space, c1, band=2
         )
-        worst = max(worst, abs(trace_tau(k, c1, dens) - trace_tau(k, c2, dens)))
+        worst = max(worst, abs(trace_tau(k, space, c1) - trace_tau(k, space, c2)))
     return worst, 1e-9
 
 
 def _check_symbol_trace_formula():
     space = _inv_trivial(n=12, N=5)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber
+    fiber = space.fiber
     modes = fiber.modes()
     xipart = np.exp(-2.0 * np.sum(modes.astype(float) ** 2, axis=1))
     worst = 0.0
@@ -103,8 +99,8 @@ def _check_symbol_trace_formula():
         table = zpart[:, None] * xipart[None, :]
         sym = SymbolData(fiber, SMOOTHING_ORDER, table)
         kern = SmoothingKernel(fiber, quantize(sym).grid_matrix())
-        lhs = trace_symbol_formula(sym, cutoff, dens)
-        rhs = trace_tau(kern, cutoff, dens)
+        lhs = trace_symbol_formula(sym, cutoff)
+        rhs = trace_tau(kern, space, cutoff)
         worst = max(worst, abs(lhs - rhs))
     return worst, 1e-8
 
@@ -112,20 +108,19 @@ def _check_symbol_trace_formula():
 def _check_stokes():
     space = _inv_space()
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(4000 + seed)
         beta = invariant_project_form(
-            space, cutoff, _random_one_form(rng, space.base.fiber, band=3)
+            space, cutoff, _random_one_form(rng, space.fiber, band=3)
         )
         dbeta = d_leafwise(beta)
-        worst = max(worst, abs(integrate_invariant(dbeta, cutoff, dens)))
+        worst = max(worst, abs(integrate_invariant(dbeta, cutoff)))
     return worst, 1e-9
 
 
 def _check_vanest_chain_map():
-    fiber = _inv_trivial().base.fiber
+    fiber = _inv_trivial().fiber
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
@@ -139,14 +134,13 @@ def _check_vanest_chain_map():
 def _check_coboundary_pairing():
     space = _inv_trivial(n=20, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
+    idem = index_idempotent(dolbeault_family(space.fiber, 2, levels=2))
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(6000 + seed)
-        factors = [random_band_limited(rng, space.base.fiber, 2) for _ in range(2)]
-        psi = ASCochain.elementary(space.base.fiber, factors, germ_radius=2.0)
-        worst = max(worst, abs(pair_cocycle(idem, d_as(psi), cutoff, dens)))
+        factors = [random_band_limited(rng, space.fiber, 2) for _ in range(2)]
+        psi = ASCochain.elementary(space.fiber, factors, germ_radius=2.0)
+        worst = max(worst, abs(pair_cocycle(idem, d_as(psi), space, cutoff)))
     return worst, 1e-8
 
 
@@ -171,27 +165,25 @@ def _check_chern_closed():
 
 def _check_topindex_cutoff_choice():
     space = _inv_space(n=20, N=8)
-    dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
-    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
-    alpha = _unit_form(space.base.fiber)
+    sclass = symbol_class_dolbeault(space.fiber, disc, 2)
+    alpha = _unit_form(space.fiber)
     c1 = compute_cutoff(space)
     rng = np.random.default_rng(11)
-    c2 = compute_cutoff(space, [1.0 + 0.4 * rng.random(space.base.fiber.npoints)])
-    v1 = topological_index(space, c1, dens, alpha, sclass)
-    v2 = topological_index(space, c2, dens, alpha, sclass)
+    c2 = compute_cutoff(space, 1.0 + 0.4 * rng.random(space.fiber.npoints))
+    v1 = topological_index(space, c1, alpha, sclass)
+    v2 = topological_index(space, c2, alpha, sclass)
     return abs(v1 - v2), 1e-8
 
 
 def _check_free_reduction_agreement():
     space = _inv_space(n=20, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
     disc = DiscModel(9.0, 48, 48)
-    sclass = symbol_class_dolbeault(space.base.fiber, disc, 2)
-    alpha = _unit_form(space.base.fiber)
-    topo = topological_index(space, cutoff, dens, alpha, sclass)
-    red = free_action_reduction(space, cutoff, dens, alpha, sclass)
+    sclass = symbol_class_dolbeault(space.fiber, disc, 2)
+    alpha = _unit_form(space.fiber)
+    topo = topological_index(space, cutoff, alpha, sclass)
+    red = free_action_reduction(space, cutoff, alpha, sclass)
     return abs(topo - red), 1e-8
 
 

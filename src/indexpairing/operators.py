@@ -2,8 +2,8 @@
 
 Everything here lives on one fiber.  Every base point carries the same fiber
 and the same invariant operator, so the base enters only through the cutoff
-and the transverse density, which the weighted traces receive as one
-mass-weighted field (``TransversalDensity.weight``).
+and the transverse masses, which the weighted traces receive as one
+mass-weighted field formed by the scenario driver.
 
 Conventions
 -----------
@@ -41,7 +41,6 @@ from typing import Callable
 
 import numpy as np
 
-from .density import CutoffDensity, TransversalDensity
 from .forms import InvarianceError
 from .grids import FiberModel, ModelError
 from .space import FiberedGSpace
@@ -301,22 +300,22 @@ class SmoothingKernel:
         """
         return 0.0 if self.row is None else _norm_lower_bound(self.dense())
 
-    def twisted_invariance_defect(self, gspace: FiberedGSpace) -> float:
+    def twisted_invariance_defect(self, space: FiberedGSpace) -> float:
         """Equivariance defect modulo a unimodular character.
 
         Bundle actions may twist kernels by phases chi(z) conj(chi(w)); traces
         and cyclic chain sums are blind to such phases.  This checks the
         phase-free data: entry magnitudes, the operator diagonal, and closed
-        two-cycles k(z, w) k(w, z).  Moving arrows compare whole matrices, so
-        this gate expands the stored block row, once.
+        two-cycles k(z, w) k(w, z).  The moving group elements compare whole
+        matrices, so this gate expands the stored block row, once.
         """
-        arrows = gspace.moving_arrows()
-        if not arrows:
+        elements = space.moving_elements()
+        if not elements:
             return 0.0
         here = self.dense()
         worst = 0.0
-        for a in arrows:
-            moved = _moved(here, gspace, a)
+        for g in elements:
+            moved = _moved(here, space, g)
             worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
             worst = max(worst, float(np.max(np.abs(np.diag(here) - np.diag(moved)))))
             cyc = here * here.T - moved * moved.T
@@ -350,14 +349,14 @@ def _norm_lower_bound(m: np.ndarray) -> float:
     return best
 
 
-def _moved(M: np.ndarray, gspace: FiberedGSpace, a) -> np.ndarray:
-    """M carried along the arrow a: M[p, p] with p the permutation of a's inverse."""
-    perm = gspace.permutation(gspace.groupoid.inverse(a))
+def _moved(M: np.ndarray, space: FiberedGSpace, g: int) -> np.ndarray:
+    """M carried by the group element g: M[p, p] with p the permutation of -g."""
+    perm = space.permutation(-g)
     return M[np.ix_(perm, perm)]
 
 
 def require_invariant(
-    gspace: FiberedGSpace, invariance_tol: float, what: str, *kerns: SmoothingKernel
+    space: FiberedGSpace, invariance_tol: float, what: str, *kerns: SmoothingKernel
 ) -> None:
     """The invariance gate over one or more families.
 
@@ -366,7 +365,7 @@ def require_invariant(
     A zero defect passes for any scale, so the scale is only computed for a
     nonzero one.
     """
-    defect = max(k.twisted_invariance_defect(gspace) for k in kerns)
+    defect = max(k.twisted_invariance_defect(space) for k in kerns)
     if defect == 0.0:
         return
     scale = max(max(k.norm() for k in kerns), 1e-30)
@@ -375,37 +374,35 @@ def require_invariant(
 
 
 def average_kernel(
-    gspace: FiberedGSpace, cutoff: CutoffDensity, kern: SmoothingKernel
+    space: FiberedGSpace, cutoff: np.ndarray, kern: SmoothingKernel
 ) -> SmoothingKernel:
     """Cutoff-weighted diagonal average of a kernel onto the invariants.
 
-    out(z, w) = sum over arrows a from point 0 of
-                c_{t(a)}(action_a z) k(action_a z, action_a w).
+    out(z, w) = sum over g of c(z - g shift) k(z - g shift, w - g shift).
 
-    Exactly invariant for any input when every base point carries the same
-    cutoff field, as on a one-point base, and fixes invariant inputs.
+    Exactly invariant for any input, and fixes invariant inputs.
     """
     here = kern.dense()
     acc = np.zeros_like(here)
-    for a in gspace.groupoid.arrows_from(0):
-        weight = gspace.eval_after_action(a, cutoff.fields[a.tgt])
-        acc += weight[:, None] * _moved(here, gspace, a)
+    for g in range(space.order):
+        weight = space.eval_after_action(g, cutoff)
+        acc += weight[:, None] * _moved(here, space, g)
     return SmoothingKernel(kern.fiber, acc)
 
 
 TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
 
 
-def trace_tau(kern: SmoothingKernel, cutoff: CutoffDensity, dens: TransversalDensity) -> complex:
+def trace_tau(kern: SmoothingKernel, space: FiberedGSpace, weight: np.ndarray) -> complex:
     """Cutoff-weighted trace of an invariant smoothing family.
 
-    tau(K) = sum over base points x of mass(x) * sum_z c_x(z) M[z, z].
-    Independent of the cutoff choice, and tracial, for invariant kernels over
-    orbit-constant mass; both properties fail without invariance, hence the
-    check.
+    tau(K) = sum_z w(z) M[z, z], with w the mass-weighted cutoff field: the
+    sum over base points x of mass(x) c(z).  Independent of the cutoff
+    choice, and tracial, for invariant kernels over orbit-constant mass;
+    both properties fail without invariance, hence the check.
     """
-    require_invariant(dens.gspace, TRACE_INVARIANCE_TOL, "trace", kern)
-    return _weighted_diag_trace(kern, dens.weight(cutoff.fields))
+    require_invariant(space, TRACE_INVARIANCE_TOL, "trace", kern)
+    return _weighted_diag_trace(kern, weight)
 
 
 def _weighted_diag_trace(kern: SmoothingKernel, weight: np.ndarray) -> complex:
@@ -421,16 +418,16 @@ def _weighted_diag_trace(kern: SmoothingKernel, weight: np.ndarray) -> complex:
 
 def random_invariant_kernel(
     rng: np.random.Generator,
-    gspace: FiberedGSpace,
-    cutoff: CutoffDensity,
+    space: FiberedGSpace,
+    cutoff: np.ndarray,
     band: int,
 ) -> SmoothingKernel:
     """Seeded invariant smoothing family built from band-limited separable pieces."""
-    fiber = gspace.base.fiber
+    fiber = space.fiber
     E = fiber.eval_matrix()
     keep = np.max(np.abs(fiber.modes()), axis=1) <= band
     E = E[:, keep]
     nb = E.shape[1]
     C = rng.normal(size=(nb, nb)) + 1j * rng.normal(size=(nb, nb))
     rough = SmoothingKernel(fiber, E @ (C / nb) @ E.conj().T / fiber.npoints)
-    return average_kernel(gspace, cutoff, rough)
+    return average_kernel(space, cutoff, rough)

@@ -63,8 +63,8 @@ sums of c over the orbits of the translation: exact for any cutoff.
 
 Both cochain flavors live on the fiber, so a chain differs between base
 points only through the cutoff weight, in which it is real-linear: every
-chain, at k = 0 and k = 1, is contracted once against the mass-weighted
-sum of the cutoff fields (``TransversalDensity.weight``).
+chain, at k = 0 and k = 1, is contracted once against the one weight
+field: the sum over base points of mass times the cutoff field.
 """
 from __future__ import annotations
 
@@ -76,7 +76,6 @@ import numpy as np
 
 from .charclass import smoothstep_poly
 from .cochains import ASCochain
-from .density import CutoffDensity, TransversalDensity
 from .forms import FoliatedForm, subset_position
 from .grids import FiberModel, ModelError
 from .operators import (
@@ -89,6 +88,7 @@ from .operators import (
     require_invariant,
 )
 from .parametrix import IndexIdempotent
+from .space import FiberedGSpace
 
 __all__ = [
     "TransitionProfile",
@@ -220,8 +220,8 @@ def _kernel_reach(idem: IndexIdempotent) -> float:
 def pair_cocycle(
     idem: IndexIdempotent,
     phi,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
+    space: FiberedGSpace,
+    weight: np.ndarray,
     invariance_tol: float = 1e-8,
 ) -> complex:
     """Pair an even-degree cochain with the index idempotent P = diag(S0, 1 - S1).
@@ -245,7 +245,7 @@ def pair_cocycle(
     k = phi.degree // 2
     if k > 1:
         raise ModelError("chains beyond one cochain level are not modeled")
-    require_invariant(dens.gspace, invariance_tol, "pairing", *idem.families)
+    require_invariant(space, invariance_tol, "pairing", *idem.families)
     reach = _kernel_reach(idem)
     if reach > phi.germ_radius + 1e-9:
         raise SupportMismatchError(
@@ -256,22 +256,21 @@ def pair_cocycle(
 
     s0, s1 = idem.families
     # one contraction covers the base (see the module docstring)
-    cw = dens.weight(cutoff.fields)
     if k == 0:
-        field = cw * phi.evaluate_batch(np.arange(s0.fiber.npoints)[:, None])
+        field = weight * phi.evaluate_batch(np.arange(s0.fiber.npoints)[:, None])
         trace0, trace1 = (_weighted_diag_trace(f, field) for f in (s0, s1))
         return trace0 - trace1
 
-    weight = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
+    chern = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
     contract = (
         _weighted_profile_chain
         if isinstance(phi, ProfileCochain)
         else _weighted_elementary_chain
     )
     # a zero operator (S1 of every positive flux) has an exactly zero chain
-    v0, v1 = (0j if f.row is None else contract(phi, cw, f.row) for f in (s0, s1))
+    v0, v1 = (0j if f.row is None else contract(phi, weight, f.row) for f in (s0, s1))
     # adding 0j makes a zero part +0.0, whatever sign the chains left on it
-    return weight * (0j + (v0 - v1))
+    return chern * (0j + (v0 - v1))
 
 
 def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:

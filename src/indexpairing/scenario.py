@@ -37,19 +37,20 @@ class ScenarioError(ModelError):
 
 _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
-# 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once for every base
-# point.  It stands for the npoints^2 arrays a run builds (an unlocalized S0
-# and S1, and the dense expansion of the invariance gate).  No scenario runs
-# the dense elementary k = 1 chain
+# 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once.  It stands for the
+# npoints^2 arrays a run builds (an unlocalized S0 and S1, and the dense
+# expansion of the invariance gate).  No scenario runs the dense elementary
+# k = 1 chain
 _KERNEL_BUDGET = 2**30
-# cyclic^3 x base_points.  Build-space is linear in the cyclic x base_points
-# arrows, and the kernel and form invariance gates check cyclic/2 group
-# elements, not every arrow.  The budget caps the one loop left over arrows
-# and per-point fields: the cutoff's orbit sums.  A dolbeault run on grid
-# 16, twist 2, localize 0.5 at the edge takes 0.03 to 0.05 s (cyclic 64,
-# one point) and 0.05 to 0.09 s (cyclic 16, 64 points, trivial or
-# half-shift fiber action), on 2 cores; with one kernel gate comparison per
-# arrow these took 0.45 s and 6.2 to 8.0 s
+# cyclic^3 x base_points.  It bounds outside input, though no loop of a run
+# grows with their product: the cutoff sums the cyclic translates of one
+# field, the kernel and form invariance gates compare at most cyclic/2
+# moved copies, and the base adds base_points multiples of the cutoff into
+# the one weight field.  A dolbeault run on grid 16, twist 2, localize 0.5
+# at the edge takes 0.03 to 0.04 s (cyclic 64, one point; 0.10 to 0.11 s
+# under the half shift, whose 16 moving elements each compare a dense
+# kernel) and 0.03 to 0.06 s (cyclic 16, 64 points, trivial or half-shift
+# fiber action), on 2 cores of an Intel Xeon
 _GROUPOID_BUDGET = 2**18
 # a translation entry is an integer, a decimal or a fraction p/q; an exponent
 # is refused, since Fraction("1e999999999") builds a billion-digit integer
@@ -116,6 +117,19 @@ class Scenario:
     def free_action(self) -> bool:
         """Whether the fiber translation makes Z/m act freely."""
         return _acts_freely(self.group["group"], self.fiber_action)
+
+    @property
+    def masses(self) -> list[float]:
+        """The transverse mass of each base point: its base weight times its density value."""
+        return [w * v for w, v in zip(self.group["base_weights"], self.density["values"])]
+
+    @property
+    def base_permutation(self) -> list[int]:
+        """The generator's image of each base point: the identity or the pair swap."""
+        bp = self.group["base_points"]
+        if self.group["base_action"] == "pair-swap":
+            return [x ^ 1 for x in range(bp)]
+        return list(range(bp))
 
     @property
     def pairing_tol(self) -> float:
@@ -377,7 +391,7 @@ def _validate(raw: dict) -> Scenario:
     if not 0 <= seed < 2**64:
         raise ScenarioError("scenario.seed must fit in 64 bits")
 
-    return Scenario(
+    scn = Scenario(
         name=name,
         group=group,
         fiber=fiber,
@@ -389,6 +403,31 @@ def _validate(raw: dict) -> Scenario:
         tolerances=tols,
         seed=seed,
     )
+    _check_invariant_masses(scn)
+    return scn
+
+
+def _check_invariant_masses(scn: Scenario) -> None:
+    """Every mass is positive and finite, and the base action keeps it.
+
+    The pair-swap route sums the index over one representative per base
+    orbit, which counts the whole orbit only when the mass is constant along
+    it.
+    """
+    masses = scn.masses
+    for x, mass in enumerate(masses):
+        if not 0.0 < mass < math.inf:
+            raise ScenarioError(
+                f"groupoid.base_weights times density.values gives base point {x} "
+                f"the mass {mass}, which is not positive and finite"
+            )
+    for x, y in enumerate(scn.base_permutation):
+        ratio = masses[y] / masses[x]
+        if abs(ratio - 1.0) > 1e-12:
+            raise ScenarioError(
+                "groupoid.base_weights times density.values must be invariant under "
+                f"the base action: the pair ({x}, {y}) rescales mass by {ratio:.6g}"
+            )
 
 
 def _leg_profile(leg: dict) -> TransitionProfile:

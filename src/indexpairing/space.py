@@ -1,12 +1,13 @@
-"""Torus translations and fibered cyclic actions.
+"""Torus translations and the cyclic action on the fiber.
 
-The generator of the cyclic group acts on fibers by one rational translation
-z -> z + theta (mod 1) of the torus [0, 1)^r, so the arrow (g, x) acts by
-z -> z + g theta.  Shifts are exact Fractions: the action is well defined on
-Z/m exactly when m theta is an integer vector, and a translation preserves
-the grid of n points per axis exactly when n theta is one.  A translation
-moves grid points by whole ticks and preserves orientation, so a field or a
-form of any degree moves by one grid permutation.
+The generator of the cyclic group acts on the fiber by one rational
+translation z -> z + theta (mod 1) of the torus [0, 1)^r, so the group
+element g acts by z -> z + g theta.  Shifts are exact Fractions: the action
+is well defined on Z/m exactly when m theta is an integer vector, and a
+translation preserves the grid of n points per axis exactly when n theta is
+one.  A translation moves grid points by whole ticks and preserves
+orientation, so a field or a form of any degree moves by one grid
+permutation.
 """
 from __future__ import annotations
 
@@ -15,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grids import ModelError
-from .groupoid import Arrow, CyclicGroupoid
+from .grids import FiberModel, ModelError
 
 
 def whole_multiple(k: int, shift) -> bool:
@@ -54,84 +54,66 @@ class AffineTorusMap:
 
 
 class FiberedGSpace:
-    """A cyclic groupoid whose generator translates the fibers by ``shift``.
+    """Z/``order`` acting on one torus fiber, the generator by the shift ``shift``.
 
-    The map of the arrow (g, x), the translation by g * shift, sends the
-    fiber over the arrow's target to the fiber over its source (so that the
-    pullback of functions goes source -> target covariantly along
-    composition).  The constructor checks that order * shift is an integer
-    vector, which makes the assignment functorial: the map of "g1 then g2"
-    is the translation by (g1 + g2) * shift.
+    The group element g acts by the translation by g * shift.  Every base
+    point carries this fiber and this action; the base itself stays with
+    the scenario driver, which meets the fiber only through one weight
+    field.  The constructor checks that order * shift is an integer vector,
+    which makes the assignment a group action: the map of g1 + g2 is the
+    translation by (g1 + g2) * shift.
     """
 
-    def __init__(self, groupoid: CyclicGroupoid, shift):
-        self.groupoid = groupoid
-        r = groupoid.base.fiber.dim
+    def __init__(self, fiber: FiberModel, order: int, shift):
+        r = fiber.dim
         shift = [Fraction(t) for t in shift]
         if len(shift) != r:
             raise ModelError(f"fiber shift {shift} needs one entry per fiber dimension {r}")
-        if not whole_multiple(groupoid.order, shift):
+        if not whole_multiple(order, shift):
             raise ModelError(
-                f"fiber maps are not functorial: {groupoid.order} * shift is not an integer vector"
+                f"fiber maps are not functorial: {order} * shift is not an integer vector"
             )
-        self._maps = [
-            AffineTorusMap.translation([g * t for t in shift]) for g in range(groupoid.order)
-        ]
+        self.fiber = fiber
+        self.order = order
+        self._maps = [AffineTorusMap.translation([g * t for t in shift]) for g in range(order)]
 
-    @property
-    def base(self):
-        return self.groupoid.base
+    def fiber_map(self, g: int) -> AffineTorusMap:
+        """The translation by g * shift."""
+        return self._maps[g % self.order]
 
-    def fiber_map(self, a: Arrow) -> AffineTorusMap:
-        """The translation by g * shift that the arrow (g, x) acts by."""
-        return self._maps[a.label[0]]
+    def moving_elements(self) -> list[int]:
+        """The group elements g = 1 .. m/2 whose translation moves the fiber.
 
-    def moving_arrows(self) -> list[Arrow]:
-        """The arrows (g, 0), g = 1 .. m/2, whose translation moves the fiber.
-
-        Every base point carries the same fiber data, so the arrow (g, x)
-        moves a kernel or a form by the permutation of g alone, and the
-        defect entries of m - g are those of g, permuted and negated: the
+        The defect entries of m - g are those of g, permuted and negated: the
         entries of f - f o (-g shift) are those of f - f o (g shift) moved by
-        g, and a kernel's alike under conjugation.  So these arrows give the
-        same largest defect, as the same float, as every non-unit arrow.  A
-        zero shift leaves no arrow.
+        g, and a kernel's alike under conjugation.  So these elements give
+        the same largest defect, as the same float, as every g != 0.  A zero
+        shift leaves none.
         """
-        m = self.groupoid.order
-        arrows = self.groupoid.arrows_from(0)[1 : m // 2 + 1]
-        return [a for a in arrows if any(self.fiber_map(a).shift)]
+        return [g for g in range(1, self.order // 2 + 1) if any(self.fiber_map(g).shift)]
 
-    def permutation(self, a: Arrow) -> np.ndarray:
-        """Grid permutation p of the arrow's fiber map: transport is f -> f[p].
+    def permutation(self, g: int) -> np.ndarray:
+        """Grid permutation p of the translation by g * shift: transport is f -> f[p]."""
+        return self.fiber_map(g).grid_permutation(self.fiber.grid_size)
 
-        The permutation of the inverse arrow is the pointwise action: it sends
-        grid point z over s(a) to the index of its image over t(a).
-        """
-        return self.fiber_map(a).grid_permutation(self.base.fiber.grid_size)
+    def transport(self, g: int, field: np.ndarray) -> np.ndarray:
+        """The grid field composed with the translation by g * shift.
 
-    def transport(self, a: Arrow, field: np.ndarray) -> np.ndarray:
-        """Carry a grid field on the source fiber to the target fiber.
-
-        The result is field composed with the arrow's fiber map, i.e. the
-        push-forward of the field under the pointwise action.  Transporting
-        along "a1 then a2" equals transporting along a1, then along a2.
+        Transporting by g1 + g2 equals transporting by g1, then by g2.
         Fields are stored flat over the grid; trailing axes (form or matrix
         components) ride along.
         """
-        perm = self.permutation(a)
+        perm = self.permutation(g)
         field = np.asarray(field)
         if field.shape[:1] != perm.shape:
             raise ModelError(f"field shape {field.shape} does not match the {len(perm)}-point grid")
         return field[perm]
 
-    def eval_after_action(self, a: Arrow, field: np.ndarray) -> np.ndarray:
-        """Samples of z -> field(action_a(z)) on the source fiber.
-
-        ``field`` lives on the fiber over t(a); the result lives on the fiber
-        over s(a).  This is transport along the inverse arrow.
-        """
-        return self.transport(self.groupoid.inverse(a), field)
+    def eval_after_action(self, g: int, field: np.ndarray) -> np.ndarray:
+        """Samples of z -> field(z - g shift): transport by -g."""
+        return self.transport(-g, field)
 
     @classmethod
-    def trivial(cls, groupoid: CyclicGroupoid) -> "FiberedGSpace":
-        return cls(groupoid, [0] * groupoid.base.fiber.dim)
+    def trivial(cls, fiber: FiberModel, order: int = 1) -> "FiberedGSpace":
+        """Z/``order`` fixing every fiber point."""
+        return cls(fiber, order, [0] * fiber.dim)

@@ -18,7 +18,6 @@ import numpy as np
 
 from .grids import FiberModel, ModelError
 from .operators import OperatorBlock, fourier_basis
-from .density import CutoffDensity, TransversalDensity
 
 SMOOTHING_ORDER = float("-inf")
 # ellipticity is certified on the modes with |xi| >= ELLIPTIC_RADIUS, where
@@ -93,11 +92,7 @@ def quantize(sym: SymbolData) -> OperatorBlock:
     return OperatorBlock(basis, basis, _quantize_table(sym.values, sym.fiber))
 
 
-def trace_symbol_formula(
-    sym: SymbolData,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
-) -> complex:
+def trace_symbol_formula(sym: SymbolData, weight: np.ndarray) -> complex:
     """Weighted trace computed from a smoothing symbol table.
 
     Sum over modes of the quadrature mean of w(z) a(z, nu), with w the
@@ -107,5 +102,4 @@ def trace_symbol_formula(
     """
     if sym.order != SMOOTHING_ORDER:
         raise ModelError("the symbol-side trace needs a declared smoothing symbol")
-    weight = dens.weight(cutoff.fields)
     return complex(0j + np.sum(weight[:, None] * sym.values) / sym.fiber.npoints)

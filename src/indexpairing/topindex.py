@@ -12,8 +12,7 @@ symbol class is its fiber character by degree and one disc charge, and the
 class integral contracts the cocycle form with the fiber character of the
 complementary degree.  This module builds those classes and carries the two
 quotient routes: replacing the cutoff by a fundamental-domain indicator for
-free actions, and orbit-summed pointwise indices for families over an
-identified base.
+free actions, and the pointwise index of a family over an identified base.
 
 There is exactly one calibrated constant.  ORIENTATION_SIGN fixes the
 relative orientation of the fiber and the frequency disc in the top-degree
@@ -27,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charclass import DiscModel, disc_charge, graph_symbol_projector, twist_character
-from .density import CutoffDensity, TransversalDensity
 from .dolbeault import dolbeault_family
 from .forms import (
     FoliatedForm,
@@ -119,19 +117,22 @@ def _check_cochain_form(
     return alpha.degree // 2
 
 
-def _class_integral(
+def topological_index(
     space: FiberedGSpace,
     weight: np.ndarray,
     alpha: FoliatedForm,
     sclass: SymbolClass,
-    invariant_tol: float,
+    invariant_tol: float = 1e-8,
 ) -> complex:
-    """ORIENTATION_SIGN * (2*pi*i)^(-k) times the weighted integral of alpha ^ ch.
+    """Localized characteristic-class integral for one cocycle class.
 
-    ``weight`` is one mass-weighted field on the fiber: of the cutoff, or of
-    the indicators of a fundamental domain.  Only the top component of
-    alpha ^ ch_fiber meets the disc charge; without a fiber character of
-    the complementary degree the integrand is zero.
+    alpha is the realized cochain form (even degree 2k); the value is
+    ORIENTATION_SIGN * (2*pi*i)^(-k) times the integral of alpha ^ ch(symbol)
+    over the fiber and the frequency disc, weighted by ``weight``: one
+    mass-weighted field on the fiber, of the cutoff or of the indicator of a
+    fundamental domain.  Only the top component of alpha ^ ch_fiber meets
+    the disc charge; without a fiber character of the complementary degree
+    the integrand is zero.
     """
     k = _check_cochain_form(space, alpha, invariant_tol)
     r, q = alpha.fiber.dim, alpha.degree
@@ -144,78 +145,46 @@ def _class_integral(
     return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
 
 
-def topological_index(
-    space: FiberedGSpace,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
-    alpha: FoliatedForm,
-    sclass: SymbolClass,
-    invariant_tol: float = 1e-8,
-) -> complex:
-    """Localized characteristic-class integral for one cocycle class.
+def fundamental_domain_indicator(space: FiberedGSpace) -> np.ndarray:
+    """Indicator field of orbit representatives on the fiber.
 
-    alpha is the realized cochain form (even degree 2k); the value is
-    ORIENTATION_SIGN * (2*pi*i)^(-k) times the cutoff-weighted integral of
-    alpha ^ ch(symbol) over fibers and frequency discs, summed over the base
-    with the transversal masses.
+    Grid point z represents its orbit exactly when no point of the orbit has
+    a smaller index.  Requires the action to be free; otherwise the fixed
+    fiber points of the first group element that has any are reported.  The
+    indicator is an exact partition of unity over each orbit, so it can
+    replace the smooth cutoff.
     """
-    return _class_integral(space, dens.weight(cutoff.fields), alpha, sclass, invariant_tol)
-
-
-def _assert_unimodular(dens: TransversalDensity) -> None:
-    for a in dens.gspace.groupoid.arrows:
-        if abs(dens.modular(a) - 1.0) > 1e-12:
-            raise ModelError(
-                "quotient routes need an invariant transversal density; "
-                f"arrow {a.label!r} rescales mass by {dens.modular(a):.6g}"
+    fiber = space.fiber
+    keys = np.arange(fiber.npoints)
+    least = keys
+    for g in range(1, space.order):
+        perm = space.permutation(-g)
+        fixed = np.flatnonzero(perm == keys)
+        if fixed.size:
+            raise NonFreeActionError(
+                f"group element {g} fixes {fixed.size} fiber points, first at "
+                f"coordinates {np.array2string(fiber.points()[fixed[:4]], precision=4)}"
             )
-
-
-def fundamental_domain_indicator(space: FiberedGSpace) -> list[np.ndarray]:
-    """Indicator fields of orbit representatives on the total space.
-
-    Grid point z over x has the key x * npoints + z, and it represents its
-    orbit exactly when no point of the orbit has a smaller key.  Requires the
-    action to be free away from units; otherwise the fixed fiber points are
-    reported.  The indicators form an exact partition of unity over each
-    orbit, so they can replace the smooth cutoff.
-    """
-    base, gpd = space.base, space.groupoid
-    fiber = base.fiber
-    indicators = []
-    for x in range(len(base)):
-        keys = x * fiber.npoints + np.arange(fiber.npoints)
-        least = keys
-        for a in gpd.arrows_from(x):
-            perm = space.permutation(gpd.inverse(a))
-            if a.tgt == x and a != gpd.units[x]:
-                fixed = np.flatnonzero(perm == np.arange(fiber.npoints))
-                if fixed.size:
-                    raise NonFreeActionError(
-                        f"arrow {a.label!r} fixes {fixed.size} fiber points, first at "
-                        f"coordinates {np.array2string(fiber.points()[fixed[:4]], precision=4)}"
-                    )
-            least = np.minimum(least, a.tgt * fiber.npoints + perm)
-        indicators.append((least == keys).astype(float))
-    return indicators
+        least = np.minimum(least, perm)
+    return (least == keys).astype(float)
 
 
 def free_action_reduction(
     space: FiberedGSpace,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
+    weight: np.ndarray,
     alpha: FoliatedForm,
     sclass: SymbolClass,
 ) -> complex:
     """Same integral evaluated over a fundamental domain of a free action.
 
-    The smooth cutoff is replaced by the indicator of orbit representatives;
-    for an invariant integrand and an invariant density the two evaluations
+    The weight is summed over each orbit onto its representative: the
+    cutoff's translates add up to 1, so this is the total mass on a
+    fundamental domain.  For an invariant integrand the two evaluations
     agree exactly, which is the discrete form of the quotient reduction.
     """
-    _assert_unimodular(dens)
-    weight = dens.weight(fundamental_domain_indicator(space))
-    return _class_integral(space, weight, alpha, sclass, REDUCTION_INVARIANT_TOL)
+    orbit_weight = sum(space.transport(g, weight) for g in range(space.order))
+    reduced = fundamental_domain_indicator(space) * orbit_weight
+    return topological_index(space, reduced, alpha, sclass, REDUCTION_INVARIANT_TOL)
 
 
 def half_shift_quotient_index(fiber: FiberModel, twist: int, order: int = 2) -> int:
@@ -235,46 +204,20 @@ def half_shift_quotient_index(fiber: FiberModel, twist: int, order: int = 2) -> 
     return analytic_index(dolbeault_family(fiber, twist // order, QUOTIENT_LEVELS)).index
 
 
-@dataclass
-class FamilyIndexResult:
-    """Pointwise spectral indices of a family against the class integral."""
-
-    per_point: list[int]
-    orbit_sum: float
-    topological: complex
-    difference: float
-
-
 def family_index_orbifold(
     space: FiberedGSpace,
     block: OperatorBlock,
-    cutoff: CutoffDensity,
-    dens: TransversalDensity,
+    weight: np.ndarray,
     sclass: SymbolClass,
-) -> FamilyIndexResult:
-    """Family index over an identified base versus the class integral.
+) -> tuple[int, complex]:
+    """Family index over an identified base, and its class integral.
 
     The kernel and cokernel counts of ``block``, the operator every base
-    point carries, give the index at every point.  The orbit sum weights one
-    representative per base orbit by its mass, which the unimodularity gate
-    has made constant along the orbit; the topological value integrates the
-    symbol class with the trivial cocycle.  Both land on the same number when
-    the formula holds.
+    point carries, give the index at every point; the class integral of
+    the symbol with the trivial cocycle is weighted by ``weight``.  The
+    scenario driver sums the index over one representative per base orbit,
+    weighted by its mass, and both land on the same number when the formula
+    holds.
     """
-    base = space.base
-    per_point = [analytic_index(block).index] * len(base)
-    _assert_unimodular(dens)
-    # one representative per base orbit: its least member
-    orbit_sum = 0.0
-    for x in range(len(base)):
-        members = {a.tgt for a in space.groupoid.arrows_from(x)}
-        if x != min(members):
-            continue
-        orbit_sum += dens.masses[x] * per_point[x]
-    topo = topological_index(space, cutoff, dens, _unit_form(base.fiber), sclass)
-    return FamilyIndexResult(
-        per_point=per_point,
-        orbit_sum=float(orbit_sum),
-        topological=topo,
-        difference=abs(orbit_sum - topo),
-    )
+    index = analytic_index(block).index
+    return index, topological_index(space, weight, _unit_form(space.fiber), sclass)

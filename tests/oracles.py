@@ -1,12 +1,16 @@
-"""Per-axis derivatives, whole-field Chern scalars and per-arrow gates, kept as oracles.
+"""Per-axis derivatives, whole-field Chern scalars, per-element gates and the
+per-point base, kept as oracles.
 
 These are the computations the library made before its gradients shared one
-forward transform and its invariance gates checked one arrow per group
-element: one full FFT pair per partial derivative with the matrix entries
-as trailing, strided axes, the disc's radial and angular derivatives
-recomputed per axis, the Chern scalars of a projector field built on those
-per-axis derivatives, and the kernel and the realized form compared along
-every arrow.
+forward transform, its invariance gates checked one group element up to
+m/2, and the base left it: one full FFT pair per partial derivative with
+the matrix entries as trailing, strided axes, the disc's radial and angular
+derivatives recomputed per axis, the Chern scalars of a projector field
+built on those per-axis derivatives, the kernel and the realized form
+compared under every group element, and the base as an action groupoid of
+arrows (g, x) -> sigma^g(x): a cutoff field per point normalized over the
+arrows leaving it, the mass-weighted sum of per-point fields and the orbit
+sum over one representative per base orbit.
 The library must agree with them bit for bit.  Section transport on a basis,
 the transport defect of an operator block, the Gram defect of a basis, an
 operator block applied to a grid field and the symbol extracted from a
@@ -16,10 +20,10 @@ Fourier block, which no pipeline stage needs, and the shared test helpers
 So do the independent constructions the library has no consumer for: the
 partition defect of a cutoff, the strict invariance defect of a kernel, the
 Fourier expansion of a profile cochain into slot products, cochain
-transport and cochain averaging along arrows, the magnetic translations
-of the twisted bundle with the quasi-periodic shift they are built from,
-and, for the form calculus, a degree-0 form from a scalar field and the
-wedge of two whole forms.
+transport and cochain averaging by group elements, the magnetic
+translations of the twisted bundle with the quasi-periodic shift they are
+built from, and, for the form calculus, a degree-0 form from a scalar field
+and the wedge of two whole forms.
 
 The level basis is sampled here as the library first did, one image term
 (j, p) at a time over every grid point, and the band projection through the
@@ -118,24 +122,21 @@ def chern_scalars_whole(p, dim, diff):
     return out
 
 
-def form_invariance_defect_per_arrow(gspace, form):
-    """The transport mismatch of a form held at every base point, over every arrow."""
-    fields = [form.field] * len(gspace.base)
+def form_invariance_defect_per_arrow(space, form):
+    """The transport mismatch of a form, over every group element g != 0."""
     worst = 0.0
-    for a in gspace.groupoid.arrows:
-        moved = gspace.transport(a, fields[a.src])
-        worst = max(worst, float(np.max(np.abs(fields[a.tgt] - moved))))
+    for g in range(1, space.order):
+        moved = space.transport(g, form.field)
+        worst = max(worst, float(np.max(np.abs(form.field - moved))))
     return worst
 
 
-def twisted_invariance_defect_per_arrow(kern, gspace):
-    """The phase-free equivariance defect of a kernel, over every non-unit arrow."""
+def twisted_invariance_defect_per_arrow(kern, space):
+    """The phase-free equivariance defect of a kernel, over every group element g != 0."""
     here = kern.dense()
     worst = 0.0
-    for a in gspace.groupoid.arrows:
-        if a == gspace.groupoid.units[a.src]:
-            continue
-        perm = gspace.permutation(gspace.groupoid.inverse(a))
+    for g in range(1, space.order):
+        perm = space.permutation(-g)
         moved = here[np.ix_(perm, perm)]
         worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
         worst = max(worst, float(np.max(np.abs(np.diag(here) - np.diag(moved)))))
@@ -144,23 +145,23 @@ def twisted_invariance_defect_per_arrow(kern, gspace):
     return worst
 
 
-def transport_matrix(gspace, a, domain, codomain):
-    """Matrix of section transport along an arrow, domain over s(a) to codomain over t(a).
+def transport_matrix(space, g, domain, codomain):
+    """Matrix of section transport by the group element g, from domain to codomain.
 
     Computed by moving the domain basis columns with the grid permutation and
     projecting onto the codomain basis.  Unitary whenever the transported
     columns stay inside the codomain span.
     """
-    moved = domain.matrix[gspace.permutation(a), :]
+    moved = domain.matrix[space.permutation(g), :]
     return codomain.matrix.conj().T @ moved / domain.fiber.npoints
 
 
-def family_invariance_defect(gspace, block):
-    """Max over arrows of |U_a P - P U_a| for the operator block P."""
+def family_invariance_defect(space, block):
+    """Max over group elements g of |U_g P - P U_g| for the operator block P."""
     worst = 0.0
-    for a in gspace.groupoid.arrows:
-        U_dom = transport_matrix(gspace, a, block.domain, block.domain)
-        U_cod = transport_matrix(gspace, a, block.codomain, block.codomain)
+    for g in range(space.order):
+        U_dom = transport_matrix(space, g, block.domain, block.domain)
+        U_cod = transport_matrix(space, g, block.codomain, block.codomain)
         defect = U_cod @ block.matrix - block.matrix @ U_dom
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
@@ -209,24 +210,68 @@ def volume_form(fiber):
     return FoliatedForm(fiber, fiber.dim, np.ones((fiber.npoints, 1)), invariant=True)
 
 
-def partition_defect(cutoff):
-    """Max deviation of the orbit sums of a cutoff from 1 over all points and fibers."""
-    g = cutoff.gspace
+def base_arrows(order, sigma):
+    """The arrows (g, x) -> sigma^g(x) of Z/order acting on a finite base through
+    the permutation sigma, g outer and x inner: the action groupoid of the base."""
+    powers = [list(range(len(sigma)))]  # powers[g][x] = sigma^g(x)
+    for _ in range(order - 1):
+        powers.append([sigma[y] for y in powers[-1]])
+    return [(g, x, powers[g][x]) for g in range(order) for x in range(len(sigma))]
+
+
+def cutoff_per_arrow(space, sigma, seeds):
+    """One cutoff field per base point, normalized over the arrows leaving it.
+
+    c_x = seed_x / sum over arrows (g, x) -> y of seed_y(z - g shift): the
+    per-point construction, in which every point may carry its own seed.
+    With one seed at every point each field is that of ``compute_cutoff``.
+    """
+    arrows = base_arrows(space.order, sigma)
+    fields = []
+    for x, seed in enumerate(seeds):
+        orbit_sum = np.zeros(space.fiber.npoints)
+        for g, src, tgt in arrows:
+            if src == x:
+                orbit_sum += space.eval_after_action(g, seeds[tgt]).real
+        fields.append(seed / orbit_sum)
+    return fields
+
+
+def mass_weighted_sum(masses, fields):
+    """sum over base points x of masses[x] * fields[x], in point order."""
+    return sum(m * f for m, f in zip(masses, fields))
+
+
+def orbit_sum_per_point(order, sigma, masses, per_point):
+    """mass * value summed over one representative per base orbit, its least member."""
+    arrows = base_arrows(order, sigma)
+    total = 0.0
+    for x in range(len(sigma)):
+        members = {tgt for _, src, tgt in arrows if src == x}
+        if x == min(members):
+            total += masses[x] * per_point[x]
+    return total
+
+
+def partition_defect(space, sigma, fields):
+    """Max deviation from 1 of the sums of per-point cutoff fields over the arrows
+    leaving each point; one field and the identity base for ``compute_cutoff``."""
     worst = 0.0
-    for x in range(len(g.base)):
-        total = np.zeros(g.base.fiber.npoints)
-        for a in g.groupoid.arrows_from(x):
-            total += g.eval_after_action(a, cutoff.fields[a.tgt]).real
+    for x in range(len(sigma)):
+        total = np.zeros(space.fiber.npoints)
+        for g, src, tgt in base_arrows(space.order, sigma):
+            if src == x:
+                total += space.eval_after_action(g, fields[tgt]).real
         worst = max(worst, float(np.max(np.abs(total - 1.0))))
     return worst
 
 
-def invariance_defect(kern, gspace):
-    """Strict equivariance defect of a kernel for plain pullback, over every arrow."""
+def invariance_defect(kern, space):
+    """Strict equivariance defect of a kernel for plain pullback, over every g."""
     here = kern.dense()
     worst = 0.0
-    for a in gspace.groupoid.arrows:
-        perm = gspace.permutation(gspace.groupoid.inverse(a))
+    for g in range(space.order):
+        perm = space.permutation(-g)
         worst = max(worst, float(np.max(np.abs(here - here[np.ix_(perm, perm)]))))
     return worst
 
@@ -286,35 +331,32 @@ def to_elementary(phi, band=None, tol=1e-14):
     return ASCochain(fiber, phi.degree, terms, germ_radius=phi.germ_radius)
 
 
-def transport_cochain(gspace, a, phi):
-    """Move every factor along the arrow, an arrow of a one-point base.
+def transport_cochain(space, g, phi):
+    """Move every factor by the group element g.
 
-    This is the slot-wise action of a single arrow, enough to state
-    equivariance of the realization map arrow by arrow.
+    This is the slot-wise action of one group element, enough to state
+    equivariance of the realization map element by element.
     """
-    assert len(gspace.base) == 1
     new_terms = [
-        ASTerm(t.weight, tuple(gspace.transport(a, f) for f in t.factors))
+        ASTerm(t.weight, tuple(space.transport(g, f) for f in t.factors))
         for t in phi.terms
     ]
     return ASCochain(phi.fiber, phi.degree, new_terms, phi.germ_radius, check_band=False)
 
 
-def invariant_project_cochain(gspace, cutoff, phi):
-    """Cutoff-weighted average of a cochain onto the arrow invariants.
+def invariant_project_cochain(space, cutoff, phi):
+    """Cutoff-weighted average of a cochain onto the invariants.
 
-    On a one-point base, each arrow contributes one elementary term per input
-    term: all factors are composed with the point action and the cutoff
-    weight (also composed) is attached to the leading factor.  Fixes
-    invariant cochains by the partition identity applied in the leading
-    argument.
+    Each group element contributes one elementary term per input term: all
+    factors are composed with its action and the cutoff field (also
+    composed) is attached to the leading factor.  Fixes invariant cochains
+    by the partition identity applied in the leading argument.
     """
-    assert len(gspace.base) == 1
     new_terms = []
     for t in phi.terms:
-        for a in gspace.groupoid.arrows_from(0):
-            weight_field = gspace.eval_after_action(a, cutoff.fields[0])
-            moved = [gspace.eval_after_action(a, f) for f in t.factors]
+        for g in range(space.order):
+            weight_field = space.eval_after_action(g, cutoff)
+            moved = [space.eval_after_action(g, f) for f in t.factors]
             moved[0] = weight_field * moved[0]
             new_terms.append(ASTerm(t.weight, tuple(moved)))
     return ASCochain(phi.fiber, phi.degree, new_terms, phi.germ_radius, check_band=False)

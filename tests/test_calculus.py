@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from indexpairing.density import compute_cutoff, TransversalDensity
+from indexpairing.density import compute_cutoff
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import (
     FiberModel,
@@ -13,7 +13,6 @@ from indexpairing.grids import (
     grid_points,
     random_band_limited,
 )
-from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from oracles import (
     apply_block,
     band_limit_dense,
@@ -46,24 +45,17 @@ from indexpairing.symbols import (
 )
 
 
-def torus_base(n=12, N=3, dim=2):
-    return BaseModel(FiberModel(dim, N, n), 1)
-
-
 def trivial_space(n=12, N=3, dim=2):
-    base = torus_base(n, N, dim)
-    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+    return FiberedGSpace.trivial(FiberModel(dim, N, n))
 
 
 def diagonal_shift_space(n=12, N=3):
     """Z/3 acting on T^2 by the diagonal third-period shift."""
-    base = torus_base(n, N, 2)
-    return FiberedGSpace(CyclicGroupoid(base, 3), [Fraction(1, 3)] * 2)
+    return FiberedGSpace(FiberModel(2, N, n), 3, [Fraction(1, 3)] * 2)
 
 
 def half_shift_space(n=12, N=3):
-    base = torus_base(n, N, 2)
-    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), 0])
+    return FiberedGSpace(FiberModel(2, N, n), 2, [Fraction(1, 2), 0])
 
 
 def test_fourier_basis_is_orthonormal():
@@ -151,12 +143,11 @@ def test_quantized_multiplication_acts_by_truncated_product():
 def test_trace_tau_rank_one_kernel():
     space = trivial_space()
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber
+    fiber = space.fiber
     rng = np.random.default_rng(5)
     f = random_band_limited(rng, fiber, band=3)
     kern = SmoothingKernel(fiber, np.outer(f, np.conj(f)) / fiber.npoints)
-    value = trace_tau(kern, cutoff, dens)
+    value = trace_tau(kern, space, cutoff)
     expected = np.mean(np.abs(f) ** 2)
     assert abs(value - expected) <= 1e-12
 
@@ -164,18 +155,17 @@ def test_trace_tau_rank_one_kernel():
 def test_trace_tau_rejects_non_invariant_kernels():
     space = diagonal_shift_space()
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber
+    fiber = space.fiber
     pts = grid_points(fiber.grid_size, 2)
     h = 1.0 + np.cos(2 * np.pi * pts[:, 0])  # not third-shift invariant
     kern = SmoothingKernel(fiber, np.diag(h).astype(complex) / fiber.npoints)
     with pytest.raises(InvarianceError):
-        trace_tau(kern, cutoff, dens)
+        trace_tau(kern, space, cutoff)
 
 
 def test_kernel_norm_is_a_lower_bound_exact_on_projectors():
     space = half_shift_space()
-    fiber = space.base.fiber
+    fiber = space.fiber
     npts = fiber.npoints
     rng = np.random.default_rng(31)
 
@@ -204,7 +194,7 @@ def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
     raw = rng.standard_normal((npts, npts)) / npts
     half = half_shift_space()
     with pytest.raises(InvarianceError):
-        require_invariant(half, 1e-8, "trace", SmoothingKernel(half.base.fiber, raw))
+        require_invariant(half, 1e-8, "trace", SmoothingKernel(half.fiber, raw))
 
     def no_norm(self):
         raise AssertionError("norm computed for a zero defect")
@@ -213,28 +203,27 @@ def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
     # gate does no matrix work
     monkeypatch.setattr(SmoothingKernel, "norm", no_norm)
     space = trivial_space()
-    kern = SmoothingKernel(space.base.fiber, raw)
+    kern = SmoothingKernel(space.fiber, raw)
     require_invariant(space, 1e-8, "trace", kern, kern)
-    trace_tau(kern, compute_cutoff(space), TransversalDensity.uniform(space))
+    trace_tau(kern, space, compute_cutoff(space))
 
 
 def test_gate_per_group_element_equals_the_per_arrow_defect(monkeypatch):
-    # Z/4 swapping four base points pairwise, with fiber shifts g * (1/4, 1/2):
-    # the gate checks g = 1, 2, where every non-unit arrow gives the same max
-    base = BaseModel(FiberModel(2, 3, 8), 4)
-    gpd = CyclicGroupoid(base, 4, [1, 0, 3, 2])
-    space = FiberedGSpace(gpd, [Fraction(1, 4), Fraction(1, 2)])
+    # Z/4 with fiber shifts g * (1/4, 1/2): the gate checks g = 1, 2, where
+    # every g != 0 gives the same max
+    fiber = FiberModel(2, 3, 8)
+    space = FiberedGSpace(fiber, 4, [Fraction(1, 4), Fraction(1, 2)])
     rng = np.random.default_rng(43)
     invariant = random_invariant_kernel(rng, space, compute_cutoff(space), band=2)
     raw = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-    rough = SmoothingKernel(base.fiber, raw)
+    rough = SmoothingKernel(fiber, raw)
     # diag cos(2 pi z1) moves to -sin under g = 1 and to -cos under g = 2,
     # so its largest defect, 2, comes from g = 2 alone
-    wave = SmoothingKernel(base.fiber, np.diag(np.cos(2 * np.pi * grid_points(8, 2)[:, 0])))
+    wave = SmoothingKernel(fiber, np.diag(np.cos(2 * np.pi * grid_points(8, 2)[:, 0])))
     assert invariant.twisted_invariance_defect(space) <= 1e-12
     assert rough.twisted_invariance_defect(space) > 1.0
     assert abs(wave.twisted_invariance_defect(space) - 2.0) <= 1e-12
-    still = FiberedGSpace.trivial(gpd)
+    still = FiberedGSpace.trivial(fiber, 4)
     for kern in (invariant, rough, wave):
         assert kern.twisted_invariance_defect(space) == twisted_invariance_defect_per_arrow(
             kern, space
@@ -254,11 +243,10 @@ def test_trace_tau_is_cutoff_independent():
     rng = np.random.default_rng(23)
     uniform = compute_cutoff(space)
     kern = random_invariant_kernel(rng, space, uniform, band=2)
-    dens = TransversalDensity.uniform(space)
-    seeds = [2.0 + np.cos(2 * np.pi * grid_points(12, 2)[:, 1]) + rng.random(144)]
-    skewed = compute_cutoff(space, seeds)
-    v1 = trace_tau(kern, uniform, dens)
-    v2 = trace_tau(kern, skewed, dens)
+    seed = 2.0 + np.cos(2 * np.pi * grid_points(12, 2)[:, 1]) + rng.random(144)
+    skewed = compute_cutoff(space, seed)
+    v1 = trace_tau(kern, space, uniform)
+    v2 = trace_tau(kern, space, skewed)
     assert abs(v1 - v2) <= 1e-10 * max(1.0, abs(v1))
 
 
@@ -267,22 +255,19 @@ def test_trace_tau_trace_property():
     space = diagonal_shift_space()
     rng = np.random.default_rng(29)
     uniform = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    seeds = [1.5 + rng.random(144)]
-    cutoff = compute_cutoff(space, seeds)
+    cutoff = compute_cutoff(space, 1.5 + rng.random(144))
     k1 = random_invariant_kernel(rng, space, uniform, band=2)
     k2 = random_invariant_kernel(rng, space, uniform, band=2)
     A, B = k1.dense(), k2.dense()
-    lhs = trace_tau(SmoothingKernel(space.base.fiber, A @ B), cutoff, dens)
-    rhs = trace_tau(SmoothingKernel(space.base.fiber, B @ A), cutoff, dens)
+    lhs = trace_tau(SmoothingKernel(space.fiber, A @ B), space, cutoff)
+    rhs = trace_tau(SmoothingKernel(space.fiber, B @ A), space, cutoff)
     assert abs(lhs - rhs) <= 1e-9 * k1.norm() * k2.norm()
 
 
 def test_trace_symbol_formula_matches_kernel_trace():
     space = trivial_space(n=12, N=5)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber
+    fiber = space.fiber
     rng = np.random.default_rng(41)
     zpart = 1.0 + 0.3 * np.real(random_band_limited(rng, fiber, band=1))
     modes = fiber.modes()
@@ -290,8 +275,8 @@ def test_trace_symbol_formula_matches_kernel_trace():
     table = zpart[:, None] * xipart[None, :]
     sym = SymbolData(fiber, SMOOTHING_ORDER, table)
     kern = SmoothingKernel(fiber, quantize(sym).grid_matrix())
-    lhs = trace_symbol_formula(sym, cutoff, dens)
-    rhs = trace_tau(kern, cutoff, dens)
+    lhs = trace_symbol_formula(sym, cutoff)
+    rhs = trace_tau(kern, space, cutoff)
     assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
 
@@ -299,15 +284,14 @@ def test_trace_symbol_formula_requires_smoothing_order():
     sym = multiplier_symbol(FiberModel(2, 3, 12), lambda modes: np.ones(len(modes)), order=0.0)
     space = trivial_space()
     with pytest.raises(ModelError):
-        trace_symbol_formula(sym, compute_cutoff(space), TransversalDensity.uniform(space))
+        trace_symbol_formula(sym, compute_cutoff(space))
 
 
 def test_transport_matrix_is_unitary_for_box_preserving_maps():
     space = diagonal_shift_space()
-    fiber = space.base.fiber
+    fiber = space.fiber
     basis = fourier_basis(fiber)
-    a = space.groupoid.arrows[1]
-    U = transport_matrix(space, a, basis, basis)
+    U = transport_matrix(space, 1, basis, basis)
     assert np.max(np.abs(U.conj().T @ U - np.eye(basis.size))) <= 1e-12
 
 
@@ -316,7 +300,7 @@ def test_family_invariance_detects_asymmetry():
     # carry a z-dependent factor: cos(2 pi (z1 - z2)) is invariant under
     # the diagonal shift, cos(2 pi z1) is not
     space = diagonal_shift_space()
-    fiber = space.base.fiber
+    fiber = space.fiber
     pts = grid_points(12, 2)
     xipart = 1.0 + np.sum(fiber.modes().astype(float) ** 2, axis=1)
 
@@ -334,7 +318,7 @@ def test_average_kernel_enforces_invariance_and_fixes_invariants():
     rng = np.random.default_rng(17)
     cutoff = compute_cutoff(space)
     raw = rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))
-    rough = SmoothingKernel(space.base.fiber, raw)
+    rough = SmoothingKernel(space.fiber, raw)
     averaged = average_kernel(space, cutoff, rough)
     assert invariance_defect(averaged, space) <= 1e-12
     twice = average_kernel(space, cutoff, averaged)

@@ -15,22 +15,20 @@ from indexpairing.grids import (
     random_band_limited,
     spectral_gradient,
 )
-from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.space import FiberedGSpace
 from oracles import band_limit_dense, invariant_project_cochain, transport_cochain
 
 
-def circle_base(n=16, N=5):
-    return BaseModel(FiberModel(1, N, n), 1)
+def circle_fiber(n=16, N=5):
+    return FiberModel(1, N, n)
 
 
-def torus_base(n=8, N=3):
-    return BaseModel(FiberModel(2, N, n), 1)
+def torus_fiber(n=8, N=3):
+    return FiberModel(2, N, n)
 
 
 def half_shift_space(n=8, N=3):
-    base = torus_base(n, N)
-    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), 0])
+    return FiberedGSpace(torus_fiber(n, N), 2, [Fraction(1, 2), 0])
 
 
 def elementary(fiber, rng, k, band=1):
@@ -43,10 +41,10 @@ def sample_tuples(rng, npoints, k, count=40):
 
 
 def test_d_as_degree_zero_difference():
-    base = circle_base()
+    fiber = circle_fiber()
     rng = np.random.default_rng(1)
-    f = random_band_limited(rng, base.fiber, 2)
-    phi = ASCochain.elementary(base.fiber, [f], germ_radius=2.0)
+    f = random_band_limited(rng, fiber, 2)
+    phi = ASCochain.elementary(fiber, [f], germ_radius=2.0)
     dphi = d_as(phi)
     tuples = sample_tuples(rng, 16, 1)
     vals = dphi.evaluate_batch(tuples)
@@ -55,8 +53,8 @@ def test_d_as_degree_zero_difference():
 
 
 def test_d_as_of_constant_vanishes():
-    base = circle_base()
-    phi = ASCochain.unit(base.fiber, germ_radius=2.0)
+    fiber = circle_fiber()
+    phi = ASCochain.unit(fiber, germ_radius=2.0)
     dphi = d_as(phi)
     rng = np.random.default_rng(2)
     tuples = sample_tuples(rng, 16, 1)
@@ -64,18 +62,18 @@ def test_d_as_of_constant_vanishes():
 
 
 def test_d_as_squared_vanishes_on_sampled_tuples():
-    base = torus_base()
+    fiber = torus_fiber()
     rng = np.random.default_rng(3)
-    phi = elementary(base.fiber, rng, 1, band=2)
+    phi = elementary(fiber, rng, 1, band=2)
     dd = d_as(d_as(phi))
     tuples = sample_tuples(rng, 64, 3, count=200)
     assert np.max(np.abs(dd.evaluate_batch(tuples))) <= 1e-13
 
 
 def test_germ_radius_validation():
-    base = torus_base(n=8)
+    fiber = torus_fiber(n=8)
     with pytest.raises(ModelError):
-        ASCochain.unit(base.fiber, germ_radius=-0.1)
+        ASCochain.unit(fiber, germ_radius=-0.1)
 
 
 def band_residual(field, fiber, project):
@@ -83,13 +81,13 @@ def band_residual(field, fiber, project):
 
 
 def test_band_limit_enforced():
-    base = circle_base(n=16, N=5)
+    fiber = circle_fiber(n=16, N=5)
     pts = grid_points(16, 1)
     rough = np.sign(np.sin(2 * np.pi * pts[:, 0]) + 0.3)
     with pytest.raises(ModelError):
-        ASCochain.elementary(base.fiber, [rough], germ_radius=2.0)
+        ASCochain.elementary(fiber, [rough], germ_radius=2.0)
     # the FFT projection measures the sawtooth's residual as the dense one does
-    residuals = [band_residual(rough, base.fiber, p) for p in (band_limit, band_limit_dense)]
+    residuals = [band_residual(rough, fiber, p) for p in (band_limit, band_limit_dense)]
     assert abs(residuals[0] - residuals[1]) <= 1e-13
 
 
@@ -116,26 +114,26 @@ def test_band_gate_is_no_looser_than_the_dense_projection(dim, N, n):
 def test_cochain_holds_one_complex_field_per_slot():
     # real fields on the grid shape are cast once to flat complex fields,
     # and the cochain reads them on every tuple with no base point
-    base = torus_base()
+    fiber = torus_fiber()
     rng = np.random.default_rng(13)
     grids = [
-        random_band_limited(rng, base.fiber, 1).real.reshape(base.fiber.grid_shape)
+        random_band_limited(rng, fiber, 1).real.reshape(fiber.grid_shape)
         for _ in range(3)
     ]
-    phi = ASCochain(base.fiber, 2, [ASTerm(0.5j, tuple(grids))], germ_radius=2.0)
+    phi = ASCochain(fiber, 2, [ASTerm(0.5j, tuple(grids))], germ_radius=2.0)
     (term,) = phi.terms
     assert len(term.factors) == 3
     for f, g in zip(term.factors, grids):
-        assert f.dtype == complex and f.shape == (base.fiber.npoints,)
+        assert f.dtype == complex and f.shape == (fiber.npoints,)
         assert np.array_equal(f, g.reshape(-1))
-    tuples = sample_tuples(rng, base.fiber.npoints, 2)
+    tuples = sample_tuples(rng, fiber.npoints, 2)
     flat = [g.reshape(-1) for g in grids]
     expect = 0.5j * flat[0][tuples[:, 0]] * flat[1][tuples[:, 1]] * flat[2][tuples[:, 2]]
     assert np.max(np.abs(phi.evaluate_batch(tuples) - expect)) <= 1e-15
 
 
 def test_cochain_factor_count_and_size_checked():
-    fiber = torus_base().fiber
+    fiber = torus_fiber()
     ones = np.ones(fiber.npoints)
     with pytest.raises(DegreeError, match="nonnegative"):
         ASCochain(fiber, -1, [], germ_radius=2.0)
@@ -148,7 +146,7 @@ def test_cochain_factor_count_and_size_checked():
 def test_d_as_inserts_one_ones_field():
     # the differential of a degree-1 term is three terms, each with the one
     # ones-field inserted at its slot, and reads the alternating sum
-    fiber = torus_base().fiber
+    fiber = torus_fiber()
     rng = np.random.default_rng(17)
     phi = elementary(fiber, rng, 1, band=2)
     dphi = d_as(phi)
@@ -167,7 +165,7 @@ def test_d_as_inserts_one_ones_field():
 
 
 def test_van_est_form_is_one_field_on_the_fiber():
-    fiber = torus_base().fiber
+    fiber = torus_fiber()
     rng = np.random.default_rng(19)
     phi = elementary(fiber, rng, 1, band=2)
     form = phi.van_est_form()
@@ -181,38 +179,38 @@ def test_van_est_form_is_one_field_on_the_fiber():
 
 
 def test_van_est_degree_zero_identity():
-    base = circle_base()
+    fiber = circle_fiber()
     rng = np.random.default_rng(5)
-    f = random_band_limited(rng, base.fiber, 2)
-    out = ASCochain.elementary(base.fiber, [f], germ_radius=2.0).van_est_form()
+    f = random_band_limited(rng, fiber, 2)
+    out = ASCochain.elementary(fiber, [f], germ_radius=2.0).van_est_form()
     assert np.allclose(out.field[:, 0], f)
 
 
 def test_van_est_circle_oracle():
     """(1, sin) realizes to the derivative of sin in grid coordinates."""
-    base = circle_base()
+    fiber = circle_fiber()
     pts = grid_points(16, 1)
     ones = np.ones(16, dtype=complex)
     s = np.sin(2 * np.pi * pts[:, 0])
-    out = ASCochain.elementary(base.fiber, [ones, s], germ_radius=2.0).van_est_form()
+    out = ASCochain.elementary(fiber, [ones, s], germ_radius=2.0).van_est_form()
     assert out.degree == 1
     expect = 2 * np.pi * np.cos(2 * np.pi * pts[:, 0])
     assert np.allclose(out.field[:, 0], expect, atol=1e-10)
 
 
 def test_van_est_constants_realize_to_zero():
-    base = torus_base()
+    fiber = torus_fiber()
     ones = np.ones(64, dtype=complex)
     twos = 2 * np.ones(64, dtype=complex)
-    phi = ASCochain.elementary(base.fiber, [ones, twos, twos], germ_radius=2.0)
+    phi = ASCochain.elementary(fiber, [ones, twos, twos], germ_radius=2.0)
     out = phi.van_est_form()
     assert out.max_abs() == 0.0
 
 
 def test_van_est_rejects_degrees_beyond_fiber():
-    base = circle_base()
+    fiber = circle_fiber()
     ones = np.ones(16, dtype=complex)
-    phi = ASCochain.elementary(base.fiber, [ones, ones, ones], germ_radius=2.0)
+    phi = ASCochain.elementary(fiber, [ones, ones, ones], germ_radius=2.0)
     with pytest.raises(DegreeError):
         phi.van_est_form()
 
@@ -220,11 +218,11 @@ def test_van_est_rejects_degrees_beyond_fiber():
 def test_van_est_chain_map():
     """Realization intertwines the tuple differential with the leafwise one."""
     rng = np.random.default_rng(7)
-    base = torus_base(n=8, N=3)
+    fiber = torus_fiber(n=8, N=3)
     worst = 0.0
     for k in (0, 1):
         for _ in range(10):
-            phi = elementary(base.fiber, rng, k, band=1)
+            phi = elementary(fiber, rng, k, band=1)
             lhs = d_as(phi).van_est_form()
             rhs = d_leafwise(phi.van_est_form())
             worst = max(worst, (lhs - rhs).max_abs())
@@ -232,27 +230,25 @@ def test_van_est_chain_map():
 
 
 def test_van_est_equivariance():
-    """Transport along an arrow commutes with the realization map."""
+    """Transport by a group element commutes with the realization map."""
     space = half_shift_space()
     rng = np.random.default_rng(9)
-    a = space.groupoid.arrows_from(0)[1]
     for k in (0, 1):
-        phi = elementary(space.base.fiber, rng, k, band=2)
-        lhs = space.transport(a, phi.van_est_form().field)
-        rhs = transport_cochain(space, a, phi).van_est_form().field
+        phi = elementary(space.fiber, rng, k, band=2)
+        lhs = space.transport(1, phi.van_est_form().field)
+        rhs = transport_cochain(space, 1, phi).van_est_form().field
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_invariant_project_cochain_invariance_and_fixing():
     space = half_shift_space()
     rng = np.random.default_rng(11)
-    cut = compute_cutoff(space, [np.exp(np.real(random_band_limited(rng, space.base.fiber, 2)))])
-    phi = elementary(space.base.fiber, rng, 1, band=2)
+    cut = compute_cutoff(space, np.exp(np.real(random_band_limited(rng, space.fiber, 2))))
+    phi = elementary(space.fiber, rng, 1, band=2)
     proj = invariant_project_cochain(space, cut, phi)
     # invariance on tuples: the value on a tuple equals the value on the
     # pointwise moved tuple
-    a = space.groupoid.arrows_from(0)[1]
-    perm = space.permutation(space.groupoid.inverse(a))
+    perm = space.permutation(-1)
     tuples = sample_tuples(rng, 64, 1, count=100)
     lhs = proj.evaluate_batch(tuples)
     rhs = proj.evaluate_batch(perm[tuples])

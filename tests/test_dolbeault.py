@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from indexpairing import dolbeault
-from indexpairing.density import compute_cutoff, TransversalDensity
+from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import (
     dolbeault_family,
     hermite_values,
@@ -12,7 +12,6 @@ from indexpairing.dolbeault import (
     landau_section_values,
 )
 from indexpairing.grids import FiberModel, ModelError, grid_points, spectral_gradient
-from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing import parametrix as parametrix_module
 from indexpairing.operators import OperatorBlock, SectionBasis, circulant_dense, trace_tau
 from indexpairing.parametrix import (
@@ -38,8 +37,7 @@ from oracles import (
 
 
 def trivial_space(n=20, N=8):
-    base = BaseModel(FiberModel(2, N, n), 1)
-    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+    return FiberedGSpace.trivial(FiberModel(2, N, n))
 
 
 def idempotent_defect(idem):
@@ -295,23 +293,21 @@ def test_magnetic_translation_needs_compatible_twist():
 @pytest.mark.parametrize("twist", [1, -1, 0])
 def test_graph_idempotent_is_exact_and_traces_to_the_index(twist):
     space = trivial_space()
-    idem = index_idempotent(dolbeault_family(space.base.fiber, twist, levels=4))
+    idem = index_idempotent(dolbeault_family(space.fiber, twist, levels=4))
     assert idempotent_defect(idem) <= 1e-10
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    value = trace_tau(idem.skernel, cutoff, dens) - trace_tau(idem.cokernel, cutoff, dens)
+    value = trace_tau(idem.skernel, space, cutoff) - trace_tau(idem.cokernel, space, cutoff)
     assert abs(value - twist) <= 1e-8
 
 
 def test_localized_idempotent_converges_and_stays_local():
     space = trivial_space(n=24, N=8)
-    idem = index_idempotent(dolbeault_family(space.base.fiber, 8, levels=2), radius=0.45)
+    idem = index_idempotent(dolbeault_family(space.fiber, 8, levels=2), radius=0.45)
     assert idempotent_defect(idem) <= 1e-8
     assert idem.skernel.order == 8
     assert idem.radius == 0.45
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    value = trace_tau(idem.skernel, cutoff, dens) - trace_tau(idem.cokernel, cutoff, dens)
+    value = trace_tau(idem.skernel, space, cutoff) - trace_tau(idem.cokernel, space, cutoff)
     assert abs(value - 8) <= 1e-6 * 8
 
 
@@ -324,7 +320,7 @@ def test_localization_error_when_budget_exhausted(monkeypatch):
 
 def test_operator_pipeline_needs_only_the_fiber():
     # operator, spectral count, localized idempotent and its cached form are
-    # built from a fiber model alone: no base, groupoid or density exists
+    # built from a fiber model alone: no space, cutoff or weight exists
     fiber = FiberModel(2, 8, 24)
     block = dolbeault_family(fiber, 8, levels=2)
     assert analytic_index(block).index == 8

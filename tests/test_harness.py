@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import io
 import json
@@ -24,11 +25,16 @@ from indexpairing.harness import (
     run_suite,
     save_coefficients,
 )
-from indexpairing.density import TransversalDensity, compute_cutoff
+from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.operators import SmoothingKernel
 from indexpairing.pairing import pair_cocycle
-from indexpairing.parametrix import CorruptedCacheError, IndexIdempotent, index_idempotent
+from indexpairing.parametrix import (
+    CorruptedCacheError,
+    IndexIdempotent,
+    analytic_index,
+    index_idempotent,
+)
 from indexpairing.scenario import (
     BUILTIN_SCENARIOS,
     ScenarioError,
@@ -36,6 +42,7 @@ from indexpairing.scenario import (
     _validate,
     load_scenario,
 )
+from oracles import cutoff_per_arrow, mass_weighted_sum, orbit_sum_per_point, same_bits
 
 
 def cheap_scenario(**overrides):
@@ -348,8 +355,8 @@ def test_quotient_refusals_hold_for_a_free_translation_only():
 
 
 def test_kernel_budget_does_not_count_base_points():
-    # S0 and S1 are held once for every base point, so S4 over seven points
-    # costs what it costs over one
+    # S0 and S1 are held once, so S4 over seven points costs what it costs
+    # over one
     raw = copy.deepcopy(BUILTIN_SCENARIOS["S4-sawtooth-flux32"]["doc"])
     raw["groupoid"] = {"group": "trivial", "base_points": 7}
     assert _validate(raw).group["base_points"] == 7
@@ -605,8 +612,8 @@ def test_mass_is_base_weight_times_density_value(group, grid, cutoff, twist, lev
 
 
 def test_base_weight_enters_modular_ratio():
-    # base weights [2, 1] over unit density values rescale the mass along
-    # the swap arrow by 1/2, which the family route refuses
+    # base weights [2, 1] over unit density values rescale the mass across
+    # the swapped pair by 1/2, which load refuses before any stage runs
     raw = cheap_scenario(
         groupoid={
             "group": {"cyclic": 2},
@@ -615,8 +622,110 @@ def test_base_weight_enters_modular_ratio():
             "base_action": "pair-swap",
         },
     )
-    with pytest.raises(StageError, match=r"family-index: .* rescales mass by 0\.5"):
-        run_scenario(_validate(raw))
+    want = (
+        r"groupoid\.base_weights times density\.values .* "
+        r"the pair \(0, 1\) rescales mass by 0\.5$"
+    )
+    with pytest.raises(ScenarioError, match=want):
+        _validate(raw)
+    # the density values can make up for the weights
+    raw["density"] = {"values": [1, 2]}
+    assert _validate(raw).masses == [2.0, 2.0]
+
+
+def test_lopsided_pair_swap_run_exits_before_any_stage(tmp_path):
+    # the mass gate is part of load: the run writes no output directory
+    raw = cheap_scenario(
+        groupoid={
+            "group": {"cyclic": 2},
+            "base_points": 4,
+            "base_action": "pair-swap",
+        },
+        density={"values": [1, 1, 1, 3]},
+    )
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps(raw))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "the pair (2, 3) rescales mass by 3" in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
+# (scenario, the base permutation the oracle walks, the masses it weighs by)
+PER_POINT_CASES = {
+    "S5": (load_scenario("S5-orbifold-family"), [1, 0, 3, 2], [0.5] * 4),
+    "three-point": (
+        _validate(
+            cheap_scenario(
+                groupoid={
+                    "group": {"cyclic": 3},
+                    "base_points": 3,
+                    "base_weights": [0.5, 1.0, 2.0],
+                }
+            )
+        ),
+        [0, 1, 2],
+        [0.5, 1.0, 2.0],
+    ),
+    # masses whose sums round: a reordered sum, or the total mass times the
+    # cutoff, changes the bits of the weight field
+    "three-point-rounding": (
+        _validate(
+            cheap_scenario(
+                groupoid={
+                    "group": {"cyclic": 3},
+                    "base_points": 3,
+                    "base_weights": [0.1, 0.7, 0.4],
+                }
+            )
+        ),
+        [0, 1, 2],
+        [0.1, 0.7, 0.4],
+    ),
+    "pair-swap-half-shift": (
+        _validate(
+            cheap_scenario(
+                groupoid={
+                    "group": {"cyclic": 2},
+                    "base_points": 2,
+                    "base_weights": [2.0, 1.0],
+                    "base_action": "pair-swap",
+                },
+                fiber_action={"translation": ["1/2", "1/2"]},
+                density={"values": [1.0, 2.0]},
+            )
+        ),
+        [1, 0],
+        [2.0, 2.0],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_POINT_CASES))
+def test_base_sums_match_the_per_point_oracle_bit_for_bit(case):
+    # the oracle holds one cutoff field per base point, normalized over the
+    # arrows that leave it, and sums over points and base orbits; the
+    # harness holds one cutoff field and one weight field
+    scn, sigma, masses = PER_POINT_CASES[case]
+    space = harness._build_space(scn)
+    points = scn.group["base_points"]
+    seeds = [np.ones(space.fiber.npoints)] * points
+    weight = harness._weight_field(scn.masses, compute_cutoff(space))
+    want = mass_weighted_sum(masses, cutoff_per_arrow(space, sigma, seeds))
+    assert weight.dtype == want.dtype and same_bits(weight, want)
+
+    block, _ = harness._build_operator(scn, space.fiber)
+    per_point = [analytic_index(block).index] * points
+    rec = run_scenario(scn)
+    assert rec.status == "pass"
+    assert rec.analytic == tuple(per_point)
+    orbit_sum = orbit_sum_per_point(space.order, sigma, masses, per_point)
+    got = harness._orbit_sum(scn.base_permutation, scn.masses, per_point[0])
+    assert same_bits(got, orbit_sum)
+    if scn.group["base_action"] == "pair-swap":
+        assert same_bits(rec.pairing, complex(orbit_sum))
 
 
 # the [g] members a format-7 cache stored beside the block rows of S0 and S1
@@ -638,7 +747,7 @@ def test_derived_block_count_matches_the_format_7_member():
     flux24 = Path(__file__).parents[1] / "perfbench" / "scenarios" / "flux24-unit.json"
     for name, counts in FORMAT_7_BLOCK_COUNTS.items():
         scn = load_scenario(str(flux24) if name == "flux24" else name)
-        fiber = harness._build_space(scn).base.fiber
+        fiber = harness._build_space(scn).fiber
         block, _ = harness._build_operator(scn, fiber)
         idem = index_idempotent(block, radius=scn.localize)
         assert tuple(0 if f.row is None else f.order for f in idem.families) == counts, name
@@ -823,8 +932,8 @@ def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
 
 def test_localized_half_shift_scenario_expands_only_for_the_gate():
     # Z/2 acting by the half shift (1/2, 1/2): the invariance gate compares
-    # whole matrices along the moving arrow, and the localized S0 is stored
-    # as 8 blocks.  The row is the one the dense representation wrote.
+    # whole matrices under the moving group element, and the localized S0 is
+    # stored as 8 blocks.  The row is the one the dense representation wrote.
     raw = cheap_scenario(
         name="halfshift-localized",
         groupoid={"group": {"cyclic": 2}, "base_points": 1},
@@ -843,8 +952,8 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
 
     space = harness._build_space(scn)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity(space, scn.density["values"])
-    fiber = space.base.fiber
+    weight = harness._weight_field(scn.masses, cutoff)
+    fiber = space.fiber
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8
     dense = IndexIdempotent(
@@ -853,7 +962,7 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     unit = ASCochain.unit(fiber, germ_radius=2.0)
     for kern, dense_kern in zip(idem.families, dense.families):
         assert kern.twisted_invariance_defect(space) == dense_kern.twisted_invariance_defect(space)
-    got, want = (pair_cocycle(i, unit, cutoff, dens) for i in (idem, dense))
+    got, want = (pair_cocycle(i, unit, space, weight) for i in (idem, dense))
     assert got == rec.pairing
     assert abs(got - want) <= 1e-13 * abs(want)
 

@@ -6,11 +6,10 @@ import pytest
 
 from indexpairing.charclass import DiscModel
 from indexpairing.cochains import ASCochain, ASTerm, d_as
-from indexpairing.density import CutoffDensity, compute_cutoff, TransversalDensity
+from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError, integrate_invariant
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.groupoid import BaseModel, CyclicGroupoid
 from indexpairing.operators import SmoothingKernel, SupportMismatchError, trace_tau
 from indexpairing import pairing
 from indexpairing.pairing import (
@@ -24,21 +23,15 @@ from indexpairing.parametrix import IndexIdempotent, index_idempotent
 from indexpairing.space import FiberedGSpace
 from indexpairing.symbols import SMOOTHING_ORDER, SymbolData, trace_symbol_formula
 from indexpairing.topindex import free_action_reduction, symbol_class_dolbeault, topological_index
-from oracles import fourier_coefficients, to_elementary
-
-
-def torus_base(n=20, N=8, points=1):
-    return BaseModel(FiberModel(2, N, n), points)
+from oracles import fourier_coefficients, mass_weighted_sum, to_elementary
 
 
 def trivial_space(n=20, N=8):
-    base = torus_base(n, N)
-    return FiberedGSpace.trivial(CyclicGroupoid(base, 1))
+    return FiberedGSpace.trivial(FiberModel(2, N, n))
 
 
 def half_shift_space(n=20, N=8):
-    base = torus_base(n, N)
-    return FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
+    return FiberedGSpace(FiberModel(2, N, n), 2, [Fraction(1, 2), Fraction(1, 2)])
 
 
 def elementary_one_cochain(rng, fiber, band=2, germ=2.0):
@@ -146,11 +139,11 @@ def test_profile_cochain_validation():
 
 
 def test_van_est_form_is_constant_signed_volume():
-    base = torus_base(n=12, N=4)
+    fiber = FiberModel(2, 4, 12)
     saw = TransitionProfile()
 
     def form(legs):
-        return ProfileCochain(base.fiber, legs).van_est_form()
+        return ProfileCochain(fiber, legs).van_est_form()
 
     aligned = form([(0, saw), (1, saw)])
     flipped = form([(1, saw), (0, saw)])
@@ -162,9 +155,9 @@ def test_van_est_form_is_constant_signed_volume():
 
 
 def test_to_elementary_matches_profile_values():
-    base = torus_base(n=34, N=16)
+    fiber = FiberModel(2, 16, 34)
     soft = TransitionProfile(linear_radius=0.2)
-    phi = ProfileCochain(base.fiber, [(0, soft), (1, soft)])
+    phi = ProfileCochain(fiber, [(0, soft), (1, soft)])
     elem = to_elementary(phi)
     rng = np.random.default_rng(3)
     tuples = rng.integers(0, 34 * 34, size=(40, 3))
@@ -179,54 +172,49 @@ def test_to_elementary_matches_profile_values():
 def test_pairing_unit_recovers_analytic_index():
     space = trivial_space(n=20, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
+    unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     for d in (1, -2):
-        idem = index_idempotent(dolbeault_family(space.base.fiber, d, levels=2))
-        value = pair_cocycle(idem, unit, cutoff, dens)
+        idem = index_idempotent(dolbeault_family(space.fiber, d, levels=2))
+        value = pair_cocycle(idem, unit, space, cutoff)
         assert abs(value - d) <= 1e-9
 
 
 def test_pairing_of_zero_idempotent_vanishes():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber
+    fiber = space.fiber
     zero = SmoothingKernel(fiber, np.zeros((fiber.npoints, fiber.npoints)))
     idem = IndexIdempotent(zero, zero, np.inf)
-    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
-    assert pair_cocycle(idem, unit, cutoff, dens) == 0
+    unit = ASCochain.unit(space.fiber, germ_radius=2.0)
+    assert pair_cocycle(idem, unit, space, cutoff) == 0
     saw = TransitionProfile()
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
-    assert pair_cocycle(idem, phi, cutoff, dens) == 0
+    assert pair_cocycle(idem, phi, space, cutoff) == 0
 
 
 def test_pairing_kills_coboundaries_trivial_group():
     space = trivial_space(n=20, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
+    idem = index_idempotent(dolbeault_family(space.fiber, 2, levels=2))
     rng = np.random.default_rng(11)
     for _ in range(5):
-        psi = elementary_one_cochain(rng, space.base.fiber)
-        value = pair_cocycle(idem, d_as(psi), cutoff, dens)
+        psi = elementary_one_cochain(rng, space.fiber)
+        value = pair_cocycle(idem, d_as(psi), space, cutoff)
         assert abs(value) <= 1e-10
 
 
 def test_pairing_kills_coboundaries_shift_group():
     space = half_shift_space(n=20, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    idem = index_idempotent(dolbeault_family(space.base.fiber, 2, levels=2))
-    arrow = [a for a in space.groupoid.arrows if a != space.groupoid.units[0]][0]
+    idem = index_idempotent(dolbeault_family(space.fiber, 2, levels=2))
     rng = np.random.default_rng(23)
     for _ in range(3):
         fields = []
         for _ in range(2):
-            f = random_band_limited(rng, space.base.fiber, band=2)
-            fields.append(f + space.eval_after_action(arrow, f))
-        psi = ASCochain.elementary(space.base.fiber, fields, germ_radius=2.0)
-        value = pair_cocycle(idem, d_as(psi), cutoff, dens)
+            f = random_band_limited(rng, space.fiber, band=2)
+            fields.append(f + space.eval_after_action(1, f))
+        psi = ASCochain.elementary(space.fiber, fields, germ_radius=2.0)
+        value = pair_cocycle(idem, d_as(psi), space, cutoff)
         assert abs(value) <= 1e-8
 
 
@@ -241,13 +229,12 @@ def test_pairing_kills_coboundaries_shift_group():
 def test_pairing_homotopy_stability_k0():
     space = trivial_space(n=24, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    block = dolbeault_family(space.base.fiber, 8, levels=2)
+    block = dolbeault_family(space.fiber, 8, levels=2)
     exact = index_idempotent(block)
     localized = index_idempotent(block, radius=0.45)
-    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
-    a = pair_cocycle(exact, unit, cutoff, dens)
-    b = pair_cocycle(localized, unit, cutoff, dens)
+    unit = ASCochain.unit(space.fiber, germ_radius=2.0)
+    a = pair_cocycle(exact, unit, space, cutoff)
+    b = pair_cocycle(localized, unit, space, cutoff)
     assert abs(a - 8) <= 1e-9
     assert abs(a - b) <= 2e-6
 
@@ -258,12 +245,11 @@ def test_pairing_homotopy_stability_k1():
     # localized idempotents pair to the same class value
     space = trivial_space(n=32, N=15)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    block = dolbeault_family(space.base.fiber, 16, levels=2)
+    block = dolbeault_family(space.fiber, 16, levels=2)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(space.base.fiber, [(0, saw), (1, saw)])
-    a = pair_cocycle(index_idempotent(block, radius=0.45), phi, cutoff, dens)
-    b = pair_cocycle(index_idempotent(block, radius=0.36), phi, cutoff, dens)
+    phi = ProfileCochain(space.fiber, [(0, saw), (1, saw)])
+    a = pair_cocycle(index_idempotent(block, radius=0.45), phi, space, cutoff)
+    b = pair_cocycle(index_idempotent(block, radius=0.36), phi, space, cutoff)
     assert abs(a - b) <= 5e-6
 
 
@@ -277,21 +263,20 @@ def test_pairing_matches_volume_class_value():
     # value comes from the cokernel family S1.
     space = trivial_space(n=32, N=15)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
     saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(space.base.fiber, [(0, saw), (1, saw)])
+    phi = ProfileCochain(space.fiber, [(0, saw), (1, saw)])
     for flux in (16, -16):
-        idem = index_idempotent(dolbeault_family(space.base.fiber, flux, levels=2), radius=0.45)
-        value = pair_cocycle(idem, phi, cutoff, dens)
+        idem = index_idempotent(dolbeault_family(space.fiber, flux, levels=2), radius=0.45)
+        value = pair_cocycle(idem, phi, space, cutoff)
         assert abs(value - (-1.0 / (2.0j * np.pi))) <= 5e-5
 
 
 def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypatch):
     # three points with masses 0.5, 1 and 2 and cutoff fields that differ
-    # from point to point: for a profile and for an elementary 2-cochain the
-    # chain runs once per nonzero projector (S1 of flux 8 is zero), and its
+    # from point to point, as the per-point oracle holds them: for a profile
+    # and for an elementary 2-cochain the chain runs once per nonzero
+    # projector (S1 of flux 8 is zero) against the one weight field, and its
     # value is the mass-weighted sum of the values each point's cutoff gives
-    # on a one-point base
     masses = (0.5, 1.0, 2.0)
     fiber = FiberModel(2, 8, 24)
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
@@ -316,16 +301,16 @@ def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypat
     for name in cochains:
         monkeypatch.setattr(pairing, name, counted(getattr(pairing, name)))
 
-    def pair(phi, weights, cutoff_fields):
-        space = FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, len(weights)), 1))
-        cutoff = CutoffDensity(space, cutoff_fields)
-        return pair_cocycle(idem, phi, cutoff, TransversalDensity(space, weights))
+    space = FiberedGSpace.trivial(fiber)
+
+    def pair(phi, weight):
+        return pair_cocycle(idem, phi, space, weight)
 
     for name, phi in cochains.items():
         calls.clear()
-        value = pair(phi, masses, fields)
+        value = pair(phi, mass_weighted_sum(masses, fields))
         assert calls == [name]
-        singles = [pair(phi, [1.0], [c]) for c in fields]
+        singles = [pair(phi, c) for c in fields]
         assert calls == [name] * 4
         want = sum(m * v for m, v in zip(masses, singles))
         # the elementary cochain is no coboundary: its chain does not vanish
@@ -335,8 +320,8 @@ def test_profile_pairing_contracts_the_chain_once_for_every_base_point(monkeypat
 
 def test_degree_zero_pairing_evaluates_the_cochain_once(monkeypatch):
     # a degree-0 cochain is one field on the fiber: it is evaluated once for
-    # a three-point base, and the pairing is the mass-weighted sum of the
-    # values each point's cutoff gives on a one-point base
+    # the weight field of a three-point base, and the pairing is the
+    # mass-weighted sum of the values each point's cutoff gives
     masses = (0.5, 1.0, 2.0)
     fiber = FiberModel(2, 4, 12)
     idem = index_idempotent(dolbeault_family(fiber, 2, levels=2))
@@ -353,20 +338,16 @@ def test_degree_zero_pairing_evaluates_the_cochain_once(monkeypatch):
 
     monkeypatch.setattr(phi, "evaluate_batch", counted)
 
-    def pair(weights, cutoff_fields):
-        space = FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, len(weights)), 1))
-        cutoff = CutoffDensity(space, cutoff_fields)
-        return pair_cocycle(idem, phi, cutoff, TransversalDensity(space, weights))
-
-    value = pair(masses, fields)
+    space = FiberedGSpace.trivial(fiber)
+    value = pair_cocycle(idem, phi, space, mass_weighted_sum(masses, fields))
     assert calls == [fiber.npoints]
-    want = sum(m * pair([1.0], [c]) for m, c in zip(masses, fields))
+    want = sum(m * pair_cocycle(idem, phi, space, c) for m, c in zip(masses, fields))
     assert abs(want) > 1e-3
     assert abs(value - want) <= 1e-14 * abs(want)
 
 
 def _weighted_quadratures(fiber):
-    """name -> quadrature(space, cutoff, dens) of every route that weighs by the base.
+    """name -> quadrature(space, weight) of every route that weighs by the base.
 
     The half shift moves the fiber, so the trace and the class integral pass
     their invariance gates, and acts freely, as the reduction needs.
@@ -381,11 +362,11 @@ def _weighted_quadratures(fiber):
     unit = FoliatedForm(fiber, 0, np.ones((fiber.npoints, 1)), invariant=True)
     sclass = symbol_class_dolbeault(fiber, DiscModel(5.0, 24, 24), 2)
     return {
-        "trace_tau": lambda sp, c, d: trace_tau(s0, c, d),
-        "trace_symbol_formula": lambda sp, c, d: trace_symbol_formula(sym, c, d),
-        "integrate_invariant": lambda sp, c, d: integrate_invariant(top, c, d),
-        "topological_index": lambda sp, c, d: topological_index(sp, c, d, unit, sclass),
-        "free_action_reduction": lambda sp, c, d: free_action_reduction(sp, c, d, unit, sclass),
+        "trace_tau": lambda sp, w: trace_tau(s0, sp, w),
+        "trace_symbol_formula": lambda sp, w: trace_symbol_formula(sym, w),
+        "integrate_invariant": lambda sp, w: integrate_invariant(top, w),
+        "topological_index": lambda sp, w: topological_index(sp, w, unit, sclass),
+        "free_action_reduction": lambda sp, w: free_action_reduction(sp, w, unit, sclass),
     }
 
 
@@ -399,45 +380,22 @@ def _weighted_quadratures(fiber):
         "free_action_reduction",
     ],
 )
-def test_weighted_quadratures_are_mass_weighted_sums_over_three_points(name):
-    # the pairings' three points, masses 0.5, 1 and 2 and distinct cutoff
-    # fields, under the half shift: every quadrature reads one mass-weighted
-    # field, and equals the mass-weighted sum of its one-point values
-    masses = (0.5, 1.0, 2.0)
+def test_weighted_quadratures_are_linear_in_the_weight_field(name):
+    # three fields with coefficients 0.5, 1 and 2, as three base points
+    # with distinct cutoff fields and masses would give, under the half
+    # shift: every quadrature reads one weight field, linearly, so the
+    # weighted sum of the fields gives the weighted sum of the values
+    coefficients = (0.5, 1.0, 2.0)
     fiber = FiberModel(2, 4, 12)
+    space = FiberedGSpace(fiber, 2, [Fraction(1, 2), Fraction(1, 2)])
     pts = grid_points(fiber.grid_size, 2)
     fields = [1.0 + 0.5 * np.cos(2 * np.pi * (x + 1) * pts[:, x % 2]) for x in range(3)]
     quadrature = _weighted_quadratures(fiber)[name]
-
-    def value(weights, cutoff_fields):
-        base = BaseModel(fiber, len(weights))
-        space = FiberedGSpace(CyclicGroupoid(base, 2), [Fraction(1, 2), Fraction(1, 2)])
-        cutoff = CutoffDensity(space, cutoff_fields)
-        return quadrature(space, cutoff, TransversalDensity(space, weights))
-
-    got = value(masses, fields)
-    want = sum(m * value([1.0], [c]) for m, c in zip(masses, fields))
+    got = quadrature(space, mass_weighted_sum(coefficients, fields))
+    want = sum(a * quadrature(space, f) for a, f in zip(coefficients, fields))
     assert abs(want) > 1e-3
     assert abs(got - want) <= 1e-14 * abs(want)
-
-
-def test_weight_refuses_mismatched_point_counts():
-    # a cutoff and a density over different point counts are refused, in
-    # both directions, with both counts named
-    fiber = FiberModel(2, 4, 12)
-    idem = index_idempotent(dolbeault_family(fiber, 2, levels=2))
-    unit = ASCochain.unit(fiber, germ_radius=2.0)
-    spaces = {
-        bp: FiberedGSpace.trivial(CyclicGroupoid(BaseModel(fiber, bp), 1)) for bp in (1, 3)
-    }
-    for cut_points, mass_points in [(1, 3), (3, 1)]:
-        cutoff = compute_cutoff(spaces[cut_points])
-        dens = TransversalDensity.uniform(spaces[mass_points])
-        want = f"{cut_points} per-point fields for {mass_points} base-point masses"
-        with pytest.raises(ModelError, match=want):
-            trace_tau(idem.skernel, cutoff, dens)
-        with pytest.raises(ModelError, match=want):
-            pair_cocycle(idem, unit, cutoff, dens)
+    assert quadrature(space, np.zeros(fiber.npoints)) == 0
 
 
 def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
@@ -445,8 +403,7 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     # here) to the whole kernel; the same kernels stored dense pair alike
     space = trivial_space(n=24, N=8)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    fiber = space.base.fiber
+    fiber = space.fiber
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8 and idem.cokernel.row is None
     dense = IndexIdempotent(
@@ -455,7 +412,7 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     rng = np.random.default_rng(43)
     factors = [random_band_limited(rng, fiber, band=2) for _ in range(3)]
     phi = ASCochain.elementary(fiber, factors, germ_radius=2.0)
-    got, want = (pair_cocycle(i, phi, cutoff, dens) for i in (idem, dense))
+    got, want = (pair_cocycle(i, phi, space, cutoff) for i in (idem, dense))
     assert abs(want) > 1e-3
     assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -463,52 +420,48 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
 def test_pairing_rejects_bad_inputs():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    idem = index_idempotent(dolbeault_family(space.base.fiber, 1, levels=1))
-    fiber = space.base.fiber
+    idem = index_idempotent(dolbeault_family(space.fiber, 1, levels=1))
+    fiber = space.fiber
     ones = np.ones(fiber.npoints, dtype=complex)
     with pytest.raises(ModelError):
-        pair_cocycle(
-            idem, ASCochain.elementary(fiber, [ones, ones], germ_radius=2.0), cutoff, dens
+        pair_cocycle(idem, ASCochain.elementary(fiber, [ones, ones], germ_radius=2.0), space, cutoff
         )
     quartic = ASCochain.elementary(fiber, [ones] * 5, germ_radius=2.0)
     with pytest.raises(ModelError):
-        pair_cocycle(idem, quartic, cutoff, dens)
+        pair_cocycle(idem, quartic, space, cutoff)
 
 
 def test_pairing_support_gate():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
-    idem = index_idempotent(dolbeault_family(space.base.fiber, 1, levels=1))
-    tight = ASCochain.unit(space.base.fiber, germ_radius=3.0 / 12)  # three grid steps
+    idem = index_idempotent(dolbeault_family(space.fiber, 1, levels=1))
+    tight = ASCochain.unit(space.fiber, germ_radius=3.0 / 12)  # three grid steps
     with pytest.raises(SupportMismatchError):
-        pair_cocycle(idem, tight, cutoff, dens)
+        pair_cocycle(idem, tight, space, cutoff)
     # compact legs do not widen the trust region: the unlocalized kernel
     # reaches their roll-off, where the cochain stops being a cocycle
     compact = TransitionProfile(linear_radius=0.1, support_radius=0.2)
-    phi = ProfileCochain(space.base.fiber, [(0, compact), (1, compact)])
+    phi = ProfileCochain(space.fiber, [(0, compact), (1, compact)])
     with pytest.raises(SupportMismatchError):
-        pair_cocycle(idem, phi, cutoff, dens)
-    wide = ASCochain.unit(space.base.fiber, germ_radius=2.0)
-    pair_cocycle(idem, wide, cutoff, dens)
+        pair_cocycle(idem, phi, space, cutoff)
+    wide = ASCochain.unit(space.fiber, germ_radius=2.0)
+    pair_cocycle(idem, wide, space, cutoff)
 
 
 def test_pairing_rejects_noninvariant_kernels():
     space = half_shift_space(n=12, N=4)
     cutoff = compute_cutoff(space)
-    dens = TransversalDensity.uniform(space)
     rng = np.random.default_rng(5)
-    fiber = space.base.fiber
+    fiber = space.fiber
     npts = fiber.npoints
     raw = rng.standard_normal((npts, npts)) / npts
     # an invariant (zero) kernel and a non-invariant cokernel projector: the
     # gate has to look at both
     zero = SmoothingKernel(fiber, np.zeros((npts, npts)))
     idem = IndexIdempotent(zero, SmoothingKernel(fiber, raw), np.inf)
-    unit = ASCochain.unit(space.base.fiber, germ_radius=2.0)
+    unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     with pytest.raises(InvarianceError):
-        pair_cocycle(idem, unit, cutoff, dens)
+        pair_cocycle(idem, unit, space, cutoff)
 
 
 # ---------------------------------------------------------------------------
