@@ -99,11 +99,6 @@ def eval_matrix(n: int, N: int, r: int) -> np.ndarray:
     return _readonly(np.exp(TWO_PI_I * (z @ nu.T)))
 
 
-def eval_modes_at(coeffs: np.ndarray, modes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate sum_nu coeffs[nu] e^{2 pi i nu.z} at arbitrary points."""
-    return np.exp(TWO_PI_I * (points @ modes.T)) @ coeffs
-
-
 def spectral_gradient(field: np.ndarray, fiber: FiberModel, axes) -> list[np.ndarray]:
     """Partial derivatives d/dz_a of a grid field, one array per a in axes.
 
@@ -154,11 +149,14 @@ def band_limit(field: np.ndarray, fiber: FiberModel) -> np.ndarray:
 
 
 def random_band_limited(rng: np.random.Generator, fiber: FiberModel, band: int) -> np.ndarray:
-    """Seeded complex random trigonometric polynomial of band <= band, as a grid field."""
+    """Seeded complex random trigonometric polynomial of band <= band, as a grid field.
+
+    Evaluated by the cached evaluation matrix of the band's mode box.
+    """
     if band > fiber.fourier_cutoff:
         raise ModelError("requested band exceeds the fiber cutoff")
     modes = mode_lattice(band, fiber.dim)
     coeff = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
     # times the reciprocal, not divided: the seeded fields keep their last bits
     coeff *= 1.0 / np.sqrt(len(modes))
-    return eval_modes_at(coeff, modes, fiber.points())
+    return eval_matrix(fiber.grid_size, band, fiber.dim) @ coeff

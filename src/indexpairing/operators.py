@@ -100,15 +100,20 @@ def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
     """sum over axes of table[z_axis, w_axis], z among the first ``rows`` grid points.
 
     Each axis coordinate takes grid_size values, so a per-axis quantity is
-    tabulated on grid_size^2 coordinate pairs, gathered per axis and summed
-    in axis order.
+    tabulated on grid_size^2 coordinate pairs.  The first rows points lie
+    in the leading axis-0 ticks (all of them, and no others, when rows is
+    npoints/g with g dividing grid_size), so the tables of those ticks and
+    of the other axes broadcast over the (z, w) grid axes and are added in
+    axis order.
     """
-    n = fiber.grid_size
-    ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)
-    out = table[np.ix_(ticks[0][:rows], ticks[0])]
-    for axis_ticks in ticks[1:]:
-        out += table[np.ix_(axis_ticks[:rows], axis_ticks)]
-    return out
+    n, r = fiber.grid_size, fiber.dim
+    lead = -(-rows // n ** (r - 1))
+    out = table[:lead].reshape((lead,) + (1,) * (r - 1) + (n,) + (1,) * (r - 1))
+    for axis in range(1, r):
+        shape = [1] * (2 * r)
+        shape[axis] = shape[r + axis] = n
+        out = out + table.reshape(shape)
+    return out.reshape(-1, fiber.npoints)[:rows]
 
 
 def fiber_distance_matrix(fiber: FiberModel, rows: int) -> np.ndarray:
@@ -145,6 +150,9 @@ def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
 # of block row 0; grid matrices assembled from a section basis carry about
 # 2e-14 of rounding
 CIRCULANT_RTOL = 1e-12
+# relative slack on rho sigma / n as a bound of the computed entries of S,
+# far above their rounding (about nb times the unit roundoff)
+ENTRY_BOUND_MARGIN = 1e-6
 
 
 def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
@@ -171,31 +179,43 @@ def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
     give the same entries), the bound is at most CIRCULANT_RTOL times the
     largest entry of block row 0 of the cut S.  The truncation mask commutes
     with Pi, so every entry of the cut S is then that close to the expansion
-    of its block row 0.  g = 1 needs no certificate.
+    of its block row 0.  g = 1 needs no certificate.  Every entry of S is at
+    most rho sigma / n (Cauchy-Schwarz), so a g whose first term exceeds
+    CIRCULANT_RTOL times that for some a is refused before its block row
+    is formed, as the full test would refuse it.
     """
     fiber = block.domain.fiber
     n, E, R = fiber.npoints, block.domain.matrix, block.matrix
     ER = E @ R
     rho, sigma = _max_row_norm(E), _max_row_norm(ER)
+    # the margin covers the rounding of the row and of rho and sigma
+    refuse = CIRCULANT_RTOL * rho * sigma / n * (1.0 + ENTRY_BOUND_MARGIN)
 
-    def within(shift: int, tol: float) -> bool:
-        T = E.conj().T @ np.roll(E, -shift, axis=0) / n
-        TR = T @ R
-        comm = float(np.linalg.norm(TR - R @ T))
+    def within(shift: int, TR: np.ndarray, comm: float, leak: float, tol: float) -> bool:
         if rho * rho * comm / n > tol:
             # the other terms only add to the bound
             return False
-        leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
         psi = _max_row_norm(np.roll(ER, -shift, axis=0) - E @ TR)
         bound = rho * rho * comm + sigma * rho * leak + psi * (2 * (sigma + rho * comm) + psi)
         return bound / n <= tol
 
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
         width = n // g
-        row = block.grid_matrix(width) * truncation_mask(fiber, radius, width)
-        tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
-        if all(within(a * width, tol) for a in range(1, g // 2 + 1)):
-            return row
+        powers = []
+        for a in range(1, g // 2 + 1):
+            T = E.conj().T @ np.roll(E, -a * width, axis=0) / n
+            TR = T @ R
+            comm = float(np.linalg.norm(TR - R @ T))
+            if rho * rho * comm / n > refuse:
+                break
+            leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
+            powers.append((a * width, TR, comm, leak))
+        else:
+            row = block.grid_matrix(width)
+            row *= truncation_mask(fiber, radius, width)
+            tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
+            if all(within(*power, tol) for power in powers):
+                return row
 
 
 def _max_row_norm(m: np.ndarray) -> float:

@@ -55,8 +55,14 @@ translation.  When K is stored as g blocks (``SmoothingKernel``), with g
 dividing grid_size so that the blocks come from a grid translation, so are
 the masks, K o W0 and K o W1; the masks are built as their block row 0
 only, and each product of the profile chain is g products of size n/g on
-the Fourier blocks.  The elementary chain expands K to the dense matrix:
-its Q(m) carries the non-invariant diag(m).  The cutoff weight is not
+the Fourier blocks, taken one block at a time.  The chain holds the three
+(g, B, B) stacks of Fourier blocks of K o W0, K o W1 and K; each mask
+lives only while its product with K is transformed, and the hermitian test
+runs before any product, so the block column is not held alongside.  At
+flux 24 (g = 8, B = 200, a stack of 4.9 MiB) the chain peaks at about 3.4
+stacks besides K; a non-hermitian K adds its block column for the odd
+rotations.  The elementary chain expands K to the dense matrix: its Q(m)
+carries the non-invariant diag(m).  The cutoff weight is not
 translation invariant, but tr(D M) of a block-circulant M only reads the
 diagonal of C_0, the mean of the Fourier blocks, so D enters through the
 sums of c over the orbits of the translation: exact for any cutoff.
@@ -213,7 +219,7 @@ HERMITIAN_RTOL = 1e-14
 def _kernel_reach(idem: IndexIdempotent) -> float:
     reach = idem.radius
     if math.isinf(reach):
-        reach = idem.effective_radius()
+        reach = idem.effective_radius
     return reach
 
 
@@ -279,18 +285,22 @@ def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _rotation_sum(cw: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
-    """tr(D XYZ) + tr(D ZXY) + tr(D YZX) with D = diag(cw), in two products.
+    """tr(D XYZ) + tr(D ZXY) + tr(D YZX) with D = diag(cw), summed over Fourier blocks.
 
-    Serves the profile chain only.  With P = XY and R = YZ the traces are
-    tr(D P Z), tr(D Z P) and tr(D R X), each an O(n^2) sum of entrywise
-    products.  X, Y and Z may also be stacks (g, B, B) of Fourier blocks;
-    the traces are then summed over the stack, and cw must hold the orbit
-    sums of the weight over g, as block C_0 is the mean of the blocks.
+    Serves the profile chain only.  X, Y and Z are stacks (g, B, B) of
+    Fourier blocks, and cw holds the orbit sums of the weight over g, as
+    block C_0 is the mean of the blocks.  Block by block, with P = XY and
+    R = YZ the traces are tr(D P Z), tr(D Z P) and tr(D R X), each an
+    O(B^2) sum of entrywise products; P and R are formed one block at a
+    time, and the g block traces are summed in block order.
     """
-    P = _product(X, Y)
-    R = _product(Y, Z)
-    trace = partial(np.einsum, "i,...ij,...ji->...", cw)
-    return complex(np.sum(trace(P, Z) + trace(Z, P) + trace(R, X)))
+    trace = partial(np.einsum, "i,ij,ji->", cw)
+    traces = np.empty(len(X), dtype=complex)
+    for k, (x, y, z) in enumerate(zip(X, Y, Z)):
+        P = _product(x, y)
+        R = _product(y, z)
+        traces[k] = trace(P, z) + trace(z, P) + trace(R, x)
+    return complex(np.sum(traces))
 
 
 def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
@@ -308,23 +318,26 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
     of the kernel K with block row 0 ``row``.
 
     The legs' masks are block circulant in every g dividing grid_size (they
-    depend on w - z only), so only block row 0 of each mask is built.
+    depend on w - z only), so only block row 0 of each mask is built, and
+    only while its product with the kernel is transformed.  The masks are
+    real (profile values), so a hermitian K takes the even rotations alone.
+    The hermitian test runs first, so the block column is not held during
+    any product.
     """
     width, g = row.shape[0], block_count(row)
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
-    W0, W1 = (phi.leg_mask(i, width) for i in (0, 1))
 
     def rotations(row: np.ndarray) -> complex:
-        blocks = (circulant_blocks(M) for M in (row * W0, row * W1, row))
-        return _rotation_sum(orbit_cw, *blocks)
+        X, Y = (circulant_blocks(row * phi.leg_mask(i, width)) for i in (0, 1))
+        return _rotation_sum(orbit_cw, X, Y, circulant_blocks(row))
 
-    column = circulant_column(row)
+    hermitian = _is_hermitian(row, circulant_column(row))
     even = rotations(row)
-    if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
+    if hermitian:
         # the odd rotations are the conjugate of the even ones
         return 2j * even.imag / 6.0
     # block row 0 of K^T is the transposed block column 0 of K
-    return (even - rotations(column.T)) / 6.0
+    return (even - rotations(circulant_column(row).T)) / 6.0
 
 
 def _weighted_elementary_chain(phi: ASCochain, cw: np.ndarray, row: np.ndarray) -> complex:

@@ -82,15 +82,21 @@ class FiberedGSpace:
         return self._maps[g % self.order]
 
     def moving_elements(self) -> list[int]:
-        """The group elements g = 1 .. m/2 whose translation moves the fiber.
+        """One group element g = 1 .. m/2 per distinct translation g shift that moves the fiber.
 
         The defect entries of m - g are those of g, permuted and negated: the
         entries of f - f o (-g shift) are those of f - f o (g shift) moved by
-        g, and a kernel's alike under conjugation.  So these elements give
-        the same largest defect, as the same float, as every g != 0.  A zero
-        shift leaves none.
+        g, and a kernel's alike under conjugation.  Elements with the same
+        translation move everything alike.  So these elements give the same
+        largest defect, as the same float, as every g != 0.  A zero shift
+        leaves none.
         """
-        return [g for g in range(1, self.order // 2 + 1) if any(self.fiber_map(g).shift)]
+        first: dict[tuple, int] = {}
+        for g in range(1, self.order // 2 + 1):
+            shift = self.fiber_map(g).shift
+            if any(shift):
+                first.setdefault(shift, g)
+        return list(first.values())
 
     def permutation(self, g: int) -> np.ndarray:
         """Grid permutation p of the translation by g * shift: transport is f -> f[p]."""

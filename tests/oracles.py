@@ -28,9 +28,19 @@ and the wedge of two whole forms.
 The level basis is sampled here as the library first did, one image term
 (j, p) at a time over every grid point, and the band projection through the
 dense evaluation matrix of the mode box; the library samples each image
-term on the grid axes and projects by one FFT pair.
+term on the grid axes and projects by one FFT pair.  Seeded band-limited
+fields were evaluated by exponentials formed per call; the library reads
+the cached evaluation matrix of the band.
+
+The McWeeny flow and the profile chain are kept as the library first ran
+them on Fourier blocks: every product and sum of the flow a new (g, B, B)
+stack, its defect read from the expanded block row, and the rotation sums
+with both leg masks and the block column held and each product formed for
+all g blocks at once.  The library holds fewer stacks with the same
+operations in the same order, so it agrees with them bit for bit.
 """
 import math
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +57,9 @@ from indexpairing.forms import (
     subset_position,
 )
 from indexpairing.grids import TWO_PI_I, ModelError, grid_points
+from indexpairing.operators import block_count, circulant_blocks, circulant_column, circulant_row
+from indexpairing.pairing import _is_hermitian
+from indexpairing.parametrix import MAX_NEWTON_STEPS
 from indexpairing.symbols import SymbolData
 
 
@@ -484,3 +497,49 @@ def box_to_grid(coeffs, fiber):
 def band_limit_dense(field, fiber):
     """Projection of a grid field onto the mode box, through its box coefficients."""
     return box_to_grid(grid_to_box(field, fiber), fiber).reshape(np.shape(field))
+
+
+def eval_modes_at(coeffs, modes, points):
+    """Evaluate sum_nu coeffs[nu] e^{2 pi i nu.z} at points, the exponentials formed per call."""
+    return np.exp(TWO_PI_I * (points @ modes.T)) @ coeffs
+
+
+def newton_flow_whole_stack(P, tol):
+    """McWeeny flow on Fourier blocks (g, B, B), each product and sum a new stack."""
+    P2 = P @ P
+    defect = float(np.max(np.abs(circulant_row(P2 - P))))
+    steps = 0
+    while defect > tol and steps < MAX_NEWTON_STEPS:
+        P = 3.0 * P2 - 2.0 * (P2 @ P)
+        steps += 1
+        P2 = P @ P
+        defect = float(np.max(np.abs(circulant_row(P2 - P))))
+        if not np.isfinite(defect):
+            break
+    return P, defect, steps
+
+
+def rotation_sum_whole_stack(cw, X, Y, Z):
+    """tr(D XYZ) + tr(D ZXY) + tr(D YZX) summed over the blocks, each product over all blocks."""
+    P = X @ Y
+    R = Y @ Z
+    trace = partial(np.einsum, "i,...ij,...ji->...", cw)
+    return complex(np.sum(trace(P, Z) + trace(Z, P) + trace(R, X)))
+
+
+def profile_chain_whole_stack(phi, cw, row):
+    """The k = 1 profile chain of the kernel with block row 0 ``row``, both masks
+    and the block column held through whole-stack rotation sums."""
+    width, g = row.shape[0], block_count(row)
+    orbit_cw = cw.reshape(g, width).sum(axis=0) / g
+    W0, W1 = (phi.leg_mask(i, width) for i in (0, 1))
+
+    def rotations(row):
+        blocks = (circulant_blocks(M) for M in (row * W0, row * W1, row))
+        return rotation_sum_whole_stack(orbit_cw, *blocks)
+
+    column = circulant_column(row)
+    even = rotations(row)
+    if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
+        return 2j * even.imag / 6.0
+    return (even - rotations(column.T)) / 6.0

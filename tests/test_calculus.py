@@ -11,11 +11,13 @@ from indexpairing.grids import (
     ModelError,
     band_limit,
     grid_points,
+    mode_lattice,
     random_band_limited,
 )
 from oracles import (
     apply_block,
     band_limit_dense,
+    eval_modes_at,
     family_invariance_defect,
     gram_defect,
     invariance_defect,
@@ -84,6 +86,20 @@ def test_identity_block_band_limits():
     f = random_band_limited(rng, fiber, band=3)
     out = apply_block(OperatorBlock(basis, basis, np.eye(basis.size)), f)
     assert np.max(np.abs(out - f)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, band, n", [(1, 3, 9), (2, 1, 8), (2, 2, 12), (3, 2, 6)])
+def test_seeded_fields_are_bitwise_the_pointwise_evaluation(dim, band, n):
+    # the cached evaluation matrix of the band gives the bits of the
+    # exponentials formed at the grid points on every call
+    fiber = FiberModel(dim, band, n)
+    modes = mode_lattice(band, dim)
+    rng = np.random.default_rng(dim * 100 + band)
+    coeff = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
+    coeff *= 1.0 / np.sqrt(len(modes))
+    want = eval_modes_at(coeff, modes, fiber.points())
+    got = random_band_limited(np.random.default_rng(dim * 100 + band), fiber, band)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_quantize_mode_only_symbol_is_exact_diagonal():

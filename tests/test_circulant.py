@@ -5,8 +5,13 @@ n/gcd(d, n) ticks along axis 0, so after truncation it is block circulant
 in gcd(d, n) blocks.  The block count is certified in basis space, and the
 Newton flow and the k = 1 profile chain run on Fourier blocks.  The dense
 scan of the grid matrix, the dense McWeeny loop and the dense rotation sum
-below are the forms they replaced, kept as oracles.
+below are the forms they replaced, kept as oracles.  The flow and the chain
+hold about three (g, B, B) stacks at a time, and must agree bit for bit with
+the whole-stack forms kept in ``oracles``.
 """
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,16 +23,28 @@ from indexpairing.operators import (
     block_count,
     certified_block_row,
     circulant_blocks,
+    circulant_column,
     circulant_dense,
     circulant_row,
     truncation_mask,
 )
-from indexpairing.pairing import ProfileCochain, TransitionProfile, _weighted_profile_chain
+from indexpairing.harness import load_scenario
+from indexpairing.pairing import (
+    ProfileCochain,
+    TransitionProfile,
+    _is_hermitian,
+    _weighted_profile_chain,
+)
 from indexpairing.parametrix import (
     MAX_NEWTON_STEPS,
     _newton_flow,
     index_idempotent,
     parametrix,
+)
+from oracles import newton_flow_whole_stack, profile_chain_whole_stack
+
+PERFBENCH_SCENARIOS = sorted(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios").glob("*.json")
 )
 
 
@@ -109,11 +126,31 @@ def dense_profile_chain(masks, cw, K):
 
 
 def block_newton_flow(S, grid_size, tol):
-    """The flow on the blocks the dense oracle finds, expanded back to dense."""
+    """The flow on the blocks the dense oracle finds: its block row, defect and steps."""
     g = circulant_order(S, grid_size)
-    width = S.shape[0] // g
-    P, defect, steps = _newton_flow(circulant_blocks(S[:width]), tol)
-    return circulant_dense(circulant_row(P)), defect, steps
+    return stack_flow(S[: S.shape[0] // g], tol)
+
+
+def stack_flow(row, tol):
+    """The flow of block row ``row``, bit for bit the whole-stack oracle's."""
+    P, defect, steps = _newton_flow(circulant_blocks(row), tol)
+    want, want_defect, want_steps = newton_flow_whole_stack(circulant_blocks(row), tol)
+    assert (defect, steps) == (want_defect, want_steps)
+    flowed = circulant_row(P)
+    assert flowed.tobytes() == circulant_row(want).tobytes()
+    return flowed, defect, steps
+
+
+def stack_chain(phi, cw, row):
+    """The profile chain of block row ``row``, bit for bit the whole-stack oracle's."""
+    got = _weighted_profile_chain(phi, cw, row)
+    assert np.array(got).tobytes() == np.array(profile_chain_whole_stack(phi, cw, row)).tobytes()
+    return got
+
+
+def sawtooth(fiber):
+    saw = TransitionProfile(linear_radius=0.45)
+    return ProfileCochain(fiber, [(0, saw), (1, saw)])
 
 
 def _random_near_projector(rng, npts, rank):
@@ -146,7 +183,8 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     n = fiber.grid_size
     assert circulant_order(S, n) == order, name
     want, want_defect, want_steps = dense_newton_flow(S, MAX_NEWTON_STEPS, 1e-8)
-    got, got_defect, got_steps = block_newton_flow(S, n, 1e-8)
+    row, got_defect, got_steps = block_newton_flow(S, n, 1e-8)
+    got = circulant_dense(row)
     assert got_steps == want_steps >= 1, name
     assert got_defect <= 1e-8 and want_defect <= 1e-8, name
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
@@ -154,26 +192,89 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     # the chain of the flowed kernel, with a weight that no translation fixes
     npts = S.shape[0]
     cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
-    saw = TransitionProfile(linear_radius=0.45)
-    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
+    phi = sawtooth(fiber)
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
-    got_chain = _weighted_profile_chain(phi, cw, got[: npts // order])
+    got_chain = stack_chain(phi, cw, row)
     assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
+
+
+def benchmark_row(path):
+    """The fiber and the certified, cut kernel row of a perfbench scenario."""
+    scn = load_scenario(str(path))
+    fib, op = scn.fiber, scn.operator
+    fiber = FiberModel(fib["dim"], fib["fourier_cutoff"], fib["grid"])
+    block = parametrix(dolbeault_family(fiber, op["twist"], op["levels"])).r0
+    return fiber, certified_block_row(block, scn.localize)
+
+
+@pytest.mark.parametrize("path", PERFBENCH_SCENARIOS, ids=lambda path: path.stem)
+def test_benchmark_flow_and_chain_are_bitwise_the_whole_stack_oracles(path):
+    fiber, row = benchmark_row(path)
+    flowed, defect, steps = stack_flow(row, 1e-8)
+    assert steps >= 1 and defect <= 1e-8
+    cw = np.random.default_rng(61).uniform(0.2, 1.8, fiber.npoints)
+    phi = sawtooth(fiber)
+    assert _is_hermitian(flowed, circulant_column(flowed))
+    stack_chain(phi, cw, flowed)
+    # one entry moved off the hermitian pair: the four-product form
+    moved = flowed.copy()
+    moved[3, 5] += 1e-9 * np.max(np.abs(flowed))
+    assert not _is_hermitian(moved, circulant_column(moved))
+    assert abs(stack_chain(phi, cw, moved).real) > 0.0
+
+
+def traced_peak(fn):
+    """fn's result and the peak bytes it allocated."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
+    # one stack is the Fourier blocks of the flux-24 projector, 8 x 200 x 200
+    fiber, block = kernel_remainder(40, 19, 24)
+    # the basis is sampled on first read, before tracing starts
+    block.domain.matrix
+    stack = 8 * 200 * 200 * 16
+    row, cert_peak = traced_peak(lambda: certified_block_row(block, 0.30))
+    assert row.nbytes == stack
+    blocks = circulant_blocks(row)
+    (P, _, _), flow_peak = traced_peak(lambda: _newton_flow(blocks, 1e-8))
+    flowed = circulant_row(P)
+    cw = np.random.default_rng(67).uniform(0.2, 1.8, fiber.npoints)
+    phi = sawtooth(fiber)
+    _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, flowed))
+    peaks = [peak / stack for peak in (cert_peak, flow_peak, chain_peak)]
+    assert peaks[0] <= 2.5 and peaks[1] <= 3.5 and peaks[2] <= 3.5, peaks
 
 
 @pytest.mark.parametrize(
     "n, N, twist, order", [(40, 19, 24, 8), (48, 23, 32, 16), (30, 11, 12, 6), (24, 8, 8, 8)]
 )
-def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order):
+def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monkeypatch):
     # the flux-24 benchmark projector, S4's and the two flow cases: the
     # certificate chooses the block count the dense scan of the cut grid
     # matrix finds, and its block row is that matrix's first rows, bit for bit
     fiber, block = kernel_remainder(n, N, twist)
     S = dense_cut(block, 0.30)
     assert circulant_order(S, n) == order
+    formed = []
+    grid_matrix = OperatorBlock.grid_matrix
+
+    def counted(self, rows=None):
+        formed.append(rows)
+        return grid_matrix(self, rows)
+
+    monkeypatch.setattr(OperatorBlock, "grid_matrix", counted)
     row = certified_block_row(block, 0.30)
+    # every finer block count is refused by its first term alone, before its row
+    assert formed == [S.shape[0] // order]
+    monkeypatch.undo()
     assert block_count(row) == order
     assert np.array_equal(row, S[: S.shape[0] // order])
 

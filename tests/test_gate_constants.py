@@ -2,6 +2,7 @@
 from indexpairing.charclass import IDEMPOTENT_TOL
 from indexpairing.operators import (
     CIRCULANT_RTOL,
+    ENTRY_BOUND_MARGIN,
     NORM_POWER_STEPS,
     TRACE_INVARIANCE_TOL,
     TRUNCATION_RTOL,
@@ -20,6 +21,7 @@ def test_gate_constants_are_pinned():
         "REACH_FLOOR": REACH_FLOOR,
         "TRUNCATION_RTOL": TRUNCATION_RTOL,
         "CIRCULANT_RTOL": CIRCULANT_RTOL,
+        "ENTRY_BOUND_MARGIN": ENTRY_BOUND_MARGIN,
         "HERMITIAN_RTOL": HERMITIAN_RTOL,
         "TRACE_INVARIANCE_TOL": TRACE_INVARIANCE_TOL,
         "REDUCTION_INVARIANT_TOL": REDUCTION_INVARIANT_TOL,
@@ -33,6 +35,7 @@ def test_gate_constants_are_pinned():
         "REACH_FLOOR": 1e-12,
         "TRUNCATION_RTOL": 1e-12,
         "CIRCULANT_RTOL": 1e-12,
+        "ENTRY_BOUND_MARGIN": 1e-6,
         "HERMITIAN_RTOL": 1e-14,
         "TRACE_INVARIANCE_TOL": 1e-8,
         "REDUCTION_INVARIANT_TOL": 1e-8,

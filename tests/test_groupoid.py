@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 from indexpairing.density import CoverageError, compute_cutoff
+from indexpairing.forms import FoliatedForm, form_invariance_defect
 from indexpairing.grids import FiberModel, ModelError, grid_points
+from indexpairing.operators import SmoothingKernel
 from indexpairing.scenario import ScenarioError, load_scenario, _validate
 from indexpairing.space import AffineTorusMap, FiberedGSpace
-from oracles import cutoff_per_arrow, partition_defect
+from oracles import (
+    cutoff_per_arrow,
+    form_invariance_defect_per_arrow,
+    partition_defect,
+    twisted_invariance_defect_per_arrow,
+)
 
 
 def torus_fiber(n=8, N=3, dim=2):
@@ -202,7 +209,7 @@ def test_modular_ratio_refused_at_load():
 
 
 def test_moving_elements_skip_the_unit_and_the_fixing_elements():
-    """The gates check g = 1 .. m/2 whose shift is not an integer vector."""
+    """The gates check one g = 1 .. m/2 per distinct translation that moves the fiber."""
     fiber = torus_fiber(8, 3, 2)
     cases = (
         (1, [0, 0], []),
@@ -210,7 +217,7 @@ def test_moving_elements_skip_the_unit_and_the_fixing_elements():
         (4, [Fraction(1, 2), 0], [1]),
         (4, [Fraction(1, 4), Fraction(1, 2)], [1, 2]),
         (6, [Fraction(1, 3), Fraction(1, 2)], [1, 2, 3]),
-        (6, [Fraction(1, 2), 0], [1, 3]),
+        (6, [Fraction(1, 2), 0], [1]),
         (4, [0, 0], []),
     )
     for order, shift, want in cases:
@@ -220,3 +227,24 @@ def test_moving_elements_skip_the_unit_and_the_fixing_elements():
     f = np.random.default_rng(2).random(64)
     for g in range(4):
         assert np.array_equal(space.eval_after_action(g, f), space.transport(4 - g, f))
+
+
+def test_budget_edge_action_checks_one_translation():
+    # Z/64 shifting by (1/2, 1/2), as at the groupoid budget edge: every odd
+    # g makes the same translation and every even g none, so the gates check
+    # g = 1 alone and still give the float of the loop over every g != 0
+    fiber = torus_fiber(16, 7)
+    space = FiberedGSpace(fiber, 64, [Fraction(1, 2), Fraction(1, 2)])
+    assert space.moving_elements() == [1]
+    rng = np.random.default_rng(64)
+    npts = fiber.npoints
+
+    def noise(cols):
+        return rng.standard_normal((npts, cols)) + 1j * rng.standard_normal((npts, cols))
+
+    kern = SmoothingKernel(fiber, noise(npts))
+    got = kern.twisted_invariance_defect(space)
+    assert got > 1.0 and got == twisted_invariance_defect_per_arrow(kern, space)
+    form = FoliatedForm(fiber, 1, noise(2))
+    got = form_invariance_defect(space, form)
+    assert got > 1.0 and got == form_invariance_defect_per_arrow(space, form)

@@ -11,7 +11,7 @@ from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError, integrate_invariant
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
 from indexpairing.operators import SmoothingKernel, SupportMismatchError, trace_tau
-from indexpairing import pairing
+from indexpairing import pairing, parametrix
 from indexpairing.pairing import (
     ProfileCochain,
     TransitionProfile,
@@ -431,10 +431,18 @@ def test_pairing_rejects_bad_inputs():
         pair_cocycle(idem, quartic, space, cutoff)
 
 
-def test_pairing_support_gate():
+def test_pairing_support_gate(monkeypatch):
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     idem = index_idempotent(dolbeault_family(space.fiber, 1, levels=1))
+    distances = []
+    inner = parametrix.fiber_distance_matrix
+
+    def counted(fiber, rows):
+        distances.append(rows)
+        return inner(fiber, rows)
+
+    monkeypatch.setattr(parametrix, "fiber_distance_matrix", counted)
     tight = ASCochain.unit(space.fiber, germ_radius=3.0 / 12)  # three grid steps
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, tight, space, cutoff)
@@ -446,6 +454,9 @@ def test_pairing_support_gate():
         pair_cocycle(idem, phi, space, cutoff)
     wide = ASCochain.unit(space.fiber, germ_radius=2.0)
     pair_cocycle(idem, wide, space, cutoff)
+    # the reach of the unlocalized kernel is measured once, on its one
+    # nonzero projector, for all three pairings
+    assert distances == [space.fiber.npoints]
 
 
 def test_pairing_rejects_noninvariant_kernels():
