@@ -299,11 +299,14 @@ def twist_character(fiber: FiberModel, twist: int) -> dict[int, np.ndarray]:
     memory.  ch_0 sums the diagonal of p as twist_projector forms it, so it
     has the bits of tr p.  The frame is gated on max |(|w|^2 - 1)|; since
     p^2 - p = (|w|^2 - 1) p, that gate is at least as strict as the
-    projector's.  Twist 0 is the constant bundle, whose character is that
-    of the constant projector.
+    projector's.  Twist 0 is the constant bundle: the constant projector 1,
+    with tr p = 1 and no curvature.
     """
+    if fiber.dim != 2:
+        raise ModelError("flux projectors need a two-dimensional fiber")
+    n = fiber.npoints
     if twist == 0:
-        return chern_character_fiber(fiber, twist_projector(fiber, 0))
+        return {0: np.ones((n, 1), dtype=complex), 2: np.zeros((n, 1), dtype=complex)}
     V, dV, density = _flux_frame(fiber, twist)
     ch0 = (np.einsum("ni,ni->ni", np.conj(V), V) / density[:, None]).sum(axis=1)
     root = np.sqrt(density)[:, None]
@@ -315,7 +318,6 @@ def twist_character(fiber: FiberModel, twist: int) -> dict[int, np.ndarray]:
     half_log = [np.sum(np.conj(V) * d, axis=1).real / density for d in dV]
     dw = [np.conj(d) / root - w * h[:, None] for d, h in zip(dV, half_log)]
     berry = np.sum(np.conj(dw[0]) * dw[1] - np.conj(dw[1]) * dw[0], axis=1)
-    n = fiber.npoints
     return {0: ch0.reshape(n, 1), 2: (CH_CURVATURE_SCALE * berry).reshape(n, 1)}
 
 

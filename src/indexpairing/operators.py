@@ -297,28 +297,25 @@ class SmoothingKernel:
         """The stored arrays: the block row of a nonzero operator."""
         return [] if self.row is None else [self.row]
 
-    def dense(self) -> np.ndarray:
-        """M as an npoints x npoints matrix."""
-        if self.row is None:
-            n = self.fiber.npoints
-            return np.zeros((n, n), dtype=complex)
-        return self.row if self.order == 1 else circulant_dense(self.row)
-
     def diagonal(self) -> np.ndarray:
         """The diagonal of a nonzero M: that of C_0, once per block."""
         return np.tile(np.diag(self.row[:, : self.row.shape[0]]), self.order)
 
     def norm(self) -> float:
-        """Lower bound of the operator norm.
+        """Lower bound of the operator norm, O(n^2) where the exact norm needs an SVD.
 
-        Power steps on M^H M from the column of largest norm.  Every estimate
-        taken (that column norm, |M^H y| / |y| and |M x| for unit x) is at
-        most |M|_2, so a tolerance scaled by this value is never looser than
-        one scaled by the exact norm.  On a hermitian projector the first
-        step already gives 1.  Costs O(n^2), where the exact norm needs an
-        SVD.
+        The DFT over the block index block-diagonalizes M unitarily, so |M|_2
+        is the largest norm of its Fourier blocks sum_m C_m exp(-2 pi i m k / g),
+        formed one at a time (C_0 itself for g = 1).  Power steps on each from
+        its column of largest norm give estimates at most |M|_2, so a tolerance
+        scaled by this value is never looser than one scaled by the exact norm.
         """
-        return 0.0 if self.row is None else _norm_lower_bound(self.dense())
+        if self.row is None:
+            return 0.0
+        g, C = self.order, self.row.reshape(len(self.row), self.order, -1)
+        phase = np.exp(-2j * np.pi * np.arange(g) / g)
+        blocks = (sum((C[:, m] * phase[m * k % g] for m in range(1, g)), C[:, 0]) for k in range(g))
+        return max(_norm_lower_bound(block) for block in blocks)
 
     def twisted_invariance_defect(self, space: FiberedGSpace) -> float:
         """Equivariance defect modulo a unimodular character.
@@ -326,21 +323,42 @@ class SmoothingKernel:
         Bundle actions may twist kernels by phases chi(z) conj(chi(w)); traces
         and cyclic chain sums are blind to such phases.  This checks the
         phase-free data: entry magnitudes, the operator diagonal, and closed
-        two-cycles k(z, w) k(w, z).  The moving group elements compare whole
-        matrices, so this gate expands the stored block row, once.
+        two-cycles k(z, w) k(w, z), each read from the block row with the
+        float a scan of the whole matrices gives.
         """
         elements = space.moving_elements()
-        if not elements:
+        if not elements or self.row is None:
             return 0.0
-        here = self.dense()
-        worst = 0.0
-        for g in elements:
-            moved = _moved(here, space, g)
-            worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
-            worst = max(worst, float(np.max(np.abs(np.diag(here) - np.diag(moved)))))
-            cyc = here * here.T - moved * moved.T
-            worst = max(worst, float(np.max(np.abs(cyc))))
-        return worst
+        perms = [space.permutation(-g) for g in elements]
+        diag = self.diagonal()
+        worst = max(float(np.max(np.abs(diag - diag[perm]))) for perm in perms)
+        worst = max(worst, _moved_defect(np.abs(self.row), perms))
+        # block b of block row 0 of M o M^T is C_b o C_{-b}^T, transposed by a view as in M * M.T
+        order, C = self.order, self.row.reshape(len(self.row), self.order, -1)
+        cycles = np.empty_like(C)
+        for b in range(order):
+            np.multiply(C[:, b], C[:, -b % order].T, out=cycles[:, b])
+        return max(worst, _moved_defect(cycles.reshape(self.row.shape), perms))
+
+
+def _moved_defect(field: np.ndarray, perms: list[np.ndarray]) -> float:
+    """max |F - F[p, p]| over the translations p, F block circulant with block row ``field``.
+
+    F[p, p] is block circulant too, so block row 0 holds every entry of the
+    difference.  F[aB + i, c] = field[i, c - aB mod n], so the leading rows
+    that p sends into one block a are one np.ix_ gather: at most two runs,
+    one for g = 1, where it is field[np.ix_(p, p)].
+    """
+    width, n = field.shape
+    worst = 0.0
+    for perm in perms:
+        lead = perm[:width] // width * width
+        cuts = [0, *np.flatnonzero(np.diff(lead)) + 1, width]
+        for start, stop in zip(cuts, cuts[1:]):
+            moved = field[np.ix_(perm[start:stop] - lead[start], (perm - lead[start]) % n)]
+            np.subtract(field[start:stop], moved, out=moved)
+            worst = max(worst, float(np.max(np.abs(moved))))
+    return worst
 
 
 # power steps per norm bound: each is two O(n^2) products, and on the random
@@ -369,12 +387,6 @@ def _norm_lower_bound(m: np.ndarray) -> float:
     return best
 
 
-def _moved(M: np.ndarray, space: FiberedGSpace, g: int) -> np.ndarray:
-    """M carried by the group element g: M[p, p] with p the permutation of -g."""
-    perm = space.permutation(-g)
-    return M[np.ix_(perm, perm)]
-
-
 def require_invariant(
     space: FiberedGSpace, invariance_tol: float, what: str, *kerns: SmoothingKernel
 ) -> None:
@@ -396,17 +408,18 @@ def require_invariant(
 def average_kernel(
     space: FiberedGSpace, cutoff: np.ndarray, kern: SmoothingKernel
 ) -> SmoothingKernel:
-    """Cutoff-weighted diagonal average of a kernel onto the invariants.
+    """Cutoff-weighted diagonal average onto the invariants of a kernel stored whole (g = 1).
 
     out(z, w) = sum over g of c(z - g shift) k(z - g shift, w - g shift).
 
     Exactly invariant for any input, and fixes invariant inputs.
     """
-    here = kern.dense()
+    here = kern.row
     acc = np.zeros_like(here)
     for g in range(space.order):
         weight = space.eval_after_action(g, cutoff)
-        acc += weight[:, None] * _moved(here, space, g)
+        perm = space.permutation(-g)
+        acc += weight[:, None] * here[np.ix_(perm, perm)]
     return SmoothingKernel(kern.fiber, acc)
 
 

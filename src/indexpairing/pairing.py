@@ -55,17 +55,12 @@ translation.  When K is stored as g blocks (``SmoothingKernel``), with g
 dividing grid_size so that the blocks come from a grid translation, so are
 the masks, K o W0 and K o W1; the masks are built as their block row 0
 only, and each product of the profile chain is g products of size n/g on
-the Fourier blocks, taken one block at a time.  The chain holds the three
-(g, B, B) stacks of Fourier blocks of K o W0, K o W1 and K; each mask
-lives only while its product with K is transformed, and the hermitian test
-runs before any product, so the block column is not held alongside.  At
-flux 24 (g = 8, B = 200, a stack of 4.9 MiB) the chain peaks at about 3.4
-stacks besides K; a non-hermitian K adds its block column for the odd
-rotations.  The elementary chain expands K to the dense matrix: its Q(m)
-carries the non-invariant diag(m).  The cutoff weight is not
-translation invariant, but tr(D M) of a block-circulant M only reads the
-diagonal of C_0, the mean of the Fourier blocks, so D enters through the
-sums of c over the orbits of the translation: exact for any cutoff.
+the Fourier blocks, taken one block at a time.  The elementary chain
+expands K to the dense matrix: its Q(m) carries the non-invariant
+diag(m).  The cutoff weight is not translation invariant, but tr(D M) of
+a block-circulant M only reads the diagonal of C_0, the mean of the
+Fourier blocks, so D enters through the sums of c over the orbits of the
+translation: exact for any cutoff.
 
 Both cochain flavors live on the fiber, so a chain differs between base
 points only through the cutoff weight, in which it is real-linear: every

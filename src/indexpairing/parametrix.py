@@ -30,12 +30,6 @@ of size npoints/g, and the flowed block row is what the idempotent stores,
 once its trace still counts the rank of the projector it was cut from.  An
 unlocalized projector is stored dense (g = 1), and a zero one as None.  The
 cut radius belongs to the idempotent, not to either projector.
-
-The flow holds three (g, B, B) stacks of Fourier blocks, P, P^2 and the
-next P, with the same operations in the same order as 3 P^2 - 2 P^3, and
-one more stack while the defect is read (its magnitudes one block at a
-time): at flux 24 on grid 40 (g = 8, B = 200, a stack of 4.9 MiB) it
-peaks at about 3.1 stacks besides its input.
 """
 from __future__ import annotations
 

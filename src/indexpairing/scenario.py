@@ -37,20 +37,16 @@ class ScenarioError(ModelError):
 
 _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
-# 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once.  It stands for the
-# npoints^2 arrays a run builds (an unlocalized S0 and S1, and the dense
-# expansion of the invariance gate).  No scenario runs the dense elementary
-# k = 1 chain
+# 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once, the npoints^2 arrays
+# of an unlocalized run; no scenario runs the dense elementary k = 1 chain
 _KERNEL_BUDGET = 2**30
 # cyclic^3 x base_points.  It bounds outside input, though no loop of a run
 # grows with their product: the cutoff sums the cyclic translates of one
-# field, the kernel and form invariance gates compare at most cyclic/2
-# moved copies, and the base adds base_points multiples of the cutoff into
-# the one weight field.  A dolbeault run on grid 16, twist 2, localize 0.5
-# at the edge takes 0.03 to 0.04 s (cyclic 64, one point; 0.10 to 0.11 s
-# under the half shift, whose 16 moving elements each compare a dense
-# kernel) and 0.03 to 0.06 s (cyclic 16, 64 points, trivial or half-shift
-# fiber action), on 2 cores of an Intel Xeon
+# field, the kernel and form invariance gates check one element per moving
+# translation, and the base adds base_points multiples of the cutoff into
+# the one weight field.  At the edge, a dolbeault run on grid 16, twist 2,
+# localize 0.5 (cyclic 64 at one point or cyclic 16 at 64 points, trivial
+# or half-shift fiber action) takes 0.02 to 0.04 s on 2 Intel Xeon cores
 _GROUPOID_BUDGET = 2**18
 # a translation entry is an integer, a decimal or a fraction p/q; an exponent
 # is refused, since Fraction("1e999999999") builds a billion-digit integer

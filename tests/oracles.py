@@ -25,6 +25,11 @@ translations of the twisted bundle with the quasi-periodic shift they are
 built from, and, for the form calculus, a degree-0 form from a scalar field
 and the wedge of two whole forms.
 
+The kernel gate and its norm scale are kept as the library first ran
+them, on the dense matrix that ``dense_kernel`` expands from the block
+row; the library reads the block row and must agree with the gate bit for
+bit and, at one block, with the scale too.
+
 The level basis is sampled here as the library first did, one image term
 (j, p) at a time over every grid point, and the band projection through the
 dense evaluation matrix of the mode box; the library samples each image
@@ -57,7 +62,14 @@ from indexpairing.forms import (
     subset_position,
 )
 from indexpairing.grids import TWO_PI_I, ModelError, grid_points
-from indexpairing.operators import block_count, circulant_blocks, circulant_column, circulant_row
+from indexpairing.operators import (
+    _norm_lower_bound,
+    block_count,
+    circulant_blocks,
+    circulant_column,
+    circulant_dense,
+    circulant_row,
+)
 from indexpairing.pairing import _is_hermitian
 from indexpairing.parametrix import MAX_NEWTON_STEPS
 from indexpairing.symbols import SymbolData
@@ -144,11 +156,17 @@ def form_invariance_defect_per_arrow(space, form):
     return worst
 
 
-def twisted_invariance_defect_per_arrow(kern, space):
-    """The phase-free equivariance defect of a kernel, over every group element g != 0."""
-    here = kern.dense()
+def dense_kernel(kern):
+    """The npoints x npoints matrix of a smoothing kernel, zero for a zero family."""
+    if kern.row is None:
+        n = kern.fiber.npoints
+        return np.zeros((n, n), dtype=complex)
+    return circulant_dense(kern.row)
+
+
+def _dense_twisted_defect(here, space, elements):
     worst = 0.0
-    for g in range(1, space.order):
+    for g in elements:
         perm = space.permutation(-g)
         moved = here[np.ix_(perm, perm)]
         worst = max(worst, float(np.max(np.abs(np.abs(here) - np.abs(moved)))))
@@ -156,6 +174,25 @@ def twisted_invariance_defect_per_arrow(kern, space):
         cyc = here * here.T - moved * moved.T
         worst = max(worst, float(np.max(np.abs(cyc))))
     return worst
+
+
+def twisted_invariance_defect_per_arrow(kern, space):
+    """The phase-free equivariance defect of a kernel, over every group element g != 0."""
+    return _dense_twisted_defect(dense_kernel(kern), space, range(1, space.order))
+
+
+def twisted_invariance_defect_dense(kern, space):
+    """The kernel gate as the library first ran it: the dense matrix moved by
+    one element per distinct moving translation, every entry compared."""
+    elements = space.moving_elements()
+    if not elements:
+        return 0.0
+    return _dense_twisted_defect(dense_kernel(kern), space, elements)
+
+
+def kernel_norm_dense(kern):
+    """The gate's norm scale as the library first took it, on the dense matrix."""
+    return 0.0 if kern.row is None else _norm_lower_bound(dense_kernel(kern))
 
 
 def transport_matrix(space, g, domain, codomain):
@@ -281,7 +318,7 @@ def partition_defect(space, sigma, fields):
 
 def invariance_defect(kern, space):
     """Strict equivariance defect of a kernel for plain pullback, over every g."""
-    here = kern.dense()
+    here = dense_kernel(kern)
     worst = 0.0
     for g in range(space.order):
         perm = space.permutation(-g)

@@ -17,12 +17,15 @@ from indexpairing.grids import (
 from oracles import (
     apply_block,
     band_limit_dense,
+    dense_kernel,
     eval_modes_at,
     family_invariance_defect,
     gram_defect,
     invariance_defect,
+    kernel_norm_dense,
     symbol_of,
     transport_matrix,
+    twisted_invariance_defect_dense,
     twisted_invariance_defect_per_arrow,
 )
 from indexpairing.operators import (
@@ -246,12 +249,37 @@ def test_gate_per_group_element_equals_the_per_arrow_defect(monkeypatch):
         )
         assert twisted_invariance_defect_per_arrow(kern, still) == 0.0
 
-    def no_dense(self):
-        raise AssertionError("kernel expanded under a trivial fiber action")
+    def no_permutation(self, g):
+        raise AssertionError("kernel moved under a trivial fiber action")
 
-    # a trivial fiber action moves no kernel, so the gate expands none
-    monkeypatch.setattr(SmoothingKernel, "dense", no_dense)
+    # a trivial fiber action moves no kernel, so the gate gathers none
+    monkeypatch.setattr(FiberedGSpace, "permutation", no_permutation)
     assert all(k.twisted_invariance_defect(still) == 0.0 for k in (invariant, rough, wave))
+
+
+def quarter_shift_space():
+    """Z/4 on the 8-point grid by (1/4, 1/2): its elements 1 and 2 move the fiber apart."""
+    return FiberedGSpace(FiberModel(2, 3, 8), 4, [Fraction(1, 4), Fraction(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "make_space", [trivial_space, half_shift_space, diagonal_shift_space, quarter_shift_space]
+)
+def test_gate_and_scale_are_the_dense_gate_on_whole_kernels(make_space):
+    # the spaces and kinds of kernel the gate tests here run, each stored
+    # whole (g = 1): the block-row gate and its scale take the dense floats
+    space = make_space()
+    fiber = space.fiber
+    npts = fiber.npoints
+    rng = np.random.default_rng(59)
+    raw = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
+    q, _ = np.linalg.qr(raw[:, :5])
+    invariant = random_invariant_kernel(rng, space, compute_cutoff(space), band=2).row
+    wave = np.diag(np.cos(2 * np.pi * grid_points(fiber.grid_size, 2)[:, 0]))
+    for m in (raw, q @ q.conj().T, wave, invariant, invariant @ invariant, None):
+        kern = SmoothingKernel(fiber, m)
+        assert kern.twisted_invariance_defect(space) == twisted_invariance_defect_dense(kern, space)
+        assert kern.norm() == kernel_norm_dense(kern)
 
 
 def test_trace_tau_is_cutoff_independent():
@@ -274,7 +302,7 @@ def test_trace_tau_trace_property():
     cutoff = compute_cutoff(space, 1.5 + rng.random(144))
     k1 = random_invariant_kernel(rng, space, uniform, band=2)
     k2 = random_invariant_kernel(rng, space, uniform, band=2)
-    A, B = k1.dense(), k2.dense()
+    A, B = dense_kernel(k1), dense_kernel(k2)
     lhs = trace_tau(SmoothingKernel(space.fiber, A @ B), space, cutoff)
     rhs = trace_tau(SmoothingKernel(space.fiber, B @ A), space, cutoff)
     assert abs(lhs - rhs) <= 1e-9 * k1.norm() * k2.norm()

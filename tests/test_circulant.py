@@ -16,16 +16,20 @@ import numpy as np
 import pytest
 
 from indexpairing.dolbeault import dolbeault_family
+from indexpairing.forms import InvarianceError
 from indexpairing.grids import FiberModel
 from indexpairing.operators import (
     CIRCULANT_RTOL,
+    TRACE_INVARIANCE_TOL,
     OperatorBlock,
+    SmoothingKernel,
     block_count,
     certified_block_row,
     circulant_blocks,
     circulant_column,
     circulant_dense,
     circulant_row,
+    require_invariant,
     truncation_mask,
 )
 from indexpairing.harness import load_scenario
@@ -41,7 +45,14 @@ from indexpairing.parametrix import (
     index_idempotent,
     parametrix,
 )
-from oracles import newton_flow_whole_stack, profile_chain_whole_stack
+from indexpairing.space import FiberedGSpace
+from oracles import (
+    dense_kernel,
+    kernel_norm_dense,
+    newton_flow_whole_stack,
+    profile_chain_whole_stack,
+    twisted_invariance_defect_dense,
+)
 
 PERFBENCH_SCENARIOS = sorted(
     (Path(__file__).resolve().parents[1] / "perfbench" / "scenarios").glob("*.json")
@@ -329,3 +340,75 @@ def test_leg_mask_rows_are_block_row_zero_of_the_full_mask(n):
         assert circulant_order(W, n) == n
         for g in (g for g in range(1, n + 1) if n % g == 0):
             assert np.array_equal(phi.leg_mask(i, npts // g), W[: npts // g])
+
+
+@pytest.fixture(scope="module")
+def flux24():
+    """The flux-24 benchmark idempotent: S0 in 8 blocks of 200 points, S1 zero."""
+    idem = index_idempotent(dolbeault_family(FiberModel(2, 19, 40), 24, 2), radius=0.30)
+    assert idem.skernel.order == 8 and idem.cokernel.row is None
+    return idem
+
+
+@pytest.mark.parametrize(
+    "order, shift, invariant",
+    [
+        # 20 and 10 ticks along axis 0, whole block widths (5 ticks), and
+        # magnetic translations of the flux-24 bundle in both axes
+        (2, ("1/2", "1/2"), True),
+        (4, ("1/4", "1/2"), True),
+        # 8 ticks send the leading rows into two blocks; 1/5 is no magnetic
+        # translation, so both gates refuse
+        (5, ("1/5", "2/5"), False),
+    ],
+)
+def test_block_row_gate_is_the_dense_gate(flux24, order, shift, invariant):
+    space = FiberedGSpace(flux24.skernel.fiber, order, shift)
+    for kern in flux24.families:
+        assert kern.twisted_invariance_defect(space) == twisted_invariance_defect_dense(kern, space)
+    S0 = flux24.skernel
+    dense_defect = twisted_invariance_defect_dense(S0, space)
+    assert (dense_defect <= TRACE_INVARIANCE_TOL * kernel_norm_dense(S0)) == invariant
+    if invariant:
+        require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+    else:
+        with pytest.raises(InvarianceError):
+            require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+
+
+def test_block_translations_and_zero_families_have_no_defect(flux24):
+    # (1/2, 0) moves axis 0 by four block widths and nothing else, which
+    # carries the block row onto itself
+    fiber = flux24.skernel.fiber
+    space = FiberedGSpace(fiber, 2, ("1/2", 0))
+    for kern in flux24.families:
+        assert kern.twisted_invariance_defect(space) == 0.0
+        assert twisted_invariance_defect_dense(kern, space) == 0.0
+    zero = flux24.cokernel
+    half = FiberedGSpace(fiber, 2, ("1/2", "1/2"))
+    assert zero.twisted_invariance_defect(half) == twisted_invariance_defect_dense(zero, half) == 0.0
+    assert zero.norm() == kernel_norm_dense(zero) == 0.0
+
+
+def test_block_norm_lies_between_the_largest_entry_and_the_norm():
+    # the flux-8 projector on grid 24 in 8 blocks of 72, and a random
+    # non-hermitian row in 4 blocks of 16
+    idem = index_idempotent(dolbeault_family(FiberModel(2, 8, 24), 8, levels=2), radius=0.45)
+    rng = np.random.default_rng(71)
+    row = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
+    for kern in (idem.skernel, SmoothingKernel(FiberModel(2, 3, 8), row)):
+        assert kern.order > 1
+        dense = dense_kernel(kern)
+        assert np.max(np.abs(dense)) <= kern.norm() <= np.linalg.norm(dense, 2) * (1 + 1e-12)
+
+
+def test_block_row_gate_holds_less_than_one_dense_kernel(flux24):
+    # the gate and its scale under the half shift, which moves the fiber:
+    # a dense kernel would be 1600 x 1600 complex, 41 MB
+    fiber = flux24.skernel.fiber
+    space = FiberedGSpace(fiber, 2, ("1/2", "1/2"))
+    assert flux24.skernel.twisted_invariance_defect(space) > 0.0
+    _, peak = traced_peak(
+        lambda: require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+    )
+    assert peak < fiber.npoints**2 * 16, peak

@@ -42,7 +42,13 @@ from indexpairing.scenario import (
     _validate,
     load_scenario,
 )
-from oracles import cutoff_per_arrow, mass_weighted_sum, orbit_sum_per_point, same_bits
+from oracles import (
+    cutoff_per_arrow,
+    dense_kernel,
+    mass_weighted_sum,
+    orbit_sum_per_point,
+    same_bits,
+)
 
 
 def cheap_scenario(**overrides):
@@ -957,7 +963,7 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8
     dense = IndexIdempotent(
-        *(SmoothingKernel(fiber, f.dense()) for f in idem.families), idem.radius
+        *(SmoothingKernel(fiber, dense_kernel(f)) for f in idem.families), idem.radius
     )
     unit = ASCochain.unit(fiber, germ_radius=2.0)
     for kern, dense_kern in zip(idem.families, dense.families):

@@ -23,7 +23,7 @@ from indexpairing.parametrix import IndexIdempotent, index_idempotent
 from indexpairing.space import FiberedGSpace
 from indexpairing.symbols import SMOOTHING_ORDER, SymbolData, trace_symbol_formula
 from indexpairing.topindex import free_action_reduction, symbol_class_dolbeault, topological_index
-from oracles import fourier_coefficients, mass_weighted_sum, to_elementary
+from oracles import dense_kernel, fourier_coefficients, mass_weighted_sum, to_elementary
 
 
 def trivial_space(n=20, N=8):
@@ -407,7 +407,7 @@ def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8 and idem.cokernel.row is None
     dense = IndexIdempotent(
-        *(SmoothingKernel(fiber, f.dense()) for f in idem.families), idem.radius
+        *(SmoothingKernel(fiber, dense_kernel(f)) for f in idem.families), idem.radius
     )
     rng = np.random.default_rng(43)
     factors = [random_band_limited(rng, fiber, band=2) for _ in range(3)]

@@ -20,6 +20,7 @@ from pathlib import Path
 import indexpairing
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.grids import FiberModel
+from indexpairing.operators import SmoothingKernel
 from indexpairing.parametrix import index_idempotent
 
 SRC = Path(indexpairing.__file__).parent
@@ -146,6 +147,27 @@ def test_only_the_checks_form_the_flux_projector_field():
         if re.search(r"\b(twist_projector|chern_character_fiber)\b", path.read_text())
     }
     assert naming - PROJECTOR_CHARACTER == set()
+
+
+# the dense block-circulant matrix serves the slot-product chain, whose Q(m)
+# carries the non-invariant diag(m); every other stage, the invariance gate
+# and its norm scale included, reads the stored block row
+DENSE_KERNEL = {"operators.py", "pairing.py"}
+
+
+def test_only_the_slot_product_chain_expands_a_block_row():
+    naming = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.FunctionDef):
+                name = node.name
+            if name == "circulant_dense":
+                naming.add(path.name)
+    assert naming - DENSE_KERNEL == set()
+    assert not hasattr(SmoothingKernel, "dense")
 
 
 def test_traced_entry_points_resolve():
