@@ -150,71 +150,69 @@ def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
 # of block row 0; grid matrices assembled from a section basis carry about
 # 2e-14 of rounding
 CIRCULANT_RTOL = 1e-12
-# relative slack on rho sigma / n as a bound of the computed entries of S,
-# far above their rounding (about nb times the unit roundoff)
+# relative slack on rho^2 / n as a bound of the computed entries of S, far
+# above their rounding (about nb times the unit roundoff)
 ENTRY_BOUND_MARGIN = 1e-6
 
 
 def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
     """Block row 0 of the grid matrix S of ``block``, cut at ``radius``, in g blocks.
 
-    ``block`` maps one basis E (npoints x nb, quadrature-orthonormal) to
-    itself by an orthogonal projector R, as the parametrix remainders do, so
-    S = E R E^H / n with n = npoints.  g is the largest divisor of grid_size
-    whose translation Pi, by grid_size/g ticks along axis 0, is certified in
-    basis space to commute with S; only block row 0 of S is formed.
+    ``block`` maps one basis E (npoints x nb) to itself by a projector R, as
+    the parametrix remainders do, so S = E R E^H / n with n = npoints.  g is
+    the largest divisor of grid_size whose translation Pi, by grid_size/g
+    ticks along axis 0, is certified to commute with S on the range of R;
+    only block row 0 of S is formed.
 
-    For a = 1 .. g/2 let U = Pi^a E (the rows of E moved by a npoints/g),
-    T = E^H U / n its basis matrix, and
-    F = U - E T the part of U outside the span of E.  Pi^a S Pi^-a is
-    U R U^H / n, and R - T R T^H = R (1 - T T^H) - (T R - R T) T^H, so
-    |T| <= 1 and R = R R^H bound every entry:
+    With V the eigenvectors of R of eigenvalue above 1/2 and D = R - V V^H,
+    W = E V (npoints x rank) spans that range.  For a = 1 .. g/2 write
+    U = Pi^a W = W T + F, T the least-squares coefficients.  Since
+    W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H,
 
-        |S - Pi^a S Pi^-a| <= [rho^2 |T R - R T|_F + sigma rho |1 - T T^H|_F
-                               + psi (2 sigma + 2 rho |T R - R T|_F + psi)] / n,
+        |S - Pi^a S Pi^-a| <= [rho^2 |1 - T T^H|_F + psi (2 rho |T|_2 + psi)
+                               + 2 rho_E^2 |D|_2] / n,
 
-    with rho, sigma and psi the largest row norms of E, E R and F R.  When Pi
-    maps the span of E onto itself, F = 0, T is unitary and the bound is
-    rho^2 |T R - R T|_F / n.  g is accepted when, for every a (a and g - a
-    give the same entries), the bound is at most CIRCULANT_RTOL times the
-    largest entry of block row 0 of the cut S.  The truncation mask commutes
-    with Pi, so every entry of the cut S is then that close to the expansion
-    of its block row 0.  g = 1 needs no certificate.  Every entry of S is at
-    most rho sigma / n (Cauchy-Schwarz), so a g whose first term exceeds
-    CIRCULANT_RTOL times that for some a is refused before its block row
-    is formed, as the full test would refuse it.
+    with rho, psi and rho_E the largest row norms of W, F and E.  This holds
+    for any T, and |T|_2 is computed, so no orthonormal basis is assumed: a
+    sampled basis that misses quadrature orthonormality only moves T.  g is
+    accepted when, for every a (a and g - a give the same entries), the
+    bound is at most CIRCULANT_RTOL times the largest entry of block row 0
+    of the cut S; the truncation mask commutes with Pi, so every entry of
+    the cut S is then that close to the expansion of its block row 0.
+    Every entry of S is at most (rho^2 + rho_E^2 |D|_2) / n, so a g whose
+    bound exceeds CIRCULANT_RTOL times that for some a is refused before
+    its block row is formed.
     """
     fiber = block.domain.fiber
     n, E, R = fiber.npoints, block.domain.matrix, block.matrix
-    ER = E @ R
-    rho, sigma = _max_row_norm(E), _max_row_norm(ER)
-    # the margin covers the rounding of the row and of rho and sigma
-    refuse = CIRCULANT_RTOL * rho * sigma / n * (1.0 + ENTRY_BOUND_MARGIN)
-
-    def within(shift: int, TR: np.ndarray, comm: float, leak: float, tol: float) -> bool:
-        if rho * rho * comm / n > tol:
-            # the other terms only add to the bound
-            return False
-        psi = _max_row_norm(np.roll(ER, -shift, axis=0) - E @ TR)
-        bound = rho * rho * comm + sigma * rho * leak + psi * (2 * (sigma + rho * comm) + psi)
-        return bound / n <= tol
-
+    vals, vecs = np.linalg.eigh(R)
+    V = vecs[:, vals > 0.5]
+    W = E @ V
+    Wh = W.conj().T
+    gram = Wh @ W / n
+    rho = _max_row_norm(W)
+    # |D|_2^2 <= |D|_1 |D|_inf, the largest column and row sums of |D|
+    D = np.abs(R - V @ V.conj().T)
+    gap = _max_row_norm(E) ** 2 * float(np.sqrt(D.sum(axis=0).max() * D.sum(axis=1).max()))
+    # the margin covers the rounding of the row and of rho
+    refuse = CIRCULANT_RTOL * (rho * rho + gap) / n * (1.0 + ENTRY_BOUND_MARGIN)
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
         width = n // g
-        powers = []
+        bounds = []
         for a in range(1, g // 2 + 1):
-            T = E.conj().T @ np.roll(E, -a * width, axis=0) / n
-            TR = T @ R
-            comm = float(np.linalg.norm(TR - R @ T))
-            if rho * rho * comm / n > refuse:
-                break
+            U = np.roll(W, -a * width, axis=0)
+            T = np.linalg.solve(gram, Wh @ U / n)
+            U -= W @ T
             leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
-            powers.append((a * width, TR, comm, leak))
+            psi = _max_row_norm(U)
+            bound = (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi) + 2 * gap) / n
+            if bound > refuse:
+                break
+            bounds.append(bound)
         else:
             row = block.grid_matrix(width)
             row *= truncation_mask(fiber, radius, width)
-            tol = CIRCULANT_RTOL * float(np.max(np.abs(row)))
-            if all(within(*power, tol) for power in powers):
+            if max(bounds, default=0.0) <= CIRCULANT_RTOL * float(np.max(np.abs(row))):
                 return row
 
 

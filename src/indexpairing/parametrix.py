@@ -20,16 +20,15 @@ with e the identity on the range copy.  The idempotent is stored as the two
 projectors S0 and S1 on the scalar grid sections of the one fiber, and every
 consumer (trace, pairing, invariance gate, cache) works on them one at a
 time.
+A projector that commutes with translations along axis 0 is block
+circulant (see ``operators``): its block count g is certified on its range,
+and only its block row 0 is built and stored, a zero projector as None.
 Localization truncates each projector at a fiber radius and restores
-idempotency with the cubic correction flow; the flow commutes with
-P -> 1 - P, so the range block 1 - S1 is corrected by flowing S1.  A
-truncated projector that commutes with translations along axis 0 is block
-circulant (see ``operators``): its block count g is certified in basis
-space, only its block row 0 is built, the flow runs on its g Fourier blocks
-of size npoints/g, and the flowed block row is what the idempotent stores,
-once its trace still counts the rank of the projector it was cut from.  An
-unlocalized projector is stored dense (g = 1), and a zero one as None.  The
-cut radius belongs to the idempotent, not to either projector.
+idempotency with the cubic correction flow on the g Fourier blocks of size
+npoints/g; the flow commutes with P -> 1 - P, so the range block 1 - S1 is
+corrected by flowing S1, and the flowed block row is stored once its trace
+still counts the rank of the projector it was cut from.  The cut radius
+belongs to the idempotent, not to either projector.
 """
 from __future__ import annotations
 
@@ -153,9 +152,9 @@ class IndexIdempotent:
     """Grid realization of the index idempotent P = diag(S0, 1 - S1) of an operator.
 
     ``skernel`` is the kernel projector S0 and ``cokernel`` the cokernel
-    projector S1, both on scalar grid sections; ``radius`` is the fiber
-    radius both were cut at (+inf when unlocalized).  The index class is
-    [S0] - [S1].
+    projector S1, both on scalar grid sections as certified block rows;
+    ``radius`` is the fiber radius both were cut at (+inf when unlocalized).
+    The index class is [S0] - [S1].
     """
 
     def __init__(self, skernel: SmoothingKernel, cokernel: SmoothingKernel, radius: float):
@@ -261,18 +260,19 @@ def index_idempotent(
 ) -> IndexIdempotent:
     """Index idempotent of an operator, optionally localized at a fiber radius.
 
-    With no radius the construction is exact and each projector is stored
-    dense.  With a radius, each projector is hard-truncated
-    (``truncation_mask``) and idempotency restored by the cubic flow
-    P -> 3 P^2 - 2 P^3, both on the certified block row
-    (``certified_block_row``); failure to reach the tolerance within
-    MAX_NEWTON_STEPS means the radius is too aggressive for the kernel decay
-    and raises.  A remainder that parametrix set to zero is a projector
-    already, and is stored as None.
+    Each projector is stored as its certified block row
+    (``certified_block_row``).  With no radius the construction is exact
+    and the row is stored uncut.  With a radius, each projector is
+    hard-truncated (``truncation_mask``) and idempotency restored by the
+    cubic flow P -> 3 P^2 - 2 P^3, both on that block row; failure to reach
+    the tolerance within MAX_NEWTON_STEPS means the radius is too aggressive
+    for the kernel decay and raises.  A remainder that parametrix set to
+    zero is a projector already, and is stored as None.
     """
     data = parametrix(block)
+    cut = np.inf if radius is None else radius
     rows = [
-        _stored_row(r, r.matrix.shape[0] - data.rank, radius, newton_tol)
+        _stored_row(r, r.matrix.shape[0] - data.rank, cut, newton_tol)
         for r in (data.r0, data.r1)
     ]
     # The flow smears tolerance-scale mass back outside the cut (each step
@@ -280,23 +280,24 @@ def index_idempotent(
     # the construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
     fiber = block.domain.fiber
-    return IndexIdempotent(
-        *(SmoothingKernel(fiber, row) for row in rows), np.inf if radius is None else radius
-    )
+    return IndexIdempotent(*(SmoothingKernel(fiber, row) for row in rows), cut)
 
 
 def _stored_row(
-    r: OperatorBlock, rank: int, radius: float | None, newton_tol: float
+    r: OperatorBlock, rank: int, radius: float, newton_tol: float
 ) -> np.ndarray | None:
-    """Block row 0 of the rank-``rank`` projector r, cut at radius and
+    """Certified block row 0 of the rank-``rank`` projector r; None for rank 0.
+
+    At radius +inf the row is stored uncut.  Cut at a finite radius, it is
     flowed back to a projector, whose trace g tr C_0 must still round to
     ``rank``: a cut too tight for the kernel decay can flow to a projector
-    of another rank, even 0, whose defect passes.  None for rank 0.
+    of another rank, even 0, whose defect passes.
     """
     if rank == 0:
         return None
-    if radius is None:
-        return r.grid_matrix()
+    if radius == np.inf:
+        return certified_block_row(r, radius)
+    # the cut row is not held while the flow runs on its blocks
     P, defect, steps = _newton_flow(circulant_blocks(certified_block_row(r, radius)), newton_tol)
     if defect > newton_tol:
         raise LocalizationError(

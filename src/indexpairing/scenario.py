@@ -37,8 +37,8 @@ class ScenarioError(ModelError):
 
 _DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
-# 2 x npoints^2 x 16 bytes: a dense S0 and S1, held once, the npoints^2 arrays
-# of an unlocalized run; no scenario runs the dense elementary k = 1 chain
+# 2 x npoints^2 x 16 bytes: a whole S0 and S1, held when g = 1 is the only
+# certified block count; no scenario runs the dense elementary k = 1 chain
 _KERNEL_BUDGET = 2**30
 # cyclic^3 x base_points.  It bounds outside input, though no loop of a run
 # grows with their product: the cutoff sums the cyclic translates of one

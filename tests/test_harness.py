@@ -570,7 +570,7 @@ def test_analytic_column_routes_on_freeness():
         )
         rows.append(run_scenario(_validate(raw)).csv_row())
     tail = (
-        "1.000000000000e+00+2.864820792276e-35j,"
+        "1.000000000000e+00+2.118522938826e-35j,"
         "9.999999998560e-01-3.364204140093e-17j,1.440460e-10,pass"
     )
     assert rows == [f"quarter,1,{tail}", f"half,4,{tail}"]
@@ -734,24 +734,27 @@ def test_base_sums_match_the_per_point_oracle_bit_for_bit(case):
         assert same_bits(rec.pairing, complex(orbit_sum))
 
 
-# the [g] members a format-7 cache stored beside the block rows of S0 and S1
-# (0 for a zero projector); format 8 derives them from the row shapes
-FORMAT_7_BLOCK_COUNTS = {
-    "S1-dolbeault-dm2": (0, 1),
+# the block counts g of the stored rows of S0 and S1 (0 for a zero
+# projector), each the largest the certificate accepts: gcd(twist, grid)
+# for the twisted Dolbeault projectors, cut or not, and every tick for the
+# exactly invariant twist-0 projectors onto the constants
+STORED_BLOCK_COUNTS = {
+    "S1-dolbeault-dm2": (0, 2),
     "S1-dolbeault-dm1": (0, 1),
-    "S1-dolbeault-d0": (1, 1),
+    "S1-dolbeault-d0": (20, 20),
     "S1-dolbeault-d1": (1, 0),
-    "S1-dolbeault-d2": (1, 0),
-    "S2-free-halfshift-d2": (1, 0),
+    "S1-dolbeault-d2": (2, 0),
+    "S2-free-halfshift-d2": (2, 0),
     "S3-multiplier-invertible": (0, 0),
     "S4-sawtooth-flux32": (16, 0),
+    "S5-orbifold-family": (3, 0),
     "flux24": (8, 0),
 }
 
 
-def test_derived_block_count_matches_the_format_7_member():
+def test_each_scenario_stores_its_certified_block_counts():
     flux24 = Path(__file__).parents[1] / "perfbench" / "scenarios" / "flux24-unit.json"
-    for name, counts in FORMAT_7_BLOCK_COUNTS.items():
+    for name, counts in STORED_BLOCK_COUNTS.items():
         scn = load_scenario(str(flux24) if name == "flux24" else name)
         fiber = harness._build_space(scn).fiber
         block, _ = harness._build_operator(scn, fiber)
