@@ -39,7 +39,8 @@ from .dolbeault import dolbeault_family
 from .grids import FiberModel, ModelError
 from .invariants import INVARIANT_CHECKS
 from .pairing import ProfileCochain, pair_cocycle
-from .parametrix import CorruptedCacheError, IndexIdempotent, analytic_index, index_idempotent
+from .parametrix import CorruptedCacheError, IndexIdempotent
+from .parametrix import analytic_index, index_idempotent, parametrix
 from .scenario import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -281,13 +282,6 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
             echo=scn.echo(),
         )
 
-    with _stage("analytic-index"):
-        if scn.free_action:
-            m = scn.group["group"]["cyclic"]
-            analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
-        else:
-            analytic = (analytic_index(block).index,) * points
-
     idem = None
     if out_dir is not None:
         cache_path = _idempotent_cache(scn, out_dir)
@@ -299,9 +293,23 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                     idem = IndexIdempotent.from_arrays(space.fiber, arrays)
                 except CorruptedCacheError as exc:
                     raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
+
+    # an idempotent still to build and the spectral count share one factorization
+    data = None
+    with _stage("analytic-index"):
+        if scn.free_action:
+            m = scn.group["group"]["cyclic"]
+            analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
+        elif idem is None:
+            data = parametrix(block)
+            analytic = (data.count.index,) * points
+        else:
+            analytic = (analytic_index(block).index,) * points
+
     if idem is None:
         with _stage("idempotent"):
-            idem = index_idempotent(block, radius=scn.localize)
+            idem = index_idempotent(block, radius=scn.localize, data=data)
+        del data
         if out_dir is not None:
             with _stage("operator-cache"):
                 save_coefficients(cache_path, idem.arrays())

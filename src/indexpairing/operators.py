@@ -93,7 +93,13 @@ class OperatorBlock:
     def grid_matrix(self, rows: int | None = None) -> np.ndarray:
         """Rows [0, rows) of the operator matrix on grid vectors (all by default), bit for bit."""
         n = self.domain.fiber.npoints
-        return self.codomain.matrix[:rows] @ self.matrix @ self.domain.matrix.conj().T / n
+        # A E^H as conj(conj(A) E^T), with no conjugate copy of E: the same
+        # bits but for the signs of zeros, which adding 0.0 makes positive
+        out = (self.codomain.matrix[:rows] @ self.matrix).conj() @ self.domain.matrix.T
+        np.conjugate(out, out=out)
+        out /= n
+        out += 0.0
+        return out
 
 
 def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
@@ -155,7 +161,7 @@ CIRCULANT_RTOL = 1e-12
 ENTRY_BOUND_MARGIN = 1e-6
 
 
-def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
+def certified_block_row(block: OperatorBlock, radius: float, V: np.ndarray) -> np.ndarray:
     """Block row 0 of the grid matrix S of ``block``, cut at ``radius``, in g blocks.
 
     ``block`` maps one basis E (npoints x nb) to itself by a projector R, as
@@ -164,8 +170,9 @@ def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
     ticks along axis 0, is certified to commute with S on the range of R;
     only block row 0 of S is formed.
 
-    With V the eigenvectors of R of eigenvalue above 1/2 and D = R - V V^H,
-    W = E V (npoints x rank) spans that range.  For a = 1 .. g/2 write
+    V (nb x rank) spans that range: the parametrix passes the trailing
+    singular vectors of the operator.  With D = R - V V^H, W = E V
+    (npoints x rank) spans the range on the grid.  For a = 1 .. g/2 write
     U = Pi^a W = W T + F, T the least-squares coefficients.  Since
     W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H,
 
@@ -185,8 +192,6 @@ def certified_block_row(block: OperatorBlock, radius: float) -> np.ndarray:
     """
     fiber = block.domain.fiber
     n, E, R = fiber.npoints, block.domain.matrix, block.matrix
-    vals, vecs = np.linalg.eigh(R)
-    V = vecs[:, vals > 0.5]
     W = E @ V
     Wh = W.conj().T
     gram = Wh @ W / n

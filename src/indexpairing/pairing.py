@@ -209,6 +209,8 @@ class ProfileCochain:
 # the two-product profile chain needs K = K^H; it is taken when
 # max|K - K^H| <= HERMITIAN_RTOL * max|K|, and the four-product form otherwise
 HERMITIAN_RTOL = 1e-14
+# how far a kernel reach may pass the cochain germ radius, here and at load
+GERM_SLACK = 1e-9
 
 
 def _kernel_reach(idem: IndexIdempotent) -> float:
@@ -248,7 +250,7 @@ def pair_cocycle(
         raise ModelError("chains beyond one cochain level are not modeled")
     require_invariant(space, invariance_tol, "pairing", *idem.families)
     reach = _kernel_reach(idem)
-    if reach > phi.germ_radius + 1e-9:
+    if reach > phi.germ_radius + GERM_SLACK:
         raise SupportMismatchError(
             f"kernel reach {reach:.4g} exceeds the cochain germ radius "
             f"{phi.germ_radius:.4g}; localize the idempotent below the germ "

@@ -4,6 +4,8 @@ The parametrix of an operator block is its pseudo-inverse with a certified
 rank cut: the spectral way of inverting the symbol away from its zero set.
 The remainders S0 = 1 - QD and S1 = 1 - DQ come out as exact orthogonal
 projectors onto kernel and cokernel, which is as smoothing as remainders get.
+One SVD gives the certified rank, Q, and the trailing singular vectors that
+span the ranges of S0 and S1, on which their block counts are certified.
 
 The index idempotent is the standard graph construction over domain + range,
 
@@ -107,7 +109,7 @@ class IndexCount:
 
 
 def analytic_index(block: OperatorBlock) -> IndexCount:
-    """Spectral kernel and cokernel counts of an operator."""
+    """Spectral kernel and cokernel counts of an operator, from its singular values alone."""
     M = block.matrix
     rank = certified_rank(np.linalg.svd(M, compute_uv=False))
     return IndexCount(M.shape[1] - rank, M.shape[0] - rank)
@@ -115,36 +117,48 @@ def analytic_index(block: OperatorBlock) -> IndexCount:
 
 @dataclass
 class ParametrixData:
-    """The remainders R0 and R1, and the certified rank of the operator."""
+    """The remainders R0 and R1, and orthonormal bases v0 and v1 of their ranges.
+
+    v0 and v1 are the operator's right and left singular vectors past its certified rank.
+    """
 
     r0: OperatorBlock
     r1: OperatorBlock
-    rank: int
+    v0: np.ndarray
+    v1: np.ndarray
+
+    @property
+    def count(self) -> IndexCount:
+        return IndexCount(self.v0.shape[1], self.v1.shape[1])
 
 
 def parametrix(block: OperatorBlock) -> ParametrixData:
-    """Remainder projectors of the pseudo-inverse parametrix Q.
+    """Remainder projectors of the pseudo-inverse parametrix Q, from one SVD.
 
     Q inverts every certified singular direction, so R0 = 1 - QD and
     R1 = 1 - DQ are the orthogonal projectors onto kernel and cokernel;
     their matrix entries vanish outside those few directions by construction.
     A remainder whose certified dimension is 0 is set to exact zeros rather
     than the rounding noise of 1 - QD or 1 - DQ, so that the consumers can
-    skip it.
+    skip it, and Q is formed only for a nonzero one.  The SVD is full, so
+    the trailing singular vectors span the kernel of a wide operator too.
     """
     M = block.matrix
-    U, sing, Vh = np.linalg.svd(M, full_matrices=False)
+    U, sing, Vh = np.linalg.svd(M)
     rank = certified_rank(sing)
-    inv = np.zeros_like(sing)
-    inv[:rank] = 1.0 / sing[:rank]
-    Qm = (Vh.conj().T * inv) @ U.conj().T
     nc, nd = M.shape
+    if rank < max(nc, nd):
+        k = len(sing)
+        inv = np.zeros_like(sing)
+        inv[:rank] = 1.0 / sing[:rank]
+        Qm = (Vh[:k].conj().T * inv) @ U[:, :k].conj().T
     kernel = np.eye(nd) - Qm @ M if rank < nd else np.zeros((nd, nd), complex)
     cokernel = np.eye(nc) - M @ Qm if rank < nc else np.zeros((nc, nc), complex)
     return ParametrixData(
         OperatorBlock(block.domain, block.domain, kernel),
         OperatorBlock(block.codomain, block.codomain, cokernel),
-        rank,
+        Vh[rank:].conj().T,
+        U[:, rank:].copy(),
     )
 
 
@@ -257,9 +271,11 @@ def index_idempotent(
     block: OperatorBlock,
     radius: float | None = None,
     newton_tol: float = 1e-8,
+    data: ParametrixData | None = None,
 ) -> IndexIdempotent:
     """Index idempotent of an operator, optionally localized at a fiber radius.
 
+    ``data`` is ``parametrix(block)``, computed here unless the caller has it.
     Each projector is stored as its certified block row
     (``certified_block_row``).  With no radius the construction is exact
     and the row is stored uncut.  With a radius, each projector is
@@ -269,11 +285,12 @@ def index_idempotent(
     for the kernel decay and raises.  A remainder that parametrix set to
     zero is a projector already, and is stored as None.
     """
-    data = parametrix(block)
+    if data is None:
+        data = parametrix(block)
     cut = np.inf if radius is None else radius
     rows = [
-        _stored_row(r, r.matrix.shape[0] - data.rank, cut, newton_tol)
-        for r in (data.r0, data.r1)
+        _stored_row(r, v, cut, newton_tol)
+        for r, v in ((data.r0, data.v0), (data.r1, data.v1))
     ]
     # The flow smears tolerance-scale mass back outside the cut (each step
     # spreads the support), so the stored radius is the localization cut of
@@ -284,21 +301,22 @@ def index_idempotent(
 
 
 def _stored_row(
-    r: OperatorBlock, rank: int, radius: float, newton_tol: float
+    r: OperatorBlock, v: np.ndarray, radius: float, newton_tol: float
 ) -> np.ndarray | None:
-    """Certified block row 0 of the rank-``rank`` projector r; None for rank 0.
+    """Certified block row 0 of the projector r onto the span of v's columns; None for rank 0.
 
     At radius +inf the row is stored uncut.  Cut at a finite radius, it is
     flowed back to a projector, whose trace g tr C_0 must still round to
     ``rank``: a cut too tight for the kernel decay can flow to a projector
     of another rank, even 0, whose defect passes.
     """
+    rank = v.shape[1]
     if rank == 0:
         return None
     if radius == np.inf:
-        return certified_block_row(r, radius)
+        return certified_block_row(r, radius, v)
     # the cut row is not held while the flow runs on its blocks
-    P, defect, steps = _newton_flow(circulant_blocks(certified_block_row(r, radius)), newton_tol)
+    P, defect, steps = _newton_flow(circulant_blocks(certified_block_row(r, radius, v)), newton_tol)
     if defect > newton_tol:
         raise LocalizationError(
             f"idempotent correction stalled at defect {defect:.3e} after "

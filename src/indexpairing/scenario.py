@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import ModelError
-from .pairing import TransitionProfile
+from .pairing import GERM_SLACK, TransitionProfile
 from .space import whole_multiple
 
 __all__ = [
@@ -362,6 +362,12 @@ def _validate(raw: dict) -> Scenario:
                 f"cocycle.legs must list exactly two difference profiles, got {len(norm_legs)}"
             )
         coc = {"kind": "profile", "legs": norm_legs}
+        # the cut radius is the kernel reach the pairing holds to the germ radius
+        germ = min(leg["linear_radius"] for leg in norm_legs)
+        if localize is not None and localize > germ + GERM_SLACK:
+            raise ScenarioError(
+                f"localize {localize:g} exceeds the smallest cocycle.legs linear_radius {germ:g}"
+            )
     else:
         raise ScenarioError('cocycle.kind must be "unit" or "profile"')
 

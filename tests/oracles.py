@@ -37,6 +37,13 @@ term on the grid axes and projects by one FFT pair.  Seeded band-limited
 fields were evaluated by exponentials formed per call; the library reads
 the cached evaluation matrix of the band.
 
+The block-count certificate's range basis is kept here in its eigenvector
+form, the eigenvectors of a remainder projector with eigenvalue above 1/2,
+and the grid matrix of an operator block as the product with a conjugate
+copy of the domain basis.  The library takes the trailing singular vectors
+of its one factorization and multiplies by the transposed basis; both must
+certify the same block count, and the grid matrix must agree bit for bit.
+
 The McWeeny flow and the profile chain are kept as the library first ran
 them on Fourier blocks: every product and sum of the flow a new (g, B, B)
 stack, its defect read from the expanded block row, and the rotation sums
@@ -193,6 +200,18 @@ def twisted_invariance_defect_dense(kern, space):
 def kernel_norm_dense(kern):
     """The gate's norm scale as the library first took it, on the dense matrix."""
     return 0.0 if kern.row is None else _norm_lower_bound(dense_kernel(kern))
+
+
+def eigh_range_basis(R):
+    """Orthonormal eigenvectors of the projector R with eigenvalue above 1/2."""
+    vals, vecs = np.linalg.eigh(R)
+    return vecs[:, vals > 0.5]
+
+
+def grid_matrix_conjugate_copy(block, rows=None):
+    """Rows [0, rows) of the grid matrix of ``block``, through a conjugate copy of E."""
+    n = block.domain.fiber.npoints
+    return block.codomain.matrix[:rows] @ block.matrix @ block.domain.matrix.conj().T / n
 
 
 def transport_matrix(space, g, domain, codomain):

@@ -50,6 +50,8 @@ from indexpairing.scenario import BUILTIN_SCENARIOS
 from indexpairing.space import FiberedGSpace
 from oracles import (
     dense_kernel,
+    eigh_range_basis,
+    grid_matrix_conjugate_copy,
     kernel_norm_dense,
     newton_flow_whole_stack,
     profile_chain_whole_stack,
@@ -90,9 +92,10 @@ def is_block_circulant(m, g):
 
 
 def kernel_remainder(n, N, twist):
-    """The fiber, and the kernel projector block of the twisted Dolbeault operator."""
+    """The fiber, the twisted Dolbeault kernel projector block and its range basis."""
     fiber = FiberModel(2, N, n)
-    return fiber, parametrix(dolbeault_family(fiber, twist, levels=2)).r0
+    data = parametrix(dolbeault_family(fiber, twist, levels=2))
+    return fiber, data.r0, data.v0
 
 
 def dense_cut(block, radius):
@@ -102,7 +105,7 @@ def dense_cut(block, radius):
 
 def truncated_projector(n, N, twist, radius):
     """Kernel projector S0 of the twisted Dolbeault block, cut at radius."""
-    fiber, block = kernel_remainder(n, N, twist)
+    fiber, block, _ = kernel_remainder(n, N, twist)
     return fiber, dense_cut(block, radius)
 
 
@@ -218,8 +221,8 @@ def benchmark_row(path):
     scn = load_scenario(str(path))
     fib, op = scn.fiber, scn.operator
     fiber = FiberModel(fib["dim"], fib["fourier_cutoff"], fib["grid"])
-    block = parametrix(dolbeault_family(fiber, op["twist"], op["levels"])).r0
-    return fiber, certified_block_row(block, scn.localize)
+    data = parametrix(dolbeault_family(fiber, op["twist"], op["levels"]))
+    return fiber, certified_block_row(data.r0, scn.localize, data.v0)
 
 
 @pytest.mark.parametrize("path", PERFBENCH_SCENARIOS, ids=lambda path: path.stem)
@@ -250,11 +253,11 @@ def traced_peak(fn):
 
 def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     # one stack is the Fourier blocks of the flux-24 projector, 8 x 200 x 200
-    fiber, block = kernel_remainder(40, 19, 24)
+    fiber, block, V = kernel_remainder(40, 19, 24)
     # the basis is sampled on first read, before tracing starts
     block.domain.matrix
     stack = 8 * 200 * 200 * 16
-    row, cert_peak = traced_peak(lambda: certified_block_row(block, 0.30))
+    row, cert_peak = traced_peak(lambda: certified_block_row(block, 0.30, V))
     assert row.nbytes == stack
     blocks = circulant_blocks(row)
     (P, _, _), flow_peak = traced_peak(lambda: _newton_flow(blocks, 1e-8))
@@ -263,7 +266,7 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     phi = sawtooth(fiber)
     _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, flowed))
     peaks = [peak / stack for peak in (cert_peak, flow_peak, chain_peak)]
-    # the certificate peaks at 1.97 stacks while it forms the accepted row
+    # the certificate peaks at 1.95 stacks while it masks the accepted row
     assert peaks[0] <= 2.1 and peaks[1] <= 3.5 and peaks[2] <= 3.5, peaks
 
 
@@ -274,7 +277,7 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monke
     # the flux-24 benchmark projector, S4's and the two flow cases: the
     # certificate chooses the block count the dense scan of the cut grid
     # matrix finds, and its block row is that matrix's first rows, bit for bit
-    fiber, block = kernel_remainder(n, N, twist)
+    fiber, block, V = kernel_remainder(n, N, twist)
     S = dense_cut(block, 0.30)
     assert circulant_order(S, n) == order
     formed = []
@@ -285,7 +288,7 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monke
         return grid_matrix(self, rows)
 
     monkeypatch.setattr(OperatorBlock, "grid_matrix", counted)
-    row = certified_block_row(block, 0.30)
+    row = certified_block_row(block, 0.30, V)
     # every finer block count is refused by its first term alone, before its row
     assert formed == [S.shape[0] // order]
     monkeypatch.undo()
@@ -324,6 +327,41 @@ def test_unlocalized_builtins_store_certified_block_rows(name):
         assert [kern.order for kern in idem.families] == [20, 20]
 
 
+def range_case(name):
+    """The operator of a builtin or perfbench scenario, or of the flux-48 probe, and its cut."""
+    if name == "flux48-grid72":
+        return dolbeault_family(FiberModel(2, 32, 72), 48, levels=2), 0.30
+    scn = load_scenario(name)
+    block, _ = harness._build_operator(scn, harness._build_space(scn).fiber)
+    return block, scn.localize
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*BUILTIN_SCENARIOS, *(str(path) for path in PERFBENCH_SCENARIOS), "flux48-grid72"],
+    ids=lambda name: Path(name).stem,
+)
+def test_singular_vectors_span_each_remainder_and_certify_its_block_count(name):
+    # the trailing singular vectors are an orthonormal basis of each
+    # remainder's range, and certify the block count an eigenvector basis
+    # certifies; the accepted row is the grid matrix, bit for bit
+    block, localize = range_case(name)
+    radius = np.inf if localize is None else localize
+    data = parametrix(block)
+    for r, basis in ((data.r0, data.v0), (data.r1, data.v1)):
+        assert np.max(np.abs(r.matrix - basis @ basis.conj().T), initial=0.0) <= 1e-12, name
+        eigen = eigh_range_basis(r.matrix)
+        assert eigen.shape == basis.shape, name
+        if not basis.shape[1]:
+            continue
+        row = certified_block_row(r, radius, basis)
+        assert block_count(certified_block_row(r, radius, eigen)) == block_count(row), name
+        width = len(row)
+        want = grid_matrix_conjugate_copy(r, width) * truncation_mask(r.domain.fiber, radius, width)
+        assert row.tobytes() == want.tobytes(), name
+        assert r.grid_matrix(width).tobytes() == grid_matrix_conjugate_copy(r, width).tobytes()
+
+
 @pytest.mark.parametrize(
     "n, N, twist, partner, coarser",
     [
@@ -342,7 +380,7 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(n, N, twist, pa
     # rotated block stays an orthogonal projector.  Sweeping eps across the
     # tolerance, every block count the certificate accepts must pass the
     # dense scan of the same cut grid matrix.
-    _, block = kernel_remainder(n, N, twist)
+    _, block, basis = kernel_remainder(n, N, twist)
     H = np.zeros_like(block.matrix)
     H[0, twist + partner] = H[twist + partner, 0] = 1.0
     w, V = np.linalg.eigh(H)
@@ -351,7 +389,7 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(n, N, twist, pa
         rot = (V * np.exp(1j * eps * w)) @ V.conj().T
         moved = OperatorBlock(block.domain, block.domain, rot @ block.matrix @ rot.conj().T)
         S = dense_cut(moved, 0.45)
-        row = certified_block_row(moved, 0.45)
+        row = certified_block_row(moved, 0.45, rot @ basis)
         g = block_count(row)
         assert is_block_circulant(S, g), eps
         assert np.array_equal(row, S[: S.shape[0] // g]), eps

@@ -221,8 +221,11 @@ def test_zero_twist_block_is_exact_multiplier():
 
 @pytest.mark.parametrize("twist,expected", [(-2, -2), (-1, -1), (0, 0), (1, 1), (2, 2)])
 def test_spectral_index_matches_twist(twist, expected):
-    count = analytic_index(dolbeault_family(FiberModel(2, 8, 20), twist, levels=4))
+    block = dolbeault_family(FiberModel(2, 8, 20), twist, levels=4)
+    count = analytic_index(block)
     assert count.index == expected
+    # the full SVD of the parametrix counts alike
+    assert parametrix(block).count == count
     if twist > 0:
         assert count.kernel_dim == twist and count.cokernel_dim == 0
     elif twist < 0:

@@ -7,7 +7,7 @@ from indexpairing.operators import (
     TRACE_INVARIANCE_TOL,
     TRUNCATION_RTOL,
 )
-from indexpairing.pairing import HERMITIAN_RTOL
+from indexpairing.pairing import GERM_SLACK, HERMITIAN_RTOL
 from indexpairing.parametrix import MAX_NEWTON_STEPS, RANK_THRESHOLD, RANK_WINDOW, REACH_FLOOR
 from indexpairing.symbols import ELLIPTIC_FLOOR
 from indexpairing.topindex import REDUCTION_INVARIANT_TOL
@@ -23,6 +23,7 @@ def test_gate_constants_are_pinned():
         "CIRCULANT_RTOL": CIRCULANT_RTOL,
         "ENTRY_BOUND_MARGIN": ENTRY_BOUND_MARGIN,
         "HERMITIAN_RTOL": HERMITIAN_RTOL,
+        "GERM_SLACK": GERM_SLACK,
         "TRACE_INVARIANCE_TOL": TRACE_INVARIANCE_TOL,
         "REDUCTION_INVARIANT_TOL": REDUCTION_INVARIANT_TOL,
         "IDEMPOTENT_TOL": IDEMPOTENT_TOL,
@@ -37,6 +38,7 @@ def test_gate_constants_are_pinned():
         "CIRCULANT_RTOL": 1e-12,
         "ENTRY_BOUND_MARGIN": 1e-6,
         "HERMITIAN_RTOL": 1e-14,
+        "GERM_SLACK": 1e-9,
         "TRACE_INVARIANCE_TOL": 1e-8,
         "REDUCTION_INVARIANT_TOL": 1e-8,
         "IDEMPOTENT_TOL": 1e-10,

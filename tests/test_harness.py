@@ -27,7 +27,7 @@ from indexpairing.harness import (
 )
 from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
-from indexpairing.operators import SmoothingKernel
+from indexpairing.operators import OperatorBlock, SmoothingKernel
 from indexpairing.pairing import pair_cocycle
 from indexpairing.parametrix import (
     CorruptedCacheError,
@@ -326,6 +326,20 @@ def test_scenario_defaults_filled():
                 operator={"builtin": "multiplier", "symbol": "xi1 + 1j * xi2"},
             ),
             "operator.builtin must be dolbeault under a free fiber_action",
+        ),
+        # used to fail at stage pairing, once the idempotent was built
+        (
+            lambda raw: raw.update(
+                localize=0.6,
+                cocycle={
+                    "kind": "profile",
+                    "legs": [
+                        {"axis": 0, "linear_radius": 0.45},
+                        {"axis": 1, "linear_radius": 0.3, "support_radius": 0.4},
+                    ],
+                },
+            ),
+            "localize 0.6 exceeds the smallest cocycle.legs linear_radius 0.3",
         ),
         (
             lambda raw: raw.update(
@@ -762,6 +776,60 @@ def test_each_scenario_stores_its_certified_block_counts():
         assert tuple(0 if f.row is None else f.order for f in idem.families) == counts, name
         if name == "flux24":
             assert idem.skernel.row.shape == (200, 1600)
+
+
+def test_localize_at_the_germ_radius_loads():
+    legs = [{"axis": axis, "linear_radius": 0.45} for axis in (0, 1)]
+    raw = cheap_scenario(localize=0.45, cocycle={"kind": "profile", "legs": legs})
+    assert _validate(raw).localize == 0.45
+
+
+def test_a_cold_run_factors_its_operator_once(tmp_path, monkeypatch):
+    # the spectral count, the remainders and the block-count certificate
+    # share one SVD; a warm run needs the singular values alone
+    calls = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(("svd", kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def counted_eigh(*args, **kwargs):
+        calls.append(("eigh",))
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    scn = load_scenario("S1-dolbeault-d0")
+    cold = run_scenario(scn, out_dir=tmp_path)
+    assert calls == [("svd", True)]
+    calls.clear()
+    warm = run_scenario(scn, out_dir=tmp_path)
+    assert calls == [("svd", False)]
+    assert warm.csv_row() == cold.csv_row()
+    calls.clear()
+    assert run_scenario(scn).csv_row() == cold.csv_row()
+    assert calls == [("svd", True)]
+
+
+def test_an_ambiguous_rank_fails_at_the_analytic_stage_cold_or_warm(tmp_path, monkeypatch):
+    # on a cache miss the count comes from the parametrix's SVD, on a hit
+    # from the singular values alone; either way the stage is analytic-index
+    scn = _validate(cheap_scenario(operator={"builtin": "dolbeault", "twist": 2, "levels": 3}))
+    build = harness._build_operator
+    run_scenario(scn, out_dir=tmp_path)
+
+    def ambiguous(scn, fiber):
+        block, sclass = build(scn, fiber)
+        U, sing, Vh = np.linalg.svd(block.matrix, full_matrices=False)
+        sing[-1] = 2e-8 * sing[0]
+        return OperatorBlock(block.domain, block.codomain, (U * sing) @ Vh), sclass
+
+    monkeypatch.setattr(harness, "_build_operator", ambiguous)
+    for out in (None, tmp_path):
+        with pytest.raises(StageError, match="rank threshold") as err:
+            run_scenario(scn, out_dir=out)
+        assert err.value.stage == "analytic-index"
 
 
 def test_run_scenario_orbifold_family():
