@@ -14,7 +14,7 @@ with quadrature-orthonormal columns, which it calls on the first read of
 ``matrix``; operators between bases are plain matrices on coefficients.  So
 an operator is assembled without sampling its bases: a spectral count reads
 the coefficient matrix alone, and only a grid realization (the idempotent)
-samples them, each once, since its remainders share the operator's bases.
+samples them, each once, since its projector frames live on the operator's bases.
 
 Smoothing operators are operator matrices M acting by f -> M f on scalar
 grid sections, one npoints x npoints matrix.  An operator with several
@@ -90,16 +90,10 @@ class OperatorBlock:
         if self.matrix.shape != expect:
             raise ModelError(f"operator matrix shape {self.matrix.shape} != {expect}")
 
-    def grid_matrix(self, rows: int | None = None) -> np.ndarray:
-        """Rows [0, rows) of the operator matrix on grid vectors (all by default), bit for bit."""
+    def grid_matrix(self) -> np.ndarray:
+        """The operator matrix on grid vectors."""
         n = self.domain.fiber.npoints
-        # A E^H as conj(conj(A) E^T), with no conjugate copy of E: the same
-        # bits but for the signs of zeros, which adding 0.0 makes positive
-        out = (self.codomain.matrix[:rows] @ self.matrix).conj() @ self.domain.matrix.T
-        np.conjugate(out, out=out)
-        out /= n
-        out += 0.0
-        return out
+        return self.codomain.matrix @ self.matrix @ self.domain.matrix.conj().T / n
 
 
 def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
@@ -122,12 +116,16 @@ def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
     return out.reshape(-1, fiber.npoints)[:rows]
 
 
-def fiber_distance_matrix(fiber: FiberModel, rows: int) -> np.ndarray:
-    """Periodic Euclidean distances from the first ``rows`` grid points to every one."""
+def squared_tick_distances(fiber: FiberModel, rows: int) -> np.ndarray:
+    """Periodic squared distances, in grid ticks, from the first ``rows`` grid points to every one.
+
+    Integers (int32), so every comparison with them commutes with the grid
+    translations; a distance is the square root of one over grid_size.
+    """
     n = fiber.grid_size
-    coords = np.arange(n) / n
-    gap = np.abs(coords[:, None] - coords[None, :])
-    return np.sqrt(_axis_sum(fiber, np.minimum(gap, 1.0 - gap) ** 2, rows))
+    ticks = np.arange(n, dtype=np.int32)
+    gap = np.abs(ticks[:, None] - ticks[None, :])
+    return _axis_sum(fiber, np.minimum(gap, n - gap) ** 2, rows)
 
 
 # a squared tick distance within this relative distance below (radius *
@@ -144,11 +142,8 @@ def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
     base point of the grid, where a float comparison of distances would
     keep some ties and drop others.
     """
-    n = fiber.grid_size
-    ticks = np.arange(n)
-    gap = np.abs(ticks[:, None] - ticks[None, :])
-    sq = _axis_sum(fiber, np.minimum(gap, n - gap) ** 2, rows)
-    return sq < (radius * n) ** 2 * (1.0 - TRUNCATION_RTOL)
+    sq = squared_tick_distances(fiber, rows)
+    return sq < (radius * fiber.grid_size) ** 2 * (1.0 - TRUNCATION_RTOL)
 
 
 # g blocks are accepted when the bound of ``certified_block_row`` on every
@@ -157,51 +152,49 @@ def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
 # 2e-14 of rounding
 CIRCULANT_RTOL = 1e-12
 # relative slack on rho^2 / n as a bound of the computed entries of S, far
-# above their rounding (about nb times the unit roundoff)
+# above their rounding (about rank times the unit roundoff)
 ENTRY_BOUND_MARGIN = 1e-6
 
 
-def certified_block_row(block: OperatorBlock, radius: float, V: np.ndarray) -> np.ndarray:
-    """Block row 0 of the grid matrix S of ``block``, cut at ``radius``, in g blocks.
+def certified_block_row(basis: SectionBasis, radius: float, V: np.ndarray) -> np.ndarray:
+    """Block row 0 of the projector S = W W^H / n, W = E V, cut at ``radius``, in g blocks.
 
-    ``block`` maps one basis E (npoints x nb) to itself by a projector R, as
-    the parametrix remainders do, so S = E R E^H / n with n = npoints.  g is
-    the largest divisor of grid_size whose translation Pi, by grid_size/g
-    ticks along axis 0, is certified to commute with S on the range of R;
-    only block row 0 of S is formed.
+    E (npoints x nb) is the matrix of ``basis`` and V (nb x rank) a frame
+    of coefficients, as the parametrix passes the trailing singular vectors
+    of an operator; n = npoints.  g is the largest divisor of grid_size
+    whose translation Pi, by grid_size/g ticks along axis 0, is certified
+    to commute with S; only block row 0 of S is formed.
 
-    V (nb x rank) spans that range: the parametrix passes the trailing
-    singular vectors of the operator.  With D = R - V V^H, W = E V
-    (npoints x rank) spans the range on the grid.  For a = 1 .. g/2 write
-    U = Pi^a W = W T + F, T the least-squares coefficients.  Since
+    For a = 1 .. g/2 write U = Pi^a W = W T + F, T the least-squares
+    coefficients.  Since
     W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H,
 
-        |S - Pi^a S Pi^-a| <= [rho^2 |1 - T T^H|_F + psi (2 rho |T|_2 + psi)
-                               + 2 rho_E^2 |D|_2] / n,
+        |S - Pi^a S Pi^-a| <= [rho^2 |1 - T T^H|_F + psi (2 rho |T|_2 + psi)] / n,
 
-    with rho, psi and rho_E the largest row norms of W, F and E.  This holds
-    for any T, and |T|_2 is computed, so no orthonormal basis is assumed: a
-    sampled basis that misses quadrature orthonormality only moves T.  g is
+    with rho and psi the largest row norms of W and F.  This holds for any
+    T, and |T|_2 is computed, so no orthonormal basis is assumed: a sampled
+    basis that misses quadrature orthonormality only moves T.  g is
     accepted when, for every a (a and g - a give the same entries), the
     bound is at most CIRCULANT_RTOL times the largest entry of block row 0
     of the cut S; the truncation mask commutes with Pi, so every entry of
     the cut S is then that close to the expansion of its block row 0.
-    Every entry of S is at most (rho^2 + rho_E^2 |D|_2) / n, so a g whose
-    bound exceeds CIRCULANT_RTOL times that for some a is refused before
-    its block row is formed.
+    Every entry of S is at most rho^2 / n, so a g whose bound exceeds
+    CIRCULANT_RTOL times that for some a is refused before its block row
+    is formed.
     """
-    fiber = block.domain.fiber
-    n, E, R = fiber.npoints, block.domain.matrix, block.matrix
-    W = E @ V
+    fiber = basis.fiber
+    n = fiber.npoints
+    W = basis.matrix @ V
     Wh = W.conj().T
     gram = Wh @ W / n
     rho = _max_row_norm(W)
-    # |D|_2^2 <= |D|_1 |D|_inf, the largest column and row sums of |D|
-    D = np.abs(R - V @ V.conj().T)
-    gap = _max_row_norm(E) ** 2 * float(np.sqrt(D.sum(axis=0).max() * D.sum(axis=1).max()))
     # the margin covers the rounding of the row and of rho
-    refuse = CIRCULANT_RTOL * (rho * rho + gap) / n * (1.0 + ENTRY_BOUND_MARGIN)
+    refuse = CIRCULANT_RTOL * rho * rho / n * (1.0 + ENTRY_BOUND_MARGIN)
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
+        if W is None:
+            # released by a row whose largest entry refused the last g
+            W = basis.matrix @ V
+            Wh = W.conj().T
         width = n // g
         bounds = []
         for a in range(1, g // 2 + 1):
@@ -210,12 +203,16 @@ def certified_block_row(block: OperatorBlock, radius: float, V: np.ndarray) -> n
             U -= W @ T
             leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
             psi = _max_row_norm(U)
-            bound = (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi) + 2 * gap) / n
+            bound = (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi)) / n
             if bound > refuse:
                 break
             bounds.append(bound)
         else:
-            row = block.grid_matrix(width)
+            # the last residual, then the frame, are released before the row is cut
+            U = None
+            row = W[:width] @ Wh
+            W = Wh = None
+            row /= n
             row *= truncation_mask(fiber, radius, width)
             if max(bounds, default=0.0) <= CIRCULANT_RTOL * float(np.max(np.abs(row))):
                 return row

@@ -1,11 +1,13 @@
 """Parametrices, spectral index counts, and localized index idempotents.
 
-The parametrix of an operator block is its pseudo-inverse with a certified
-rank cut: the spectral way of inverting the symbol away from its zero set.
-The remainders S0 = 1 - QD and S1 = 1 - DQ come out as exact orthogonal
-projectors onto kernel and cokernel, which is as smoothing as remainders get.
-One SVD gives the certified rank, Q, and the trailing singular vectors that
-span the ranges of S0 and S1, on which their block counts are certified.
+The parametrix of an operator block is its pseudo-inverse Q with a
+certified rank cut: the spectral way of inverting the symbol away from its
+zero set.  Its remainders S0 = 1 - QD and S1 = 1 - DQ are the orthogonal
+projectors onto kernel and cokernel, which is as smoothing as remainders
+get.  One SVD gives the certified rank and the trailing singular vectors,
+orthonormal frames V0 and V1 with S0 = V0 V0^H and S1 = V1 V1^H, so Q is
+never formed: on the grid each projector is W W^H / n, W = E V with E its
+basis, and its block count is certified on W.
 
 The index idempotent is the standard graph construction over domain + range,
 
@@ -34,6 +36,7 @@ belongs to the idempotent, not to either projector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,12 +45,13 @@ import numpy as np
 from .grids import FiberModel, ModelError
 from .operators import (
     OperatorBlock,
+    SectionBasis,
     SmoothingKernel,
     block_count,
     certified_block_row,
     circulant_blocks,
     circulant_row,
-    fiber_distance_matrix,
+    squared_tick_distances,
 )
 
 
@@ -117,13 +121,13 @@ def analytic_index(block: OperatorBlock) -> IndexCount:
 
 @dataclass
 class ParametrixData:
-    """The remainders R0 and R1, and orthonormal bases v0 and v1 of their ranges.
+    """Orthonormal coefficient frames v0 of the kernel and v1 of the cokernel.
 
-    v0 and v1 are the operator's right and left singular vectors past its certified rank.
+    v0 and v1 are the operator's right and left singular vectors past its
+    certified rank: the ranges of the remainders 1 - QD and 1 - DQ of the
+    pseudo-inverse Q, which are the projectors v0 v0^H and v1 v1^H.
     """
 
-    r0: OperatorBlock
-    r1: OperatorBlock
     v0: np.ndarray
     v1: np.ndarray
 
@@ -133,33 +137,14 @@ class ParametrixData:
 
 
 def parametrix(block: OperatorBlock) -> ParametrixData:
-    """Remainder projectors of the pseudo-inverse parametrix Q, from one SVD.
+    """Kernel and cokernel frames of the pseudo-inverse parametrix, from one full SVD.
 
-    Q inverts every certified singular direction, so R0 = 1 - QD and
-    R1 = 1 - DQ are the orthogonal projectors onto kernel and cokernel;
-    their matrix entries vanish outside those few directions by construction.
-    A remainder whose certified dimension is 0 is set to exact zeros rather
-    than the rounding noise of 1 - QD or 1 - DQ, so that the consumers can
-    skip it, and Q is formed only for a nonzero one.  The SVD is full, so
-    the trailing singular vectors span the kernel of a wide operator too.
+    The SVD is full, so the trailing singular vectors span the kernel of a
+    wide operator too.
     """
-    M = block.matrix
-    U, sing, Vh = np.linalg.svd(M)
+    U, sing, Vh = np.linalg.svd(block.matrix)
     rank = certified_rank(sing)
-    nc, nd = M.shape
-    if rank < max(nc, nd):
-        k = len(sing)
-        inv = np.zeros_like(sing)
-        inv[:rank] = 1.0 / sing[:rank]
-        Qm = (Vh[:k].conj().T * inv) @ U[:, :k].conj().T
-    kernel = np.eye(nd) - Qm @ M if rank < nd else np.zeros((nd, nd), complex)
-    cokernel = np.eye(nc) - M @ Qm if rank < nc else np.zeros((nc, nc), complex)
-    return ParametrixData(
-        OperatorBlock(block.domain, block.domain, kernel),
-        OperatorBlock(block.codomain, block.codomain, cokernel),
-        Vh[rank:].conj().T,
-        U[:, rank:].copy(),
-    )
+    return ParametrixData(Vh[rank:].conj().T, U[:, rank:].copy())
 
 
 class IndexIdempotent:
@@ -215,18 +200,18 @@ class IndexIdempotent:
 
         The max entry is taken over both projectors, so a roundoff-sized one
         does not count its noise as reach.  A block row holds every entry of
-        its matrix, so its rows of distances suffice.  Computed on first
-        read, once per idempotent.
+        its matrix, so its rows of squared tick distances suffice.  Computed
+        on first read, once per idempotent.
         """
+        fiber = self.skernel.fiber
         mags = [np.abs(m) for f in self.families for m in f.mats]
         cut = REACH_FLOOR * max([float(m.max()) for m in mags] + [1e-300])
-        radius = 0.0
+        reach = 0
         for m in mags:
             live = m > cut
             if np.any(live):
-                dist = fiber_distance_matrix(self.skernel.fiber, m.shape[0])
-                radius = max(radius, float(dist[live].max()))
-        return radius
+                reach = max(reach, int(squared_tick_distances(fiber, m.shape[0])[live].max()))
+        return math.sqrt(reach) / fiber.grid_size
 
 
 def _newton_flow(P: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
@@ -282,15 +267,15 @@ def index_idempotent(
     hard-truncated (``truncation_mask``) and idempotency restored by the
     cubic flow P -> 3 P^2 - 2 P^3, both on that block row; failure to reach
     the tolerance within MAX_NEWTON_STEPS means the radius is too aggressive
-    for the kernel decay and raises.  A remainder that parametrix set to
-    zero is a projector already, and is stored as None.
+    for the kernel decay and raises.  A projector of rank 0 is stored as
+    None.
     """
     if data is None:
         data = parametrix(block)
     cut = np.inf if radius is None else radius
     rows = [
-        _stored_row(r, v, cut, newton_tol)
-        for r, v in ((data.r0, data.v0), (data.r1, data.v1))
+        _stored_row(basis, v, cut, newton_tol)
+        for basis, v in ((block.domain, data.v0), (block.codomain, data.v1))
     ]
     # The flow smears tolerance-scale mass back outside the cut (each step
     # spreads the support), so the stored radius is the localization cut of
@@ -301,9 +286,9 @@ def index_idempotent(
 
 
 def _stored_row(
-    r: OperatorBlock, v: np.ndarray, radius: float, newton_tol: float
+    basis: SectionBasis, v: np.ndarray, radius: float, newton_tol: float
 ) -> np.ndarray | None:
-    """Certified block row 0 of the projector r onto the span of v's columns; None for rank 0.
+    """Certified block row 0 of the projector onto the span of E v; None for rank 0.
 
     At radius +inf the row is stored uncut.  Cut at a finite radius, it is
     flowed back to a projector, whose trace g tr C_0 must still round to
@@ -314,9 +299,11 @@ def _stored_row(
     if rank == 0:
         return None
     if radius == np.inf:
-        return certified_block_row(r, radius, v)
-    # the cut row is not held while the flow runs on its blocks
-    P, defect, steps = _newton_flow(circulant_blocks(certified_block_row(r, radius, v)), newton_tol)
+        return certified_block_row(basis, radius, v)
+    # neither the cut row nor its blocks are held while the flow runs
+    P, defect, steps = _newton_flow(
+        circulant_blocks(certified_block_row(basis, radius, v)), newton_tol
+    )
     if defect > newton_tol:
         raise LocalizationError(
             f"idempotent correction stalled at defect {defect:.3e} after "

@@ -37,12 +37,15 @@ term on the grid axes and projects by one FFT pair.  Seeded band-limited
 fields were evaluated by exponentials formed per call; the library reads
 the cached evaluation matrix of the band.
 
-The block-count certificate's range basis is kept here in its eigenvector
-form, the eigenvectors of a remainder projector with eigenvalue above 1/2,
-and the grid matrix of an operator block as the product with a conjugate
-copy of the domain basis.  The library takes the trailing singular vectors
-of its one factorization and multiplies by the transposed basis; both must
-certify the same block count, and the grid matrix must agree bit for bit.
+The index projectors are kept here as the library first built them: the
+remainders 1 - QD and 1 - DQ of the pseudo-inverse Q, expanded on the grid
+as E R E^H / n, with the range basis of the block-count certificate the
+eigenvectors of a remainder with eigenvalue above 1/2.  The library builds
+each projector from the trailing singular vectors V of its one
+factorization as W W^H / n, W = E V; its rows agree with the remainder's
+to rounding, and both bases certify the same block count.  The periodic
+distances between grid points are kept as the float pointwise formula the
+library's integer tick distances replace.
 
 The McWeeny flow and the profile chain are kept as the library first ran
 them on Fourier blocks: every product and sum of the flow a new (g, B, B)
@@ -78,7 +81,7 @@ from indexpairing.operators import (
     circulant_row,
 )
 from indexpairing.pairing import _is_hermitian
-from indexpairing.parametrix import MAX_NEWTON_STEPS
+from indexpairing.parametrix import MAX_NEWTON_STEPS, RANK_THRESHOLD, certified_rank
 from indexpairing.symbols import SymbolData
 
 
@@ -208,10 +211,33 @@ def eigh_range_basis(R):
     return vecs[:, vals > 0.5]
 
 
-def grid_matrix_conjugate_copy(block, rows=None):
-    """Rows [0, rows) of the grid matrix of ``block``, through a conjugate copy of E."""
-    n = block.domain.fiber.npoints
-    return block.codomain.matrix[:rows] @ block.matrix @ block.domain.matrix.conj().T / n
+def remainder_projectors(block):
+    """The remainders 1 - QD and 1 - DQ of the pseudo-inverse Q of the operator D.
+
+    An exactly zero matrix where the certified rank leaves no kernel or
+    cokernel, as the library stores a rank-0 projector as no row.
+    """
+    D = block.matrix
+    rank = certified_rank(np.linalg.svd(D, compute_uv=False))
+    Q = np.linalg.pinv(D, rcond=RANK_THRESHOLD)
+    nc, nd = D.shape
+    r0 = np.eye(nd) - Q @ D if rank < nd else np.zeros((nd, nd), complex)
+    r1 = np.eye(nc) - D @ Q if rank < nc else np.zeros((nc, nc), complex)
+    return r0, r1
+
+
+def grid_projector(basis, R):
+    """The grid matrix E R E^H / n of a coefficient matrix R on the basis E."""
+    E = basis.matrix
+    return E @ R @ E.conj().T / basis.fiber.npoints
+
+
+def fiber_distances(fiber):
+    """Periodic Euclidean distances between every two grid points, pointwise in floats."""
+    pts = grid_points(fiber.grid_size, fiber.dim)
+    diff = np.abs(pts[:, None, :] - pts[None, :, :])
+    diff = np.minimum(diff, 1.0 - diff)
+    return np.sqrt(np.sum(diff**2, axis=-1))
 
 
 def transport_matrix(space, g, domain, codomain):

@@ -20,6 +20,7 @@ from oracles import (
     dense_kernel,
     eval_modes_at,
     family_invariance_defect,
+    fiber_distances,
     gram_defect,
     invariance_defect,
     kernel_norm_dense,
@@ -32,10 +33,10 @@ from indexpairing.operators import (
     OperatorBlock,
     SmoothingKernel,
     average_kernel,
-    fiber_distance_matrix,
     fourier_basis,
     random_invariant_kernel,
     require_invariant,
+    squared_tick_distances,
     trace_tau,
     truncation_mask,
 )
@@ -375,7 +376,7 @@ def test_average_kernel_enforces_invariance_and_fixes_invariants():
 def test_kernel_truncation_zeroes_far_entries():
     fiber = FiberModel(2, 3, 12)
     mask = truncation_mask(fiber, 0.25, fiber.npoints)
-    dist = fiber_distance_matrix(fiber, fiber.npoints)
+    dist = fiber_distances(fiber)
     assert not np.any(mask[dist > 0.25])
     # pairs at exactly the radius are dropped, all nearer pairs kept
     assert np.array_equal(mask, dist < 0.25 - 1e-9)
@@ -395,15 +396,14 @@ def test_kernel_truncation_commutes_with_grid_translations(n, radius):
 
 
 @pytest.mark.parametrize("dim, n", [(1, 12), (2, 13), (3, 10)])
-def test_fiber_distance_matrix_matches_pointwise_formula(dim, n):
+def test_tick_distances_match_pointwise_formula(dim, n):
     fiber = FiberModel(dim, 4, n)
-    pts = grid_points(n, dim)
-    diff = np.abs(pts[:, None, :] - pts[None, :, :])
-    diff = np.minimum(diff, 1.0 - diff)
-    pointwise = np.sqrt(np.sum(diff**2, axis=-1))
-    assert np.array_equal(fiber_distance_matrix(fiber, fiber.npoints), pointwise)
-    # a block of leading rows is computed as it is within the whole matrix
-    assert np.array_equal(fiber_distance_matrix(fiber, n), pointwise[:n])
+    sq = squared_tick_distances(fiber, fiber.npoints)
+    assert sq.dtype == np.int32
+    # the float formula of the pointwise distances, to rounding
+    assert np.max(np.abs(np.sqrt(sq) / n - fiber_distances(fiber))) <= 1e-15
+    # a block of leading rows is computed as it is within the whole table
+    assert np.array_equal(squared_tick_distances(fiber, n), sq[:n])
 
 
 def growth_ratio(sym: SymbolData) -> float:

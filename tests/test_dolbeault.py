@@ -30,6 +30,7 @@ from oracles import (
     landau_section_values_per_image,
     magnetic_translation,
     magnetic_translation_matrix,
+    remainder_projectors,
     same_bits,
     spectral_derivative,
     twisted_shift,
@@ -241,17 +242,21 @@ def test_certified_rank_flags_ambiguity():
     assert certified_rank(np.array([1.0, 1e-2, 1e-12])) == 2
 
 
-def test_parametrix_remainders_are_kernel_projectors():
-    fiber = FiberModel(2, 8, 20)
-    data = parametrix(dolbeault_family(fiber, 2, levels=4))
-    r0 = data.r0.matrix
-    r1 = data.r1.matrix
-    assert np.max(np.abs(r0 @ r0 - r0)) <= 1e-12
-    assert np.linalg.matrix_rank(r0) == 2
-    assert np.max(np.abs(r1)) <= 1e-12
-    data_neg = parametrix(dolbeault_family(fiber, -2, levels=4))
-    assert np.max(np.abs(data_neg.r0.matrix)) <= 1e-12
-    assert np.linalg.matrix_rank(data_neg.r1.matrix) == 2
+@pytest.mark.parametrize("twist", [2, -2])
+def test_parametrix_frames_span_kernel_and_cokernel(twist):
+    # the frames are orthonormal, D V0 = 0 and V1^H D = 0, and V V^H is the
+    # remainder 1 - QD or 1 - DQ of the pseudo-inverse
+    block = dolbeault_family(FiberModel(2, 8, 20), twist, levels=4)
+    D = block.matrix
+    data = parametrix(block)
+    v0, v1 = data.v0, data.v1
+    assert (v0.shape[1], v1.shape[1]) == ((twist, 0) if twist > 0 else (0, -twist))
+    scale = np.linalg.norm(D, 2)
+    assert np.max(np.abs(D @ v0), initial=0.0) <= 1e-12 * scale
+    assert np.max(np.abs(v1.conj().T @ D), initial=0.0) <= 1e-12 * scale
+    for v, r in zip((v0, v1), remainder_projectors(block)):
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])), initial=0.0) <= 1e-14
+        assert np.max(np.abs(v @ v.conj().T - r)) <= 1e-14
 
 
 def test_index_is_stable_under_small_perturbations():

@@ -436,13 +436,13 @@ def test_pairing_support_gate(monkeypatch):
     cutoff = compute_cutoff(space)
     idem = index_idempotent(dolbeault_family(space.fiber, 1, levels=1))
     distances = []
-    inner = parametrix.fiber_distance_matrix
+    inner = parametrix.squared_tick_distances
 
     def counted(fiber, rows):
         distances.append(rows)
         return inner(fiber, rows)
 
-    monkeypatch.setattr(parametrix, "fiber_distance_matrix", counted)
+    monkeypatch.setattr(parametrix, "squared_tick_distances", counted)
     tight = ASCochain.unit(space.fiber, germ_radius=3.0 / 12)  # three grid steps
     with pytest.raises(SupportMismatchError):
         pair_cocycle(idem, tight, space, cutoff)
