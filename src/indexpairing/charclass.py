@@ -47,6 +47,10 @@ CH_CURVATURE_SCALE = 1.0 / (2.0j * np.pi)
 IDEMPOTENT_TOL = 1e-10
 # derivatives of the graph projector's radial ramp that vanish at both ends
 GRAPH_FLATNESS = 8
+# Gauss-Legendre radial and equispaced angular nodes of the frequency disc
+# that the scenarios and the class checks integrate the symbol class on
+DISC_RADIAL_NODES = 48
+DISC_ANGULAR_NODES = 48
 
 
 @lru_cache(maxsize=None)
@@ -92,8 +96,8 @@ class DiscModel:
     """
 
     radius: float
-    nradial: int = 48
-    nangular: int = 48
+    nradial: int = DISC_RADIAL_NODES
+    nangular: int = DISC_ANGULAR_NODES
 
     def __post_init__(self) -> None:
         if self.radius <= 0:

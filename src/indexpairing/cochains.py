@@ -82,19 +82,25 @@ class ASCochain:
         return out
 
     def van_est_form(self) -> FoliatedForm:
-        """The leafwise form sum of f_0 df_1 ^ ... ^ df_k on the fiber."""
+        """The leafwise form sum of f_0 df_1 ^ ... ^ df_k on the fiber.
+
+        Each distinct factor, keyed by its bytes, is differentiated once.
+        """
         r, k = self.fiber.dim, self.degree
         if k > r:
             raise DegreeError(
                 f"degree {k} cochains realize to zero beyond the fiber dimension {r}"
             )
         grad = partial(spectral_gradient, fiber=self.fiber)
+        derivatives: dict[bytes, np.ndarray] = {}
         total = np.zeros((self.fiber.npoints, len(index_subsets(r, k))), dtype=complex)
         for t in self.terms:
             form = t.weight * t.factors[0].reshape(-1, 1)
             for q, f in enumerate(t.factors[1:]):
-                df = exterior_d(f.reshape(-1, 1), 0, r, grad)
-                form = exterior_wedge(form, q, df, 1, r, np.multiply)
+                key = f.tobytes()
+                if key not in derivatives:
+                    derivatives[key] = exterior_d(f.reshape(-1, 1), 0, r, grad)
+                form = exterior_wedge(form, q, derivatives[key], 1, r, np.multiply)
             total = total + form
         return FoliatedForm(self.fiber, k, total)
 

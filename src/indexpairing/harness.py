@@ -32,7 +32,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from .charclass import DiscModel
+from .charclass import DISC_ANGULAR_NODES, DISC_RADIAL_NODES, DiscModel
 from .cochains import ASCochain
 from .density import compute_cutoff
 from .dolbeault import dolbeault_family
@@ -154,7 +154,7 @@ def _orbit_sum(sigma: list[int], masses: list[float], index: int) -> float:
 
 def _build_operator(scn: Scenario, fiber: FiberModel):
     """Assemble the operator block and its frequency-class integrand."""
-    disc = DiscModel(float(fiber.fourier_cutoff + 1), 48, 48)
+    disc = DiscModel(float(fiber.fourier_cutoff + 1), DISC_RADIAL_NODES, DISC_ANGULAR_NODES)
     op = scn.operator
     if op["builtin"] == "dolbeault":
         block = dolbeault_family(fiber, op["twist"], op["levels"])

@@ -346,8 +346,8 @@ def _moved_defect(field: np.ndarray, perms: list[np.ndarray]) -> float:
 
     F[p, p] is block circulant too, so block row 0 holds every entry of the
     difference.  F[aB + i, c] = field[i, c - aB mod n], so the leading rows
-    that p sends into one block a are one np.ix_ gather: at most two runs,
-    one for g = 1, where it is field[np.ix_(p, p)].
+    that p sends into one block a are one gather of rows, then of columns:
+    at most two runs, one for g = 1, where it is field[p][:, p].
     """
     width, n = field.shape
     worst = 0.0
@@ -355,7 +355,8 @@ def _moved_defect(field: np.ndarray, perms: list[np.ndarray]) -> float:
         lead = perm[:width] // width * width
         cuts = [0, *np.flatnonzero(np.diff(lead)) + 1, width]
         for start, stop in zip(cuts, cuts[1:]):
-            moved = field[np.ix_(perm[start:stop] - lead[start], (perm - lead[start]) % n)]
+            rows = field.take(perm[start:stop] - lead[start], axis=0)
+            moved = rows.take((perm - lead[start]) % n, axis=1)
             np.subtract(field[start:stop], moved, out=moved)
             worst = max(worst, float(np.max(np.abs(moved))))
     return worst
@@ -412,14 +413,18 @@ def average_kernel(
 
     out(z, w) = sum over g of c(z - g shift) k(z - g shift, w - g shift).
 
-    Exactly invariant for any input, and fixes invariant inputs.
+    Exactly invariant for any input, and fixes invariant inputs.  The sum
+    starts from the identity term, and each other term gathers rows, then
+    columns.
     """
     here = kern.row
-    acc = np.zeros_like(here)
-    for g in range(space.order):
+    acc = cutoff[:, None] * here
+    # adding 0.0 makes a zero part +0.0, as in a sum started from zeros
+    acc += 0.0
+    for g in range(1, space.order):
         weight = space.eval_after_action(g, cutoff)
         perm = space.permutation(-g)
-        acc += weight[:, None] * here[np.ix_(perm, perm)]
+        acc += weight[:, None] * here.take(perm, axis=0).take(perm, axis=1)
     return SmoothingKernel(kern.fiber, acc)
 
 

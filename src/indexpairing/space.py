@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,15 +43,22 @@ class AffineTorusMap:
         """Permutation p with map(z_j) = z_{p[j]} on the n^r product grid.
 
         Each axis moves by its shift in ticks; flat indices are row-major over
-        the r axes, matching grid_points.
+        the r axes, matching grid_points.  Built once per translation and
+        grid size, and read-only.
         """
-        ticks = [n * t for t in self.shift]
-        if any(k.denominator != 1 for k in ticks):
-            raise ModelError("map does not preserve the grid")
-        flat = np.zeros(1, dtype=int)
-        for k in ticks:
-            flat = (flat[:, None] * n + (np.arange(n) + int(k)) % n).ravel()
-        return flat
+        return _grid_permutation(self.shift, n)
+
+
+@lru_cache(maxsize=None)
+def _grid_permutation(shift: tuple[Fraction, ...], n: int) -> np.ndarray:
+    ticks = [n * t for t in shift]
+    if any(k.denominator != 1 for k in ticks):
+        raise ModelError("map does not preserve the grid")
+    flat = np.zeros(1, dtype=int)
+    for k in ticks:
+        flat = (flat[:, None] * n + (np.arange(n) + int(k)) % n).ravel()
+    flat.flags.writeable = False
+    return flat
 
 
 class FiberedGSpace:

@@ -22,6 +22,7 @@ index +1) and every other configuration is a prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,6 +77,16 @@ def _unit_form(fiber: FiberModel) -> FoliatedForm:
     return FoliatedForm(fiber, 0, np.ones((fiber.npoints, 1)), invariant=True)
 
 
+@lru_cache(maxsize=None)
+def _dolbeault_disc_charge(disc: DiscModel) -> complex:
+    """Disc charge of the graph projector of xi1 + i*xi2, once per disc per process.
+
+    It depends on the disc quadrature alone, and equal (frozen) discs share
+    one entry: the same radius and node counts give the same charge.
+    """
+    return disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
+
+
 def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> SymbolClass:
     """Difference class of the twisted antiholomorphic symbol.
 
@@ -83,8 +94,7 @@ def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> Sy
     rim value; the fiber part is the full character of the flux bundle the
     operator acts on.  Twist 0 degenerates to the plain scalar symbol.
     """
-    charge = disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
-    return SymbolClass(twist_character(fiber, twist), charge)
+    return SymbolClass(twist_character(fiber, twist), _dolbeault_disc_charge(disc))
 
 
 def symbol_class_multiplier(fiber: FiberModel, disc: DiscModel, symbol_fn) -> SymbolClass:

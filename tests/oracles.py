@@ -53,6 +53,14 @@ stack, its defect read from the expanded block row, and the rotation sums
 with both leg masks and the block column held and each product formed for
 all g blocks at once.  The library holds fewer stacks with the same
 operations in the same order, so it agrees with them bit for bit.
+
+The invariant average of a kernel and the moved entries of the invariance
+gate are kept as the library first gathered them, one np.ix_ outer index
+per term or per run of rows, the average summed from zeros; the library
+starts the sum from the identity term and gathers rows, then columns, and
+must agree bit for bit, signed zeros included.  The realization of a
+cochain is kept with every factor of every term differentiated anew,
+where the library differentiates each distinct factor once.
 """
 import math
 from functools import partial
@@ -66,13 +74,15 @@ from indexpairing.cochains import ASCochain, ASTerm
 from indexpairing.dolbeault import hermite_values
 from indexpairing.forms import (
     FoliatedForm,
+    exterior_d,
     exterior_wedge,
     index_subsets,
     merge_sign,
     subset_position,
 )
-from indexpairing.grids import TWO_PI_I, ModelError, grid_points
+from indexpairing.grids import TWO_PI_I, ModelError, grid_points, spectral_gradient
 from indexpairing.operators import (
+    SmoothingKernel,
     _norm_lower_bound,
     block_count,
     circulant_blocks,
@@ -361,6 +371,33 @@ def partition_defect(space, sigma, fields):
     return worst
 
 
+def average_kernel_ix(space, cutoff, kern):
+    """The cutoff-weighted average as the library first ran it: a sum started
+    from zeros, every term, the identity's included, one np.ix_ gather."""
+    here = kern.row
+    acc = np.zeros_like(here)
+    for g in range(space.order):
+        weight = space.eval_after_action(g, cutoff)
+        perm = space.permutation(-g)
+        acc += weight[:, None] * here[np.ix_(perm, perm)]
+    return SmoothingKernel(kern.fiber, acc)
+
+
+def moved_defect_ix(field, perms):
+    """max |F - F[p, p]| over the translations p, F block circulant with block
+    row ``field``, each run of leading rows one np.ix_ gather."""
+    width, n = field.shape
+    worst = 0.0
+    for perm in perms:
+        lead = perm[:width] // width * width
+        cuts = [0, *np.flatnonzero(np.diff(lead)) + 1, width]
+        for start, stop in zip(cuts, cuts[1:]):
+            moved = field[np.ix_(perm[start:stop] - lead[start], (perm - lead[start]) % n)]
+            np.subtract(field[start:stop], moved, out=moved)
+            worst = max(worst, float(np.max(np.abs(moved))))
+    return worst
+
+
 def invariance_defect(kern, space):
     """Strict equivariance defect of a kernel for plain pullback, over every g."""
     here = dense_kernel(kern)
@@ -424,6 +461,20 @@ def to_elementary(phi, band=None, tol=1e-14):
             factors.append(field)
         terms.append(ASTerm(weight, tuple(factors)))
     return ASCochain(fiber, phi.degree, terms, germ_radius=phi.germ_radius)
+
+
+def van_est_form_per_term(phi):
+    """The realization with every factor of every term differentiated anew."""
+    fiber, r, k = phi.fiber, phi.fiber.dim, phi.degree
+    grad = partial(spectral_gradient, fiber=fiber)
+    total = np.zeros((fiber.npoints, len(index_subsets(r, k))), dtype=complex)
+    for t in phi.terms:
+        form = t.weight * t.factors[0].reshape(-1, 1)
+        for q, f in enumerate(t.factors[1:]):
+            df = exterior_d(f.reshape(-1, 1), 0, r, grad)
+            form = exterior_wedge(form, q, df, 1, r, np.multiply)
+        total = total + form
+    return FoliatedForm(fiber, k, total)
 
 
 def transport_cochain(space, g, phi):

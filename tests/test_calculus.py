@@ -16,6 +16,7 @@ from indexpairing.grids import (
 )
 from oracles import (
     apply_block,
+    average_kernel_ix,
     band_limit_dense,
     dense_kernel,
     eval_modes_at,
@@ -24,6 +25,7 @@ from oracles import (
     gram_defect,
     invariance_defect,
     kernel_norm_dense,
+    same_bits,
     symbol_of,
     transport_matrix,
     twisted_invariance_defect_dense,
@@ -371,6 +373,24 @@ def test_average_kernel_enforces_invariance_and_fixes_invariants():
         float(np.max(np.abs(a - b))) for a, b in zip(twice.mats, averaged.mats)
     )
     assert diff <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [("1/2", 0), ("1/2", "1/2")])
+def test_average_kernel_is_bitwise_the_ix_gather_sum(shift):
+    # the half shift at g = 1; the rows of one orbit {z, p[z]} are -0.0 in
+    # both parts, so the identity term and the moved term both add signed
+    # zeros there, and the sum started from zeros reads +0.0
+    space = FiberedGSpace(FiberModel(2, 3, 12), 2, shift)
+    rng = np.random.default_rng(29)
+    cutoff = compute_cutoff(space)
+    raw = rng.normal(size=(144, 144)) + 1j * rng.normal(size=(144, 144))
+    orbit = [5, int(space.permutation(1)[5])]
+    raw[orbit] = complex(-0.0, -0.0)
+    raw[rng.random((144, 144)) < 0.1] = complex(-0.0, -0.0)
+    for kern in (random_invariant_kernel(rng, space, cutoff, 2), SmoothingKernel(space.fiber, raw)):
+        row = average_kernel(space, cutoff, kern).row
+        assert same_bits(row, average_kernel_ix(space, cutoff, kern).row)
+    assert np.all(row[orbit] == 0.0) and not np.any(np.signbit(row[orbit].imag))
 
 
 def test_kernel_truncation_zeroes_far_entries():

@@ -54,6 +54,7 @@ from oracles import (
     eigh_range_basis,
     grid_projector,
     kernel_norm_dense,
+    moved_defect_ix,
     newton_flow_whole_stack,
     profile_chain_whole_stack,
     remainder_projectors,
@@ -509,6 +510,18 @@ def test_block_row_gate_is_the_dense_gate(flux24, order, shift, invariant):
     else:
         with pytest.raises(InvarianceError):
             require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+
+
+@pytest.mark.parametrize("order, shift", [(2, ("1/2", "1/2")), (5, ("1/5", "2/5"))])
+def test_moved_defect_is_bitwise_the_ix_gather(flux24, order, shift):
+    # the half shift keeps the leading rows in one block, 8 ticks split them
+    # into two runs; the moduli and the complex row are both gathered
+    space = FiberedGSpace(flux24.skernel.fiber, order, shift)
+    perms = [space.permutation(-g) for g in space.moving_elements()]
+    row = flux24.skernel.row
+    for field in (np.abs(row), row):
+        defect = operators._moved_defect(field, perms)
+        assert defect > 0.0 and defect == moved_defect_ix(field, perms)
 
 
 def test_block_translations_and_zero_families_have_no_defect(flux24):

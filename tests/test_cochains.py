@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import indexpairing.cochains as cochains
 from indexpairing.cochains import ASCochain, ASTerm, d_as
 from indexpairing.density import compute_cutoff
 from indexpairing.forms import DegreeError, FoliatedForm, d_leafwise
@@ -16,7 +17,13 @@ from indexpairing.grids import (
     spectral_gradient,
 )
 from indexpairing.space import FiberedGSpace
-from oracles import band_limit_dense, invariant_project_cochain, transport_cochain
+from oracles import (
+    band_limit_dense,
+    invariant_project_cochain,
+    same_bits,
+    transport_cochain,
+    van_est_form_per_term,
+)
 
 
 def circle_fiber(n=16, N=5):
@@ -227,6 +234,32 @@ def test_van_est_chain_map():
             rhs = d_leafwise(phi.van_est_form())
             worst = max(worst, (lhs - rhs).max_abs())
     assert worst <= 1e-10
+
+
+def test_van_est_form_differentiates_each_distinct_factor_once(monkeypatch):
+    # d_as of (f0, f1) is (1, f0, f1) - (f0, 1, f1) + (f0, f1, 1): the
+    # differentiated slots hold f0, f1 and the ones field, three distinct
+    # fields in six slots; a second term repeats f1
+    rng = np.random.default_rng(13)
+    fiber = torus_fiber()
+    f0, f1, f2 = (random_band_limited(rng, fiber, 2) for _ in range(3))
+    phi = ASCochain(fiber, 1, [ASTerm(1.0, (f0, f1)), ASTerm(0.5j, (f2, f1))], germ_radius=2.0)
+    dphi = d_as(phi)
+    calls = []
+    counted = cochains.exterior_d
+
+    def counting(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(cochains, "exterior_d", counting)
+    form = dphi.van_est_form()
+    assert len(calls) == 4
+    monkeypatch.undo()
+    expect = van_est_form_per_term(dphi)
+    assert (form.degree, form.fiber) == (expect.degree, expect.fiber)
+    assert same_bits(form.field, expect.field)
+    assert same_bits(phi.van_est_form().field, van_est_form_per_term(phi).field)
 
 
 def test_van_est_equivariance():

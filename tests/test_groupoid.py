@@ -9,6 +9,7 @@ from indexpairing.forms import FoliatedForm, form_invariance_defect
 from indexpairing.grids import FiberModel, ModelError, grid_points
 from indexpairing.operators import SmoothingKernel
 from indexpairing.scenario import ScenarioError, load_scenario, _validate
+import indexpairing.space as space_module
 from indexpairing.space import AffineTorusMap, FiberedGSpace
 from oracles import (
     cutoff_per_arrow,
@@ -118,6 +119,22 @@ def test_grid_permutation_matches_pointwise_map():
     shifted = AffineTorusMap.translation([Fraction(1, 3), 0])
     with pytest.raises(ModelError):
         shifted.grid_permutation(8)
+
+
+def test_grid_permutations_are_shared_and_read_only():
+    # one array per translation and grid size, equal to a freshly built one
+    space = FiberedGSpace(torus_fiber(8, 3, 2), 8, [Fraction(1, 4), Fraction(1, 8)])
+    for g in range(-8, 9):
+        p = space.permutation(g)
+        assert p is space.permutation(g) and not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = p[1]
+        fresh = space_module._grid_permutation.__wrapped__(space.fiber_map(g).shift, 8)
+        assert np.array_equal(p, fresh)
+    # an equal translation built elsewhere shares the array; another grid size does not
+    half = AffineTorusMap.translation([2, Fraction(3, 2)])
+    assert half.grid_permutation(8) is space.permutation(4)
+    assert np.array_equal(half.grid_permutation(6), space_module._grid_permutation.__wrapped__(half.shift, 6))
 
 
 def test_transport_is_composition():

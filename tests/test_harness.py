@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import indexpairing.harness as harness
-from indexpairing import dolbeault, grids
+from indexpairing import dolbeault, grids, topindex
 from indexpairing.cli import main
 from indexpairing.cochains import ASCochain
 from indexpairing.grids import FiberModel, ModelError
@@ -1234,15 +1234,31 @@ def test_run_suite_scenario_csv_is_deterministic(tmp_path):
     assert (out1 / "scenarios.csv").read_bytes() == (out2 / "scenarios.csv").read_bytes()
 
 
+def test_suite_computes_each_dolbeault_disc_charge_once(tmp_path, monkeypatch):
+    # the builtins and the class checks integrate on the discs R = 9, 24 and
+    # 4, each charged once; S3's multiplier symbol on R = 9 is charged too
+    radii = []
+    disc_charge = topindex.disc_charge
+
+    def counting(disc, projector):
+        radii.append(disc.radius)
+        return disc_charge(disc, projector)
+
+    monkeypatch.setattr(topindex, "disc_charge", counting)
+    topindex._dolbeault_disc_charge.cache_clear()
+    assert run_suite("all", tmp_path) == 0
+    assert sorted(radii) == [4.0, 9.0, 9.0, 24.0]
+
+
 def test_suite_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # every CSV, echo and cache file of the scenario suite, run in a child
+    # every CSV, echo and cache file of the whole suite, run in a child
     # process under one and under two BLAS threads, is the same bytes;
     # summary.txt holds wall times and is left out
     src = str(Path(harness.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     runs = [
         subprocess.Popen(
-            [sys.executable, "-m", "indexpairing.cli", "suite", "--which", "scenarios",
+            [sys.executable, "-m", "indexpairing.cli", "suite", "--which", "all",
              "--out", str(tmp_path / threads)],
             env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
             stdout=subprocess.DEVNULL,
@@ -1264,6 +1280,7 @@ def test_suite_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     ]
     assert sorted(outputs[0]) == sorted(outputs[1])
     assert len([name for name in outputs[0] if name.endswith(".idem.opk")]) == 7
+    assert "invariants.csv" in outputs[0]
     for name, data in outputs[0].items():
         assert data == outputs[1][name], name
 

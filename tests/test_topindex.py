@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from indexpairing.charclass import DiscModel
+import indexpairing.topindex as topindex
+from indexpairing.charclass import DiscModel, disc_charge, graph_symbol_projector
 from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError
@@ -15,6 +16,7 @@ from indexpairing.parametrix import analytic_index
 from indexpairing.space import FiberedGSpace
 from indexpairing.topindex import (
     NonFreeActionError,
+    dolbeault_symbol_values,
     family_index_orbifold,
     free_action_reduction,
     fundamental_domain_indicator,
@@ -23,7 +25,7 @@ from indexpairing.topindex import (
     symbol_class_multiplier,
     topological_index,
 )
-from oracles import mass_weighted_sum, volume_form
+from oracles import mass_weighted_sum, same_bits, volume_form
 
 
 def trivial_space(n=20, N=8):
@@ -259,3 +261,33 @@ def test_orbifold_family_both_sides():
     assert abs(orbit_sum - twist) < 1e-12
     assert abs(topological - twist) < 1e-6
     assert abs(orbit_sum - topological) < 1e-6
+
+
+def fresh_dolbeault_charge(disc):
+    return disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
+
+
+def test_equal_discs_share_one_dolbeault_charge(monkeypatch):
+    # the charge is memoized per disc for the life of the process: an equal
+    # disc reads the entry, and a disc that differs in its radius, its radial
+    # count or its angular count computes its own
+    calls = []
+
+    def counting(disc, projector):
+        calls.append(disc)
+        return disc_charge(disc, projector)
+
+    monkeypatch.setattr(topindex, "disc_charge", counting)
+    topindex._dolbeault_disc_charge.cache_clear()
+    fiber = FiberModel(2, 3, 8)
+    first = symbol_class_dolbeault(fiber, DiscModel(9.0, 48, 48), 1).charge
+    again = symbol_class_dolbeault(fiber, DiscModel(9.0, 48, 48), -2).charge
+    assert calls == [DiscModel(9.0, 48, 48)]
+    assert same_bits(first, again) and same_bits(first, fresh_dolbeault_charge(DiscModel(9.0, 48, 48)))
+    others = [DiscModel(8.0, 48, 48), DiscModel(9.0, 40, 48), DiscModel(9.0, 48, 40)]
+    for disc in others:
+        charge = symbol_class_dolbeault(fiber, disc, 1).charge
+        assert calls[-1] == disc
+        assert same_bits(charge, fresh_dolbeault_charge(disc))
+    assert len(calls) == 4
+    assert topindex._dolbeault_disc_charge.cache_info().currsize == 4
