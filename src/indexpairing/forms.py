@@ -33,6 +33,11 @@ class InvarianceError(ModelError):
     """Raised when an operation requires an invariant input and the flag is unset."""
 
 
+# every invariance gate, and the closedness gate of a cochain form: the
+# largest defect allowed, relative to the kernel norm or the form scale
+INVARIANCE_TOL = 1e-8
+
+
 @lru_cache(maxsize=None)
 def index_subsets(r: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Sorted coordinate subsets of size q in lexicographic order."""

@@ -318,13 +318,11 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         phi = _build_cocycle(scn, space.fiber)
 
     with _stage("pairing"):
-        pairing = pair_cocycle(idem, phi, space, weight, invariance_tol=scn.invariant_tol)
+        pairing = pair_cocycle(idem, phi, space, weight)
 
     with _stage("topological"):
         alpha = phi.van_est_form()
-        topological = topological_index(
-            space, weight, alpha, sclass, invariant_tol=scn.invariant_tol
-        )
+        topological = topological_index(space, weight, alpha, sclass)
 
     abs_err = abs(pairing - topological)
     return ResultRecord(

@@ -41,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import InvarianceError
+from .forms import INVARIANCE_TOL, InvarianceError
 from .grids import FiberModel, ModelError
 from .space import FiberedGSpace
 
@@ -388,13 +388,12 @@ def _norm_lower_bound(m: np.ndarray) -> float:
     return best
 
 
-def require_invariant(
-    space: FiberedGSpace, invariance_tol: float, what: str, *kerns: SmoothingKernel
-) -> None:
+def require_invariant(space: FiberedGSpace, what: str, *kerns: SmoothingKernel) -> None:
     """The invariance gate over one or more families.
 
-    The largest twisted defect must be at most invariance_tol times the
-    largest norm, which is the gate on the block-diagonal family they form.
+    The largest twisted defect must be at most the pinned INVARIANCE_TOL
+    times the largest norm, which is the gate on the block-diagonal family
+    they form.
     A zero defect passes for any scale, so the scale is only computed for a
     nonzero one.
     """
@@ -402,7 +401,7 @@ def require_invariant(
     if defect == 0.0:
         return
     scale = max(max(k.norm() for k in kerns), 1e-30)
-    if defect > invariance_tol * scale:
+    if defect > INVARIANCE_TOL * scale:
         raise InvarianceError(f"{what} is only defined for invariant kernel families")
 
 
@@ -428,9 +427,6 @@ def average_kernel(
     return SmoothingKernel(kern.fiber, acc)
 
 
-TRACE_INVARIANCE_TOL = 1e-8  # trace_tau's gate, relative to the kernel norm
-
-
 def trace_tau(kern: SmoothingKernel, space: FiberedGSpace, weight: np.ndarray) -> complex:
     """Cutoff-weighted trace of an invariant smoothing family.
 
@@ -439,7 +435,7 @@ def trace_tau(kern: SmoothingKernel, space: FiberedGSpace, weight: np.ndarray) -
     choice, and tracial, for invariant kernels over orbit-constant mass;
     both properties fail without invariance, hence the check.
     """
-    require_invariant(space, TRACE_INVARIANCE_TOL, "trace", kern)
+    require_invariant(space, "trace", kern)
     return _weighted_diag_trace(kern, weight)
 
 

@@ -225,7 +225,6 @@ def pair_cocycle(
     phi,
     space: FiberedGSpace,
     weight: np.ndarray,
-    invariance_tol: float = 1e-8,
 ) -> complex:
     """Pair an even-degree cochain with the index idempotent P = diag(S0, 1 - S1).
 
@@ -238,17 +237,18 @@ def pair_cocycle(
     Chains beyond k = 1 need (2k+1)-fold kernel products the desk budget
     does not cover.
 
-    The kernel reach (the idempotent's cut radius, or the effective radius
-    when unlocalized) must not exceed the cochain's germ radius: past that scale
-    the cochain stops representing its class and the pairing would read
-    untrusted values.
+    Both projectors must pass the invariance gate at the pinned
+    INVARIANCE_TOL.  The kernel reach (the idempotent's cut radius, or the
+    effective radius when unlocalized) must not exceed the cochain's germ
+    radius: past that scale the cochain stops representing its class and
+    the pairing would read untrusted values.
     """
     if phi.degree % 2:
         raise ModelError("only even-degree cochains pair with idempotents")
     k = phi.degree // 2
     if k > 1:
         raise ModelError("chains beyond one cochain level are not modeled")
-    require_invariant(space, invariance_tol, "pairing", *idem.families)
+    require_invariant(space, "pairing", *idem.families)
     reach = _kernel_reach(idem)
     if reach > phi.germ_radius + GERM_SLACK:
         raise SupportMismatchError(

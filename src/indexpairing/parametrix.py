@@ -73,6 +73,8 @@ RANK_THRESHOLD = 1e-8
 RANK_WINDOW = 10.0
 # McWeeny steps the localization flow may take before the cut counts as too tight
 MAX_NEWTON_STEPS = 50
+# the largest entry of P^2 - P a localized projector may keep after its flow
+NEWTON_TOL = 1e-8
 # an entry counts toward a kernel's reach above REACH_FLOOR times its largest
 REACH_FLOOR = 1e-12
 
@@ -255,7 +257,7 @@ def _row_max(P2: np.ndarray, P: np.ndarray) -> float:
 def index_idempotent(
     block: OperatorBlock,
     radius: float | None = None,
-    newton_tol: float = 1e-8,
+    newton_tol: float = NEWTON_TOL,
     data: ParametrixData | None = None,
 ) -> IndexIdempotent:
     """Index idempotent of an operator, optionally localized at a fiber radius.
@@ -266,9 +268,9 @@ def index_idempotent(
     and the row is stored uncut.  With a radius, each projector is
     hard-truncated (``truncation_mask``) and idempotency restored by the
     cubic flow P -> 3 P^2 - 2 P^3, both on that block row; failure to reach
-    the tolerance within MAX_NEWTON_STEPS means the radius is too aggressive
-    for the kernel decay and raises.  A projector of rank 0 is stored as
-    None.
+    newton_tol (NEWTON_TOL unless a caller asks for a tighter defect) within
+    MAX_NEWTON_STEPS means the radius is too aggressive for the kernel decay
+    and raises.  A projector of rank 0 is stored as None.
     """
     if data is None:
         data = parametrix(block)

@@ -35,7 +35,7 @@ class ScenarioError(ModelError):
     """Raised when a scenario file fails to parse or validate."""
 
 
-_DEFAULT_TOLS = {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
+_DEFAULT_TOLS = {"pairing_tol": 1e-6}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
 # 2 x npoints^2 x 16 bytes: a whole S0 and S1, held when g = 1 is the only
 # certified block count; no scenario runs the dense elementary k = 1 chain
@@ -79,8 +79,11 @@ class Scenario:
                         (exactly two legs)
         density         {"values": [float, ..]}
                         (the mass of point x is base_weights[x] * values[x])
-        tolerances      {"pairing_tol": f, "invariant_tol": f}
+        tolerances      {"pairing_tol": f}
         seed            uint64 (required; echoed, no cocycle draws from it)
+
+    A field the schema does not name is refused, in every section.  Every
+    numerical gate reads a pinned constant, which no field can move.
     """
 
     name: str
@@ -131,10 +134,6 @@ class Scenario:
     def pairing_tol(self) -> float:
         return float(self.tolerances["pairing_tol"])
 
-    @property
-    def invariant_tol(self) -> float:
-        return float(self.tolerances["invariant_tol"])
-
 
 _REQUIRED = object()
 
@@ -181,9 +180,20 @@ def _need(table: dict, key: str, kind, where: str, default=_REQUIRED):
     return value
 
 
+def _known(table: dict, where: str, *keys: str) -> None:
+    """Refuse a field the schema does not name: misspelled, it would read as absent."""
+    for key in table:
+        if key not in keys:
+            raise ScenarioError(f"unknown field {where}.{key}")
+
+
 def _validate(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
+    _known(
+        raw, "scenario", "name", "groupoid", "fiber", "fiber_action", "operator",
+        "localize", "cocycle", "density", "tolerances", "seed",
+    )
     name = _need(raw, "name", str, "scenario")
     # the name is a CSV cell and the stem of the echo file name
     if name in ("", ".", "..") or any(
@@ -195,6 +205,7 @@ def _validate(raw: dict) -> Scenario:
         )
 
     group = dict(_need(raw, "groupoid", dict, "scenario"))
+    _known(group, "groupoid", "group", "base_points", "base_weights", "base_action")
     gk = group.get("group", "trivial")
     order = 1
     if isinstance(gk, dict) and set(gk) == {"cyclic"}:
@@ -229,6 +240,7 @@ def _validate(raw: dict) -> Scenario:
     group["base_action"] = action
 
     fiber = dict(_need(raw, "fiber", dict, "scenario"))
+    _known(fiber, "fiber", "kind", "dim", "fourier_cutoff", "grid")
     kind = _need(fiber, "kind", str, "fiber", "torus")
     if kind != "torus":
         raise ScenarioError(f'fiber.kind must be "torus", got {kind!r}')
@@ -287,12 +299,14 @@ def _validate(raw: dict) -> Scenario:
 
     op = dict(_need(raw, "operator", dict, "scenario"))
     if op.get("builtin") == "dolbeault":
+        _known(op, "operator", "builtin", "twist", "levels")
         op = {
             "builtin": "dolbeault",
             "twist": _need(op, "twist", int, "operator"),
             "levels": _need(op, "levels", int, "operator", 2),
         }
     elif op.get("builtin") == "multiplier":
+        _known(op, "operator", "builtin", "symbol")
         op = {
             "builtin": "multiplier",
             "symbol": _need(op, "symbol", str, "operator"),
@@ -338,11 +352,14 @@ def _validate(raw: dict) -> Scenario:
     coc = dict(_need(raw, "cocycle", dict, "scenario", {"kind": "unit"}))
     ck = coc.get("kind")
     if ck == "unit":
+        _known(coc, "cocycle", "kind")
         coc = {"kind": "unit"}
     elif ck == "profile":
+        _known(coc, "cocycle", "kind", "legs")
         legs = _need(coc, "legs", [dict], "cocycle", [])
         norm_legs = []
         for leg in legs:
+            _known(leg, "cocycle.legs", "axis", "linear_radius", "support_radius")
             norm_leg = {
                 "axis": _need(leg, "axis", int, "cocycle.legs"),
                 "linear_radius": _need(leg, "linear_radius", float, "cocycle.legs"),
@@ -372,15 +389,14 @@ def _validate(raw: dict) -> Scenario:
         raise ScenarioError('cocycle.kind must be "unit" or "profile"')
 
     dens = _need(raw, "density", dict, "scenario", {})
+    _known(dens, "density", "values")
     values = _need(dens, "values", [float], "density", [1.0] * bp)
     if len(values) != bp or any(v <= 0 for v in values):
         raise ScenarioError("density.values needs one positive entry per base point")
     dens = {"values": values}
 
     given = _need(raw, "tolerances", dict, "scenario", {})
-    for key in given:
-        if key not in _DEFAULT_TOLS:
-            raise ScenarioError(f"unknown tolerance field tolerances.{key}")
+    _known(given, "tolerances", *_DEFAULT_TOLS)
     tols = {
         key: _need(given, key, float, "tolerances", default)
         for key, default in _DEFAULT_TOLS.items()

@@ -29,6 +29,7 @@ import numpy as np
 from .charclass import DiscModel, disc_charge, graph_symbol_projector, twist_character
 from .dolbeault import dolbeault_family
 from .forms import (
+    INVARIANCE_TOL,
     FoliatedForm,
     InvarianceError,
     d_leafwise,
@@ -47,7 +48,6 @@ from .space import FiberedGSpace
 ORIENTATION_SIGN = -1.0
 # Landau levels of the operator realized on a free quotient
 QUOTIENT_LEVELS = 4
-REDUCTION_INVARIANT_TOL = 1e-8  # free_action_reduction's gates, relative to the form scale
 
 
 class NonFreeActionError(ModelError):
@@ -108,10 +108,8 @@ def symbol_class_multiplier(fiber: FiberModel, disc: DiscModel, symbol_fn) -> Sy
     return SymbolClass({0: np.ones((fiber.npoints, 1), dtype=complex)}, charge)
 
 
-def _check_cochain_form(
-    space: FiberedGSpace, alpha: FoliatedForm, invariant_tol: float
-) -> int:
-    """Validate evenness, closedness and invariance; return the cochain level k."""
+def _check_cochain_form(space: FiberedGSpace, alpha: FoliatedForm) -> int:
+    """Check that alpha is even, closed and invariant (INVARIANCE_TOL); return k."""
     if alpha.degree % 2 != 0:
         raise ModelError(
             f"realized cochain has odd degree {alpha.degree}; pairings are even"
@@ -119,10 +117,10 @@ def _check_cochain_form(
     scale = max(alpha.max_abs(), 1.0)
     if alpha.degree < alpha.fiber.dim:
         defect = d_leafwise(alpha).max_abs()
-        if defect > invariant_tol * scale:
+        if defect > INVARIANCE_TOL * scale:
             raise ModelError(f"cochain form is not closed: d defect {defect:.3e}")
     defect = form_invariance_defect(space, alpha)
-    if defect > invariant_tol * scale:
+    if defect > INVARIANCE_TOL * scale:
         raise InvarianceError(f"cochain form is not invariant: defect {defect:.3e}")
     return alpha.degree // 2
 
@@ -132,11 +130,11 @@ def topological_index(
     weight: np.ndarray,
     alpha: FoliatedForm,
     sclass: SymbolClass,
-    invariant_tol: float = 1e-8,
 ) -> complex:
     """Localized characteristic-class integral for one cocycle class.
 
-    alpha is the realized cochain form (even degree 2k); the value is
+    alpha is the realized cochain form, of even degree 2k, closed and
+    invariant to INVARIANCE_TOL times its scale; the value is
     ORIENTATION_SIGN * (2*pi*i)^(-k) times the integral of alpha ^ ch(symbol)
     over the fiber and the frequency disc, weighted by ``weight``: one
     mass-weighted field on the fiber, of the cutoff or of the indicator of a
@@ -144,7 +142,7 @@ def topological_index(
     the disc charge; without a fiber character of the complementary degree
     the integrand is zero.
     """
-    k = _check_cochain_form(space, alpha, invariant_tol)
+    k = _check_cochain_form(space, alpha)
     r, q = alpha.fiber.dim, alpha.degree
     top = sclass.fiber.get(r - q)
     # adding to 0j makes a zero part +0.0, whatever sign the mean left on it
@@ -194,7 +192,7 @@ def free_action_reduction(
     """
     orbit_weight = sum(space.transport(g, weight) for g in range(space.order))
     reduced = fundamental_domain_indicator(space) * orbit_weight
-    return topological_index(space, reduced, alpha, sclass, REDUCTION_INVARIANT_TOL)
+    return topological_index(space, reduced, alpha, sclass)
 
 
 def half_shift_quotient_index(fiber: FiberModel, twist: int, order: int = 2) -> int:

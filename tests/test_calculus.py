@@ -216,7 +216,7 @@ def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
     raw = rng.standard_normal((npts, npts)) / npts
     half = half_shift_space()
     with pytest.raises(InvarianceError):
-        require_invariant(half, 1e-8, "trace", SmoothingKernel(half.fiber, raw))
+        require_invariant(half, "trace", SmoothingKernel(half.fiber, raw))
 
     def no_norm(self):
         raise AssertionError("norm computed for a zero defect")
@@ -226,7 +226,7 @@ def test_invariance_gate_skips_the_scale_at_zero_defect(monkeypatch):
     monkeypatch.setattr(SmoothingKernel, "norm", no_norm)
     space = trivial_space()
     kern = SmoothingKernel(space.fiber, raw)
-    require_invariant(space, 1e-8, "trace", kern, kern)
+    require_invariant(space, "trace", kern, kern)
     trace_tau(kern, space, compute_cutoff(space))
 
 

@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 from indexpairing.dolbeault import dolbeault_family
-from indexpairing.forms import InvarianceError
+from indexpairing.forms import INVARIANCE_TOL, InvarianceError
 from indexpairing.grids import FiberModel
 from indexpairing.operators import (
     CIRCULANT_RTOL,
-    TRACE_INVARIANCE_TOL,
     SmoothingKernel,
     block_count,
     certified_block_row,
@@ -504,12 +503,12 @@ def test_block_row_gate_is_the_dense_gate(flux24, order, shift, invariant):
         assert kern.twisted_invariance_defect(space) == twisted_invariance_defect_dense(kern, space)
     S0 = flux24.skernel
     dense_defect = twisted_invariance_defect_dense(S0, space)
-    assert (dense_defect <= TRACE_INVARIANCE_TOL * kernel_norm_dense(S0)) == invariant
+    assert (dense_defect <= INVARIANCE_TOL * kernel_norm_dense(S0)) == invariant
     if invariant:
-        require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+        require_invariant(space, "trace", *flux24.families)
     else:
         with pytest.raises(InvarianceError):
-            require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+            require_invariant(space, "trace", *flux24.families)
 
 
 @pytest.mark.parametrize("order, shift", [(2, ("1/2", "1/2")), (5, ("1/5", "2/5"))])
@@ -557,6 +556,6 @@ def test_block_row_gate_holds_less_than_one_dense_kernel(flux24):
     space = FiberedGSpace(fiber, 2, ("1/2", "1/2"))
     assert flux24.skernel.twisted_invariance_defect(space) > 0.0
     _, peak = traced_peak(
-        lambda: require_invariant(space, TRACE_INVARIANCE_TOL, "trace", *flux24.families)
+        lambda: require_invariant(space, "trace", *flux24.families)
     )
     assert peak < fiber.npoints**2 * 16, peak

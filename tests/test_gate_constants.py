@@ -1,16 +1,21 @@
 """The numerical gates, pinned: loosening one must show up as a diff here."""
 from indexpairing.charclass import IDEMPOTENT_TOL
+from indexpairing.forms import INVARIANCE_TOL
 from indexpairing.operators import (
     CIRCULANT_RTOL,
     ENTRY_BOUND_MARGIN,
     NORM_POWER_STEPS,
-    TRACE_INVARIANCE_TOL,
     TRUNCATION_RTOL,
 )
 from indexpairing.pairing import GERM_SLACK, HERMITIAN_RTOL
-from indexpairing.parametrix import MAX_NEWTON_STEPS, RANK_THRESHOLD, RANK_WINDOW, REACH_FLOOR
+from indexpairing.parametrix import (
+    MAX_NEWTON_STEPS,
+    NEWTON_TOL,
+    RANK_THRESHOLD,
+    RANK_WINDOW,
+    REACH_FLOOR,
+)
 from indexpairing.symbols import ELLIPTIC_FLOOR
-from indexpairing.topindex import REDUCTION_INVARIANT_TOL
 
 
 def test_gate_constants_are_pinned():
@@ -18,14 +23,14 @@ def test_gate_constants_are_pinned():
         "RANK_THRESHOLD": RANK_THRESHOLD,
         "RANK_WINDOW": RANK_WINDOW,
         "MAX_NEWTON_STEPS": MAX_NEWTON_STEPS,
+        "NEWTON_TOL": NEWTON_TOL,
         "REACH_FLOOR": REACH_FLOOR,
         "TRUNCATION_RTOL": TRUNCATION_RTOL,
         "CIRCULANT_RTOL": CIRCULANT_RTOL,
         "ENTRY_BOUND_MARGIN": ENTRY_BOUND_MARGIN,
         "HERMITIAN_RTOL": HERMITIAN_RTOL,
         "GERM_SLACK": GERM_SLACK,
-        "TRACE_INVARIANCE_TOL": TRACE_INVARIANCE_TOL,
-        "REDUCTION_INVARIANT_TOL": REDUCTION_INVARIANT_TOL,
+        "INVARIANCE_TOL": INVARIANCE_TOL,
         "IDEMPOTENT_TOL": IDEMPOTENT_TOL,
         "ELLIPTIC_FLOOR": ELLIPTIC_FLOOR,
         "NORM_POWER_STEPS": NORM_POWER_STEPS,
@@ -33,14 +38,14 @@ def test_gate_constants_are_pinned():
         "RANK_THRESHOLD": 1e-8,
         "RANK_WINDOW": 10.0,
         "MAX_NEWTON_STEPS": 50,
+        "NEWTON_TOL": 1e-8,
         "REACH_FLOOR": 1e-12,
         "TRUNCATION_RTOL": 1e-12,
         "CIRCULANT_RTOL": 1e-12,
         "ENTRY_BOUND_MARGIN": 1e-6,
         "HERMITIAN_RTOL": 1e-14,
         "GERM_SLACK": 1e-9,
-        "TRACE_INVARIANCE_TOL": 1e-8,
-        "REDUCTION_INVARIANT_TOL": 1e-8,
+        "INVARIANCE_TOL": 1e-8,
         "IDEMPOTENT_TOL": 1e-10,
         "ELLIPTIC_FLOOR": 1e-12,
         "NORM_POWER_STEPS": 8,

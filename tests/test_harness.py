@@ -77,15 +77,16 @@ def test_builtin_catalog_loads_and_echo_reloads():
     for name in BUILTIN_SCENARIOS:
         scn = load_scenario(name)
         assert scn.name == name
+        # every gate threshold is pinned: the pairing tolerance is the one field
+        assert scn.echo()["tolerances"] == {"pairing_tol": 1e-06}
         again = _validate(scn.echo())
         assert again == scn
 
 
 def test_scenario_defaults_filled():
     scn = load_scenario("S1-dolbeault-d1")
-    assert scn.tolerances == {"pairing_tol": 1e-6, "invariant_tol": 1e-8}
+    assert scn.tolerances == {"pairing_tol": 1e-6}
     assert scn.pairing_tol == 1e-6
-    assert scn.invariant_tol == 1e-8
     assert scn.density == {"values": [1.0]}
     assert scn.fiber_action == "trivial"
     assert scn.localize is None
@@ -253,15 +254,61 @@ def test_scenario_defaults_filled():
             ),
             "fiber.dim must be at least 2",
         ),
-        # JSON admits NaN and Infinity; a NaN tolerance would pass every gate
+        # the invariance gate reads a pinned constant, which no file can loosen
         (
-            lambda raw: raw.update(tolerances={"invariant_tol": float("nan")}),
-            "tolerances.invariant_tol must be finite",
+            lambda raw: raw.update(tolerances={"invariant_tol": 1.0}),
+            "unknown field tolerances.invariant_tol",
         ),
+        # JSON admits NaN and Infinity; a NaN tolerance would pass its gate
         (
             lambda raw: raw.update(tolerances={"pairing_tol": float("inf")}),
             "tolerances.pairing_tol must be finite",
         ),
+        # a misspelled field would otherwise run with its default, in every section
+        (lambda raw: raw.update(localise=0.3), "unknown field scenario.localise"),
+        (
+            lambda raw: raw.update(tolerance={"pairing_tol": 1.0}),
+            "unknown field scenario.tolerance",
+        ),
+        (lambda raw: raw["groupoid"].update(base_point=2), "unknown field groupoid.base_point"),
+        (lambda raw: raw["fiber"].update(grids=16), "unknown field fiber.grids"),
+        (lambda raw: raw["operator"].update(level=5), "unknown field operator.level"),
+        (
+            lambda raw: raw.update(
+                operator={"builtin": "multiplier", "symbol": "xi1 + 1j * xi2", "twist": 1}
+            ),
+            "unknown field operator.twist",
+        ),
+        (
+            lambda raw: raw.update(cocycle={"kind": "unit", "legs": []}),
+            "unknown field cocycle.legs",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={
+                    "kind": "profile",
+                    "legs": [
+                        {"axis": 0, "linear_radius": 0.45},
+                        {"axis": 1, "linear_radius": 0.45},
+                    ],
+                    "germ_radius": 0.45,
+                }
+            ),
+            "unknown field cocycle.germ_radius",
+        ),
+        (
+            lambda raw: raw.update(
+                cocycle={
+                    "kind": "profile",
+                    "legs": [
+                        {"axis": 0, "linear_radius": 0.45},
+                        {"axis": 1, "linear_radus": 0.3},
+                    ],
+                }
+            ),
+            "unknown field cocycle.legs.linear_radus",
+        ),
+        (lambda raw: raw.update(density={"value": [2.0]}), "unknown field density.value"),
         (
             lambda raw: raw["groupoid"].update(base_weights=[float("nan")]),
             "groupoid.base_weights must be finite",
