@@ -33,8 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,32 +52,25 @@ DISC_RADIAL_NODES = 48
 DISC_ANGULAR_NODES = 48
 
 
-@lru_cache(maxsize=None)
-def _smoothstep_coeffs(flatness: int) -> tuple[tuple[int, float], ...]:
-    terms = [
-        (flatness + j + 1, Fraction((-1) ** j * math.comb(flatness, j), flatness + j + 1))
-        for j in range(flatness + 1)
-    ]
-    norm = sum(c for _, c in terms)
-    return tuple((e, float(c / norm)) for e, c in terms)
-
-
-def smoothstep_poly(u, flatness: int):
+def smoothstep_poly(u):
     """Polynomial ramp from 0 at u=0 to 1 at u=1, clamped outside [0, 1].
 
-    The first `flatness` derivatives vanish at both ends (the derivative is
-    proportional to u^flatness * (1-u)^flatness), which keeps projector
-    families built from the ramp smooth across gluing radii.
+    The ramp is the upper half, j = F + 1 .. 2F + 1, of the Bernstein basis
+    C(2F + 1, j) u^j (1-u)^(2F+1-j) of degree 2F + 1, F = GRAPH_FLATNESS.
+    Its derivative is proportional to u^F (1-u)^F, so the first F
+    derivatives vanish at both ends, which keeps projector families built
+    from the ramp smooth across gluing radii.  It is evaluated on [0, 1/2]
+    and reflected through m(u) + m(1-u) = 1; every term is nonnegative
+    there, so no sum cancels.
     """
-    if flatness < 1:
-        raise ValueError("flatness must be at least 1")
     u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-    # Evaluate on [0, 1/2] and reflect through m(u) + m(1-u) = 1; the raw
-    # alternating polynomial cancels catastrophically near u = 1.
     lower = np.minimum(u, 1.0 - u)
+    upper = 1.0 - lower
+    degree = 2 * GRAPH_FLATNESS + 1
     out = np.zeros_like(u)
-    for e, c in _smoothstep_coeffs(flatness):
-        out += c * lower**e
+    # the smallest terms first
+    for j in range(degree, GRAPH_FLATNESS, -1):
+        out += math.comb(degree, j) * lower**j * upper ** (degree - j)
     return np.where(u <= 0.5, out, 1.0 - out)
 
 
@@ -343,7 +335,7 @@ def graph_symbol_projector(disc: DiscModel, values: np.ndarray) -> np.ndarray:
         raise EllipticityError("symbol vanishes on the frequency disc")
     phase = a / mag
     u = (disc.rho / disc.radius) ** 2
-    alpha = 0.5 * np.pi * smoothstep_poly(u, GRAPH_FLATNESS)
+    alpha = 0.5 * np.pi * smoothstep_poly(u)
     c = np.cos(alpha)
     s = np.sin(alpha)
     p = np.empty((disc.nnodes, 2, 2), dtype=complex)

@@ -35,7 +35,7 @@ def compute_cutoff(space: FiberedGSpace, seed: np.ndarray | None = None) -> np.n
         raise CoverageError("seed must be nonnegative")
     orbit_sum = np.zeros(npoints)
     for g in range(space.order):
-        orbit_sum += space.eval_after_action(g, seed).real
+        orbit_sum += space.transport(-g, seed).real
     bad = np.flatnonzero(orbit_sum <= 0)
     if len(bad):
         raise CoverageError(f"seed does not cover the orbit of grid point {int(bad[0])}")

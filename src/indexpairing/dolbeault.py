@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import FiberModel, ModelError
-from .operators import OperatorBlock, SectionBasis, fourier_basis
+from .operators import OperatorBlock, SectionBasis, fourier_multiplier
 
 
 def hermite_values(max_level: int, t: np.ndarray) -> np.ndarray:
@@ -184,10 +184,8 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
     if levels < 1:
         raise ModelError("at least one level transition is required")
     if d == 0:
-        basis = fourier_basis(fiber)
         modes = fiber.modes()
-        mult = np.pi * 1j * (modes[:, 0] + 1j * modes[:, 1])
-        return OperatorBlock(basis, basis, np.diag(mult.astype(complex)))
+        return fourier_multiplier(fiber, np.pi * 1j * (modes[:, 0] + 1j * modes[:, 1]))
     s = abs(d)
     big = landau_basis(fiber, d, levels)
     # levels 0..levels-1 are the leading columns of the larger basis, which

@@ -189,8 +189,8 @@ def invariant_project_form(
     """
     acc = np.zeros_like(form.field)
     for g in range(space.order):
-        weight = space.eval_after_action(g, cutoff).real
-        acc += weight[:, None] * space.eval_after_action(g, form.field)
+        weight = space.transport(-g, cutoff).real
+        acc += weight[:, None] * space.transport(-g, form.field)
     return FoliatedForm(form.fiber, form.degree, acc, invariant=True)
 
 

@@ -38,6 +38,7 @@ from .density import compute_cutoff
 from .dolbeault import dolbeault_family
 from .grids import FiberModel, ModelError
 from .invariants import INVARIANT_CHECKS
+from .operators import fourier_multiplier
 from .pairing import ProfileCochain, pair_cocycle
 from .parametrix import CorruptedCacheError, IndexIdempotent
 from .parametrix import analytic_index, index_idempotent, parametrix
@@ -49,7 +50,7 @@ from .scenario import (
     load_scenario,
 )
 from .space import FiberedGSpace
-from .symbols import multiplier_symbol, quantize
+from .symbols import certify_elliptic
 from .topindex import (
     family_index_orbifold,
     half_shift_quotient_index,
@@ -161,14 +162,11 @@ def _build_operator(scn: Scenario, fiber: FiberModel):
         sclass = symbol_class_dolbeault(fiber, disc, op["twist"])
         return block, sclass
     fn = _symbol_expression(op["symbol"])
-    sym = multiplier_symbol(
-        fiber,
-        lambda modes: fn(modes[:, 0].astype(float), modes[:, 1].astype(float)),
-        order=0.0,
-    )
-    sym.certify_elliptic()
+    modes = fiber.modes().astype(float)
+    values = np.asarray(fn(modes[:, 0], modes[:, 1]), dtype=complex)
+    certify_elliptic(fiber, values)
     sclass = symbol_class_multiplier(fiber, disc, fn)
-    return quantize(sym), sclass
+    return fourier_multiplier(fiber, values), sclass
 
 
 def _build_cocycle(scn: Scenario, fiber: FiberModel):

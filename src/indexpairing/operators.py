@@ -77,6 +77,12 @@ def fourier_basis(fiber: FiberModel) -> SectionBasis:
     return SectionBasis(fiber, fiber.nmodes, fiber.eval_matrix)
 
 
+def fourier_multiplier(fiber: FiberModel, values: np.ndarray) -> OperatorBlock:
+    """The Fourier multiplier by ``values``, one per retained mode: a diagonal block."""
+    basis = fourier_basis(fiber)
+    return OperatorBlock(basis, basis, np.diag(np.asarray(values, dtype=complex)))
+
+
 @dataclass
 class OperatorBlock:
     """Matrix of an operator from one section basis to another."""
@@ -421,7 +427,7 @@ def average_kernel(
     # adding 0.0 makes a zero part +0.0, as in a sum started from zeros
     acc += 0.0
     for g in range(1, space.order):
-        weight = space.eval_after_action(g, cutoff)
+        weight = space.transport(-g, cutoff)
         perm = space.permutation(-g)
         acc += weight[:, None] * here.take(perm, axis=0).take(perm, axis=1)
     return SmoothingKernel(kern.fiber, acc)

@@ -103,14 +103,15 @@ class TransitionProfile:
     """Odd 1-periodic profile, exactly linear with slope 1 near zero.
 
     s(t) = t for |t| <= linear_radius; beyond that the value is rolled off
-    by a C^flatness window and vanishes for |t| in [support_radius, 1/2].
+    by a window flat to order GRAPH_FLATNESS (the ramp
+    ``charclass.smoothstep_poly``) and vanishes for |t| in
+    [support_radius, 1/2].
     With support_radius = 1/2 the profile is global (nonzero all the way to
     the wrap); smaller values give compactly supported legs.
     """
 
     linear_radius: float = 0.45
     support_radius: float = 0.5
-    flatness: int = 8
 
     def __post_init__(self) -> None:
         if not 0.0 < self.linear_radius < self.support_radius <= 0.5:
@@ -126,26 +127,18 @@ class TransitionProfile:
         u = (np.abs(tt) - self.linear_radius) / (
             self.support_radius - self.linear_radius
         )
-        window = 1.0 - smoothstep_poly(np.clip(u, 0.0, 1.0), self.flatness)
+        window = 1.0 - smoothstep_poly(u)
         return tt * window
 
 
-def _sort_sign(axes: tuple[int, ...]) -> int:
-    sign = 1
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            if axes[i] > axes[j]:
-                sign = -sign
-    return sign
-
-
 class ProfileCochain:
-    """Degree-2k cochain built from difference profiles along fiber axes.
+    """Degree-2 cochain built from two difference profiles along fiber axes.
 
-    The value on a tuple (z_0, .., z_{2k}) is the product over consecutive
-    legs i of profile_i((z_{i+1} - z_i)[axis_i]).  Near the diagonal every
-    profile is exactly linear, so the cochain is a closed germ representative
-    there and its leafwise realization is a constant-coefficient 2k-form.
+    The value on a triple (z_0, z_1, z_2) is the product over the two
+    consecutive legs i of profile_i((z_{i+1} - z_i)[axis_i]).  Near the
+    diagonal both profiles are exactly linear, so the cochain is a closed
+    germ representative there and its leafwise realization is a
+    constant-coefficient 2-form.
 
     ``germ_radius`` is the separation scale the cochain can be trusted at:
     the smallest linear radius over the legs.  Every edge of the chain tuple
@@ -159,10 +152,12 @@ class ProfileCochain:
     stays linear).
     """
 
+    degree = 2
+
     def __init__(self, fiber: FiberModel, legs) -> None:
         legs = tuple((int(axis), prof) for axis, prof in legs)
-        if not legs or len(legs) % 2:
-            raise ModelError("difference cochains need an even positive leg count")
+        if len(legs) != 2:
+            raise ModelError(f"difference cochains need exactly two legs, got {len(legs)}")
         for axis, prof in legs:
             if not isinstance(prof, TransitionProfile):
                 raise ModelError("every leg needs a TransitionProfile")
@@ -170,7 +165,6 @@ class ProfileCochain:
                 raise ModelError(f"leg axis {axis} outside fiber dimension {fiber.dim}")
         self.fiber = fiber
         self.legs = legs
-        self.degree = len(legs)
         self.germ_radius = min(p.linear_radius for _, p in legs)
 
     def leg_mask(self, i: int, rows: int) -> np.ndarray:
@@ -188,21 +182,17 @@ class ProfileCochain:
         return table[np.ix_(ticks[:rows], ticks)]
 
     def van_est_form(self) -> FoliatedForm:
-        """Leafwise realization on the fiber: product of unit slopes times dz_a1 ^ ... .
+        """Leafwise realization on the fiber: the product of unit slopes times dz_a0 ^ dz_a1.
 
-        Exact, not a quadrature: every profile has derivative exactly 1 at
-        zero and vanishing value there, so the whole 2k-jet reduces to the
-        single constant-coefficient component.
+        Exact, not a quadrature: both profiles have derivative exactly 1 at
+        zero and vanishing value there, so the whole 2-jet reduces to the
+        single constant-coefficient component, zero when the axes agree.
         """
-        r = self.fiber.dim
-        axes = tuple(axis for axis, _ in self.legs)
-        if self.degree > r:
-            raise ModelError("realization degree exceeds the fiber dimension")
-        form = FoliatedForm.zero(self.fiber, self.degree)
-        if len(set(axes)) < len(axes):
-            return form
-        pos = subset_position(r, self.degree)[tuple(sorted(axes))]
-        form.field[:, pos] = float(_sort_sign(axes))
+        (a0, _), (a1, _) = self.legs
+        form = FoliatedForm.zero(self.fiber, 2)
+        if a0 != a1:
+            pos = subset_position(self.fiber.dim, 2)[(min(a0, a1), max(a0, a1))]
+            form.field[:, pos] = 1.0 if a0 < a1 else -1.0
         return form
 
 

@@ -35,7 +35,6 @@ class ScenarioError(ModelError):
     """Raised when a scenario file fails to parse or validate."""
 
 
-_DEFAULT_TOLS = {"pairing_tol": 1e-6}
 _LIMITS = {"fourier_cutoff": 32, "grid": 128, "base_points": 64}
 # 2 x npoints^2 x 16 bytes: a whole S0 and S1, held when g = 1 is the only
 # certified block count; no scenario runs the dense elementary k = 1 chain
@@ -387,6 +386,19 @@ def _validate(raw: dict) -> Scenario:
             )
     else:
         raise ScenarioError('cocycle.kind must be "unit" or "profile"')
+    if action == "pair-swap":
+        # the family route counts the index at each point and integrates the
+        # unit class: it builds no idempotent and pairs no cochain
+        if coc["kind"] != "unit":
+            raise ScenarioError(
+                'cocycle.kind must be "unit" under groupoid.base_action pair-swap: '
+                "the family route pairs no other cocycle"
+            )
+        if localize is not None:
+            raise ScenarioError(
+                "localize must be null under groupoid.base_action pair-swap: "
+                "the family route builds no idempotent"
+            )
 
     dens = _need(raw, "density", dict, "scenario", {})
     _known(dens, "density", "values")
@@ -396,14 +408,10 @@ def _validate(raw: dict) -> Scenario:
     dens = {"values": values}
 
     given = _need(raw, "tolerances", dict, "scenario", {})
-    _known(given, "tolerances", *_DEFAULT_TOLS)
-    tols = {
-        key: _need(given, key, float, "tolerances", default)
-        for key, default in _DEFAULT_TOLS.items()
-    }
-    for key, value in tols.items():
-        if value <= 0:
-            raise ScenarioError(f"tolerances.{key} must be positive")
+    _known(given, "tolerances", "pairing_tol")
+    tols = {"pairing_tol": _need(given, "pairing_tol", float, "tolerances", 1e-6)}
+    if tols["pairing_tol"] <= 0:
+        raise ScenarioError("tolerances.pairing_tol must be positive")
 
     seed = _need(raw, "seed", int, "scenario")
     if not 0 <= seed < 2**64:

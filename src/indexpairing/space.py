@@ -11,7 +11,6 @@ permutation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,32 +24,14 @@ def whole_multiple(k: int, shift) -> bool:
     return all((k * Fraction(t)).denominator == 1 for t in shift)
 
 
-@dataclass(frozen=True)
-class AffineTorusMap:
-    """The translation z -> z + shift on the torus [0,1)^r.
-
-    The shift is stored reduced mod 1 as a tuple of Fractions, so equality
-    and grid preservation are exact.
-    """
-
-    shift: tuple[Fraction, ...]
-
-    @classmethod
-    def translation(cls, shift) -> "AffineTorusMap":
-        return cls(tuple(Fraction(t) % 1 for t in shift))
-
-    def grid_permutation(self, n: int) -> np.ndarray:
-        """Permutation p with map(z_j) = z_{p[j]} on the n^r product grid.
-
-        Each axis moves by its shift in ticks; flat indices are row-major over
-        the r axes, matching grid_points.  Built once per translation and
-        grid size, and read-only.
-        """
-        return _grid_permutation(self.shift, n)
-
-
 @lru_cache(maxsize=None)
 def _grid_permutation(shift: tuple[Fraction, ...], n: int) -> np.ndarray:
+    """Permutation p with z_j + shift = z_{p[j]} on the n^r product grid.
+
+    Each axis moves by its shift in ticks; flat indices are row-major over
+    the r axes, matching grid_points.  Built once per shift and grid size,
+    and read-only.
+    """
     ticks = [n * t for t in shift]
     if any(k.denominator != 1 for k in ticks):
         raise ModelError("map does not preserve the grid")
@@ -83,11 +64,11 @@ class FiberedGSpace:
             )
         self.fiber = fiber
         self.order = order
-        self._maps = [AffineTorusMap.translation([g * t for t in shift]) for g in range(order)]
+        self._shifts = [tuple(g * t % 1 for t in shift) for g in range(order)]
 
-    def fiber_map(self, g: int) -> AffineTorusMap:
-        """The translation by g * shift."""
-        return self._maps[g % self.order]
+    def shift(self, g: int) -> tuple[Fraction, ...]:
+        """The shift g * shift of the translation by g, reduced mod 1."""
+        return self._shifts[g % self.order]
 
     def moving_elements(self) -> list[int]:
         """One group element g = 1 .. m/2 per distinct translation g shift that moves the fiber.
@@ -101,14 +82,14 @@ class FiberedGSpace:
         """
         first: dict[tuple, int] = {}
         for g in range(1, self.order // 2 + 1):
-            shift = self.fiber_map(g).shift
+            shift = self.shift(g)
             if any(shift):
                 first.setdefault(shift, g)
         return list(first.values())
 
     def permutation(self, g: int) -> np.ndarray:
         """Grid permutation p of the translation by g * shift: transport is f -> f[p]."""
-        return self.fiber_map(g).grid_permutation(self.fiber.grid_size)
+        return _grid_permutation(self.shift(g), self.fiber.grid_size)
 
     def transport(self, g: int, field: np.ndarray) -> np.ndarray:
         """The grid field composed with the translation by g * shift.
@@ -122,10 +103,6 @@ class FiberedGSpace:
         if field.shape[:1] != perm.shape:
             raise ModelError(f"field shape {field.shape} does not match the {len(perm)}-point grid")
         return field[perm]
-
-    def eval_after_action(self, g: int, field: np.ndarray) -> np.ndarray:
-        """Samples of z -> field(z - g shift): transport by -g."""
-        return self.transport(-g, field)
 
     @classmethod
     def trivial(cls, fiber: FiberModel, order: int = 1) -> "FiberedGSpace":

@@ -12,7 +12,6 @@ the symbol, the only place that reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -48,26 +47,20 @@ class SymbolData:
         if self.values.shape != want:
             raise ModelError(f"symbol table has shape {self.values.shape}, expected {want}")
 
-    def certify_elliptic(self) -> None:
-        """Check invertibility for all retained modes with |xi| >= ELLIPTIC_RADIUS.
 
-        Raises with the offending lattice points listed.
-        """
-        modes = self.fiber.modes()
-        outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
-        small = np.min(np.abs(self.values), axis=0)
-        bad = np.nonzero(outside & (small <= ELLIPTIC_FLOOR))[0]
-        if bad.size:
-            listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in bad[:8])
-            raise EllipticityError(f"symbol is singular on the lattice at: {listing}")
+def certify_elliptic(fiber: FiberModel, values: np.ndarray) -> None:
+    """Refuse a mode-only symbol that is singular on a retained mode with |xi| >= ELLIPTIC_RADIUS.
 
-
-def multiplier_symbol(
-    fiber: FiberModel, multiplier: Callable[[np.ndarray], np.ndarray], order: float
-) -> SymbolData:
-    """Symbol depending on the mode only; ``multiplier`` maps (nmodes, r) ints to values."""
-    row = np.asarray(multiplier(fiber.modes()), dtype=complex)
-    return SymbolData(fiber, order, np.broadcast_to(row, (fiber.npoints, fiber.nmodes)).copy())
+    ``values`` holds one symbol value per mode of ``fiber``; a value is
+    singular when its modulus is at most ELLIPTIC_FLOOR.  The error lists
+    the offending lattice points.
+    """
+    modes = fiber.modes()
+    outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
+    bad = np.nonzero(outside & (np.abs(values) <= ELLIPTIC_FLOOR))[0]
+    if bad.size:
+        listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in bad[:8])
+        raise EllipticityError(f"symbol is singular on the lattice at: {listing}")
 
 
 def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:
@@ -84,9 +77,12 @@ def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:
 def quantize(sym: SymbolData) -> OperatorBlock:
     """Left quantization of a sampled symbol on the truncated Fourier basis.
 
-    Mode-only symbols quantize to exact diagonal multipliers.  Outgoing
-    frequencies that leave the retained box are dropped, which is the only
-    truncation this map performs.
+    Outgoing frequencies that leave the retained box are dropped, which is
+    the only truncation this map performs.  A mode-only symbol quantizes to
+    its diagonal multiplier only up to the rounding of the FFT, which leaves
+    off-diagonal entries of about 1e-16 (up to 1.4e-16 on the symbol of
+    S3-multiplier-invertible); ``operators.fourier_multiplier`` builds that
+    block exactly.
     """
     basis = fourier_basis(sym.fiber)
     return OperatorBlock(basis, basis, _quantize_table(sym.values, sym.fiber))

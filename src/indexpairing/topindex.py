@@ -145,12 +145,13 @@ def topological_index(
     k = _check_cochain_form(space, alpha)
     r, q = alpha.fiber.dim, alpha.degree
     top = sclass.fiber.get(r - q)
-    # adding to 0j makes a zero part +0.0, whatever sign the mean left on it
-    total = 0j
+    total = 0.0
     if top is not None:
         density = exterior_wedge(alpha.field, q, top, r - q, r, np.multiply)
-        total += np.mean(weight * (density[:, 0] * sclass.charge))
-    return complex(ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
+        total = np.mean(weight * (density[:, 0] * sclass.charge))
+    # adding the scaled value to 0j makes a zero part +0.0, whatever sign the
+    # mean and the scale left on it
+    return complex(0j + ORIENTATION_SIGN * (2.0j * np.pi) ** (-k) * total)
 
 
 def fundamental_domain_indicator(space: FiberedGSpace) -> np.ndarray:

@@ -13,8 +13,9 @@ arrows leaving it, the mass-weighted sum of per-point fields and the orbit
 sum over one representative per base orbit.
 The library must agree with them bit for bit.  Section transport on a basis,
 the transport defect of an operator block, the Gram defect of a basis, an
-operator block applied to a grid field and the symbol extracted from a
-Fourier block, which no pipeline stage needs, and the shared test helpers
+operator block applied to a grid field, the symbol extracted from a
+Fourier block and the mode-only symbol table that the multiplier builtin
+once quantized, which no pipeline stage needs, and the shared test helpers
 (a bitwise comparison, the unit volume form) sit here too.
 
 So do the independent constructions the library has no consumer for: the
@@ -54,6 +55,11 @@ with both leg masks and the block column held and each product formed for
 all g blocks at once.  The library holds fewer stacks with the same
 operations in the same order, so it agrees with them bit for bit.
 
+The ramp of the graph projector and the profile windows is kept in its
+monomial form, evaluated exactly in rationals: the library sums the upper
+half of a Bernstein basis in floats, whose terms are all nonnegative, and
+must agree with the exact value to a few ulps.
+
 The invariant average of a kernel and the moved entries of the invariance
 gate are kept as the library first gathered them, one np.ix_ outer index
 per term or per run of rows, the average summed from zeros; the library
@@ -63,13 +69,14 @@ cochain is kept with every factor of every term differentiated anew,
 where the library differentiates each distinct factor once.
 """
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from itertools import product
 
-from indexpairing.charclass import CH_CURVATURE_SCALE, IDEMPOTENT_TOL
+from indexpairing.charclass import CH_CURVATURE_SCALE, GRAPH_FLATNESS, IDEMPOTENT_TOL
 from indexpairing.cochains import ASCochain, ASTerm
 from indexpairing.dolbeault import hermite_values
 from indexpairing.forms import (
@@ -299,6 +306,12 @@ def symbol_of(block, order):
     return SymbolData(fiber, order, np.conj(E) * (E @ block.matrix))
 
 
+def multiplier_symbol(fiber, multiplier, order):
+    """Symbol depending on the mode only; ``multiplier`` maps (nmodes, r) ints to values."""
+    row = np.asarray(multiplier(fiber.modes()), dtype=complex)
+    return SymbolData(fiber, order, np.broadcast_to(row, (fiber.npoints, fiber.nmodes)).copy())
+
+
 def same_bits(a, b):
     """Equal values and equal sign bits of the real and imaginary parts."""
     a, b = np.asarray(a), np.asarray(b)
@@ -337,7 +350,7 @@ def cutoff_per_arrow(space, sigma, seeds):
         orbit_sum = np.zeros(space.fiber.npoints)
         for g, src, tgt in arrows:
             if src == x:
-                orbit_sum += space.eval_after_action(g, seeds[tgt]).real
+                orbit_sum += space.transport(-g, seeds[tgt]).real
         fields.append(seed / orbit_sum)
     return fields
 
@@ -366,7 +379,7 @@ def partition_defect(space, sigma, fields):
         total = np.zeros(space.fiber.npoints)
         for g, src, tgt in base_arrows(space.order, sigma):
             if src == x:
-                total += space.eval_after_action(g, fields[tgt]).real
+                total += space.transport(-g, fields[tgt]).real
         worst = max(worst, float(np.max(np.abs(total - 1.0))))
     return worst
 
@@ -377,7 +390,7 @@ def average_kernel_ix(space, cutoff, kern):
     here = kern.row
     acc = np.zeros_like(here)
     for g in range(space.order):
-        weight = space.eval_after_action(g, cutoff)
+        weight = space.transport(-g, cutoff)
         perm = space.permutation(-g)
         acc += weight[:, None] * here[np.ix_(perm, perm)]
     return SmoothingKernel(kern.fiber, acc)
@@ -501,8 +514,8 @@ def invariant_project_cochain(space, cutoff, phi):
     new_terms = []
     for t in phi.terms:
         for g in range(space.order):
-            weight_field = space.eval_after_action(g, cutoff)
-            moved = [space.eval_after_action(g, f) for f in t.factors]
+            weight_field = space.transport(-g, cutoff)
+            moved = [space.transport(-g, f) for f in t.factors]
             moved[0] = weight_field * moved[0]
             new_terms.append(ASTerm(t.weight, tuple(moved)))
     return ASCochain(phi.fiber, phi.degree, new_terms, phi.germ_radius, check_band=False)
@@ -676,3 +689,17 @@ def profile_chain_whole_stack(phi, cw, row):
     if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
         return 2j * even.imag / 6.0
     return (even - rotations(column.T)) / 6.0
+
+
+def smoothstep_exact(u):
+    """The ramp at the float u, clamped to [0, 1], evaluated exactly and rounded once.
+
+    The monomial form: the integral of t^F (1-t)^F from 0 to u, expanded as
+    sum over j of (-1)^j C(F, j) u^(F+j+1) / (F+j+1), over its value at
+    u = 1, all in Fractions, with F = GRAPH_FLATNESS.
+    """
+    F = GRAPH_FLATNESS
+    x = Fraction(min(max(float(u), 0.0), 1.0))
+    coeffs = [Fraction((-1) ** j * math.comb(F, j), F + j + 1) for j in range(F + 1)]
+    ramp = sum(c * x ** (F + j + 1) for j, c in enumerate(coeffs))
+    return float(ramp / sum(coeffs))

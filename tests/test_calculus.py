@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from indexpairing.density import compute_cutoff
+from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import InvarianceError
 from indexpairing.grids import (
     FiberModel,
@@ -25,6 +26,7 @@ from oracles import (
     gram_defect,
     invariance_defect,
     kernel_norm_dense,
+    multiplier_symbol,
     same_bits,
     symbol_of,
     transport_matrix,
@@ -42,12 +44,14 @@ from indexpairing.operators import (
     trace_tau,
     truncation_mask,
 )
+from indexpairing.harness import _build_operator
+from indexpairing.scenario import _symbol_expression, load_scenario
 from indexpairing.space import FiberedGSpace
 from indexpairing.symbols import (
     EllipticityError,
     SMOOTHING_ORDER,
     SymbolData,
-    multiplier_symbol,
+    certify_elliptic,
     quantize,
     trace_symbol_formula,
 )
@@ -116,6 +120,28 @@ def test_quantize_mode_only_symbol_is_exact_diagonal():
     assert np.max(np.abs(off)) <= 1e-14
     modes = fiber.modes()
     assert np.max(np.abs(np.diag(mat) - (1.0 + modes[:, 0] ** 2))) <= 1e-12
+
+
+def test_multiplier_blocks_are_their_diagonal():
+    """The dolbeault twist-0 block and the S3 multiplier block are np.diag of
+    their values on the modes, bit for bit, and agree with the FFT
+    quantization of the mode-only symbol to 1e-15 of the largest value."""
+    scn = load_scenario("S3-multiplier-invertible")
+    fiber = FiberModel(2, 8, 20)
+    fn = _symbol_expression(scn.operator["symbol"])
+    cases = (
+        (dolbeault_family(fiber, 0, 2), lambda m: np.pi * 1j * (m[:, 0] + 1j * m[:, 1])),
+        (
+            _build_operator(scn, fiber)[0],
+            lambda m: fn(m[:, 0].astype(float), m[:, 1].astype(float)),
+        ),
+    )
+    for block, multiplier in cases:
+        values = np.asarray(multiplier(fiber.modes()), dtype=complex)
+        assert same_bits(block.matrix, np.diag(values))
+        quantized = quantize(multiplier_symbol(fiber, multiplier, order=1.0)).matrix
+        gap = np.max(np.abs(block.matrix - quantized))
+        assert gap <= 1e-15 * np.max(np.abs(values))
 
 
 def test_quantize_oscillating_symbol_is_mode_shift():
@@ -445,11 +471,11 @@ def test_symbol_order_check():
 
 def test_ellipticity_certificate():
     fiber = FiberModel(2, 3, 12)
-    good = multiplier_symbol(
-        fiber, lambda m: 1.0 + np.sum(m.astype(float) ** 2, axis=1), order=2.0
-    )
-    good.certify_elliptic()
-    bad = multiplier_symbol(fiber, lambda m: m[:, 0].astype(complex), order=1.0)
+    modes = fiber.modes().astype(float)
+    certify_elliptic(fiber, 1.0 + np.sum(modes**2, axis=1))
+    # |xi|^2 vanishes at the zero mode alone, which is not certified
+    certify_elliptic(fiber, np.sum(modes**2, axis=1))
+    # xi1 vanishes on the whole xi2 axis
     with pytest.raises(EllipticityError) as err:
-        bad.certify_elliptic()
-    assert "mode" in str(err.value)
+        certify_elliptic(fiber, modes[:, 0].astype(complex))
+    assert "mode (0, 1)" in str(err.value) and "mode (0, 0)" not in str(err.value)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from indexpairing.charclass import (
-    GRAPH_FLATNESS,
     DiscModel,
     chern_character_fiber,
     disc_charge,
@@ -21,7 +20,13 @@ from indexpairing.forms import DegreeError, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_gradient
 from indexpairing.symbols import EllipticityError
 from indexpairing.topindex import dolbeault_symbol_values
-from oracles import chern_scalars_whole, disc_derivative, same_bits, spectral_derivative
+from oracles import (
+    chern_scalars_whole,
+    disc_derivative,
+    same_bits,
+    smoothstep_exact,
+    spectral_derivative,
+)
 
 # Orientation facts of the model projectors, frozen from the conventions in
 # charclass (symbol phase on the lower off-diagonal, conjugated magnetic
@@ -53,16 +58,34 @@ def fiber_charge_of(ch):
 
 def test_smoothstep_ramp_shape():
     u = np.linspace(0.0, 1.0, 401)
-    m = smoothstep_poly(u, GRAPH_FLATNESS)
+    m = smoothstep_poly(u)
     assert m[0] == 0.0
     assert abs(m[-1] - 1.0) < 1e-14
     assert np.all(np.diff(m) >= -1e-15)
     # flat to high order at both ends, and clamped outside the unit interval
-    assert abs(smoothstep_poly(1e-2, GRAPH_FLATNESS)) < 1e-13
-    assert abs(smoothstep_poly(1.0 - 1e-2, GRAPH_FLATNESS) - 1.0) < 1e-13
-    assert abs(smoothstep_poly(0.5, GRAPH_FLATNESS) - 0.5) < 1e-15
-    assert smoothstep_poly(-3.0, GRAPH_FLATNESS) == 0.0
-    assert abs(smoothstep_poly(4.0, GRAPH_FLATNESS) - 1.0) < 1e-14
+    assert abs(smoothstep_poly(1e-2)) < 1e-13
+    assert abs(smoothstep_poly(1.0 - 1e-2) - 1.0) < 1e-13
+    assert abs(smoothstep_poly(0.5) - 0.5) < 1e-15
+    assert smoothstep_poly(-3.0) == 0.0
+    assert abs(smoothstep_poly(4.0) - 1.0) < 1e-14
+
+
+def test_smoothstep_matches_the_exact_ramp():
+    # a grid across [0, 1], the floats next to 1/2, random points and
+    # points near both ends
+    u = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 1001),
+            np.nextafter(0.5, [0.0, 1.0]),
+            np.random.default_rng(8).random(200),
+            [1e-3, 1e-2, 0.3, 0.7, 1.0 - 1e-2],
+        ]
+    )
+    got = smoothstep_poly(u)
+    want = np.array([smoothstep_exact(x) for x in u])
+    # in units of the last place of the exact value; at 0 both are exactly 0
+    ulps = np.abs(got - want) / np.spacing(np.maximum(want, np.finfo(float).tiny))
+    assert np.max(ulps) <= 8
 
 
 def test_disc_quadrature_exact_on_polynomials():

@@ -10,7 +10,7 @@ from indexpairing.grids import FiberModel, ModelError, grid_points
 from indexpairing.operators import SmoothingKernel
 from indexpairing.scenario import ScenarioError, load_scenario, _validate
 import indexpairing.space as space_module
-from indexpairing.space import AffineTorusMap, FiberedGSpace
+from indexpairing.space import FiberedGSpace
 from oracles import (
     cutoff_per_arrow,
     form_invariance_defect_per_arrow,
@@ -28,9 +28,9 @@ def half_shift_space(n=8, N=3):
     return FiberedGSpace(torus_fiber(n, N, dim=2), 2, [0, Fraction(1, 2)])
 
 
-def translate(m, points):
-    """Pointwise oracle: the translated points, reduced mod 1."""
-    return (points + np.array([float(t) for t in m.shift])) % 1.0
+def translate(shift, points):
+    """Pointwise oracle: the points translated by ``shift``, reduced mod 1."""
+    return (points + np.array([float(t) for t in shift])) % 1.0
 
 
 def test_fiber_model_rejects_coarse_grids():
@@ -90,35 +90,38 @@ def test_group_action_laws_brute_force():
 def test_translation_compose_and_inverse_element():
     rng = np.random.default_rng(7)
     for _ in range(20):
-        th1 = [Fraction(int(rng.integers(-8, 16)), 8) for _ in range(2)]
-        th2 = [Fraction(int(rng.integers(-8, 16)), 8) for _ in range(2)]
-        m1 = AffineTorusMap.translation(th1)
-        m2 = AffineTorusMap.translation(th2)
+        theta = [Fraction(int(rng.integers(-8, 16)), 8) for _ in range(2)]
+        space = FiberedGSpace(torus_fiber(8, 3, 2), 8, theta)
+        g1, g2 = (int(g) for g in rng.integers(-8, 16, 2))
         # shifts are reduced mod 1 exactly
-        assert all(0 <= t < 1 for t in m1.shift)
+        assert all(0 <= t < 1 for t in space.shift(g1))
         z = rng.random((5, 2))
-        # the translation by the summed shift applies one map after the other
-        comp = AffineTorusMap.translation([s + t for s, t in zip(th1, th2)])
-        assert np.allclose(translate(comp, z), translate(m1, translate(m2, z)))
-    # the map of the inverse element is the negated shift
+        # the translation of g1 + g2 applies one element's after the other's
+        two_step = translate(space.shift(g1), translate(space.shift(g2), z))
+        assert np.allclose(translate(space.shift(g1 + g2), z), two_step)
+    # the inverse element translates by the negated shift
     space = FiberedGSpace(torus_fiber(8, 3, 1), 4, [Fraction(1, 4)])
-    assert space.fiber_map(-1) == AffineTorusMap.translation([Fraction(-1, 4)])
+    assert space.shift(-1) == (Fraction(-1, 4) % 1,)
     p, q = space.permutation(1), space.permutation(-1)
     assert np.array_equal(p[q], np.arange(8))
 
 
 def test_grid_permutation_matches_pointwise_map():
-    cases = ((8, 2, [Fraction(3, 8), Fraction(1, 2)]), (6, 3, [Fraction(5, 6), 0, Fraction(-1, 3)]))
-    for n, r, shift in cases:
-        m = AffineTorusMap.translation(shift)
+    cases = (
+        (8, 2, 8, [Fraction(3, 8), Fraction(1, 2)]),
+        (6, 3, 6, [Fraction(5, 6), 0, Fraction(-1, 3)]),
+    )
+    for n, r, order, shift in cases:
+        space = FiberedGSpace(torus_fiber(n, 2, r), order, shift)
         pts = grid_points(n, r)
-        p = m.grid_permutation(n)
-        assert np.array_equal(np.sort(p), np.arange(n**r))
-        assert np.allclose(pts[p], translate(m, pts), atol=1e-15)
+        for g in range(order):
+            p = space.permutation(g)
+            assert np.array_equal(np.sort(p), np.arange(n**r))
+            assert np.allclose(pts[p], translate(space.shift(g), pts), atol=1e-15)
     # a non grid fraction is refused
-    shifted = AffineTorusMap.translation([Fraction(1, 3), 0])
+    shifted = FiberedGSpace(torus_fiber(8, 3, 2), 3, [Fraction(1, 3), 0])
     with pytest.raises(ModelError):
-        shifted.grid_permutation(8)
+        shifted.permutation(1)
 
 
 def test_grid_permutations_are_shared_and_read_only():
@@ -129,12 +132,15 @@ def test_grid_permutations_are_shared_and_read_only():
         assert p is space.permutation(g) and not p.flags.writeable
         with pytest.raises(ValueError):
             p[0] = p[1]
-        fresh = space_module._grid_permutation.__wrapped__(space.fiber_map(g).shift, 8)
+        fresh = space_module._grid_permutation.__wrapped__(space.shift(g), 8)
         assert np.array_equal(p, fresh)
-    # an equal translation built elsewhere shares the array; another grid size does not
-    half = AffineTorusMap.translation([2, Fraction(3, 2)])
-    assert half.grid_permutation(8) is space.permutation(4)
-    assert np.array_equal(half.grid_permutation(6), space_module._grid_permutation.__wrapped__(half.shift, 6))
+    # an equal translation of another space shares the array; another grid size does not
+    half = FiberedGSpace(torus_fiber(8, 3, 2), 2, [2, Fraction(3, 2)])
+    assert half.permutation(1) is space.permutation(4)
+    coarse = FiberedGSpace(torus_fiber(6, 2, 2), 2, [2, Fraction(3, 2)])
+    fresh = space_module._grid_permutation.__wrapped__(coarse.shift(1), 6)
+    assert coarse.permutation(1) is not half.permutation(1)
+    assert np.array_equal(coarse.permutation(1), fresh)
 
 
 def test_transport_is_composition():
@@ -142,7 +148,7 @@ def test_transport_is_composition():
     space = FiberedGSpace(torus_fiber(n, 3, 2), 8, [Fraction(1, 4), Fraction(1, 8)])
     pts = grid_points(n, 2)
     f = np.cos(2 * np.pi * pts[:, 0]) + np.sin(2 * np.pi * pts[:, 1]) ** 2
-    moved = translate(space.fiber_map(1), pts)
+    moved = translate(space.shift(1), pts)
     expect = np.cos(2 * np.pi * moved[:, 0]) + np.sin(2 * np.pi * moved[:, 1]) ** 2
     assert np.allclose(space.transport(1, f), expect, atol=1e-12)
     # trailing component axes ride along; a field off the grid is refused
@@ -239,11 +245,11 @@ def test_moving_elements_skip_the_unit_and_the_fixing_elements():
     )
     for order, shift, want in cases:
         assert FiberedGSpace(fiber, order, shift).moving_elements() == want
-    # evaluation after the action is transport by the inverse element
+    # transport by the inverse element is transport by its residue
     space = FiberedGSpace(fiber, 4, [Fraction(1, 4), Fraction(1, 2)])
     f = np.random.default_rng(2).random(64)
     for g in range(4):
-        assert np.array_equal(space.eval_after_action(g, f), space.transport(4 - g, f))
+        assert np.array_equal(space.transport(-g, f), space.transport(4 - g, f))
 
 
 def test_budget_edge_action_checks_one_translation():

@@ -59,7 +59,7 @@ def test_profile_linear_region_is_exact():
 
 
 def test_profile_is_odd_and_periodic():
-    p = TransitionProfile(linear_radius=0.3, flatness=6)
+    p = TransitionProfile(linear_radius=0.3)
     t = np.linspace(-0.5, 0.5, 173)
     assert np.max(np.abs(p(t) + p(-t))) == 0.0
     # t + 1.0 is inexact at the last bit; the window slope amplifies it
@@ -131,6 +131,8 @@ def test_profile_cochain_validation():
         ProfileCochain(fiber, [(0, saw)])
     with pytest.raises(ModelError):
         ProfileCochain(fiber, [])
+    with pytest.raises(ModelError, match="exactly two legs, got 4"):
+        ProfileCochain(fiber, [(0, saw), (1, saw)] * 2)
     with pytest.raises(ModelError):
         ProfileCochain(fiber, [(2, saw), (0, saw)])
     compact = TransitionProfile(linear_radius=0.1, support_radius=0.2)
@@ -212,7 +214,7 @@ def test_pairing_kills_coboundaries_shift_group():
         fields = []
         for _ in range(2):
             f = random_band_limited(rng, space.fiber, band=2)
-            fields.append(f + space.eval_after_action(1, f))
+            fields.append(f + space.transport(-1, f))
         psi = ASCochain.elementary(space.fiber, fields, germ_radius=2.0)
         value = pair_cocycle(idem, d_as(psi), space, cutoff)
         assert abs(value) <= 1e-8

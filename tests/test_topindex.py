@@ -180,7 +180,7 @@ def walk_indicator(space):
     n = fiber.grid_size
     images = []
     for g in range(space.order):
-        shift = np.array([float(t) for t in space.fiber_map(g).shift])
+        shift = np.array([float(t) for t in space.shift(g)])
         ticks = np.rint(((fiber.points() - shift) % 1.0) * n).astype(int) % n
         images.append(ticks @ (n ** np.arange(fiber.dim - 1, -1, -1)))
     indicator = np.zeros(fiber.npoints)
