@@ -4,10 +4,13 @@ The parametrix of an operator block is its pseudo-inverse Q with a
 certified rank cut: the spectral way of inverting the symbol away from its
 zero set.  Its remainders S0 = 1 - QD and S1 = 1 - DQ are the orthogonal
 projectors onto kernel and cokernel, which is as smoothing as remainders
-get.  One SVD gives the certified rank and the trailing singular vectors,
-orthonormal frames V0 and V1 with S0 = V0 V0^H and S1 = V1 V1^H, so Q is
-never formed: on the grid each projector is W W^H / n, W = E V with E its
-basis, and its block count is certified on W.
+get.  The singular values give the certified rank, and the trailing
+singular vectors give orthonormal frames V0 and V1 with S0 = V0 V0^H and
+S1 = V1 V1^H, so Q is never formed: on the grid each projector is
+W W^H / n, W = E V with E its basis, and its block count is certified on
+W.  A diagonal block (a Fourier multiplier) has the moduli of its entries
+for singular values and unit vectors for frames; only other blocks take
+one SVD.
 
 The index idempotent is the standard graph construction over domain + range,
 
@@ -115,9 +118,13 @@ class IndexCount:
 
 
 def analytic_index(block: OperatorBlock) -> IndexCount:
-    """Spectral kernel and cokernel counts of an operator, from its singular values alone."""
+    """Spectral kernel and cokernel counts of an operator, from its singular values alone.
+
+    A diagonal block's singular values are the moduli of its entries; only
+    another block takes the SVD, without singular vectors.
+    """
     M = block.matrix
-    rank = certified_rank(np.linalg.svd(M, compute_uv=False))
+    rank, _, _ = _singular_data(M, frames=False)
     return IndexCount(M.shape[1] - rank, M.shape[0] - rank)
 
 
@@ -139,14 +146,51 @@ class ParametrixData:
 
 
 def parametrix(block: OperatorBlock) -> ParametrixData:
-    """Kernel and cokernel frames of the pseudo-inverse parametrix, from one full SVD.
+    """Kernel and cokernel frames of the pseudo-inverse parametrix.
 
-    The SVD is full, so the trailing singular vectors span the kernel of a
-    wide operator too.
+    A diagonal block's singular values are the moduli of its entries, and
+    its trailing frames are unit vectors.  Only another block takes the
+    SVD, full, so the trailing singular vectors span the kernel of a wide
+    operator too.
     """
-    U, sing, Vh = np.linalg.svd(block.matrix)
+    _, v0, v1 = _singular_data(block.matrix, frames=True)
+    return ParametrixData(v0, v1)
+
+
+def _singular_data(
+    M: np.ndarray, frames: bool
+) -> tuple[int, np.ndarray | None, np.ndarray | None]:
+    """Certified rank of M and, with ``frames``, its trailing right and left singular vectors.
+
+    A diagonal M (every nonzero entry on the diagonal, all finite) has the
+    moduli of its diagonal entries, sorted in descending order by a stable
+    sort, as singular values; the right and left singular vectors past the
+    certified rank are the unit vectors at the column and row indices
+    outside the leading set, in ascending order.  Any other M takes
+    LAPACK's SVD.  Without ``frames`` both frames are None.
+    """
+    diag = np.diagonal(M)
+    if np.count_nonzero(M) == np.count_nonzero(diag) and np.all(np.isfinite(diag)):
+        moduli = np.abs(diag)
+        order = np.argsort(-moduli, kind="stable")
+        rank = certified_rank(moduli[order])
+        if not frames:
+            return rank, None, None
+        lead = order[:rank]
+        return rank, _unit_frame(M.shape[1], lead), _unit_frame(M.shape[0], lead)
+    if not frames:
+        return certified_rank(np.linalg.svd(M, compute_uv=False)), None, None
+    U, sing, Vh = np.linalg.svd(M)
     rank = certified_rank(sing)
-    return ParametrixData(Vh[rank:].conj().T, U[:, rank:].copy())
+    return rank, Vh[rank:].conj().T, U[:, rank:].copy()
+
+
+def _unit_frame(size: int, lead: np.ndarray) -> np.ndarray:
+    """The (size, k) frame of unit vectors at the indices below size outside ``lead``, ascending."""
+    rest = np.setdiff1d(np.arange(size), lead)
+    frame = np.zeros((size, rest.size), dtype=complex)
+    frame[rest, np.arange(rest.size)] = 1.0
+    return frame
 
 
 class IndexIdempotent:

@@ -536,9 +536,11 @@ def _symbol_expression(expr: str):
     def fn(x1, x2):
         scope = {"xi1": x1, "xi2": x2, **_SYMBOL_NAMES, **_SYMBOL_FUNCS}
         try:
-            return eval(code, {"__builtins__": {}}, scope)
+            value = eval(code, {"__builtins__": {}}, scope)
         except ArithmeticError as exc:
             raise ScenarioError(f"operator.symbol: evaluation failed ({exc})") from exc
+        # a constant evaluates to one number: give it one value per argument point
+        return np.broadcast_to(value, np.broadcast(x1, x2).shape).copy()
 
     return fn
 

@@ -38,6 +38,12 @@ term on the grid axes and projects by one FFT pair.  Seeded band-limited
 fields were evaluated by exponentials formed per call; the library reads
 the cached evaluation matrix of the band.
 
+The singular data of an operator block is kept as the library first took
+it from every block, one LAPACK SVD: full when the trailing frames are
+wanted, values only otherwise.  The library reads a diagonal block's
+singular values off its diagonal, and must certify the same rank and
+frames that span the same projectors.
+
 The index projectors are kept here as the library first built them: the
 remainders 1 - QD and 1 - DQ of the pseudo-inverse Q, expanded on the grid
 as E R E^H / n, with the range basis of the block-count certificate the
@@ -226,6 +232,15 @@ def eigh_range_basis(R):
     """Orthonormal eigenvectors of the projector R with eigenvalue above 1/2."""
     vals, vecs = np.linalg.eigh(R)
     return vecs[:, vals > 0.5]
+
+
+def lapack_singular_data(M, frames):
+    """Certified rank of M and, with ``frames``, its trailing right and left singular vectors."""
+    if not frames:
+        return certified_rank(np.linalg.svd(M, compute_uv=False)), None, None
+    U, sing, Vh = np.linalg.svd(M)
+    rank = certified_rank(sing)
+    return rank, Vh[rank:].conj().T, U[:, rank:].copy()
 
 
 def remainder_projectors(block):

@@ -42,7 +42,12 @@ from indexpairing.pairing import (
 )
 from indexpairing.parametrix import (
     MAX_NEWTON_STEPS,
+    RANK_THRESHOLD,
+    RANK_WINDOW,
+    ParametrixData,
+    ThresholdAmbiguityError,
     _newton_flow,
+    _singular_data,
     index_idempotent,
     parametrix,
 )
@@ -53,10 +58,12 @@ from oracles import (
     eigh_range_basis,
     grid_projector,
     kernel_norm_dense,
+    lapack_singular_data,
     moved_defect_ix,
     newton_flow_whole_stack,
     profile_chain_whole_stack,
     remainder_projectors,
+    same_bits,
     twisted_invariance_defect_dense,
 )
 
@@ -402,6 +409,65 @@ def test_frames_certify_the_block_count_of_the_pinv_remainders(name):
         mask = truncation_mask(basis.fiber, radius, width)
         E = basis.matrix
         assert_near_oracle(row, E[:width] @ r @ E.conj().T / basis.fiber.npoints * mask)
+
+
+def diagonal_block(shape, entries):
+    """The (m, n) matrix with ``entries`` on its diagonal and zeros elsewhere."""
+    M = np.zeros(shape, dtype=complex)
+    np.fill_diagonal(M, entries)
+    return M
+
+
+# moduli 3, 2, 2, 2, 1, 0, 0: zero entries, and ties of moduli in several phases
+TIED = [2j, 0, -2, 1, 3, 0, 2]
+
+
+@pytest.mark.parametrize("shape", [(7, 7), (9, 7), (7, 10)])
+def test_a_diagonal_block_reads_the_singular_data_of_its_lapack_svd(shape):
+    # the rank and the kernel and cokernel projectors V V^H of the diagonal
+    # route are those of LAPACK's SVD, on square, tall and wide blocks
+    M = diagonal_block(shape, TIED)
+    rank, v0, v1 = lapack_singular_data(M, frames=True)
+    assert rank == 5
+    assert _singular_data(M, frames=False) == (rank, None, None)
+    assert lapack_singular_data(M, frames=False)[0] == rank
+    got = _singular_data(M, frames=True)
+    assert got[0] == rank
+    for mine, ref in zip(got[1:], (v0, v1)):
+        assert mine.shape == ref.shape
+        assert np.max(np.abs(mine @ mine.conj().T - ref @ ref.conj().T)) <= 1e-15
+    # a zero block is all kernel and cokernel
+    zero = np.zeros(shape, dtype=complex)
+    assert _singular_data(zero, frames=False)[0] == lapack_singular_data(zero, False)[0] == 0
+
+
+def test_a_diagonal_modulus_at_the_rank_cut_is_ambiguous_on_both_routes():
+    # a modulus within RANK_WINDOW of RANK_THRESHOLD * sigma_max
+    near = RANK_THRESHOLD * max(abs(z) for z in TIED) * RANK_WINDOW / 2
+    for shape in ((7, 7), (9, 7), (7, 10)):
+        M = diagonal_block(shape, [*TIED[:-1], near])
+        for frames in (False, True):
+            for route in (_singular_data, lapack_singular_data):
+                with pytest.raises(ThresholdAmbiguityError):
+                    route(M, frames)
+    # a non-finite entry has no modulus to sort: LAPACK refuses the block
+    M = diagonal_block((7, 7), [*TIED[:-1], np.nan])
+    for frames in (False, True):
+        with pytest.raises(np.linalg.LinAlgError):
+            _singular_data(M, frames)
+
+
+@pytest.mark.parametrize("name", ["S1-dolbeault-d0", "S3-multiplier-invertible"])
+def test_diagonal_builtins_store_the_rows_of_the_lapack_frames(name):
+    # the unit frames of the diagonal route build and certify bit for bit
+    # the idempotent rows of LAPACK's trailing singular vectors
+    scn = load_scenario(name)
+    block, _ = harness._build_operator(scn, harness._build_space(scn).fiber)
+    _, v0, v1 = lapack_singular_data(block.matrix, frames=True)
+    lapack = index_idempotent(block, data=ParametrixData(v0, v1))
+    mine = index_idempotent(block)
+    for got, ref in zip(mine.arrays(), lapack.arrays()):
+        assert same_bits(got, ref), name
 
 
 @pytest.mark.parametrize(

@@ -640,6 +640,20 @@ def test_run_scenario_multiplier_zero_class():
     assert rec.status == "pass"
 
 
+def test_a_constant_multiplier_symbol_runs_with_index_zero():
+    # the one number a constant symbol evaluates to is spread to one value
+    # per mode and per disc node, so it runs as its xi-dependent spelling
+    fn = _symbol_expression("2")
+    assert fn(np.zeros(5), np.zeros(5)).tolist() == [2.0] * 5
+    rows = []
+    for symbol in ("2", "2 + 0*xi1"):
+        raw = cheap_scenario(name="constant", operator={"builtin": "multiplier", "symbol": symbol})
+        rec = run_scenario(_validate(raw))
+        assert (rec.analytic, rec.status) == ((0,), "pass")
+        rows.append(rec.csv_row())
+    assert rows[0] == rows[1]
+
+
 def test_analytic_column_routes_on_freeness():
     # Z/4 by a quarter shift is free: the quotient is a torus of area 1/4
     # with flux 4/4 = 1.  Z/4 by a half shift is not (2 acts trivially), so
@@ -872,7 +886,8 @@ def test_a_cold_run_factors_its_operator_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    scn = load_scenario("S1-dolbeault-d0")
+    # twist 1: a Landau block, which is not diagonal
+    scn = load_scenario("S1-dolbeault-d1")
     cold = run_scenario(scn, out_dir=tmp_path)
     assert calls == [("svd", True)]
     calls.clear()
@@ -882,6 +897,21 @@ def test_a_cold_run_factors_its_operator_once(tmp_path, monkeypatch):
     calls.clear()
     assert run_scenario(scn).csv_row() == cold.csv_row()
     assert calls == [("svd", True)]
+
+
+@pytest.mark.parametrize("name", ["S1-dolbeault-d0", "S3-multiplier-invertible"])
+def test_a_diagonal_operator_block_takes_no_factorization(name, tmp_path, monkeypatch):
+    # a Fourier multiplier's singular values are the moduli of its diagonal,
+    # cold (with the trailing frames) or warm (the count alone)
+    def refused(*args, **kwargs):
+        raise AssertionError("a diagonal block was factorized")
+
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    scn = load_scenario(name)
+    cold = run_scenario(scn, out_dir=tmp_path)
+    warm = run_scenario(scn, out_dir=tmp_path)
+    assert warm.csv_row() == cold.csv_row()
 
 
 def test_an_ambiguous_rank_fails_at_the_analytic_stage_cold_or_warm(tmp_path, monkeypatch):
