@@ -2,10 +2,7 @@ import contextlib
 import copy
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -45,6 +42,7 @@ from indexpairing.scenario import (
     _validate,
     load_scenario,
 )
+import bytes_manifest
 from oracles import (
     cutoff_per_arrow,
     dense_kernel,
@@ -1350,38 +1348,28 @@ def test_suite_computes_each_dolbeault_disc_charge_once(tmp_path, monkeypatch):
 
 
 def test_suite_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # every CSV, echo and cache file of the whole suite, run in a child
-    # process under one and under two BLAS threads, is the same bytes;
+    # every CSV, echo and cache file of the whole suite and of both perfbench
+    # scenario runs, written in a child process under one and under two BLAS
+    # threads, is the same bytes, and those of tests/bytes_manifest.json;
     # summary.txt holds wall times and is left out
-    src = str(Path(harness.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    runs = [
-        subprocess.Popen(
-            [sys.executable, "-m", "indexpairing.cli", "suite", "--which", "all",
-             "--out", str(tmp_path / threads)],
-            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
-            stdout=subprocess.DEVNULL,
-        )
-        for threads in ("1", "2")
-    ]
+    runs = [bytes_manifest.spawn(tmp_path / threads, threads) for threads in ("1", "2")]
     try:
         assert [run.wait(timeout=600) for run in runs] == [0, 0]
     finally:
         for run in runs:
             run.kill()
-    outputs = [
-        {
-            str(f.relative_to(tmp_path / threads)): f.read_bytes()
-            for f in (tmp_path / threads).rglob("*")
-            if f.is_file() and f.name != "summary.txt"
-        }
-        for threads in ("1", "2")
-    ]
-    assert sorted(outputs[0]) == sorted(outputs[1])
-    assert len([name for name in outputs[0] if name.endswith(".idem.opk")]) == 7
-    assert "invariants.csv" in outputs[0]
-    for name, data in outputs[0].items():
-        assert data == outputs[1][name], name
+    found = [bytes_manifest.digests(tmp_path / threads) for threads in ("1", "2")]
+    drift = bytes_manifest.moved(*found)
+    assert not drift, f"moved between one and two BLAS threads: {drift}"
+    assert len(list((tmp_path / "1" / "suite" / "cache").glob("*.idem.opk"))) == 7
+    assert "suite/invariants.csv" in found[0]
+    manifest = json.loads(bytes_manifest.MANIFEST.read_text())
+    drift = bytes_manifest.moved(found[0], manifest["files"])
+    recorded = {key: manifest[key] for key in ("numpy", "blas")}
+    assert not drift, (
+        f"moved from the manifest written under {recorded}, "
+        f"run under {bytes_manifest.versions()}: {drift}"
+    )
 
 
 # scenarios.csv rows of the builtins whose class integral runs through every
