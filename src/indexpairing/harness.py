@@ -41,7 +41,7 @@ from .invariants import INVARIANT_CHECKS
 from .operators import fourier_multiplier
 from .pairing import ProfileCochain, pair_cocycle
 from .parametrix import CorruptedCacheError, IndexIdempotent
-from .parametrix import analytic_index, index_idempotent, parametrix
+from .parametrix import index_idempotent, parametrix
 from .scenario import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -224,7 +224,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs, or its layout, would change.
-_CACHE_FORMAT = 10
+_CACHE_FORMAT = 11
 # echo fields the idempotent does not depend on (it is built from the fiber, the
 # operator and the localization radius alone); the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
@@ -292,25 +292,23 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                 except CorruptedCacheError as exc:
                     raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
 
-    # an idempotent still to build and the spectral count share one factorization
+    # the spectral count and an idempotent still to build share one parametrix
     data = None
     with _stage("analytic-index"):
         if scn.free_action:
             m = scn.group["group"]["cyclic"]
             analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
-        elif idem is None:
+        else:
             data = parametrix(block)
             analytic = (data.count.index,) * points
-        else:
-            analytic = (analytic_index(block).index,) * points
 
     if idem is None:
         with _stage("idempotent"):
             idem = index_idempotent(block, radius=scn.localize, data=data)
-        del data
         if out_dir is not None:
             with _stage("operator-cache"):
                 save_coefficients(cache_path, idem.arrays())
+    del data
 
     with _stage("cocycle"):
         phi = _build_cocycle(scn, space.fiber)

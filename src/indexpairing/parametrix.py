@@ -8,9 +8,12 @@ get.  The singular values give the certified rank, and the trailing
 singular vectors give orthonormal frames V0 and V1 with S0 = V0 V0^H and
 S1 = V1 V1^H, so Q is never formed: on the grid each projector is
 W W^H / n, W = E V with E its basis, and its block count is certified on
-W.  A diagonal block (a Fourier multiplier) has the moduli of its entries
-for singular values and unit vectors for frames; only other blocks take
-one SVD.
+W.  Every block the workbench ships is monomial in its bases, with at most
+one nonzero entry in each row and each column: a Fourier multiplier is
+diagonal, and the twisted Dolbeault operator maps each Landau section to a
+multiple of one section a level down.  Its singular values are the moduli
+of those entries and its frames are unit vectors; only a non-monomial
+block takes one SVD.
 
 The index idempotent is the standard graph construction over domain + range,
 
@@ -118,14 +121,8 @@ class IndexCount:
 
 
 def analytic_index(block: OperatorBlock) -> IndexCount:
-    """Spectral kernel and cokernel counts of an operator, from its singular values alone.
-
-    A diagonal block's singular values are the moduli of its entries; only
-    another block takes the SVD, without singular vectors.
-    """
-    M = block.matrix
-    rank, _, _ = _singular_data(M, frames=False)
-    return IndexCount(M.shape[1] - rank, M.shape[0] - rank)
+    """Spectral kernel and cokernel counts of an operator: the widths of its parametrix frames."""
+    return parametrix(block).count
 
 
 @dataclass
@@ -148,38 +145,32 @@ class ParametrixData:
 def parametrix(block: OperatorBlock) -> ParametrixData:
     """Kernel and cokernel frames of the pseudo-inverse parametrix.
 
-    A diagonal block's singular values are the moduli of its entries, and
-    its trailing frames are unit vectors.  Only another block takes the
-    SVD, full, so the trailing singular vectors span the kernel of a wide
-    operator too.
+    Every shipped block is monomial and reads its frames off its entries;
+    only another block takes the SVD (``_singular_data``).
     """
-    _, v0, v1 = _singular_data(block.matrix, frames=True)
+    _, v0, v1 = _singular_data(block.matrix)
     return ParametrixData(v0, v1)
 
 
-def _singular_data(
-    M: np.ndarray, frames: bool
-) -> tuple[int, np.ndarray | None, np.ndarray | None]:
-    """Certified rank of M and, with ``frames``, its trailing right and left singular vectors.
+def _singular_data(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Certified rank of M and its trailing right and left singular vectors.
 
-    A diagonal M (every nonzero entry on the diagonal, all finite) has the
-    moduli of its diagonal entries, sorted in descending order by a stable
-    sort, as singular values; the right and left singular vectors past the
-    certified rank are the unit vectors at the column and row indices
-    outside the leading set, in ascending order.  Any other M takes
-    LAPACK's SVD.  Without ``frames`` both frames are None.
+    A monomial M (at most one nonzero entry in each row and each column,
+    all finite) has the moduli of its nonzero entries, sorted in descending
+    order by a stable sort, as singular values; the right and left singular
+    vectors past the certified rank are the unit vectors at the column and
+    row indices outside the leading entries, in ascending order.  Any other
+    M takes LAPACK's full SVD, so the trailing singular vectors span the
+    kernel of a wide operator too.
     """
-    diag = np.diagonal(M)
-    if np.count_nonzero(M) == np.count_nonzero(diag) and np.all(np.isfinite(diag)):
-        moduli = np.abs(diag)
-        order = np.argsort(-moduli, kind="stable")
-        rank = certified_rank(moduli[order])
-        if not frames:
-            return rank, None, None
-        lead = order[:rank]
-        return rank, _unit_frame(M.shape[1], lead), _unit_frame(M.shape[0], lead)
-    if not frames:
-        return certified_rank(np.linalg.svd(M, compute_uv=False)), None, None
+    if np.all(np.count_nonzero(M, axis=0) <= 1) and np.all(np.count_nonzero(M, axis=1) <= 1):
+        rows, cols = np.nonzero(M)
+        moduli = np.abs(M[rows, cols])
+        if np.all(np.isfinite(moduli)):
+            order = np.argsort(-moduli, kind="stable")
+            rank = certified_rank(moduli[order])
+            lead = order[:rank]
+            return rank, _unit_frame(M.shape[1], cols[lead]), _unit_frame(M.shape[0], rows[lead])
     U, sing, Vh = np.linalg.svd(M)
     rank = certified_rank(sing)
     return rank, Vh[rank:].conj().T, U[:, rank:].copy()

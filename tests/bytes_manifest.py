@@ -25,14 +25,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).resolve().with_name("bytes_manifest.json")
-PERFBENCH = ROOT / "perfbench" / "scenarios"
+PERFBENCH_SCENARIOS = sorted(str(path) for path in (ROOT / "perfbench" / "scenarios").glob("*.json"))
 # output directory -> cli arguments before --out
 RUNS = {
     "suite": ["suite", "--which", "all"],
-    **{
-        name: ["run", "--scenario", str(PERFBENCH / f"{name}.json")]
-        for name in ("flux24-sawtooth", "flux24-unit")
-    },
+    **{Path(path).stem: ["run", "--scenario", path] for path in PERFBENCH_SCENARIOS},
 }
 
 

@@ -39,10 +39,9 @@ fields were evaluated by exponentials formed per call; the library reads
 the cached evaluation matrix of the band.
 
 The singular data of an operator block is kept as the library first took
-it from every block, one LAPACK SVD: full when the trailing frames are
-wanted, values only otherwise.  The library reads a diagonal block's
-singular values off its diagonal, and must certify the same rank and
-frames that span the same projectors.
+it from every block, one full LAPACK SVD.  The library reads a monomial
+block's singular values off its nonzero entries, and must certify the same
+rank and frames that span the same projectors.
 
 The index projectors are kept here as the library first built them: the
 remainders 1 - QD and 1 - DQ of the pseudo-inverse Q, expanded on the grid
@@ -234,10 +233,8 @@ def eigh_range_basis(R):
     return vecs[:, vals > 0.5]
 
 
-def lapack_singular_data(M, frames):
-    """Certified rank of M and, with ``frames``, its trailing right and left singular vectors."""
-    if not frames:
-        return certified_rank(np.linalg.svd(M, compute_uv=False)), None, None
+def lapack_singular_data(M):
+    """Certified rank of M and its trailing right and left singular vectors."""
     U, sing, Vh = np.linalg.svd(M)
     rank = certified_rank(sing)
     return rank, Vh[rank:].conj().T, U[:, rank:].copy()

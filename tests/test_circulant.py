@@ -418,56 +418,90 @@ def diagonal_block(shape, entries):
     return M
 
 
+def permuted(M, seed):
+    """M with its rows and its columns in seeded random orders."""
+    rng = np.random.default_rng(seed)
+    return M[rng.permutation(M.shape[0])][:, rng.permutation(M.shape[1])]
+
+
 # moduli 3, 2, 2, 2, 1, 0, 0: zero entries, and ties of moduli in several phases
 TIED = [2j, 0, -2, 1, 3, 0, 2]
+SHAPES = [(7, 7), (9, 7), (7, 10)]
+# the builtin Landau operators at twist -2, -1, 1 and 2, and the perfbench one at 24
+LANDAU = [
+    *(f"S1-dolbeault-{d}" for d in ("dm2", "dm1", "d1", "d2")),
+    str(PERFBENCH_SCENARIOS[0]),
+]
 
 
-@pytest.mark.parametrize("shape", [(7, 7), (9, 7), (7, 10)])
-def test_a_diagonal_block_reads_the_singular_data_of_its_lapack_svd(shape):
-    # the rank and the kernel and cokernel projectors V V^H of the diagonal
-    # route are those of LAPACK's SVD, on square, tall and wide blocks
-    M = diagonal_block(shape, TIED)
-    rank, v0, v1 = lapack_singular_data(M, frames=True)
-    assert rank == 5
-    assert _singular_data(M, frames=False) == (rank, None, None)
-    assert lapack_singular_data(M, frames=False)[0] == rank
-    got = _singular_data(M, frames=True)
-    assert got[0] == rank
-    for mine, ref in zip(got[1:], (v0, v1)):
+def monomial_cases():
+    """Monomial blocks and their certified ranks.
+
+    The diagonal block of TIED on square, tall and wide shapes, its row,
+    column and row-and-column permutations, the zero block of each shape,
+    and the Landau blocks.
+    """
+    for shape in SHAPES:
+        tag = "x".join(map(str, shape))
+        M = diagonal_block(shape, TIED)
+        yield pytest.param(M, 5, id=f"diagonal-{tag}")
+        yield pytest.param(M[np.random.default_rng(1).permutation(shape[0])], 5, id=f"rows-{tag}")
+        yield pytest.param(M[:, np.random.default_rng(2).permutation(shape[1])], 5, id=f"columns-{tag}")
+        yield pytest.param(permuted(M, 3), 5, id=f"both-{tag}")
+        yield pytest.param(np.zeros(shape, dtype=complex), 0, id=f"zero-{tag}")
+    for name in LANDAU:
+        block, _ = range_case(name)
+        yield pytest.param(block.matrix, min(block.matrix.shape), id=Path(name).stem)
+
+
+@pytest.mark.parametrize("M, rank", list(monomial_cases()))
+def test_a_monomial_block_reads_the_singular_data_of_its_lapack_svd(M, rank):
+    # the rank and the kernel and cokernel projectors V V^H read off the
+    # entries are those of LAPACK's SVD
+    assert np.all(np.count_nonzero(M, axis=0) <= 1) and np.all(np.count_nonzero(M, axis=1) <= 1)
+    lapack = lapack_singular_data(M)
+    got = _singular_data(M)
+    assert got[0] == lapack[0] == rank
+    for mine, ref in zip(got[1:], lapack[1:]):
         assert mine.shape == ref.shape
         assert np.max(np.abs(mine @ mine.conj().T - ref @ ref.conj().T)) <= 1e-15
-    # a zero block is all kernel and cokernel
-    zero = np.zeros(shape, dtype=complex)
-    assert _singular_data(zero, frames=False)[0] == lapack_singular_data(zero, False)[0] == 0
 
 
-def test_a_diagonal_modulus_at_the_rank_cut_is_ambiguous_on_both_routes():
+def test_a_monomial_modulus_at_the_rank_cut_is_ambiguous_on_both_routes():
     # a modulus within RANK_WINDOW of RANK_THRESHOLD * sigma_max
     near = RANK_THRESHOLD * max(abs(z) for z in TIED) * RANK_WINDOW / 2
-    for shape in ((7, 7), (9, 7), (7, 10)):
+    for shape in SHAPES:
         M = diagonal_block(shape, [*TIED[:-1], near])
-        for frames in (False, True):
+        for block in (M, permuted(M, 4)):
             for route in (_singular_data, lapack_singular_data):
                 with pytest.raises(ThresholdAmbiguityError):
-                    route(M, frames)
+                    route(block)
     # a non-finite entry has no modulus to sort: LAPACK refuses the block
-    M = diagonal_block((7, 7), [*TIED[:-1], np.nan])
-    for frames in (False, True):
-        with pytest.raises(np.linalg.LinAlgError):
-            _singular_data(M, frames)
+    with pytest.raises(np.linalg.LinAlgError):
+        _singular_data(diagonal_block((7, 7), [*TIED[:-1], np.nan]))
 
 
 @pytest.mark.parametrize("name", ["S1-dolbeault-d0", "S3-multiplier-invertible"])
 def test_diagonal_builtins_store_the_rows_of_the_lapack_frames(name):
-    # the unit frames of the diagonal route build and certify bit for bit
+    # the unit frames of a diagonal block build and certify bit for bit
     # the idempotent rows of LAPACK's trailing singular vectors
-    scn = load_scenario(name)
-    block, _ = harness._build_operator(scn, harness._build_space(scn).fiber)
-    _, v0, v1 = lapack_singular_data(block.matrix, frames=True)
-    lapack = index_idempotent(block, data=ParametrixData(v0, v1))
+    block, _ = range_case(name)
+    lapack = index_idempotent(block, data=ParametrixData(*lapack_singular_data(block.matrix)[1:]))
     mine = index_idempotent(block)
     for got, ref in zip(mine.arrays(), lapack.arrays()):
         assert same_bits(got, ref), name
+
+
+@pytest.mark.parametrize("name", LANDAU, ids=lambda name: Path(name).stem)
+def test_landau_blocks_store_the_rows_of_the_lapack_frames_to_rounding(name):
+    # the unit frames of a Landau block certify the block count of LAPACK's
+    # trailing singular vectors, and build its idempotent rows to 1e-15
+    block, _ = range_case(name)
+    lapack = index_idempotent(block, data=ParametrixData(*lapack_singular_data(block.matrix)[1:]))
+    mine = index_idempotent(block)
+    for got, ref in zip(mine.arrays()[1:], lapack.arrays()[1:]):
+        assert got.shape == ref.shape, name
+        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15, name
 
 
 @pytest.mark.parametrize(
