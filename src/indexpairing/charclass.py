@@ -330,6 +330,8 @@ def graph_symbol_projector(disc: DiscModel, values: np.ndarray) -> np.ndarray:
     a = np.asarray(values, dtype=complex)
     if a.shape != (disc.nnodes,):
         raise ModelError("symbol samples must be one value per disc node")
+    if not np.all(np.isfinite(a)):
+        raise EllipticityError("symbol is not finite on the frequency disc")
     mag = np.abs(a)
     if mag.min() <= 0.0 or mag.min() < 1e-12 * mag.max():
         raise EllipticityError("symbol vanishes on the frequency disc")

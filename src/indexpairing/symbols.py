@@ -49,18 +49,23 @@ class SymbolData:
 
 
 def certify_elliptic(fiber: FiberModel, values: np.ndarray) -> None:
-    """Refuse a mode-only symbol that is singular on a retained mode with |xi| >= ELLIPTIC_RADIUS.
+    """Refuse a mode-only symbol that is not finite on a retained mode, or singular with |xi| >= ELLIPTIC_RADIUS.
 
     ``values`` holds one symbol value per mode of ``fiber``; a value is
-    singular when its modulus is at most ELLIPTIC_FLOOR.  The error lists
-    the offending lattice points.
+    singular when its modulus is at most ELLIPTIC_FLOOR.  A NaN fails that
+    comparison, so non-finite values are refused first, at every mode.  The
+    error lists the offending lattice points.
     """
     modes = fiber.modes()
     outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
-    bad = np.nonzero(outside & (np.abs(values) <= ELLIPTIC_FLOOR))[0]
-    if bad.size:
-        listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in bad[:8])
-        raise EllipticityError(f"symbol is singular on the lattice at: {listing}")
+    for bad, what in (
+        (~np.isfinite(values), "not finite"),
+        (outside & (np.abs(values) <= ELLIPTIC_FLOOR), "singular"),
+    ):
+        at = np.nonzero(bad)[0]
+        if at.size:
+            listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in at[:8])
+            raise EllipticityError(f"symbol is {what} on the lattice at: {listing}")
 
 
 def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:

@@ -479,3 +479,8 @@ def test_ellipticity_certificate():
     with pytest.raises(EllipticityError) as err:
         certify_elliptic(fiber, modes[:, 0].astype(complex))
     assert "mode (0, 1)" in str(err.value) and "mode (0, 0)" not in str(err.value)
+    # a non-finite value is refused at any mode, the zero mode included
+    values = 1.0 + np.sum(modes**2, axis=1) + 0j
+    values[np.all(fiber.modes() == 0, axis=1)] = np.nan
+    with pytest.raises(EllipticityError, match=r"not finite on the lattice at: mode \(0, 0\)$"):
+        certify_elliptic(fiber, values)

@@ -148,6 +148,16 @@ def test_graph_projector_rejects_vanishing_symbol():
         graph_symbol_projector(disc, values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_graph_projector_rejects_non_finite_samples(bad):
+    # a NaN fails every comparison of the vanishing test, so it is refused apart
+    disc = DiscModel(3.0, 16, 16)
+    values = 1.0 + disc.points[:, 0] ** 2 + 0j
+    values[5] = bad
+    with pytest.raises(EllipticityError, match="not finite"):
+        graph_symbol_projector(disc, values)
+
+
 def test_chern_rejects_non_idempotent_field():
     disc = DiscModel(3.0, 16, 16)
     p = bott_projector(disc) * 1.1

@@ -578,18 +578,29 @@ def test_symbol_expression_rejects_disallowed(expr):
         _symbol_expression(expr)
 
 
-def test_symbol_expression_powers_stay_bounded(tmp_path, capsys):
+def test_symbol_expression_powers_stay_bounded():
     # integer constants become floats: 2**10 is the float 1024.0, and
     # 9**9**9 overflows at once instead of building a 370-million-digit int
     assert _symbol_expression("2**10")(0.0, 0.0) == 1024.0
-    path = tmp_path / "power.json"
-    doc = cheap_scenario(
-        name="huge-power", operator={"builtin": "multiplier", "symbol": "9**9**9"}
-    )
+
+
+@pytest.mark.parametrize(
+    "symbol, fragment",
+    [
+        # 9**9**9 overflows at once instead of building a 370-million-digit int
+        ("9**9**9", "operator.symbol"),
+        # NaN on every retained mode, which fails every ellipticity comparison
+        ("sqrt(xi1 - 100)", "not finite on the lattice at: mode ("),
+    ],
+)
+def test_an_unusable_symbol_is_refused_at_assembly(symbol, fragment, tmp_path, capsys):
+    path = tmp_path / "symbol.json"
+    doc = cheap_scenario(name="bad-symbol", operator={"builtin": "multiplier", "symbol": symbol})
     path.write_text(json.dumps(doc))
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "assemble-operator" in err and "operator.symbol" in err
+    assert "stage assemble-operator" in err and fragment in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------
