@@ -163,8 +163,11 @@ def _singular_data(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     M takes LAPACK's full SVD, so the trailing singular vectors span the
     kernel of a wide operator too.
     """
-    if np.all(np.count_nonzero(M, axis=0) <= 1) and np.all(np.count_nonzero(M, axis=1) <= 1):
-        rows, cols = np.nonzero(M)
+    live = M != 0
+    per_row = live.sum(axis=1)
+    if np.all(per_row <= 1) and np.all(live.sum(axis=0) <= 1):
+        rows = np.flatnonzero(per_row)
+        cols = live[rows].argmax(axis=1)
         moduli = np.abs(M[rows, cols])
         if np.all(np.isfinite(moduli)):
             order = np.argsort(-moduli, kind="stable")
@@ -178,7 +181,9 @@ def _singular_data(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _unit_frame(size: int, lead: np.ndarray) -> np.ndarray:
     """The (size, k) frame of unit vectors at the indices below size outside ``lead``, ascending."""
-    rest = np.setdiff1d(np.arange(size), lead)
+    outside = np.ones(size, dtype=bool)
+    outside[lead] = False
+    rest = np.flatnonzero(outside)
     frame = np.zeros((size, rest.size), dtype=complex)
     frame[rest, np.arange(rest.size)] = 1.0
     return frame

@@ -53,19 +53,15 @@ def certify_elliptic(fiber: FiberModel, values: np.ndarray) -> None:
 
     ``values`` holds one symbol value per mode of ``fiber``; a value is
     singular when its modulus is at most ELLIPTIC_FLOOR.  A NaN fails that
-    comparison, so non-finite values are refused first, at every mode.  The
-    error lists the offending lattice points.
+    comparison, so a value that is not finite is refused on its own, at
+    every mode.  The error lists the offending lattice points.
     """
     modes = fiber.modes()
     outside = np.sqrt(np.sum(modes.astype(float) ** 2, axis=1)) >= ELLIPTIC_RADIUS
-    for bad, what in (
-        (~np.isfinite(values), "not finite"),
-        (outside & (np.abs(values) <= ELLIPTIC_FLOOR), "singular"),
-    ):
-        at = np.nonzero(bad)[0]
-        if at.size:
-            listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in at[:8])
-            raise EllipticityError(f"symbol is {what} on the lattice at: {listing}")
+    bad = np.nonzero(~np.isfinite(values) | (outside & (np.abs(values) <= ELLIPTIC_FLOOR)))[0]
+    if bad.size:
+        listing = ", ".join(f"mode {tuple(int(c) for c in modes[i])}" for i in bad[:8])
+        raise EllipticityError(f"symbol is singular or not finite on the lattice at: {listing}")
 
 
 def _quantize_table(table: np.ndarray, fiber: FiberModel) -> np.ndarray:

@@ -23,9 +23,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+import indexpairing
+from indexpairing.cli import main
+from indexpairing.harness import _idempotent_cache
+from indexpairing.scenario import BUILTIN_SCENARIOS, load_scenario
+
 ROOT = Path(__file__).resolve().parents[1]
 MANIFEST = Path(__file__).resolve().with_name("bytes_manifest.json")
-PERFBENCH_SCENARIOS = sorted(str(path) for path in (ROOT / "perfbench" / "scenarios").glob("*.json"))
+PERFBENCH_SCENARIOS = sorted(
+    str(path) for path in (ROOT / "perfbench" / "scenarios").glob("*.json")
+)
 # output directory -> cli arguments before --out
 RUNS = {
     "suite": ["suite", "--which", "all"],
@@ -35,16 +44,12 @@ RUNS = {
 
 def versions() -> dict[str, str]:
     """The numpy version and the BLAS name and version numpy was built with."""
-    import numpy as np
-
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def spawn(out: Path, threads: str) -> subprocess.Popen:
     """A child process writing every run of RUNS under ``out`` with ``threads`` BLAS threads."""
-    import indexpairing
-
     src = str(Path(indexpairing.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
@@ -55,17 +60,11 @@ def spawn(out: Path, threads: str) -> subprocess.Popen:
 
 
 def _produce(out: Path) -> int:
-    from indexpairing.cli import main
-
-    codes = [main([*argv, "--out", str(out / name)]) for name, argv in RUNS.items()]
-    return max(codes)
+    return max([main([*argv, "--out", str(out / name)]) for name, argv in RUNS.items()])
 
 
 def digests(out: Path) -> dict[str, str]:
     """SHA-256 of every file under ``out`` but summary.txt, keyed by its manifest name."""
-    from indexpairing.harness import _idempotent_cache
-    from indexpairing.scenario import BUILTIN_SCENARIOS, load_scenario
-
     names = {}
     for tree, argv in RUNS.items():
         sources = BUILTIN_SCENARIOS if argv[0] == "suite" else [argv[2]]
