@@ -150,7 +150,7 @@ def test_graph_projector_rejects_vanishing_symbol():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
 def test_graph_projector_rejects_non_finite_samples(bad):
-    # a NaN fails every comparison of the vanishing test, so it is refused apart
+    # a NaN fails every comparison of the vanishing test, so it is refused on its own
     disc = DiscModel(3.0, 16, 16)
     values = 1.0 + disc.points[:, 0] ** 2 + 0j
     values[5] = bad
