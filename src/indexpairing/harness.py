@@ -163,7 +163,9 @@ def _build_operator(scn: Scenario, fiber: FiberModel):
         return block, sclass
     fn = _symbol_expression(op["symbol"])
     modes = fiber.modes().astype(float)
-    values = np.asarray(fn(modes[:, 0], modes[:, 1]), dtype=complex)
+    # a non-finite sample is refused by name below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        values = np.asarray(fn(modes[:, 0], modes[:, 1]), dtype=complex)
     certify_elliptic(fiber, values)
     sclass = symbol_class_multiplier(fiber, disc, fn)
     return fourier_multiplier(fiber, values), sclass

@@ -34,11 +34,18 @@ A projector that commutes with translations along axis 0 is block
 circulant (see ``operators``): its block count g is certified on its range,
 and only its block row 0 is built and stored, a zero projector as None.
 Localization truncates each projector at a fiber radius and restores
-idempotency with the cubic correction flow on the g Fourier blocks of size
-npoints/g; the flow commutes with P -> 1 - P, so the range block 1 - S1 is
-corrected by flowing S1, and the flowed block row is stored once its trace
-still counts the rank of the projector it was cut from.  The cut radius
-belongs to the idempotent, not to either projector.
+idempotency on the g Fourier blocks of size npoints/g: each block is
+replaced by its spectral projector onto the eigenvalues above 1/2, the
+limit of the McWeeny flow P -> 3 P^2 - 2 P^3 (R. McWeeny, Rev. Mod.
+Phys. 32, 335, 1960).  A block of a rank-r cut has rank r_k of its B
+points (3 of 200 at flux 24), so orthogonal iteration on r_k vectors
+reaches that projector at O(B^2 r_k) a step (H. Rutishauser, Numer. Math.
+16, 205, 1970), where a flow step is two B^3 products.  A certificate
+shows that exactly r_k eigenvalues lie above 1/2 and the rest below, so
+taking the projector commutes with P -> 1 - P: the range block 1 - S1 is
+corrected by correcting S1.  The corrected block row is stored once its
+trace still counts the rank of the projector it was cut from.  The cut
+radius belongs to the idempotent, not to either projector.
 """
 from __future__ import annotations
 
@@ -77,9 +84,16 @@ class CorruptedCacheError(ModelError):
 # and none may lie within a factor RANK_WINDOW of that cut
 RANK_THRESHOLD = 1e-8
 RANK_WINDOW = 10.0
-# McWeeny steps the localization flow may take before the cut counts as too tight
-MAX_NEWTON_STEPS = 50
-# the largest entry of P^2 - P a localized projector may keep after its flow
+# a cut Fourier block is refused when max |P_k - P_k^H| exceeds this times the
+# largest entry of the blocks; a certified row's blocks carry at most about
+# g * CIRCULANT_RTOL of it
+CUT_HERMITIAN_RTOL = 1e-10
+# orthogonal iteration on a Fourier block stops once |P_k Y - Y H|_F is at most
+# this; the attained floor is 2.5e-15 at 512 points and rank 25
+PROJECTOR_RESIDUAL_TOL = 1e-14
+# orthogonal-iteration steps a Fourier block may take before the cut counts as too tight
+MAX_PROJECTOR_STEPS = 200
+# the bound on the largest entry of P^2 - P a localized projector may keep
 NEWTON_TOL = 1e-8
 # an entry counts toward a kernel's reach above REACH_FLOOR times its largest
 REACH_FLOOR = 1e-12
@@ -256,42 +270,128 @@ class IndexIdempotent:
         return math.sqrt(reach) / fiber.grid_size
 
 
-def _newton_flow(P: np.ndarray, tol: float) -> tuple[np.ndarray, float, int]:
-    """McWeeny purification P -> 3 P^2 - 2 P^3 on the Fourier blocks (g, B, B) of P.
+def _spectral_projector(blocks: np.ndarray, rank: int, radius: float) -> float:
+    """Replace each Fourier block P_k of a cut projector by its projector onto the eigenvalues above 1/2.
 
-    The defect is the largest entry of P^2 - P, read on block row 0 in real
-    space; every other block row of a block-circulant matrix repeats it.
-    P^2 serves both the defect test and the next step.  A step forms the
-    next P in a fresh P^2 P stack, scaled and subtracted in place (the
-    operations of 3 P^2 - 2 P^3 in its order), and the next P^2 goes into
-    the old P^2's buffer, so the flow holds P, P^2 and one more stack.
+    ``blocks`` (g, B, B) are the Fourier blocks of a block row cut from a
+    rank-``rank`` projector; they are overwritten in place.  Returns a
+    bound on the largest entry of M^2 - M, M the block-circulant matrix
+    whose block row is ``circulant_row(blocks)`` as stored.
+
+    The blocks must be hermitian: max |P_k - P_k^H| at most
+    CUT_HERMITIAN_RTOL times their largest entry, and each is then replaced
+    by its hermitian part (P_k + P_k^H) / 2, which rounds to an exactly
+    hermitian matrix.  Block k is asked for r_k = round(tr P_k) eigenvalues
+    above 1/2, and the r_k must sum to ``rank``.  Orthogonal iteration
+    Y <- qr(P_k Y), started from the unit vectors at the r_k largest
+    diagonal entries, runs until R = P_k Y - Y H, H = Y^H P_k Y, has
+    |R|_F <= PROJECTOR_RESIDUAL_TOL, within MAX_PROJECTOR_STEPS steps.
+
+    Certificate.  Complete Y to a unitary [Y, X].  In that basis P_k is
+    diag(H, D) + E, with D = X^H P_k X the deflated block and E the
+    hermitian matrix with off-diagonal blocks X^H R and its adjoint, so
+    |E|_2 = |X^H R|_2 <= |R|_F.  By Weyl's inequality every eigenvalue of
+    P_k lies within |R|_F of the corresponding one of diag(H, D).  So if
+    every Ritz value (eigenvalue of H) lies in (1/2 + |R|_F, 3/2 - |R|_F)
+    and |D|_F + |R|_F < 1/2, then P_k has exactly r_k eigenvalues above
+    1/2, all below 3/2, and the rest lie in (-1/2, 1/2): the McWeeny flow
+    P -> 3 P^2 - 2 P^3 converges from P_k, and to the projector onto the
+    first r_k.  The Ritz bounds are checked as two Cholesky factorizations
+    of r_k x r_k matrices, which succeed exactly for positive definite
+    ones, and
+    |D|_F^2 = |P_k|_F^2 - 2 |P_k Y|_F^2 + |H|_F^2 costs no block product.
+    Both slacks add |1 - Y^H Y|_F, the departure of the computed frame from
+    an orthonormal one.
+
+    Defect.  P_k is replaced by Y Y^H.  With G = Y^H Y, Y G Y^H - Y Y^H has
+    entries y_i (G - 1) y_j^H, at most rho^2 |G - 1|_2 for rho the largest
+    row norm of Y, and the inverse FFT averages the blocks, so the exact
+    M = ifft(Y Y^H) has |M^2 - M| <= rho^2 eps, eps = max_k |G - 1|_F plus
+    the rounding of G.  The stored row differs from M by at most
+    delta = gamma_m rho^2 (1 + eps) in every entry, which covers the
+    complex dot products of Y Y^H (gamma_{r+2}) and a direct inverse DFT of
+    g values (gamma_{g+3} of their largest modulus), m = r + g + 5, with
+    gamma_m = m u / (1 - m u).  The rows of M have norm at most
+    rho (1 + eps)^(1/2) and the columns of the rounding at most
+    n^(1/2) delta, n = g B, so
+
+        |M~^2 - M~| <= rho^2 eps + delta (1 + 2 rho ((1 + eps) n)^(1/2)) + n delta^2.
     """
-    P2 = P @ P
-    defect = _row_max(P2, P)
-    steps = 0
-    while defect > tol and steps < MAX_NEWTON_STEPS:
-        nxt = P2 @ P
-        nxt *= 2.0
-        P2 *= 3.0
-        P = np.subtract(P2, nxt, out=nxt)
-        steps += 1
-        np.matmul(P, P, out=P2)
-        defect = _row_max(P2, P)
-        if not np.isfinite(defect):
-            break
-    return P, defect, steps
+    g, width, _ = blocks.shape
+    scale = skew = 0.0
+    for P in blocks:
+        herm = P.conj().T
+        scale = max(scale, float(np.max(np.abs(P))))
+        skew = max(skew, float(np.max(np.abs(P - herm))))
+        np.add(P, herm, out=P)
+        P *= 0.5
+    if skew > CUT_HERMITIAN_RTOL * scale:
+        raise LocalizationError(
+            f"the cut Fourier blocks depart from hermitian by {skew:.3e}, above "
+            f"{CUT_HERMITIAN_RTOL:g} of their largest entry {scale:.3e}, at radius {radius:g}"
+        )
+    counts = [round(float(np.trace(P).real)) for P in blocks]
+    if min(counts) < 0 or max(counts) > width or sum(counts) != rank:
+        raise LocalizationError(
+            f"idempotent correction carried the rank-{rank} projector to trace "
+            f"{sum(counts)} at radius {radius:g}; the cut is too tight for the "
+            "kernel decay"
+        )
+    eps = rho2 = 0.0
+    for k, (P, r) in enumerate(zip(blocks, counts)):
+        Y = np.zeros((width, r), dtype=complex)
+        Y[np.argsort(-P.diagonal().real, kind="stable")[:r], np.arange(r)] = 1.0
+        for _ in range(MAX_PROJECTOR_STEPS):
+            Z = P @ Y
+            H = Y.conj().T @ Z
+            residual = float(np.linalg.norm(Z - Y @ H))
+            if residual <= PROJECTOR_RESIDUAL_TOL:
+                break
+            Y = np.linalg.qr(Z)[0]
+        else:
+            raise LocalizationError(
+                f"orthogonal iteration on Fourier block {k} stalled at residual "
+                f"{residual:.3e} after {MAX_PROJECTOR_STEPS} steps at radius "
+                f"{radius:g}; the cut is too tight for the kernel decay"
+            )
+        loss = float(np.linalg.norm(Y.conj().T @ Y - np.eye(r)))
+        slack = residual + loss
+        deflated = math.sqrt(
+            max(float(np.vdot(P, P).real - 2.0 * np.vdot(Z, Z).real + np.vdot(H, H).real), 0.0)
+        )
+        ritz = (H + H.conj().T) / 2
+        lift = np.eye(r) * (0.5 + slack)
+        if deflated + slack >= 0.5 or not (
+            _positive_definite(ritz - lift) and _positive_definite(2.0 * np.eye(r) - lift - ritz)
+        ):
+            raise LocalizationError(
+                f"cannot certify that idempotent correction carried the rank-{rank} "
+                f"projector to trace {rank} at radius {radius:g}: Fourier block {k} "
+                f"need not have exactly {r} eigenvalues above 1/2 (deflated norm "
+                f"{deflated:.3e}, residual {residual:.3e}); the cut is too tight for "
+                "the kernel decay"
+            )
+        eps = max(eps, loss + r * _gamma(width + 2) * (1 + loss))
+        rho2 = max(rho2, float(np.max(np.sum(np.abs(Y) ** 2, axis=1))))
+        np.matmul(Y, Y.conj().T, out=P)
+    n = g * width
+    delta = _gamma(max(counts) + g + 5) * rho2 * (1 + eps)
+    return rho2 * eps + delta * (1 + 2 * math.sqrt(rho2 * (1 + eps) * n)) + n * delta * delta
 
 
-def _row_max(P2: np.ndarray, P: np.ndarray) -> float:
-    """max |P^2 - P| on block row 0: the difference, transformed back in place.
+def _gamma(m: int) -> float:
+    """gamma_m = m u / (1 - m u), u the unit roundoff: the relative error of m roundings."""
+    mu = m * np.finfo(float).eps / 2
+    return mu / (1 - mu)
 
-    The inverse FFT along the block axis gives the blocks C_m of block row 0;
-    their largest entry does not depend on how they are laid out, and is
-    read one block at a time.
-    """
-    diff = P2 - P
-    np.fft.ifft(diff, axis=0, out=diff)
-    return float(np.max([np.max(np.abs(block)) for block in diff]))
+
+def _positive_definite(m: np.ndarray) -> bool:
+    """Whether the hermitian matrix m is positive definite: its Cholesky factorization succeeds."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def index_idempotent(
@@ -306,11 +406,15 @@ def index_idempotent(
     Each projector is stored as its certified block row
     (``certified_block_row``).  With no radius the construction is exact
     and the row is stored uncut.  With a radius, each projector is
-    hard-truncated (``truncation_mask``) and idempotency restored by the
-    cubic flow P -> 3 P^2 - 2 P^3, both on that block row; failure to reach
-    newton_tol (NEWTON_TOL unless a caller asks for a tighter defect) within
-    MAX_NEWTON_STEPS means the radius is too aggressive for the kernel decay
-    and raises.  A projector of rank 0 is stored as None.
+    hard-truncated (``truncation_mask``) and replaced by the spectral
+    projector of the cut onto its eigenvalues above 1/2, found by orthogonal
+    iteration on each Fourier block of that block row
+    (``_spectral_projector``).  A cut whose blocks are not hermitian, whose
+    rounded block traces miss the rank, whose iteration takes more than
+    MAX_PROJECTOR_STEPS, whose eigenvalues above 1/2 are not certified, or
+    whose defect bound exceeds newton_tol (NEWTON_TOL unless a caller asks
+    for a tighter defect) is too aggressive for the kernel decay and
+    raises.  A projector of rank 0 is stored as None.
     """
     if data is None:
         data = parametrix(block)
@@ -319,9 +423,9 @@ def index_idempotent(
         _stored_row(basis, v, cut, newton_tol)
         for basis, v in ((block.domain, data.v0), (block.codomain, data.v1))
     ]
-    # The flow smears tolerance-scale mass back outside the cut (each step
-    # spreads the support), so the stored radius is the localization cut of
-    # the construction rather than a hard zero; effective_radius measures the
+    # The spectral projector of the cut puts tolerance-scale mass back
+    # outside it, so the stored radius is the localization cut of the
+    # construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
     fiber = block.domain.fiber
     return IndexIdempotent(*(SmoothingKernel(fiber, row) for row in rows), cut)
@@ -333,26 +437,23 @@ def _stored_row(
     """Certified block row 0 of the projector onto the span of E v; None for rank 0.
 
     At radius +inf the row is stored uncut.  Cut at a finite radius, it is
-    flowed back to a projector, whose trace g tr C_0 must still round to
-    ``rank``: a cut too tight for the kernel decay can flow to a projector
-    of another rank, even 0, whose defect passes.
+    brought back to a projector of rank ``rank``, whose stored trace
+    g tr C_0 must still round to ``rank``.
     """
     rank = v.shape[1]
     if rank == 0:
         return None
     if radius == np.inf:
         return certified_block_row(basis, radius, v)
-    # neither the cut row nor its blocks are held while the flow runs
-    P, defect, steps = _newton_flow(
-        circulant_blocks(certified_block_row(basis, radius, v)), newton_tol
-    )
+    # the cut row is not held while its blocks are corrected in place
+    blocks = circulant_blocks(certified_block_row(basis, radius, v))
+    defect = _spectral_projector(blocks, rank, radius)
     if defect > newton_tol:
         raise LocalizationError(
-            f"idempotent correction stalled at defect {defect:.3e} after "
-            f"{steps} steps at radius {radius:g}; the cut is too tight for "
-            "the kernel decay"
+            f"idempotent correction keeps a defect bound {defect:.3e} above "
+            f"{newton_tol:g} at radius {radius:g}"
         )
-    row = circulant_row(P)
+    row = circulant_row(blocks)
     trace = block_count(row) * float(np.trace(row[:, : row.shape[0]]).real)
     if round(trace) != rank:
         raise LocalizationError(

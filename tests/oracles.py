@@ -53,12 +53,14 @@ to rounding, and both bases certify the same block count.  The periodic
 distances between grid points are kept as the float pointwise formula the
 library's integer tick distances replace.
 
-The McWeeny flow and the profile chain are kept as the library first ran
-them on Fourier blocks: every product and sum of the flow a new (g, B, B)
-stack, its defect read from the expanded block row, and the rotation sums
-with both leg masks and the block column held and each product formed for
-all g blocks at once.  The library holds fewer stacks with the same
-operations in the same order, so it agrees with them bit for bit.
+The localized projector is kept as the spectral projector of the cut onto
+its eigenvalues above 1/2, taken from LAPACK's eigh; the library reaches
+it by orthogonal iteration on each Fourier block's rank and must agree to
+rounding.  The profile chain is kept as the library first ran it on
+Fourier blocks: the rotation sums with both leg masks and the block column
+held and each product formed for all g blocks at once.  The library holds
+fewer stacks with the same operations in the same order, so it agrees with
+it bit for bit.
 
 The ramp of the graph projector and the profile windows is kept in its
 monomial form, evaluated exactly in rationals: the library sums the upper
@@ -100,10 +102,9 @@ from indexpairing.operators import (
     circulant_blocks,
     circulant_column,
     circulant_dense,
-    circulant_row,
 )
 from indexpairing.pairing import _is_hermitian
-from indexpairing.parametrix import MAX_NEWTON_STEPS, RANK_THRESHOLD, certified_rank
+from indexpairing.parametrix import RANK_THRESHOLD, certified_rank
 from indexpairing.symbols import SymbolData
 
 
@@ -662,19 +663,15 @@ def eval_modes_at(coeffs, modes, points):
     return np.exp(TWO_PI_I * (points @ modes.T)) @ coeffs
 
 
-def newton_flow_whole_stack(P, tol):
-    """McWeeny flow on Fourier blocks (g, B, B), each product and sum a new stack."""
-    P2 = P @ P
-    defect = float(np.max(np.abs(circulant_row(P2 - P))))
-    steps = 0
-    while defect > tol and steps < MAX_NEWTON_STEPS:
-        P = 3.0 * P2 - 2.0 * (P2 @ P)
-        steps += 1
-        P2 = P @ P
-        defect = float(np.max(np.abs(circulant_row(P2 - P))))
-        if not np.isfinite(defect):
-            break
-    return P, defect, steps
+def spectral_projector(S):
+    """The projector onto the eigenvectors of hermitian S with eigenvalue above 1/2 (eigh).
+
+    S is one matrix or a stack of them, such as Fourier blocks (g, B, B);
+    eigh reads the lower triangle of each.
+    """
+    w, V = np.linalg.eigh(S)
+    V = V * (w > 0.5)[..., None, :]
+    return V @ V.conj().swapaxes(-1, -2)
 
 
 def rotation_sum_whole_stack(cw, X, Y, Z):

@@ -3,12 +3,14 @@
 A twist-d Dolbeault projector on grid n commutes with the translation by
 n/gcd(d, n) ticks along axis 0, so it is block circulant in gcd(d, n)
 blocks, cut or not.  The block count is certified on the projector's
-frame, whose rows form the stored block row, and the Newton flow and the
-k = 1 profile chain run on Fourier blocks.  The dense scan of the grid
-matrix of the pseudo-inverse remainder, the dense McWeeny loop and the
-dense rotation sum below are the forms they replaced, kept as oracles.
-The flow and the chain hold about three (g, B, B) stacks at a time, and
-must agree bit for bit with the whole-stack forms kept in ``oracles``.
+frame, whose rows form the stored block row, and the localized projector
+and the k = 1 profile chain run on Fourier blocks.  The dense scan of the
+grid matrix of the pseudo-inverse remainder and the dense rotation sum
+below are the forms they replaced, kept as oracles; the projector must be
+the spectral projector of the cut that eigh gives, to rounding.  The
+projector holds a fraction of one (g, B, B) stack and the chain about
+three, and the chain must agree bit for bit with the whole-stack form kept
+in ``oracles``.
 """
 import tracemalloc
 from pathlib import Path
@@ -41,13 +43,13 @@ from indexpairing.pairing import (
     _weighted_profile_chain,
 )
 from indexpairing.parametrix import (
-    MAX_NEWTON_STEPS,
     RANK_THRESHOLD,
     RANK_WINDOW,
+    LocalizationError,
     ParametrixData,
     ThresholdAmbiguityError,
-    _newton_flow,
     _singular_data,
+    _spectral_projector,
     index_idempotent,
     parametrix,
 )
@@ -60,10 +62,10 @@ from oracles import (
     kernel_norm_dense,
     lapack_singular_data,
     moved_defect_ix,
-    newton_flow_whole_stack,
     profile_chain_whole_stack,
     remainder_projectors,
     same_bits,
+    spectral_projector,
     twisted_invariance_defect_dense,
 )
 
@@ -136,18 +138,6 @@ def assert_near_oracle(row, S):
     assert np.max(np.abs(row - S[: len(row)])) <= 1e-13 * np.max(np.abs(row))
 
 
-def dense_newton_flow(P, max_steps, tol):
-    P2 = P @ P
-    defect = float(np.max(np.abs(P2 - P)))
-    steps = 0
-    while defect > tol and steps < max_steps:
-        P = 3.0 * P2 - 2.0 * (P2 @ P)
-        steps += 1
-        P2 = P @ P
-        defect = float(np.max(np.abs(P2 - P)))
-    return P, defect, steps
-
-
 def dense_rotation_sum(cw, X, Y, Z):
     P = X @ Y
     R = Y @ Z
@@ -168,20 +158,20 @@ def dense_profile_chain(masks, cw, K):
     return (rotations(K) - rotations(K.T)) / 6.0
 
 
-def block_newton_flow(S, grid_size, tol):
-    """The flow on the blocks the dense oracle finds: its block row, defect and steps."""
+def block_projector(S, grid_size):
+    """The localized projector on the blocks the dense oracle finds: its block row and defect bound."""
     g = circulant_order(S, grid_size)
-    return stack_flow(S[: S.shape[0] // g], tol)
+    return stack_projector(S[: S.shape[0] // g])
 
 
-def stack_flow(row, tol):
-    """The flow of block row ``row``, bit for bit the whole-stack oracle's."""
-    P, defect, steps = _newton_flow(circulant_blocks(row), tol)
-    want, want_defect, want_steps = newton_flow_whole_stack(circulant_blocks(row), tol)
-    assert (defect, steps) == (want_defect, want_steps)
-    flowed = circulant_row(P)
-    assert flowed.tobytes() == circulant_row(want).tobytes()
-    return flowed, defect, steps
+def stack_projector(row):
+    """The localized projector of the cut block row ``row``, of the rank its trace rounds to:
+    its block row and the bound on its defect."""
+    blocks = circulant_blocks(row)
+    rank = round(block_count(row) * float(np.trace(row[:, : len(row)]).real))
+    # the radius only names the cut in a refusal
+    bound = _spectral_projector(blocks, rank, 0.30)
+    return circulant_row(blocks), bound
 
 
 def stack_chain(phi, cw, row):
@@ -225,14 +215,20 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     name, fiber, S, order = flow_cases[case]
     n = fiber.grid_size
     assert circulant_order(S, n) == order, name
-    want, want_defect, want_steps = dense_newton_flow(S, MAX_NEWTON_STEPS, 1e-8)
-    row, got_defect, got_steps = block_newton_flow(S, n, 1e-8)
-    got = circulant_dense(row)
-    assert got_steps == want_steps >= 1, name
-    assert got_defect <= 1e-8 and want_defect <= 1e-8, name
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+    if name == "moved-entry":
+        # one entry moved off the hermitian pair: the cut is refused, and the
+        # chain of the cut itself takes the four-product form
+        with pytest.raises(LocalizationError, match="hermitian"):
+            block_projector(S, n)
+        row = got = S
+    else:
+        row, bound = block_projector(S, n)
+        got = circulant_dense(row)
+        want = spectral_projector(S)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        assert float(np.max(np.abs(got @ got - got))) <= bound <= 1e-8, name
 
-    # the chain of the flowed kernel, with a weight that no translation fixes
+    # the chain of the kernel, with a weight that no translation fixes
     npts = S.shape[0]
     cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
     phi = sawtooth(fiber)
@@ -255,15 +251,18 @@ def benchmark_row(path):
 @pytest.mark.parametrize("path", PERFBENCH_SCENARIOS, ids=lambda path: path.stem)
 def test_benchmark_flow_and_chain_are_bitwise_the_whole_stack_oracles(path):
     fiber, row = benchmark_row(path)
-    flowed, defect, steps = stack_flow(row, 1e-8)
-    assert steps >= 1 and defect <= 1e-8
+    want = circulant_row(spectral_projector(circulant_blocks(row)))
+    projected, bound = stack_projector(row)
+    assert np.max(np.abs(projected - want)) <= 1e-12 * np.max(np.abs(want))
+    assert bound <= 1e-8
     cw = np.random.default_rng(61).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
-    assert _is_hermitian(flowed, circulant_column(flowed))
-    stack_chain(phi, cw, flowed)
+    # the stored row is hermitian: the chain takes its three-product form
+    assert _is_hermitian(projected, circulant_column(projected))
+    stack_chain(phi, cw, projected)
     # one entry moved off the hermitian pair: the four-product form
-    moved = flowed.copy()
-    moved[3, 5] += 1e-9 * np.max(np.abs(flowed))
+    moved = projected.copy()
+    moved[3, 5] += 1e-9 * np.max(np.abs(projected))
     assert not _is_hermitian(moved, circulant_column(moved))
     assert abs(stack_chain(phi, cw, moved).real) > 0.0
 
@@ -288,15 +287,16 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     row, cert_peak = traced_peak(lambda: certified_block_row(basis, 0.30, V))
     assert row.nbytes == stack
     blocks = circulant_blocks(row)
-    (P, _, _), flow_peak = traced_peak(lambda: _newton_flow(blocks, 1e-8))
-    flowed = circulant_row(P)
+    _, projector_peak = traced_peak(lambda: _spectral_projector(blocks, 24, 0.30))
+    projected = circulant_row(blocks)
     cw = np.random.default_rng(67).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
-    _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, flowed))
-    peaks = [peak / stack for peak in (cert_peak, flow_peak, chain_peak)]
+    _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, projected))
+    peaks = [peak / stack for peak in (cert_peak, projector_peak, chain_peak)]
     # the certificate peaks at 1.50 stacks: the row and its magnitudes, with
-    # the frame released and the tick distances in int32
-    assert peaks[0] <= 1.58 and peaks[1] <= 3.5 and peaks[2] <= 3.5, peaks
+    # the frame released and the tick distances in int32; the projector at
+    # 0.38, three one-block temporaries of its hermitian gate
+    assert peaks[0] <= 1.58 and peaks[1] <= 0.41 and peaks[2] <= 3.5, peaks
 
 
 @pytest.mark.parametrize(

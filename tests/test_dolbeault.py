@@ -322,9 +322,17 @@ def test_localized_idempotent_converges_and_stays_local():
 
 def test_localization_error_when_budget_exhausted(monkeypatch):
     block = dolbeault_family(FiberModel(2, 8, 24), 8, levels=2)
-    monkeypatch.setattr(parametrix_module, "MAX_NEWTON_STEPS", 1)
+    monkeypatch.setattr(parametrix_module, "MAX_PROJECTOR_STEPS", 1)
     with pytest.raises(LocalizationError):
         index_idempotent(block, radius=0.18)
+
+
+@pytest.mark.parametrize("radius", [0.03, 0.10])
+def test_flux24_cuts_too_tight_for_the_kernel_decay_are_refused(radius):
+    # the cut Fourier blocks keep trace 3 each but no eigenvalue above 1/2
+    block = dolbeault_family(FiberModel(2, 19, 40), 24, levels=2)
+    with pytest.raises(LocalizationError, match="too tight"):
+        index_idempotent(block, radius=radius)
 
 
 def test_operator_pipeline_needs_only_the_fiber():

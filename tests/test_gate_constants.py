@@ -9,8 +9,10 @@ from indexpairing.operators import (
 )
 from indexpairing.pairing import GERM_SLACK, HERMITIAN_RTOL
 from indexpairing.parametrix import (
-    MAX_NEWTON_STEPS,
+    CUT_HERMITIAN_RTOL,
+    MAX_PROJECTOR_STEPS,
     NEWTON_TOL,
+    PROJECTOR_RESIDUAL_TOL,
     RANK_THRESHOLD,
     RANK_WINDOW,
     REACH_FLOOR,
@@ -22,7 +24,9 @@ def test_gate_constants_are_pinned():
     assert {
         "RANK_THRESHOLD": RANK_THRESHOLD,
         "RANK_WINDOW": RANK_WINDOW,
-        "MAX_NEWTON_STEPS": MAX_NEWTON_STEPS,
+        "CUT_HERMITIAN_RTOL": CUT_HERMITIAN_RTOL,
+        "PROJECTOR_RESIDUAL_TOL": PROJECTOR_RESIDUAL_TOL,
+        "MAX_PROJECTOR_STEPS": MAX_PROJECTOR_STEPS,
         "NEWTON_TOL": NEWTON_TOL,
         "REACH_FLOOR": REACH_FLOOR,
         "TRUNCATION_RTOL": TRUNCATION_RTOL,
@@ -37,7 +41,9 @@ def test_gate_constants_are_pinned():
     } == {
         "RANK_THRESHOLD": 1e-8,
         "RANK_WINDOW": 10.0,
-        "MAX_NEWTON_STEPS": 50,
+        "CUT_HERMITIAN_RTOL": 1e-10,
+        "PROJECTOR_RESIDUAL_TOL": 1e-14,
+        "MAX_PROJECTOR_STEPS": 200,
         "NEWTON_TOL": 1e-8,
         "REACH_FLOOR": 1e-12,
         "TRUNCATION_RTOL": 1e-12,

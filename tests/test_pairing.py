@@ -221,11 +221,11 @@ def test_pairing_kills_coboundaries_shift_group():
 
 
 # Truncating at radius 0.45 with flux 8 leaves a kernel tail of order 1e-3;
-# the flowed idempotent sits that far from the exact one, and the pairing,
-# stationary on the idempotent variety, moves at the squared-tail scale
-# (measured 4.4e-7 for k = 0 below).  Stronger flux localizes harder: the
-# flux-16 k = 1 comparison lands at 9.8e-7 and the flux-32 acceptance run
-# at 2.4e-9.
+# the localized idempotent sits that far from the exact one, and the pairing,
+# stationary on the idempotent variety, moves at the squared-tail scale.  The
+# k = 0 pairing below is the trace, which the localized projector keeps at
+# the rank (measured 0.0).  Stronger flux localizes harder: the flux-16
+# k = 1 comparison lands at 9.8e-7 and the flux-32 acceptance run at 2.4e-9.
 
 
 def test_pairing_homotopy_stability_k0():
