@@ -12,8 +12,10 @@ per-point analytic column and the orbit sum of the identified base.
 Determinism contract: a fixed scenario and seed produce bitwise-identical
 CSV bodies across reruns; wall times and anything else nondeterministic stay
 out of the CSV.  Assembled idempotents are cached as their cut radius and
-block rows (``IndexIdempotent.arrays``) in an uncompressed ``.npz`` archive,
-whose per-member CRC-32 catches a damaged payload.  The file name carries a
+the frame and block counts of each projector (``IndexIdempotent.arrays``)
+in an uncompressed ``.npz`` archive, whose per-member CRC-32 catches a
+damaged payload; a warm run forms a block row from its frame only where
+the pairing reads entries.  The file name carries a
 digest of every echo field the idempotent depends on, so a changed input is
 a cache miss; a corrupted cache surfaces as a ``CorruptedCacheError`` and
 exit code 2.
@@ -226,7 +228,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs, or its layout, would change.
-_CACHE_FORMAT = 11
+_CACHE_FORMAT = 12
 # echo fields the idempotent does not depend on (it is built from the fiber, the
 # operator and the localization radius alone); the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default

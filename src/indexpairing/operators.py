@@ -257,18 +257,6 @@ def circulant_column(row: np.ndarray) -> np.ndarray:
     return blocks.transpose(1, 0, 2).reshape(g * width, width)
 
 
-def circulant_dense(row: np.ndarray) -> np.ndarray:
-    """The block-circulant gB x gB matrix with block row 0 ``row``."""
-    width, g = row.shape[0], block_count(row)
-    blocks = row.reshape(width, g, width)
-    out = np.empty((g, width, g, width), dtype=row.dtype)
-    for a in range(g):
-        # block (a, b) is C_{b-a mod g}
-        out[a, :, a:] = blocks[:, : g - a]
-        out[a, :, :a] = blocks[:, g - a :]
-    return out.reshape(g * width, g * width)
-
-
 class SmoothingKernel:
     """Smoothing operator on the grid sections of one fiber.
 
@@ -442,18 +430,19 @@ def trace_tau(kern: SmoothingKernel, space: FiberedGSpace, weight: np.ndarray) -
     both properties fail without invariance, hence the check.
     """
     require_invariant(space, "trace", kern)
-    return _weighted_diag_trace(kern, weight)
+    return _weighted_diag_trace(None if kern.row is None else kern.diagonal(), weight)
 
 
-def _weighted_diag_trace(kern: SmoothingKernel, weight: np.ndarray) -> complex:
-    """sum_z w(z) M[z, z] for one weight field w on the fiber.
+def _weighted_diag_trace(diagonal: np.ndarray | None, weight: np.ndarray) -> complex:
+    """sum_z w(z) M[z, z] for one weight field w on the fiber, from the diagonal of M.
 
-    A zero operator is skipped: adding its exact zeros would change no bit.
+    A zero operator, whose diagonal is None, is skipped: adding its exact
+    zeros would change no bit.
     """
-    if kern.row is None:
+    if diagonal is None:
         return 0j
     # adding 0j makes a zero part +0.0, whatever sign the sum left on it
-    return complex(0j + np.sum(weight * kern.diagonal()))
+    return complex(0j + np.sum(weight * diagonal))
 
 
 def random_invariant_kernel(

@@ -44,20 +44,22 @@ K is hermitian and the masks are real, S(K^T) is the conjugate of S(K) and
 the chain is 2i Im S(K) / 6 in two products; that form is taken only after
 an O(n^2) check of the hermitian defect.  Each trace of an elementary term
 w d0 (x) d1 (x) d2 reads a middle field m between its cyclic neighbours p
-and q: tr(D diag(p) K diag(m) K diag(q) K) = (c p)^T (Q(m) o K^T) q with
-Q(m) = K diag(m) K.  So the term is w / 6 times the sum over slots s of
-(c d_{s-1})^T M_s d_{s+1} - (c d_{s+1})^T M_s d_{s-1}, M_s = Q(d_s) o K^T,
-for any K: one product per distinct slot field, three for the coboundary
-of a degree-1 elementary cochain (fields 1, f0 and f1).
+and q: tr(D diag(p) K diag(m) K diag(q) K).  So the term is w / 6 times
+the sum over slots s of t(c d_{s-1}, d_s, d_{s+1}) - t(c d_{s+1}, d_s,
+d_{s-1}), t(a, m, b) = tr(diag(a) K diag(m) K diag(b) K).  A projector of
+rank r is K = F F^H / n for its grid frame F (``ProjectorFrame``), so
+trace cyclicity gives t(a, m, b) = tr(G_a G_m G_b) with the r x r Gram
+matrices G_f = F^H diag(f) F / n: one n r^2 product per distinct field,
+six for the coboundary of a degree-1 elementary cochain (fields 1, f0
+and f1, and each times c).
 
 The leg masks are functions of z - w, so they commute with every grid
 translation.  When K is stored as g blocks (``SmoothingKernel``), with g
 dividing grid_size so that the blocks come from a grid translation, so are
 the masks, K o W0 and K o W1; the masks are built as their block row 0
 only, and each product of the profile chain is g products of size n/g on
-the Fourier blocks, taken one block at a time.  The elementary chain
-expands K to the dense matrix: its Q(m) carries the non-invariant
-diag(m).  The cutoff weight is not translation invariant, but tr(D M) of
+the Fourier blocks, taken one block at a time.  The cutoff weight is not
+translation invariant, but tr(D M) of
 a block-circulant M only reads the diagonal of C_0, the mean of the
 Fourier blocks, so D enters through the sums of c over the orbits of the
 translation: exact for any cutoff.
@@ -85,10 +87,9 @@ from .operators import (
     block_count,
     circulant_blocks,
     circulant_column,
-    circulant_dense,
     require_invariant,
 )
-from .parametrix import IndexIdempotent
+from .parametrix import IndexIdempotent, ProjectorFrame
 from .space import FiberedGSpace
 
 __all__ = [
@@ -232,36 +233,48 @@ def pair_cocycle(
     effective radius when unlocalized) must not exceed the cochain's germ
     radius: past that scale the cochain stops representing its class and
     the pairing would read untrusted values.
+
+    Block rows are formed only where entries are read: by the gate when a
+    group element moves the fiber (no defect is possible otherwise), by
+    the reach of an unlocalized idempotent against a finite germ radius
+    (no reach passes an infinite one), and by the profile chain's masks.
+    The k = 0 trace reads the diagonal, and the elementary chain the Gram
+    matrices, of each projector's frame.
     """
     if phi.degree % 2:
         raise ModelError("only even-degree cochains pair with idempotents")
     k = phi.degree // 2
     if k > 1:
         raise ModelError("chains beyond one cochain level are not modeled")
-    require_invariant(space, "pairing", *idem.families)
-    reach = _kernel_reach(idem)
-    if reach > phi.germ_radius + GERM_SLACK:
-        raise SupportMismatchError(
-            f"kernel reach {reach:.4g} exceeds the cochain germ radius "
-            f"{phi.germ_radius:.4g}; localize the idempotent below the germ "
-            "scale or widen the cochain"
-        )
+    if space.moving_elements():
+        require_invariant(space, "pairing", *idem.families)
+    if math.isfinite(phi.germ_radius):
+        reach = _kernel_reach(idem)
+        if reach > phi.germ_radius + GERM_SLACK:
+            raise SupportMismatchError(
+                f"kernel reach {reach:.4g} exceeds the cochain germ radius "
+                f"{phi.germ_radius:.4g}; localize the idempotent below the germ "
+                "scale or widen the cochain"
+            )
 
-    s0, s1 = idem.families
     # one contraction covers the base (see the module docstring)
     if k == 0:
-        field = weight * phi.evaluate_batch(np.arange(s0.fiber.npoints)[:, None])
-        trace0, trace1 = (_weighted_diag_trace(f, field) for f in (s0, s1))
+        field = weight * phi.evaluate_batch(np.arange(idem.fiber.npoints)[:, None])
+        trace0, trace1 = (
+            _weighted_diag_trace(None if p is None else p.diagonal(), field)
+            for p in idem.projectors
+        )
         return trace0 - trace1
 
     chern = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
-    contract = (
-        _weighted_profile_chain
-        if isinstance(phi, ProfileCochain)
-        else _weighted_elementary_chain
-    )
+
+    def contract(proj: ProjectorFrame) -> complex:
+        if isinstance(phi, ProfileCochain):
+            return _weighted_profile_chain(phi, weight, proj.row)
+        return _weighted_elementary_chain(phi, weight, proj.grid_frame())
+
     # a zero operator (S1 of every positive flux) has an exactly zero chain
-    v0, v1 = (0j if f.row is None else contract(phi, weight, f.row) for f in (s0, s1))
+    v0, v1 = (0j if p is None else contract(p) for p in idem.projectors)
     # adding 0j makes a zero part +0.0, whatever sign the chains left on it
     return chern * (0j + (v0 - v1))
 
@@ -290,14 +303,23 @@ def _rotation_sum(cw: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -
     return complex(np.sum(traces))
 
 
-def _is_hermitian(row: np.ndarray, column: np.ndarray) -> bool:
-    """Whether a block-circulant matrix, given by block row and column 0, is hermitian.
+def _hermitian_defect(row: np.ndarray) -> float:
+    """max |M - M^H| of the block-circulant M with block row 0 ``row``.
+
+    Block b of block row 0 of M^H is C_{-b}^H, so each C_b is compared with
+    it, one B x B block at a time.
+    """
+    width, g = row.shape[0], block_count(row)
+    C = row.reshape(width, g, width)
+    return max(float(np.max(np.abs(C[:, b] - C[:, -b % g].conj().T))) for b in range(g))
+
+
+def _is_hermitian(row: np.ndarray) -> bool:
+    """Whether the block-circulant matrix with block row 0 ``row`` is hermitian.
 
     Its hermitian defect and its largest entry are both taken on block row 0.
     """
-    return float(np.max(np.abs(row - column.conj().T))) <= HERMITIAN_RTOL * float(
-        np.max(np.abs(row))
-    )
+    return _hermitian_defect(row) <= HERMITIAN_RTOL * float(np.max(np.abs(row)))
 
 
 def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray) -> complex:
@@ -308,8 +330,8 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
     depend on w - z only), so only block row 0 of each mask is built, and
     only while its product with the kernel is transformed.  The masks are
     real (profile values), so a hermitian K takes the even rotations alone.
-    The hermitian test runs first, so the block column is not held during
-    any product.
+    The hermitian test reads block row 0 alone, and the block column is
+    formed only for the odd rotations of a K that fails it.
     """
     width, g = row.shape[0], block_count(row)
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
@@ -318,7 +340,7 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
         X, Y = (circulant_blocks(row * phi.leg_mask(i, width)) for i in (0, 1))
         return _rotation_sum(orbit_cw, X, Y, circulant_blocks(row))
 
-    hermitian = _is_hermitian(row, circulant_column(row))
+    hermitian = _is_hermitian(row)
     even = rotations(row)
     if hermitian:
         # the odd rotations are the conjugate of the even ones
@@ -327,21 +349,29 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
     return (even - rotations(circulant_column(row).T)) / 6.0
 
 
-def _weighted_elementary_chain(phi: ASCochain, cw: np.ndarray, row: np.ndarray) -> complex:
+def _weighted_elementary_chain(phi: ASCochain, cw: np.ndarray, F: np.ndarray) -> complex:
     """The k = 1 chain against the slot products of phi, weighted by the cutoff
-    cw, of the kernel K with block row 0 ``row``.
+    cw, of the projector K = F F^H / n with grid frame F (n x r).
 
-    One M = Q(m) o K^T per distinct middle field m, keyed by its bytes.
+    One Gram matrix G_f = F^H diag(f) F / n per distinct field f, keyed by
+    its bytes, and tr(G_a G_m G_b) for each of its r x r triple traces.
     """
-    K = circulant_dense(row)
-    by_middle: dict[bytes, tuple] = {}
+    Fh = F.conj().T / len(F)
+    grams: dict[bytes, np.ndarray] = {}
+
+    def gram(f: np.ndarray) -> np.ndarray:
+        key = f.tobytes()
+        if key not in grams:
+            grams[key] = _product(Fh, f[:, None] * F)
+        return grams[key]
+
+    def triple(a: np.ndarray, m: np.ndarray, b: np.ndarray) -> complex:
+        return np.einsum("ij,jk,ki->", gram(a), gram(m), gram(b))
+
+    total = 0.0 + 0.0j
     for term in phi.terms:
         d = term.factors
         for s in range(3):
-            _, reads = by_middle.setdefault(d[s].tobytes(), (d[s], []))
-            reads.append((term.weight, d[s - 1], d[(s + 1) % 3]))
-    total = 0.0 + 0.0j
-    for m, reads in by_middle.values():
-        M = _product(K * m, K) * K.T
-        total += sum(w * ((cw * p) @ M @ q - (cw * q) @ M @ p) for w, p, q in reads)
+            p, m, q = d[s - 1], d[s], d[(s + 1) % 3]
+            total += term.weight * (triple(cw * p, m, q) - triple(cw * q, m, p))
     return complex(total) / 6.0

@@ -26,13 +26,17 @@ cokernel, so S1 D = 0; and both remainders are projectors.  Hence
 
     P = diag(S0, 1 - S1),   [P] - [e] = [S0] - [S1],
 
-with e the identity on the range copy.  The idempotent is stored as the two
+with e the identity on the range copy.  The idempotent is held as the two
 projectors S0 and S1 on the scalar grid sections of the one fiber, and every
 consumer (trace, pairing, invariance gate, cache) works on them one at a
 time.
 A projector that commutes with translations along axis 0 is block
 circulant (see ``operators``): its block count g is certified on its range,
-and only its block row 0 is built and stored, a zero projector as None.
+and only its block row 0 is ever formed.  Each nonzero projector is held as
+a frame of ``rank`` columns (``ProjectorFrame``), a zero projector as None:
+the cache stores the frames, the k = 0 pairing reads the diagonal and the
+slot-product chain the Gram matrices of the frame, and the block row is
+formed from the frame only where its entries are read.
 Localization truncates each projector at a fiber radius and restores
 idempotency on the g Fourier blocks of size npoints/g: each block is
 replaced by its spectral projector onto the eigenvalues above 1/2, the
@@ -43,9 +47,10 @@ reaches that projector at O(B^2 r_k) a step (H. Rutishauser, Numer. Math.
 16, 205, 1970), where a flow step is two B^3 products.  A certificate
 shows that exactly r_k eigenvalues lie above 1/2 and the rest below, so
 taking the projector commutes with P -> 1 - P: the range block 1 - S1 is
-corrected by correcting S1.  The corrected block row is stored once its
-trace still counts the rank of the projector it was cut from.  The cut
-radius belongs to the idempotent, not to either projector.
+corrected by correcting S1.  The corrected projector is kept as the frames
+Y_k of its Fourier blocks Y_k Y_k^H once the trace of its block row still
+counts the rank of the projector it was cut from.  The cut radius belongs
+to the idempotent, not to either projector.
 """
 from __future__ import annotations
 
@@ -65,6 +70,7 @@ from .operators import (
     circulant_blocks,
     circulant_row,
     squared_tick_distances,
+    truncation_mask,
 )
 
 
@@ -203,52 +209,194 @@ def _unit_frame(size: int, lead: np.ndarray) -> np.ndarray:
     return frame
 
 
+class ProjectorFrame:
+    """A nonzero projector S on the scalar grid sections of one fiber, held as its frame.
+
+    Uncut (``ranks`` None), ``frame`` is W = E V (npoints x rank) and
+    S = W W^H / npoints in ``order`` = g certified blocks.  Cut, it is
+    [Y_0 .. Y_{g-1}] (npoints/g x rank), the orthonormal frames of the g
+    Fourier blocks Y_k Y_k^H of S, of widths ``ranks``.  ``row``, the block
+    row 0 of S, is formed from the frame on first read (``_frame_row``)
+    unless the construction that certified it passes it.
+    """
+
+    def __init__(self, fiber: FiberModel, frame: np.ndarray, order: int, ranks=None, row=None):
+        self.fiber = fiber
+        self.frame = frame
+        self.order = order
+        self.ranks = None if ranks is None else tuple(int(r) for r in ranks)
+        if row is not None:
+            self.row = row
+
+    @cached_property
+    def row(self) -> np.ndarray:
+        return _frame_row(self)
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of S from the frame: that of C_0, once per block.
+
+        C_0 is W[:B] W^H / npoints uncut, and the mean of the Fourier
+        blocks cut, so its diagonal is the squared row norms of W[:B] over
+        npoints, or of [Y_0 .. Y_{g-1}] over g.
+        """
+        g = self.order
+        if self.ranks is None:
+            F, scale = self.frame[: self.fiber.npoints // g], self.fiber.npoints
+        else:
+            F, scale = self.frame, g
+        return np.tile(np.sum(F.real**2 + F.imag**2, axis=1) / scale, g)
+
+    def grid_frame(self) -> np.ndarray:
+        """F (npoints x rank) with S = F F^H / npoints.
+
+        Cut, row aB + i of F is B^(1/2) Y_k[i] exp(-2 pi i a k / g) on the
+        columns of Y_k: the inverse DFT over the block index of the blocks
+        Y_k Y_k^H.
+        """
+        if self.ranks is None:
+            return self.frame
+        g, (width, rank) = self.order, self.frame.shape
+        block = np.repeat(np.arange(g), self.ranks)
+        phase = np.exp(-2j * np.pi * np.outer(np.arange(g), block) / g)
+        F = math.sqrt(width) * phase[:, None, :] * self.frame[None]
+        return F.reshape(g * width, rank)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The frame, and [g] uncut or [g, r_0 .. r_{g-1}] cut as int64."""
+        return [self.frame, np.array([self.order, *(self.ranks or ())], dtype=np.int64)]
+
+    @classmethod
+    def from_arrays(cls, fiber: FiberModel, frame: np.ndarray, counts: np.ndarray, cut: bool):
+        """Inverse of arrays(), None for the empty frame and counts of a zero projector.
+
+        Raises CorruptedCacheError on any mismatch with fiber.
+        """
+        if frame.dtype != np.complex128:
+            raise CorruptedCacheError(f"frame dtype {frame.dtype} is not complex128")
+        if counts.dtype != np.int64 or counts.ndim != 1:
+            raise CorruptedCacheError(
+                f"block counts of dtype {counts.dtype} and shape {counts.shape} are not "
+                "one int64 array"
+            )
+        if frame.shape == (0, 0) and counts.size == 0:
+            return None
+        n = fiber.npoints
+        if frame.ndim != 2 or not frame.shape[1] or not counts.size:
+            raise CorruptedCacheError(
+                f"frame of shape {frame.shape} with {counts.size} block counts is neither "
+                "a projector nor the empty frame of a zero one"
+            )
+        g = int(counts[0])
+        if g < 1 or fiber.grid_size % g:
+            raise CorruptedCacheError(
+                f"block count {g} does not divide the grid size {fiber.grid_size}"
+            )
+        rows = n if not cut else n // g
+        if frame.shape[0] != rows:
+            raise CorruptedCacheError(
+                f"{'cut' if cut else 'uncut'} frame has {frame.shape[0]} rows, not "
+                f"{'npoints/g' if cut else 'npoints'} = {rows}"
+            )
+        if not cut:
+            if counts.size != 1:
+                raise CorruptedCacheError(f"uncut frame carries {counts.size} counts, not [g]")
+            return cls(fiber, frame, g)
+        ranks = counts[1:]
+        if ranks.size != g or np.any(ranks < 0) or int(ranks.sum()) != frame.shape[1]:
+            raise CorruptedCacheError(
+                f"ranks {ranks.tolist()} of {g} blocks do not sum to the frame width "
+                f"{frame.shape[1]}"
+            )
+        return cls(fiber, frame, g, ranks)
+
+
+def _frame_row(proj: ProjectorFrame) -> np.ndarray:
+    """Block row 0 of a projector from its frame, by the operations that certified it.
+
+    Uncut, W[:B] W^H / npoints masked at radius +inf (``certified_block_row``);
+    cut, the inverse FFT of the blocks Y_k Y_k^H, each formed into a stack of
+    the layout ``circulant_blocks`` returns (``_stored_projector``).
+    """
+    fiber, g = proj.fiber, proj.order
+    width = fiber.npoints // g
+    if proj.ranks is None:
+        W = proj.frame
+        row = W[:width] @ W.conj().T
+        row /= fiber.npoints
+        row *= truncation_mask(fiber, math.inf, width)
+        return row
+    blocks = np.empty((width, g, width), dtype=complex).transpose(1, 0, 2)
+    ends = np.cumsum(proj.ranks)
+    for P, start, end in zip(blocks, ends - proj.ranks, ends):
+        Y = np.ascontiguousarray(proj.frame[:, start:end])
+        np.matmul(Y, Y.conj().T, out=P)
+    return circulant_row(blocks)
+
+
 class IndexIdempotent:
     """Grid realization of the index idempotent P = diag(S0, 1 - S1) of an operator.
 
-    ``skernel`` is the kernel projector S0 and ``cokernel`` the cokernel
-    projector S1, both on scalar grid sections as certified block rows;
+    ``projectors`` holds the kernel projector S0 and the cokernel projector
+    S1 as frames, None for a zero one; ``skernel`` and ``cokernel`` are
+    their smoothing kernels, as certified block rows formed on first read.
     ``radius`` is the fiber radius both were cut at (+inf when unlocalized).
     The index class is [S0] - [S1].
     """
 
-    def __init__(self, skernel: SmoothingKernel, cokernel: SmoothingKernel, radius: float):
-        self.skernel = skernel
-        self.cokernel = cokernel
+    def __init__(
+        self,
+        fiber: FiberModel,
+        s0: ProjectorFrame | None,
+        s1: ProjectorFrame | None,
+        radius: float,
+    ):
+        self.fiber = fiber
+        self.projectors = (s0, s1)
         self.radius = float(radius)
+
+    def _kernel(self, proj: ProjectorFrame | None) -> SmoothingKernel:
+        return SmoothingKernel(self.fiber, None if proj is None else proj.row)
+
+    @cached_property
+    def skernel(self) -> SmoothingKernel:
+        return self._kernel(self.projectors[0])
+
+    @cached_property
+    def cokernel(self) -> SmoothingKernel:
+        return self._kernel(self.projectors[1])
 
     @property
     def families(self) -> tuple[SmoothingKernel, SmoothingKernel]:
         return self.skernel, self.cokernel
 
     def arrays(self) -> list[np.ndarray]:
-        """Cached form: [radius], then block row 0 of S0 and of S1.
+        """Cached form: [radius], then the frame and block counts of S0 and of S1.
 
-        The radius is +inf for an unlocalized idempotent.  A zero operator
-        is the empty (0, 0) array.
+        The radius is +inf for an unlocalized idempotent.  A zero projector
+        is the empty (0, 0) frame and no counts.
         """
         out = [np.array([self.radius])]
-        for f in self.families:
-            out.append(np.zeros((0, 0), dtype=complex) if f.row is None else f.row)
+        for proj in self.projectors:
+            if proj is None:
+                out += [np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=np.int64)]
+            else:
+                out += proj.arrays()
         return out
 
     @classmethod
     def from_arrays(cls, fiber: FiberModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
         """Inverse of arrays(); raises CorruptedCacheError on any mismatch with fiber."""
-        if len(arrays) != 3:
-            raise CorruptedCacheError(f"expected 3 arrays, found {len(arrays)}")
+        if len(arrays) != 5:
+            raise CorruptedCacheError(f"expected 5 arrays, found {len(arrays)}")
         head = arrays[0]
         if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
             raise CorruptedCacheError(f"cut radius {head} is not a positive number")
-        families = []
-        for row in arrays[1:]:
-            if row.dtype != np.complex128:
-                raise CorruptedCacheError(f"block row dtype {row.dtype} is not complex128")
-            try:
-                families.append(SmoothingKernel(fiber, None if row.shape == (0, 0) else row))
-            except ModelError as exc:
-                raise CorruptedCacheError(str(exc)) from exc
-        return cls(*families, head[0])
+        cut = bool(np.isfinite(head[0]))
+        s0, s1 = (
+            ProjectorFrame.from_arrays(fiber, frame, counts, cut)
+            for frame, counts in (arrays[1:3], arrays[3:5])
+        )
+        return cls(fiber, s0, s1, head[0])
 
     @cached_property
     def effective_radius(self) -> float:
@@ -259,7 +407,7 @@ class IndexIdempotent:
         its matrix, so its rows of squared tick distances suffice.  Computed
         on first read, once per idempotent.
         """
-        fiber = self.skernel.fiber
+        fiber = self.fiber
         mags = [np.abs(m) for f in self.families for m in f.mats]
         cut = REACH_FLOOR * max([float(m.max()) for m in mags] + [1e-300])
         reach = 0
@@ -270,13 +418,16 @@ class IndexIdempotent:
         return math.sqrt(reach) / fiber.grid_size
 
 
-def _spectral_projector(blocks: np.ndarray, rank: int, radius: float) -> float:
+def _spectral_projector(
+    blocks: np.ndarray, rank: int, radius: float
+) -> tuple[float, list[np.ndarray]]:
     """Replace each Fourier block P_k of a cut projector by its projector onto the eigenvalues above 1/2.
 
     ``blocks`` (g, B, B) are the Fourier blocks of a block row cut from a
     rank-``rank`` projector; they are overwritten in place.  Returns a
     bound on the largest entry of M^2 - M, M the block-circulant matrix
-    whose block row is ``circulant_row(blocks)`` as stored.
+    whose block row is ``circulant_row(blocks)`` as stored, and the frames
+    Y of the blocks Y Y^H.
 
     The blocks must be hermitian: max |P_k - P_k^H| at most
     CUT_HERMITIAN_RTOL times their largest entry, and each is then replaced
@@ -338,6 +489,7 @@ def _spectral_projector(blocks: np.ndarray, rank: int, radius: float) -> float:
             "kernel decay"
         )
     eps = rho2 = 0.0
+    frames = []
     for k, (P, r) in enumerate(zip(blocks, counts)):
         Y = np.zeros((width, r), dtype=complex)
         Y[np.argsort(-P.diagonal().real, kind="stable")[:r], np.arange(r)] = 1.0
@@ -374,9 +526,11 @@ def _spectral_projector(blocks: np.ndarray, rank: int, radius: float) -> float:
         eps = max(eps, loss + r * _gamma(width + 2) * (1 + loss))
         rho2 = max(rho2, float(np.max(np.sum(np.abs(Y) ** 2, axis=1))))
         np.matmul(Y, Y.conj().T, out=P)
+        frames.append(Y)
     n = g * width
     delta = _gamma(max(counts) + g + 5) * rho2 * (1 + eps)
-    return rho2 * eps + delta * (1 + 2 * math.sqrt(rho2 * (1 + eps) * n)) + n * delta * delta
+    bound = rho2 * eps + delta * (1 + 2 * math.sqrt(rho2 * (1 + eps) * n)) + n * delta * delta
+    return bound, frames
 
 
 def _gamma(m: int) -> float:
@@ -403,51 +557,53 @@ def index_idempotent(
     """Index idempotent of an operator, optionally localized at a fiber radius.
 
     ``data`` is ``parametrix(block)``, computed here unless the caller has it.
-    Each projector is stored as its certified block row
-    (``certified_block_row``).  With no radius the construction is exact
-    and the row is stored uncut.  With a radius, each projector is
+    Each projector is certified as a block row (``certified_block_row``)
+    and held as its frame, with that row.  With no radius the construction
+    is exact and the frame is E v, uncut.  With a radius, each projector is
     hard-truncated (``truncation_mask``) and replaced by the spectral
     projector of the cut onto its eigenvalues above 1/2, found by orthogonal
     iteration on each Fourier block of that block row
-    (``_spectral_projector``).  A cut whose blocks are not hermitian, whose
-    rounded block traces miss the rank, whose iteration takes more than
-    MAX_PROJECTOR_STEPS, whose eigenvalues above 1/2 are not certified, or
-    whose defect bound exceeds newton_tol (NEWTON_TOL unless a caller asks
-    for a tighter defect) is too aggressive for the kernel decay and
-    raises.  A projector of rank 0 is stored as None.
+    (``_spectral_projector``), whose frames it keeps.  A cut whose blocks
+    are not hermitian, whose rounded block traces miss the rank, whose
+    iteration takes more than MAX_PROJECTOR_STEPS, whose eigenvalues above
+    1/2 are not certified, or whose defect bound exceeds newton_tol
+    (NEWTON_TOL unless a caller asks for a tighter defect) is too
+    aggressive for the kernel decay and raises.  A projector of rank 0 is
+    held as None.
     """
     if data is None:
         data = parametrix(block)
     cut = np.inf if radius is None else radius
-    rows = [
-        _stored_row(basis, v, cut, newton_tol)
+    projectors = [
+        _stored_projector(basis, v, cut, newton_tol)
         for basis, v in ((block.domain, data.v0), (block.codomain, data.v1))
     ]
     # The spectral projector of the cut puts tolerance-scale mass back
     # outside it, so the stored radius is the localization cut of the
     # construction rather than a hard zero; effective_radius measures the
     # true reach when that distinction matters.
-    fiber = block.domain.fiber
-    return IndexIdempotent(*(SmoothingKernel(fiber, row) for row in rows), cut)
+    return IndexIdempotent(block.domain.fiber, *projectors, cut)
 
 
-def _stored_row(
+def _stored_projector(
     basis: SectionBasis, v: np.ndarray, radius: float, newton_tol: float
-) -> np.ndarray | None:
-    """Certified block row 0 of the projector onto the span of E v; None for rank 0.
+) -> ProjectorFrame | None:
+    """The certified projector onto the span of E v, with its block row 0; None for rank 0.
 
-    At radius +inf the row is stored uncut.  Cut at a finite radius, it is
-    brought back to a projector of rank ``rank``, whose stored trace
-    g tr C_0 must still round to ``rank``.
+    At radius +inf the frame is E v, uncut.  Cut at a finite radius, the
+    projector is brought back to one of rank ``rank``, whose block row's
+    trace g tr C_0 must still round to ``rank``.
     """
     rank = v.shape[1]
     if rank == 0:
         return None
+    fiber = basis.fiber
     if radius == np.inf:
-        return certified_block_row(basis, radius, v)
+        row = certified_block_row(basis, radius, v)
+        return ProjectorFrame(fiber, basis.matrix @ v, block_count(row), row=row)
     # the cut row is not held while its blocks are corrected in place
     blocks = circulant_blocks(certified_block_row(basis, radius, v))
-    defect = _spectral_projector(blocks, rank, radius)
+    defect, frames = _spectral_projector(blocks, rank, radius)
     if defect > newton_tol:
         raise LocalizationError(
             f"idempotent correction keeps a defect bound {defect:.3e} above "
@@ -461,4 +617,5 @@ def _stored_row(
             f"{trace:.6g} at radius {radius:g}; the cut is too tight for the "
             "kernel decay"
         )
-    return row
+    ranks = [Y.shape[1] for Y in frames]
+    return ProjectorFrame(fiber, np.hstack(frames), len(frames), ranks, row)

@@ -60,7 +60,17 @@ rounding.  The profile chain is kept as the library first ran it on
 Fourier blocks: the rotation sums with both leg masks and the block column
 held and each product formed for all g blocks at once.  The library holds
 fewer stacks with the same operations in the same order, so it agrees with
-it bit for bit.
+it bit for bit.  The hermitian test of that chain is kept on the whole
+block row against the whole block column; the library compares one pair of
+blocks at a time and must find the same defect, as the same float.
+
+Each index projector is kept as the block row the idempotent once stored:
+the certified row, cut and corrected in place.  The library holds the
+projector's frame and forms that row from it, bit for bit.  The dense
+block-circulant matrix of a block row is kept here, and with it the
+slot-product chain as it was first contracted, on the dense kernel, one
+npoints^3 product per middle field; the library contracts r x r Gram
+matrices of the frame and agrees to rounding.
 
 The ramp of the graph projector and the profile windows is kept in its
 monomial form, evaluated exactly in rationals: the library sums the upper
@@ -99,12 +109,13 @@ from indexpairing.operators import (
     SmoothingKernel,
     _norm_lower_bound,
     block_count,
+    certified_block_row,
     circulant_blocks,
     circulant_column,
-    circulant_dense,
+    circulant_row,
 )
-from indexpairing.pairing import _is_hermitian
-from indexpairing.parametrix import RANK_THRESHOLD, certified_rank
+from indexpairing.pairing import HERMITIAN_RTOL
+from indexpairing.parametrix import RANK_THRESHOLD, _spectral_projector, certified_rank
 from indexpairing.symbols import SymbolData
 
 
@@ -187,6 +198,18 @@ def form_invariance_defect_per_arrow(space, form):
         moved = space.transport(g, form.field)
         worst = max(worst, float(np.max(np.abs(form.field - moved))))
     return worst
+
+
+def circulant_dense(row):
+    """The block-circulant gB x gB matrix with block row 0 ``row``."""
+    width, g = row.shape[0], block_count(row)
+    blocks = row.reshape(width, g, width)
+    out = np.empty((g, width, g, width), dtype=row.dtype)
+    for a in range(g):
+        # block (a, b) is C_{b-a mod g}
+        out[a, :, a:] = blocks[:, : g - a]
+        out[a, :, :a] = blocks[:, g - a :]
+    return out.reshape(g * width, g * width)
 
 
 def dense_kernel(kern):
@@ -682,6 +705,53 @@ def rotation_sum_whole_stack(cw, X, Y, Z):
     return complex(np.sum(trace(P, Z) + trace(Z, P) + trace(R, X)))
 
 
+def hermitian_defect_whole_row(row):
+    """max |M - M^H| of the block-circulant M, on block row 0 against the whole block column 0."""
+    return float(np.max(np.abs(row - circulant_column(row).conj().T)))
+
+
+def is_hermitian_whole_row(row):
+    """The profile chain's hermitian test on the whole block row and column."""
+    return hermitian_defect_whole_row(row) <= HERMITIAN_RTOL * float(np.max(np.abs(row)))
+
+
+def dense_elementary_chain(phi, cw, row):
+    """The k = 1 slot-product chain of the kernel with block row 0 ``row``, on its dense matrix.
+
+    One M = (K diag(m) K) o K^T per distinct middle field m, keyed by its
+    bytes, read as (c p)^T M q - (c q)^T M p for its neighbours p and q.
+    """
+    K = circulant_dense(row)
+    by_middle = {}
+    for term in phi.terms:
+        d = term.factors
+        for s in range(3):
+            _, reads = by_middle.setdefault(d[s].tobytes(), (d[s], []))
+            reads.append((term.weight, d[s - 1], d[(s + 1) % 3]))
+    total = 0.0 + 0.0j
+    for m, reads in by_middle.values():
+        M = ((K * m) @ K) * K.T
+        total += sum(w * ((cw * p) @ M @ q - (cw * q) @ M @ p) for w, p, q in reads)
+    return complex(total) / 6.0
+
+
+def stored_row(basis, v, radius):
+    """Block row 0 of the projector onto the span of E v as the idempotent stored it whole.
+
+    Uncut, the certified row; cut, the certified row of the cut with its
+    Fourier blocks replaced by their spectral projectors in place, and
+    transformed back.  None for rank 0.
+    """
+    if v.shape[1] == 0:
+        return None
+    row = certified_block_row(basis, radius, v)
+    if radius == np.inf:
+        return row
+    blocks = circulant_blocks(row)
+    _spectral_projector(blocks, v.shape[1], radius)
+    return circulant_row(blocks)
+
+
 def profile_chain_whole_stack(phi, cw, row):
     """The k = 1 profile chain of the kernel with block row 0 ``row``, both masks
     and the block column held through whole-stack rotation sums."""
@@ -695,7 +765,7 @@ def profile_chain_whole_stack(phi, cw, row):
 
     column = circulant_column(row)
     even = rotations(row)
-    if _is_hermitian(row, column) and np.isrealobj(W0) and np.isrealobj(W1):
+    if is_hermitian_whole_row(row) and np.isrealobj(W0) and np.isrealobj(W1):
         return 2j * even.imag / 6.0
     return (even - rotations(column.T)) / 6.0
 

@@ -13,7 +13,7 @@ from indexpairing.dolbeault import (
 )
 from indexpairing.grids import FiberModel, ModelError, grid_points, spectral_gradient
 from indexpairing import parametrix as parametrix_module
-from indexpairing.operators import OperatorBlock, SectionBasis, circulant_dense, trace_tau
+from indexpairing.operators import OperatorBlock, SectionBasis, trace_tau
 from indexpairing.parametrix import (
     IndexIdempotent,
     LocalizationError,
@@ -25,6 +25,7 @@ from indexpairing.parametrix import (
 )
 from indexpairing.space import FiberedGSpace
 from oracles import (
+    circulant_dense,
     gram_defect,
     landau_section_jet_per_image,
     landau_section_values_per_image,
@@ -345,7 +346,7 @@ def test_operator_pipeline_needs_only_the_fiber():
     arrays = idem.arrays()
     back = IndexIdempotent.from_arrays(fiber, arrays)
     assert back.skernel.fiber is back.cokernel.fiber is fiber
-    assert len(back.arrays()) == len(arrays) == 3
+    assert len(back.arrays()) == len(arrays) == 5
     assert all(
         a.dtype == b.dtype and same_bits(a, b) for a, b in zip(back.arrays(), arrays)
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import indexpairing.harness as harness
-from indexpairing import dolbeault, grids, topindex
+from indexpairing import dolbeault, grids, parametrix, topindex
 from indexpairing.cli import main
 from indexpairing.cochains import ASCochain
 from indexpairing.grids import FiberModel, ModelError
@@ -33,6 +33,7 @@ from indexpairing.pairing import pair_cocycle
 from indexpairing.parametrix import (
     CorruptedCacheError,
     IndexIdempotent,
+    ProjectorFrame,
     analytic_index,
     index_idempotent,
 )
@@ -50,6 +51,7 @@ from oracles import (
     mass_weighted_sum,
     orbit_sum_per_point,
     same_bits,
+    stored_row,
 )
 
 
@@ -510,13 +512,14 @@ def test_coefficients_roundtrip(tmp_path):
 
 
 def test_coefficients_reject_unsupported_dtype(tmp_path):
-    # the archive keeps any dtype; the idempotent refuses a non-complex kernel
+    # the archive keeps any dtype; the idempotent refuses a non-complex frame
     fiber = FiberModel(2, 3, 12)
     npts = fiber.npoints
     path = tmp_path / "k.opk"
-    kernels = [np.eye(npts, dtype=np.int32), np.eye(npts, dtype=complex)]
-    save_coefficients(path, [np.array([np.inf])] + kernels)
-    with pytest.raises(CorruptedCacheError, match="row dtype int32"):
+    frames = [np.ones((npts, 1), dtype=np.int32), np.ones((npts, 1), dtype=complex)]
+    counts = np.array([1])
+    save_coefficients(path, [np.array([np.inf]), frames[0], counts, frames[1], counts])
+    with pytest.raises(CorruptedCacheError, match="frame dtype int32"):
         IndexIdempotent.from_arrays(fiber, load_coefficients(path))
 
 
@@ -684,7 +687,7 @@ def test_analytic_column_routes_on_freeness():
         rows.append(run_scenario(_validate(raw)).csv_row())
     tail = (
         "1.000000000000e+00+0.000000000000e+00j,"
-        "9.999999998560e-01-3.836359783256e-17j,1.440459e-10,pass"
+        "9.999999998560e-01-3.836359783256e-17j,1.440457e-10,pass"
     )
     assert rows == [f"quarter,1,{tail}", f"half,4,{tail}"]
     # a multiplier under the non-free action runs the per-point route
@@ -981,12 +984,12 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
     npts = 12**2  # the cheap scenario's 12 x 12 grid
     # an earlier layout: a radius and one two-component kernel per point
     save_coefficients(cache, [np.array([np.inf]), np.zeros((2 * npts, 2 * npts))])
-    with pytest.raises(CorruptedCacheError, match="expected 3 arrays, found 2"):
+    with pytest.raises(CorruptedCacheError, match="expected 5 arrays, found 2"):
         run_scenario(scn, out_dir=tmp_path)
 
-    zero = np.zeros((0, 0), dtype=complex)
+    zero = [np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=np.int64)]
     for radius in (np.nan, 0.0, -1.0):
-        save_coefficients(cache, [np.array([radius]), zero, zero])
+        save_coefficients(cache, [np.array([radius]), *zero, *zero])
         with pytest.raises(CorruptedCacheError, match="cut radius"):
             run_scenario(scn, out_dir=tmp_path)
 
@@ -1016,42 +1019,156 @@ def test_warm_run_samples_no_operator_basis(tmp_path, monkeypatch):
     assert warm.csv_row() == cold.csv_row()
 
 
-def test_idempotent_arrays_roundtrip_block_rows_and_zero_row(tmp_path):
-    # flux 8 on grid 24 cut at 0.45: S0 is stored as 8 blocks, S1 as the
-    # empty row
+def flux8_cut_idempotent():
+    """Flux 8 on grid 24 cut at 0.45: S0 in 8 blocks of 72, of rank 1 each, and S1 zero."""
     fiber = FiberModel(2, 8, 24)
-    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
+    return fiber, index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
+
+
+def test_idempotent_arrays_roundtrip_frames_and_zero_projector(tmp_path):
+    # S0 is stored as the frames of its 8 Fourier blocks, side by side, with
+    # g and their ranks; S1 as the empty frame and no counts
+    fiber, idem = flux8_cut_idempotent()
     arrays = idem.arrays()
-    assert [a.shape for a in arrays] == [(1,), (72, 576), (0, 0)]
-    assert [a.dtype for a in arrays] == [np.float64, np.complex128, np.complex128]
+    assert [a.shape for a in arrays] == [(1,), (72, 8), (9,), (0, 0), (0,)]
+    assert [a.dtype for a in arrays] == [
+        np.float64, np.complex128, np.int64, np.complex128, np.int64
+    ]
+    assert arrays[2].tolist() == [8] + [1] * 8
     path = tmp_path / "k.opk"
     save_coefficients(path, arrays)
     back = IndexIdempotent.from_arrays(fiber, load_coefficients(path))
     assert back.radius == idem.radius == 0.45
     assert back.skernel.order == idem.skernel.order == 8
-    assert np.array_equal(back.skernel.row, idem.skernel.row)
+    assert same_bits(back.skernel.row, idem.skernel.row)
     assert back.cokernel.row is None
 
 
-def _refused_layouts(arrays):
-    """(name, layout, message fragment) for cached layouts of the cheap scenario's idempotent.
+FLUX24 = {
+    stem: str(Path(__file__).parents[1] / "perfbench" / "scenarios" / f"{stem}.json")
+    for stem in ("flux24-unit", "flux24-sawtooth")
+}
 
-    ``arrays`` is the good layout: the radius, the dense S0 and the empty
-    row of the zero S1.
+
+@pytest.mark.parametrize(
+    "name, warm_rows",
+    [
+        # uncut in one block, uncut in g = 20 blocks, and cut in 8 blocks
+        ("S1-dolbeault-d1", 0),
+        ("S1-dolbeault-d0", 0),
+        (FLUX24["flux24-unit"], 0),
+        # the profile chain reads the entries of S0; S1 is zero
+        (FLUX24["flux24-sawtooth"], 1),
+    ],
+    ids=lambda x: Path(str(x)).stem,
+)
+def test_cached_frames_form_the_stored_rows_only_where_read(name, warm_rows, tmp_path, monkeypatch):
+    # the rows formed from a loaded frame are bitwise those the idempotent
+    # stored whole, the warm pairing is bitwise the cold one, and a unit
+    # cocycle on the trivial group reads no entry: cold or warm, no row is
+    # formed from a frame
+    formed = []
+    form = parametrix._frame_row
+
+    def counted(proj):
+        formed.append(proj.order)
+        return form(proj)
+
+    monkeypatch.setattr(parametrix, "_frame_row", counted)
+    scn = load_scenario(name)
+    cold = run_scenario(scn, out_dir=tmp_path)
+    assert formed == []
+    warm = run_scenario(scn, out_dir=tmp_path)
+    assert same_bits(warm.pairing, cold.pairing)
+    assert warm.csv_row() == cold.csv_row()
+    assert len(formed) == warm_rows
+
+    fiber = harness._build_space(scn).fiber
+    block, _ = harness._build_operator(scn, fiber)
+    data = parametrix.parametrix(block)
+    radius = np.inf if scn.localize is None else scn.localize
+    (cache,) = (tmp_path / "cache").glob("*.idem.opk")
+    back = IndexIdempotent.from_arrays(fiber, load_coefficients(cache))
+    bases = (block.domain, block.codomain)
+    for basis, v, kern in zip(bases, (data.v0, data.v1), back.families):
+        want = stored_row(basis, v, radius)
+        assert kern.row is want is None or same_bits(kern.row, want)
+
+
+def _refused_layouts(arrays):
+    """(name, layout, message fragment) for cached layouts of an idempotent with S1 = 0.
+
+    ``arrays`` is the good layout: the radius, the frame and counts of S0
+    and the empty frame and counts of the zero S1.
     """
-    radius, s0, s1 = arrays
-    return [
-        ("non-dividing row count", [radius, s0[:-1], s1], "has shape (143, 144)"),
-        ("g not dividing the grid", [radius, s0[:9], s1], "block count 16 does not divide"),
-        ("no rows", [radius, s0[:0], s1], "has shape (0, 144)"),
-        ("stray zero entry", [radius, s0, np.zeros((1, 1), complex)], "has shape (1, 1)"),
-        ("real row", [radius, s0.real, s1], "row dtype float64"),
+    radius, frame, counts, zero, none = arrays
+    cut = bool(np.isfinite(radius[0]))
+    g, rows = int(counts[0]), frame.shape[0]
+    kind = "cut" if cut else "uncut"
+    refused = [
+        ("real frame", [radius, frame.real, counts, zero, none], "frame dtype float64"),
         (
-            "format 7",
-            [radius, np.array([1]), s0, np.array([0]), s1],
-            "expected 3 arrays, found 5",
+            "single-precision frame",
+            [radius, frame.astype(np.complex64), counts, zero, none],
+            "frame dtype complex64",
         ),
+        (
+            "frame row count",
+            [radius, frame[:-1], counts, zero, none],
+            f"{kind} frame has {rows - 1} rows",
+        ),
+        (
+            "g not dividing the grid",
+            [radius, frame, np.array([5, *counts[1:]]), zero, none],
+            "block count 5 does not divide",
+        ),
+        (
+            "real counts",
+            [radius, frame, counts.astype(float), zero, none],
+            "block counts of dtype float64",
+        ),
+        (
+            "stray zero entry",
+            [radius, frame, counts, np.zeros((1, 1), complex), none],
+            "frame of shape (1, 1) with 0 block counts",
+        ),
+        ("format 11", [radius, frame, zero], "expected 5 arrays, found 3"),
+        # format 7 stored each g beside its row
+        ("format 7", [radius, counts[:1], frame, none, zero], "frame dtype int64"),
     ]
+    if cut:
+        ranks = counts[1:]
+        refused += [
+            (
+                "ranks past the frame width",
+                [radius, frame, np.array([g, *ranks[:-1], ranks[-1] + 1]), zero, none],
+                f"do not sum to the frame width {frame.shape[1]}",
+            ),
+            (
+                "too few ranks",
+                [radius, frame, counts[:-1], zero, none],
+                f"of {g} blocks do not sum",
+            ),
+            (
+                "uncut frame under a cut radius",
+                [radius, np.ones((g * rows, frame.shape[1]), complex), counts, zero, none],
+                f"cut frame has {g * rows} rows, not npoints/g = {rows}",
+            ),
+        ]
+    else:
+        refused.append(
+            ("uncut frame with ranks", [radius, frame, np.array([g, 1]), zero, none], "carries 2")
+        )
+    return refused
+
+
+def test_refused_cut_layouts():
+    fiber, idem = flux8_cut_idempotent()
+    good = idem.arrays()
+    IndexIdempotent.from_arrays(fiber, good)
+    for name, layout, fragment in _refused_layouts(good):
+        with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):
+            IndexIdempotent.from_arrays(fiber, layout)
 
 
 def test_refused_cache_layouts_exit_two(tmp_path, capsys):
@@ -1061,7 +1178,7 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
     (cache,) = (out / "cache").glob("*.idem.opk")
     good = load_coefficients(cache)
-    assert [a.shape for a in good] == [(1,), (144, 144), (0, 0)]
+    assert [a.shape for a in good] == [(1,), (144, 1), (1,), (0, 0), (0,)]
     fiber = FiberModel(2, 4, 12)
     capsys.readouterr()
     for name, layout, fragment in _refused_layouts(good):
@@ -1072,19 +1189,20 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
         assert fragment in capsys.readouterr().err, name
 
 
-def test_flux24_cache_holds_one_block_row(tmp_path):
-    # S0's block row is 200 x 1600 complex entries (4.88 MiB) and S1 a flag;
-    # the dense families took 78 MiB
+def test_flux24_cache_holds_the_projector_frames(tmp_path):
+    # S0's eight 200 x 3 block frames are 76,800 bytes and S1 an empty frame;
+    # its block row was 200 x 1600 complex entries (4.88 MiB) and the dense
+    # families 78 MiB
     out = tmp_path / "o"
     scenario = Path(__file__).parents[1] / "perfbench" / "scenarios" / "flux24-unit.json"
     assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == 0
     (cache,) = (out / "cache").glob("*.idem.opk")
-    assert cache.stat().st_size <= 5.0 * 2**20
+    assert cache.stat().st_size < 100_000
 
 
 def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
     # three base points share one operator, so the archive holds the radius
-    # and one block row per projector, the arrays of one point
+    # and one frame per projector, the arrays of one point
     one, three = (
         _validate(
             cheap_scenario(
@@ -1112,7 +1230,7 @@ def test_multipoint_cache_holds_one_family(tmp_path, monkeypatch):
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
         (cache,) = (out / "cache").glob("*.idem.opk")
         archives.append(load_coefficients(cache))
-    assert len(archives[1]) == 3
+    assert len(archives[1]) == 5
     assert all(
         (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         for a, b in zip(*archives)
@@ -1154,11 +1272,12 @@ def test_localized_half_shift_scenario_expands_only_for_the_gate():
     fiber = space.fiber
     idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
     assert idem.skernel.order == 8
-    dense = IndexIdempotent(
-        *(SmoothingKernel(fiber, dense_kernel(f)) for f in idem.families), idem.radius
-    )
+    # the same projector as one block: its frame spread over the grid
+    s0, s1 = idem.projectors
+    dense = IndexIdempotent(fiber, ProjectorFrame(fiber, s0.grid_frame(), 1), s1, idem.radius)
     unit = ASCochain.unit(fiber, germ_radius=2.0)
-    for kern, dense_kern in zip(idem.families, dense.families):
+    for kern in idem.families:
+        dense_kern = SmoothingKernel(fiber, dense_kernel(kern))
         assert kern.twisted_invariance_defect(space) == dense_kern.twisted_invariance_defect(space)
     got, want = (pair_cocycle(i, unit, space, weight) for i in (idem, dense))
     assert got == rec.pairing
@@ -1498,10 +1617,11 @@ def test_cli_exit_code_two_on_corrupted_cache(tmp_path, capsys):
     cache.write_bytes(b"XXXX" + good[4:])
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
     assert "unreadable archive" in capsys.readouterr().err
-    # a well-formed file holding kernels of the wrong size
-    save_coefficients(cache, [np.array([np.inf])] + [np.eye(3, dtype=complex)] * 2)
+    # a well-formed file holding frames of the wrong size
+    frame, counts = np.eye(3, dtype=complex), np.array([1])
+    save_coefficients(cache, [np.array([np.inf]), frame, counts, frame, counts])
     assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
-    assert "has shape (3, 3)" in capsys.readouterr().err
+    assert "uncut frame has 3 rows, not npoints = 144" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb", ["run", "suite"])

@@ -10,7 +10,7 @@ from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError, integrate_invariant
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.operators import SmoothingKernel, SupportMismatchError, trace_tau
+from indexpairing.operators import SupportMismatchError, trace_tau
 from indexpairing import pairing, parametrix
 from indexpairing.pairing import (
     ProfileCochain,
@@ -19,11 +19,16 @@ from indexpairing.pairing import (
     _weighted_profile_chain,
     pair_cocycle,
 )
-from indexpairing.parametrix import IndexIdempotent, index_idempotent
+from indexpairing.parametrix import IndexIdempotent, ProjectorFrame, index_idempotent
 from indexpairing.space import FiberedGSpace
 from indexpairing.symbols import SMOOTHING_ORDER, SymbolData, trace_symbol_formula
 from indexpairing.topindex import free_action_reduction, symbol_class_dolbeault, topological_index
-from oracles import dense_kernel, fourier_coefficients, mass_weighted_sum, to_elementary
+from oracles import (
+    dense_elementary_chain,
+    fourier_coefficients,
+    mass_weighted_sum,
+    to_elementary,
+)
 
 
 def trivial_space(n=20, N=8):
@@ -185,8 +190,7 @@ def test_pairing_of_zero_idempotent_vanishes():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     fiber = space.fiber
-    zero = SmoothingKernel(fiber, np.zeros((fiber.npoints, fiber.npoints)))
-    idem = IndexIdempotent(zero, zero, np.inf)
+    idem = IndexIdempotent(fiber, None, None, np.inf)
     unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     assert pair_cocycle(idem, unit, space, cutoff) == 0
     saw = TransitionProfile()
@@ -400,21 +404,21 @@ def test_weighted_quadratures_are_linear_in_the_weight_field(name):
     assert quadrature(space, np.zeros(fiber.npoints)) == 0
 
 
-def test_elementary_pairing_of_a_block_row_idempotent_matches_the_dense_path():
-    # the elementary chain expands the stored block row (8 blocks of 72
-    # here) to the whole kernel; the same kernels stored dense pair alike
+@pytest.mark.parametrize("radius", [None, 0.45])
+def test_elementary_pairing_of_a_frame_matches_the_dense_path(radius):
+    # the elementary chain reads the Gram matrices of the projector's frame
+    # (8 cut blocks of 72, or the uncut frame, here); the chain of the dense
+    # expansion of its block row pairs alike, with the Chern weight -2
     space = trivial_space(n=24, N=8)
     cutoff = compute_cutoff(space)
     fiber = space.fiber
-    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
+    idem = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=radius)
     assert idem.skernel.order == 8 and idem.cokernel.row is None
-    dense = IndexIdempotent(
-        *(SmoothingKernel(fiber, dense_kernel(f)) for f in idem.families), idem.radius
-    )
     rng = np.random.default_rng(43)
     factors = [random_band_limited(rng, fiber, band=2) for _ in range(3)]
     phi = ASCochain.elementary(fiber, factors, germ_radius=2.0)
-    got, want = (pair_cocycle(i, phi, space, cutoff) for i in (idem, dense))
+    got = pair_cocycle(idem, phi, space, cutoff)
+    want = -2 * dense_elementary_chain(phi, cutoff, idem.skernel.row)
     assert abs(want) > 1e-3
     assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -467,11 +471,10 @@ def test_pairing_rejects_noninvariant_kernels():
     rng = np.random.default_rng(5)
     fiber = space.fiber
     npts = fiber.npoints
-    raw = rng.standard_normal((npts, npts)) / npts
+    raw = rng.standard_normal((npts, 3)) + 1j * rng.standard_normal((npts, 3))
     # an invariant (zero) kernel and a non-invariant cokernel projector: the
     # gate has to look at both
-    zero = SmoothingKernel(fiber, np.zeros((npts, npts)))
-    idem = IndexIdempotent(zero, SmoothingKernel(fiber, raw), np.inf)
+    idem = IndexIdempotent(fiber, None, ProjectorFrame(fiber, raw, 1), np.inf)
     unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, space, cutoff)
@@ -531,6 +534,13 @@ def six_term_elementary_chain(phi, cw, K):
             B = K * d2[None, :]
             total += term.weight * sign * np.einsum("ij,ji->", A @ B, K)
     return complex(total) / 6.0
+
+
+def _frame_inputs(rng, npts, rank):
+    """Non-constant cutoff weight and a complex frame F of ``rank`` columns with K = F F^H / npts."""
+    cw = rng.uniform(0.2, 1.8, npts)
+    F = rng.standard_normal((npts, rank)) + 1j * rng.standard_normal((npts, rank))
+    return cw, F, F @ F.conj().T / npts
 
 
 def _chain_inputs(rng, npts):
@@ -614,13 +624,12 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
     assert abs(want.real) > 1e-13 * abs(want)
 
 
-@pytest.mark.parametrize("which", ["general", "hermitian"])
-def test_elementary_chain_matches_six_term_oracle(which, chain_products):
+@pytest.mark.parametrize("rank", [5, 64])
+def test_elementary_chain_matches_six_term_oracle(rank, chain_products):
     fiber = FiberModel(2, 3, 8)
     npts = fiber.npoints
     rng = np.random.default_rng(41)
-    cw, kernels = _chain_inputs(rng, npts)
-    K = kernels[which]
+    cw, F, K = _frame_inputs(rng, npts, rank)
     terms = []
     for weight in (1.0, 0.3 - 0.7j):
         fields = tuple(random_band_limited(rng, fiber, band=2) for _ in range(3))
@@ -629,7 +638,8 @@ def test_elementary_chain_matches_six_term_oracle(which, chain_products):
     psi = elementary_one_cochain(rng, fiber)
     # equal by value, distinct array objects
     f2, g2, h2 = (field.copy() for field in (f, g, h))
-    # input -> (terms, slot fields distinct by value): one product per field
+    # input -> (terms, slot fields distinct by value): one Gram product per
+    # field and one per field times the weight
     inputs = {
         "general": (terms, 6),
         "coboundary": (d_as(psi).terms, 3),
@@ -642,6 +652,6 @@ def test_elementary_chain_matches_six_term_oracle(which, chain_products):
         phi = ASCochain(fiber, 2, phi_terms, germ_radius=2.0)
         want = six_term_elementary_chain(phi, cw, K)
         chain_products.clear()
-        got = _weighted_elementary_chain(phi, cw, K)
+        got = _weighted_elementary_chain(phi, cw, F)
         assert abs(got - want) <= 1e-13 * abs(want), name
-        assert len(chain_products) == distinct, name
+        assert len(chain_products) == 2 * distinct, name
