@@ -162,14 +162,15 @@ CIRCULANT_RTOL = 1e-12
 ENTRY_BOUND_MARGIN = 1e-6
 
 
-def certified_block_row(basis: SectionBasis, radius: float, V: np.ndarray) -> np.ndarray:
-    """Block row 0 of the projector S = W W^H / n, W = E V, cut at ``radius``, in g blocks.
+def certified_block_row(basis: SectionBasis, radius: float, cols: np.ndarray) -> np.ndarray:
+    """Block row 0 of the projector S = W W^H / n, W = E[:, cols], cut at ``radius``, in g blocks.
 
-    E (npoints x nb) is the matrix of ``basis`` and V (nb x rank) a frame
-    of coefficients, as the parametrix passes the trailing singular vectors
-    of an operator; n = npoints.  g is the largest divisor of grid_size
-    whose translation Pi, by grid_size/g ticks along axis 0, is certified
-    to commute with S; only block row 0 of S is formed.
+    E (npoints x nb) is the matrix of ``basis`` and ``cols`` the indices of
+    the rank columns it keeps, as the parametrix passes the kernel columns
+    or cokernel rows of an operator; n = npoints.  g is the largest
+    divisor of grid_size whose translation Pi, by grid_size/g ticks along
+    axis 0, is certified to commute with S; only block row 0 of S is
+    formed.
 
     For a = 1 .. g/2 write U = Pi^a W = W T + F, T the least-squares
     coefficients.  Since
@@ -190,7 +191,7 @@ def certified_block_row(basis: SectionBasis, radius: float, V: np.ndarray) -> np
     """
     fiber = basis.fiber
     n = fiber.npoints
-    W = basis.matrix @ V
+    W = basis.matrix.take(cols, axis=1)
     Wh = W.conj().T
     gram = Wh @ W / n
     rho = _max_row_norm(W)
@@ -199,7 +200,7 @@ def certified_block_row(basis: SectionBasis, radius: float, V: np.ndarray) -> np
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
         if W is None:
             # released by a row whose largest entry refused the last g
-            W = basis.matrix @ V
+            W = basis.matrix.take(cols, axis=1)
             Wh = W.conj().T
         width = n // g
         bounds = []
@@ -247,14 +248,6 @@ def circulant_row(blocks: np.ndarray) -> np.ndarray:
     """Block row 0 (B x gB) of the matrix with Fourier blocks (g, B, B)."""
     g, width, _ = blocks.shape
     return np.fft.ifft(blocks, axis=0).transpose(1, 0, 2).reshape(width, g * width)
-
-
-def circulant_column(row: np.ndarray) -> np.ndarray:
-    """Block column 0 (gB x B) of the block-circulant matrix with block row 0 ``row``."""
-    width, g = row.shape[0], block_count(row)
-    # block (a, 0) is C_{-a mod g}
-    blocks = row.reshape(width, g, width)[:, -np.arange(g) % g]
-    return blocks.transpose(1, 0, 2).reshape(g * width, width)
 
 
 class SmoothingKernel:

@@ -39,12 +39,13 @@ cyclicity the three rotations of XYZ need only P = XY and R = YZ:
 where the last three traces are O(n^2) sums.  For a profile cochain with
 leg masks W0, W1 the even terms are this rotation sum S(K) of
 (K o W0, K o W1, K), and transposing each odd term turns the odd sum into
-S(K^T); the chain is (S(K) - S(K^T)) / 6 in four products for any K.  When
-K is hermitian and the masks are real, S(K^T) is the conjugate of S(K) and
-the chain is 2i Im S(K) / 6 in two products; that form is taken only after
-an O(n^2) check of the hermitian defect.  Each trace of an elementary term
-w d0 (x) d1 (x) d2 reads a middle field m between its cyclic neighbours p
-and q: tr(D diag(p) K diag(m) K diag(q) K).  So the term is w / 6 times
+S(K^T), so the chain is (S(K) - S(K^T)) / 6.  Every kernel it pairs is a
+projector, hermitian, and the masks are real, so S(K^T) is the conjugate
+of S(K) and the chain is 2i Im S(K) / 6 in two products; a kernel that
+fails an O(n^2) check of its hermitian defect is refused before any
+product.  Each trace of an elementary term w d0 (x) d1 (x) d2 reads a
+middle field m between its cyclic neighbours p and q:
+tr(D diag(p) K diag(m) K diag(q) K).  So the term is w / 6 times
 the sum over slots s of t(c d_{s-1}, d_s, d_{s+1}) - t(c d_{s+1}, d_s,
 d_{s-1}), t(a, m, b) = tr(diag(a) K diag(m) K diag(b) K).  A projector of
 rank r is K = F F^H / n for its grid frame F (``ProjectorFrame``), so
@@ -86,7 +87,6 @@ from .operators import (
     _weighted_diag_trace,
     block_count,
     circulant_blocks,
-    circulant_column,
     require_invariant,
 )
 from .parametrix import IndexIdempotent, ProjectorFrame
@@ -197,8 +197,8 @@ class ProfileCochain:
         return form
 
 
-# the two-product profile chain needs K = K^H; it is taken when
-# max|K - K^H| <= HERMITIAN_RTOL * max|K|, and the four-product form otherwise
+# the two-product profile chain needs K = K^H; a kernel with
+# max|K - K^H| > HERMITIAN_RTOL * max|K| is refused
 HERMITIAN_RTOL = 1e-14
 # how far a kernel reach may pass the cochain germ radius, here and at load
 GERM_SLACK = 1e-9
@@ -329,24 +329,20 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
     The legs' masks are block circulant in every g dividing grid_size (they
     depend on w - z only), so only block row 0 of each mask is built, and
     only while its product with the kernel is transformed.  The masks are
-    real (profile values), so a hermitian K takes the even rotations alone.
-    The hermitian test reads block row 0 alone, and the block column is
-    formed only for the odd rotations of a K that fails it.
+    real (profile values), so a hermitian K takes the even rotations alone,
+    the odd ones being their conjugate.  The hermitian test reads block
+    row 0 alone; a K that fails it raises ModelError before any product.
     """
+    if not _is_hermitian(row):
+        raise ModelError(
+            "the profile chain pairs only a hermitian kernel: this one departs from "
+            f"hermitian by more than {HERMITIAN_RTOL:g} of its largest entry"
+        )
     width, g = row.shape[0], block_count(row)
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
-
-    def rotations(row: np.ndarray) -> complex:
-        X, Y = (circulant_blocks(row * phi.leg_mask(i, width)) for i in (0, 1))
-        return _rotation_sum(orbit_cw, X, Y, circulant_blocks(row))
-
-    hermitian = _is_hermitian(row)
-    even = rotations(row)
-    if hermitian:
-        # the odd rotations are the conjugate of the even ones
-        return 2j * even.imag / 6.0
-    # block row 0 of K^T is the transposed block column 0 of K
-    return (even - rotations(circulant_column(row).T)) / 6.0
+    X, Y = (circulant_blocks(row * phi.leg_mask(i, width)) for i in (0, 1))
+    even = _rotation_sum(orbit_cw, X, Y, circulant_blocks(row))
+    return 2j * even.imag / 6.0
 
 
 def _weighted_elementary_chain(phi: ASCochain, cw: np.ndarray, F: np.ndarray) -> complex:

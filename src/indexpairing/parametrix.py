@@ -4,16 +4,16 @@ The parametrix of an operator block is its pseudo-inverse Q with a
 certified rank cut: the spectral way of inverting the symbol away from its
 zero set.  Its remainders S0 = 1 - QD and S1 = 1 - DQ are the orthogonal
 projectors onto kernel and cokernel, which is as smoothing as remainders
-get.  The singular values give the certified rank, and the trailing
-singular vectors give orthonormal frames V0 and V1 with S0 = V0 V0^H and
-S1 = V1 V1^H, so Q is never formed: on the grid each projector is
-W W^H / n, W = E V with E its basis, and its block count is certified on
-W.  Every block the workbench ships is monomial in its bases, with at most
-one nonzero entry in each row and each column: a Fourier multiplier is
-diagonal, and the twisted Dolbeault operator maps each Landau section to a
-multiple of one section a level down.  Its singular values are the moduli
-of those entries and its frames are unit vectors; only a non-monomial
-block takes one SVD.
+get.  Every block the workbench ships is monomial in its bases, with at
+most one nonzero entry in each row and each column: a Fourier multiplier
+is diagonal, and the twisted Dolbeault operator maps each Landau section to
+a multiple of one section a level down.  Its singular values are the
+moduli of those entries, which give the certified rank, and the remainders
+are the diagonal projectors onto the domain columns and codomain rows
+outside the leading entries, so Q is never formed: on the grid each
+projector is W W^H / n, W the basis columns at those indices, and its
+block count is certified on W.  A block that is not monomial, or has a
+non-finite entry, is refused.
 
 The index idempotent is the standard graph construction over domain + range,
 
@@ -147,73 +147,67 @@ def analytic_index(block: OperatorBlock) -> IndexCount:
 
 @dataclass
 class ParametrixData:
-    """Orthonormal coefficient frames v0 of the kernel and v1 of the cokernel.
+    """Domain columns ``cols`` spanning the kernel and codomain rows ``rows`` spanning the cokernel.
 
-    v0 and v1 are the operator's right and left singular vectors past its
-    certified rank: the ranges of the remainders 1 - QD and 1 - DQ of the
-    pseudo-inverse Q, which are the projectors v0 v0^H and v1 v1^H.
+    Both are ascending int64 indices into the operator's bases: those
+    outside the certified leading entries of a monomial block.  The
+    remainders 1 - QD and 1 - DQ of the pseudo-inverse Q are the diagonal
+    projectors onto them.
     """
 
-    v0: np.ndarray
-    v1: np.ndarray
+    cols: np.ndarray
+    rows: np.ndarray
 
     @property
     def count(self) -> IndexCount:
-        return IndexCount(self.v0.shape[1], self.v1.shape[1])
+        return IndexCount(len(self.cols), len(self.rows))
 
 
 def parametrix(block: OperatorBlock) -> ParametrixData:
-    """Kernel and cokernel frames of the pseudo-inverse parametrix.
-
-    Every shipped block is monomial and reads its frames off its entries;
-    only another block takes the SVD (``_singular_data``).
-    """
-    _, v0, v1 = _singular_data(block.matrix)
-    return ParametrixData(v0, v1)
+    """Kernel columns and cokernel rows of the pseudo-inverse parametrix (``_singular_data``)."""
+    return _singular_data(block.matrix)
 
 
-def _singular_data(M: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Certified rank of M and its trailing right and left singular vectors.
+def _singular_data(M: np.ndarray) -> ParametrixData:
+    """The column and row indices outside the certified leading entries of a monomial M.
 
-    A monomial M (at most one nonzero entry in each row and each column,
-    all finite) has the moduli of its nonzero entries, sorted in descending
-    order by a stable sort, as singular values; the right and left singular
-    vectors past the certified rank are the unit vectors at the column and
-    row indices outside the leading entries, in ascending order.  Any other
-    M takes LAPACK's full SVD, so the trailing singular vectors span the
-    kernel of a wide operator too.
+    A monomial M has at most one nonzero entry in each row and each
+    column; the moduli of those entries, sorted in descending order by a
+    stable sort, are its singular values, and the unit vectors at the
+    columns and rows of the entries past the certified rank, with those of
+    its zero columns and rows, are its trailing right and left singular
+    vectors.  Raises ModelError for an M that is not monomial or has a
+    non-finite entry.
     """
     live = M != 0
     per_row = live.sum(axis=1)
-    if np.all(per_row <= 1) and np.all(live.sum(axis=0) <= 1):
-        rows = np.flatnonzero(per_row)
-        cols = live[rows].argmax(axis=1)
-        moduli = np.abs(M[rows, cols])
-        if np.all(np.isfinite(moduli)):
-            order = np.argsort(-moduli, kind="stable")
-            rank = certified_rank(moduli[order])
-            lead = order[:rank]
-            return rank, _unit_frame(M.shape[1], cols[lead]), _unit_frame(M.shape[0], rows[lead])
-    U, sing, Vh = np.linalg.svd(M)
-    rank = certified_rank(sing)
-    return rank, Vh[rank:].conj().T, U[:, rank:].copy()
+    if np.any(per_row > 1) or np.any(live.sum(axis=0) > 1):
+        raise ModelError(
+            "the operator block is not monomial: a row or a column holds two nonzero entries"
+        )
+    rows = np.flatnonzero(per_row)
+    cols = live[rows].argmax(axis=1)
+    moduli = np.abs(M[rows, cols])
+    if not np.all(np.isfinite(moduli)):
+        raise ModelError("the operator block has a non-finite entry")
+    order = np.argsort(-moduli, kind="stable")
+    lead = order[: certified_rank(moduli[order])]
+    return ParametrixData(_outside(M.shape[1], cols[lead]), _outside(M.shape[0], rows[lead]))
 
 
-def _unit_frame(size: int, lead: np.ndarray) -> np.ndarray:
-    """The (size, k) frame of unit vectors at the indices below size outside ``lead``, ascending."""
+def _outside(size: int, lead: np.ndarray) -> np.ndarray:
+    """The indices below size outside ``lead``, ascending."""
     outside = np.ones(size, dtype=bool)
     outside[lead] = False
-    rest = np.flatnonzero(outside)
-    frame = np.zeros((size, rest.size), dtype=complex)
-    frame[rest, np.arange(rest.size)] = 1.0
-    return frame
+    return np.flatnonzero(outside)
 
 
 class ProjectorFrame:
     """A nonzero projector S on the scalar grid sections of one fiber, held as its frame.
 
-    Uncut (``ranks`` None), ``frame`` is W = E V (npoints x rank) and
-    S = W W^H / npoints in ``order`` = g certified blocks.  Cut, it is
+    Uncut (``ranks`` None), ``frame`` is W (npoints x rank), the basis
+    columns at the parametrix's indices, and S = W W^H / npoints in
+    ``order`` = g certified blocks.  Cut, it is
     [Y_0 .. Y_{g-1}] (npoints/g x rank), the orthonormal frames of the g
     Fourier blocks Y_k Y_k^H of S, of widths ``ranks``.  ``row``, the block
     row 0 of S, is formed from the frame on first read (``_frame_row``)
@@ -559,8 +553,9 @@ def index_idempotent(
     ``data`` is ``parametrix(block)``, computed here unless the caller has it.
     Each projector is certified as a block row (``certified_block_row``)
     and held as its frame, with that row.  With no radius the construction
-    is exact and the frame is E v, uncut.  With a radius, each projector is
-    hard-truncated (``truncation_mask``) and replaced by the spectral
+    is exact and the frame is the basis columns at the parametrix's
+    indices, uncut.  With a radius, each projector is hard-truncated
+    (``truncation_mask``) and replaced by the spectral
     projector of the cut onto its eigenvalues above 1/2, found by orthogonal
     iteration on each Fourier block of that block row
     (``_spectral_projector``), whose frames it keeps.  A cut whose blocks
@@ -575,8 +570,8 @@ def index_idempotent(
         data = parametrix(block)
     cut = np.inf if radius is None else radius
     projectors = [
-        _stored_projector(basis, v, cut, newton_tol)
-        for basis, v in ((block.domain, data.v0), (block.codomain, data.v1))
+        _stored_projector(basis, indices, cut, newton_tol)
+        for basis, indices in ((block.domain, data.cols), (block.codomain, data.rows))
     ]
     # The spectral projector of the cut puts tolerance-scale mass back
     # outside it, so the stored radius is the localization cut of the
@@ -586,23 +581,24 @@ def index_idempotent(
 
 
 def _stored_projector(
-    basis: SectionBasis, v: np.ndarray, radius: float, newton_tol: float
+    basis: SectionBasis, indices: np.ndarray, radius: float, newton_tol: float
 ) -> ProjectorFrame | None:
-    """The certified projector onto the span of E v, with its block row 0; None for rank 0.
+    """The certified projector onto the basis columns at ``indices``, with its block row 0;
+    None for rank 0.
 
-    At radius +inf the frame is E v, uncut.  Cut at a finite radius, the
-    projector is brought back to one of rank ``rank``, whose block row's
-    trace g tr C_0 must still round to ``rank``.
+    At radius +inf the frame is those columns, uncut.  Cut at a finite
+    radius, the projector is brought back to one of rank ``rank``, whose
+    block row's trace g tr C_0 must still round to ``rank``.
     """
-    rank = v.shape[1]
+    rank = len(indices)
     if rank == 0:
         return None
     fiber = basis.fiber
     if radius == np.inf:
-        row = certified_block_row(basis, radius, v)
-        return ProjectorFrame(fiber, basis.matrix @ v, block_count(row), row=row)
+        row = certified_block_row(basis, radius, indices)
+        return ProjectorFrame(fiber, basis.matrix.take(indices, axis=1), block_count(row), row=row)
     # the cut row is not held while its blocks are corrected in place
-    blocks = circulant_blocks(certified_block_row(basis, radius, v))
+    blocks = circulant_blocks(certified_block_row(basis, radius, indices))
     defect, frames = _spectral_projector(blocks, rank, radius)
     if defect > newton_tol:
         raise LocalizationError(

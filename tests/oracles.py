@@ -39,17 +39,21 @@ fields were evaluated by exponentials formed per call; the library reads
 the cached evaluation matrix of the band.
 
 The singular data of an operator block is kept as the library first took
-it from every block, one full LAPACK SVD.  The library reads a monomial
-block's singular values off its nonzero entries, and must certify the same
-rank and frames that span the same projectors.
+it from every block, one full LAPACK SVD, and with it the idempotent built
+on those trailing singular vectors.  The library reads a monomial block's
+singular values off its nonzero entries and refuses any other block; it
+must certify the same rank, and the unit vectors at its kernel columns and
+cokernel rows must span the same projectors.  A frame of coefficients V,
+such as a LAPACK or a rotated one, reaches the library's certificate as a
+basis of its own, E V, all of whose columns it keeps.
 
 The index projectors are kept here as the library first built them: the
 remainders 1 - QD and 1 - DQ of the pseudo-inverse Q, expanded on the grid
 as E R E^H / n, with the range basis of the block-count certificate the
 eigenvectors of a remainder with eigenvalue above 1/2.  The library builds
-each projector from the trailing singular vectors V of its one
-factorization as W W^H / n, W = E V; its rows agree with the remainder's
-to rounding, and both bases certify the same block count.  The periodic
+each projector from the basis columns W at the parametrix's indices as
+W W^H / n; its rows agree with the remainder's to rounding, and both
+bases certify the same block count.  The periodic
 distances between grid points are kept as the float pointwise formula the
 library's integer tick distances replace.
 
@@ -62,7 +66,9 @@ held and each product formed for all g blocks at once.  The library holds
 fewer stacks with the same operations in the same order, so it agrees with
 it bit for bit.  The hermitian test of that chain is kept on the whole
 block row against the whole block column; the library compares one pair of
-blocks at a time and must find the same defect, as the same float.
+blocks at a time and must find the same defect, as the same float.  So is
+the four-product form (S(K) - S(K^T)) / 6 that a kernel failing the test
+took, which serves any kernel; the library refuses such a kernel.
 
 Each index projector is kept as the block row the idempotent once stored:
 the certified row, cut and corrected in place.  The library holds the
@@ -106,16 +112,23 @@ from indexpairing.forms import (
 )
 from indexpairing.grids import TWO_PI_I, ModelError, grid_points, spectral_gradient
 from indexpairing.operators import (
+    OperatorBlock,
+    SectionBasis,
     SmoothingKernel,
     _norm_lower_bound,
     block_count,
     certified_block_row,
     circulant_blocks,
-    circulant_column,
     circulant_row,
 )
 from indexpairing.pairing import HERMITIAN_RTOL
-from indexpairing.parametrix import RANK_THRESHOLD, _spectral_projector, certified_rank
+from indexpairing.parametrix import (
+    RANK_THRESHOLD,
+    ParametrixData,
+    _spectral_projector,
+    certified_rank,
+    index_idempotent,
+)
 from indexpairing.symbols import SymbolData
 
 
@@ -212,6 +225,14 @@ def circulant_dense(row):
     return out.reshape(g * width, g * width)
 
 
+def circulant_column(row):
+    """Block column 0 (gB x B) of the block-circulant matrix with block row 0 ``row``."""
+    width, g = row.shape[0], block_count(row)
+    # block (a, 0) is C_{-a mod g}
+    blocks = row.reshape(width, g, width)[:, -np.arange(g) % g]
+    return blocks.transpose(1, 0, 2).reshape(g * width, width)
+
+
 def dense_kernel(kern):
     """The npoints x npoints matrix of a smoothing kernel, zero for a zero family."""
     if kern.row is None:
@@ -262,6 +283,39 @@ def lapack_singular_data(M):
     U, sing, Vh = np.linalg.svd(M)
     rank = certified_rank(sing)
     return rank, Vh[rank:].conj().T, U[:, rank:].copy()
+
+
+def is_monomial(M):
+    """At most one nonzero entry in each row and each column of M."""
+    return bool(
+        np.all(np.count_nonzero(M, axis=0) <= 1) and np.all(np.count_nonzero(M, axis=1) <= 1)
+    )
+
+
+def unit_frame(size, indices):
+    """The (size, k) frame of the unit vectors at the k ``indices``, in their order."""
+    return np.eye(size, dtype=complex)[:, indices]
+
+
+def frame_basis(basis, V):
+    """The frame E V of coefficients V on ``basis`` as a basis of its own, and the
+    indices of all its columns: what ``certified_block_row`` certifies for W = E V."""
+    rank = V.shape[1]
+    return SectionBasis(basis.fiber, rank, lambda: basis.matrix @ V), np.arange(rank)
+
+
+def lapack_idempotent(block, radius=None):
+    """The index idempotent built on LAPACK's trailing singular vectors V0 and V1.
+
+    The library's construction on the zero operator from the domain frame
+    E V0 to the codomain frame E V1, whose kernel and cokernel are all of them.
+    """
+    _, v0, v1 = lapack_singular_data(block.matrix)
+    (domain, cols), (codomain, rows) = (
+        frame_basis(basis, v) for basis, v in ((block.domain, v0), (block.codomain, v1))
+    )
+    framed = OperatorBlock(domain, codomain, np.zeros((len(rows), len(cols)), dtype=complex))
+    return index_idempotent(framed, radius, data=ParametrixData(cols, rows))
 
 
 def remainder_projectors(block):
@@ -735,20 +789,21 @@ def dense_elementary_chain(phi, cw, row):
     return complex(total) / 6.0
 
 
-def stored_row(basis, v, radius):
-    """Block row 0 of the projector onto the span of E v as the idempotent stored it whole.
+def stored_row(basis, cols, radius):
+    """Block row 0 of the projector onto the basis columns at ``cols`` as the idempotent
+    stored it whole.
 
     Uncut, the certified row; cut, the certified row of the cut with its
     Fourier blocks replaced by their spectral projectors in place, and
     transformed back.  None for rank 0.
     """
-    if v.shape[1] == 0:
+    if len(cols) == 0:
         return None
-    row = certified_block_row(basis, radius, v)
+    row = certified_block_row(basis, radius, cols)
     if radius == np.inf:
         return row
     blocks = circulant_blocks(row)
-    _spectral_projector(blocks, v.shape[1], radius)
+    _spectral_projector(blocks, len(cols), radius)
     return circulant_row(blocks)
 
 

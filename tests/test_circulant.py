@@ -20,7 +20,7 @@ import pytest
 
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import INVARIANCE_TOL, InvarianceError
-from indexpairing.grids import FiberModel
+from indexpairing.grids import FiberModel, ModelError
 from indexpairing.operators import (
     CIRCULANT_RTOL,
     SmoothingKernel,
@@ -45,7 +45,6 @@ from indexpairing.parametrix import (
     RANK_THRESHOLD,
     RANK_WINDOW,
     LocalizationError,
-    ParametrixData,
     ThresholdAmbiguityError,
     _singular_data,
     _spectral_projector,
@@ -58,10 +57,13 @@ from oracles import (
     circulant_dense,
     dense_kernel,
     eigh_range_basis,
+    frame_basis,
     grid_projector,
     hermitian_defect_whole_row,
     is_hermitian_whole_row,
+    is_monomial,
     kernel_norm_dense,
+    lapack_idempotent,
     lapack_singular_data,
     moved_defect_ix,
     profile_chain_whole_stack,
@@ -69,6 +71,7 @@ from oracles import (
     same_bits,
     spectral_projector,
     twisted_invariance_defect_dense,
+    unit_frame,
 )
 
 PERFBENCH_SCENARIOS = sorted(
@@ -104,10 +107,10 @@ def is_block_circulant(m, g):
     return True
 
 
-def kernel_frame(n, N, twist):
-    """The twisted Dolbeault operator, its domain basis and its kernel frame."""
+def kernel_columns(n, N, twist):
+    """The twisted Dolbeault operator, its domain basis and the basis columns of its kernel."""
     block = dolbeault_family(FiberModel(2, N, n), twist, levels=2)
-    return block, block.domain, parametrix(block).v0
+    return block, block.domain, parametrix(block).cols
 
 
 def dense_cut(basis, R, radius):
@@ -118,7 +121,7 @@ def dense_cut(basis, R, radius):
 
 def truncated_projector(n, N, twist, radius):
     """The pinv oracle of the twisted Dolbeault kernel projector S0, cut at radius."""
-    block, basis, _ = kernel_frame(n, N, twist)
+    block, basis, _ = kernel_columns(n, N, twist)
     return basis.fiber, dense_cut(basis, remainder_projectors(block)[0], radius)
 
 
@@ -177,9 +180,16 @@ def stack_projector(row):
 
 
 def stack_chain(phi, cw, row):
-    """The profile chain of block row ``row``, bit for bit the whole-stack oracle's."""
+    """The profile chain of block row ``row``: bit for bit the whole-stack oracle's for a
+    hermitian row; any other the library refuses, and the oracle's four-product value
+    is returned."""
+    want = profile_chain_whole_stack(phi, cw, row)
+    if not is_hermitian_whole_row(row):
+        with pytest.raises(ModelError, match="hermitian"):
+            _weighted_profile_chain(phi, cw, row)
+        return want
     got = _weighted_profile_chain(phi, cw, row)
-    assert np.array(got).tobytes() == np.array(profile_chain_whole_stack(phi, cw, row)).tobytes()
+    assert np.array(got).tobytes() == np.array(want).tobytes()
     return got
 
 
@@ -218,8 +228,9 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     n = fiber.grid_size
     assert circulant_order(S, n) == order, name
     if name == "moved-entry":
-        # one entry moved off the hermitian pair: the cut is refused, and the
-        # chain of the cut itself takes the four-product form
+        # one entry moved off the hermitian pair: the cut is refused, and so
+        # is the chain of the cut itself, whose four-product oracle value
+        # the dense chain checks
         with pytest.raises(LocalizationError, match="hermitian"):
             block_projector(S, n)
         row = got = S
@@ -249,7 +260,7 @@ def benchmark_row(path):
     fib, op = scn.fiber, scn.operator
     fiber = FiberModel(fib["dim"], fib["fourier_cutoff"], fib["grid"])
     block = dolbeault_family(fiber, op["twist"], op["levels"])
-    return fiber, certified_block_row(block.domain, scn.localize, parametrix(block).v0)
+    return fiber, certified_block_row(block.domain, scn.localize, parametrix(block).cols)
 
 
 @pytest.mark.parametrize("path", PERFBENCH_SCENARIOS, ids=lambda path: path.stem)
@@ -261,10 +272,11 @@ def test_benchmark_flow_and_chain_are_bitwise_the_whole_stack_oracles(path):
     assert bound <= 1e-8
     cw = np.random.default_rng(61).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
-    # the stored row is hermitian: the chain takes its three-product form
+    # the stored row is hermitian: the chain takes its two-product form
     assert hermitian_test_is_the_whole_row_test(projected)
     stack_chain(phi, cw, projected)
-    # one entry moved off the hermitian pair: the four-product form
+    # one entry moved off the hermitian pair is refused; the four-product
+    # oracle gives it a real part the two-product form would drop
     moved = projected.copy()
     moved[3, 5] += 1e-9 * np.max(np.abs(projected))
     assert not hermitian_test_is_the_whole_row_test(moved)
@@ -291,12 +303,12 @@ def traced_peak(fn):
 
 def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     # one stack is the Fourier blocks of the flux-24 projector, 8 x 200 x 200
-    block, basis, V = kernel_frame(40, 19, 24)
+    block, basis, cols = kernel_columns(40, 19, 24)
     fiber = basis.fiber
     # the basis is sampled on first read, before tracing starts
     basis.matrix
     stack = 8 * 200 * 200 * 16
-    row, cert_peak = traced_peak(lambda: certified_block_row(basis, 0.30, V))
+    row, cert_peak = traced_peak(lambda: certified_block_row(basis, 0.30, cols))
     assert row.nbytes == stack
     blocks = circulant_blocks(row)
     _, projector_peak = traced_peak(lambda: _spectral_projector(blocks, 24, 0.30))
@@ -318,11 +330,11 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monke
     # the flux-24 benchmark projector, S4's and the two flow cases: the
     # certificate chooses the block count the dense scan of the cut pinv
     # oracle finds, and its block row is that matrix's first rows
-    block, basis, V = kernel_frame(n, N, twist)
+    block, basis, cols = kernel_columns(n, N, twist)
     S = dense_cut(basis, remainder_projectors(block)[0], 0.30)
     assert circulant_order(S, n) == order
     cut = counted_cuts(monkeypatch)
-    row = certified_block_row(basis, 0.30, V)
+    row = certified_block_row(basis, 0.30, cols)
     # every finer block count is refused by its first term alone, before its row
     assert cut == [S.shape[0] // order]
     monkeypatch.undo()
@@ -399,23 +411,26 @@ def dense_scan(basis, R, radius, g):
     ids=lambda name: Path(name).stem,
 )
 def test_frames_certify_the_block_count_of_the_pinv_remainders(name):
-    # each frame V spans its remainder of the pseudo-inverse, 1 - QD or
-    # 1 - DQ, which is V V^H to rounding; V certifies the block count an
-    # eigenvector basis of the remainder certifies, the dense scan of the
-    # cut remainder accepts it, and the row is that matrix's first rows
+    # the unit vectors V at each index set span its remainder of the
+    # pseudo-inverse, 1 - QD or 1 - DQ, which is V V^H to rounding; the
+    # basis columns at the indices certify the block count an eigenvector
+    # basis of the remainder certifies, the dense scan of the cut remainder
+    # accepts it, and the row is that matrix's first rows
     block, localize = range_case(name)
     radius = np.inf if localize is None else localize
     data = parametrix(block)
     bases = (block.domain, block.codomain)
-    for basis, v, r in zip(bases, (data.v0, data.v1), remainder_projectors(block)):
+    for basis, indices, r in zip(bases, (data.cols, data.rows), remainder_projectors(block)):
+        v = unit_frame(basis.size, indices)
         assert np.max(np.abs(r - v @ v.conj().T), initial=0.0) <= 1e-14, name
         eigen = eigh_range_basis(r)
         assert eigen.shape == v.shape, name
-        if not v.shape[1]:
+        if not len(indices):
             continue
-        row = certified_block_row(basis, radius, v)
+        row = certified_block_row(basis, radius, indices)
         g = block_count(row)
-        assert block_count(certified_block_row(basis, radius, eigen)) == g, name
+        eigen_basis, every = frame_basis(basis, eigen)
+        assert block_count(certified_block_row(eigen_basis, radius, every)) == g, name
         assert dense_scan(basis, r, radius, g), name
         width = len(row)
         mask = truncation_mask(basis.fiber, radius, width)
@@ -468,14 +483,17 @@ def monomial_cases():
 
 @pytest.mark.parametrize("M, rank", list(monomial_cases()))
 def test_a_monomial_block_reads_the_singular_data_of_its_lapack_svd(M, rank):
-    # the rank and the kernel and cokernel projectors V V^H read off the
-    # entries are those of LAPACK's SVD
-    assert np.all(np.count_nonzero(M, axis=0) <= 1) and np.all(np.count_nonzero(M, axis=1) <= 1)
+    # the rank read off the entries is LAPACK's, and the unit projectors
+    # U U^H of the ascending kernel columns and cokernel rows are the
+    # projectors V V^H of its trailing singular vectors
+    assert is_monomial(M)
     lapack = lapack_singular_data(M)
     got = _singular_data(M)
-    assert got[0] == lapack[0] == rank
-    for mine, ref in zip(got[1:], lapack[1:]):
-        assert mine.shape == ref.shape
+    assert lapack[0] == rank
+    assert (len(got.cols), len(got.rows)) == (M.shape[1] - rank, M.shape[0] - rank)
+    for size, indices, ref in zip(M.shape[::-1], (got.cols, got.rows), lapack[1:]):
+        assert indices.dtype == np.int64 and np.all(np.diff(indices) > 0)
+        mine = unit_frame(size, indices)
         assert np.max(np.abs(mine @ mine.conj().T - ref @ ref.conj().T)) <= 1e-15
 
 
@@ -488,17 +506,33 @@ def test_a_monomial_modulus_at_the_rank_cut_is_ambiguous_on_both_routes():
             for route in (_singular_data, lapack_singular_data):
                 with pytest.raises(ThresholdAmbiguityError):
                     route(block)
-    # a non-finite entry has no modulus to sort: LAPACK refuses the block
-    with pytest.raises(np.linalg.LinAlgError):
-        _singular_data(diagonal_block((7, 7), [*TIED[:-1], np.nan]))
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+def test_a_block_not_monomial_or_not_finite_is_refused(shape):
+    # a second nonzero entry in row 1, then in column 1, and a non-finite
+    # modulus, in place and permuted: the parametrix reads no singular data
+    M = diagonal_block(shape, TIED)
+    for i, j in ((1, 0), (0, 1)):
+        mixed = M.copy()
+        mixed[i, j] = 0.5
+        for block in (mixed, permuted(mixed, 5)):
+            with pytest.raises(ModelError, match="not monomial"):
+                _singular_data(block)
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        broken = diagonal_block(shape, [*TIED[:-1], bad])
+        for block in (broken, permuted(broken, 6)):
+            with pytest.raises(ModelError, match="non-finite entry"):
+                _singular_data(block)
 
 
 @pytest.mark.parametrize("name", ["S1-dolbeault-d0", "S3-multiplier-invertible"])
 def test_diagonal_builtins_store_the_rows_of_the_lapack_frames(name):
-    # the unit frames of a diagonal block build and certify bit for bit
-    # the idempotent rows of LAPACK's trailing singular vectors
+    # the basis columns at the indices of a diagonal block build and
+    # certify bit for bit the idempotent rows of LAPACK's trailing singular
+    # vectors
     block, _ = range_case(name)
-    lapack = index_idempotent(block, data=ParametrixData(*lapack_singular_data(block.matrix)[1:]))
+    lapack = lapack_idempotent(block)
     mine = index_idempotent(block)
     for got, ref in zip(mine.families, lapack.families):
         assert got.row is ref.row is None or same_bits(got.row, ref.row), name
@@ -506,10 +540,11 @@ def test_diagonal_builtins_store_the_rows_of_the_lapack_frames(name):
 
 @pytest.mark.parametrize("name", LANDAU, ids=lambda name: Path(name).stem)
 def test_landau_blocks_store_the_rows_of_the_lapack_frames_to_rounding(name):
-    # the unit frames of a Landau block certify the block count of LAPACK's
-    # trailing singular vectors, and build its idempotent rows to 1e-15
+    # the basis columns at the indices of a Landau block certify the block
+    # count of LAPACK's trailing singular vectors, and build its idempotent
+    # rows to 1e-15
     block, _ = range_case(name)
-    lapack = index_idempotent(block, data=ParametrixData(*lapack_singular_data(block.matrix)[1:]))
+    lapack = lapack_idempotent(block)
     mine = index_idempotent(block)
     for got, ref in zip(mine.families, lapack.families):
         got, ref = (np.zeros((0, 0)) if k.row is None else k.row for k in (got, ref))
@@ -535,7 +570,8 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(n, N, twist, pa
     # rotated frame stays orthonormal.  Sweeping eps across the tolerance,
     # every block count the certificate accepts on the rotated frame must
     # pass the dense scan of the pinv remainder rotated alike, and cut.
-    block, basis, frame = kernel_frame(n, N, twist)
+    block, basis, cols = kernel_columns(n, N, twist)
+    frame = unit_frame(basis.size, cols)
     R = remainder_projectors(block)[0]
     H = np.zeros_like(R)
     H[0, twist + partner] = H[twist + partner, 0] = 1.0
@@ -544,7 +580,8 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(n, N, twist, pa
     for eps in 10.0 ** np.arange(-16.0, -7.5, 0.5):
         rot = (V * np.exp(1j * eps * w)) @ V.conj().T
         S = dense_cut(basis, rot @ R @ rot.conj().T, 0.45)
-        row = certified_block_row(basis, 0.45, rot @ frame)
+        rotated, every = frame_basis(basis, rot @ frame)
+        row = certified_block_row(rotated, 0.45, every)
         g = block_count(row)
         assert is_block_circulant(S, g), eps
         assert_near_oracle(row, S)
@@ -561,16 +598,18 @@ def test_a_row_refused_after_it_is_cut_forms_the_frame_again(monkeypatch):
     # thousand times looser, the rotated flux-8 projector of the sweep above
     # reaches the row of 8 blocks, whose largest entry refuses it; the frame
     # is formed again, and the 4 blocks accepted are the default's, bit for bit.
-    _, basis, frame = kernel_frame(24, 8, 8)
-    H = np.zeros((len(frame), len(frame)))
+    _, basis, cols = kernel_columns(24, 8, 8)
+    H = np.zeros((basis.size, basis.size))
     H[0, 12] = H[12, 0] = 1.0
     w, V = np.linalg.eigh(H)
-    rotated = (V * np.exp(1e-11j * w)) @ V.conj().T @ frame
-    want = certified_block_row(basis, 0.45, rotated)
+    rotated, every = frame_basis(
+        basis, (V * np.exp(1e-11j * w)) @ V.conj().T @ unit_frame(basis.size, cols)
+    )
+    want = certified_block_row(rotated, 0.45, every)
     assert block_count(want) == 4
     cut = counted_cuts(monkeypatch)
     monkeypatch.setattr(operators, "ENTRY_BOUND_MARGIN", 1e3)
-    row = certified_block_row(basis, 0.45, rotated)
+    row = certified_block_row(rotated, 0.45, every)
     assert cut == [72, 144]
     assert row.tobytes() == want.tobytes()
 

@@ -36,6 +36,7 @@ from oracles import (
     same_bits,
     spectral_derivative,
     twisted_shift,
+    unit_frame,
 )
 
 
@@ -246,12 +247,13 @@ def test_certified_rank_flags_ambiguity():
 
 @pytest.mark.parametrize("twist", [2, -2])
 def test_parametrix_frames_span_kernel_and_cokernel(twist):
-    # the frames are orthonormal, D V0 = 0 and V1^H D = 0, and V V^H is the
-    # remainder 1 - QD or 1 - DQ of the pseudo-inverse
+    # the unit vectors V0 at the kernel columns and V1 at the cokernel rows
+    # are orthonormal, D V0 = 0 and V1^H D = 0, and V V^H is the remainder
+    # 1 - QD or 1 - DQ of the pseudo-inverse
     block = dolbeault_family(FiberModel(2, 8, 20), twist, levels=4)
     D = block.matrix
     data = parametrix(block)
-    v0, v1 = data.v0, data.v1
+    v0, v1 = unit_frame(D.shape[1], data.cols), unit_frame(D.shape[0], data.rows)
     assert (v0.shape[1], v1.shape[1]) == ((twist, 0) if twist > 0 else (0, -twist))
     scale = np.linalg.norm(D, 2)
     assert np.max(np.abs(D @ v0), initial=0.0) <= 1e-12 * scale
@@ -262,13 +264,24 @@ def test_parametrix_frames_span_kernel_and_cokernel(twist):
 
 
 def test_index_is_stable_under_small_perturbations():
+    # noise at a tenth of the smallest nonzero ladder coefficient keeps the
+    # kernel and cokernel counts: on the ladder entries alone, read by the
+    # parametrix, and on every entry, which LAPACK's SVD reads and the
+    # parametrix refuses
     rng = np.random.default_rng(13)
     block = dolbeault_family(FiberModel(2, 8, 20), 1, levels=4)
+    D = block.matrix
     gap = np.sqrt(np.pi)  # smallest nonzero ladder coefficient
-    noise = rng.normal(size=block.matrix.shape) + 1j * rng.normal(size=block.matrix.shape)
+    noise = rng.normal(size=D.shape) + 1j * rng.normal(size=D.shape)
     noise *= 0.1 * gap / np.linalg.norm(noise, 2)
-    bumped = OperatorBlock(block.domain, block.codomain, block.matrix + noise)
-    assert analytic_index(bumped).index == 1
+    on_ladder = OperatorBlock(block.domain, block.codomain, D + noise * (D != 0))
+    count = analytic_index(on_ladder)
+    assert (count.kernel_dim, count.cokernel_dim) == (1, 0)
+    rank = lapack_singular_data(D + noise)[0]
+    assert (D.shape[1] - rank, D.shape[0] - rank) == (1, 0)
+    bumped = OperatorBlock(block.domain, block.codomain, D + noise)
+    with pytest.raises(ModelError, match="not monomial"):
+        analytic_index(bumped)
 
 
 @pytest.mark.parametrize("twist", [2, -2])

@@ -48,6 +48,7 @@ import bytes_manifest
 from oracles import (
     cutoff_per_arrow,
     dense_kernel,
+    is_monomial,
     mass_weighted_sum,
     orbit_sum_per_point,
     same_bits,
@@ -903,42 +904,57 @@ def test_no_shipped_run_factors_its_operator(name, tmp_path, monkeypatch):
     assert warm.csv_row() == cold.csv_row()
 
 
-def test_a_non_monomial_block_takes_one_svd_per_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("defect", ["mixed", "nan"])
+def test_a_block_the_parametrix_cannot_read_fails_at_the_analytic_stage_cold_or_warm(
+    defect, tmp_path, monkeypatch
+):
     # a seeded unitary on the codomain of the twist-2 operator keeps its
-    # singular values and its kernel but fills every row, so the count and
-    # the remainders share one full SVD, cold, warm or uncached
+    # singular values and its kernel but fills every row, and a NaN ladder
+    # entry has no modulus to sort: the parametrix refuses either block,
+    # cold and warm with the cache the unchanged operator wrote, before any
+    # idempotent is built
     scn = _validate(cheap_scenario(operator={"builtin": "dolbeault", "twist": 2, "levels": 3}))
     build = harness._build_operator
+    warm = tmp_path / "warm"
+    run_scenario(scn, out_dir=warm)
+    assert len(list((warm / "cache").glob("*.idem.opk"))) == 1
 
-    def mixed(scn, fiber):
+    def unreadable(scn, fiber):
         block, sclass = build(scn, fiber)
-        n = block.matrix.shape[0]
-        rng = np.random.default_rng(35)
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        return OperatorBlock(block.domain, block.codomain, Q @ block.matrix), sclass
+        M = block.matrix.copy()
+        if defect == "mixed":
+            n = M.shape[0]
+            rng = np.random.default_rng(35)
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            M = Q @ M
+        else:
+            i, j = np.argwhere(M)[0]
+            M[i, j] = np.nan
+        assert is_monomial(M) == (defect == "nan")
+        return OperatorBlock(block.domain, block.codomain, M), sclass
 
-    calls = []
-    svd = np.linalg.svd
+    built = []
+    construct = harness.index_idempotent
 
-    def counted(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(a, *args, **kwargs)
+    def counted(*args, **kwargs):
+        built.append(1)
+        return construct(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "_build_operator", mixed)
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    cold = run_scenario(scn, out_dir=tmp_path)
-    assert cold.status == "pass" and calls == [True]
-    calls.clear()
-    assert run_scenario(scn, out_dir=tmp_path).csv_row() == cold.csv_row()
-    assert calls == [True]
-    calls.clear()
-    assert run_scenario(scn).csv_row() == cold.csv_row()
-    assert calls == [True]
+    monkeypatch.setattr(harness, "_build_operator", unreadable)
+    monkeypatch.setattr(harness, "index_idempotent", counted)
+    message = "not monomial" if defect == "mixed" else "non-finite entry"
+    for out in (tmp_path / "cold", warm):
+        with pytest.raises(StageError, match=message) as err:
+            run_scenario(scn, out_dir=out)
+        assert err.value.stage == "analytic-index"
+    assert built == []
 
 
 def test_an_ambiguous_rank_fails_at_the_analytic_stage_cold_or_warm(tmp_path, monkeypatch):
-    # the count comes from the parametrix's SVD on a cache miss and on a
-    # hit alike, so either way the stage is analytic-index
+    # LAPACK's (U s) Vh of the monomial ladder block, with its smallest
+    # singular value moved into the rank window, is monomial still: the
+    # parametrix reads the ambiguous modulus off its entries on a cache
+    # miss and on a hit alike, so either way the stage is analytic-index
     scn = _validate(cheap_scenario(operator={"builtin": "dolbeault", "twist": 2, "levels": 3}))
     build = harness._build_operator
     run_scenario(scn, out_dir=tmp_path)
@@ -947,7 +963,9 @@ def test_an_ambiguous_rank_fails_at_the_analytic_stage_cold_or_warm(tmp_path, mo
         block, sclass = build(scn, fiber)
         U, sing, Vh = np.linalg.svd(block.matrix, full_matrices=False)
         sing[-1] = 2e-8 * sing[0]
-        return OperatorBlock(block.domain, block.codomain, (U * sing) @ Vh), sclass
+        M = (U * sing) @ Vh
+        assert is_monomial(M)
+        return OperatorBlock(block.domain, block.codomain, M), sclass
 
     monkeypatch.setattr(harness, "_build_operator", ambiguous)
     for out in (None, tmp_path):
@@ -1090,8 +1108,8 @@ def test_cached_frames_form_the_stored_rows_only_where_read(name, warm_rows, tmp
     (cache,) = (tmp_path / "cache").glob("*.idem.opk")
     back = IndexIdempotent.from_arrays(fiber, load_coefficients(cache))
     bases = (block.domain, block.codomain)
-    for basis, v, kern in zip(bases, (data.v0, data.v1), back.families):
-        want = stored_row(basis, v, radius)
+    for basis, indices, kern in zip(bases, (data.cols, data.rows), back.families):
+        want = stored_row(basis, indices, radius)
         assert kern.row is want is None or same_bits(kern.row, want)
 
 

@@ -27,6 +27,7 @@ from oracles import (
     dense_elementary_chain,
     fourier_coefficients,
     mass_weighted_sum,
+    profile_chain_whole_stack,
     to_elementary,
 )
 
@@ -598,15 +599,23 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     general = FixedMasks(general_masks)
     for cochain, masks in ((phi, profile_masks), (general, general_masks)):
         want = six_term_profile_chain(masks, cw, K)
+        # the four-product form kept in the oracles holds for any kernel
+        oracle = profile_chain_whole_stack(cochain, cw, K)
+        assert abs(oracle - want) <= 1e-13 * abs(want)
         chain_products.clear()
+        if which == "general":
+            # the library pairs only a hermitian kernel
+            with pytest.raises(ModelError, match="hermitian"):
+                _weighted_profile_chain(cochain, cw, K)
+            assert chain_products == []
+            continue
         got = _weighted_profile_chain(cochain, cw, K)
         assert abs(got - want) <= 1e-13 * abs(want)
-        # a hermitian kernel takes the two-product form (one rotation sum),
-        # any other kernel the four-product form (two)
-        assert len(chain_products) == (2 if which == "hermitian" else 4)
+        # one rotation sum: two products
+        assert len(chain_products) == 2
 
 
-def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_products):
+def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
     fiber = FiberModel(2, 3, 8)
     npts = fiber.npoints
     rng = np.random.default_rng(37)
@@ -615,12 +624,12 @@ def test_profile_chain_nearly_hermitian_kernel_takes_four_products(chain_product
     K[0, 1] += 1e-9
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
+    with pytest.raises(ModelError, match="hermitian"):
+        _weighted_profile_chain(phi, cw, K)
+    assert chain_products == []
+    # the two-product form would drop the real part this perturbation makes
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, K)
-    got = _weighted_profile_chain(phi, cw, K)
-    assert len(chain_products) == 4
-    assert abs(got - want) <= 1e-13 * abs(want)
-    # the two-product form would drop the real part this perturbation makes
     assert abs(want.real) > 1e-13 * abs(want)
 
 

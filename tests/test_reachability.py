@@ -170,6 +170,25 @@ def test_no_stage_expands_a_block_row():
     assert not hasattr(SmoothingKernel, "dense")
 
 
+# the dense spectral factorizations, which the tests keep as oracles: the
+# parametrix reads the singular data of a monomial block off its entries and
+# refuses any other, and the localized projector reaches its spectral
+# projector by orthogonal iteration
+FACTORIZATIONS = {"svd", "pinv", "eigh"}
+
+
+def test_no_module_names_a_factorization():
+    naming = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name.split(".")[-1]
+            if name in FACTORIZATIONS:
+                naming.setdefault(path.name, []).append(f"{name}:{node.lineno}")
+    assert naming == {}
+
+
 def test_traced_entry_points_resolve():
     """Every entry point the benchmark tracer wraps exists under its name.
 
