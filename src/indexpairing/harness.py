@@ -296,14 +296,14 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
                 except CorruptedCacheError as exc:
                     raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
 
-    # the spectral count and an idempotent still to build share one parametrix
-    data = None
+    # the spectral count and an idempotent still to build share one parametrix,
+    # read on every run, so an unreadable block fails here, cached or not
     with _stage("analytic-index"):
+        data = parametrix(block)
         if scn.free_action:
             m = scn.group["group"]["cyclic"]
             analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
         else:
-            data = parametrix(block)
             analytic = (data.count.index,) * points
 
     if idem is None:

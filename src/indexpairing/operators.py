@@ -102,8 +102,9 @@ class OperatorBlock:
         return self.codomain.matrix @ self.matrix @ self.domain.matrix.conj().T / n
 
 
-def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
-    """sum over axes of table[z_axis, w_axis], z among the first ``rows`` grid points.
+def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int, axes=None) -> np.ndarray:
+    """sum over ``axes`` (all by default) of table[z_axis, w_axis], z among the first
+    ``rows`` grid points.
 
     Each axis coordinate takes grid_size values, so a per-axis quantity is
     tabulated on grid_size^2 coordinate pairs.  The first rows points lie
@@ -114,12 +115,14 @@ def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int) -> np.ndarray:
     """
     n, r = fiber.grid_size, fiber.dim
     lead = -(-rows // n ** (r - 1))
-    out = table[:lead].reshape((lead,) + (1,) * (r - 1) + (n,) + (1,) * (r - 1))
-    for axis in range(1, r):
+    out = None
+    for axis in range(r) if axes is None else axes:
         shape = [1] * (2 * r)
-        shape[axis] = shape[r + axis] = n
-        out = out + table.reshape(shape)
-    return out.reshape(-1, fiber.npoints)[:rows]
+        shape[axis], shape[r + axis] = (lead if axis == 0 else n), n
+        view = (table[:lead] if axis == 0 else table).reshape(shape)
+        out = view if out is None else out + view
+    grid = np.broadcast_to(out, (lead,) + (n,) * (2 * r - 1))
+    return grid.reshape(-1, fiber.npoints)[:rows]
 
 
 def squared_tick_distances(fiber: FiberModel, rows: int) -> np.ndarray:

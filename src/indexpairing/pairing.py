@@ -31,19 +31,24 @@ reproduces the curvature integral of its symbol class to the localization
 defect (measured at the 1e-9 scale on the dimension-two torus at flux 32).
 
 At k = 1 the six alternation terms are the cyclic rotations of two triple
-products, with the diagonal cutoff weight D = diag(c) in front.  By trace
-cyclicity the three rotations of XYZ need only P = XY and R = YZ:
+products, with the diagonal cutoff weight D = diag(c) in front.  For a
+profile cochain with leg masks W0, W1 the even terms are the rotation sum
 
-    tr(D XYZ) + tr(D ZXY) + tr(D YZX) = tr(D P Z) + tr(D Z P) + tr(D R X),
+    S(K) = tr(D XYZ) + tr(D ZXY) + tr(D YZX)
 
-where the last three traces are O(n^2) sums.  For a profile cochain with
-leg masks W0, W1 the even terms are this rotation sum S(K) of
-(K o W0, K o W1, K), and transposing each odd term turns the odd sum into
-S(K^T), so the chain is (S(K) - S(K^T)) / 6.  Every kernel it pairs is a
-projector, hermitian, and the masks are real, so S(K^T) is the conjugate
-of S(K) and the chain is 2i Im S(K) / 6 in two products; a kernel that
-fails an O(n^2) check of its hermitian defect is refused before any
-product.  Each trace of an elementary term w d0 (x) d1 (x) d2 reads a
+of (X, Y, Z) = (K o W0, K o W1, K), and transposing each odd term turns
+the odd sum into S(K^T), so the chain is (S(K) - S(K^T)) / 6.  Every
+kernel it pairs is a projector, hermitian, and the masks are real, so
+S(K^T) is the conjugate of S(K) and the chain is 2i Im S(K) / 6; a kernel
+that fails an O(n^2) check of its hermitian defect is refused before any
+product.  A projector of rank r is Z = L R^H with L and R n x r, so with
+u = Y L and <A, B> = sum conj(A) o B trace cyclicity gives
+
+    S(K) = <R, D X u> + <R, X Y D L> + <R, X D u>,
+
+five products of n x n by n x r and O(n r) sums.
+
+Each trace of an elementary term w d0 (x) d1 (x) d2 reads a
 middle field m between its cyclic neighbours p and q:
 tr(D diag(p) K diag(m) K diag(q) K).  So the term is w / 6 times
 the sum over slots s of t(c d_{s-1}, d_s, d_{s+1}) - t(c d_{s+1}, d_s,
@@ -58,9 +63,12 @@ The leg masks are functions of z - w, so they commute with every grid
 translation.  When K is stored as g blocks (``SmoothingKernel``), with g
 dividing grid_size so that the blocks come from a grid translation, so are
 the masks, K o W0 and K o W1; the masks are built as their block row 0
-only, and each product of the profile chain is g products of size n/g on
-the Fourier blocks, taken one block at a time.  The cutoff weight is not
-translation invariant, but tr(D M) of
+only, and the profile chain works on the g Fourier blocks of size n/g,
+one block at a time.  Block k of the projector has rank r_k and is read
+from its frame as a factor pair (``ProjectorFrame.block_factors``), so
+block k takes the five products above with r_k columns (3 of 200 at
+flux 24), where two products of whole blocks took 2 B^3.  The cutoff weight
+is not translation invariant, but tr(D M) of
 a block-circulant M only reads the diagonal of C_0, the mean of the
 Fourier blocks, so D enters through the sums of c over the orbits of the
 translation: exact for any cutoff.
@@ -74,7 +82,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -84,6 +91,7 @@ from .forms import FoliatedForm, subset_position
 from .grids import FiberModel, ModelError
 from .operators import (
     SupportMismatchError,
+    _axis_sum,
     _weighted_diag_trace,
     block_count,
     circulant_blocks,
@@ -172,15 +180,12 @@ class ProfileCochain:
         """Rows [0, rows) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber.
 
         The axis coordinate takes grid_size values, so the profile is
-        evaluated on their grid_size^2 differences and gathered from there.
+        evaluated on their grid_size^2 differences and broadcast from there.
         """
         axis, prof = self.legs[i]
-        fiber = self.fiber
-        n = fiber.grid_size
-        coords = np.arange(n) / n
-        ticks = np.unravel_index(np.arange(fiber.npoints), (n,) * fiber.dim)[axis]
+        coords = np.arange(self.fiber.grid_size) / self.fiber.grid_size
         table = prof(coords[None, :] - coords[:, None])
-        return table[np.ix_(ticks[:rows], ticks)]
+        return _axis_sum(self.fiber, table, rows, axes=(axis,))
 
     def van_est_form(self) -> FoliatedForm:
         """Leafwise realization on the fiber: the product of unit slopes times dz_a0 ^ dz_a1.
@@ -197,7 +202,7 @@ class ProfileCochain:
         return form
 
 
-# the two-product profile chain needs K = K^H; a kernel with
+# the profile chain's even rotations need K = K^H; a kernel with
 # max|K - K^H| > HERMITIAN_RTOL * max|K| is refused
 HERMITIAN_RTOL = 1e-14
 # how far a kernel reach may pass the cochain germ radius, here and at load
@@ -237,9 +242,10 @@ def pair_cocycle(
     Block rows are formed only where entries are read: by the gate when a
     group element moves the fiber (no defect is possible otherwise), by
     the reach of an unlocalized idempotent against a finite germ radius
-    (no reach passes an infinite one), and by the profile chain's masks.
-    The k = 0 trace reads the diagonal, and the elementary chain the Gram
-    matrices, of each projector's frame.
+    (no reach passes an infinite one), and by the profile chain's
+    hermitian test and masks.  The k = 0 trace reads the diagonal, the
+    elementary chain the Gram matrices, and the profile chain the Fourier
+    block factors, of each projector's frame.
     """
     if phi.degree % 2:
         raise ModelError("only even-degree cochains pair with idempotents")
@@ -270,7 +276,7 @@ def pair_cocycle(
 
     def contract(proj: ProjectorFrame) -> complex:
         if isinstance(phi, ProfileCochain):
-            return _weighted_profile_chain(phi, weight, proj.row)
+            return _weighted_profile_chain(phi, weight, proj)
         return _weighted_elementary_chain(phi, weight, proj.grid_frame())
 
     # a zero operator (S1 of every positive flux) has an exactly zero chain
@@ -282,25 +288,6 @@ def pair_cocycle(
 def _product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B: every product of both k = 1 chains, countable in one place."""
     return A @ B
-
-
-def _rotation_sum(cw: np.ndarray, X: np.ndarray, Y: np.ndarray, Z: np.ndarray) -> complex:
-    """tr(D XYZ) + tr(D ZXY) + tr(D YZX) with D = diag(cw), summed over Fourier blocks.
-
-    Serves the profile chain only.  X, Y and Z are stacks (g, B, B) of
-    Fourier blocks, and cw holds the orbit sums of the weight over g, as
-    block C_0 is the mean of the blocks.  Block by block, with P = XY and
-    R = YZ the traces are tr(D P Z), tr(D Z P) and tr(D R X), each an
-    O(B^2) sum of entrywise products; P and R are formed one block at a
-    time, and the g block traces are summed in block order.
-    """
-    trace = partial(np.einsum, "i,ij,ji->", cw)
-    traces = np.empty(len(X), dtype=complex)
-    for k, (x, y, z) in enumerate(zip(X, Y, Z)):
-        P = _product(x, y)
-        R = _product(y, z)
-        traces[k] = trace(P, z) + trace(z, P) + trace(R, x)
-    return complex(np.sum(traces))
 
 
 def _hermitian_defect(row: np.ndarray) -> float:
@@ -322,9 +309,9 @@ def _is_hermitian(row: np.ndarray) -> bool:
     return _hermitian_defect(row) <= HERMITIAN_RTOL * float(np.max(np.abs(row)))
 
 
-def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray) -> complex:
+def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: ProjectorFrame) -> complex:
     """The k = 1 chain against the two legs of phi, weighted by the cutoff cw,
-    of the kernel K with block row 0 ``row``.
+    of the projector held as the frame ``proj``.
 
     The legs' masks are block circulant in every g dividing grid_size (they
     depend on w - z only), so only block row 0 of each mask is built, and
@@ -332,17 +319,29 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, row: np.ndarray
     real (profile values), so a hermitian K takes the even rotations alone,
     the odd ones being their conjugate.  The hermitian test reads block
     row 0 alone; a K that fails it raises ModelError before any product.
+    Each Fourier block Z = L R^H of K has rank r_k, so with the blocks x
+    and y of the masked kernels, u = y L and D = diag(orbit means of cw),
+    the three rotations are <R, D x u>, <R, x y D L> and <R, x D u> for
+    <A, B> = sum conj(A) o B: five products of B x B by B x r_k.
     """
+    row = proj.row
     if not _is_hermitian(row):
         raise ModelError(
             "the profile chain pairs only a hermitian kernel: this one departs from "
             f"hermitian by more than {HERMITIAN_RTOL:g} of its largest entry"
         )
     width, g = row.shape[0], block_count(row)
-    orbit_cw = cw.reshape(g, width).sum(axis=0) / g
+    D = cw.reshape(g, width).sum(axis=0)[:, None] / g
     X, Y = (circulant_blocks(row * phi.leg_mask(i, width)) for i in (0, 1))
-    even = _rotation_sum(orbit_cw, X, Y, circulant_blocks(row))
-    return 2j * even.imag / 6.0
+    traces = np.empty(g, dtype=complex)
+    for k, (x, y, (L, R)) in enumerate(zip(X, Y, proj.block_factors())):
+        u = _product(y, L)
+        traces[k] = (
+            np.vdot(R, D * _product(x, u))
+            + np.vdot(R, _product(x, _product(y, D * L)))
+            + np.vdot(R, _product(x, D * u))
+        )
+    return 2j * complex(np.sum(traces)).imag / 6.0
 
 
 def _weighted_elementary_chain(phi: ASCochain, cw: np.ndarray, F: np.ndarray) -> complex:

@@ -255,6 +255,25 @@ class ProjectorFrame:
         F = math.sqrt(width) * phase[:, None, :] * self.frame[None]
         return F.reshape(g * width, rank)
 
+    def block_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(L_k, R_k) with the Fourier block Z_k of S equal to L_k R_k^H, for k < g.
+
+        Cut, both are Y_k, the frame's columns for block k.  Uncut, C_m =
+        W_0 W_m^H / npoints for the row blocks W_m of W, so Z_k =
+        sum_m C_m exp(-2 pi i m k / g) is W_0 / npoints times the conjugate
+        transpose of G_k = sum_m W_m exp(2 pi i m k / g), g times the
+        inverse FFT of the W_m.
+        """
+        g, n = self.order, self.fiber.npoints
+        if self.ranks is None:
+            W = self.frame
+            L = W[: n // g] / n
+            G = g * np.fft.ifft(W.reshape(g, n // g, W.shape[1]), axis=0)
+            return [(L, R) for R in G]
+        ends = np.cumsum(self.ranks)
+        Y = [np.ascontiguousarray(self.frame[:, a:b]) for a, b in zip(ends - self.ranks, ends)]
+        return [(y, y) for y in Y]
+
     def arrays(self) -> list[np.ndarray]:
         """The frame, and [g] uncut or [g, r_0 .. r_{g-1}] cut as int64."""
         return [self.frame, np.array([self.order, *(self.ranks or ())], dtype=np.int64)]
@@ -320,9 +339,7 @@ def _frame_row(proj: ProjectorFrame) -> np.ndarray:
         row *= truncation_mask(fiber, math.inf, width)
         return row
     blocks = np.empty((width, g, width), dtype=complex).transpose(1, 0, 2)
-    ends = np.cumsum(proj.ranks)
-    for P, start, end in zip(blocks, ends - proj.ranks, ends):
-        Y = np.ascontiguousarray(proj.frame[:, start:end])
+    for P, (Y, _) in zip(blocks, proj.block_factors()):
         np.matmul(Y, Y.conj().T, out=P)
     return circulant_row(blocks)
 

@@ -8,9 +8,11 @@ and the k = 1 profile chain run on Fourier blocks.  The dense scan of the
 grid matrix of the pseudo-inverse remainder and the dense rotation sum
 below are the forms they replaced, kept as oracles; the projector must be
 the spectral projector of the cut that eigh gives, to rounding.  The
-projector holds a fraction of one (g, B, B) stack and the chain about
-three, and the chain must agree bit for bit with the whole-stack form kept
-in ``oracles``.
+projector holds a fraction of one (g, B, B) stack and the chain three, the
+Fourier blocks of its two masked kernels.  The chain contracts those
+blocks against the rank-r_k factors of each block of the projector's
+frame, so it agrees with the whole-stack form kept in ``oracles``, which
+transforms the block row, to rounding rather than bit for bit.
 """
 import tracemalloc
 from pathlib import Path
@@ -45,6 +47,7 @@ from indexpairing.parametrix import (
     RANK_THRESHOLD,
     RANK_WINDOW,
     LocalizationError,
+    ProjectorFrame,
     ThresholdAmbiguityError,
     _singular_data,
     _spectral_projector,
@@ -163,33 +166,34 @@ def dense_profile_chain(masks, cw, K):
     return (rotations(K) - rotations(K.T)) / 6.0
 
 
-def block_projector(S, grid_size):
-    """The localized projector on the blocks the dense oracle finds: its block row and defect bound."""
-    g = circulant_order(S, grid_size)
-    return stack_projector(S[: S.shape[0] // g])
+def block_projector(fiber, S):
+    """The localized projector on the blocks the dense oracle finds: its frame and defect bound."""
+    g = circulant_order(S, fiber.grid_size)
+    return stack_projector(fiber, S[: S.shape[0] // g])
 
 
-def stack_projector(row):
+def stack_projector(fiber, row):
     """The localized projector of the cut block row ``row``, of the rank its trace rounds to:
-    its block row and the bound on its defect."""
+    its frame, holding its block row, and the bound on its defect."""
     blocks = circulant_blocks(row)
     rank = round(block_count(row) * float(np.trace(row[:, : len(row)]).real))
     # the radius only names the cut in a refusal
-    bound, _ = _spectral_projector(blocks, rank, 0.30)
-    return circulant_row(blocks), bound
+    bound, frames = _spectral_projector(blocks, rank, 0.30)
+    ranks = [Y.shape[1] for Y in frames]
+    return ProjectorFrame(fiber, np.hstack(frames), len(frames), ranks, circulant_row(blocks)), bound
 
 
-def stack_chain(phi, cw, row):
-    """The profile chain of block row ``row``: bit for bit the whole-stack oracle's for a
-    hermitian row; any other the library refuses, and the oracle's four-product value
-    is returned."""
-    want = profile_chain_whole_stack(phi, cw, row)
-    if not is_hermitian_whole_row(row):
+def stack_chain(phi, cw, proj):
+    """The profile chain of the frame ``proj``: the whole-stack oracle's on its held row, to
+    1e-13, for a hermitian row; any other the library refuses, and the oracle's
+    four-product value is returned."""
+    want = profile_chain_whole_stack(phi, cw, proj.row)
+    if not is_hermitian_whole_row(proj.row):
         with pytest.raises(ModelError, match="hermitian"):
-            _weighted_profile_chain(phi, cw, row)
+            _weighted_profile_chain(phi, cw, proj)
         return want
-    got = _weighted_profile_chain(phi, cw, row)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    got = _weighted_profile_chain(phi, cw, proj)
+    assert abs(got - want) <= 1e-13 * abs(want)
     return got
 
 
@@ -232,11 +236,13 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
         # is the chain of the cut itself, whose four-product oracle value
         # the dense chain checks
         with pytest.raises(LocalizationError, match="hermitian"):
-            block_projector(S, n)
-        row = got = S
-        assert not hermitian_test_is_the_whole_row_test(row)
+            block_projector(fiber, S)
+        got = S
+        proj = ProjectorFrame(fiber, unit_frame(len(S), [0]), 1, [1], S)
+        assert not hermitian_test_is_the_whole_row_test(S)
     else:
-        row, bound = block_projector(S, n)
+        proj, bound = block_projector(fiber, S)
+        row = proj.row
         got = circulant_dense(row)
         want = spectral_projector(S)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
@@ -250,7 +256,7 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
-    got_chain = stack_chain(phi, cw, row)
+    got_chain = stack_chain(phi, cw, proj)
     assert abs(got_chain - want_chain) <= 1e-12 * abs(want_chain), name
 
 
@@ -267,20 +273,66 @@ def benchmark_row(path):
 def test_benchmark_flow_and_chain_are_bitwise_the_whole_stack_oracles(path):
     fiber, row = benchmark_row(path)
     want = circulant_row(spectral_projector(circulant_blocks(row)))
-    projected, bound = stack_projector(row)
+    proj, bound = stack_projector(fiber, row)
+    projected = proj.row
     assert np.max(np.abs(projected - want)) <= 1e-12 * np.max(np.abs(want))
     assert bound <= 1e-8
     cw = np.random.default_rng(61).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
-    # the stored row is hermitian: the chain takes its two-product form
+    # the stored row is hermitian: the chain takes the even rotations alone
     assert hermitian_test_is_the_whole_row_test(projected)
-    stack_chain(phi, cw, projected)
-    # one entry moved off the hermitian pair is refused; the four-product
-    # oracle gives it a real part the two-product form would drop
+    stack_chain(phi, cw, proj)
+    # a frame whose held row has one entry moved off the hermitian pair is
+    # refused; the four-product oracle gives it a real part the even
+    # rotations alone would drop
     moved = projected.copy()
     moved[3, 5] += 1e-9 * np.max(np.abs(projected))
     assert not hermitian_test_is_the_whole_row_test(moved)
-    assert abs(stack_chain(phi, cw, moved).real) > 0.0
+    proj = ProjectorFrame(fiber, proj.frame, proj.order, proj.ranks, moved)
+    assert abs(stack_chain(phi, cw, proj).real) > 0.0
+
+
+def orthonormal_block_frame(rng, width, ranks):
+    """A cut frame [Y_0 .. Y_{g-1}] of orthonormal blocks of the given ranks."""
+    frames = []
+    for r in ranks:
+        Z = rng.standard_normal((width, r)) + 1j * rng.standard_normal((width, r))
+        frames.append(np.linalg.qr(Z)[0])
+    return np.hstack(frames)
+
+
+def frame_case(name):
+    """(fiber, frame) for each kind of frame the profile chain reads."""
+    if name.startswith("uncut"):
+        # unlocalized Dolbeault kernel projectors: twist 3 on grid 20 has
+        # one block, twist 8 on grid 24 eight
+        n, N, twist = (20, 8, 3) if name == "uncut-g1" else (24, 8, 8)
+        fiber = FiberModel(2, N, n)
+        return fiber, index_idempotent(dolbeault_family(fiber, twist, levels=2)).projectors[0]
+    fiber = FiberModel(2, 3, 8)
+    ranks = (2, 0, 1, 0) if name == "cut-empty-blocks" else (0, 0, 0, 0)
+    frame = orthonormal_block_frame(np.random.default_rng(71), fiber.npoints // 4, ranks)
+    return fiber, ProjectorFrame(fiber, frame, 4, ranks)
+
+
+@pytest.mark.parametrize("name", ["uncut-g1", "uncut-g8", "cut-empty-blocks", "zero"])
+def test_profile_chain_of_every_frame_kind_matches_the_dense_oracle(name):
+    # uncut frames factor each Fourier block through the inverse FFT of the
+    # frame's row blocks; a cut block of rank 0 contributes nothing, and a
+    # frame whose every block has rank 0 is the zero projector
+    fiber, proj = frame_case(name)
+    assert (proj.ranks is None) == name.startswith("uncut")
+    assert proj.order == {"uncut-g1": 1, "uncut-g8": 8}.get(name, 4)
+    npts = fiber.npoints
+    cw = np.random.default_rng(73).uniform(0.2, 1.8, npts)
+    phi = sawtooth(fiber)
+    masks = [phi.leg_mask(i, npts) for i in (0, 1)]
+    want = dense_profile_chain(masks, cw, circulant_dense(proj.row))
+    got = _weighted_profile_chain(phi, cw, proj)
+    if name == "zero":
+        assert want == 0 and got == 0
+    else:
+        assert abs(got - want) <= 1e-12 * abs(want), name
 
 
 def hermitian_test_is_the_whole_row_test(row):
@@ -311,16 +363,19 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     row, cert_peak = traced_peak(lambda: certified_block_row(basis, 0.30, cols))
     assert row.nbytes == stack
     blocks = circulant_blocks(row)
-    _, projector_peak = traced_peak(lambda: _spectral_projector(blocks, 24, 0.30))
-    projected = circulant_row(blocks)
+    (_, frames), projector_peak = traced_peak(lambda: _spectral_projector(blocks, 24, 0.30))
+    ranks = [Y.shape[1] for Y in frames]
+    proj = ProjectorFrame(fiber, np.hstack(frames), len(frames), ranks, circulant_row(blocks))
     cw = np.random.default_rng(67).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
-    _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, projected))
+    _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, proj))
     peaks = [peak / stack for peak in (cert_peak, projector_peak, chain_peak)]
     # the certificate peaks at 1.50 stacks: the row and its magnitudes, with
     # the frame released and the tick distances in int32; the projector at
-    # 0.38, three one-block temporaries of its hermitian gate
-    assert peaks[0] <= 1.58 and peaks[1] <= 0.41 and peaks[2] <= 3.5, peaks
+    # 0.38, three one-block temporaries of its hermitian gate; the chain at
+    # 3.00, the blocks of both masked kernels and one masked row, where the
+    # stack of the projector's own blocks and their B x B products took 3.38
+    assert peaks[0] <= 1.58 and peaks[1] <= 0.41 and peaks[2] <= 3.1, peaks
 
 
 @pytest.mark.parametrize(

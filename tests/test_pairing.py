@@ -545,15 +545,13 @@ def _frame_inputs(rng, npts, rank):
 
 
 def _chain_inputs(rng, npts):
-    """Non-constant cutoff weight and a general and a hermitian complex kernel.
+    """Non-constant cutoff weight and a general complex kernel.
 
     A constant weight makes every weighted trace cyclic, which would hide a
     weight put on the wrong factor of a rotation.
     """
     cw = rng.uniform(0.2, 1.8, npts)
-    general = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
-    hermitian = (general + general.conj().T) / 2
-    return cw, {"general": general, "hermitian": hermitian}
+    return cw, rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
 
 
 class FixedMasks:
@@ -572,12 +570,12 @@ class FixedMasks:
 
 @pytest.fixture
 def chain_products(monkeypatch):
-    """One entry for every product either k = 1 chain takes."""
+    """The shape of the right operand of every product either k = 1 chain takes."""
     calls = []
     inner = pairing._product
 
     def counted(A, B):
-        calls.append(1)
+        calls.append(B.shape)
         return inner(A, B)
 
     monkeypatch.setattr(pairing, "_product", counted)
@@ -589,8 +587,12 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     fiber = FiberModel(2, 3, 8)
     npts = fiber.npoints
     rng = np.random.default_rng(31)
-    cw, kernels = _chain_inputs(rng, npts)
-    K = kernels[which]
+    cw, general = _chain_inputs(rng, npts)
+    # one block: the uncut frame F holds K = F F^H / npts, hermitian; the
+    # general kernel is held as the row of a frame it does not come from
+    _, F, hermitian = _frame_inputs(rng, npts, 7)
+    K = general if which == "general" else hermitian
+    proj = ProjectorFrame(fiber, F, 1, row=K)
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     profile_masks = [phi.leg_mask(i, npts) for i in (0, 1)]
@@ -606,31 +608,48 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
         if which == "general":
             # the library pairs only a hermitian kernel
             with pytest.raises(ModelError, match="hermitian"):
-                _weighted_profile_chain(cochain, cw, K)
+                _weighted_profile_chain(cochain, cw, proj)
             assert chain_products == []
             continue
-        got = _weighted_profile_chain(cochain, cw, K)
-        assert abs(got - want) <= 1e-13 * abs(want)
-        # one rotation sum: two products
-        assert len(chain_products) == 2
+        got = _weighted_profile_chain(cochain, cw, proj)
+        assert abs(got - want) <= 1e-12 * abs(want)
+        # the even rotations of the one block: five products by F's 7 columns
+        assert chain_products == [(npts, 7)] * 5
 
 
 def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
     fiber = FiberModel(2, 3, 8)
     npts = fiber.npoints
     rng = np.random.default_rng(37)
-    cw, kernels = _chain_inputs(rng, npts)
-    K = kernels["hermitian"].copy()
-    K[0, 1] += 1e-9
+    cw, F, K = _frame_inputs(rng, npts, 7)
+    moved = K.copy()
+    moved[0, 1] += 1e-9 * np.max(np.abs(K))
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     with pytest.raises(ModelError, match="hermitian"):
-        _weighted_profile_chain(phi, cw, K)
+        _weighted_profile_chain(phi, cw, ProjectorFrame(fiber, F, 1, row=moved))
     assert chain_products == []
-    # the two-product form would drop the real part this perturbation makes
+    # the even rotations alone would drop the real part this perturbation makes
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
-    want = six_term_profile_chain(masks, cw, K)
+    want = six_term_profile_chain(masks, cw, moved)
     assert abs(want.real) > 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("radius", [0.45, None], ids=["cut", "uncut"])
+def test_profile_chain_takes_five_thin_products_per_fourier_block(radius, chain_products):
+    # the flux-8 kernel projector on grid 24 has 8 Fourier blocks of 72
+    # points, each of rank 1: cut, each block is read through its own frame
+    # column; uncut, through the 8 columns of the whole frame
+    fiber = FiberModel(2, 8, 24)
+    proj = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=radius).projectors[0]
+    cw = np.random.default_rng(43).uniform(0.2, 1.8, fiber.npoints)
+    saw = TransitionProfile(linear_radius=0.45)
+    phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
+    _weighted_profile_chain(phi, cw, proj)
+    width = fiber.npoints // proj.order
+    ranks = proj.ranks or (proj.frame.shape[1],) * proj.order
+    assert proj.order == 8 and max(ranks) == (1 if radius else 8)
+    assert chain_products == [(width, r) for r in ranks for _ in range(5)]
 
 
 @pytest.mark.parametrize("rank", [5, 64])
