@@ -155,27 +155,23 @@ def truncation_mask(fiber: FiberModel, radius: float, rows: int) -> np.ndarray:
     return sq < (radius * fiber.grid_size) ** 2 * (1.0 - TRUNCATION_RTOL)
 
 
-# g blocks are accepted when the bound of ``certified_block_row`` on every
-# entry of S - Pi^a S Pi^-a is at most this much relative to the largest entry
-# of block row 0; grid matrices assembled from a section basis carry about
-# 2e-14 of rounding
+# g blocks are accepted when the bound of ``certified_block_count`` on every
+# entry of S - Pi^a S Pi^-a is at most this much relative to the largest
+# diagonal entry of block row 0; grid matrices assembled from a section basis
+# carry about 2e-14 of rounding
 CIRCULANT_RTOL = 1e-12
-# relative slack on rho^2 / n as a bound of the computed entries of S, far
-# above their rounding (about rank times the unit roundoff)
+# relative slack below the diagonal of S read from the frame's row norms, far
+# above the rounding between them and the diagonal of the product W W^H (about
+# rank times the unit roundoff)
 ENTRY_BOUND_MARGIN = 1e-6
 
 
-def certified_block_row(basis: SectionBasis, radius: float, cols: np.ndarray) -> np.ndarray:
-    """Block row 0 of the projector S = W W^H / n, W = E[:, cols], cut at ``radius``, in g blocks.
+def certified_block_count(fiber: FiberModel, W: np.ndarray) -> int:
+    """The block count g of S = W W^H / n, n = npoints, certified on its frame W (n x rank).
 
-    E (npoints x nb) is the matrix of ``basis`` and ``cols`` the indices of
-    the rank columns it keeps, as the parametrix passes the kernel columns
-    or cokernel rows of an operator; n = npoints.  g is the largest
-    divisor of grid_size whose translation Pi, by grid_size/g ticks along
-    axis 0, is certified to commute with S; only block row 0 of S is
-    formed.
-
-    For a = 1 .. g/2 write U = Pi^a W = W T + F, T the least-squares
+    g is the largest divisor of grid_size whose translation Pi, by
+    grid_size/g ticks along axis 0, is certified to commute with S.  For
+    a = 1 .. g/2 write U = Pi^a W = W T + F, T the least-squares
     coefficients.  Since
     W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H,
 
@@ -185,47 +181,45 @@ def certified_block_row(basis: SectionBasis, radius: float, cols: np.ndarray) ->
     T, and |T|_2 is computed, so no orthonormal basis is assumed: a sampled
     basis that misses quadrature orthonormality only moves T.  g is
     accepted when, for every a (a and g - a give the same entries), the
-    bound is at most CIRCULANT_RTOL times the largest entry of block row 0
-    of the cut S; the truncation mask commutes with Pi, so every entry of
-    the cut S is then that close to the expansion of its block row 0.
-    Every entry of S is at most rho^2 / n, so a g whose bound exceeds
-    CIRCULANT_RTOL times that for some a is refused before its block row
-    is formed.
+    bound is at most CIRCULANT_RTOL (1 - ENTRY_BOUND_MARGIN) d, with
+    d = max_{i<B} |W_i|^2 / n, B = n / g, the largest diagonal entry of
+    block row 0.  For every W and radius this is at least as strict as
+    refusing g above CIRCULANT_RTOL (1 + ENTRY_BOUND_MARGIN) rho^2 / n and
+    accepting it within CIRCULANT_RTOL of the largest entry of block row 0
+    of S cut at the radius: S is positive semidefinite, so |S_ij| <=
+    sqrt(S_ii S_jj) and d <= rho^2 / n; the cut keeps every pair at
+    distance 0, so its row 0 holds S_ii for i < B; and the margin covers
+    the rounding between the row's GEMM diagonal and d.  The truncation
+    mask commutes with Pi, so every entry of the cut S is then that close
+    to the expansion of its block row 0.
     """
-    fiber = basis.fiber
     n = fiber.npoints
-    W = basis.matrix.take(cols, axis=1)
     Wh = W.conj().T
     gram = Wh @ W / n
-    rho = _max_row_norm(W)
-    # the margin covers the rounding of the row and of rho
-    refuse = CIRCULANT_RTOL * rho * rho / n * (1.0 + ENTRY_BOUND_MARGIN)
+    norms = np.sum(np.abs(W) ** 2, axis=1)
+    rho = float(np.sqrt(np.max(norms)))
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
-        if W is None:
-            # released by a row whose largest entry refused the last g
-            W = basis.matrix.take(cols, axis=1)
-            Wh = W.conj().T
         width = n // g
-        bounds = []
+        accept = CIRCULANT_RTOL * float(np.max(norms[:width])) / n * (1.0 - ENTRY_BOUND_MARGIN)
         for a in range(1, g // 2 + 1):
             U = np.roll(W, -a * width, axis=0)
             T = np.linalg.solve(gram, Wh @ U / n)
             U -= W @ T
             leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
             psi = _max_row_norm(U)
-            bound = (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi)) / n
-            if bound > refuse:
+            if (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi)) / n > accept:
                 break
-            bounds.append(bound)
         else:
-            # the last residual, then the frame, are released before the row is cut
-            U = None
-            row = W[:width] @ Wh
-            W = Wh = None
-            row /= n
-            row *= truncation_mask(fiber, radius, width)
-            if max(bounds, default=0.0) <= CIRCULANT_RTOL * float(np.max(np.abs(row))):
-                return row
+            return g
+
+
+def frame_block_row(fiber: FiberModel, W: np.ndarray, g: int, radius: float) -> np.ndarray:
+    """Block row 0 (npoints/g x npoints) of S = W W^H / npoints in g blocks, cut at ``radius``."""
+    width = fiber.npoints // g
+    row = W[:width] @ W.conj().T
+    row /= fiber.npoints
+    row *= truncation_mask(fiber, radius, width)
+    return row
 
 
 def _max_row_norm(m: np.ndarray) -> float:

@@ -94,7 +94,6 @@ from .operators import (
     _axis_sum,
     _weighted_diag_trace,
     block_count,
-    circulant_blocks,
     require_invariant,
 )
 from .parametrix import IndexIdempotent, ProjectorFrame
@@ -315,9 +314,10 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: Projector
 
     The legs' masks are block circulant in every g dividing grid_size (they
     depend on w - z only), so only block row 0 of each mask is built, and
-    only while its product with the kernel is transformed.  The masks are
-    real (profile values), so a hermitian K takes the even rotations alone,
-    the odd ones being their conjugate.  The hermitian test reads block
+    only while its product with the kernel is formed; that product is
+    transformed in place.  The masks are real (profile values), so a
+    hermitian K takes the even rotations alone, the odd ones being their
+    conjugate.  The hermitian test reads block
     row 0 alone; a K that fails it raises ModelError before any product.
     Each Fourier block Z = L R^H of K has rank r_k, so with the blocks x
     and y of the masked kernels, u = y L and D = diag(orbit means of cw),
@@ -332,7 +332,8 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: Projector
         )
     width, g = row.shape[0], block_count(row)
     D = cw.reshape(g, width).sum(axis=0)[:, None] / g
-    X, Y = (circulant_blocks(row * phi.leg_mask(i, width)) for i in (0, 1))
+    masked = [(row * phi.leg_mask(i, width)).reshape(width, g, width) for i in (0, 1)]
+    X, Y = (np.fft.fft(M, axis=1, out=M).transpose(1, 0, 2) for M in masked)
     traces = np.empty(g, dtype=complex)
     for k, (x, y, (L, R)) in enumerate(zip(X, Y, proj.block_factors())):
         u = _product(y, L)

@@ -66,11 +66,11 @@ from .operators import (
     SectionBasis,
     SmoothingKernel,
     block_count,
-    certified_block_row,
+    certified_block_count,
     circulant_blocks,
     circulant_row,
+    frame_block_row,
     squared_tick_distances,
-    truncation_mask,
 )
 
 
@@ -211,7 +211,7 @@ class ProjectorFrame:
     [Y_0 .. Y_{g-1}] (npoints/g x rank), the orthonormal frames of the g
     Fourier blocks Y_k Y_k^H of S, of widths ``ranks``.  ``row``, the block
     row 0 of S, is formed from the frame on first read (``_frame_row``)
-    unless the construction that certified it passes it.
+    unless the construction passes the row it formed.
     """
 
     def __init__(self, fiber: FiberModel, frame: np.ndarray, order: int, ranks=None, row=None):
@@ -324,20 +324,16 @@ class ProjectorFrame:
 
 
 def _frame_row(proj: ProjectorFrame) -> np.ndarray:
-    """Block row 0 of a projector from its frame, by the operations that certified it.
+    """Block row 0 of a projector from its frame, by the operations that formed it.
 
-    Uncut, W[:B] W^H / npoints masked at radius +inf (``certified_block_row``);
-    cut, the inverse FFT of the blocks Y_k Y_k^H, each formed into a stack of
-    the layout ``circulant_blocks`` returns (``_stored_projector``).
+    Uncut, ``frame_block_row`` at radius +inf, as at construction; cut, the
+    inverse FFT of the blocks Y_k Y_k^H, each formed into a stack of the
+    layout ``circulant_blocks`` returns (``_stored_projector``).
     """
     fiber, g = proj.fiber, proj.order
-    width = fiber.npoints // g
     if proj.ranks is None:
-        W = proj.frame
-        row = W[:width] @ W.conj().T
-        row /= fiber.npoints
-        row *= truncation_mask(fiber, math.inf, width)
-        return row
+        return frame_block_row(fiber, proj.frame, g, math.inf)
+    width = fiber.npoints // g
     blocks = np.empty((width, g, width), dtype=complex).transpose(1, 0, 2)
     for P, (Y, _) in zip(blocks, proj.block_factors()):
         np.matmul(Y, Y.conj().T, out=P)
@@ -568,11 +564,12 @@ def index_idempotent(
     """Index idempotent of an operator, optionally localized at a fiber radius.
 
     ``data`` is ``parametrix(block)``, computed here unless the caller has it.
-    Each projector is certified as a block row (``certified_block_row``)
-    and held as its frame, with that row.  With no radius the construction
-    is exact and the frame is the basis columns at the parametrix's
-    indices, uncut.  With a radius, each projector is hard-truncated
-    (``truncation_mask``) and replaced by the spectral
+    Each projector's block count is certified on the basis columns at the
+    parametrix's indices (``certified_block_count``), whatever the radius,
+    and its block row 0 formed from them (``frame_block_row``); it is held
+    as its frame, with that row.  With no radius the construction is exact
+    and the frame is those columns, uncut.  With a radius, each projector
+    is hard-truncated (``truncation_mask``) and replaced by the spectral
     projector of the cut onto its eigenvalues above 1/2, found by orthogonal
     iteration on each Fourier block of that block row
     (``_spectral_projector``), whose frames it keeps.  A cut whose blocks
@@ -600,10 +597,11 @@ def index_idempotent(
 def _stored_projector(
     basis: SectionBasis, indices: np.ndarray, radius: float, newton_tol: float
 ) -> ProjectorFrame | None:
-    """The certified projector onto the basis columns at ``indices``, with its block row 0;
+    """The certified projector onto the basis columns W at ``indices``, with its block row 0;
     None for rank 0.
 
-    At radius +inf the frame is those columns, uncut.  Cut at a finite
+    W is gathered once, g certified on it and the row cut at the radius
+    formed from it.  At radius +inf the frame is W, uncut.  Cut at a finite
     radius, the projector is brought back to one of rank ``rank``, whose
     block row's trace g tr C_0 must still round to ``rank``.
     """
@@ -611,11 +609,15 @@ def _stored_projector(
     if rank == 0:
         return None
     fiber = basis.fiber
+    W = basis.matrix.take(indices, axis=1)
+    g = certified_block_count(fiber, W)
     if radius == np.inf:
-        row = certified_block_row(basis, radius, indices)
-        return ProjectorFrame(fiber, basis.matrix.take(indices, axis=1), block_count(row), row=row)
-    # the cut row is not held while its blocks are corrected in place
-    blocks = circulant_blocks(certified_block_row(basis, radius, indices))
+        return ProjectorFrame(fiber, W, g, row=frame_block_row(fiber, W, g, radius))
+    row = frame_block_row(fiber, W, g, radius)
+    # neither the frame nor the cut row is held while its blocks are formed and corrected
+    del W
+    blocks = circulant_blocks(row)
+    del row
     defect, frames = _spectral_projector(blocks, rank, radius)
     if defect > newton_tol:
         raise LocalizationError(

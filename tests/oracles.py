@@ -112,14 +112,17 @@ from indexpairing.forms import (
 )
 from indexpairing.grids import TWO_PI_I, ModelError, grid_points, spectral_gradient
 from indexpairing.operators import (
+    CIRCULANT_RTOL,
+    ENTRY_BOUND_MARGIN,
     OperatorBlock,
     SectionBasis,
     SmoothingKernel,
+    _max_row_norm,
     _norm_lower_bound,
     block_count,
-    certified_block_row,
     circulant_blocks,
     circulant_row,
+    truncation_mask,
 )
 from indexpairing.pairing import HERMITIAN_RTOL
 from indexpairing.parametrix import (
@@ -299,7 +302,7 @@ def unit_frame(size, indices):
 
 def frame_basis(basis, V):
     """The frame E V of coefficients V on ``basis`` as a basis of its own, and the
-    indices of all its columns: what ``certified_block_row`` certifies for W = E V."""
+    indices of all its columns: what the parametrix certifies for W = E V."""
     rank = V.shape[1]
     return SectionBasis(basis.fiber, rank, lambda: basis.matrix @ V), np.arange(rank)
 
@@ -789,11 +792,50 @@ def dense_elementary_chain(phi, cw, row):
     return complex(total) / 6.0
 
 
+def certified_block_row(basis, radius, cols):
+    """Block row 0 of S = W W^H / n, W = E[:, cols], cut at ``radius``, in the g blocks the
+    two-stage certificate accepts.
+
+    E is the matrix of ``basis`` and n = npoints.  For each divisor g of
+    grid_size, largest first, the bound of ``certified_block_count`` for
+    each a = 1 .. g/2 refuses g above CIRCULANT_RTOL (1 +
+    ENTRY_BOUND_MARGIN) rho^2 / n, a bound of every entry of S; the
+    row is then formed and cut, and g accepted when the largest bound is
+    at most CIRCULANT_RTOL times the row's largest entry.
+    """
+    fiber = basis.fiber
+    n = fiber.npoints
+    W = basis.matrix.take(cols, axis=1)
+    Wh = W.conj().T
+    gram = Wh @ W / n
+    rho = _max_row_norm(W)
+    refuse = CIRCULANT_RTOL * rho * rho / n * (1.0 + ENTRY_BOUND_MARGIN)
+    for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
+        width = n // g
+        bounds = []
+        for a in range(1, g // 2 + 1):
+            U = np.roll(W, -a * width, axis=0)
+            T = np.linalg.solve(gram, Wh @ U / n)
+            U -= W @ T
+            leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
+            psi = _max_row_norm(U)
+            bound = (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi)) / n
+            if bound > refuse:
+                break
+            bounds.append(bound)
+        else:
+            row = W[:width] @ Wh
+            row /= n
+            row *= truncation_mask(fiber, radius, width)
+            if max(bounds, default=0.0) <= CIRCULANT_RTOL * float(np.max(np.abs(row))):
+                return row
+
+
 def stored_row(basis, cols, radius):
     """Block row 0 of the projector onto the basis columns at ``cols`` as the idempotent
     stored it whole.
 
-    Uncut, the certified row; cut, the certified row of the cut with its
+    Uncut, the row of the two-stage certificate; cut, that row of the cut with its
     Fourier blocks replaced by their spectral projectors in place, and
     transformed back.  None for rank 0.
     """

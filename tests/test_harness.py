@@ -1083,6 +1083,9 @@ FLUX24 = {
         (FLUX24["flux24-unit"], 0),
         # the profile chain reads the entries of S0; S1 is zero
         (FLUX24["flux24-sawtooth"], 1),
+        # uncut in g = 2 blocks: the invariance gate of the half-shift
+        # quotient reads the entries of S0
+        ("S2-free-halfshift-d2", 1),
     ],
     ids=lambda x: Path(str(x)).stem,
 )
@@ -1091,21 +1094,29 @@ def test_cached_frames_form_the_stored_rows_only_where_read(name, warm_rows, tmp
     # stored whole, the warm pairing is bitwise the cold one, and a unit
     # cocycle on the trivial group reads no entry: cold or warm, no row is
     # formed from a frame
-    formed = []
-    form = parametrix._frame_row
+    formed, built = [], []
+    form, build = parametrix._frame_row, harness.index_idempotent
 
     def counted(proj):
-        formed.append(proj.order)
-        return form(proj)
+        formed.append(form(proj))
+        return formed[-1]
+
+    def kept(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(parametrix, "_frame_row", counted)
+    monkeypatch.setattr(harness, "index_idempotent", kept)
     scn = load_scenario(name)
     cold = run_scenario(scn, out_dir=tmp_path)
-    assert formed == []
+    assert formed == [] and len(built) == 1
     warm = run_scenario(scn, out_dir=tmp_path)
     assert same_bits(warm.pairing, cold.pairing)
     assert warm.csv_row() == cold.csv_row()
-    assert len(formed) == warm_rows
+    assert len(formed) == warm_rows and len(built) == 1
+    # each row formed warm is bitwise the row the cold construction stored
+    cold_rows = [kern.row for kern in built[0].families if kern.row is not None]
+    assert all(any(same_bits(row, want) for want in cold_rows) for row in formed)
 
     fiber = harness._build_space(scn).fiber
     block, _ = harness._build_operator(scn, fiber)
