@@ -167,9 +167,19 @@ def landau_section_jet(
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:
-    """The level basis of levels 0..max_level, sampled on first use."""
-    size = abs(_twisted(fiber, twist)) * (max_level + 1)
-    return SectionBasis(fiber, size, lambda: landau_section_values(fiber, twist, max_level))
+    """The level basis of levels 0..max_level, sampled on first use.
+
+    Column l * |twist| + j has the axis-0 frequency j: every image term of
+    B_{j,l} has the z1 frequency j - twist p, so a translation by 1/g along
+    z1 multiplies it by exp(2 pi i j / g) when g divides the twist.
+    """
+    s = abs(_twisted(fiber, twist))
+    return SectionBasis(
+        fiber,
+        s * (max_level + 1),
+        lambda: landau_section_values(fiber, twist, max_level),
+        np.tile(np.arange(s), max_level + 1),
+    )
 
 
 def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock:
@@ -192,7 +202,9 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
     # carry its image truncation; copied contiguous, so that the products
     # that read them see the layout of a basis sampled on its own
     width = levels * s
-    small = SectionBasis(fiber, width, lambda: big.matrix[:, :width].copy())
+    small = SectionBasis(
+        fiber, width, lambda: big.matrix[:, :width].copy(), big.frequencies[:width]
+    )
     mat = np.zeros((small.size, big.size), dtype=complex) if d > 0 else np.zeros(
         (big.size, small.size), dtype=complex
     )

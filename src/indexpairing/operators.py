@@ -55,12 +55,17 @@ class SectionBasis:
     """Quadrature-orthonormal family of ``size`` sections on one fiber.
 
     ``sample()`` returns their (npoints, size) grid samples; it is called on
-    the first read of ``matrix``, once.
+    the first read of ``matrix``, once.  ``frequencies`` (int64, one per
+    column) holds each section's axis-0 frequency f: the translation by
+    grid_size/g ticks along axis 0 multiplies the section by exp(2 pi i f / g)
+    for every block count g the basis is certified in
+    (``certified_block_count``).
     """
 
     fiber: FiberModel
     size: int
     sample: Callable[[], np.ndarray]
+    frequencies: np.ndarray
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -74,7 +79,8 @@ class SectionBasis:
 
 
 def fourier_basis(fiber: FiberModel) -> SectionBasis:
-    return SectionBasis(fiber, fiber.nmodes, fiber.eval_matrix)
+    """The retained Fourier modes, each of frequency k_1 along axis 0."""
+    return SectionBasis(fiber, fiber.nmodes, fiber.eval_matrix, fiber.modes()[:, 0])
 
 
 def fourier_multiplier(fiber: FiberModel, values: np.ndarray) -> OperatorBlock:
@@ -166,20 +172,22 @@ CIRCULANT_RTOL = 1e-12
 ENTRY_BOUND_MARGIN = 1e-6
 
 
-def certified_block_count(fiber: FiberModel, W: np.ndarray) -> int:
+def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndarray) -> int:
     """The block count g of S = W W^H / n, n = npoints, certified on its frame W (n x rank).
 
     g is the largest divisor of grid_size whose translation Pi, by
-    grid_size/g ticks along axis 0, is certified to commute with S.  For
-    a = 1 .. g/2 write U = Pi^a W = W T + F, T the least-squares
-    coefficients.  Since
-    W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H,
+    grid_size/g ticks along axis 0, is certified to commute with S.  Column
+    c of W has the axis-0 frequency f_c = ``frequencies[c]``, so Pi^a should
+    multiply it by exp(2 pi i f_c a / g): for a = 1 .. g/2 write
+    Pi^a W = W T + F with T = diag(exp(2 pi i f a / g)).  Since, for U = Pi^a W,
+    W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H
+    and T is unitary,
 
-        |S - Pi^a S Pi^-a| <= [rho^2 |1 - T T^H|_F + psi (2 rho |T|_2 + psi)] / n,
+        |S - Pi^a S Pi^-a| <= psi (2 rho + psi) / n,
 
-    with rho and psi the largest row norms of W and F.  This holds for any
-    T, and |T|_2 is computed, so no orthonormal basis is assumed: a sampled
-    basis that misses quadrature orthonormality only moves T.  g is
+    with rho and psi the largest row norms of W and F.  The identity holds
+    for any T, so a wrong frequency only raises psi: it refuses g, and never
+    certifies a wrong one; and no orthonormality of W is assumed.  g is
     accepted when, for every a (a and g - a give the same entries), the
     bound is at most CIRCULANT_RTOL (1 - ENTRY_BOUND_MARGIN) d, with
     d = max_{i<B} |W_i|^2 / n, B = n / g, the largest diagonal entry of
@@ -194,8 +202,6 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray) -> int:
     to the expansion of its block row 0.
     """
     n = fiber.npoints
-    Wh = W.conj().T
-    gram = Wh @ W / n
     norms = np.sum(np.abs(W) ** 2, axis=1)
     rho = float(np.sqrt(np.max(norms)))
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
@@ -203,11 +209,9 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray) -> int:
         accept = CIRCULANT_RTOL * float(np.max(norms[:width])) / n * (1.0 - ENTRY_BOUND_MARGIN)
         for a in range(1, g // 2 + 1):
             U = np.roll(W, -a * width, axis=0)
-            T = np.linalg.solve(gram, Wh @ U / n)
-            U -= W @ T
-            leak = float(np.linalg.norm(np.eye(len(T)) - T @ T.conj().T))
+            U -= W * np.exp(2j * np.pi * (frequencies * a % g) / g)
             psi = _max_row_norm(U)
-            if (rho * rho * leak + psi * (2 * rho * np.linalg.norm(T, 2) + psi)) / n > accept:
+            if psi * (2 * rho + psi) / n > accept:
                 break
         else:
             return g

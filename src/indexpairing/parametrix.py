@@ -610,7 +610,7 @@ def _stored_projector(
         return None
     fiber = basis.fiber
     W = basis.matrix.take(indices, axis=1)
-    g = certified_block_count(fiber, W)
+    g = certified_block_count(fiber, W, basis.frequencies[indices])
     if radius == np.inf:
         return ProjectorFrame(fiber, W, g, row=frame_block_row(fiber, W, g, radius))
     row = frame_block_row(fiber, W, g, radius)

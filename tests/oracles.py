@@ -300,11 +300,21 @@ def unit_frame(size, indices):
     return np.eye(size, dtype=complex)[:, indices]
 
 
-def frame_basis(basis, V):
-    """The frame E V of coefficients V on ``basis`` as a basis of its own, and the
-    indices of all its columns: what the parametrix certifies for W = E V."""
+def frame_basis(basis, V, frequencies):
+    """The frame E V of coefficients V on ``basis`` as a basis of its own, its columns of
+    the axis-0 ``frequencies``, and the indices of all its columns: what the
+    parametrix certifies for W = E V."""
     rank = V.shape[1]
-    return SectionBasis(basis.fiber, rank, lambda: basis.matrix @ V), np.arange(rank)
+    framed = SectionBasis(basis.fiber, rank, lambda: basis.matrix @ V, np.asarray(frequencies))
+    return framed, np.arange(rank)
+
+
+def unit_frequencies(basis, V):
+    """The axis-0 frequencies of the unit-vector columns of V on ``basis``; raises for a
+    column that mixes basis columns, which has none."""
+    live = V != 0
+    assert np.all(live.sum(axis=0) == 1), "a frame column mixes basis columns"
+    return basis.frequencies[live.argmax(axis=0)]
 
 
 def lapack_idempotent(block, radius=None):
@@ -315,7 +325,8 @@ def lapack_idempotent(block, radius=None):
     """
     _, v0, v1 = lapack_singular_data(block.matrix)
     (domain, cols), (codomain, rows) = (
-        frame_basis(basis, v) for basis, v in ((block.domain, v0), (block.codomain, v1))
+        frame_basis(basis, v, unit_frequencies(basis, v))
+        for basis, v in ((block.domain, v0), (block.codomain, v1))
     )
     framed = OperatorBlock(domain, codomain, np.zeros((len(rows), len(cols)), dtype=complex))
     return index_idempotent(framed, radius, data=ParametrixData(cols, rows))

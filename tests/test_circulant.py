@@ -78,6 +78,7 @@ from oracles import (
     spectral_projector,
     twisted_invariance_defect_dense,
     unit_frame,
+    unit_frequencies,
 )
 
 PERFBENCH_SCENARIOS = sorted(
@@ -135,7 +136,8 @@ def frame_row(basis, radius, cols):
     """The block row the idempotent forms for the basis columns at ``cols``: its block
     count certified on those columns, then block row 0 cut at radius."""
     W = basis.matrix.take(cols, axis=1)
-    return frame_block_row(basis.fiber, W, certified_block_count(basis.fiber, W), radius)
+    g = certified_block_count(basis.fiber, W, basis.frequencies[cols])
+    return frame_block_row(basis.fiber, W, g, radius)
 
 
 def counted_cuts(monkeypatch):
@@ -370,7 +372,7 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     # the basis is sampled on first read, before tracing starts
     W = basis.matrix.take(cols, axis=1)
     stack = 8 * 200 * 200 * 16
-    g, cert_peak = traced_peak(lambda: certified_block_count(fiber, W))
+    g, cert_peak = traced_peak(lambda: certified_block_count(fiber, W, basis.frequencies[cols]))
     row, row_peak = traced_peak(lambda: frame_block_row(fiber, W, g, 0.30))
     assert g == 8 and row.nbytes == stack
     blocks = circulant_blocks(row)
@@ -409,7 +411,7 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monke
     cut = counted_cuts(monkeypatch)
     W = basis.matrix.take(cols, axis=1)
     # the certificate cuts no row; the row of the accepted count is cut once
-    assert certified_block_count(basis.fiber, W) == order and cut == []
+    assert certified_block_count(basis.fiber, W, basis.frequencies[cols]) == order and cut == []
     row = frame_block_row(basis.fiber, W, order, 0.30)
     assert cut == [S.shape[0] // order]
     monkeypatch.undo()
@@ -503,7 +505,7 @@ def test_frames_certify_the_block_count_of_the_pinv_remainders(name):
             continue
         row = frame_row(basis, radius, indices)
         g = block_count(row)
-        eigen_basis, every = frame_basis(basis, eigen)
+        eigen_basis, every = frame_basis(basis, eigen, unit_frequencies(basis, eigen))
         assert block_count(frame_row(eigen_basis, radius, every)) == g, name
         assert dense_scan(basis, r, radius, g), name
         width = len(row)
@@ -614,16 +616,20 @@ def test_diagonal_builtins_store_the_rows_of_the_lapack_frames(name):
 
 @pytest.mark.parametrize("name", LANDAU, ids=lambda name: Path(name).stem)
 def test_landau_blocks_store_the_rows_of_the_lapack_frames_to_rounding(name):
-    # the basis columns at the indices of a Landau block certify the block
-    # count of LAPACK's trailing singular vectors, and build its idempotent
-    # rows to 1e-15
+    # LAPACK's trailing singular vectors V of a Landau block may mix basis
+    # columns (two nonzeros a column at twist -2, -1, 1 and 2), so they carry no
+    # axis-0 frequency of their own: the unlocalized idempotent's rows are
+    # the dense rows (E V V^H E^H / n)[:B] of LAPACK's frames to 1e-15
     block, _ = range_case(name)
-    lapack = lapack_idempotent(block)
+    _, v0, v1 = lapack_singular_data(block.matrix)
     mine = index_idempotent(block)
-    for got, ref in zip(mine.families, lapack.families):
-        got, ref = (np.zeros((0, 0)) if k.row is None else k.row for k in (got, ref))
-        assert got.shape == ref.shape, name
-        assert np.max(np.abs(got - ref), initial=0.0) <= 1e-15, name
+    for kern, basis, V in zip(mine.families, (block.domain, block.codomain), (v0, v1)):
+        if kern.row is None:
+            assert V.shape[1] == 0, name
+            continue
+        W = basis.matrix @ V
+        want = W[: len(kern.row)] @ W.conj().T / basis.fiber.npoints
+        assert np.max(np.abs(kern.row - want)) <= 1e-15, name
 
 
 ROTATED = [
@@ -659,7 +665,8 @@ def rotated_frames(n, N, twist, partner):
     w, V = np.linalg.eigh(H)
     for eps in 10.0 ** np.arange(-16.0, -7.5, 0.5):
         rot = (V * np.exp(1j * eps * w)) @ V.conj().T
-        yield (eps, basis, rot @ R @ rot.conj().T, *frame_basis(basis, rot @ frame))
+        rotated = frame_basis(basis, rot @ frame, basis.frequencies[cols])
+        yield (eps, basis, rot @ R @ rot.conj().T, *rotated)
 
 
 @pytest.mark.parametrize("n, N, twist, partner, coarser", ROTATED)
@@ -681,6 +688,31 @@ def test_certificate_never_accepts_what_the_dense_oracle_refuses(n, N, twist, pa
     assert all(g <= dense for g, dense in chosen)
 
 
+@pytest.mark.parametrize("n, N, twist", [(24, 8, 8), (30, 11, 12)])
+def test_wrong_frequencies_never_certify_a_wrong_block_count(n, N, twist):
+    # the kernel frame of the flux-d projector, read with wrong axis-0
+    # frequencies: the certificate refuses the block count the dense scan of
+    # the pinv remainder finds, and any smaller count it certifies instead
+    # the dense scan accepts too
+    block, basis, cols = kernel_columns(n, N, twist)
+    S = grid_projector(basis, remainder_projectors(block)[0])
+    order = circulant_order(S, n)
+    W = basis.matrix.take(cols, axis=1)
+    right = basis.frequencies[cols]
+    assert certified_block_count(basis.fiber, W, right) == order
+    one = right.copy()
+    one[1] += 1
+    wrong = {
+        "one column off by one": one,
+        "every column off by two": right + 2,
+        "permuted": np.random.default_rng(79).permutation(right),
+        "half a period off": right + order // 2,
+    }
+    for name, frequencies in wrong.items():
+        g = certified_block_count(basis.fiber, W, frequencies)
+        assert g < order and is_block_circulant(S, g), (name, g)
+
+
 CERTIFIED_RADII = [0.18, 0.30, 0.45, np.inf]
 
 
@@ -693,7 +725,7 @@ def frame_count_against_two_stage(basis, cols):
     n = fiber.npoints
     W = basis.matrix.take(cols, axis=1)
     # no radius enters: the count is certified once for every radius
-    g = certified_block_count(fiber, W)
+    g = certified_block_count(fiber, W, basis.frequencies[cols])
     norms = np.sum(np.abs(W[: n // g]) ** 2, axis=1)
     line = CIRCULANT_RTOL * float(np.max(norms)) / n * (1.0 - ENTRY_BOUND_MARGIN)
     two_stage = []

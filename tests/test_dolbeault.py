@@ -166,7 +166,9 @@ def test_operator_bases_are_sampled_on_first_use_once(monkeypatch):
 
 def test_basis_samples_are_checked_against_the_declared_size():
     fiber = FiberModel(2, 3, 8)
-    basis = SectionBasis(fiber, 3, lambda: np.zeros((fiber.npoints, 4), dtype=complex))
+    basis = SectionBasis(
+        fiber, 3, lambda: np.zeros((fiber.npoints, 4), dtype=complex), np.zeros(3, np.int64)
+    )
     assert basis.size == 3
     with pytest.raises(ModelError, match="not \\(npoints, size\\)"):
         basis.matrix
