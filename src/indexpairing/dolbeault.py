@@ -25,6 +25,8 @@ sums its image terms in increasing p.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .grids import FiberModel, ModelError
@@ -167,19 +169,12 @@ def landau_section_jet(
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:
-    """The level basis of levels 0..max_level, sampled on first use.
-
-    Column l * |twist| + j has the axis-0 frequency j: every image term of
-    B_{j,l} has the z1 frequency j - twist p, so a translation by 1/g along
-    z1 multiplies it by exp(2 pi i j / g) when g divides the twist.
-    """
+    """The level basis of levels 0..max_level, sampled on first use; column l |twist| + j
+    has the axis-0 frequency j, to which its z1 frequencies j - twist p are congruent
+    modulo every divisor of the twist."""
     s = abs(_twisted(fiber, twist))
-    return SectionBasis(
-        fiber,
-        s * (max_level + 1),
-        lambda: landau_section_values(fiber, twist, max_level),
-        np.tile(np.arange(s), max_level + 1),
-    )
+    sample = partial(landau_section_values, fiber, twist, max_level)
+    return SectionBasis(fiber, s * (max_level + 1), sample, np.tile(np.arange(s), max_level + 1))
 
 
 def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBlock:

@@ -14,11 +14,11 @@ CSV bodies across reruns; wall times and anything else nondeterministic stay
 out of the CSV.  Assembled idempotents are cached as their cut radius and
 the frame and block counts of each projector (``IndexIdempotent.arrays``)
 in an uncompressed ``.npz`` archive, whose per-member CRC-32 catches a
-damaged payload; a warm run forms a block row from its frame only where
-the pairing reads entries.  The file name carries a
-digest of every echo field the idempotent depends on, so a changed input is
-a cache miss; a corrupted cache surfaces as a ``CorruptedCacheError`` and
-exit code 2.
+damaged payload; a warm run forms a block row from its frames only where
+the pairing reads entries.  The file name carries a digest of every echo
+field the idempotent depends on, so a changed input is a cache miss, and a
+loaded one must fit the run before any route reads it (``require_inputs``);
+a corrupted cache surfaces as a ``CorruptedCacheError`` and exit code 2.
 """
 from __future__ import annotations
 
@@ -228,7 +228,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs, or its layout, would change.
-_CACHE_FORMAT = 12
+_CACHE_FORMAT = 13
 # echo fields the idempotent does not depend on (it is built from the fiber, the
 # operator and the localization radius alone); the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
@@ -284,18 +284,6 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
             echo=scn.echo(),
         )
 
-    idem = None
-    if out_dir is not None:
-        cache_path = _idempotent_cache(scn, out_dir)
-        with _stage("operator-cache"):
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            if cache_path.exists():
-                try:
-                    arrays = load_coefficients(cache_path)
-                    idem = IndexIdempotent.from_arrays(space.fiber, arrays)
-                except CorruptedCacheError as exc:
-                    raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
-
     # the spectral count and an idempotent still to build share one parametrix,
     # read on every run, so an unreadable block fails here, cached or not
     with _stage("analytic-index"):
@@ -305,6 +293,19 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
             analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
         else:
             analytic = (data.count.index,) * points
+
+    idem = None
+    if out_dir is not None:
+        cache_path = _idempotent_cache(scn, out_dir)
+        with _stage("operator-cache"):
+            cache_path.parent.mkdir(parents=True, exist_ok=True)
+            if cache_path.exists():
+                try:
+                    arrays = load_coefficients(cache_path)
+                    idem = IndexIdempotent.from_arrays(space.fiber, arrays)
+                    idem.require_inputs(data, scn.localize)
+                except CorruptedCacheError as exc:
+                    raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
 
     if idem is None:
         with _stage("idempotent"):

@@ -9,9 +9,10 @@ Conventions
 -----------
 Sections are scalar grid vectors of length npoints.  The inner product is
 the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds its fiber,
-its size nbasis and a sampler of its (npoints, nbasis) evaluation matrix
+its size nbasis, a sampler of its (npoints, nbasis) evaluation matrix
 with quadrature-orthonormal columns, which it calls on the first read of
-``matrix``; operators between bases are plain matrices on coefficients.  So
+``matrix``, and the axis-0 frequency of each column; operators between
+bases are plain matrices on coefficients.  So
 an operator is assembled without sampling its bases: a spectral count reads
 the coefficient matrix alone, and only a grid realization (the idempotent)
 samples them, each once, since its projector frames live on the operator's bases.
@@ -31,11 +32,13 @@ block (a, b) is C_{b-a mod g}, and the block row [C_0 .. C_{g-1}] determines
 it.  A ``SmoothingKernel`` stores each matrix as that block row, whose shape
 (npoints/g, npoints) fixes g; the dense matrix is the case g = 1.  A
 length-g FFT over the block index turns products of such matrices into g
-independent products of size npoints/g (``circulant_blocks``).
+independent products of size npoints/g, its Fourier blocks.  A basis
+column of axis-0 frequency f is an eigenvector of the translation, with
+the phase exp(2 pi i f / g), on which ``certified_block_count`` certifies g.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -55,17 +58,16 @@ class SectionBasis:
     """Quadrature-orthonormal family of ``size`` sections on one fiber.
 
     ``sample()`` returns their (npoints, size) grid samples; it is called on
-    the first read of ``matrix``, once.  ``frequencies`` (int64, one per
-    column) holds each section's axis-0 frequency f: the translation by
-    grid_size/g ticks along axis 0 multiplies the section by exp(2 pi i f / g)
-    for every block count g the basis is certified in
-    (``certified_block_count``).
+    the first read of ``matrix``, once.  ``frequencies`` (int64, an array, so
+    left out of comparisons and hashes) holds each section's axis-0 frequency f:
+    the translation by grid_size/g ticks along axis 0 multiplies it by
+    exp(2 pi i f / g) at every certified g.
     """
 
     fiber: FiberModel
     size: int
     sample: Callable[[], np.ndarray]
-    frequencies: np.ndarray
+    frequencies: np.ndarray = field(compare=False)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -176,18 +178,13 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
     """The block count g of S = W W^H / n, n = npoints, certified on its frame W (n x rank).
 
     g is the largest divisor of grid_size whose translation Pi, by
-    grid_size/g ticks along axis 0, is certified to commute with S.  Column
-    c of W has the axis-0 frequency f_c = ``frequencies[c]``, so Pi^a should
-    multiply it by exp(2 pi i f_c a / g): for a = 1 .. g/2 write
-    Pi^a W = W T + F with T = diag(exp(2 pi i f a / g)).  Since, for U = Pi^a W,
-    W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H
-    and T is unitary,
-
-        |S - Pi^a S Pi^-a| <= psi (2 rho + psi) / n,
-
-    with rho and psi the largest row norms of W and F.  The identity holds
-    for any T, so a wrong frequency only raises psi: it refuses g, and never
-    certifies a wrong one; and no orthonormality of W is assumed.  g is
+    grid_size/g ticks along axis 0, is certified to commute with S.  For
+    a = 1 .. g/2 write U = Pi^a W = W T + F with the phases
+    T = diag(exp(2 pi i f a / g)) of the columns' axis-0 ``frequencies`` f.
+    Since W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H
+    for any T, and T is unitary, |S - Pi^a S Pi^-a| <= psi (2 rho + psi) / n
+    with rho and psi the largest row norms of W and F.  A wrong frequency
+    only raises psi, so it refuses g and never certifies a wrong one.  g is
     accepted when, for every a (a and g - a give the same entries), the
     bound is at most CIRCULANT_RTOL (1 - ENTRY_BOUND_MARGIN) d, with
     d = max_{i<B} |W_i|^2 / n, B = n / g, the largest diagonal entry of
@@ -199,7 +196,10 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
     distance 0, so its row 0 holds S_ii for i < B; and the margin covers
     the rounding between the row's GEMM diagonal and d.  The truncation
     mask commutes with Pi, so every entry of the cut S is then that close
-    to the expansion of its block row 0.
+    to the expansion of its block row 0.  The row split by frequency
+    (``parametrix.ProjectorFrame``) has the blocks W_0 T^-a W_0^H / n,
+    W_0 = W[:B], where S has W_0 (W_0 T^a + F[:B])^H / n: each entry differs
+    by at most rho psi / n, inside the accepted line.
     """
     n = fiber.npoints
     norms = np.sum(np.abs(W) ** 2, axis=1)
@@ -217,15 +217,6 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
             return g
 
 
-def frame_block_row(fiber: FiberModel, W: np.ndarray, g: int, radius: float) -> np.ndarray:
-    """Block row 0 (npoints/g x npoints) of S = W W^H / npoints in g blocks, cut at ``radius``."""
-    width = fiber.npoints // g
-    row = W[:width] @ W.conj().T
-    row /= fiber.npoints
-    row *= truncation_mask(fiber, radius, width)
-    return row
-
-
 def _max_row_norm(m: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(m) ** 2, axis=1))))
 
@@ -233,22 +224,6 @@ def _max_row_norm(m: np.ndarray) -> float:
 def block_count(row: np.ndarray) -> int:
     """The block count g of a block row [C_0 .. C_{g-1}], the B x gB top of its matrix."""
     return row.shape[1] // row.shape[0]
-
-
-def circulant_blocks(row: np.ndarray) -> np.ndarray:
-    """Fourier blocks (g, B, B), sum_m C_m exp(-2 pi i m k / g), of block row [C_0 .. C_{g-1}].
-
-    The blocks of a product of block-circulant matrices are the blockwise
-    products of theirs.
-    """
-    width, g = row.shape[0], block_count(row)
-    return np.fft.fft(row.reshape(width, g, width), axis=1).transpose(1, 0, 2)
-
-
-def circulant_row(blocks: np.ndarray) -> np.ndarray:
-    """Block row 0 (B x gB) of the matrix with Fourier blocks (g, B, B)."""
-    g, width, _ = blocks.shape
-    return np.fft.ifft(blocks, axis=0).transpose(1, 0, 2).reshape(width, g * width)
 
 
 class SmoothingKernel:

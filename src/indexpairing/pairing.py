@@ -41,10 +41,10 @@ the odd sum into S(K^T), so the chain is (S(K) - S(K^T)) / 6.  Every
 kernel it pairs is a projector, hermitian, and the masks are real, so
 S(K^T) is the conjugate of S(K) and the chain is 2i Im S(K) / 6; a kernel
 that fails an O(n^2) check of its hermitian defect is refused before any
-product.  A projector of rank r is Z = L R^H with L and R n x r, so with
-u = Y L and <A, B> = sum conj(A) o B trace cyclicity gives
+product.  A projector of rank r is Z = V V^H with its frame V, n x r, so
+with u = Y V and <A, B> = sum conj(A) o B trace cyclicity gives
 
-    S(K) = <R, D X u> + <R, X Y D L> + <R, X D u>,
+    S(K) = <V, D X u> + <V, X Y D V> + <V, X D u>,
 
 five products of n x n by n x r and O(n r) sums.
 
@@ -64,8 +64,8 @@ translation.  When K is stored as g blocks (``SmoothingKernel``), with g
 dividing grid_size so that the blocks come from a grid translation, so are
 the masks, K o W0 and K o W1; the masks are built as their block row 0
 only, and the profile chain works on the g Fourier blocks of size n/g,
-one block at a time.  Block k of the projector has rank r_k and is read
-from its frame as a factor pair (``ProjectorFrame.block_factors``), so
+one block at a time.  Block k of the projector is Y_k Y_k^H for its frame
+Y_k of r_k columns (``ProjectorFrame.block_frames``), cut or not, so
 block k takes the five products above with r_k columns (3 of 200 at
 flux 24), where two products of whole blocks took 2 B^3.  The cutoff weight
 is not translation invariant, but tr(D M) of
@@ -319,10 +319,10 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: Projector
     hermitian K takes the even rotations alone, the odd ones being their
     conjugate.  The hermitian test reads block
     row 0 alone; a K that fails it raises ModelError before any product.
-    Each Fourier block Z = L R^H of K has rank r_k, so with the blocks x
-    and y of the masked kernels, u = y L and D = diag(orbit means of cw),
-    the three rotations are <R, D x u>, <R, x y D L> and <R, x D u> for
-    <A, B> = sum conj(A) o B: five products of B x B by B x r_k.
+    Each Fourier block of K is V V^H for its frame V of r_k columns, so with
+    the blocks x and y of the masked kernels, u = y V and D = diag(orbit
+    means of cw), the rotations are <V, D x u>, <V, x y D V> and <V, x D u>
+    for <A, B> = sum conj(A) o B: five products of B x B by B x r_k.
     """
     row = proj.row
     if not _is_hermitian(row):
@@ -335,12 +335,12 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: Projector
     masked = [(row * phi.leg_mask(i, width)).reshape(width, g, width) for i in (0, 1)]
     X, Y = (np.fft.fft(M, axis=1, out=M).transpose(1, 0, 2) for M in masked)
     traces = np.empty(g, dtype=complex)
-    for k, (x, y, (L, R)) in enumerate(zip(X, Y, proj.block_factors())):
-        u = _product(y, L)
+    for k, (x, y, V) in enumerate(zip(X, Y, proj.block_frames())):
+        u = _product(y, V)
         traces[k] = (
-            np.vdot(R, D * _product(x, u))
-            + np.vdot(R, _product(x, _product(y, D * L)))
-            + np.vdot(R, _product(x, D * u))
+            np.vdot(V, D * _product(x, u))
+            + np.vdot(V, _product(x, _product(y, D * V)))
+            + np.vdot(V, _product(x, D * u))
         )
     return 2j * complex(np.sum(traces)).imag / 6.0
 

@@ -32,11 +32,13 @@ consumer (trace, pairing, invariance gate, cache) works on them one at a
 time.
 A projector that commutes with translations along axis 0 is block
 circulant (see ``operators``): its block count g is certified on its range,
-and only its block row 0 is ever formed.  Each nonzero projector is held as
-a frame of ``rank`` columns (``ProjectorFrame``), a zero projector as None:
-the cache stores the frames, the k = 0 pairing reads the diagonal and the
-slot-product chain the Gram matrices of the frame, and the block row is
-formed from the frame only where its entries are read.
+and only its block row 0 is ever formed.  Each basis column is an
+eigenvector of the translation with a known phase (J. Zak, Phys. Rev. 134,
+A1602, 1964, for the Landau sections), so W W^H / n splits by the columns'
+axis-0 frequencies into the frames Y_k of its g Fourier blocks Y_k Y_k^H,
+and every nonzero projector is held as those frames (``ProjectorFrame``),
+a zero one as None.  The cache stores them, the pairings read them, and
+the block row is formed from them only where its entries are read.
 Localization truncates each projector at a fiber radius and restores
 idempotency on the g Fourier blocks of size npoints/g: each block is
 replaced by its spectral projector onto the eigenvalues above 1/2, the
@@ -47,10 +49,10 @@ reaches that projector at O(B^2 r_k) a step (H. Rutishauser, Numer. Math.
 16, 205, 1970), where a flow step is two B^3 products.  A certificate
 shows that exactly r_k eigenvalues lie above 1/2 and the rest below, so
 taking the projector commutes with P -> 1 - P: the range block 1 - S1 is
-corrected by correcting S1.  The corrected projector is kept as the frames
-Y_k of its Fourier blocks Y_k Y_k^H once the trace of its block row still
-counts the rank of the projector it was cut from.  The cut radius belongs
-to the idempotent, not to either projector.
+corrected by correcting S1.  Each block's iteration starts from its uncut
+frame.  The corrected projector is kept as its frames once the trace of
+its block row still counts the rank of the projector it was cut from.  The
+cut radius belongs to the idempotent, not to either projector.
 """
 from __future__ import annotations
 
@@ -65,12 +67,9 @@ from .operators import (
     OperatorBlock,
     SectionBasis,
     SmoothingKernel,
-    block_count,
     certified_block_count,
-    circulant_blocks,
-    circulant_row,
-    frame_block_row,
     squared_tick_distances,
+    truncation_mask,
 )
 
 
@@ -101,6 +100,9 @@ PROJECTOR_RESIDUAL_TOL = 1e-14
 MAX_PROJECTOR_STEPS = 200
 # the bound on the largest entry of P^2 - P a localized projector may keep
 NEWTON_TOL = 1e-8
+# the bound on |Y^H Y - 1|_F of every frame Y held; sampled Landau frames reach
+# 1.1e-13 (twist 200 on grid 64), and an undersampled basis 6.0e-7 and more
+FRAME_ORTHONORMALITY_TOL = 1e-12
 # an entry counts toward a kernel's reach above REACH_FLOOR times its largest
 REACH_FLOOR = 1e-12
 
@@ -203,22 +205,21 @@ def _outside(size: int, lead: np.ndarray) -> np.ndarray:
 
 
 class ProjectorFrame:
-    """A nonzero projector S on the scalar grid sections of one fiber, held as its frame.
+    """A nonzero projector S on the scalar grid sections of one fiber, held as its frames.
 
-    Uncut (``ranks`` None), ``frame`` is W (npoints x rank), the basis
-    columns at the parametrix's indices, and S = W W^H / npoints in
-    ``order`` = g certified blocks.  Cut, it is
-    [Y_0 .. Y_{g-1}] (npoints/g x rank), the orthonormal frames of the g
-    Fourier blocks Y_k Y_k^H of S, of widths ``ranks``.  ``row``, the block
-    row 0 of S, is formed from the frame on first read (``_frame_row``)
-    unless the construction passes the row it formed.
+    S is block circulant in g = ``order`` certified blocks of B = npoints/g
+    points, and ``frame`` is [Y_0 .. Y_{g-1}] (B x rank), the frames of its
+    g Fourier blocks Y_k Y_k^H, of widths ``ranks``: uncut, the basis columns
+    split by frequency (``_class_frames``).  ``row``, the block row 0 of S,
+    is formed from the frames on first read (``_frame_row``) unless the
+    construction passes the row it formed.
     """
 
-    def __init__(self, fiber: FiberModel, frame: np.ndarray, order: int, ranks=None, row=None):
+    def __init__(self, fiber: FiberModel, frame: np.ndarray, ranks, row=None):
         self.fiber = fiber
         self.frame = frame
-        self.order = order
-        self.ranks = None if ranks is None else tuple(int(r) for r in ranks)
+        self.ranks = tuple(int(r) for r in ranks)
+        self.order = len(self.ranks)
         if row is not None:
             self.row = row
 
@@ -227,63 +228,36 @@ class ProjectorFrame:
         return _frame_row(self)
 
     def diagonal(self) -> np.ndarray:
-        """The diagonal of S from the frame: that of C_0, once per block.
-
-        C_0 is W[:B] W^H / npoints uncut, and the mean of the Fourier
-        blocks cut, so its diagonal is the squared row norms of W[:B] over
-        npoints, or of [Y_0 .. Y_{g-1}] over g.
-        """
-        g = self.order
-        if self.ranks is None:
-            F, scale = self.frame[: self.fiber.npoints // g], self.fiber.npoints
-        else:
-            F, scale = self.frame, g
-        return np.tile(np.sum(F.real**2 + F.imag**2, axis=1) / scale, g)
+        """The diagonal of S from the frames: that of C_0, the mean of the Fourier
+        blocks, once per block, so the squared row norms of [Y_0 .. Y_{g-1}] over g."""
+        F, g = self.frame, self.order
+        return np.tile(np.sum(F.real**2 + F.imag**2, axis=1) / g, g)
 
     def grid_frame(self) -> np.ndarray:
         """F (npoints x rank) with S = F F^H / npoints.
 
-        Cut, row aB + i of F is B^(1/2) Y_k[i] exp(-2 pi i a k / g) on the
-        columns of Y_k: the inverse DFT over the block index of the blocks
-        Y_k Y_k^H.
+        Row aB + i of F is B^(1/2) Y_k[i] exp(-2 pi i a k / g) on the columns
+        of Y_k: the inverse DFT over the block index of the blocks Y_k Y_k^H.
         """
-        if self.ranks is None:
-            return self.frame
         g, (width, rank) = self.order, self.frame.shape
         block = np.repeat(np.arange(g), self.ranks)
         phase = np.exp(-2j * np.pi * np.outer(np.arange(g), block) / g)
         F = math.sqrt(width) * phase[:, None, :] * self.frame[None]
         return F.reshape(g * width, rank)
 
-    def block_factors(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """(L_k, R_k) with the Fourier block Z_k of S equal to L_k R_k^H, for k < g.
-
-        Cut, both are Y_k, the frame's columns for block k.  Uncut, C_m =
-        W_0 W_m^H / npoints for the row blocks W_m of W, so Z_k =
-        sum_m C_m exp(-2 pi i m k / g) is W_0 / npoints times the conjugate
-        transpose of G_k = sum_m W_m exp(2 pi i m k / g), g times the
-        inverse FFT of the W_m.
-        """
-        g, n = self.order, self.fiber.npoints
-        if self.ranks is None:
-            W = self.frame
-            L = W[: n // g] / n
-            G = g * np.fft.ifft(W.reshape(g, n // g, W.shape[1]), axis=0)
-            return [(L, R) for R in G]
+    def block_frames(self) -> list[np.ndarray]:
+        """The frames Y_k of the Fourier blocks Y_k Y_k^H, k < g, each contiguous."""
         ends = np.cumsum(self.ranks)
-        Y = [np.ascontiguousarray(self.frame[:, a:b]) for a, b in zip(ends - self.ranks, ends)]
-        return [(y, y) for y in Y]
+        return [np.ascontiguousarray(self.frame[:, a:b]) for a, b in zip(ends - self.ranks, ends)]
 
     def arrays(self) -> list[np.ndarray]:
-        """The frame, and [g] uncut or [g, r_0 .. r_{g-1}] cut as int64."""
-        return [self.frame, np.array([self.order, *(self.ranks or ())], dtype=np.int64)]
+        """The frame, and [g, r_0 .. r_{g-1}] as int64."""
+        return [self.frame, np.array([self.order, *self.ranks], dtype=np.int64)]
 
     @classmethod
-    def from_arrays(cls, fiber: FiberModel, frame: np.ndarray, counts: np.ndarray, cut: bool):
-        """Inverse of arrays(), None for the empty frame and counts of a zero projector.
-
-        Raises CorruptedCacheError on any mismatch with fiber.
-        """
+    def from_arrays(cls, fiber: FiberModel, frame: np.ndarray, counts: np.ndarray):
+        """Inverse of arrays(), None for the empty frame and counts of a zero projector;
+        raises CorruptedCacheError on any mismatch with fiber."""
         if frame.dtype != np.complex128:
             raise CorruptedCacheError(f"frame dtype {frame.dtype} is not complex128")
         if counts.dtype != np.int64 or counts.ndim != 1:
@@ -293,7 +267,6 @@ class ProjectorFrame:
             )
         if frame.shape == (0, 0) and counts.size == 0:
             return None
-        n = fiber.npoints
         if frame.ndim != 2 or not frame.shape[1] or not counts.size:
             raise CorruptedCacheError(
                 f"frame of shape {frame.shape} with {counts.size} block counts is neither "
@@ -304,40 +277,52 @@ class ProjectorFrame:
             raise CorruptedCacheError(
                 f"block count {g} does not divide the grid size {fiber.grid_size}"
             )
-        rows = n if not cut else n // g
-        if frame.shape[0] != rows:
+        if frame.shape[0] != fiber.npoints // g:
             raise CorruptedCacheError(
-                f"{'cut' if cut else 'uncut'} frame has {frame.shape[0]} rows, not "
-                f"{'npoints/g' if cut else 'npoints'} = {rows}"
+                f"frame has {frame.shape[0]} rows, not npoints/g = {fiber.npoints // g}"
             )
-        if not cut:
-            if counts.size != 1:
-                raise CorruptedCacheError(f"uncut frame carries {counts.size} counts, not [g]")
-            return cls(fiber, frame, g)
         ranks = counts[1:]
         if ranks.size != g or np.any(ranks < 0) or int(ranks.sum()) != frame.shape[1]:
             raise CorruptedCacheError(
                 f"ranks {ranks.tolist()} of {g} blocks do not sum to the frame width "
                 f"{frame.shape[1]}"
             )
-        return cls(fiber, frame, g, ranks)
+        return cls(fiber, frame, ranks)
+
+
+def _frame_defect(Y: np.ndarray) -> float:
+    """|Y^H Y - 1|_F, the departure of the frame Y from orthonormal."""
+    return float(np.linalg.norm(Y.conj().T @ Y - np.eye(Y.shape[1])))
+
+
+def _orthonormal(frames: list[np.ndarray], error: type, hint: str = "") -> list[np.ndarray]:
+    """``frames``; raises ``error``, with ``hint``, if one departs from orthonormal by
+    more than FRAME_ORTHONORMALITY_TOL."""
+    defect, tol = max(map(_frame_defect, frames), default=0.0), FRAME_ORTHONORMALITY_TOL
+    if defect > tol:
+        raise error(f"a frame departs from orthonormal by {defect:.3e} > {tol:g}{hint}")
+    return frames
+
+
+def _frame_blocks(frames: list[np.ndarray], width: int) -> np.ndarray:
+    """The Fourier blocks Y_k Y_k^H (g, B, B) of the frames Y_k, laid out (B, g, B)."""
+    blocks = np.empty((width, len(frames), width), dtype=complex).transpose(1, 0, 2)
+    for P, Y in zip(blocks, frames):
+        np.matmul(Y, Y.conj().T, out=P)
+    return blocks
+
+
+def _block_row(blocks: np.ndarray) -> np.ndarray:
+    """Block row 0 (B x gB) of the matrix with Fourier blocks (g, B, B), in their memory:
+    the layout of ``_frame_blocks`` reads their inverse FFT as the row, without a copy."""
+    g, width, _ = blocks.shape
+    np.fft.ifft(blocks, axis=0, out=blocks)
+    return blocks.transpose(1, 0, 2).reshape(width, g * width)
 
 
 def _frame_row(proj: ProjectorFrame) -> np.ndarray:
-    """Block row 0 of a projector from its frame, by the operations that formed it.
-
-    Uncut, ``frame_block_row`` at radius +inf, as at construction; cut, the
-    inverse FFT of the blocks Y_k Y_k^H, each formed into a stack of the
-    layout ``circulant_blocks`` returns (``_stored_projector``).
-    """
-    fiber, g = proj.fiber, proj.order
-    if proj.ranks is None:
-        return frame_block_row(fiber, proj.frame, g, math.inf)
-    width = fiber.npoints // g
-    blocks = np.empty((width, g, width), dtype=complex).transpose(1, 0, 2)
-    for P, (Y, _) in zip(blocks, proj.block_factors()):
-        np.matmul(Y, Y.conj().T, out=P)
-    return circulant_row(blocks)
+    """Block row 0 of a projector from its frames, by the operations that formed it."""
+    return _block_row(_frame_blocks(proj.block_frames(), proj.fiber.npoints // proj.order))
 
 
 class IndexIdempotent:
@@ -376,6 +361,19 @@ class IndexIdempotent:
     def families(self) -> tuple[SmoothingKernel, SmoothingKernel]:
         return self.skernel, self.cokernel
 
+    def require_inputs(self, data: ParametrixData, radius: float | None) -> None:
+        """Raise CorruptedCacheError unless the radius is ``radius`` (+inf for None), the
+        frame widths are the counts of the parametrix ``data`` and every frame is
+        orthonormal within FRAME_ORTHONORMALITY_TOL, as at construction."""
+        found = [self.radius, *(0 if p is None else sum(p.ranks) for p in self.projectors)]
+        want = [math.inf if radius is None else radius, len(data.cols), len(data.rows)]
+        if found != want:
+            raise CorruptedCacheError(
+                f"radius and frame widths {found} differ from localize and counts {want}"
+            )
+        frames = [Y for p in self.projectors if p is not None for Y in p.block_frames()]
+        _orthonormal(frames, CorruptedCacheError)
+
     def arrays(self) -> list[np.ndarray]:
         """Cached form: [radius], then the frame and block counts of S0 and of S1.
 
@@ -398,9 +396,8 @@ class IndexIdempotent:
         head = arrays[0]
         if head.shape != (1,) or head.dtype != np.float64 or not head[0] > 0:
             raise CorruptedCacheError(f"cut radius {head} is not a positive number")
-        cut = bool(np.isfinite(head[0]))
         s0, s1 = (
-            ProjectorFrame.from_arrays(fiber, frame, counts, cut)
+            ProjectorFrame.from_arrays(fiber, frame, counts)
             for frame, counts in (arrays[1:3], arrays[3:5])
         )
         return cls(fiber, s0, s1, head[0])
@@ -426,24 +423,24 @@ class IndexIdempotent:
 
 
 def _spectral_projector(
-    blocks: np.ndarray, rank: int, radius: float
+    blocks: np.ndarray, starts: list[np.ndarray], radius: float
 ) -> tuple[float, list[np.ndarray]]:
     """Replace each Fourier block P_k of a cut projector by its projector onto the eigenvalues above 1/2.
 
     ``blocks`` (g, B, B) are the Fourier blocks of a block row cut from a
-    rank-``rank`` projector; they are overwritten in place.  Returns a
-    bound on the largest entry of M^2 - M, M the block-circulant matrix
-    whose block row is ``circulant_row(blocks)`` as stored, and the frames
-    Y of the blocks Y Y^H.
+    projector whose blocks have the frames ``starts``; they are overwritten
+    in place.  Returns a bound on the largest entry of M^2 - M, M the
+    block-circulant matrix whose block row is ``_block_row(blocks)`` as
+    stored, and the frames Y of the blocks Y Y^H.
 
     The blocks must be hermitian: max |P_k - P_k^H| at most
     CUT_HERMITIAN_RTOL times their largest entry, and each is then replaced
     by its hermitian part (P_k + P_k^H) / 2, which rounds to an exactly
     hermitian matrix.  Block k is asked for r_k = round(tr P_k) eigenvalues
-    above 1/2, and the r_k must sum to ``rank``.  Orthogonal iteration
-    Y <- qr(P_k Y), started from the unit vectors at the r_k largest
-    diagonal entries, runs until R = P_k Y - Y H, H = Y^H P_k Y, has
-    |R|_F <= PROJECTOR_RESIDUAL_TOL, within MAX_PROJECTOR_STEPS steps.
+    above 1/2, and r_k must be the width of its start frame.  Orthogonal
+    iteration Y <- qr(P_k Y), started from that frame, runs until
+    R = P_k Y - Y H, H = Y^H P_k Y, has |R|_F <= PROJECTOR_RESIDUAL_TOL,
+    within MAX_PROJECTOR_STEPS steps.
 
     Certificate.  Complete Y to a unitary [Y, X].  In that basis P_k is
     diag(H, D) + E, with D = X^H P_k X the deflated block and E the
@@ -459,7 +456,7 @@ def _spectral_projector(
     ones, and
     |D|_F^2 = |P_k|_F^2 - 2 |P_k Y|_F^2 + |H|_F^2 costs no block product.
     Both slacks add |1 - Y^H Y|_F, the departure of the computed frame from
-    an orthonormal one.
+    an orthonormal one, which FRAME_ORTHONORMALITY_TOL bounds.
 
     Defect.  P_k is replaced by Y Y^H.  With G = Y^H Y, Y G Y^H - Y Y^H has
     entries y_i (G - 1) y_j^H, at most rho^2 |G - 1|_2 for rho the largest
@@ -489,17 +486,17 @@ def _spectral_projector(
             f"{CUT_HERMITIAN_RTOL:g} of their largest entry {scale:.3e}, at radius {radius:g}"
         )
     counts = [round(float(np.trace(P).real)) for P in blocks]
-    if min(counts) < 0 or max(counts) > width or sum(counts) != rank:
+    sizes = [Y.shape[1] for Y in starts]
+    rank = sum(sizes)
+    if counts != sizes:
         raise LocalizationError(
             f"idempotent correction carried the rank-{rank} projector to trace "
-            f"{sum(counts)} at radius {radius:g}; the cut is too tight for the "
-            "kernel decay"
+            f"{sum(counts)} (block traces {counts}, class sizes {sizes}) at radius "
+            f"{radius:g}; the cut is too tight for the kernel decay"
         )
     eps = rho2 = 0.0
     frames = []
-    for k, (P, r) in enumerate(zip(blocks, counts)):
-        Y = np.zeros((width, r), dtype=complex)
-        Y[np.argsort(-P.diagonal().real, kind="stable")[:r], np.arange(r)] = 1.0
+    for k, (P, r, Y) in enumerate(zip(blocks, counts, starts)):
         for _ in range(MAX_PROJECTOR_STEPS):
             Z = P @ Y
             H = Y.conj().T @ Z
@@ -513,22 +510,22 @@ def _spectral_projector(
                 f"{residual:.3e} after {MAX_PROJECTOR_STEPS} steps at radius "
                 f"{radius:g}; the cut is too tight for the kernel decay"
             )
-        loss = float(np.linalg.norm(Y.conj().T @ Y - np.eye(r)))
+        loss = _frame_defect(Y)
         slack = residual + loss
         deflated = math.sqrt(
             max(float(np.vdot(P, P).real - 2.0 * np.vdot(Z, Z).real + np.vdot(H, H).real), 0.0)
         )
         ritz = (H + H.conj().T) / 2
         lift = np.eye(r) * (0.5 + slack)
-        if deflated + slack >= 0.5 or not (
+        if loss > FRAME_ORTHONORMALITY_TOL or deflated + slack >= 0.5 or not (
             _positive_definite(ritz - lift) and _positive_definite(2.0 * np.eye(r) - lift - ritz)
         ):
             raise LocalizationError(
                 f"cannot certify that idempotent correction carried the rank-{rank} "
                 f"projector to trace {rank} at radius {radius:g}: Fourier block {k} "
                 f"need not have exactly {r} eigenvalues above 1/2 (deflated norm "
-                f"{deflated:.3e}, residual {residual:.3e}); the cut is too tight for "
-                "the kernel decay"
+                f"{deflated:.3e}, residual {residual:.3e}, frame defect {loss:.3e}); "
+                "the cut is too tight for the kernel decay"
             )
         eps = max(eps, loss + r * _gamma(width + 2) * (1 + loss))
         rho2 = max(rho2, float(np.max(np.sum(np.abs(Y) ** 2, axis=1))))
@@ -566,19 +563,18 @@ def index_idempotent(
     ``data`` is ``parametrix(block)``, computed here unless the caller has it.
     Each projector's block count is certified on the basis columns at the
     parametrix's indices (``certified_block_count``), whatever the radius,
-    and its block row 0 formed from them (``frame_block_row``); it is held
-    as its frame, with that row.  With no radius the construction is exact
-    and the frame is those columns, uncut.  With a radius, each projector
-    is hard-truncated (``truncation_mask``) and replaced by the spectral
-    projector of the cut onto its eigenvalues above 1/2, found by orthogonal
-    iteration on each Fourier block of that block row
-    (``_spectral_projector``), whose frames it keeps.  A cut whose blocks
-    are not hermitian, whose rounded block traces miss the rank, whose
-    iteration takes more than MAX_PROJECTOR_STEPS, whose eigenvalues above
-    1/2 are not certified, or whose defect bound exceeds newton_tol
-    (NEWTON_TOL unless a caller asks for a tighter defect) is too
-    aggressive for the kernel decay and raises.  A projector of rank 0 is
-    held as None.
+    and the columns split by frequency into its frames (``_class_frames``).
+    With no radius the construction is exact, and the projector is held as
+    those frames.  With a radius, each projector is hard-truncated
+    (``truncation_mask``) and replaced by the spectral projector of the cut
+    onto its eigenvalues above 1/2, found by orthogonal iteration on each
+    Fourier block from its uncut frame (``_spectral_projector``).  A cut
+    whose blocks are not hermitian, whose rounded block traces miss the
+    frame widths, whose iteration takes more than MAX_PROJECTOR_STEPS,
+    whose eigenvalues above 1/2 are not certified, or whose defect bound
+    exceeds newton_tol (NEWTON_TOL unless a caller asks for a tighter
+    defect) is too aggressive for the kernel decay and raises.  A
+    projector of rank 0 is held as None.
     """
     if data is None:
         data = parametrix(block)
@@ -594,43 +590,59 @@ def index_idempotent(
     return IndexIdempotent(block.domain.fiber, *projectors, cut)
 
 
+def _class_frames(W: np.ndarray, frequencies: np.ndarray, g: int) -> list[np.ndarray]:
+    """The frames Y_k = (g / n)^(1/2) W[:B, f = -k mod g] of the Fourier blocks of
+    W W^H / n, n = len(W), for the columns' axis-0 frequencies f; refused, naming
+    the grid and the twist, beyond FRAME_ORTHONORMALITY_TOL of orthonormal."""
+    classes = -frequencies % g
+    scale = math.sqrt(g / len(W))
+    frames = [scale * W[: len(W) // g, classes == k] for k in range(g)]
+    hint = ": the grid undersamples the basis; raise fiber.grid or lower operator.twist"
+    return _orthonormal(frames, ModelError, hint)
+
+
 def _stored_projector(
     basis: SectionBasis, indices: np.ndarray, radius: float, newton_tol: float
 ) -> ProjectorFrame | None:
     """The certified projector onto the basis columns W at ``indices``, with its block row 0;
     None for rank 0.
 
-    W is gathered once, g certified on it and the row cut at the radius
-    formed from it.  At radius +inf the frame is W, uncut.  Cut at a finite
-    radius, the projector is brought back to one of rank ``rank``, whose
-    block row's trace g tr C_0 must still round to ``rank``.
+    W is gathered once, g certified on it and its frames split from it.  Cut
+    at a finite radius, the frames' blocks are transformed to the block row,
+    cut and transformed back in one (g, B, B) stack, and the projector
+    brought back to one of rank ``rank``, whose block row's trace g tr C_0
+    must still round to ``rank``.
     """
     rank = len(indices)
     if rank == 0:
         return None
     fiber = basis.fiber
     W = basis.matrix.take(indices, axis=1)
-    g = certified_block_count(fiber, W, basis.frequencies[indices])
-    if radius == np.inf:
-        return ProjectorFrame(fiber, W, g, row=frame_block_row(fiber, W, g, radius))
-    row = frame_block_row(fiber, W, g, radius)
-    # neither the frame nor the cut row is held while its blocks are formed and corrected
+    frequencies = basis.frequencies[indices]
+    g = certified_block_count(fiber, W, frequencies)
+    starts = _class_frames(W, frequencies, g)
     del W
-    blocks = circulant_blocks(row)
-    del row
-    defect, frames = _spectral_projector(blocks, rank, radius)
+    width = fiber.npoints // g
+    blocks = _frame_blocks(starts, width)
+    ranks = [Y.shape[1] for Y in starts]
+    if radius == np.inf:
+        return ProjectorFrame(fiber, np.hstack(starts), ranks, _block_row(blocks))
+    # the block row is a view of the stack, cut and transformed back in place
+    row = _block_row(blocks)
+    row *= truncation_mask(fiber, radius, width)
+    np.fft.fft(blocks, axis=0, out=blocks)
+    defect, frames = _spectral_projector(blocks, starts, radius)
     if defect > newton_tol:
         raise LocalizationError(
             f"idempotent correction keeps a defect bound {defect:.3e} above "
             f"{newton_tol:g} at radius {radius:g}"
         )
-    row = circulant_row(blocks)
-    trace = block_count(row) * float(np.trace(row[:, : row.shape[0]]).real)
+    row = _block_row(blocks)
+    trace = g * float(np.trace(row[:, :width]).real)
     if round(trace) != rank:
         raise LocalizationError(
             f"idempotent correction carried the rank-{rank} projector to trace "
             f"{trace:.6g} at radius {radius:g}; the cut is too tight for the "
             "kernel decay"
         )
-    ranks = [Y.shape[1] for Y in frames]
-    return ProjectorFrame(fiber, np.hstack(frames), len(frames), ranks, row)
+    return ProjectorFrame(fiber, np.hstack(frames), ranks, row)

@@ -45,22 +45,29 @@ singular values off its nonzero entries and refuses any other block; it
 must certify the same rank, and the unit vectors at its kernel columns and
 cokernel rows must span the same projectors.  A frame of coefficients V,
 such as a LAPACK or a rotated one, reaches the library's certificate as a
-basis of its own, E V, all of whose columns it keeps.
+basis of its own, E V, all of whose columns it keeps, with the axis-0
+frequencies its columns are given: those of the unit vectors it holds, or
+any others, since a wrong frequency may only refuse a block count.
 
 The index projectors are kept here as the library first built them: the
 remainders 1 - QD and 1 - DQ of the pseudo-inverse Q, expanded on the grid
 as E R E^H / n, with the range basis of the block-count certificate the
 eigenvectors of a remainder with eigenvalue above 1/2.  The library builds
-each projector from the basis columns W at the parametrix's indices as
-W W^H / n; its rows agree with the remainder's to rounding, and both
-bases certify the same block count.  The periodic
+each projector from the basis columns W at the parametrix's indices,
+split by frequency into the frames of its Fourier blocks; its rows agree
+with the remainder's to rounding, and both bases certify the same block
+count.  The row formed from the whole frame, W[:B] W^H / n cut at a
+radius, is kept as the library formed it before that split, and so is the
+least-squares two-stage certificate of the block count.  The periodic
 distances between grid points are kept as the float pointwise formula the
 library's integer tick distances replace.
 
 The localized projector is kept as the spectral projector of the cut onto
 its eigenvalues above 1/2, taken from LAPACK's eigh; the library reaches
 it by orthogonal iteration on each Fourier block's rank and must agree to
-rounding.  The profile chain is kept as the library first ran it on
+rounding, started where it first started, from the unit vectors at each
+block's largest diagonal entries, where the library starts from the
+block's uncut frame.  The profile chain is kept as the library first ran it on
 Fourier blocks: the rotation sums with both leg masks and the block column
 held and each product formed for all g blocks at once.  The library holds
 fewer stacks with the same operations in the same order, so it agrees with
@@ -72,7 +79,7 @@ took, which serves any kernel; the library refuses such a kernel.
 
 Each index projector is kept as the block row the idempotent once stored:
 the certified row, cut and corrected in place.  The library holds the
-projector's frame and forms that row from it, bit for bit.  The dense
+projector's frames and forms its row from them, to rounding.  The dense
 block-circulant matrix of a block row is kept here, and with it the
 slot-product chain as it was first contracted, on the dense kernel, one
 npoints^3 product per middle field; the library contracts r x r Gram
@@ -120,8 +127,6 @@ from indexpairing.operators import (
     _max_row_norm,
     _norm_lower_bound,
     block_count,
-    circulant_blocks,
-    circulant_row,
     truncation_mask,
 )
 from indexpairing.pairing import HERMITIAN_RTOL
@@ -214,6 +219,41 @@ def form_invariance_defect_per_arrow(space, form):
         moved = space.transport(g, form.field)
         worst = max(worst, float(np.max(np.abs(form.field - moved))))
     return worst
+
+
+def circulant_blocks(row):
+    """Fourier blocks (g, B, B), sum_m C_m exp(-2 pi i m k / g), of block row [C_0 .. C_{g-1}]."""
+    width, g = row.shape[0], block_count(row)
+    return np.fft.fft(row.reshape(width, g, width), axis=1).transpose(1, 0, 2)
+
+
+def circulant_row(blocks):
+    """Block row 0 (B x gB) of the matrix with Fourier blocks (g, B, B)."""
+    g, width, _ = blocks.shape
+    return np.fft.ifft(blocks, axis=0).transpose(1, 0, 2).reshape(width, g * width)
+
+
+def dense_block_row(fiber, W, g, radius):
+    """Block row 0 (npoints/g x npoints) of S = W W^H / npoints in g blocks, cut at ``radius``,
+    formed from the whole frame W as the library formed it before it split W by frequency."""
+    width = fiber.npoints // g
+    row = W[:width] @ W.conj().T
+    row /= fiber.npoints
+    row *= truncation_mask(fiber, radius, width)
+    return row
+
+
+def diagonal_starts(blocks):
+    """Per block P_k, the unit vectors at its r_k = round(tr P_k) largest diagonal entries
+    (clamped to 0 .. B): the start of orthogonal iteration before the class frames."""
+    starts = []
+    for P in blocks:
+        width = len(P)
+        r = min(max(round(float(np.trace(P).real)), 0), width)
+        Y = np.zeros((width, r), dtype=complex)
+        Y[np.argsort(-P.diagonal().real, kind="stable")[:r], np.arange(r)] = 1.0
+        starts.append(Y)
+    return starts
 
 
 def circulant_dense(row):
@@ -843,12 +883,12 @@ def certified_block_row(basis, radius, cols):
 
 
 def stored_row(basis, cols, radius):
-    """Block row 0 of the projector onto the basis columns at ``cols`` as the idempotent
-    stored it whole.
+    """Block row 0 of the projector onto the basis columns at ``cols``, formed whole.
 
     Uncut, the row of the two-stage certificate; cut, that row of the cut with its
-    Fourier blocks replaced by their spectral projectors in place, and
-    transformed back.  None for rank 0.
+    Fourier blocks replaced by their spectral projectors in place, orthogonal
+    iteration started from the unit vectors at their largest diagonal entries,
+    and transformed back.  None for rank 0.
     """
     if len(cols) == 0:
         return None
@@ -856,7 +896,7 @@ def stored_row(basis, cols, radius):
     if radius == np.inf:
         return row
     blocks = circulant_blocks(row)
-    _spectral_projector(blocks, len(cols), radius)
+    _spectral_projector(blocks, diagonal_starts(blocks), radius)
     return circulant_row(blocks)
 
 

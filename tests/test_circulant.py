@@ -2,16 +2,17 @@
 
 A twist-d Dolbeault projector on grid n commutes with the translation by
 n/gcd(d, n) ticks along axis 0, so it is block circulant in gcd(d, n)
-blocks, cut or not.  The block count is certified on the projector's
-frame, whose rows form the stored block row, and the localized projector
-and the k = 1 profile chain run on Fourier blocks.  The dense scan of the
+blocks, cut or not.  The block count is certified on the translation
+phases of the projector's basis columns, which split into the frames of
+its Fourier blocks, and the localized projector and the k = 1 profile
+chain run on those blocks.  The dense scan of the
 grid matrix of the pseudo-inverse remainder and the dense rotation sum
 below are the forms they replaced, kept as oracles; the projector must be
 the spectral projector of the cut that eigh gives, to rounding.  The
 projector holds a fraction of one (g, B, B) stack and the chain three, the
 Fourier blocks of its two masked kernels.  The chain contracts those
-blocks against the rank-r_k factors of each block of the projector's
-frame, so it agrees with the whole-stack form kept in ``oracles``, which
+blocks against the rank-r_k frame of each block of the projector, so it
+agrees with the whole-stack form kept in ``oracles``, which
 transforms the block row, to rounding rather than bit for bit.
 """
 import tracemalloc
@@ -29,14 +30,12 @@ from indexpairing.operators import (
     SmoothingKernel,
     block_count,
     certified_block_count,
-    circulant_blocks,
-    circulant_row,
-    frame_block_row,
     require_invariant,
     truncation_mask,
 )
 import indexpairing.harness as harness
 import indexpairing.operators as operators
+import indexpairing.parametrix as parametrix_module
 from indexpairing.harness import load_scenario
 from indexpairing.pairing import (
     ProfileCochain,
@@ -51,6 +50,8 @@ from indexpairing.parametrix import (
     LocalizationError,
     ProjectorFrame,
     ThresholdAmbiguityError,
+    _class_frames,
+    _frame_row,
     _singular_data,
     _spectral_projector,
     index_idempotent,
@@ -60,8 +61,12 @@ from indexpairing.scenario import BUILTIN_SCENARIOS
 from indexpairing.space import FiberedGSpace
 from oracles import (
     certified_block_row,
+    circulant_blocks,
     circulant_dense,
+    circulant_row,
+    dense_block_row,
     dense_kernel,
+    diagonal_starts,
     eigh_range_basis,
     frame_basis,
     grid_projector,
@@ -133,23 +138,23 @@ def truncated_projector(n, N, twist, radius):
 
 
 def frame_row(basis, radius, cols):
-    """The block row the idempotent forms for the basis columns at ``cols``: its block
-    count certified on those columns, then block row 0 cut at radius."""
+    """Block row 0 of the projector onto the basis columns at ``cols``, cut at radius, in
+    the block count the library certifies on those columns, formed from the whole frame."""
     W = basis.matrix.take(cols, axis=1)
     g = certified_block_count(basis.fiber, W, basis.frequencies[cols])
-    return frame_block_row(basis.fiber, W, g, radius)
+    return dense_block_row(basis.fiber, W, g, radius)
 
 
 def counted_cuts(monkeypatch):
-    """The row counts of every ``truncation_mask`` call of ``operators`` from now on."""
+    """The row counts of every ``truncation_mask`` call of the idempotent construction from now on."""
     cuts = []
-    mask = operators.truncation_mask
+    mask = parametrix_module.truncation_mask
 
     def counted(fiber, radius, rows):
         cuts.append(rows)
         return mask(fiber, radius, rows)
 
-    monkeypatch.setattr(operators, "truncation_mask", counted)
+    monkeypatch.setattr(parametrix_module, "truncation_mask", counted)
     return cuts
 
 
@@ -185,14 +190,14 @@ def block_projector(fiber, S):
 
 
 def stack_projector(fiber, row):
-    """The localized projector of the cut block row ``row``, of the rank its trace rounds to:
-    its frame, holding its block row, and the bound on its defect."""
+    """The localized projector of the cut block row ``row``, each block of the rank its trace
+    rounds to, iterated from the unit vectors at its largest diagonal entries: its
+    frame, holding its block row, and the bound on its defect."""
     blocks = circulant_blocks(row)
-    rank = round(block_count(row) * float(np.trace(row[:, : len(row)]).real))
     # the radius only names the cut in a refusal
-    bound, frames = _spectral_projector(blocks, rank, 0.30)
+    bound, frames = _spectral_projector(blocks, diagonal_starts(blocks), 0.30)
     ranks = [Y.shape[1] for Y in frames]
-    return ProjectorFrame(fiber, np.hstack(frames), len(frames), ranks, circulant_row(blocks)), bound
+    return ProjectorFrame(fiber, np.hstack(frames), ranks, circulant_row(blocks)), bound
 
 
 def stack_chain(phi, cw, proj):
@@ -250,7 +255,7 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
         with pytest.raises(LocalizationError, match="hermitian"):
             block_projector(fiber, S)
         got = S
-        proj = ProjectorFrame(fiber, unit_frame(len(S), [0]), 1, [1], S)
+        proj = ProjectorFrame(fiber, unit_frame(len(S), [0]), [1], S)
         assert not hermitian_test_is_the_whole_row_test(S)
     else:
         proj, bound = block_projector(fiber, S)
@@ -300,7 +305,7 @@ def test_benchmark_flow_and_chain_are_bitwise_the_whole_stack_oracles(path):
     moved = projected.copy()
     moved[3, 5] += 1e-9 * np.max(np.abs(projected))
     assert not hermitian_test_is_the_whole_row_test(moved)
-    proj = ProjectorFrame(fiber, proj.frame, proj.order, proj.ranks, moved)
+    proj = ProjectorFrame(fiber, proj.frame, proj.ranks, moved)
     assert abs(stack_chain(phi, cw, proj).real) > 0.0
 
 
@@ -324,16 +329,15 @@ def frame_case(name):
     fiber = FiberModel(2, 3, 8)
     ranks = (2, 0, 1, 0) if name == "cut-empty-blocks" else (0, 0, 0, 0)
     frame = orthonormal_block_frame(np.random.default_rng(71), fiber.npoints // 4, ranks)
-    return fiber, ProjectorFrame(fiber, frame, 4, ranks)
+    return fiber, ProjectorFrame(fiber, frame, ranks)
 
 
 @pytest.mark.parametrize("name", ["uncut-g1", "uncut-g8", "cut-empty-blocks", "zero"])
 def test_profile_chain_of_every_frame_kind_matches_the_dense_oracle(name):
-    # uncut frames factor each Fourier block through the inverse FFT of the
-    # frame's row blocks; a cut block of rank 0 contributes nothing, and a
-    # frame whose every block has rank 0 is the zero projector
+    # uncut frames are the basis columns split by their axis-0 frequencies;
+    # a block of rank 0 contributes nothing, and a frame whose every block
+    # has rank 0 is the zero projector
     fiber, proj = frame_case(name)
-    assert (proj.ranks is None) == name.startswith("uncut")
     assert proj.order == {"uncut-g1": 1, "uncut-g8": 8}.get(name, 4)
     npts = fiber.npoints
     cw = np.random.default_rng(73).uniform(0.2, 1.8, npts)
@@ -371,31 +375,36 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     fiber = basis.fiber
     # the basis is sampled on first read, before tracing starts
     W = basis.matrix.take(cols, axis=1)
+    frequencies = basis.frequencies[cols]
     stack = 8 * 200 * 200 * 16
-    g, cert_peak = traced_peak(lambda: certified_block_count(fiber, W, basis.frequencies[cols]))
-    row, row_peak = traced_peak(lambda: frame_block_row(fiber, W, g, 0.30))
-    assert g == 8 and row.nbytes == stack
-    blocks = circulant_blocks(row)
-    (_, frames), projector_peak = traced_peak(lambda: _spectral_projector(blocks, 24, 0.30))
+    g, cert_peak = traced_peak(lambda: certified_block_count(fiber, W, frequencies))
+    assert g == 8
+    starts = _class_frames(W, frequencies, g)
+    blocks = circulant_blocks(dense_block_row(fiber, W, g, 0.30))
+    (_, frames), projector_peak = traced_peak(lambda: _spectral_projector(blocks, starts, 0.30))
     ranks = [Y.shape[1] for Y in frames]
-    proj = ProjectorFrame(fiber, np.hstack(frames), len(frames), ranks, circulant_row(blocks))
+    proj = ProjectorFrame(fiber, np.hstack(frames), ranks)
+    row, row_peak = traced_peak(lambda: _frame_row(proj))
+    assert row.nbytes == stack
+    proj.row = row
     cw = np.random.default_rng(67).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
     _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, proj))
     data = parametrix(block)
     _, idem_peak = traced_peak(lambda: index_idempotent(block, radius=0.30, data=data))
     peaks = [peak / stack for peak in (row_peak, projector_peak, chain_peak, idem_peak)]
-    # the certificate holds frame-sized temporaries only, 3.07 frames of 0.12
-    # stacks: W^H, the rolled frame and its fit W T.  The row former peaks at
-    # 1.33 stacks, the row with its tick distances in int32 and their mask;
+    # the certificate holds frame-sized temporaries only, 2.24 frames of 0.12
+    # stacks: the rolled frame, the phased one and their row norms, where the
+    # least-squares fit took 3.07.  A row formed from the frames peaks at 1.02
+    # stacks, its Fourier blocks transformed in place and read as the row;
     # the projector at 0.39, three one-block temporaries of its hermitian
     # gate; the chain at 2.53, the blocks of both masked kernels and one
-    # masked row transformed in place, where a second stack for the
-    # transform took 3.00; and the whole construction at 2.03, the cut row
-    # and its blocks, neither held beside the frame
-    assert cert_peak / W.nbytes <= 3.1, cert_peak / W.nbytes
-    assert peaks[0] <= 1.33 and peaks[1] <= 0.41 and peaks[2] <= 2.55, peaks
-    assert peaks[3] <= 2.04, peaks
+    # masked row transformed in place; and the whole construction at 1.41,
+    # one stack cut and transformed in place with the tick distances of its
+    # mask in int32, where the cut row and its blocks took 2.03
+    assert cert_peak / W.nbytes <= 2.25, cert_peak / W.nbytes
+    assert peaks[0] <= 1.02 and peaks[1] <= 0.41 and peaks[2] <= 2.55, peaks
+    assert peaks[3] <= 1.41, peaks
 
 
 @pytest.mark.parametrize(
@@ -404,20 +413,28 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
 def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monkeypatch):
     # the flux-24 benchmark projector, S4's and the two flow cases: the
     # certificate chooses the block count the dense scan of the cut pinv
-    # oracle finds, and its block row is that matrix's first rows
+    # oracle finds, and the cut the construction hands to orthogonal
+    # iteration is that matrix's first rows, cut once
     block, basis, cols = kernel_columns(n, N, twist)
     S = dense_cut(basis, remainder_projectors(block)[0], 0.30)
     assert circulant_order(S, n) == order
     cut = counted_cuts(monkeypatch)
     W = basis.matrix.take(cols, axis=1)
-    # the certificate cuts no row; the row of the accepted count is cut once
+    # the certificate cuts no row
     assert certified_block_count(basis.fiber, W, basis.frequencies[cols]) == order and cut == []
-    row = frame_block_row(basis.fiber, W, order, 0.30)
+    rows = []
+    project = parametrix_module._spectral_projector
+
+    def kept(blocks, starts, radius):
+        rows.append(circulant_row(blocks))
+        return project(blocks, starts, radius)
+
+    monkeypatch.setattr(parametrix_module, "_spectral_projector", kept)
+    idem = index_idempotent(block, radius=0.30)
     assert cut == [S.shape[0] // order]
     monkeypatch.undo()
+    (row,) = rows
     assert_near_oracle(row, S)
-
-    idem = index_idempotent(block, radius=0.30)
     assert idem.skernel.order == order
     assert idem.skernel.row.shape == (S.shape[0] // order, S.shape[0])
     # S1 of a positive flux is exactly zero, and stored as no row
@@ -730,7 +747,7 @@ def frame_count_against_two_stage(basis, cols):
     line = CIRCULANT_RTOL * float(np.max(norms)) / n * (1.0 - ENTRY_BOUND_MARGIN)
     two_stage = []
     for radius in CERTIFIED_RADII:
-        row = frame_block_row(fiber, W, g, radius)
+        row = dense_block_row(fiber, W, g, radius)
         assert line <= CIRCULANT_RTOL * float(np.max(np.abs(row))), radius
         two_stage.append(block_count(certified_block_row(basis, radius, cols)))
     return g, two_stage

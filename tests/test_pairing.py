@@ -408,7 +408,7 @@ def test_weighted_quadratures_are_linear_in_the_weight_field(name):
 @pytest.mark.parametrize("radius", [None, 0.45])
 def test_elementary_pairing_of_a_frame_matches_the_dense_path(radius):
     # the elementary chain reads the Gram matrices of the projector's frame
-    # (8 cut blocks of 72, or the uncut frame, here); the chain of the dense
+    # (8 blocks of 72, cut or not, here); the chain of the dense
     # expansion of its block row pairs alike, with the Chern weight -2
     space = trivial_space(n=24, N=8)
     cutoff = compute_cutoff(space)
@@ -475,7 +475,7 @@ def test_pairing_rejects_noninvariant_kernels():
     raw = rng.standard_normal((npts, 3)) + 1j * rng.standard_normal((npts, 3))
     # an invariant (zero) kernel and a non-invariant cokernel projector: the
     # gate has to look at both
-    idem = IndexIdempotent(fiber, None, ProjectorFrame(fiber, raw, 1), np.inf)
+    idem = IndexIdempotent(fiber, None, ProjectorFrame(fiber, raw, [3]), np.inf)
     unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, space, cutoff)
@@ -588,11 +588,11 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     npts = fiber.npoints
     rng = np.random.default_rng(31)
     cw, general = _chain_inputs(rng, npts)
-    # one block: the uncut frame F holds K = F F^H / npts, hermitian; the
-    # general kernel is held as the row of a frame it does not come from
+    # one block: the frame F / npts^(1/2) holds K = F F^H / npts, hermitian;
+    # the general kernel is held as the row of a frame it does not come from
     _, F, hermitian = _frame_inputs(rng, npts, 7)
     K = general if which == "general" else hermitian
-    proj = ProjectorFrame(fiber, F, 1, row=K)
+    proj = ProjectorFrame(fiber, F / np.sqrt(npts), [7], row=K)
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     profile_masks = [phi.leg_mask(i, npts) for i in (0, 1)]
@@ -627,7 +627,8 @@ def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     with pytest.raises(ModelError, match="hermitian"):
-        _weighted_profile_chain(phi, cw, ProjectorFrame(fiber, F, 1, row=moved))
+        proj = ProjectorFrame(fiber, F / np.sqrt(npts), [7], row=moved)
+        _weighted_profile_chain(phi, cw, proj)
     assert chain_products == []
     # the even rotations alone would drop the real part this perturbation makes
     masks = [phi.leg_mask(i, npts) for i in (0, 1)]
@@ -638,8 +639,8 @@ def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
 @pytest.mark.parametrize("radius", [0.45, None], ids=["cut", "uncut"])
 def test_profile_chain_takes_five_thin_products_per_fourier_block(radius, chain_products):
     # the flux-8 kernel projector on grid 24 has 8 Fourier blocks of 72
-    # points, each of rank 1: cut, each block is read through its own frame
-    # column; uncut, through the 8 columns of the whole frame
+    # points, each of rank 1: cut or uncut, each block is read through its
+    # own frame column
     fiber = FiberModel(2, 8, 24)
     proj = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=radius).projectors[0]
     cw = np.random.default_rng(43).uniform(0.2, 1.8, fiber.npoints)
@@ -647,9 +648,8 @@ def test_profile_chain_takes_five_thin_products_per_fourier_block(radius, chain_
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     _weighted_profile_chain(phi, cw, proj)
     width = fiber.npoints // proj.order
-    ranks = proj.ranks or (proj.frame.shape[1],) * proj.order
-    assert proj.order == 8 and max(ranks) == (1 if radius else 8)
-    assert chain_products == [(width, r) for r in ranks for _ in range(5)]
+    assert proj.order == 8 and proj.ranks == (1,) * 8
+    assert chain_products == [(width, 1)] * 40
 
 
 @pytest.mark.parametrize("rank", [5, 64])
