@@ -200,17 +200,13 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
     small = SectionBasis(
         fiber, width, lambda: big.matrix[:, :width].copy(), big.frequencies[:width]
     )
-    mat = np.zeros((small.size, big.size), dtype=complex) if d > 0 else np.zeros(
-        (big.size, small.size), dtype=complex
-    )
+    # the d < 0 block is the adjoint of the |d| ladder, written at its own
+    # entries: mat.conj().T would turn every zero into 0 - 0j
+    coef = 1j * np.sqrt(np.pi * s * np.arange(1, levels + 1).repeat(s))
+    lower = np.arange(width)
+    mat = np.zeros((small.size, big.size) if d > 0 else (big.size, small.size), dtype=complex)
     if d > 0:
-        for l in range(1, levels + 1):
-            coef = 1j * np.sqrt(np.pi * d * l)
-            for j in range(s):
-                mat[(l - 1) * s + j, l * s + j] = coef
+        mat[lower, lower + s] = coef
         return OperatorBlock(big, small, mat)
-    for l in range(0, levels):
-        coef = -1j * np.sqrt(np.pi * s * (l + 1))
-        for j in range(s):
-            mat[(l + 1) * s + j, l * s + j] = coef
+    mat[lower + s, lower] = coef.conj()
     return OperatorBlock(small, big, mat)

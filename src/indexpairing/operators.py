@@ -20,7 +20,9 @@ samples them, each once, since its projector frames live on the operator's bases
 Smoothing operators are operator matrices M acting by f -> M f on scalar
 grid sections, one npoints x npoints matrix.  An operator with several
 bundle components is carried as several such kernels (the index idempotent
-holds its kernel and cokernel projectors apart).  The Schwartz
+holds its kernel and cokernel projectors apart, each a kernel whose block
+row is formed from its frames, ``parametrix.ProjectorFrame``, or the zero
+kernel).  The Schwartz
 kernel against the quadrature measure is k(z, w) = npoints * M[z, w]; all
 trace and pairing formulas below are written directly in terms of M so that
 no npoints factors float around.
@@ -260,8 +262,10 @@ class SmoothingKernel:
         """The stored arrays: the block row of a nonzero operator."""
         return [] if self.row is None else [self.row]
 
-    def diagonal(self) -> np.ndarray:
-        """The diagonal of a nonzero M: that of C_0, once per block."""
+    def diagonal(self) -> np.ndarray | None:
+        """The diagonal of M: that of C_0, once per block; None for M = 0."""
+        if self.row is None:
+            return None
         return np.tile(np.diag(self.row[:, : self.row.shape[0]]), self.order)
 
     def norm(self) -> float:
@@ -399,7 +403,7 @@ def trace_tau(kern: SmoothingKernel, space: FiberedGSpace, weight: np.ndarray) -
     both properties fail without invariance, hence the check.
     """
     require_invariant(space, "trace", kern)
-    return _weighted_diag_trace(None if kern.row is None else kern.diagonal(), weight)
+    return _weighted_diag_trace(kern.diagonal(), weight)
 
 
 def _weighted_diag_trace(diagonal: np.ndarray | None, weight: np.ndarray) -> complex:

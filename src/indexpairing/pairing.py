@@ -238,13 +238,15 @@ def pair_cocycle(
     radius: past that scale the cochain stops representing its class and
     the pairing would read untrusted values.
 
-    Block rows are formed only where entries are read: by the gate when a
-    group element moves the fiber (no defect is possible otherwise), by
-    the reach of an unlocalized idempotent against a finite germ radius
-    (no reach passes an infinite one), and by the profile chain's
-    hermitian test and masks.  The k = 0 trace reads the diagonal, the
-    elementary chain the Gram matrices, and the profile chain the Fourier
-    block factors, of each projector's frame.
+    Each projector is a ``ProjectorFrame`` or the zero kernel, whose chain
+    is exactly zero.  A frame's block row, formed once at construction, is
+    formed on a cached idempotent only where entries are read: by the gate
+    when a group element moves the fiber (no defect is possible
+    otherwise), by the reach of an unlocalized idempotent against a finite
+    germ radius (no reach passes an infinite one), and by the profile
+    chain's hermitian test and masks.  The k = 0 trace reads the diagonal,
+    the elementary chain the Gram matrices, and the profile chain the
+    Fourier block factors, of each projector's frame.
     """
     if phi.degree % 2:
         raise ModelError("only even-degree cochains pair with idempotents")
@@ -265,10 +267,7 @@ def pair_cocycle(
     # one contraction covers the base (see the module docstring)
     if k == 0:
         field = weight * phi.evaluate_batch(np.arange(idem.fiber.npoints)[:, None])
-        trace0, trace1 = (
-            _weighted_diag_trace(None if p is None else p.diagonal(), field)
-            for p in idem.projectors
-        )
+        trace0, trace1 = (_weighted_diag_trace(kern.diagonal(), field) for kern in idem.families)
         return trace0 - trace1
 
     chern = (-1) ** k * math.factorial(2 * k) // math.factorial(k)
@@ -278,8 +277,8 @@ def pair_cocycle(
             return _weighted_profile_chain(phi, weight, proj)
         return _weighted_elementary_chain(phi, weight, proj.grid_frame())
 
-    # a zero operator (S1 of every positive flux) has an exactly zero chain
-    v0, v1 = (0j if p is None else contract(p) for p in idem.projectors)
+    # the zero kernel (S1 of every positive flux) has an exactly zero chain
+    v0, v1 = (contract(p) if isinstance(p, ProjectorFrame) else 0j for p in idem.families)
     # adding 0j makes a zero part +0.0, whatever sign the chains left on it
     return chern * (0j + (v0 - v1))
 

@@ -36,9 +36,12 @@ and only its block row 0 is ever formed.  Each basis column is an
 eigenvector of the translation with a known phase (J. Zak, Phys. Rev. 134,
 A1602, 1964, for the Landau sections), so W W^H / n splits by the columns'
 axis-0 frequencies into the frames Y_k of its g Fourier blocks Y_k Y_k^H,
-and every nonzero projector is held as those frames (``ProjectorFrame``),
-a zero one as None.  The cache stores them, the pairings read them, and
-the block row is formed from them only where its entries are read.
+and every nonzero projector is held as those frames (``ProjectorFrame``,
+the smoothing kernel whose block row is formed from them), a zero one as
+the zero kernel.  The cache stores the frames, the pairings read them, and
+every block row is formed from frames by ``_frame_row`` alone: at
+construction, the uncut row a cut takes and the row of the rank gate, and
+on a cached projector only where its entries are read.
 Localization truncates each projector at a fiber radius and restores
 idempotency on the g Fourier blocks of size npoints/g: each block is
 replaced by its spectral projector onto the eigenvalues above 1/2, the
@@ -51,8 +54,9 @@ shows that exactly r_k eigenvalues lie above 1/2 and the rest below, so
 taking the projector commutes with P -> 1 - P: the range block 1 - S1 is
 corrected by correcting S1.  Each block's iteration starts from its uncut
 frame.  The corrected projector is kept as its frames once the trace of
-its block row still counts the rank of the projector it was cut from.  The
-cut radius belongs to the idempotent, not to either projector.
+its block row still counts the rank of the projector it was cut from; an
+uncut projector passes the same gate.  The cut radius belongs to the
+idempotent, not to either projector.
 """
 from __future__ import annotations
 
@@ -204,24 +208,25 @@ def _outside(size: int, lead: np.ndarray) -> np.ndarray:
     return np.flatnonzero(outside)
 
 
-class ProjectorFrame:
+class ProjectorFrame(SmoothingKernel):
     """A nonzero projector S on the scalar grid sections of one fiber, held as its frames.
 
     S is block circulant in g = ``order`` certified blocks of B = npoints/g
     points, and ``frame`` is [Y_0 .. Y_{g-1}] (B x rank), the frames of its
     g Fourier blocks Y_k Y_k^H, of widths ``ranks``: uncut, the basis columns
-    split by frequency (``_class_frames``).  ``row``, the block row 0 of S,
-    is formed from the frames on first read (``_frame_row``) unless the
-    construction passes the row it formed.
+    split by frequency (``_class_frames``).  ``row``, the block row 0 of S
+    that the smoothing-kernel operations read, is formed from the frames on
+    first read (``_frame_row``).
     """
 
-    def __init__(self, fiber: FiberModel, frame: np.ndarray, ranks, row=None):
+    def __init__(self, fiber: FiberModel, frame: np.ndarray, ranks):
         self.fiber = fiber
         self.frame = frame
         self.ranks = tuple(int(r) for r in ranks)
-        self.order = len(self.ranks)
-        if row is not None:
-            self.row = row
+
+    @property
+    def order(self) -> int:
+        return len(self.ranks)
 
     @cached_property
     def row(self) -> np.ndarray:
@@ -256,8 +261,8 @@ class ProjectorFrame:
 
     @classmethod
     def from_arrays(cls, fiber: FiberModel, frame: np.ndarray, counts: np.ndarray):
-        """Inverse of arrays(), None for the empty frame and counts of a zero projector;
-        raises CorruptedCacheError on any mismatch with fiber."""
+        """Inverse of arrays(), the zero kernel for the empty frame and counts of a zero
+        projector; raises CorruptedCacheError on any mismatch with fiber."""
         if frame.dtype != np.complex128:
             raise CorruptedCacheError(f"frame dtype {frame.dtype} is not complex128")
         if counts.dtype != np.int64 or counts.ndim != 1:
@@ -266,7 +271,7 @@ class ProjectorFrame:
                 "one int64 array"
             )
         if frame.shape == (0, 0) and counts.size == 0:
-            return None
+            return SmoothingKernel(fiber, None)
         if frame.ndim != 2 or not frame.shape[1] or not counts.size:
             raise CorruptedCacheError(
                 f"frame of shape {frame.shape} with {counts.size} block counts is neither "
@@ -304,58 +309,36 @@ def _orthonormal(frames: list[np.ndarray], error: type, hint: str = "") -> list[
     return frames
 
 
-def _frame_blocks(frames: list[np.ndarray], width: int) -> np.ndarray:
-    """The Fourier blocks Y_k Y_k^H (g, B, B) of the frames Y_k, laid out (B, g, B)."""
-    blocks = np.empty((width, len(frames), width), dtype=complex).transpose(1, 0, 2)
-    for P, Y in zip(blocks, frames):
-        np.matmul(Y, Y.conj().T, out=P)
-    return blocks
-
-
-def _block_row(blocks: np.ndarray) -> np.ndarray:
-    """Block row 0 (B x gB) of the matrix with Fourier blocks (g, B, B), in their memory:
-    the layout of ``_frame_blocks`` reads their inverse FFT as the row, without a copy."""
-    g, width, _ = blocks.shape
-    np.fft.ifft(blocks, axis=0, out=blocks)
-    return blocks.transpose(1, 0, 2).reshape(width, g * width)
-
-
 def _frame_row(proj: ProjectorFrame) -> np.ndarray:
-    """Block row 0 of a projector from its frames, by the operations that formed it."""
-    return _block_row(_frame_blocks(proj.block_frames(), proj.fiber.npoints // proj.order))
+    """Block row 0 (B x gB) of a projector from its frames: its Fourier blocks Y_k Y_k^H,
+    laid out (B, g, B) so that their inverse FFT over the block index, taken in place,
+    reads as the row without a copy."""
+    g, width = proj.order, proj.fiber.npoints // proj.order
+    stack = np.empty((width, g, width), dtype=complex)
+    blocks = stack.transpose(1, 0, 2)
+    for P, Y in zip(blocks, proj.block_frames()):
+        np.matmul(Y, Y.conj().T, out=P)
+    np.fft.ifft(blocks, axis=0, out=blocks)
+    return stack.reshape(width, g * width)
 
 
 class IndexIdempotent:
     """Grid realization of the index idempotent P = diag(S0, 1 - S1) of an operator.
 
-    ``projectors`` holds the kernel projector S0 and the cokernel projector
-    S1 as frames, None for a zero one; ``skernel`` and ``cokernel`` are
-    their smoothing kernels, as certified block rows formed on first read.
-    ``radius`` is the fiber radius both were cut at (+inf when unlocalized).
-    The index class is [S0] - [S1].
+    ``skernel`` is the kernel projector S0 and ``cokernel`` the cokernel
+    projector S1, each a ``ProjectorFrame`` or, at rank 0, the zero kernel
+    ``SmoothingKernel(fiber, None)``; ``families`` is the pair.  ``radius``
+    is the fiber radius both were cut at (+inf when unlocalized).  The
+    index class is [S0] - [S1].
     """
 
     def __init__(
-        self,
-        fiber: FiberModel,
-        s0: ProjectorFrame | None,
-        s1: ProjectorFrame | None,
-        radius: float,
+        self, fiber: FiberModel, s0: SmoothingKernel, s1: SmoothingKernel, radius: float
     ):
         self.fiber = fiber
-        self.projectors = (s0, s1)
+        self.skernel = s0
+        self.cokernel = s1
         self.radius = float(radius)
-
-    def _kernel(self, proj: ProjectorFrame | None) -> SmoothingKernel:
-        return SmoothingKernel(self.fiber, None if proj is None else proj.row)
-
-    @cached_property
-    def skernel(self) -> SmoothingKernel:
-        return self._kernel(self.projectors[0])
-
-    @cached_property
-    def cokernel(self) -> SmoothingKernel:
-        return self._kernel(self.projectors[1])
 
     @property
     def families(self) -> tuple[SmoothingKernel, SmoothingKernel]:
@@ -365,13 +348,18 @@ class IndexIdempotent:
         """Raise CorruptedCacheError unless the radius is ``radius`` (+inf for None), the
         frame widths are the counts of the parametrix ``data`` and every frame is
         orthonormal within FRAME_ORTHONORMALITY_TOL, as at construction."""
-        found = [self.radius, *(0 if p is None else sum(p.ranks) for p in self.projectors)]
+        found = [
+            self.radius,
+            *(sum(k.ranks) if isinstance(k, ProjectorFrame) else 0 for k in self.families),
+        ]
         want = [math.inf if radius is None else radius, len(data.cols), len(data.rows)]
         if found != want:
             raise CorruptedCacheError(
                 f"radius and frame widths {found} differ from localize and counts {want}"
             )
-        frames = [Y for p in self.projectors if p is not None for Y in p.block_frames()]
+        frames = [
+            Y for k in self.families if isinstance(k, ProjectorFrame) for Y in k.block_frames()
+        ]
         _orthonormal(frames, CorruptedCacheError)
 
     def arrays(self) -> list[np.ndarray]:
@@ -381,11 +369,11 @@ class IndexIdempotent:
         is the empty (0, 0) frame and no counts.
         """
         out = [np.array([self.radius])]
-        for proj in self.projectors:
-            if proj is None:
-                out += [np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=np.int64)]
+        for kern in self.families:
+            if isinstance(kern, ProjectorFrame):
+                out += kern.arrays()
             else:
-                out += proj.arrays()
+                out += [np.zeros((0, 0), dtype=complex), np.zeros(0, dtype=np.int64)]
         return out
 
     @classmethod
@@ -425,13 +413,14 @@ class IndexIdempotent:
 def _spectral_projector(
     blocks: np.ndarray, starts: list[np.ndarray], radius: float
 ) -> tuple[float, list[np.ndarray]]:
-    """Replace each Fourier block P_k of a cut projector by its projector onto the eigenvalues above 1/2.
+    """The frames of the projectors of a cut projector's Fourier blocks onto their eigenvalues above 1/2.
 
     ``blocks`` (g, B, B) are the Fourier blocks of a block row cut from a
-    projector whose blocks have the frames ``starts``; they are overwritten
-    in place.  Returns a bound on the largest entry of M^2 - M, M the
-    block-circulant matrix whose block row is ``_block_row(blocks)`` as
-    stored, and the frames Y of the blocks Y Y^H.
+    projector whose blocks have the frames ``starts``; each is overwritten
+    in place by its hermitian part.  Returns a bound on the largest entry
+    of M^2 - M, M the block-circulant matrix whose block row is the row
+    ``_frame_row`` forms from the returned frames, and those frames Y of
+    the blocks Y Y^H.
 
     The blocks must be hermitian: max |P_k - P_k^H| at most
     CUT_HERMITIAN_RTOL times their largest entry, and each is then replaced
@@ -529,7 +518,6 @@ def _spectral_projector(
             )
         eps = max(eps, loss + r * _gamma(width + 2) * (1 + loss))
         rho2 = max(rho2, float(np.max(np.sum(np.abs(Y) ** 2, axis=1))))
-        np.matmul(Y, Y.conj().T, out=P)
         frames.append(Y)
     n = g * width
     delta = _gamma(max(counts) + g + 5) * rho2 * (1 + eps)
@@ -574,7 +562,7 @@ def index_idempotent(
     whose eigenvalues above 1/2 are not certified, or whose defect bound
     exceeds newton_tol (NEWTON_TOL unless a caller asks for a tighter
     defect) is too aggressive for the kernel decay and raises.  A
-    projector of rank 0 is held as None.
+    projector of rank 0 is held as the zero kernel.
     """
     if data is None:
         data = parametrix(block)
@@ -603,46 +591,46 @@ def _class_frames(W: np.ndarray, frequencies: np.ndarray, g: int) -> list[np.nda
 
 def _stored_projector(
     basis: SectionBasis, indices: np.ndarray, radius: float, newton_tol: float
-) -> ProjectorFrame | None:
-    """The certified projector onto the basis columns W at ``indices``, with its block row 0;
-    None for rank 0.
+) -> SmoothingKernel:
+    """The certified projector onto the basis columns W at ``indices``, as its frames;
+    the zero kernel for rank 0.
 
     W is gathered once, g certified on it and its frames split from it.  Cut
-    at a finite radius, the frames' blocks are transformed to the block row,
-    cut and transformed back in one (g, B, B) stack, and the projector
-    brought back to one of rank ``rank``, whose block row's trace g tr C_0
-    must still round to ``rank``.
+    at a finite radius, the block row the frames form is cut and transformed
+    back to Fourier blocks in its own (g, B, B) stack, and the projector
+    brought back to one of rank ``rank`` and held as its new frames.  Cut or
+    not, the trace g tr C_0 of the block row the frames form must round to
+    ``rank``.
     """
     rank = len(indices)
     if rank == 0:
-        return None
+        return SmoothingKernel(basis.fiber, None)
     fiber = basis.fiber
     W = basis.matrix.take(indices, axis=1)
     frequencies = basis.frequencies[indices]
     g = certified_block_count(fiber, W, frequencies)
-    starts = _class_frames(W, frequencies, g)
+    frames = _class_frames(W, frequencies, g)
     del W
-    width = fiber.npoints // g
-    blocks = _frame_blocks(starts, width)
-    ranks = [Y.shape[1] for Y in starts]
-    if radius == np.inf:
-        return ProjectorFrame(fiber, np.hstack(starts), ranks, _block_row(blocks))
-    # the block row is a view of the stack, cut and transformed back in place
-    row = _block_row(blocks)
-    row *= truncation_mask(fiber, radius, width)
-    np.fft.fft(blocks, axis=0, out=blocks)
-    defect, frames = _spectral_projector(blocks, starts, radius)
-    if defect > newton_tol:
-        raise LocalizationError(
-            f"idempotent correction keeps a defect bound {defect:.3e} above "
-            f"{newton_tol:g} at radius {radius:g}"
-        )
-    row = _block_row(blocks)
-    trace = g * float(np.trace(row[:, :width]).real)
+    width, ranks = fiber.npoints // g, [Y.shape[1] for Y in frames]
+    if radius != np.inf:
+        # the uncut row, cut and transformed back in place; its blocks are a view
+        row = _frame_row(ProjectorFrame(fiber, np.hstack(frames), ranks))
+        row *= truncation_mask(fiber, radius, width)
+        blocks = row.reshape(width, g, width).transpose(1, 0, 2)
+        np.fft.fft(blocks, axis=0, out=blocks)
+        defect, frames = _spectral_projector(blocks, frames, radius)
+        del row, blocks
+        if defect > newton_tol:
+            raise LocalizationError(
+                f"idempotent correction keeps a defect bound {defect:.3e} above "
+                f"{newton_tol:g} at radius {radius:g}"
+            )
+    proj = ProjectorFrame(fiber, np.hstack(frames), ranks)
+    trace = g * float(np.trace(proj.row[:, :width]).real)
     if round(trace) != rank:
         raise LocalizationError(
             f"idempotent correction carried the rank-{rank} projector to trace "
             f"{trace:.6g} at radius {radius:g}; the cut is too tight for the "
             "kernel decay"
         )
-    return ProjectorFrame(fiber, np.hstack(frames), ranks, row)
+    return proj

@@ -886,9 +886,9 @@ def stored_row(basis, cols, radius):
     """Block row 0 of the projector onto the basis columns at ``cols``, formed whole.
 
     Uncut, the row of the two-stage certificate; cut, that row of the cut with its
-    Fourier blocks replaced by their spectral projectors in place, orthogonal
-    iteration started from the unit vectors at their largest diagonal entries,
-    and transformed back.  None for rank 0.
+    Fourier blocks replaced by their spectral projectors Y Y^H, formed from the
+    frames Y of orthogonal iteration started from the unit vectors at their
+    largest diagonal entries, and transformed back.  None for rank 0.
     """
     if len(cols) == 0:
         return None
@@ -896,7 +896,9 @@ def stored_row(basis, cols, radius):
     if radius == np.inf:
         return row
     blocks = circulant_blocks(row)
-    _spectral_projector(blocks, diagonal_starts(blocks), radius)
+    _, frames = _spectral_projector(blocks, diagonal_starts(blocks), radius)
+    for P, Y in zip(blocks, frames):
+        np.matmul(Y, Y.conj().T, out=P)
     return circulant_row(blocks)
 
 

@@ -192,12 +192,12 @@ def block_projector(fiber, S):
 def stack_projector(fiber, row):
     """The localized projector of the cut block row ``row``, each block of the rank its trace
     rounds to, iterated from the unit vectors at its largest diagonal entries: its
-    frame, holding its block row, and the bound on its defect."""
+    frame, whose block row the frames form, and the bound on its defect."""
     blocks = circulant_blocks(row)
     # the radius only names the cut in a refusal
     bound, frames = _spectral_projector(blocks, diagonal_starts(blocks), 0.30)
     ranks = [Y.shape[1] for Y in frames]
-    return ProjectorFrame(fiber, np.hstack(frames), ranks, circulant_row(blocks)), bound
+    return ProjectorFrame(fiber, np.hstack(frames), ranks), bound
 
 
 def stack_chain(phi, cw, proj):
@@ -255,7 +255,8 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
         with pytest.raises(LocalizationError, match="hermitian"):
             block_projector(fiber, S)
         got = S
-        proj = ProjectorFrame(fiber, unit_frame(len(S), [0]), [1], S)
+        proj = ProjectorFrame(fiber, unit_frame(len(S), [0]), [1])
+        proj.row = S
         assert not hermitian_test_is_the_whole_row_test(S)
     else:
         proj, bound = block_projector(fiber, S)
@@ -305,7 +306,8 @@ def test_benchmark_flow_and_chain_are_bitwise_the_whole_stack_oracles(path):
     moved = projected.copy()
     moved[3, 5] += 1e-9 * np.max(np.abs(projected))
     assert not hermitian_test_is_the_whole_row_test(moved)
-    proj = ProjectorFrame(fiber, proj.frame, proj.ranks, moved)
+    proj = ProjectorFrame(fiber, proj.frame, proj.ranks)
+    proj.row = moved
     assert abs(stack_chain(phi, cw, proj).real) > 0.0
 
 
@@ -325,7 +327,7 @@ def frame_case(name):
         # one block, twist 8 on grid 24 eight
         n, N, twist = (20, 8, 3) if name == "uncut-g1" else (24, 8, 8)
         fiber = FiberModel(2, N, n)
-        return fiber, index_idempotent(dolbeault_family(fiber, twist, levels=2)).projectors[0]
+        return fiber, index_idempotent(dolbeault_family(fiber, twist, levels=2)).skernel
     fiber = FiberModel(2, 3, 8)
     ranks = (2, 0, 1, 0) if name == "cut-empty-blocks" else (0, 0, 0, 0)
     frame = orthonormal_block_frame(np.random.default_rng(71), fiber.npoints // 4, ranks)

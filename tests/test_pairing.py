@@ -10,7 +10,7 @@ from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError, integrate_invariant
 from indexpairing.grids import FiberModel, ModelError, grid_points, random_band_limited
-from indexpairing.operators import SupportMismatchError, trace_tau
+from indexpairing.operators import SmoothingKernel, SupportMismatchError, trace_tau
 from indexpairing import pairing, parametrix
 from indexpairing.pairing import (
     ProfileCochain,
@@ -191,7 +191,8 @@ def test_pairing_of_zero_idempotent_vanishes():
     space = trivial_space(n=12, N=4)
     cutoff = compute_cutoff(space)
     fiber = space.fiber
-    idem = IndexIdempotent(fiber, None, None, np.inf)
+    zero = SmoothingKernel(fiber, None)
+    idem = IndexIdempotent(fiber, zero, zero, np.inf)
     unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     assert pair_cocycle(idem, unit, space, cutoff) == 0
     saw = TransitionProfile()
@@ -475,7 +476,8 @@ def test_pairing_rejects_noninvariant_kernels():
     raw = rng.standard_normal((npts, 3)) + 1j * rng.standard_normal((npts, 3))
     # an invariant (zero) kernel and a non-invariant cokernel projector: the
     # gate has to look at both
-    idem = IndexIdempotent(fiber, None, ProjectorFrame(fiber, raw, [3]), np.inf)
+    zero = SmoothingKernel(fiber, None)
+    idem = IndexIdempotent(fiber, zero, ProjectorFrame(fiber, raw, [3]), np.inf)
     unit = ASCochain.unit(space.fiber, germ_radius=2.0)
     with pytest.raises(InvarianceError):
         pair_cocycle(idem, unit, space, cutoff)
@@ -592,7 +594,8 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     # the general kernel is held as the row of a frame it does not come from
     _, F, hermitian = _frame_inputs(rng, npts, 7)
     K = general if which == "general" else hermitian
-    proj = ProjectorFrame(fiber, F / np.sqrt(npts), [7], row=K)
+    proj = ProjectorFrame(fiber, F / np.sqrt(npts), [7])
+    proj.row = K
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     profile_masks = [phi.leg_mask(i, npts) for i in (0, 1)]
@@ -627,7 +630,8 @@ def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     with pytest.raises(ModelError, match="hermitian"):
-        proj = ProjectorFrame(fiber, F / np.sqrt(npts), [7], row=moved)
+        proj = ProjectorFrame(fiber, F / np.sqrt(npts), [7])
+        proj.row = moved
         _weighted_profile_chain(phi, cw, proj)
     assert chain_products == []
     # the even rotations alone would drop the real part this perturbation makes
@@ -642,7 +646,7 @@ def test_profile_chain_takes_five_thin_products_per_fourier_block(radius, chain_
     # points, each of rank 1: cut or uncut, each block is read through its
     # own frame column
     fiber = FiberModel(2, 8, 24)
-    proj = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=radius).projectors[0]
+    proj = index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=radius).skernel
     cw = np.random.default_rng(43).uniform(0.2, 1.8, fiber.npoints)
     saw = TransitionProfile(linear_radius=0.45)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
