@@ -37,7 +37,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dolbeault import landau_section_jet
+from .dolbeault import landau_sections
 from .forms import exterior_d, exterior_wedge
 from .grids import FiberModel, ModelError, spectral_gradient
 from .symbols import EllipticityError
@@ -260,7 +260,9 @@ def _flux_frame(fiber: FiberModel, twist: int):
     degenerate.  Returns the section values V, their partial derivatives
     along the two fiber axes and the density sum_i |V_i|^2.
     """
-    V, d1, d2 = landau_section_jet(fiber, twist, 0 if abs(twist) >= 2 else 1)
+    max_level = 0 if abs(twist) >= 2 else 1
+    columns = np.arange(abs(twist) * (max_level + 1))
+    V, d1, d2 = landau_sections(fiber, twist, max_level, columns, jet=True)
     density = np.sum(np.abs(V) ** 2, axis=1)
     if density.min() < 1e-6 * density.max():
         raise ModelError("magnetic frame degenerates on the grid")

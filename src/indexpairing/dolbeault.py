@@ -16,12 +16,14 @@ blocks are assembled from these exact relations; the tests check them against
 an independent quasi-periodic finite-difference application.
 
 A block holds its level bases unsampled: a spectral count reads the ladder
-matrix alone, and the grid samples are taken where a realization first reads
-them.  The smaller basis is the leading columns of the larger, with its
-image truncation.  Each image term is a Hermite factor in z2 times a phase in
-z1, so the samplers evaluate both on the grid_size axis values and form their
-products a block of z1 rows of the grid at a time, where every sample still
-sums its image terms in increasing p.
+matrix alone, and a realization samples only the columns it reads.  The
+smaller basis is the leading columns of the larger, sampled by the larger
+one's sampler with its image truncation.  Each image term is a Hermite
+factor in z2 times a phase in z1, so the one sampler, ``landau_sections``,
+evaluates both on the grid_size axis values for the requested columns and
+forms their products a block of z1 rows of the grid at a time, where every
+sample still sums its image terms in increasing p; the frame of a flux line
+bundle takes its derivatives from the same loop.
 """
 from __future__ import annotations
 
@@ -54,17 +56,17 @@ def _twisted(fiber: FiberModel, twist: int) -> int:
     return int(twist)
 
 
-def _image_factors(fiber: FiberModel, twist: int, max_level: int, hermite_level: int):
+def _image_factors(fiber: FiberModel, twist: int, max_level: int):
     """The image terms of the level basis, one image shift p at a time, p increasing.
 
     An image term h_l(sqrt(2 pi |d|) (z2 - p + j/d)) exp(2 pi i (j - d p) z1)
     is a Hermite factor in z2 times a phase in z1, so both are sampled on
     the grid_size axis values alone.  Yields, per p, the z1-derivative
     factors 2 pi i (j - d p) (shape (|d|,)), the Hermite values of levels
-    0..hermite_level ((hermite_level + 1, |d|, grid_size), over z2) and the
-    phases ((grid_size, |d|), over z1).  The image sum over p is truncated
-    where the Gaussian tails of levels up to max_level drop below working
-    precision; every sampler of the basis shares this truncation.
+    0..max_level + 1 ((max_level + 2, |d|, grid_size), over z2; the top
+    level serves the z2-derivative) and the phases ((grid_size, |d|), over
+    z1).  The image sum over p is truncated where the Gaussian tails of
+    levels up to max_level drop below working precision.
     """
     d = _twisted(fiber, twist)
     scale = np.sqrt(2.0 * np.pi * abs(d))
@@ -78,102 +80,74 @@ def _image_factors(fiber: FiberModel, twist: int, max_level: int, hermite_level:
     for p in range(-p_max, p_max + 1):
         # per j as Python complex scalars, the bits the per-term products had
         coef = np.array([2j * np.pi * int(f) for f in j - d * p])
-        hermite = hermite_values(hermite_level, scale * (axis - p + offset))
+        hermite = hermite_values(max_level + 1, scale * (axis - p + offset))
         yield coef, hermite, np.exp(coef * axis[:, None])
 
 
-def _zero_samples(fiber: FiberModel, twist: int, max_level: int) -> np.ndarray:
-    """Zeroed samples (grid_size, grid_size, levels, |d|) of the level basis.
-
-    Entry [a, b, l, j] is B_{j,l} at the grid point a * grid_size + b, at
-    (z1, z2) = (a, b) / grid_size, so the (npoints, columns) samples, column
-    l * |d| + j, are this array reshaped.
-    """
-    n = fiber.grid_size
-    return np.zeros((n, n, max_level + 1, abs(int(twist))), dtype=complex)
-
-
-def _z2_rows(z2_factor: np.ndarray) -> np.ndarray:
-    """A (levels, |d|, grid_size) factor over z2, laid out (grid_size, levels, |d|) as one z1 row."""
-    return np.ascontiguousarray(z2_factor.transpose(2, 0, 1))
-
-
-# the samplers form the image products a block of z1 rows at a time, in work
+# the sampler forms the image products a block of z1 rows at a time, in work
 # space of at most this many bytes (or of one row, if that is larger), which
 # stays in cache: a few calls per image at small grids, and no work array the
 # size of the samples at large ones
 SAMPLE_BLOCK_BYTES = 1 << 16
 
 
-def _row_blocks(samples: np.ndarray) -> tuple[list[slice], np.ndarray]:
-    """The blocks of z1 rows of ``samples`` and the work space of one block."""
-    rows = max(1, SAMPLE_BLOCK_BYTES // samples[0].nbytes)
-    blocks = [slice(a, a + rows) for a in range(0, len(samples), rows)]
-    return blocks, np.empty_like(samples[:rows])
+def landau_sections(
+    fiber: FiberModel, twist: int, max_level: int, columns: np.ndarray, jet: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid samples (npoints, len(columns)) of the level basis of levels 0..max_level
+    at ``columns``, where column l * |twist| + j holds B_{j,l}.
 
-
-def landau_section_values(fiber: FiberModel, twist: int, max_level: int) -> np.ndarray:
-    """Grid samples of the level basis, columns ordered level-major.
-
-    Column l * |twist| + j holds B_{j,l}.  Each sample sums its image terms
-    in increasing p.
+    Each sample sums its image terms in increasing p.  With ``jet``, returns
+    the samples and their partial derivatives d/dz1 and d/dz2: d/dz1 of an
+    image term brings down 2 pi i (j - d p); d/dz2 differentiates the
+    Hermite factor through h_l' = sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}.
     """
-    norm = (2.0 * np.pi * abs(int(twist))) ** 0.25
-    images = [
-        (_z2_rows(norm * h), phase)
-        for _, h, phase in _image_factors(fiber, twist, max_level, max_level)
-    ]
-    values = _zero_samples(fiber, twist, max_level)
-    blocks, work = _row_blocks(values)
-    for rows in blocks:
-        block = values[rows]
-        term = work[: len(block)]
-        for z2_factor, phase in images:
-            np.multiply(z2_factor, phase[rows, None, None, :], out=term)
-            block += term
-    return values.reshape(fiber.npoints, -1)
-
-
-def landau_section_jet(
-    fiber: FiberModel, twist: int, max_level: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The level basis and its partial derivatives d/dz1 and d/dz2 on the grid.
-
-    The values have the bits of landau_section_values.  d/dz1 of an image
-    term brings down 2 pi i (j - d p); d/dz2 differentiates the Hermite
-    factor through h_l' = sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}.
-    """
-    s, top = abs(int(twist)), max_level + 1
+    s, top, n = abs(_twisted(fiber, twist)), max_level + 1, fiber.grid_size
+    j = np.asarray(columns) % s
     norm = (2.0 * np.pi * s) ** 0.25
     slope = norm * np.sqrt(2.0 * np.pi * s)
     falling = -np.sqrt(np.arange(1, top + 1) / 2.0)[:, None, None]
     rising = np.sqrt(np.arange(1, top) / 2.0)[:, None, None]
     images = []
-    for coef, h, phase in _image_factors(fiber, twist, max_level, top):
-        dh = falling * h[1:]
-        dh[1:] += rising * h[: top - 1]
-        images.append((coef, _z2_rows(norm * h[:top]), _z2_rows(slope * dh), phase))
-    jet = [_zero_samples(fiber, twist, max_level) for _ in range(3)]
-    blocks, work = _row_blocks(jet[0])
-    for rows in blocks:
-        values, d1, d2 = (f[rows] for f in jet)
+    for coef, h, phase in _image_factors(fiber, twist, max_level):
+        # a (levels, |d|, grid_size) factor over z2 holds column l * |d| + j
+        # in its row l * |d| + j once flattened; taken at the columns, it is
+        # laid out (grid_size, columns), as one z1 row.  Every gather is a
+        # take, whose result is C-contiguous (phase[:, j] would be strided).
+        z2_factors = [norm * h.reshape(-1, n).T.take(columns, axis=1)]
+        if jet:
+            dh = falling * h[1:]
+            dh[1:] += rising * h[: top - 1]
+            z2_factors.append(slope * dh.reshape(-1, n).T.take(columns, axis=1))
+        images.append((coef[j], z2_factors, phase.take(j, axis=1)))
+    # entry [a, b, c] is the sample at the grid point a * grid_size + b, at
+    # (z1, z2) = (a, b) / grid_size
+    jets = [np.zeros((n, n, len(j)), dtype=complex) for _ in range(3 if jet else 1)]
+    rows = max(1, SAMPLE_BLOCK_BYTES // jets[0][0].nbytes)
+    work = np.empty_like(jets[0][:rows])
+    for a in range(0, n, rows):
+        values, *derivatives = (f[a : a + rows] for f in jets)
         term = work[: len(values)]
-        for coef, z2_values, z2_slopes, phase in images:
-            np.multiply(z2_values, phase[rows, None, None, :], out=term)
+        for coef, z2_factors, phase in images:
+            z1_factor = phase[a : a + rows, None, :]
+            np.multiply(z2_factors[0], z1_factor, out=term)
             values += term
-            np.multiply(coef, term, out=term)
-            d1 += term
-            np.multiply(z2_slopes, phase[rows, None, None, :], out=term)
-            d2 += term
-    return tuple(f.reshape(fiber.npoints, -1) for f in jet)
+            if jet:
+                d1, d2 = derivatives
+                np.multiply(coef, term, out=term)
+                d1 += term
+                np.multiply(z2_factors[1], z1_factor, out=term)
+                d2 += term
+    samples = [f.reshape(fiber.npoints, len(j)) for f in jets]
+    return tuple(samples) if jet else samples[0]
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:
-    """The level basis of levels 0..max_level, sampled on first use; column l |twist| + j
+    """The level basis of levels 0..max_level, sampled by column; column l |twist| + j
     has the axis-0 frequency j, to which its z1 frequencies j - twist p are congruent
     modulo every divisor of the twist."""
     s = abs(_twisted(fiber, twist))
-    sample = partial(landau_section_values, fiber, twist, max_level)
+    sample = partial(landau_sections, fiber, twist, max_level)
     return SectionBasis(fiber, s * (max_level + 1), sample, np.tile(np.arange(s), max_level + 1))
 
 
@@ -194,12 +168,9 @@ def dolbeault_family(fiber: FiberModel, twist: int, levels: int) -> OperatorBloc
     s = abs(d)
     big = landau_basis(fiber, d, levels)
     # levels 0..levels-1 are the leading columns of the larger basis, which
-    # carry its image truncation; copied contiguous, so that the products
-    # that read them see the layout of a basis sampled on its own
+    # carry its image truncation
     width = levels * s
-    small = SectionBasis(
-        fiber, width, lambda: big.matrix[:, :width].copy(), big.frequencies[:width]
-    )
+    small = SectionBasis(fiber, width, big.sample, big.frequencies[:width])
     # the d < 0 block is the adjoint of the |d| ladder, written at its own
     # entries: mat.conj().T would turn every zero into 0 - 0j
     coef = 1j * np.sqrt(np.pi * s * np.arange(1, levels + 1).repeat(s))

@@ -9,13 +9,12 @@ Conventions
 -----------
 Sections are scalar grid vectors of length npoints.  The inner product is
 the quadrature one, (1/n^r) sum conj(f) g.  A SectionBasis holds its fiber,
-its size nbasis, a sampler of its (npoints, nbasis) evaluation matrix
-with quadrature-orthonormal columns, which it calls on the first read of
-``matrix``, and the axis-0 frequency of each column; operators between
-bases are plain matrices on coefficients.  So
-an operator is assembled without sampling its bases: a spectral count reads
-the coefficient matrix alone, and only a grid realization (the idempotent)
-samples them, each once, since its projector frames live on the operator's bases.
+its size nbasis, a sampler of any columns of its (npoints, nbasis)
+evaluation matrix, whose columns are quadrature-orthonormal, and the axis-0
+frequency of each column; operators between bases are plain matrices on
+coefficients.  So an operator is assembled without sampling its bases: a
+spectral count reads the coefficient matrix alone, and a grid realization
+(the idempotent) samples only the columns that frame its projectors.
 
 Smoothing operators are operator matrices M acting by f -> M f on scalar
 grid sections, one npoints x npoints matrix.  An operator with several
@@ -41,7 +40,6 @@ the phase exp(2 pi i f / g), on which ``certified_block_count`` certifies g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -59,32 +57,33 @@ class SupportMismatchError(ModelError):
 class SectionBasis:
     """Quadrature-orthonormal family of ``size`` sections on one fiber.
 
-    ``sample()`` returns their (npoints, size) grid samples; it is called on
-    the first read of ``matrix``, once.  ``frequencies`` (int64, an array, so
-    left out of comparisons and hashes) holds each section's axis-0 frequency f:
-    the translation by grid_size/g ticks along axis 0 multiplies it by
+    ``sample(indices)`` returns the (npoints, len(indices)) grid samples of
+    the sections at ``indices``, each time it is called; ``columns`` checks
+    their shape.  ``frequencies`` (int64, an array, so left out of
+    comparisons and hashes) holds each section's axis-0 frequency f: the
+    translation by grid_size/g ticks along axis 0 multiplies it by
     exp(2 pi i f / g) at every certified g.
     """
 
     fiber: FiberModel
     size: int
-    sample: Callable[[], np.ndarray]
+    sample: Callable[[np.ndarray], np.ndarray]
     frequencies: np.ndarray = field(compare=False)
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        samples = self.sample()
-        if samples.shape != (self.fiber.npoints, self.size):
+    def columns(self, indices: np.ndarray) -> np.ndarray:
+        samples = self.sample(indices)
+        if samples.shape != (self.fiber.npoints, len(indices)):
             raise ModelError(
                 f"basis samples have shape {samples.shape}, "
-                f"not (npoints, size) = {(self.fiber.npoints, self.size)}"
+                f"not (npoints, len(indices)) = {(self.fiber.npoints, len(indices))}"
             )
         return samples
 
 
 def fourier_basis(fiber: FiberModel) -> SectionBasis:
     """The retained Fourier modes, each of frequency k_1 along axis 0."""
-    return SectionBasis(fiber, fiber.nmodes, fiber.eval_matrix, fiber.modes()[:, 0])
+    sample = lambda cols: fiber.eval_matrix().take(cols, axis=1)
+    return SectionBasis(fiber, fiber.nmodes, sample, fiber.modes()[:, 0])
 
 
 def fourier_multiplier(fiber: FiberModel, values: np.ndarray) -> OperatorBlock:
@@ -108,8 +107,8 @@ class OperatorBlock:
 
     def grid_matrix(self) -> np.ndarray:
         """The operator matrix on grid vectors."""
-        n = self.domain.fiber.npoints
-        return self.codomain.matrix @ self.matrix @ self.domain.matrix.conj().T / n
+        domain, codomain = (b.columns(np.arange(b.size)) for b in (self.domain, self.codomain))
+        return codomain @ self.matrix @ domain.conj().T / self.domain.fiber.npoints
 
 
 def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int, axes=None) -> np.ndarray:

@@ -208,13 +208,6 @@ HERMITIAN_RTOL = 1e-14
 GERM_SLACK = 1e-9
 
 
-def _kernel_reach(idem: IndexIdempotent) -> float:
-    reach = idem.radius
-    if math.isinf(reach):
-        reach = idem.effective_radius
-    return reach
-
-
 def pair_cocycle(
     idem: IndexIdempotent,
     phi,
@@ -256,7 +249,7 @@ def pair_cocycle(
     if space.moving_elements():
         require_invariant(space, "pairing", *idem.families)
     if math.isfinite(phi.germ_radius):
-        reach = _kernel_reach(idem)
+        reach = idem.effective_radius if math.isinf(idem.radius) else idem.radius
         if reach > phi.germ_radius + GERM_SLACK:
             raise SupportMismatchError(
                 f"kernel reach {reach:.4g} exceeds the cochain germ radius "

@@ -606,7 +606,7 @@ def _stored_projector(
     if rank == 0:
         return SmoothingKernel(basis.fiber, None)
     fiber = basis.fiber
-    W = basis.matrix.take(indices, axis=1)
+    W = basis.columns(indices)
     frequencies = basis.frequencies[indices]
     g = certified_block_count(fiber, W, frequencies)
     frames = _class_frames(W, frequencies, g)

@@ -345,7 +345,11 @@ def frame_basis(basis, V, frequencies):
     the axis-0 ``frequencies``, and the indices of all its columns: what the
     parametrix certifies for W = E V."""
     rank = V.shape[1]
-    framed = SectionBasis(basis.fiber, rank, lambda: basis.matrix @ V, np.asarray(frequencies))
+
+    def sample(cols):
+        return (basis_matrix(basis) @ V).take(cols, axis=1)
+
+    framed = SectionBasis(basis.fiber, rank, sample, np.asarray(frequencies))
     return framed, np.arange(rank)
 
 
@@ -387,9 +391,14 @@ def remainder_projectors(block):
     return r0, r1
 
 
+def basis_matrix(basis):
+    """The (npoints, size) samples of every column of a section basis."""
+    return basis.columns(np.arange(basis.size))
+
+
 def grid_projector(basis, R):
     """The grid matrix E R E^H / n of a coefficient matrix R on the basis E."""
-    E = basis.matrix
+    E = basis_matrix(basis)
     return E @ R @ E.conj().T / basis.fiber.npoints
 
 
@@ -408,8 +417,8 @@ def transport_matrix(space, g, domain, codomain):
     projecting onto the codomain basis.  Unitary whenever the transported
     columns stay inside the codomain span.
     """
-    moved = domain.matrix[space.permutation(g), :]
-    return codomain.matrix.conj().T @ moved / domain.fiber.npoints
+    moved = basis_matrix(domain)[space.permutation(g), :]
+    return basis_matrix(codomain).conj().T @ moved / domain.fiber.npoints
 
 
 def family_invariance_defect(space, block):
@@ -425,15 +434,16 @@ def family_invariance_defect(space, block):
 
 def gram_defect(basis):
     """Largest entry of E^H E / n - 1 for the evaluation matrix E of a section basis."""
-    G = basis.matrix.conj().T @ basis.matrix / basis.fiber.npoints
+    E = basis_matrix(basis)
+    G = E.conj().T @ E / basis.fiber.npoints
     return float(np.max(np.abs(G - np.eye(basis.size))))
 
 
 def apply_block(block, fieldvec):
     """The operator of a block on a grid field: project onto the domain basis,
     apply the matrix, synthesize on the codomain basis."""
-    coeffs = block.domain.matrix.conj().T @ fieldvec / block.domain.fiber.npoints
-    return block.codomain.matrix @ (block.matrix @ coeffs)
+    coeffs = basis_matrix(block.domain).conj().T @ fieldvec / block.domain.fiber.npoints
+    return basis_matrix(block.codomain) @ (block.matrix @ coeffs)
 
 
 def symbol_of(block, order):
@@ -703,13 +713,11 @@ def magnetic_translation(field, v_ticks, twist, fiber):
 
 def magnetic_translation_matrix(basis, v_ticks, twist):
     """Matrix of the bundle translation on a section basis."""
+    E = basis_matrix(basis)
     moved = np.column_stack(
-        [
-            magnetic_translation(basis.matrix[:, k], v_ticks, twist, basis.fiber)
-            for k in range(basis.size)
-        ]
+        [magnetic_translation(E[:, k], v_ticks, twist, basis.fiber) for k in range(basis.size)]
     )
-    return basis.matrix.conj().T @ moved / basis.fiber.npoints
+    return E.conj().T @ moved / basis.fiber.npoints
 
 
 def _level_images(fiber, twist, max_level):
@@ -856,7 +864,7 @@ def certified_block_row(basis, radius, cols):
     """
     fiber = basis.fiber
     n = fiber.npoints
-    W = basis.matrix.take(cols, axis=1)
+    W = basis_matrix(basis).take(cols, axis=1)
     Wh = W.conj().T
     gram = Wh @ W / n
     rho = _max_row_norm(W)

@@ -15,7 +15,7 @@ from indexpairing.charclass import (
 )
 from indexpairing import charclass
 from indexpairing.charclass import CH_CURVATURE_SCALE, _chern_scalars, _projected_curvature
-from indexpairing.dolbeault import landau_section_jet
+from indexpairing.dolbeault import landau_sections
 from indexpairing.forms import DegreeError, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_gradient
 from indexpairing.symbols import EllipticityError
@@ -350,12 +350,12 @@ def test_twist_character_of_zero_twist_is_the_constant_projector_character():
 def test_degenerate_frame_raises_the_projector_error(monkeypatch):
     fiber = torus_fiber()
 
-    def vanishing_at_one_point(fiber, twist, max_level):
-        values, d1, d2 = landau_section_jet(fiber, twist, max_level)
+    def vanishing_at_one_point(fiber, twist, max_level, columns, jet=False):
+        values, d1, d2 = landau_sections(fiber, twist, max_level, columns, jet)
         values[7] = 0.0
         return values, d1, d2
 
-    monkeypatch.setattr(charclass, "landau_section_jet", vanishing_at_one_point)
+    monkeypatch.setattr(charclass, "landau_sections", vanishing_at_one_point)
     with pytest.raises(ModelError) as want:
         twist_projector(fiber, 3)
     with pytest.raises(ModelError) as got:

@@ -60,6 +60,7 @@ from indexpairing.parametrix import (
 from indexpairing.scenario import BUILTIN_SCENARIOS
 from indexpairing.space import FiberedGSpace
 from oracles import (
+    basis_matrix,
     certified_block_row,
     circulant_blocks,
     circulant_dense,
@@ -140,7 +141,7 @@ def truncated_projector(n, N, twist, radius):
 def frame_row(basis, radius, cols):
     """Block row 0 of the projector onto the basis columns at ``cols``, cut at radius, in
     the block count the library certifies on those columns, formed from the whole frame."""
-    W = basis.matrix.take(cols, axis=1)
+    W = basis_matrix(basis).take(cols, axis=1)
     g = certified_block_count(basis.fiber, W, basis.frequencies[cols])
     return dense_block_row(basis.fiber, W, g, radius)
 
@@ -375,8 +376,8 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     # one stack is the Fourier blocks of the flux-24 projector, 8 x 200 x 200
     block, basis, cols = kernel_columns(40, 19, 24)
     fiber = basis.fiber
-    # the basis is sampled on first read, before tracing starts
-    W = basis.matrix.take(cols, axis=1)
+    # the frame, sampled before tracing starts; the construction samples its own
+    W = basis_matrix(basis).take(cols, axis=1)
     frequencies = basis.frequencies[cols]
     stack = 8 * 200 * 200 * 16
     g, cert_peak = traced_peak(lambda: certified_block_count(fiber, W, frequencies))
@@ -421,7 +422,7 @@ def test_truncated_flux_projectors_take_the_block_path(n, N, twist, order, monke
     S = dense_cut(basis, remainder_projectors(block)[0], 0.30)
     assert circulant_order(S, n) == order
     cut = counted_cuts(monkeypatch)
-    W = basis.matrix.take(cols, axis=1)
+    W = basis_matrix(basis).take(cols, axis=1)
     # the certificate cuts no row
     assert certified_block_count(basis.fiber, W, basis.frequencies[cols]) == order and cut == []
     rows = []
@@ -482,7 +483,7 @@ def range_case(name):
 def dense_scan(basis, R, radius, g):
     """is_block_circulant of the cut grid matrix of R, one block row formed at a time."""
     fiber = basis.fiber
-    E, n = basis.matrix, fiber.npoints
+    E, n = basis_matrix(basis), fiber.npoints
     width = n // g
     mask = truncation_mask(fiber, radius, n)
     right = R @ E.conj().T / n
@@ -529,7 +530,7 @@ def test_frames_certify_the_block_count_of_the_pinv_remainders(name):
         assert dense_scan(basis, r, radius, g), name
         width = len(row)
         mask = truncation_mask(basis.fiber, radius, width)
-        E = basis.matrix
+        E = basis_matrix(basis)
         assert_near_oracle(row, E[:width] @ r @ E.conj().T / basis.fiber.npoints * mask)
 
 
@@ -646,7 +647,7 @@ def test_landau_blocks_store_the_rows_of_the_lapack_frames_to_rounding(name):
         if kern.row is None:
             assert V.shape[1] == 0, name
             continue
-        W = basis.matrix @ V
+        W = basis_matrix(basis) @ V
         want = W[: len(kern.row)] @ W.conj().T / basis.fiber.npoints
         assert np.max(np.abs(kern.row - want)) <= 1e-15, name
 
@@ -716,7 +717,7 @@ def test_wrong_frequencies_never_certify_a_wrong_block_count(n, N, twist):
     block, basis, cols = kernel_columns(n, N, twist)
     S = grid_projector(basis, remainder_projectors(block)[0])
     order = circulant_order(S, n)
-    W = basis.matrix.take(cols, axis=1)
+    W = basis_matrix(basis).take(cols, axis=1)
     right = basis.frequencies[cols]
     assert certified_block_count(basis.fiber, W, right) == order
     one = right.copy()
@@ -742,7 +743,7 @@ def frame_count_against_two_stage(basis, cols):
     entry of the row cut at each radius."""
     fiber = basis.fiber
     n = fiber.npoints
-    W = basis.matrix.take(cols, axis=1)
+    W = basis_matrix(basis).take(cols, axis=1)
     # no radius enters: the count is certified once for every radius
     g = certified_block_count(fiber, W, basis.frequencies[cols])
     norms = np.sum(np.abs(W[: n // g]) ** 2, axis=1)

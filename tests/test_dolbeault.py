@@ -8,8 +8,7 @@ from indexpairing.dolbeault import (
     dolbeault_family,
     hermite_values,
     landau_basis,
-    landau_section_jet,
-    landau_section_values,
+    landau_sections,
 )
 from indexpairing.grids import FiberModel, ModelError, grid_points, spectral_gradient
 from indexpairing import parametrix as parametrix_module
@@ -25,6 +24,7 @@ from indexpairing.parametrix import (
 )
 from indexpairing.space import FiberedGSpace
 from oracles import (
+    basis_matrix,
     circulant_dense,
     gram_defect,
     landau_section_jet_per_image,
@@ -93,8 +93,9 @@ def test_landau_jet_matches_spectral_derivatives_of_the_samples(twist, n):
     # h_l' ladder in both directions
     fiber = FiberModel(2, n // 2 - 1, n)
     max_level = 1 if abs(twist) == 1 else 0
-    values, d1, d2 = landau_section_jet(fiber, twist, max_level)
-    assert same_bits(values, landau_section_values(fiber, twist, max_level))
+    cols = np.arange(abs(twist) * (max_level + 1))
+    values, d1, d2 = landau_sections(fiber, twist, max_level, cols, jet=True)
+    assert same_bits(values, landau_sections(fiber, twist, max_level, cols))
     # sections are periodic in z1; in z2 they pick up exp(-2 pi i d z1),
     # which the gauge exp(2 pi i d z1 z2) removes along each z1 line
     z1, z2 = grid_points(n, 2).T
@@ -106,22 +107,35 @@ def test_landau_jet_matches_spectral_derivatives_of_the_samples(twist, n):
     assert np.abs(s2 - d2).max() <= 1e-10
 
 
+# column sets of a level basis of s columns per level and ``top`` levels;
+# the unsorted one is about half of them, shuffled across levels
+COLUMN_SETS = {
+    "all": lambda s, top: np.arange(s * top),
+    "level-0": lambda s, top: np.arange(s),
+    "one": lambda s, top: np.array([s * top - 1]),
+    "unsorted": lambda s, top: np.random.default_rng(top).permutation(s * top)[: s * top // 2 + 1],
+}
+
+
+@pytest.mark.parametrize("columns", sorted(COLUMN_SETS))
 @pytest.mark.parametrize("n", [20, 24, 40])
 @pytest.mark.parametrize("twist", [1, -1, 2, -2, 3, 24])
-def test_separable_sampler_is_bitwise_the_per_image_loop(twist, n, monkeypatch):
+def test_separable_sampler_is_bitwise_the_per_image_loop(twist, n, columns, monkeypatch):
     # each image term is sampled on the grid axes and broadcast, and every
     # sample still sums its terms in increasing p: values and both
-    # derivatives keep every bit, sign bits of zeros included, in blocks of
-    # one row, of several rows with a shorter last block, or of the grid
+    # derivatives of any columns keep every bit, sign bits of zeros
+    # included, in blocks of one row, of several rows with a shorter last
+    # block, or of the grid
     fiber = FiberModel(2, n // 2 - 1, n)
     default = dolbeault.SAMPLE_BLOCK_BYTES
     for max_level in range(5):
-        values = landau_section_values_per_image(fiber, twist, max_level)
-        jet = landau_section_jet_per_image(fiber, twist, max_level)
+        cols = COLUMN_SETS[columns](abs(twist), max_level + 1)
+        values = landau_section_values_per_image(fiber, twist, max_level)[:, cols]
+        jet = [f[:, cols] for f in landau_section_jet_per_image(fiber, twist, max_level)]
         for block_bytes in (1, 3 * values[:n].nbytes, default, 1 << 40):
             monkeypatch.setattr(dolbeault, "SAMPLE_BLOCK_BYTES", block_bytes)
-            assert same_bits(landau_section_values(fiber, twist, max_level), values)
-            got = landau_section_jet(fiber, twist, max_level)
+            assert same_bits(landau_sections(fiber, twist, max_level, cols), values)
+            got = landau_sections(fiber, twist, max_level, cols, jet=True)
             assert all(same_bits(g, want) for g, want in zip(got, jet))
 
 
@@ -132,46 +146,48 @@ def test_separable_sampler_is_bitwise_the_per_image_loop(twist, n, monkeypatch):
 def test_smaller_basis_is_the_leading_columns_of_the_larger(twist, levels, n):
     # at the catalog and benchmark twists the image sums of levels and
     # levels - 1 are truncated alike, so the leading columns of the larger
-    # basis are bitwise the smaller basis sampled on its own
+    # basis, which the smaller one samples, are bitwise the smaller basis
+    # sampled on its own
     fiber = FiberModel(2, 3, n)
     block = dolbeault_family(fiber, twist, levels)
     big, small = (block.domain, block.codomain) if twist > 0 else (block.codomain, block.domain)
-    assert same_bits(big.matrix, landau_section_values(fiber, twist, levels))
-    assert same_bits(small.matrix, landau_section_values(fiber, twist, levels - 1))
-    assert small.matrix.flags.c_contiguous
+    assert same_bits(basis_matrix(big), landau_sections(fiber, twist, levels, np.arange(big.size)))
+    on_its_own = landau_sections(fiber, twist, levels - 1, np.arange(small.size))
+    assert same_bits(basis_matrix(small), on_its_own)
 
 
 def test_operator_bases_are_sampled_on_first_use_once(monkeypatch):
     sampled = []
-    sample = dolbeault.landau_section_values
+    sample = dolbeault.landau_sections
 
-    def counted(fiber, twist, max_level):
-        sampled.append((twist, max_level))
-        return sample(fiber, twist, max_level)
+    def counted(fiber, twist, max_level, columns, jet=False):
+        sampled.append((twist, max_level, len(columns)))
+        return sample(fiber, twist, max_level, columns, jet)
 
-    monkeypatch.setattr(dolbeault, "landau_section_values", counted)
+    monkeypatch.setattr(dolbeault, "landau_sections", counted)
     fiber = FiberModel(2, 8, 20)
     block = dolbeault_family(fiber, -2, levels=2)
     # the spectral count reads the ladder matrix alone
     assert analytic_index(block).index == -2
     assert sampled == []
     # flux -2 has no kernel: only the cokernel projector, on the larger
-    # codomain basis, is realized on the grid
+    # codomain basis, is realized on the grid, and only its two level-0
+    # columns are sampled
     index_idempotent(block)
-    assert sampled == [(-2, 2)]
-    small = block.domain.matrix
-    assert small is block.domain.matrix
-    assert sampled == [(-2, 2)]
+    assert sampled == [(-2, 2, 2)]
+    # the smaller domain basis samples with the larger one's sampler
+    basis_matrix(block.domain)
+    assert sampled == [(-2, 2, 2), (-2, 2, 4)]
 
 
 def test_basis_samples_are_checked_against_the_declared_size():
     fiber = FiberModel(2, 3, 8)
     basis = SectionBasis(
-        fiber, 3, lambda: np.zeros((fiber.npoints, 4), dtype=complex), np.zeros(3, np.int64)
+        fiber, 3, lambda cols: np.zeros((fiber.npoints, 4), dtype=complex), np.zeros(3, np.int64)
     )
     assert basis.size == 3
-    with pytest.raises(ModelError, match="not \\(npoints, size\\)"):
-        basis.matrix
+    with pytest.raises(ModelError, match="not \\(npoints, len\\(indices\\)\\)"):
+        basis.columns(np.arange(3))
 
 
 def test_level_basis_is_refused_before_any_sampling():
@@ -209,11 +225,11 @@ def test_ladder_matches_finite_difference_application(twist):
     fiber = FiberModel(2, 8, 32)
     block = dolbeault_family(fiber, twist, levels=3)
     scale = np.sqrt(np.pi * abs(twist) * 3)
-    dom = block.domain
-    for k in range(dom.size):
-        col = dom.matrix[:, k]
+    dom, cod = basis_matrix(block.domain), basis_matrix(block.codomain)
+    for k in range(block.domain.size):
+        col = dom[:, k]
         fd = dolbeault_apply_fd(col, twist, fiber)
-        analytic = block.codomain.matrix @ block.matrix[:, k]
+        analytic = cod @ block.matrix[:, k]
         assert np.max(np.abs(fd - analytic)) <= 1e-4 * scale
 
 

@@ -1021,28 +1021,39 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
 
 
 def test_warm_run_samples_no_operator_basis(tmp_path, monkeypatch):
-    # the cold run samples the level basis once, where the idempotent reads
-    # it; the warm run reads the idempotent from its cache and the ladder
-    # matrix alone.  Neither builds the dense evaluation matrix of the box.
-    scn = load_scenario("S1-dolbeault-d1")
+    # a cold run samples only the level-basis columns that frame its
+    # projectors, where the idempotent reads them: the one kernel column of
+    # flux 1 and the 24 level-0 columns of flux 24.  The warm run reads the
+    # idempotent from its cache and the ladder matrix alone.  No run builds
+    # the dense evaluation matrix of the box, which the Fourier basis of S3
+    # would sample only where its columns are read.
     sampled = []
-    sample = dolbeault.landau_section_values
+    sample = dolbeault.landau_sections
 
-    def counted(fiber, twist, max_level):
-        sampled.append((twist, max_level))
-        return sample(fiber, twist, max_level)
+    def counted(fiber, twist, max_level, columns, jet=False):
+        sampled.append((twist, len(columns)))
+        return sample(fiber, twist, max_level, columns, jet)
 
     def refuse(*args):
         raise AssertionError("sampled on the run path")
 
     monkeypatch.setattr(grids, "eval_matrix", refuse)
-    with monkeypatch.context() as m:
-        m.setattr(dolbeault, "landau_section_values", counted)
-        cold = run_scenario(scn, out_dir=tmp_path)
-    assert sampled == [(1, 2)]
-    monkeypatch.setattr(dolbeault, "landau_section_values", refuse)
-    warm = run_scenario(scn, out_dir=tmp_path)
-    assert warm.csv_row() == cold.csv_row()
+    monkeypatch.setattr(dolbeault, "landau_sections", counted)
+    runs = [
+        ("S1-dolbeault-d1", [(1, 1)]),
+        (FLUX24["flux24-unit"], [(24, 24)]),
+        ("S3-multiplier-invertible", []),
+    ]
+    for name, cold_samples in runs:
+        scn, out = load_scenario(name), tmp_path / Path(name).stem
+        out.mkdir()
+        sampled.clear()
+        cold = run_scenario(scn, out_dir=out)
+        assert sampled == cold_samples, name
+        sampled.clear()
+        warm = run_scenario(scn, out_dir=out)
+        assert sampled == [], name
+        assert warm.csv_row() == cold.csv_row()
 
 
 def flux8_cut_idempotent():
