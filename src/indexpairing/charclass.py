@@ -18,8 +18,8 @@ relative to its rim value (the Thom/Bott step of the index formula).  The
 two model projector families used by the scenarios are a flux-twisted line
 bundle frame on the fiber and the graph projector of a nonvanishing scalar
 symbol on the disc.  The flux bundle's character is read off its frame and
-the frame's closed-form derivatives (twist_character), in O(npoints * m)
-memory for rank m = |twist| and with no spectral derivative; the m x m
+the frame's closed-form derivatives (twist_character), one row block of the
+sampler at a time and with no spectral derivative; the m x m
 projector field and its spectral character serve the property checks and
 the tests.  No genus factor is formed: every scenario runs on
 two-dimensional fibers, where the A-hat genus is identically 1 because its
@@ -37,7 +37,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .dolbeault import landau_sections
+from . import dolbeault
 from .forms import exterior_d, exterior_wedge
 from .grids import FiberModel, ModelError, spectral_gradient
 from .symbols import EllipticityError
@@ -252,34 +252,37 @@ def disc_charge(disc: DiscModel, projector: np.ndarray) -> complex:
 # Model projector families
 
 
-def _flux_frame(fiber: FiberModel, twist: int):
-    """Sections whose conjugates frame a flux line bundle, with their derivatives.
+def _frame_sections(fiber: FiberModel, twist: int):
+    """The level-basis arguments of the sections whose conjugates frame a flux line bundle.
 
     The lowest magnetic level; for unit flux a second level is included
     because a single section vanishes somewhere and the frame would
-    degenerate.  Returns the section values V, their partial derivatives
-    along the two fiber axes and the density sum_i |V_i|^2.
+    degenerate.
     """
     max_level = 0 if abs(twist) >= 2 else 1
-    columns = np.arange(abs(twist) * (max_level + 1))
-    V, d1, d2 = landau_sections(fiber, twist, max_level, columns, jet=True)
-    density = np.sum(np.abs(V) ** 2, axis=1)
-    if density.min() < 1e-6 * density.max():
+    return fiber, twist, max_level, np.arange(abs(twist) * (max_level + 1))
+
+
+def _check_density(low: float, high: float) -> None:
+    """Refuse a frame whose density sum_i |V_i|^2 has extremes low and high
+    on the grid unless 1e-6 * high <= low, and a frame that is zero throughout."""
+    if not 0.0 < 1e-6 * high <= low:
         raise ModelError("magnetic frame degenerates on the grid")
-    return V, (d1, d2), density
 
 
 def twist_projector(fiber: FiberModel, twist: int) -> np.ndarray:
     """Rank-one projector field representing a flux line bundle on the fiber.
 
-    p = conj(V) V^T / |V|^2 for the sections V of _flux_frame.  twist 0
+    p = conj(V) V^T / |V|^2 for the sections V of _frame_sections.  twist 0
     returns the constant rank-one projector.
     """
     if fiber.dim != 2:
         raise ModelError("flux projectors need a two-dimensional fiber")
     if twist == 0:
         return np.ones((fiber.npoints, 1, 1), dtype=complex)
-    V, _, density = _flux_frame(fiber, twist)
+    V = dolbeault.landau_sections(*_frame_sections(fiber, twist))
+    density = np.sum(np.abs(V) ** 2, axis=1)
+    _check_density(density.min(), density.max())
     p = np.einsum("ni,nj->nij", np.conj(V), V)
     p /= density[:, None, None]
     return p
@@ -293,30 +296,43 @@ def twist_character(fiber: FiberModel, twist: int) -> dict[int, np.ndarray]:
     Berry curvature of the frame).  Both are read off the sampled sections
     and their closed-form derivatives,
     dw = conj(dV)/sqrt(rho) - w d(rho)/(2 rho), d(rho) = 2 Re sum_i conj(V_i) dV_i,
-    with no m x m field and no spectral derivative, in O(npoints * m)
-    memory.  ch_0 sums the diagonal of p as twist_projector forms it, so it
-    has the bits of tr p.  The frame is gated on max |(|w|^2 - 1)|; since
+    with no m x m field and no spectral derivative, one row block of the
+    sampler at a time: each grid point's value reads only its own samples,
+    so it has the same bits in every block size, and no array the size of
+    the samples is held.  ch_0 sums the diagonal of p as twist_projector
+    forms it, so it has the bits of tr p.  The frame is gated on its density
+    as twist_projector gates it, and then on max |(|w|^2 - 1)|; since
     p^2 - p = (|w|^2 - 1) p, that gate is at least as strict as the
-    projector's.  Twist 0 is the constant bundle: the constant projector 1,
-    with tr p = 1 and no curvature.
+    projector's.  Both gates take their extremes over the blocks and are
+    checked in that order; a block's values are formed only while the
+    density seen so far passes.  Twist 0 is the constant bundle: the
+    constant projector 1, with tr p = 1 and no curvature.
     """
     if fiber.dim != 2:
         raise ModelError("flux projectors need a two-dimensional fiber")
     n = fiber.npoints
     if twist == 0:
         return {0: np.ones((n, 1), dtype=complex), 2: np.zeros((n, 1), dtype=complex)}
-    V, dV, density = _flux_frame(fiber, twist)
-    ch0 = (np.einsum("ni,ni->ni", np.conj(V), V) / density[:, None]).sum(axis=1)
-    root = np.sqrt(density)[:, None]
-    w = np.conj(V) / root
-    defect = float(np.abs(np.sum(np.abs(w) ** 2, axis=1) - 1.0).max())
+    ch0, ch2 = np.empty((n, 1), dtype=complex), np.empty((n, 1), dtype=complex)
+    low, high, defect = np.inf, 0.0, 0.0
+    for points, (V, *dV) in dolbeault.landau_rows(*_frame_sections(fiber, twist), jet=True):
+        density = np.sum(np.abs(V) ** 2, axis=1)
+        low, high = min(low, density.min()), max(high, density.max())
+        # the extremes so far refuse whatever the whole grid would refuse
+        # before any division by a vanishing density
+        _check_density(low, high)
+        ch0[points, 0] = (np.einsum("ni,ni->ni", np.conj(V), V) / density[:, None]).sum(axis=1)
+        root = np.sqrt(density)[:, None]
+        w = np.conj(V) / root
+        defect = max(defect, float(np.abs(np.sum(np.abs(w) ** 2, axis=1) - 1.0).max()))
+        # d(rho) / (2 rho) per axis
+        half_log = [np.sum(np.conj(V) * d, axis=1).real / density for d in dV]
+        dw = [np.conj(d) / root - w * h[:, None] for d, h in zip(dV, half_log)]
+        berry = np.sum(np.conj(dw[0]) * dw[1] - np.conj(dw[1]) * dw[0], axis=1)
+        ch2[points, 0] = CH_CURVATURE_SCALE * berry
     if defect > IDEMPOTENT_TOL:
         raise ModelError(f"frame is not a unit frame: ||w|^2 - 1| = {defect:.3e}")
-    # d(rho) / (2 rho) per axis
-    half_log = [np.sum(np.conj(V) * d, axis=1).real / density for d in dV]
-    dw = [np.conj(d) / root - w * h[:, None] for d, h in zip(dV, half_log)]
-    berry = np.sum(np.conj(dw[0]) * dw[1] - np.conj(dw[1]) * dw[0], axis=1)
-    return {0: ch0.reshape(n, 1), 2: (CH_CURVATURE_SCALE * berry).reshape(n, 1)}
+    return {0: ch0, 2: ch2}
 
 
 def graph_symbol_projector(disc: DiscModel, values: np.ndarray) -> np.ndarray:

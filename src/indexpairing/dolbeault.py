@@ -19,11 +19,12 @@ A block holds its level bases unsampled: a spectral count reads the ladder
 matrix alone, and a realization samples only the columns it reads.  The
 smaller basis is the leading columns of the larger, sampled by the larger
 one's sampler with its image truncation.  Each image term is a Hermite
-factor in z2 times a phase in z1, so the one sampler, ``landau_sections``,
+factor in z2 times a phase in z1, so the one sampler, ``landau_rows``,
 evaluates both on the grid_size axis values for the requested columns and
-forms their products a block of z1 rows of the grid at a time, where every
-sample still sums its image terms in increasing p; the frame of a flux line
-bundle takes its derivatives from the same loop.
+yields their products a block of z1 rows of the grid at a time, where every
+sample still sums its image terms in increasing p.  ``landau_sections``
+gathers the blocks into whole samples for a basis; the character of a flux
+line bundle reads its frame and the frame's derivatives block by block.
 """
 from __future__ import annotations
 
@@ -87,20 +88,24 @@ def _image_factors(fiber: FiberModel, twist: int, max_level: int):
 # the sampler forms the image products a block of z1 rows at a time, in work
 # space of at most this many bytes (or of one row, if that is larger), which
 # stays in cache: a few calls per image at small grids, and no work array the
-# size of the samples at large ones
+# size of the samples at large ones; a block is also what a reader of the
+# blocks holds at once
 SAMPLE_BLOCK_BYTES = 1 << 16
 
 
-def landau_sections(
+def landau_rows(
     fiber: FiberModel, twist: int, max_level: int, columns: np.ndarray, jet: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Grid samples (npoints, len(columns)) of the level basis of levels 0..max_level
-    at ``columns``, where column l * |twist| + j holds B_{j,l}.
+):
+    """The level basis of levels 0..max_level at ``columns``, where column
+    l * |twist| + j holds B_{j,l}, sampled a block of z1 rows at a time.
 
-    Each sample sums its image terms in increasing p.  With ``jet``, returns
-    the samples and their partial derivatives d/dz1 and d/dz2: d/dz1 of an
-    image term brings down 2 pi i (j - d p); d/dz2 differentiates the
-    Hermite factor through h_l' = sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}.
+    Yields, per block, the slice of the grid points it covers and the
+    samples there (points, len(columns)); with ``jet``, also their partial
+    derivatives d/dz1 and d/dz2: d/dz1 of an image term brings down
+    2 pi i (j - d p); d/dz2 differentiates the Hermite factor through
+    h_l' = sqrt(l/2) h_{l-1} - sqrt((l+1)/2) h_{l+1}.  Each sample sums its
+    image terms in increasing p, so a sample has the same bits in every
+    block size.
     """
     s, top, n = abs(_twisted(fiber, twist)), max_level + 1, fiber.grid_size
     j = np.asarray(columns) % s
@@ -120,13 +125,14 @@ def landau_sections(
             dh[1:] += rising * h[: top - 1]
             z2_factors.append(slope * dh.reshape(-1, n).T.take(columns, axis=1))
         images.append((coef[j], z2_factors, phase.take(j, axis=1)))
-    # entry [a, b, c] is the sample at the grid point a * grid_size + b, at
-    # (z1, z2) = (a, b) / grid_size
-    jets = [np.zeros((n, n, len(j)), dtype=complex) for _ in range(3 if jet else 1)]
-    rows = max(1, SAMPLE_BLOCK_BYTES // jets[0][0].nbytes)
-    work = np.empty_like(jets[0][:rows])
+    # entry [a, b, c] of a block is the sample at the grid point
+    # (a0 + a) * grid_size + b, at (z1, z2) = (a0 + a, b) / grid_size
+    width, fields = len(j), 3 if jet else 1
+    rows = min(n, max(1, SAMPLE_BLOCK_BYTES // (n * width * 16)))
+    work = np.empty((rows, n, width), dtype=complex)
     for a in range(0, n, rows):
-        values, *derivatives = (f[a : a + rows] for f in jets)
+        jets = [np.zeros((min(rows, n - a), n, width), dtype=complex) for _ in range(fields)]
+        values, *derivatives = jets
         term = work[: len(values)]
         for coef, z2_factors, phase in images:
             z1_factor = phase[a : a + rows, None, :]
@@ -138,8 +144,18 @@ def landau_sections(
                 d1 += term
                 np.multiply(z2_factors[1], z1_factor, out=term)
                 d2 += term
-    samples = [f.reshape(fiber.npoints, len(j)) for f in jets]
-    return tuple(samples) if jet else samples[0]
+        yield slice(a * n, (a + len(values)) * n), [f.reshape(-1, width) for f in jets]
+
+
+def landau_sections(
+    fiber: FiberModel, twist: int, max_level: int, columns: np.ndarray
+) -> np.ndarray:
+    """Grid samples (npoints, len(columns)) of the level basis of levels 0..max_level
+    at ``columns``, gathered from the row blocks of ``landau_rows``."""
+    samples = np.empty((fiber.npoints, len(columns)), dtype=complex)
+    for points, (block,) in landau_rows(fiber, twist, max_level, columns):
+        samples[points] = block
+    return samples
 
 
 def landau_basis(fiber: FiberModel, twist: int, max_level: int) -> SectionBasis:

@@ -58,11 +58,12 @@ class SectionBasis:
     """Quadrature-orthonormal family of ``size`` sections on one fiber.
 
     ``sample(indices)`` returns the (npoints, len(indices)) grid samples of
-    the sections at ``indices``, each time it is called; ``columns`` checks
-    their shape.  ``frequencies`` (int64, an array, so left out of
-    comparisons and hashes) holds each section's axis-0 frequency f: the
-    translation by grid_size/g ticks along axis 0 multiplies it by
-    exp(2 pi i f / g) at every certified g.
+    the sections at ``indices``, each time it is called; ``columns`` refuses
+    an index outside [0, size) and checks the samples' shape.
+    ``frequencies`` (int64, an array, so left out of comparisons and
+    hashes) holds each section's axis-0 frequency f: the translation by
+    grid_size/g ticks along axis 0 multiplies it by exp(2 pi i f / g) at
+    every certified g.
     """
 
     fiber: FiberModel
@@ -71,6 +72,10 @@ class SectionBasis:
     frequencies: np.ndarray = field(compare=False)
 
     def columns(self, indices: np.ndarray) -> np.ndarray:
+        index = np.asarray(indices)
+        outside = index[(index < 0) | (index >= self.size)]
+        if outside.size:
+            raise ModelError(f"basis column {outside[0]} is outside [0, {self.size})")
         samples = self.sample(indices)
         if samples.shape != (self.fiber.npoints, len(indices)):
             raise ModelError(

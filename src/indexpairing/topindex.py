@@ -36,7 +36,7 @@ from .forms import (
     exterior_wedge,
     form_invariance_defect,
 )
-from .grids import FiberModel, ModelError
+from .grids import FiberModel, ModelError, _readonly
 from .operators import OperatorBlock
 from .parametrix import analytic_index
 from .space import FiberedGSpace
@@ -87,6 +87,18 @@ def _dolbeault_disc_charge(disc: DiscModel) -> complex:
     return disc_charge(disc, graph_symbol_projector(disc, dolbeault_symbol_values(disc)))
 
 
+@lru_cache(maxsize=None)
+def _flux_character(fiber: FiberModel, twist: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Fiber character of the flux bundle of ``twist``, once per fiber and twist
+    per process, as (degree, read-only component array) pairs.
+
+    It depends on the fiber and the twist alone, so a warm run, which reads
+    its idempotent from the cache, samples no Landau section.  A refused
+    frame raises on every call: an exception is never memoized.
+    """
+    return tuple((k, _readonly(v)) for k, v in twist_character(fiber, twist).items())
+
+
 def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> SymbolClass:
     """Difference class of the twisted antiholomorphic symbol.
 
@@ -94,7 +106,7 @@ def symbol_class_dolbeault(fiber: FiberModel, disc: DiscModel, twist: int) -> Sy
     rim value; the fiber part is the full character of the flux bundle the
     operator acts on.  Twist 0 degenerates to the plain scalar symbol.
     """
-    return SymbolClass(twist_character(fiber, twist), _dolbeault_disc_charge(disc))
+    return SymbolClass(dict(_flux_character(fiber, twist)), _dolbeault_disc_charge(disc))
 
 
 def symbol_class_multiplier(fiber: FiberModel, disc: DiscModel, symbol_fn) -> SymbolClass:

@@ -34,9 +34,12 @@ bit and, at one block, with the scale too.
 The level basis is sampled here as the library first did, one image term
 (j, p) at a time over every grid point, and the band projection through the
 dense evaluation matrix of the mode box; the library samples each image
-term on the grid axes and projects by one FFT pair.  Seeded band-limited
-fields were evaluated by exponentials formed per call; the library reads
-the cached evaluation matrix of the band.
+term on the grid axes and projects by one FFT pair.  The flux bundle's
+character is kept as the library first read it off its frame, from the
+sections and derivatives of the whole grid; the library forms it one row
+block of the sampler at a time and must agree bit for bit.  Seeded
+band-limited fields were evaluated by exponentials formed per call; the
+library reads the cached evaluation matrix of the band.
 
 The singular data of an operator block is kept as the library first took
 it from every block, one full LAPACK SVD, and with it the idempotent built
@@ -108,7 +111,7 @@ from itertools import product
 
 from indexpairing.charclass import CH_CURVATURE_SCALE, GRAPH_FLATNESS, IDEMPOTENT_TOL
 from indexpairing.cochains import ASCochain, ASTerm
-from indexpairing.dolbeault import hermite_values
+from indexpairing.dolbeault import hermite_values, landau_rows
 from indexpairing.forms import (
     FoliatedForm,
     exterior_d,
@@ -770,6 +773,44 @@ def landau_section_jet_per_image(fiber, twist, max_level):
                 dh += np.sqrt(l / 2.0) * h[l - 1]
             d2[:, l * s + j] += slope * dh * phase
     return values, d1, d2
+
+
+def landau_jet(fiber, twist, max_level, columns):
+    """The level basis at ``columns`` and its partial derivatives d/dz1 and
+    d/dz2 on the whole grid, gathered from the library's row blocks."""
+    jet = [np.empty((fiber.npoints, len(columns)), dtype=complex) for _ in range(3)]
+    for points, block in landau_rows(fiber, twist, max_level, columns, jet=True):
+        for f, b in zip(jet, block):
+            f[points] = b
+    return jet
+
+
+def twist_character_whole(fiber, twist):
+    """The flux bundle's character from its frame, every grid point at once.
+
+    The library's first frame-based character: the sections, both
+    derivatives and the unit frame held for the whole grid, the density
+    gate taken on the whole density before any division.
+    """
+    n = fiber.npoints
+    if twist == 0:
+        return {0: np.ones((n, 1), dtype=complex), 2: np.zeros((n, 1), dtype=complex)}
+    max_level = 0 if abs(twist) >= 2 else 1
+    columns = np.arange(abs(twist) * (max_level + 1))
+    V, *dV = landau_jet(fiber, twist, max_level, columns)
+    density = np.sum(np.abs(V) ** 2, axis=1)
+    if density.min() < 1e-6 * density.max():
+        raise ModelError("magnetic frame degenerates on the grid")
+    ch0 = (np.einsum("ni,ni->ni", np.conj(V), V) / density[:, None]).sum(axis=1)
+    root = np.sqrt(density)[:, None]
+    w = np.conj(V) / root
+    defect = float(np.abs(np.sum(np.abs(w) ** 2, axis=1) - 1.0).max())
+    if defect > IDEMPOTENT_TOL:
+        raise ModelError(f"frame is not a unit frame: ||w|^2 - 1| = {defect:.3e}")
+    half_log = [np.sum(np.conj(V) * d, axis=1).real / density for d in dV]
+    dw = [np.conj(d) / root - w * h[:, None] for d, h in zip(dV, half_log)]
+    berry = np.sum(np.conj(dw[0]) * dw[1] - np.conj(dw[1]) * dw[0], axis=1)
+    return {0: ch0.reshape(n, 1), 2: (CH_CURVATURE_SCALE * berry).reshape(n, 1)}
 
 
 def grid_to_box(field, fiber):

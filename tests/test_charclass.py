@@ -1,4 +1,5 @@
 """Characteristic forms: disc calculus, matrix calculus, model projectors."""
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -13,9 +14,8 @@ from indexpairing.charclass import (
     twist_character,
     twist_projector,
 )
-from indexpairing import charclass
+from indexpairing import dolbeault
 from indexpairing.charclass import CH_CURVATURE_SCALE, _chern_scalars, _projected_curvature
-from indexpairing.dolbeault import landau_sections
 from indexpairing.forms import DegreeError, exterior_d, exterior_wedge
 from indexpairing.grids import FiberModel, ModelError, random_band_limited, spectral_gradient
 from indexpairing.symbols import EllipticityError
@@ -26,6 +26,7 @@ from oracles import (
     same_bits,
     smoothstep_exact,
     spectral_derivative,
+    twist_character_whole,
 )
 
 # Orientation facts of the model projectors, frozen from the conventions in
@@ -347,17 +348,57 @@ def test_twist_character_of_zero_twist_is_the_constant_projector_character():
         twist_character(FiberModel(1, 4, 12), 2)
 
 
-def test_degenerate_frame_raises_the_projector_error(monkeypatch):
+@pytest.mark.parametrize("point", [7, 26 * 26 - 1])
+def test_degenerate_frame_raises_the_projector_error(point, monkeypatch):
+    # a zero sample makes the density vanish at one point, in the first or
+    # the last of the one-row blocks: the character refuses the frame before
+    # it divides by that density, with the projector's message
     fiber = torus_fiber()
+    rows = dolbeault.landau_rows
+    monkeypatch.setattr(dolbeault, "SAMPLE_BLOCK_BYTES", 1)
 
-    def vanishing_at_one_point(fiber, twist, max_level, columns, jet=False):
-        values, d1, d2 = landau_sections(fiber, twist, max_level, columns, jet)
-        values[7] = 0.0
-        return values, d1, d2
+    def vanishing_at_one_point(*args, **kwargs):
+        for points, block in rows(*args, **kwargs):
+            if points.start <= point < points.stop:
+                block[0][point - points.start] = 0.0
+            yield points, block
 
-    monkeypatch.setattr(charclass, "landau_sections", vanishing_at_one_point)
+    monkeypatch.setattr(dolbeault, "landau_rows", vanishing_at_one_point)
     with pytest.raises(ModelError) as want:
         twist_projector(fiber, 3)
     with pytest.raises(ModelError) as got:
         twist_character(fiber, 3)
     assert str(got.value) == str(want.value) == "magnetic frame degenerates on the grid"
+
+
+# block sizes of one z1 row, of several rows with a shorter last block,
+# and of the whole grid
+BLOCK_BYTES = {"one-row": lambda row: 1, "rows": lambda row: 3 * row, "grid": lambda row: 1 << 40}
+
+
+@pytest.mark.parametrize("blocks", sorted(BLOCK_BYTES))
+@pytest.mark.parametrize(
+    "twist,n", [(1, 40), (-1, 40), (2, 40), (-2, 40), (3, 40), (24, 40), (200, 64)]
+)
+def test_streamed_twist_character_is_bitwise_the_whole_grid_one(twist, n, blocks, monkeypatch):
+    fiber = FiberModel(2, n // 2 - 1, n)
+    want = twist_character_whole(fiber, twist)
+    width = abs(twist) * (2 if abs(twist) == 1 else 1)
+    monkeypatch.setattr(dolbeault, "SAMPLE_BLOCK_BYTES", BLOCK_BYTES[blocks](n * width * 16))
+    got = twist_character(fiber, twist)
+    assert sorted(got) == sorted(want) == [0, 2]
+    assert all(same_bits(got[k], want[k]) for k in want)
+
+
+def test_twist_character_holds_no_array_the_size_of_the_samples():
+    # twist 200 on grid 64: the whole-grid character peaked at 100 MiB, for
+    # an output of 2 x 4096 complex values; the streamed one holds a few
+    # row blocks of 200 KiB and the sampler's per-image factors
+    fiber = FiberModel(2, 31, 64)
+    tracemalloc.start()
+    try:
+        twist_character(fiber, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"

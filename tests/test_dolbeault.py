@@ -12,7 +12,7 @@ from indexpairing.dolbeault import (
 )
 from indexpairing.grids import FiberModel, ModelError, grid_points, spectral_gradient
 from indexpairing import parametrix as parametrix_module
-from indexpairing.operators import OperatorBlock, SectionBasis, trace_tau
+from indexpairing.operators import OperatorBlock, SectionBasis, fourier_basis, trace_tau
 from indexpairing.parametrix import (
     IndexIdempotent,
     LocalizationError,
@@ -27,6 +27,7 @@ from oracles import (
     basis_matrix,
     circulant_dense,
     gram_defect,
+    landau_jet,
     landau_section_jet_per_image,
     landau_section_values_per_image,
     lapack_singular_data,
@@ -94,7 +95,7 @@ def test_landau_jet_matches_spectral_derivatives_of_the_samples(twist, n):
     fiber = FiberModel(2, n // 2 - 1, n)
     max_level = 1 if abs(twist) == 1 else 0
     cols = np.arange(abs(twist) * (max_level + 1))
-    values, d1, d2 = landau_sections(fiber, twist, max_level, cols, jet=True)
+    values, d1, d2 = landau_jet(fiber, twist, max_level, cols)
     assert same_bits(values, landau_sections(fiber, twist, max_level, cols))
     # sections are periodic in z1; in z2 they pick up exp(-2 pi i d z1),
     # which the gauge exp(2 pi i d z1 z2) removes along each z1 line
@@ -135,7 +136,7 @@ def test_separable_sampler_is_bitwise_the_per_image_loop(twist, n, columns, monk
         for block_bytes in (1, 3 * values[:n].nbytes, default, 1 << 40):
             monkeypatch.setattr(dolbeault, "SAMPLE_BLOCK_BYTES", block_bytes)
             assert same_bits(landau_sections(fiber, twist, max_level, cols), values)
-            got = landau_sections(fiber, twist, max_level, cols, jet=True)
+            got = landau_jet(fiber, twist, max_level, cols)
             assert all(same_bits(g, want) for g, want in zip(got, jet))
 
 
@@ -160,9 +161,9 @@ def test_operator_bases_are_sampled_on_first_use_once(monkeypatch):
     sampled = []
     sample = dolbeault.landau_sections
 
-    def counted(fiber, twist, max_level, columns, jet=False):
+    def counted(fiber, twist, max_level, columns):
         sampled.append((twist, max_level, len(columns)))
-        return sample(fiber, twist, max_level, columns, jet)
+        return sample(fiber, twist, max_level, columns)
 
     monkeypatch.setattr(dolbeault, "landau_sections", counted)
     fiber = FiberModel(2, 8, 20)
@@ -188,6 +189,19 @@ def test_basis_samples_are_checked_against_the_declared_size():
     assert basis.size == 3
     with pytest.raises(ModelError, match="not \\(npoints, len\\(indices\\)\\)"):
         basis.columns(np.arange(3))
+
+
+@pytest.mark.parametrize("kind", ["level", "fourier"])
+@pytest.mark.parametrize("index", [-1, 4, 5])
+def test_basis_columns_refuse_an_index_outside_the_basis(kind, index):
+    # the level basis of levels 0..1 at twist 2 holds 4 columns; its sampler
+    # would read index 4 and 5 as level 2 and a negative index from the end
+    fiber = FiberModel(2, 3, 12)
+    basis = landau_basis(fiber, 2, 1) if kind == "level" else fourier_basis(fiber)
+    index = index if index < 0 or kind == "level" else basis.size + index - 4
+    with pytest.raises(ModelError, match=rf"basis column {index} is outside \[0, {basis.size}\)"):
+        basis.columns(np.array([0, index]))
+    assert basis.columns(np.array([basis.size - 1, 0])).shape == (fiber.npoints, 2)
 
 
 def test_level_basis_is_refused_before_any_sampling():

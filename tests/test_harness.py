@@ -1023,25 +1023,28 @@ def test_run_scenario_cache_reuse_and_corruption(tmp_path):
 def test_warm_run_samples_no_operator_basis(tmp_path, monkeypatch):
     # a cold run samples only the level-basis columns that frame its
     # projectors, where the idempotent reads them: the one kernel column of
-    # flux 1 and the 24 level-0 columns of flux 24.  The warm run reads the
-    # idempotent from its cache and the ladder matrix alone.  No run builds
-    # the dense evaluation matrix of the box, which the Fourier basis of S3
-    # would sample only where its columns are read.
+    # flux 1 and the 24 level-0 columns of flux 24; and, with their
+    # derivatives, the sections that frame the flux bundle, whose character
+    # is then memoized per fiber and twist.  The warm run reads the
+    # idempotent from its cache, the ladder matrix and the memo alone.  No
+    # run builds the dense evaluation matrix of the box, which the Fourier
+    # basis of S3 would sample only where its columns are read.
     sampled = []
-    sample = dolbeault.landau_sections
+    rows = dolbeault.landau_rows
 
     def counted(fiber, twist, max_level, columns, jet=False):
-        sampled.append((twist, len(columns)))
-        return sample(fiber, twist, max_level, columns, jet)
+        sampled.append((twist, len(columns), jet))
+        return rows(fiber, twist, max_level, columns, jet)
 
     def refuse(*args):
         raise AssertionError("sampled on the run path")
 
     monkeypatch.setattr(grids, "eval_matrix", refuse)
-    monkeypatch.setattr(dolbeault, "landau_sections", counted)
+    monkeypatch.setattr(dolbeault, "landau_rows", counted)
+    topindex._flux_character.cache_clear()
     runs = [
-        ("S1-dolbeault-d1", [(1, 1)]),
-        (FLUX24["flux24-unit"], [(24, 24)]),
+        ("S1-dolbeault-d1", [(1, 2, True), (1, 1, False)]),
+        (FLUX24["flux24-unit"], [(24, 24, True), (24, 24, False)]),
         ("S3-multiplier-invertible", []),
     ]
     for name, cold_samples in runs:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import indexpairing.topindex as topindex
-from indexpairing.charclass import DiscModel, disc_charge, graph_symbol_projector
+from indexpairing import dolbeault
+from indexpairing.charclass import DiscModel, disc_charge, graph_symbol_projector, twist_character
 from indexpairing.density import compute_cutoff
 from indexpairing.dolbeault import dolbeault_family
 from indexpairing.forms import FoliatedForm, InvarianceError
@@ -64,6 +65,7 @@ def test_symbol_class_peak_memory_is_at_most_four_projector_fields():
     # the flux-24 space: one (n, m, m) field is 1600 points of 24 x 24
     fiber = trivial_space(n=40, N=19).fiber
     field_bytes = 1600 * 24 * 24 * 16
+    topindex._flux_character.cache_clear()
     tracemalloc.start()
     try:
         symbol_class_dolbeault(fiber, DiscModel(20.0, 48, 48), 24)
@@ -291,3 +293,45 @@ def test_equal_discs_share_one_dolbeault_charge(monkeypatch):
         assert same_bits(charge, fresh_dolbeault_charge(disc))
     assert len(calls) == 4
     assert topindex._dolbeault_disc_charge.cache_info().currsize == 4
+
+
+def test_flux_character_is_memoized_per_fiber_and_twist(monkeypatch):
+    # the character is memoized for the life of the process, as read-only
+    # arrays with the bits of a fresh one: an equal fiber and twist read
+    # the entry, another twist or grid computes its own, and a degenerate
+    # frame raises on every call and is never memoized
+    calls = []
+
+    def counting(fiber, twist):
+        calls.append((fiber, twist))
+        return twist_character(fiber, twist)
+
+    monkeypatch.setattr(topindex, "twist_character", counting)
+    topindex._flux_character.cache_clear()
+    disc = DiscModel(9.0, 48, 48)
+    fiber = FiberModel(2, 3, 8)
+    first = symbol_class_dolbeault(fiber, disc, 2).fiber
+    again = symbol_class_dolbeault(FiberModel(2, 3, 8), disc, 2).fiber
+    assert calls == [(fiber, 2)]
+    fresh = twist_character(fiber, 2)
+    for ch in (first, again):
+        assert sorted(ch) == [0, 2]
+        assert all(same_bits(ch[k], fresh[k]) and not ch[k].flags.writeable for k in fresh)
+    for other, twist in [(fiber, 3), (fiber, -2), (FiberModel(2, 3, 10), 2)]:
+        symbol_class_dolbeault(other, disc, twist)
+        assert calls[-1] == (other, twist)
+    assert len(calls) == 4
+
+    rows = dolbeault.landau_rows
+
+    def vanishing(*args, **kwargs):
+        for points, block in rows(*args, **kwargs):
+            block[0][:] = 0.0
+            yield points, block
+
+    monkeypatch.setattr(dolbeault, "landau_rows", vanishing)
+    for _ in range(2):
+        with pytest.raises(ModelError, match="magnetic frame degenerates"):
+            symbol_class_dolbeault(fiber, disc, 5)
+    assert calls[-2:] == [(fiber, 5), (fiber, 5)]
+    assert topindex._flux_character.cache_info().currsize == 4
