@@ -252,15 +252,16 @@ def disc_charge(disc: DiscModel, projector: np.ndarray) -> complex:
 # Model projector families
 
 
-def _frame_sections(fiber: FiberModel, twist: int):
-    """The level-basis arguments of the sections whose conjugates frame a flux line bundle.
+def _frame_sections(twist: int) -> tuple[int, np.ndarray]:
+    """Highest level and level-basis columns of the sections whose conjugates
+    frame the flux line bundle of ``twist``.
 
     The lowest magnetic level; for unit flux a second level is included
     because a single section vanishes somewhere and the frame would
     degenerate.
     """
     max_level = 0 if abs(twist) >= 2 else 1
-    return fiber, twist, max_level, np.arange(abs(twist) * (max_level + 1))
+    return max_level, np.arange(abs(twist) * (max_level + 1))
 
 
 def _check_density(low: float, high: float) -> None:
@@ -280,7 +281,7 @@ def twist_projector(fiber: FiberModel, twist: int) -> np.ndarray:
         raise ModelError("flux projectors need a two-dimensional fiber")
     if twist == 0:
         return np.ones((fiber.npoints, 1, 1), dtype=complex)
-    V = dolbeault.landau_sections(*_frame_sections(fiber, twist))
+    V = dolbeault.landau_sections(fiber, twist, *_frame_sections(twist))
     density = np.sum(np.abs(V) ** 2, axis=1)
     _check_density(density.min(), density.max())
     p = np.einsum("ni,nj->nij", np.conj(V), V)
@@ -315,7 +316,7 @@ def twist_character(fiber: FiberModel, twist: int) -> dict[int, np.ndarray]:
         return {0: np.ones((n, 1), dtype=complex), 2: np.zeros((n, 1), dtype=complex)}
     ch0, ch2 = np.empty((n, 1), dtype=complex), np.empty((n, 1), dtype=complex)
     low, high, defect = np.inf, 0.0, 0.0
-    for points, (V, *dV) in dolbeault.landau_rows(*_frame_sections(fiber, twist), jet=True):
+    for points, (V, *dV) in dolbeault.landau_rows(fiber, twist, *_frame_sections(twist), jet=True):
         density = np.sum(np.abs(V) ** 2, axis=1)
         low, high = min(low, density.min()), max(high, density.max())
         # the extremes so far refuse whatever the whole grid would refuse

@@ -92,9 +92,10 @@ def _flux_character(fiber: FiberModel, twist: int) -> tuple[tuple[int, np.ndarra
     """Fiber character of the flux bundle of ``twist``, once per fiber and twist
     per process, as (degree, read-only component array) pairs.
 
-    It depends on the fiber and the twist alone, so a warm run, which reads
-    its idempotent from the cache, samples no Landau section.  A refused
-    frame raises on every call: an exception is never memoized.
+    It depends on the fiber and the twist alone, so a later run of the same
+    fiber and twist in the same process samples no Landau section for it; a
+    fresh process computes it once.  A refused frame raises on every call:
+    an exception is never memoized.
     """
     return tuple((k, _readonly(v)) for k, v in twist_character(fiber, twist).items())
 

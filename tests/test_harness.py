@@ -1025,8 +1025,10 @@ def test_warm_run_samples_no_operator_basis(tmp_path, monkeypatch):
     # projectors, where the idempotent reads them: the one kernel column of
     # flux 1 and the 24 level-0 columns of flux 24; and, with their
     # derivatives, the sections that frame the flux bundle, whose character
-    # is then memoized per fiber and twist.  The warm run reads the
-    # idempotent from its cache, the ladder matrix and the memo alone.  No
+    # is then memoized per fiber and twist.  The warm run, in the same
+    # process as the cold one, reads the idempotent from its cache, the
+    # ladder matrix and the memo alone; a warm run in a fresh process would
+    # sample the frame once more, as the cold run does.  No
     # run builds the dense evaluation matrix of the box, which the Fourier
     # basis of S3 would sample only where its columns are read.
     sampled = []
