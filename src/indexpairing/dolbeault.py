@@ -20,11 +20,12 @@ matrix alone, and a realization samples only the columns it reads.  The
 smaller basis is the leading columns of the larger, sampled by the larger
 one's sampler with its image truncation.  Each image term is a Hermite
 factor in z2 times a phase in z1, so the one sampler, ``landau_rows``,
-evaluates both on the grid_size axis values for the requested columns and
-yields their products a block of z1 rows of the grid at a time, where every
-sample still sums its image terms in increasing p.  ``landau_sections``
-gathers the blocks into whole samples for a basis; the character of a flux
-line bundle reads its frame and the frame's derivatives block by block.
+evaluates both on the grid_size axis values for the requested columns, the
+phases as roots of unity of the grid, and yields their products a block of
+z1 rows of the grid at a time, where every sample still sums its image
+terms in increasing p.  ``landau_sections`` gathers the blocks into whole
+samples for a basis; the character of a flux line bundle reads its frame
+and the frame's derivatives block by block.
 """
 from __future__ import annotations
 
@@ -66,23 +67,27 @@ def _image_factors(fiber: FiberModel, twist: int, max_level: int):
     factors 2 pi i (j - d p) (shape (|d|,)), the Hermite values of levels
     0..max_level + 1 ((max_level + 2, |d|, grid_size), over z2; the top
     level serves the z2-derivative) and the phases ((grid_size, |d|), over
-    z1).  The image sum over p is truncated where the Gaussian tails of
-    levels up to max_level drop below working precision.
+    z1); the phase at z1 = k / n, n = grid_size, is the n-th root of unity
+    at the exact integer (j - d p) k mod n, where a float argument would
+    grow with the twist.  The image sum over p is truncated where the
+    Gaussian tails of levels up to max_level drop below working precision.
     """
     d = _twisted(fiber, twist)
     scale = np.sqrt(2.0 * np.pi * abs(d))
     reach = (np.sqrt(2.0 * max_level + 1.0) + 9.0) / scale
     p_max = int(np.ceil(reach)) + 1
     n = fiber.grid_size
-    # the axis values of grid_points, and the image offsets j/d
-    axis = np.arange(n) / n
+    # grid_points' axis values k / n, their roots exp(2 pi i k / n), offsets j/d
+    ticks = np.arange(n)
+    axis = ticks / n
+    roots = np.exp(2j * np.pi * axis)
     j = np.arange(abs(d))
     offset = (j / d)[:, None]
     for p in range(-p_max, p_max + 1):
         # per j as Python complex scalars, the bits the per-term products had
         coef = np.array([2j * np.pi * int(f) for f in j - d * p])
         hermite = hermite_values(max_level + 1, scale * (axis - p + offset))
-        yield coef, hermite, np.exp(coef * axis[:, None])
+        yield coef, hermite, roots[np.outer(ticks, j - d * p) % n]
 
 
 # the sampler forms the image products a block of z1 rows at a time, in work
@@ -128,7 +133,7 @@ def landau_rows(
     # entry [a, b, c] of a block is the sample at the grid point
     # (a0 + a) * grid_size + b, at (z1, z2) = (a0 + a, b) / grid_size
     width, fields = len(j), 3 if jet else 1
-    rows = min(n, max(1, SAMPLE_BLOCK_BYTES // (n * width * 16)))
+    rows = min(n, max(1, SAMPLE_BLOCK_BYTES // max(1, n * width * 16)))
     work = np.empty((rows, n, width), dtype=complex)
     for a in range(0, n, rows):
         jets = [np.zeros((min(rows, n - a), n, width), dtype=complex) for _ in range(fields)]
@@ -144,7 +149,7 @@ def landau_rows(
                 d1 += term
                 np.multiply(z2_factors[1], z1_factor, out=term)
                 d2 += term
-        yield slice(a * n, (a + len(values)) * n), [f.reshape(-1, width) for f in jets]
+        yield slice(a * n, (a + len(values)) * n), [f.reshape(len(values) * n, width) for f in jets]
 
 
 def landau_sections(

@@ -228,7 +228,7 @@ def _stage(name: str):
 
 
 # Bump when the cached idempotent of unchanged inputs, or its layout, would change.
-_CACHE_FORMAT = 13
+_CACHE_FORMAT = 14
 # echo fields the idempotent does not depend on (it is built from the fiber, the
 # operator and the localization radius alone); the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default

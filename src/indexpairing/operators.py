@@ -35,7 +35,8 @@ it.  A ``SmoothingKernel`` stores each matrix as that block row, whose shape
 length-g FFT over the block index turns products of such matrices into g
 independent products of size npoints/g, its Fourier blocks.  A basis
 column of axis-0 frequency f is an eigenvector of the translation, with
-the phase exp(2 pi i f / g), on which ``certified_block_count`` certifies g.
+the phase exp(2 pi i f / g), on which ``certified_block_count`` certifies g
+from that one translation, whose defect bounds that of its powers.
 """
 from __future__ import annotations
 
@@ -185,14 +186,17 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
 
     g is the largest divisor of grid_size whose translation Pi, by
     grid_size/g ticks along axis 0, is certified to commute with S.  For
-    a = 1 .. g/2 write U = Pi^a W = W T + F with the phases
-    T = diag(exp(2 pi i f a / g)) of the columns' axis-0 ``frequencies`` f.
-    Since W W^H - U U^H = W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H
-    for any T, and T is unitary, |S - Pi^a S Pi^-a| <= psi (2 rho + psi) / n
-    with rho and psi the largest row norms of W and F.  A wrong frequency
-    only raises psi, so it refuses g and never certifies a wrong one.  g is
-    accepted when, for every a (a and g - a give the same entries), the
-    bound is at most CIRCULANT_RTOL (1 - ENTRY_BOUND_MARGIN) d, with
+    a = 1 .. g/2 (a and g - a give the same entries) write
+    Pi^a W = W T^a + F_a, T = diag(exp(2 pi i f / g)) the phases of the
+    columns' axis-0 ``frequencies`` f.  Since W W^H - U U^H =
+    W (1 - T T^H) W^H - W T F^H - F T^H W^H - F F^H for U = W T + F and any
+    T, and T is unitary, |S - Pi^a S Pi^-a| <= psi_a (2 rho + psi_a) / n
+    with rho and psi_a the largest row norms of W and F_a.  One translation
+    bounds every a: F_a = sum_{b<a} Pi^(a-1-b) F_1 T^b, Pi permutes rows and
+    T is a unitary diagonal, so psi_a <= a psi_1, and the bound grows with
+    psi_a.  A wrong frequency only raises psi_1, so it refuses g and never
+    certifies a wrong one.  With psi = (g // 2) psi_1, g is accepted when
+    the bound at psi is at most CIRCULANT_RTOL (1 - ENTRY_BOUND_MARGIN) d, with
     d = max_{i<B} |W_i|^2 / n, B = n / g, the largest diagonal entry of
     block row 0.  For every W and radius this is at least as strict as
     refusing g above CIRCULANT_RTOL (1 + ENTRY_BOUND_MARGIN) rho^2 / n and
@@ -204,8 +208,8 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
     mask commutes with Pi, so every entry of the cut S is then that close
     to the expansion of its block row 0.  The row split by frequency
     (``parametrix.ProjectorFrame``) has the blocks W_0 T^-a W_0^H / n,
-    W_0 = W[:B], where S has W_0 (W_0 T^a + F[:B])^H / n: each entry differs
-    by at most rho psi / n, inside the accepted line.
+    W_0 = W[:B], where S has W_0 (W_0 T^a + F_a[:B])^H / n: each entry
+    differs by at most rho psi / n, inside the accepted line.
     """
     n = fiber.npoints
     norms = np.sum(np.abs(W) ** 2, axis=1)
@@ -213,18 +217,11 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
         width = n // g
         accept = CIRCULANT_RTOL * float(np.max(norms[:width])) / n * (1.0 - ENTRY_BOUND_MARGIN)
-        for a in range(1, g // 2 + 1):
-            U = np.roll(W, -a * width, axis=0)
-            U -= W * np.exp(2j * np.pi * (frequencies * a % g) / g)
-            psi = _max_row_norm(U)
-            if psi * (2 * rho + psi) / n > accept:
-                break
-        else:
+        F = np.roll(W, -width, axis=0)
+        F -= W * np.exp(2j * np.pi * (frequencies % g) / g)
+        psi = g // 2 * float(np.sqrt(np.max(np.sum(np.abs(F) ** 2, axis=1))))
+        if psi * (2 * rho + psi) / n <= accept:
             return g
-
-
-def _max_row_norm(m: np.ndarray) -> float:
-    return float(np.sqrt(np.max(np.sum(np.abs(m) ** 2, axis=1))))
 
 
 def block_count(row: np.ndarray) -> int:

@@ -40,8 +40,8 @@ and every nonzero projector is held as those frames (``ProjectorFrame``,
 the smoothing kernel whose block row is formed from them), a zero one as
 the zero kernel.  The cache stores the frames, the pairings read them, and
 every block row is formed from frames by ``_frame_row`` alone: at
-construction, the uncut row a cut takes and the row of the rank gate, and
-on a cached projector only where its entries are read.
+construction, only the uncut row a cut takes, and otherwise, cold or
+cached, only where its entries are read.
 Localization truncates each projector at a fiber radius and restores
 idempotency on the g Fourier blocks of size npoints/g: each block is
 replaced by its spectral projector onto the eigenvalues above 1/2, the
@@ -53,10 +53,9 @@ reaches that projector at O(B^2 r_k) a step (H. Rutishauser, Numer. Math.
 shows that exactly r_k eigenvalues lie above 1/2 and the rest below, so
 taking the projector commutes with P -> 1 - P: the range block 1 - S1 is
 corrected by correcting S1.  Each block's iteration starts from its uncut
-frame.  The corrected projector is kept as its frames once the trace of
-its block row still counts the rank of the projector it was cut from; an
-uncut projector passes the same gate.  The cut radius belongs to the
-idempotent, not to either projector.
+frame, and the corrected projector is kept as its frames, whose widths are
+those of the uncut ones.  The cut radius belongs to the idempotent, not
+to either projector.
 """
 from __future__ import annotations
 
@@ -598,9 +597,13 @@ def _stored_projector(
     W is gathered once, g certified on it and its frames split from it.  Cut
     at a finite radius, the block row the frames form is cut and transformed
     back to Fourier blocks in its own (g, B, B) stack, and the projector
-    brought back to one of rank ``rank`` and held as its new frames.  Cut or
-    not, the trace g tr C_0 of the block row the frames form must round to
-    ``rank``.
+    brought back to one of rank ``rank`` and held as its new frames; no
+    other row is formed.  The trace g tr C_0 = sum_k tr(Y_k^H Y_k) of its
+    row needs no gate: each frame Y_k held has passed |Y_k^H Y_k - 1|_F <=
+    FRAME_ORTHONORMALITY_TOL (``_class_frames``, ``_spectral_projector``)
+    and their widths r_k sum to ``rank``, so the trace is within
+    sum_k r_k^(1/2) 1e-12 <= (g rank)^(1/2) 1e-12 of ``rank``, far below
+    the 1/2 at which it would round to another count.
     """
     rank = len(indices)
     if rank == 0:
@@ -611,8 +614,9 @@ def _stored_projector(
     g = certified_block_count(fiber, W, frequencies)
     frames = _class_frames(W, frequencies, g)
     del W
-    width, ranks = fiber.npoints // g, [Y.shape[1] for Y in frames]
+    ranks = [Y.shape[1] for Y in frames]
     if radius != np.inf:
+        width = fiber.npoints // g
         # the uncut row, cut and transformed back in place; its blocks are a view
         row = _frame_row(ProjectorFrame(fiber, np.hstack(frames), ranks))
         row *= truncation_mask(fiber, radius, width)
@@ -625,12 +629,4 @@ def _stored_projector(
                 f"idempotent correction keeps a defect bound {defect:.3e} above "
                 f"{newton_tol:g} at radius {radius:g}"
             )
-    proj = ProjectorFrame(fiber, np.hstack(frames), ranks)
-    trace = g * float(np.trace(proj.row[:, :width]).real)
-    if round(trace) != rank:
-        raise LocalizationError(
-            f"idempotent correction carried the rank-{rank} projector to trace "
-            f"{trace:.6g} at radius {radius:g}; the cut is too tight for the "
-            "kernel decay"
-        )
-    return proj
+    return ProjectorFrame(fiber, np.hstack(frames), ranks)

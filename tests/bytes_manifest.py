@@ -9,7 +9,7 @@ cache shared by two scenarios is listed under both.  The manifest records
 the numpy and BLAS versions it was written under next to the hashes.
 
 The manifest is read by the tests and rewritten only by this command, from
-a run under one BLAS thread:
+a run under one BLAS thread, which prints the names whose bytes moved:
 
     PYTHONPATH=src python tests/bytes_manifest.py
 """
@@ -92,8 +92,11 @@ def _rewrite() -> None:
         if run.wait() != 0:
             sys.exit(f"the runs exited {run.returncode}; the manifest is left as it was")
         files = digests(Path(tmp))
+    recorded = json.loads(MANIFEST.read_text())["files"] if MANIFEST.exists() else {}
     MANIFEST.write_text(json.dumps({**versions(), "files": files}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(files)} digests to {MANIFEST}")
+    for name in moved(files, recorded):
+        print(f"moved: {name}")
 
 
 if __name__ == "__main__":

@@ -127,7 +127,6 @@ from indexpairing.operators import (
     OperatorBlock,
     SectionBasis,
     SmoothingKernel,
-    _max_row_norm,
     _norm_lower_bound,
     block_count,
     truncation_mask,
@@ -728,18 +727,23 @@ def _level_images(fiber, twist, max_level):
 
     Yields (j, j - d p, the Hermite argument sqrt(2 pi |d|) (z2 - p + j/d),
     the phase exp(2 pi i (j - d p) z1)), with the library's truncation of
-    the image sum.
+    the image sum.  At z1 = k / n the phase is the n-th root of unity
+    exp(2 pi i m / n) at m = (j - d p) k mod n, n = grid_size, as the
+    library forms it.
     """
     d = int(twist)
+    n = fiber.grid_size
     scale = np.sqrt(2.0 * np.pi * abs(d))
     reach = (np.sqrt(2.0 * max_level + 1.0) + 9.0) / scale
     p_max = int(np.ceil(reach)) + 1
-    pts = grid_points(fiber.grid_size, 2)
-    z1, z2 = pts[:, 0], pts[:, 1]
+    z2 = grid_points(n, 2)[:, 1]
+    # axis 0 is the slowest: grid point i lies at z1 = (i // n) / n
+    ticks = np.arange(fiber.npoints) // n
+    roots = np.exp(2j * np.pi * (np.arange(n) / n))
     for j in range(abs(d)):
         for p in range(-p_max, p_max + 1):
             freq = j - d * p
-            yield j, freq, scale * (z2 - p + j / d), np.exp(2j * np.pi * freq * z1)
+            yield j, freq, scale * (z2 - p + j / d), roots[freq * ticks % n]
 
 
 def landau_section_values_per_image(fiber, twist, max_level):
@@ -890,6 +894,35 @@ def dense_elementary_chain(phi, cw, row):
         M = ((K * m) @ K) * K.T
         total += sum(w * ((cw * p) @ M @ q - (cw * q) @ M @ p) for w, p, q in reads)
     return complex(total) / 6.0
+
+
+def _max_row_norm(m):
+    return float(np.sqrt(np.max(np.sum(np.abs(m) ** 2, axis=1))))
+
+
+def certified_block_count_every_power(fiber, W, frequencies):
+    """The block count of ``certified_block_count`` tested at every power of the translation.
+
+    For each divisor g of grid_size, largest first, and each a = 1 .. g/2,
+    Pi^a W - W T^a is formed, Pi the translation by grid_size/g ticks
+    along axis 0 and T the phases of the columns' axis-0 ``frequencies``,
+    and g is accepted when the bound psi_a (2 rho + psi_a) / n meets the
+    library's line at every a.
+    """
+    n = fiber.npoints
+    norms = np.sum(np.abs(W) ** 2, axis=1)
+    rho = float(np.sqrt(np.max(norms)))
+    for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
+        width = n // g
+        accept = CIRCULANT_RTOL * float(np.max(norms[:width])) / n * (1.0 - ENTRY_BOUND_MARGIN)
+        for a in range(1, g // 2 + 1):
+            U = np.roll(W, -a * width, axis=0)
+            U -= W * np.exp(2j * np.pi * (frequencies * a % g) / g)
+            psi = _max_row_norm(U)
+            if psi * (2 * rho + psi) / n > accept:
+                break
+        else:
+            return g
 
 
 def certified_block_row(basis, radius, cols):

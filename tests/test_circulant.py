@@ -61,6 +61,7 @@ from indexpairing.scenario import BUILTIN_SCENARIOS
 from indexpairing.space import FiberedGSpace
 from oracles import (
     basis_matrix,
+    certified_block_count_every_power,
     certified_block_row,
     circulant_blocks,
     circulant_dense,
@@ -713,7 +714,8 @@ def test_wrong_frequencies_never_certify_a_wrong_block_count(n, N, twist):
     # the kernel frame of the flux-d projector, read with wrong axis-0
     # frequencies: the certificate refuses the block count the dense scan of
     # the pinv remainder finds, and any smaller count it certifies instead
-    # the dense scan accepts too
+    # the dense scan accepts too, and so does the oracle that tests every
+    # power of the translation
     block, basis, cols = kernel_columns(n, N, twist)
     S = grid_projector(basis, remainder_projectors(block)[0])
     order = circulant_order(S, n)
@@ -731,6 +733,7 @@ def test_wrong_frequencies_never_certify_a_wrong_block_count(n, N, twist):
     for name, frequencies in wrong.items():
         g = certified_block_count(basis.fiber, W, frequencies)
         assert g < order and is_block_circulant(S, g), (name, g)
+        assert g <= certified_block_count_every_power(basis.fiber, W, frequencies), name
 
 
 CERTIFIED_RADII = [0.18, 0.30, 0.45, np.inf]
@@ -783,6 +786,42 @@ def test_the_frame_certifies_a_radius_free_count_no_larger_than_the_two_stage_on
         if len(indices):
             g, two_stage = frame_count_against_two_stage(basis, indices)
             assert two_stage == [g] * len(CERTIFIED_RADII), (name, g, two_stage)
+
+
+# (twist, grid) of scenarios that load at large twists, where the block count
+# is the largest: every tick on grid 64 at twists 64, 128 and 192
+TWIST_PROBES = [
+    (64, 64), (128, 64), (160, 64), (192, 64), (-192, 64), (200, 64),
+    (72, 72), (144, 72), (216, 72), (228, 76),
+]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        *BUILTIN_SCENARIOS,
+        *(str(path) for path in PERFBENCH_SCENARIOS),
+        *(f"twist{twist}-grid{n}" for twist, n in TWIST_PROBES),
+    ],
+    ids=lambda name: Path(name).stem,
+)
+def test_one_translation_certifies_the_block_count_every_power_does(name):
+    # the certificate bounds the defect of every power a <= g/2 of the
+    # translation by g/2 times that of the first; on each nonzero S0 and S1
+    # of every shipped operator and of the probes it accepts the block count
+    # of the oracle that forms every power
+    if name.startswith("twist"):
+        twist, n = (int(part) for part in name[len("twist") :].split("-grid"))
+        block = dolbeault_family(FiberModel(2, min(n // 2 - 1, 32), n), twist, levels=1)
+    else:
+        block, _ = range_case(name)
+    data = parametrix(block)
+    for basis, indices in ((block.domain, data.cols), (block.codomain, data.rows)):
+        if len(indices):
+            W = basis.columns(indices)
+            frequencies = basis.frequencies[indices]
+            g = certified_block_count(basis.fiber, W, frequencies)
+            assert g == certified_block_count_every_power(basis.fiber, W, frequencies), name
 
 
 @pytest.mark.parametrize("n", [12, 30])

@@ -1,4 +1,6 @@
 """The twisted ladder realization, its oracles, and index extraction."""
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,16 @@ COLUMN_SETS = {
 }
 
 
+# the column sets of one twist and grid run one after another, so the five
+# levels of one fiber are all the memo holds
+@lru_cache(maxsize=5)
+def per_image_samples(twist, n, max_level):
+    """The per-image oracle's values and jet of every column, on the grid-n sampler fiber."""
+    fiber = FiberModel(2, n // 2 - 1, n)
+    values = landau_section_values_per_image(fiber, twist, max_level)
+    return values, landau_section_jet_per_image(fiber, twist, max_level)
+
+
 @pytest.mark.parametrize("columns", sorted(COLUMN_SETS))
 @pytest.mark.parametrize("n", [20, 24, 40])
 @pytest.mark.parametrize("twist", [1, -1, 2, -2, 3, 24])
@@ -131,13 +143,40 @@ def test_separable_sampler_is_bitwise_the_per_image_loop(twist, n, columns, monk
     default = dolbeault.SAMPLE_BLOCK_BYTES
     for max_level in range(5):
         cols = COLUMN_SETS[columns](abs(twist), max_level + 1)
-        values = landau_section_values_per_image(fiber, twist, max_level)[:, cols]
-        jet = [f[:, cols] for f in landau_section_jet_per_image(fiber, twist, max_level)]
+        every, every_jet = per_image_samples(twist, n, max_level)
+        values = every[:, cols]
+        jet = [f[:, cols] for f in every_jet]
         for block_bytes in (1, 3 * values[:n].nbytes, default, 1 << 40):
             monkeypatch.setattr(dolbeault, "SAMPLE_BLOCK_BYTES", block_bytes)
             assert same_bits(landau_sections(fiber, twist, max_level, cols), values)
             got = landau_jet(fiber, twist, max_level, cols)
             assert all(same_bits(g, want) for g, want in zip(got, jet))
+
+
+def test_an_empty_column_set_samples_no_columns():
+    fiber = FiberModel(2, 3, 12)
+    empty = np.array([], dtype=int)
+    assert landau_basis(fiber, 2, 1).columns(empty).shape == (fiber.npoints, 0)
+    assert [f.shape for f in landau_jet(fiber, 2, 1, empty)] == [(fiber.npoints, 0)] * 3
+
+
+@pytest.mark.parametrize("twist", [800, 1000])
+def test_sampler_phases_are_the_grid_roots_of_unity(twist):
+    # on a grid-128 fiber, used here alone, the phase of the z1 frequency f
+    # at z1 = k / n is exp(2 pi i m / n) at m = f k mod n reduced exactly;
+    # formed from the float argument 2 pi f k / n, it misses by about 1e-12
+    n = 128
+    fiber = FiberModel(2, 19, n)
+    images = 0
+    for coef, _, phase in dolbeault._image_factors(fiber, twist, 0):
+        freq = [round(c.imag / (2 * np.pi)) for c in coef]
+        assert all((f - j) % twist == 0 for j, f in enumerate(freq))
+        m = np.array([[f * k % n for f in freq] for k in range(n)])
+        want = np.cos(2 * np.pi * m / n) + 1j * np.sin(2 * np.pi * m / n)
+        assert phase.shape == (n, twist)
+        assert np.max(np.abs(phase - want)) <= 1e-14
+        images += 1
+    assert images >= 3
 
 
 @pytest.mark.parametrize(
