@@ -17,8 +17,9 @@ in an uncompressed ``.npz`` archive, whose per-member CRC-32 catches a
 damaged payload; a warm run forms a block row from its frames only where
 the pairing reads entries.  The file name carries a digest of every echo
 field the idempotent depends on, so a changed input is a cache miss, and a
-loaded one must fit the run before any route reads it (``require_inputs``);
-a corrupted cache surfaces as a ``CorruptedCacheError`` and exit code 2.
+loaded one must fit the run before any route reads it, as its constructor
+``IndexIdempotent.from_arrays`` checks; a corrupted cache surfaces as a
+``CorruptedCacheError`` and exit code 2.
 """
 from __future__ import annotations
 
@@ -30,11 +31,11 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from zipfile import BadZipFile
+from zipfile import ZIP_STORED, BadZipFile
 
 import numpy as np
 
-from .charclass import DISC_ANGULAR_NODES, DISC_RADIAL_NODES, DiscModel
+from .charclass import DiscModel
 from .cochains import ASCochain
 from .density import compute_cutoff
 from .dolbeault import dolbeault_family
@@ -42,8 +43,8 @@ from .grids import FiberModel, ModelError
 from .invariants import INVARIANT_CHECKS
 from .operators import fourier_multiplier
 from .pairing import ProfileCochain, pair_cocycle
-from .parametrix import CorruptedCacheError, IndexIdempotent
-from .parametrix import index_idempotent, parametrix
+from .parametrix import _CACHE_FORMAT, CorruptedCacheError, IndexIdempotent
+from .parametrix import analytic_index, index_idempotent
 from .scenario import (
     BUILTIN_SCENARIOS,
     Scenario,
@@ -110,14 +111,17 @@ def save_coefficients(path, arrays) -> None:
 def load_coefficients(path) -> list[np.ndarray]:
     """The arrays ``save_coefficients`` wrote, in order.
 
-    A file that is not such an archive, or whose members are missing, fail
-    their CRC or do not parse, raises ``CorruptedCacheError``; other I/O
-    errors propagate.
+    A file that is not such an archive, or whose members are missing, are
+    not stored uncompressed, fail their CRC or do not parse, raises
+    ``CorruptedCacheError``; other I/O errors propagate.
     """
     try:
         npz = np.load(path, allow_pickle=False)
         if isinstance(npz, np.lib.npyio.NpzFile):
             with npz:
+                packed = [i.filename for i in npz.zip.infolist() if i.compress_type != ZIP_STORED]
+                if packed:
+                    raise ValueError(f"compressed members {packed}")
                 return [npz[f"arr_{i}"] for i in range(len(npz.files))]
     except (BadZipFile, ValueError, EOFError, KeyError) as exc:
         raise CorruptedCacheError(f"unreadable archive ({exc})") from exc
@@ -157,7 +161,7 @@ def _orbit_sum(sigma: list[int], masses: list[float], index: int) -> float:
 
 def _build_operator(scn: Scenario, fiber: FiberModel):
     """Assemble the operator block and its frequency-class integrand."""
-    disc = DiscModel(float(fiber.fourier_cutoff + 1), DISC_RADIAL_NODES, DISC_ANGULAR_NODES)
+    disc = DiscModel(float(fiber.fourier_cutoff + 1))
     op = scn.operator
     if op["builtin"] == "dolbeault":
         block = dolbeault_family(fiber, op["twist"], op["levels"])
@@ -227,8 +231,6 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-# Bump when the cached idempotent of unchanged inputs, or its layout, would change.
-_CACHE_FORMAT = 14
 # echo fields the idempotent does not depend on (it is built from the fiber, the
 # operator and the localization radius alone); the cache file name carries a
 # digest of all the others, so a new input field is a cache miss by default
@@ -271,59 +273,47 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         # identified base: the family route computes both sides at once
         with _stage("family-index"):
             index, topological = family_index_orbifold(space, block, weight, sclass)
-        orbit_sum = _orbit_sum(scn.base_permutation, masses, index)
-        difference = abs(orbit_sum - topological)
-        return ResultRecord(
-            scenario=scn.name,
-            analytic=(index,) * points,
-            pairing=complex(orbit_sum),
-            topological=complex(topological),
-            abs_err=float(difference),
-            status="pass" if difference <= scn.pairing_tol else "fail",
-            wall_time=time.perf_counter() - t0,
-            echo=scn.echo(),
-        )
+        analytic = (index,) * points
+        pairing = complex(_orbit_sum(scn.base_permutation, masses, index))
+    else:
+        # the spectral count and an idempotent still to build share one parametrix,
+        # read on every run, so an unreadable block fails here, cached or not
+        with _stage("analytic-index"):
+            data = analytic_index(block)
+            if scn.free_action:
+                m = scn.group["group"]["cyclic"]
+                analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
+            else:
+                analytic = (data.index,) * points
 
-    # the spectral count and an idempotent still to build share one parametrix,
-    # read on every run, so an unreadable block fails here, cached or not
-    with _stage("analytic-index"):
-        data = parametrix(block)
-        if scn.free_action:
-            m = scn.group["group"]["cyclic"]
-            analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
-        else:
-            analytic = (data.count.index,) * points
-
-    idem = None
-    if out_dir is not None:
-        cache_path = _idempotent_cache(scn, out_dir)
-        with _stage("operator-cache"):
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            if cache_path.exists():
-                try:
-                    arrays = load_coefficients(cache_path)
-                    idem = IndexIdempotent.from_arrays(space.fiber, arrays)
-                    idem.require_inputs(data, scn.localize)
-                except CorruptedCacheError as exc:
-                    raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
-
-    if idem is None:
-        with _stage("idempotent"):
-            idem = index_idempotent(block, radius=scn.localize, data=data)
+        idem = None
         if out_dir is not None:
+            cache_path = _idempotent_cache(scn, out_dir)
             with _stage("operator-cache"):
-                save_coefficients(cache_path, idem.arrays())
-    del data
+                cache_path.parent.mkdir(parents=True, exist_ok=True)
+                if cache_path.exists():
+                    try:
+                        arrays = load_coefficients(cache_path)
+                        idem = IndexIdempotent.from_arrays(space.fiber, arrays, data, scn.localize)
+                    except CorruptedCacheError as exc:
+                        raise CorruptedCacheError(f"{cache_path.name}: {exc}") from exc
 
-    with _stage("cocycle"):
-        phi = _build_cocycle(scn, space.fiber)
+        if idem is None:
+            with _stage("idempotent"):
+                idem = index_idempotent(block, radius=scn.localize, data=data)
+            if out_dir is not None:
+                with _stage("operator-cache"):
+                    save_coefficients(cache_path, idem.arrays())
 
-    with _stage("pairing"):
-        pairing = pair_cocycle(idem, phi, space, weight)
+        with _stage("cocycle"):
+            phi = _build_cocycle(scn, space.fiber)
 
-    with _stage("topological"):
-        alpha = phi.van_est_form()
-        topological = topological_index(space, weight, alpha, sclass)
+        with _stage("pairing"):
+            pairing = pair_cocycle(idem, phi, space, weight)
+
+        with _stage("topological"):
+            alpha = phi.van_est_form()
+            topological = topological_index(space, weight, alpha, sclass)
 
     abs_err = abs(pairing - topological)
     return ResultRecord(

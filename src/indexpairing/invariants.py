@@ -14,8 +14,6 @@ from functools import partial
 import numpy as np
 
 from .charclass import (
-    DISC_ANGULAR_NODES,
-    DISC_RADIAL_NODES,
     DiscModel,
     chern_character_fiber,
     twist_projector,
@@ -171,7 +169,7 @@ def _check_chern_closed():
 
 def _check_topindex_cutoff_choice():
     space = _inv_space(n=20, N=8)
-    disc = DiscModel(9.0, DISC_RADIAL_NODES, DISC_ANGULAR_NODES)
+    disc = DiscModel(9.0)
     sclass = symbol_class_dolbeault(space.fiber, disc, 2)
     alpha = _unit_form(space.fiber)
     c1 = compute_cutoff(space)
@@ -185,7 +183,7 @@ def _check_topindex_cutoff_choice():
 def _check_free_reduction_agreement():
     space = _inv_space(n=20, N=8)
     cutoff = compute_cutoff(space)
-    disc = DiscModel(9.0, DISC_RADIAL_NODES, DISC_ANGULAR_NODES)
+    disc = DiscModel(9.0)
     sclass = symbol_class_dolbeault(space.fiber, disc, 2)
     alpha = _unit_form(space.fiber)
     topo = topological_index(space, cutoff, alpha, sclass)

@@ -134,41 +134,24 @@ def certified_rank(singular: np.ndarray) -> int:
 
 
 @dataclass
-class IndexCount:
-    """Kernel and cokernel dimensions of an operator."""
-
-    kernel_dim: int
-    cokernel_dim: int
-
-    @property
-    def index(self) -> int:
-        return self.kernel_dim - self.cokernel_dim
-
-
-def analytic_index(block: OperatorBlock) -> IndexCount:
-    """Spectral kernel and cokernel counts of an operator: the widths of its parametrix frames."""
-    return parametrix(block).count
-
-
-@dataclass
 class ParametrixData:
     """Domain columns ``cols`` spanning the kernel and codomain rows ``rows`` spanning the cokernel.
 
     Both are ascending int64 indices into the operator's bases: those
     outside the certified leading entries of a monomial block.  The
     remainders 1 - QD and 1 - DQ of the pseudo-inverse Q are the diagonal
-    projectors onto them.
+    projectors onto them, and their counts give the spectral index.
     """
 
     cols: np.ndarray
     rows: np.ndarray
 
     @property
-    def count(self) -> IndexCount:
-        return IndexCount(len(self.cols), len(self.rows))
+    def index(self) -> int:
+        return len(self.cols) - len(self.rows)
 
 
-def parametrix(block: OperatorBlock) -> ParametrixData:
+def analytic_index(block: OperatorBlock) -> ParametrixData:
     """Kernel columns and cokernel rows of the pseudo-inverse parametrix (``_singular_data``)."""
     return _singular_data(block.matrix)
 
@@ -300,10 +283,11 @@ def _frame_defect(Y: np.ndarray) -> float:
 
 
 def _orthonormal(frames: list[np.ndarray], error: type, hint: str = "") -> list[np.ndarray]:
-    """``frames``; raises ``error``, with ``hint``, if one departs from orthonormal by
-    more than FRAME_ORTHONORMALITY_TOL."""
-    defect, tol = max(map(_frame_defect, frames), default=0.0), FRAME_ORTHONORMALITY_TOL
-    if defect > tol:
+    """``frames``; raises ``error``, with ``hint``, unless each departs from orthonormal by
+    at most FRAME_ORTHONORMALITY_TOL (a NaN defect, which np.max keeps, is refused)."""
+    defect = float(np.max([_frame_defect(Y) for Y in frames], initial=0.0))
+    tol = FRAME_ORTHONORMALITY_TOL
+    if not defect <= tol:
         raise error(f"a frame departs from orthonormal by {defect:.3e} > {tol:g}{hint}")
     return frames
 
@@ -319,6 +303,11 @@ def _frame_row(proj: ProjectorFrame) -> np.ndarray:
         np.matmul(Y, Y.conj().T, out=P)
     np.fft.ifft(blocks, axis=0, out=blocks)
     return stack.reshape(width, g * width)
+
+
+# Bump when the cached idempotent of unchanged inputs, or its layout
+# (IndexIdempotent.arrays), would change.
+_CACHE_FORMAT = 14
 
 
 class IndexIdempotent:
@@ -343,24 +332,6 @@ class IndexIdempotent:
     def families(self) -> tuple[SmoothingKernel, SmoothingKernel]:
         return self.skernel, self.cokernel
 
-    def require_inputs(self, data: ParametrixData, radius: float | None) -> None:
-        """Raise CorruptedCacheError unless the radius is ``radius`` (+inf for None), the
-        frame widths are the counts of the parametrix ``data`` and every frame is
-        orthonormal within FRAME_ORTHONORMALITY_TOL, as at construction."""
-        found = [
-            self.radius,
-            *(sum(k.ranks) if isinstance(k, ProjectorFrame) else 0 for k in self.families),
-        ]
-        want = [math.inf if radius is None else radius, len(data.cols), len(data.rows)]
-        if found != want:
-            raise CorruptedCacheError(
-                f"radius and frame widths {found} differ from localize and counts {want}"
-            )
-        frames = [
-            Y for k in self.families if isinstance(k, ProjectorFrame) for Y in k.block_frames()
-        ]
-        _orthonormal(frames, CorruptedCacheError)
-
     def arrays(self) -> list[np.ndarray]:
         """Cached form: [radius], then the frame and block counts of S0 and of S1.
 
@@ -376,8 +347,20 @@ class IndexIdempotent:
         return out
 
     @classmethod
-    def from_arrays(cls, fiber: FiberModel, arrays: list[np.ndarray]) -> "IndexIdempotent":
-        """Inverse of arrays(); raises CorruptedCacheError on any mismatch with fiber."""
+    def from_arrays(
+        cls,
+        fiber: FiberModel,
+        arrays: list[np.ndarray],
+        data: ParametrixData,
+        radius: float | None,
+    ) -> "IndexIdempotent":
+        """Inverse of arrays(), fitted to the run that loads it.
+
+        Raises CorruptedCacheError on any mismatch with fiber, or unless the
+        radius is ``radius`` (+inf for None), the frame widths are the counts
+        of the parametrix ``data`` and every frame is orthonormal within
+        FRAME_ORTHONORMALITY_TOL, as at construction.
+        """
         if len(arrays) != 5:
             raise CorruptedCacheError(f"expected 5 arrays, found {len(arrays)}")
         head = arrays[0]
@@ -387,7 +370,16 @@ class IndexIdempotent:
             ProjectorFrame.from_arrays(fiber, frame, counts)
             for frame, counts in (arrays[1:3], arrays[3:5])
         )
-        return cls(fiber, s0, s1, head[0])
+        idem = cls(fiber, s0, s1, head[0])
+        frames = [k for k in idem.families if isinstance(k, ProjectorFrame)]
+        found = [idem.radius, *(sum(k.ranks) if k in frames else 0 for k in idem.families)]
+        want = [math.inf if radius is None else radius, len(data.cols), len(data.rows)]
+        if found != want:
+            raise CorruptedCacheError(
+                f"radius and frame widths {found} differ from localize and counts {want}"
+            )
+        _orthonormal([Y for k in frames for Y in k.block_frames()], CorruptedCacheError)
+        return idem
 
     @cached_property
     def effective_radius(self) -> float:
@@ -547,7 +539,7 @@ def index_idempotent(
 ) -> IndexIdempotent:
     """Index idempotent of an operator, optionally localized at a fiber radius.
 
-    ``data`` is ``parametrix(block)``, computed here unless the caller has it.
+    ``data`` is ``analytic_index(block)``, computed here unless the caller has it.
     Each projector's block count is certified on the basis columns at the
     parametrix's indices (``certified_block_count``), whatever the radius,
     and the columns split by frequency into its frames (``_class_frames``).
@@ -564,7 +556,7 @@ def index_idempotent(
     projector of rank 0 is held as the zero kernel.
     """
     if data is None:
-        data = parametrix(block)
+        data = analytic_index(block)
     cut = np.inf if radius is None else radius
     projectors = [
         _stored_projector(basis, indices, cut, newton_tol)

@@ -54,8 +54,8 @@ from indexpairing.parametrix import (
     _frame_row,
     _singular_data,
     _spectral_projector,
+    analytic_index,
     index_idempotent,
-    parametrix,
 )
 from indexpairing.scenario import BUILTIN_SCENARIOS
 from indexpairing.space import FiberedGSpace
@@ -124,7 +124,7 @@ def is_block_circulant(m, g):
 def kernel_columns(n, N, twist):
     """The twisted Dolbeault operator, its domain basis and the basis columns of its kernel."""
     block = dolbeault_family(FiberModel(2, N, n), twist, levels=2)
-    return block, block.domain, parametrix(block).cols
+    return block, block.domain, analytic_index(block).cols
 
 
 def dense_cut(basis, R, radius):
@@ -286,7 +286,7 @@ def benchmark_row(path):
     fib, op = scn.fiber, scn.operator
     fiber = FiberModel(fib["dim"], fib["fourier_cutoff"], fib["grid"])
     block = dolbeault_family(fiber, op["twist"], op["levels"])
-    return fiber, frame_row(block.domain, scn.localize, parametrix(block).cols)
+    return fiber, frame_row(block.domain, scn.localize, analytic_index(block).cols)
 
 
 @pytest.mark.parametrize("path", PERFBENCH_SCENARIOS, ids=lambda path: path.stem)
@@ -394,7 +394,7 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     cw = np.random.default_rng(67).uniform(0.2, 1.8, fiber.npoints)
     phi = sawtooth(fiber)
     _, chain_peak = traced_peak(lambda: _weighted_profile_chain(phi, cw, proj))
-    data = parametrix(block)
+    data = analytic_index(block)
     _, idem_peak = traced_peak(lambda: index_idempotent(block, radius=0.30, data=data))
     peaks = [peak / stack for peak in (row_peak, projector_peak, chain_peak, idem_peak)]
     # the certificate holds frame-sized temporaries only, 2.24 frames of 0.12
@@ -515,7 +515,7 @@ def test_frames_certify_the_block_count_of_the_pinv_remainders(name):
     # accepts it, and the row is that matrix's first rows
     block, localize = range_case(name)
     radius = np.inf if localize is None else localize
-    data = parametrix(block)
+    data = analytic_index(block)
     bases = (block.domain, block.codomain)
     for basis, indices, r in zip(bases, (data.cols, data.rows), remainder_projectors(block)):
         v = unit_frame(basis.size, indices)
@@ -781,7 +781,7 @@ def test_the_frame_certifies_a_radius_free_count_no_larger_than_the_two_stage_on
             assert all(g <= old for old in two_stage), (eps, g, two_stage)
         return
     block, _ = range_case(name)
-    data = parametrix(block)
+    data = analytic_index(block)
     for basis, indices in ((block.domain, data.cols), (block.codomain, data.rows)):
         if len(indices):
             g, two_stage = frame_count_against_two_stage(basis, indices)
@@ -815,7 +815,7 @@ def test_one_translation_certifies_the_block_count_every_power_does(name):
         block = dolbeault_family(FiberModel(2, min(n // 2 - 1, 32), n), twist, levels=1)
     else:
         block, _ = range_case(name)
-    data = parametrix(block)
+    data = analytic_index(block)
     for basis, indices in ((block.domain, data.cols), (block.codomain, data.rows)):
         if len(indices):
             W = basis.columns(indices)

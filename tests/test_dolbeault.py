@@ -22,7 +22,6 @@ from indexpairing.parametrix import (
     analytic_index,
     certified_rank,
     index_idempotent,
-    parametrix,
 )
 from indexpairing.space import FiberedGSpace
 from oracles import (
@@ -297,16 +296,17 @@ def test_zero_twist_block_is_exact_multiplier():
 @pytest.mark.parametrize("twist,expected", [(-2, -2), (-1, -1), (0, 0), (1, 1), (2, 2)])
 def test_spectral_index_matches_twist(twist, expected):
     block = dolbeault_family(FiberModel(2, 8, 20), twist, levels=4)
-    count = analytic_index(block)
-    assert count.index == expected
+    data = analytic_index(block)
+    counts = (len(data.cols), len(data.rows))
+    assert data.index == expected
     # LAPACK's SVD certifies the rank read off the ladder's entries
-    assert lapack_singular_data(block.matrix)[0] == block.matrix.shape[1] - count.kernel_dim
+    assert lapack_singular_data(block.matrix)[0] == block.matrix.shape[1] - counts[0]
     if twist > 0:
-        assert count.kernel_dim == twist and count.cokernel_dim == 0
+        assert counts == (twist, 0)
     elif twist < 0:
-        assert count.kernel_dim == 0 and count.cokernel_dim == -twist
+        assert counts == (0, -twist)
     else:
-        assert count.kernel_dim == 1 and count.cokernel_dim == 1
+        assert counts == (1, 1)
 
 
 def test_certified_rank_flags_ambiguity():
@@ -323,7 +323,7 @@ def test_parametrix_frames_span_kernel_and_cokernel(twist):
     # 1 - QD or 1 - DQ of the pseudo-inverse
     block = dolbeault_family(FiberModel(2, 8, 20), twist, levels=4)
     D = block.matrix
-    data = parametrix(block)
+    data = analytic_index(block)
     v0, v1 = unit_frame(D.shape[1], data.cols), unit_frame(D.shape[0], data.rows)
     assert (v0.shape[1], v1.shape[1]) == ((twist, 0) if twist > 0 else (0, -twist))
     scale = np.linalg.norm(D, 2)
@@ -346,8 +346,8 @@ def test_index_is_stable_under_small_perturbations():
     noise = rng.normal(size=D.shape) + 1j * rng.normal(size=D.shape)
     noise *= 0.1 * gap / np.linalg.norm(noise, 2)
     on_ladder = OperatorBlock(block.domain, block.codomain, D + noise * (D != 0))
-    count = analytic_index(on_ladder)
-    assert (count.kernel_dim, count.cokernel_dim) == (1, 0)
+    data = analytic_index(on_ladder)
+    assert (len(data.cols), len(data.rows)) == (1, 0)
     rank = lapack_singular_data(D + noise)[0]
     assert (D.shape[1] - rank, D.shape[0] - rank) == (1, 0)
     bumped = OperatorBlock(block.domain, block.codomain, D + noise)
@@ -425,10 +425,11 @@ def test_operator_pipeline_needs_only_the_fiber():
     # built from a fiber model alone: no space, cutoff or weight exists
     fiber = FiberModel(2, 8, 24)
     block = dolbeault_family(fiber, 8, levels=2)
-    assert analytic_index(block).index == 8
-    idem = index_idempotent(block, radius=0.45)
+    data = analytic_index(block)
+    assert data.index == 8
+    idem = index_idempotent(block, radius=0.45, data=data)
     arrays = idem.arrays()
-    back = IndexIdempotent.from_arrays(fiber, arrays)
+    back = IndexIdempotent.from_arrays(fiber, arrays, data, 0.45)
     assert back.skernel.fiber is back.cokernel.fiber is fiber
     assert len(back.arrays()) == len(arrays) == 5
     assert all(

@@ -520,8 +520,9 @@ def test_coefficients_reject_unsupported_dtype(tmp_path):
     frames = [np.ones((npts, 1), dtype=np.int32), np.ones((npts, 1), dtype=complex)]
     counts = np.array([1])
     save_coefficients(path, [np.array([np.inf]), frames[0], counts, frames[1], counts])
+    data = analytic_index(dolbeault_family(fiber, 0, levels=2))
     with pytest.raises(CorruptedCacheError, match="frame dtype int32"):
-        IndexIdempotent.from_arrays(fiber, load_coefficients(path))
+        IndexIdempotent.from_arrays(fiber, load_coefficients(path), data, None)
 
 
 def test_corrupted_coefficients_detected(tmp_path):
@@ -1062,15 +1063,18 @@ def test_warm_run_samples_no_operator_basis(tmp_path, monkeypatch):
 
 
 def flux8_cut_idempotent():
-    """Flux 8 on grid 24 cut at 0.45: S0 in 8 blocks of 72, of rank 1 each, and S1 zero."""
+    """Flux 8 on grid 24 cut at 0.45: S0 in 8 blocks of 72, of rank 1 each, and S1 zero;
+    with its fiber and parametrix."""
     fiber = FiberModel(2, 8, 24)
-    return fiber, index_idempotent(dolbeault_family(fiber, 8, levels=2), radius=0.45)
+    block = dolbeault_family(fiber, 8, levels=2)
+    data = analytic_index(block)
+    return fiber, data, index_idempotent(block, radius=0.45, data=data)
 
 
 def test_idempotent_arrays_roundtrip_frames_and_zero_projector(tmp_path):
     # S0 is stored as the frames of its 8 Fourier blocks, side by side, with
     # g and their ranks; S1 as the empty frame and no counts
-    fiber, idem = flux8_cut_idempotent()
+    fiber, data, idem = flux8_cut_idempotent()
     arrays = idem.arrays()
     assert [a.shape for a in arrays] == [(1,), (72, 8), (9,), (0, 0), (0,)]
     assert [a.dtype for a in arrays] == [
@@ -1079,7 +1083,7 @@ def test_idempotent_arrays_roundtrip_frames_and_zero_projector(tmp_path):
     assert arrays[2].tolist() == [8] + [1] * 8
     path = tmp_path / "k.opk"
     save_coefficients(path, arrays)
-    back = IndexIdempotent.from_arrays(fiber, load_coefficients(path))
+    back = IndexIdempotent.from_arrays(fiber, load_coefficients(path), data, 0.45)
     assert back.radius == idem.radius == 0.45
     assert back.skernel.order == idem.skernel.order == 8
     assert same_bits(back.skernel.row, idem.skernel.row)
@@ -1107,7 +1111,8 @@ def test_a_zero_projector_is_the_zero_kernel_built_or_cached(tmp_path, monkeypat
     run_scenario(scn, out_dir=tmp_path)
     (cache,) = (tmp_path / "cache").glob("*.idem.opk")
     fiber = harness._build_space(scn).fiber
-    loaded = IndexIdempotent.from_arrays(fiber, load_coefficients(cache))
+    data = analytic_index(harness._build_operator(scn, fiber)[0])
+    loaded = IndexIdempotent.from_arrays(fiber, load_coefficients(cache), data, scn.localize)
     assert len(built) == 1
     for idem in (built[0], loaded):
         zero, frame = idem.cokernel, idem.skernel
@@ -1170,10 +1175,10 @@ def test_cached_frames_form_the_stored_rows_only_where_read(name, warm_rows, tmp
 
     fiber = harness._build_space(scn).fiber
     block, _ = harness._build_operator(scn, fiber)
-    data = parametrix.parametrix(block)
+    data = analytic_index(block)
     radius = np.inf if scn.localize is None else scn.localize
     (cache,) = (tmp_path / "cache").glob("*.idem.opk")
-    back = IndexIdempotent.from_arrays(fiber, load_coefficients(cache))
+    back = IndexIdempotent.from_arrays(fiber, load_coefficients(cache), data, scn.localize)
     bases = (block.domain, block.codomain)
     # the loaded frames form the rows of the whole-frame oracle to rounding:
     # the frames split by frequency and, cut, the iteration started from them
@@ -1246,12 +1251,12 @@ def _refused_layouts(arrays):
 
 
 def test_refused_cut_layouts():
-    fiber, idem = flux8_cut_idempotent()
+    fiber, data, idem = flux8_cut_idempotent()
     good = idem.arrays()
-    IndexIdempotent.from_arrays(fiber, good)
+    IndexIdempotent.from_arrays(fiber, good, data, 0.45)
     for name, layout, fragment in _refused_layouts(good):
         with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):
-            IndexIdempotent.from_arrays(fiber, layout)
+            IndexIdempotent.from_arrays(fiber, layout, data, 0.45)
 
 
 def test_refused_cache_layouts_exit_two(tmp_path, capsys):
@@ -1263,10 +1268,11 @@ def test_refused_cache_layouts_exit_two(tmp_path, capsys):
     good = load_coefficients(cache)
     assert [a.shape for a in good] == [(1,), (144, 1), (2,), (0, 0), (0,)]
     fiber = FiberModel(2, 4, 12)
+    data = analytic_index(dolbeault_family(fiber, 1, levels=2))
     capsys.readouterr()
     for name, layout, fragment in _refused_layouts(good):
         with pytest.raises(CorruptedCacheError, match=re.escape(fragment)):
-            IndexIdempotent.from_arrays(fiber, layout)
+            IndexIdempotent.from_arrays(fiber, layout, data, None)
         save_coefficients(cache, layout)
         assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2, name
         assert fragment in capsys.readouterr().err, name
@@ -1801,6 +1807,61 @@ def test_cache_errors_exit_alike_in_both_verbs(tmp_path, capsys, verb):
     cache.write_bytes(b"not an archive")
     assert main(argv) == 2
     assert "unreadable archive" in "".join(capsys.readouterr())
+
+    # np.savez stores every member uncompressed; a member under another
+    # method, bzip2 (12) or one zipfile does not know (99), is refused
+    # before it is read, where reading it raised an I/O error or
+    # NotImplementedError at the cache stage with exit code 1
+    for method in (12, 99):
+        save_coefficients(cache, [np.eye(2)])
+        cache.write_bytes(with_compression_method(cache.read_bytes(), method))
+        assert main(argv) == 2, method
+        assert "compressed members ['arr_0.npy']" in "".join(capsys.readouterr())
+
+
+def with_compression_method(archive: bytes, method: int) -> bytes:
+    """``archive`` with the method field of every local and central zip header set to ``method``."""
+    out = bytearray(archive)
+    for signature, at in ((b"PK\x03\x04", 8), (b"PK\x01\x02", 10)):
+        start = out.find(signature)
+        while start != -1:
+            out[start + at : start + at + 2] = method.to_bytes(2, "little")
+            start = out.find(signature, start + 1)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("name", ["S1-dolbeault-d0", "S1-dolbeault-d2", "S1-dolbeault-dm2"])
+def test_a_nan_frame_entry_is_refused_in_both_verbs(name, tmp_path, capsys):
+    # a NaN defect compares false with the orthonormality bound, and Python's
+    # max drops one that is not first, so a NaN frame passed the gate and the
+    # warm run paired it to nan+nanj and wrote fail.  One NaN entry in either
+    # projector's frame (S0 and S1 of flux 0, S0 of flux 2, S1 of flux -2),
+    # in any block of nonzero rank, archived with its CRCs recomputed, is a
+    # corrupted cache with exit code 2 in both verbs
+    scn, out = load_scenario(name), tmp_path / "o"
+    run_scenario(scn, out_dir=out)
+    cache = _idempotent_cache(scn, out)
+    good = load_coefficients(cache)
+    argvs = [
+        ["run", "--scenario", name, "--out", str(out)],
+        ["suite", "--which", "scenarios", "--only", name, "--out", str(out)],
+    ]
+    fragment = "a frame departs from orthonormal by nan"
+    capsys.readouterr()
+    refused = 0
+    for at in (1, 3):  # the frames of S0 and S1, each followed by its counts
+        ranks = good[at + 1][1:]
+        for end in np.cumsum(ranks)[ranks > 0]:
+            arrays = [a.copy() for a in good]
+            arrays[at][0, end - 1] = np.nan
+            save_coefficients(cache, arrays)
+            with pytest.raises(CorruptedCacheError, match=fragment):
+                run_scenario(scn, out_dir=out)
+            for argv in argvs:
+                assert main(argv) == 2, (at, end, argv[0])
+                assert fragment in "".join(capsys.readouterr()), (at, end, argv[0])
+            refused += 1
+    assert refused == 2
 
 
 def test_cli_suite_rejects_unknown_only(tmp_path, capsys):
