@@ -6,8 +6,8 @@ Verbs:
     indexpairing suite --which invariants|scenarios|all --out <dir> [--only NAME ..]
     indexpairing list
 
-Exit codes: 0 success, 1 failed comparison or stage error, 2 corrupted
-operator cache.
+Exit codes: 0 success, 1 failed comparison, stage error or unusable
+output directory, 2 corrupted operator cache.
 """
 from __future__ import annotations
 
@@ -109,7 +109,7 @@ def main(argv=None) -> int:
     except CorruptedCacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ModelError as exc:
+    except (ModelError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,9 +31,10 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from zipfile import ZIP_STORED, BadZipFile
+from zipfile import ZIP_STORED, BadZipFile, ZipFile
 
 import numpy as np
+from numpy.lib import format as npy
 
 from .charclass import DiscModel
 from .cochains import ASCochain
@@ -109,23 +110,46 @@ def save_coefficients(path, arrays) -> None:
 
 
 def load_coefficients(path) -> list[np.ndarray]:
-    """The arrays ``save_coefficients`` wrote, in order.
+    """The arrays ``save_coefficients`` wrote, in order, each read-only.
 
     A file that is not such an archive, or whose members are missing, are
-    not stored uncompressed, fail their CRC or do not parse, raises
-    ``CorruptedCacheError``; other I/O errors propagate.
+    not stored uncompressed, fail their CRC, do not parse or hold other
+    than the bytes their header claims, raises ``CorruptedCacheError``
+    before any array is allocated; other I/O errors propagate.
     """
-    try:
-        npz = np.load(path, allow_pickle=False)
-        if isinstance(npz, np.lib.npyio.NpzFile):
-            with npz:
-                packed = [i.filename for i in npz.zip.infolist() if i.compress_type != ZIP_STORED]
+    with open(path, "rb") as fh:
+        if fh.read(len(npy.MAGIC_PREFIX)) == npy.MAGIC_PREFIX:
+            raise CorruptedCacheError("not an .npz archive")
+        try:
+            with ZipFile(fh) as archive:
+                members = archive.infolist()
+                packed = [i.filename for i in members if i.compress_type != ZIP_STORED]
                 if packed:
                     raise ValueError(f"compressed members {packed}")
-                return [npz[f"arr_{i}"] for i in range(len(npz.files))]
-    except (BadZipFile, ValueError, EOFError, KeyError) as exc:
-        raise CorruptedCacheError(f"unreadable archive ({exc})") from exc
-    raise CorruptedCacheError("not an .npz archive")
+                return [_read_member(archive, f"arr_{i}") for i in range(len(members))]
+        except (BadZipFile, ValueError, EOFError, KeyError) as exc:
+            raise CorruptedCacheError(f"unreadable archive ({exc})") from exc
+
+
+def _read_member(archive: ZipFile, name: str) -> np.ndarray:
+    """Array ``name`` of ``archive``, read once and refused unless its header claims its bytes."""
+    try:
+        info = archive.getinfo(f"{name}.npy")
+    except KeyError:
+        raise KeyError(f"{name} is not a file in the archive") from None
+    with archive.open(info) as fh:
+        version = npy.read_magic(fh)
+        if version not in ((1, 0), (2, 0)):
+            raise ValueError(f"{name} has npy format version {version}")
+        read_header = npy.read_array_header_1_0 if version == (1, 0) else npy.read_array_header_2_0
+        shape, fortran, dtype = read_header(fh)
+        claimed = math.prod(shape) * dtype.itemsize
+        if fh.tell() + claimed != info.file_size:
+            raise ValueError(
+                f"{name} claims {claimed} data bytes in a member of {info.file_size} bytes"
+            )
+        data = np.frombuffer(fh.read(), dtype=dtype)
+    return data.reshape(shape, order="F" if fortran else "C")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +158,7 @@ def load_coefficients(path) -> list[np.ndarray]:
 
 def _build_space(scn: Scenario) -> FiberedGSpace:
     fib = FiberModel(scn.fiber["dim"], scn.fiber["fourier_cutoff"], scn.fiber["grid"])
-    gk = scn.group["group"]
+    gk = scn.groupoid["group"]
     order = 1 if gk == "trivial" else int(gk["cyclic"])
     if scn.fiber_action == "trivial":
         return FiberedGSpace.trivial(fib, order)
@@ -268,8 +292,8 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
     with _stage("assemble-operator"):
         block, sclass = _build_operator(scn, space.fiber)
 
-    points = scn.group["base_points"]
-    if scn.group["base_action"] == "pair-swap":
+    points = scn.groupoid["base_points"]
+    if scn.groupoid["base_action"] == "pair-swap":
         # identified base: the family route computes both sides at once
         with _stage("family-index"):
             index, topological = family_index_orbifold(space, block, weight, sclass)
@@ -281,7 +305,7 @@ def run_scenario(scn: Scenario, out_dir=None) -> ResultRecord:
         with _stage("analytic-index"):
             data = analytic_index(block)
             if scn.free_action:
-                m = scn.group["group"]["cyclic"]
+                m = scn.groupoid["group"]["cyclic"]
                 analytic = (half_shift_quotient_index(space.fiber, scn.operator["twist"], m),)
             else:
                 analytic = (data.index,) * points

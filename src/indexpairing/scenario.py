@@ -13,7 +13,7 @@ import json
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,7 +86,7 @@ class Scenario:
     """
 
     name: str
-    group: dict
+    groupoid: dict
     fiber: dict
     fiber_action: object
     operator: dict
@@ -98,34 +98,23 @@ class Scenario:
 
     def echo(self) -> dict:
         """The resolved scenario: every default filled, ready to re-load."""
-        return {
-            "name": self.name,
-            "groupoid": self.group,
-            "fiber": self.fiber,
-            "fiber_action": self.fiber_action,
-            "operator": self.operator,
-            "localize": self.localize,
-            "cocycle": self.cocycle,
-            "density": self.density,
-            "tolerances": self.tolerances,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @property
     def free_action(self) -> bool:
         """Whether the fiber translation makes Z/m act freely."""
-        return _acts_freely(self.group["group"], self.fiber_action)
+        return _acts_freely(self.groupoid["group"], self.fiber_action)
 
     @property
     def masses(self) -> list[float]:
         """The transverse mass of each base point: its base weight times its density value."""
-        return [w * v for w, v in zip(self.group["base_weights"], self.density["values"])]
+        return [w * v for w, v in zip(self.groupoid["base_weights"], self.density["values"])]
 
     @property
     def base_permutation(self) -> list[int]:
         """The generator's image of each base point: the identity or the pair swap."""
-        bp = self.group["base_points"]
-        if self.group["base_action"] == "pair-swap":
+        bp = self.groupoid["base_points"]
+        if self.groupoid["base_action"] == "pair-swap":
             return [x ^ 1 for x in range(bp)]
         return list(range(bp))
 
@@ -186,13 +175,25 @@ def _known(table: dict, where: str, *keys: str) -> None:
             raise ScenarioError(f"unknown field {where}.{key}")
 
 
+def _fields(table: dict, where: str, **spec) -> dict:
+    """Section ``where`` with each field of ``spec`` checked and every default filled.
+
+    A field's spec is its kind (required) or a (kind, default) pair, as
+    ``_need`` reads them; a field ``spec`` does not name is refused.  The
+    result is what the scenario stores and echoes.
+    """
+    _known(table, where, *spec)
+    out = {}
+    for key, kind in spec.items():
+        kind, default = kind if isinstance(kind, tuple) else (kind, _REQUIRED)
+        out[key] = _need(table, key, kind, where, default)
+    return out
+
+
 def _validate(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    _known(
-        raw, "scenario", "name", "groupoid", "fiber", "fiber_action", "operator",
-        "localize", "cocycle", "density", "tolerances", "seed",
-    )
+    _known(raw, "scenario", *(f.name for f in fields(Scenario)))
     name = _need(raw, "name", str, "scenario")
     # the name is a CSV cell and the stem of the echo file name
     if name in ("", ".", "..") or any(
@@ -203,9 +204,9 @@ def _validate(raw: dict) -> Scenario:
             "comma, slash, backslash or control character"
         )
 
-    group = dict(_need(raw, "groupoid", dict, "scenario"))
-    _known(group, "groupoid", "group", "base_points", "base_weights", "base_action")
-    gk = group.get("group", "trivial")
+    given = dict(_need(raw, "groupoid", dict, "scenario"))
+    # the group is a string or an object, which no kind of _need reads
+    gk = given.pop("group", "trivial")
     order = 1
     if isinstance(gk, dict) and set(gk) == {"cyclic"}:
         order = _need(gk, "cyclic", int, "groupoid.group")
@@ -213,8 +214,8 @@ def _validate(raw: dict) -> Scenario:
             raise ScenarioError("groupoid.group.cyclic must be at least 2")
     elif gk != "trivial":
         raise ScenarioError('groupoid.group must be "trivial" or {"cyclic": m>=2}')
-    group["group"] = gk
-    bp = _need(group, "base_points", int, "groupoid", 1)
+    # bounded before the weights' default, which holds one entry per point
+    bp = _need(given, "base_points", int, "groupoid", 1)
     if not 1 <= bp <= _LIMITS["base_points"]:
         raise ScenarioError(
             f"groupoid.base_points must be in [1, {_LIMITS['base_points']}]"
@@ -224,28 +225,27 @@ def _validate(raw: dict) -> Scenario:
             f"groupoid.group.cyclic {order} over {bp} base points is too large: "
             f"cyclic^3 * base_points must be at most 2^{math.log2(_GROUPOID_BUDGET):.0f}"
         )
-    group["base_points"] = bp
-    weights = _need(group, "base_weights", [float], "groupoid", [1.0] * bp)
-    if len(weights) != bp or any(w <= 0 for w in weights):
+    group = {"group": gk} | _fields(
+        given, "groupoid", base_points=(int, bp), base_weights=([float], [1.0] * bp),
+        base_action=(str, "trivial"),
+    )
+    if len(group["base_weights"]) != bp or any(w <= 0 for w in group["base_weights"]):
         raise ScenarioError("groupoid.base_weights needs one positive entry per point")
-    group["base_weights"] = weights
-    action = group.get("base_action", "trivial")
+    action = group["base_action"]
     if action not in ("trivial", "pair-swap"):
         raise ScenarioError('groupoid.base_action must be "trivial" or "pair-swap"')
     if action == "pair-swap" and (bp % 2 or gk != {"cyclic": 2}):
         raise ScenarioError(
             "groupoid.base_action pair-swap needs an even base and a cyclic(2) group"
         )
-    group["base_action"] = action
 
-    fiber = dict(_need(raw, "fiber", dict, "scenario"))
-    _known(fiber, "fiber", "kind", "dim", "fourier_cutoff", "grid")
-    kind = _need(fiber, "kind", str, "fiber", "torus")
-    if kind != "torus":
-        raise ScenarioError(f'fiber.kind must be "torus", got {kind!r}')
-    dim = _need(fiber, "dim", int, "fiber")
-    N = _need(fiber, "fourier_cutoff", int, "fiber")
-    n = _need(fiber, "grid", int, "fiber")
+    fiber = _fields(
+        _need(raw, "fiber", dict, "scenario"), "fiber",
+        kind=(str, "torus"), dim=int, fourier_cutoff=int, grid=int,
+    )
+    if fiber["kind"] != "torus":
+        raise ScenarioError(f'fiber.kind must be "torus", got {fiber["kind"]!r}')
+    dim, N, n = fiber["dim"], fiber["fourier_cutoff"], fiber["grid"]
     if dim < 1:
         raise ScenarioError("fiber.dim must be positive")
     if N < 1 or N > _LIMITS["fourier_cutoff"]:
@@ -266,7 +266,6 @@ def _validate(raw: dict) -> Scenario:
             f"2^{log2_bytes:.1f} bytes of dense kernels, above the "
             f"2^{math.log2(_KERNEL_BUDGET):.0f} byte budget"
         )
-    fiber = {"kind": kind, "dim": dim, "fourier_cutoff": N, "grid": n}
     npoints = n**dim
 
     fa = raw.get("fiber_action", "trivial")
@@ -286,7 +285,7 @@ def _validate(raw: dict) -> Scenario:
                 Fraction(s)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ScenarioError(f"fiber_action.translation: {exc}") from exc
-        if group["group"] == "trivial":
+        if gk == "trivial":
             raise ScenarioError("fiber_action needs a nontrivial group")
         for k, why in ((order, f"Z/{order} acts"), (n, f"it moves the grid of {n} points")):
             if not whole_multiple(k, shifts):
@@ -296,24 +295,9 @@ def _validate(raw: dict) -> Scenario:
                 )
         fa = {"translation": shifts}
 
-    op = dict(_need(raw, "operator", dict, "scenario"))
+    op = _need(raw, "operator", dict, "scenario")
     if op.get("builtin") == "dolbeault":
-        _known(op, "operator", "builtin", "twist", "levels")
-        op = {
-            "builtin": "dolbeault",
-            "twist": _need(op, "twist", int, "operator"),
-            "levels": _need(op, "levels", int, "operator", 2),
-        }
-    elif op.get("builtin") == "multiplier":
-        _known(op, "operator", "builtin", "symbol")
-        op = {
-            "builtin": "multiplier",
-            "symbol": _need(op, "symbol", str, "operator"),
-        }
-        _symbol_expression(op["symbol"])
-    else:
-        raise ScenarioError('operator.builtin must be "dolbeault" or "multiplier"')
-    if op["builtin"] == "dolbeault":
+        op = _fields(op, "operator", builtin=str, twist=int, levels=(int, 2))
         if dim != 2:
             raise ScenarioError("fiber.dim must be 2 for the dolbeault operator")
         if op["levels"] < 1:
@@ -325,10 +309,15 @@ def _validate(raw: dict) -> Scenario:
                 f"operator.twist {op['twist']} with {op['levels']} levels needs "
                 f"|twist| * (levels + 1) at most the {npoints} grid points"
             )
-    if op["builtin"] == "multiplier" and dim < 2:
-        raise ScenarioError(
-            "fiber.dim must be at least 2: the multiplier symbol reads xi1 and xi2"
-        )
+    elif op.get("builtin") == "multiplier":
+        op = _fields(op, "operator", builtin=str, symbol=str)
+        _symbol_expression(op["symbol"])
+        if dim < 2:
+            raise ScenarioError(
+                "fiber.dim must be at least 2: the multiplier symbol reads xi1 and xi2"
+            )
+    else:
+        raise ScenarioError('operator.builtin must be "dolbeault" or "multiplier"')
     if action == "trivial" and _acts_freely(gk, fa):
         # the analytic column is the index of the operator on the quotient torus
         if op["builtin"] != "dolbeault":
@@ -348,38 +337,29 @@ def _validate(raw: dict) -> Scenario:
         if not 0 < localize <= math.sqrt(dim) / 2.0:
             raise ScenarioError("localize must be a radius inside the fiber")
 
-    coc = dict(_need(raw, "cocycle", dict, "scenario", {"kind": "unit"}))
+    coc = _need(raw, "cocycle", dict, "scenario", {"kind": "unit"})
     ck = coc.get("kind")
     if ck == "unit":
-        _known(coc, "cocycle", "kind")
-        coc = {"kind": "unit"}
+        coc = _fields(coc, "cocycle", kind=str)
     elif ck == "profile":
-        _known(coc, "cocycle", "kind", "legs")
-        legs = _need(coc, "legs", [dict], "cocycle", [])
-        norm_legs = []
-        for leg in legs:
-            _known(leg, "cocycle.legs", "axis", "linear_radius", "support_radius")
-            norm_leg = {
-                "axis": _need(leg, "axis", int, "cocycle.legs"),
-                "linear_radius": _need(leg, "linear_radius", float, "cocycle.legs"),
-                "support_radius": _need(
-                    leg, "support_radius", float, "cocycle.legs", 0.5
-                ),
-            }
-            if not 0 <= norm_leg["axis"] < dim:
+        coc = _fields(coc, "cocycle", kind=str, legs=([dict], []))
+        coc["legs"] = [
+            _fields(leg, "cocycle.legs", axis=int, linear_radius=float, support_radius=(float, 0.5))
+            for leg in coc["legs"]
+        ]
+        for leg in coc["legs"]:
+            if not 0 <= leg["axis"] < dim:
                 raise ScenarioError(
-                    f"cocycle.legs: axis {norm_leg['axis']} outside fiber.dim {dim}"
+                    f"cocycle.legs: axis {leg['axis']} outside fiber.dim {dim}"
                 )
-            _leg_profile(norm_leg)
-            norm_legs.append(norm_leg)
-        if len(norm_legs) != 2:
+            _leg_profile(leg)
+        if len(coc["legs"]) != 2:
             # the pairing contracts one even difference cochain, k = 1
             raise ScenarioError(
-                f"cocycle.legs must list exactly two difference profiles, got {len(norm_legs)}"
+                f"cocycle.legs must list exactly two difference profiles, got {len(coc['legs'])}"
             )
-        coc = {"kind": "profile", "legs": norm_legs}
         # the cut radius is the kernel reach the pairing holds to the germ radius
-        germ = min(leg["linear_radius"] for leg in norm_legs)
+        germ = min(leg["linear_radius"] for leg in coc["legs"])
         if localize is not None and localize > germ + GERM_SLACK:
             raise ScenarioError(
                 f"localize {localize:g} exceeds the smallest cocycle.legs linear_radius {germ:g}"
@@ -400,16 +380,15 @@ def _validate(raw: dict) -> Scenario:
                 "the family route builds no idempotent"
             )
 
-    dens = _need(raw, "density", dict, "scenario", {})
-    _known(dens, "density", "values")
-    values = _need(dens, "values", [float], "density", [1.0] * bp)
-    if len(values) != bp or any(v <= 0 for v in values):
+    dens = _fields(
+        _need(raw, "density", dict, "scenario", {}), "density", values=([float], [1.0] * bp)
+    )
+    if len(dens["values"]) != bp or any(v <= 0 for v in dens["values"]):
         raise ScenarioError("density.values needs one positive entry per base point")
-    dens = {"values": values}
 
-    given = _need(raw, "tolerances", dict, "scenario", {})
-    _known(given, "tolerances", "pairing_tol")
-    tols = {"pairing_tol": _need(given, "pairing_tol", float, "tolerances", 1e-6)}
+    tols = _fields(
+        _need(raw, "tolerances", dict, "scenario", {}), "tolerances", pairing_tol=(float, 1e-6)
+    )
     if tols["pairing_tol"] <= 0:
         raise ScenarioError("tolerances.pairing_tol must be positive")
 
@@ -417,18 +396,7 @@ def _validate(raw: dict) -> Scenario:
     if not 0 <= seed < 2**64:
         raise ScenarioError("scenario.seed must fit in 64 bits")
 
-    scn = Scenario(
-        name=name,
-        group=group,
-        fiber=fiber,
-        fiber_action=fa,
-        operator=op,
-        localize=localize,
-        cocycle=coc,
-        density=dens,
-        tolerances=tols,
-        seed=seed,
-    )
+    scn = Scenario(name, group, fiber, fa, op, localize, coc, dens, tols, seed)
     _check_invariant_masses(scn)
     return scn
 

@@ -116,7 +116,9 @@ def symbol_class_multiplier(fiber: FiberModel, disc: DiscModel, symbol_fn) -> Sy
     symbol_fn(xi1, xi2) is sampled on the disc nodes and must not vanish
     there; the class then measures the winding of the symbol.
     """
-    values = np.asarray(symbol_fn(disc.points[:, 0], disc.points[:, 1]), dtype=complex)
+    # a non-finite sample is refused by name below, so numpy need not warn of it
+    with np.errstate(all="ignore"):
+        values = np.asarray(symbol_fn(disc.points[:, 0], disc.points[:, 1]), dtype=complex)
     charge = disc_charge(disc, graph_symbol_projector(disc, values))
     return SymbolClass({0: np.ones((fiber.npoints, 1), dtype=complex)}, charge)
 

@@ -4,11 +4,13 @@ import io
 import json
 import re
 import warnings
+import zipfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib import format as npy
 
 import indexpairing.harness as harness
 from indexpairing import dolbeault, grids, parametrix, topindex
@@ -92,8 +94,51 @@ def test_scenario_defaults_filled():
     assert scn.density == {"values": [1.0]}
     assert scn.fiber_action == "trivial"
     assert scn.localize is None
-    assert scn.group["base_weights"] == [1.0]
-    assert scn.group["base_action"] == "trivial"
+    assert scn.groupoid["base_weights"] == [1.0]
+    assert scn.groupoid["base_action"] == "trivial"
+
+    # a document holding only the required fields echoes every default: the
+    # builtins set fiber.kind, groupoid.base_points, operator.levels and the
+    # cocycle, so only these documents pin those defaults.  The echoes are
+    # compared as JSON, which tells 1 from 1.0
+    fiber = {"dim": 2, "fourier_cutoff": 4, "grid": 12}
+    symbol = "1 + (xi1*xi1 + xi2*xi2) / 81"
+    operators = {
+        "dolbeault": ({"builtin": "dolbeault", "twist": 1}, {"levels": 2}),
+        "multiplier": ({"builtin": "multiplier", "symbol": symbol}, {}),
+    }
+    given_legs = [{"axis": 0, "linear_radius": 0.45}, {"axis": 1, "linear_radius": 0.45}]
+    cocycles = {
+        "unit": (None, {"kind": "unit"}),
+        "profile": (
+            {"kind": "profile", "legs": given_legs},
+            {"kind": "profile", "legs": [dict(leg, support_radius=0.5) for leg in given_legs]},
+        ),
+    }
+    for op, op_filled in operators.values():
+        for coc, coc_filled in cocycles.values():
+            doc = {"name": "minimal", "groupoid": {}, "fiber": fiber, "operator": op, "seed": 7}
+            if coc is not None:
+                doc["cocycle"] = coc
+            expected = {
+                "name": "minimal",
+                "groupoid": {
+                    "group": "trivial",
+                    "base_points": 1,
+                    "base_weights": [1.0],
+                    "base_action": "trivial",
+                },
+                "fiber": dict(fiber, kind="torus"),
+                "fiber_action": "trivial",
+                "operator": dict(op, **op_filled),
+                "localize": None,
+                "cocycle": coc_filled,
+                "density": {"values": [1.0]},
+                "tolerances": {"pairing_tol": 1e-6},
+                "seed": 7,
+            }
+            echo = _validate(copy.deepcopy(doc)).echo()
+            assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -453,7 +498,7 @@ def test_kernel_budget_does_not_count_base_points():
     # over one
     raw = copy.deepcopy(BUILTIN_SCENARIOS["S4-sawtooth-flux32"]["doc"])
     raw["groupoid"] = {"group": "trivial", "base_points": 7}
-    assert _validate(raw).group["base_points"] == 7
+    assert _validate(raw).groupoid["base_points"] == 7
 
 
 def test_scenario_rejects_non_object_document():
@@ -596,6 +641,9 @@ def test_symbol_expression_powers_stay_bounded():
         ("9**9**9", "operator.symbol"),
         # NaN on every retained mode, which fails every ellipticity comparison
         ("sqrt(xi1 - 100)", "not finite on the lattice at: mode ("),
+        # finite on the lattice (at most e^640 at |xi1| <= 4) and overflowing on
+        # the frequency disc of radius 5, whose samples numpy would warn of
+        ("1 + exp(160*xi1)", "symbol is not finite on the frequency disc"),
     ],
 )
 def test_an_unusable_symbol_is_refused_at_assembly(symbol, fragment, tmp_path, capsys):
@@ -836,7 +884,7 @@ def test_base_sums_match_the_per_point_oracle_bit_for_bit(case):
     # harness holds one cutoff field and one weight field
     scn, sigma, masses = PER_POINT_CASES[case]
     space = harness._build_space(scn)
-    points = scn.group["base_points"]
+    points = scn.groupoid["base_points"]
     seeds = [np.ones(space.fiber.npoints)] * points
     weight = harness._weight_field(scn.masses, compute_cutoff(space))
     want = mass_weighted_sum(masses, cutoff_per_arrow(space, sigma, seeds))
@@ -850,7 +898,7 @@ def test_base_sums_match_the_per_point_oracle_bit_for_bit(case):
     orbit_sum = orbit_sum_per_point(space.order, sigma, masses, per_point)
     got = harness._orbit_sum(scn.base_permutation, scn.masses, per_point[0])
     assert same_bits(got, orbit_sum)
-    if scn.group["base_action"] == "pair-swap":
+    if scn.groupoid["base_action"] == "pair-swap":
         assert same_bits(rec.pairing, complex(orbit_sum))
 
 
@@ -1817,6 +1865,31 @@ def test_cache_errors_exit_alike_in_both_verbs(tmp_path, capsys, verb):
         cache.write_bytes(with_compression_method(cache.read_bytes(), method))
         assert main(argv) == 2, method
         assert "compressed members ['arr_0.npy']" in "".join(capsys.readouterr())
+
+    # a member whose header claims 2.84 PiB of complex entries is refused
+    # before the array is allocated, where allocating it raised a stage
+    # error with exit code 1
+    header = io.BytesIO()
+    npy.write_array_header_1_0(
+        header, {"descr": "<c16", "fortran_order": False, "shape": (4000000000, 50000)}
+    )
+    with zipfile.ZipFile(cache, "w", zipfile.ZIP_STORED) as archive:
+        archive.writestr("arr_0.npy", header.getvalue() + bytes(16))
+    assert main(argv) == 2
+    assert "arr_0 claims 3200000000000000 data bytes" in "".join(capsys.readouterr())
+
+
+@pytest.mark.parametrize("verb", ["run", "suite"])
+def test_an_out_that_is_a_file_is_an_error_not_a_traceback(tmp_path, capsys, verb):
+    out = tmp_path / "o"
+    out.write_text("")
+    argv = {
+        "run": ["run", "--scenario", "S1-dolbeault-d1", "--out", str(out)],
+        "suite": ["suite", "--which", "scenarios", "--only", "S1-dolbeault-d1", "--out", str(out)],
+    }[verb]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err
 
 
 def with_compression_method(archive: bytes, method: int) -> bytes:

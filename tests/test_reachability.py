@@ -228,3 +228,26 @@ def test_traced_result_bytes_read_the_stored_rows():
     assert zero.skernel.row is None and measure(zero) == 0
     flux24 = index_idempotent(dolbeault_family(FiberModel(2, 19, 40), 24, 2), radius=0.30)
     assert measure(flux24) == 200 * 1600 * 16
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never reads, nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        targets = getattr(node, "targets", [])
+        if any(getattr(t, "id", None) == "__all__" for t in targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{name}:{line}" for name, line in imported.items() if name not in read]
+
+
+def test_src_imports_only_what_it_reads():
+    unused = {path.name: unused_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in unused.items() if found} == {}
