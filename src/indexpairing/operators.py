@@ -117,27 +117,24 @@ class OperatorBlock:
         return codomain @ self.matrix @ domain.conj().T / self.domain.fiber.npoints
 
 
-def _axis_sum(fiber: FiberModel, table: np.ndarray, rows: int, axes=None) -> np.ndarray:
-    """sum over ``axes`` (all by default) of table[z_axis, w_axis], z among the first
-    ``rows`` grid points.
+def _axis_sum(fiber: FiberModel, table: np.ndarray, start: int, stop: int, axes=None) -> np.ndarray:
+    """sum over ``axes`` (all by default) of table[z_axis, w_axis], z among the grid
+    points [start, stop).
 
     Each axis coordinate takes grid_size values, so a per-axis quantity is
-    tabulated on grid_size^2 coordinate pairs.  The first rows points lie
-    in the leading axis-0 ticks (all of them, and no others, when rows is
-    npoints/g with g dividing grid_size), so the tables of those ticks and
-    of the other axes broadcast over the (z, w) grid axes and are added in
-    axis order.
+    tabulated on grid_size^2 coordinate pairs.  The table rows of the
+    points' coordinates along each axis broadcast over the other w axes and
+    are added in axis order.
     """
     n, r = fiber.grid_size, fiber.dim
-    lead = -(-rows // n ** (r - 1))
+    z = np.arange(start, stop)
     out = None
     for axis in range(r) if axes is None else axes:
-        shape = [1] * (2 * r)
-        shape[axis], shape[r + axis] = (lead if axis == 0 else n), n
-        view = (table[:lead] if axis == 0 else table).reshape(shape)
+        shape = [len(z)] + [1] * r
+        shape[1 + axis] = n
+        view = table[z // n ** (r - 1 - axis) % n].reshape(shape)
         out = view if out is None else out + view
-    grid = np.broadcast_to(out, (lead,) + (n,) * (2 * r - 1))
-    return grid.reshape(-1, fiber.npoints)[:rows]
+    return np.broadcast_to(out, (len(z),) + (n,) * r).reshape(len(z), fiber.npoints)
 
 
 def squared_tick_distances(fiber: FiberModel, rows: int) -> np.ndarray:
@@ -149,7 +146,7 @@ def squared_tick_distances(fiber: FiberModel, rows: int) -> np.ndarray:
     n = fiber.grid_size
     ticks = np.arange(n, dtype=np.int32)
     gap = np.abs(ticks[:, None] - ticks[None, :])
-    return _axis_sum(fiber, np.minimum(gap, n - gap) ** 2, rows)
+    return _axis_sum(fiber, np.minimum(gap, n - gap) ** 2, 0, rows)
 
 
 # a squared tick distance within this relative distance below (radius *
@@ -210,6 +207,12 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
     (``parametrix.ProjectorFrame``) has the blocks W_0 T^-a W_0^H / n,
     W_0 = W[:B], where S has W_0 (W_0 T^a + F_a[:B])^H / n: each entry
     differs by at most rho psi / n, inside the accepted line.
+
+    F_1 is formed one block row of B rows at a time, block j being
+    W_{j+1} - W_j T with W_j = W[jB:(j+1)B] (indices mod g), and g is
+    refused at the first block whose rows so far already put the bound over
+    the line: the bound grows with psi, so a later block cannot bring it
+    back, and the last block's test is that of the whole F_1.
     """
     n = fiber.npoints
     norms = np.sum(np.abs(W) ** 2, axis=1)
@@ -217,10 +220,16 @@ def certified_block_count(fiber: FiberModel, W: np.ndarray, frequencies: np.ndar
     for g in (g for g in range(fiber.grid_size, 0, -1) if fiber.grid_size % g == 0):
         width = n // g
         accept = CIRCULANT_RTOL * float(np.max(norms[:width])) / n * (1.0 - ENTRY_BOUND_MARGIN)
-        F = np.roll(W, -width, axis=0)
-        F -= W * np.exp(2j * np.pi * (frequencies % g) / g)
-        psi = g // 2 * float(np.sqrt(np.max(np.sum(np.abs(F) ** 2, axis=1))))
-        if psi * (2 * rho + psi) / n <= accept:
+        phase = np.exp(2j * np.pi * (frequencies % g) / g)
+        largest = 0.0
+        for j in range(g):
+            ahead = (j + 1) % g * width
+            F = W[ahead : ahead + width] - W[j * width : (j + 1) * width] * phase
+            largest = float(np.max(np.sum(np.abs(F) ** 2, axis=1), initial=largest))
+            psi = g // 2 * float(np.sqrt(largest))
+            if not psi * (2 * rho + psi) / n <= accept:
+                break
+        else:
             return g
 
 

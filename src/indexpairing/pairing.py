@@ -64,7 +64,10 @@ translation.  When K is stored as g blocks (``SmoothingKernel``), with g
 dividing grid_size so that the blocks come from a grid translation, so are
 the masks, K o W0 and K o W1; the masks are built as their block row 0
 only, and the profile chain works on the g Fourier blocks of size n/g,
-one block at a time.  Block k of the projector is Y_k Y_k^H for its frame
+one block at a time.  Rows a..b of every Fourier block of a masked kernel
+are the FFT over the block index of rows a..b of its masked block row, so
+the chain streams both masked kernels by row blocks and holds neither
+whole.  Block k of the projector is Y_k Y_k^H for its frame
 Y_k of r_k columns (``ProjectorFrame.block_frames``), cut or not, so
 block k takes the five products above with r_k columns (3 of 200 at
 flux 24), where two products of whole blocks took 2 B^3.  The cutoff weight
@@ -82,6 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -175,16 +179,20 @@ class ProfileCochain:
         self.legs = legs
         self.germ_radius = min(p.linear_radius for _, p in legs)
 
-    def leg_mask(self, i: int, rows: int) -> np.ndarray:
-        """Rows [0, rows) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber.
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each leg's profile on the grid_size^2 differences of its axis coordinates."""
+        coords = np.arange(self.fiber.grid_size) / self.fiber.grid_size
+        return tuple(prof(coords[None, :] - coords[:, None]) for _, prof in self.legs)
+
+    def leg_mask(self, i: int, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) of W[z, w] = profile_i((w - z)[axis_i]) on the fiber.
 
         The axis coordinate takes grid_size values, so the profile is
-        evaluated on their grid_size^2 differences and broadcast from there.
+        evaluated once on their grid_size^2 differences and broadcast from
+        there.
         """
-        axis, prof = self.legs[i]
-        coords = np.arange(self.fiber.grid_size) / self.fiber.grid_size
-        table = prof(coords[None, :] - coords[:, None])
-        return _axis_sum(self.fiber, table, rows, axes=(axis,))
+        return _axis_sum(self.fiber, self._tables[i], start, stop, axes=(self.legs[i][0],))
 
     def van_est_form(self) -> FoliatedForm:
         """Leafwise realization on the fiber: the product of unit slopes times dz_a0 ^ dz_a1.
@@ -239,7 +247,10 @@ def pair_cocycle(
     germ radius (no reach passes an infinite one), and by the profile
     chain's hermitian test and masks.  The k = 0 trace reads the diagonal,
     the elementary chain the Gram matrices, and the profile chain the
-    Fourier block factors, of each projector's frame.
+    Fourier block factors, of each projector's frame.  The profile chain
+    masks the held row one row block at a time, so beyond the row it holds
+    one block of masked rows and frame-sized products, never a whole
+    masked kernel.
     """
     if phi.degree % 2:
         raise ModelError("only even-degree cochains pair with idempotents")
@@ -295,9 +306,25 @@ def _hermitian_defect(row: np.ndarray) -> float:
 def _is_hermitian(row: np.ndarray) -> bool:
     """Whether the block-circulant matrix with block row 0 ``row`` is hermitian.
 
-    Its hermitian defect and its largest entry are both taken on block row 0.
+    Its hermitian defect and its largest entry are both taken on block row 0,
+    one B x B block at a time.
     """
-    return _hermitian_defect(row) <= HERMITIAN_RTOL * float(np.max(np.abs(row)))
+    width, g = row.shape[0], block_count(row)
+    C = row.reshape(width, g, width)
+    largest = float(np.max([np.max(np.abs(C[:, b])) for b in range(g)]))
+    return _hermitian_defect(row) <= HERMITIAN_RTOL * largest
+
+
+def _row_block(fiber: FiberModel) -> int:
+    """Rows a row block of the profile chain takes: one axis-0 tick, npoints / grid_size.
+
+    Every block row of a certified count g is grid_size / g whole ticks, so
+    no block is ragged, a block holds g / grid_size of the (g, B, B) stack
+    and the chain takes grid_size (row block, Fourier block) pairs, whatever
+    g.  Blocks of B / g rows, one Fourier block's worth of entries, take g^2
+    pairs, a quarter more time at flux 48 (g = 24).
+    """
+    return fiber.npoints // fiber.grid_size
 
 
 def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: ProjectorFrame) -> complex:
@@ -305,16 +332,21 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: Projector
     of the projector held as the frame ``proj``.
 
     The legs' masks are block circulant in every g dividing grid_size (they
-    depend on w - z only), so only block row 0 of each mask is built, and
-    only while its product with the kernel is formed; that product is
-    transformed in place.  The masks are real (profile values), so a
-    hermitian K takes the even rotations alone, the odd ones being their
-    conjugate.  The hermitian test reads block
-    row 0 alone; a K that fails it raises ModelError before any product.
-    Each Fourier block of K is V V^H for its frame V of r_k columns, so with
-    the blocks x and y of the masked kernels, u = y V and D = diag(orbit
-    means of cw), the rotations are <V, D x u>, <V, x y D V> and <V, x D u>
-    for <A, B> = sum conj(A) o B: five products of B x B by B x r_k.
+    depend on w - z only), so only block row 0 of each mask is read.  The
+    masks are real (profile values), so a hermitian K takes the even
+    rotations alone, the odd ones being their conjugate.  The hermitian test
+    reads block row 0 alone; a K that fails it raises ModelError before any
+    product.  Each Fourier block of K is V V^H for its frame V of r_k
+    columns, so with the blocks x and y of the kernels masked by legs 0 and
+    1, u = y V, w = y D V and D = diag(orbit means of cw), the rotations
+    are <V, D x u> + <V, x w> + <V, x D u> for <A, B> = sum conj(A) o B:
+    five products of B x B by B x r_k.
+
+    No masked kernel is held whole.  Rows a..b of every x_k and y_k are the
+    FFT over the block index of rows a..b of the masked row, so the chain
+    streams over row blocks (``_row_block``) in two passes through one
+    reused buffer: the first writes rows a..b of each u_k and w_k, and the
+    second takes the three sums over rows a..b of V.
     """
     row = proj.row
     if not _is_hermitian(row):
@@ -324,16 +356,37 @@ def _weighted_profile_chain(phi: ProfileCochain, cw: np.ndarray, proj: Projector
         )
     width, g = row.shape[0], block_count(row)
     D = cw.reshape(g, width).sum(axis=0)[:, None] / g
-    masked = [(row * phi.leg_mask(i, width)).reshape(width, g, width) for i in (0, 1)]
-    X, Y = (np.fft.fft(M, axis=1, out=M).transpose(1, 0, 2) for M in masked)
-    traces = np.empty(g, dtype=complex)
-    for k, (x, y, V) in enumerate(zip(X, Y, proj.block_frames())):
-        u = _product(y, V)
-        traces[k] = (
-            np.vdot(V, D * _product(x, u))
-            + np.vdot(V, _product(x, _product(y, D * V)))
-            + np.vdot(V, _product(x, D * u))
-        )
+    V = proj.block_frames()
+    DV = [D * Vk for Vk in V]
+    step = _row_block(proj.fiber)
+    buf = np.empty((step, g, width), dtype=complex)
+    blocks = [(a, min(a + step, width)) for a in range(0, width, step)]
+
+    def masked_blocks(i: int, a: int, b: int) -> np.ndarray:
+        """Rows a..b of the Fourier blocks of K o W_i, (b - a, g, B), in the buffer."""
+        out = buf[: b - a]
+        mask = phi.leg_mask(i, a, b)
+        np.multiply(row[a:b].reshape(out.shape), mask.reshape(out.shape), out=out)
+        return np.fft.fft(out, axis=1, out=out)
+
+    u = [np.empty_like(Vk) for Vk in V]
+    w = [np.empty_like(Vk) for Vk in V]
+    for a, b in blocks:
+        Y = masked_blocks(1, a, b)
+        for k in range(g):
+            u[k][a:b] = _product(Y[:, k], V[k])
+            w[k][a:b] = _product(Y[:, k], DV[k])
+    Du = [D * uk for uk in u]
+    traces = np.zeros(g, dtype=complex)
+    for a, b in blocks:
+        X = masked_blocks(0, a, b)
+        for k in range(g):
+            x, Vab = X[:, k], V[k][a:b]
+            traces[k] += (
+                np.vdot(Vab, D[a:b] * _product(x, u[k]))
+                + np.vdot(Vab, _product(x, w[k]))
+                + np.vdot(Vab, _product(x, Du[k]))
+            )
     return 2j * complex(np.sum(traces)).imag / 6.0
 
 

@@ -989,7 +989,7 @@ def profile_chain_whole_stack(phi, cw, row):
     and the block column held through whole-stack rotation sums."""
     width, g = row.shape[0], block_count(row)
     orbit_cw = cw.reshape(g, width).sum(axis=0) / g
-    W0, W1 = (phi.leg_mask(i, width) for i in (0, 1))
+    W0, W1 = (phi.leg_mask(i, 0, width) for i in (0, 1))
 
     def rotations(row):
         blocks = (circulant_blocks(M) for M in (row * W0, row * W1, row))

@@ -9,11 +9,12 @@ chain run on those blocks.  The dense scan of the
 grid matrix of the pseudo-inverse remainder and the dense rotation sum
 below are the forms they replaced, kept as oracles; the projector must be
 the spectral projector of the cut that eigh gives, to rounding.  The
-projector holds a fraction of one (g, B, B) stack and the chain three, the
-Fourier blocks of its two masked kernels.  The chain contracts those
-blocks against the rank-r_k frame of each block of the projector, so it
-agrees with the whole-stack form kept in ``oracles``, which
-transforms the block row, to rounding rather than bit for bit.
+projector and the chain each hold a fraction of one (g, B, B) stack: the
+chain streams the Fourier blocks of its two masked kernels one row block
+at a time.  It contracts those blocks against the rank-r_k frame of each
+block of the projector, so it agrees with the whole-stack form kept in
+``oracles``, which transforms the block row, to rounding rather than bit
+for bit.
 """
 import tracemalloc
 from pathlib import Path
@@ -35,6 +36,7 @@ from indexpairing.operators import (
 )
 import indexpairing.harness as harness
 import indexpairing.operators as operators
+import indexpairing.pairing as pairing_module
 import indexpairing.parametrix as parametrix_module
 from indexpairing.harness import load_scenario
 from indexpairing.pairing import (
@@ -273,7 +275,7 @@ def test_block_flow_and_chain_match_dense_oracles(flow_cases, case):
     npts = S.shape[0]
     cw = np.random.default_rng(59).uniform(0.2, 1.8, npts)
     phi = sawtooth(fiber)
-    masks = [phi.leg_mask(i, npts) for i in (0, 1)]
+    masks = [phi.leg_mask(i, 0, npts) for i in (0, 1)]
     assert circulant_order(got, n) == order, name
     want_chain = dense_profile_chain(masks, cw, got)
     got_chain = stack_chain(phi, cw, proj)
@@ -346,7 +348,7 @@ def test_profile_chain_of_every_frame_kind_matches_the_dense_oracle(name):
     npts = fiber.npoints
     cw = np.random.default_rng(73).uniform(0.2, 1.8, npts)
     phi = sawtooth(fiber)
-    masks = [phi.leg_mask(i, npts) for i in (0, 1)]
+    masks = [phi.leg_mask(i, 0, npts) for i in (0, 1)]
     want = dense_profile_chain(masks, cw, circulant_dense(proj.row))
     got = _weighted_profile_chain(phi, cw, proj)
     if name == "zero":
@@ -397,17 +399,21 @@ def test_flux24_certificate_flow_and_chain_hold_few_block_stacks():
     data = analytic_index(block)
     _, idem_peak = traced_peak(lambda: index_idempotent(block, radius=0.30, data=data))
     peaks = [peak / stack for peak in (row_peak, projector_peak, chain_peak, idem_peak)]
-    # the certificate holds frame-sized temporaries only, 2.24 frames of 0.12
-    # stacks: the rolled frame, the phased one and their row norms, where the
-    # least-squares fit took 3.07.  A row formed from the frames peaks at 1.02
-    # stacks, its Fourier blocks transformed in place and read as the row;
-    # the projector at 0.39, three one-block temporaries of its hermitian
-    # gate; the chain at 2.53, the blocks of both masked kernels and one
-    # masked row transformed in place; and the whole construction at 1.41,
-    # one stack cut and transformed in place with the tick distances of its
-    # mask in int32, where the cut row and its blocks took 2.03
-    assert cert_peak / W.nbytes <= 2.25, cert_peak / W.nbytes
-    assert peaks[0] <= 1.02 and peaks[1] <= 0.41 and peaks[2] <= 2.55, peaks
+    # the certificate holds 0.52 frames of 0.12 stacks: the squares of the
+    # frame's moduli for its row norms, the translation defect then taken one
+    # block row at a time, where the whole rolled and phased frames took 2.24
+    # and the least-squares fit 3.07.  A row formed from the frames peaks at
+    # 1.02 stacks, its Fourier blocks transformed in place and read as the
+    # row; the projector at 0.39, three one-block temporaries of its
+    # hermitian gate; the chain at 0.41, one tick of masked rows transformed
+    # in a reused buffer, its mask rows and the frame-sized products, where
+    # the blocks of both masked kernels took 2.53; and the whole construction
+    # at 1.41, one stack cut and transformed in place with the tick
+    # distances of its mask in int32, where the cut row and its blocks took
+    # 2.03.  So the pairing stage, the held row and the chain, peaks at 1.41
+    # stacks too, where it took 3.53
+    assert cert_peak / W.nbytes <= 0.53, cert_peak / W.nbytes
+    assert peaks[0] <= 1.02 and peaks[1] <= 0.41 and peaks[2] <= 0.42, peaks
     assert peaks[3] <= 1.41, peaks
 
 
@@ -826,17 +832,21 @@ def test_one_translation_certifies_the_block_count_every_power_does(name):
 
 @pytest.mark.parametrize("n", [12, 30])
 def test_leg_mask_rows_are_block_row_zero_of_the_full_mask(n):
-    # the profile chain builds only block row 0 of each mask, and relies on
-    # the full mask being block circulant in every g dividing the grid size
+    # the profile chain builds only block row 0 of each mask, one row block
+    # at a time, and relies on the full mask being block circulant in every
+    # g dividing the grid size
     fiber = FiberModel(2, (n - 2) // 2, n)
     npts = fiber.npoints
     saw = TransitionProfile(linear_radius=0.45)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
     for i in (0, 1):
-        W = phi.leg_mask(i, npts)
+        W = phi.leg_mask(i, 0, npts)
         assert circulant_order(W, n) == n
         for g in (g for g in range(1, n + 1) if n % g == 0):
-            assert np.array_equal(phi.leg_mask(i, npts // g), W[: npts // g])
+            assert np.array_equal(phi.leg_mask(i, 0, npts // g), W[: npts // g])
+        # ranges within one tick, across ticks and of one row
+        for start, stop in ((0, 1), (n - 1, n + 1), (5, 3 * n + 2), (n, 2 * n), (npts - 1, npts)):
+            assert np.array_equal(phi.leg_mask(i, start, stop), W[start:stop])
 
 
 @pytest.fixture(scope="module")
@@ -845,6 +855,29 @@ def flux24():
     idem = index_idempotent(dolbeault_family(FiberModel(2, 19, 40), 24, 2), radius=0.30)
     assert idem.skernel.order == 8 and idem.cokernel.row is None
     return idem
+
+
+@pytest.mark.parametrize("rows", ["tick", 1, 7, "B"])
+@pytest.mark.parametrize("name", ["uncut-g1", "flux24"])
+def test_streamed_chain_matches_the_whole_stack_oracle_at_every_row_block(
+    flux24, name, rows, monkeypatch
+):
+    # the chain streams both masked kernels by row blocks, one axis-0 tick
+    # each by default; one row, 7 rows (a ragged last block: 7 divides
+    # neither 400 nor 200) and the whole block row B give the oracle's value
+    # too, in one block and in the 8 blocks of the flux-24 projector
+    proj = frame_case(name)[1] if name == "uncut-g1" else flux24.skernel
+    fiber = proj.fiber
+    width = fiber.npoints // proj.order
+    assert (proj.order, width) == ((1, 400) if name == "uncut-g1" else (8, 200))
+    if rows != "tick":
+        step = width if rows == "B" else rows
+        monkeypatch.setattr(pairing_module, "_row_block", lambda fiber: step)
+    cw = np.random.default_rng(79).uniform(0.2, 1.8, fiber.npoints)
+    phi = sawtooth(fiber)
+    want = profile_chain_whole_stack(phi, cw, proj.row)
+    got = _weighted_profile_chain(phi, cw, proj)
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
 
 @pytest.mark.parametrize(

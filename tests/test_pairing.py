@@ -121,7 +121,7 @@ def test_profile_cochain_masks_are_antisymmetric():
         phi = ProfileCochain(FiberModel(2, 3, n), [(0, saw), (1, saw)])
         pts = grid_points(n, 2)
         for leg in range(2):
-            W = phi.leg_mask(leg, n * n)
+            W = phi.leg_mask(leg, 0, n * n)
             assert np.max(np.abs(W + W.T)) == 0.0
             assert np.max(np.abs(np.diag(W))) == 0.0
             # the gathered mask is the profile of every pointwise difference,
@@ -566,22 +566,33 @@ class FixedMasks:
     def __init__(self, masks):
         self.masks = masks
 
-    def leg_mask(self, i, rows):
-        return self.masks[i][:rows]
+    def leg_mask(self, i, start, stop):
+        return self.masks[i][start:stop]
 
 
 @pytest.fixture
 def chain_products(monkeypatch):
-    """The shape of the right operand of every product either k = 1 chain takes."""
+    """The shape of the right operand of every product either k = 1 chain takes, with
+    the operand's identity and the rows of the left one."""
     calls = []
     inner = pairing._product
 
     def counted(A, B):
-        calls.append(B.shape)
+        calls.append((B.shape, id(B), A.shape[0]))
         return inner(A, B)
 
     monkeypatch.setattr(pairing, "_product", counted)
     return calls
+
+
+def rows_per_operand(calls):
+    """(shape, rows taken) of each distinct right operand, in order of first use: the
+    streamed profile chain multiplies each of its operands by every row block of a
+    masked kernel, so the rows of one operand sum to the block size B."""
+    rows = {}
+    for shape, key, taken in calls:
+        rows[key] = (shape, rows.get(key, (shape, 0))[1] + taken)
+    return list(rows.values())
 
 
 @pytest.mark.parametrize("which", ["general", "hermitian"])
@@ -598,7 +609,7 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
     proj.row = K
     saw = TransitionProfile(linear_radius=0.3)
     phi = ProfileCochain(fiber, [(0, saw), (1, saw)])
-    profile_masks = [phi.leg_mask(i, npts) for i in (0, 1)]
+    profile_masks = [phi.leg_mask(i, 0, npts) for i in (0, 1)]
     # the rotation identity needs no antisymmetry of the masks
     general_masks = [rng.standard_normal((npts, npts)) for _ in range(2)]
     general = FixedMasks(general_masks)
@@ -616,8 +627,10 @@ def test_profile_chain_matches_six_term_oracle(which, chain_products):
             continue
         got = _weighted_profile_chain(cochain, cw, proj)
         assert abs(got - want) <= 1e-12 * abs(want)
-        # the even rotations of the one block: five products by F's 7 columns
-        assert chain_products == [(npts, 7)] * 5
+        # the even rotations of the one block: five products by F's 7 columns,
+        # each taken over the 8 row blocks of one 8-point tick
+        assert rows_per_operand(chain_products) == [((npts, 7), npts)] * 5
+        assert [taken for _, _, taken in chain_products] == [8] * 5 * 8
 
 
 def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
@@ -635,7 +648,7 @@ def test_profile_chain_refuses_a_kernel_moved_off_hermitian(chain_products):
         _weighted_profile_chain(phi, cw, proj)
     assert chain_products == []
     # the even rotations alone would drop the real part this perturbation makes
-    masks = [phi.leg_mask(i, npts) for i in (0, 1)]
+    masks = [phi.leg_mask(i, 0, npts) for i in (0, 1)]
     want = six_term_profile_chain(masks, cw, moved)
     assert abs(want.real) > 1e-13 * abs(want)
 
@@ -653,7 +666,9 @@ def test_profile_chain_takes_five_thin_products_per_fourier_block(radius, chain_
     _weighted_profile_chain(phi, cw, proj)
     width = fiber.npoints // proj.order
     assert proj.order == 8 and proj.ranks == (1,) * 8
-    assert chain_products == [(width, 1)] * 40
+    # over the 3 row blocks of one 24-point tick
+    assert rows_per_operand(chain_products) == [((width, 1), width)] * 40
+    assert len(chain_products) == 40 * 3
 
 
 @pytest.mark.parametrize("rank", [5, 64])
